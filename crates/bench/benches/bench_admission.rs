@@ -12,7 +12,8 @@ fn iv(a: u64, b: u64) -> Interval {
 
 fn bench_table_ops(c: &mut Criterion) {
     let mut g = c.benchmark_group("admission/hold-with-occupancy");
-    for occupancy in [10usize, 100, 1000] {
+    // Staggered starts: every standing entry is a breakpoint of its own.
+    for occupancy in [10usize, 100, 1000, 4096] {
         g.bench_with_input(
             BenchmarkId::from_parameter(occupancy),
             &occupancy,
@@ -29,6 +30,30 @@ fn bench_table_ops(c: &mut Criterion) {
                     next += 1;
                     table.hold(ReservationId(next), iv(100, 200), 1).unwrap();
                     table.release(ReservationId(next)).unwrap();
+                });
+            },
+        );
+    }
+    g.finish();
+}
+
+/// Every standing entry covers the same `[0, 3600)`, as the standing
+/// reservations of `qosbench`'s `chain3_burst_standing4k` do.
+fn bench_standing_identical(c: &mut Criterion) {
+    let mut g = c.benchmark_group("admission/hold-standing-identical");
+    for standing in [0u64, 1024, 4096] {
+        g.bench_with_input(
+            BenchmarkId::from_parameter(standing),
+            &standing,
+            |b, &standing| {
+                let mut table = ReservationTable::new(u64::MAX);
+                for i in 0..standing {
+                    table.hold(ReservationId(i), iv(0, 3600), 1_000).unwrap();
+                }
+                let next = ReservationId(standing);
+                b.iter(|| {
+                    table.hold(next, iv(0, 3600), 1).unwrap();
+                    table.release(next).unwrap();
                 });
             },
         );
@@ -67,28 +92,38 @@ fn bench_broker_hold(c: &mut Criterion) {
         ca_cert: cert.clone(),
         price_per_mbps_sec: 1,
     };
-    let broker = BrokerCore::new("domain-b", u64::MAX / 2);
-    broker.add_ingress_sla(sla("domain-a", "domain-b"));
-    broker.add_egress_sla(sla("domain-b", "domain-c"));
     let segment = PathSegment {
         ingress_peer: Some("domain-a".into()),
         egress_peer: Some("domain-c".into()),
     };
-    let mut next = 0u64;
-    c.bench_function("admission/broker-hold-commit", |b| {
-        b.iter(|| {
+    // The ledger grows by one reservation per iteration on top of what
+    // it was pre-loaded with.
+    for (name, preloaded) in [
+        ("admission/broker-hold-commit", 0u64),
+        ("admission/broker-hold-commit-standing4096", 4096),
+    ] {
+        let broker = BrokerCore::new("domain-b", u64::MAX / 2);
+        broker.add_ingress_sla(sla("domain-a", "domain-b"));
+        broker.add_egress_sla(sla("domain-b", "domain-c"));
+        let mut next = 0u64;
+        let mut admit = || {
             next += 1;
             broker
                 .hold(ReservationId(next), iv(0, 3600), 1_000, segment.clone())
                 .unwrap();
             broker.commit(ReservationId(next)).unwrap();
-        })
-    });
+        };
+        for _ in 0..preloaded {
+            admit();
+        }
+        c.bench_function(name, |b| b.iter(&mut admit));
+    }
 }
 
 criterion_group!(
     benches,
     bench_table_ops,
+    bench_standing_identical,
     bench_peak_usage,
     bench_broker_hold
 );

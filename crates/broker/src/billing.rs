@@ -10,7 +10,7 @@
 //! using the related SLA. Finally, the source domain would bill the
 //! traffic against the originator."
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// One billing record: `payer` owes `payee` for carrying a reservation.
@@ -40,6 +40,9 @@ impl fmt::Display for Invoice {
 #[derive(Debug, Default)]
 pub struct BillingLedger {
     invoices: Vec<Invoice>,
+    /// Positions in `invoices` by reservation id, so recovery can tell a
+    /// replayed invoice from a new one without scanning them all.
+    by_reservation: HashMap<u64, Vec<usize>>,
 }
 
 impl BillingLedger {
@@ -50,7 +53,19 @@ impl BillingLedger {
 
     /// Record an invoice.
     pub fn record(&mut self, invoice: Invoice) {
+        self.by_reservation
+            .entry(invoice.reservation)
+            .or_default()
+            .push(self.invoices.len());
         self.invoices.push(invoice);
+    }
+
+    /// Has exactly this `(payer, payee, reservation, amount)` been
+    /// recorded?
+    pub(crate) fn contains(&self, invoice: &Invoice) -> bool {
+        self.by_reservation
+            .get(&invoice.reservation)
+            .is_some_and(|at| at.iter().any(|&i| self.invoices[i] == *invoice))
     }
 
     /// All invoices.

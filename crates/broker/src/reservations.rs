@@ -100,6 +100,18 @@ struct Entry {
     state: ResState,
 }
 
+/// One breakpoint of the usage timeline (DESIGN.md §D16).
+#[derive(Debug, Clone)]
+struct Step {
+    /// Σ rate of the non-released entries containing every instant from
+    /// this breakpoint to the next. Exact: 2⁶⁴ ids × 2⁶⁴ bps fit a
+    /// `u128`, so removal never underflows; readers saturate to `u64`.
+    level: u128,
+    /// Non-released entries that start or end here; the breakpoint goes
+    /// when the last one does.
+    refs: usize,
+}
+
 /// Why admission failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdmissionError {
@@ -138,11 +150,18 @@ impl fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
+fn saturate(level: u128) -> u64 {
+    u64::try_from(level).unwrap_or(u64::MAX)
+}
+
 /// A capacity-bounded advance-reservation table.
 #[derive(Debug, Clone)]
 pub struct ReservationTable {
     capacity_bps: u64,
     entries: BTreeMap<ReservationId, Entry>,
+    /// Usage as a step function of time, kept in step with `entries` by
+    /// [`Self::shift`] so admission never scans them.
+    timeline: BTreeMap<Timestamp, Step>,
 }
 
 impl ReservationTable {
@@ -151,6 +170,7 @@ impl ReservationTable {
         Self {
             capacity_bps,
             entries: BTreeMap::new(),
+            timeline: BTreeMap::new(),
         }
     }
 
@@ -159,35 +179,79 @@ impl ReservationTable {
         self.capacity_bps
     }
 
-    /// Peak committed+held usage over `interval` (bits/s).
-    ///
-    /// Sweep over the breakpoints of overlapping reservations: usage only
-    /// changes at starts/ends, so evaluating at each start covers every
-    /// instant.
+    /// Peak committed+held usage over `interval` (bits/s): the highest
+    /// of the level in force at its start and those of the breakpoints
+    /// inside it.
     pub fn peak_usage(&self, interval: &Interval) -> u64 {
-        let mut points: Vec<Timestamp> = vec![interval.start];
-        for e in self.entries.values() {
-            if e.state != ResState::Released
-                && e.interval.overlaps(interval)
-                && e.interval.start > interval.start
-            {
-                points.push(e.interval.start);
+        let mut peak = self.level_at(interval.start);
+        if interval.start < interval.end {
+            for (_, step) in self.timeline.range(interval.start..interval.end) {
+                peak = peak.max(step.level);
             }
         }
-        points
-            .into_iter()
-            .map(|t| self.usage_at(t))
-            .max()
-            .unwrap_or(0)
+        saturate(peak)
     }
 
-    /// Committed+held usage at instant `t` (bits/s).
+    /// Committed+held usage at instant `t` (bits/s), saturating at
+    /// `u64::MAX` (a recovered ledger may be over-committed).
     pub fn usage_at(&self, t: Timestamp) -> u64 {
-        self.entries
-            .values()
-            .filter(|e| e.state != ResState::Released && e.interval.contains(t))
-            .map(|e| e.rate_bps)
-            .sum()
+        saturate(self.level_at(t))
+    }
+
+    fn level_at(&self, t: Timestamp) -> u128 {
+        self.timeline
+            .range(..=t)
+            .next_back()
+            .map_or(0, |(_, s)| s.level)
+    }
+
+    /// Add (`counts`) or remove one entry's rate over its interval. Every
+    /// transition between counting (held/committed) and not counting
+    /// (released/absent) goes through here, and nothing else writes the
+    /// timeline.
+    fn shift(&mut self, interval: Interval, rate_bps: u64, counts: bool) {
+        if interval.start >= interval.end {
+            return; // contains no instant
+        }
+        let ends = [interval.start, interval.end];
+        if counts {
+            for t in ends {
+                let level = self.level_at(t);
+                let step = self.timeline.entry(t).or_insert(Step { level, refs: 0 });
+                step.refs += 1;
+            }
+        }
+        for (_, step) in self.timeline.range_mut(interval.start..interval.end) {
+            if counts {
+                step.level += u128::from(rate_bps);
+            } else {
+                debug_assert!(step.level >= u128::from(rate_bps));
+                step.level -= u128::from(rate_bps);
+            }
+        }
+        if !counts {
+            for t in ends {
+                let step = self.timeline.get_mut(&t).expect("entry's own breakpoint");
+                step.refs -= 1;
+                if step.refs == 0 {
+                    self.timeline.remove(&t);
+                }
+            }
+        }
+    }
+
+    /// Move `id` to `state`, shifting the timeline if that starts or
+    /// stops it counting. False for an unknown id.
+    fn transition(&mut self, id: ReservationId, state: ResState) -> bool {
+        let Some(e) = self.entries.get_mut(&id) else {
+            return false;
+        };
+        let was = std::mem::replace(&mut e.state, state);
+        let (interval, rate_bps) = (e.interval, e.rate_bps);
+        if (was == ResState::Released) != (state == ResState::Released) {
+            self.shift(interval, rate_bps, state != ResState::Released);
+        }
+        true
     }
 
     /// Available rate at instant `t`.
@@ -227,6 +291,8 @@ impl ReservationTable {
                 available_bps: available,
             });
         }
+        // (A tombstone being replaced stopped counting when released.)
+        self.shift(interval, rate_bps, true);
         self.entries.insert(
             id,
             Entry {
@@ -253,12 +319,10 @@ impl ReservationTable {
 
     /// Release (roll back) a reservation; its capacity is returned.
     pub fn release(&mut self, id: ReservationId) -> Result<(), AdmissionError> {
-        match self.entries.get_mut(&id) {
-            Some(e) => {
-                e.state = ResState::Released;
-                Ok(())
-            }
-            None => Err(AdmissionError::UnknownReservation(id)),
+        if self.transition(id, ResState::Released) {
+            Ok(())
+        } else {
+            Err(AdmissionError::UnknownReservation(id))
         }
     }
 
@@ -303,23 +367,26 @@ impl ReservationTable {
         rate_bps: u64,
         state: ResState,
     ) {
-        self.entries.insert(
-            id,
-            Entry {
-                interval,
-                rate_bps,
-                state,
-            },
-        );
+        let entry = Entry {
+            interval,
+            rate_bps,
+            state,
+        };
+        if let Some(old) = self.entries.insert(id, entry) {
+            if old.state != ResState::Released {
+                self.shift(old.interval, old.rate_bps, false);
+            }
+        }
+        if state != ResState::Released {
+            self.shift(interval, rate_bps, true);
+        }
     }
 
     /// Force a recovered state transition. Unknown ids are ignored —
     /// the matching hold record can legitimately be missing when it sat
     /// in an un-fsynced batch the crash discarded.
     pub fn restore_state(&mut self, id: ReservationId, state: ResState) {
-        if let Some(e) = self.entries.get_mut(&id) {
-            e.state = state;
-        }
+        self.transition(id, state);
     }
 
     /// Iterate non-released reservations.
@@ -450,5 +517,79 @@ mod tests {
         assert_eq!(t.admitted_aggregate_at(Timestamp(7)), 50);
         t.release(ReservationId(2)).unwrap();
         assert_eq!(t.admitted_aggregate_at(Timestamp(7)), 30);
+    }
+
+    #[test]
+    fn over_committed_restore_saturates_instead_of_wrapping() {
+        // Replay bypasses admission, so a recovered ledger can hold more
+        // than u64::MAX bps at one instant.
+        const HALF: u64 = u64::MAX / 2 + 1;
+        let mut t = ReservationTable::new(u64::MAX);
+        t.restore(ReservationId(1), iv(0, 10), HALF, ResState::Committed);
+        t.restore(ReservationId(2), iv(5, 15), HALF, ResState::Held);
+        assert_eq!(t.usage_at(Timestamp(4)), HALF);
+        assert_eq!(t.usage_at(Timestamp(5)), u64::MAX);
+        assert_eq!(t.available_at(Timestamp(5)), 0);
+        assert_eq!(t.peak_usage(&iv(0, 15)), u64::MAX);
+        // The level underneath is exact: taking one away leaves the other.
+        t.release(ReservationId(1)).unwrap();
+        assert_eq!(t.usage_at(Timestamp(5)), HALF);
+        assert_eq!(t.available_at(Timestamp(5)), u64::MAX - HALF);
+        t.release(ReservationId(2)).unwrap();
+        assert!(t.timeline.is_empty());
+    }
+
+    /// D16's invariant, checked against a scan: one breakpoint per
+    /// distinct start/end of a counting entry, `refs` their number, and
+    /// `level` the sum of the rates in force from there.
+    fn assert_timeline_exact(t: &ReservationTable) {
+        let mut expected: BTreeMap<Timestamp, usize> = BTreeMap::new();
+        for e in t.entries.values() {
+            if e.state != ResState::Released && e.interval.secs() > 0 {
+                *expected.entry(e.interval.start).or_default() += 1;
+                *expected.entry(e.interval.end).or_default() += 1;
+            }
+        }
+        let refs: BTreeMap<_, _> = t.timeline.iter().map(|(at, s)| (*at, s.refs)).collect();
+        assert_eq!(refs, expected);
+        for (at, step) in &t.timeline {
+            let scanned: u128 = t
+                .entries
+                .values()
+                .filter(|e| e.state != ResState::Released && e.interval.contains(*at))
+                .map(|e| u128::from(e.rate_bps))
+                .sum();
+            assert_eq!(step.level, scanned, "level at {at}");
+        }
+    }
+
+    #[test]
+    fn every_transition_keeps_the_timeline_exact() {
+        let mut t = ReservationTable::new(100);
+        let id = ReservationId;
+        t.hold(id(1), iv(0, 10), 30).unwrap();
+        t.hold(id(2), iv(10, 20), 30).unwrap(); // touching
+        t.hold(id(3), iv(2, 8), 30).unwrap(); // nested
+        assert_timeline_exact(&t);
+        t.commit(id(1)).unwrap();
+        t.release(id(3)).unwrap();
+        t.release(id(3)).unwrap(); // releasing a tombstone changes nothing
+        assert_timeline_exact(&t);
+        t.hold(id(3), iv(5, 15), 40).unwrap(); // re-hold over the tombstone
+        assert_timeline_exact(&t);
+        t.restore(id(1), iv(0, 20), 10, ResState::Committed); // over a live id
+        t.restore(id(4), iv(7, 7), 99, ResState::Held); // contains nothing
+        t.restore(id(5), iv(0, 5), 5, ResState::Released); // born a tombstone
+        assert_timeline_exact(&t);
+        t.restore_state(id(5), ResState::Committed); // resurrection
+        t.restore_state(id(2), ResState::Released);
+        t.restore_state(id(9), ResState::Held); // unknown: ignored
+        assert_timeline_exact(&t);
+        assert_eq!(t.usage_at(Timestamp(4)), 15);
+        assert_eq!(t.peak_usage(&iv(0, 20)), 50);
+        for n in 1..=5 {
+            t.release(id(n)).unwrap();
+        }
+        assert!(t.timeline.is_empty());
     }
 }

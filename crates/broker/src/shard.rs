@@ -534,7 +534,7 @@ impl SlaBook {
             amount: snap.amount,
         };
         let mut billing = lock(&self.billing);
-        if billing.invoices().contains(&invoice) {
+        if billing.contains(&invoice) {
             return;
         }
         billing.record(invoice);

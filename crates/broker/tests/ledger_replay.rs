@@ -187,3 +187,34 @@ fn snapshot_plus_tail_equals_full_replay() {
     let _ = std::fs::remove_dir_all(&dir_snap);
     let _ = std::fs::remove_dir_all(&dir_full);
 }
+
+/// Replay is idempotent, invoices included: billing is append-only, so
+/// `restore_invoice` must recognise one it has already recorded (through
+/// the ledger's per-reservation index, not a scan of every invoice —
+/// recovery stays linear in the WAL).
+#[test]
+fn replaying_the_wal_twice_changes_nothing() {
+    let dir = tempdir("twice");
+    let (live_invoices, live_digest) = {
+        let core = broker();
+        let store: SharedStore = Arc::new(FileStore::open(&dir, opts()).unwrap());
+        core.set_store(Arc::clone(&store));
+        workload(&core, 0..60);
+        (core.invoices(), core.ledger_digest())
+    };
+    assert!(!live_invoices.is_empty());
+
+    let store = FileStore::open(&dir, opts()).unwrap();
+    let recovered = store.take_recovered();
+    drop(store);
+
+    let core = replayed(&recovered);
+    assert_eq!(core.invoices(), live_invoices);
+    for (_, record) in &recovered.records {
+        core.restore_record(record);
+    }
+    assert_eq!(core.invoices(), live_invoices, "no invoice recorded twice");
+    assert_eq!(core.ledger_digest(), live_digest);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

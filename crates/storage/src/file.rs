@@ -310,7 +310,7 @@ impl LedgerStore for FileStore {
         // placeholder, then patch len + CRC once the payload size is
         // known — no per-append payload or frame allocation; the stripe
         // buffers amortise to their group-commit batch size.
-        let frame_len;
+        let pending;
         {
             let mut stripe = lock(&inner.stripes[(seq as usize) % STRIPES]);
             let start = stripe.buf.len();
@@ -326,11 +326,14 @@ impl LedgerStore for FileStore {
             stripe.buf[start + 8..start + 12].copy_from_slice(&len_bytes);
             stripe.buf[start + 12..start + 16].copy_from_slice(&crc_bytes);
             stripe.max_seq = stripe.max_seq.max(seq);
-            frame_len = (FRAME_HEADER_LEN + payload_len) as u64;
+            // Counted before the stripe unlocks: the flusher subtracts
+            // what it drains, so it must never find a frame `pending`
+            // does not include yet (the counter would wrap below zero).
+            let frame_len = (FRAME_HEADER_LEN + payload_len) as u64;
+            pending = inner.pending.fetch_add(frame_len, Ordering::Relaxed) + frame_len;
         }
         inner.appends.fetch_add(1, Ordering::Relaxed);
         inner.appends_since_snapshot.fetch_add(1, Ordering::Relaxed);
-        let pending = inner.pending.fetch_add(frame_len, Ordering::Relaxed) + frame_len;
         if pending > PENDING_STALL_BYTES {
             inner.flight_event("append_stall", format!("{pending} bytes pending"), 0, 0);
             inner.drain_and_sync();

@@ -13,8 +13,9 @@ pub use qos_core::scenario::{
 use qos_core::drive::Mesh;
 use qos_core::node::Completion;
 use qos_core::{Approval, Denial, RarId, SignedRar};
-use qos_crypto::Certificate;
+use qos_crypto::{Certificate, Timestamp};
 use qos_net::SimDuration;
+use qos_telemetry::{Registry, Telemetry, TraceId};
 
 /// One megabit per second.
 pub const MBPS: u64 = 1_000_000;
@@ -55,4 +56,30 @@ pub fn outcome(mesh: &Mesh, domain: &str, rar_id: RarId) -> Result<Approval, Den
         Completion::Reservation { result, .. } => result.clone(),
         other => panic!("unexpected completion {other:?}"),
     }
+}
+
+/// Run one granted reservation through a traced, metered 3-domain chain
+/// and hand back (registry, mesh, rar_id, trace, domains).
+pub fn traced_reservation() -> (std::sync::Arc<Registry>, Mesh, RarId, TraceId, Vec<String>) {
+    let registry = Registry::new();
+    let mut s = build_chain(ChainOptions {
+        telemetry: Telemetry::with_registry(registry.clone()),
+        tracing: true,
+        ..ChainOptions::default()
+    });
+    let domains = s.domains.clone();
+    let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
+    let rar_id = spec.rar_id;
+    let trace = TraceId::mint(&spec.source_domain, rar_id.0);
+    let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
+    let cert = s.users["alice"].cert.clone();
+    let mut mesh = mesh_from(&mut s, 5);
+    mesh.install_sim_clock();
+    mesh.submit_in(SimDuration::ZERO, &domains[0], rar, cert);
+    mesh.run_until_idle();
+    assert!(matches!(
+        mesh.reservation_outcome(&domains[0], rar_id),
+        Some((_, Completion::Reservation { result: Ok(_), .. }))
+    ));
+    (registry, mesh, rar_id, trace, domains)
 }

@@ -2,45 +2,13 @@
 //! spans observed through full end-to-end reservations, plus the
 //! zero-cost guarantees the instrumentation makes when disabled.
 
-use integration_tests::{build_chain, mesh_from, ChainOptions, MBPS};
+use integration_tests::{build_chain, mesh_from, traced_reservation, ChainOptions, MBPS};
 use qos_core::node::Completion;
 use qos_core::parallel::parallel_map;
 use qos_crypto::Timestamp;
 use qos_net::SimDuration;
 use qos_telemetry::metrics::{bucket_bound, bucket_index};
-use qos_telemetry::{render_prometheus, Registry, SpanKind, Telemetry, TraceId};
-
-/// Run one granted reservation through a traced, metered 3-domain chain
-/// and hand back (registry, mesh, rar_id, trace, domains).
-fn traced_reservation() -> (
-    std::sync::Arc<Registry>,
-    qos_core::drive::Mesh,
-    qos_core::RarId,
-    TraceId,
-    Vec<String>,
-) {
-    let registry = Registry::new();
-    let mut s = build_chain(ChainOptions {
-        telemetry: Telemetry::with_registry(registry.clone()),
-        tracing: true,
-        ..ChainOptions::default()
-    });
-    let domains = s.domains.clone();
-    let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
-    let rar_id = spec.rar_id;
-    let trace = TraceId::mint(&spec.source_domain, rar_id.0);
-    let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
-    let cert = s.users["alice"].cert.clone();
-    let mut mesh = mesh_from(&mut s, 5);
-    mesh.install_sim_clock();
-    mesh.submit_in(SimDuration::ZERO, &domains[0], rar, cert);
-    mesh.run_until_idle();
-    assert!(matches!(
-        mesh.reservation_outcome(&domains[0], rar_id),
-        Some((_, Completion::Reservation { result: Ok(_), .. }))
-    ));
-    (registry, mesh, rar_id, trace, domains)
-}
+use qos_telemetry::{Registry, SpanKind, Telemetry};
 
 #[test]
 fn histogram_bucket_boundaries() {
@@ -202,38 +170,4 @@ fn span_chain_matches_verified_signer_path() {
     for (i, dn) in path.iter().enumerate().skip(1) {
         assert_eq!(dn.org_unit(), Some(hop_seq[i - 1].as_str()));
     }
-}
-
-#[test]
-fn prometheus_snapshot_of_a_reservation_is_deterministic() {
-    let (r1, ..) = traced_reservation();
-    let (r2, ..) = traced_reservation();
-    // Same scenario → byte-identical exposition for everything except
-    // the `*_ns` timing histograms (those observe real durations).
-    let stable = |r: &Registry| {
-        render_prometheus(r)
-            .lines()
-            .filter(|l| !l.contains("_ns"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(stable(&r1), stable(&r2));
-    let text = render_prometheus(&r1);
-    for family in [
-        "bb_messages_received_total",
-        "bb_signatures_verified_total",
-        "bb_envelope_verify_ns",
-        "bb_policy_decide_ns",
-        "bb_admission_total",
-        "pdp_decisions_total",
-        "broker_holds_total",
-        "broker_commits_total",
-    ] {
-        assert!(
-            text.contains(&format!("# TYPE {family} ")),
-            "family {family} missing from exposition"
-        );
-    }
-    assert!(text.contains("bb_admission_total{decision=\"held\",domain=\"domain-a\"} 1"));
-    assert!(text.contains("pdp_decisions_total{decision=\"grant\",domain=\"domain-c\"} 1"));
 }
