@@ -1,11 +1,13 @@
 //! Nested-envelope benchmarks (EXP-S / D1 ablation): per-hop wrap cost,
-//! destination verification versus depth, and codec round-trips.
+//! destination verification versus depth, codec round-trips, and what a
+//! broker spends on a request it has never seen (EXP-COLD).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use qos_broker::Interval;
 use qos_core::envelope::SignedRar;
+use qos_core::scenario::{build_chain, ChainOptions, Scenario};
 use qos_core::trust::{verify_rar, KeySource};
-use qos_core::{RarId, ResSpec};
+use qos_core::{RarId, ResSpec, SignalMessage};
 use qos_crypto::{
     CertificateAuthority, DistinguishedName, KeyPair, Timestamp, TrustPolicy, Validity,
 };
@@ -223,8 +225,66 @@ fn bench_key_sources(c: &mut Criterion) {
     });
 }
 
+/// A request nobody has seen, as the broker at chain index `hops`
+/// receives it: Alice signs a fresh reservation (capability chain
+/// delegated to the source broker) and the brokers before `hops` check,
+/// extend and wrap it in turn.
+fn first_sight(s: &mut Scenario, hops: usize) -> SignalMessage {
+    let spec = s.spec("alice", 7, 100, Timestamp(0), 3600);
+    let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
+    let mut out = s.nodes[0].submit(rar, &s.users["alice"].cert);
+    for i in 1..hops {
+        let (_, msg) = out.pop().expect("an upstream broker forwards");
+        out = s.nodes[i].recv(&s.domains[i - 1], msg);
+    }
+    out.pop().expect("an upstream broker forwards").1
+}
+
+/// The per-hop bill on first-sight traffic: `recv` of a distinct request
+/// at a transit broker (checks, hold, delegate, wrap and sign) and at
+/// the destination (full trust walk, checks, hold, commit, signed
+/// approval), every cache at its default size and already full, so each
+/// miss also pays for an eviction.
+fn bench_hop_cold(c: &mut Criterion) {
+    let mut g = c.benchmark_group("hop");
+    let cases = [2usize, 4, 8]
+        .map(|depth| ("transit-cold", depth, depth + 1))
+        .into_iter()
+        .chain([3usize, 8].map(|depth| ("destination-cold", depth, depth)));
+    for (name, depth, domains) in cases {
+        let mut s = build_chain(ChainOptions {
+            domains,
+            local_capacity_bps: u64::MAX / 4,
+            sla_rate_bps: u64::MAX / 4,
+            trust_policy: TrustPolicy {
+                max_chain_depth: 64,
+            },
+            ..ChainOptions::default()
+        });
+        // The envelope arriving at index `depth - 1` has `depth` layers.
+        let at = depth - 1;
+        let from = s.domains[at - 1].clone();
+        // More distinct requests than the largest cache holds entries.
+        for _ in 0..qos_crypto::vcache::DEFAULT_CAPACITY + 512 {
+            let msg = first_sight(&mut s, at);
+            black_box(s.nodes[at].recv(&from, msg));
+        }
+        g.bench_function(BenchmarkId::new(name, format!("depth-{depth}")), |b| {
+            let mut receiver = s.nodes.remove(at);
+            b.iter_batched(
+                || first_sight(&mut s, at),
+                |msg| receiver.recv(&from, msg),
+                BatchSize::SmallInput,
+            );
+            s.nodes.insert(at, receiver);
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
+    bench_hop_cold,
     bench_wrap,
     bench_encode_once,
     bench_verify_depth,

@@ -21,6 +21,8 @@
 //! tracking the path taken by a request as it moves from BB to BB."
 
 use crate::rar::ResSpec;
+use crate::view::RarView;
+use qos_crypto::sha256::{sha256, Digest};
 use qos_crypto::{Certificate, DistinguishedName, KeyPair, PublicKey, Signature};
 use qos_policy::AttributeSet;
 use qos_wire::{Decode, Encode, Reader, SharedBytes, WireError, Writer};
@@ -87,6 +89,10 @@ pub struct SignedRar {
     pub signature: Signature,
     /// Lazily-filled canonical encoding of `layer`.
     canonical: OnceLock<SharedBytes>,
+    /// Lazily-filled SHA-256 of `canonical` — the key every cache on the
+    /// way (reply cache, RAR memo, verify cache) files this layer under,
+    /// hashed once however many of them ask (DESIGN.md §D17).
+    digest: OnceLock<Digest>,
 }
 
 impl PartialEq for SignedRar {
@@ -120,6 +126,7 @@ impl Decode for SignedRar {
             signer: DistinguishedName::decode(r)?,
             signature: Signature::decode(r)?,
             canonical,
+            digest: OnceLock::new(),
         })
     }
 }
@@ -151,6 +158,7 @@ impl SignedRar {
             signer: res_spec.requestor,
             signature,
             canonical: prefilled(layer_bytes),
+            digest: OnceLock::new(),
         }
     }
 
@@ -181,6 +189,7 @@ impl SignedRar {
             signer,
             signature,
             canonical: prefilled(layer_bytes),
+            digest: OnceLock::new(),
         }
     }
 
@@ -195,6 +204,18 @@ impl SignedRar {
         self.canonical
             .get_or_init(|| SharedBytes::from_vec(qos_wire::to_bytes(&self.layer)))
             .as_slice()
+    }
+
+    /// SHA-256 of [`SignedRar::layer_bytes`], computed at most once per
+    /// envelope lifetime.
+    pub fn layer_digest(&self) -> &Digest {
+        self.digest.get_or_init(|| sha256(self.layer_bytes()))
+    }
+
+    /// Adopt a digest of this layer's bytes that the borrowed decoder
+    /// already computed for the warm-path probe.
+    pub(crate) fn seed_layer_digest(&self, digest: Digest) {
+        let _ = self.digest.set(digest);
     }
 
     /// Verify this layer's signature under `pk`.
@@ -226,59 +247,19 @@ impl SignedRar {
     /// Signer DNs innermost-first: `[user, BB_A, BB_B, …]` — the signal
     /// path trace.
     pub fn signer_path(&self) -> Vec<DistinguishedName> {
-        let mut path = Vec::with_capacity(self.depth());
-        self.collect_signer_path(&mut path);
-        path
-    }
-
-    fn collect_signer_path(&self, out: &mut Vec<DistinguishedName>) {
-        if let RarLayer::Broker { inner, .. } = &self.layer {
-            inner.collect_signer_path(out);
-        }
-        out.push(self.signer.clone());
+        RarView::of(self).signers().cloned().collect()
     }
 
     /// All capability certificates, innermost (CAS grant) first — the
     /// growing capability list of Figure 7.
     pub fn capability_certs(&self) -> Vec<Certificate> {
-        let mut all = Vec::new();
-        self.collect_capability_certs(&mut all);
-        all
-    }
-
-    fn collect_capability_certs(&self, out: &mut Vec<Certificate>) {
-        match &self.layer {
-            RarLayer::User {
-                capability_certs, ..
-            } => out.extend(capability_certs.iter().cloned()),
-            RarLayer::Broker {
-                inner,
-                capability_certs,
-                ..
-            } => {
-                inner.collect_capability_certs(out);
-                out.extend(capability_certs.iter().cloned());
-            }
-        }
+        RarView::of(self).caps().iter().copied().cloned().collect()
     }
 
     /// Union of all policy attachments, inner layers first (outer layers
     /// override on key conflicts).
     pub fn merged_attachments(&self) -> AttributeSet {
-        let mut out = AttributeSet::new();
-        fn walk(rar: &SignedRar, out: &mut AttributeSet) {
-            if let RarLayer::Broker {
-                inner,
-                policy_attachments,
-                ..
-            } = &rar.layer
-            {
-                walk(inner, out);
-                out.merge(policy_attachments);
-            }
-        }
-        walk(self, &mut out);
-        out
+        RarView::of(self).merged_attachments()
     }
 
     /// Serialized size in bytes (the EXP-S metric).

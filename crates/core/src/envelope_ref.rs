@@ -31,8 +31,11 @@
 use crate::envelope::SignedRar;
 use crate::messages::SignalMessage;
 use crate::rar::RarId;
+use qos_crypto::sha256::{sha256, Digest};
 use qos_crypto::Signature;
 use qos_wire::{Decode, Reader, WireError};
+use std::cell::Cell;
+use std::sync::Arc;
 
 /// Wire tag of `SignalMessage::Request`.
 const TAG_REQUEST: u8 = 0;
@@ -43,12 +46,16 @@ const TAG_LAYER_BROKER: u8 = 1;
 
 /// A borrowed view of one `SignalMessage::Request` envelope: the facts
 /// the warm revalidation path needs, with zero owned decoding.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct EnvelopeRef<'a> {
+    /// The whole message this view was parsed from.
+    message: &'a [u8],
     layer_bytes: &'a [u8],
     signature: Signature,
     depth: usize,
     rar_id: RarId,
+    /// SHA-256 of `layer_bytes`, once somebody asked for it.
+    digest: Cell<Option<Digest>>,
 }
 
 impl<'a> EnvelopeRef<'a> {
@@ -76,6 +83,17 @@ impl<'a> EnvelopeRef<'a> {
         self.layer_bytes
     }
 
+    /// SHA-256 of [`EnvelopeRef::layer_bytes`], computed on first use
+    /// and handed on to the owned decode ([`EnvelopeRef::decode_owned`])
+    /// so a reply-cache miss does not hash the envelope a second time.
+    pub fn layer_digest(&self) -> Digest {
+        self.digest.get().unwrap_or_else(|| {
+            let digest = sha256(self.layer_bytes);
+            self.digest.set(Some(digest));
+            digest
+        })
+    }
+
     /// The outer signature.
     pub fn signature(&self) -> Signature {
         self.signature
@@ -98,6 +116,18 @@ impl<'a> EnvelopeRef<'a> {
     pub fn to_owned_message(bytes: &[u8]) -> Result<SignalMessage, WireError> {
         qos_wire::from_bytes(bytes)
     }
+
+    /// Owned decode of the message this view was parsed from, through a
+    /// shared buffer (every layer keeps a zero-copy span of it), with
+    /// the layer digest carried over if the warm-path probe computed it.
+    pub fn decode_owned(&self) -> Result<SignalMessage, WireError> {
+        let shared: Arc<[u8]> = self.message.into();
+        let msg = qos_wire::from_bytes_shared::<SignalMessage>(&shared)?;
+        if let (SignalMessage::Request(rar), Some(digest)) = (&msg, self.digest.get()) {
+            rar.seed_layer_digest(digest);
+        }
+        Ok(msg)
+    }
 }
 
 /// Skip one `SignedRar`, returning its borrowed facts. `input` is the
@@ -109,10 +139,12 @@ fn skip_signed_rar<'a>(r: &mut Reader<'a>, input: &'a [u8]) -> Result<EnvelopeRe
     skip_dn(r)?; // signer
     let signature = Signature::decode(r)?;
     Ok(EnvelopeRef {
+        message: input,
         layer_bytes,
         signature,
         depth,
         rar_id,
+        digest: Cell::new(None),
     })
 }
 

@@ -8,6 +8,8 @@
 //! * [`trust`] — the destination's transitive-trust verification walk
 //!   (key introducers, path-continuity, chain-depth policy) and the
 //!   directory-based alternative;
+//! * [`view`] — the one borrowed walk of a received envelope every step
+//!   of a hop reads from (DESIGN.md §D17);
 //! * [`channel`] — mutually authenticated peer channels (the TLS stand-in,
 //!   DESIGN.md §2);
 //! * [`messages`] — requests, chained approvals, denials, direct
@@ -48,6 +50,7 @@ pub mod scenario;
 pub mod shard;
 pub mod source;
 pub mod trust;
+pub mod view;
 
 pub use audit::{AuditEvent, AuditLog};
 
@@ -61,31 +64,8 @@ pub fn install_verify_cache_telemetry(telemetry: &qos_telemetry::Telemetry) {
     if !telemetry.is_enabled() {
         return;
     }
-    let caches = [
-        ("verify", qos_crypto::vcache::counter_cells()),
-        ("rar", trust::rar_memo_counter_cells()),
-    ];
-    for (cache, (hits, misses, evictions)) in caches {
-        let labels: &[(&str, &str)] = &[("cache", cache)];
-        telemetry.register_counter(
-            "cache_hits_total",
-            "Memoization cache hits, by cache",
-            labels,
-            hits,
-        );
-        telemetry.register_counter(
-            "cache_misses_total",
-            "Memoization cache misses, by cache",
-            labels,
-            misses,
-        );
-        telemetry.register_counter(
-            "cache_evictions_total",
-            "Memoization cache evictions, by cache",
-            labels,
-            evictions,
-        );
-    }
+    telemetry.register_cache_counters(&[("cache", "verify")], qos_crypto::vcache::counter_cells());
+    telemetry.register_cache_counters(&[("cache", "rar")], trust::rar_memo_counter_cells());
 }
 pub use drive::Mesh;
 pub use envelope::{RarLayer, SignedRar};

@@ -23,9 +23,11 @@ use crate::messages::{
     TunnelFlowRelease, TunnelFlowReply, TunnelFlowRequest,
 };
 use crate::rar::RarId;
-use crate::trust::{verify_rar, KeySource, VerifiedRar};
+use crate::trust::{verify_view, KeySource};
+use crate::view::RarView;
 use qos_broker::{BrokerCore, EdgeCommand, Interval, PathSegment, ReservationId, Sla};
-use qos_crypto::sha256::{sha256, Digest};
+use qos_crypto::lru::LruMap;
+use qos_crypto::sha256::Digest;
 use qos_crypto::{
     Certificate, DelegationChain, DistinguishedName, KeyPair, PublicKey, Restriction, Signature,
     Timestamp, TrustPolicy, Validity,
@@ -168,11 +170,40 @@ struct Pending {
     trace: TraceId,
 }
 
+/// What a checked request is wrapped with on its way to the next domain.
+struct Forward {
+    next: String,
+    /// The capability chain's new link, delegated to `next`.
+    new_caps: Vec<Certificate>,
+    /// This domain's policy attachments.
+    attachments: AttributeSet,
+}
+
+/// The outcome of checking a peer's request.
+enum Checked {
+    /// Destination: the signed approval to send back.
+    Approved(Approval),
+    /// Transit: wrap and send on.
+    Forward(Forward),
+}
+
 /// Default bound on cached warm-path replies per node.
 pub const REPLY_CACHE_DEFAULT_CAPACITY: usize = 1024;
 
 /// One remembered single-message reply to a byte-identical `Request`
-/// envelope (DESIGN.md §D15).
+/// envelope, in the per-node warm-path reply cache (DESIGN.md §D15):
+/// signalling retries and two-phase re-sends deliver byte-identical
+/// `Request` envelopes in the steady state. Replaying the recorded reply
+/// is not only allocation-free — it also makes retried requests
+/// genuinely idempotent (the slow path re-runs hold/forward
+/// bookkeeping).
+///
+/// Only `Approve` and forwarded-`Request` replies are cached; denials
+/// always re-run the full path, because a deny verdict (capacity, cost)
+/// can legitimately flip once other traffic releases. A reply replays
+/// only while its reservation is pending here: once a `Release` or a
+/// downstream denial has taken it away, the entry is dead weight until
+/// the LRU drops it.
 struct CachedReply {
     /// Outer envelope signature — the digest key covers the layer bytes
     /// only, so a hit additionally requires signature equality (same
@@ -182,7 +213,7 @@ struct CachedReply {
     from: PeerId,
     /// Where the reply went.
     to: PeerId,
-    /// Request id, for release-time invalidation.
+    /// The reservation the reply speaks for.
     rar_id: RarId,
     /// Broker clock at decision time — a hit requires the same instant,
     /// so state drift across clock ticks can never replay a stale
@@ -190,108 +221,6 @@ struct CachedReply {
     now: Timestamp,
     /// The encoded `SignalMessage` reply.
     bytes: Vec<u8>,
-    stamp: u64,
-}
-
-/// Per-node warm-path reply cache (DESIGN.md §D15): signalling retries
-/// and two-phase re-sends deliver byte-identical `Request` envelopes in
-/// the steady state. Replaying the recorded reply is not only
-/// allocation-free — it also makes retried requests genuinely
-/// idempotent (the slow path re-runs hold/forward bookkeeping).
-///
-/// Only `Approve` and forwarded-`Request` replies are cached; denials
-/// always re-run the full path, because a deny verdict (capacity, cost)
-/// can legitimately flip once other traffic releases. Entries for a
-/// reservation are dropped the moment its `Release` is seen.
-struct ReplyCache {
-    map: HashMap<Digest, CachedReply>,
-    by_rar: HashMap<RarId, Vec<Digest>>,
-    tick: u64,
-    cap: usize,
-    hits: Arc<AtomicU64>,
-    misses: Arc<AtomicU64>,
-    evictions: Arc<AtomicU64>,
-}
-
-impl Default for ReplyCache {
-    fn default() -> Self {
-        ReplyCache {
-            map: HashMap::new(),
-            by_rar: HashMap::new(),
-            tick: 0,
-            cap: REPLY_CACHE_DEFAULT_CAPACITY,
-            hits: Arc::new(AtomicU64::new(0)),
-            misses: Arc::new(AtomicU64::new(0)),
-            evictions: Arc::new(AtomicU64::new(0)),
-        }
-    }
-}
-
-impl ReplyCache {
-    fn probe(
-        &mut self,
-        key: &Digest,
-        sig: Signature,
-        from: &str,
-        now: Timestamp,
-    ) -> Option<(PeerId, &[u8])> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.map.get_mut(key) {
-            Some(e) if e.sig == sig && e.from.as_ref() == from && e.now == now => {
-                e.stamp = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some((e.to.clone(), &e.bytes))
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn insert(&mut self, key: Digest, entry: CachedReply) {
-        self.tick += 1;
-        let tick = self.tick;
-        if self.map.len() >= self.cap && !self.map.contains_key(&key) {
-            if let Some(victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k)
-            {
-                self.remove_key(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.by_rar.entry(entry.rar_id).or_default().push(key);
-        self.map.insert(
-            key,
-            CachedReply {
-                stamp: tick,
-                ..entry
-            },
-        );
-    }
-
-    fn remove_key(&mut self, key: &Digest) {
-        if let Some(e) = self.map.remove(key) {
-            if let Some(keys) = self.by_rar.get_mut(&e.rar_id) {
-                keys.retain(|k| k != key);
-                if keys.is_empty() {
-                    self.by_rar.remove(&e.rar_id);
-                }
-            }
-        }
-    }
-
-    fn invalidate_rar(&mut self, rar_id: RarId) {
-        if let Some(keys) = self.by_rar.remove(&rar_id) {
-            for k in keys {
-                self.map.remove(&k);
-            }
-        }
-    }
 }
 
 /// Source end of an established tunnel. Per-flow state lives in compact
@@ -402,7 +331,8 @@ pub struct BbNode {
     tracer: Tracer,
     clock: Arc<dyn Clock>,
     verified_paths: HashMap<RarId, Vec<DistinguishedName>>,
-    replies: ReplyCache,
+    /// Warm-path reply cache, by the received envelope's layer digest.
+    replies: LruMap<Digest, CachedReply>,
     /// Augments ledger snapshots with transport-layer state (resumption
     /// tickets) — installed by the daemon, shared across shard replicas.
     snapshot_extra: Option<SnapshotExtra>,
@@ -433,10 +363,19 @@ impl BbNode {
     ///
     /// # Panics
     /// Panics if the policy source does not parse — a broker without a
-    /// working policy must not come up.
+    /// working policy must not come up — or if the broker cannot prove
+    /// possession of its own key.
     pub fn new(config: BbConfig) -> Self {
         let pdp = PolicyServer::from_source(&config.policy_src, config.groups)
             .unwrap_or_else(|e| panic!("policy for {} failed to parse: {e}", config.domain));
+        // §6.5's possession step, once: a capability chain is usable
+        // here iff its tip names this key (`verify_capability_chain`),
+        // and that this broker holds the private half is a fact about
+        // the broker, not about any one request.
+        let nonce = config.domain.as_bytes();
+        let proof = config.key.prove_possession(nonce);
+        let held = config.key.public().check_possession(nonce, &proof);
+        assert!(held, "{} does not hold its own key", config.domain);
         let mut audit = AuditLog::new(config.audit_capacity);
         audit.set_enabled(config.audit);
         let mut tracer = Tracer::default();
@@ -470,7 +409,7 @@ impl BbNode {
             tracer,
             clock: Arc::new(StdClock),
             verified_paths: HashMap::new(),
-            replies: ReplyCache::default(),
+            replies: LruMap::new(REPLY_CACHE_DEFAULT_CAPACITY, Default::default()),
             snapshot_extra: None,
             recovered_tickets: RecoveredTickets::default(),
         };
@@ -621,24 +560,9 @@ impl BbNode {
             );
             // Warm-path reply cache (D15) — per-node, so the series
             // carries the domain label alongside the cache name.
-            let rl: &[(&str, &str)] = &[("cache", "reply"), ("domain", &d)];
-            telemetry.register_counter(
-                "cache_hits_total",
-                "Memoization cache hits, by cache",
-                rl,
-                self.replies.hits.clone(),
-            );
-            telemetry.register_counter(
-                "cache_misses_total",
-                "Memoization cache misses, by cache",
-                rl,
-                self.replies.misses.clone(),
-            );
-            telemetry.register_counter(
-                "cache_evictions_total",
-                "Memoization cache evictions, by cache",
-                rl,
-                self.replies.evictions.clone(),
+            telemetry.register_cache_counters(
+                &[("cache", "reply"), ("domain", &d)],
+                self.replies.counters().cells(),
             );
             self.instruments = NodeInstruments {
                 verify_ns: telemetry.histogram(
@@ -739,7 +663,7 @@ impl BbNode {
         self.instruments
             .queue_wait_ns
             .observe(end_ns.saturating_sub(start_ns));
-        self.span_at(trace, request, SpanKind::QueueWait, "", start_ns, end_ns);
+        self.span_at(trace, request, SpanKind::QueueWait, || "", start_ns, end_ns);
     }
 
     /// The signer path recovered from the verified envelope nest, as
@@ -765,13 +689,14 @@ impl BbNode {
         }
     }
 
-    /// Record a span with explicit bounds (no-op while tracing is off).
-    fn span_at(
+    /// Record a span with explicit bounds. While tracing is off this is
+    /// a no-op and `detail` is never built.
+    fn span_at<D: Into<String>>(
         &mut self,
         trace: TraceId,
         request: RarId,
         kind: SpanKind,
-        detail: impl Into<String>,
+        detail: impl FnOnce() -> D,
         start_ns: u64,
         end_ns: u64,
     ) {
@@ -783,7 +708,7 @@ impl BbNode {
             request: request.0,
             domain: self.domain.clone(),
             kind,
-            detail: detail.into(),
+            detail: detail().into(),
             start_ns,
             end_ns,
             wall_s: self.now.0,
@@ -798,9 +723,13 @@ impl BbNode {
         self.tracer.record(span);
     }
 
-    /// Audit an event and keep the eviction gauge current.
-    fn audit_event(&mut self, event: AuditEvent) {
-        self.audit.record(self.now, event);
+    /// Audit an event and keep the eviction gauge current. While the
+    /// log is disabled the event is never built.
+    fn audit_event(&mut self, event: impl FnOnce() -> AuditEvent) {
+        if !self.audit.is_enabled() {
+            return;
+        }
+        self.audit.record(self.now, event());
         self.instruments
             .audit_dropped
             .set(self.audit.dropped() as i64);
@@ -1041,56 +970,65 @@ impl BbNode {
         pre_verified: bool,
     ) -> Vec<(PeerId, SignalMessage)> {
         self.counters.add_rx(1);
-        let spec = rar_u.res_spec();
+        let view = RarView::of(&rar_u);
+        let spec = view.spec();
         let rar_id = spec.rar_id;
         // The trace is minted here, at the edge of the system; every
         // downstream broker re-derives the same id from the same signed
         // fields (see `TraceId::mint`).
         let trace = TraceId::mint(&spec.source_domain, rar_id.0);
         let (_, t_sub) = self.t0();
-        let depth = rar_u.depth();
-        self.audit_event(AuditEvent::RequestReceived {
+        let depth = view.depth();
+        self.audit_event(|| AuditEvent::RequestReceived {
             rar_id,
             from: "user".into(),
             depth,
         });
-        match self.process_submit(rar_u, user_cert, trace, pre_verified) {
+        let checked = self.process_submit(&view, user_cert, trace, pre_verified);
+        drop(view);
+        let checked = checked.map(|forward| {
+            forward.map(|f| {
+                self.wrap_onward(rar_u, user_cert.clone(), f, rar_id, trace)
+                    .0
+            })
+        });
+        let end = if self.tracer.is_enabled() {
+            self.clock.now_ns()
+        } else {
+            0
+        };
+        match checked {
             Ok(out) => {
-                let end = if self.tracer.is_enabled() {
-                    self.clock.now_ns()
-                } else {
-                    0
-                };
-                self.span_at(trace, rar_id, SpanKind::Submit, "user request", t_sub, end);
-                for (peer, _) in &out {
-                    let peer = peer.to_string();
-                    self.span_at(trace, rar_id, SpanKind::Forward, peer, end, end);
-                }
-                out
-            }
-            Err(e) => {
-                let end = if self.tracer.is_enabled() {
-                    self.clock.now_ns()
-                } else {
-                    0
-                };
                 self.span_at(
                     trace,
                     rar_id,
                     SpanKind::Submit,
-                    format!("denied: {e}"),
+                    || "user request",
                     t_sub,
                     end,
                 );
-                self.deny_locally(rar_id, e);
+                self.counters.add_tx(out.is_some() as u64);
+                if let Some((peer, _)) = &out {
+                    self.span_at(trace, rar_id, SpanKind::Forward, || &**peer, end, end);
+                }
+                out.into_iter().collect()
+            }
+            Err(e) => {
+                let detail = || format!("denied: {e}");
+                self.span_at(trace, rar_id, SpanKind::Submit, detail, t_sub, end);
+                self.instruments.completions_denied.inc();
+                let result = Err(self.denial_of(rar_id, e));
+                self.completions
+                    .push(Completion::Reservation { rar_id, result });
                 Vec::new()
             }
         }
     }
 
-    fn deny_locally(&mut self, rar_id: RarId, e: CoreError) {
-        self.instruments.completions_denied.inc();
-        let denial = match e {
+    /// The denial that reports `e`: a domain's own refusal as that
+    /// domain worded it, anything else under this broker's name.
+    fn denial_of(&self, rar_id: RarId, e: CoreError) -> Denial {
+        match e {
             CoreError::Denied {
                 rar_id,
                 domain,
@@ -1105,21 +1043,20 @@ impl BbNode {
                 domain: self.domain.clone(),
                 reason: other.to_string(),
             },
-        };
-        self.completions.push(Completion::Reservation {
-            rar_id,
-            result: Err(denial),
-        });
+        }
     }
 
+    /// §6.1: every check the source domain runs on a user's request.
+    /// `Ok(Some(_))` is what the wrap towards the next domain carries,
+    /// `Ok(None)` a single-domain reservation completed here.
     fn process_submit(
         &mut self,
-        rar_u: SignedRar,
+        view: &RarView<'_>,
         user_cert: &Certificate,
         trace: TraceId,
         pre_verified: bool,
-    ) -> Result<Vec<(PeerId, SignalMessage)>, CoreError> {
-        let spec = rar_u.res_spec().clone();
+    ) -> Result<Option<Forward>, CoreError> {
+        let spec = view.spec();
         let rar_id = spec.rar_id;
 
         // Authenticate the user: certificate from a trusted CA, request
@@ -1138,13 +1075,17 @@ impl BbNode {
                 signer: spec.requestor.clone(),
             });
         }
-        if !pre_verified && !rar_u.verify_signature(user_cert.tbs.subject_public_key) {
+        if !pre_verified
+            && !view
+                .outer()
+                .verify_signature(user_cert.tbs.subject_public_key)
+        {
             return Err(CoreError::LayerSignature {
                 signer: spec.requestor.clone(),
             });
         }
         self.counters.add_verified(1);
-        if let RarLayer::User { source_bb, .. } = &rar_u.layer {
+        if let RarLayer::User { source_bb, .. } = &view.outer().layer {
             if *source_bb != self.dn {
                 return Err(CoreError::PathMismatch {
                     expected: source_bb.clone(),
@@ -1154,10 +1095,10 @@ impl BbNode {
         }
 
         // Verify any capability chain the user attached (delegated to us).
-        let caps = self.verify_capability_chain(&rar_u)?;
+        let caps = self.verify_capability_chain(view.caps())?;
 
         // Local policy.
-        let mut attachments = self.check_policy(&spec, &caps, &AttributeSet::new(), trace)?;
+        let mut attachments = self.check_policy(spec, caps, std::iter::empty(), trace)?;
 
         // Local admission (two-phase hold).
         let egress = self.next_peer_towards(&spec.dest_domain)?;
@@ -1183,15 +1124,50 @@ impl BbNode {
                 attachments.set("sls_burst_bytes", Value::Int(sla.sls.burst_bytes as i64));
             }
         }
+        self.hold_pending(spec, None, egress.clone(), trace)?;
+
+        match egress {
+            None => {
+                // Single-domain reservation: we are also the destination.
+                let approval =
+                    self.finalize_destination_approval(rar_id, AttributeSet::new(), trace);
+                self.complete_source(rar_id, Ok(approval));
+                Ok(None)
+            }
+            // Delegate capabilities onward; the caller wraps (§6.1 step 4).
+            Some(next) => Ok(Some(Forward {
+                new_caps: self.delegate_caps(view.caps(), &next, rar_id)?,
+                attachments,
+                next,
+            })),
+        }
+    }
+
+    /// Hold `spec`'s bandwidth on the segment `ingress → egress` and, if
+    /// admitted, remember the request until its approval or denial comes
+    /// back.
+    fn hold_pending(
+        &mut self,
+        spec: &crate::rar::ResSpec,
+        ingress: Option<&str>,
+        egress: Option<String>,
+        trace: TraceId,
+    ) -> Result<(), CoreError> {
         let segment = PathSegment {
-            ingress_peer: None,
-            egress_peer: egress.clone(),
+            ingress_peer: ingress.map(str::to_string),
+            egress_peer: egress,
         };
-        self.hold(rar_id, spec.interval, spec.rate_bps, segment.clone(), trace)?;
+        self.hold(
+            spec.rar_id,
+            spec.interval,
+            spec.rate_bps,
+            segment.clone(),
+            trace,
+        )?;
         self.pending.insert(
-            rar_id,
+            spec.rar_id,
             Pending {
-                upstream: None,
+                upstream: ingress.map(str::to_string),
                 requestor: spec.requestor.clone(),
                 flow: spec.flow,
                 rate_bps: spec.rate_bps,
@@ -1201,39 +1177,40 @@ impl BbNode {
                 trace,
             },
         );
+        Ok(())
+    }
 
-        match egress {
-            None => {
-                // Single-domain reservation: we are also the destination.
-                let approval =
-                    self.finalize_destination_approval(rar_id, AttributeSet::new(), trace);
-                self.complete_source(rar_id, Ok(approval));
-                Ok(Vec::new())
-            }
-            Some(next) => {
-                // Delegate capabilities onward and wrap (§6.1 step 4).
-                let new_caps = self.delegate_caps(&rar_u, &next, rar_id)?;
-                let next_dn = DistinguishedName::broker(&next);
-                let (timing, t_sign) = self.t0();
-                let wrapped = SignedRar::wrap(
-                    rar_u,
-                    user_cert.clone(),
-                    Some(next_dn),
-                    new_caps,
-                    attachments,
-                    self.dn.clone(),
-                    &self.key,
-                );
-                if timing {
-                    let end = self.clock.now_ns();
-                    self.instruments.sign_ns.observe(end - t_sign);
-                    self.span_at(trace, rar_id, SpanKind::Sign, "wrap", t_sign, end);
-                }
-                self.counters.add_signed(1);
-                self.counters.add_tx(1);
-                Ok(vec![(next.into(), SignalMessage::Request(wrapped))])
-            }
+    /// Wrap a checked request into this broker's layer, addressed to the
+    /// next domain, and sign it (§6.1 step 4, §6.2). Also returns when
+    /// signing ended, if anything is being timed.
+    fn wrap_onward(
+        &mut self,
+        rar: SignedRar,
+        upstream_cert: Certificate,
+        forward: Forward,
+        rar_id: RarId,
+        trace: TraceId,
+    ) -> ((PeerId, SignalMessage), Option<u64>) {
+        let (timing, t_sign) = self.t0();
+        let mut signed_at = None;
+        let wrapped = SignedRar::wrap(
+            rar,
+            upstream_cert,
+            Some(DistinguishedName::broker(&forward.next)),
+            forward.new_caps,
+            forward.attachments,
+            self.dn.clone(),
+            &self.key,
+        );
+        if timing {
+            let end = self.clock.now_ns();
+            self.instruments.sign_ns.observe(end - t_sign);
+            self.span_at(trace, rar_id, SpanKind::Sign, || "wrap", t_sign, end);
+            signed_at = Some(end);
         }
+        self.counters.add_signed(1);
+        let reply = (forward.next.into(), SignalMessage::Request(wrapped));
+        (reply, signed_at)
     }
 
     // ------------------------------------------------------------------
@@ -1245,7 +1222,7 @@ impl BbNode {
     pub fn recv(&mut self, from: &str, msg: SignalMessage) -> Vec<(PeerId, SignalMessage)> {
         self.counters.add_rx(1);
         let out = match msg {
-            SignalMessage::Request(rar) => self.on_request(from, rar),
+            SignalMessage::Request(rar) => self.on_request_checked(from, rar, false),
             SignalMessage::Approve(a) => self.on_approve(from, a),
             SignalMessage::Deny(d) => self.on_deny(from, d),
             SignalMessage::Direct(d) => self.on_direct(d),
@@ -1338,17 +1315,23 @@ impl BbNode {
             .iter()
             .map(|(from, _)| self.peers.get(from).map(|c| c.tbs.subject_public_key))
             .collect();
-        let jobs: Vec<(&[u8], PublicKey, qos_crypto::Signature)> = batch
+        let known: Vec<(&SignedRar, PublicKey)> = batch
             .iter()
             .zip(&pks)
-            .filter_map(|((_, rar), pk)| pk.map(|pk| (rar.layer_bytes(), pk, rar.signature())))
+            .filter_map(|((_, rar), pk)| pk.map(|pk| (rar, pk)))
             .collect();
-        let verdicts = if qos_crypto::vcache::verify_batch_cached(&jobs) {
+        let jobs: Vec<(&[u8], PublicKey, Signature)> = known
+            .iter()
+            .map(|&(rar, pk)| (rar.layer_bytes(), pk, rar.signature()))
+            .collect();
+        // The digest the verify cache files an envelope under is the one
+        // the reply cache and the RAR memo will ask for again.
+        let digest_of = |i: usize| *known[i].0.layer_digest();
+        let verdicts = if qos_crypto::vcache::global().verify_batch_with(&jobs, digest_of) {
             vec![true; jobs.len()]
         } else {
             crate::parallel::verify_each(&jobs)
         };
-        drop(jobs);
         let mut verdicts = verdicts.into_iter();
         let mut out = Vec::new();
         for ((from, rar), pk) in batch.into_iter().zip(pks) {
@@ -1357,10 +1340,6 @@ impl BbNode {
         }
         self.counters.add_tx(out.len() as u64);
         out
-    }
-
-    fn on_request(&mut self, from: &str, rar: SignedRar) -> Vec<(PeerId, SignalMessage)> {
-        self.on_request_checked(from, rar, false)
     }
 
     /// Warm-path replay (DESIGN.md §D15): if `env` is byte-identical to
@@ -1375,44 +1354,34 @@ impl BbNode {
         env: &crate::envelope_ref::EnvelopeRef<'_>,
         out: &mut Vec<u8>,
     ) -> Option<PeerId> {
-        if self.replies.cap == 0 {
-            return None;
+        if self.replies.capacity() == 0 {
+            return None; // off: not worth the digest
         }
-        let key = sha256(env.layer_bytes());
-        let now = self.now;
-        let hit = match self.replies.probe(&key, env.signature(), from, now) {
-            Some((to, bytes)) => {
-                out.extend_from_slice(bytes);
-                Some(to)
-            }
-            None => None,
-        };
-        if hit.is_some() {
-            // The replay is a real message in and a real message out —
-            // the traffic counters must not diverge from the slow path.
-            self.counters.add_rx(1);
-            self.counters.add_tx(1);
-        }
-        hit
+        let (sig, now, pending) = (env.signature(), self.now, &self.pending);
+        let hit = self.replies.get_if(&env.layer_digest(), |e| {
+            e.sig == sig
+                && e.from.as_ref() == from
+                && e.now == now
+                && pending.contains_key(&e.rar_id)
+        })?;
+        out.extend_from_slice(&hit.bytes);
+        let to = hit.to.clone();
+        // The replay is a real message in and a real message out — the
+        // traffic counters must not diverge from the slow path.
+        self.counters.add_rx(1);
+        self.counters.add_tx(1);
+        Some(to)
     }
 
     /// Resize the warm-path reply cache. `0` disables it entirely (the
     /// D10 "caches off" ablation); shrinking drops all entries.
     pub fn set_reply_cache_capacity(&mut self, cap: usize) {
-        self.replies.cap = cap;
-        if self.replies.map.len() > cap {
-            self.replies.map.clear();
-            self.replies.by_rar.clear();
-        }
+        self.replies.set_capacity(cap);
     }
 
     /// `(hits, misses, evictions)` of the warm-path reply cache.
     pub fn reply_cache_stats(&self) -> (u64, u64, u64) {
-        (
-            self.replies.hits.load(Ordering::Relaxed),
-            self.replies.misses.load(Ordering::Relaxed),
-            self.replies.evictions.load(Ordering::Relaxed),
-        )
+        self.replies.counters().stats()
     }
 
     fn on_request_checked(
@@ -1421,79 +1390,78 @@ impl BbNode {
         rar: SignedRar,
         pre_verified: bool,
     ) -> Vec<(PeerId, SignalMessage)> {
-        let rar_id = rar.res_spec().rar_id;
-        // Remember enough to cache the reply before the envelope is
-        // consumed; the digest is skipped entirely when the cache is off.
-        let cache_key = (self.replies.cap > 0).then(|| sha256(rar.layer_bytes()));
-        let sig = rar.signature();
-        match self.process_request(from, rar, pre_verified) {
-            Ok(out) => {
-                if let (Some(key), [(to, msg)]) = (cache_key, &out[..]) {
-                    // Approvals and transit forwards replay safely (the
-                    // hold they describe is already in place); denials
-                    // never do — see [`ReplyCache`].
-                    if matches!(msg, SignalMessage::Approve(_) | SignalMessage::Request(_)) {
-                        self.replies.insert(
-                            key,
-                            CachedReply {
-                                sig,
-                                from: PeerId::from(from),
-                                to: to.clone(),
-                                rar_id,
-                                now: self.now,
-                                bytes: qos_wire::to_bytes(msg),
-                                stamp: 0,
-                            },
-                        );
-                    }
+        // One walk of the nest serves every check; it ends before the
+        // wrap consumes the envelope.
+        let view = RarView::of(&rar);
+        let spec = view.spec();
+        let rar_id = spec.rar_id;
+        // Re-derive the trace minted at the source edge: the spec's
+        // signed fields are the same at every hop.
+        let trace = TraceId::mint(&spec.source_domain, rar_id.0);
+        let checked = self.process_request(from, &view, trace, pre_verified);
+        drop(view);
+        // What the reply is cached under, read before the envelope is
+        // consumed; no digest is taken when the cache is off or the
+        // verdict is a denial, which never replays — see [`CachedReply`].
+        let cache_key = (self.replies.capacity() > 0 && checked.is_ok())
+            .then(|| (*rar.layer_digest(), rar.signature()));
+        let reply = match checked {
+            Ok(Checked::Approved(approval)) => {
+                (PeerId::from(from), SignalMessage::Approve(approval))
+            }
+            Ok(Checked::Forward(forward)) => {
+                let upstream_cert = self.peers.get(from).cloned();
+                let upstream_cert = upstream_cert.expect("process_request found the peer");
+                let (reply, signed_at) =
+                    self.wrap_onward(rar, upstream_cert, forward, rar_id, trace);
+                if let Some(end) = signed_at {
+                    self.span_at(trace, rar_id, SpanKind::Forward, || &*reply.0, end, end);
                 }
-                out
+                reply
             }
             Err(e) => {
-                let denial = match e {
-                    CoreError::Denied {
-                        rar_id,
-                        domain,
-                        reason,
-                    } => Denial {
-                        rar_id,
-                        domain,
-                        reason,
-                    },
-                    other => Denial {
-                        rar_id,
-                        domain: self.domain.clone(),
-                        reason: other.to_string(),
-                    },
-                };
-                vec![(PeerId::from(from), SignalMessage::Deny(denial))]
+                let denial = self.denial_of(rar_id, e);
+                return vec![(PeerId::from(from), SignalMessage::Deny(denial))];
             }
+        };
+        // Approvals and transit forwards replay safely (the hold they
+        // describe is already in place).
+        if let Some((key, sig)) = cache_key {
+            let cached = CachedReply {
+                sig,
+                from: PeerId::from(from),
+                to: reply.0.clone(),
+                rar_id,
+                now: self.now,
+                bytes: qos_wire::to_bytes(&reply.1),
+            };
+            self.replies.insert(key, cached);
         }
+        vec![reply]
     }
 
+    /// Every check a broker runs on a peer's request (§6.2, §6.3), on
+    /// the borrowed view of it.
     fn process_request(
         &mut self,
         from: &str,
-        rar: SignedRar,
+        view: &RarView<'_>,
+        trace: TraceId,
         pre_verified: bool,
-    ) -> Result<Vec<(PeerId, SignalMessage)>, CoreError> {
-        // Re-derive the trace minted at the source edge: the spec's
-        // signed fields are the same at every hop.
-        let spec0 = rar.res_spec();
-        let trace = TraceId::mint(&spec0.source_domain, spec0.rar_id.0);
-        let rar_id0 = spec0.rar_id;
-        let depth = rar.depth();
+    ) -> Result<Checked, CoreError> {
+        let (rar, spec) = (view.outer(), view.spec());
+        let depth = view.depth();
         let (_, t_arrive) = self.t0();
         self.span_at(
             trace,
-            rar_id0,
+            spec.rar_id,
             SpanKind::RecvRequest,
-            format!("from {from}, depth {depth}"),
+            || format!("from {from}, depth {depth}"),
             t_arrive,
             t_arrive,
         );
-        self.audit_event(AuditEvent::RequestReceived {
-            rar_id: rar_id0,
+        self.audit_event(|| AuditEvent::RequestReceived {
+            rar_id: spec.rar_id,
             from: from.to_string(),
             depth,
         });
@@ -1514,12 +1482,12 @@ impl BbNode {
         }
         self.counters.add_verified(1);
 
-        let spec = rar.res_spec().clone();
-        let rar_id = spec.rar_id;
         if spec.dest_domain == self.domain {
-            self.process_destination(from, rar, peer_pk, trace)
+            self.process_destination(from, view, peer_pk, trace)
+                .map(Checked::Approved)
         } else {
-            self.process_transit(from, rar, spec, rar_id, trace)
+            self.process_transit(from, view, trace)
+                .map(Checked::Forward)
         }
     }
 
@@ -1527,109 +1495,73 @@ impl BbNode {
     fn process_transit(
         &mut self,
         from: &str,
-        rar: SignedRar,
-        spec: crate::rar::ResSpec,
-        rar_id: RarId,
+        view: &RarView<'_>,
         trace: TraceId,
-    ) -> Result<Vec<(PeerId, SignalMessage)>, CoreError> {
+    ) -> Result<Forward, CoreError> {
+        let spec = view.spec();
         // SLA conformance + local policy. Transit domains check the
         // traffic profile against the SLA (the admission tables) and may
         // evaluate local policy over the accumulated information.
-        let caps = self.verify_capability_chain(&rar)?;
-        let attachments = self.check_policy(&spec, &caps, &rar.merged_attachments(), trace)?;
+        let caps = self.verify_capability_chain(view.caps())?;
+        let attachments = self.check_policy(spec, caps, view.attachments(), trace)?;
 
         let next =
             self.next_peer_towards(&spec.dest_domain)?
                 .ok_or_else(|| CoreError::UnknownPeer {
                     peer: spec.dest_domain.clone(),
                 })?;
-        let segment = PathSegment {
-            ingress_peer: Some(from.to_string()),
-            egress_peer: Some(next.clone()),
-        };
-        self.hold(rar_id, spec.interval, spec.rate_bps, segment.clone(), trace)?;
-        self.pending.insert(
-            rar_id,
-            Pending {
-                upstream: Some(from.to_string()),
-                requestor: spec.requestor.clone(),
-                flow: spec.flow,
-                rate_bps: spec.rate_bps,
-                interval: spec.interval,
-                segment,
-                tunnel: spec.tunnel,
-                trace,
-            },
-        );
-
-        let new_caps = self.delegate_caps(&rar, &next, rar_id)?;
-        let upstream_cert = self.peers.get(from).cloned().expect("checked above");
-        let next_dn = DistinguishedName::broker(&next);
-        let (timing, t_sign) = self.t0();
-        let wrapped = SignedRar::wrap(
-            rar,
-            upstream_cert,
-            Some(next_dn),
-            new_caps,
+        self.hold_pending(spec, Some(from), Some(next.clone()), trace)?;
+        Ok(Forward {
+            new_caps: self.delegate_caps(view.caps(), &next, spec.rar_id)?,
             attachments,
-            self.dn.clone(),
-            &self.key,
-        );
-        if timing {
-            let end = self.clock.now_ns();
-            self.instruments.sign_ns.observe(end - t_sign);
-            self.span_at(trace, rar_id, SpanKind::Sign, "wrap", t_sign, end);
-            self.span_at(trace, rar_id, SpanKind::Forward, next.clone(), end, end);
-        }
-        self.counters.add_signed(1);
-        Ok(vec![(next.into(), SignalMessage::Request(wrapped))])
+            next,
+        })
     }
 
     /// §6.3 destination domain.
     fn process_destination(
         &mut self,
         from: &str,
-        rar: SignedRar,
+        view: &RarView<'_>,
         peer_pk: PublicKey,
         trace: TraceId,
-    ) -> Result<Vec<(PeerId, SignalMessage)>, CoreError> {
+    ) -> Result<Approval, CoreError> {
+        let spec = view.spec();
+        let rar_id = spec.rar_id;
         // Full transitive-trust verification of the nested envelope.
         let (timing, t_verify) = self.t0();
-        let verified: VerifiedRar = verify_rar(
-            &rar,
+        verify_view(
+            view,
             peer_pk,
             &self.dn,
             self.trust_policy,
             self.now,
             &KeySource::Introducers,
         )?;
-        let depth = rar.depth();
+        let depth = view.depth();
         if timing {
             let end = self.clock.now_ns();
             self.instruments.verify_ns.observe(end - t_verify);
             self.span_at(
                 trace,
-                verified.res_spec.rar_id,
+                rar_id,
                 SpanKind::VerifyEnvelope,
-                format!("{depth} layers"),
+                || format!("{depth} layers"),
                 t_verify,
                 end,
             );
         }
         self.counters.add_verified(depth as u64);
-        let spec = verified.res_spec.clone();
-        let rar_id = spec.rar_id;
         // Keep the cryptographically recovered path: the observable span
         // chain must match it hop for hop (see `verified_signer_path`).
         self.verified_paths
-            .insert(rar_id, verified.signer_path.clone());
+            .insert(rar_id, view.signers().cloned().collect());
         // Journal the recovered path so a remote scraper can compare the
         // cross-process span timeline against the cryptographic ground
         // truth without reaching into this process (exp_trace_assembly).
         if let Some(flight) = self.telemetry.flight() {
-            let path = verified
-                .signer_path
-                .iter()
+            let path = view
+                .signers()
                 .map(|dn| match dn.common_name() {
                     Some("BB") => format!("BB@{}", dn.org_unit().unwrap_or("?")),
                     other => other.unwrap_or("?").to_string(),
@@ -1649,40 +1581,17 @@ impl BbNode {
             );
         }
 
-        let caps = self.verify_capability_chain(&rar)?;
-        let attachments = self.check_policy(&spec, &caps, &verified.attachments, trace)?;
-
-        let segment = PathSegment {
-            ingress_peer: Some(from.to_string()),
-            egress_peer: None,
-        };
-        self.hold(rar_id, spec.interval, spec.rate_bps, segment.clone(), trace)?;
-        self.pending.insert(
-            rar_id,
-            Pending {
-                upstream: Some(from.to_string()),
-                requestor: spec.requestor.clone(),
-                flow: spec.flow,
-                rate_bps: spec.rate_bps,
-                interval: spec.interval,
-                segment,
-                tunnel: spec.tunnel,
-                trace,
-            },
-        );
+        let caps = self.verify_capability_chain(view.caps())?;
+        let attachments = self.check_policy(spec, caps, view.attachments(), trace)?;
+        self.hold_pending(spec, Some(from), None, trace)?;
 
         // Tunnel bookkeeping: remember the source BB so sub-flow requests
         // over the direct channel can be authenticated.
         if spec.tunnel {
-            let source_pk = verified
-                .source_bb_cert
-                .as_ref()
+            let source_pk = view
+                .introduced_cert(1)
+                .or_else(|| self.peers.get(&spec.source_domain))
                 .map(|c| c.tbs.subject_public_key)
-                .or_else(|| {
-                    self.peers
-                        .get(&spec.source_domain)
-                        .map(|c| c.tbs.subject_public_key)
-                })
                 .ok_or_else(|| CoreError::Tunnel("cannot identify source BB".into()))?;
             self.tunnels_dst.insert(
                 rar_id,
@@ -1696,8 +1605,7 @@ impl BbNode {
             );
         }
 
-        let approval = self.finalize_destination_approval(rar_id, attachments, trace);
-        Ok(vec![(PeerId::from(from), SignalMessage::Approve(approval))])
+        Ok(self.finalize_destination_approval(rar_id, attachments, trace))
     }
 
     /// Commit the destination's hold, emit edge config, sign the
@@ -1726,7 +1634,7 @@ impl BbNode {
                 trace,
                 rar_id,
                 SpanKind::Sign,
-                "originate approval",
+                || "originate approval",
                 t_sign,
                 end,
             );
@@ -1749,7 +1657,7 @@ impl BbNode {
             trace,
             rar_id,
             SpanKind::RecvApproval,
-            format!("{} endorsements", approval.entries.len()),
+            || format!("{} endorsements", approval.entries.len()),
             t_arrive,
             t_arrive,
         );
@@ -1782,7 +1690,7 @@ impl BbNode {
                 trace,
                 rar_id,
                 SpanKind::Sign,
-                "endorse approval",
+                || "endorse approval",
                 t_sign,
                 end,
             );
@@ -1796,7 +1704,7 @@ impl BbNode {
                     trace,
                     rar_id,
                     SpanKind::Complete,
-                    "approved",
+                    || "approved",
                     t_done,
                     t_done,
                 );
@@ -1899,7 +1807,7 @@ impl BbNode {
             pending.trace,
             rar_id,
             SpanKind::RecvDenial,
-            format!("by {}: {}", denial.domain, denial.reason),
+            || format!("by {}: {}", denial.domain, denial.reason),
             t_arrive,
             t_arrive,
         );
@@ -1982,16 +1890,20 @@ impl BbNode {
         rar_id: RarId,
         msg: Release,
     ) -> Vec<(PeerId, SignalMessage)> {
-        // A released reservation's cached approve/forward must never
-        // replay (DESIGN.md §D15).
-        self.replies.invalidate_rar(rar_id);
         let Some(pending) = self.pending.remove(&rar_id) else {
             return Vec::new();
         };
         self.verified_paths.remove(&rar_id);
         let (_, t_rel) = self.t0();
-        self.span_at(pending.trace, rar_id, SpanKind::Release, "", t_rel, t_rel);
-        self.audit_event(AuditEvent::Released { rar_id });
+        self.span_at(
+            pending.trace,
+            rar_id,
+            SpanKind::Release,
+            || "",
+            t_rel,
+            t_rel,
+        );
+        self.audit_event(|| AuditEvent::Released { rar_id });
         let _ = self.core.release(rar_id_to_reservation(rar_id));
         // A torn-down tunnel takes its per-flow state with it (the
         // pre-§D14 path leaked both maps forever). Wheel entries for the
@@ -2073,8 +1985,8 @@ impl BbNode {
         }
         self.counters.add_verified(1);
         let trace = TraceId::mint(&spec.source_domain, rar_id.0);
-        let caps = Vec::new(); // Approach 1 carries no delegated capabilities.
-        match self.check_policy(&spec, &caps, &AttributeSet::new(), trace) {
+        // Approach 1 carries no delegated capabilities.
+        match self.check_policy(&spec, Vec::new(), std::iter::empty(), trace) {
             Ok(_) => {}
             Err(e) => return reply(false, e.to_string()),
         }
@@ -2435,7 +2347,7 @@ impl BbNode {
                 trace,
                 rar_id,
                 SpanKind::Admission,
-                if result.is_ok() { "held" } else { "refused" },
+                || if result.is_ok() { "held" } else { "refused" },
                 t_hold,
                 end,
             );
@@ -2461,7 +2373,7 @@ impl BbNode {
                 .wall(self.now.0),
             );
         }
-        self.audit_event(AuditEvent::Admission {
+        self.audit_event(|| AuditEvent::Admission {
             rar_id,
             ok: result.is_ok(),
             rate_bps,
@@ -2471,7 +2383,7 @@ impl BbNode {
 
     /// Commit the hold and emit the edge configuration that enforces it.
     fn commit_and_configure(&mut self, rar_id: RarId) {
-        self.audit_event(AuditEvent::Approved { rar_id });
+        self.audit_event(|| AuditEvent::Approved { rar_id });
         let _ = self.core.commit(rar_id_to_reservation(rar_id));
         let Some(p) = self.pending.get(&rar_id) else {
             return;
@@ -2513,49 +2425,32 @@ impl BbNode {
     /// convert it to the PDP's verified-capability form.
     fn verify_capability_chain(
         &mut self,
-        rar: &SignedRar,
+        chain: &[&Certificate],
     ) -> Result<Vec<VerifiedCapability>, CoreError> {
-        let certs = rar.capability_certs();
-        if certs.is_empty() {
+        let Some((first, tip)) = chain.first().zip(chain.last()) else {
             return Ok(Vec::new());
-        }
-        let chain = DelegationChain { certs };
-        let issuer = chain.certs[0]
-            .tbs
-            .issuer
-            .common_name()
-            .unwrap_or_default()
-            .to_string();
-        let Some(&cas_pk) = self.cas_keys.get(&issuer) else {
+        };
+        let issuer = first.tbs.issuer.common_name().unwrap_or_default();
+        let Some(&cas_pk) = self.cas_keys.get(issuer) else {
             // Unknown community: ignore the capabilities rather than deny —
             // policy decides whether anything required them.
             return Ok(Vec::new());
         };
         // §6.5 checklist: link signatures, monotonicity, validity
         // windows. Structural failures mean tampering and are fatal.
-        let verified = chain
-            .verify_links(cas_pk, self.now)
-            .map_err(CoreError::from)?;
-        self.counters.add_verified(chain.certs.len() as u64);
+        let verified = DelegationChain::verify_links_of(chain, cas_pk, self.now)?;
+        self.counters.add_verified(chain.len() as u64);
         // The possession step: attributes are only *usable* if the chain
-        // was delegated to this very broker (we can prove possession of
-        // our own key). A structurally valid chain delegated to someone
-        // else is carried onward but grants us nothing.
-        if chain.tip().tbs.subject_public_key != self.key.public() {
-            return Ok(Vec::new());
-        }
-        let nonce = self.now.0.to_le_bytes();
-        let proof = self.key.prove_possession(&nonce);
-        if !chain
-            .tip()
-            .tbs
-            .subject_public_key
-            .check_possession(&nonce, &proof)
-        {
+        // was delegated to this very broker. Possession of that key was
+        // proven once, when the node was built ([`BbNode::new`]); per
+        // request it is enough that the tip names it. A structurally
+        // valid chain delegated to someone else is carried onward but
+        // grants us nothing.
+        if tip.tbs.subject_public_key != self.key.public() {
             return Ok(Vec::new());
         }
         Ok(vec![VerifiedCapability {
-            issuer,
+            issuer: issuer.to_string(),
             attributes: verified.capabilities,
             restrictions: verified
                 .restrictions
@@ -2570,48 +2465,48 @@ impl BbNode {
     /// this RAR).
     fn delegate_caps(
         &mut self,
-        rar: &SignedRar,
+        chain: &[&Certificate],
         next_peer: &str,
         rar_id: RarId,
     ) -> Result<Vec<Certificate>, CoreError> {
-        let certs = rar.capability_certs();
-        if certs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let chain = DelegationChain { certs };
         // Only delegate chains that were delegated *to us*.
-        if chain.tip().tbs.subject_public_key != self.key.public() {
+        let Some(tip) = chain
+            .last()
+            .filter(|tip| tip.tbs.subject_public_key == self.key.public())
+        else {
             return Ok(Vec::new());
-        }
+        };
         let peer_cert = self
             .peers
             .get(next_peer)
             .ok_or_else(|| CoreError::UnknownPeer {
                 peer: next_peer.to_string(),
             })?;
-        let extended = chain
-            .delegate(
-                &self.key,
-                peer_cert.tbs.subject.clone(),
-                peer_cert.tbs.subject_public_key,
-                vec![Restriction::ValidForRar(rar_id.0)],
-                Validity::starting_at(self.now, 7 * 24 * 3600),
-            )
-            .map_err(CoreError::from)?;
+        let link = DelegationChain::issue_link(
+            tip,
+            &self.key,
+            peer_cert.tbs.subject.clone(),
+            peer_cert.tbs.subject_public_key,
+            vec![Restriction::ValidForRar(rar_id.0)],
+            Validity::starting_at(self.now, 7 * 24 * 3600),
+            |_| true,
+        )?;
         self.counters.add_signed(1);
-        Ok(vec![extended.tip().clone()])
+        Ok(vec![link])
     }
 
-    /// Run the local PDP over everything known about the request.
-    fn check_policy(
+    /// Run the local PDP over everything known about the request:
+    /// `upstream` are the attachments of the domains it came through,
+    /// innermost first.
+    fn check_policy<'a>(
         &mut self,
         spec: &crate::rar::ResSpec,
-        caps: &[VerifiedCapability],
-        upstream_attachments: &AttributeSet,
+        caps: Vec<VerifiedCapability>,
+        upstream: impl Iterator<Item = &'a AttributeSet>,
         trace: TraceId,
     ) -> Result<AttributeSet, CoreError> {
         let mut req = qos_policy::PolicyRequest::new(spec.requestor.clone());
-        req.attrs.merge(upstream_attachments);
+        upstream.for_each(|a| req.attrs.merge(a));
         req.attrs.merge(&spec.attrs);
         req.attrs
             .set("bw", Value::Bandwidth(spec.rate_bps))
@@ -2625,7 +2520,7 @@ impl BbNode {
             req.attrs.set("cpu_reservation_id", Value::Int(id as i64));
         }
         req.assertions = spec.assertions.clone();
-        req.capabilities = caps.to_vec();
+        req.capabilities = caps;
 
         let vars = qos_policy::DomainVars {
             avail_bw_bps: self.core.available_bw_at(spec.interval.start),
@@ -2638,7 +2533,7 @@ impl BbNode {
         if timing {
             let end = self.clock.now_ns();
             self.instruments.decide_ns.observe(end - t_decide);
-            let detail = match &decided {
+            let detail = || match &decided {
                 Ok(d) => match &d.decision {
                     qos_policy::Decision::Grant => "GRANT".to_string(),
                     qos_policy::Decision::Deny(r) => {
@@ -2663,7 +2558,7 @@ impl BbNode {
         })?;
         match decision.decision {
             qos_policy::Decision::Grant => {
-                self.audit_event(AuditEvent::PolicyDecision {
+                self.audit_event(|| AuditEvent::PolicyDecision {
                     rar_id: spec.rar_id,
                     decision: "GRANT".into(),
                 });
@@ -2671,7 +2566,7 @@ impl BbNode {
             }
             qos_policy::Decision::Deny(reason) => {
                 let reason = reason.unwrap_or_else(|| "policy denied".into());
-                self.audit_event(AuditEvent::PolicyDecision {
+                self.audit_event(|| AuditEvent::PolicyDecision {
                     rar_id: spec.rar_id,
                     decision: format!("DENY: {reason}"),
                 });
@@ -2735,15 +2630,7 @@ impl BbNode {
             verified_paths: HashMap::new(),
             // Fresh map (requests are pinned per replica) but shared
             // counter cells, like every other instrument.
-            replies: ReplyCache {
-                map: HashMap::new(),
-                by_rar: HashMap::new(),
-                tick: 0,
-                cap: self.replies.cap,
-                hits: Arc::clone(&self.replies.hits),
-                misses: Arc::clone(&self.replies.misses),
-                evictions: Arc::clone(&self.replies.evictions),
-            },
+            replies: LruMap::new(self.replies.capacity(), self.replies.counters().clone()),
             snapshot_extra: self.snapshot_extra.clone(),
             recovered_tickets: RecoveredTickets::default(),
         }

@@ -22,14 +22,15 @@
 use crate::envelope::{RarLayer, SignedRar};
 use crate::error::CoreError;
 use crate::rar::ResSpec;
-use qos_crypto::sha256::{sha256, Digest, Sha256};
+use crate::view::RarView;
+use qos_crypto::lru::LruMap;
+use qos_crypto::sha256::{Digest, Sha256};
 use qos_crypto::{
     Certificate, CertificateDirectory, DistinguishedName, PublicKey, Signature, Timestamp,
     TrustPolicy,
 };
 use qos_policy::AttributeSet;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Where a verifier obtains upstream public keys.
@@ -64,77 +65,33 @@ pub struct VerifiedRar {
 /// Default bound on memoized envelope verdicts (process-wide).
 pub const RAR_MEMO_DEFAULT_CAPACITY: usize = 256;
 
-struct MemoEntry {
-    /// The outermost layer's signature. The memo key digests the outer
-    /// layer *bytes* (which bind every inner layer, certificate, and
-    /// signature), but not the outer signature itself — so a hit
-    /// additionally requires signature equality, exactly like the
-    /// verify cache.
-    sig: Signature,
-    verified: VerifiedRar,
-    stamp: u64,
-}
-
-struct RarMemo {
-    map: HashMap<Digest, MemoEntry>,
-    tick: u64,
-    cap: usize,
-}
-
-impl Default for RarMemo {
-    fn default() -> Self {
-        RarMemo {
-            map: HashMap::new(),
-            tick: 0,
-            cap: RAR_MEMO_DEFAULT_CAPACITY,
-        }
-    }
-}
-
-struct MemoCounters {
-    hits: Arc<AtomicU64>,
-    misses: Arc<AtomicU64>,
-    evictions: Arc<AtomicU64>,
-}
-
-fn memo() -> &'static Mutex<RarMemo> {
-    static MEMO: OnceLock<Mutex<RarMemo>> = OnceLock::new();
-    MEMO.get_or_init(|| Mutex::new(RarMemo::default()))
-}
-
-fn memo_counters() -> &'static MemoCounters {
-    static COUNTERS: OnceLock<MemoCounters> = OnceLock::new();
-    COUNTERS.get_or_init(|| MemoCounters {
-        hits: Arc::new(AtomicU64::new(0)),
-        misses: Arc::new(AtomicU64::new(0)),
-        evictions: Arc::new(AtomicU64::new(0)),
-    })
+/// Envelopes that passed verification, by [`memo_key`]. The value is the
+/// outermost layer's signature: the key digests the outer layer *bytes*
+/// (which bind every inner layer, certificate, and signature), but not
+/// the outer signature itself — so a hit additionally requires signature
+/// equality, exactly like the verify cache. Everything a caller wants
+/// from a verified envelope is read off the envelope it holds.
+fn memo() -> std::sync::MutexGuard<'static, LruMap<Digest, Signature>> {
+    static MEMO: OnceLock<Mutex<LruMap<Digest, Signature>>> = OnceLock::new();
+    MEMO.get_or_init(|| Mutex::new(LruMap::new(RAR_MEMO_DEFAULT_CAPACITY, Default::default())))
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
 }
 
 /// The envelope-verdict memo's counter cells, for registering with a
 /// metrics registry (`cache_{hits,misses,evictions}_total{cache="rar"}`).
 pub fn rar_memo_counter_cells() -> (Arc<AtomicU64>, Arc<AtomicU64>, Arc<AtomicU64>) {
-    let c = memo_counters();
-    (
-        Arc::clone(&c.hits),
-        Arc::clone(&c.misses),
-        Arc::clone(&c.evictions),
-    )
+    memo().counters().cells()
 }
 
 /// `(hits, misses, evictions)` of the envelope-verdict memo so far.
 pub fn rar_memo_stats() -> (u64, u64, u64) {
-    let c = memo_counters();
-    (
-        c.hits.load(Ordering::Relaxed),
-        c.misses.load(Ordering::Relaxed),
-        c.evictions.load(Ordering::Relaxed),
-    )
+    memo().counters().stats()
 }
 
 /// Drop every memoized envelope verdict (counters are preserved).
 pub fn clear_rar_memo() {
-    memo().lock().unwrap_or_else(|e| e.into_inner()).map.clear();
+    memo().clear();
 }
 
 /// Resize the envelope-verdict memo. `0` disables memoization entirely
@@ -142,21 +99,17 @@ pub fn clear_rar_memo() {
 /// "caches off" configuration. Shrinking below the current population
 /// drops all entries.
 pub fn set_rar_memo_capacity(cap: usize) {
-    let mut g = memo().lock().unwrap_or_else(|e| e.into_inner());
-    g.cap = cap;
-    if g.map.len() > cap {
-        g.map.clear();
-    }
+    memo().set_capacity(cap);
 }
 
 /// The memo key binds everything that can change the verdict: the full
-/// envelope (one digest of the outermost layer's canonical bytes, which
-/// nest every inner layer, certificate, signature, and attachment), the
-/// a-priori peer key, the verifier's own DN, the chain-depth bound, and
-/// the validity instant. Only the outer signature stays outside the
-/// digest; [`MemoEntry::sig`] covers it.
+/// envelope (`layer_digest`, the digest of the outermost layer's
+/// canonical bytes, which nest every inner layer, certificate,
+/// signature, and attachment), the a-priori peer key, the verifier's own
+/// DN, the chain-depth bound, and the validity instant. Only the outer
+/// signature stays outside the digest; the memo's value covers it.
 fn memo_key(
-    rar: &SignedRar,
+    layer_digest: &Digest,
     outer_pk: PublicKey,
     self_dn: &DistinguishedName,
     policy: TrustPolicy,
@@ -167,7 +120,7 @@ fn memo_key(
     // encoding ‖ depth bound ‖ clock — without materializing it, so the
     // memo fast path itself is allocation-free.
     let mut h = Sha256::new();
-    h.update(&sha256(rar.layer_bytes()));
+    h.update(layer_digest);
     h.update(&outer_pk.0.to_le_bytes());
     let comps = self_dn.components();
     h.update(&(comps.len() as u32).to_le_bytes());
@@ -182,51 +135,6 @@ fn memo_key(
     h.finalize()
 }
 
-fn memo_lookup(key: &Digest, sig: &Signature) -> Option<VerifiedRar> {
-    let c = memo_counters();
-    let mut g = memo().lock().unwrap_or_else(|e| e.into_inner());
-    if g.cap == 0 {
-        return None;
-    }
-    g.tick += 1;
-    let tick = g.tick;
-    match g.map.get_mut(key) {
-        Some(e) if e.sig == *sig => {
-            e.stamp = tick;
-            c.hits.fetch_add(1, Ordering::Relaxed);
-            Some(e.verified.clone())
-        }
-        _ => {
-            c.misses.fetch_add(1, Ordering::Relaxed);
-            None
-        }
-    }
-}
-
-fn memo_insert(key: Digest, sig: Signature, verified: VerifiedRar) {
-    let c = memo_counters();
-    let mut g = memo().lock().unwrap_or_else(|e| e.into_inner());
-    if g.cap == 0 {
-        return;
-    }
-    g.tick += 1;
-    let tick = g.tick;
-    if g.map.len() >= g.cap && !g.map.contains_key(&key) {
-        if let Some(victim) = g.map.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| *k) {
-            g.map.remove(&victim);
-            c.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    g.map.insert(
-        key,
-        MemoEntry {
-            sig,
-            verified,
-            stamp: tick,
-        },
-    );
-}
-
 /// Verify a received envelope.
 ///
 /// * `outer_pk` — the direct peer's public key (SLA-pinned, confirmed by
@@ -239,9 +147,11 @@ fn memo_insert(key: Digest, sig: Signature, verified: VerifiedRar) {
 ///
 /// Successful introducer-walk verdicts are memoized process-wide: the
 /// steady state re-verifies byte-identical envelopes (retries, the
-/// two-phase commit leg, tunnel re-validation), and a memo hit costs
-/// one digest of the received bytes instead of the full structural walk
-/// plus per-layer signature work. Directory-backed verification
+/// two-phase commit leg, tunnel re-validation), and a memo hit skips the
+/// structural walk and the per-layer signature work; it costs the digest
+/// of the received bytes (shared with the reply and verify caches, see
+/// [`SignedRar::layer_digest`]) plus one short digest over it and the
+/// verification context. Directory-backed verification
 /// ([`KeySource::Directory`]) is never memoized — the directory is live
 /// state outside the key.
 pub fn verify_rar(
@@ -252,18 +162,46 @@ pub fn verify_rar(
     now: Timestamp,
     keys: &KeySource<'_>,
 ) -> Result<VerifiedRar, CoreError> {
+    let view = RarView::of(rar);
+    verify_view(&view, outer_pk, self_dn, policy, now, keys)?;
+    let user_cert = view
+        .introduced_cert(0)
+        .expect("a verified envelope has a broker layer introducing the user");
+    Ok(VerifiedRar {
+        res_spec: view.spec().clone(),
+        signer_path: view.signers().cloned().collect(),
+        user_cert: user_cert.clone(),
+        source_bb_cert: view.introduced_cert(1).cloned(),
+        capability_certs: view.caps().iter().copied().cloned().collect(),
+        attachments: view.merged_attachments(),
+    })
+}
+
+/// [`verify_rar`] on a view the caller already built; what a verified
+/// envelope yields is then read off the view, not copied out of it.
+// Hot path (DESIGN.md §D17): under .clippy-hotpath this attribute rejects
+// un-annotated Vec::new / slice::to_vec in the walk.
+#[deny(clippy::disallowed_methods)]
+pub(crate) fn verify_view(
+    view: &RarView<'_>,
+    outer_pk: PublicKey,
+    self_dn: &DistinguishedName,
+    policy: TrustPolicy,
+    now: Timestamp,
+    keys: &KeySource<'_>,
+) -> Result<(), CoreError> {
+    let rar = view.outer();
     // Fast path: a byte-identical envelope already verified under this
     // exact (peer key, own DN, depth bound, clock) context.
     let key = matches!(keys, KeySource::Introducers)
-        .then(|| memo_key(rar, outer_pk, self_dn, policy, now));
-    if let Some(key) = &key {
-        if let Some(verified) = memo_lookup(key, &rar.signature) {
-            return Ok(verified);
-        }
+        .then(|| memo_key(rar.layer_digest(), outer_pk, self_dn, policy, now));
+    let known = |key| memo().get_if(&key, |sig| *sig == rar.signature).is_some();
+    if key.is_some_and(known) {
+        return Ok(());
     }
 
     // Depth bound: broker layers beyond the user's.
-    let depth = rar.depth().saturating_sub(1);
+    let depth = view.depth() - 1;
     if depth > policy.max_chain_depth {
         return Err(CoreError::ChainTooDeep {
             depth,
@@ -293,22 +231,14 @@ pub fn verify_rar(
     // are then checked at once with a single multi-exponentiation
     // (`qos_crypto::verify_batch`); only if that combined check fails do
     // we verify layer-by-layer to attribute the bad signature.
-    let mut current = rar;
-    let mut current_pk = resolve_key(keys, &current.signer, outer_pk, now)?;
-    let mut user_cert: Option<Certificate> = None;
-    let mut source_bb_cert: Option<Certificate> = None;
-    let mut batch: Vec<(&[u8], PublicKey, qos_crypto::Signature)> = Vec::with_capacity(rar.depth());
-    let mut batch_signers: Vec<&DistinguishedName> = Vec::with_capacity(rar.depth());
-
-    let verified = loop {
+    let layers = view.layers();
+    let mut current_pk = resolve_key(keys, &rar.signer, outer_pk, now)?;
+    let mut batch: Vec<(&[u8], PublicKey, Signature)> = Vec::with_capacity(layers.len());
+    for (i, &current) in layers.iter().enumerate() {
         batch.push((current.layer_bytes(), current_pk, current.signature));
-        batch_signers.push(&current.signer);
         match &current.layer {
-            RarLayer::Broker {
-                inner,
-                upstream_cert,
-                ..
-            } => {
+            RarLayer::Broker { upstream_cert, .. } => {
+                let inner = layers[i + 1];
                 // The embedded certificate must describe the inner signer.
                 if !upstream_cert.tbs.subject.same_principal(&inner.signer) {
                     return Err(CoreError::PathMismatch {
@@ -318,29 +248,17 @@ pub fn verify_rar(
                 }
                 upstream_cert.check_validity(now).map_err(CoreError::from)?;
                 // Path continuity: the inner layer named its downstream
-                // broker; exactly that broker must have signed this wrap.
+                // broker (the user's layer: the source BB); exactly that
+                // broker must have signed this wrap.
                 let inner_next = match &inner.layer {
-                    RarLayer::Broker { next_bb, .. } => next_bb.clone(),
-                    RarLayer::User { source_bb, .. } => {
-                        // The user's layer is wrapped by the source BB; the
-                        // wrapping layer introduces the *user's* cert and,
-                        // one level further out, the source BB's cert.
-                        user_cert = Some(upstream_cert.clone());
-                        Some(source_bb.clone())
-                    }
+                    RarLayer::Broker { next_bb, .. } => next_bb.as_ref(),
+                    RarLayer::User { source_bb, .. } => Some(source_bb),
                 };
-                if matches!(inner.layer, RarLayer::Broker { .. }) && inner.depth() == 2 {
-                    // `current` wraps the source BB's layer: its embedded
-                    // certificate is the source BB's.
-                    source_bb_cert = Some(upstream_cert.clone());
-                }
-                if let Some(expected) = inner_next {
-                    if expected != current.signer {
-                        return Err(CoreError::PathMismatch {
-                            expected,
-                            found: current.signer.clone(),
-                        });
-                    }
+                if let Some(expected) = inner_next.filter(|&e| *e != current.signer) {
+                    return Err(CoreError::PathMismatch {
+                        expected: expected.clone(),
+                        found: current.signer.clone(),
+                    });
                 }
                 // Descend with the introduced (or directory-resolved) key.
                 current_pk = resolve_key(
@@ -349,56 +267,44 @@ pub fn verify_rar(
                     upstream_cert.tbs.subject_public_key,
                     now,
                 )?;
-                current = inner;
             }
             RarLayer::User { res_spec, .. } => {
-                // Innermost layer verified. The requestor in the spec must
-                // be the layer's signer.
+                // Innermost layer reached. The requestor in the spec must
+                // be the layer's signer, and some broker layer must have
+                // introduced the user's certificate.
                 if !res_spec.requestor.same_principal(&current.signer) {
                     return Err(CoreError::PathMismatch {
                         expected: res_spec.requestor.clone(),
                         found: current.signer.clone(),
                     });
                 }
-                let user_cert = user_cert.ok_or(CoreError::LayerSignature {
-                    signer: current.signer.clone(),
-                })?;
-                break VerifiedRar {
-                    res_spec: res_spec.clone(),
-                    signer_path: rar.signer_path(),
-                    user_cert,
-                    source_bb_cert,
-                    capability_certs: rar.capability_certs(),
-                    attachments: rar.merged_attachments(),
-                };
+                if i == 0 {
+                    return Err(CoreError::LayerSignature {
+                        signer: current.signer.clone(),
+                    });
+                }
             }
         }
-    };
+    }
 
-    if !qos_crypto::vcache::verify_batch_cached(&batch) {
+    if !qos_crypto::vcache::global().verify_batch_with(&batch, |i| *layers[i].layer_digest()) {
         // Attribute: find the first layer (outermost-first) whose
         // signature fails on its own. The layers are independent, so
         // check them concurrently on the worker pool.
         let verdicts = crate::parallel::verify_each(&batch);
-        for (ok, &signer) in verdicts.iter().zip(&batch_signers) {
-            if !ok {
-                return Err(CoreError::LayerSignature {
-                    signer: signer.clone(),
-                });
-            }
-        }
         // The combined check failed but every layer passes individually —
         // a coefficient collision with probability ~2⁻³², or a bug.
         // Treat it as the outermost layer failing rather than accepting.
+        let bad = verdicts.iter().position(|ok| !ok).unwrap_or(0);
         return Err(CoreError::LayerSignature {
-            signer: rar.signer.clone(),
+            signer: layers[bad].signer.clone(),
         });
     }
 
     if let Some(key) = key {
-        memo_insert(key, rar.signature, verified.clone());
+        memo().insert(key, rar.signature);
     }
-    Ok(verified)
+    Ok(())
 }
 
 fn resolve_key(
@@ -426,6 +332,7 @@ mod tests {
     use super::*;
     use crate::rar::{RarId, ResSpec};
     use qos_broker::Interval;
+    use qos_crypto::sha256::sha256;
     use qos_crypto::{CertificateAuthority, KeyPair, Validity};
 
     struct Fix {
@@ -517,7 +424,10 @@ mod tests {
         feed.extend_from_slice(&dn_bytes);
         feed.extend_from_slice(&(policy.max_chain_depth as u64).to_le_bytes());
         feed.extend_from_slice(&now.0.to_le_bytes());
-        assert_eq!(memo_key(&rar, pk, &dn, policy, now), sha256(&feed));
+        assert_eq!(
+            memo_key(rar.layer_digest(), pk, &dn, policy, now),
+            sha256(&feed)
+        );
     }
 
     #[test]

@@ -839,3 +839,52 @@ fn warm_replay_returns_identical_reply_without_decoding() {
     let (hits, misses, _) = s.nodes[2].reply_cache_stats();
     assert!(hits >= 1 && misses >= 1);
 }
+
+/// A cached reply speaks for a reservation: once the reservation is gone
+/// from this broker — denied downstream, or released — a byte-identical
+/// retry takes the slow path again instead of replaying it.
+#[test]
+fn warm_replay_stops_when_the_reservation_is_gone() {
+    use qos_core::envelope_ref::EnvelopeRef;
+    use qos_core::messages::{Denial, SignalMessage};
+
+    let mut s = build_chain(ChainOptions::default()); // a → b → c
+    let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
+    let rar_id = spec.rar_id;
+    let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
+    let cert = s.users["alice"].cert.clone();
+    let out_a = s.nodes[0].submit(rar, &cert);
+    let wire_a = qos_wire::to_bytes(&out_a[0].1);
+    let out_b = s.nodes[1].recv("domain-a", out_a[0].1.clone());
+    let wire_b = qos_wire::to_bytes(&out_b[0].1);
+    let out_c = s.nodes[2].recv("domain-b", out_b[0].1.clone());
+    assert!(matches!(out_c[0].1, SignalMessage::Approve(_)));
+
+    let replays = |node: &mut qos_core::BbNode, from: &str, wire: &[u8]| {
+        let env = EnvelopeRef::parse(wire).unwrap().expect("request");
+        node.revalidate_request(from, &env, &mut Vec::new())
+            .is_some()
+    };
+    assert!(replays(&mut s.nodes[1], "domain-a", &wire_a));
+    assert!(replays(&mut s.nodes[2], "domain-b", &wire_b));
+
+    // b hears from c that the request is denied after all: its hold is
+    // rolled back, and the forward it cached must not go out again.
+    let denial = Denial {
+        rar_id,
+        domain: "domain-c".into(),
+        reason: "changed its mind".into(),
+    };
+    s.nodes[1].recv("domain-c", SignalMessage::Deny(denial));
+    assert!(!replays(&mut s.nodes[1], "domain-a", &wire_a));
+
+    // c sees the reservation released by its upstream peer: the approval
+    // it cached must not go out again.
+    let release = qos_core::messages::Release::new(
+        rar_id,
+        "domain-a",
+        &qos_crypto::KeyPair::from_seed(b"bb-domain-a"),
+    );
+    s.nodes[2].recv("domain-b", SignalMessage::Release(release));
+    assert!(!replays(&mut s.nodes[2], "domain-b", &wire_b));
+}

@@ -203,25 +203,30 @@ impl Certificate {
 
     /// All capability attribute strings carried by this certificate.
     pub fn capabilities(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        for e in &self.tbs.extensions {
-            if let Extension::Capabilities(caps) = e {
-                out.extend(caps.iter().map(String::as_str));
-            }
-        }
-        out
+        self.capability_iter().collect()
     }
 
-    /// All delegation restrictions carried by this certificate.
-    pub fn restrictions(&self) -> Vec<&Restriction> {
+    pub(crate) fn capability_iter(&self) -> impl Iterator<Item = &str> {
         self.tbs
             .extensions
             .iter()
             .filter_map(|e| match e {
-                Extension::Restriction(r) => Some(r),
+                Extension::Capabilities(caps) => Some(caps.iter().map(String::as_str)),
                 _ => None,
             })
-            .collect()
+            .flatten()
+    }
+
+    /// All delegation restrictions carried by this certificate.
+    pub fn restrictions(&self) -> Vec<&Restriction> {
+        self.restriction_iter().collect()
+    }
+
+    pub(crate) fn restriction_iter(&self) -> impl Iterator<Item = &Restriction> {
+        self.tbs.extensions.iter().filter_map(|e| match e {
+            Extension::Restriction(r) => Some(r),
+            _ => None,
+        })
     }
 }
 

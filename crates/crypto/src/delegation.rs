@@ -21,7 +21,6 @@ use crate::dn::DistinguishedName;
 use crate::error::CryptoError;
 use crate::schnorr::{KeyPair, PublicKey, Signature};
 use crate::time::Timestamp;
-use std::collections::BTreeSet;
 
 /// A capability certificate chain, first element issued by the CAS.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,15 +104,40 @@ impl DelegationChain {
         validity: Validity,
         retain: impl Fn(&str) -> bool,
     ) -> Result<Self, CryptoError> {
-        let tip = self.tip();
+        let link = Self::issue_link(
+            self.tip(),
+            holder_key,
+            delegatee,
+            delegatee_pk,
+            new_restrictions,
+            validity,
+            retain,
+        )?;
+        let mut certs = self.certs.clone();
+        certs.push(link);
+        Ok(Self { certs })
+    }
+
+    /// The certificate that extends a chain ending in `tip` to
+    /// `delegatee`: everything [`DelegationChain::delegate_filtered`]
+    /// does, for a holder that has the tip but not an owned chain (a
+    /// broker forwarding a request it received).
+    pub fn issue_link(
+        tip: &Certificate,
+        holder_key: &KeyPair,
+        delegatee: DistinguishedName,
+        delegatee_pk: PublicKey,
+        new_restrictions: Vec<Restriction>,
+        validity: Validity,
+        retain: impl Fn(&str) -> bool,
+    ) -> Result<Certificate, CryptoError> {
         if holder_key.public() != tip.tbs.subject_public_key {
             return Err(CryptoError::PossessionProofInvalid {
                 subject: tip.tbs.subject.clone(),
             });
         }
         let caps: Vec<String> = tip
-            .capabilities()
-            .into_iter()
+            .capability_iter()
             .filter(|c| retain(c))
             .map(str::to_string)
             .collect();
@@ -122,12 +146,10 @@ impl DelegationChain {
             Extension::Capabilities(caps),
         ];
         // Restrictions are inherited …
-        for r in tip.restrictions() {
-            extensions.push(Extension::Restriction(r.clone()));
-        }
+        extensions.extend(tip.restriction_iter().cloned().map(Extension::Restriction));
         // … and extended, never dropped.
         for r in new_restrictions {
-            if !tip.restrictions().contains(&&r) {
+            if !tip.restriction_iter().any(|have| *have == r) {
                 extensions.push(Extension::Restriction(r));
             }
         }
@@ -139,10 +161,7 @@ impl DelegationChain {
             subject_public_key: delegatee_pk,
             extensions,
         };
-        let cert = Certificate::issue(tbs, holder_key);
-        let mut certs = self.certs.clone();
-        certs.push(cert);
-        Ok(Self { certs })
+        Ok(Certificate::issue(tbs, holder_key))
     }
 
     /// Run the §6.5 verification checklist.
@@ -184,64 +203,69 @@ impl DelegationChain {
         cas_pk: PublicKey,
         now: Timestamp,
     ) -> Result<VerifiedCapabilities, CryptoError> {
-        let first = self
-            .certs
-            .first()
-            .ok_or(CryptoError::MalformedChain("empty chain"))?;
-        // Step 1: the CAS issued a capability certificate for the user.
-        if !first.is_capability_certificate() {
-            return Err(CryptoError::NotACapabilityCertificate);
-        }
-        // Chains are re-presented at every hop of every RAR using them;
-        // the verification cache makes the steady-state link checks one
-        // hash each (validity is still re-checked on every pass).
-        first.verify_signature_cached(cas_pk, now)?;
-        first.check_validity(now)?;
+        Self::verify_links_of(&self.certs.iter().collect::<Vec<_>>(), cas_pk, now)
+    }
 
-        let mut prev = first;
-        for cert in &self.certs[1..] {
-            // Steps 2–4: each delegation was signed with the private key
-            // corresponding to the *previous* certificate's subject key
-            // (the proxy key for the user, pkey_BB_n afterwards).
+    /// [`DelegationChain::verify_links`] over borrowed certificates in
+    /// delegation order — the chain as it lies scattered over the layers
+    /// of a received envelope.
+    pub fn verify_links_of(
+        certs: &[&Certificate],
+        cas_pk: PublicKey,
+        now: Timestamp,
+    ) -> Result<VerifiedCapabilities, CryptoError> {
+        // Step 1: the CAS issued a capability certificate for the user.
+        // Steps 2–4: each delegation was signed with the private key
+        // corresponding to the *previous* certificate's subject key
+        // (the proxy key for the user, pkey_BB_n afterwards).
+        let mut issuer_pk = cas_pk;
+        let mut prev: Option<&Certificate> = None;
+        for &cert in certs {
             if !cert.is_capability_certificate() {
                 return Err(CryptoError::NotACapabilityCertificate);
             }
-            if !cert.tbs.issuer.same_principal(&prev.tbs.subject) {
-                return Err(CryptoError::IssuerMismatch {
-                    expected: prev.tbs.subject.clone(),
-                    found: cert.tbs.issuer.clone(),
-                });
+            if let Some(prev) = prev {
+                if !cert.tbs.issuer.same_principal(&prev.tbs.subject) {
+                    return Err(CryptoError::IssuerMismatch {
+                        expected: prev.tbs.subject.clone(),
+                        found: cert.tbs.issuer.clone(),
+                    });
+                }
             }
-            cert.verify_signature_cached(prev.tbs.subject_public_key, now)?;
+            // Chains are re-presented at every hop of every RAR using
+            // them; the verification cache makes the steady-state link
+            // checks one hash each (validity is re-checked every pass).
+            cert.verify_signature_cached(issuer_pk, now)?;
             cert.check_validity(now)?;
-
-            // Step 7 ("validity of all capabilities … whether some entity
-            // did change them inappropriately"): capabilities must never
-            // widen, restrictions must never be dropped.
-            let prev_caps: BTreeSet<&str> = prev.capabilities().into_iter().collect();
-            for cap in cert.capabilities() {
-                if !prev_caps.contains(cap) {
+            if let Some(prev) = prev {
+                // Step 7 ("validity of all capabilities … whether some
+                // entity did change them inappropriately"): capabilities
+                // must never widen, restrictions must never be dropped.
+                if let Some(cap) = cert
+                    .capability_iter()
+                    .find(|cap| !prev.capability_iter().any(|p| p == *cap))
+                {
                     return Err(CryptoError::CapabilityWidened {
                         capability: cap.to_string(),
                     });
                 }
-            }
-            let cur_restrictions: BTreeSet<&Restriction> =
-                cert.restrictions().into_iter().collect();
-            for r in prev.restrictions() {
-                if !cur_restrictions.contains(r) {
+                if let Some(r) = prev
+                    .restriction_iter()
+                    .find(|r| !cert.restriction_iter().any(|c| c == *r))
+                {
                     return Err(CryptoError::RestrictionDropped {
                         restriction: r.to_string(),
                     });
                 }
             }
-            prev = cert;
+            issuer_pk = cert.tbs.subject_public_key;
+            prev = Some(cert);
         }
 
-        let tip = self.tip();
+        let tip = prev.ok_or(CryptoError::MalformedChain("empty chain"))?;
         Ok(VerifiedCapabilities {
-            capabilities: tip.capabilities().into_iter().map(str::to_string).collect(),
-            restrictions: tip.restrictions().into_iter().cloned().collect(),
+            capabilities: tip.capability_iter().map(str::to_string).collect(),
+            restrictions: tip.restriction_iter().cloned().collect(),
             holder: tip.tbs.subject.clone(),
         })
     }

@@ -104,20 +104,18 @@ impl DistinguishedName {
 
     /// True if `self` equals `other` after stripping any CN annotations.
     pub fn same_principal(&self, other: &Self) -> bool {
-        fn strip(dn: &DistinguishedName) -> Vec<(String, String)> {
-            dn.components
-                .iter()
-                .map(|c| {
-                    let v = if c.attr == "CN" {
-                        c.value.split('+').next().unwrap_or("").to_string()
-                    } else {
-                        c.value.clone()
-                    };
-                    (c.attr.clone(), v)
-                })
-                .collect()
+        fn bare(c: &Rdn) -> &str {
+            match c.attr.as_str() {
+                "CN" => c.value.split('+').next().unwrap_or(""),
+                _ => &c.value,
+            }
         }
-        strip(self) == strip(other)
+        self.components.len() == other.components.len()
+            && self
+                .components
+                .iter()
+                .zip(&other.components)
+                .all(|(a, b)| a.attr == b.attr && bare(a) == bare(b))
     }
 }
 

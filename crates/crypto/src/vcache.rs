@@ -33,12 +33,13 @@
 
 use crate::cert::Certificate;
 use crate::error::CryptoError;
+use crate::lru::{CacheCounters, LruMap};
 use crate::schnorr::{verify_batch, PublicKey, Signature};
 use crate::sha256::{sha256, Digest};
 use crate::time::Timestamp;
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Number of independently locked shards.
 const SHARDS: usize = 8;
@@ -50,80 +51,72 @@ struct Entry {
     sig: Signature,
     /// Entries derived from certificates expire with the certificate.
     not_after: Option<Timestamp>,
-    /// Last-touch tick for LRU eviction.
-    stamp: u64,
 }
 
-#[derive(Default)]
-struct Shard {
-    map: HashMap<(Digest, u64), Entry>,
-    tick: u64,
-}
+type Shard = LruMap<(Digest, u64), Entry>;
 
 /// A bounded, sharded cache of positive signature-verification verdicts.
 pub struct VerifyCache {
     shards: Vec<Mutex<Shard>>,
     capacity: AtomicUsize,
-    hits: Arc<AtomicU64>,
-    misses: Arc<AtomicU64>,
-    evictions: Arc<AtomicU64>,
+    /// Shared by every shard.
+    counters: CacheCounters,
 }
 
 impl VerifyCache {
     /// An empty cache holding up to `capacity` verdicts (0 disables it).
     pub fn new(capacity: usize) -> Self {
+        let counters = CacheCounters::default();
+        let per_shard = capacity.div_ceil(SHARDS);
         Self {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..SHARDS)
+                .map(|_| Mutex::new(Shard::new(per_shard, counters.clone())))
+                .collect(),
             capacity: AtomicUsize::new(capacity),
-            hits: Arc::new(AtomicU64::new(0)),
-            misses: Arc::new(AtomicU64::new(0)),
-            evictions: Arc::new(AtomicU64::new(0)),
+            counters,
         }
-    }
-
-    fn per_shard_cap(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed).div_ceil(SHARDS)
     }
 
     fn enabled(&self) -> bool {
         self.capacity.load(Ordering::Relaxed) > 0
     }
 
-    fn shard(&self, digest: &Digest) -> &Mutex<Shard> {
+    fn shard(&self, digest: &Digest) -> MutexGuard<'_, Shard> {
         // The digest's first bytes are uniformly distributed; any byte
         // picks a shard without bias.
-        &self.shards[digest[0] as usize % SHARDS]
+        self.shards[digest[0] as usize % SHARDS]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
     }
 
     /// Resize the cache; `0` disables it. Existing entries are dropped so
     /// the new bound holds immediately.
     pub fn set_capacity(&self, capacity: usize) {
         self.capacity.store(capacity, Ordering::Relaxed);
-        self.clear();
+        for s in &self.shards {
+            let mut shard = s.lock().unwrap_or_else(|e| e.into_inner());
+            shard.set_capacity(capacity.div_ceil(SHARDS));
+            shard.clear();
+        }
     }
 
     /// Drop every cached verdict (counters are preserved).
     pub fn clear(&self) {
         for s in &self.shards {
-            let mut g = s.lock().unwrap_or_else(|e| e.into_inner());
-            g.map.clear();
+            s.lock().unwrap_or_else(|e| e.into_inner()).clear();
         }
     }
 
     /// `(hits, misses, evictions)` so far.
     pub fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            self.evictions.load(Ordering::Relaxed),
-        )
+        self.counters.stats()
     }
 
     /// Number of cached verdicts.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).map.len())
+            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
             .sum()
     }
 
@@ -135,86 +128,40 @@ impl VerifyCache {
     /// The shared counter cells, for registering with a metrics registry
     /// (`cache_{hits,misses,evictions}_total{cache="verify"}`).
     pub fn counter_cells(&self) -> (Arc<AtomicU64>, Arc<AtomicU64>, Arc<AtomicU64>) {
-        (
-            Arc::clone(&self.hits),
-            Arc::clone(&self.misses),
-            Arc::clone(&self.evictions),
-        )
+        self.counters.cells()
     }
 
     /// True if `(digest, pk, sig)` holds a live cached positive verdict.
     /// Expired entries are evicted on sight.
     fn lookup(&self, digest: &Digest, pk: PublicKey, sig: &Signature, now: Timestamp) -> bool {
         let key = (*digest, pk.0);
-        let mut g = self.shard(digest).lock().unwrap_or_else(|e| e.into_inner());
-        g.tick += 1;
-        let tick = g.tick;
-        match g.map.get_mut(&key) {
-            Some(e) if e.not_after.is_some_and(|t| now > t) => {
-                g.map.remove(&key);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-            Some(e) if e.sig == *sig => {
-                e.stamp = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                false
-            }
+        let mut shard = self.shard(digest);
+        let mut expired = false;
+        let hit = shard
+            .get_if(&key, |e| {
+                expired = e.not_after.is_some_and(|t| now > t);
+                !expired && e.sig == *sig
+            })
+            .is_some();
+        if expired {
+            shard.remove(&key);
+            self.counters.evicted();
         }
+        hit
     }
 
-    /// Record a positive verdict.
+    /// Record a positive verdict, evicting the least-recently-hit entry
+    /// of a full shard.
     fn insert(&self, digest: Digest, pk: PublicKey, sig: Signature, not_after: Option<Timestamp>) {
-        let cap = self.per_shard_cap();
-        if cap == 0 {
-            return;
-        }
-        let mut g = self
-            .shard(&digest)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        g.tick += 1;
-        let tick = g.tick;
-        if g.map.len() >= cap && !g.map.contains_key(&(digest, pk.0)) {
-            // Evict the least-recently-hit entry; shards are small enough
-            // that the linear scan is cheaper than auxiliary order
-            // bookkeeping on every hit.
-            if let Some(victim) = g.map.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| *k) {
-                g.map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        g.map.insert(
-            (digest, pk.0),
-            Entry {
-                sig,
-                not_after,
-                stamp: tick,
-            },
-        );
+        let entry = Entry { sig, not_after };
+        self.shard(&digest).insert((digest, pk.0), entry);
     }
 
     /// Verify `sig` over `msg` under `pk`, consulting the cache first.
     /// Bit-identical to [`PublicKey::verify`] in verdict; only the cost
     /// differs.
     pub fn verify(&self, msg: &[u8], pk: PublicKey, sig: &Signature) -> bool {
-        if !self.enabled() {
-            return pk.verify(msg, sig);
-        }
-        let digest = sha256(msg);
-        if self.lookup(&digest, pk, sig, Timestamp::ZERO) {
-            return true;
-        }
-        let ok = pk.verify(msg, sig);
-        if ok {
-            self.insert(digest, pk, *sig, None);
-        }
-        ok
+        self.verify_batch(&[(msg, pk, *sig)])
     }
 
     /// Verify a certificate's issuer signature through the cache. The
@@ -229,22 +176,31 @@ impl VerifyCache {
         issuer_pk: PublicKey,
         now: Timestamp,
     ) -> Result<(), CryptoError> {
-        if !self.enabled() {
-            return cert.verify_signature(issuer_pk);
+        thread_local! {
+            /// The certificate body's encoding: every link of every
+            /// chain at every hop passes through here, in one buffer.
+            static TBS: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
         }
-        let tbs = qos_wire::to_bytes(&cert.tbs);
-        let digest = sha256(&tbs);
-        if self.lookup(&digest, issuer_pk, &cert.signature, now) {
-            return Ok(());
-        }
-        cert.verify_signature(issuer_pk)?;
-        self.insert(
-            digest,
-            issuer_pk,
-            cert.signature,
-            Some(cert.tbs.validity.not_after),
-        );
-        Ok(())
+        TBS.with_borrow_mut(|tbs| {
+            // One encoding serves the cache key and, on a miss, the
+            // signature check itself.
+            tbs.clear();
+            qos_wire::encode_into(&cert.tbs, tbs);
+            let cached = self.enabled().then(|| sha256(tbs));
+            if cached.is_some_and(|d| self.lookup(&d, issuer_pk, &cert.signature, now)) {
+                return Ok(());
+            }
+            if !issuer_pk.verify(tbs, &cert.signature) {
+                return Err(CryptoError::BadSignature {
+                    signer: cert.tbs.issuer.clone(),
+                });
+            }
+            if let Some(digest) = cached {
+                let not_after = Some(cert.tbs.validity.not_after);
+                self.insert(digest, issuer_pk, cert.signature, not_after);
+            }
+            Ok(())
+        })
     }
 
     /// Verify a batch of `(message, key, signature)` triples, serving
@@ -252,13 +208,24 @@ impl VerifyCache {
     /// ([`verify_batch`]) over the misses only. Returns the same verdict
     /// the plain batch check would: true iff *every* item verifies.
     pub fn verify_batch(&self, items: &[(&[u8], PublicKey, Signature)]) -> bool {
+        self.verify_batch_with(items, |i| sha256(items[i].0))
+    }
+
+    /// [`VerifyCache::verify_batch`] for callers that already hold (or
+    /// memoize) the digests: `digest_of(i)` must be `sha256(items[i].0)`.
+    /// Never called while the cache is disabled.
+    pub fn verify_batch_with(
+        &self,
+        items: &[(&[u8], PublicKey, Signature)],
+        digest_of: impl Fn(usize) -> Digest,
+    ) -> bool {
         if !self.enabled() {
             return verify_batch(items);
         }
         let mut missed: Vec<(&[u8], PublicKey, Signature)> = Vec::new();
         let mut missed_digests: Vec<Digest> = Vec::new();
-        for &(msg, pk, sig) in items {
-            let digest = sha256(msg);
+        for (i, &(msg, pk, sig)) in items.iter().enumerate() {
+            let digest = digest_of(i);
             if !self.lookup(&digest, pk, &sig, Timestamp::ZERO) {
                 missed.push((msg, pk, sig));
                 missed_digests.push(digest);

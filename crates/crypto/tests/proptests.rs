@@ -208,3 +208,199 @@ proptest! {
         prop_assert!(back.verify_signature(key.public()).is_ok());
     }
 }
+
+/// The caches' eviction rule as they implemented it before sharing
+/// [`qos_crypto::lru::LruMap`]: every entry carries the tick of its last
+/// insert or accepted lookup, and a new key arriving at a full map evicts
+/// the entry with the smallest one, found by scanning them all.
+#[derive(Default)]
+struct ScanningLru {
+    map: std::collections::HashMap<u8, (u64, u32)>,
+    tick: u64,
+}
+
+impl ScanningLru {
+    fn get_if(&mut self, key: u8, accept: bool) -> Option<u32> {
+        self.tick += 1;
+        let (stamp, value) = self.map.get_mut(&key)?;
+        if !accept {
+            return None;
+        }
+        *stamp = self.tick;
+        Some(*value)
+    }
+
+    fn insert(&mut self, key: u8, value: u32, cap: usize) -> Option<(u8, u32)> {
+        self.tick += 1;
+        let mut evicted = None;
+        if self.map.len() >= cap && !self.map.contains_key(&key) {
+            let victim = self.map.iter().min_by_key(|(_, e)| e.0).map(|(k, _)| *k);
+            evicted = victim.map(|k| (k, self.map.remove(&k).expect("just found").1));
+        }
+        self.map.insert(key, (self.tick, value));
+        evicted
+    }
+}
+
+/// [`DelegationChain::verify_links`] as it was before it ran on borrowed
+/// certificates: per-link sets, signatures checked without the cache.
+fn verify_links_model(
+    certs: &[Certificate],
+    cas_pk: qos_crypto::PublicKey,
+    now: Timestamp,
+) -> Result<qos_crypto::VerifiedCapabilities, qos_crypto::CryptoError> {
+    use qos_crypto::CryptoError;
+    use std::collections::BTreeSet;
+    let first = certs
+        .first()
+        .ok_or(CryptoError::MalformedChain("empty chain"))?;
+    if !first.is_capability_certificate() {
+        return Err(CryptoError::NotACapabilityCertificate);
+    }
+    first.verify_signature(cas_pk)?;
+    first.check_validity(now)?;
+    let mut prev = first;
+    for cert in &certs[1..] {
+        if !cert.is_capability_certificate() {
+            return Err(CryptoError::NotACapabilityCertificate);
+        }
+        if !cert.tbs.issuer.same_principal(&prev.tbs.subject) {
+            return Err(CryptoError::IssuerMismatch {
+                expected: prev.tbs.subject.clone(),
+                found: cert.tbs.issuer.clone(),
+            });
+        }
+        cert.verify_signature(prev.tbs.subject_public_key)?;
+        cert.check_validity(now)?;
+        let prev_caps: BTreeSet<&str> = prev.capabilities().into_iter().collect();
+        for cap in cert.capabilities() {
+            if !prev_caps.contains(cap) {
+                return Err(CryptoError::CapabilityWidened {
+                    capability: cap.to_string(),
+                });
+            }
+        }
+        let cur: BTreeSet<&Restriction> = cert.restrictions().into_iter().collect();
+        for r in prev.restrictions() {
+            if !cur.contains(r) {
+                return Err(CryptoError::RestrictionDropped {
+                    restriction: r.to_string(),
+                });
+            }
+        }
+        prev = cert;
+    }
+    let tip = certs.last().expect("non-empty");
+    Ok(qos_crypto::VerifiedCapabilities {
+        capabilities: tip.capabilities().into_iter().map(str::to_string).collect(),
+        restrictions: tip.restrictions().into_iter().cloned().collect(),
+        holder: tip.tbs.subject.clone(),
+    })
+}
+
+proptest! {
+    /// The shared LRU evicts exactly what the scanning caches evicted,
+    /// under arbitrary interleavings of inserts, accepted and refused
+    /// lookups (a refused one is a signature mismatch: it must not
+    /// refresh the entry) and removals (expiry, release).
+    #[test]
+    fn shared_lru_evicts_the_scanning_model_s_victim(
+        cap in 1usize..6,
+        ops in proptest::collection::vec((0u8..4, 0u8..10, any::<u32>()), 1..120),
+    ) {
+        let mut lru = qos_crypto::lru::LruMap::new(cap, Default::default());
+        let mut model = ScanningLru::default();
+        for (kind, key, value) in ops {
+            match kind {
+                0 | 1 => prop_assert_eq!(
+                    lru.get_if(&key, |_| kind == 0).copied(),
+                    model.get_if(key, kind == 0)
+                ),
+                2 => prop_assert_eq!(lru.insert(key, value), model.insert(key, value, cap)),
+                _ => prop_assert_eq!(lru.remove(&key), model.map.remove(&key).map(|e| e.1)),
+            }
+            prop_assert_eq!(lru.len(), model.map.len());
+        }
+        // What is left is the same set, in the same eviction order.
+        while !model.map.is_empty() {
+            lru.set_capacity(lru.len());
+            prop_assert_eq!(lru.insert(200, 0), model.insert(200, 0, 1));
+            prop_assert_eq!(lru.remove(&200), model.map.remove(&200).map(|e| e.1));
+        }
+        prop_assert!(lru.is_empty());
+    }
+
+    /// The §6.5 link checks give the same verdict on borrowed
+    /// certificates as the owned-chain implementation they replace: on
+    /// a valid chain and with each kind of fault planted at any link.
+    #[test]
+    fn verify_links_on_references_matches_the_owned_chain(
+        len in 2usize..6,
+        at in 0usize..6,
+        fault in 0u8..7,
+    ) {
+        let mut cas = qos_crypto::CommunityAuthorizationServer::new(
+            "CAS",
+            KeyPair::from_seed(b"vl-cas"),
+        );
+        // keys[i] signs link i + 1; keys[0] is the user's proxy key.
+        let keys: Vec<KeyPair> = (0..len as u8).map(|i| KeyPair::from_seed(&[i, 0x71])).collect();
+        let grant = cas.grant(
+            &DistinguishedName::user("U", "O"),
+            keys[0].public(),
+            vec!["m:a".into(), "m:b".into()],
+            Validity::unbounded(),
+        );
+        let mut chain = DelegationChain::new(grant);
+        for i in 1..len {
+            chain = chain
+                .delegate(
+                    &keys[i - 1],
+                    DistinguishedName::broker(&format!("d{i}")),
+                    keys[i].public(),
+                    vec![Restriction::ValidForRar(i as u64)],
+                    Validity::unbounded(),
+                )
+                .unwrap();
+        }
+        let mut certs = chain.certs;
+        let at = at % len;
+        // Re-issue link `at` with an edited body, signed by its rightful
+        // issuer, so only the planted fault is wrong with it.
+        let reissue = |certs: &mut Vec<Certificate>, edit: &dyn Fn(&mut TbsCertificate)| {
+            let mut tbs = certs[at].tbs.clone();
+            edit(&mut tbs);
+            let issuer = if at == 0 { KeyPair::from_seed(b"vl-cas") } else { keys[at - 1].clone() };
+            certs[at] = Certificate::issue(tbs, &issuer);
+        };
+        match fault {
+            1 => certs[at].signature.s ^= 1,
+            2 => { certs.remove(at); }
+            3 => reissue(&mut certs, &|tbs| tbs.extensions.push(Extension::Capabilities(vec!["m:root".into()]))),
+            4 => reissue(&mut certs, &|tbs| tbs.extensions.retain(|e| !matches!(e, Extension::Restriction(_)))),
+            5 => reissue(&mut certs, &|tbs| tbs.validity = Validity::starting_at(Timestamp(0), 10)),
+            6 => reissue(&mut certs, &|tbs| tbs.extensions.retain(|e| !matches!(e, Extension::CapabilityCertificateFlag))),
+            _ => {}
+        }
+        let now = Timestamp(100);
+        let expected = verify_links_model(&certs, cas.public_key(), now);
+        // Each fault is the failure it is meant to be.
+        use qos_crypto::CryptoError as E;
+        prop_assert!(match (fault, &expected) {
+            (0, verdict) => verdict.is_ok(),
+            (1, Err(E::BadSignature { .. })) => true,
+            (2, Err(E::IssuerMismatch { .. })) => true,
+            (2, verdict) => at == 0 || at == len - 1 || verdict.is_err(),
+            (3, Err(E::CapabilityWidened { .. })) => true,
+            (3, Ok(_)) => at == 0,
+            (4, Err(E::RestrictionDropped { .. })) => true,
+            (4, Ok(_)) => at <= 1,
+            (5, Err(E::Expired { .. })) => true,
+            (6, Err(E::NotACapabilityCertificate)) => true,
+            _ => false,
+        }, "fault {fault} at {at} of {len}: {expected:?}");
+        let refs: Vec<&Certificate> = certs.iter().collect();
+        prop_assert_eq!(&DelegationChain::verify_links_of(&refs, cas.public_key(), now), &expected);
+        prop_assert_eq!(&DelegationChain { certs }.verify_links(cas.public_key(), now), &expected);
+    }
+}

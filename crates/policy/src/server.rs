@@ -17,12 +17,13 @@ use crate::group::GroupServer;
 use crate::parser::{parse_cached, ParseError};
 use crate::request::PolicyRequest;
 use crate::Policy;
-use qos_crypto::sha256::{Digest, Sha256};
+use qos_crypto::lru::LruMap;
+use qos_crypto::sha256::{sha256, Digest};
 use qos_telemetry::{Counter, Histogram, StdClock, Telemetry};
+use qos_wire::{Encode, Writer};
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard};
 
 /// Live per-domain state the policy can reference.
 #[derive(Debug, Clone)]
@@ -91,22 +92,14 @@ struct PdpInstruments {
 
 /// Bound on memoized decisions per PDP. Steady-state traffic in the
 /// paper's scenarios revisits a handful of (requestor, spec) shapes, so
-/// a small bound holds the whole working set; eviction is min-stamp LRU.
+/// a small bound holds the whole working set; eviction is LRU.
 const DECISION_CACHE_CAP: usize = 1024;
-
-/// One memoized decision.
-struct CachedDecision {
-    decision: PolicyDecision,
-    stamp: u64,
-}
 
 /// Interior-mutable memoization state, shared by `decide` (decision
 /// memo) and the evaluation environment (group-membership memo).
-#[derive(Default)]
 struct PdpCache {
-    decisions: HashMap<Digest, CachedDecision>,
+    decisions: LruMap<Digest, PolicyDecision>,
     members: HashMap<(String, String), bool>,
-    tick: u64,
 }
 
 /// A policy decision point for one domain.
@@ -119,9 +112,6 @@ pub struct PolicyServer {
     /// physically cleared.
     generation: u64,
     cache: Mutex<PdpCache>,
-    cache_hits: Arc<AtomicU64>,
-    cache_misses: Arc<AtomicU64>,
-    cache_evictions: Arc<AtomicU64>,
     /// Nanoseconds spent parsing in `from_source`, held until telemetry
     /// is attached (parsing happens at construction, before
     /// `set_telemetry` can have run).
@@ -151,10 +141,10 @@ impl PolicyServer {
             groups,
             instruments: PdpInstruments::default(),
             generation: 0,
-            cache: Mutex::new(PdpCache::default()),
-            cache_hits: Arc::new(AtomicU64::new(0)),
-            cache_misses: Arc::new(AtomicU64::new(0)),
-            cache_evictions: Arc::new(AtomicU64::new(0)),
+            cache: Mutex::new(PdpCache {
+                decisions: LruMap::new(DECISION_CACHE_CAP, Default::default()),
+                members: HashMap::new(),
+            }),
             pending_parse_ns: Vec::new(),
         }
     }
@@ -191,24 +181,9 @@ impl PolicyServer {
         for ns in self.pending_parse_ns.drain(..) {
             self.instruments.parse_ns.observe(ns);
         }
-        let cl: &[(&str, &str)] = &[("cache", "pdp"), ("domain", domain)];
-        telemetry.register_counter(
-            "cache_hits_total",
-            "Memoization cache hits, by cache",
-            cl,
-            self.cache_hits.clone(),
-        );
-        telemetry.register_counter(
-            "cache_misses_total",
-            "Memoization cache misses, by cache",
-            cl,
-            self.cache_misses.clone(),
-        );
-        telemetry.register_counter(
-            "cache_evictions_total",
-            "Memoization cache evictions, by cache",
-            cl,
-            self.cache_evictions.clone(),
+        telemetry.register_cache_counters(
+            &[("cache", "pdp"), ("domain", domain)],
+            self.locked().decisions.counters().cells(),
         );
     }
 
@@ -247,83 +222,44 @@ impl PolicyServer {
 
     /// Decision-cache `(hits, misses, evictions)` since construction.
     pub fn cache_stats(&self) -> (u64, u64, u64) {
-        (
-            self.cache_hits.load(Relaxed),
-            self.cache_misses.load(Relaxed),
-            self.cache_evictions.load(Relaxed),
-        )
+        self.locked().decisions.counters().stats()
     }
 
     /// Number of decisions currently memoized.
     pub fn cache_len(&self) -> usize {
-        self.cache.lock().unwrap().decisions.len()
+        self.locked().decisions.len()
+    }
+
+    /// The memoization state. Every update leaves it valid (an entry is
+    /// either in or out), so a lock poisoned by a panicking caller is
+    /// simply taken over.
+    fn locked(&self) -> MutexGuard<'_, PdpCache> {
+        self.cache.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn bump_generation(&mut self) {
         self.generation += 1;
-        let mut cache = self.cache.lock().unwrap();
+        let mut cache = self.locked();
         cache.decisions.clear();
         cache.members.clear();
     }
 
     /// Canonical cache key: generation, live domain variables, and every
-    /// request attribute that can influence evaluation. Each field is
-    /// length-prefixed before hashing so adjacent fields cannot alias.
+    /// part of the request that can influence evaluation, each in its
+    /// canonical wire encoding — self-delimiting, so adjacent fields
+    /// cannot alias, and injective, so distinct requests cannot share a
+    /// key.
     fn cache_key(&self, req: &PolicyRequest, vars: &DomainVars) -> Digest {
-        let mut h = Sha256::new();
-        let feed = |h: &mut Sha256, bytes: &[u8]| {
-            h.update(&(bytes.len() as u64).to_le_bytes());
-            h.update(bytes);
-        };
-        h.update(&self.generation.to_le_bytes());
-        h.update(&vars.avail_bw_bps.to_le_bytes());
-        h.update(&vars.now_minutes.to_le_bytes());
-        feed(&mut h, vars.domain.as_bytes());
-        feed(&mut h, format!("{:?}", req.requestor).as_bytes());
-        for (k, v) in req.attrs.iter() {
-            feed(&mut h, k.as_bytes());
-            feed(&mut h, format!("{v:?}").as_bytes());
-        }
-        feed(&mut h, format!("{:?}", req.assertions).as_bytes());
-        feed(&mut h, format!("{:?}", req.capabilities).as_bytes());
-        h.finalize()
-    }
-
-    fn cache_lookup(&self, key: &Digest) -> Option<PolicyDecision> {
-        let mut cache = self.cache.lock().unwrap();
-        cache.tick += 1;
-        let tick = cache.tick;
-        match cache.decisions.get_mut(key) {
-            Some(entry) => {
-                entry.stamp = tick;
-                self.cache_hits.fetch_add(1, Relaxed);
-                Some(entry.decision.clone())
-            }
-            None => {
-                self.cache_misses.fetch_add(1, Relaxed);
-                None
-            }
-        }
-    }
-
-    fn cache_insert(&self, key: Digest, decision: PolicyDecision) {
-        let mut cache = self.cache.lock().unwrap();
-        if cache.decisions.len() >= DECISION_CACHE_CAP && !cache.decisions.contains_key(&key) {
-            if let Some(oldest) = cache
-                .decisions
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k)
-            {
-                cache.decisions.remove(&oldest);
-                self.cache_evictions.fetch_add(1, Relaxed);
-            }
-        }
-        cache.tick += 1;
-        let stamp = cache.tick;
-        cache
-            .decisions
-            .insert(key, CachedDecision { decision, stamp });
+        let mut w = Writer::with_capacity(256);
+        w.put_u64(self.generation);
+        w.put_u64(vars.avail_bw_bps);
+        w.put_u32(vars.now_minutes);
+        w.put_str(&vars.domain);
+        req.requestor.encode(&mut w);
+        req.attrs.encode(&mut w);
+        req.assertions.encode(&mut w);
+        req.capabilities.encode(&mut w);
+        sha256(w.as_bytes())
     }
 
     /// Evaluate the local policy against `req`.
@@ -344,7 +280,8 @@ impl PolicyServer {
         oracle: &dyn ReservationOracle,
     ) -> Result<PolicyDecision, EvalError> {
         let key = self.cache_key(req, vars);
-        if let Some(decision) = self.cache_lookup(&key) {
+        let cached = self.locked().decisions.get_if(&key, |_| true).cloned();
+        if let Some(decision) = cached {
             if self.instruments.live {
                 if decision.decision.is_grant() {
                     self.instruments.grants.inc();
@@ -377,7 +314,7 @@ impl PolicyServer {
         }
         if let Ok(decision) = &result {
             if !oracle_used.get() {
-                self.cache_insert(key, decision.clone());
+                self.locked().decisions.insert(key, decision.clone());
             }
         }
         result
@@ -766,6 +703,195 @@ mod tests {
             .decision
             .is_grant());
         assert_eq!(pdp.cache_stats().0, 0, "no false hit across var change");
+    }
+
+    /// The decision-cache key as it was built before it hashed wire
+    /// encodings: `Debug` renderings of the request's parts.
+    fn debug_cache_key(pdp: &PolicyServer, req: &PolicyRequest, vars: &DomainVars) -> Digest {
+        use qos_crypto::sha256::Sha256;
+        let mut h = Sha256::new();
+        let feed = |h: &mut Sha256, bytes: &[u8]| {
+            h.update(&(bytes.len() as u64).to_le_bytes());
+            h.update(bytes);
+        };
+        h.update(&pdp.generation.to_le_bytes());
+        h.update(&vars.avail_bw_bps.to_le_bytes());
+        h.update(&vars.now_minutes.to_le_bytes());
+        feed(&mut h, vars.domain.as_bytes());
+        feed(&mut h, format!("{:?}", req.requestor).as_bytes());
+        for (k, v) in req.attrs.iter() {
+            feed(&mut h, k.as_bytes());
+            feed(&mut h, format!("{v:?}").as_bytes());
+        }
+        feed(&mut h, format!("{:?}", req.assertions).as_bytes());
+        feed(&mut h, format!("{:?}", req.capabilities).as_bytes());
+        h.finalize()
+    }
+
+    fn arb_value() -> impl proptest::strategy::Strategy<Value = Value> {
+        use proptest::prelude::*;
+        let leaf = prop_oneof![
+            "[ab\",\\]{0,3}".prop_map(Value::Str),
+            (-2i64..3).prop_map(Value::Int),
+            (0u64..3).prop_map(Value::Bandwidth),
+            (0u32..3).prop_map(Value::TimeOfDay),
+            any::<bool>().prop_map(Value::Bool),
+        ];
+        leaf.prop_recursive(2, 6, 3, |inner| {
+            proptest::collection::vec(inner, 0..3).prop_map(Value::List)
+        })
+    }
+
+    fn arb_request() -> impl proptest::strategy::Strategy<Value = (PolicyRequest, DomainVars)> {
+        use proptest::prelude::*;
+        let words = || proptest::collection::vec("[ab:,]{0,3}", 0..3);
+        let capability =
+            ("[ab]{0,2}", words(), words()).prop_map(|(issuer, a, r)| VerifiedCapability {
+                issuer,
+                attributes: a,
+                restrictions: r,
+            });
+        (
+            ("[ab]{1,2}", "[ab]{1,2}"),
+            proptest::collection::vec(("[abc]", arb_value()), 0..3),
+            words(),
+            proptest::collection::vec(capability, 0..3),
+            (0u64..2, 0u32..2, "[ab]{0,2}"),
+        )
+            .prop_map(|((name, org), attrs, claims, caps, (bw, now, domain))| {
+                let mut req = PolicyRequest::new(DistinguishedName::user(&name, &org));
+                for (k, v) in attrs {
+                    req.attrs.set(&k, v);
+                }
+                req.assertions = claims
+                    .into_iter()
+                    .map(|claim| Assertion { claim })
+                    .collect();
+                req.capabilities = caps;
+                let vars = DomainVars {
+                    avail_bw_bps: bw,
+                    now_minutes: now,
+                    domain,
+                };
+                (req, vars)
+            })
+    }
+
+    /// Requests one field boundary, count or type tag apart from one
+    /// another — the pairs a sloppy feed would alias.
+    #[test]
+    fn cache_key_separates_near_collisions() {
+        let user = |name: &str, org: &str| PolicyRequest::new(DistinguishedName::user(name, org));
+        let base = || user("u", "o");
+        let strs = |items: &[&str]| items.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let cap = |issuer: &str, attributes: &[&str], restrictions: &[&str]| VerifiedCapability {
+            issuer: issuer.into(),
+            attributes: strs(attributes),
+            restrictions: strs(restrictions),
+        };
+        let claims = |items: &[&str]| {
+            let mut req = base();
+            req.assertions = strs(items)
+                .into_iter()
+                .map(|claim| Assertion { claim })
+                .collect();
+            req
+        };
+        let list = |items: Vec<Value>| base().with_attr("k", Value::List(items));
+        let s = |v: &str| Value::Str(v.into());
+        let requests = vec![
+            base(),
+            user("uo", ""),
+            user("", "uo"),
+            base().with_attr("k", Value::Int(1)),
+            base().with_attr("k", Value::Bandwidth(1)),
+            base().with_attr("k", Value::TimeOfDay(1)),
+            base().with_attr("k", Value::Bool(true)),
+            base().with_attr("k", s("1")),
+            base().with_attr("k", s("ab")),
+            base().with_attr("ka", s("b")),
+            base().with_attr("k", s("a")).with_attr("l", s("")),
+            list(vec![]),
+            list(vec![s("ab"), s("c")]),
+            list(vec![s("a"), s("bc")]),
+            list(vec![s("abc")]),
+            list(vec![Value::List(vec![Value::Int(1)])]),
+            list(vec![Value::List(vec![]), Value::Int(1)]),
+            list(vec![Value::Int(1), Value::List(vec![])]),
+            claims(&[""]),
+            claims(&["ab"]),
+            claims(&["a", "b"]),
+            claims(&["", "ab"]),
+            base().with_capability(cap("ab", &[], &[])),
+            base().with_capability(cap("a", &["b"], &[])),
+            base().with_capability(cap("a", &[], &["b"])),
+            base().with_capability(cap("", &["a", "b"], &[])),
+            base().with_capability(cap("", &["a"], &["b"])),
+            base().with_capability(cap("", &["ab"], &[])),
+            base()
+                .with_capability(cap("", &["a"], &[]))
+                .with_capability(cap("", &["b"], &[])),
+            base()
+                .with_capability(cap("", &[], &[]))
+                .with_capability(cap("", &["a", "b"], &[])),
+            claims(&["a"]).with_capability(cap("", &[], &[])),
+            base().with_capability(cap("a", &[], &[])),
+        ];
+        let pdp = PolicyServer::from_source("return grant", groups()).unwrap();
+        for (i, a) in requests.iter().enumerate() {
+            for b in &requests[..i] {
+                assert_ne!(a, b, "the list holds distinct requests");
+                assert_ne!(
+                    debug_cache_key(&pdp, a, &vars()),
+                    debug_cache_key(&pdp, b, &vars())
+                );
+                assert_ne!(
+                    pdp.cache_key(a, &vars()),
+                    pdp.cache_key(b, &vars()),
+                    "{a:?} and {b:?} share a key"
+                );
+            }
+        }
+        let other_domain = DomainVars {
+            domain: "domain-".into(),
+            ..vars()
+        };
+        assert_ne!(
+            pdp.cache_key(&base(), &vars()),
+            pdp.cache_key(&base(), &other_domain)
+        );
+    }
+
+    proptest::proptest! {
+        /// The wire-encoded key keeps apart every pair of requests the
+        /// `Debug`-rendering key kept apart (and, like it, gives equal
+        /// requests equal keys and moves with the generation).
+        #[test]
+        fn cache_key_separates_what_the_debug_key_separated(
+            a in arb_request(),
+            other in arb_request(),
+            part in 0usize..5,
+        ) {
+            // `b` is `a` with one part taken from another request, so
+            // the pair differs in one place at most.
+            let mut b = a.clone();
+            match part {
+                0 => b.0.requestor = other.0.requestor,
+                1 => b.0.attrs = other.0.attrs,
+                2 => b.0.assertions = other.0.assertions,
+                3 => b.0.capabilities = other.0.capabilities,
+                _ => b.1 = other.1,
+            }
+            let mut pdp = PolicyServer::from_source("return grant", groups()).unwrap();
+            let (ka, kb) = (pdp.cache_key(&a.0, &a.1), pdp.cache_key(&b.0, &b.1));
+            if debug_cache_key(&pdp, &a.0, &a.1) != debug_cache_key(&pdp, &b.0, &b.1) {
+                proptest::prop_assert_ne!(ka, kb);
+            } else {
+                proptest::prop_assert_eq!(ka, kb);
+            }
+            pdp.groups_mut();
+            proptest::prop_assert_ne!(ka, pdp.cache_key(&a.0, &a.1));
+        }
     }
 
     #[test]

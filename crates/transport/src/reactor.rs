@@ -1478,25 +1478,33 @@ impl Reactor {
                 // work, no shard round trip. Only attempted when no
                 // earlier message of this sweep is still waiting for
                 // dispatch (replaying ahead of it could reorder).
-                if msgs.is_empty() && body.first() == Some(&REQUEST_TAG) {
-                    if let Ok(Some(env)) = EnvelopeRef::parse(body) {
-                        reply_scratch.clear();
-                        if let Some(to) = sharded.try_revalidate(peer, &env, reply_scratch) {
-                            let to = to.strip_prefix("user:").unwrap_or(&to);
-                            match links.get(to) {
-                                // A full queue falls through to normal
-                                // dispatch below — the reactor must never
-                                // block on a queue it drains itself.
-                                Some(out) if warm_deliver(out, reply_scratch) => continue,
-                                Some(_) => {}
-                                // No link: the sink would drop it too.
-                                None => continue,
-                            }
+                let env = if msgs.is_empty() && body.first() == Some(&REQUEST_TAG) {
+                    EnvelopeRef::parse(body).ok().flatten()
+                } else {
+                    None
+                };
+                if let Some(env) = &env {
+                    reply_scratch.clear();
+                    if let Some(to) = sharded.try_revalidate(peer, env, reply_scratch) {
+                        let to = to.strip_prefix("user:").unwrap_or(&to);
+                        match links.get(to) {
+                            // A full queue falls through to normal
+                            // dispatch below — the reactor must never
+                            // block on a queue it drains itself.
+                            Some(out) if warm_deliver(out, reply_scratch) => continue,
+                            Some(_) => {}
+                            // No link: the sink would drop it too.
+                            None => continue,
                         }
                     }
                 }
-                let shared: Arc<[u8]> = body.into();
-                let Ok(msg) = qos_wire::from_bytes_shared::<SignalMessage>(&shared) else {
+                // A probed envelope hands the digest the probe took of it
+                // to its owned decode.
+                let decoded = match &env {
+                    Some(env) => env.decode_owned(),
+                    None => qos_wire::from_bytes_shared::<SignalMessage>(&body.into()),
+                };
+                let Ok(msg) = decoded else {
                     ins.rejected.inc();
                     return false;
                 };

@@ -1,0 +1,125 @@
+//! The public-key work one reservation costs, counted — alone in its own
+//! test binary, because `schnorr::sign_ops()` / `verify_ops()` are
+//! process-wide counters (cf. `telemetry_snapshot.rs`).
+//!
+//! A broker proves possession of its own key once, when it is built, not
+//! on every request (DESIGN.md §D17): what is left per request is the
+//! paper's own work — each hop wraps and re-signs, extends the capability
+//! chain, and endorses the approval on the way back.
+
+use integration_tests::{build_chain, ChainOptions, Scenario, MBPS};
+use qos_core::node::Completion;
+use qos_core::{PeerId, SignalMessage, SignedRar};
+use qos_crypto::schnorr::{sign_ops, verify_ops};
+use qos_crypto::{DelegationChain, Timestamp, Validity};
+use std::collections::HashMap;
+
+/// Verifications this scenario cost at the parent commit (0cfac30), in a
+/// fresh process with empty caches: 3 of them were brokers checking
+/// their own possession proofs.
+const PARENT_VERIFIES: u64 = 14;
+
+const NEEDS_ESNET: &str =
+    "if Issued_by(Capability) = ESnet { return grant }\nreturn deny \"needs an ESnet capability\"";
+
+/// Deliver `out` and everything it triggers, hop by hop, until the chain
+/// falls silent. Returns every request envelope sent on the way, by
+/// receiving domain.
+fn deliver(
+    s: &mut Scenario,
+    from: usize,
+    out: Vec<(PeerId, SignalMessage)>,
+) -> HashMap<String, SignedRar> {
+    let mut forwarded = HashMap::new();
+    let mut queue: Vec<(usize, PeerId, SignalMessage)> =
+        out.into_iter().map(|(to, m)| (from, to, m)).collect();
+    while let Some((from, to, msg)) = queue.pop() {
+        if let SignalMessage::Request(rar) = &msg {
+            forwarded.insert(to.to_string(), rar.clone());
+        }
+        let at = s.domains.iter().position(|d| **d == *to).expect("a peer");
+        let sender = s.domains[from].clone();
+        for (next, m) in s.nodes[at].recv(&sender, msg) {
+            queue.push((at, next, m));
+        }
+    }
+    forwarded
+}
+
+fn granted(s: &mut Scenario) -> bool {
+    match s.nodes[0].take_completions().pop() {
+        Some(Completion::Reservation { result, .. }) => result.is_ok(),
+        other => panic!("no reservation completed at the source: {other:?}"),
+    }
+}
+
+/// Alice's request with her capability delegated to the broker at chain
+/// index `holder` instead of the one she submits to.
+fn request_delegated_to(s: &mut Scenario, holder: usize) -> SignedRar {
+    let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
+    let alice = &s.users["alice"];
+    let grant = alice.capability.clone().expect("alice holds a grant");
+    let chain = DelegationChain::new(grant)
+        .delegate(
+            &alice.proxy,
+            s.nodes[holder].dn().clone(),
+            s.nodes[holder].public_key(),
+            vec![],
+            Validity::unbounded(),
+        )
+        .expect("alice holds the proxy key");
+    SignedRar::user_request(spec, s.nodes[0].dn().clone(), chain.certs, &alice.key)
+}
+
+#[test]
+fn a_granted_reservation_signs_seven_times_and_foreign_chains_grant_nothing() {
+    // One granted reservation over a -> b -> c, capability chain and all.
+    let mut s = build_chain(ChainOptions::default());
+    let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
+    let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
+    assert_eq!(
+        rar.capability_certs().len(),
+        2,
+        "CAS grant + delegation to a"
+    );
+    let cert = s.users["alice"].cert.clone();
+    let (signs, verifies) = (sign_ops(), verify_ops());
+    let out = s.nodes[0].submit(rar, &cert);
+    let forwarded = deliver(&mut s, 0, out);
+    assert!(granted(&mut s));
+    assert_eq!(forwarded["domain-b"].capability_certs().len(), 3);
+    assert_eq!(forwarded["domain-c"].capability_certs().len(), 4);
+    // 2 wraps (a, b) + 2 delegations (a -> b, b -> c) + 3 approval
+    // signatures (c originates, b and a endorse). With a possession
+    // proof of each broker's own key to itself on every request this
+    // was 10, and 3 more verifications.
+    assert_eq!(sign_ops() - signs, 7);
+    assert_eq!(verify_ops() - verifies, PARENT_VERIFIES - 3);
+
+    // A chain delegated to b's key, submitted at a: a cannot use it —
+    // where a's policy asks for a capability, the request is denied …
+    let mut s = build_chain(ChainOptions {
+        policies: HashMap::from([(0, NEEDS_ESNET.to_string())]),
+        ..ChainOptions::default()
+    });
+    let rar = request_delegated_to(&mut s, 1);
+    let cert = s.users["alice"].cert.clone();
+    assert!(s.nodes[0].submit(rar, &cert).is_empty());
+    assert!(!granted(&mut s), "a chain held by b grants nothing at a");
+
+    // … and where it does not, a carries the chain onward as it came
+    // (two certificates, no link of a's own), so b, whose key it names,
+    // can use it.
+    let mut s = build_chain(ChainOptions {
+        policies: HashMap::from([(1, NEEDS_ESNET.to_string())]),
+        ..ChainOptions::default()
+    });
+    let rar = request_delegated_to(&mut s, 1);
+    let signs = sign_ops();
+    let out = s.nodes[0].submit(rar, &cert);
+    assert_eq!(sign_ops() - signs, 1, "a wraps, and delegates nothing");
+    let forwarded = deliver(&mut s, 0, out);
+    assert_eq!(forwarded["domain-b"].capability_certs().len(), 2);
+    assert_eq!(forwarded["domain-c"].capability_certs().len(), 3);
+    assert!(granted(&mut s), "b holds the chain and its policy sees it");
+}
