@@ -178,6 +178,38 @@ fn bench_codec(c: &mut Criterion) {
     });
 }
 
+/// What an envelope is made of (EXP-HEAP): a name, a certificate (two
+/// names), and the owned decode of a whole first-sight request, where
+/// every layer carries a signer, a next hop and a certificate.
+fn bench_names(c: &mut Criterion) {
+    let dn = DistinguishedName::broker("domain-b");
+    let dn_bytes = qos_wire::to_bytes(&dn);
+    c.bench_function("dn/decode", |b| {
+        b.iter(|| qos_wire::from_bytes::<DistinguishedName>(black_box(&dn_bytes)).unwrap())
+    });
+    c.bench_function("dn/clone", |b| b.iter(|| black_box(&dn).clone()));
+
+    let w = world(8);
+    let cert_bytes = qos_wire::to_bytes(&w.certs[0]);
+    c.bench_function("cert/decode", |b| {
+        b.iter(|| qos_wire::from_bytes::<qos_crypto::Certificate>(black_box(&cert_bytes)).unwrap())
+    });
+
+    let mut g = c.benchmark_group("envelope/decode-owned");
+    for depth in [3usize, 8] {
+        let msg = SignalMessage::Request(build(&w, depth));
+        let frame: std::sync::Arc<[u8]> = qos_wire::to_bytes(&msg).into();
+        g.bench_with_input(
+            BenchmarkId::from_parameter(format!("depth-{depth}")),
+            &frame,
+            |b, frame| {
+                b.iter(|| qos_wire::from_bytes_shared::<SignalMessage>(black_box(frame)).unwrap())
+            },
+        );
+    }
+    g.finish();
+}
+
 /// D3 ablation: introducer-chain verification vs the "secure LDAP"
 /// certificate directory (§6.4's alternatives 1 and 2).
 fn bench_key_sources(c: &mut Criterion) {
@@ -289,6 +321,7 @@ criterion_group!(
     bench_encode_once,
     bench_verify_depth,
     bench_codec,
+    bench_names,
     bench_key_sources
 );
 criterion_main!(benches);

@@ -11,7 +11,10 @@
 //!    8 allocations per operation under the counting allocator
 //!    (override with `EXP_ALLOC_MAX_ALLOCS`; `0` disables). The cold
 //!    legacy path (owned frame `Vec`s, owned `PeerMsg`/`SignalMessage`
-//!    decode, full verification) is measured alongside for contrast.
+//!    decode, full verification) — what a first-sight RAR pays — is
+//!    gated beside it at 140 allocations per operation: 45 % of the 312
+//!    it cost while a name was a vector of string pairs (D18; measured
+//!    109).
 //! 2. **Latency** — warm depth-8 envelope verification must stay
 //!    strictly better than the committed `BENCH_warm.json` baseline
 //!    (5.62 µs; override with `EXP_ALLOC_BASELINE_US`, `0` disables).
@@ -77,6 +80,10 @@ const COLD_OPS: usize = 32;
 /// leaves headroom for incidental churn (hash-map resizes, cache
 /// bookkeeping) without letting a per-op allocation regression through.
 const DEFAULT_MAX_ALLOCS: f64 = 8.0;
+/// A cold admission may allocate at most this much: 45 % of the 312
+/// allocations per operation of the commit before D18. A count, so no
+/// override: it moves only when the code does.
+const MAX_COLD_ALLOCS: f64 = 140.0;
 /// `BENCH_warm.json` warm_us as committed before the D15 zero-alloc
 /// work landed.
 const DEFAULT_BASELINE_WARM_US: f64 = 5.62;
@@ -554,6 +561,12 @@ fn main() {
         failures.push(format!(
             "warm admission allocates {warm_allocs_per_op:.4} allocations/op, above \
              the {bound:.0} bound (override with EXP_ALLOC_MAX_ALLOCS)"
+        ));
+    }
+    if cold_allocs_per_op > MAX_COLD_ALLOCS {
+        failures.push(format!(
+            "cold admission allocates {cold_allocs_per_op:.2} allocations/op, above \
+             the {MAX_COLD_ALLOCS:.0} bound"
         ));
     }
     if pool_fallbacks != 0 {

@@ -114,13 +114,17 @@ impl BrokerCore {
         self.book.add_egress_sla(sla);
     }
 
-    /// The SLA with the upstream peer `peer`, if any.
+    /// A copy of the SLA with the upstream peer `peer`, if any — owned,
+    /// for set-up code that amends a contract and registers it again
+    /// with [`BrokerCore::add_ingress_sla`].
     pub fn ingress_sla(&self, peer: &str) -> Option<Sla> {
-        self.book.ingress_sla(peer)
+        self.book.ingress_sla(peer).map(|sla| (*sla).clone())
     }
 
-    /// The SLA with the downstream peer `peer`, if any.
-    pub fn egress_sla(&self, peer: &str) -> Option<Sla> {
+    /// The SLA with the downstream peer `peer`, if any. Lent, not
+    /// copied: every forwarded request and every endorsement reads a
+    /// field or a price off it, and a copy carries two certificates.
+    pub fn egress_sla(&self, peer: &str) -> Option<Arc<Sla>> {
         self.book.egress_sla(peer)
     }
 

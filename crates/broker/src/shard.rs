@@ -77,8 +77,8 @@ pub struct SlaBook {
     local: Mutex<ReservationTable>,
     ingress: RwLock<HashMap<String, Arc<Mutex<ReservationTable>>>>,
     egress: RwLock<HashMap<String, Arc<Mutex<ReservationTable>>>>,
-    slas_in: RwLock<HashMap<String, Sla>>,
-    slas_out: RwLock<HashMap<String, Sla>>,
+    slas_in: RwLock<HashMap<String, Arc<Sla>>>,
+    slas_out: RwLock<HashMap<String, Arc<Sla>>>,
     meta: [Mutex<HashMap<ReservationId, ResMeta>>; LEDGER_STRIPES],
     billing: Mutex<BillingLedger>,
     counters: RwLock<CoreCounters>,
@@ -193,7 +193,7 @@ impl SlaBook {
         self.slas_in
             .write()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(sla.upstream.clone(), sla);
+            .insert(sla.upstream.clone(), Arc::new(sla));
     }
 
     pub(crate) fn add_egress_sla(&self, sla: Sla) {
@@ -210,10 +210,10 @@ impl SlaBook {
         self.slas_out
             .write()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(sla.downstream.clone(), sla);
+            .insert(sla.downstream.clone(), Arc::new(sla));
     }
 
-    pub(crate) fn ingress_sla(&self, peer: &str) -> Option<Sla> {
+    pub(crate) fn ingress_sla(&self, peer: &str) -> Option<Arc<Sla>> {
         self.slas_in
             .read()
             .unwrap_or_else(|e| e.into_inner())
@@ -221,7 +221,7 @@ impl SlaBook {
             .cloned()
     }
 
-    pub(crate) fn egress_sla(&self, peer: &str) -> Option<Sla> {
+    pub(crate) fn egress_sla(&self, peer: &str) -> Option<Arc<Sla>> {
         self.slas_out
             .read()
             .unwrap_or_else(|e| e.into_inner())

@@ -264,7 +264,7 @@ impl SignedRar {
 
     /// Serialized size in bytes (the EXP-S metric).
     pub fn encoded_len(&self) -> usize {
-        qos_wire::to_bytes(self).len()
+        qos_wire::with_encoded(self, <[u8]>::len)
     }
 }
 

@@ -197,7 +197,7 @@ fn skip_str(r: &mut Reader<'_>) -> Result<(), WireError> {
 }
 
 fn skip_dn(r: &mut Reader<'_>) -> Result<(), WireError> {
-    // DistinguishedName = Vec<Rdn>, Rdn = { attr: String, value: String }
+    // DistinguishedName = a sequence of (attr: String, value: String)
     skip_vec(r, |r| {
         skip_str(r)?;
         skip_str(r)
@@ -338,7 +338,7 @@ mod tests {
             let dn = DistinguishedName::broker(&format!("domain-{i}"));
             let cert = ca.issue_identity(dn.clone(), key.public(), Validity::unbounded());
             let attach = if rich {
-                AttributeSet::new().with(&format!("hop-{i}"), Value::Bandwidth(1_000_000))
+                AttributeSet::new().with(format!("hop-{i}"), Value::Bandwidth(1_000_000))
             } else {
                 AttributeSet::new()
             };

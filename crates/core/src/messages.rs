@@ -49,7 +49,9 @@ impl ApprovalEntry {
         attachments: &AttributeSet,
         prev_digest: &[u8],
     ) -> Vec<u8> {
-        let mut w = qos_wire::Writer::new();
+        // Sized for a name, a handful of attachments and a digest: one
+        // allocation, not a doubling per field.
+        let mut w = qos_wire::Writer::with_capacity(256);
         qos_wire::Encode::encode(&rar_id, &mut w);
         w.put_str(domain);
         qos_wire::Encode::encode(signer, &mut w);
@@ -128,7 +130,7 @@ impl Approval {
         key: &KeyPair,
     ) -> Self {
         let prev = self.entries.last().expect("approvals are never empty");
-        let prev_digest = sha256(&qos_wire::to_bytes(prev)).to_vec();
+        let prev_digest = qos_wire::with_encoded(prev, sha256).to_vec();
         let payload =
             ApprovalEntry::payload(self.rar_id, domain, &signer, &attachments, &prev_digest);
         let signature = key.sign(&payload);
@@ -156,7 +158,7 @@ impl Approval {
             }
             let expected_digest = match prev {
                 None => Vec::new(),
-                Some(p) => sha256(&qos_wire::to_bytes(p)).to_vec(),
+                Some(p) => qos_wire::with_encoded(p, sha256).to_vec(),
             };
             if entry.prev_digest != expected_digest {
                 return Err(format!("broken digest chain at {}", entry.domain));
@@ -215,7 +217,7 @@ qos_wire::impl_wire_struct!(TunnelFlowRequest {
 
 impl TunnelFlowRequest {
     fn payload(tunnel: RarId, flow: u64, rate_bps: u64, requestor: &DistinguishedName) -> Vec<u8> {
-        let mut w = qos_wire::Writer::new();
+        let mut w = qos_wire::Writer::with_capacity(128);
         qos_wire::Encode::encode(&tunnel, &mut w);
         w.put_u64(flow);
         w.put_u64(rate_bps);
@@ -407,7 +409,7 @@ qos_wire::impl_wire_struct!(TunnelFlowRelease {
 
 impl TunnelFlowRelease {
     fn payload(tunnel: RarId, flow: u64) -> Vec<u8> {
-        let mut w = qos_wire::Writer::new();
+        let mut w = qos_wire::Writer::with_capacity(64);
         qos_wire::Encode::encode(&tunnel, &mut w);
         w.put_u64(flow);
         w.put_str("tunnel-flow-release");

@@ -63,6 +63,11 @@ pub trait ShardSink: Send + Sync {
     /// Route one protocol message to `to` (a peer domain, or a
     /// `user:<domain>` completion address the fabric may drop).
     fn deliver(&self, to: &str, msg: SignalMessage);
+    /// Everything one processing step produced has been handed to
+    /// [`ShardSink::deliver`]: a sink that has to signal another thread
+    /// for its deliveries to move does so here, once per step instead of
+    /// once per message.
+    fn flush(&self) {}
     /// Surface a finished request at this (source) broker.
     fn complete(&self, completion: Completion);
 }
@@ -134,11 +139,51 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Doorbell for idle workers, rung on every dispatch. The counter is a
+/// generation: a worker reads it *before* it scans the queues and parks
+/// only if it has not moved since, so a dispatch that lands between the
+/// scan and the park is answered at once instead of waiting for the
+/// next ring or the timeout.
+#[derive(Default)]
+struct Doorbell {
+    generation: Mutex<u64>,
+    cv: Condvar,
+}
+
+impl Doorbell {
+    fn generation(&self) -> u64 {
+        *lock(&self.generation)
+    }
+
+    fn ring(&self) {
+        *lock(&self.generation) += 1;
+        self.cv.notify_one();
+    }
+
+    fn ring_all(&self) {
+        *lock(&self.generation) += 1;
+        self.cv.notify_all();
+    }
+
+    /// Park until the next ring, at most `timeout` — unless the bell
+    /// was rung since the caller read `seen`. Returns whether it parked.
+    fn park_unless_rung_since(&self, seen: u64, timeout: Duration) -> bool {
+        let g = lock(&self.generation);
+        if *g != seen {
+            return false;
+        }
+        let _ = self
+            .cv
+            .wait_timeout(g, timeout)
+            .unwrap_or_else(|e| e.into_inner());
+        true
+    }
+}
+
 struct Inner {
     domain: String,
     shards: Vec<Shard>,
-    /// Doorbell for idle workers: notified on every dispatch.
-    bell: (Mutex<u64>, Condvar),
+    bell: Doorbell,
     stop: AtomicBool,
     sink: Arc<dyn ShardSink>,
     /// `steals[victim][thief]` — pre-resolved so every pair renders
@@ -243,7 +288,7 @@ impl ShardedNode {
             .collect();
         let inner = Arc::new(Inner {
             shards: shard_vec,
-            bell: (Mutex::new(0), Condvar::new()),
+            bell: Doorbell::default(),
             stop: AtomicBool::new(false),
             sink,
             steals,
@@ -422,18 +467,14 @@ impl ShardedNode {
     /// The 10ms bounded wait in [`worker_loop`] caps the latency of any
     /// lost wakeup.
     fn ring(&self) {
-        let (m, cv) = &self.inner.bell;
-        *lock(m) += 1;
-        cv.notify_one();
+        self.inner.bell.ring();
     }
 
     /// Wake every worker — for broadcasts ([`ShardedNode::set_time`],
     /// [`ShardedNode::dispatch_submit_all`]) that load several queues
     /// at once.
     fn ring_all(&self) {
-        let (m, cv) = &self.inner.bell;
-        *lock(m) += 1;
-        cv.notify_all();
+        self.inner.bell.ring_all();
     }
 
     /// Messages currently queued across all shards.
@@ -515,7 +556,7 @@ impl ShardedNode {
     /// admission state reads identically from any shard.
     pub fn shutdown(mut self) -> BbNode {
         self.inner.stop.store(true, Ordering::SeqCst);
-        self.inner.bell.1.notify_all();
+        self.inner.bell.ring_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -536,6 +577,7 @@ const DRAIN_BATCH: usize = 256;
 fn worker_loop(inner: &Inner, me: usize) {
     let n = inner.shards.len();
     loop {
+        let rung = inner.bell.generation();
         let mut did_work = false;
         // Own shard first: blocking node lock, drain own queue under it.
         did_work |= run_shard(inner, me, me, /*try_only=*/ false);
@@ -555,13 +597,14 @@ fn worker_loop(inner: &Inner, me: usize) {
             continue;
         }
         if !did_work {
-            let (m, cv) = &inner.bell;
-            let g = lock(m);
+            // The timeout stays as the backstop for anything that
+            // queues without ringing.
             let parked = StdClock::now();
-            let _ = cv
-                .wait_timeout(g, Duration::from_millis(10))
-                .unwrap_or_else(|e| e.into_inner());
-            if inner.live {
+            if inner
+                .bell
+                .park_unless_rung_since(rung, Duration::from_millis(10))
+                && inner.live
+            {
                 inner.idle[me].add(StdClock::now().saturating_sub(parked));
             }
         }
@@ -747,8 +790,12 @@ fn process_batch(inner: &Inner, state: &mut ShardState, batch: Vec<ShardMsg>) {
                 }
             }
         };
+        let delivered = !out.is_empty();
         for (to, m) in out {
             inner.sink.deliver(&to, m);
+        }
+        if delivered {
+            inner.sink.flush();
         }
         for c in state.node.take_completions() {
             if inner.live {
@@ -768,6 +815,24 @@ fn process_batch(inner: &Inner, state: &mut ShardState, batch: Vec<ShardMsg>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_ring_between_the_scan_and_the_park_is_not_slept_through() {
+        let bell = Doorbell::default();
+        // The worker looks, finds its queues empty; the dispatcher
+        // queues and rings; only then does the worker reach the park.
+        let seen = bell.generation();
+        bell.ring();
+        assert!(
+            !bell.park_unless_rung_since(seen, Duration::from_secs(30)),
+            "the worker went to sleep on a bell already rung"
+        );
+        // Nothing rung since the look: it parks, and the timeout ends it.
+        let seen = bell.generation();
+        assert!(bell.park_unless_rung_since(seen, Duration::from_millis(1)));
+        bell.ring_all();
+        assert_eq!(bell.generation(), seen + 1);
+    }
 
     #[test]
     fn shard_of_is_stable_and_total() {

@@ -122,14 +122,7 @@ fn memo_key(
     let mut h = Sha256::new();
     h.update(layer_digest);
     h.update(&outer_pk.0.to_le_bytes());
-    let comps = self_dn.components();
-    h.update(&(comps.len() as u32).to_le_bytes());
-    for c in comps {
-        h.update(&(c.attr.len() as u32).to_le_bytes());
-        h.update(c.attr.as_bytes());
-        h.update(&(c.value.len() as u32).to_le_bytes());
-        h.update(c.value.as_bytes());
-    }
+    h.update(self_dn.encoding());
     h.update(&(policy.max_chain_depth as u64).to_le_bytes());
     h.update(&now.0.to_le_bytes());
     h.finalize()
@@ -427,6 +420,32 @@ mod tests {
         assert_eq!(
             memo_key(rar.layer_digest(), pk, &dn, policy, now),
             sha256(&feed)
+        );
+    }
+
+    #[test]
+    fn layer_digest_and_memo_key_are_what_a_vector_of_string_pairs_gave() {
+        // Pinned at the parent commit (de05c9d), where a name was a
+        // `Vec<Rdn>` and `memo_key` re-encoded it by hand: the bytes a
+        // signature, a digest and a cache key cover did not move when a
+        // name became its own encoding (DESIGN.md §D18).
+        let mut f = fix();
+        let rar = build(&mut f, 2);
+        let hex = |d: &[u8]| d.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        assert_eq!(
+            hex(rar.layer_digest()),
+            "be3fbfc92b239984ca6f53dc251491fe12aa5b0d3d3f12d0f2ffbd00a588fd43"
+        );
+        let key = memo_key(
+            rar.layer_digest(),
+            f.bb[1].public(),
+            &DistinguishedName::broker("domain-c"),
+            TrustPolicy::default(),
+            Timestamp(7),
+        );
+        assert_eq!(
+            hex(&key),
+            "81942d68be58dd3c6dcd1f65d43cb1feda6cbdd40a158236aaac933e1779223e"
         );
     }
 

@@ -68,7 +68,7 @@ fn build(plans: &[LayerPlan]) -> SignedRar {
         let dn = DistinguishedName::broker(&format!("domain-{i}"));
         let mut attached = AttributeSet::new();
         for (k, v) in attachments {
-            attached.set(&format!("k{k}"), Value::Int(*v));
+            attached.set(format!("k{k}"), Value::Int(*v));
         }
         let new_caps = certs(*caps, &mut ca);
         rar = SignedRar::wrap(

@@ -144,13 +144,13 @@ qos_wire::impl_wire_struct!(Certificate { tbs, signature });
 impl Certificate {
     /// Sign `tbs` with `issuer_key`, producing a certificate.
     pub fn issue(tbs: TbsCertificate, issuer_key: &KeyPair) -> Self {
-        let signature = issuer_key.sign(&qos_wire::to_bytes(&tbs));
+        let signature = qos_wire::with_encoded(&tbs, |tbs| issuer_key.sign(tbs));
         Self { tbs, signature }
     }
 
     /// Verify the issuer signature under `issuer_pk`.
     pub fn verify_signature(&self, issuer_pk: PublicKey) -> Result<(), CryptoError> {
-        if issuer_pk.verify(&qos_wire::to_bytes(&self.tbs), &self.signature) {
+        if qos_wire::with_encoded(&self.tbs, |tbs| issuer_pk.verify(tbs, &self.signature)) {
             Ok(())
         } else {
             Err(CryptoError::BadSignature {

@@ -6,6 +6,7 @@
 //! "modified request" a policy server hands back.
 
 use qos_wire::{Decode, Encode, Reader, WireError, Writer};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -121,10 +122,26 @@ impl fmt::Display for Value {
 }
 
 /// An ordered attribute map (deterministic iteration keeps signed
-/// encodings canonical). Keys are stored lowercase.
+/// encodings canonical). Keys are stored lowercase; a key that is a
+/// lowercase literal — every key the brokers themselves set — is
+/// borrowed, not copied.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct AttributeSet {
-    map: BTreeMap<String, Value>,
+    map: BTreeMap<Cow<'static, str>, Value>,
+}
+
+fn has_upper(key: &str) -> bool {
+    key.bytes().any(|b| b.is_ascii_uppercase())
+}
+
+/// `key` in the case it is stored and looked up under, allocating only
+/// when it has an uppercase letter to fold.
+fn folded(key: &str) -> Cow<'_, str> {
+    if has_upper(key) {
+        Cow::Owned(key.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(key)
+    }
 }
 
 impl AttributeSet {
@@ -134,25 +151,29 @@ impl AttributeSet {
     }
 
     /// Insert or replace an attribute.
-    pub fn set(&mut self, key: &str, value: Value) -> &mut Self {
-        self.map.insert(key.to_ascii_lowercase(), value);
+    pub fn set(&mut self, key: impl Into<Cow<'static, str>>, value: Value) -> &mut Self {
+        let mut key = key.into();
+        if has_upper(&key) {
+            key = Cow::Owned(key.to_ascii_lowercase());
+        }
+        self.map.insert(key, value);
         self
     }
 
     /// Builder-style insert.
-    pub fn with(mut self, key: &str, value: Value) -> Self {
+    pub fn with(mut self, key: impl Into<Cow<'static, str>>, value: Value) -> Self {
         self.set(key, value);
         self
     }
 
     /// Look up an attribute (case-insensitive key).
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.map.get(&key.to_ascii_lowercase())
+        self.map.get(&*folded(key))
     }
 
     /// Remove an attribute.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
-        self.map.remove(&key.to_ascii_lowercase())
+        self.map.remove(&*folded(key))
     }
 
     /// Merge `other` into `self`, with `other` winning conflicts. This is
@@ -175,7 +196,7 @@ impl AttributeSet {
 
     /// Iterate in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.map.iter().map(|(k, v)| (k.as_str(), v))
+        self.map.iter().map(|(k, v)| (&**k, v))
     }
 }
 
@@ -196,7 +217,7 @@ impl Decode for AttributeSet {
         for _ in 0..len {
             let k = r.get_str()?;
             let v = Value::decode(r)?;
-            map.insert(k, v);
+            map.insert(Cow::Owned(k), v);
         }
         Ok(Self { map })
     }

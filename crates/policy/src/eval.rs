@@ -108,7 +108,7 @@ fn eval_block(
             Stmt::Attach { key, value } => {
                 let v = eval_expr(value, env)?;
                 trace.push(format!("attach {key} = {v}"));
-                attachments.set(key, v);
+                attachments.set(key.clone(), v);
             }
             Stmt::If {
                 cond,

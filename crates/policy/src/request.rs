@@ -8,6 +8,7 @@
 
 use crate::attr::{AttributeSet, Value};
 use qos_crypto::DistinguishedName;
+use std::borrow::Cow;
 
 /// An (unverified or third-party-verified) claim accompanying a request,
 /// e.g. "I am a physicist" or a group membership asserted by the source
@@ -86,7 +87,7 @@ impl PolicyRequest {
     }
 
     /// Set a request attribute.
-    pub fn with_attr(mut self, key: &str, value: Value) -> Self {
+    pub fn with_attr(mut self, key: impl Into<Cow<'static, str>>, value: Value) -> Self {
         self.attrs.set(key, value);
         self
     }

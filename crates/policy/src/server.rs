@@ -761,7 +761,7 @@ mod tests {
             .prop_map(|((name, org), attrs, claims, caps, (bw, now, domain))| {
                 let mut req = PolicyRequest::new(DistinguishedName::user(&name, &org));
                 for (k, v) in attrs {
-                    req.attrs.set(&k, v);
+                    req.attrs.set(k, v);
                 }
                 req.assertions = claims
                     .into_iter()

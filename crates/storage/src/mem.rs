@@ -30,10 +30,10 @@ impl LedgerStore for MemStore {
 
     fn append(&self, record: &LedgerRecord) -> u64 {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let payload = qos_wire::to_bytes(record);
+        let payload_len = qos_wire::with_encoded(record, <[u8]>::len);
         self.appends.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(
-            payload.len() as u64 + crate::file::FRAME_HEADER_LEN as u64,
+            payload_len as u64 + crate::file::FRAME_HEADER_LEN as u64,
             Ordering::Relaxed,
         );
         seq

@@ -272,7 +272,13 @@ impl ShardSink for TcpSink {
             let index = *tx;
             *tx += 1;
             link.reliable.note_assigned(*tx);
-            link.queue.push(crate::reactor::data_frame(index, &msg))
+            let frame = crate::reactor::data_frame(index, &msg);
+            link.queue.try_push(frame).unwrap_or_else(|frame| {
+                // Full: only the reactor makes room, and it may be
+                // asleep until `flush` — wake it before waiting for it.
+                let _ = self.waker.wake();
+                link.queue.push(frame)
+            })
         };
         match outcome {
             PushOutcome::Queued => {}
@@ -280,6 +286,10 @@ impl ShardSink for TcpSink {
             PushOutcome::Closed => {}
         }
         link.ins.outq_depth.record_max(link.queue.len() as i64);
+    }
+
+    /// One eventfd write per run of deliveries, not one per message.
+    fn flush(&self) {
         let _ = self.waker.wake();
     }
 

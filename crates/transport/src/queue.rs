@@ -106,28 +106,30 @@ impl OutQueue {
     }
 
     /// Enqueue without ever waiting: a full queue under
-    /// [`OverflowPolicy::Block`] returns `None` instead of blocking.
-    /// For producers that are also this queue's consumer (the reactor's
-    /// warm-path replay, DESIGN.md §D15), where a blocking push would
-    /// deadlock; such callers fall back to the normal dispatch path.
-    pub fn try_push(&self, frame: Vec<u8>) -> Option<PushOutcome> {
+    /// [`OverflowPolicy::Block`] hands the frame back instead of
+    /// blocking. For producers that are also this queue's consumer (the
+    /// reactor's warm-path replay, DESIGN.md §D15), where a blocking
+    /// push would deadlock and the caller falls back to the normal
+    /// dispatch path; and for the shard sink, which must wake the
+    /// consumer before it waits for it.
+    pub fn try_push(&self, frame: Vec<u8>) -> Result<PushOutcome, Vec<u8>> {
         let mut g = self.lock();
         if g.closed {
-            return Some(PushOutcome::Closed);
+            return Ok(PushOutcome::Closed);
         }
         if g.q.len() < self.capacity {
             g.q.push_back(frame);
             self.cv.notify_all();
-            return Some(PushOutcome::Queued);
+            return Ok(PushOutcome::Queued);
         }
         match self.policy {
-            OverflowPolicy::Block => None,
-            OverflowPolicy::DropNewest => Some(PushOutcome::DroppedNewest),
+            OverflowPolicy::Block => Err(frame),
+            OverflowPolicy::DropNewest => Ok(PushOutcome::DroppedNewest),
             OverflowPolicy::DropOldest => {
                 g.q.pop_front();
                 g.q.push_back(frame);
                 self.cv.notify_all();
-                Some(PushOutcome::DroppedOldest)
+                Ok(PushOutcome::DroppedOldest)
             }
         }
     }

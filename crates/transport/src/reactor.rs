@@ -119,12 +119,12 @@ fn warm_deliver(link: &Link, reply: &[u8]) -> bool {
         frame.extend_from_slice(&index.to_le_bytes());
         frame.extend_from_slice(reply);
         match link.queue.try_push(frame) {
-            Some(outcome) => {
+            Ok(outcome) => {
                 *tx += 1;
                 link.reliable.note_assigned(*tx);
                 outcome
             }
-            None => return false,
+            Err(_) => return false,
         }
     };
     match outcome {
@@ -1520,14 +1520,18 @@ impl Reactor {
     /// Seal every waiting outbound frame (up to the buffer high-water
     /// mark) link by link, then flush.
     fn sweep_outbound(&mut self) {
-        let targets: Vec<(String, usize)> =
-            self.by_peer.iter().map(|(p, &t)| (p.clone(), t)).collect();
-        for (peer, token) in targets {
+        // Every connected peer has a link; walking the shared link table
+        // borrows nothing of `self`, so no list of peers is built per
+        // iteration of the event loop.
+        let links = Arc::clone(&self.links);
+        for (peer, link) in links.iter() {
+            let Some(&token) = self.by_peer.get(peer) else {
+                continue;
+            };
             let mut alive = true;
             loop {
                 // Seal one batch; all borrows end before the flush call.
                 let sealed_any = {
-                    let link = &self.links[&peer];
                     let Some(conn) = self.conns.get_mut(&token) else {
                         break;
                     };

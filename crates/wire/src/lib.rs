@@ -75,9 +75,38 @@ pub trait Decode: Sized {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError>;
 }
 
-/// Encode `value` into a fresh byte vector.
+/// Largest scratch buffer a thread keeps between [`with_encoded`] calls;
+/// a rare larger value (a ledger snapshot) is encoded into a buffer of
+/// its own that is dropped afterwards.
+const SCRATCH_KEEP: usize = 64 * 1024;
+
+/// Encode `value` into this thread's scratch buffer and hand the bytes
+/// to `f`: no allocation once the buffer has grown to the thread's
+/// largest message, where a fresh vector grows from nothing by doubling
+/// for every value. An encoder that itself encodes (a nested signed
+/// layer) finds the buffer taken and starts from an empty one.
+pub fn with_encoded<T: Encode, R>(value: &T, f: impl FnOnce(&[u8]) -> R) -> R {
+    thread_local! {
+        // Construction-time; every later use reuses the allocation.
+        #[allow(clippy::disallowed_methods)]
+        static SCRATCH: std::cell::Cell<Vec<u8>> = const { std::cell::Cell::new(Vec::new()) };
+    }
+    let mut buf = SCRATCH.take();
+    encode_into(value, &mut buf);
+    let out = f(&buf);
+    if buf.capacity() <= SCRATCH_KEEP {
+        buf.clear();
+        SCRATCH.set(buf);
+    }
+    out
+}
+
+/// Encode `value` into a fresh byte vector of exactly its length.
 pub fn to_bytes<T: Encode>(value: &T) -> Vec<u8> {
-    value.encode_to_vec()
+    // The one copy out of the scratch buffer: what the caller keeps is
+    // not over-sized by a doubling it did not need.
+    #[allow(clippy::disallowed_methods)]
+    with_encoded(value, <[u8]>::to_vec)
 }
 
 /// Encode `value` onto the end of `buf`, reusing its allocation — the

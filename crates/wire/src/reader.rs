@@ -69,6 +69,17 @@ impl<'a> Reader<'a> {
             .map(|buf| SharedBytes::slice_of(Arc::clone(buf), start, end))
     }
 
+    /// The input bytes consumed since `start`, a value
+    /// [`Reader::position`] returned earlier: the exact encoding of
+    /// whatever was decoded in between, for a decoder that keeps a value
+    /// in its canonical form.
+    ///
+    /// # Panics
+    /// If `start` lies beyond the cursor.
+    pub fn consumed_since(&self, start: usize) -> &'a [u8] {
+        &self.input[start..self.pos]
+    }
+
     /// Number of bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.input.len() - self.pos

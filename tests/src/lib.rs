@@ -12,7 +12,7 @@ pub use qos_core::scenario::{
 
 use qos_core::drive::Mesh;
 use qos_core::node::Completion;
-use qos_core::{Approval, Denial, RarId, SignedRar};
+use qos_core::{Approval, Denial, PeerId, RarId, SignalMessage, SignedRar};
 use qos_crypto::{Certificate, Timestamp};
 use qos_net::SimDuration;
 use qos_telemetry::{Registry, Telemetry, TraceId};
@@ -31,6 +31,28 @@ pub fn mesh_from(scenario: &mut Scenario, hop_latency_ms: u64) -> Mesh {
         mesh.set_latency(&w[0], &w[1], SimDuration::from_millis(hop_latency_ms));
     }
     mesh
+}
+
+/// Deliver `out` (what the broker at chain index `from` just sent) and
+/// everything it triggers, hop by hop and without a mesh, until the chain
+/// falls silent. Every message passes through `in_transit` with the
+/// domain it is addressed to, on its way to that broker's `recv`.
+pub fn deliver_by_hand(
+    s: &mut Scenario,
+    from: usize,
+    out: Vec<(PeerId, SignalMessage)>,
+    mut in_transit: impl FnMut(&str, SignalMessage) -> SignalMessage,
+) {
+    let mut queue: Vec<(usize, PeerId, SignalMessage)> =
+        out.into_iter().map(|(to, m)| (from, to, m)).collect();
+    while let Some((from, to, msg)) = queue.pop() {
+        let msg = in_transit(&to, msg);
+        let at = s.domains.iter().position(|d| **d == *to).expect("a peer");
+        let sender = s.domains[from].clone();
+        for (next, m) in s.nodes[at].recv(&sender, msg) {
+            queue.push((at, next, m));
+        }
+    }
 }
 
 /// Submit a signed request at its source domain, run to completion, and

@@ -7,7 +7,7 @@
 //! paper's own work — each hop wraps and re-signs, extends the capability
 //! chain, and endorses the approval on the way back.
 
-use integration_tests::{build_chain, ChainOptions, Scenario, MBPS};
+use integration_tests::{build_chain, deliver_by_hand, ChainOptions, Scenario, MBPS};
 use qos_core::node::Completion;
 use qos_core::{PeerId, SignalMessage, SignedRar};
 use qos_crypto::schnorr::{sign_ops, verify_ops};
@@ -31,18 +31,12 @@ fn deliver(
     out: Vec<(PeerId, SignalMessage)>,
 ) -> HashMap<String, SignedRar> {
     let mut forwarded = HashMap::new();
-    let mut queue: Vec<(usize, PeerId, SignalMessage)> =
-        out.into_iter().map(|(to, m)| (from, to, m)).collect();
-    while let Some((from, to, msg)) = queue.pop() {
+    deliver_by_hand(s, from, out, |to, msg| {
         if let SignalMessage::Request(rar) = &msg {
             forwarded.insert(to.to_string(), rar.clone());
         }
-        let at = s.domains.iter().position(|d| **d == *to).expect("a peer");
-        let sender = s.domains[from].clone();
-        for (next, m) in s.nodes[at].recv(&sender, msg) {
-            queue.push((at, next, m));
-        }
-    }
+        msg
+    });
     forwarded
 }
 
