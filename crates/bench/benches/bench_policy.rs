@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qos_crypto::{DistinguishedName, KeyPair};
 use qos_policy::attr::bw;
-use qos_policy::request::VerifiedCapability;
+use qos_policy::request::{Assertion, VerifiedCapability};
 use qos_policy::{
     parse, samples, DomainVars, GroupServer, NoReservations, PolicyRequest, PolicyServer, Value,
 };
@@ -51,6 +51,33 @@ fn bench_eval_figures(c: &mut Criterion) {
     }
 }
 
+/// The two Fig. 1 files and a `Member(..)` rule: `fig1b` and `member`
+/// each ask the group server one membership question per decision.
+fn bench_eval_membership(c: &mut Criterion) {
+    let req = PolicyRequest::new(DistinguishedName::user("Charlie", "LBNL"))
+        .with_attr("user", Value::Str("Charlie".into()))
+        .with_attr("reservation_type", Value::Str("network".into()))
+        .with_attr("bw", bw::mbps(10))
+        .with_assertion(Assertion::group("atlas"));
+    let v = vars();
+    for (name, src) in [
+        ("fig1a", samples::FIG1_DOMAIN_A),
+        ("fig1b", samples::FIG1_DOMAIN_B),
+        (
+            "member",
+            r#"if Member("atlas") { return grant } return deny"#,
+        ),
+    ] {
+        let mut groups = GroupServer::new("g", KeyPair::from_seed(b"g"));
+        groups.add_member("physicists", "Charlie");
+        groups.add_member("atlas", "Charlie");
+        let pdp = PolicyServer::from_source(src, groups).unwrap();
+        c.bench_function(&format!("policy/eval-{name}"), |b| {
+            b.iter(|| pdp.decide(black_box(&req), &v, &NoReservations).unwrap())
+        });
+    }
+}
+
 /// Synthetic policy with `n` user-specific rules before the match.
 fn synthetic_policy(n: usize) -> String {
     let mut src = String::new();
@@ -80,5 +107,11 @@ fn bench_eval_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_parse, bench_eval_figures, bench_eval_scaling);
+criterion_group!(
+    benches,
+    bench_parse,
+    bench_eval_figures,
+    bench_eval_membership,
+    bench_eval_scaling
+);
 criterion_main!(benches);

@@ -1,20 +1,18 @@
-//! EXP-ALLOC — the zero-alloc warm admission path (D15), measured with
-//! a counting global allocator.
+//! EXP-ALLOC — what a first-sight admission allocates on the one path a
+//! frame takes through a broker (D15, D18, D19), measured with a
+//! counting global allocator.
 //!
 //! Three claims, each a hard gate (non-zero exit on failure, CI
 //! enforces):
 //!
-//! 1. **Allocation churn** — a warm full-RAR admission round trip
-//!    (pooled frame decode → borrowed `SealedRef` parse →
-//!    `open_in_place` → borrowed `EnvelopeRef` → reply-cache replay →
-//!    `seal_in_place` + hand-rolled frame encode) allocates at most
-//!    8 allocations per operation under the counting allocator
-//!    (override with `EXP_ALLOC_MAX_ALLOCS`; `0` disables). The cold
-//!    legacy path (owned frame `Vec`s, owned `PeerMsg`/`SignalMessage`
-//!    decode, full verification) — what a first-sight RAR pays — is
-//!    gated beside it at 140 allocations per operation: 45 % of the 312
-//!    it cost while a name was a vector of string pairs (D18; measured
-//!    109).
+//! 1. **Allocation churn** — one admission round trip of a reservation
+//!    the destination has never seen, driven through the pipeline the
+//!    reactor runs (pooled frame decode → borrowed `SealedRef` parse →
+//!    `open_in_place` → delivery index → shared-buffer `SignalMessage`
+//!    decode → `BbNode::recv` with full verification → `seal_in_place`
+//!    and the hand-rolled frame encode), allocates at most 140
+//!    allocations per operation: 45 % of the 312 it cost while a name
+//!    was a vector of string pairs (D18).
 //! 2. **Latency** — warm depth-8 envelope verification must stay
 //!    strictly better than the committed `BENCH_warm.json` baseline
 //!    (5.62 µs; override with `EXP_ALLOC_BASELINE_US`, `0` disables).
@@ -24,8 +22,8 @@
 //!    circular.
 //! 3. **Transparency** — fig2 multi-domain verdicts and per-domain
 //!    committed bandwidth are identical across {actor, TCP} ×
-//!    {pooled, legacy decode} × {caches on, off}: buffer pooling and
-//!    borrowed decode must never change an admission outcome.
+//!    {caches on, off}: buffer pooling and borrowed decode must never
+//!    change an admission outcome.
 //!
 //! Besides the table, the run emits `BENCH_alloc.json` and
 //! `METRICS_alloc_path.{prom,json}`; the metrics snapshot carries the
@@ -37,7 +35,6 @@ use qos_bench::{experiment_registry, table_header, table_row, write_metrics_snap
 use qos_broker::Interval;
 use qos_core::channel::{handshake, ChannelIdentity, PeerPin, SealedRef};
 use qos_core::envelope::SignedRar;
-use qos_core::envelope_ref::EnvelopeRef;
 use qos_core::messages::SignalMessage;
 use qos_core::node::Completion;
 use qos_core::runtime::ActorMesh;
@@ -50,12 +47,9 @@ use qos_crypto::{
 };
 use qos_policy::AttributeSet;
 use qos_telemetry::{Artifact, Row};
-use qos_transport::{
-    write_frame, FrameDecoder, PeerMsg, PooledFrameDecoder, TcpMesh, MAX_FRAME_LEN,
-};
+use qos_transport::{PooledFrameDecoder, TcpMesh, MAX_FRAME_LEN};
 use qos_wire::BufferPool;
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Every allocation in the process (all threads) is counted; the gated
@@ -70,16 +64,9 @@ const VERIFY_PASSES: usize = 5;
 /// Reliability-header data tag (`reactor::FRAME_DATA`).
 const FRAME_DATA: u8 = 0;
 const RELIABILITY_HEADER: usize = 9;
-const WARM_WARMUP: usize = 200;
-const WARM_OPS: usize = 20_000;
 const COLD_WARMUP: usize = 8;
 const COLD_OPS: usize = 32;
 
-/// Warm admissions may allocate at most this much per operation. The
-/// path is designed to be allocation-free in steady state; the bound
-/// leaves headroom for incidental churn (hash-map resizes, cache
-/// bookkeeping) without letting a per-op allocation regression through.
-const DEFAULT_MAX_ALLOCS: f64 = 8.0;
 /// A cold admission may allocate at most this much: 45 % of the 312
 /// allocations per operation of the commit before D18. A count, so no
 /// override: it moves only when the code does.
@@ -87,13 +74,6 @@ const MAX_COLD_ALLOCS: f64 = 140.0;
 /// `BENCH_warm.json` warm_us as committed before the D15 zero-alloc
 /// work landed.
 const DEFAULT_BASELINE_WARM_US: f64 = 5.62;
-
-fn max_allocs() -> f64 {
-    std::env::var("EXP_ALLOC_MAX_ALLOCS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_MAX_ALLOCS)
-}
 
 fn baseline_us() -> f64 {
     std::env::var("EXP_ALLOC_BASELINE_US")
@@ -120,7 +100,7 @@ fn domain(i: usize) -> String {
 
 /// Append `[frame len u32][tag 2][payload len u32][payload][seq u64][mac]`
 /// — the canonical `PeerMsg::Frame` encoding behind the transport's
-/// length prefix, hand-rolled so the send side allocates nothing. The
+/// length prefix, hand-rolled as the reactor's write path does it. The
 /// transport pins this layout byte-for-byte
 /// (`hand_encoded_frame_matches_canonical_encoding`).
 fn append_sealed_frame(out: &mut Vec<u8>, payload: &[u8], seq: u64, mac: &Digest) {
@@ -242,17 +222,12 @@ fn identities(s: &Scenario) -> HashMap<String, ChannelIdentity> {
         .collect()
 }
 
-/// One fig2 case: (granted, per-domain available bandwidth). `pooled`
-/// toggles the transport's decode path through the same
-/// `QOS_POOLED_DECODE` switch operators use; the actor fabric has no
-/// sockets, so there the flag only proves the grid stays uniform.
+/// One fig2 case: (granted, per-domain available bandwidth).
 fn fig2_case(
     fabric: Fabric,
     deny_at: Option<usize>,
     cache_capacity: usize,
-    pooled: bool,
 ) -> (bool, Vec<(String, u64)>) {
-    std::env::set_var("QOS_POOLED_DECODE", if pooled { "1" } else { "0" });
     set_cache_capacities(cache_capacity);
     let mut policies = HashMap::new();
     if let Some(i) = deny_at {
@@ -311,17 +286,16 @@ fn fig2_case(
 }
 
 fn main() {
-    println!("EXP-ALLOC: zero-alloc warm admission path (counting allocator)\n");
+    println!("EXP-ALLOC: allocations of a first-sight admission (counting allocator)\n");
     let (registry, telemetry) = experiment_registry();
     qos_core::install_verify_cache_telemetry(&telemetry);
     let mut artifact = Artifact::new(
         "exp_alloc_path",
         "mixed (allocs/op; us; verdicts)",
-        "D15 zero-alloc hot path: allocations per admission on the cold legacy \
-         path vs the warm pooled/borrowed/in-place path, warm depth-8 envelope \
-         verification vs the committed baseline, and fig2 parity across \
-         fabric x decode x cache configurations (hard gates, non-zero exit on \
-         failure)",
+        "allocations per first-sight admission on the pooled/borrowed/in-place \
+         pipeline, warm depth-8 envelope verification vs the committed \
+         baseline, and fig2 parity across fabric x cache configurations (hard \
+         gates, non-zero exit on failure)",
     );
     let mut failures: Vec<String> = Vec::new();
 
@@ -342,8 +316,7 @@ fn main() {
     });
     let cert = s.users["alice"].cert.clone();
 
-    // Secure channels standing in for the b↔c link: one pair for the
-    // cold loop, one for the warm loop (independent sequence spaces).
+    // A secure channel standing in for the b↔c link.
     let mut chan_ca = CertificateAuthority::new(
         DistinguishedName::authority("chan-CA"),
         KeyPair::from_seed(b"chan-ca"),
@@ -355,171 +328,86 @@ fn main() {
         ca_key,
         dn: DistinguishedName::broker(name),
     };
-    let link = |nonce: u64| {
-        let (client, server) = handshake(
-            &ident_b,
-            &ident_c,
-            &pin("domain-c"),
-            &pin("domain-b"),
-            nonce,
-            Timestamp::ZERO,
-        )
-        .expect("channel handshake");
-        let (client_seal, _client_open) = client.split();
-        let (server_seal, server_open) = server.split();
-        (client_seal, server_seal, server_open)
-    };
-    let (mut cold_seal, mut cold_reply_seal, mut cold_open) = link(1);
-    let (mut warm_seal, mut warm_reply_seal, mut warm_open) = link(2);
+    let (client, server) = handshake(
+        &ident_b,
+        &ident_c,
+        &pin("domain-c"),
+        &pin("domain-b"),
+        1,
+        Timestamp::ZERO,
+    )
+    .expect("channel handshake");
+    let (mut seal, _) = client.split();
+    let (mut reply_seal, mut open) = server.split();
 
-    // Cold inputs: distinct reservations, each forwarded a → b so the
+    // Inputs: distinct reservations, each forwarded a → b so the
     // destination sees the realistic transit-wrapped envelope.
-    let mut cold_msgs: Vec<SignalMessage> = Vec::new();
+    let mut msgs: Vec<SignalMessage> = Vec::new();
     for i in 0..(COLD_WARMUP + COLD_OPS) as u64 {
         let spec = s.spec("alice", 1000 + i, MBPS, Timestamp(0), 3600);
         let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
         let out_a = s.nodes[0].submit_batch(vec![(rar, cert.clone())]);
         let out_b = s.nodes[1].recv("domain-a", out_a[0].1.clone());
-        cold_msgs.push(out_b[0].1.clone());
+        msgs.push(out_b[0].1.clone());
     }
 
-    // Cold loop: the legacy path — owned frame Vec, owned PeerMsg and
-    // SignalMessage decode, full envelope verification in recv().
-    let mut cold_dec = FrameDecoder::new(MAX_FRAME_LEN);
-    let (cold_allocs, cold_bytes, cold_ns) = {
-        let mut a0 = 0u64;
-        let mut b0 = 0u64;
-        let mut t0 = Instant::now();
-        for (i, msg) in cold_msgs.iter().enumerate() {
-            if i == COLD_WARMUP {
-                a0 = alloc_count::allocations();
-                b0 = alloc_count::allocated_bytes();
-                t0 = Instant::now();
-            }
-            let msg_bytes = qos_wire::to_bytes(msg);
-            let mut plain = Vec::with_capacity(RELIABILITY_HEADER + msg_bytes.len());
-            plain.push(FRAME_DATA);
-            plain.extend_from_slice(&(i as u64).to_le_bytes());
-            plain.extend_from_slice(&msg_bytes);
-            let sealed = cold_seal.seal(plain);
-            let peer_bytes = qos_wire::to_bytes(&PeerMsg::Frame(sealed));
-            let mut stream = Vec::new();
-            write_frame(&mut stream, &peer_bytes, MAX_FRAME_LEN).unwrap();
-
-            cold_dec.push(&stream);
-            let body = cold_dec.next_frame().unwrap().expect("one whole frame");
-            let PeerMsg::Frame(sealed) = qos_wire::from_bytes::<PeerMsg>(&body).unwrap() else {
-                panic!("expected a sealed frame");
-            };
-            let opened = cold_open.open(sealed).unwrap();
-            let shared: Arc<[u8]> = opened[RELIABILITY_HEADER..].to_vec().into();
-            let msg: SignalMessage = qos_wire::from_bytes_shared(&shared).unwrap();
-            let replies = s.nodes[2].recv("domain-b", msg);
-            assert!(
-                matches!(replies.first(), Some((_, SignalMessage::Approve(_)))),
-                "cold admission approves"
-            );
-            for (_to, reply) in replies {
-                let reply_bytes = qos_wire::to_bytes(&reply);
-                let mut reply_plain = Vec::with_capacity(RELIABILITY_HEADER + reply_bytes.len());
-                reply_plain.push(FRAME_DATA);
-                reply_plain.extend_from_slice(&(i as u64).to_le_bytes());
-                reply_plain.extend_from_slice(&reply_bytes);
-                let sealed_reply = cold_reply_seal.seal(reply_plain);
-                let reply_peer = qos_wire::to_bytes(&PeerMsg::Frame(sealed_reply));
-                let mut out = Vec::new();
-                write_frame(&mut out, &reply_peer, MAX_FRAME_LEN).unwrap();
-                std::hint::black_box(out.len());
-            }
-        }
-        (
-            alloc_count::allocations() - a0,
-            alloc_count::allocated_bytes() - b0,
-            t0.elapsed().as_nanos() as u64,
-        )
-    };
-    let cold_allocs_per_op = cold_allocs as f64 / COLD_OPS as f64;
-    let cold_bytes_per_op = cold_bytes as f64 / COLD_OPS as f64;
-    let cold_ns_per_op = cold_ns as f64 / COLD_OPS as f64;
-
-    // Warm input: one reservation admitted cold once, so the
-    // destination's reply cache holds the verdict the warm loop
-    // replays.
-    let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
-    let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
-    let out_a = s.nodes[0].submit_batch(vec![(rar, cert.clone())]);
-    let out_b = s.nodes[1].recv("domain-a", out_a[0].1.clone());
-    let (_, fwd_b) = &out_b[0];
-    let req_bytes = qos_wire::to_bytes(fwd_b);
-    let out_c = s.nodes[2].recv("domain-b", fwd_b.clone());
-    assert!(
-        matches!(out_c.first(), Some((_, SignalMessage::Approve(_)))),
-        "warm seed admission approves"
-    );
-
-    // Warm loop: pooled decode, borrowed parse, in-place MAC, replayed
-    // verdict, in-place reply seal — every buffer reused across ops.
-    let node = &mut s.nodes[2];
+    // The loop: what the reactor and a shard do with one frame, in one
+    // thread. The sender queues an indexed plaintext and seals it at
+    // write time; the receiver decodes it out of a pooled chunk, checks
+    // the MAC and the delivery index where the bytes lie, copies the
+    // message out once, and the node verifies and admits it in full.
     let pool = BufferPool::new(4);
-    let mut warm_dec = PooledFrameDecoder::new(MAX_FRAME_LEN, pool.clone());
-    let mut plain_scratch: Vec<u8> = Vec::new();
-    let mut wire_scratch: Vec<u8> = Vec::new();
-    let mut reply_scratch: Vec<u8> = Vec::new();
-    let mut reply_plain: Vec<u8> = Vec::new();
-    let mut out_scratch: Vec<u8> = Vec::new();
+    let mut decoder = PooledFrameDecoder::new(MAX_FRAME_LEN, pool.clone());
+    let mut wire: Vec<u8> = Vec::new();
+    let mut out: Vec<u8> = Vec::new();
+    let data_frame = |index: u64, msg: &SignalMessage| {
+        let mut plain = Vec::with_capacity(RELIABILITY_HEADER + 128);
+        plain.push(FRAME_DATA);
+        plain.extend_from_slice(&index.to_le_bytes());
+        qos_wire::encode_into(msg, &mut plain);
+        plain
+    };
     let mut a0 = 0u64;
     let mut b0 = 0u64;
     let mut t0 = Instant::now();
-    for iter in 0..(WARM_WARMUP + WARM_OPS) as u64 {
-        if iter == WARM_WARMUP as u64 {
+    for (i, msg) in msgs.iter().enumerate() {
+        if i == COLD_WARMUP {
             a0 = alloc_count::allocations();
             b0 = alloc_count::allocated_bytes();
             t0 = Instant::now();
         }
-        // Client: reliability header + request bytes, sealed in place,
-        // framed by hand into the reused wire buffer.
-        plain_scratch.clear();
-        plain_scratch.push(FRAME_DATA);
-        plain_scratch.extend_from_slice(&iter.to_le_bytes());
-        plain_scratch.extend_from_slice(&req_bytes);
-        let (seq, mac) = warm_seal.seal_in_place(&plain_scratch);
-        wire_scratch.clear();
-        append_sealed_frame(&mut wire_scratch, &plain_scratch, seq, &mac);
+        let plain = data_frame(i as u64, msg);
+        let (seq, mac) = seal.seal_in_place(&plain);
+        wire.clear();
+        append_sealed_frame(&mut wire, &plain, seq, &mac);
 
-        // Server: pooled decode → borrowed SealedRef → in-place open →
-        // borrowed envelope → replayed verdict → in-place reply seal.
-        warm_dec.push(&wire_scratch);
-        let frame = warm_dec.next_frame().unwrap().expect("one whole frame");
+        decoder.push(&wire);
+        let frame = decoder.next_frame().unwrap().expect("one whole frame");
         let mut r = qos_wire::Reader::new(frame.bytes());
         assert_eq!(r.get_u8().unwrap(), 2, "PeerMsg::Frame tag");
         let sealed = SealedRef::parse(&mut r).unwrap();
         r.finish().unwrap();
-        warm_open
-            .open_in_place(sealed.payload, sealed.seq, &sealed.mac)
+        open.open_in_place(sealed.payload, sealed.seq, &sealed.mac)
             .unwrap();
+        assert_eq!(sealed.payload[0], FRAME_DATA);
         let body = &sealed.payload[RELIABILITY_HEADER..];
-        let env = EnvelopeRef::parse(body).unwrap().expect("request envelope");
-        reply_scratch.clear();
-        let to = node
-            .revalidate_request("domain-b", &env, &mut reply_scratch)
-            .expect("warm replay hits the reply cache");
-        debug_assert_eq!(to.as_ref(), "domain-b");
-        reply_plain.clear();
-        reply_plain.push(FRAME_DATA);
-        reply_plain.extend_from_slice(&iter.to_le_bytes());
-        reply_plain.extend_from_slice(&reply_scratch);
-        let (reply_seq, reply_mac) = warm_reply_seal.seal_in_place(&reply_plain);
-        out_scratch.clear();
-        append_sealed_frame(&mut out_scratch, &reply_plain, reply_seq, &reply_mac);
-        std::hint::black_box(out_scratch.len());
+        let msg: SignalMessage = qos_wire::from_bytes_shared(&body.into()).unwrap();
+        let replies = s.nodes[2].recv("domain-b", msg);
+        assert!(
+            matches!(replies.first(), Some((_, SignalMessage::Approve(_)))),
+            "first-sight admission approves"
+        );
+        for (_to, reply) in replies {
+            let plain = data_frame(i as u64, &reply);
+            let (seq, mac) = reply_seal.seal_in_place(&plain);
+            out.clear();
+            append_sealed_frame(&mut out, &plain, seq, &mac);
+            std::hint::black_box(out.len());
+        }
     }
-    let warm_allocs = alloc_count::allocations() - a0;
-    let warm_bytes = alloc_count::allocated_bytes() - b0;
-    let warm_ns = t0.elapsed().as_nanos() as u64;
-    let warm_allocs_per_op = warm_allocs as f64 / WARM_OPS as f64;
-    let warm_bytes_per_op = warm_bytes as f64 / WARM_OPS as f64;
-    let warm_ns_per_op = warm_ns as f64 / WARM_OPS as f64;
-    let (cache_hits, cache_misses, _) = node.reply_cache_stats();
+    let cold_allocs_per_op = (alloc_count::allocations() - a0) as f64 / COLD_OPS as f64;
+    let cold_bytes_per_op = (alloc_count::allocated_bytes() - b0) as f64 / COLD_OPS as f64;
+    let cold_ns_per_op = t0.elapsed().as_nanos() as f64 / COLD_OPS as f64;
     let pool_fallbacks = pool.fallbacks();
 
     table_row(
@@ -531,47 +419,25 @@ fn main() {
         ],
         &widths,
     );
-    table_row(
-        &[
-            "warm".to_string(),
-            format!("{warm_allocs_per_op:.4}"),
-            format!("{warm_bytes_per_op:.1}"),
-            format!("{warm_ns_per_op:.0}"),
-        ],
-        &widths,
-    );
-    println!(
-        "  reply cache: {cache_hits} hits / {cache_misses} misses; \
-         pool fallbacks: {pool_fallbacks}"
-    );
+    println!("  pool fallbacks: {pool_fallbacks}");
     artifact.push(
         Row::new()
             .field("section", "alloc_per_op")
             .field("cold_allocs_per_op", cold_allocs_per_op)
             .field("cold_bytes_per_op", cold_bytes_per_op)
             .field("cold_ns_per_op", cold_ns_per_op)
-            .field("warm_allocs_per_op", warm_allocs_per_op)
-            .field("warm_bytes_per_op", warm_bytes_per_op)
-            .field("warm_ns_per_op", warm_ns_per_op)
-            .field("warm_ops", WARM_OPS)
+            .field("cold_ops", COLD_OPS)
             .field("pool_fallbacks", pool_fallbacks),
     );
-    let bound = max_allocs();
-    if bound > 0.0 && warm_allocs_per_op > bound {
-        failures.push(format!(
-            "warm admission allocates {warm_allocs_per_op:.4} allocations/op, above \
-             the {bound:.0} bound (override with EXP_ALLOC_MAX_ALLOCS)"
-        ));
-    }
     if cold_allocs_per_op > MAX_COLD_ALLOCS {
         failures.push(format!(
-            "cold admission allocates {cold_allocs_per_op:.2} allocations/op, above \
-             the {MAX_COLD_ALLOCS:.0} bound"
+            "a first-sight admission allocates {cold_allocs_per_op:.2} allocations/op, \
+             above the {MAX_COLD_ALLOCS:.0} bound"
         ));
     }
     if pool_fallbacks != 0 {
         failures.push(format!(
-            "warm loop fell back to owned buffers {pool_fallbacks} times; the pooled \
+            "the loop fell back to owned buffers {pool_fallbacks} times; the pooled \
              decoder must stay on pooled chunks"
         ));
     }
@@ -617,10 +483,10 @@ fn main() {
         ));
     }
 
-    // ---- Part 3: fig2 parity across fabric × decode × caches ---------
-    println!("\nfig2 parity (fabric × decode × caches):");
-    let widths = [22, 10, 10, 10, 8];
-    table_header(&["case", "fabric", "decode", "caches", "verdict"], &widths);
+    // ---- Part 3: fig2 parity across fabric × caches ------------------
+    println!("\nfig2 parity (fabric × caches):");
+    let widths = [22, 10, 10, 8];
+    table_header(&["case", "fabric", "caches", "verdict"], &widths);
     let mut diverged = false;
     for (label, deny_at) in [
         ("all domains accept", None),
@@ -629,42 +495,35 @@ fn main() {
     ] {
         let mut outcomes = Vec::new();
         for fabric in [Fabric::Actor, Fabric::Tcp] {
-            for (decode, pooled) in [("pooled", true), ("legacy", false)] {
-                for (caches, capacity) in [("off", 0usize), ("on", 4096)] {
-                    let (granted, state) = fig2_case(fabric, deny_at, capacity, pooled);
-                    table_row(
-                        &[
-                            label.to_string(),
-                            fabric.name().to_string(),
-                            decode.to_string(),
-                            caches.to_string(),
-                            if granted { "GRANT" } else { "DENY" }.to_string(),
-                        ],
-                        &widths,
-                    );
-                    artifact.push(
-                        Row::new()
-                            .field("section", "fig2_parity")
-                            .field("case", label)
-                            .field("fabric", fabric.name())
-                            .field("decode", decode)
-                            .field("caches", caches)
-                            .field("granted", granted.to_string()),
-                    );
-                    outcomes.push((granted, state));
-                }
+            for (caches, capacity) in [("off", 0usize), ("on", 4096)] {
+                let (granted, state) = fig2_case(fabric, deny_at, capacity);
+                table_row(
+                    &[
+                        label.to_string(),
+                        fabric.name().to_string(),
+                        caches.to_string(),
+                        if granted { "GRANT" } else { "DENY" }.to_string(),
+                    ],
+                    &widths,
+                );
+                artifact.push(
+                    Row::new()
+                        .field("section", "fig2_parity")
+                        .field("case", label)
+                        .field("fabric", fabric.name())
+                        .field("caches", caches)
+                        .field("granted", granted.to_string()),
+                );
+                outcomes.push((granted, state));
             }
         }
         if outcomes.windows(2).any(|w| w[0] != w[1]) {
             diverged = true;
         }
     }
-    std::env::remove_var("QOS_POOLED_DECODE");
     set_cache_capacities(qos_crypto::vcache::DEFAULT_CAPACITY);
     if diverged {
-        failures.push(
-            "fig2 admission outcomes diverged across fabric/decode/cache configurations".into(),
-        );
+        failures.push("fig2 admission outcomes diverged across fabric/cache configurations".into());
     }
 
     // ---- Part 4: live mesh run for the pool metric families ----------
@@ -728,10 +587,10 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "\nexpected: a warm admission round trip runs from socket bytes to a\n\
-         sealed verdict without allocating — pooled chunks absorb the reads,\n\
-         borrowed views replace owned decodes, MACs verify in place, and the\n\
-         reply replays from the per-peer cache; pooling never changes a\n\
-         verdict or a committed byte."
+        "\nexpected: a first-sight admission runs from socket bytes to a sealed\n\
+         verdict within the allocation bound — pooled chunks absorb the\n\
+         reads, the frame is parsed and its MAC checked where it lies, and\n\
+         what is left is the owned decode, the verification and the signed\n\
+         reply; pooling never changes a verdict or a committed byte."
     );
 }

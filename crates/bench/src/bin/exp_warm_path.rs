@@ -172,7 +172,8 @@ impl HandshakeRig {
             )]);
             for _ in 0..accepts {
                 let (stream, _) = listener.accept().unwrap();
-                let (session, _) = establish_responder_resumable(
+                // The session closes its socket as it drops.
+                establish_responder_resumable(
                     stream,
                     &ib,
                     &pins,
@@ -181,7 +182,6 @@ impl HandshakeRig {
                     Some(&issuer),
                 )
                 .unwrap();
-                session.shutdown();
             }
         });
         HandshakeRig {
@@ -203,7 +203,7 @@ impl HandshakeRig {
     ) -> (f64, Option<ResumeTicket>, HandshakeKind) {
         let stream = TcpStream::connect(self.addr).unwrap();
         let t0 = Instant::now();
-        let (session, kind, fresh) = establish_initiator_resumable(
+        let (_session, kind, fresh) = establish_initiator_resumable(
             stream,
             ia,
             &self.pin,
@@ -214,7 +214,6 @@ impl HandshakeRig {
         )
         .unwrap();
         let us = t0.elapsed().as_secs_f64() * 1e6;
-        session.shutdown();
         (us, fresh, kind)
     }
 
@@ -515,8 +514,8 @@ fn main() {
 
     // Part 4 — a warm steady-state mesh run with a live registry, so the
     // snapshot carries the cache and resumption metric families: two
-    // identical reservation waves (the second hits the verify and PDP
-    // caches), then a severed-and-resumed reconnect on every link.
+    // reservation waves (the second hits the verify cache), then a
+    // severed-and-resumed reconnect on every link.
     println!("\nwarm mesh run (metrics snapshot):");
     let mut s = build_chain(ChainOptions {
         sla_rate_bps: 1000 * MBPS,

@@ -70,7 +70,9 @@ impl qos_wire::Decode for Sealed {
     }
 }
 
-/// One endpoint of an established secure channel.
+/// One endpoint of an established secure channel: the peer's identity
+/// and the session key. Messages are sealed and opened by the two
+/// halves [`SecureChannel::split`] derives from it.
 #[derive(Debug)]
 pub struct SecureChannel {
     /// Peer's certificate, learned during the handshake.
@@ -78,8 +80,6 @@ pub struct SecureChannel {
     session_key: Digest,
     /// 0 for the initiator, 1 for the responder.
     role: u8,
-    send_seq: u64,
-    recv_seq: u64,
 }
 
 /// Run the mutual handshake, producing one channel endpoint per side.
@@ -137,15 +137,11 @@ pub fn handshake(
             peer_cert: responder.cert.clone(),
             session_key,
             role: 0,
-            send_seq: 0,
-            recv_seq: 0,
         },
         SecureChannel {
             peer_cert: initiator.cert.clone(),
             session_key,
             role: 1,
-            send_seq: 0,
-            recv_seq: 0,
         },
     ))
 }
@@ -180,34 +176,6 @@ impl SecureChannel {
     /// The authenticated peer's DN.
     pub fn peer_dn(&self) -> &DistinguishedName {
         &self.peer_cert.tbs.subject
-    }
-
-    /// Seal an outgoing payload.
-    pub fn seal(&mut self, payload: Vec<u8>) -> Sealed {
-        let seq = self.send_seq;
-        self.send_seq += 1;
-        let mac = self.mac(self.role, seq, &payload);
-        Sealed { payload, seq, mac }
-    }
-
-    /// Open an incoming message: verifies the MAC and strict ordering.
-    pub fn open(&mut self, msg: Sealed) -> Result<Vec<u8>, CoreError> {
-        let expect = self.mac(1 - self.role, msg.seq, &msg.payload);
-        if !ct_eq(&expect, &msg.mac) {
-            return Err(CoreError::Channel("MAC verification failed".into()));
-        }
-        if msg.seq != self.recv_seq {
-            return Err(CoreError::Channel(format!(
-                "out-of-order message: expected seq {}, got {}",
-                self.recv_seq, msg.seq
-            )));
-        }
-        self.recv_seq += 1;
-        Ok(msg.payload)
-    }
-
-    fn mac(&self, direction: u8, seq: u64, payload: &[u8]) -> Digest {
-        mac_message(&self.session_key, direction, seq, payload)
     }
 
     /// Derive the resumption master secret for this session:
@@ -252,8 +220,6 @@ impl SecureChannel {
             peer_cert,
             session_key: hmac_sha256(master, &data),
             role: if initiator { 0 } else { 1 },
-            send_seq: 0,
-            recv_seq: 0,
         }
     }
 
@@ -266,14 +232,11 @@ impl SecureChannel {
     /// seal while a reader thread opens, with no lock between them and
     /// no way for one direction's sequence space to perturb the other's.
     ///
-    /// The security argument is unchanged from the combined channel
-    /// (DESIGN.md §D9): reflection stays impossible because a message
-    /// sealed under the direction-`d` key can never verify under the
-    /// direction-`1-d` key (the direction byte additionally remains in
-    /// the MAC input), and replay/reorder protection is the same strict
-    /// per-direction sequence check. Both ends of a connection must
-    /// split for the directions to interoperate — a split half does not
-    /// speak the combined channel's MAC.
+    /// The security argument (DESIGN.md §D9): reflection is impossible
+    /// because a message sealed under the direction-`d` key can never
+    /// verify under the direction-`1-d` key (the direction byte
+    /// additionally remains in the MAC input), and replay/reorder
+    /// protection is a strict per-direction sequence check.
     ///
     /// The peer certificate is consumed; read identity data
     /// ([`SecureChannel::peer_dn`]) before splitting.
@@ -284,12 +247,12 @@ impl SecureChannel {
             SealHalf {
                 key: direction_key(&self.session_key, send_dir),
                 direction: send_dir,
-                seq: self.send_seq,
+                seq: 0,
             },
             OpenHalf {
                 key: direction_key(&self.session_key, recv_dir),
                 direction: recv_dir,
-                seq: self.recv_seq,
+                seq: 0,
             },
         )
     }
@@ -345,13 +308,6 @@ impl SealHalf {
     pub fn seal(&mut self, payload: Vec<u8>) -> Sealed {
         let (seq, mac) = self.seal_in_place(&payload);
         Sealed { payload, seq, mac }
-    }
-
-    /// Compute the sequence number and MAC for `payload` without taking
-    /// ownership — the zero-copy path for callers that encode the
-    /// payload bytes straight into a scratch buffer.
-    pub fn seal_detached(&mut self, payload: &[u8]) -> (u64, Digest) {
-        self.seal_in_place(payload)
     }
 
     /// Seal `payload` where it already lives (D15): the MAC is computed
@@ -563,8 +519,6 @@ impl AwaitAuth {
             peer_cert: self.peer_cert,
             session_key: self.session_key,
             role: self.role,
-            send_seq: 0,
-            recv_seq: 0,
         })
     }
 }
@@ -637,7 +591,7 @@ mod tests {
     #[test]
     fn handshake_and_message_exchange() {
         let f = fix();
-        let (mut a, mut b) = handshake(
+        let (a, b) = handshake(
             &f.a,
             &f.b,
             &pins(&f, "domain-b"),
@@ -650,10 +604,12 @@ mod tests {
         assert_eq!(a.peer_dn(), &DistinguishedName::broker("domain-b"));
         assert_eq!(b.peer_dn(), &DistinguishedName::broker("domain-a"));
         // Bidirectional authenticated messages.
-        let m1 = a.seal(b"hello".to_vec());
-        assert_eq!(b.open(m1).unwrap(), b"hello");
-        let m2 = b.seal(b"world".to_vec());
-        assert_eq!(a.open(m2).unwrap(), b"world");
+        let (mut a_seal, mut a_open) = a.split();
+        let (mut b_seal, mut b_open) = b.split();
+        let m1 = a_seal.seal(b"hello".to_vec());
+        assert_eq!(b_open.open(m1).unwrap(), b"hello");
+        let m2 = b_seal.seal(b"world".to_vec());
+        assert_eq!(a_open.open(m2).unwrap(), b"world");
     }
 
     #[test]
@@ -723,7 +679,7 @@ mod tests {
     #[test]
     fn tampered_payload_rejected() {
         let f = fix();
-        let (mut a, mut b) = handshake(
+        let (a, b) = handshake(
             &f.a,
             &f.b,
             &pins(&f, "domain-b"),
@@ -732,29 +688,11 @@ mod tests {
             Timestamp(0),
         )
         .unwrap();
-        let mut m = a.seal(b"reserve 10".to_vec());
+        let (mut a_seal, _) = a.split();
+        let (_, mut b_open) = b.split();
+        let mut m = a_seal.seal(b"reserve 10".to_vec());
         m.payload = b"reserve 99".to_vec();
-        assert!(b.open(m).is_err());
-    }
-
-    #[test]
-    fn replay_and_reorder_rejected() {
-        let f = fix();
-        let (mut a, mut b) = handshake(
-            &f.a,
-            &f.b,
-            &pins(&f, "domain-b"),
-            &pins(&f, "domain-a"),
-            7,
-            Timestamp(0),
-        )
-        .unwrap();
-        let m0 = a.seal(b"zero".to_vec());
-        let m1 = a.seal(b"one".to_vec());
-        assert!(b.open(m1.clone()).is_err(), "reorder detected");
-        assert!(b.open(m0.clone()).is_ok());
-        assert!(b.open(m0).is_err(), "replay detected");
-        assert!(b.open(m1).is_ok());
+        assert!(b_open.open(m).is_err());
     }
 
     /// Drive the message-based handshake the way two sockets would.
@@ -768,18 +706,6 @@ mod tests {
         let (sig_b, await_b) =
             hs_b.receive_hello(cert_a, nonce_a, &pins(f, "domain-a"), Timestamp(0))?;
         Ok((await_a.receive_auth(sig_b)?, await_b.receive_auth(sig_a)?))
-    }
-
-    #[test]
-    fn net_handshake_ends_interoperate() {
-        let f = fix();
-        let (mut a, mut b) = net_handshake(&f).unwrap();
-        assert_eq!(a.peer_dn(), &DistinguishedName::broker("domain-b"));
-        assert_eq!(b.peer_dn(), &DistinguishedName::broker("domain-a"));
-        let m1 = a.seal(b"over the wire".to_vec());
-        assert_eq!(b.open(m1).unwrap(), b"over the wire");
-        let m2 = b.seal(b"and back".to_vec());
-        assert_eq!(a.open(m2).unwrap(), b"and back");
     }
 
     #[test]
@@ -816,18 +742,22 @@ mod tests {
     #[test]
     fn sealed_frames_round_trip_on_the_wire() {
         let f = fix();
-        let (mut a, mut b) = net_handshake(&f).unwrap();
-        let sealed = a.seal(b"framed payload".to_vec());
+        let (a, b) = net_handshake(&f).unwrap();
+        let (mut a_seal, _) = a.split();
+        let (_, mut b_open) = b.split();
+        let sealed = a_seal.seal(b"framed payload".to_vec());
         let bytes = qos_wire::to_bytes(&sealed);
         let back = qos_wire::from_bytes::<Sealed>(&bytes).unwrap();
         assert_eq!(back, sealed);
-        assert_eq!(b.open(back).unwrap(), b"framed payload");
+        assert_eq!(b_open.open(back).unwrap(), b"framed payload");
     }
 
     #[test]
     fn split_halves_interoperate_across_ends() {
         let f = fix();
         let (a, b) = net_handshake(&f).unwrap();
+        assert_eq!(a.peer_dn(), &DistinguishedName::broker("domain-b"));
+        assert_eq!(b.peer_dn(), &DistinguishedName::broker("domain-a"));
         let (mut a_seal, mut a_open) = a.split();
         let (mut b_seal, mut b_open) = b.split();
         let m1 = a_seal.seal(b"over the wire".to_vec());
@@ -857,17 +787,15 @@ mod tests {
     #[test]
     fn split_uses_per_direction_keys() {
         // The same payload at the same sequence number MACs differently
-        // under the combined channel and the split half: the split key
-        // schedule is a different PRF branch, so a split end cannot be
-        // confused with an unsplit one.
+        // in the two directions of one session.
         let f = fix();
-        let (mut a1, _) = net_handshake(&f).unwrap();
-        let (a2, _) = net_handshake(&f).unwrap();
-        let (mut a2_seal, _) = a2.split();
-        let m_combined = a1.seal(b"same bytes".to_vec());
-        let m_split = a2_seal.seal(b"same bytes".to_vec());
-        assert_eq!(m_combined.seq, m_split.seq);
-        assert_ne!(m_combined.mac, m_split.mac);
+        let (a, b) = net_handshake(&f).unwrap();
+        let (mut a_seal, _) = a.split();
+        let (mut b_seal, _) = b.split();
+        let m_ab = a_seal.seal(b"same bytes".to_vec());
+        let m_ba = b_seal.seal(b"same bytes".to_vec());
+        assert_eq!(m_ab.seq, m_ba.seq);
+        assert_ne!(m_ab.mac, m_ba.mac);
     }
 
     #[test]
@@ -882,22 +810,6 @@ mod tests {
         assert!(b_open.open(m0.clone()).is_ok());
         assert!(b_open.open(m0).is_err(), "replay detected");
         assert!(b_open.open(m1).is_ok());
-    }
-
-    #[test]
-    fn seal_detached_matches_seal() {
-        let f = fix();
-        let (a1, b1) = net_handshake(&f).unwrap();
-        let (mut s1, _) = a1.split();
-        let (_, mut o1) = b1.split();
-        let payload = b"detached".to_vec();
-        let (seq, mac) = s1.seal_detached(&payload);
-        let msg = Sealed {
-            payload: payload.clone(),
-            seq,
-            mac,
-        };
-        assert_eq!(o1.open(msg).unwrap(), payload);
     }
 
     #[test]
@@ -981,18 +893,18 @@ mod tests {
         assert_eq!(master_a, master_b);
         let peer_of_a = a.peer_cert.clone();
         let peer_of_b = b.peer_cert.clone();
-        let (mut a2, mut b2) = (
-            SecureChannel::resume(peer_of_a.clone(), &master_a, 91, 17, true),
-            SecureChannel::resume(peer_of_b.clone(), &master_b, 91, 17, false),
-        );
-        let m = a2.seal(b"resumed".to_vec());
-        assert_eq!(b2.open(m).unwrap(), b"resumed");
-        let m = b2.seal(b"back".to_vec());
-        assert_eq!(a2.open(m).unwrap(), b"back");
+        let (mut a2_seal, mut a2_open) =
+            SecureChannel::resume(peer_of_a.clone(), &master_a, 91, 17, true).split();
+        let (mut b2_seal, mut b2_open) =
+            SecureChannel::resume(peer_of_b.clone(), &master_b, 91, 17, false).split();
+        let m = a2_seal.seal(b"resumed".to_vec());
+        assert_eq!(b2_open.open(m).unwrap(), b"resumed");
+        let m = b2_seal.seal(b"back".to_vec());
+        assert_eq!(a2_open.open(m).unwrap(), b"back");
         // Fresh nonces ⇒ fresh key schedule: the same payload/seq MACs
         // differently than on the original session or another resumption.
-        let mut a3 = SecureChannel::resume(peer_of_a, &master_a, 92, 17, true);
-        let mut a4 = SecureChannel::resume(peer_of_b, &master_b, 91, 18, true);
+        let (mut a3, _) = SecureChannel::resume(peer_of_a, &master_a, 92, 17, true).split();
+        let (mut a4, _) = SecureChannel::resume(peer_of_b, &master_b, 91, 18, true).split();
         let s3 = a3.seal(b"payload".to_vec());
         let s4 = a4.seal(b"payload".to_vec());
         assert_ne!(s3.mac, s4.mac);
@@ -1005,26 +917,9 @@ mod tests {
         let master = a.resumption_secret();
         let mut wrong = master;
         wrong[0] ^= 1;
-        let mut good = SecureChannel::resume(a.peer_cert.clone(), &master, 5, 6, true);
-        let mut bad = SecureChannel::resume(b.peer_cert.clone(), &wrong, 5, 6, false);
+        let (mut good, _) = SecureChannel::resume(a.peer_cert.clone(), &master, 5, 6, true).split();
+        let (_, mut bad) = SecureChannel::resume(b.peer_cert.clone(), &wrong, 5, 6, false).split();
         let m = good.seal(b"x".to_vec());
         assert!(bad.open(m).is_err());
-    }
-
-    #[test]
-    fn reflected_message_rejected() {
-        // A message cannot be bounced back to its sender (direction byte).
-        let f = fix();
-        let (mut a, _b) = handshake(
-            &f.a,
-            &f.b,
-            &pins(&f, "domain-b"),
-            &pins(&f, "domain-a"),
-            7,
-            Timestamp(0),
-        )
-        .unwrap();
-        let m = a.seal(b"x".to_vec());
-        assert!(a.open(m).is_err());
     }
 }

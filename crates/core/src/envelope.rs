@@ -90,7 +90,7 @@ pub struct SignedRar {
     /// Lazily-filled canonical encoding of `layer`.
     canonical: OnceLock<SharedBytes>,
     /// Lazily-filled SHA-256 of `canonical` — the key every cache on the
-    /// way (reply cache, RAR memo, verify cache) files this layer under,
+    /// way (RAR memo, verify cache) files this layer under,
     /// hashed once however many of them ask (DESIGN.md §D17).
     digest: OnceLock<Digest>,
 }
@@ -213,7 +213,7 @@ impl SignedRar {
     }
 
     /// Adopt a digest of this layer's bytes that the borrowed decoder
-    /// already computed for the warm-path probe.
+    /// ([`crate::envelope_ref::EnvelopeRef`]) already computed.
     pub(crate) fn seed_layer_digest(&self, digest: Digest) {
         let _ = self.digest.set(digest);
     }

@@ -1,5 +1,11 @@
 //! Borrowed envelope decode (DESIGN.md §D15).
 //!
+//! No product code calls this module any more: its one caller was the
+//! reactor's warm-replay probe, deleted with the reply cache (DESIGN.md
+//! §D19). It is kept unchanged because the benchmark (`qosbench`) times
+//! [`EnvelopeRef::parse`] and calls [`EnvelopeRef::to_owned_message`];
+//! it goes once the benchmark stops probing it.
+//!
 //! The warm admit/deny path receives a `SignalMessage::Request` whose
 //! byte-identical twin was fully verified moments ago (signalling
 //! retries, two-phase commit re-sends). Re-materializing the whole

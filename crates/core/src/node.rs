@@ -26,8 +26,6 @@ use crate::rar::RarId;
 use crate::trust::{verify_view, KeySource};
 use crate::view::RarView;
 use qos_broker::{BrokerCore, EdgeCommand, Interval, PathSegment, ReservationId, Sla};
-use qos_crypto::lru::LruMap;
-use qos_crypto::sha256::Digest;
 use qos_crypto::{
     Certificate, DelegationChain, DistinguishedName, KeyPair, PublicKey, Restriction, Signature,
     Timestamp, TrustPolicy, Validity,
@@ -187,42 +185,6 @@ enum Checked {
     Forward(Forward),
 }
 
-/// Default bound on cached warm-path replies per node.
-pub const REPLY_CACHE_DEFAULT_CAPACITY: usize = 1024;
-
-/// One remembered single-message reply to a byte-identical `Request`
-/// envelope, in the per-node warm-path reply cache (DESIGN.md §D15):
-/// signalling retries and two-phase re-sends deliver byte-identical
-/// `Request` envelopes in the steady state. Replaying the recorded reply
-/// is not only allocation-free — it also makes retried requests
-/// genuinely idempotent (the slow path re-runs hold/forward
-/// bookkeeping).
-///
-/// Only `Approve` and forwarded-`Request` replies are cached; denials
-/// always re-run the full path, because a deny verdict (capacity, cost)
-/// can legitimately flip once other traffic releases. A reply replays
-/// only while its reservation is pending here: once a `Release` or a
-/// downstream denial has taken it away, the entry is dead weight until
-/// the LRU drops it.
-struct CachedReply {
-    /// Outer envelope signature — the digest key covers the layer bytes
-    /// only, so a hit additionally requires signature equality (same
-    /// discipline as the RAR memo).
-    sig: Signature,
-    /// The peer the original request arrived from.
-    from: PeerId,
-    /// Where the reply went.
-    to: PeerId,
-    /// The reservation the reply speaks for.
-    rar_id: RarId,
-    /// Broker clock at decision time — a hit requires the same instant,
-    /// so state drift across clock ticks can never replay a stale
-    /// verdict (the memo key makes the same choice).
-    now: Timestamp,
-    /// The encoded `SignalMessage` reply.
-    bytes: Vec<u8>,
-}
-
 /// Source end of an established tunnel. Per-flow state lives in compact
 /// [`FlowTable`]s (16 B records, no per-flow heap allocation) and the
 /// in-flight sum is a counter maintained incrementally — admission never
@@ -331,8 +293,6 @@ pub struct BbNode {
     tracer: Tracer,
     clock: Arc<dyn Clock>,
     verified_paths: HashMap<RarId, Vec<DistinguishedName>>,
-    /// Warm-path reply cache, by the received envelope's layer digest.
-    replies: LruMap<Digest, CachedReply>,
     /// Augments ledger snapshots with transport-layer state (resumption
     /// tickets) — installed by the daemon, shared across shard replicas.
     snapshot_extra: Option<SnapshotExtra>,
@@ -409,7 +369,6 @@ impl BbNode {
             tracer,
             clock: Arc::new(StdClock),
             verified_paths: HashMap::new(),
-            replies: LruMap::new(REPLY_CACHE_DEFAULT_CAPACITY, Default::default()),
             snapshot_extra: None,
             recovered_tickets: RecoveredTickets::default(),
         };
@@ -557,12 +516,6 @@ impl BbNode {
                 "Signatures verified (envelope layers, approvals, capabilities)",
                 dl,
                 self.counters.verified.clone(),
-            );
-            // Warm-path reply cache (D15) — per-node, so the series
-            // carries the domain label alongside the cache name.
-            telemetry.register_cache_counters(
-                &[("cache", "reply"), ("domain", &d)],
-                self.replies.counters().cells(),
             );
             self.instruments = NodeInstruments {
                 verify_ns: telemetry.histogram(
@@ -1325,7 +1278,7 @@ impl BbNode {
             .map(|&(rar, pk)| (rar.layer_bytes(), pk, rar.signature()))
             .collect();
         // The digest the verify cache files an envelope under is the one
-        // the reply cache and the RAR memo will ask for again.
+        // the RAR memo will ask for again.
         let digest_of = |i: usize| *known[i].0.layer_digest();
         let verdicts = if qos_crypto::vcache::global().verify_batch_with(&jobs, digest_of) {
             vec![true; jobs.len()]
@@ -1340,48 +1293,6 @@ impl BbNode {
         }
         self.counters.add_tx(out.len() as u64);
         out
-    }
-
-    /// Warm-path replay (DESIGN.md §D15): if `env` is byte-identical to
-    /// a `Request` this node already answered — same envelope bytes,
-    /// same outer signature, same peer, same clock instant — append the
-    /// recorded reply's encoded `SignalMessage` to `out` and return its
-    /// destination, with zero owned decoding and zero state mutation.
-    /// `None` sends the caller down the normal owned-decode path.
-    pub fn revalidate_request(
-        &mut self,
-        from: &str,
-        env: &crate::envelope_ref::EnvelopeRef<'_>,
-        out: &mut Vec<u8>,
-    ) -> Option<PeerId> {
-        if self.replies.capacity() == 0 {
-            return None; // off: not worth the digest
-        }
-        let (sig, now, pending) = (env.signature(), self.now, &self.pending);
-        let hit = self.replies.get_if(&env.layer_digest(), |e| {
-            e.sig == sig
-                && e.from.as_ref() == from
-                && e.now == now
-                && pending.contains_key(&e.rar_id)
-        })?;
-        out.extend_from_slice(&hit.bytes);
-        let to = hit.to.clone();
-        // The replay is a real message in and a real message out — the
-        // traffic counters must not diverge from the slow path.
-        self.counters.add_rx(1);
-        self.counters.add_tx(1);
-        Some(to)
-    }
-
-    /// Resize the warm-path reply cache. `0` disables it entirely (the
-    /// D10 "caches off" ablation); shrinking drops all entries.
-    pub fn set_reply_cache_capacity(&mut self, cap: usize) {
-        self.replies.set_capacity(cap);
-    }
-
-    /// `(hits, misses, evictions)` of the warm-path reply cache.
-    pub fn reply_cache_stats(&self) -> (u64, u64, u64) {
-        self.replies.counters().stats()
     }
 
     fn on_request_checked(
@@ -1400,14 +1311,9 @@ impl BbNode {
         let trace = TraceId::mint(&spec.source_domain, rar_id.0);
         let checked = self.process_request(from, &view, trace, pre_verified);
         drop(view);
-        // What the reply is cached under, read before the envelope is
-        // consumed; no digest is taken when the cache is off or the
-        // verdict is a denial, which never replays — see [`CachedReply`].
-        let cache_key = (self.replies.capacity() > 0 && checked.is_ok())
-            .then(|| (*rar.layer_digest(), rar.signature()));
-        let reply = match checked {
+        match checked {
             Ok(Checked::Approved(approval)) => {
-                (PeerId::from(from), SignalMessage::Approve(approval))
+                vec![(PeerId::from(from), SignalMessage::Approve(approval))]
             }
             Ok(Checked::Forward(forward)) => {
                 let upstream_cert = self.peers.get(from).cloned();
@@ -1417,27 +1323,13 @@ impl BbNode {
                 if let Some(end) = signed_at {
                     self.span_at(trace, rar_id, SpanKind::Forward, || &*reply.0, end, end);
                 }
-                reply
+                vec![reply]
             }
             Err(e) => {
                 let denial = self.denial_of(rar_id, e);
-                return vec![(PeerId::from(from), SignalMessage::Deny(denial))];
+                vec![(PeerId::from(from), SignalMessage::Deny(denial))]
             }
-        };
-        // Approvals and transit forwards replay safely (the hold they
-        // describe is already in place).
-        if let Some((key, sig)) = cache_key {
-            let cached = CachedReply {
-                sig,
-                from: PeerId::from(from),
-                to: reply.0.clone(),
-                rar_id,
-                now: self.now,
-                bytes: qos_wire::to_bytes(&reply.1),
-            };
-            self.replies.insert(key, cached);
         }
-        vec![reply]
     }
 
     /// Every check a broker runs on a peer's request (§6.2, §6.3), on
@@ -2628,9 +2520,6 @@ impl BbNode {
             tracer,
             clock: Arc::clone(&self.clock),
             verified_paths: HashMap::new(),
-            // Fresh map (requests are pinned per replica) but shared
-            // counter cells, like every other instrument.
-            replies: LruMap::new(self.replies.capacity(), self.replies.counters().clone()),
             snapshot_extra: self.snapshot_extra.clone(),
             recovered_tickets: RecoveredTickets::default(),
         }

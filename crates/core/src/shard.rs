@@ -512,35 +512,6 @@ impl ShardedNode {
         self.inner.idle.iter().map(Counter::get).collect()
     }
 
-    /// Warm-path replay across the shard boundary (DESIGN.md §D15):
-    /// route by the envelope's `rar_id`, `try_lock` the owning shard,
-    /// and probe its replica's reply cache
-    /// ([`BbNode::revalidate_request`]). Returns `None` — and the
-    /// caller must fall back to normal dispatch — on lock contention,
-    /// on a cache miss, or when the shard has queued work (the replay
-    /// must not jump the per-reservation FIFO the queue guarantees).
-    pub fn try_revalidate(
-        &self,
-        from: &str,
-        env: &crate::envelope_ref::EnvelopeRef<'_>,
-        out: &mut Vec<u8>,
-    ) -> Option<crate::node::PeerId> {
-        let s = shard_of(env.rar_id().0, self.inner.shards.len());
-        let shard = &self.inner.shards[s];
-        let mut state = match shard.state.try_lock() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => return None,
-        };
-        // Checked under the node lock: everything already queued (e.g. a
-        // Release racing this retry) drains before anyone else can touch
-        // this shard's state, so replay-after-check cannot reorder.
-        if !lock(&shard.queue).is_empty() {
-            return None;
-        }
-        state.node.revalidate_request(from, env, out)
-    }
-
     /// Run `f` against shard 0's node. The ledger (`BrokerCore`), store
     /// and counters are shared across replicas, so any shard answers
     /// domain-wide questions — the admin plane's `/storage` route reads

@@ -668,6 +668,45 @@ fn duplicate_rar_id_is_refused() {
         1_000_000_000 - 10 * MBPS,
         "capacity booked exactly once"
     );
+
+    // The same wire bytes handed twice to a transit's and to a
+    // destination's `recv` — what a retransmission would be if the
+    // delivery index ever let one through. The second copy is decided
+    // again, on the state the first one left: refused as a duplicate,
+    // booked once.
+    use qos_core::messages::SignalMessage;
+    let mut s = build_chain(ChainOptions::default()); // a → b → c
+    let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
+    let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
+    let cert = s.users["alice"].cert.clone();
+    let wire_a = qos_wire::to_bytes(&s.nodes[0].submit(rar, &cert)[0].1);
+    let out_b = s.nodes[1].recv("domain-a", qos_wire::from_bytes(&wire_a).unwrap());
+    assert!(matches!(out_b[0].1, SignalMessage::Request(_)));
+    let wire_b = qos_wire::to_bytes(&out_b[0].1);
+    let out_c = s.nodes[2].recv("domain-b", qos_wire::from_bytes(&wire_b).unwrap());
+    assert!(matches!(out_c[0].1, SignalMessage::Approve(_)));
+    for (i, from, wire, first) in [
+        (1, "domain-a", &wire_a, &out_b),
+        (2, "domain-b", &wire_b, &out_c),
+    ] {
+        let node = &mut s.nodes[i];
+        let available = node.core().available_bw_at(Timestamp(10));
+        let again = node.recv(from, qos_wire::from_bytes(wire).unwrap());
+        assert_eq!(again.len(), 1);
+        assert_eq!(
+            again[0].0.as_ref(),
+            from,
+            "the answer goes back to the sender"
+        );
+        let SignalMessage::Deny(denial) = &again[0].1 else {
+            panic!("second copy must be denied, got {:?}", again[0].1);
+        };
+        assert!(denial.reason.contains("duplicate"), "{}", denial.reason);
+        assert_ne!(again, *first, "no reply is produced from stored bytes");
+        assert_eq!(node.core().available_bw_at(Timestamp(10)), available);
+        let (active, ..) = node.core().ledger_summary(Timestamp(10));
+        assert_eq!(active, 1, "exactly one hold");
+    }
 }
 
 #[test]
@@ -773,118 +812,4 @@ fn batched_ingress_matches_serial_processing() {
         "unpinned peer gets a denial"
     );
     assert_eq!(serial.nodes[1].counters(), batched.nodes[1].counters());
-}
-
-#[test]
-fn warm_replay_returns_identical_reply_without_decoding() {
-    use qos_core::envelope_ref::EnvelopeRef;
-    use qos_core::messages::SignalMessage;
-
-    let mut s = build_chain(ChainOptions::default()); // a → b → c
-    let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
-    let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
-    let cert = s.users["alice"].cert.clone();
-
-    // Source wraps and forwards to b.
-    let out_a = s.nodes[0].submit_batch(vec![(rar, cert)]);
-    assert_eq!(out_a.len(), 1);
-    let (to_b, fwd_a) = &out_a[0];
-    assert_eq!(to_b.as_ref(), "domain-b");
-    let wire_a = qos_wire::to_bytes(fwd_a);
-
-    // Transit b forwards to c (cold path — populates the reply cache).
-    let out_b = s.nodes[1].recv("domain-a", fwd_a.clone());
-    assert_eq!(out_b.len(), 1);
-    let (to_c, fwd_b) = &out_b[0];
-    assert_eq!(to_c.as_ref(), "domain-c");
-    let wire_b = qos_wire::to_bytes(fwd_b);
-
-    // Destination c approves (cold path — populates the reply cache).
-    let out_c = s.nodes[2].recv("domain-b", fwd_b.clone());
-    assert_eq!(out_c.len(), 1);
-    let (back, approve) = &out_c[0];
-    assert_eq!(back.as_ref(), "domain-b");
-    assert!(matches!(approve, SignalMessage::Approve(_)));
-
-    // Byte-identical retries replay from the cache: same destination,
-    // byte-identical reply, zero owned decoding.
-    let env_b = EnvelopeRef::parse(&wire_a).unwrap().expect("request");
-    let mut scratch = Vec::new();
-    let to = s.nodes[1]
-        .revalidate_request("domain-a", &env_b, &mut scratch)
-        .expect("transit forward replays");
-    assert_eq!(to.as_ref(), "domain-c");
-    assert_eq!(scratch, wire_b, "replayed forward is byte-identical");
-
-    let env_c = EnvelopeRef::parse(&wire_b).unwrap().expect("request");
-    scratch.clear();
-    let to = s.nodes[2]
-        .revalidate_request("domain-b", &env_c, &mut scratch)
-        .expect("destination approve replays");
-    assert_eq!(to.as_ref(), "domain-b");
-    assert_eq!(scratch, qos_wire::to_bytes(approve));
-
-    // Wrong peer or unknown envelope: miss, caller takes the slow path.
-    scratch.clear();
-    assert!(s.nodes[2]
-        .revalidate_request("domain-x", &env_c, &mut scratch)
-        .is_none());
-    assert!(scratch.is_empty());
-
-    // Capacity 0 disables the cache entirely.
-    s.nodes[1].set_reply_cache_capacity(0);
-    assert!(s.nodes[1]
-        .revalidate_request("domain-a", &env_b, &mut scratch)
-        .is_none());
-    let (hits, misses, _) = s.nodes[2].reply_cache_stats();
-    assert!(hits >= 1 && misses >= 1);
-}
-
-/// A cached reply speaks for a reservation: once the reservation is gone
-/// from this broker — denied downstream, or released — a byte-identical
-/// retry takes the slow path again instead of replaying it.
-#[test]
-fn warm_replay_stops_when_the_reservation_is_gone() {
-    use qos_core::envelope_ref::EnvelopeRef;
-    use qos_core::messages::{Denial, SignalMessage};
-
-    let mut s = build_chain(ChainOptions::default()); // a → b → c
-    let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
-    let rar_id = spec.rar_id;
-    let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
-    let cert = s.users["alice"].cert.clone();
-    let out_a = s.nodes[0].submit(rar, &cert);
-    let wire_a = qos_wire::to_bytes(&out_a[0].1);
-    let out_b = s.nodes[1].recv("domain-a", out_a[0].1.clone());
-    let wire_b = qos_wire::to_bytes(&out_b[0].1);
-    let out_c = s.nodes[2].recv("domain-b", out_b[0].1.clone());
-    assert!(matches!(out_c[0].1, SignalMessage::Approve(_)));
-
-    let replays = |node: &mut qos_core::BbNode, from: &str, wire: &[u8]| {
-        let env = EnvelopeRef::parse(wire).unwrap().expect("request");
-        node.revalidate_request(from, &env, &mut Vec::new())
-            .is_some()
-    };
-    assert!(replays(&mut s.nodes[1], "domain-a", &wire_a));
-    assert!(replays(&mut s.nodes[2], "domain-b", &wire_b));
-
-    // b hears from c that the request is denied after all: its hold is
-    // rolled back, and the forward it cached must not go out again.
-    let denial = Denial {
-        rar_id,
-        domain: "domain-c".into(),
-        reason: "changed its mind".into(),
-    };
-    s.nodes[1].recv("domain-c", SignalMessage::Deny(denial));
-    assert!(!replays(&mut s.nodes[1], "domain-a", &wire_a));
-
-    // c sees the reservation released by its upstream peer: the approval
-    // it cached must not go out again.
-    let release = qos_core::messages::Release::new(
-        rar_id,
-        "domain-a",
-        &qos_crypto::KeyPair::from_seed(b"bb-domain-a"),
-    );
-    s.nodes[2].recv("domain-b", SignalMessage::Release(release));
-    assert!(!replays(&mut s.nodes[2], "domain-b", &wire_b));
 }

@@ -93,12 +93,12 @@ proptest! {
         prop_assert_eq!(a.policy_eq(&b), b.policy_eq(&a));
     }
 
-    /// A generation bump (policy reload) always invalidates the decision
-    /// cache: the identical request replays from the memo before the
-    /// bump, and after it is re-evaluated fresh — matching what a brand
-    /// new PDP loaded with the new policy would decide.
+    /// A policy reload takes effect at once: the identical request is
+    /// decided the same way twice under the old policy, and after
+    /// `set_policy` it gets what a brand new PDP loaded with the new
+    /// policy would decide.
     #[test]
-    fn generation_bump_always_invalidates_cached_decisions(
+    fn set_policy_decides_like_a_fresh_server(
         src1 in arb_policy_src(),
         src2 in arb_policy_src(),
         req in arb_request(),
@@ -114,22 +114,12 @@ proptest! {
             parse(&src1).unwrap(),
             GroupServer::new("g", KeyPair::from_seed(b"g")),
         );
-        let g0 = pdp.generation();
         let first = pdp.decide(&req, &vars, &NoReservations).unwrap();
-        let (h0, _, _) = pdp.cache_stats();
-        let replay = pdp.decide(&req, &vars, &NoReservations).unwrap();
-        let (h1, _, _) = pdp.cache_stats();
-        prop_assert_eq!(h1, h0 + 1, "identical request must replay from the memo");
-        prop_assert_eq!(&replay, &first);
+        let again = pdp.decide(&req, &vars, &NoReservations).unwrap();
+        prop_assert_eq!(&again, &first);
 
         pdp.set_policy(parse(&src2).unwrap());
-        prop_assert!(pdp.generation() > g0, "reload must advance the generation");
-        prop_assert_eq!(pdp.cache_len(), 0, "reload must empty the memo");
-
-        let (_, m0, _) = pdp.cache_stats();
         let after = pdp.decide(&req, &vars, &NoReservations).unwrap();
-        let (_, m1, _) = pdp.cache_stats();
-        prop_assert_eq!(m1, m0 + 1, "post-bump decision must miss the cache");
 
         let fresh = PolicyServer::new(
             parse(&src2).unwrap(),

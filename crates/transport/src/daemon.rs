@@ -18,14 +18,13 @@
 //!   a reconnect are MAC'd under the new session's sequence space), and
 //!   the sink rings the reactor's waker.
 //!
-//! The old daemon ran one node thread plus three threads per link
-//! (connector, writer, reader). This one runs one reactor thread plus
-//! `shards` worker threads regardless of link count, with handshakes on
-//! short-lived offload threads.
+//! A daemon runs one reactor thread plus `shards` worker threads
+//! regardless of link count, with handshakes on short-lived offload
+//! threads.
 
 use crate::admin::AdminState;
 use crate::error::TransportError;
-use crate::queue::{OutQueue, OverflowPolicy, PushOutcome};
+use crate::queue::OutQueue;
 use crate::reactor::{broker_pin, Ctrl, Reactor, ReactorConfig, ReactorStatus, TOKEN_WAKER};
 use crate::resume::TicketIssuer;
 use crossbeam::channel::{unbounded, Sender};
@@ -52,8 +51,6 @@ pub struct TransportOptions {
     pub max_frame: usize,
     /// Per-link outbound queue capacity (frames).
     pub queue_capacity: usize,
-    /// What a full outbound queue does to new frames.
-    pub overflow: OverflowPolicy,
     /// First reconnect delay.
     pub backoff_base: Duration,
     /// Reconnect delay ceiling.
@@ -74,23 +71,6 @@ pub struct TransportOptions {
     /// Admission shards hosting the broker (at least 1; see `--shards`
     /// on `bbd`). Defaults to `min(4, available cores)`.
     pub shards: usize,
-    /// Decode inbound frames through the pooled zero-copy path
-    /// (DESIGN.md §D15): socket reads land directly in pooled chunks,
-    /// frames are borrowed slices, and byte-identical request retries
-    /// replay their cached verdict without re-decoding. The legacy
-    /// owned-`Vec` decoder remains behind `false` (or
-    /// `QOS_POOLED_DECODE=0`) for A/B comparison; both paths accept the
-    /// same wire bytes and produce the same verdicts.
-    pub pooled_decode: bool,
-}
-
-/// Environment override for [`TransportOptions::pooled_decode`]:
-/// `QOS_POOLED_DECODE=0` forces the legacy decoder, `=1` the pooled one.
-fn pooled_decode_default() -> bool {
-    match std::env::var("QOS_POOLED_DECODE") {
-        Ok(v) => v != "0",
-        Err(_) => true,
-    }
 }
 
 impl Default for TransportOptions {
@@ -98,7 +78,6 @@ impl Default for TransportOptions {
         Self {
             max_frame: crate::frame::MAX_FRAME_LEN,
             queue_capacity: 1024,
-            overflow: OverflowPolicy::Block,
             backoff_base: Duration::from_millis(10),
             backoff_cap: Duration::from_secs(2),
             now: Timestamp::ZERO,
@@ -106,7 +85,6 @@ impl Default for TransportOptions {
             ticket_ttl_secs: 3600,
             ticket_cap: 1024,
             shards: qos_core::runtime::default_shards(),
-            pooled_decode: pooled_decode_default(),
         }
     }
 }
@@ -150,7 +128,6 @@ pub(crate) struct LinkInstruments {
     pub(crate) write_batch_frames: Histogram,
     pub(crate) writes_coalesced: Counter,
     pub(crate) retransmits: Counter,
-    pub(crate) dup_frames: Counter,
 }
 
 impl LinkInstruments {
@@ -189,7 +166,7 @@ impl LinkInstruments {
             ),
             dropped: telemetry.counter(
                 "transport_frames_dropped_total",
-                "Outbound frames shed by the overflow policy",
+                "Outbound frames dropped for exceeding the frame ceiling",
                 l,
             ),
             rejected: telemetry.counter(
@@ -220,11 +197,6 @@ impl LinkInstruments {
             retransmits: telemetry.counter(
                 "transport_frames_retransmitted_total",
                 "Accepted-but-unacknowledged frames re-queued when a connection died",
-                l,
-            ),
-            dup_frames: telemetry.counter(
-                "transport_frames_duplicate_total",
-                "Inbound retransmits skipped by delivery index",
                 l,
             ),
         }
@@ -265,9 +237,9 @@ impl ShardSink for TcpSink {
         };
         // Index assignment and enqueue stay under one lock so queue
         // order equals index order — the receiver's dedupe watermark
-        // relies on it. A `Block`ed push holds the lock, but only other
+        // relies on it. A blocked push holds the lock, but only other
         // sinks contend here; the reactor never takes `tx`.
-        let outcome = {
+        {
             let mut tx = link.reliable.tx.lock().unwrap_or_else(|e| e.into_inner());
             let index = *tx;
             *tx += 1;
@@ -278,12 +250,7 @@ impl ShardSink for TcpSink {
                 // asleep until `flush` — wake it before waiting for it.
                 let _ = self.waker.wake();
                 link.queue.push(frame)
-            })
-        };
-        match outcome {
-            PushOutcome::Queued => {}
-            PushOutcome::DroppedNewest | PushOutcome::DroppedOldest => link.ins.dropped.inc(),
-            PushOutcome::Closed => {}
+            });
         }
         link.ins.outq_depth.record_max(link.queue.len() as i64);
     }
@@ -390,13 +357,18 @@ impl BrokerDaemon {
             .chain(accept_from.iter().cloned())
         {
             let ins = LinkInstruments::resolve(&telemetry, &domain, &peer);
+            let duplicates = telemetry.counter(
+                "transport_frames_duplicate_total",
+                "Inbound retransmits skipped by delivery index",
+                &[("domain", &domain), ("peer", &peer)],
+            );
             links.insert(
                 peer,
                 Link {
-                    queue: Arc::new(OutQueue::new(options.queue_capacity, options.overflow)),
+                    queue: Arc::new(OutQueue::new(options.queue_capacity)),
                     established: AtomicBool::new(false),
                     connected: AtomicBool::new(false),
-                    reliable: crate::reactor::LinkReliability::new(),
+                    reliable: crate::reactor::LinkReliability::new(duplicates),
                     ins,
                 },
             );
@@ -554,10 +526,15 @@ impl BrokerDaemon {
     /// Sever every live session (simulating network failure). The
     /// plaintext of any frame the sockets did not fully accept returns
     /// to its queue; dialed links redial immediately, accepted links
-    /// recover when the peer redials.
+    /// recover when the peer redials. Returns once the reactor has done
+    /// it, so a [`BrokerDaemon::wait_connected`] that follows waits for
+    /// the sessions that replace the severed ones.
     pub fn kill_connections(&self) {
-        let _ = self.ctrl_tx.send(Ctrl::Kill);
-        let _ = self.waker.wake();
+        let (done_tx, done_rx) = unbounded();
+        if self.ctrl_tx.send(Ctrl::Kill(done_tx)).is_ok() {
+            let _ = self.waker.wake();
+            let _ = done_rx.recv();
+        }
     }
 
     /// Stop everything and hand the broker node back.

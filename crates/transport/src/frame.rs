@@ -9,17 +9,17 @@
 //!   a configured ceiling *before* any allocation, so a hostile peer
 //!   cannot claim a 4 GiB frame and exhaust memory;
 //! * **partial-read tolerance** — TCP may deliver a frame in any number
-//!   of segments (or several frames in one segment). The blocking
-//!   [`read_frame`] loops over short reads; the push-based
-//!   [`FrameDecoder`] accepts arbitrary chunkings, which is what the
-//!   property tests drive.
+//!   of segments (or several frames in one segment).
+//!   [`PooledFrameDecoder`] accepts arbitrary chunkings, which is what
+//!   the property tests drive.
 // Zero-alloc hot-path module (DESIGN.md §D15): the dedicated CI lint
 // step loads .clippy-hotpath/clippy.toml, under which this attribute
 // rejects un-annotated Vec::new / slice::to_vec in this module.
 #![deny(clippy::disallowed_methods)]
 
+use qos_wire::{BufferPool, FrameRef, PoolChunk};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// Default ceiling on one frame's payload: far above any envelope the
 /// protocol produces (a depth-30 chain is a few hundred KiB), far below
@@ -39,8 +39,6 @@ pub enum FrameError {
         /// The configured ceiling.
         max: usize,
     },
-    /// The stream ended in the middle of a frame.
-    Truncated,
     /// Underlying I/O failure.
     Io(io::Error),
 }
@@ -51,7 +49,6 @@ impl fmt::Display for FrameError {
             FrameError::TooLarge { len, max } => {
                 write!(f, "frame of {len} bytes exceeds maximum {max}")
             }
-            FrameError::Truncated => write!(f, "stream closed mid-frame"),
             FrameError::Io(e) => write!(f, "frame i/o error: {e}"),
         }
     }
@@ -86,219 +83,17 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8], max: usize) -> Result<(),
     Ok(())
 }
 
-/// Write a batch of frames with as few system calls as the writer
-/// allows: all length prefixes and payloads are submitted through one
-/// `write_vectored` ([`std::io::IoSlice`] per part), looping only when
-/// the writer accepts a batch partially.
-///
-/// On failure the error carries the number of bytes already accepted by
-/// the writer, so callers can tell which frames were fully handed over
-/// (and may have reached the peer) from the unsent tail that is safe to
-/// retransmit on a fresh connection.
-pub fn write_frames_vectored(
-    w: &mut impl Write,
-    payloads: &[&[u8]],
-    max: usize,
-) -> Result<(), (usize, FrameError)> {
-    for p in payloads {
-        if p.len() > max {
-            return Err((
-                0,
-                FrameError::TooLarge {
-                    len: p.len() as u64,
-                    max,
-                },
-            ));
-        }
-    }
-    let headers: Vec<[u8; FRAME_HEADER_LEN]> = payloads
-        .iter()
-        .map(|p| (p.len() as u32).to_le_bytes())
-        .collect();
-    let parts: Vec<&[u8]> = headers
-        .iter()
-        .zip(payloads)
-        .flat_map(|(h, p)| [h.as_slice(), *p])
-        .collect();
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut written = 0usize;
-    // Incremental resubmission cursor: `first` is the first part the
-    // writer has not fully accepted, `offset` the accepted prefix within
-    // it. A partial write advances the cursor by the accepted byte count
-    // instead of re-scanning every part from the start, and one slice
-    // buffer is reused across syscalls — the already-sealed bytes are
-    // resubmitted as a suffix slice directly.
-    let mut first = 0usize;
-    let mut offset = 0usize;
-    let mut slices: Vec<io::IoSlice<'_>> = Vec::with_capacity(parts.len());
-    while written < total {
-        slices.clear();
-        slices.push(io::IoSlice::new(&parts[first][offset..]));
-        slices.extend(parts[first + 1..].iter().map(|p| io::IoSlice::new(p)));
-        match w.write_vectored(&slices) {
-            Ok(0) => {
-                return Err((
-                    written,
-                    FrameError::Io(io::Error::new(
-                        io::ErrorKind::WriteZero,
-                        "writer accepted zero bytes",
-                    )),
-                ))
-            }
-            Ok(mut n) => {
-                written += n;
-                while first < parts.len() {
-                    let avail = parts[first].len() - offset;
-                    if n < avail {
-                        offset += n;
-                        break;
-                    }
-                    n -= avail;
-                    offset = 0;
-                    first += 1;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err((written, FrameError::Io(e))),
-        }
-    }
-    w.flush().map_err(|e| (written, FrameError::Io(e)))
-}
-
-/// Outcome of filling a buffer from a stream.
-enum Fill {
-    /// Buffer filled completely.
-    Full,
-    /// Clean EOF before the first byte.
-    Eof,
-}
-
-/// Fill `buf` completely, tolerating arbitrarily short reads. A clean
-/// EOF before the first byte is `Fill::Eof`; an EOF after a partial fill
-/// is a truncation error.
-fn fill(r: &mut impl Read, buf: &mut [u8]) -> Result<Fill, FrameError> {
-    let mut got = 0;
-    while got < buf.len() {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    Ok(Fill::Eof)
-                } else {
-                    Err(FrameError::Truncated)
-                };
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    Ok(Fill::Full)
-}
-
-/// Read one frame. `Ok(None)` means the stream closed cleanly at a
-/// frame boundary; closure inside a frame is [`FrameError::Truncated`].
-pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>, FrameError> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    match fill(r, &mut header)? {
-        Fill::Eof => return Ok(None),
-        Fill::Full => {}
-    }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > max {
-        return Err(FrameError::TooLarge {
-            len: len as u64,
-            max,
-        });
-    }
-    let mut payload = vec![0u8; len];
-    match fill(r, &mut payload)? {
-        Fill::Full => Ok(Some(payload)),
-        Fill::Eof => {
-            if len == 0 {
-                Ok(Some(payload))
-            } else {
-                Err(FrameError::Truncated)
-            }
-        }
-    }
-}
-
-/// Push-based frame decoder: feed it byte chunks of any size and drain
-/// completed frames. This is the partial-read-tolerance of the codec in
-/// testable form — the property tests re-chunk encoded streams at random
-/// and require identical output.
-#[derive(Debug)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-    max: usize,
-}
-
-impl FrameDecoder {
-    /// A decoder enforcing `max` as the frame-size ceiling.
-    pub fn new(max: usize) -> Self {
-        // The legacy owned decoder: construction-time buffer.
-        #[allow(clippy::disallowed_methods)]
-        Self {
-            buf: Vec::new(),
-            max,
-        }
-    }
-
-    /// Append received bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Pop the next completed frame, if one is fully buffered.
-    ///
-    /// `Ok(None)` means more bytes are needed. The length prefix is
-    /// validated against the ceiling as soon as it is readable, before
-    /// the payload arrives.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        if self.buf.len() < FRAME_HEADER_LEN {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
-        if len > self.max {
-            return Err(FrameError::TooLarge {
-                len: len as u64,
-                max: self.max,
-            });
-        }
-        if self.buf.len() < FRAME_HEADER_LEN + len {
-            return Ok(None);
-        }
-        // The legacy owned path; `PooledFrameDecoder` is the
-        // zero-copy replacement.
-        #[allow(clippy::disallowed_methods)]
-        let frame = self.buf[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len].to_vec();
-        self.buf.drain(..FRAME_HEADER_LEN + len);
-        Ok(Some(frame))
-    }
-
-    /// True when no partial frame is buffered — the stream may close
-    /// cleanly here.
-    pub fn is_idle(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-use qos_wire::{BufferPool, FrameRef, PoolChunk};
-
 /// Read length exposed per [`PooledFrameDecoder::writable`] call in the
 /// owned fallback, matching the pooled chunk size.
 const OWNED_READ_LEN: usize = qos_wire::POOL_CHUNK_SIZE;
 
-/// Pooled frame decoder (DESIGN.md §D15): the zero-alloc replacement for
-/// [`FrameDecoder`] on the reactor hot path.
+/// Pooled frame decoder (DESIGN.md §D15): feed it byte chunks of any
+/// size and drain completed frames.
 ///
-/// Two differences from the legacy decoder:
-///
-/// * completed frames come out as [`FrameRef`] slices into the buffer
-///   instead of a fresh `Vec` per frame, and
-/// * the socket can read *directly into* the buffer via
-///   [`PooledFrameDecoder::writable`] + [`PooledFrameDecoder::advance`],
-///   removing the stack-buffer copy the legacy path paid per `read(2)`
+/// * completed frames come out as [`FrameRef`] slices into the buffer,
+///   not a fresh `Vec` per frame, and
+/// * the socket reads *directly into* the buffer via
+///   [`PooledFrameDecoder::writable`] + [`PooledFrameDecoder::advance`]
 ///   (a copying [`PooledFrameDecoder::push`] is kept for push-style
 ///   callers and tests).
 ///
@@ -526,34 +321,33 @@ mod tests {
         out
     }
 
+    fn decoder() -> PooledFrameDecoder {
+        PooledFrameDecoder::new(MAX_FRAME_LEN, BufferPool::new(2))
+    }
+
+    /// The next completed frame, copied out.
+    fn next(d: &mut PooledFrameDecoder) -> Option<Vec<u8>> {
+        d.next_frame().unwrap().map(|f| f.bytes().to_vec())
+    }
+
     #[test]
     fn round_trip_over_a_stream() {
         let bytes = encode(&[b"alpha", b"", b"gamma-gamma"]);
-        let mut cursor = &bytes[..];
-        assert_eq!(
-            read_frame(&mut cursor, MAX_FRAME_LEN).unwrap().unwrap(),
-            b"alpha"
-        );
-        assert_eq!(
-            read_frame(&mut cursor, MAX_FRAME_LEN).unwrap().unwrap(),
-            b""
-        );
-        assert_eq!(
-            read_frame(&mut cursor, MAX_FRAME_LEN).unwrap().unwrap(),
-            b"gamma-gamma"
-        );
-        assert!(read_frame(&mut cursor, MAX_FRAME_LEN).unwrap().is_none());
+        let mut d = decoder();
+        d.push(&bytes);
+        assert_eq!(next(&mut d).unwrap(), b"alpha");
+        assert_eq!(next(&mut d).unwrap(), b"");
+        assert_eq!(next(&mut d).unwrap(), b"gamma-gamma");
+        assert!(next(&mut d).is_none());
+        assert!(d.is_idle());
     }
 
     #[test]
     fn oversized_frame_rejected_before_allocation() {
         // Claims u32::MAX payload bytes with none present.
-        let bytes = u32::MAX.to_le_bytes();
-        let mut cursor = &bytes[..];
-        assert!(matches!(
-            read_frame(&mut cursor, 1024),
-            Err(FrameError::TooLarge { .. })
-        ));
+        let mut d = PooledFrameDecoder::new(1024, BufferPool::new(2));
+        d.push(&u32::MAX.to_le_bytes());
+        assert!(matches!(d.next_frame(), Err(FrameError::TooLarge { .. })));
         // Writer side refuses symmetric nonsense.
         let mut sink = Vec::new();
         assert!(matches!(
@@ -564,90 +358,42 @@ mod tests {
 
     #[test]
     fn truncation_inside_a_frame_is_an_error() {
+        // A stream cut inside a frame yields no frame and leaves the
+        // decoder holding a partial one: not a clean place to close.
         let bytes = encode(&[b"hello world"]);
         for cut in 1..bytes.len() {
-            let mut cursor = &bytes[..cut];
-            assert!(
-                matches!(
-                    read_frame(&mut cursor, MAX_FRAME_LEN),
-                    Err(FrameError::Truncated)
-                ),
-                "cut at {cut}"
-            );
-        }
-    }
-
-    /// A reader that returns one byte at a time — the worst legal TCP
-    /// segmentation.
-    struct OneByte<'a>(&'a [u8]);
-    impl Read for OneByte<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            if self.0.is_empty() || buf.is_empty() {
-                return Ok(0);
-            }
-            buf[0] = self.0[0];
-            self.0 = &self.0[1..];
-            Ok(1)
+            let mut d = decoder();
+            d.push(&bytes[..cut]);
+            assert!(next(&mut d).is_none(), "cut at {cut}");
+            assert!(!d.is_idle(), "cut at {cut}");
         }
     }
 
     #[test]
     fn single_byte_reads_tolerated() {
+        // One byte at a time — the worst legal TCP segmentation.
         let bytes = encode(&[b"partial", b"reads"]);
-        let mut r = OneByte(&bytes);
-        assert_eq!(
-            read_frame(&mut r, MAX_FRAME_LEN).unwrap().unwrap(),
-            b"partial"
-        );
-        assert_eq!(
-            read_frame(&mut r, MAX_FRAME_LEN).unwrap().unwrap(),
-            b"reads"
-        );
-        assert!(read_frame(&mut r, MAX_FRAME_LEN).unwrap().is_none());
+        let mut d = decoder();
+        let mut got = Vec::new();
+        for b in &bytes {
+            d.push(std::slice::from_ref(b));
+            got.extend(next(&mut d));
+        }
+        assert_eq!(got, vec![b"partial".to_vec(), b"reads".to_vec()]);
+        assert!(d.is_idle());
     }
 
-    /// A writer that counts calls, supports real vectored writes, and
-    /// can cap how many bytes each call accepts (forcing partial-write
-    /// handling). The std default `write_vectored` only writes the
-    /// first non-empty buffer, so a faithful mock must override it the
-    /// way `TcpStream` (writev) does.
+    /// A writer that counts calls.
     struct CountingWriter {
         data: Vec<u8>,
         calls: usize,
-        per_call_cap: usize,
-    }
-
-    impl CountingWriter {
-        fn new() -> Self {
-            Self {
-                data: Vec::new(),
-                calls: 0,
-                per_call_cap: usize::MAX,
-            }
-        }
     }
 
     impl Write for CountingWriter {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
             self.calls += 1;
-            let n = self.per_call_cap.min(buf.len());
-            self.data.extend_from_slice(&buf[..n]);
-            Ok(n)
-        }
-        fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
-            self.calls += 1;
-            let mut budget = self.per_call_cap;
-            let mut n = 0;
-            for b in bufs {
-                let take = budget.min(b.len());
-                self.data.extend_from_slice(&b[..take]);
-                n += take;
-                budget -= take;
-                if budget == 0 {
-                    break;
-                }
-            }
-            Ok(n)
+            self.data.extend_from_slice(buf);
+            Ok(buf.len())
         }
         fn flush(&mut self) -> io::Result<()> {
             Ok(())
@@ -658,160 +404,15 @@ mod tests {
     fn single_frame_is_one_write_call() {
         // The partial-header regression: header + payload must leave in
         // one write, so a crash between calls cannot strand a header.
-        let mut w = CountingWriter::new();
+        let mut w = CountingWriter {
+            data: Vec::new(),
+            calls: 0,
+        };
         write_frame(&mut w, b"payload", MAX_FRAME_LEN).unwrap();
         assert_eq!(w.calls, 1);
-        let mut cursor = &w.data[..];
-        assert_eq!(
-            read_frame(&mut cursor, MAX_FRAME_LEN).unwrap().unwrap(),
-            b"payload"
-        );
-    }
-
-    #[test]
-    fn batch_of_frames_reaches_socket_in_at_most_two_writes() {
-        // The coalescing regression: a queued batch of N frames must
-        // reach the socket in ≤ 2 write calls (one vectored write here).
-        for n in [1usize, 2, 7, 64] {
-            let frames: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; i + 1]).collect();
-            let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
-            let mut w = CountingWriter::new();
-            write_frames_vectored(&mut w, &refs, MAX_FRAME_LEN).unwrap();
-            assert!(w.calls <= 2, "batch of {n} took {} write calls", w.calls);
-            let mut cursor = &w.data[..];
-            for f in &frames {
-                assert_eq!(
-                    read_frame(&mut cursor, MAX_FRAME_LEN).unwrap().unwrap(),
-                    f.as_slice()
-                );
-            }
-            assert!(read_frame(&mut cursor, MAX_FRAME_LEN).unwrap().is_none());
-        }
-    }
-
-    #[test]
-    fn vectored_batch_survives_partial_writes() {
-        // A writer that accepts 3 bytes per call exercises the
-        // resubmission loop across every header/payload boundary.
-        let frames: Vec<Vec<u8>> = vec![b"alpha".to_vec(), vec![], b"gamma-gamma".to_vec()];
-        let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
-        let mut w = CountingWriter::new();
-        w.per_call_cap = 3;
-        write_frames_vectored(&mut w, &refs, MAX_FRAME_LEN).unwrap();
-        let mut cursor = &w.data[..];
-        for f in &frames {
-            assert_eq!(
-                read_frame(&mut cursor, MAX_FRAME_LEN).unwrap().unwrap(),
-                f.as_slice()
-            );
-        }
-    }
-
-    #[test]
-    fn vectored_batch_matches_sequential_write_frame_bytes() {
-        let frames: Vec<&[u8]> = vec![b"one", b"", b"three"];
-        let mut sequential = Vec::new();
-        for f in &frames {
-            write_frame(&mut sequential, f, MAX_FRAME_LEN).unwrap();
-        }
-        let mut w = CountingWriter::new();
-        write_frames_vectored(&mut w, &frames, MAX_FRAME_LEN).unwrap();
-        assert_eq!(w.data, sequential);
-    }
-
-    /// A writer that fails after accepting a fixed number of bytes.
-    struct FailAfter {
-        data: Vec<u8>,
-        remaining: usize,
-    }
-
-    impl Write for FailAfter {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.write_vectored(&[io::IoSlice::new(buf)])
-        }
-        fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
-            if self.remaining == 0 {
-                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "dead"));
-            }
-            let mut n = 0;
-            for b in bufs {
-                let take = self.remaining.min(b.len());
-                self.data.extend_from_slice(&b[..take]);
-                n += take;
-                self.remaining -= take;
-                if self.remaining == 0 {
-                    break;
-                }
-            }
-            Ok(n)
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn vectored_error_reports_bytes_accepted() {
-        // Two 4-byte-payload frames are 16 wire bytes; a socket dying
-        // after 11 leaves frame 0 fully accepted and frame 1 partial.
-        let frames: Vec<&[u8]> = vec![b"aaaa", b"bbbb"];
-        let mut w = FailAfter {
-            data: Vec::new(),
-            remaining: 11,
-        };
-        let err = write_frames_vectored(&mut w, &frames, MAX_FRAME_LEN).unwrap_err();
-        assert_eq!(err.0, 11);
-        assert!(matches!(err.1, FrameError::Io(_)));
-    }
-
-    #[test]
-    fn oversized_batch_member_rejected_before_any_write() {
-        let frames: Vec<&[u8]> = vec![b"ok", &[0u8; 2048]];
-        let mut w = CountingWriter::new();
-        let err = write_frames_vectored(&mut w, &frames, 1024).unwrap_err();
-        assert_eq!(err.0, 0);
-        assert!(matches!(err.1, FrameError::TooLarge { .. }));
-        assert!(w.data.is_empty());
-    }
-
-    #[test]
-    fn partial_writes_advance_incrementally() {
-        // The resubmission regression: a writer accepting N bytes per
-        // call must see exactly ceil(total/N) calls — the cursor resumes
-        // from the unsent suffix instead of restarting or splitting work
-        // — and the stream must still be byte-identical.
-        let frames: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i; (i as usize) * 7 + 1]).collect();
-        let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
-        let total: usize = refs.iter().map(|f| f.len() + FRAME_HEADER_LEN).sum();
-        let mut sequential = Vec::new();
-        for f in &refs {
-            write_frame(&mut sequential, f, MAX_FRAME_LEN).unwrap();
-        }
-        for cap in [1usize, 2, 3, 5, 8, 13, total] {
-            let mut w = CountingWriter::new();
-            w.per_call_cap = cap;
-            write_frames_vectored(&mut w, &refs, MAX_FRAME_LEN).unwrap();
-            assert_eq!(w.data, sequential, "cap {cap} corrupted the stream");
-            assert_eq!(w.calls, total.div_ceil(cap), "cap {cap} took extra calls");
-        }
-    }
-
-    #[test]
-    fn decoder_reassembles_across_arbitrary_chunking() {
-        let bytes = encode(&[b"one", b"two", b"three"]);
-        let mut d = FrameDecoder::new(MAX_FRAME_LEN);
-        let mut got = Vec::new();
-        for chunk in bytes.chunks(2) {
-            d.push(chunk);
-            while let Some(f) = d.next_frame().unwrap() {
-                got.push(f);
-            }
-        }
-        assert_eq!(
-            got,
-            vec![b"one".to_vec(), b"two".to_vec(), b"three".to_vec()]
-        );
-        assert!(d.is_idle());
+        let mut d = decoder();
+        d.push(&w.data);
+        assert_eq!(next(&mut d).unwrap(), b"payload");
     }
 
     #[test]

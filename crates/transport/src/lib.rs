@@ -13,14 +13,15 @@
 //! * [`resume`] — session-resumption tickets: the acceptor's bounded
 //!   ticket store and the possession-proof MACs, so steady-state
 //!   reconnects skip every Schnorr operation;
-//! * [`session`] — socket + [`SecureChannel`](qos_core::channel::SecureChannel):
-//!   the message-based mutual handshake and sealed frame exchange;
-//! * [`queue`] — bounded per-peer outbound queues with an explicit
-//!   backpressure/overflow policy;
+//! * [`session`] — the message-based mutual handshake over a blocking
+//!   socket, ending in the [`Session`] parts the reactor takes over;
+//! * [`queue`] — bounded per-peer outbound queues that block their
+//!   producers when full;
 //! * [`backoff`] — deterministic exponential reconnect backoff;
 //! * [`reactor`] — the event loop: every socket non-blocking under one
-//!   `epoll`-backed poll, with reconnect timers as poll deadlines and
-//!   handshakes on short-lived offload threads;
+//!   `epoll`-backed poll — the one path a frame takes in and out — with
+//!   reconnect timers as poll deadlines and handshakes on short-lived
+//!   offload threads;
 //! * [`daemon`] — [`BrokerDaemon`]: one domain's admission shards
 //!   ([`ShardedNode`](qos_core::shard::ShardedNode)) behind the reactor;
 //! * [`admin`] — the introspection plane (DESIGN.md §D12): the routing
@@ -47,14 +48,11 @@ pub mod session;
 pub use backoff::Backoff;
 pub use daemon::{BrokerDaemon, DaemonConfig, TransportOptions};
 pub use error::TransportError;
-pub use frame::{
-    read_frame, write_frame, FrameDecoder, FrameError, PooledFrameDecoder, MAX_FRAME_LEN,
-};
+pub use frame::{write_frame, FrameError, PooledFrameDecoder, MAX_FRAME_LEN};
 pub use mesh::TcpMesh;
 pub use proto::PeerMsg;
-pub use queue::{OutQueue, OverflowPolicy, PushOutcome};
+pub use queue::{OutQueue, PushOutcome};
 pub use resume::{ResumeTicket, TicketIssuer};
 pub use session::{
-    establish_initiator, establish_initiator_resumable, establish_responder,
-    establish_responder_resumable, HandshakeKind, Session,
+    establish_initiator_resumable, establish_responder_resumable, HandshakeKind, Session,
 };

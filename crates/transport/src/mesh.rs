@@ -55,12 +55,6 @@ impl TcpMesh {
         self.telemetry = telemetry;
     }
 
-    /// Override transport tuning (queue capacity, overflow policy,
-    /// backoff). Call before [`TcpMesh::spawn`].
-    pub fn set_options(&mut self, options: TransportOptions) {
-        self.options = options;
-    }
-
     /// Set the admission shard count hosted by each daemon (clamped to
     /// at least 1). Call before [`TcpMesh::spawn`].
     pub fn set_shards(&mut self, shards: usize) {
@@ -200,7 +194,7 @@ impl TcpMesh {
     }
 
     /// Sever every live session in the mesh; daemons recover via
-    /// reconnect with backoff.
+    /// reconnect with backoff. Returns with every daemon's side severed.
     pub fn kill_connections(&self) {
         for d in self.daemons.values() {
             d.kill_connections();

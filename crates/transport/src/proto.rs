@@ -1,12 +1,11 @@
 //! The inter-daemon wire protocol: what travels inside each frame.
 //!
-//! A connection speaks exactly three message kinds. Two `Hello`s and two
-//! `Auth`s establish the mutually authenticated channel
+//! Two `Hello`s and two `Auth`s (or a ticket resumption) establish the
+//! mutually authenticated channel
 //! ([`qos_core::channel::NetHandshake`]); after that, every frame is a
 //! [`Sealed`] envelope whose MAC and sequence number the receiving
-//! [`SecureChannel`](qos_core::channel::SecureChannel) end verifies
-//! before the payload is decoded as a
-//! [`SignalMessage`](qos_core::SignalMessage).
+//! [`OpenHalf`](qos_core::channel::OpenHalf) verifies before the
+//! payload is decoded as a [`SignalMessage`](qos_core::SignalMessage).
 // Zero-alloc hot-path module (DESIGN.md §D15): the dedicated CI lint
 // step loads .clippy-hotpath/clippy.toml, under which this attribute
 // rejects un-annotated Vec::new / slice::to_vec in this module.
@@ -71,8 +70,10 @@ qos_wire::impl_wire_enum!(PeerMsg {
     5 => Ticket { ticket },
 });
 
-/// Wire tag of [`PeerMsg::Frame`] (for the hand-rolled hot-path encode).
-const FRAME_TAG: u8 = 2;
+/// Wire tag of [`PeerMsg::Frame`] — the only message kind legal on an
+/// established session. The write path hand-encodes it and the read
+/// path peeks it before the borrowed `SealedRef` parse.
+pub(crate) const FRAME_TAG: u8 = 2;
 
 /// Append the canonical encoding of `PeerMsg::Frame(Sealed { payload,
 /// seq, mac })` to `out` without materialising a `Sealed` (DESIGN.md

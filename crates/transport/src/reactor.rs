@@ -2,16 +2,16 @@
 //! `epoll`-backed [`mio::Poll`] (vendored stand-in; see `vendor/mio`).
 //!
 //! One reactor thread per daemon owns the listener, every peering
-//! socket, frame decode ([`FrameDecoder`]) and frame seal
+//! socket, frame decode ([`PooledFrameDecoder`]) and frame seal
 //! ([`SealHalf`]/[`OpenHalf`]), and the connector retry timers. Decoded
 //! signalling messages are dispatched into the domain's
 //! [`ShardedNode`]; shard workers hand outputs back through the link
-//! [`OutQueue`]s and ring the reactor's [`Waker`].
-//!
-//! Where the old thread-per-link daemon had a connector thread
-//! (blocking dial and backoff sleep), a writer thread (blocking queue
-//! pop and blocking socket write), and a reader thread per session,
-//! the reactor multiplexes all of it:
+//! [`OutQueue`](crate::queue::OutQueue)s and ring the reactor's
+//! [`Waker`]. A frame has one way in (DESIGN.md §D19): socket → pooled
+//! decode → borrowed [`SealedRef`] parse → MAC check in place →
+//! delivery-index check ([`LinkReliability::accept`]) → owned decode →
+//! shard queue. The reactor never touches shard state. The rest of a
+//! link's life runs on the same thread:
 //!
 //! * **reconnect backoff** is a deadline (`retry_at`) that bounds the
 //!   poll timeout — no sleeping threads;
@@ -24,7 +24,8 @@
 //!   connection dies both the unacknowledged and the unsent plaintext
 //!   re-queue at the front of the link queue in order. The receiver
 //!   skips retransmits it already processed by index, so a reservation
-//!   neither evaporates nor double-delivers across reconnects;
+//!   neither evaporates nor double-delivers across reconnects — no
+//!   broker ever sees a retransmitted request twice;
 //! * **handshakes** stay blocking (they are short, bounded by their own
 //!   timeout, and involve multi-round-trip protocol logic) but run on
 //!   short-lived offload threads that report back through the control
@@ -33,8 +34,8 @@
 use crate::admin::AdminState;
 use crate::backoff::Backoff;
 use crate::daemon::{Link, TransportOptions};
-use crate::frame::{FrameDecoder, PooledFrameDecoder};
-use crate::proto::{encode_sealed_frame_into, PeerMsg};
+use crate::frame::PooledFrameDecoder;
+use crate::proto::{encode_sealed_frame_into, FRAME_TAG};
 use crate::resume::{ResumeTicket, TicketIssuer};
 use crate::session::{
     establish_initiator_resumable, establish_responder_resumable, HandshakeKind, Session,
@@ -42,7 +43,6 @@ use crate::session::{
 use crossbeam::channel::{Receiver, Sender};
 use mio::{Events, Interest, Poll, Token, Waker};
 use qos_core::channel::{ChannelIdentity, OpenHalf, PeerPin, SealHalf, SealedRef};
-use qos_core::envelope_ref::EnvelopeRef;
 use qos_core::messages::SignalMessage;
 use qos_core::shard::ShardedNode;
 use qos_crypto::DistinguishedName;
@@ -96,45 +96,6 @@ const FRAME_ACK: u8 = 1;
 /// its fresh frames as duplicates.
 const FRAME_SYNC: u8 = 2;
 
-/// Wire tag of [`PeerMsg::Frame`] — the only message kind legal on an
-/// established session; the pooled read path peeks it before the
-/// borrowed [`SealedRef`] parse.
-const PEER_FRAME_TAG: u8 = 2;
-/// Wire tag of `SignalMessage::Request` — the warm-path replay trigger.
-const REQUEST_TAG: u8 = 0;
-
-/// Queue a warm-path reply's already-encoded bytes on `link` exactly as
-/// the shard sink would: delivery-index assignment and enqueue happen
-/// under the `tx` lock so queue order equals index order. Returns false
-/// — without consuming an index — when the queue is full under the
-/// `Block` policy; the caller falls back to normal dispatch instead of
-/// blocking the reactor on a queue only the reactor drains.
-fn warm_deliver(link: &Link, reply: &[u8]) -> bool {
-    use crate::queue::PushOutcome;
-    let outcome = {
-        let mut tx = link.reliable.tx.lock().unwrap_or_else(|e| e.into_inner());
-        let index = *tx;
-        let mut frame = Vec::with_capacity(9 + reply.len());
-        frame.push(FRAME_DATA);
-        frame.extend_from_slice(&index.to_le_bytes());
-        frame.extend_from_slice(reply);
-        match link.queue.try_push(frame) {
-            Ok(outcome) => {
-                *tx += 1;
-                link.reliable.note_assigned(*tx);
-                outcome
-            }
-            Err(_) => return false,
-        }
-    };
-    match outcome {
-        PushOutcome::Queued | PushOutcome::Closed => {}
-        PushOutcome::DroppedNewest | PushOutcome::DroppedOldest => link.ins.dropped.inc(),
-    }
-    link.ins.outq_depth.record_max(link.queue.len() as i64);
-    true
-}
-
 /// Per-link reliable-delivery state, surviving connections. Socket
 /// acceptance is not delivery: a peer killed mid-burst loses whatever
 /// sat unread in its kernel buffer, so accepted frames are retained
@@ -155,6 +116,22 @@ pub(crate) struct LinkReliability {
     /// Next data-frame index expected from the peer; lower indices are
     /// retransmits of frames already handed to the shards.
     rx_next: std::sync::atomic::AtomicU64,
+    /// `transport_frames_duplicate_total`: retransmits dropped by index.
+    duplicates: Counter,
+}
+
+/// What the reliability header of one opened frame says to do with it.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Inbound<'a> {
+    /// An ack or a sync: the link state took it, nothing to deliver.
+    Control,
+    /// A retransmit of the data frame with this index, which the shards
+    /// already have: dropped.
+    Duplicate(u64),
+    /// A new data frame: the encoded signalling message it carries.
+    Data(&'a [u8]),
+    /// Shorter than its header, or an unknown tag: the connection dies.
+    Reject,
 }
 
 struct Unacked {
@@ -164,7 +141,7 @@ struct Unacked {
 }
 
 impl LinkReliability {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(duplicates: Counter) -> Self {
         Self {
             tx: Mutex::new(0),
             tx_hwm: std::sync::atomic::AtomicU64::new(0),
@@ -173,6 +150,49 @@ impl LinkReliability {
                 frames: VecDeque::new(),
             }),
             rx_next: std::sync::atomic::AtomicU64::new(0),
+            duplicates,
+        }
+    }
+
+    /// Decide one opened (MAC-checked) plaintext by its reliability
+    /// header, `[tag][u64]...` — see `FRAME_*`. This is the rule that
+    /// keeps a retransmission from ever reaching a broker: a data frame
+    /// whose index is below the watermark was already handed to the
+    /// shards, so it is counted and dropped here.
+    pub(crate) fn accept<'a>(&self, plain: &'a [u8]) -> Inbound<'a> {
+        use std::sync::atomic::Ordering::SeqCst;
+        if plain.len() < 9 {
+            return Inbound::Reject;
+        }
+        match plain[0] {
+            FRAME_ACK => {
+                self.note_ack(le_u64(&plain[1..9]));
+                Inbound::Control
+            }
+            FRAME_SYNC => {
+                if plain.len() < 17 {
+                    return Inbound::Reject;
+                }
+                let peer_tx = le_u64(&plain[1..9]);
+                self.note_ack(le_u64(&plain[9..17]));
+                // A peer whose send counter went backwards lost its link
+                // state (restart): follow it down, or its fresh frames
+                // would be skipped as duplicates.
+                if peer_tx < self.rx_next.load(SeqCst) {
+                    self.rx_next.store(peer_tx, SeqCst);
+                }
+                Inbound::Control
+            }
+            FRAME_DATA => {
+                let index = le_u64(&plain[1..9]);
+                if index < self.rx_next.load(SeqCst) {
+                    self.duplicates.inc();
+                    return Inbound::Duplicate(index);
+                }
+                self.rx_next.store(index + 1, SeqCst);
+                Inbound::Data(&plain[9..])
+            }
+            _ => Inbound::Reject,
         }
     }
 
@@ -250,8 +270,9 @@ pub(crate) enum Ctrl {
     },
     /// A dial attempt failed (connect or handshake).
     DialFailed { peer: String },
-    /// Sever every live connection (fault injection).
-    Kill,
+    /// Sever every live connection (fault injection), then answer: by
+    /// then no link reads as connected.
+    Kill(Sender<()>),
     /// Exit the event loop.
     Shutdown,
 }
@@ -274,10 +295,7 @@ struct Conn {
     fd: RawFd,
     seal: SealHalf,
     open: OpenHalf,
-    decoder: FrameDecoder,
-    /// The zero-copy decode path (DESIGN.md §D15); `None` runs the
-    /// legacy owned-`Vec` decoder above instead.
-    pooled: Option<PooledFrameDecoder>,
+    decoder: PooledFrameDecoder,
     outbuf: Vec<u8>,
     /// Prefix of `outbuf` the socket has accepted.
     written: usize,
@@ -422,8 +440,6 @@ pub(crate) struct Reactor {
     by_peer: HashMap<String, usize>,
     next_token: usize,
     scratch: Vec<u8>,
-    /// Reusable buffer warm-path replays render their cached reply into.
-    reply_scratch: Vec<u8>,
     /// Reactor-scoped chunk pool feeding every connection's
     /// [`PooledFrameDecoder`].
     pool: BufferPool,
@@ -545,7 +561,6 @@ impl Reactor {
             by_peer: HashMap::new(),
             next_token: TOKEN_BASE,
             scratch: Vec::new(),
-            reply_scratch: Vec::new(),
             pool,
             pool_in_use,
             pool_fallbacks,
@@ -631,7 +646,10 @@ impl Reactor {
                             }
                         }
                     }
-                    Ctrl::Kill => self.kill_all(),
+                    Ctrl::Kill(done) => {
+                        self.kill_all();
+                        let _ = done.send(());
+                    }
                     Ctrl::Shutdown => return,
                 }
             }
@@ -1033,8 +1051,8 @@ impl Reactor {
         g.push(handle);
     }
 
-    /// Take ownership of an established session: split it into raw
-    /// parts, go non-blocking, and register with the poll.
+    /// Take ownership of an established session: take it apart, go
+    /// non-blocking, and register with the poll.
     fn install(
         &mut self,
         session: Session,
@@ -1043,9 +1061,14 @@ impl Reactor {
         dialed: bool,
         handshake_ns: u64,
     ) {
-        let peer = session.peer().to_string();
+        let Session {
+            stream,
+            peer,
+            seal,
+            open,
+        } = session;
+        // Not a configured peer: dropping the socket closes it.
         let Some(link) = self.links.get(&peer) else {
-            session.shutdown();
             return;
         };
         link.ins.handshake_ns.observe(handshake_ns);
@@ -1082,7 +1105,6 @@ impl Reactor {
         if let Some(&old) = self.by_peer.get(&peer) {
             self.kill_conn(old);
         }
-        let (stream, peer, seal, open) = session.into_parts();
         if stream.set_nonblocking(true).is_err() {
             return;
         }
@@ -1104,11 +1126,7 @@ impl Reactor {
                 fd,
                 seal,
                 open,
-                decoder: FrameDecoder::new(self.options.max_frame),
-                pooled: self
-                    .options
-                    .pooled_decode
-                    .then(|| PooledFrameDecoder::new(self.options.max_frame, self.pool.clone())),
+                decoder: PooledFrameDecoder::new(self.options.max_frame, self.pool.clone()),
                 outbuf: Vec::new(),
                 written: 0,
                 inflight: VecDeque::new(),
@@ -1206,17 +1224,11 @@ impl Reactor {
     fn conn_read(&mut self, token: usize) -> bool {
         let mut msgs: Vec<SignalMessage> = Vec::new();
         let mut data_frames = 0usize;
-        let pooled = self.conns[&token].pooled.is_some();
-        let mut alive = if pooled {
-            self.read_frames_pooled(token, &mut msgs, &mut data_frames)
-        } else {
-            self.read_frames(token, &mut msgs, &mut data_frames)
-        };
+        let mut alive = self.read_frames(token, &mut msgs, &mut data_frames);
         if !msgs.is_empty() {
             // One grouped dispatch per read sweep: the shard queues see
             // contiguous runs and the doorbell rings once, not once per
-            // frame. (A warm-replay-only sweep leaves `msgs` empty and
-            // allocates nothing here.)
+            // frame.
             let peer = self.conns[&token].peer.clone();
             self.sharded.dispatch_peer_all(&peer, msgs, StdClock::now());
         }
@@ -1232,152 +1244,27 @@ impl Reactor {
         alive
     }
 
-    /// Drain the socket and decode every complete frame into `msgs`.
-    /// Returns false when the connection is dead (EOF, I/O error, or a
-    /// protocol violation); frames decoded before the failure are still
-    /// delivered by the caller. `data_frames` counts data frames seen
-    /// (duplicates included) so the caller knows to ack.
+    /// Drain the socket and decode every complete frame into `msgs`
+    /// (DESIGN.md §D15): the socket reads directly into a pooled chunk,
+    /// each completed frame is a borrowed slice, the `PeerMsg::Frame`
+    /// wrapper parses by reference ([`SealedRef`]), the MAC verifies in
+    /// place, and only a new data frame's message is copied out (it must
+    /// outlive this sweep to cross the shard queues). Returns false when
+    /// the connection is dead (EOF, I/O error, or a protocol violation);
+    /// frames decoded before the failure are still delivered by the
+    /// caller. `data_frames` counts data frames seen (duplicates
+    /// included) so the caller knows to ack.
     fn read_frames(
         &mut self,
         token: usize,
         msgs: &mut Vec<SignalMessage>,
         data_frames: &mut usize,
     ) -> bool {
-        let mut buf = [0u8; 64 * 1024];
-        for _ in 0..MAX_READS_PER_EVENT {
-            let conn = self.conns.get_mut(&token).expect("conn_read on live conn");
-            let n = match conn.stream.read(&mut buf) {
-                Ok(0) => return false,
-                Ok(n) => n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            };
-            conn.decoder.push(&buf[..n]);
-            loop {
-                let conn = self.conns.get_mut(&token).expect("conn_read on live conn");
-                let frame = match conn.decoder.next_frame() {
-                    Ok(Some(f)) => f,
-                    Ok(None) => break,
-                    Err(_) => return false,
-                };
-                let ins = &self.links[&conn.peer].ins;
-                ins.frames_received.inc();
-                ins.bytes_received.add(frame.len() as u64);
-                let opened = match qos_wire::from_bytes::<PeerMsg>(&frame) {
-                    Ok(PeerMsg::Frame(sealed)) => conn.open.open(sealed),
-                    // Handshake message on an established session, or
-                    // garbage: terminal either way.
-                    _ => {
-                        ins.rejected.inc();
-                        return false;
-                    }
-                };
-                let Ok(mut plain) = opened else {
-                    ins.rejected.inc();
-                    return false;
-                };
-                // Reliability wrapper: [tag][u64]... — see FRAME_*.
-                if plain.len() < 9 {
-                    ins.rejected.inc();
-                    return false;
-                }
-                use std::sync::atomic::Ordering::SeqCst;
-                let rel = &self.links[&conn.peer].reliable;
-                match plain[0] {
-                    FRAME_ACK => {
-                        rel.note_ack(le_u64(&plain[1..9]));
-                        continue;
-                    }
-                    FRAME_SYNC => {
-                        if plain.len() < 17 {
-                            ins.rejected.inc();
-                            return false;
-                        }
-                        let peer_tx = le_u64(&plain[1..9]);
-                        rel.note_ack(le_u64(&plain[9..17]));
-                        // A peer whose send counter went backwards lost
-                        // its link state (restart): follow it down, or
-                        // its fresh frames would be skipped as dups.
-                        if peer_tx < rel.rx_next.load(SeqCst) {
-                            rel.rx_next.store(peer_tx, SeqCst);
-                        }
-                        continue;
-                    }
-                    FRAME_DATA => {
-                        *data_frames += 1;
-                        let index = le_u64(&plain[1..9]);
-                        // Retransmit of a frame already handed to the
-                        // shards: drop it (index gaps from overflow
-                        // drops are fine — the watermark just jumps).
-                        if index < rel.rx_next.load(SeqCst) {
-                            ins.dup_frames.inc();
-                            if let Some(flight) = &self.flight {
-                                flight.record(
-                                    FlightEvent::new(
-                                        EventFamily::DuplicateDrop,
-                                        self.domain.clone(),
-                                        conn.peer.clone(),
-                                    )
-                                    .detail(format!("retransmit of delivered frame {index}")),
-                                );
-                            }
-                            continue;
-                        }
-                        rel.rx_next.store(index + 1, SeqCst);
-                        plain.drain(..9);
-                    }
-                    _ => {
-                        ins.rejected.inc();
-                        return false;
-                    }
-                }
-                let shared: Arc<[u8]> = plain.into();
-                let Ok(msg) = qos_wire::from_bytes_shared::<SignalMessage>(&shared) else {
-                    ins.rejected.inc();
-                    return false;
-                };
-                msgs.push(msg);
-            }
-            if n < buf.len() {
-                return true; // short read: the socket is drained
-            }
-        }
-        true // cap reached; level-triggered poll re-reports the rest
-    }
-
-    /// Zero-copy variant of [`Reactor::read_frames`] (DESIGN.md §D15):
-    /// the socket reads directly into a pooled chunk, each completed
-    /// frame is a borrowed slice, the `PeerMsg::Frame` wrapper parses by
-    /// reference ([`SealedRef`]), the MAC verifies in place, and a
-    /// byte-identical `Request` retry is answered straight from the
-    /// owning shard's reply cache without materialising an owned
-    /// message. Only messages that miss the warm path are copied out
-    /// (they must outlive this sweep to cross the shard queues). Accepts
-    /// exactly the bytes the legacy path accepts and yields the same
-    /// verdicts — pinned by the borrowed-≡-owned property tests.
-    fn read_frames_pooled(
-        &mut self,
-        token: usize,
-        msgs: &mut Vec<SignalMessage>,
-        data_frames: &mut usize,
-    ) -> bool {
-        use std::sync::atomic::Ordering::SeqCst;
-        let Self {
-            conns,
-            links,
-            sharded,
-            reply_scratch,
-            flight,
-            domain,
-            ..
-        } = self;
-        let conn = conns.get_mut(&token).expect("conn_read on live conn");
-        let link = &links[conn.peer.as_str()];
-        let peer = &conn.peer;
+        let conn = self.conns.get_mut(&token).expect("conn_read on live conn");
+        let link = &self.links[conn.peer.as_str()];
         let open = &mut conn.open;
         let stream = &mut conn.stream;
-        let dec = conn.pooled.as_mut().expect("pooled decode enabled");
+        let dec = &mut conn.decoder;
         for _ in 0..MAX_READS_PER_EVENT {
             let writable = dec.writable();
             let cap = writable.len();
@@ -1402,7 +1289,7 @@ impl Reactor {
                 // ever carries `Frame`; anything else is terminal.
                 let mut r = qos_wire::Reader::new(frame.bytes());
                 let sealed = match r.get_u8() {
-                    Ok(PEER_FRAME_TAG) => {
+                    Ok(FRAME_TAG) => {
                         match SealedRef::parse(&mut r).and_then(|s| r.finish().map(|()| s)) {
                             Ok(s) => s,
                             Err(_) => {
@@ -1423,88 +1310,32 @@ impl Reactor {
                     ins.rejected.inc();
                     return false;
                 }
-                let plain = sealed.payload;
-                // Reliability wrapper: [tag][u64]... — see FRAME_*.
-                if plain.len() < 9 {
-                    ins.rejected.inc();
-                    return false;
-                }
-                let rel = &link.reliable;
-                let body = match plain[0] {
-                    FRAME_ACK => {
-                        rel.note_ack(le_u64(&plain[1..9]));
-                        continue;
-                    }
-                    FRAME_SYNC => {
-                        if plain.len() < 17 {
-                            ins.rejected.inc();
-                            return false;
-                        }
-                        let peer_tx = le_u64(&plain[1..9]);
-                        rel.note_ack(le_u64(&plain[9..17]));
-                        if peer_tx < rel.rx_next.load(SeqCst) {
-                            rel.rx_next.store(peer_tx, SeqCst);
-                        }
-                        continue;
-                    }
-                    FRAME_DATA => {
+                let body = match link.reliable.accept(sealed.payload) {
+                    Inbound::Control => continue,
+                    Inbound::Duplicate(index) => {
                         *data_frames += 1;
-                        let index = le_u64(&plain[1..9]);
-                        if index < rel.rx_next.load(SeqCst) {
-                            ins.dup_frames.inc();
-                            if let Some(flight) = flight {
-                                flight.record(
-                                    FlightEvent::new(
-                                        EventFamily::DuplicateDrop,
-                                        domain.clone(),
-                                        peer.clone(),
-                                    )
-                                    .detail(format!("retransmit of delivered frame {index}")),
-                                );
-                            }
-                            continue;
+                        if let Some(flight) = &self.flight {
+                            flight.record(
+                                FlightEvent::new(
+                                    EventFamily::DuplicateDrop,
+                                    self.domain.clone(),
+                                    conn.peer.clone(),
+                                )
+                                .detail(format!("retransmit of delivered frame {index}")),
+                            );
                         }
-                        rel.rx_next.store(index + 1, SeqCst);
-                        &plain[9..]
+                        continue;
                     }
-                    _ => {
+                    Inbound::Data(body) => {
+                        *data_frames += 1;
+                        body
+                    }
+                    Inbound::Reject => {
                         ins.rejected.inc();
                         return false;
                     }
                 };
-                // Warm-path replay: a byte-identical retry of a request
-                // this node already answered is served from the owning
-                // shard's reply cache — no owned decode, no signature
-                // work, no shard round trip. Only attempted when no
-                // earlier message of this sweep is still waiting for
-                // dispatch (replaying ahead of it could reorder).
-                let env = if msgs.is_empty() && body.first() == Some(&REQUEST_TAG) {
-                    EnvelopeRef::parse(body).ok().flatten()
-                } else {
-                    None
-                };
-                if let Some(env) = &env {
-                    reply_scratch.clear();
-                    if let Some(to) = sharded.try_revalidate(peer, env, reply_scratch) {
-                        let to = to.strip_prefix("user:").unwrap_or(&to);
-                        match links.get(to) {
-                            // A full queue falls through to normal
-                            // dispatch below — the reactor must never
-                            // block on a queue it drains itself.
-                            Some(out) if warm_deliver(out, reply_scratch) => continue,
-                            Some(_) => {}
-                            // No link: the sink would drop it too.
-                            None => continue,
-                        }
-                    }
-                }
-                // A probed envelope hands the digest the probe took of it
-                // to its owned decode.
-                let decoded = match &env {
-                    Some(env) => env.decode_owned(),
-                    None => qos_wire::from_bytes_shared::<SignalMessage>(&body.into()),
-                };
-                let Ok(msg) = decoded else {
+                let Ok(msg) = qos_wire::from_bytes_shared::<SignalMessage>(&body.into()) else {
                     ins.rejected.inc();
                     return false;
                 };
@@ -1672,5 +1503,116 @@ pub(crate) fn broker_pin(ca_key: qos_crypto::PublicKey, peer: &str) -> PeerPin {
     PeerPin {
         ca_key,
         dn: DistinguishedName::broker(peer),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::Ordering::SeqCst;
+
+    /// A link's reliability state with a live duplicate counter.
+    fn reliability() -> (LinkReliability, Counter) {
+        let duplicates = Counter::from_arc(Arc::new(AtomicU64::new(0)));
+        (LinkReliability::new(duplicates.clone()), duplicates)
+    }
+
+    fn data(index: u64, body: &[u8]) -> Vec<u8> {
+        let mut out = vec![FRAME_DATA];
+        out.extend_from_slice(&index.to_le_bytes());
+        out.extend_from_slice(body);
+        out
+    }
+
+    /// The rule that makes a reply cache unnecessary: a retransmitted
+    /// data frame never gets past the link.
+    #[test]
+    fn data_frame_below_the_watermark_is_dropped_and_counted() {
+        let (rel, duplicates) = reliability();
+        for i in 0..3 {
+            assert_eq!(rel.accept(&data(i, b"msg")), Inbound::Data(b"msg"));
+        }
+        assert_eq!(rel.rx_next.load(SeqCst), 3);
+        assert_eq!(duplicates.get(), 0);
+        // A reconnecting peer retransmits 1 and 2, then sends 3.
+        assert_eq!(rel.accept(&data(1, b"msg")), Inbound::Duplicate(1));
+        assert_eq!(rel.accept(&data(2, b"msg")), Inbound::Duplicate(2));
+        assert_eq!(duplicates.get(), 2);
+        assert_eq!(rel.rx_next.load(SeqCst), 3, "a duplicate moves nothing");
+        assert_eq!(rel.accept(&data(3, b"new")), Inbound::Data(b"new"));
+        // A gap is fine: the watermark jumps.
+        assert_eq!(rel.accept(&data(7, b"")), Inbound::Data(b""));
+        assert_eq!(rel.rx_next.load(SeqCst), 8);
+    }
+
+    #[test]
+    fn ack_prunes_the_unacked_window_and_never_moves_backwards() {
+        let (rel, _) = reliability();
+        for i in 0..5u64 {
+            rel.retain_accepted(i, vec![i as u8]);
+        }
+        assert_eq!(rel.accept(&ack_frame(3)), Inbound::Control);
+        // A late, lower ack changes nothing…
+        assert_eq!(rel.accept(&ack_frame(1)), Inbound::Control);
+        // …so a frame the peer already acknowledged is not retained again.
+        rel.retain_accepted(2, vec![2]);
+        assert_eq!(rel.drain_unacked(), vec![vec![3], vec![4]]);
+        assert_eq!(rel.drain_unacked(), Vec::<Vec<u8>>::new());
+    }
+
+    #[test]
+    fn sync_from_a_restarted_peer_rewinds_the_watermark() {
+        let (rel, duplicates) = reliability();
+        for i in 0..5 {
+            rel.accept(&data(i, b"old life"));
+        }
+        rel.retain_accepted(0, vec![0]);
+        rel.retain_accepted(1, vec![1]);
+        // A peer that is merely reconnecting has sent at least what we
+        // have seen: the watermark stays, its ack prunes our window.
+        assert_eq!(rel.accept(&sync_frame(6, 1)), Inbound::Control);
+        assert_eq!(rel.rx_next.load(SeqCst), 5);
+        assert_eq!(rel.drain_unacked(), vec![vec![1]]);
+        // A peer whose send counter went backwards restarted: follow it
+        // down, or its fresh frames would be dropped as duplicates.
+        assert_eq!(rel.accept(&sync_frame(2, 0)), Inbound::Control);
+        assert_eq!(rel.rx_next.load(SeqCst), 2);
+        assert_eq!(
+            rel.accept(&data(2, b"new life")),
+            Inbound::Data(b"new life")
+        );
+        assert_eq!(duplicates.get(), 0);
+    }
+
+    #[test]
+    fn short_or_unknown_frames_are_rejected() {
+        let (rel, _) = reliability();
+        assert_eq!(rel.accept(&[]), Inbound::Reject);
+        // Every tag needs its 8-byte field; a sync needs two.
+        for tag in [FRAME_DATA, FRAME_ACK, FRAME_SYNC] {
+            assert_eq!(rel.accept(&[tag, 0, 0, 0, 0, 0, 0, 0]), Inbound::Reject);
+        }
+        assert_eq!(rel.accept(&sync_frame(0, 0)[..16]), Inbound::Reject);
+        let mut unknown = data(0, b"msg");
+        unknown[0] = 3;
+        assert_eq!(rel.accept(&unknown), Inbound::Reject);
+        assert_eq!(
+            rel.rx_next.load(SeqCst),
+            0,
+            "a rejected frame moves nothing"
+        );
+    }
+
+    #[test]
+    fn drain_unacked_returns_frames_in_index_order() {
+        let (rel, _) = reliability();
+        rel.retain_accepted(4, vec![4]);
+        rel.retain_accepted(6, vec![6]);
+        // Out of order or repeated: not retained (the socket accepts
+        // frames in index order; anything else is a stale requeue).
+        rel.retain_accepted(5, vec![5]);
+        rel.retain_accepted(6, vec![6]);
+        rel.retain_accepted(9, vec![9]);
+        assert_eq!(rel.drain_unacked(), vec![vec![4], vec![6], vec![9]]);
     }
 }

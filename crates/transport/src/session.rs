@@ -1,16 +1,18 @@
-//! An authenticated peering session over one TCP connection.
+//! Establishing an authenticated peering session over one TCP connection.
 //!
-//! A [`Session`] is the marriage of a socket and a
-//! [`SecureChannel`]: the handshake ([`establish_initiator`] /
-//! [`establish_responder`]) runs the message-based
-//! [`NetHandshake`] over length-prefixed frames, and every frame after
-//! it is a [`PeerMsg::Frame`] whose [`Sealed`] body the channel seals
-//! and opens. Sequence numbers are per-session: a reconnect starts a
+//! The handshake ([`establish_initiator_resumable`] /
+//! [`establish_responder_resumable`]) runs the message-based
+//! [`NetHandshake`] — or a ticket resumption — over length-prefixed
+//! frames on a blocking socket, on a short-lived thread of its own. What
+//! comes out is a [`Session`]: the socket, the authenticated peer and the
+//! two cipher halves, which the reactor takes over. Every frame after the
+//! handshake is a [`PeerMsg::Frame`] the reactor seals and opens with
+//! those halves. Sequence numbers are per-session: a reconnect starts a
 //! fresh channel, so plaintext queued across the outage is MAC'd under
 //! the new session's key.
 
 use crate::error::TransportError;
-use crate::frame::{read_frame, write_frame, write_frames_vectored, FRAME_HEADER_LEN};
+use crate::frame::{write_frame, FrameError, FRAME_HEADER_LEN};
 use crate::proto::PeerMsg;
 use crate::resume::{initiator_mac, mac_eq, responder_mac, ResumeTicket, TicketIssuer};
 use qos_core::channel::{
@@ -19,9 +21,9 @@ use qos_core::channel::{
 use qos_crypto::Timestamp;
 use qos_telemetry::StdClock;
 use std::collections::HashMap;
-use std::net::{Shutdown, TcpStream};
+use std::io::Read;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// How long a handshake may stall before the connection is abandoned.
@@ -43,156 +45,40 @@ fn send_msg(stream: &TcpStream, msg: &PeerMsg, max: usize) -> Result<(), Transpo
     Ok(())
 }
 
+/// Read exactly one handshake message off the blocking socket, and not
+/// a byte more: whatever follows it belongs to the reactor's decoder.
 fn recv_msg(stream: &TcpStream, max: usize) -> Result<PeerMsg, TransportError> {
     let mut r = stream;
-    match read_frame(&mut r, max)? {
-        Some(bytes) => Ok(qos_wire::from_bytes::<PeerMsg>(&bytes)?),
-        None => Err(TransportError::Protocol(
-            "peer closed the connection during the handshake".into(),
-        )),
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    r.read_exact(&mut header)?;
+    let len = u32::from_le_bytes(header) as usize;
+    if len > max {
+        return Err(FrameError::TooLarge {
+            len: len as u64,
+            max,
+        }
+        .into());
     }
+    let mut body = vec![0u8; len];
+    r.read_exact(&mut body)?;
+    Ok(qos_wire::from_bytes::<PeerMsg>(&body)?)
 }
 
-/// The writer-side state of a session: the outbound cipher half plus a
-/// reusable scratch buffer the sealed messages are encoded into. One
-/// mutex guards both (and serialises socket writes), and the reader
-/// never touches it.
-#[derive(Debug)]
-struct WriteState {
-    half: SealHalf,
-    scratch: Vec<u8>,
-    ranges: Vec<(usize, usize)>,
-}
-
-/// One live authenticated connection to a peer broker.
-///
-/// `send`/`send_batch` and `recv` are callable from different threads
-/// (writer and reader) and never contend: the handshake's
-/// [`SecureChannel`](qos_core::channel::SecureChannel) is split into a
-/// [`SealHalf`] and an [`OpenHalf`], each direction owning its own
-/// derived key and sequence counter behind its own mutex.
+/// One live authenticated connection to a peer broker, as the handshake
+/// leaves it. The reactor owns framing and sealing from here on: it
+/// registers `stream` non-blocking with its poll and drives the two
+/// halves itself. Each direction owns its own derived key and sequence
+/// counter, so the halves share nothing.
 #[derive(Debug)]
 pub struct Session {
-    peer: String,
-    stream: TcpStream,
-    seal: Mutex<WriteState>,
-    open: Mutex<OpenHalf>,
-    max_frame: usize,
-}
-
-impl Session {
+    /// The connected socket (still blocking).
+    pub stream: TcpStream,
     /// The authenticated peer's domain.
-    pub fn peer(&self) -> &str {
-        &self.peer
-    }
-
-    /// Seal `plaintext` and write it as one frame. Returns the frame
-    /// payload size in bytes (for byte counters). Takes a slice so a
-    /// failed write can re-queue the caller's copy untouched.
-    pub fn send(&self, plaintext: &[u8]) -> Result<usize, TransportError> {
-        self.send_batch(std::slice::from_ref(&plaintext))
-            .map_err(|(_, e)| e)
-    }
-
-    /// Seal a batch of plaintext frames and hand the whole batch to the
-    /// socket through one vectored write. Returns the total frame
-    /// payload bytes written (for byte counters).
-    ///
-    /// The sealed messages are encoded back-to-back into a scratch
-    /// buffer that persists across calls, so a steady-state writer
-    /// allocates nothing per batch. On failure, `Err((sent, err))`
-    /// reports how many frames of the batch were fully handed to the
-    /// socket — those may have reached the peer and must not be
-    /// retransmitted; the unsent tail is the caller's to re-queue.
-    pub fn send_batch<B: AsRef<[u8]>>(
-        &self,
-        frames: &[B],
-    ) -> Result<usize, (usize, TransportError)> {
-        if frames.is_empty() {
-            return Ok(0);
-        }
-        let mut st = self.seal.lock().unwrap_or_else(|e| e.into_inner());
-        let st = &mut *st;
-        st.scratch.clear();
-        st.ranges.clear();
-        for f in frames {
-            // In-place seal (DESIGN.md §D15): MAC over the caller's
-            // bytes where they lie, wire framing hand-encoded around
-            // them — no per-frame plaintext copy.
-            let (seq, mac) = st.half.seal_in_place(f.as_ref());
-            let start = st.scratch.len();
-            crate::proto::encode_sealed_frame_into(&mut st.scratch, f.as_ref(), seq, &mac);
-            st.ranges.push((start, st.scratch.len()));
-        }
-        let bodies: Vec<&[u8]> = st.ranges.iter().map(|&(a, b)| &st.scratch[a..b]).collect();
-        let mut w = &self.stream;
-        match write_frames_vectored(&mut w, &bodies, self.max_frame) {
-            Ok(()) => Ok(st.scratch.len()),
-            Err((written, e)) => {
-                // Count the frames whose header + body fit entirely in
-                // the accepted byte prefix.
-                let mut sent = 0usize;
-                let mut acc = 0usize;
-                for &(a, b) in &st.ranges {
-                    acc += FRAME_HEADER_LEN + (b - a);
-                    if written >= acc {
-                        sent += 1;
-                    } else {
-                        break;
-                    }
-                }
-                Err((sent, e.into()))
-            }
-        }
-    }
-
-    /// Read one frame and open it. `Ok(None)` means the peer closed the
-    /// connection cleanly at a frame boundary. Any MAC, ordering, or
-    /// protocol failure is an error — the session is then unusable and
-    /// must be torn down (sequence state cannot be resynchronised).
-    pub fn recv(&self) -> Result<Option<(Vec<u8>, usize)>, TransportError> {
-        let mut r = &self.stream;
-        let Some(bytes) = read_frame(&mut r, self.max_frame)? else {
-            return Ok(None);
-        };
-        let n = bytes.len();
-        match qos_wire::from_bytes::<PeerMsg>(&bytes)? {
-            PeerMsg::Frame(sealed) => {
-                let mut half = self.open.lock().unwrap_or_else(|e| e.into_inner());
-                Ok(Some((half.open(sealed)?, n)))
-            }
-            PeerMsg::Hello { .. }
-            | PeerMsg::Auth { .. }
-            | PeerMsg::ResumeHello { .. }
-            | PeerMsg::ResumeAccept { .. }
-            | PeerMsg::Ticket { .. } => Err(TransportError::Protocol(
-                "handshake message on an established session".into(),
-            )),
-        }
-    }
-
-    /// Tear the socket down; in-flight reads and writes on other threads
-    /// fail promptly.
-    pub fn shutdown(&self) {
-        let _ = self.stream.shutdown(Shutdown::Both);
-    }
-
-    /// Dismantle the session into its raw parts for a non-blocking
-    /// reactor: the socket, the authenticated peer domain, and the two
-    /// cipher halves with their sequence state intact. The reactor then
-    /// owns framing and sealing itself (via
-    /// [`FrameDecoder`](crate::frame::FrameDecoder) and the halves)
-    /// instead of the blocking [`Session::send_batch`]/[`Session::recv`]
-    /// calls.
-    pub fn into_parts(self) -> (TcpStream, String, SealHalf, OpenHalf) {
-        let seal = self
-            .seal
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .half;
-        let open = self.open.into_inner().unwrap_or_else(|e| e.into_inner());
-        (self.stream, self.peer, seal, open)
-    }
+    pub peer: String,
+    /// Outbound cipher half.
+    pub seal: SealHalf,
+    /// Inbound cipher half.
+    pub open: OpenHalf,
 }
 
 fn with_handshake_timeout<T>(
@@ -201,7 +87,6 @@ fn with_handshake_timeout<T>(
 ) -> Result<T, TransportError> {
     stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
     let out = f();
-    // Established sessions block indefinitely on the reader thread.
     let _ = stream.set_read_timeout(None);
     out
 }
@@ -238,47 +123,24 @@ pub enum HandshakeKind {
     Resumed,
 }
 
-fn finish(
-    stream: TcpStream,
-    channel: SecureChannel,
-    max_frame: usize,
-) -> Result<Session, TransportError> {
+fn finish(stream: TcpStream, channel: SecureChannel) -> Result<Session, TransportError> {
     let peer = channel
         .peer_dn()
         .org_unit()
         .ok_or_else(|| TransportError::Protocol("peer DN carries no domain".into()))?
         .to_string();
-    let (seal_half, open_half) = channel.split();
+    let (seal, open) = channel.split();
     Ok(Session {
-        peer,
         stream,
-        seal: Mutex::new(WriteState {
-            half: seal_half,
-            scratch: Vec::new(),
-            ranges: Vec::new(),
-        }),
-        open: Mutex::new(open_half),
-        max_frame,
+        peer,
+        seal,
+        open,
     })
 }
 
-/// Run the handshake as the connecting side. `pin` is the SLA pin for
-/// the one peer this connection is supposed to reach.
-///
-/// This is the non-resuming wrapper: wire-compatible with pre-ticket
-/// daemons (no `Ticket` message is expected after the handshake).
-pub fn establish_initiator(
-    stream: TcpStream,
-    identity: &ChannelIdentity,
-    pin: &PeerPin,
-    now: Timestamp,
-    max_frame: usize,
-) -> Result<Session, TransportError> {
-    establish_initiator_resumable(stream, identity, pin, now, max_frame, false, None)
-        .map(|(session, _, _)| session)
-}
-
 /// Run the handshake as the connecting side, with session resumption.
+/// `pin` is the SLA pin for the one peer this connection is supposed to
+/// reach.
 ///
 /// With `resume = true` and a cached `ticket`, the connection first
 /// attempts ticket redemption: `ResumeHello` out, `ResumeAccept` back,
@@ -384,7 +246,7 @@ pub fn establish_initiator_resumable(
         };
         Ok((channel, HandshakeKind::Full, fresh))
     })?;
-    Ok((finish(stream, channel, max_frame)?, kind, fresh_ticket))
+    Ok((finish(stream, channel)?, kind, fresh_ticket))
 }
 
 /// Receive the responder's post-handshake `Ticket` and bind it to this
@@ -406,25 +268,10 @@ fn expect_ticket(
     }
 }
 
-/// Run the handshake as the accepting side. The peer announces itself
-/// through its certificate; `pins` maps each *expected* peer domain to
-/// its SLA pin, and an inbound certificate for any other domain is
-/// rejected before our own hello is sent.
-///
-/// This is the non-resuming wrapper: resume attempts are rejected into
-/// full handshakes and no tickets are issued.
-pub fn establish_responder(
-    stream: TcpStream,
-    identity: &ChannelIdentity,
-    pins: &HashMap<String, PeerPin>,
-    now: Timestamp,
-    max_frame: usize,
-) -> Result<Session, TransportError> {
-    establish_responder_resumable(stream, identity, pins, now, max_frame, None)
-        .map(|(session, _)| session)
-}
-
 /// Run the handshake as the accepting side, with session resumption.
+/// The peer announces itself through its certificate; `pins` maps each
+/// *expected* peer domain to its SLA pin, and an inbound certificate for
+/// any other domain is rejected before our own hello is sent.
 ///
 /// With an `issuer`, an inbound `ResumeHello` whose ticket redeems (MAC
 /// valid, unexpired, present in the store, certificate still valid and
@@ -490,7 +337,7 @@ pub fn establish_responder_resumable(
         send_ticket(&stream, &channel, issuer, now, max_frame)?;
         Ok((channel, HandshakeKind::Full))
     })?;
-    Ok((finish(stream, channel, max_frame)?, kind))
+    Ok((finish(stream, channel)?, kind))
 }
 
 fn pin_for<'a>(
@@ -576,7 +423,8 @@ fn send_ticket(
 mod tests {
     use super::*;
     use crate::frame::MAX_FRAME_LEN;
-    use qos_crypto::{CertificateAuthority, DistinguishedName, KeyPair, Validity};
+    use crate::reactor::broker_pin as pin;
+    use qos_crypto::{CertificateAuthority, DistinguishedName, KeyPair, PublicKey, Validity};
     use std::net::TcpListener;
 
     fn identity(ca: &mut CertificateAuthority, domain: &str) -> ChannelIdentity {
@@ -589,130 +437,58 @@ mod tests {
         ChannelIdentity { key, cert }
     }
 
+    fn fixture() -> (ChannelIdentity, ChannelIdentity, PublicKey) {
+        let mut ca = CertificateAuthority::new(
+            DistinguishedName::authority("CA"),
+            KeyPair::from_seed(b"ca"),
+        );
+        let ia = identity(&mut ca, "alpha");
+        let ib = identity(&mut ca, "beta");
+        (ia, ib, ca.public_key())
+    }
+
+    /// The two ends hold the same keys: what one seals the other opens,
+    /// in both directions.
+    fn assert_keys_agree(a: &mut Session, b: &mut Session) {
+        for (seal, open, plain) in [
+            (&mut a.seal, &mut b.open, &b"sealed over tcp"[..]),
+            (&mut b.seal, &mut a.open, b"and back"),
+        ] {
+            let (seq, mac) = seal.seal_in_place(plain);
+            open.open_in_place(plain, seq, &mac).unwrap();
+        }
+    }
+
     #[test]
     fn loopback_session_round_trip() {
-        let mut ca = CertificateAuthority::new(
-            DistinguishedName::authority("CA"),
-            KeyPair::from_seed(b"ca"),
-        );
-        let ca_key = ca.public_key();
-        let ia = identity(&mut ca, "alpha");
-        let ib = identity(&mut ca, "beta");
-
+        // The non-resuming wire behaviour: no issuer, no ticket message.
+        let (ia, ib, ca_key) = fixture();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let responder = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
-            let pins = HashMap::from([(
-                "alpha".to_string(),
-                PeerPin {
-                    ca_key,
-                    dn: DistinguishedName::broker("alpha"),
-                },
-            )]);
-            establish_responder(stream, &ib, &pins, Timestamp::ZERO, MAX_FRAME_LEN).unwrap()
+            let pins = HashMap::from([("alpha".to_string(), pin(ca_key, "alpha"))]);
+            establish_responder_resumable(stream, &ib, &pins, Timestamp::ZERO, MAX_FRAME_LEN, None)
+                .unwrap()
         });
 
         let stream = TcpStream::connect(addr).unwrap();
-        let pin = PeerPin {
-            ca_key,
-            dn: DistinguishedName::broker("beta"),
-        };
-        let a = establish_initiator(stream, &ia, &pin, Timestamp::ZERO, MAX_FRAME_LEN).unwrap();
-        let b = responder.join().unwrap();
-        assert_eq!(a.peer(), "beta");
-        assert_eq!(b.peer(), "alpha");
-
-        a.send(b"sealed over tcp").unwrap();
-        let (plain, _) = b.recv().unwrap().unwrap();
-        assert_eq!(plain, b"sealed over tcp");
-        b.send(b"and back").unwrap();
-        let (plain, _) = a.recv().unwrap().unwrap();
-        assert_eq!(plain, b"and back");
-
-        a.shutdown();
-        assert!(matches!(b.recv(), Ok(None) | Err(_)));
-    }
-
-    fn loopback_pair() -> (Session, Session) {
-        let mut ca = CertificateAuthority::new(
-            DistinguishedName::authority("CA"),
-            KeyPair::from_seed(b"ca"),
-        );
-        let ca_key = ca.public_key();
-        let ia = identity(&mut ca, "alpha");
-        let ib = identity(&mut ca, "beta");
-
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let responder = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let pins = HashMap::from([(
-                "alpha".to_string(),
-                PeerPin {
-                    ca_key,
-                    dn: DistinguishedName::broker("alpha"),
-                },
-            )]);
-            establish_responder(stream, &ib, &pins, Timestamp::ZERO, MAX_FRAME_LEN).unwrap()
-        });
-        let stream = TcpStream::connect(addr).unwrap();
-        let pin = PeerPin {
-            ca_key,
-            dn: DistinguishedName::broker("beta"),
-        };
-        let a = establish_initiator(stream, &ia, &pin, Timestamp::ZERO, MAX_FRAME_LEN).unwrap();
-        (a, responder.join().unwrap())
-    }
-
-    #[test]
-    fn send_batch_round_trips_every_frame_in_order() {
-        let (a, b) = loopback_pair();
-        let frames: Vec<Vec<u8>> = (0..17u8).map(|i| vec![i; 1 + i as usize]).collect();
-        let bytes = a.send_batch(&frames).unwrap();
-        assert!(bytes > 0);
-        for f in &frames {
-            let (plain, _) = b.recv().unwrap().unwrap();
-            assert_eq!(&plain, f);
-        }
-    }
-
-    /// Seal and open never contend after the direction split: both ends
-    /// run a full-duplex exchange with simultaneous sends and receives
-    /// on independent threads, and every frame opens in order. Under the
-    /// old single `Mutex<SecureChannel>` this serialised sends behind
-    /// in-flight receives; with split halves each direction progresses
-    /// alone.
-    #[test]
-    fn seal_and_open_proceed_in_parallel() {
-        use std::sync::Arc;
-        const N: usize = 200;
-        let (a, b) = loopback_pair();
-        let (a, b) = (Arc::new(a), Arc::new(b));
-
-        let mut handles = Vec::new();
-        for (tx, rx, tag) in [(a.clone(), b.clone(), 0u8), (b.clone(), a.clone(), 1u8)] {
-            let sender = std::thread::spawn(move || {
-                for i in 0..N {
-                    tx.send(&[tag, i as u8]).unwrap();
-                }
-            });
-            let receiver = std::thread::spawn(move || {
-                // Each direction has its own sequence space, so frames
-                // arrive strictly in send order even while the opposite
-                // direction is mid-flight.
-                let want = if tag == 0 { 0u8 } else { 1u8 };
-                for i in 0..N {
-                    let (plain, _) = rx.recv().unwrap().unwrap();
-                    assert_eq!(plain, vec![want, i as u8]);
-                }
-            });
-            handles.push(sender);
-            handles.push(receiver);
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        let (mut a, kind, ticket) = establish_initiator_resumable(
+            stream,
+            &ia,
+            &pin(ca_key, "beta"),
+            Timestamp::ZERO,
+            MAX_FRAME_LEN,
+            false,
+            None,
+        )
+        .unwrap();
+        let (mut b, _) = responder.join().unwrap();
+        assert_eq!(kind, HandshakeKind::Full);
+        assert!(ticket.is_none());
+        assert_eq!(a.peer, "beta");
+        assert_eq!(b.peer, "alpha");
+        assert_keys_agree(&mut a, &mut b);
     }
 
     /// One resumable loopback handshake: the initiator presents
@@ -725,25 +501,12 @@ mod tests {
         (Session, HandshakeKind, Option<ResumeTicket>),
         (Session, HandshakeKind),
     ) {
-        let mut ca = CertificateAuthority::new(
-            DistinguishedName::authority("CA"),
-            KeyPair::from_seed(b"ca"),
-        );
-        let ca_key = ca.public_key();
-        let ia = identity(&mut ca, "alpha");
-        let ib = identity(&mut ca, "beta");
-
+        let (ia, ib, ca_key) = fixture();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let responder = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
-            let pins = HashMap::from([(
-                "alpha".to_string(),
-                PeerPin {
-                    ca_key,
-                    dn: DistinguishedName::broker("alpha"),
-                },
-            )]);
+            let pins = HashMap::from([("alpha".to_string(), pin(ca_key, "alpha"))]);
             establish_responder_resumable(
                 stream,
                 &ib,
@@ -755,14 +518,10 @@ mod tests {
             .unwrap()
         });
         let stream = TcpStream::connect(addr).unwrap();
-        let pin = PeerPin {
-            ca_key,
-            dn: DistinguishedName::broker("beta"),
-        };
         let i = establish_initiator_resumable(
             stream,
             &ia,
-            &pin,
+            &pin(ca_key, "beta"),
             Timestamp::ZERO,
             MAX_FRAME_LEN,
             true,
@@ -782,78 +541,62 @@ mod tests {
         let issuer = Arc::new(TicketIssuer::with_key([3; 32], 3600, 16));
 
         // Round 1: full handshake, ticket captured.
-        let ((a, kind_a, ticket), (b, kind_b)) = resumable_pair(None, issuer.clone());
+        let ((_, kind_a, ticket), (_, kind_b)) = resumable_pair(None, issuer.clone());
         assert_eq!(kind_a, HandshakeKind::Full);
         assert_eq!(kind_b, HandshakeKind::Full);
         let ticket = ticket.expect("full handshake must yield a ticket");
-        a.shutdown();
-        b.shutdown();
 
         // Round 2: reconnect with the ticket.
-        let ((a2, kind_a2, fresh), (b2, kind_b2)) = resumable_pair(Some(&ticket), issuer);
+        let ((mut a2, kind_a2, fresh), (mut b2, kind_b2)) = resumable_pair(Some(&ticket), issuer);
         assert_eq!(kind_a2, HandshakeKind::Resumed);
         assert_eq!(kind_b2, HandshakeKind::Resumed);
         assert!(fresh.is_none(), "resumed session keeps its old ticket");
 
         // The resumed channel carries traffic in both directions.
-        a2.send(b"resumed traffic").unwrap();
-        assert_eq!(b2.recv().unwrap().unwrap().0, b"resumed traffic");
-        b2.send(b"ack").unwrap();
-        assert_eq!(a2.recv().unwrap().unwrap().0, b"ack");
+        assert_keys_agree(&mut a2, &mut b2);
     }
 
     #[test]
     fn unknown_ticket_falls_back_to_full_handshake() {
         use std::sync::Arc;
         let issuer = Arc::new(TicketIssuer::with_key([3; 32], 3600, 16));
-        let ((a, _, ticket), (b, _)) = resumable_pair(None, issuer);
+        let ((_, _, ticket), _) = resumable_pair(None, issuer);
         let ticket = ticket.unwrap();
-        a.shutdown();
-        b.shutdown();
 
         // The acceptor "restarts": a new issuer that has never seen the
         // ticket. The connection must degrade to a full handshake — and
         // still hand out a new ticket for the round after.
         let fresh_issuer = Arc::new(TicketIssuer::with_key([4; 32], 3600, 16));
-        let ((a2, kind_a2, fresh), (b2, kind_b2)) = resumable_pair(Some(&ticket), fresh_issuer);
+        let ((mut a2, kind_a2, fresh), (mut b2, kind_b2)) =
+            resumable_pair(Some(&ticket), fresh_issuer);
         assert_eq!(kind_a2, HandshakeKind::Full);
         assert_eq!(kind_b2, HandshakeKind::Full);
         assert!(fresh.is_some(), "fallback re-issues a ticket");
-        a2.send(b"still works").unwrap();
-        assert_eq!(b2.recv().unwrap().unwrap().0, b"still works");
+        assert_keys_agree(&mut a2, &mut b2);
     }
 
     #[test]
     fn unpinned_inbound_peer_rejected() {
-        let mut ca = CertificateAuthority::new(
-            DistinguishedName::authority("CA"),
-            KeyPair::from_seed(b"ca"),
-        );
-        let ca_key = ca.public_key();
-        let ia = identity(&mut ca, "alpha");
-        let ib = identity(&mut ca, "beta");
-
+        let (ia, ib, ca_key) = fixture();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let responder = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
             // Responder only pins "gamma"; alpha must be refused.
-            let pins = HashMap::from([(
-                "gamma".to_string(),
-                PeerPin {
-                    ca_key,
-                    dn: DistinguishedName::broker("gamma"),
-                },
-            )]);
-            establish_responder(stream, &ib, &pins, Timestamp::ZERO, MAX_FRAME_LEN)
+            let pins = HashMap::from([("gamma".to_string(), pin(ca_key, "gamma"))]);
+            establish_responder_resumable(stream, &ib, &pins, Timestamp::ZERO, MAX_FRAME_LEN, None)
         });
 
         let stream = TcpStream::connect(addr).unwrap();
-        let pin = PeerPin {
-            ca_key,
-            dn: DistinguishedName::broker("beta"),
-        };
-        let res = establish_initiator(stream, &ia, &pin, Timestamp::ZERO, MAX_FRAME_LEN);
+        let res = establish_initiator_resumable(
+            stream,
+            &ia,
+            &pin(ca_key, "beta"),
+            Timestamp::ZERO,
+            MAX_FRAME_LEN,
+            false,
+            None,
+        );
         assert!(res.is_err(), "initiator must not complete");
         assert!(matches!(
             responder.join().unwrap(),

@@ -5,11 +5,57 @@
 use proptest::prelude::*;
 use qos_core::channel::{Sealed, SealedRef};
 use qos_transport::{
-    read_frame, write_frame, FrameDecoder, OutQueue, OverflowPolicy, PeerMsg, PooledFrameDecoder,
-    PushOutcome, MAX_FRAME_LEN,
+    write_frame, FrameError, OutQueue, PeerMsg, PooledFrameDecoder, PushOutcome, MAX_FRAME_LEN,
 };
 use qos_wire::BufferPool;
 use std::collections::VecDeque;
+
+/// The owned frame decoder the reactor ran before the pooled one
+/// replaced it, kept here as the reference model the pooled ≡ owned
+/// properties compare against: one growing `Vec`, one fresh `Vec` per
+/// frame, no pool, no fallback, nothing to get wrong.
+struct FrameDecoder {
+    buf: Vec<u8>,
+    max: usize,
+}
+
+impl FrameDecoder {
+    fn new(max: usize) -> Self {
+        Self {
+            buf: Vec::new(),
+            max,
+        }
+    }
+
+    fn push(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// `Ok(None)` means more bytes are needed. The length prefix is
+    /// validated against the ceiling as soon as it is readable.
+    fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
+        if self.buf.len() < 4 {
+            return Ok(None);
+        }
+        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
+        if len > self.max {
+            return Err(FrameError::TooLarge {
+                len: len as u64,
+                max: self.max,
+            });
+        }
+        if self.buf.len() < 4 + len {
+            return Ok(None);
+        }
+        let frame = self.buf[4..4 + len].to_vec();
+        self.buf.drain(..4 + len);
+        Ok(Some(frame))
+    }
+
+    fn is_idle(&self) -> bool {
+        self.buf.is_empty()
+    }
+}
 
 fn arb_sealed() -> impl Strategy<Value = Sealed> {
     (
@@ -34,7 +80,7 @@ fn encode_stream(frames: &[Sealed]) -> Vec<u8> {
     out
 }
 
-/// Decode an entire stream with the legacy owned decoder, feeding it in
+/// Decode an entire stream with the reference decoder, feeding it in
 /// `chunk`-byte pieces and draining after each piece.
 fn decode_owned(stream: &[u8], chunk: usize) -> (Vec<Vec<u8>>, bool) {
     let mut d = FrameDecoder::new(MAX_FRAME_LEN);
@@ -71,12 +117,12 @@ proptest! {
         chunk in 1usize..64,
     ) {
         let stream = encode_stream(&frames);
-        let mut decoder = FrameDecoder::new(MAX_FRAME_LEN);
+        let mut decoder = PooledFrameDecoder::new(MAX_FRAME_LEN, BufferPool::new(2));
         let mut got = Vec::new();
         for piece in stream.chunks(chunk) {
             decoder.push(piece);
             while let Some(body) = decoder.next_frame().unwrap() {
-                match qos_wire::from_bytes::<PeerMsg>(&body).unwrap() {
+                match qos_wire::from_bytes::<PeerMsg>(body.bytes()).unwrap() {
                     PeerMsg::Frame(s) => got.push(s),
                     other => prop_assert!(false, "unexpected message {:?}", other),
                 }
@@ -86,24 +132,9 @@ proptest! {
         prop_assert_eq!(got, frames);
     }
 
-    /// The blocking reader agrees with the push decoder.
-    #[test]
-    fn blocking_reader_round_trips(frames in proptest::collection::vec(arb_sealed(), 1..6)) {
-        let stream = encode_stream(&frames);
-        let mut cursor = &stream[..];
-        for f in &frames {
-            let body = read_frame(&mut cursor, MAX_FRAME_LEN).unwrap().unwrap();
-            match qos_wire::from_bytes::<PeerMsg>(&body).unwrap() {
-                PeerMsg::Frame(s) => prop_assert_eq!(&s, f),
-                other => prop_assert!(false, "unexpected message {:?}", other),
-            }
-        }
-        prop_assert!(read_frame(&mut cursor, MAX_FRAME_LEN).unwrap().is_none());
-    }
-
     /// Truncating the stream anywhere is detected, never a panic: the
-    /// blocking reader yields only full frames, then a truncation error
-    /// (or clean EOF exactly at a frame boundary).
+    /// decoder yields only full frames, and is left idle exactly when
+    /// the cut fell on a frame boundary.
     #[test]
     fn truncation_detected_without_panic(
         frames in proptest::collection::vec(arb_sealed(), 1..4),
@@ -111,21 +142,16 @@ proptest! {
     ) {
         let stream = encode_stream(&frames);
         let cut = stream.len() * cut_sel / 1000;
-        let mut cursor = &stream[..cut];
-        let mut decoded = 0usize;
-        loop {
-            match read_frame(&mut cursor, MAX_FRAME_LEN) {
-                Ok(Some(body)) => {
-                    // Every completed frame is a prefix-intact original.
-                    let msg = qos_wire::from_bytes::<PeerMsg>(&body).unwrap();
-                    prop_assert!(matches!(msg, PeerMsg::Frame(_)));
-                    decoded += 1;
-                }
-                Ok(None) => break,          // clean EOF at a boundary
-                Err(_) => break,            // truncation mid-frame, detected
-            }
+        let mut decoder = PooledFrameDecoder::new(MAX_FRAME_LEN, BufferPool::new(2));
+        decoder.push(&stream[..cut]);
+        let mut consumed = 0usize;
+        while let Some(body) = decoder.next_frame().unwrap() {
+            // Every completed frame is a prefix-intact original.
+            let msg = qos_wire::from_bytes::<PeerMsg>(body.bytes()).unwrap();
+            prop_assert!(matches!(msg, PeerMsg::Frame(_)));
+            consumed += 4 + body.len();
         }
-        prop_assert!(decoded <= frames.len());
+        prop_assert_eq!(decoder.is_idle(), consumed == cut);
     }
 
     /// Flipping any byte of the stream never panics the decoder chain;
@@ -139,10 +165,10 @@ proptest! {
         let mut stream = encode_stream(&frames);
         let pos = (stream.len() - 1) * pos_sel / 1000;
         stream[pos] ^= xor;
-        let mut decoder = FrameDecoder::new(MAX_FRAME_LEN);
+        let mut decoder = PooledFrameDecoder::new(MAX_FRAME_LEN, BufferPool::new(2));
         decoder.push(&stream);
         while let Ok(Some(body)) = decoder.next_frame() {
-            let _ = qos_wire::from_bytes::<PeerMsg>(&body);
+            let _ = qos_wire::from_bytes::<PeerMsg>(body.bytes());
         }
     }
 
@@ -153,65 +179,56 @@ proptest! {
         garbage in proptest::collection::vec(any::<u8>(), 0..400),
         max in 1usize..256,
     ) {
-        let mut decoder = FrameDecoder::new(max);
+        let mut decoder = PooledFrameDecoder::new(max, BufferPool::new(2));
         decoder.push(&garbage);
         while let Ok(Some(frame)) = decoder.next_frame() {
             prop_assert!(frame.len() <= max);
         }
     }
 
-    /// `pop_batch` agrees with a reference deque under every overflow
-    /// policy: batches come out in FIFO order, never exceed `max`, and
-    /// each push reports the exact outcome the policy dictates.
-    /// (Operations that would block — a full-queue push under `Block`, a
-    /// pop on an empty queue — are skipped, since this is one thread.)
+    /// `try_pop_batch` agrees with a reference deque: batches come out
+    /// in FIFO order and never exceed `max`, a push that finds room is
+    /// queued, a push that would block is handed back, and a closed
+    /// queue refuses everything.
     #[test]
     fn pop_batch_preserves_fifo_and_policy(
         capacity in 1usize..8,
-        policy_sel in 0u8..3,
         ops in proptest::collection::vec((any::<bool>(), 1usize..6), 1..64),
+        close_after in proptest::option::of(0usize..64),
     ) {
-        let policy = match policy_sel {
-            0 => OverflowPolicy::Block,
-            1 => OverflowPolicy::DropNewest,
-            _ => OverflowPolicy::DropOldest,
-        };
-        let q = OutQueue::new(capacity, policy);
+        let q = OutQueue::new(capacity);
         let mut model: VecDeque<Vec<u8>> = VecDeque::new();
         let mut next_id = 0u8;
-        for (is_push, arg) in ops {
+        for (step, (is_push, arg)) in ops.into_iter().enumerate() {
+            if close_after == Some(step) {
+                q.close();
+                prop_assert_eq!(q.push(vec![0]), PushOutcome::Closed);
+                prop_assert_eq!(q.try_push(vec![0]), Ok(PushOutcome::Closed));
+                prop_assert_eq!(q.try_pop_batch(arg), None);
+                prop_assert!(q.is_empty());
+                return Ok(());
+            }
             if is_push {
                 let frame = vec![next_id];
                 next_id = next_id.wrapping_add(1);
-                let outcome = if model.len() < capacity {
+                if model.len() < capacity {
                     model.push_back(frame.clone());
-                    PushOutcome::Queued
+                    prop_assert_eq!(q.push(frame), PushOutcome::Queued);
                 } else {
-                    match policy {
-                        OverflowPolicy::Block => continue, // would block
-                        OverflowPolicy::DropNewest => PushOutcome::DroppedNewest,
-                        OverflowPolicy::DropOldest => {
-                            model.pop_front();
-                            model.push_back(frame.clone());
-                            PushOutcome::DroppedOldest
-                        }
-                    }
-                };
-                prop_assert_eq!(q.push(frame), outcome);
-            } else {
-                if model.is_empty() {
-                    continue; // would block
+                    // `push` would block; `try_push` hands the frame back.
+                    prop_assert_eq!(q.try_push(frame.clone()), Err(frame));
                 }
+            } else {
                 let n = model.len().min(arg);
                 let want: Vec<Vec<u8>> = model.drain(..n).collect();
-                prop_assert_eq!(q.pop_batch(arg).unwrap(), want);
+                prop_assert_eq!(q.try_pop_batch(arg).unwrap(), want);
             }
             prop_assert_eq!(q.len(), model.len());
         }
         // Drain whatever is left; it must be the model's remainder, in order.
         while !model.is_empty() {
             let want: Vec<Vec<u8>> = model.drain(..model.len().min(3)).collect();
-            prop_assert_eq!(q.pop_batch(3).unwrap(), want);
+            prop_assert_eq!(q.try_pop_batch(3).unwrap(), want);
         }
         prop_assert!(q.is_empty());
     }
@@ -232,7 +249,7 @@ proptest! {
 
     /// An exhausted pool engages the owned fallback: every frame is
     /// delivered un-pooled, the fallback counter moves, and the decoded
-    /// stream is still byte-identical to the legacy decoder's.
+    /// stream is still byte-identical to the reference decoder's.
     #[test]
     fn pool_exhaustion_fallback_matches_owned(
         frames in proptest::collection::vec(arb_sealed(), 1..6),

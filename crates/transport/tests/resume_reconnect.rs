@@ -109,28 +109,30 @@ fn resumed_reconnect_performs_zero_schnorr_operations() {
 
     // Round 1: the full handshake (signatures on both sides) earns the
     // resumption ticket.
-    let ((a, kind_a, ticket), (b, kind_b)) = resumable_pair(&ia, ib, ca_key, None, issuer.clone());
+    let ((_, kind_a, ticket), (_, kind_b)) = resumable_pair(&ia, ib, ca_key, None, issuer.clone());
     assert_eq!(kind_a, HandshakeKind::Full);
     assert_eq!(kind_b, HandshakeKind::Full);
     let ticket = ticket.expect("full handshake must yield a ticket");
-    a.shutdown();
-    b.shutdown();
 
     // Round 2: reconnect with the ticket, counting every Schnorr
     // operation the whole process performs in the meantime.
     let signs_before = qos_crypto::schnorr::sign_ops();
     let verifies_before = qos_crypto::schnorr::verify_ops();
-    let ((a2, kind_a2, fresh), (b2, kind_b2)) =
+    let ((mut a2, kind_a2, fresh), (mut b2, kind_b2)) =
         resumable_pair(&ia, ib2, ca_key, Some(&ticket), issuer);
     assert_eq!(kind_a2, HandshakeKind::Resumed);
     assert_eq!(kind_b2, HandshakeKind::Resumed);
     assert!(fresh.is_none(), "a resumed session keeps its old ticket");
 
-    // The resumed channel must actually carry sealed traffic…
-    a2.send(b"resumed").unwrap();
-    assert_eq!(b2.recv().unwrap().unwrap().0, b"resumed");
-    b2.send(b"ack").unwrap();
-    assert_eq!(a2.recv().unwrap().unwrap().0, b"ack");
+    // The resumed ends must actually agree on the keys: what one
+    // seals the other opens, both ways…
+    for (seal, open, plain) in [
+        (&mut a2.seal, &mut b2.open, &b"resumed"[..]),
+        (&mut b2.seal, &mut a2.open, b"ack"),
+    ] {
+        let (seq, mac) = seal.seal_in_place(plain);
+        open.open_in_place(plain, seq, &mac).unwrap();
+    }
 
     // …and the entire reconnect + exchange costs zero Schnorr work.
     assert_eq!(

@@ -129,11 +129,22 @@ fn channel_replay_and_splice_rejected() {
         ca_key: ca.public_key(),
         dn: DistinguishedName::broker(dn),
     };
-    let (mut ch_a, mut ch_b) =
-        handshake(&a, &b, &pin("domain-b"), &pin("domain-a"), 1, Timestamp(0)).unwrap();
+    // One direction of a session: a's sealing half, b's opening half.
+    let session = |nonce| {
+        let (ch_a, ch_b) = handshake(
+            &a,
+            &b,
+            &pin("domain-b"),
+            &pin("domain-a"),
+            nonce,
+            Timestamp(0),
+        )
+        .unwrap();
+        (ch_a.split().0, ch_b.split().1)
+    };
+    let (mut ch_a, mut ch_b) = session(1);
     // A second, independent session between the same parties.
-    let (mut ch_a2, mut ch_b2) =
-        handshake(&a, &b, &pin("domain-b"), &pin("domain-a"), 2, Timestamp(0)).unwrap();
+    let (mut ch_a2, mut ch_b2) = session(2);
 
     let frame = ch_a.seal(b"reserve".to_vec());
     assert!(ch_b.open(frame.clone()).is_ok());
