@@ -63,7 +63,8 @@ const VERIFY_REPS: usize = 100;
 const VERIFY_PASSES: usize = 5;
 /// Reliability-header data tag (`reactor::FRAME_DATA`).
 const FRAME_DATA: u8 = 0;
-const RELIABILITY_HEADER: usize = 9;
+/// `[tag][u64 index][u64 ack]` (`reactor::DATA_HEADER`).
+const RELIABILITY_HEADER: usize = 17;
 const COLD_WARMUP: usize = 8;
 const COLD_OPS: usize = 32;
 
@@ -364,6 +365,7 @@ fn main() {
         let mut plain = Vec::with_capacity(RELIABILITY_HEADER + 128);
         plain.push(FRAME_DATA);
         plain.extend_from_slice(&index.to_le_bytes());
+        plain.extend_from_slice(&index.to_le_bytes()); // the ack riding along
         qos_wire::encode_into(msg, &mut plain);
         plain
     };

@@ -20,6 +20,14 @@
 //! delivery, so messages for one reservation can never reorder or
 //! interleave.
 //!
+//! The same rule admits a third party beside owner and thief: the
+//! fabric's own thread. [`ShardedNode::try_run_peer`] `try_lock`s the
+//! message's shard and, if nothing is queued ahead of it, runs it there
+//! and then through the caller's sink — a lone message in an idle broker
+//! then costs no thread hand-off at all (DESIGN.md §D20). Anything else
+//! is handed back to be queued, so a run of messages still reaches the
+//! workers as one batch.
+//!
 //! Outbound messages and completions leave through a [`ShardSink`]
 //! supplied by the fabric (actor mailboxes or the TCP reactor), which
 //! is how both fabrics exercise this one admission core.
@@ -143,39 +151,60 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 /// generation: a worker reads it *before* it scans the queues and parks
 /// only if it has not moved since, so a dispatch that lands between the
 /// scan and the park is answered at once instead of waiting for the
-/// next ring or the timeout.
+/// next ring or the timeout. A ring signals the condition variable only
+/// while a worker is parked on it (`Condvar::notify_*` is a system call
+/// whether or not anyone waits); the count lives under the generation's
+/// mutex, so "nobody parked" and "generation moved" are one observation:
+/// a worker about to park either sees the new generation or is counted.
 #[derive(Default)]
 struct Doorbell {
-    generation: Mutex<u64>,
+    state: Mutex<BellState>,
     cv: Condvar,
+}
+
+#[derive(Default)]
+struct BellState {
+    generation: u64,
+    parked: usize,
 }
 
 impl Doorbell {
     fn generation(&self) -> u64 {
-        *lock(&self.generation)
+        lock(&self.state).generation
     }
 
-    fn ring(&self) {
-        *lock(&self.generation) += 1;
-        self.cv.notify_one();
+    /// Returns whether a parked worker was signalled.
+    fn ring(&self) -> bool {
+        let mut g = lock(&self.state);
+        g.generation += 1;
+        let wake = g.parked > 0;
+        if wake {
+            self.cv.notify_one();
+        }
+        wake
     }
 
     fn ring_all(&self) {
-        *lock(&self.generation) += 1;
-        self.cv.notify_all();
+        let mut g = lock(&self.state);
+        g.generation += 1;
+        if g.parked > 0 {
+            self.cv.notify_all();
+        }
     }
 
     /// Park until the next ring, at most `timeout` — unless the bell
     /// was rung since the caller read `seen`. Returns whether it parked.
     fn park_unless_rung_since(&self, seen: u64, timeout: Duration) -> bool {
-        let g = lock(&self.generation);
-        if *g != seen {
+        let mut g = lock(&self.state);
+        if g.generation != seen {
             return false;
         }
-        let _ = self
+        g.parked += 1;
+        let (mut g, _) = self
             .cv
             .wait_timeout(g, timeout)
             .unwrap_or_else(|e| e.into_inner());
+        g.parked -= 1;
         true
     }
 }
@@ -193,6 +222,9 @@ struct Inner {
     /// (`shard_busy_ns_total{shard}`) — the admin plane's `/shards`
     /// busy gauge reads these cells.
     busy: Vec<Counter>,
+    /// Messages the fabric's thread ran itself, per shard
+    /// (`shard_inline_runs_total{shard}`, [`ShardedNode::try_run_peer`]).
+    inline_runs: Vec<Counter>,
     /// Accumulated time each *worker* spent parked on the doorbell
     /// (`shard_idle_ns_total{worker}`).
     idle: Vec<Counter>,
@@ -277,6 +309,15 @@ impl ShardedNode {
                 )
             })
             .collect();
+        let inline_runs = (0..shards)
+            .map(|i| {
+                telemetry.counter(
+                    "shard_inline_runs_total",
+                    "Lone messages the fabric's own thread ran on an idle shard, no worker woken",
+                    &[("domain", &domain), ("shard", &i.to_string())],
+                )
+            })
+            .collect();
         let idle = (0..worker_count)
             .map(|i| {
                 telemetry.counter(
@@ -293,6 +334,7 @@ impl ShardedNode {
             sink,
             steals,
             busy,
+            inline_runs,
             idle,
             flight: telemetry.flight().cloned(),
             completion_latency: telemetry.histogram(
@@ -373,6 +415,43 @@ impl ShardedNode {
             1 => self.ring(),
             _ => self.ring_all(),
         }
+    }
+
+    /// Run one authenticated peer message on the *calling* thread, if
+    /// its shard is idle: nobody holds the shard's node lock and nothing
+    /// is queued ahead of it. Outputs and completions leave through
+    /// `sink`, the caller's, not the workers'. Otherwise the message
+    /// comes back untouched, to be queued. The locking rule holds as for
+    /// a thief — the caller processes shard j's message under j's node
+    /// lock and found j's queue empty under it — so arrival order within
+    /// a shard is kept whichever way consecutive messages go.
+    pub fn try_run_peer(
+        &self,
+        from: &str,
+        msg: SignalMessage,
+        enqueued_ns: u64,
+        sink: &dyn ShardSink,
+    ) -> Result<(), Box<SignalMessage>> {
+        let inner = &*self.inner;
+        let s = shard_of(msg.rar_id().0, inner.shards.len());
+        let shard = &inner.shards[s];
+        let msg = Box::new(msg);
+        let Some(mut state) = try_lock_state(shard) else {
+            return Err(msg);
+        };
+        if !lock(&shard.queue).is_empty() {
+            return Err(msg);
+        }
+        let lone = ShardMsg::Peer {
+            from: from.to_string(),
+            msg,
+            enqueued_ns,
+        };
+        process_batch(inner, s, sink, &mut state, vec![lone]);
+        if inner.live {
+            inner.inline_runs[s].inc();
+        }
+        Ok(())
     }
 
     /// Enqueue a local user submission.
@@ -492,17 +571,22 @@ impl ShardedNode {
     }
 
     /// Per-shard runtime stats for the admin plane's `/shards` route:
-    /// `(queue depth, busy ns, batches stolen from this shard)`. Busy
-    /// and steal figures read the shard's metric cells, so they are 0
-    /// when no registry is installed.
-    pub fn shard_stats(&self) -> Vec<(usize, u64, u64)> {
+    /// `(queue depth, busy ns, batches stolen from this shard, messages
+    /// run inline by the fabric's thread)`. All but the depth read the
+    /// shard's metric cells, so they are 0 when no registry is installed.
+    pub fn shard_stats(&self) -> Vec<(usize, u64, u64, u64)> {
         self.inner
             .shards
             .iter()
             .enumerate()
             .map(|(i, s)| {
                 let stolen: u64 = self.inner.steals[i].iter().map(Counter::get).sum();
-                (lock(&s.queue).len(), self.inner.busy[i].get(), stolen)
+                (
+                    lock(&s.queue).len(),
+                    self.inner.busy[i].get(),
+                    stolen,
+                    self.inner.inline_runs[i].get(),
+                )
             })
             .collect()
     }
@@ -582,16 +666,25 @@ fn worker_loop(inner: &Inner, me: usize) {
     }
 }
 
+/// The stealing side of the locking rule: the shard's node lock, or
+/// `None` when someone else is processing the shard right now.
+fn try_lock_state(shard: &Shard) -> Option<MutexGuard<'_, ShardState>> {
+    match shard.state.try_lock() {
+        Ok(g) => Some(g),
+        Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
+        Err(std::sync::TryLockError::WouldBlock) => None,
+    }
+}
+
 /// Pop-and-process one batch from `shard`'s queue under `shard`'s node
 /// lock. Returns true if any message was processed. `try_only` is the
 /// stealing mode: back off instead of blocking on a busy victim.
 fn run_shard(inner: &Inner, shard_idx: usize, worker: usize, try_only: bool) -> bool {
     let shard = &inner.shards[shard_idx];
     let mut state = if try_only {
-        match shard.state.try_lock() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => return false,
+        match try_lock_state(shard) {
+            Some(g) => g,
+            None => return false,
         }
     } else {
         lock(&shard.state)
@@ -626,11 +719,7 @@ fn run_shard(inner: &Inner, shard_idx: usize, worker: usize, try_only: bool) -> 
             );
         }
     }
-    let t0 = if inner.live { StdClock::now() } else { 0 };
-    process_batch(inner, &mut state, batch);
-    if inner.live {
-        inner.busy[shard_idx].add(StdClock::now().saturating_sub(t0));
-    }
+    process_batch(inner, shard_idx, &*inner.sink, &mut state, batch);
     true
 }
 
@@ -638,8 +727,17 @@ fn run_shard(inner: &Inner, shard_idx: usize, worker: usize, try_only: bool) -> 
 /// same-kind runs so bursts hit the batch-verification fast paths
 /// ([`BbNode::submit_batch`], [`BbNode::recv_requests`],
 /// [`BbNode::recv_tunnel_flows`]) exactly like the serialized daemon
-/// loop used to.
-fn process_batch(inner: &Inner, state: &mut ShardState, batch: Vec<ShardMsg>) {
+/// loop used to. Outputs leave through `sink`: the workers' own, or the
+/// caller's for an inline run. The time it takes is shard `shard_idx`'s
+/// busy time, whoever spends it.
+fn process_batch(
+    inner: &Inner,
+    shard_idx: usize,
+    sink: &dyn ShardSink,
+    state: &mut ShardState,
+    batch: Vec<ShardMsg>,
+) {
+    let t0 = if inner.live { StdClock::now() } else { 0 };
     let mut it = batch.into_iter().peekable();
     while let Some(msg) = it.next() {
         let out = match msg {
@@ -692,7 +790,7 @@ fn process_batch(inner: &Inner, state: &mut ShardState, batch: Vec<ShardMsg>) {
                 Err(e) => {
                     // Rejected at the source (aggregate spent): complete
                     // immediately, as the mesh drivers do.
-                    inner.sink.complete(Completion::TunnelFlow {
+                    sink.complete(Completion::TunnelFlow {
                         tunnel,
                         flow,
                         accepted: false,
@@ -763,10 +861,10 @@ fn process_batch(inner: &Inner, state: &mut ShardState, batch: Vec<ShardMsg>) {
         };
         let delivered = !out.is_empty();
         for (to, m) in out {
-            inner.sink.deliver(&to, m);
+            sink.deliver(&to, m);
         }
         if delivered {
-            inner.sink.flush();
+            sink.flush();
         }
         for c in state.node.take_completions() {
             if inner.live {
@@ -778,14 +876,188 @@ fn process_batch(inner: &Inner, state: &mut ShardState, batch: Vec<ShardMsg>) {
                     }
                 }
             }
-            inner.sink.complete(c);
+            sink.complete(c);
         }
+    }
+    if inner.live {
+        inner.busy[shard_idx].add(StdClock::now().saturating_sub(t0));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{build_chain, ChainOptions};
+    use std::thread::ThreadId;
+
+    /// Records which thread delivered what to whom, and how often it
+    /// was told a step's deliveries were complete.
+    #[derive(Default)]
+    struct Recorder {
+        delivered: Mutex<Vec<(String, SignalMessage, ThreadId)>>,
+        flushes: Mutex<usize>,
+    }
+
+    impl Recorder {
+        /// `(to, is it a request)` of every delivery so far, in order.
+        fn log(&self) -> Vec<(String, bool)> {
+            lock(&self.delivered)
+                .iter()
+                .map(|(to, m, _)| (to.clone(), matches!(m, SignalMessage::Request(_))))
+                .collect()
+        }
+    }
+
+    impl ShardSink for Recorder {
+        fn deliver(&self, to: &str, msg: SignalMessage) {
+            lock(&self.delivered).push((to.to_string(), msg, std::thread::current().id()));
+        }
+        fn flush(&self) {
+            *lock(&self.flushes) += 1;
+        }
+        fn complete(&self, _: Completion) {}
+    }
+
+    /// The transit broker of a fresh 3-domain chain, and the two
+    /// messages of one reservation it will see: the request from
+    /// domain-a and the approval from domain-c. Keys are seeded and
+    /// signing is deterministic, so the messages one build of the chain
+    /// exchanges are the messages of any other.
+    fn transit_and_its_messages() -> (BbNode, SignalMessage, SignalMessage) {
+        let mut s = build_chain(ChainOptions::default());
+        let spec = s.spec("alice", 1000, 5_000_000, Timestamp(0), 3600);
+        let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
+        let cert = s.users["alice"].cert.clone();
+        let (_, request) = s.nodes[0].submit_batch(vec![(rar, cert)]).remove(0);
+        let (_, forwarded) = s.nodes[1].recv("domain-a", request.clone()).remove(0);
+        let (to, approval) = s.nodes[2].recv("domain-b", forwarded).remove(0);
+        assert_eq!(&*to, "domain-b");
+        assert!(matches!(approval, SignalMessage::Approve(_)));
+        let transit = build_chain(ChainOptions::default()).nodes.remove(1);
+        (transit, request, approval)
+    }
+
+    /// `node` on one shard whose workers have gone home: what is
+    /// dispatched stays queued until the test plays the worker
+    /// ([`run_shard`]), so every interleaving below is forced, not
+    /// hoped for.
+    fn without_workers(node: BbNode, sink: Arc<Recorder>) -> ShardedNode {
+        let mut sharded = ShardedNode::new(node, 1, sink, &Telemetry::disabled());
+        sharded.inner.stop.store(true, Ordering::SeqCst);
+        sharded.inner.bell.ring_all();
+        for w in sharded.workers.drain(..) {
+            w.join().expect("worker exits on stop");
+        }
+        sharded
+    }
+
+    #[test]
+    fn a_lone_message_on_an_idle_shard_runs_on_the_calling_thread_through_its_sink() {
+        let (transit, request, _) = transit_and_its_messages();
+        let workers_sink = Arc::new(Recorder::default());
+        let sharded = without_workers(transit, Arc::clone(&workers_sink));
+        let mine = Recorder::default();
+        assert_eq!(sharded.try_run_peer("domain-a", request, 0, &mine), Ok(()));
+        let delivered = lock(&mine.delivered);
+        assert_eq!(delivered.len(), 1, "the request was forwarded");
+        assert_eq!(delivered[0].0, "domain-c");
+        assert_eq!(delivered[0].2, std::thread::current().id());
+        assert_eq!(*lock(&mine.flushes), 1);
+        assert!(lock(&workers_sink.delivered).is_empty());
+        assert_eq!(sharded.queued(), 0);
+    }
+
+    #[test]
+    fn a_busy_shard_hands_the_message_back() {
+        let (transit, request, approval) = transit_and_its_messages();
+        let sharded = without_workers(transit, Arc::new(Recorder::default()));
+        let mine = Recorder::default();
+        // Someone is processing the shard: its node lock is held.
+        let held = lock(&sharded.inner.shards[0].state);
+        assert_eq!(
+            sharded.try_run_peer("domain-a", request.clone(), 0, &mine),
+            Err(Box::new(request.clone()))
+        );
+        drop(held);
+        // Nobody is, but a message waits in its queue: running this
+        // one now would overtake it.
+        sharded.dispatch_peer("domain-a".into(), request, 0);
+        assert_eq!(
+            sharded.try_run_peer("domain-c", approval.clone(), 0, &mine),
+            Err(Box::new(approval))
+        );
+        assert!(lock(&mine.delivered).is_empty());
+        assert_eq!(sharded.queued(), 1);
+    }
+
+    /// The two messages of one reservation, one run inline and one
+    /// through the queue, in either order: the approval must find the
+    /// request already processed, or the transit broker has nothing to
+    /// match it against and the reservation is lost.
+    #[test]
+    fn inline_and_queued_messages_of_one_reservation_keep_arrival_order() {
+        let in_order = [
+            ("domain-c".to_string(), true),
+            ("domain-a".to_string(), false),
+        ];
+
+        // Request inline, approval queued behind it.
+        let (transit, request, approval) = transit_and_its_messages();
+        let sink = Arc::new(Recorder::default());
+        let sharded = without_workers(transit, Arc::clone(&sink));
+        assert_eq!(sharded.try_run_peer("domain-a", request, 0, &*sink), Ok(()));
+        sharded.dispatch_peer("domain-c".into(), approval, 0);
+        assert!(run_shard(&sharded.inner, 0, 0, false));
+        assert_eq!(sink.log(), in_order);
+
+        // Request queued and not yet processed, approval arrives alone:
+        // it is handed back, queued behind the request, and the worker
+        // takes both in order.
+        let (transit, request, approval) = transit_and_its_messages();
+        let sink = Arc::new(Recorder::default());
+        let sharded = without_workers(transit, Arc::clone(&sink));
+        sharded.dispatch_peer("domain-a".into(), request, 0);
+        let approval = sharded
+            .try_run_peer("domain-c", approval, 0, &*sink)
+            .expect_err("a message is queued ahead");
+        sharded.dispatch_peer("domain-c".into(), *approval, 0);
+        assert!(run_shard(&sharded.inner, 0, 0, false));
+        assert_eq!(sink.log(), in_order);
+
+        // Request processed by the worker, approval arrives alone on
+        // the now idle shard and runs inline.
+        let (transit, request, approval) = transit_and_its_messages();
+        let sink = Arc::new(Recorder::default());
+        let sharded = without_workers(transit, Arc::clone(&sink));
+        sharded.dispatch_peer("domain-a".into(), request, 0);
+        assert!(run_shard(&sharded.inner, 0, 0, false));
+        assert_eq!(
+            sharded.try_run_peer("domain-c", approval, 0, &*sink),
+            Ok(())
+        );
+        assert_eq!(sink.log(), in_order);
+    }
+
+    #[test]
+    fn a_ring_with_nobody_parked_signals_nobody() {
+        let bell = Arc::new(Doorbell::default());
+        let seen = bell.generation();
+        assert!(!bell.ring(), "no worker is parked");
+        assert_eq!(bell.generation(), seen + 1, "the generation still moves");
+        // A parked worker is counted under the generation's own mutex,
+        // and a ring finds it there.
+        let seen = bell.generation();
+        let worker = {
+            let bell = Arc::clone(&bell);
+            std::thread::spawn(move || bell.park_unless_rung_since(seen, Duration::from_secs(30)))
+        };
+        while lock(&bell.state).parked == 0 {
+            std::thread::yield_now();
+        }
+        assert!(bell.ring());
+        assert!(worker.join().expect("worker"), "it had parked");
+        assert_eq!(lock(&bell.state).parked, 0);
+    }
 
     #[test]
     fn a_ring_between_the_scan_and_the_park_is_not_slept_through() {

@@ -14,7 +14,7 @@
 //! | `/metrics`      | Prometheus text exposition of the registry      |
 //! | `/metrics.json` | the same registry as a JSON snapshot            |
 //! | `/healthz`      | liveness: reactor heartbeat + shard queue depths|
-//! | `/shards`       | per-shard queue depth, busy ns, stolen batches  |
+//! | `/shards`       | per-shard depth, busy ns, stolen + inline runs  |
 //! | `/trace/<id>`   | flight events for one 16-hex-digit trace id     |
 //! | `/flight`       | full flight-recorder dump (JSON)                |
 //! | `/flight.tsv`   | the same dump, tab-separated                    |
@@ -228,7 +228,8 @@ impl AdminState {
     }
 
     /// Per-shard runtime picture: ingress queue depth, accumulated busy
-    /// time, and how many batches other workers stole from the shard.
+    /// time, how many batches other workers stole from the shard, and
+    /// how many messages the reactor ran on it itself.
     fn shards(&self, out: &mut Vec<u8>) {
         let idle = self.sharded.worker_idle_ns();
         let shards = self
@@ -236,9 +237,9 @@ impl AdminState {
             .shard_stats()
             .into_iter()
             .enumerate()
-            .map(|(i, (depth, busy_ns, stolen))| {
+            .map(|(i, (depth, busy_ns, stolen, inline))| {
                 format!(
-                    "{{\"shard\":{i},\"queue_depth\":{depth},\"busy_ns\":{busy_ns},\"stolen_batches\":{stolen}}}"
+                    "{{\"shard\":{i},\"queue_depth\":{depth},\"busy_ns\":{busy_ns},\"stolen_batches\":{stolen},\"inline_runs\":{inline}}}"
                 )
             })
             .collect::<Vec<_>>()

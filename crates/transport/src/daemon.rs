@@ -14,9 +14,12 @@
 //!   exact. Shard workers steal from each other's ingress queues when
 //!   load skews;
 //! * shard outputs come back through each link's bounded [`OutQueue`]
-//!   (plaintext; sealing happens at write time, so frames that wait out
-//!   a reconnect are MAC'd under the new session's sequence space), and
-//!   the sink rings the reactor's waker.
+//!   (plaintext, unnumbered; numbering and sealing happen at write
+//!   time, so frames that wait out a reconnect are MAC'd under the new
+//!   session's sequence space), and the workers' sink rings the
+//!   reactor's waker if the reactor is parked in its poll. A message
+//!   the reactor runs itself (DESIGN.md §D20) leaves through a second
+//!   [`TcpSink`] that neither waits for the reactor nor wakes it.
 //!
 //! A daemon runs one reactor thread plus `shards` worker threads
 //! regardless of link count, with handshakes on short-lived offload
@@ -39,8 +42,8 @@ use qos_crypto::{Certificate, DistinguishedName, PublicKey, Timestamp};
 use qos_telemetry::{Counter, Gauge, Histogram, StdClock, Telemetry};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -128,6 +131,7 @@ pub(crate) struct LinkInstruments {
     pub(crate) write_batch_frames: Histogram,
     pub(crate) writes_coalesced: Counter,
     pub(crate) retransmits: Counter,
+    pub(crate) acks_standalone: Counter,
 }
 
 impl LinkInstruments {
@@ -199,34 +203,66 @@ impl LinkInstruments {
                 "Accepted-but-unacknowledged frames re-queued when a connection died",
                 l,
             ),
+            acks_standalone: telemetry.counter(
+                "transport_acks_standalone_total",
+                "Ack frames sent on their own: no data frame went back in time to carry the ack",
+                l,
+            ),
         }
     }
 }
 
-/// One peering link's shared state (written by the shard sink, read and
-/// written by the reactor).
+/// One peering link's shared state (written by the shard sinks, read
+/// and written by the reactor, which also owns the link's delivery
+/// state, [`crate::reactor::LinkReliability`]).
 pub(crate) struct Link {
     pub(crate) queue: Arc<OutQueue>,
     /// Set once the first session is up; later sessions count as
     /// reconnects.
     pub(crate) established: AtomicBool,
-    /// A session is currently live on this link.
+    /// A session is currently live on this link. Flipped through
+    /// [`LinkWatch::set_connected`] only.
     pub(crate) connected: AtomicBool,
-    /// Delivery indices, the unacked retransmit window, and the
-    /// receive-side dedupe watermark (survives reconnects).
-    pub(crate) reliable: crate::reactor::LinkReliability,
     pub(crate) ins: LinkInstruments,
 }
 
+/// What [`BrokerDaemon::wait_connected`] sleeps on: the reactor signals
+/// it wherever it flips a link's `connected` flag.
+#[derive(Default)]
+pub(crate) struct LinkWatch {
+    lock: Mutex<()>,
+    changed: Condvar,
+}
+
+impl LinkWatch {
+    /// Flip `link`'s flag and wake the waiters. The flag is stored
+    /// before the lock is taken and a waiter checks the flags under it,
+    /// so a flip is either seen by the check or signalled to the wait.
+    pub(crate) fn set_connected(&self, link: &Link, up: bool) {
+        link.connected.store(up, Ordering::SeqCst);
+        let _g = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+        self.changed.notify_all();
+    }
+}
+
 /// The shard sink for the TCP fabric: outputs go to link queues
-/// (plaintext — the reactor seals at write time), completions to the
-/// daemon owner's channel. Called with a shard's node lock held, so it
-/// must never dispatch back into the shards.
-struct TcpSink {
+/// (plaintext — the reactor numbers and seals at write time),
+/// completions to the daemon owner's channel. Called with a shard's
+/// node lock held, so it must never dispatch back into the shards.
+pub(crate) struct TcpSink {
     domain: String,
     links: Arc<HashMap<String, Link>>,
     completion_tx: Sender<(String, Completion)>,
+    /// How the shard workers reach the reactor. `None` is the reactor's
+    /// own sink: it has nobody to wake, and must not wait on a queue
+    /// only it can drain.
+    reactor: Option<ReactorBell>,
+}
+
+/// The reactor's waker and the flag saying it may be asleep.
+struct ReactorBell {
     waker: Arc<Waker>,
+    parked: Arc<AtomicBool>,
 }
 
 impl ShardSink for TcpSink {
@@ -235,29 +271,28 @@ impl ShardSink for TcpSink {
         let Some(link) = self.links.get(to) else {
             return;
         };
-        // Index assignment and enqueue stay under one lock so queue
-        // order equals index order — the receiver's dedupe watermark
-        // relies on it. A blocked push holds the lock, but only other
-        // sinks contend here; the reactor never takes `tx`.
-        {
-            let mut tx = link.reliable.tx.lock().unwrap_or_else(|e| e.into_inner());
-            let index = *tx;
-            *tx += 1;
-            link.reliable.note_assigned(*tx);
-            let frame = crate::reactor::data_frame(index, &msg);
-            link.queue.try_push(frame).unwrap_or_else(|frame| {
-                // Full: only the reactor makes room, and it may be
-                // asleep until `flush` — wake it before waiting for it.
-                let _ = self.waker.wake();
+        let frame = crate::reactor::data_frame(&msg);
+        match &self.reactor {
+            Some(bell) => link.queue.try_push(frame).unwrap_or_else(|frame| {
+                // Full: only the reactor makes room. Wake it, parked or
+                // not, before waiting for it.
+                let _ = bell.waker.wake();
                 link.queue.push(frame)
-            });
-        }
+            }),
+            None => link.queue.push_unbounded(frame),
+        };
         link.ins.outq_depth.record_max(link.queue.len() as i64);
     }
 
-    /// One eventfd write per run of deliveries, not one per message.
+    /// At most one eventfd write per run of deliveries, and none while
+    /// the reactor is awake: it sweeps the queues before it next sleeps.
+    /// Whoever clears the flag rings, so one ring answers one park.
     fn flush(&self) {
-        let _ = self.waker.wake();
+        if let Some(bell) = &self.reactor {
+            if bell.parked.swap(false, Ordering::SeqCst) {
+                let _ = bell.waker.wake();
+            }
+        }
     }
 
     fn complete(&self, completion: Completion) {
@@ -270,6 +305,7 @@ pub struct BrokerDaemon {
     domain: String,
     sharded: Arc<ShardedNode>,
     links: Arc<HashMap<String, Link>>,
+    watch: Arc<LinkWatch>,
     ctrl_tx: Sender<Ctrl>,
     waker: Arc<Waker>,
     reactor_join: Option<JoinHandle<()>>,
@@ -357,18 +393,12 @@ impl BrokerDaemon {
             .chain(accept_from.iter().cloned())
         {
             let ins = LinkInstruments::resolve(&telemetry, &domain, &peer);
-            let duplicates = telemetry.counter(
-                "transport_frames_duplicate_total",
-                "Inbound retransmits skipped by delivery index",
-                &[("domain", &domain), ("peer", &peer)],
-            );
             links.insert(
                 peer,
                 Link {
                     queue: Arc::new(OutQueue::new(options.queue_capacity)),
                     established: AtomicBool::new(false),
                     connected: AtomicBool::new(false),
-                    reliable: crate::reactor::LinkReliability::new(duplicates),
                     ins,
                 },
             );
@@ -378,11 +408,21 @@ impl BrokerDaemon {
         let poll = Poll::new()?;
         let waker = Arc::new(Waker::new(&poll, TOKEN_WAKER)?);
 
+        let parked = Arc::new(AtomicBool::new(false));
+        let inline_sink = TcpSink {
+            domain: domain.clone(),
+            links: Arc::clone(&links),
+            completion_tx: completion_tx.clone(),
+            reactor: None,
+        };
         let sink = TcpSink {
             domain: domain.clone(),
             links: Arc::clone(&links),
             completion_tx,
-            waker: Arc::clone(&waker),
+            reactor: Some(ReactorBell {
+                waker: Arc::clone(&waker),
+                parked: Arc::clone(&parked),
+            }),
         };
         let sharded = Arc::new(ShardedNode::new(
             node,
@@ -405,6 +445,7 @@ impl BrokerDaemon {
         // handles the workers drain and the same link map the reactor
         // writes. The reactor serves it between I/O sweeps.
         let status = ReactorStatus::new();
+        let watch = Arc::new(LinkWatch::default());
         let admin = admin.map(|admin_listener| {
             let state = Arc::new(AdminState {
                 domain: domain.clone(),
@@ -426,7 +467,10 @@ impl BrokerDaemon {
             accept_pins,
             connect_to: dials,
             links: Arc::clone(&links),
+            watch: Arc::clone(&watch),
             sharded: Arc::clone(&sharded),
+            inline_sink,
+            parked,
             options,
             issuer,
             ctrl_tx: ctrl_tx.clone(),
@@ -445,6 +489,7 @@ impl BrokerDaemon {
             domain,
             sharded,
             links,
+            watch,
             ctrl_tx,
             waker,
             reactor_join: Some(reactor_join),
@@ -505,21 +550,28 @@ impl BrokerDaemon {
     pub fn connected_peers(&self) -> usize {
         self.links
             .values()
-            .filter(|l| l.connected.load(std::sync::atomic::Ordering::SeqCst))
+            .filter(|l| l.connected.load(Ordering::SeqCst))
             .count()
     }
 
     /// Wait until every configured link has a live session.
     pub fn wait_connected(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
+        let mut g = self.watch.lock.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if self.connected_peers() == self.links.len() {
                 return true;
             }
-            if Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return false;
             }
-            std::thread::sleep(Duration::from_millis(5));
+            g = self
+                .watch
+                .changed
+                .wait_timeout(g, left)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
         }
     }
 

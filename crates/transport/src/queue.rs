@@ -7,6 +7,12 @@
 //! at the bound waits for the reactor to drain it: a signalling frame
 //! that vanished would leak the holds it was about to confirm or
 //! release, so the queue never sheds.
+//!
+//! The one consumer (the reactor) never sleeps on the queue — it is
+//! woken through its poll — so the condition variable has exactly one
+//! kind of sleeper: a producer at the bound. `try_pop_batch` and `close`
+//! signal it, and only while such a producer exists (`waiting`); a push
+//! signals nobody (DESIGN.md §D20).
 // Zero-alloc hot-path module (DESIGN.md §D15): the dedicated CI lint
 // step loads .clippy-hotpath/clippy.toml, under which this attribute
 // rejects un-annotated Vec::new / slice::to_vec in this module.
@@ -28,6 +34,8 @@ pub enum PushOutcome {
 struct Inner {
     q: VecDeque<Vec<u8>>,
     closed: bool,
+    /// Producers asleep in [`OutQueue::push`] on a full queue.
+    waiting: usize,
 }
 
 /// A bounded MPSC byte-frame queue; a full queue blocks its producers.
@@ -62,10 +70,11 @@ impl OutQueue {
             }
             if g.q.len() < self.capacity {
                 g.q.push_back(frame);
-                self.cv.notify_all();
                 return PushOutcome::Queued;
             }
+            g.waiting += 1;
             g = self.cv.wait(g).unwrap_or_else(|e| e.into_inner());
+            g.waiting -= 1;
         }
     }
 
@@ -79,19 +88,28 @@ impl OutQueue {
         }
         if g.q.len() < self.capacity {
             g.q.push_back(frame);
-            self.cv.notify_all();
             return Ok(PushOutcome::Queued);
         }
         Err(frame)
+    }
+
+    /// Enqueue past the capacity bound, never waiting — for the
+    /// consumer's own thread, which would otherwise wait for itself
+    /// (the reactor running a message inline, DESIGN.md §D20).
+    pub fn push_unbounded(&self, frame: Vec<u8>) -> PushOutcome {
+        let mut g = self.lock();
+        if g.closed {
+            return PushOutcome::Closed;
+        }
+        g.q.push_back(frame);
+        PushOutcome::Queued
     }
 
     /// Requeue a frame at the *front* after a failed write, bypassing the
     /// capacity bound so a reconnect can never lose the frame it was
     /// carrying.
     pub fn push_front(&self, frame: Vec<u8>) {
-        let mut g = self.lock();
-        g.q.push_front(frame);
-        self.cv.notify_all();
+        self.lock().q.push_front(frame);
     }
 
     /// Dequeue up to `max` frames in FIFO order without blocking — the
@@ -105,7 +123,7 @@ impl OutQueue {
         }
         let n = g.q.len().min(max);
         let batch: Vec<Vec<u8>> = g.q.drain(..n).collect();
-        if n > 0 {
+        if n > 0 && g.waiting > 0 {
             self.cv.notify_all();
         }
         Some(batch)
@@ -201,6 +219,43 @@ mod tests {
         assert_eq!(q.try_pop_batch(2).unwrap(), frames(&[1, 2]));
         assert_eq!(producer.join().unwrap(), PushOutcome::Queued);
         assert_eq!(q.try_pop_batch(2).unwrap(), frames(&[3]));
+    }
+
+    /// The only sleeper the condition variable has: with the consumer
+    /// notifies gone, `try_pop_batch` must still release it.
+    #[test]
+    fn a_producer_asleep_on_a_full_queue_is_released_by_try_pop_batch() {
+        let q = Arc::new(OutQueue::new(1));
+        q.push(vec![1]);
+        let q2 = Arc::clone(&q);
+        let producer = std::thread::spawn(move || q2.push(vec![2]));
+        // Not a sleep: wait until the producer is counted as waiting,
+        // i.e. it holds no lock and is inside `Condvar::wait`.
+        while q.lock().waiting == 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(q.len(), 1, "the blocked frame is not in the queue");
+        assert_eq!(q.try_pop_batch(4).unwrap(), frames(&[1]));
+        assert_eq!(producer.join().unwrap(), PushOutcome::Queued);
+        assert_eq!(q.lock().waiting, 0);
+        assert_eq!(q.try_pop_batch(4).unwrap(), frames(&[2]));
+    }
+
+    #[test]
+    fn a_push_from_the_consumers_side_goes_past_the_bound_without_blocking() {
+        let q = OutQueue::new(2);
+        for i in 0..5u8 {
+            assert_eq!(q.push_unbounded(vec![i]), PushOutcome::Queued);
+        }
+        assert_eq!(q.len(), 5);
+        assert_eq!(
+            q.try_push(vec![9]),
+            Err(vec![9]),
+            "producers still see it full"
+        );
+        assert_eq!(q.try_pop_batch(8).unwrap(), frames(&[0, 1, 2, 3, 4]));
+        q.close();
+        assert_eq!(q.push_unbounded(vec![9]), PushOutcome::Closed);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use qos_crypto::{KeyPair, Timestamp};
 use qos_telemetry::{FlightRecorder, Registry, Telemetry, TraceId, FLIGHT_DEFAULT_CAPACITY};
 use qos_transport::TcpMesh;
 use std::collections::HashMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn identities(s: &integration_tests::Scenario) -> HashMap<String, ChannelIdentity> {
     s.nodes
@@ -481,4 +481,140 @@ fn sharded_burst_survives_mid_burst_disconnect() {
             "domain {d}"
         );
     }
+}
+
+/// The (domain, peer) label pairs of the 3-domain chain's two links,
+/// one per link end.
+const LINK_ENDS: [(&str, &str); 4] = [
+    ("domain-a", "domain-b"),
+    ("domain-b", "domain-a"),
+    ("domain-b", "domain-c"),
+    ("domain-c", "domain-b"),
+];
+/// The reactor's `ACK_DELAY`: how long an ack waits for a data frame to
+/// ride on before it is sent as a frame of its own.
+const ACK_DELAY: Duration = Duration::from_millis(5);
+
+/// A per-link counter family summed over the chain's four link ends.
+fn over_link_ends(registry: &Registry, family: &str) -> u64 {
+    LINK_ENDS
+        .iter()
+        .filter_map(|(d, p)| registry.counter_value(family, &[("domain", d), ("peer", p)]))
+        .sum()
+}
+
+/// Poll `done` until it holds or five seconds pass.
+fn eventually(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A 3-domain mesh with a registry, its sessions synced, and `n` signed
+/// 5 Mb/s requests for it.
+fn metered_chain(
+    n: u64,
+) -> (
+    TcpMesh,
+    std::sync::Arc<Registry>,
+    Vec<qos_core::envelope::SignedRar>,
+    qos_crypto::Certificate,
+) {
+    let registry = Registry::new();
+    let mut s = build_chain(ChainOptions {
+        sla_rate_bps: 1000 * MBPS,
+        ..ChainOptions::default()
+    });
+    let ids = identities(&s);
+    let links: Vec<(String, String)> = s
+        .domains
+        .windows(2)
+        .map(|w| (w[0].clone(), w[1].clone()))
+        .collect();
+    let rars = (0..n)
+        .map(|i| {
+            let spec = s.spec("alice", 9000 + i, 5 * MBPS, Timestamp(0), 3600);
+            s.users["alice"].sign_request(spec, &s.nodes[0])
+        })
+        .collect();
+    let cert = s.users["alice"].cert.clone();
+    let ca_key = s.ca_key;
+    let mut mesh = TcpMesh::new();
+    mesh.set_telemetry(Telemetry::with_registry(registry.clone()));
+    mesh.spawn(std::mem::take(&mut s.nodes), ids, &links, ca_key)
+        .expect("loopback mesh comes up");
+    // Every session opens with one sync frame from each end.
+    eventually("the four syncs are sent", || {
+        over_link_ends(&registry, "transport_frames_sent_total") == 4
+    });
+    (mesh, registry, rars, cert)
+}
+
+#[test]
+fn a_reservation_costs_one_frame_per_hop_and_its_acks_ride() {
+    let (mesh, registry, mut rars, cert) = metered_chain(1);
+    let sent = || over_link_ends(&registry, "transport_frames_sent_total") - 4;
+    let alone = || over_link_ends(&registry, "transport_acks_standalone_total");
+
+    let t0 = Instant::now();
+    mesh.submit("domain-a", rars.remove(0), cert);
+    let done = mesh.wait_completions(1);
+    assert!(matches!(
+        done[0].1,
+        Completion::Reservation { result: Ok(_), .. }
+    ));
+    // Request a→b→c, approval c→b→a: four hops, four data frames, with
+    // or without acks beside them. (A frame is counted after the write
+    // that sends it, so a count may trail the completion.)
+    eventually("four data frames are counted", || {
+        sent().checked_sub(alone()) == Some(4)
+    });
+    let counted = (sent(), alone());
+    if t0.elapsed() < ACK_DELAY {
+        // Traffic was flowing the whole time: each request's ack rode
+        // on the approval coming back, and the approvals' acks are
+        // still waiting for a ride.
+        assert_eq!(counted, (4, 0), "no ack of its own yet");
+    }
+
+    // Quiet. Nothing goes back to carry the acks of the two approvals,
+    // so each is sent alone once `ACK_DELAY` has passed (so were the
+    // requests', if the approvals took longer than that), and then no
+    // link retains anything: a peer that restarted now would be
+    // replayed nothing.
+    eventually("every retransmit window is empty", || {
+        alone() >= 2
+            && LINK_ENDS.iter().all(|(d, p)| {
+                let labels = [("domain", *d), ("peer", *p)];
+                registry.gauge_value("transport_unacked_frames", &labels) == Some(0)
+            })
+    });
+    std::thread::sleep(4 * ACK_DELAY);
+    assert!((2..=4).contains(&alone()), "at most one ack per receipt");
+    assert_eq!(sent() - alone(), 4, "and still four data frames");
+    mesh.shutdown();
+}
+
+#[test]
+fn shutdown_settles_ack_debts_so_no_peer_counts_a_retransmit() {
+    let (mesh, registry, rars, cert) = metered_chain(8);
+    for rar in rars {
+        mesh.submit("domain-a", rar, cert.clone());
+        assert_eq!(mesh.wait_completions(1).len(), 1);
+    }
+    // Stop at once, while the last approvals are still unacknowledged:
+    // each daemon acknowledges what it has before it closes its
+    // sockets, so the daemons stopped after it find nothing to requeue
+    // when those sockets close under them.
+    mesh.shutdown();
+    assert_eq!(
+        over_link_ends(&registry, "transport_frames_retransmitted_total"),
+        0
+    );
+    assert_eq!(
+        over_link_ends(&registry, "transport_frames_duplicate_total"),
+        0
+    );
 }
