@@ -2,6 +2,7 @@
 //! and the Figure 7 delegation-chain verification (EXP-S companion).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use qos_core::channel::SecureChannel;
 use qos_crypto::sha256::sha256;
 use qos_crypto::{
     CertificateAuthority, CommunityAuthorizationServer, DelegationChain, DistinguishedName,
@@ -29,6 +30,35 @@ fn bench_schnorr(c: &mut Criterion) {
     c.bench_function("schnorr/verify-256B", |b| {
         b.iter(|| kp.public().verify(black_box(&msg), black_box(&sig)))
     });
+    // One pass over the message however long it is (hash-then-sign,
+    // DESIGN.md §D21): a digest, a first-hop request, a depth-8 layer.
+    for size in [32usize, 1024, 3800] {
+        let msg = vec![7u8; size];
+        c.bench_function(&format!("schnorr/sign-{size}B"), |b| {
+            b.iter(|| kp.sign(black_box(&msg)))
+        });
+    }
+}
+
+/// Sealing a frame under a channel half whose HMAC key schedule was
+/// absorbed at `split`: an ack-sized frame and a first-hop request.
+fn bench_seal(c: &mut Criterion) {
+    let mut ca = CertificateAuthority::new(
+        DistinguishedName::authority("CA"),
+        KeyPair::from_seed(b"ca"),
+    );
+    let peer = ca.issue_identity(
+        DistinguishedName::broker("domain-b"),
+        KeyPair::from_seed(b"bb-b").public(),
+        Validity::unbounded(),
+    );
+    let (mut seal, _) = SecureChannel::resume(peer, &sha256(b"master"), 1, 2, true).split();
+    for size in [128usize, 1582] {
+        let payload = vec![7u8; size];
+        c.bench_function(&format!("hmac/seal-{size}B"), |b| {
+            b.iter(|| seal.seal_in_place(black_box(&payload)))
+        });
+    }
 }
 
 /// The tentpole's group-op ablation: windowed fixed-base tables versus
@@ -158,6 +188,7 @@ criterion_group!(
     benches,
     bench_sha256,
     bench_schnorr,
+    bench_seal,
     bench_group_exp,
     bench_verify_batch,
     bench_certificates,

@@ -19,7 +19,7 @@
 #![deny(clippy::disallowed_methods)]
 
 use crate::error::CoreError;
-use qos_crypto::sha256::{hmac_sha256, Digest, Sha256, DIGEST_LEN};
+use qos_crypto::sha256::{hmac_sha256, Digest, HmacKey, Sha256, DIGEST_LEN};
 use qos_crypto::{Certificate, DistinguishedName, KeyPair, PublicKey, Signature, Timestamp};
 
 /// One party's channel identity.
@@ -227,7 +227,8 @@ impl SecureChannel {
     ///
     /// Each half derives its *own* MAC key from the session key with the
     /// direction as the PRF distinguisher
-    /// (`HMAC(session_key, "qos-channel-dir-v1" ‖ direction)`), so the
+    /// (`HMAC(session_key, "qos-channel-dir-v1" ‖ direction)`) and absorbs
+    /// its HMAC key schedule here, once for the life of the half, so the
     /// two directions share no mutable state at all: a writer thread can
     /// seal while a reader thread opens, with no lock between them and
     /// no way for one direction's sequence space to perturb the other's.
@@ -245,12 +246,12 @@ impl SecureChannel {
         let recv_dir = 1 - self.role;
         (
             SealHalf {
-                key: direction_key(&self.session_key, send_dir),
+                key: HmacKey::new(&direction_key(&self.session_key, send_dir)),
                 direction: send_dir,
                 seq: 0,
             },
             OpenHalf {
-                key: direction_key(&self.session_key, recv_dir),
+                key: HmacKey::new(&direction_key(&self.session_key, recv_dir)),
                 direction: recv_dir,
                 seq: 0,
             },
@@ -260,29 +261,19 @@ impl SecureChannel {
 
 /// MAC over one channel message: `HMAC(key, direction ‖ seq ‖ payload)`.
 ///
-/// RFC 2104 run with incremental hash updates (D15): byte-identical to
+/// RFC 2104 from the key's absorbed pad blocks, with incremental hash
+/// updates (D15): byte-identical to
 /// `hmac_sha256(key, direction ‖ seq ‖ payload)` without materializing
-/// the concatenation, so sealing and opening are allocation-free — the
-/// payload is hashed wherever it already lives.
-fn mac_message(key: &Digest, direction: u8, seq: u64, payload: &[u8]) -> Digest {
-    let mut k = [0u8; 64];
-    k[..DIGEST_LEN].copy_from_slice(key);
-    let mut ipad = [0x36u8; 64];
-    let mut opad = [0x5cu8; 64];
-    for i in 0..64 {
-        ipad[i] ^= k[i];
-        opad[i] ^= k[i];
-    }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(&[direction]);
-    inner.update(&seq.to_le_bytes());
+/// the concatenation or re-deriving the key schedule, so sealing and
+/// opening are allocation-free — the payload is hashed wherever it
+/// already lives.
+fn mac_message(key: &HmacKey, direction: u8, seq: u64, payload: &[u8]) -> Digest {
+    let mut head = [direction; 9];
+    head[1..].copy_from_slice(&seq.to_le_bytes());
+    let mut inner = key.start();
+    inner.update(&head);
     inner.update(payload);
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    key.finish(inner)
 }
 
 /// Per-direction MAC key: `HMAC(session_key, label ‖ direction)`.
@@ -298,7 +289,7 @@ fn direction_key(session_key: &Digest, direction: u8) -> Digest {
 /// [`SecureChannel::split`].
 #[derive(Debug)]
 pub struct SealHalf {
-    key: Digest,
+    key: HmacKey,
     direction: u8,
     seq: u64,
 }
@@ -331,7 +322,7 @@ impl SealHalf {
 /// [`SecureChannel::split`].
 #[derive(Debug)]
 pub struct OpenHalf {
-    key: Digest,
+    key: HmacKey,
     direction: u8,
     seq: u64,
 }
@@ -812,25 +803,46 @@ mod tests {
         assert!(b_open.open(m1).is_ok());
     }
 
+    /// RFC 2104 written out over one-shot hashes of materialized
+    /// buffers: `H((K ⊕ opad) ‖ H((K ⊕ ipad) ‖ m))`, no midstates.
+    fn hmac_by_the_book(key: &[u8], msg: &[u8]) -> Digest {
+        use qos_crypto::sha256::sha256;
+        assert!(key.len() <= 64);
+        let mut block = [0u8; 64];
+        block[..key.len()].copy_from_slice(key);
+        let mut inner: Vec<u8> = block.iter().map(|b| b ^ 0x36).collect();
+        inner.extend_from_slice(msg);
+        let mut outer: Vec<u8> = block.iter().map(|b| b ^ 0x5c).collect();
+        outer.extend_from_slice(&sha256(&inner));
+        sha256(&outer)
+    }
+
     #[test]
     fn incremental_mac_matches_concatenated_hmac() {
         // mac_message must stay byte-identical to
         // HMAC(key, direction ‖ seq ‖ payload) over the materialized
-        // concatenation — in-place sealing must not change the wire MAC.
-        for (direction, seq, payload) in [
-            (0u8, 0u64, &b""[..]),
-            (1, 1, b"x"),
-            (0, u64::MAX, &[0xAB; 4096][..]),
+        // concatenation — neither in-place sealing nor a key schedule
+        // absorbed once per half may change the wire MAC. The keys and
+        // data of RFC 4231 cases 1 and 2 ride along as payloads.
+        let digest_key = qos_crypto::sha256::sha256(b"a session's direction key");
+        for (key, direction, seq, payload) in [
+            (&digest_key[..], 0u8, 0u64, &b""[..]),
+            (&digest_key[..], 1, 1, b"x"),
+            (&digest_key[..], 0, u64::MAX, &[0xAB; 4096][..]),
+            (&[0x0b; 20][..], 1, 7, b"Hi There"),
+            (b"Jefe", 0, 1 << 40, b"what do ya want for nothing?"),
         ] {
-            let key = qos_crypto::sha256::sha256(payload);
             let mut concat = Vec::with_capacity(payload.len() + 9);
             concat.push(direction);
             concat.extend_from_slice(&seq.to_le_bytes());
             concat.extend_from_slice(payload);
-            assert_eq!(
-                mac_message(&key, direction, seq, payload),
-                hmac_sha256(&key, &concat)
-            );
+            let half = HmacKey::new(key);
+            // One absorbed key, many frames.
+            for _ in 0..2 {
+                let mac = mac_message(&half, direction, seq, payload);
+                assert_eq!(mac, hmac_sha256(key, &concat));
+                assert_eq!(mac, hmac_by_the_book(key, &concat));
+            }
         }
     }
 

@@ -68,10 +68,10 @@ qos_wire::impl_wire_enum!(RarLayer {
 
 /// A signed layer.
 ///
-/// The canonical bytes of `layer` — the exact input of `signature` — are
-/// cached the first time they are needed (**encode-once**): signing and
-/// wrapping store the buffer they just produced, and decoding from a
-/// shared buffer ([`qos_wire::from_bytes_shared`]) retains a zero-copy
+/// The canonical bytes of `layer` — what `signature` covers, through
+/// their SHA-256 — are cached the first time they are needed
+/// (**encode-once**): signing and wrapping store the buffer they just
+/// produced, and decoding from a shared buffer ([`qos_wire::from_bytes_shared`]) retains a zero-copy
 /// sub-slice of the received message per layer. Verification and
 /// re-encoding therefore never re-walk the nested structure, which turns
 /// full-chain verification from `O(d²)` to `O(d)` in encoding work.
@@ -85,13 +85,14 @@ pub struct SignedRar {
     pub layer: RarLayer,
     /// Who signed it.
     pub signer: DistinguishedName,
-    /// Signature over the canonical bytes of `layer`.
+    /// Signature over the SHA-256 of the canonical bytes of `layer`.
     pub signature: Signature,
     /// Lazily-filled canonical encoding of `layer`.
     canonical: OnceLock<SharedBytes>,
-    /// Lazily-filled SHA-256 of `canonical` — the key every cache on the
-    /// way (RAR memo, verify cache) files this layer under,
-    /// hashed once however many of them ask (DESIGN.md §D17).
+    /// Lazily-filled SHA-256 of `canonical` — what `signature` is over
+    /// and the key every cache on the way (RAR memo, verify cache) files
+    /// this layer under, hashed once however many of them ask
+    /// (DESIGN.md §D17, §D21).
     digest: OnceLock<Digest>,
 }
 
@@ -131,10 +132,10 @@ impl Decode for SignedRar {
     }
 }
 
-/// A cache cell already holding `bytes`.
-fn prefilled(bytes: Vec<u8>) -> OnceLock<SharedBytes> {
+/// A cache cell already holding `value`.
+fn prefilled<T>(value: T) -> OnceLock<T> {
     let cell = OnceLock::new();
-    let _ = cell.set(SharedBytes::from_vec(bytes));
+    let _ = cell.set(value);
     cell
 }
 
@@ -151,14 +152,20 @@ impl SignedRar {
             source_bb,
             capability_certs,
         };
+        Self::sign_layer(layer, res_spec.requestor, user_key)
+    }
+
+    /// Encode `layer` once, hash the encoding once, sign the digest, and
+    /// keep both beside the layer.
+    fn sign_layer(layer: RarLayer, signer: DistinguishedName, key: &KeyPair) -> Self {
         let layer_bytes = qos_wire::to_bytes(&layer);
-        let signature = user_key.sign(&layer_bytes);
+        let digest = sha256(&layer_bytes);
         Self {
             layer,
-            signer: res_spec.requestor,
-            signature,
-            canonical: prefilled(layer_bytes),
-            digest: OnceLock::new(),
+            signer,
+            signature: key.sign_digest(&digest),
+            canonical: prefilled(SharedBytes::from_vec(layer_bytes)),
+            digest: prefilled(digest),
         }
     }
 
@@ -182,18 +189,10 @@ impl SignedRar {
         };
         // Encoding the new layer appends the inner envelope's *cached*
         // canonical bytes (one memcpy) rather than re-walking the nest.
-        let layer_bytes = qos_wire::to_bytes(&layer);
-        let signature = key.sign(&layer_bytes);
-        Self {
-            layer,
-            signer,
-            signature,
-            canonical: prefilled(layer_bytes),
-            digest: OnceLock::new(),
-        }
+        Self::sign_layer(layer, signer, key)
     }
 
-    /// The canonical bytes of `layer` — the exact signature input —
+    /// The canonical bytes of `layer` — what the signature covers —
     /// computed at most once per envelope lifetime.
     ///
     /// Envelopes built by [`SignedRar::user_request`] / [`SignedRar::wrap`]
@@ -206,8 +205,8 @@ impl SignedRar {
             .as_slice()
     }
 
-    /// SHA-256 of [`SignedRar::layer_bytes`], computed at most once per
-    /// envelope lifetime.
+    /// SHA-256 of [`SignedRar::layer_bytes`] — the exact signature input
+    /// — computed at most once per envelope lifetime.
     pub fn layer_digest(&self) -> &Digest {
         self.digest.get_or_init(|| sha256(self.layer_bytes()))
     }
@@ -220,7 +219,7 @@ impl SignedRar {
 
     /// Verify this layer's signature under `pk`.
     pub fn verify_signature(&self, pk: PublicKey) -> bool {
-        pk.verify(self.layer_bytes(), &self.signature)
+        pk.verify_digest(self.layer_digest(), &self.signature)
     }
 
     /// The signature value (for tests).

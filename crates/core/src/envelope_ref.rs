@@ -82,8 +82,8 @@ impl<'a> EnvelopeRef<'a> {
         Ok(Some(parsed))
     }
 
-    /// The canonical bytes of the outer layer — the exact signature
-    /// input, identical to [`SignedRar::layer_bytes`] on the owned
+    /// The canonical bytes of the outer layer — what the signature
+    /// covers, identical to [`SignedRar::layer_bytes`] on the owned
     /// decode of the same message.
     pub fn layer_bytes(&self) -> &'a [u8] {
         self.layer_bytes

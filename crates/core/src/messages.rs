@@ -9,7 +9,7 @@
 
 use crate::envelope::SignedRar;
 use crate::rar::RarId;
-use qos_crypto::sha256::sha256;
+use qos_crypto::sha256::{sha256, Digest, Sha256};
 use qos_crypto::{Certificate, DistinguishedName, KeyPair, PublicKey, Signature};
 use qos_policy::AttributeSet;
 
@@ -28,7 +28,8 @@ pub struct ApprovalEntry {
     /// SHA-256 of the previous entry's canonical bytes (empty for the
     /// destination's entry).
     pub prev_digest: Vec<u8>,
-    /// Signature over the canonical bytes of all fields above.
+    /// Signature over the SHA-256 of the canonical bytes of all fields
+    /// above.
     pub signature: Signature,
 }
 
@@ -41,37 +42,44 @@ qos_wire::impl_wire_struct!(ApprovalEntry {
     signature
 });
 
-impl ApprovalEntry {
-    fn payload(
-        rar_id: RarId,
-        domain: &str,
-        signer: &DistinguishedName,
-        attachments: &AttributeSet,
-        prev_digest: &[u8],
-    ) -> Vec<u8> {
-        // Sized for a name, a handful of attachments and a digest: one
-        // allocation, not a doubling per field.
-        let mut w = qos_wire::Writer::with_capacity(256);
-        qos_wire::Encode::encode(&rar_id, &mut w);
-        w.put_str(domain);
-        qos_wire::Encode::encode(signer, &mut w);
-        qos_wire::Encode::encode(attachments, &mut w);
-        w.put_bytes(prev_digest);
-        w.into_bytes()
-    }
+/// The fields of an [`ApprovalEntry`] its signature covers, borrowed.
+struct SignedFields<'a> {
+    rar_id: RarId,
+    domain: &'a str,
+    signer: &'a DistinguishedName,
+    attachments: &'a AttributeSet,
+    prev_digest: &'a [u8],
+}
 
+impl qos_wire::Encode for SignedFields<'_> {
+    fn encode(&self, w: &mut qos_wire::Writer) {
+        self.rar_id.encode(w);
+        w.put_str(self.domain);
+        self.signer.encode(w);
+        self.attachments.encode(w);
+        w.put_bytes(self.prev_digest);
+    }
+}
+
+impl SignedFields<'_> {
+    /// SHA-256 of the canonical bytes, encoded in the thread's scratch
+    /// buffer: what is signed and verified.
+    fn digest(&self) -> Digest {
+        qos_wire::with_encoded(self, sha256)
+    }
+}
+
+impl ApprovalEntry {
     /// Verify this entry's signature under `pk`.
     pub fn verify(&self, pk: PublicKey) -> bool {
-        pk.verify(
-            &Self::payload(
-                self.rar_id,
-                &self.domain,
-                &self.signer,
-                &self.attachments,
-                &self.prev_digest,
-            ),
-            &self.signature,
-        )
+        let fields = SignedFields {
+            rar_id: self.rar_id,
+            domain: &self.domain,
+            signer: &self.signer,
+            attachments: &self.attachments,
+            prev_digest: &self.prev_digest,
+        };
+        pk.verify_digest(&fields.digest(), &self.signature)
     }
 }
 
@@ -105,8 +113,14 @@ impl Approval {
         attachments: AttributeSet,
         key: &KeyPair,
     ) -> Self {
-        let payload = ApprovalEntry::payload(rar_id, domain, &signer, &attachments, &[]);
-        let signature = key.sign(&payload);
+        let fields = SignedFields {
+            rar_id,
+            domain,
+            signer: &signer,
+            attachments: &attachments,
+            prev_digest: &[],
+        };
+        let signature = key.sign_digest(&fields.digest());
         Self {
             rar_id,
             dest_cert,
@@ -131,9 +145,14 @@ impl Approval {
     ) -> Self {
         let prev = self.entries.last().expect("approvals are never empty");
         let prev_digest = qos_wire::with_encoded(prev, sha256).to_vec();
-        let payload =
-            ApprovalEntry::payload(self.rar_id, domain, &signer, &attachments, &prev_digest);
-        let signature = key.sign(&payload);
+        let fields = SignedFields {
+            rar_id: self.rar_id,
+            domain,
+            signer: &signer,
+            attachments: &attachments,
+            prev_digest: &prev_digest,
+        };
+        let signature = key.sign_digest(&fields.digest());
         self.entries.push(ApprovalEntry {
             rar_id: self.rar_id,
             domain: domain.to_string(),
@@ -216,15 +235,6 @@ qos_wire::impl_wire_struct!(TunnelFlowRequest {
 });
 
 impl TunnelFlowRequest {
-    fn payload(tunnel: RarId, flow: u64, rate_bps: u64, requestor: &DistinguishedName) -> Vec<u8> {
-        let mut w = qos_wire::Writer::with_capacity(128);
-        qos_wire::Encode::encode(&tunnel, &mut w);
-        w.put_u64(flow);
-        w.put_u64(rate_bps);
-        qos_wire::Encode::encode(requestor, &mut w);
-        w.into_bytes()
-    }
-
     /// Sign a new sub-flow request.
     pub fn new(
         tunnel: RarId,
@@ -233,7 +243,7 @@ impl TunnelFlowRequest {
         requestor: DistinguishedName,
         key: &KeyPair,
     ) -> Self {
-        let signature = key.sign(&Self::payload(tunnel, flow, rate_bps, &requestor));
+        let signature = key.sign_digest(&Self::digest_of(tunnel, flow, rate_bps, &requestor));
         Self {
             tunnel,
             flow,
@@ -245,14 +255,38 @@ impl TunnelFlowRequest {
 
     /// Verify under the source BB's key.
     pub fn verify(&self, pk: PublicKey) -> bool {
-        pk.verify(&self.signed_payload(), &self.signature)
+        pk.verify_digest(&self.signed_digest(), &self.signature)
     }
 
-    /// The canonical bytes [`Self::signature`] covers — what a batched
-    /// verifier ([`qos_crypto::verify_batch`]) feeds the combined
-    /// Schnorr equation.
-    pub fn signed_payload(&self) -> Vec<u8> {
-        Self::payload(self.tunnel, self.flow, self.rate_bps, &self.requestor)
+    /// SHA-256 of the canonical bytes [`Self::signature`] covers —
+    /// `tunnel ‖ flow ‖ rate_bps ‖ requestor` — fed to the hasher field
+    /// by field: what a batched verifier
+    /// ([`qos_crypto::verify_batch_digests`]) takes per item.
+    pub fn signed_digest(&self) -> Digest {
+        Self::digest_of(self.tunnel, self.flow, self.rate_bps, &self.requestor)
+    }
+
+    fn digest_of(tunnel: RarId, flow: u64, rate_bps: u64, requestor: &DistinguishedName) -> Digest {
+        let mut head = [0u8; 24];
+        head[..8].copy_from_slice(&tunnel.0.to_le_bytes());
+        head[8..16].copy_from_slice(&flow.to_le_bytes());
+        head[16..].copy_from_slice(&rate_bps.to_le_bytes());
+        let mut h = Sha256::new();
+        h.update(&head);
+        h.update(requestor.encoding());
+        h.finalize()
+    }
+
+    /// The canonical bytes themselves, as the wire encoder writes them:
+    /// the reference [`Self::signed_digest`] is tested against.
+    #[cfg(test)]
+    fn signed_payload(&self) -> Vec<u8> {
+        let mut w = qos_wire::Writer::new();
+        qos_wire::Encode::encode(&self.tunnel, &mut w);
+        w.put_u64(self.flow);
+        w.put_u64(self.rate_bps);
+        qos_wire::Encode::encode(&self.requestor, &mut w);
+        w.into_bytes()
     }
 }
 
@@ -408,26 +442,44 @@ qos_wire::impl_wire_struct!(TunnelFlowRelease {
 });
 
 impl TunnelFlowRelease {
-    fn payload(tunnel: RarId, flow: u64) -> Vec<u8> {
-        let mut w = qos_wire::Writer::with_capacity(64);
-        qos_wire::Encode::encode(&tunnel, &mut w);
-        w.put_u64(flow);
-        w.put_str("tunnel-flow-release");
-        w.into_bytes()
-    }
-
     /// Sign a sub-flow teardown at the source broker.
     pub fn new(tunnel: RarId, flow: u64, key: &KeyPair) -> Self {
         Self {
             tunnel,
             flow,
-            signature: key.sign(&Self::payload(tunnel, flow)),
+            signature: key.sign_digest(&Self::signed_digest(tunnel, flow)),
         }
     }
 
     /// Verify under the source BB's public key.
     pub fn verify(&self, pk: PublicKey) -> bool {
-        pk.verify(&Self::payload(self.tunnel, self.flow), &self.signature)
+        pk.verify_digest(
+            &Self::signed_digest(self.tunnel, self.flow),
+            &self.signature,
+        )
+    }
+
+    /// SHA-256 of the canonical bytes the signature covers:
+    /// `tunnel ‖ flow ‖ "tunnel-flow-release"` (length-prefixed).
+    fn signed_digest(tunnel: RarId, flow: u64) -> Digest {
+        const LABEL: &[u8] = b"tunnel-flow-release";
+        let mut bytes = [0u8; 20 + LABEL.len()];
+        bytes[..8].copy_from_slice(&tunnel.0.to_le_bytes());
+        bytes[8..16].copy_from_slice(&flow.to_le_bytes());
+        bytes[16..20].copy_from_slice(&(LABEL.len() as u32).to_le_bytes());
+        bytes[20..].copy_from_slice(LABEL);
+        sha256(&bytes)
+    }
+
+    /// The same bytes as the wire encoder writes them: the reference
+    /// [`Self::signed_digest`] is tested against.
+    #[cfg(test)]
+    fn signed_payload(&self) -> Vec<u8> {
+        let mut w = qos_wire::Writer::new();
+        qos_wire::Encode::encode(&self.tunnel, &mut w);
+        w.put_u64(self.flow);
+        w.put_str("tunnel-flow-release");
+        w.into_bytes()
     }
 }
 
@@ -648,6 +700,25 @@ mod tests {
         let mut forged = req.clone();
         forged.rate_bps = 100_000_000;
         assert!(!forged.verify(key.public()));
+    }
+
+    #[test]
+    fn a_digest_fed_field_by_field_is_the_digest_of_the_encoded_payload() {
+        let key = kp("bb-a");
+        for name in ["A", "Alice", &"x".repeat(90)] {
+            let req = TunnelFlowRequest::new(
+                RarId(u64::MAX - 5),
+                77,
+                1_000_000,
+                DistinguishedName::user(name, "ANL"),
+                &key,
+            );
+            assert_eq!(req.signed_digest(), sha256(&req.signed_payload()));
+            assert_eq!(req.signature, key.sign(&req.signed_payload()));
+        }
+        let rel = TunnelFlowRelease::new(RarId(9), 1 << 40, &key);
+        assert!(rel.verify(key.public()));
+        assert_eq!(rel.signature, key.sign(&rel.signed_payload()));
     }
 
     #[test]

@@ -26,6 +26,7 @@ use crate::rar::RarId;
 use crate::trust::{verify_view, KeySource};
 use crate::view::RarView;
 use qos_broker::{BrokerCore, EdgeCommand, Interval, PathSegment, ReservationId, Sla};
+use qos_crypto::sha256::Digest;
 use qos_crypto::{
     Certificate, DelegationChain, DistinguishedName, KeyPair, PublicKey, Restriction, Signature,
     Timestamp, TrustPolicy, Validity,
@@ -877,27 +878,20 @@ impl BbNode {
                 .flat_map(|(rar, cert)| self.submit(rar, &cert))
                 .collect();
         }
-        // The certificate's signature input is its canonical TBS
-        // encoding; materialize those first so the job slices can borrow.
-        let tbs_bytes: Vec<Vec<u8>> = batch
+        let jobs: Vec<(Digest, PublicKey, Signature)> = batch
             .iter()
-            .map(|(_, cert)| qos_wire::to_bytes(&cert.tbs))
-            .collect();
-        let jobs: Vec<(&[u8], PublicKey, qos_crypto::Signature)> = batch
-            .iter()
-            .zip(&tbs_bytes)
-            .flat_map(|((rar, cert), tbs)| {
+            .flat_map(|(rar, cert)| {
                 [
-                    (tbs.as_slice(), self.user_ca, cert.signature),
+                    (cert.tbs.digest(), self.user_ca, cert.signature),
                     (
-                        rar.layer_bytes(),
+                        *rar.layer_digest(),
                         cert.tbs.subject_public_key,
                         rar.signature(),
                     ),
                 ]
             })
             .collect();
-        let verdicts = if qos_crypto::vcache::verify_batch_cached(&jobs) {
+        let verdicts = if qos_crypto::vcache::global().verify_batch_digests(&jobs) {
             vec![true; batch.len()]
         } else {
             crate::parallel::verify_each(&jobs)
@@ -905,8 +899,6 @@ impl BbNode {
                 .map(|c| c[0] && c[1])
                 .collect()
         };
-        drop(jobs);
-        drop(tbs_bytes);
         let mut out = Vec::new();
         for ((rar, cert), ok) in batch.into_iter().zip(verdicts) {
             // A failed batch item re-verifies inline so the denial
@@ -1208,35 +1200,28 @@ impl BbNode {
         // Resolve each request's pinned source-BB key first (cheap map
         // lookups); unknown tunnels skip the batch and take the
         // unknown-tunnel denial in `admit_tunnel_flow`.
-        let payloads: Vec<Option<(Vec<u8>, PublicKey, qos_crypto::Signature)>> = batch
+        let known: Vec<Option<PublicKey>> = batch
             .iter()
-            .map(|(_, req)| {
-                self.tunnels_dst
-                    .get(&req.tunnel)
-                    .map(|t| (req.signed_payload(), t.source_pk, req.signature))
-            })
+            .map(|(_, req)| self.tunnels_dst.get(&req.tunnel).map(|t| t.source_pk))
             .collect();
-        let jobs: Vec<(&[u8], PublicKey, qos_crypto::Signature)> = payloads
+        let jobs: Vec<(Digest, PublicKey, Signature)> = batch
             .iter()
-            .flatten()
-            .map(|(bytes, pk, sig)| (bytes.as_slice(), *pk, *sig))
+            .zip(&known)
+            .filter_map(|((_, req), pk)| Some((req.signed_digest(), (*pk)?, req.signature)))
             .collect();
         // Plain (uncached) batch equation: sub-flow signatures are
         // one-shot — a distinct payload per flow — so the verdict cache
-        // would only add a digest + insertion per flow and evict entries
-        // that actually repeat (SLA envelopes).
-        let verdicts = if qos_crypto::verify_batch(&jobs) {
+        // would only add an insertion per flow and evict entries that
+        // actually repeat (SLA envelopes).
+        let verdicts = if qos_crypto::verify_batch_digests(&jobs) {
             vec![true; jobs.len()]
         } else {
             crate::parallel::verify_each(&jobs)
         };
-        drop(jobs);
-        let known: Vec<bool> = payloads.iter().map(Option::is_some).collect();
-        drop(payloads);
         let mut verdicts = verdicts.into_iter();
         let mut out = Vec::with_capacity(batch.len());
         for ((from, req), known) in batch.into_iter().zip(known) {
-            let ok = known && verdicts.next().unwrap_or(false);
+            let ok = known.is_some() && verdicts.next().unwrap_or(false);
             out.extend(self.admit_tunnel_flow(&from, req, ok));
         }
         self.counters.add_tx(out.len() as u64);
@@ -1268,19 +1253,14 @@ impl BbNode {
             .iter()
             .map(|(from, _)| self.peers.get(from).map(|c| c.tbs.subject_public_key))
             .collect();
-        let known: Vec<(&SignedRar, PublicKey)> = batch
+        // The digest the signature is over is the one the verify cache
+        // files the envelope under and the RAR memo will ask for again.
+        let jobs: Vec<(Digest, PublicKey, Signature)> = batch
             .iter()
             .zip(&pks)
-            .filter_map(|((_, rar), pk)| pk.map(|pk| (rar, pk)))
+            .filter_map(|((_, rar), pk)| Some((*rar.layer_digest(), (*pk)?, rar.signature())))
             .collect();
-        let jobs: Vec<(&[u8], PublicKey, Signature)> = known
-            .iter()
-            .map(|&(rar, pk)| (rar.layer_bytes(), pk, rar.signature()))
-            .collect();
-        // The digest the verify cache files an envelope under is the one
-        // the RAR memo will ask for again.
-        let digest_of = |i: usize| *known[i].0.layer_digest();
-        let verdicts = if qos_crypto::vcache::global().verify_batch_with(&jobs, digest_of) {
+        let verdicts = if qos_crypto::vcache::global().verify_batch_digests(&jobs) {
             vec![true; jobs.len()]
         } else {
             crate::parallel::verify_each(&jobs)

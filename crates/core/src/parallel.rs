@@ -12,6 +12,7 @@
 //! thread, so callers can use one code path for any batch size.
 
 use crossbeam::thread;
+use qos_crypto::sha256::Digest;
 use qos_crypto::{PublicKey, Signature};
 
 /// Cap on worker threads: verification is CPU-bound, so more threads
@@ -54,17 +55,19 @@ where
     .expect("thread scope")
 }
 
-/// Verify each `(message, key, signature)` triple independently,
+/// Verify each `(message digest, key, signature)` triple independently,
 /// in parallel. Returns one verdict per input, in order.
 ///
-/// This is the *attribution* path: [`qos_crypto::verify_batch`] answers
-/// "are they all valid?" with one multi-exponentiation, and this
-/// answers "which one is not?" when that combined check fails. Each
-/// check goes through the process-wide verification cache, so the good
-/// items of a poisoned batch (typically all but one) cost a hash each.
-pub fn verify_each(items: &[(&[u8], PublicKey, Signature)]) -> Vec<bool> {
-    parallel_map(items, |&(msg, pk, sig)| {
-        qos_crypto::vcache::verify(msg, pk, &sig)
+/// This is the *attribution* path: [`qos_crypto::verify_batch_digests`]
+/// answers "are they all valid?" with one multi-exponentiation, and this
+/// answers "which one is not?" when that combined check fails — over the
+/// digests the failed batch already held, so nothing is hashed again.
+/// Each check goes through the process-wide verification cache, so the
+/// good items of a poisoned batch (typically all but one) cost a lookup
+/// each once seen.
+pub fn verify_each(items: &[(Digest, PublicKey, Signature)]) -> Vec<bool> {
+    parallel_map(items, |(digest, pk, sig)| {
+        qos_crypto::vcache::global().verify_digest(digest, *pk, sig)
     })
 }
 
@@ -89,11 +92,11 @@ mod tests {
         let msgs: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 16]).collect();
         let mut sigs: Vec<_> = keys.iter().zip(&msgs).map(|(k, m)| k.sign(m)).collect();
         sigs[5].s ^= 1;
-        let items: Vec<(&[u8], PublicKey, _)> = keys
+        let items: Vec<(Digest, PublicKey, _)> = keys
             .iter()
             .zip(&msgs)
             .zip(&sigs)
-            .map(|((k, m), s)| (m.as_slice(), k.public(), *s))
+            .map(|((k, m), s)| (qos_crypto::sha256::sha256(m), k.public(), *s))
             .collect();
         let verdicts = verify_each(&items);
         for (i, ok) in verdicts.iter().enumerate() {

@@ -213,7 +213,7 @@ impl ReservationCoordinator {
         // Re-sign under the RC identity (user_request stamped the spec's
         // requestor as signer; the RC signs as itself). The layer is
         // untouched, so its cached canonical bytes stay valid.
-        rar.signature = self.key.sign(rar.layer_bytes());
+        rar.signature = self.key.sign_digest(rar.layer_digest());
         rar
     }
 }

@@ -220,15 +220,15 @@ pub(crate) fn verify_view(
     //
     // The walk below is purely structural: it checks path continuity,
     // certificate validity, and key resolution while *collecting* each
-    // layer's (canonical bytes, key, signature) triple. All signatures
-    // are then checked at once with a single multi-exponentiation
-    // (`qos_crypto::verify_batch`); only if that combined check fails do
-    // we verify layer-by-layer to attribute the bad signature.
+    // layer's (digest, key, signature) triple. All signatures are then
+    // checked at once with a single multi-exponentiation
+    // (`qos_crypto::verify_batch_digests`); only if that combined check
+    // fails do we verify layer-by-layer to attribute the bad signature.
     let layers = view.layers();
     let mut current_pk = resolve_key(keys, &rar.signer, outer_pk, now)?;
-    let mut batch: Vec<(&[u8], PublicKey, Signature)> = Vec::with_capacity(layers.len());
+    let mut batch: Vec<(Digest, PublicKey, Signature)> = Vec::with_capacity(layers.len());
     for (i, &current) in layers.iter().enumerate() {
-        batch.push((current.layer_bytes(), current_pk, current.signature));
+        batch.push((*current.layer_digest(), current_pk, current.signature));
         match &current.layer {
             RarLayer::Broker { upstream_cert, .. } => {
                 let inner = layers[i + 1];
@@ -280,7 +280,7 @@ pub(crate) fn verify_view(
         }
     }
 
-    if !qos_crypto::vcache::global().verify_batch_with(&batch, |i| *layers[i].layer_digest()) {
+    if !qos_crypto::vcache::global().verify_batch_digests(&batch) {
         // Attribute: find the first layer (outermost-first) whose
         // signature fails on its own. The layers are independent, so
         // check them concurrently on the worker pool.
@@ -425,16 +425,20 @@ mod tests {
 
     #[test]
     fn layer_digest_and_memo_key_are_what_a_vector_of_string_pairs_gave() {
-        // Pinned at the parent commit (de05c9d), where a name was a
-        // `Vec<Rdn>` and `memo_key` re-encoded it by hand: the bytes a
-        // signature, a digest and a cache key cover did not move when a
-        // name became its own encoding (DESIGN.md §D18).
+        // First pinned at de05c9d, where a name was a `Vec<Rdn>` and
+        // `memo_key` re-encoded it by hand: the bytes a signature, a
+        // digest and a cache key cover did not move when a name became
+        // its own encoding (DESIGN.md §D18). Re-pinned when signing
+        // became hash-then-sign (§D21): the encoding of every field is
+        // what it was, but the inner layers' signature *values* changed
+        // and they sit inside the outer layer's bytes, so its digest and
+        // the key derived from it moved with them.
         let mut f = fix();
         let rar = build(&mut f, 2);
         let hex = |d: &[u8]| d.iter().map(|b| format!("{b:02x}")).collect::<String>();
         assert_eq!(
             hex(rar.layer_digest()),
-            "be3fbfc92b239984ca6f53dc251491fe12aa5b0d3d3f12d0f2ffbd00a588fd43"
+            "44b0aa5e4ff1e197e693df2a621ce1fee37948c6fc34a8b8bc62383e1ab06156"
         );
         let key = memo_key(
             rar.layer_digest(),
@@ -445,7 +449,7 @@ mod tests {
         );
         assert_eq!(
             hex(&key),
-            "81942d68be58dd3c6dcd1f65d43cb1feda6cbdd40a158236aaac933e1779223e"
+            "a9300b9afb4b2cc8f2b86ee943d2d3a72cf8e70c1d2a1b793d555615d20165ed"
         );
     }
 

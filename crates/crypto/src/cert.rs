@@ -11,6 +11,7 @@
 use crate::dn::DistinguishedName;
 use crate::error::CryptoError;
 use crate::schnorr::{KeyPair, PublicKey, Signature};
+use crate::sha256::{sha256, Digest};
 use crate::time::Timestamp;
 
 /// A certificate validity window (inclusive bounds).
@@ -130,6 +131,14 @@ qos_wire::impl_wire_struct!(TbsCertificate {
     extensions
 });
 
+impl TbsCertificate {
+    /// SHA-256 of the canonical encoding — what the issuer's signature is
+    /// over and what the verification cache files the certificate under.
+    pub fn digest(&self) -> Digest {
+        qos_wire::with_encoded(self, sha256)
+    }
+}
+
 /// A signed certificate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
@@ -144,13 +153,13 @@ qos_wire::impl_wire_struct!(Certificate { tbs, signature });
 impl Certificate {
     /// Sign `tbs` with `issuer_key`, producing a certificate.
     pub fn issue(tbs: TbsCertificate, issuer_key: &KeyPair) -> Self {
-        let signature = qos_wire::with_encoded(&tbs, |tbs| issuer_key.sign(tbs));
+        let signature = issuer_key.sign_digest(&tbs.digest());
         Self { tbs, signature }
     }
 
     /// Verify the issuer signature under `issuer_pk`.
     pub fn verify_signature(&self, issuer_pk: PublicKey) -> Result<(), CryptoError> {
-        if qos_wire::with_encoded(&self.tbs, |tbs| issuer_pk.verify(tbs, &self.signature)) {
+        if issuer_pk.verify_digest(&self.tbs.digest(), &self.signature) {
             Ok(())
         } else {
             Err(CryptoError::BadSignature {

@@ -43,5 +43,5 @@ pub use error::CryptoError;
 pub use group::FixedBase;
 pub use introducer::{Introduction, TrustAnchors, TrustPolicy};
 pub use keystore::CertificateDirectory;
-pub use schnorr::{verify_batch, KeyPair, PublicKey, Signature};
+pub use schnorr::{verify_batch, verify_batch_digests, KeyPair, PublicKey, Signature};
 pub use time::Timestamp;

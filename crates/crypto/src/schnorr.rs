@@ -5,10 +5,20 @@
 //! **commitment form** `(r, s)`:
 //!
 //! * secret key `x ∈ [1, q)`, public key `y = g^x mod p`;
-//! * sign(m): `k = H(x ‖ m) mod q` (deterministic, RFC-6979 style),
-//!   `r = g^k`, `e = H(r ‖ y ‖ m) mod q`, `s = k + e·x mod q`;
-//! * verify(m, (r, s)): `e = H(r ‖ y ‖ m) mod q`, accept iff
+//! * sign(m): `d = H(m)`, `k = H(x ‖ d) mod q` (deterministic, RFC-6979
+//!   style), `r = g^k`, `e = H(r ‖ y ‖ d) mod q`, `s = k + e·x mod q`;
+//! * verify(m, (r, s)): `d = H(m)`, `e = H(r ‖ y ‖ d) mod q`, accept iff
 //!   `g^s == r · y^e mod p`.
+//!
+//! The scheme is **hash-then-sign** (DESIGN.md §D21): the message enters
+//! only through its SHA-256 digest, so a signed byte is hashed once —
+//! not once for the nonce and again for the challenge — and a caller that
+//! already holds the digest (an envelope layer's, a cache key) hands it
+//! over through the `*_digest` forms and hashes nothing more than two
+//! short blocks. Forging a signature on a message the signer never saw
+//! needs a SHA-256 collision or a forgery on the digest; the nonce is
+//! still a function of the key and the message, and the public key is
+//! still inside the challenge.
 //!
 //! The commitment form is what makes **batch verification** possible:
 //! because `r` travels in the signature (instead of being recovered from
@@ -19,7 +29,7 @@
 //! g^(Σ c_i·s_i) == Π r_i^(c_i) · Π y_i^(c_i·e_i)   (mod p)
 //! ```
 //!
-//! — see [`verify_batch`]. Both forms are 16 bytes on the wire.
+//! — see [`verify_batch_digests`]. Both forms are 16 bytes on the wire.
 //!
 //! Binding the public key into the challenge hash prevents cross-key
 //! signature transplantation, which matters here because the protocol of
@@ -32,7 +42,7 @@
 //! that verify many envelopes).
 
 use crate::group::{self, FixedBase, P, Q};
-use crate::sha256::{sha256, Sha256};
+use crate::sha256::{sha256, Digest, Sha256, DIGEST_LEN};
 use qos_wire::{Decode, Encode, Reader, WireError, Writer};
 use rand::Rng;
 use std::collections::HashMap;
@@ -102,9 +112,7 @@ impl KeyPair {
     /// scalar). Used by tests and deterministic experiments so that runs
     /// are reproducible.
     pub fn from_seed(seed: &[u8]) -> Self {
-        let d = sha256(seed);
-        let wide = u128::from_be_bytes(d[..16].try_into().unwrap());
-        Self::from_secret(group::scalar_from_wide(wide))
+        Self::from_secret(scalar_of(&sha256(seed)))
     }
 
     fn from_secret(secret: u64) -> Self {
@@ -120,17 +128,25 @@ impl KeyPair {
         self.public
     }
 
-    /// Sign a message.
+    /// Sign a message: [`KeyPair::sign_digest`] of its SHA-256.
     pub fn sign(&self, msg: &[u8]) -> Signature {
+        self.sign_digest(&sha256(msg))
+    }
+
+    /// Sign the message whose SHA-256 is `digest`.
+    // Per-signature path: under .clippy-hotpath this attribute rejects
+    // un-annotated Vec::new / slice::to_vec.
+    #[deny(clippy::disallowed_methods)]
+    pub fn sign_digest(&self, digest: &Digest) -> Signature {
         SIGN_OPS.fetch_add(1, Ordering::Relaxed);
-        // Deterministic nonce: k = H(x ‖ m), never reused across messages.
-        let mut h = Sha256::new();
-        h.update(&self.secret.to_le_bytes());
-        h.update(msg);
-        let kd = h.finalize();
-        let k = group::scalar_from_wide(u128::from_be_bytes(kd[..16].try_into().unwrap()));
+        // Deterministic nonce: k = H(x ‖ H(m)), never reused across
+        // messages.
+        let mut block = [0u8; 8 + DIGEST_LEN];
+        block[..8].copy_from_slice(&self.secret.to_le_bytes());
+        block[8..].copy_from_slice(digest);
+        let k = scalar_of(&sha256(&block));
         let r = group::g_pow(k);
-        let e = challenge(r, self.public, msg);
+        let e = challenge(r, self.public, digest);
         let s = group::add_mod(k, group::mul_mod(e, self.secret, Q), Q);
         Signature { r, s }
     }
@@ -197,13 +213,21 @@ impl PublicKey {
         }
     }
 
-    /// Verify a signature over `msg`: `g^s == r · y^e`.
+    /// Verify a signature over `msg`: [`PublicKey::verify_digest`] of
+    /// its SHA-256.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
+        self.verify_digest(&sha256(msg), sig)
+    }
+
+    /// Verify a signature over the message whose SHA-256 is `digest`:
+    /// `g^s == r · y^e`.
+    #[deny(clippy::disallowed_methods)]
+    pub fn verify_digest(&self, digest: &Digest, sig: &Signature) -> bool {
         VERIFY_OPS.fetch_add(1, Ordering::Relaxed);
         if !self.in_range(sig) {
             return false;
         }
-        let e = challenge(sig.r, *self, msg);
+        let e = challenge(sig.r, *self, digest);
         let lhs = group::g_pow(sig.s);
         group::mul_mod(sig.r, self.pow(e), P) == lhs
     }
@@ -222,32 +246,46 @@ impl PublicKey {
     }
 }
 
+/// [`verify_batch_digests`] over the SHA-256 of each message.
+pub fn verify_batch(items: &[(&[u8], PublicKey, Signature)]) -> bool {
+    let digests: Vec<_> = items
+        .iter()
+        .map(|&(msg, pk, sig)| (sha256(msg), pk, sig))
+        .collect();
+    verify_batch_digests(&digests)
+}
+
 /// Verify `n` signatures with one multi-exponentiation.
 ///
-/// Each item is `(message, key, signature)`. The equations
-/// `g^(s_i) == r_i · y_i^(e_i)` are combined with deterministic 32-bit
-/// random coefficients `c_i` (Fiat–Shamir over the whole batch, so a
-/// forger cannot choose signatures after seeing the coefficients):
+/// Each item is `(SHA-256 of the message, key, signature)`. The
+/// equations `g^(s_i) == r_i · y_i^(e_i)` are combined with deterministic
+/// 32-bit random coefficients `c_i` (Fiat–Shamir over the whole batch, so
+/// a forger cannot choose signatures after seeing the coefficients):
 ///
 /// ```text
-/// g^(Σ c_i·s_i mod q) == Π r_i^(c_i) · Π y_i^(c_i·e_i mod q)   (mod p)
+/// g^(Σ c_i·s_i mod q) == Π r_i^(c_i) · Π_y y^(Σ_{i: y_i = y} c_i·e_i mod q)   (mod p)
 /// ```
 ///
-/// The right-hand side shares a single squaring chain across all `2n`
-/// bases ([`group::multi_pow`]), so a depth-`d` envelope chain costs one
-/// multi-exponentiation instead of `d` independent verifies.
+/// The right-hand side shares a single squaring chain across all its
+/// bases ([`group::multi_pow`]), and items under one key share one base:
+/// a run of requests from one peer, or a burst of sub-flows from one
+/// source broker, costs `n + 1` bases instead of `2n`.
 ///
 /// Returns `true` iff the combined check passes. A `false` says *some*
 /// item is bad without naming it; callers that need attribution fall
-/// back to per-item [`PublicKey::verify`] (see `qos_core::trust`). A
-/// batch accepts with overwhelming probability exactly when every item
+/// back to per-item [`PublicKey::verify_digest`] (see `qos_core::trust`).
+/// A batch accepts with overwhelming probability exactly when every item
 /// verifies individually (false acceptance of a bad batch requires
 /// guessing a 32-bit coefficient relation).
-pub fn verify_batch(items: &[(&[u8], PublicKey, Signature)]) -> bool {
+// Per-signature path: under .clippy-hotpath this attribute rejects
+// un-annotated Vec::new / slice::to_vec (the two scratch vectors below
+// are sized once per batch).
+#[deny(clippy::disallowed_methods)]
+pub fn verify_batch_digests(items: &[(Digest, PublicKey, Signature)]) -> bool {
     // Small batches: the RLC machinery costs more than it saves.
     match items {
         [] => return true,
-        [(msg, pk, sig)] => return pk.verify(msg, sig),
+        [(digest, pk, sig)] => return pk.verify_digest(digest, sig),
         _ => {}
     }
     VERIFY_OPS.fetch_add(items.len() as u64, Ordering::Relaxed);
@@ -259,14 +297,14 @@ pub fn verify_batch(items: &[(&[u8], PublicKey, Signature)]) -> bool {
     }
     let es: Vec<u64> = items
         .iter()
-        .map(|&(msg, pk, sig)| challenge(sig.r, pk, msg))
+        .map(|(digest, pk, sig)| challenge(sig.r, *pk, digest))
         .collect();
 
     // Coefficient seed over the full batch transcript.
     let mut h = Sha256::new();
     h.update(b"qos-schnorr-batch-v1");
     h.update(&(items.len() as u64).to_le_bytes());
-    for (&(_, pk, sig), e) in items.iter().zip(&es) {
+    for ((_, pk, sig), e) in items.iter().zip(&es) {
         h.update(&sig.r.to_le_bytes());
         h.update(&sig.s.to_le_bytes());
         h.update(&pk.0.to_le_bytes());
@@ -282,24 +320,45 @@ pub fn verify_batch(items: &[(&[u8], PublicKey, Signature)]) -> bool {
         (u64::from_be_bytes(d[..8].try_into().unwrap()) >> 32) | 1
     };
 
+    // `pairs[..n]` are the commitments `(r_i, c_i)`; behind them one
+    // `(y_i, c_i·e_i)` per item, sorted by key and folded to one per key.
+    let n = items.len();
     let mut s_sum = 0u64;
-    let mut pairs = Vec::with_capacity(items.len() * 2);
-    for (i, (&(_, pk, sig), &e)) in items.iter().zip(&es).enumerate() {
+    let mut pairs = Vec::with_capacity(n * 2);
+    for (i, (_, _, sig)) in items.iter().enumerate() {
         let c = coeff(i);
         s_sum = group::add_mod(s_sum, group::mul_mod(c, sig.s, Q), Q);
         pairs.push((sig.r, c));
-        pairs.push((pk.0, group::mul_mod(c, e, Q)));
     }
+    for (i, (_, pk, _)) in items.iter().enumerate() {
+        pairs.push((pk.0, group::mul_mod(pairs[i].1, es[i], Q)));
+    }
+    pairs[n..].sort_unstable_by_key(|&(key, _)| key);
+    let mut last = n;
+    for i in n + 1..2 * n {
+        if pairs[i].0 == pairs[last].0 {
+            pairs[last].1 = group::add_mod(pairs[last].1, pairs[i].1, Q);
+        } else {
+            last += 1;
+            pairs[last] = pairs[i];
+        }
+    }
+    pairs.truncate(last + 1);
     group::g_pow(s_sum) == group::multi_pow(&pairs)
 }
 
-fn challenge(r: u64, pk: PublicKey, msg: &[u8]) -> u64 {
-    let mut h = Sha256::new();
-    h.update(&r.to_le_bytes());
-    h.update(&pk.0.to_le_bytes());
-    h.update(msg);
-    let d = h.finalize();
+/// The first 16 bytes of a digest as a nonzero scalar.
+fn scalar_of(d: &Digest) -> u64 {
     group::scalar_from_wide(u128::from_be_bytes(d[..16].try_into().unwrap()))
+}
+
+/// `e = H(r ‖ y ‖ H(m)) mod q`: one 48-byte block.
+fn challenge(r: u64, pk: PublicKey, digest: &Digest) -> u64 {
+    let mut block = [0u8; 16 + DIGEST_LEN];
+    block[..8].copy_from_slice(&r.to_le_bytes());
+    block[8..16].copy_from_slice(&pk.0.to_le_bytes());
+    block[16..].copy_from_slice(digest);
+    scalar_of(&sha256(&block))
 }
 
 impl Encode for PublicKey {
@@ -445,6 +504,30 @@ mod tests {
         items[0].2 = items[3].2;
         items[3].2 = tmp;
         assert!(!verify_batch(&as_refs(&items)));
+    }
+
+    #[test]
+    fn batch_under_shared_keys_folds_to_the_same_verdicts() {
+        // Two keys over six items: four terms fold into one base, two
+        // into another. Good batches pass; any one bad item fails it.
+        let keys = [kp("peer"), kp("other")];
+        let owned: Vec<(Vec<u8>, PublicKey, Signature)> = (0..6)
+            .map(|i| {
+                let k = &keys[usize::from(i >= 4)];
+                let msg = format!("request {i}").into_bytes();
+                let sig = k.sign(&msg);
+                (msg, k.public(), sig)
+            })
+            .collect();
+        assert!(verify_batch(&as_refs(&owned)));
+        for i in 0..owned.len() {
+            let mut bad = owned.clone();
+            bad[i].2.s ^= 1;
+            assert!(!verify_batch(&as_refs(&bad)), "sig tamper at {i}");
+            let mut bad = owned.clone();
+            bad[i].2 = owned[(i + 1) % 6].2;
+            assert!(!verify_batch(&as_refs(&bad)), "signature swap at {i}");
+        }
     }
 
     #[test]

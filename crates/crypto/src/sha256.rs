@@ -14,6 +14,8 @@
 //! fallback everywhere else and the reference the hardware path is
 //! tested against.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;
 
@@ -34,6 +36,16 @@ const K: [u32; 64] = [
 const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
+
+/// Process-wide count of bytes fed to [`Sha256::update`] (one relaxed add
+/// per call, beside `schnorr::{sign_ops, verify_ops}`): what a protocol
+/// exchange hashed, whoever asked for it. Padding is not counted.
+static HASHED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Total bytes hashed in this process so far.
+pub fn hashed_bytes() -> u64 {
+    HASHED_BYTES.load(Ordering::Relaxed)
+}
 
 /// Incremental SHA-256 hasher.
 #[derive(Clone)]
@@ -63,6 +75,7 @@ impl Sha256 {
 
     /// Absorb `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
+        HASHED_BYTES.fetch_add(data.len() as u64, Ordering::Relaxed);
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut data = data;
         if self.buf_len > 0 {
@@ -306,29 +319,58 @@ pub fn sha256(data: &[u8]) -> Digest {
     h.finalize()
 }
 
-/// HMAC-SHA-256 (RFC 2104), used by [`crate::session`]-style message
-/// authentication on secure channels.
+/// An HMAC-SHA-256 key with its schedule already absorbed: the two hash
+/// states left after the 64-byte inner and outer pad blocks (RFC 2104).
+/// A long-lived key — a channel direction's — pays those two compressions
+/// once; every MAC under it starts from a clone of the midstates.
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl std::fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("HmacKey(<redacted>)")
+    }
+}
+
+impl HmacKey {
+    /// Absorb `key` (hashed first if longer than a block).
+    pub fn new(key: &[u8]) -> Self {
+        let mut k = [0u8; 64];
+        if key.len() > 64 {
+            k[..32].copy_from_slice(&sha256(key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = Sha256::new();
+        inner.update(&k.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&k.map(|b| b ^ 0x5c));
+        Self { inner, outer }
+    }
+
+    /// The inner hash, ready for the message: feed it with
+    /// [`Sha256::update`], then hand it to [`HmacKey::finish`].
+    pub fn start(&self) -> Sha256 {
+        self.inner.clone()
+    }
+
+    /// The MAC of everything fed to `inner` since [`HmacKey::start`].
+    pub fn finish(&self, inner: Sha256) -> Digest {
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
+/// HMAC-SHA-256 (RFC 2104), one-shot.
 pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> Digest {
-    let mut k = [0u8; 64];
-    if key.len() > 64 {
-        k[..32].copy_from_slice(&sha256(key));
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0x36u8; 64];
-    let mut opad = [0x5cu8; 64];
-    for i in 0..64 {
-        ipad[i] ^= k[i];
-        opad[i] ^= k[i];
-    }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
+    let key = HmacKey::new(key);
+    let mut inner = key.start();
     inner.update(msg);
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    key.finish(inner)
 }
 
 /// Render a digest as lowercase hex (for fingerprints and debugging).
@@ -447,6 +489,21 @@ mod tests {
             to_hex(&hmac_sha256(b"Jefe", b"what do ya want for nothing?")),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
         );
+    }
+
+    #[test]
+    fn rfc4231_case2_from_midstates_fed_in_pieces() {
+        // One absorbed key serves many messages, each fed incrementally.
+        let key = HmacKey::new(b"Jefe");
+        for _ in 0..2 {
+            let mut inner = key.start();
+            inner.update(b"what do ya want ");
+            inner.update(b"for nothing?");
+            assert_eq!(
+                to_hex(&key.finish(inner)),
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+            );
+        }
     }
 
     #[test]

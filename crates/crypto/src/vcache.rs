@@ -5,7 +5,9 @@
 //! broker's certificate, every capability chain re-presents the CAS
 //! certs, and every handshake re-checks the SLA-pinned peer certificate.
 //! A Schnorr verification costs two modular exponentiations; a cache hit
-//! costs one SHA-256 of the signed bytes and a sharded map lookup.
+//! costs a sharded map lookup under the SHA-256 of the signed bytes —
+//! the digest the signature itself is over (DESIGN.md §D21), so a caller
+//! that holds it hashes nothing here, hit or miss.
 //!
 //! Design (DESIGN.md §D10):
 //!
@@ -34,10 +36,9 @@
 use crate::cert::Certificate;
 use crate::error::CryptoError;
 use crate::lru::{CacheCounters, LruMap};
-use crate::schnorr::{verify_batch, PublicKey, Signature};
+use crate::schnorr::{verify_batch_digests, PublicKey, Signature};
 use crate::sha256::{sha256, Digest};
 use crate::time::Timestamp;
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -161,7 +162,12 @@ impl VerifyCache {
     /// Bit-identical to [`PublicKey::verify`] in verdict; only the cost
     /// differs.
     pub fn verify(&self, msg: &[u8], pk: PublicKey, sig: &Signature) -> bool {
-        self.verify_batch(&[(msg, pk, *sig)])
+        self.verify_digest(&sha256(msg), pk, sig)
+    }
+
+    /// [`VerifyCache::verify`] of the message whose SHA-256 is `digest`.
+    pub fn verify_digest(&self, digest: &Digest, pk: PublicKey, sig: &Signature) -> bool {
+        self.verify_batch_digests(&[(*digest, pk, *sig)])
     }
 
     /// Verify a certificate's issuer signature through the cache. The
@@ -170,74 +176,69 @@ impl VerifyCache {
     /// rather than served from memory. `now` drives only that eviction —
     /// callers still enforce validity via
     /// [`Certificate::check_validity`].
+    // Per-signature path (DESIGN.md §D21): under .clippy-hotpath this
+    // attribute rejects un-annotated Vec::new / slice::to_vec.
+    #[deny(clippy::disallowed_methods)]
     pub fn verify_cert(
         &self,
         cert: &Certificate,
         issuer_pk: PublicKey,
         now: Timestamp,
     ) -> Result<(), CryptoError> {
-        thread_local! {
-            /// The certificate body's encoding: every link of every
-            /// chain at every hop passes through here, in one buffer.
-            static TBS: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+        // One encoding, one digest: the cache key and, on a miss, what
+        // the signature check itself is over.
+        let digest = cert.tbs.digest();
+        let cached = self.enabled();
+        if cached && self.lookup(&digest, issuer_pk, &cert.signature, now) {
+            return Ok(());
         }
-        TBS.with_borrow_mut(|tbs| {
-            // One encoding serves the cache key and, on a miss, the
-            // signature check itself.
-            tbs.clear();
-            qos_wire::encode_into(&cert.tbs, tbs);
-            let cached = self.enabled().then(|| sha256(tbs));
-            if cached.is_some_and(|d| self.lookup(&d, issuer_pk, &cert.signature, now)) {
-                return Ok(());
-            }
-            if !issuer_pk.verify(tbs, &cert.signature) {
-                return Err(CryptoError::BadSignature {
-                    signer: cert.tbs.issuer.clone(),
-                });
-            }
-            if let Some(digest) = cached {
-                let not_after = Some(cert.tbs.validity.not_after);
-                self.insert(digest, issuer_pk, cert.signature, not_after);
-            }
-            Ok(())
-        })
+        if !issuer_pk.verify_digest(&digest, &cert.signature) {
+            return Err(CryptoError::BadSignature {
+                signer: cert.tbs.issuer.clone(),
+            });
+        }
+        if cached {
+            let not_after = Some(cert.tbs.validity.not_after);
+            self.insert(digest, issuer_pk, cert.signature, not_after);
+        }
+        Ok(())
     }
 
-    /// Verify a batch of `(message, key, signature)` triples, serving
-    /// repeats from the cache and running one batch equation
-    /// ([`verify_batch`]) over the misses only. Returns the same verdict
-    /// the plain batch check would: true iff *every* item verifies.
+    /// [`VerifyCache::verify_batch_digests`] over the SHA-256 of each
+    /// message.
     pub fn verify_batch(&self, items: &[(&[u8], PublicKey, Signature)]) -> bool {
-        self.verify_batch_with(items, |i| sha256(items[i].0))
+        let digests: Vec<_> = items
+            .iter()
+            .map(|&(msg, pk, sig)| (sha256(msg), pk, sig))
+            .collect();
+        self.verify_batch_digests(&digests)
     }
 
-    /// [`VerifyCache::verify_batch`] for callers that already hold (or
-    /// memoize) the digests: `digest_of(i)` must be `sha256(items[i].0)`.
-    /// Never called while the cache is disabled.
-    pub fn verify_batch_with(
-        &self,
-        items: &[(&[u8], PublicKey, Signature)],
-        digest_of: impl Fn(usize) -> Digest,
-    ) -> bool {
+    /// Verify a batch of `(message digest, key, signature)` triples,
+    /// serving repeats from the cache and running one batch equation
+    /// ([`verify_batch_digests`]) over the misses only. Returns the same
+    /// verdict the plain batch check would: true iff *every* item
+    /// verifies.
+    #[deny(clippy::disallowed_methods)]
+    pub fn verify_batch_digests(&self, items: &[(Digest, PublicKey, Signature)]) -> bool {
         if !self.enabled() {
-            return verify_batch(items);
+            return verify_batch_digests(items);
         }
-        let mut missed: Vec<(&[u8], PublicKey, Signature)> = Vec::new();
-        let mut missed_digests: Vec<Digest> = Vec::new();
-        for (i, &(msg, pk, sig)) in items.iter().enumerate() {
-            let digest = digest_of(i);
-            if !self.lookup(&digest, pk, &sig, Timestamp::ZERO) {
-                missed.push((msg, pk, sig));
-                missed_digests.push(digest);
+        // Allocates only once something misses.
+        #[allow(clippy::disallowed_methods)]
+        let mut missed: Vec<(Digest, PublicKey, Signature)> = Vec::new();
+        for item @ (digest, pk, sig) in items {
+            if !self.lookup(digest, *pk, sig, Timestamp::ZERO) {
+                missed.push(*item);
             }
         }
         if missed.is_empty() {
             return true;
         }
-        if !verify_batch(&missed) {
+        if !verify_batch_digests(&missed) {
             return false;
         }
-        for (&(_, pk, sig), digest) in missed.iter().zip(missed_digests) {
+        for (digest, pk, sig) in missed {
             self.insert(digest, pk, sig, None);
         }
         true
@@ -268,16 +269,6 @@ pub fn stats() -> (u64, u64, u64) {
 /// The process-wide cache's counter cells, for telemetry registration.
 pub fn counter_cells() -> (Arc<AtomicU64>, Arc<AtomicU64>, Arc<AtomicU64>) {
     global().counter_cells()
-}
-
-/// [`VerifyCache::verify`] on the process-wide cache.
-pub fn verify(msg: &[u8], pk: PublicKey, sig: &Signature) -> bool {
-    global().verify(msg, pk, sig)
-}
-
-/// [`VerifyCache::verify_batch`] on the process-wide cache.
-pub fn verify_batch_cached(items: &[(&[u8], PublicKey, Signature)]) -> bool {
-    global().verify_batch(items)
 }
 
 #[cfg(test)]

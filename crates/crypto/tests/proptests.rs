@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use qos_crypto::cert::{Extension, TbsCertificate, Validity};
+use qos_crypto::sha256::sha256;
 use qos_crypto::{
     Certificate, CertificateAuthority, DelegationChain, DistinguishedName, KeyPair, Restriction,
     Timestamp,
@@ -93,30 +94,72 @@ proptest! {
     }
 
     /// Batch verification accepts exactly when every signature verifies
-    /// individually, under arbitrary per-item tampering.
+    /// individually, under arbitrary per-item damage — a flipped response
+    /// scalar, a signature swapped in from the next item, `s` or `r` out
+    /// of range — whether the items sit under distinct keys, one shared
+    /// key (a run from one peer: the per-key terms fold into one base),
+    /// or a mix.
     #[test]
     fn batch_agrees_with_individual_verdicts(
-        n in 1usize..6,
-        msgs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 6..7),
-        tamper in proptest::collection::vec(any::<bool>(), 6..7),
+        n in 1usize..7,
+        msgs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 7..8),
+        damage in proptest::collection::vec(0u8..8, 7..8),
+        keys_in_use in 1usize..4,
     ) {
-        let owned: Vec<(Vec<u8>, qos_crypto::PublicKey, qos_crypto::Signature)> = (0..n)
+        let mut owned: Vec<(Vec<u8>, qos_crypto::PublicKey, qos_crypto::Signature)> = (0..n)
             .map(|i| {
-                let kp = KeyPair::from_seed(&[i as u8, 0xB, 0xA, 0x7]);
-                let msg = msgs[i].clone();
-                let mut sig = kp.sign(&msg);
-                if tamper[i] {
-                    sig.s ^= 1;
-                }
-                (msg, kp.public(), sig)
+                let kp = KeyPair::from_seed(&[(i % keys_in_use) as u8, 0xB, 0xA, 0x7]);
+                (msgs[i].clone(), kp.public(), kp.sign(&msgs[i]))
             })
             .collect();
+        for i in 0..n {
+            match damage[i] {
+                0 => owned[i].2.s ^= 1,
+                1 => owned[i].2 = owned[(i + 1) % n].2,
+                2 => owned[i].2.s = qos_crypto::group::Q,
+                3 => owned[i].2.r = 0,
+                _ => {}
+            }
+        }
         let items: Vec<(&[u8], qos_crypto::PublicKey, qos_crypto::Signature)> = owned
             .iter()
             .map(|(m, pk, s)| (m.as_slice(), *pk, *s))
             .collect();
         let individual = items.iter().all(|(m, pk, s)| pk.verify(m, s));
         prop_assert_eq!(qos_crypto::verify_batch(&items), individual);
+    }
+
+    /// The byte-taking forms are the digest-taking forms of the message's
+    /// SHA-256 — same signature, same verdicts, one item or a batch,
+    /// through the key's pinned window table or without one.
+    #[test]
+    fn byte_forms_are_digest_forms_of_the_sha256(
+        seed in any::<[u8; 8]>(),
+        pin in any::<bool>(),
+        msgs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..200), 1..5),
+        tamper in proptest::collection::vec(any::<bool>(), 5..6),
+    ) {
+        let kp = KeyPair::from_seed(&seed);
+        if pin {
+            kp.public().precompute();
+        }
+        let mut by_bytes = Vec::new();
+        let mut by_digest = Vec::new();
+        for (msg, &tamper) in msgs.iter().zip(&tamper) {
+            let digest = sha256(msg);
+            let mut sig = kp.sign(msg);
+            prop_assert_eq!(sig, kp.sign_digest(&digest));
+            if tamper {
+                sig.s ^= 1;
+            }
+            prop_assert_eq!(kp.public().verify(msg, &sig), !tamper);
+            prop_assert_eq!(kp.public().verify_digest(&digest, &sig), !tamper);
+            by_bytes.push((msg.as_slice(), kp.public(), sig));
+            by_digest.push((digest, kp.public(), sig));
+        }
+        let all_good = !tamper[..msgs.len()].iter().any(|&t| t);
+        prop_assert_eq!(qos_crypto::verify_batch(&by_bytes), all_good);
+        prop_assert_eq!(qos_crypto::verify_batch_digests(&by_digest), all_good);
     }
 
     /// The verification cache is verdict-transparent: across arbitrary
