@@ -98,6 +98,53 @@ fn bench_wrap(c: &mut Criterion) {
             )
         })
     });
+    // A hop's wrap of the nest it has just verified (its digest in
+    // hand): the encoding copies the nest, the hash covers only what
+    // the hop appends (DESIGN.md §D22).
+    let mut g = c.benchmark_group("envelope/wrap");
+    for depth in [3usize, 8] {
+        let w = world(depth + 1);
+        let inner = build(&w, depth - 1);
+        g.bench_function(BenchmarkId::from_parameter(format!("depth-{depth}")), |b| {
+            b.iter_batched(
+                || inner.clone(),
+                |inner| {
+                    SignedRar::wrap(
+                        inner,
+                        w.certs[depth - 2].clone(),
+                        Some(DistinguishedName::broker(&format!("domain-{depth}"))),
+                        vec![],
+                        AttributeSet::new(),
+                        DistinguishedName::broker(&format!("domain-{}", depth - 1)),
+                        &w.keys[depth - 1],
+                    )
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    g.finish();
+}
+
+/// Every layer's digest of a nest as it comes off the wire: one pass
+/// over the message, each layer chaining over the one inside it (§D22).
+fn bench_digests(c: &mut Criterion) {
+    let mut g = c.benchmark_group("envelope/digests");
+    for depth in [3usize, 8] {
+        let w = world(depth);
+        let frame: std::sync::Arc<[u8]> = qos_wire::to_bytes(&build(&w, depth - 1)).into();
+        g.bench_function(BenchmarkId::from_parameter(format!("depth-{depth}")), |b| {
+            b.iter_batched(
+                || qos_wire::from_bytes_shared::<SignedRar>(&frame).unwrap(),
+                |rar| {
+                    let first_bytes = layers(&rar).into_iter().map(|l| l.layer_digest()[0] as u32);
+                    first_bytes.sum::<u32>()
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    g.finish();
 }
 
 /// The chain of envelopes, outermost first.
@@ -111,7 +158,7 @@ fn layers(rar: &SignedRar) -> Vec<&SignedRar> {
     v
 }
 
-/// The tentpole ablation: reading every layer's canonical bytes from
+/// The tentpole ablation: reading every layer's wire bytes from
 /// the encode-once cache versus re-serialising each nested layer the
 /// way the pre-cache verifier did (O(d²) bytes touched at depth d).
 fn bench_encode_once(c: &mut Criterion) {
@@ -124,7 +171,7 @@ fn bench_encode_once(c: &mut Criterion) {
             b.iter(|| {
                 chain
                     .iter()
-                    .map(|l| black_box(l.layer_bytes()).len())
+                    .map(|l| black_box(l.wire_bytes()).len())
                     .sum::<usize>()
             })
         });
@@ -318,6 +365,7 @@ criterion_group!(
     benches,
     bench_hop_cold,
     bench_wrap,
+    bench_digests,
     bench_encode_once,
     bench_verify_depth,
     bench_codec,

@@ -210,9 +210,11 @@ fn main() {
          so µs/layer levels off at one batched signature check over\n\
          cached canonical bytes — verification never re-encodes the\n\
          nest (zero encoded bytes produced, vs O(d²) before the D6\n\
-         encode-once cache; the small residual per-layer growth is\n\
-         hashing the linearly larger outer layers, inherent to signing\n\
-         the complete received message at every hop).\n\
+         encode-once cache), and a wrap hashes only what it appends:\n\
+         a layer's digest chains over the digest of the layer inside\n\
+         (D22), so build time per hop is the copy of the nest plus a\n\
+         constant. A broker layer is one byte longer than before D22\n\
+         when no capability chain is carried (`delegate: None`).\n\
          Absolute numbers use the 63-bit simulation-strength group; a\n\
          production 2048-bit RSA deployment would scale each signature\n\
          op by ~10³ while preserving the linear shape."

@@ -325,7 +325,7 @@ impl Mesh {
             MeshEvent::Deliver {
                 from: format!("user:{agent_domain}"),
                 to: target.to_string(),
-                msg: SignalMessage::Direct(req),
+                msg: SignalMessage::Direct(Box::new(req)),
             },
         );
     }

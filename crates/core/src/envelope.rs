@@ -9,11 +9,20 @@
 //! and every broker wraps what it received, adding the upstream peer's
 //! certificate (learned from the secure-channel handshake — this is what
 //! makes each broker a *key introducer*), the DN of the next downstream
-//! broker, any new capability delegations, and its policy attachments:
+//! broker, its policy attachments, and — where it holds the request's
+//! capability chain — its delegation to that broker:
 //!
 //! ```text
 //! RAR_{N+1} = sign_{BB_{N+1}}({RAR_N, cert_N, DN_BB_{N+2}, CapCert'_{N+1}})
 //! ```
+//!
+//! `CapCert'_{N+1}` is not a certificate of its own (DESIGN.md §D22):
+//! the layer names the delegatee and is signed anyway, so it carries the
+//! delegatee's key and a validity window ([`Delegation`]) and its
+//! signature is the link's. That signature is over a **chained digest**:
+//! SHA-256 of the user's layer, and for a broker's layer
+//! `SHA-256(0x01 ‖ digest of the layer inside ‖ what this broker added)`
+//! — a hop hashes what it received once and what it appends once.
 //!
 //! "A complete request therefore is comprised of a collection of
 //! information, each signed by the entity that added it. The signatures
@@ -22,8 +31,8 @@
 
 use crate::rar::ResSpec;
 use crate::view::RarView;
-use qos_crypto::sha256::{sha256, Digest};
-use qos_crypto::{Certificate, DistinguishedName, KeyPair, PublicKey, Signature};
+use qos_crypto::sha256::{sha256, Digest, Sha256};
+use qos_crypto::{Certificate, Delegation, DistinguishedName, KeyPair, PublicKey, Signature};
 use qos_policy::AttributeSet;
 use qos_wire::{Decode, Encode, Reader, SharedBytes, WireError, Writer};
 use std::sync::OnceLock;
@@ -52,29 +61,54 @@ pub enum RarLayer {
         /// `DN_BB_{N+2}`: the next downstream broker this copy is
         /// addressed to (None only on the destination's own records).
         next_bb: Option<DistinguishedName>,
-        /// `CapCert'_{N+1}`: new delegation certificates added here.
+        /// Always empty: a broker delegates through `delegate`, and a
+        /// certificate here fails the chain.
         capability_certs: Vec<Certificate>,
         /// Additional policy information the local policy server attached
         /// ("the BB receives additional domain-wide information from the
         /// policy server").
         policy_attachments: AttributeSet,
+        /// `CapCert'_{N+1}`: delegation of the chain it holds to `next_bb`.
+        delegate: Option<Delegation>,
     },
 }
 
 qos_wire::impl_wire_enum!(RarLayer {
     0 => User { res_spec, source_bb, capability_certs },
-    1 => Broker { inner, upstream_cert, next_bb, capability_certs, policy_attachments },
+    1 => Broker { inner, upstream_cert, next_bb, capability_certs, policy_attachments, delegate },
 });
+
+/// First byte of a wrap's signature preimage, `RarLayer::Broker`'s wire
+/// tag: a user layer's opens with tag 0, so neither reads as the other.
+const WRAP_TAG: u8 = 1;
+
+/// The digest a wrap's signature is over: `inner` is the digest of the
+/// layer inside, `added` what follows that layer's bytes in the wrap's.
+pub(crate) fn wrap_digest(inner: &Digest, added: &[u8]) -> Digest {
+    let mut h = Sha256::new();
+    h.update(&[WRAP_TAG]);
+    h.update(inner);
+    h.update(added);
+    h.finalize()
+}
+
+/// The digest `layer`'s signature is over, given its wire encoding.
+fn chained_digest(layer: &RarLayer, wire: &[u8]) -> Digest {
+    match layer {
+        RarLayer::User { .. } => sha256(wire),
+        RarLayer::Broker { inner, .. } => {
+            wrap_digest(inner.layer_digest(), &wire[1 + inner.wire_bytes().len()..])
+        }
+    }
+}
 
 /// A signed layer.
 ///
-/// The canonical bytes of `layer` — what `signature` covers, through
-/// their SHA-256 — are cached the first time they are needed
+/// The wire bytes of `layer` are cached the first time they are needed
 /// (**encode-once**): signing and wrapping store the buffer they just
 /// produced, and decoding from a shared buffer ([`qos_wire::from_bytes_shared`]) retains a zero-copy
 /// sub-slice of the received message per layer. Verification and
-/// re-encoding therefore never re-walk the nested structure, which turns
-/// full-chain verification from `O(d²)` to `O(d)` in encoding work.
+/// re-encoding therefore never re-walk the nested structure.
 ///
 /// The cache is keyed by construction: `layer` must not be mutated after
 /// the `SignedRar` is built (no code in this workspace does — and doing
@@ -85,15 +119,17 @@ pub struct SignedRar {
     pub layer: RarLayer,
     /// Who signed it.
     pub signer: DistinguishedName,
-    /// Signature over the SHA-256 of the canonical bytes of `layer`.
+    /// Signature over the chained digest of `layer`.
     pub signature: Signature,
-    /// Lazily-filled canonical encoding of `layer`.
-    canonical: OnceLock<SharedBytes>,
-    /// Lazily-filled SHA-256 of `canonical` — what `signature` is over
-    /// and the key every cache on the way (RAR memo, verify cache) files
-    /// this layer under, hashed once however many of them ask
-    /// (DESIGN.md §D17, §D21).
+    /// Lazily-filled wire encoding of `layer`.
+    wire: OnceLock<SharedBytes>,
+    /// Lazily-filled chained digest — what `signature` is over and the
+    /// key every cache on the way (RAR memo, verify cache) files this
+    /// layer under, hashed once however many of them ask (DESIGN.md
+    /// §D17, §D21, §D22).
     digest: OnceLock<Digest>,
+    /// A broker layer's preimage, for callers that want it as bytes.
+    preimage: OnceLock<Vec<u8>>,
 }
 
 impl PartialEq for SignedRar {
@@ -108,7 +144,7 @@ impl PartialEq for SignedRar {
 
 impl Encode for SignedRar {
     fn encode(&self, w: &mut Writer) {
-        w.put_raw(self.layer_bytes());
+        w.put_raw(self.wire_bytes());
         self.signer.encode(w);
         self.signature.encode(w);
     }
@@ -118,16 +154,17 @@ impl Decode for SignedRar {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let start = r.position();
         let layer = RarLayer::decode(r)?;
-        let canonical = OnceLock::new();
+        let wire = OnceLock::new();
         if let Some(span) = r.shared_span(start, r.position()) {
-            let _ = canonical.set(span);
+            let _ = wire.set(span);
         }
         Ok(SignedRar {
             layer,
             signer: DistinguishedName::decode(r)?,
             signature: Signature::decode(r)?,
-            canonical,
+            wire,
             digest: OnceLock::new(),
+            preimage: OnceLock::new(),
         })
     }
 }
@@ -155,22 +192,23 @@ impl SignedRar {
         Self::sign_layer(layer, res_spec.requestor, user_key)
     }
 
-    /// Encode `layer` once, hash the encoding once, sign the digest, and
-    /// keep both beside the layer.
-    fn sign_layer(layer: RarLayer, signer: DistinguishedName, key: &KeyPair) -> Self {
-        let layer_bytes = qos_wire::to_bytes(&layer);
-        let digest = sha256(&layer_bytes);
+    /// Encode `layer` once, hash what it adds to the layer inside once,
+    /// sign the digest, and keep both beside the layer.
+    pub fn sign_layer(layer: RarLayer, signer: DistinguishedName, key: &KeyPair) -> Self {
+        let wire = qos_wire::to_bytes(&layer);
+        let digest = chained_digest(&layer, &wire);
         Self {
             layer,
             signer,
             signature: key.sign_digest(&digest),
-            canonical: prefilled(SharedBytes::from_vec(layer_bytes)),
+            wire: prefilled(SharedBytes::from_vec(wire)),
             digest: prefilled(digest),
+            preimage: OnceLock::new(),
         }
     }
 
     /// Wrap a received message into the next hop's envelope
-    /// (`RAR_{N+1}`).
+    /// (`RAR_{N+1}`), delegating nothing.
     pub fn wrap(
         inner: SignedRar,
         upstream_cert: Certificate,
@@ -186,29 +224,44 @@ impl SignedRar {
             next_bb,
             capability_certs,
             policy_attachments,
+            delegate: None,
         };
         // Encoding the new layer appends the inner envelope's *cached*
-        // canonical bytes (one memcpy) rather than re-walking the nest.
+        // wire bytes (one memcpy) rather than re-walking the nest.
         Self::sign_layer(layer, signer, key)
     }
 
-    /// The canonical bytes of `layer` — what the signature covers —
-    /// computed at most once per envelope lifetime.
+    /// The wire encoding of `layer`, computed at most once per envelope
+    /// lifetime.
     ///
     /// Envelopes built by [`SignedRar::user_request`] / [`SignedRar::wrap`]
     /// or decoded via [`qos_wire::from_bytes_shared`] never encode here;
     /// only envelopes decoded through a plain reader pay one encoding on
     /// first use.
-    pub fn layer_bytes(&self) -> &[u8] {
-        self.canonical
+    pub fn wire_bytes(&self) -> &[u8] {
+        self.wire
             .get_or_init(|| SharedBytes::from_vec(qos_wire::to_bytes(&self.layer)))
             .as_slice()
+    }
+
+    /// The bytes whose SHA-256 the signature is over: a user layer's
+    /// wire bytes, a broker layer's `0x01 ‖ inner digest ‖ what the
+    /// broker added`. No request path builds them.
+    pub fn layer_bytes(&self) -> &[u8] {
+        let RarLayer::Broker { inner, .. } = &self.layer else {
+            return self.wire_bytes();
+        };
+        self.preimage.get_or_init(|| {
+            let added = &self.wire_bytes()[1 + inner.wire_bytes().len()..];
+            [&[WRAP_TAG][..], &inner.layer_digest()[..], added].concat()
+        })
     }
 
     /// SHA-256 of [`SignedRar::layer_bytes`] — the exact signature input
     /// — computed at most once per envelope lifetime.
     pub fn layer_digest(&self) -> &Digest {
-        self.digest.get_or_init(|| sha256(self.layer_bytes()))
+        self.digest
+            .get_or_init(|| chained_digest(&self.layer, self.wire_bytes()))
     }
 
     /// Adopt a digest of this layer's bytes that the borrowed decoder
@@ -419,8 +472,9 @@ mod tests {
     fn cached_layer_bytes_match_fresh_encoding() {
         let mut f = fix();
         let rar = build_nested(&mut f);
-        // Built chain: caches were prefilled at sign time.
-        assert_eq!(rar.layer_bytes(), &qos_wire::to_bytes(&rar.layer)[..]);
+        // Built chain: caches were prefilled at sign time. (On
+        // `wire_bytes()` since §D22: `layer_bytes()` is the preimage.)
+        assert_eq!(rar.wire_bytes(), &qos_wire::to_bytes(&rar.layer)[..]);
 
         // Shared-buffer decode: every nested layer must hold a view that
         // is byte-identical to a fresh encoding of that layer.
@@ -428,7 +482,7 @@ mod tests {
         let back: SignedRar = qos_wire::from_bytes_shared(&buf).unwrap();
         let mut cur = &back;
         loop {
-            assert_eq!(cur.layer_bytes(), &qos_wire::to_bytes(&cur.layer)[..]);
+            assert_eq!(cur.wire_bytes(), &qos_wire::to_bytes(&cur.layer)[..]);
             match &cur.layer {
                 RarLayer::Broker { inner, .. } => cur = inner,
                 RarLayer::User { .. } => break,

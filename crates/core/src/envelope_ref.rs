@@ -34,7 +34,7 @@
 // rejects un-annotated Vec::new / slice::to_vec in this module.
 #![deny(clippy::disallowed_methods)]
 
-use crate::envelope::SignedRar;
+use crate::envelope::{wrap_digest, SignedRar};
 use crate::messages::SignalMessage;
 use crate::rar::RarId;
 use qos_crypto::sha256::{sha256, Digest};
@@ -56,11 +56,11 @@ const TAG_LAYER_BROKER: u8 = 1;
 pub struct EnvelopeRef<'a> {
     /// The whole message this view was parsed from.
     message: &'a [u8],
-    layer_bytes: &'a [u8],
+    wire_bytes: &'a [u8],
     signature: Signature,
     depth: usize,
     rar_id: RarId,
-    /// SHA-256 of `layer_bytes`, once somebody asked for it.
+    /// The outer layer's chained digest, once somebody asked for it.
     digest: Cell<Option<Digest>>,
 }
 
@@ -82,19 +82,21 @@ impl<'a> EnvelopeRef<'a> {
         Ok(Some(parsed))
     }
 
-    /// The canonical bytes of the outer layer — what the signature
-    /// covers, identical to [`SignedRar::layer_bytes`] on the owned
-    /// decode of the same message.
-    pub fn layer_bytes(&self) -> &'a [u8] {
-        self.layer_bytes
+    /// The wire bytes of the outer layer, identical to
+    /// [`SignedRar::wire_bytes`] on the owned decode of the same message.
+    pub fn wire_bytes(&self) -> &'a [u8] {
+        self.wire_bytes
     }
 
-    /// SHA-256 of [`EnvelopeRef::layer_bytes`], computed on first use
-    /// and handed on to the owned decode ([`EnvelopeRef::decode_owned`])
-    /// so a reply-cache miss does not hash the envelope a second time.
+    /// What the outer signature is over ([`SignedRar::layer_digest`]):
+    /// a second walk of the parsed bytes that chains each layer's digest
+    /// over the one inside it, made on first use and handed on to the
+    /// owned decode ([`EnvelopeRef::decode_owned`]).
     pub fn layer_digest(&self) -> Digest {
         self.digest.get().unwrap_or_else(|| {
-            let digest = sha256(self.layer_bytes);
+            let mut digest = [0; 32];
+            skip_layer(&mut Reader::new(self.wire_bytes), Some(&mut digest))
+                .expect("parse accepted these bytes");
             self.digest.set(Some(digest));
             digest
         })
@@ -140,13 +142,13 @@ impl<'a> EnvelopeRef<'a> {
 /// full buffer `r` reads from, used to recover byte spans by position.
 fn skip_signed_rar<'a>(r: &mut Reader<'a>, input: &'a [u8]) -> Result<EnvelopeRef<'a>, WireError> {
     let layer_start = r.position();
-    let (depth, rar_id) = skip_layer(r)?;
-    let layer_bytes = &input[layer_start..r.position()];
+    let (depth, rar_id) = skip_layer(r, None)?;
+    let wire_bytes = &input[layer_start..r.position()];
     skip_dn(r)?; // signer
     let signature = Signature::decode(r)?;
     Ok(EnvelopeRef {
         message: input,
-        layer_bytes,
+        wire_bytes,
         signature,
         depth,
         rar_id,
@@ -155,25 +157,38 @@ fn skip_signed_rar<'a>(r: &mut Reader<'a>, input: &'a [u8]) -> Result<EnvelopeRe
 }
 
 /// Skip one `RarLayer`, returning `(depth, rar_id)` of the nest below.
-fn skip_layer(r: &mut Reader<'_>) -> Result<(usize, RarId), WireError> {
+/// A `digest` passed in is set to the layer's chained digest.
+fn skip_layer(
+    r: &mut Reader<'_>,
+    mut digest: Option<&mut Digest>,
+) -> Result<(usize, RarId), WireError> {
+    let start = r.position();
     match r.get_u8()? {
         TAG_LAYER_USER => {
             let rar_id = skip_res_spec(r)?;
             skip_dn(r)?; // source_bb
             skip_vec(r, skip_certificate)?; // capability_certs
+            if let Some(digest) = digest {
+                *digest = sha256(r.consumed_since(start));
+            }
             Ok((1, rar_id))
         }
         TAG_LAYER_BROKER => {
             // inner: Box<SignedRar> — recurse; depth is bounded by the
             // same input-length argument as the owned decoder (every
             // layer consumes ≥ 1 byte).
-            let (inner_depth, rar_id) = skip_layer(r)?;
+            let (inner_depth, rar_id) = skip_layer(r, digest.as_deref_mut())?;
+            let added = r.position();
             skip_dn(r)?; // inner signer
             r.skip(16)?; // inner signature
             skip_certificate(r)?; // upstream_cert
             skip_option(r, skip_dn)?; // next_bb
             skip_vec(r, skip_certificate)?; // capability_certs
             skip_attribute_set(r)?; // policy_attachments
+            skip_option(r, |r| r.skip(24))?; // delegate {to_key, validity}
+            if let Some(digest) = digest {
+                *digest = wrap_digest(digest, r.consumed_since(added));
+            }
             Ok((1 + inner_depth, rar_id))
         }
         t => Err(WireError::InvalidTag(t)),
@@ -285,7 +300,7 @@ fn skip_value(r: &mut Reader<'_>) -> Result<(), WireError> {
 /// programmatic form of the equivalence contract, used by tests and the
 /// warm-path integration.
 pub fn matches_owned(env: &EnvelopeRef<'_>, rar: &SignedRar) -> bool {
-    env.layer_bytes == rar.layer_bytes()
+    env.wire_bytes == rar.wire_bytes()
         && env.signature == rar.signature()
         && env.depth == rar.depth()
         && env.rar_id == rar.res_spec().rar_id
@@ -433,7 +448,7 @@ mod tests {
                 }
             }
             // Owned decode through the shared-buffer path, as the
-            // transport does: layer_bytes() is then the raw received
+            // transport does: wire_bytes() is then the raw received
             // span, which is what the borrowed span must equal. (A
             // plain `from_bytes` *re-encodes* the decoded value, which
             // legitimately differs for mutated-but-parseable input with

@@ -531,6 +531,9 @@ impl Release {
 
 /// Everything that flows between signalling entities.
 #[derive(Debug, Clone, PartialEq)]
+// A request is the common message, moved by value from decode to wrap:
+// boxing it would buy smaller approvals with an allocation per hop.
+#[allow(clippy::large_enum_variant)]
 pub enum SignalMessage {
     /// Hop-by-hop downstream request.
     Request(SignedRar),
@@ -538,8 +541,10 @@ pub enum SignalMessage {
     Approve(Approval),
     /// Upstream denial.
     Deny(Denial),
-    /// Approach-1 direct request (end-to-end agent → one BB).
-    Direct(DirectRequest),
+    /// Approach-1 direct request (end-to-end agent → one BB). Boxed: it
+    /// is the baseline's message and the largest, and every variant
+    /// would be moved around at its size.
+    Direct(Box<DirectRequest>),
     /// Approach-1 reply.
     DirectReply(DirectReply),
     /// Tunnel sub-flow request (direct source→destination channel).
@@ -557,7 +562,7 @@ qos_wire::impl_wire_enum!(SignalMessage {
     0 => Request(t0: SignedRar),
     1 => Approve(t0: Approval),
     2 => Deny(t0: Denial),
-    3 => Direct(t0: DirectRequest),
+    3 => Direct(t0: Box<DirectRequest>),
     4 => DirectReply(t0: DirectReply),
     5 => TunnelFlow(t0: TunnelFlowRequest),
     6 => TunnelFlowReply(t0: TunnelFlowReply),

@@ -28,7 +28,7 @@ use crate::view::RarView;
 use qos_broker::{BrokerCore, EdgeCommand, Interval, PathSegment, ReservationId, Sla};
 use qos_crypto::sha256::Digest;
 use qos_crypto::{
-    Certificate, DelegationChain, DistinguishedName, KeyPair, PublicKey, Restriction, Signature,
+    Certificate, Delegation, DelegationChain, DistinguishedName, KeyPair, PublicKey, Signature,
     Timestamp, TrustPolicy, Validity,
 };
 use qos_net::conditioner::{ExcessTreatment, TrafficProfile};
@@ -172,8 +172,8 @@ struct Pending {
 /// What a checked request is wrapped with on its way to the next domain.
 struct Forward {
     next: String,
-    /// The capability chain's new link, delegated to `next`.
-    new_caps: Vec<Certificate>,
+    /// The capability chain's new link, if this broker holds the chain.
+    delegate: Option<Delegation>,
     /// This domain's policy attachments.
     attachments: AttributeSet,
 }
@@ -330,7 +330,7 @@ impl BbNode {
         let pdp = PolicyServer::from_source(&config.policy_src, config.groups)
             .unwrap_or_else(|e| panic!("policy for {} failed to parse: {e}", config.domain));
         // §6.5's possession step, once: a capability chain is usable
-        // here iff its tip names this key (`verify_capability_chain`),
+        // here iff it ends at this key (`verify_capability_chain`),
         // and that this broker holds the private half is a fact about
         // the broker, not about any one request.
         let nonce = config.domain.as_bytes();
@@ -1040,7 +1040,8 @@ impl BbNode {
         }
 
         // Verify any capability chain the user attached (delegated to us).
-        let caps = self.verify_capability_chain(view.caps())?;
+        let caps = self.verify_capability_chain(view, None)?;
+        let holds_chain = !caps.is_empty();
 
         // Local policy.
         let mut attachments = self.check_policy(spec, caps, std::iter::empty(), trace)?;
@@ -1081,7 +1082,7 @@ impl BbNode {
             }
             // Delegate capabilities onward; the caller wraps (§6.1 step 4).
             Some(next) => Ok(Some(Forward {
-                new_caps: self.delegate_caps(view.caps(), &next, rar_id)?,
+                delegate: self.delegation_to(holds_chain, &next)?,
                 attachments,
                 next,
             })),
@@ -1138,15 +1139,15 @@ impl BbNode {
     ) -> ((PeerId, SignalMessage), Option<u64>) {
         let (timing, t_sign) = self.t0();
         let mut signed_at = None;
-        let wrapped = SignedRar::wrap(
-            rar,
+        let layer = RarLayer::Broker {
+            inner: Box::new(rar),
             upstream_cert,
-            Some(DistinguishedName::broker(&forward.next)),
-            forward.new_caps,
-            forward.attachments,
-            self.dn.clone(),
-            &self.key,
-        );
+            next_bb: Some(DistinguishedName::broker(&forward.next)),
+            capability_certs: Vec::new(),
+            policy_attachments: forward.attachments,
+            delegate: forward.delegate,
+        };
+        let wrapped = SignedRar::sign_layer(layer, self.dn.clone(), &self.key);
         if timing {
             let end = self.clock.now_ns();
             self.instruments.sign_ns.observe(end - t_sign);
@@ -1170,7 +1171,7 @@ impl BbNode {
             SignalMessage::Request(rar) => self.on_request_checked(from, rar, false),
             SignalMessage::Approve(a) => self.on_approve(from, a),
             SignalMessage::Deny(d) => self.on_deny(from, d),
-            SignalMessage::Direct(d) => self.on_direct(d),
+            SignalMessage::Direct(d) => self.on_direct(*d),
             SignalMessage::DirectReply(_) => Vec::new(), // agents consume these
             SignalMessage::TunnelFlow(t) => self.on_tunnel_flow(from, t),
             SignalMessage::TunnelFlowReply(r) => self.on_tunnel_flow_reply(r),
@@ -1358,7 +1359,7 @@ impl BbNode {
             self.process_destination(from, view, peer_pk, trace)
                 .map(Checked::Approved)
         } else {
-            self.process_transit(from, view, trace)
+            self.process_transit(from, view, peer_pk, trace)
                 .map(Checked::Forward)
         }
     }
@@ -1368,13 +1369,16 @@ impl BbNode {
         &mut self,
         from: &str,
         view: &RarView<'_>,
+        peer_pk: PublicKey,
         trace: TraceId,
     ) -> Result<Forward, CoreError> {
         let spec = view.spec();
         // SLA conformance + local policy. Transit domains check the
         // traffic profile against the SLA (the admission tables) and may
-        // evaluate local policy over the accumulated information.
-        let caps = self.verify_capability_chain(view.caps())?;
+        // evaluate local policy over the accumulated information. Of the
+        // nest, a transit has verified the outermost layer only.
+        let caps = self.verify_capability_chain(view, Some((peer_pk, 1)))?;
+        let holds_chain = !caps.is_empty();
         let attachments = self.check_policy(spec, caps, view.attachments(), trace)?;
 
         let next =
@@ -1384,7 +1388,7 @@ impl BbNode {
                 })?;
         self.hold_pending(spec, Some(from), Some(next.clone()), trace)?;
         Ok(Forward {
-            new_caps: self.delegate_caps(view.caps(), &next, spec.rar_id)?,
+            delegate: self.delegation_to(holds_chain, &next)?,
             attachments,
             next,
         })
@@ -1453,7 +1457,8 @@ impl BbNode {
             );
         }
 
-        let caps = self.verify_capability_chain(view.caps())?;
+        // `verify_view` checked every layer under its introducer's key.
+        let caps = self.verify_capability_chain(view, Some((peer_pk, depth)))?;
         let attachments = self.check_policy(spec, caps, view.attachments(), trace)?;
         self.hold_pending(spec, Some(from), None, trace)?;
 
@@ -2294,12 +2299,16 @@ impl BbNode {
     }
 
     /// Verify the capability chain carried by the envelope (if any) and
-    /// convert it to the PDP's verified-capability form.
+    /// convert it to the PDP's verified-capability form: empty unless
+    /// the chain ends at this broker's key, which is also when it may
+    /// hand it on. `verified` says which layers of the nest this broker
+    /// has verified ([`RarView::hops`]).
     fn verify_capability_chain(
         &mut self,
-        chain: &[&Certificate],
+        view: &RarView<'_>,
+        verified: Option<(PublicKey, usize)>,
     ) -> Result<Vec<VerifiedCapability>, CoreError> {
-        let Some((first, tip)) = chain.first().zip(chain.last()) else {
+        let Some(first) = view.caps().first() else {
             return Ok(Vec::new());
         };
         let issuer = first.tbs.issuer.common_name().unwrap_or_default();
@@ -2308,63 +2317,50 @@ impl BbNode {
             // policy decides whether anything required them.
             return Ok(Vec::new());
         };
-        // §6.5 checklist: link signatures, monotonicity, validity
-        // windows. Structural failures mean tampering and are fatal.
-        let verified = DelegationChain::verify_links_of(chain, cas_pk, self.now)?;
-        self.counters.add_verified(chain.len() as u64);
-        // The possession step: attributes are only *usable* if the chain
-        // was delegated to this very broker. Possession of that key was
-        // proven once, when the node was built ([`BbNode::new`]); per
-        // request it is enough that the tip names it. A structurally
-        // valid chain delegated to someone else is carried onward but
-        // grants us nothing.
-        if tip.tbs.subject_public_key != self.key.public() {
+        // §6.5 checklist: link signatures, continuity, monotonicity,
+        // validity windows. Structural failures mean tampering and are
+        // fatal.
+        let chain = DelegationChain::verify_request(
+            view.caps(),
+            view.hops(verified),
+            cas_pk,
+            self.now,
+            view.spec().rar_id.0,
+        )?;
+        self.counters.add_verified(chain.signatures as u64);
+        // A structurally valid chain delegated to someone else is carried
+        // onward but grants us nothing.
+        if chain.holder_key != self.key.public() {
             return Ok(Vec::new());
         }
         Ok(vec![VerifiedCapability {
             issuer: issuer.to_string(),
-            attributes: verified.capabilities,
-            restrictions: verified
-                .restrictions
-                .iter()
-                .map(|r| r.to_string())
-                .collect(),
+            attributes: chain.capabilities,
+            restrictions: chain.restrictions.iter().map(|r| r.to_string()).collect(),
         }])
     }
 
-    /// Extend the capability chain to the next broker (Neuman cascade:
-    /// sign with our key, bind to the peer's real public key, restrict to
-    /// this RAR).
-    fn delegate_caps(
-        &mut self,
-        chain: &[&Certificate],
+    /// The link that extends a chain this broker holds to the next one
+    /// (Neuman cascade: bound to the peer's real public key; the wrap
+    /// that carries it is signed with ours and valid for this RAR only).
+    fn delegation_to(
+        &self,
+        holds_chain: bool,
         next_peer: &str,
-        rar_id: RarId,
-    ) -> Result<Vec<Certificate>, CoreError> {
-        // Only delegate chains that were delegated *to us*.
-        let Some(tip) = chain
-            .last()
-            .filter(|tip| tip.tbs.subject_public_key == self.key.public())
-        else {
-            return Ok(Vec::new());
-        };
+    ) -> Result<Option<Delegation>, CoreError> {
+        if !holds_chain {
+            return Ok(None);
+        }
         let peer_cert = self
             .peers
             .get(next_peer)
             .ok_or_else(|| CoreError::UnknownPeer {
                 peer: next_peer.to_string(),
             })?;
-        let link = DelegationChain::issue_link(
-            tip,
-            &self.key,
-            peer_cert.tbs.subject.clone(),
-            peer_cert.tbs.subject_public_key,
-            vec![Restriction::ValidForRar(rar_id.0)],
-            Validity::starting_at(self.now, 7 * 24 * 3600),
-            |_| true,
-        )?;
-        self.counters.add_signed(1);
-        Ok(vec![link])
+        Ok(Some(Delegation {
+            to_key: peer_cert.tbs.subject_public_key,
+            validity: Validity::starting_at(self.now, 7 * 24 * 3600),
+        }))
     }
 
     /// Run the local PDP over everything known about the request:

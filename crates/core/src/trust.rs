@@ -66,8 +66,8 @@ pub struct VerifiedRar {
 pub const RAR_MEMO_DEFAULT_CAPACITY: usize = 256;
 
 /// Envelopes that passed verification, by [`memo_key`]. The value is the
-/// outermost layer's signature: the key digests the outer layer *bytes*
-/// (which bind every inner layer, certificate, and signature), but not
+/// outermost layer's signature: the key digests the outer *layer*
+/// (which binds every inner layer, certificate, and signature), but not
 /// the outer signature itself — so a hit additionally requires signature
 /// equality, exactly like the verify cache. Everything a caller wants
 /// from a verified envelope is read off the envelope it holds.
@@ -103,10 +103,10 @@ pub fn set_rar_memo_capacity(cap: usize) {
 }
 
 /// The memo key binds everything that can change the verdict: the full
-/// envelope (`layer_digest`, the digest of the outermost layer's
-/// canonical bytes, which nest every inner layer, certificate,
-/// signature, and attachment), the a-priori peer key, the verifier's own
-/// DN, the chain-depth bound, and the validity instant. Only the outer
+/// envelope (`layer_digest`, the outermost layer's chained digest, which
+/// binds every inner layer, certificate, signature, and attachment
+/// through the digest of the layer inside), the a-priori peer key, the
+/// verifier's own DN, the chain-depth bound, and the validity instant. Only the outer
 /// signature stays outside the digest; the memo's value covers it.
 fn memo_key(
     layer_digest: &Digest,
@@ -432,13 +432,17 @@ mod tests {
         // became hash-then-sign (§D21): the encoding of every field is
         // what it was, but the inner layers' signature *values* changed
         // and they sit inside the outer layer's bytes, so its digest and
-        // the key derived from it moved with them.
+        // the key derived from it moved with them. Re-pinned again for
+        // the chained digest and the folded link (§D22): a layer's
+        // digest is now over `0x01 ‖ inner digest ‖ what the broker
+        // added`, and a broker layer's encoding ends with one more byte
+        // (`delegate: None`). `memo_key`'s own feed is what it was.
         let mut f = fix();
         let rar = build(&mut f, 2);
         let hex = |d: &[u8]| d.iter().map(|b| format!("{b:02x}")).collect::<String>();
         assert_eq!(
             hex(rar.layer_digest()),
-            "44b0aa5e4ff1e197e693df2a621ce1fee37948c6fc34a8b8bc62383e1ab06156"
+            "c2aba4a6d5e75eaf271738ef4af0456fb3a99680f9b6780e931a2e482425de36"
         );
         let key = memo_key(
             rar.layer_digest(),
@@ -449,7 +453,7 @@ mod tests {
         );
         assert_eq!(
             hex(&key),
-            "a9300b9afb4b2cc8f2b86ee943d2d3a72cf8e70c1d2a1b793d555615d20165ed"
+            "688f52b452d399e4ba3c57dc63388c6b91ffa0b7e372646002679f24a0fb6331"
         );
     }
 

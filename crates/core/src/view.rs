@@ -12,7 +12,7 @@
 
 use crate::envelope::{RarLayer, SignedRar};
 use crate::rar::ResSpec;
-use qos_crypto::{Certificate, DistinguishedName};
+use qos_crypto::{Certificate, DistinguishedName, PublicKey, SignedHop};
 use qos_policy::AttributeSet;
 
 /// Borrowed facts of one nested envelope.
@@ -20,7 +20,8 @@ pub struct RarView<'a> {
     /// Outermost layer first; the last one is the user's.
     layers: Vec<&'a SignedRar>,
     spec: &'a ResSpec,
-    /// CAS grant first — the growing capability list of Figure 7.
+    /// The certificates of the capability chain, CAS grant first: the
+    /// user's layer's, and any a broker layer carries (none should).
     caps: Vec<&'a Certificate>,
 }
 
@@ -75,6 +76,37 @@ impl<'a> RarView<'a> {
     /// All capability certificates, innermost (CAS grant) first.
     pub fn caps(&self) -> &[&'a Certificate] {
         &self.caps
+    }
+
+    /// The broker layers, innermost first, as the §6.5 walk reads them
+    /// (Figure 7's list is [`RarView::caps`] and then their links).
+    /// `verified` is `(outer_pk, n)` if the caller has verified the `n`
+    /// outermost layers: the first under `outer_pk`, each one below
+    /// under the key the layer above it introduces.
+    pub fn hops(
+        &self,
+        verified: Option<(PublicKey, usize)>,
+    ) -> impl Iterator<Item = SignedHop<'a>> + '_ {
+        let layers = self.layers.iter().enumerate().rev();
+        layers.filter_map(move |(i, l)| match &l.layer {
+            RarLayer::Broker {
+                next_bb,
+                capability_certs,
+                delegate,
+                ..
+            } => Some(SignedHop {
+                signer: &l.signer,
+                digest: l.layer_digest(),
+                signature: l.signature,
+                verified_under: verified.filter(|&(_, n)| i < n).map(|(outer_pk, _)| {
+                    let introduced = self.introduced_cert(self.layers.len() - 1 - i);
+                    introduced.map_or(outer_pk, |c| c.tbs.subject_public_key)
+                }),
+                link: next_bb.as_ref().zip(delegate.as_ref()),
+                certs: capability_certs,
+            }),
+            RarLayer::User { .. } => None,
+        })
     }
 
     /// The certificate a wrapping layer embeds for the signer `hops`

@@ -2,13 +2,17 @@
 //! its own test binary, because `sha256::hashed_bytes()` is a process-wide
 //! counter like the caches beside it.
 //!
-//! Signing is hash-then-sign (DESIGN.md §D21): a layer is hashed once
-//! when it is wrapped and once where it is received, and that digest is
-//! what the signature, the verify cache and the RAR memo all take. The
-//! budgets below are what this walk measured when that landed, plus 5 %;
-//! at the parent commit — sign and verify each hashing the message
-//! themselves, twice to sign — the same walk hashed 20 097 and 102 290
-//! bytes (EXPERIMENTS.md EXP-STREAM).
+//! Signing is hash-then-sign (DESIGN.md §D21) over a chained digest
+//! (§D22): a hop hashes the message it received once — every layer's
+//! digest falls out of that one pass — and what it appends once, and
+//! those digests are what the signatures, the verify cache and the RAR
+//! memo all take. The budgets below are what this walk measured when
+//! §D22 landed, plus 5 %. The same walk hashed 11 495 and 62 294 bytes
+//! when a layer's digest was over the bytes of every layer inside it
+//! and a broker minted a link certificate per hop (EXP-FOLD), 20 097
+//! and 102 290 before hash-then-sign (EXP-STREAM). Every hop still
+//! hashes the whole message it receives, so the total stays quadratic
+//! in the number of domains.
 
 use qos_core::node::Completion;
 use qos_core::scenario::{build_chain, ChainOptions, Scenario};
@@ -61,8 +65,8 @@ fn hashed_by_one_reservation(domains: usize) -> u64 {
 }
 
 /// What [`hashed_by_one_reservation`] measured on 3 and on 8 domains.
-const MEASURED_3: u64 = 11_495;
-const MEASURED_8: u64 = 62_294;
+const MEASURED_3: u64 = 6_620;
+const MEASURED_8: u64 = 23_975;
 
 #[test]
 fn a_granted_reservation_stays_inside_its_hash_budget() {

@@ -113,8 +113,10 @@ proptest! {
 
     /// Encode-once cache transparency: after any mix of wraps and wire
     /// round-trips (plain or shared-buffer decode), every layer's cached
-    /// canonical bytes stay byte-identical to a fresh encoding of that
-    /// layer, and the whole envelope re-encodes to its exact wire form.
+    /// wire bytes stay byte-identical to a fresh encoding of that layer,
+    /// and the whole envelope re-encodes to its exact wire form.
+    /// (Restated on `wire_bytes()` for §D22: `layer_bytes()` is the
+    /// signature preimage, no longer the encoding.)
     #[test]
     fn cached_layer_bytes_match_fresh_encoding(
         hops in 1usize..5,
@@ -135,9 +137,9 @@ proptest! {
         loop {
             let fresh = qos_wire::to_bytes(&cur.layer);
             prop_assert_eq!(
-                cur.layer_bytes(),
+                cur.wire_bytes(),
                 fresh.as_slice(),
-                "stale canonical-bytes cache"
+                "stale wire-bytes cache"
             );
             match &cur.layer {
                 qos_core::RarLayer::Broker { inner, .. } => cur = inner,

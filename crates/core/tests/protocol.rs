@@ -709,6 +709,44 @@ fn duplicate_rar_id_is_refused() {
     }
 }
 
+/// What each role verifies on a request (DESIGN.md §D22's table),
+/// pinned: a change of trust model shows up here, not as a side effect.
+#[test]
+fn each_role_verifies_what_the_design_says_it_verifies() {
+    // (user, what a / b / c / d count as verified on one granted
+    // reservation over a → b → c → d).
+    let cases = [
+        // No capability. Source: user certificate, user signature.
+        // Transit: the outer layer under the channel-pinned peer key.
+        // Destination: that, then every layer (user, a, b, c) under the
+        // introducer keys.
+        ("david", [2, 1, 1, 1 + 4]),
+        // With a chain, everybody adds its two certificates; a transit
+        // with k broker layers in front of it adds the k − 1 inner ones
+        // under the chained keys (the outer one is key equality with the
+        // peer key); the destination adds none (key equality with the
+        // introducer keys throughout).
+        ("alice", [2 + 2, 1 + 2, 1 + 2 + 1, 1 + 4 + 2]),
+    ];
+    for (user, expected) in cases {
+        let mut s = build_chain(ChainOptions {
+            domains: 4,
+            ..ChainOptions::default()
+        });
+        let spec = s.spec(user, 7, 10 * MBPS, Timestamp(0), 3600);
+        let rar_id = spec.rar_id;
+        let rar = s.users[user].sign_request(spec, &s.nodes[0]);
+        let cert = s.users[user].cert.clone();
+        let mut mesh = mesh_from(&mut s, 5);
+        mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
+        mesh.run_until_idle();
+        assert!(approval_of(&mesh, "domain-a", rar_id).is_ok());
+        let verified = ["domain-a", "domain-b", "domain-c", "domain-d"]
+            .map(|d| mesh.node(d).counters().verified);
+        assert_eq!(verified, expected, "{user}");
+    }
+}
+
 #[test]
 fn stale_approval_is_ignored() {
     use qos_core::messages::{Approval, SignalMessage};

@@ -244,8 +244,10 @@ proptest! {
 }
 
 /// The warm-path probe's digest is the owned decode's: the borrowed
-/// parse hashes the outer layer once and the envelope decoded from the
-/// same message adopts it.
+/// parse chains the layers' digests once and the envelope decoded from
+/// the same message adopts the result. Restated for §D22: the bytes the
+/// two forms share are the wire bytes; the signature preimage exists on
+/// the owned form only.
 #[test]
 fn borrowed_probe_hands_its_digest_to_the_owned_decode() {
     use qos_core::envelope_ref::EnvelopeRef;
@@ -255,13 +257,14 @@ fn borrowed_probe_hands_its_digest_to_the_owned_decode() {
     for probe_first in [false, true] {
         let env = EnvelopeRef::parse(&bytes).unwrap().expect("a request");
         if probe_first {
-            assert_eq!(env.layer_digest(), sha256(env.layer_bytes()));
+            assert_eq!(env.layer_digest(), sha256(rar.layer_bytes()));
         }
         let SignalMessage::Request(owned) = env.decode_owned().unwrap() else {
             panic!("decoded another variant");
         };
         assert_eq!(owned, rar);
-        assert_eq!(owned.layer_bytes(), env.layer_bytes());
+        assert_eq!(owned.wire_bytes(), env.wire_bytes());
+        assert_eq!(owned.layer_bytes(), rar.layer_bytes());
         assert_eq!(*owned.layer_digest(), sha256(rar.layer_bytes()));
         assert_eq!(*owned.layer_digest(), env.layer_digest());
     }

@@ -3,23 +3,24 @@
 //!
 //! A Community Authorization Server (CAS) issues the user a capability
 //! certificate whose subject key is a fresh **proxy key**; the user holds
-//! the private proxy key. At each signalling hop the current holder
-//! delegates onward by minting a new capability certificate whose subject
-//! is the next hop and whose subject key is the next hop's **real** public
-//! key (learned during the secure-channel handshake), copying the
-//! capability attributes and *adding* restrictions (e.g. "valid for RAR"),
-//! and signing with the private key matching the *current* certificate's
-//! subject key.
+//! the private proxy key and delegates to the source broker by minting a
+//! second certificate for that broker's **real** public key, signed with
+//! the proxy key. Both ride in the user's layer of the request.
 //!
-//! The destination then holds a chain CAS→user→BB_A→BB_B→BB_C (Figure 7
-//! shows the per-hop capability lists growing 2 → 3 → 4) and can run the
-//! seven-step verification checklist of §6.5, implemented in
-//! [`DelegationChain::verify`].
+//! A broker delegates onward without minting anything (DESIGN.md §D22):
+//! the request layer it signs anyway names the next hop and carries a
+//! [`Delegation`] — the next hop's real public key (learned during the
+//! secure-channel handshake) and a validity window — so the layer's
+//! signature is the link's. The chain read off a request is
+//! CAS→user→BB_A in certificates and BB_A→BB_B→BB_C in [`SignedHop`]s
+//! (Figure 7's lists of 2 → 3 → 4), and the seven checks of §6.5 run
+//! over both in [`DelegationChain::verify_request`].
 
 use crate::cert::{Certificate, Extension, Restriction, TbsCertificate, Validity};
 use crate::dn::DistinguishedName;
 use crate::error::CryptoError;
 use crate::schnorr::{KeyPair, PublicKey, Signature};
+use crate::sha256::Digest;
 use crate::time::Timestamp;
 
 /// A capability certificate chain, first element issued by the CAS.
@@ -42,6 +43,39 @@ pub struct VerifiedCapabilities {
     pub restrictions: Vec<Restriction>,
     /// The final holder's DN.
     pub holder: DistinguishedName,
+    /// The key the chain ends at. Check 7 (possession): only the broker
+    /// holding it may use the attributes or delegate them on.
+    pub holder_key: PublicKey,
+    /// Signatures checked on the way: one per certificate, and one per
+    /// linking layer the caller had not already verified.
+    pub signatures: usize,
+}
+
+/// A broker's delegation of the capabilities it holds, folded into the
+/// request layer it signs: the layer names the delegatee, this its key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Delegation {
+    /// The next hop's real public key.
+    pub to_key: PublicKey,
+    /// When the delegation holds.
+    pub validity: Validity,
+}
+
+qos_wire::impl_wire_struct!(Delegation { to_key, validity });
+
+/// One broker layer of a request, as [`DelegationChain::verify_request`]
+/// reads it.
+pub struct SignedHop<'a> {
+    /// Who signed the layer, over what, and the signature.
+    pub signer: &'a DistinguishedName,
+    pub digest: &'a Digest,
+    pub signature: Signature,
+    /// The key the caller already verified `signature` under, if it did.
+    pub verified_under: Option<PublicKey>,
+    /// The next hop and the signer's delegation to it, if it made one.
+    pub link: Option<(&'a DistinguishedName, &'a Delegation)>,
+    /// Certificates on the layer; brokers mint none.
+    pub certs: &'a [Certificate],
 }
 
 impl DelegationChain {
@@ -104,33 +138,7 @@ impl DelegationChain {
         validity: Validity,
         retain: impl Fn(&str) -> bool,
     ) -> Result<Self, CryptoError> {
-        let link = Self::issue_link(
-            self.tip(),
-            holder_key,
-            delegatee,
-            delegatee_pk,
-            new_restrictions,
-            validity,
-            retain,
-        )?;
-        let mut certs = self.certs.clone();
-        certs.push(link);
-        Ok(Self { certs })
-    }
-
-    /// The certificate that extends a chain ending in `tip` to
-    /// `delegatee`: everything [`DelegationChain::delegate_filtered`]
-    /// does, for a holder that has the tip but not an owned chain (a
-    /// broker forwarding a request it received).
-    pub fn issue_link(
-        tip: &Certificate,
-        holder_key: &KeyPair,
-        delegatee: DistinguishedName,
-        delegatee_pk: PublicKey,
-        new_restrictions: Vec<Restriction>,
-        validity: Validity,
-        retain: impl Fn(&str) -> bool,
-    ) -> Result<Certificate, CryptoError> {
+        let tip = self.tip();
         if holder_key.public() != tip.tbs.subject_public_key {
             return Err(CryptoError::PossessionProofInvalid {
                 subject: tip.tbs.subject.clone(),
@@ -161,7 +169,9 @@ impl DelegationChain {
             subject_public_key: delegatee_pk,
             extensions,
         };
-        Ok(Certificate::issue(tbs, holder_key))
+        let mut certs = self.certs.clone();
+        certs.push(Certificate::issue(tbs, holder_key));
+        Ok(Self { certs })
     }
 
     /// Run the §6.5 verification checklist.
@@ -267,7 +277,67 @@ impl DelegationChain {
             capabilities: tip.capability_iter().map(str::to_string).collect(),
             restrictions: tip.restriction_iter().cloned().collect(),
             holder: tip.tbs.subject.clone(),
+            holder_key: tip.tbs.subject_public_key,
+            signatures: certs.len(),
         })
+    }
+
+    /// The §6.5 checklist over a request: `certs` are the certificates of
+    /// the user's layer (the CAS grant and the user's delegation), `hops`
+    /// the broker layers above it, innermost first.
+    pub fn verify_request<'a>(
+        certs: &[&Certificate],
+        hops: impl Iterator<Item = SignedHop<'a>>,
+        cas_pk: PublicKey,
+        now: Timestamp,
+        rar_id: u64,
+    ) -> Result<VerifiedCapabilities, CryptoError> {
+        // Check 1 (the CAS issued it) and the user's own link.
+        let mut chain = Self::verify_links_of(certs, cas_pk, now)?;
+        for hop in hops {
+            if !hop.certs.is_empty() {
+                return Err(CryptoError::MalformedChain("certificate on a broker layer"));
+            }
+            let Some((delegatee, link)) = hop.link else {
+                continue;
+            };
+            // Check 3: made by the principal the link before it named.
+            if !hop.signer.same_principal(&chain.holder) {
+                return Err(CryptoError::IssuerMismatch {
+                    expected: chain.holder,
+                    found: hop.signer.clone(),
+                });
+            }
+            // Check 2: signed with the key the link before it named.
+            let signed = match hop.verified_under {
+                Some(pk) => pk == chain.holder_key,
+                None => {
+                    chain.signatures += 1;
+                    let cache = crate::vcache::global();
+                    cache.verify_digest(hop.digest, chain.holder_key, &hop.signature)
+                }
+            };
+            if !signed {
+                return Err(CryptoError::BadSignature {
+                    signer: hop.signer.clone(),
+                });
+            }
+            // Check 4: inside its validity window.
+            if !link.validity.contains(now) {
+                let subject = delegatee.clone();
+                return Err(CryptoError::Expired { subject, at: now });
+            }
+            // Checks 5 and 6: a folded link has no attributes of its own,
+            // so capabilities cannot widen nor a restriction be dropped;
+            // inside the signed request, it is valid for that one only.
+            let bound = Restriction::ValidForRar(rar_id);
+            if !chain.restrictions.contains(&bound) {
+                chain.restrictions.push(bound);
+            }
+            chain.holder = delegatee.clone();
+            chain.holder_key = link.to_key;
+        }
+        Ok(chain)
     }
 }
 
@@ -604,6 +674,170 @@ mod tests {
             .verify_links(f.cas.public_key(), Timestamp(0))
             .unwrap();
         assert_eq!(verified.capabilities, vec!["ESnet:member"]);
+    }
+
+    /// A broker layer as a request carries it: what `SignedHop` borrows.
+    struct Layer {
+        signer: DistinguishedName,
+        digest: Digest,
+        signature: Signature,
+        next: DistinguishedName,
+        link: Option<Delegation>,
+        certs: Vec<Certificate>,
+    }
+
+    impl Layer {
+        /// `by`'s layer addressed to `to`, delegating to `to_key`.
+        fn new(by: &str, key: &KeyPair, to: &str, to_key: PublicKey) -> Self {
+            let digest = crate::sha256::sha256(by.as_bytes());
+            Layer {
+                signer: DistinguishedName::broker(by),
+                signature: key.sign_digest(&digest),
+                digest,
+                next: DistinguishedName::broker(to),
+                link: Some(Delegation {
+                    to_key,
+                    validity: Validity::starting_at(Timestamp(0), 1000),
+                }),
+                certs: Vec::new(),
+            }
+        }
+
+        fn hop(&self, verified_under: Option<PublicKey>) -> SignedHop<'_> {
+            SignedHop {
+                signer: &self.signer,
+                digest: &self.digest,
+                signature: self.signature,
+                verified_under,
+                link: self.link.as_ref().map(|l| (&self.next, l)),
+                certs: &self.certs,
+            }
+        }
+    }
+
+    /// Figure 7's chain as BB_C reads it off a request: the user's two
+    /// certificates, then BB_A's and BB_B's layers with their links.
+    fn folded(f: &mut Fixture) -> (DelegationChain, [Layer; 2]) {
+        let grant = f.cas.grant(
+            &f.user_dn,
+            f.user_proxy.public(),
+            vec!["ESnet:member".into()],
+            Validity::unbounded(),
+        );
+        let certs = DelegationChain::new(grant)
+            .delegate(
+                &f.user_proxy,
+                DistinguishedName::broker("domain-a"),
+                f.bb_a.public(),
+                vec![Restriction::ValidForDomain("domain-c".into())],
+                Validity::unbounded(),
+            )
+            .unwrap();
+        let a = Layer::new("domain-a", &f.bb_a, "domain-b", f.bb_b.public());
+        let b = Layer::new("domain-b", &f.bb_b, "domain-c", f.bb_c.public());
+        (certs, [a, b])
+    }
+
+    fn check(
+        f: &Fixture,
+        certs: &DelegationChain,
+        layers: &[Layer],
+        now: u64,
+    ) -> Result<VerifiedCapabilities, CryptoError> {
+        let certs: Vec<&Certificate> = certs.certs.iter().collect();
+        let hops = layers.iter().map(|l| l.hop(None));
+        DelegationChain::verify_request(&certs, hops, f.cas.public_key(), Timestamp(now), 111)
+    }
+
+    #[test]
+    fn folded_chain_passes_the_checklist() {
+        let mut f = fixture();
+        let (certs, layers) = folded(&mut f);
+        let verified = check(&f, &certs, &layers, 0).unwrap();
+        assert_eq!(verified.capabilities, vec!["ESnet:member"]);
+        assert_eq!(
+            verified.restrictions,
+            vec![
+                Restriction::ValidForDomain("domain-c".into()),
+                Restriction::ValidForRar(111)
+            ]
+        );
+        assert_eq!(verified.holder, DistinguishedName::broker("domain-c"));
+        assert_eq!(verified.holder_key, f.bb_c.public());
+        assert_eq!(verified.signatures, 4, "two certificates, two layers");
+        // Layers the caller verified under the chained keys cost key
+        // equality; under any other key the chain is broken.
+        let refs: Vec<&Certificate> = certs.certs.iter().collect();
+        let with = |key_b: PublicKey| {
+            let keys = [f.bb_a.public(), key_b];
+            let hops = layers.iter().zip(keys).map(|(l, k)| l.hop(Some(k)));
+            DelegationChain::verify_request(&refs, hops, f.cas.public_key(), Timestamp(0), 111)
+        };
+        assert_eq!(with(f.bb_b.public()).unwrap().signatures, 2);
+        assert!(matches!(
+            with(f.bb_c.public()),
+            Err(CryptoError::BadSignature { .. })
+        ));
+        // A chain that stops early ends at the last delegatee's key.
+        let stopped = check(&f, &certs, &layers[..1], 0).unwrap();
+        assert_eq!(stopped.holder_key, f.bb_b.public());
+    }
+
+    #[test]
+    fn any_tampered_link_fails() {
+        let mut f = fixture();
+        let domain_b = DistinguishedName::broker("domain-b");
+
+        // Wrong chained key: BB_A names a key BB_B does not sign with.
+        let (certs, mut layers) = folded(&mut f);
+        layers[0].link.as_mut().unwrap().to_key = KeyPair::from_seed(b"mallory").public();
+        assert_eq!(
+            check(&f, &certs, &layers, 0),
+            Err(CryptoError::BadSignature {
+                signer: domain_b.clone()
+            })
+        );
+
+        // The signer is not the principal the link before it named.
+        let (certs, mut layers) = folded(&mut f);
+        layers[1].signer = DistinguishedName::broker("domain-x");
+        assert_eq!(
+            check(&f, &certs, &layers, 0),
+            Err(CryptoError::IssuerMismatch {
+                expected: domain_b.clone(),
+                found: DistinguishedName::broker("domain-x"),
+            })
+        );
+
+        // Expired link.
+        let (certs, layers) = folded(&mut f);
+        assert_eq!(
+            check(&f, &certs, &layers, 1001),
+            Err(CryptoError::Expired {
+                subject: domain_b.clone(),
+                at: Timestamp(1001)
+            })
+        );
+
+        // A link after a gap: BB_A forwarded without delegating, so the
+        // chain ended at BB_A and BB_B has nothing to hand on.
+        let (certs, mut layers) = folded(&mut f);
+        layers[0].link = None;
+        assert_eq!(
+            check(&f, &certs, &layers, 0),
+            Err(CryptoError::IssuerMismatch {
+                expected: DistinguishedName::broker("domain-a"),
+                found: domain_b,
+            })
+        );
+
+        // A certificate on a broker layer: brokers mint none.
+        let (certs, mut layers) = folded(&mut f);
+        layers[1].certs = vec![certs.certs[1].clone()];
+        assert_eq!(
+            check(&f, &certs, &layers, 0),
+            Err(CryptoError::MalformedChain("certificate on a broker layer"))
+        );
     }
 
     #[test]

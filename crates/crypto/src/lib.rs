@@ -37,7 +37,9 @@ pub mod vcache;
 pub use cert::{
     Certificate, CertificateAuthority, Extension, Restriction, TbsCertificate, Validity,
 };
-pub use delegation::{CommunityAuthorizationServer, DelegationChain, VerifiedCapabilities};
+pub use delegation::{
+    CommunityAuthorizationServer, Delegation, DelegationChain, SignedHop, VerifiedCapabilities,
+};
 pub use dn::DistinguishedName;
 pub use error::CryptoError;
 pub use group::FixedBase;

@@ -338,6 +338,8 @@ fn verify_links_model(
         capabilities: tip.capabilities().into_iter().map(str::to_string).collect(),
         restrictions: tip.restrictions().into_iter().cloned().collect(),
         holder: tip.tbs.subject.clone(),
+        holder_key: tip.tbs.subject_public_key,
+        signatures: certs.len(),
     })
 }
 

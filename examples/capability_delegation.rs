@@ -6,6 +6,11 @@
 //! (Neuman's cascade). The destination runs the §6.5 verification
 //! checklist over the full chain.
 //!
+//! This is the cascade in its textbook form, every link a certificate.
+//! On the signalling path only the user's two links are certificates:
+//! a broker's link is the request layer it signs anyway (DESIGN.md
+//! §D22) — `fig7_delegation` prints that chain off real messages.
+//!
 //! ```sh
 //! cargo run -p qos-examples --bin capability_delegation
 //! ```

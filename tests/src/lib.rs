@@ -12,8 +12,9 @@ pub use qos_core::scenario::{
 
 use qos_core::drive::Mesh;
 use qos_core::node::Completion;
+use qos_core::view::RarView;
 use qos_core::{Approval, Denial, PeerId, RarId, SignalMessage, SignedRar};
-use qos_crypto::{Certificate, Timestamp};
+use qos_crypto::{Certificate, PublicKey, Timestamp};
 use qos_net::SimDuration;
 use qos_telemetry::{Registry, Telemetry, TraceId};
 
@@ -53,6 +54,16 @@ pub fn deliver_by_hand(
             queue.push((at, next, m));
         }
     }
+}
+
+/// The folded links of Figure 7's capability list in `rar` (it follows
+/// the certificates of the user's layer), innermost first, as
+/// `(signer's domain, delegatee's key)`.
+pub fn chain_links(rar: &SignedRar) -> Vec<(String, PublicKey)> {
+    RarView::of(rar)
+        .hops(None)
+        .filter_map(|h| Some((h.signer.org_unit()?.to_string(), h.link?.1.to_key)))
+        .collect()
 }
 
 /// Submit a signed request at its source domain, run to completion, and

@@ -1,13 +1,17 @@
 //! Adversarial integration tests: tampered envelopes, forged peers,
 //! expired credentials, replayed channel frames.
 
-use integration_tests::{build_chain, mesh_from, outcome, ChainOptions, MBPS};
+use integration_tests::{
+    build_chain, chain_links, deliver_by_hand, mesh_from, outcome, ChainOptions, Scenario, MBPS,
+};
 use qos_core::channel::{handshake, ChannelIdentity, PeerPin};
 use qos_core::envelope::{RarLayer, SignedRar};
-use qos_core::messages::SignalMessage;
+use qos_core::messages::{Denial, SignalMessage};
+use qos_core::node::Completion;
 use qos_crypto::{CertificateAuthority, DistinguishedName, KeyPair, Timestamp, Validity};
 use qos_net::SimDuration;
 use qos_policy::AttributeSet;
+use std::collections::HashMap;
 
 /// A transit broker that inflates the requested bandwidth mid-path
 /// cannot produce a verifiable envelope: the destination's trust walk
@@ -60,6 +64,157 @@ fn transit_tampering_is_caught_at_destination() {
         matches!(out_tampered.first(), Some((to, SignalMessage::Deny(_))) if to.as_ref() == "domain-a"),
         "tampered envelope must bounce: {out_tampered:?}"
     );
+}
+
+/// What `lying_transit` does to the request `domain-b` sends on.
+enum Lie {
+    /// Delegate to a key of its own choosing instead of `domain-c`'s.
+    Retarget,
+    /// Hold the chain and hand nothing on.
+    Strip,
+    /// Reuse the signed link of another request's layer (`domain-b`'s
+    /// layer of an earlier envelope) around this request's nest.
+    Splice,
+}
+
+/// A four-domain chain whose destination grants only to holders of an
+/// ESnet capability, with `domain-b` lying about the chain as `lie`
+/// says. Returns the denial the source saw, the envelope `domain-d`
+/// received (if the request got that far), and checks that no broker
+/// holds capacity afterwards.
+fn lying_transit(lie: Lie) -> (Denial, Option<SignedRar>) {
+    const NEEDS_ESNET: &str = "if Issued_by(Capability) = ESnet { return grant }\nreturn deny \"needs an ESnet capability\"";
+    let mut s = build_chain(ChainOptions {
+        domains: 4,
+        policies: HashMap::from([(3, NEEDS_ESNET.to_string())]),
+        ..ChainOptions::default()
+    });
+    let cert = s.users["alice"].cert.clone();
+    let bb_b = KeyPair::from_seed(b"bb-domain-b");
+    let submit = |s: &mut Scenario, lie: Option<&Lie>, earlier: Option<&SignedRar>| {
+        let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
+        let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
+        let out = s.nodes[0].submit(rar, &cert);
+        let mut seen = HashMap::new();
+        deliver_by_hand(s, 0, out, |to, msg| {
+            let SignalMessage::Request(rar) = msg else {
+                return msg;
+            };
+            let rar = match (to, lie) {
+                ("domain-c", Some(lie)) => {
+                    let mut lied = rar.layer.clone();
+                    let RarLayer::Broker { delegate, .. } = &mut lied else {
+                        panic!("domain-b wraps what it forwards");
+                    };
+                    assert!(delegate.is_some(), "domain-b held the chain");
+                    match lie {
+                        Lie::Retarget => {
+                            delegate.as_mut().unwrap().to_key =
+                                KeyPair::from_seed(b"b's other key").public()
+                        }
+                        Lie::Strip => *delegate = None,
+                        Lie::Splice => {
+                            let RarLayer::Broker {
+                                delegate: theirs, ..
+                            } = &earlier.expect("an earlier envelope").layer
+                            else {
+                                unreachable!()
+                            };
+                            *delegate = *theirs;
+                        }
+                    }
+                    // b signs its lie with its own key, except for the
+                    // splice: that reuses the signature b made over the
+                    // same link in the other request, whatever is inside.
+                    let mut forged = SignedRar::sign_layer(lied, rar.signer.clone(), &bb_b);
+                    if matches!(lie, Lie::Splice) {
+                        forged.signature = earlier.expect("an earlier envelope").signature();
+                    }
+                    forged
+                }
+                _ => rar,
+            };
+            seen.insert(to.to_string(), rar.clone());
+            SignalMessage::Request(rar)
+        });
+        let result = match s.nodes[0].take_completions().pop() {
+            Some(Completion::Reservation { result, .. }) => result,
+            other => panic!("no reservation completed at the source: {other:?}"),
+        };
+        (result, seen)
+    };
+
+    // An honest run first: granted, and its envelopes are what a splice
+    // copies from.
+    let (honest, seen) = submit(&mut s, None, None);
+    assert!(honest.is_ok(), "the chain reaches d's key: {honest:?}");
+    let earlier = seen["domain-c"].clone();
+    let start: Vec<u64> = s
+        .nodes
+        .iter()
+        .map(|n| n.core().available_bw_at(Timestamp(10)))
+        .collect();
+
+    let (lied, seen) = submit(&mut s, Some(&lie), Some(&earlier));
+    let denial = lied.expect_err("a lie about the chain is never granted");
+    for (node, start) in s.nodes.iter().zip(&start) {
+        assert_eq!(
+            node.core().available_bw_at(Timestamp(10)),
+            *start,
+            "{} still holds capacity",
+            node.domain()
+        );
+    }
+    (denial, seen.get("domain-d").cloned())
+}
+
+/// A transit that re-targets its link to a key of its own choosing: its
+/// layer is genuinely signed, so the next hop accepts it, finds the
+/// chain ends at somebody else's key, and carries it on without a link
+/// of its own; it grants nothing downstream, and the destination, whose
+/// policy requires the capability, denies.
+#[test]
+fn transit_retargeting_its_link_grants_nothing_downstream() {
+    let (denial, at_d) = lying_transit(Lie::Retarget);
+    assert_eq!(denial.domain, "domain-d");
+    assert!(
+        denial.reason.contains("needs an ESnet capability"),
+        "{denial:?}"
+    );
+    let links = chain_links(&at_d.expect("c forwards: its own policy asks for nothing"));
+    let signers: Vec<&str> = links.iter().map(|(s, _)| s.as_str()).collect();
+    assert_eq!(signers, ["domain-a", "domain-b"], "c added no link");
+    assert_eq!(links[1].1, KeyPair::from_seed(b"b's other key").public());
+}
+
+/// A transit that holds the chain and strips it of its continuation:
+/// the chain ends at the transit's own key for everybody downstream.
+#[test]
+fn transit_stripping_the_link_grants_nothing_downstream() {
+    let (denial, at_d) = lying_transit(Lie::Strip);
+    assert_eq!(denial.domain, "domain-d");
+    assert!(
+        denial.reason.contains("needs an ESnet capability"),
+        "{denial:?}"
+    );
+    let links = chain_links(&at_d.expect("c forwards: its own policy asks for nothing"));
+    assert_eq!(links.len(), 1, "a's link only: {links:?}");
+    assert_eq!(links[0].0, "domain-a");
+}
+
+/// A transit that splices the signed link of another request's layer
+/// around this request's nest: the layer's signature is over the digest
+/// of the nest inside it (DESIGN.md §D22), so it does not transfer, and
+/// the next hop refuses the outer signature.
+#[test]
+fn transit_splicing_a_link_from_another_rar_is_caught_at_the_next_hop() {
+    let (denial, at_d) = lying_transit(Lie::Splice);
+    assert_eq!(denial.domain, "domain-c");
+    assert!(
+        denial.reason.contains("signed by CN=BB,OU=domain-b"),
+        "{denial:?}"
+    );
+    assert!(at_d.is_none(), "the request stops at c");
 }
 
 /// A message claiming to come from a peer the broker has no SLA with is
