@@ -207,9 +207,8 @@ fn main() {
         let now_s = batch.last().expect("non-empty batch").at_s;
 
         let t0 = Instant::now();
-        // Source side: admit against the tunnel budget, sign, and queue
-        // toward the destination — grouped per tunnel so the destination
-        // takes one batched (Schnorr batch-verified) call.
+        // Source side: admit against the tunnel budget and queue toward
+        // the destination, grouped per tunnel: one call per destination.
         let mut per_tunnel_reqs: Vec<Vec<(String, qos_core::messages::TunnelFlowRequest)>> =
             vec![Vec::new(); n_tunnels];
         for e in &batch {
@@ -233,8 +232,8 @@ fn main() {
                 Err(_) => denied += 1,
             }
         }
-        // Destination side: batched verification + admission, replies
-        // straight back to the source broker.
+        // Destination side: admission of each request from the tunnel's
+        // source, replies straight back to the source broker.
         for (i, reqs) in per_tunnel_reqs.into_iter().enumerate() {
             if reqs.is_empty() {
                 continue;
@@ -368,7 +367,7 @@ fn main() {
         "mixed",
         "EXP-M: open-loop Poisson sub-flows over pre-established tunnels on a \
          seeded AS graph; warm us/flow = full source-request -> destination \
-         batch-verify+admit -> source reply trip; transit rx must not grow \
+         admit -> source reply trip; transit rx must not grow \
          during the sub-flow phase",
     );
     artifact.push(

@@ -9,7 +9,7 @@
 
 use crate::envelope::SignedRar;
 use crate::rar::RarId;
-use qos_crypto::sha256::{sha256, Digest, Sha256};
+use qos_crypto::sha256::{sha256, Digest};
 use qos_crypto::{Certificate, DistinguishedName, KeyPair, PublicKey, Signature};
 use qos_policy::AttributeSet;
 
@@ -211,7 +211,9 @@ qos_wire::impl_wire_struct!(Denial {
 });
 
 /// A request for a sub-flow inside an established tunnel, sent over the
-/// direct source↔destination channel. Signed by the source BB.
+/// direct source↔destination channel. It carries no signature: the
+/// destination admits it only from the channel authenticated as the
+/// tunnel's source broker (DESIGN.md §D23).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TunnelFlowRequest {
     /// The tunnel (the aggregate reservation's id).
@@ -222,71 +224,24 @@ pub struct TunnelFlowRequest {
     pub rate_bps: u64,
     /// Requesting user.
     pub requestor: DistinguishedName,
-    /// Source BB's signature over the fields above.
-    pub signature: Signature,
 }
 
 qos_wire::impl_wire_struct!(TunnelFlowRequest {
     tunnel,
     flow,
     rate_bps,
-    requestor,
-    signature
+    requestor
 });
 
 impl TunnelFlowRequest {
-    /// Sign a new sub-flow request.
-    pub fn new(
-        tunnel: RarId,
-        flow: u64,
-        rate_bps: u64,
-        requestor: DistinguishedName,
-        key: &KeyPair,
-    ) -> Self {
-        let signature = key.sign_digest(&Self::digest_of(tunnel, flow, rate_bps, &requestor));
+    /// A new sub-flow request.
+    pub fn new(tunnel: RarId, flow: u64, rate_bps: u64, requestor: DistinguishedName) -> Self {
         Self {
             tunnel,
             flow,
             rate_bps,
             requestor,
-            signature,
         }
-    }
-
-    /// Verify under the source BB's key.
-    pub fn verify(&self, pk: PublicKey) -> bool {
-        pk.verify_digest(&self.signed_digest(), &self.signature)
-    }
-
-    /// SHA-256 of the canonical bytes [`Self::signature`] covers —
-    /// `tunnel ‖ flow ‖ rate_bps ‖ requestor` — fed to the hasher field
-    /// by field: what a batched verifier
-    /// ([`qos_crypto::verify_batch_digests`]) takes per item.
-    pub fn signed_digest(&self) -> Digest {
-        Self::digest_of(self.tunnel, self.flow, self.rate_bps, &self.requestor)
-    }
-
-    fn digest_of(tunnel: RarId, flow: u64, rate_bps: u64, requestor: &DistinguishedName) -> Digest {
-        let mut head = [0u8; 24];
-        head[..8].copy_from_slice(&tunnel.0.to_le_bytes());
-        head[8..16].copy_from_slice(&flow.to_le_bytes());
-        head[16..].copy_from_slice(&rate_bps.to_le_bytes());
-        let mut h = Sha256::new();
-        h.update(&head);
-        h.update(requestor.encoding());
-        h.finalize()
-    }
-
-    /// The canonical bytes themselves, as the wire encoder writes them:
-    /// the reference [`Self::signed_digest`] is tested against.
-    #[cfg(test)]
-    fn signed_payload(&self) -> Vec<u8> {
-        let mut w = qos_wire::Writer::new();
-        qos_wire::Encode::encode(&self.tunnel, &mut w);
-        w.put_u64(self.flow);
-        w.put_u64(self.rate_bps);
-        qos_wire::Encode::encode(&self.requestor, &mut w);
-        w.into_bytes()
     }
 }
 
@@ -304,8 +259,9 @@ pub enum DenialCode {
     None,
     /// The destination has no such tunnel.
     UnknownTunnel,
-    /// The request's source-BB signature did not verify.
-    BadSignature,
+    /// The request did not arrive over the channel authenticated as the
+    /// tunnel's source broker.
+    NotTunnelSource,
     /// The destination's aggregate budget is exhausted.
     Exhausted,
     /// The source's aggregate budget (committed + in-flight) is
@@ -324,7 +280,7 @@ impl DenialCode {
         match self {
             DenialCode::None => "",
             DenialCode::UnknownTunnel => "unknown-tunnel",
-            DenialCode::BadSignature => "bad-signature",
+            DenialCode::NotTunnelSource => "not-tunnel-source",
             DenialCode::Exhausted => "exhausted",
             DenialCode::SourceExhausted => "source-exhausted",
             DenialCode::RateOverCap => "rate-over-cap",
@@ -337,7 +293,7 @@ impl DenialCode {
         match s {
             "" => DenialCode::None,
             "unknown-tunnel" => DenialCode::UnknownTunnel,
-            "bad-signature" => DenialCode::BadSignature,
+            "not-tunnel-source" => DenialCode::NotTunnelSource,
             "exhausted" => DenialCode::Exhausted,
             "source-exhausted" => DenialCode::SourceExhausted,
             "rate-over-cap" => DenialCode::RateOverCap,
@@ -423,63 +379,22 @@ qos_wire::impl_wire_struct!(DirectReply {
     reason
 });
 
-/// Teardown of one tunnel sub-flow, sent over the direct channel and
-/// signed by the source BB (mirror of [`TunnelFlowRequest`]).
+/// Teardown of one tunnel sub-flow, sent over the direct channel and,
+/// like [`TunnelFlowRequest`], acted on only from the tunnel's source.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TunnelFlowRelease {
     /// The tunnel.
     pub tunnel: RarId,
     /// The sub-flow being torn down.
     pub flow: u64,
-    /// Source BB's signature over (tunnel ‖ flow).
-    pub signature: Signature,
 }
 
-qos_wire::impl_wire_struct!(TunnelFlowRelease {
-    tunnel,
-    flow,
-    signature
-});
+qos_wire::impl_wire_struct!(TunnelFlowRelease { tunnel, flow });
 
 impl TunnelFlowRelease {
-    /// Sign a sub-flow teardown at the source broker.
-    pub fn new(tunnel: RarId, flow: u64, key: &KeyPair) -> Self {
-        Self {
-            tunnel,
-            flow,
-            signature: key.sign_digest(&Self::signed_digest(tunnel, flow)),
-        }
-    }
-
-    /// Verify under the source BB's public key.
-    pub fn verify(&self, pk: PublicKey) -> bool {
-        pk.verify_digest(
-            &Self::signed_digest(self.tunnel, self.flow),
-            &self.signature,
-        )
-    }
-
-    /// SHA-256 of the canonical bytes the signature covers:
-    /// `tunnel ‖ flow ‖ "tunnel-flow-release"` (length-prefixed).
-    fn signed_digest(tunnel: RarId, flow: u64) -> Digest {
-        const LABEL: &[u8] = b"tunnel-flow-release";
-        let mut bytes = [0u8; 20 + LABEL.len()];
-        bytes[..8].copy_from_slice(&tunnel.0.to_le_bytes());
-        bytes[8..16].copy_from_slice(&flow.to_le_bytes());
-        bytes[16..20].copy_from_slice(&(LABEL.len() as u32).to_le_bytes());
-        bytes[20..].copy_from_slice(LABEL);
-        sha256(&bytes)
-    }
-
-    /// The same bytes as the wire encoder writes them: the reference
-    /// [`Self::signed_digest`] is tested against.
-    #[cfg(test)]
-    fn signed_payload(&self) -> Vec<u8> {
-        let mut w = qos_wire::Writer::new();
-        qos_wire::Encode::encode(&self.tunnel, &mut w);
-        w.put_u64(self.flow);
-        w.put_str("tunnel-flow-release");
-        w.into_bytes()
+    /// A sub-flow teardown.
+    pub fn new(tunnel: RarId, flow: u64) -> Self {
+        Self { tunnel, flow }
     }
 }
 
@@ -692,48 +607,40 @@ mod tests {
     }
 
     #[test]
-    fn tunnel_flow_request_signature() {
-        let key = kp("bb-a");
-        let req = TunnelFlowRequest::new(
-            RarId(5),
-            77,
-            1_000_000,
-            DistinguishedName::user("Alice", "ANL"),
-            &key,
-        );
-        assert!(req.verify(key.public()));
-        let mut forged = req.clone();
-        forged.rate_bps = 100_000_000;
-        assert!(!forged.verify(key.public()));
-    }
-
-    #[test]
-    fn a_digest_fed_field_by_field_is_the_digest_of_the_encoded_payload() {
-        let key = kp("bb-a");
-        for name in ["A", "Alice", &"x".repeat(90)] {
-            let req = TunnelFlowRequest::new(
-                RarId(u64::MAX - 5),
+    fn signal_message_wire_round_trip() {
+        let msgs = [
+            SignalMessage::Deny(Denial {
+                rar_id: RarId(9),
+                domain: "domain-b".into(),
+                reason: "no SLA capacity".into(),
+            }),
+            SignalMessage::TunnelFlow(TunnelFlowRequest::new(
+                RarId(5),
                 77,
                 1_000_000,
-                DistinguishedName::user(name, "ANL"),
-                &key,
-            );
-            assert_eq!(req.signed_digest(), sha256(&req.signed_payload()));
-            assert_eq!(req.signature, key.sign(&req.signed_payload()));
+                DistinguishedName::user("Alice", "ANL"),
+            )),
+            SignalMessage::TunnelFlowRelease(TunnelFlowRelease::new(RarId(9), 1 << 40)),
+            SignalMessage::TunnelFlowReply(TunnelFlowReply {
+                tunnel: RarId(5),
+                flow: 77,
+                accepted: false,
+                reason: DenialCode::NotTunnelSource,
+            }),
+        ];
+        for msg in msgs {
+            let bytes = qos_wire::to_bytes(&msg);
+            assert_eq!(qos_wire::from_bytes::<SignalMessage>(&bytes).unwrap(), msg);
         }
-        let rel = TunnelFlowRelease::new(RarId(9), 1 << 40, &key);
-        assert!(rel.verify(key.public()));
-        assert_eq!(rel.signature, key.sign(&rel.signed_payload()));
-    }
-
-    #[test]
-    fn signal_message_wire_round_trip() {
-        let msg = SignalMessage::Deny(Denial {
-            rar_id: RarId(9),
-            domain: "domain-b".into(),
-            reason: "no SLA capacity".into(),
-        });
-        let bytes = qos_wire::to_bytes(&msg);
-        assert_eq!(qos_wire::from_bytes::<SignalMessage>(&bytes).unwrap(), msg);
+        // A sub-flow message is its fields and nothing else: tag, tunnel
+        // and flow (and the rate and requestor of a request).
+        let release = TunnelFlowRelease::new(RarId(9), 1);
+        let bytes = qos_wire::to_bytes(&SignalMessage::TunnelFlowRelease(release));
+        assert_eq!(bytes.len(), 1 + 8 + 8);
+        // The code a pre-§D23 destination sent parses, as free text.
+        assert_eq!(
+            DenialCode::from_wire("bad-signature"),
+            DenialCode::Other("bad-signature".into())
+        );
     }
 }

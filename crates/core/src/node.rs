@@ -209,7 +209,8 @@ struct TunnelSrc {
 
 /// Destination end of an established tunnel.
 struct TunnelDst {
-    source_pk: PublicKey,
+    /// The source BB's certified domain: the one channel peer whose
+    /// sub-flow requests and releases are acted on.
     source_domain: PeerId,
     aggregate_bps: u64,
     allocated_bps: u64,
@@ -1174,56 +1175,27 @@ impl BbNode {
             SignalMessage::Direct(d) => self.on_direct(*d),
             SignalMessage::DirectReply(_) => Vec::new(), // agents consume these
             SignalMessage::TunnelFlow(t) => self.on_tunnel_flow(from, t),
-            SignalMessage::TunnelFlowReply(r) => self.on_tunnel_flow_reply(r),
+            SignalMessage::TunnelFlowReply(r) => self.on_tunnel_flow_reply(from, r),
             SignalMessage::Release(r) => self.on_release(from, r),
-            SignalMessage::TunnelFlowRelease(r) => self.on_tunnel_flow_release(r),
+            SignalMessage::TunnelFlowRelease(r) => self.on_tunnel_flow_release(from, r),
         };
         self.counters.add_tx(out.len() as u64);
         out
     }
 
-    /// Handle a burst of tunnel sub-flow requests at once (the paper's
-    /// per-flow admission inside an established aggregate, §7).
-    ///
-    /// Each request is signed by its tunnel's source BB, and the
-    /// signatures are over unrelated bytes — so the whole burst goes
-    /// through one Schnorr batch equation ([`qos_crypto::verify_batch`],
-    /// ~µs-amortized per signature) with per-item fallback for
-    /// attribution, like [`Self::recv_requests`]. Admission then runs
-    /// serially against the shared aggregate budgets. Drivers that see
-    /// several `TunnelFlow` messages queued (e.g. the actor runtime's
-    /// mailbox) should prefer this over per-message [`Self::recv`].
+    /// Handle a burst of tunnel sub-flow requests (the paper's per-flow
+    /// admission inside an established aggregate, §7), each exactly as
+    /// [`Self::recv`] would: a sub-flow costs no public-key operation, so
+    /// there is nothing to batch (DESIGN.md §D23). Admission runs
+    /// serially, in arrival order, against the shared aggregate budgets.
     pub fn recv_tunnel_flows(
         &mut self,
         batch: Vec<(String, TunnelFlowRequest)>,
     ) -> Vec<(PeerId, SignalMessage)> {
         self.counters.add_rx(batch.len() as u64);
-        // Resolve each request's pinned source-BB key first (cheap map
-        // lookups); unknown tunnels skip the batch and take the
-        // unknown-tunnel denial in `admit_tunnel_flow`.
-        let known: Vec<Option<PublicKey>> = batch
-            .iter()
-            .map(|(_, req)| self.tunnels_dst.get(&req.tunnel).map(|t| t.source_pk))
-            .collect();
-        let jobs: Vec<(Digest, PublicKey, Signature)> = batch
-            .iter()
-            .zip(&known)
-            .filter_map(|((_, req), pk)| Some((req.signed_digest(), (*pk)?, req.signature)))
-            .collect();
-        // Plain (uncached) batch equation: sub-flow signatures are
-        // one-shot — a distinct payload per flow — so the verdict cache
-        // would only add an insertion per flow and evict entries that
-        // actually repeat (SLA envelopes).
-        let verdicts = if qos_crypto::verify_batch_digests(&jobs) {
-            vec![true; jobs.len()]
-        } else {
-            crate::parallel::verify_each(&jobs)
-        };
-        let mut verdicts = verdicts.into_iter();
         let mut out = Vec::with_capacity(batch.len());
-        for ((from, req), known) in batch.into_iter().zip(known) {
-            let ok = known.is_some() && verdicts.next().unwrap_or(false);
-            out.extend(self.admit_tunnel_flow(&from, req, ok));
+        for (from, req) in batch {
+            out.extend(self.on_tunnel_flow(&from, req));
         }
         self.counters.add_tx(out.len() as u64);
         out
@@ -1234,8 +1206,8 @@ impl BbNode {
     /// envelope's own canonical bytes — mutually independent checks, so
     /// the burst goes through one Schnorr batch equation
     /// ([`qos_crypto::verify_batch`]) with per-item fallback for
-    /// attribution, exactly like [`Self::recv_tunnel_flows`]. Protocol
-    /// processing then runs serially in arrival order.
+    /// attribution, like [`Self::submit_batch`]. Protocol processing then
+    /// runs serially in arrival order.
     pub fn recv_requests(
         &mut self,
         batch: Vec<(String, SignedRar)>,
@@ -1459,21 +1431,30 @@ impl BbNode {
 
         // `verify_view` checked every layer under its introducer's key.
         let caps = self.verify_capability_chain(view, Some((peer_pk, depth)))?;
+        // A tunnel is bound to its source BB's certified domain: sub-flows
+        // are then admitted only over the channel authenticated as that
+        // domain (DESIGN.md §D23). The source BB's certificate is the one
+        // the signer path proved, or the direct peer's on a two-domain
+        // path.
+        if spec.tunnel {
+            let source = view
+                .introduced_cert(1)
+                .or_else(|| self.peers.get(from))
+                .and_then(|c| c.tbs.subject.org_unit());
+            if source != Some(spec.source_domain.as_str()) {
+                return Err(CoreError::Tunnel(format!(
+                    "source BB is not certified for {}",
+                    spec.source_domain
+                )));
+            }
+        }
         let attachments = self.check_policy(spec, caps, view.attachments(), trace)?;
         self.hold_pending(spec, Some(from), None, trace)?;
 
-        // Tunnel bookkeeping: remember the source BB so sub-flow requests
-        // over the direct channel can be authenticated.
         if spec.tunnel {
-            let source_pk = view
-                .introduced_cert(1)
-                .or_else(|| self.peers.get(&spec.source_domain))
-                .map(|c| c.tbs.subject_public_key)
-                .ok_or_else(|| CoreError::Tunnel("cannot identify source BB".into()))?;
             self.tunnels_dst.insert(
                 rar_id,
                 TunnelDst {
-                    source_pk,
                     source_domain: spec.source_domain.as_str().into(),
                     aggregate_bps: spec.rate_bps,
                     allocated_bps: 0,
@@ -1960,36 +1941,17 @@ impl BbNode {
         }
         t.pending_bps += rate_bps;
         let dest = t.dest_domain.clone();
-        let msg = TunnelFlowRequest::new(tunnel, flow, rate_bps, requestor, &self.key);
-        self.counters.add_signed(1);
+        let msg = TunnelFlowRequest::new(tunnel, flow, rate_bps, requestor);
         self.counters.add_tx(1);
         Ok(vec![(dest, SignalMessage::TunnelFlow(msg))])
     }
 
+    /// Admit (or refuse) one sub-flow. Admission is serial: sub-flows of
+    /// one tunnel race for the same aggregate budget.
     fn on_tunnel_flow(
         &mut self,
         from: &str,
         req: TunnelFlowRequest,
-    ) -> Vec<(PeerId, SignalMessage)> {
-        // Authenticate the direct channel peer: the source BB's key was
-        // learned through the introducer chain at reservation time.
-        let signature_ok = self
-            .tunnels_dst
-            .get(&req.tunnel)
-            .is_some_and(|t| req.verify(t.source_pk));
-        self.admit_tunnel_flow(from, req, signature_ok)
-    }
-
-    /// Admit (or reject) one sub-flow whose signature verdict was
-    /// already computed — serially in [`Self::on_tunnel_flow`], or on
-    /// the worker pool in [`Self::recv_tunnel_flows`]. Admission itself
-    /// stays serial: sub-flows of one tunnel race for the same
-    /// aggregate budget.
-    fn admit_tunnel_flow(
-        &mut self,
-        from: &str,
-        req: TunnelFlowRequest,
-        signature_ok: bool,
     ) -> Vec<(PeerId, SignalMessage)> {
         let (timing, t_start) = self.t0();
         let reply = |accepted: bool, reason: DenialCode, source: PeerId| {
@@ -2007,13 +1969,14 @@ impl BbNode {
             let Some(t) = self.tunnels_dst.get_mut(&req.tunnel) else {
                 break 'admit reply(false, DenialCode::UnknownTunnel, PeerId::from(from));
             };
+            // The channel authenticates the sender; only the tunnel's
+            // source may spend its aggregate.
+            if *t.source_domain != *from {
+                break 'admit reply(false, DenialCode::NotTunnelSource, PeerId::from(from));
+            }
             // Interned at reservation time: the reply address is a
             // refcount bump, not a String clone per sub-flow.
             let source = t.source_domain.clone();
-            if !signature_ok {
-                break 'admit reply(false, DenialCode::BadSignature, source);
-            }
-            self.counters.add_verified(1);
             if t.allocated_bps + req.rate_bps > t.aggregate_bps {
                 break 'admit reply(false, DenialCode::Exhausted, source);
             }
@@ -2068,16 +2031,15 @@ impl BbNode {
                 flow: FlowId(flow),
             });
         }
-        let msg = TunnelFlowRelease::new(tunnel, flow, &self.key);
-        self.counters.add_signed(1);
+        let msg = TunnelFlowRelease::new(tunnel, flow);
         self.counters.add_tx(1);
         Ok(vec![(dest, SignalMessage::TunnelFlowRelease(msg))])
     }
 
     /// Advance the hold-expiry wheel to `now` and tear down every
     /// source-side held sub-flow whose hold has lapsed — aggregate
-    /// returned on both ends, per-flow classifier removed, signed
-    /// release sent to the destination, exactly as if
+    /// returned on both ends, per-flow classifier removed, release sent
+    /// to the destination, exactly as if
     /// [`Self::release_tunnel_flow`] had been invoked. Cost is
     /// O(ticks crossed + flows expired): the wheel never walks the
     /// held-flow table. Drivers call this as wall time advances,
@@ -2110,8 +2072,7 @@ impl BbNode {
                     flow: FlowId(flow),
                 });
             }
-            let msg = TunnelFlowRelease::new(tunnel, flow, &self.key);
-            self.counters.add_signed(1);
+            let msg = TunnelFlowRelease::new(tunnel, flow);
             out.push((t.dest_domain.clone(), SignalMessage::TunnelFlowRelease(msg)));
         }
         self.counters.add_tx(out.len() as u64);
@@ -2136,10 +2097,14 @@ impl BbNode {
         (records, bytes)
     }
 
-    fn on_tunnel_flow_release(&mut self, rel: TunnelFlowRelease) -> Vec<(PeerId, SignalMessage)> {
+    fn on_tunnel_flow_release(
+        &mut self,
+        from: &str,
+        rel: TunnelFlowRelease,
+    ) -> Vec<(PeerId, SignalMessage)> {
+        // Acted on only from the tunnel's source, as a request is.
         if let Some(t) = self.tunnels_dst.get_mut(&rel.tunnel) {
-            if rel.verify(t.source_pk) {
-                self.counters.add_verified(1);
+            if *t.source_domain == *from {
                 if let Some((rate, _)) = t.flows.remove(rel.flow) {
                     t.allocated_bps = t.allocated_bps.saturating_sub(u64::from(rate));
                     self.instruments.flow_table_occupancy.add(-1);
@@ -2149,29 +2114,40 @@ impl BbNode {
         Vec::new()
     }
 
-    fn on_tunnel_flow_reply(&mut self, reply: TunnelFlowReply) -> Vec<(PeerId, SignalMessage)> {
-        if let Some(t) = self.tunnels_src.get_mut(&reply.tunnel) {
-            if let Some((rate, expiry)) = t.pending_flows.remove(reply.flow) {
-                t.pending_bps -= u64::from(rate);
-                if reply.accepted {
-                    t.allocated_bps += u64::from(rate);
-                    if t.held_flows.insert(reply.flow, rate, expiry).is_none() {
-                        self.instruments.flow_table_occupancy.add(1);
-                    }
-                    if expiry != EXPIRY_NEVER {
-                        self.flow_expiry
-                            .schedule(expiry, (reply.tunnel, reply.flow));
-                    }
-                    // Per-flow classification at the source edge; transit
-                    // policers were dimensioned by the aggregate already.
-                    if let Some(router) = self.edge.first_router {
-                        self.edge_cmds.push(EdgeCommand::InstallFlow {
-                            router,
-                            flow: FlowId(reply.flow),
-                            profile: TrafficProfile::with_default_burst(u64::from(rate)),
-                            excess: ExcessTreatment::Drop,
-                        });
-                    }
+    fn on_tunnel_flow_reply(
+        &mut self,
+        from: &str,
+        reply: TunnelFlowReply,
+    ) -> Vec<(PeerId, SignalMessage)> {
+        // Only the tunnel's destination answers for its sub-flows; a
+        // reply from any other peer is dropped unseen.
+        let Some(t) = self
+            .tunnels_src
+            .get_mut(&reply.tunnel)
+            .filter(|t| *t.dest_domain == *from)
+        else {
+            return Vec::new();
+        };
+        if let Some((rate, expiry)) = t.pending_flows.remove(reply.flow) {
+            t.pending_bps -= u64::from(rate);
+            if reply.accepted {
+                t.allocated_bps += u64::from(rate);
+                if t.held_flows.insert(reply.flow, rate, expiry).is_none() {
+                    self.instruments.flow_table_occupancy.add(1);
+                }
+                if expiry != EXPIRY_NEVER {
+                    self.flow_expiry
+                        .schedule(expiry, (reply.tunnel, reply.flow));
+                }
+                // Per-flow classification at the source edge; transit
+                // policers were dimensioned by the aggregate already.
+                if let Some(router) = self.edge.first_router {
+                    self.edge_cmds.push(EdgeCommand::InstallFlow {
+                        router,
+                        flow: FlowId(reply.flow),
+                        profile: TrafficProfile::with_default_burst(u64::from(rate)),
+                        excess: ExcessTreatment::Drop,
+                    });
                 }
             }
         }

@@ -1,8 +1,8 @@
 //! Scoped worker pool for independent signature checks.
 //!
-//! Envelope layers and tunnel sub-flow requests are verified under
-//! *different* keys over *different* bytes, so the checks are
-//! embarrassingly parallel. This module fans such work out across
+//! The signatures of a burst of submissions or peer requests are
+//! verified under *different* keys over *different* bytes, so the checks
+//! are embarrassingly parallel. This module fans such work out across
 //! `crossbeam::thread::scope` workers — borrowed inputs, no `'static`
 //! bounds, results returned in input order.
 //!

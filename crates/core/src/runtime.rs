@@ -298,8 +298,8 @@ impl ActorMesh {
 
     /// Request a sub-flow inside an established tunnel at its source
     /// broker. Bursts of these from one or many sources land on the
-    /// tunnel's shard together, where their signatures are verified as
-    /// one parallel batch ([`crate::node::BbNode::recv_tunnel_flows`]).
+    /// tunnel's shard together and are admitted as one run
+    /// ([`crate::node::BbNode::recv_tunnel_flows`]).
     pub fn tunnel_flow(
         &self,
         domain: &str,

@@ -734,9 +734,8 @@ fn run_shard(inner: &Inner, shard_idx: usize, worker: usize, try_only: bool) -> 
 
 /// Dispatch a drained batch into the shard's replica, coalescing
 /// same-kind runs so bursts hit the batch-verification fast paths
-/// ([`BbNode::submit_batch`], [`BbNode::recv_requests`],
-/// [`BbNode::recv_tunnel_flows`]) exactly like the serialized daemon
-/// loop used to. Outputs leave through `sink`: the workers' own, or the
+/// ([`BbNode::submit_batch`], [`BbNode::recv_requests`]) and a run of
+/// sub-flows ([`BbNode::recv_tunnel_flows`]) costs one flush. Outputs leave through `sink`: the workers' own, or the
 /// caller's for an inline run. The time it takes is shard `shard_idx`'s
 /// busy time, whoever spends it.
 fn process_batch(

@@ -851,3 +851,79 @@ fn batched_ingress_matches_serial_processing() {
     );
     assert_eq!(serial.nodes[1].counters(), batched.nodes[1].counters());
 }
+
+/// A 50 Mb/s tunnel from domain-a to domain-c over a → b → c, with one
+/// 5 Mb/s sub-flow (flow 1) admitted through it.
+fn tunnel_with_one_flow() -> (Mesh, RarId, qos_crypto::DistinguishedName) {
+    let mut s = build_chain(ChainOptions::default());
+    let spec = s
+        .spec("alice", 0, 50 * MBPS, Timestamp(0), 3600)
+        .as_tunnel();
+    let tunnel = spec.rar_id;
+    let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
+    let cert = s.users["alice"].cert.clone();
+    let alice = s.users["alice"].dn.clone();
+    let mut mesh = mesh_from(&mut s, 5);
+    mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
+    mesh.tunnel_flow_in(
+        SimDuration::from_secs(1),
+        "domain-a",
+        tunnel,
+        1,
+        5 * MBPS,
+        alice.clone(),
+    );
+    mesh.run_until_idle();
+    assert!(approval_of(&mesh, "domain-a", tunnel).is_ok());
+    assert_eq!(mesh.node("domain-c").held_flow_stats().0, 1);
+    (mesh, tunnel, alice)
+}
+
+#[test]
+fn tunnel_subflow_from_a_non_source_peer_is_refused() {
+    use qos_core::messages::{TunnelFlowReply, TunnelFlowRequest};
+    use qos_core::{DenialCode, PeerId, SignalMessage};
+
+    let (mut mesh, tunnel, alice) = tunnel_with_one_flow();
+    let req = TunnelFlowRequest::new(tunnel, 2, 45 * MBPS, alice);
+    let reply_to = |out: &[(PeerId, SignalMessage)]| match out {
+        [(
+            to,
+            SignalMessage::TunnelFlowReply(TunnelFlowReply {
+                accepted, reason, ..
+            }),
+        )] => (to.to_string(), *accepted, reason.clone()),
+        other => panic!("expected one sub-flow reply, got {other:?}"),
+    };
+    let c = mesh.node_mut("domain-c");
+    // The transit carries the tunnel but is not its source: refused one
+    // at a time and in a burst, and the refusal goes back to it.
+    let refused = ("domain-b".to_string(), false, DenialCode::NotTunnelSource);
+    let out = c.recv("domain-b", SignalMessage::TunnelFlow(req.clone()));
+    assert_eq!(reply_to(&out), refused);
+    let out = c.recv_tunnel_flows(vec![("domain-b".to_string(), req.clone())]);
+    assert_eq!(reply_to(&out), refused);
+    assert_eq!(c.held_flow_stats().0, 1, "nothing admitted");
+    // The same request over the source's channel takes the rest of the
+    // aggregate, which the refusals left untouched.
+    let out = c.recv("domain-a", SignalMessage::TunnelFlow(req));
+    assert_eq!(
+        reply_to(&out),
+        ("domain-a".to_string(), true, DenialCode::None)
+    );
+    assert_eq!(c.held_flow_stats().0, 2);
+}
+
+#[test]
+fn tunnel_subflow_release_from_a_non_source_peer_is_ignored() {
+    use qos_core::messages::TunnelFlowRelease;
+    use qos_core::SignalMessage;
+
+    let (mut mesh, tunnel, _) = tunnel_with_one_flow();
+    let release = || SignalMessage::TunnelFlowRelease(TunnelFlowRelease::new(tunnel, 1));
+    let c = mesh.node_mut("domain-c");
+    assert!(c.recv("domain-b", release()).is_empty());
+    assert_eq!(c.held_flow_stats().0, 1, "a transit cannot free the flow");
+    assert!(c.recv("domain-a", release()).is_empty());
+    assert_eq!(c.held_flow_stats().0, 0, "its source can");
+}

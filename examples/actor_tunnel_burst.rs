@@ -2,8 +2,9 @@
 //! sealed frames over mutually authenticated channels, a tunnel is
 //! established hop by hop, and then a burst of sub-flow requests races
 //! for the tunnel's aggregate budget on the direct source↔destination
-//! channel. Queued sub-flows reach the destination's mailbox together
-//! and their signatures verify as one parallel batch (DESIGN.md D6).
+//! channel. A sub-flow carries no signature: the destination admits it
+//! because the channel it arrived on is authenticated as the tunnel's
+//! source (DESIGN.md §D23).
 //!
 //! Run with: `cargo run --release --bin actor_tunnel_burst`
 
@@ -101,7 +102,7 @@ fn main() {
     let dst = nodes["domain-c"].counters();
     println!(
         "\naccepted {accepted}/6 (five fill the aggregate); destination \
-         verified {} signatures across the session",
+         verified {} signatures across the session, all at establishment",
         dst.verified
     );
 }

@@ -1,11 +1,12 @@
-//! The public-key work one reservation costs, counted — alone in its own
-//! test binary, because `schnorr::sign_ops()` / `verify_ops()` are
-//! process-wide counters (cf. `telemetry_snapshot.rs`).
+//! The public-key work one reservation costs, counted — in a test binary
+//! of its own whose tests take turns, because `schnorr::sign_ops()` /
+//! `verify_ops()` are process-wide counters (cf. `telemetry_snapshot.rs`).
 //!
 //! A broker proves possession of its own key once, when it is built, not
 //! on every request (DESIGN.md §D17), and the layer it signs *is* its
 //! delegation of the capability chain (§D22): what is left per request
-//! is one signature per hop outward and one per hop on the way back.
+//! is one signature per hop outward and one per hop on the way back. A
+//! tunnel sub-flow costs none (§D23).
 
 use integration_tests::{build_chain, chain_links, deliver_by_hand, ChainOptions, Scenario, MBPS};
 use qos_core::node::Completion;
@@ -13,6 +14,14 @@ use qos_core::{PeerId, SignalMessage, SignedRar};
 use qos_crypto::schnorr::{sign_ops, verify_ops};
 use qos_crypto::{DelegationChain, Timestamp, Validity};
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard};
+
+/// Held by each test while it counts.
+static COUNTING: Mutex<()> = Mutex::new(());
+
+fn counting() -> MutexGuard<'static, ()> {
+    COUNTING.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Verifications this scenario costs in a fresh process with empty
 /// caches, message by message (no batch, so a peer's outer layer is
@@ -79,6 +88,7 @@ fn request_delegated_to(s: &mut Scenario, holder: usize) -> SignedRar {
 
 #[test]
 fn a_grant_signs_five_times_and_foreign_chains_grant_nothing() {
+    let _turn = counting();
     // One granted reservation over a -> b -> c, capability chain and all.
     let mut s = build_chain(ChainOptions::default());
     let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
@@ -127,4 +137,47 @@ fn a_grant_signs_five_times_and_foreign_chains_grant_nothing() {
     assert_eq!(list_len(&forwarded["domain-b"]), 2);
     assert_eq!(list_len(&forwarded["domain-c"]), 3);
     assert!(granted(&mut s), "b holds the chain and its policy sees it");
+}
+
+#[test]
+fn tunnel_subflows_and_their_releases_cost_no_public_key_operation() {
+    const FLOWS: u64 = 8;
+    let _turn = counting();
+    // David's tunnel, not Alice's: the verify cache is process-wide, and
+    // the grant test counts verifications of Alice's certificates and
+    // requests on a cache that has seen none of them.
+    let mut s = build_chain(ChainOptions::default());
+    let spec = s
+        .spec("david", 7, FLOWS * MBPS, Timestamp(0), 3600)
+        .as_tunnel();
+    let tunnel = spec.rar_id;
+    let rar = s.users["david"].sign_request(spec, &s.nodes[0]);
+    let cert = s.users["david"].cert.clone();
+    let david = s.users["david"].dn.clone();
+    let out = s.nodes[0].submit(rar, &cert);
+    deliver(&mut s, 0, out);
+    assert!(granted(&mut s), "the tunnel stands");
+
+    let (signs, verifies) = (sign_ops(), verify_ops());
+    for flow in 0..FLOWS {
+        let out = s.nodes[0]
+            .request_tunnel_flow(tunnel, flow, MBPS, david.clone())
+            .expect("the aggregate has room");
+        deliver(&mut s, 0, out);
+    }
+    let accepted = s.nodes[0]
+        .take_completions()
+        .iter()
+        .filter(|c| matches!(c, Completion::TunnelFlow { accepted: true, .. }))
+        .count();
+    assert_eq!(accepted as u64, FLOWS);
+    for flow in 0..FLOWS {
+        let out = s.nodes[0]
+            .release_tunnel_flow(tunnel, flow, MBPS)
+            .expect("a tunnel");
+        deliver(&mut s, 0, out);
+    }
+    assert_eq!(s.nodes[2].held_flow_stats().0, 0, "every flow released");
+    assert_eq!(sign_ops() - signs, 0, "a sub-flow is signed by nobody");
+    assert_eq!(verify_ops() - verifies, 0, "and verified by nobody");
 }

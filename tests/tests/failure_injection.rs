@@ -335,3 +335,131 @@ fn depth_policy_refuses_long_chains() {
         denial.reason
     );
 }
+
+/// A 50 Mb/s tunnel from domain-a to domain-c over a → b → c, with one
+/// 5 Mb/s sub-flow (flow 1) admitted and held through it.
+fn tunnel_with_one_flow() -> (qos_core::drive::Mesh, qos_core::RarId, DistinguishedName) {
+    let mut s = build_chain(ChainOptions::default());
+    let spec = s
+        .spec("alice", 0, 50 * MBPS, Timestamp(0), 3600)
+        .as_tunnel();
+    let tunnel = spec.rar_id;
+    let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
+    let cert = s.users["alice"].cert.clone();
+    let alice = s.users["alice"].dn.clone();
+    let mut mesh = mesh_from(&mut s, 5);
+    mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
+    mesh.tunnel_flow_in(
+        SimDuration::from_secs(1),
+        "domain-a",
+        tunnel,
+        1,
+        5 * MBPS,
+        alice.clone(),
+    );
+    mesh.run_until_idle();
+    outcome(&mesh, "domain-a", tunnel).expect("the tunnel is granted");
+    assert_eq!(held(&mesh, tunnel), 5 * MBPS);
+    (mesh, tunnel, alice)
+}
+
+/// What domain-a holds allocated in `tunnel`.
+fn held(mesh: &qos_core::drive::Mesh, tunnel: qos_core::RarId) -> u64 {
+    mesh.node("domain-a")
+        .tunnel_info(tunnel)
+        .expect("a tunnel")
+        .4
+}
+
+/// A transit carries a tunnel's aggregate but is not its source. Over its
+/// own channel to the destination it forges a sub-flow that would take
+/// the rest of the aggregate and a release of the source's held flow:
+/// the destination refuses both, and nothing is left held that its
+/// source did not ask for.
+#[test]
+fn transit_forging_a_subflow_and_its_release_is_refused() {
+    use qos_core::messages::{TunnelFlowRelease, TunnelFlowRequest};
+    let (mut mesh, tunnel, alice) = tunnel_with_one_flow();
+    let c_held = |mesh: &qos_core::drive::Mesh| mesh.node("domain-c").held_flow_stats().0;
+
+    let forged = TunnelFlowRequest::new(tunnel, 2, 45 * MBPS, alice.clone());
+    let out = mesh
+        .node_mut("domain-c")
+        .recv("domain-b", SignalMessage::TunnelFlow(forged));
+    assert!(
+        matches!(out.as_slice(), [(to, SignalMessage::TunnelFlowReply(r))]
+            if to.as_ref() == "domain-b" && !r.accepted),
+        "{out:?}"
+    );
+    let out = mesh.node_mut("domain-c").recv(
+        "domain-b",
+        SignalMessage::TunnelFlowRelease(TunnelFlowRelease::new(tunnel, 1)),
+    );
+    assert!(out.is_empty(), "{out:?}");
+    assert_eq!(c_held(&mesh), 1, "c admitted and freed nothing");
+    assert_eq!(held(&mesh, tunnel), 5 * MBPS, "a's flow is still held");
+
+    // The aggregate c kept is exactly what the source has not spent: its
+    // own request for the remaining 45 Mb/s is admitted …
+    mesh.tunnel_flow_in(SimDuration::ZERO, "domain-a", tunnel, 3, 45 * MBPS, alice);
+    mesh.run_until_idle();
+    assert_eq!(held(&mesh, tunnel), 50 * MBPS);
+    assert_eq!(c_held(&mesh), 2);
+    // … and releasing both flows at the source leaves nothing held at c.
+    for (flow, rate) in [(1, 5 * MBPS), (3, 45 * MBPS)] {
+        let out = mesh
+            .node_mut("domain-a")
+            .release_tunnel_flow(tunnel, flow, rate)
+            .expect("a tunnel");
+        for (to, msg) in out {
+            mesh.node_mut(&to).recv("domain-a", msg);
+        }
+    }
+    assert_eq!(held(&mesh, tunnel), 0);
+    assert_eq!(c_held(&mesh), 0, "no leaked hold");
+}
+
+/// A sub-flow's reply is acted on only from the tunnel's destination: a
+/// transit can neither grant the source a flow the destination never
+/// admitted nor cancel one it is still deciding on.
+#[test]
+fn transit_forging_a_subflow_reply_is_ignored_at_the_source() {
+    use qos_core::messages::TunnelFlowReply;
+    use qos_core::DenialCode;
+    let (mut mesh, tunnel, alice) = tunnel_with_one_flow();
+    let a = mesh.node_mut("domain-a");
+    let request = a
+        .request_tunnel_flow(tunnel, 9, 5 * MBPS, alice)
+        .expect("the aggregate has room");
+    for accepted in [true, false] {
+        let forged = TunnelFlowReply {
+            tunnel,
+            flow: 9,
+            accepted,
+            reason: DenialCode::None,
+        };
+        assert!(a
+            .recv("domain-b", SignalMessage::TunnelFlowReply(forged))
+            .is_empty());
+    }
+    assert!(a.take_completions().is_empty(), "nothing completed");
+    assert_eq!(held(&mesh, tunnel), 5 * MBPS, "flow 9 is not allocated");
+
+    // The destination's own answer still lands: the flow was pending all
+    // along.
+    for (to, msg) in request {
+        let replies = mesh.node_mut(&to).recv("domain-a", msg);
+        for (to, reply) in replies {
+            mesh.node_mut(&to).recv("domain-c", reply);
+        }
+    }
+    assert_eq!(held(&mesh, tunnel), 10 * MBPS);
+    assert!(matches!(
+        mesh.node_mut("domain-a").take_completions().as_slice(),
+        [Completion::TunnelFlow {
+            flow: 9,
+            accepted: true,
+            ..
+        }]
+    ));
+}
