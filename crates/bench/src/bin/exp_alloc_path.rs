@@ -2,7 +2,7 @@
 //! frame takes through a broker (D15, D18, D19), measured with a
 //! counting global allocator.
 //!
-//! Three claims, each a hard gate (non-zero exit on failure, CI
+//! Two claims, each a hard gate (non-zero exit on failure, CI
 //! enforces):
 //!
 //! 1. **Allocation churn** — one admission round trip of a reservation
@@ -15,15 +15,13 @@
 //!    was a vector of string pairs (D18).
 //! 2. **Latency** — warm depth-8 envelope verification must stay
 //!    strictly better than the committed `BENCH_warm.json` baseline
-//!    (5.62 µs; override with `EXP_ALLOC_BASELINE_US`, `0` disables).
-//!    The baseline is the pre-D15 committed value, deliberately not
-//!    re-read from disk: `exp_warm_path` rewrites the file earlier in
-//!    the same CI job, which would make a file-based comparison
-//!    circular.
-//! 3. **Transparency** — fig2 multi-domain verdicts and per-domain
-//!    committed bandwidth are identical across {actor, TCP} ×
-//!    {caches on, off}: buffer pooling and borrowed decode must never
-//!    change an admission outcome.
+//!    (5.62 µs). The baseline is the pre-D15 committed value,
+//!    deliberately not re-read from disk: `exp_warm_path` rewrites the
+//!    file earlier in the same CI job, which would make a file-based
+//!    comparison circular.
+//!
+//! That pooling and borrowed decode never change an admission outcome
+//! is `tests/tests/fabric_parity.rs`.
 //!
 //! Besides the table, the run emits `BENCH_alloc.json` and
 //! `METRICS_alloc_path.{prom,json}`; the metrics snapshot carries the
@@ -31,14 +29,14 @@
 //! families CI greps for.
 
 use qos_bench::alloc_count::{self, CountingAlloc};
-use qos_bench::{experiment_registry, table_header, table_row, write_metrics_snapshot};
+use qos_bench::{
+    experiment_registry, spawn_chain, table_header, table_row, write_metrics_snapshot,
+};
 use qos_broker::Interval;
 use qos_core::channel::{handshake, ChannelIdentity, PeerPin, SealedRef};
 use qos_core::envelope::SignedRar;
 use qos_core::messages::SignalMessage;
-use qos_core::node::Completion;
-use qos_core::runtime::ActorMesh;
-use qos_core::scenario::{build_chain, ChainOptions, Scenario};
+use qos_core::scenario::{build_chain, ChainOptions};
 use qos_core::trust::{verify_rar, KeySource};
 use qos_core::{RarId, ResSpec};
 use qos_crypto::sha256::Digest;
@@ -49,7 +47,6 @@ use qos_policy::AttributeSet;
 use qos_telemetry::{Artifact, Row};
 use qos_transport::{PooledFrameDecoder, TcpMesh, MAX_FRAME_LEN};
 use qos_wire::BufferPool;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Every allocation in the process (all threads) is counted; the gated
@@ -74,14 +71,7 @@ const COLD_OPS: usize = 32;
 const MAX_COLD_ALLOCS: f64 = 140.0;
 /// `BENCH_warm.json` warm_us as committed before the D15 zero-alloc
 /// work landed.
-const DEFAULT_BASELINE_WARM_US: f64 = 5.62;
-
-fn baseline_us() -> f64 {
-    std::env::var("EXP_ALLOC_BASELINE_US")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_BASELINE_WARM_US)
-}
+const BASELINE_WARM_US: f64 = 5.62;
 
 /// Size every steady-state memo for `capacity == 0` (everything off) or
 /// any other value (verify cache at `capacity`, envelope memo at its
@@ -193,99 +183,6 @@ fn envelope_verify_us(hops: usize, reps: usize) -> f64 {
     t0.elapsed().as_secs_f64() * 1e6 / reps as f64
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Fabric {
-    Actor,
-    Tcp,
-}
-
-impl Fabric {
-    fn name(self) -> &'static str {
-        match self {
-            Fabric::Actor => "actor",
-            Fabric::Tcp => "tcp",
-        }
-    }
-}
-
-fn identities(s: &Scenario) -> HashMap<String, ChannelIdentity> {
-    s.nodes
-        .iter()
-        .map(|n| {
-            (
-                n.domain().to_string(),
-                ChannelIdentity {
-                    key: KeyPair::from_seed(format!("bb-{}", n.domain()).as_bytes()),
-                    cert: n.cert().clone(),
-                },
-            )
-        })
-        .collect()
-}
-
-/// One fig2 case: (granted, per-domain available bandwidth).
-fn fig2_case(
-    fabric: Fabric,
-    deny_at: Option<usize>,
-    cache_capacity: usize,
-) -> (bool, Vec<(String, u64)>) {
-    set_cache_capacities(cache_capacity);
-    let mut policies = HashMap::new();
-    if let Some(i) = deny_at {
-        policies.insert(
-            i,
-            format!(r#"return deny "domain {i} refuses this reservation""#),
-        );
-    }
-    let mut s = build_chain(ChainOptions {
-        policies,
-        ..ChainOptions::default()
-    });
-    let domains = s.domains.clone();
-    let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
-    let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
-    let cert = s.users["alice"].cert.clone();
-    let ids = identities(&s);
-    let links: Vec<(String, String)> = s
-        .domains
-        .windows(2)
-        .map(|w| (w[0].clone(), w[1].clone()))
-        .collect();
-    let ca_key = s.ca_key;
-    let nodes = std::mem::take(&mut s.nodes);
-
-    let (granted, nodes) = match fabric {
-        Fabric::Actor => {
-            let mut m = ActorMesh::new();
-            m.spawn(nodes, ids, &links, ca_key);
-            m.submit("domain-a", rar, cert);
-            let completions = m.wait_completions(1);
-            let granted = matches!(
-                completions.first(),
-                Some((_, Completion::Reservation { result: Ok(_), .. }))
-            );
-            (granted, m.shutdown())
-        }
-        Fabric::Tcp => {
-            let mut m = TcpMesh::new();
-            m.spawn(nodes, ids, &links, ca_key)
-                .expect("loopback mesh comes up");
-            m.submit("domain-a", rar, cert);
-            let completions = m.wait_completions(1);
-            let granted = matches!(
-                completions.first(),
-                Some((_, Completion::Reservation { result: Ok(_), .. }))
-            );
-            (granted, m.shutdown())
-        }
-    };
-    let state = domains
-        .iter()
-        .map(|d| (d.clone(), nodes[d].core().available_bw_at(Timestamp(10))))
-        .collect();
-    (granted, state)
-}
-
 fn main() {
     println!("EXP-ALLOC: allocations of a first-sight admission (counting allocator)\n");
     let (registry, telemetry) = experiment_registry();
@@ -294,9 +191,8 @@ fn main() {
         "exp_alloc_path",
         "mixed (allocs/op; us; verdicts)",
         "allocations per first-sight admission on the pooled/borrowed/in-place \
-         pipeline, warm depth-8 envelope verification vs the committed \
-         baseline, and fig2 parity across fabric x cache configurations (hard \
-         gates, non-zero exit on failure)",
+         pipeline and warm depth-8 envelope verification vs the committed \
+         baseline (hard gates, non-zero exit on failure)",
     );
     let mut failures: Vec<String> = Vec::new();
 
@@ -456,16 +352,11 @@ fn main() {
     for _ in 0..VERIFY_PASSES {
         verify_warm_us = verify_warm_us.min(envelope_verify_us(ENVELOPE_HOPS, VERIFY_REPS));
     }
-    let baseline = baseline_us();
-    let margin = if baseline > 0.0 {
-        baseline / verify_warm_us
-    } else {
-        1.0
-    };
+    let margin = BASELINE_WARM_US / verify_warm_us;
     table_row(
         &[
             format!("{verify_warm_us:.2}"),
-            format!("{baseline:.2}"),
+            format!("{BASELINE_WARM_US:.2}"),
             format!("{margin:.2}x"),
         ],
         &widths,
@@ -475,60 +366,16 @@ fn main() {
             .field("section", "envelope_verify")
             .field("hops", ENVELOPE_HOPS)
             .field("warm_us", verify_warm_us)
-            .field("baseline_us", baseline),
+            .field("baseline_us", BASELINE_WARM_US),
     );
-    if baseline > 0.0 && verify_warm_us >= baseline {
+    if verify_warm_us >= BASELINE_WARM_US {
         failures.push(format!(
             "warm depth-{ENVELOPE_HOPS} verification ({verify_warm_us:.2}µs) is not \
-             strictly better than the committed baseline ({baseline:.2}µs; override \
-             with EXP_ALLOC_BASELINE_US)"
+             strictly better than the committed baseline ({BASELINE_WARM_US:.2}µs)"
         ));
     }
 
-    // ---- Part 3: fig2 parity across fabric × caches ------------------
-    println!("\nfig2 parity (fabric × caches):");
-    let widths = [22, 10, 10, 8];
-    table_header(&["case", "fabric", "caches", "verdict"], &widths);
-    let mut diverged = false;
-    for (label, deny_at) in [
-        ("all domains accept", None),
-        ("domain-b denies", Some(1)),
-        ("domain-c denies", Some(2)),
-    ] {
-        let mut outcomes = Vec::new();
-        for fabric in [Fabric::Actor, Fabric::Tcp] {
-            for (caches, capacity) in [("off", 0usize), ("on", 4096)] {
-                let (granted, state) = fig2_case(fabric, deny_at, capacity);
-                table_row(
-                    &[
-                        label.to_string(),
-                        fabric.name().to_string(),
-                        caches.to_string(),
-                        if granted { "GRANT" } else { "DENY" }.to_string(),
-                    ],
-                    &widths,
-                );
-                artifact.push(
-                    Row::new()
-                        .field("section", "fig2_parity")
-                        .field("case", label)
-                        .field("fabric", fabric.name())
-                        .field("caches", caches)
-                        .field("granted", granted.to_string()),
-                );
-                outcomes.push((granted, state));
-            }
-        }
-        if outcomes.windows(2).any(|w| w[0] != w[1]) {
-            diverged = true;
-        }
-    }
-    set_cache_capacities(qos_crypto::vcache::DEFAULT_CAPACITY);
-    if diverged {
-        failures.push("fig2 admission outcomes diverged across fabric/cache configurations".into());
-    }
-
-    // ---- Part 4: live mesh run for the pool metric families ----------
+    // ---- Part 3: live mesh run for the pool metric families ----------
     println!("\npooled mesh run (metrics snapshot):");
     let mut s = build_chain(ChainOptions {
         sla_rate_bps: 1000 * MBPS,
@@ -541,18 +388,9 @@ fn main() {
         rars.push(s.users["alice"].sign_request(spec, &s.nodes[0]));
     }
     let cert = s.users["alice"].cert.clone();
-    let ids = identities(&s);
-    let links: Vec<(String, String)> = s
-        .domains
-        .windows(2)
-        .map(|w| (w[0].clone(), w[1].clone()))
-        .collect();
-    let ca_key = s.ca_key;
-    let nodes = std::mem::take(&mut s.nodes);
     let mut mesh = TcpMesh::new();
     mesh.set_telemetry(telemetry.clone());
-    mesh.spawn(nodes, ids, &links, ca_key)
-        .expect("loopback mesh comes up");
+    let mesh = spawn_chain(&mut s, mesh);
     let n = rars.len();
     mesh.submit_all(
         "domain-a",
@@ -593,6 +431,6 @@ fn main() {
          verdict within the allocation bound — pooled chunks absorb the\n\
          reads, the frame is parsed and its MAC checked where it lies, and\n\
          what is left is the owned decode, the verification and the signed\n\
-         reply; pooling never changes a verdict or a committed byte."
+         reply."
     );
 }

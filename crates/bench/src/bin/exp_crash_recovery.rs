@@ -1,6 +1,6 @@
 //! EXP-DUR — the kill -9 durability gate for the reservation ledger.
 //!
-//! Three parts, all CI-gated:
+//! Two parts; the first is the CI gate:
 //!
 //! 1. **Crash recovery (the headline).** A three-process fig2 chain runs
 //!    with the transit broker journaling to `--data-dir`. After a first
@@ -16,35 +16,27 @@
 //!
 //! 2. **Durability overhead.** The EXP-TCP reservation burst, run with
 //!    every node journaling to a `FileStore` versus the in-memory
-//!    `MemStore`. Group-commit batching must keep the file-backed
-//!    ledger within `EXP_DUR_MAX_GAP_PCT` (default 10%) of the
-//!    in-memory throughput; the bound is doubled when the host has
-//!    fewer cores than shards (time-sliced fsync batching loses its
-//!    overlap). Both sides take the best of three.
+//!    `MemStore`, best of three each. Measured and printed, not gated:
+//!    a single burst on a shared host is too noisy to fail on.
 //!
-//! 3. **Fig2 parity.** The multi-domain admission scenario must produce
-//!    identical verdicts and per-domain committed bandwidth across
-//!    `{actor, tcp} × {mem, file}` — journaling is an observer, never a
-//!    participant, in admission control.
+//! That journaling never changes an admission outcome is
+//! `tests/tests/fabric_parity.rs` (`MemStore` and `FileStore`).
 //!
-//! Artifacts: `BENCH_durability.json`. Exit is non-zero on any gate
-//! failure.
+//! Artifacts: `BENCH_durability.json`. Exit is non-zero if the gate
+//! fails.
 
-use qos_bench::{table_header, table_row};
-use qos_core::channel::ChannelIdentity;
-use qos_core::node::{BbNode, Completion};
-use qos_core::runtime::ActorMesh;
-use qos_core::scenario::{build_chain, ChainOptions, Scenario};
-use qos_crypto::{KeyPair, Timestamp};
+use qos_bench::{spawn_chain, table_header, table_row};
+use qos_core::scenario::{build_chain, ChainOptions};
+use qos_crypto::Timestamp;
 use qos_storage::{FileStore, FileStoreOptions, MemStore, SharedStore};
-use qos_telemetry::{Artifact, Row, Telemetry};
+use qos_telemetry::{Artifact, Row};
 use qos_transport::TcpMesh;
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const MBPS: u64 = 1_000_000;
@@ -55,27 +47,8 @@ const WAVE1: u64 = 6;
 const WAVE2: u64 = 5;
 /// Burst size for the durability-overhead half.
 const THROUGHPUT_REQUESTS: u64 = 512;
-/// Shard count for the throughput comparison (matches the EXP-TCP gate
-/// configuration).
-const GATE_SHARDS: usize = 4;
-
-/// Maximum tolerated throughput gap of the file-backed ledger vs the
-/// in-memory one, percent (`EXP_DUR_MAX_GAP_PCT`; 0 disables). Doubled
-/// when cores < shards: an oversubscribed host time-slices the flusher
-/// thread against the admission pipeline, so group commit cannot hide
-/// the fsync latency under useful work.
-const DEFAULT_MAX_GAP_PCT: f64 = 10.0;
-
-fn max_gap_pct() -> f64 {
-    std::env::var("EXP_DUR_MAX_GAP_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_MAX_GAP_PCT)
-}
-
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
+/// Shard count for the throughput comparison (EXP-TCP's larger one).
+const SHARDS: usize = 4;
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -381,146 +354,12 @@ fn chain_run(bbd: &Path, kill_broker: bool, data_dir: &Path) -> Result<ChainOutc
 }
 
 // ---------------------------------------------------------------------
-// Parts 2 and 3 plumbing: in-process meshes with stores attached.
+// Part 2: an in-process mesh with stores attached.
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Copy, PartialEq)]
-enum StoreKind {
-    Mem,
-    File,
-}
-
-impl StoreKind {
-    fn name(self) -> &'static str {
-        match self {
-            StoreKind::Mem => "mem",
-            StoreKind::File => "file",
-        }
-    }
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Fabric {
-    Actor,
-    Tcp,
-}
-
-impl Fabric {
-    fn name(self) -> &'static str {
-        match self {
-            Fabric::Actor => "actor(in-process)",
-            Fabric::Tcp => "tcp(loopback)",
-        }
-    }
-}
-
-enum AnyMesh {
-    Actor(ActorMesh),
-    Tcp(TcpMesh),
-}
-
-impl AnyMesh {
-    fn submit_all(
-        &self,
-        domain: &str,
-        requests: Vec<(qos_core::envelope::SignedRar, qos_crypto::Certificate)>,
-    ) {
-        match self {
-            AnyMesh::Actor(m) => {
-                for (rar, cert) in requests {
-                    m.submit(domain, rar, cert);
-                }
-            }
-            AnyMesh::Tcp(m) => m.submit_all(domain, requests),
-        }
-    }
-
-    fn wait_completions(&self, n: usize) -> Vec<(String, Completion)> {
-        match self {
-            AnyMesh::Actor(m) => m.wait_completions(n),
-            AnyMesh::Tcp(m) => m.wait_completions(n),
-        }
-    }
-
-    fn shutdown(self) -> HashMap<String, BbNode> {
-        match self {
-            AnyMesh::Actor(m) => m.shutdown(),
-            AnyMesh::Tcp(m) => m.shutdown(),
-        }
-    }
-}
-
-fn identities(s: &Scenario) -> HashMap<String, ChannelIdentity> {
-    s.nodes
-        .iter()
-        .map(|n| {
-            (
-                n.domain().to_string(),
-                ChannelIdentity {
-                    key: KeyPair::from_seed(format!("bb-{}", n.domain()).as_bytes()),
-                    cert: n.cert().clone(),
-                },
-            )
-        })
-        .collect()
-}
-
-fn chain_links(s: &Scenario) -> Vec<(String, String)> {
-    s.domains
-        .windows(2)
-        .map(|w| (w[0].clone(), w[1].clone()))
-        .collect()
-}
-
-/// Attach a ledger store of the requested kind to every node in the
-/// scenario. Returns the file-backed data dirs so the caller can clean
-/// them up after shutdown.
-fn attach_stores(s: &Scenario, kind: StoreKind, tag: &str) -> Vec<PathBuf> {
-    let mut dirs = Vec::new();
-    for node in &s.nodes {
-        let store: SharedStore = match kind {
-            StoreKind::Mem => std::sync::Arc::new(MemStore::default()),
-            StoreKind::File => {
-                let dir = tempdir(&format!("{tag}-{}", node.domain()));
-                dirs.push(dir.clone());
-                std::sync::Arc::new(
-                    FileStore::open(&dir, FileStoreOptions::default()).expect("open file store"),
-                )
-            }
-        };
-        node.attach_store(store);
-    }
-    dirs
-}
-
-fn spawn_mesh(fabric: Fabric, shards: usize, s: &mut Scenario, telemetry: &Telemetry) -> AnyMesh {
-    let ids = identities(s);
-    let links = chain_links(s);
-    let ca_key = s.ca_key;
-    let nodes = std::mem::take(&mut s.nodes);
-    match fabric {
-        Fabric::Actor => {
-            let mut m = ActorMesh::new();
-            m.set_telemetry(telemetry.clone());
-            m.set_shards(shards);
-            m.spawn(nodes, ids, &links, ca_key);
-            AnyMesh::Actor(m)
-        }
-        Fabric::Tcp => {
-            let mut m = TcpMesh::new();
-            m.set_telemetry(telemetry.clone());
-            m.set_shards(shards);
-            m.spawn(nodes, ids, &links, ca_key)
-                .expect("loopback mesh comes up");
-            AnyMesh::Tcp(m)
-        }
-    }
-}
-
-/// One TCP reservation burst with the given ledger store on every node.
-/// Returns requests/second.
-fn burst_run(kind: StoreKind) -> f64 {
-    let telemetry = Telemetry::disabled();
+/// One TCP reservation burst with every node journaling to a
+/// `FileStore` (`file`) or to a `MemStore`. Returns requests/second.
+fn burst_run(file: bool) -> f64 {
     let mut s = build_chain(ChainOptions {
         sla_rate_bps: 1000 * MBPS,
         ..ChainOptions::default()
@@ -531,9 +370,23 @@ fn burst_run(kind: StoreKind) -> f64 {
         rars.push(s.users["alice"].sign_request(spec, &s.nodes[0]));
     }
     let cert = s.users["alice"].cert.clone();
-    let dirs = attach_stores(&s, kind, "burst");
+    let mut dirs = Vec::new();
+    for node in &s.nodes {
+        let store: SharedStore = if file {
+            let dir = tempdir(&format!("burst-{}", node.domain()));
+            let store =
+                FileStore::open(&dir, FileStoreOptions::default()).expect("open file store");
+            dirs.push(dir);
+            Arc::new(store)
+        } else {
+            Arc::new(MemStore::default())
+        };
+        node.attach_store(store);
+    }
 
-    let mesh = spawn_mesh(Fabric::Tcp, GATE_SHARDS, &mut s, &telemetry);
+    let mut mesh = TcpMesh::new();
+    mesh.set_shards(SHARDS);
+    let mesh = spawn_chain(&mut s, mesh);
     let t0 = Instant::now();
     mesh.submit_all(
         "domain-a",
@@ -547,48 +400,6 @@ fn burst_run(kind: StoreKind) -> f64 {
         let _ = std::fs::remove_dir_all(&d);
     }
     THROUGHPUT_REQUESTS as f64 / elapsed.as_secs_f64()
-}
-
-/// One fig2 case with a given fabric and store kind: (granted,
-/// per-domain available bandwidth).
-fn fig2_case(
-    fabric: Fabric,
-    kind: StoreKind,
-    deny_at: Option<usize>,
-) -> (bool, Vec<(String, u64)>) {
-    let mut policies = HashMap::new();
-    if let Some(i) = deny_at {
-        policies.insert(
-            i,
-            format!(r#"return deny "domain {i} refuses this reservation""#),
-        );
-    }
-    let mut s = build_chain(ChainOptions {
-        policies,
-        ..ChainOptions::default()
-    });
-    let domains = s.domains.clone();
-    let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
-    let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
-    let cert = s.users["alice"].cert.clone();
-    let dirs = attach_stores(&s, kind, "fig2");
-
-    let mesh = spawn_mesh(fabric, GATE_SHARDS, &mut s, &Telemetry::disabled());
-    mesh.submit_all("domain-a", vec![(rar, cert)]);
-    let completions = mesh.wait_completions(1);
-    let granted = matches!(
-        completions.first(),
-        Some((_, Completion::Reservation { result: Ok(_), .. }))
-    );
-    let nodes = mesh.shutdown();
-    for d in dirs {
-        let _ = std::fs::remove_dir_all(&d);
-    }
-    let state = domains
-        .iter()
-        .map(|d| (d.clone(), nodes[d].core().available_bw_at(Timestamp(10))))
-        .collect();
-    (granted, state)
 }
 
 fn main() {
@@ -608,12 +419,11 @@ fn main() {
     println!("EXP-DUR: durable reservation ledger — kill -9 recovery gate\n");
     let mut artifact = Artifact::new(
         "exp_crash_recovery",
-        "mixed (digests; req/s; verdicts)",
+        "mixed (digests; req/s)",
         "SIGKILL the transit bbd mid-run, restart on the same --data-dir, \
          and compare the final ledger digest + committed bandwidth against \
          a never-killed control executing the identical schedule; plus \
-         FileStore-vs-MemStore burst throughput and fig2 parity across \
-         {actor,tcp} x {mem,file}",
+         FileStore-vs-MemStore burst throughput (measured, not gated)",
     );
     let mut failed = false;
 
@@ -691,13 +501,13 @@ fn main() {
     // Part 2 — durability overhead: file-backed vs in-memory ledger
     // under the EXP-TCP burst. Best of three per side.
     println!(
-        "\ndurability overhead ({THROUGHPUT_REQUESTS} requests, {GATE_SHARDS} shards, {} core(s)):",
-        cores()
+        "\ndurability overhead ({THROUGHPUT_REQUESTS} requests, {SHARDS} shards, {} core(s)):",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     );
-    let best = |kind: StoreKind| (0..3).map(|_| burst_run(kind)).fold(0.0f64, f64::max);
-    let mem_rps = best(StoreKind::Mem);
-    let file_rps = best(StoreKind::File);
-    let gap_pct = ((mem_rps - file_rps) / mem_rps * 100.0).max(0.0);
+    let best = |file: bool| (0..3).map(|_| burst_run(file)).fold(0.0f64, f64::max);
+    let mem_rps = best(false);
+    let file_rps = best(true);
+    let gap_pct = (mem_rps - file_rps) / mem_rps * 100.0;
     let widths = [14, 12, 9];
     table_header(&["ledger store", "req/s", "gap(%)"], &widths);
     table_row(
@@ -715,63 +525,12 @@ fn main() {
     artifact.push(
         Row::new()
             .field("section", "durability_overhead")
-            .field("shards", GATE_SHARDS as u64)
+            .field("shards", SHARDS as u64)
             .field("requests", THROUGHPUT_REQUESTS)
             .field("mem_req_per_sec", mem_rps)
             .field("file_req_per_sec", file_rps)
             .field("gap_pct", gap_pct),
     );
-    // On a host with fewer cores than shards the flusher thread steals
-    // time slices from the admission pipeline instead of overlapping
-    // with it, so the bound doubles there; CI-class hosts enforce the
-    // strict bound.
-    let max_gap = max_gap_pct() * if cores() < GATE_SHARDS { 2.0 } else { 1.0 };
-    if max_gap > 0.0 && gap_pct > max_gap {
-        eprintln!(
-            "\nFAIL: file-backed ledger costs {gap_pct:.1}% throughput \
-             ({mem_rps:.0} -> {file_rps:.0} req/s), above the {max_gap:.0}% bound \
-             (EXP_DUR_MAX_GAP_PCT, doubled when cores < shards)"
-        );
-        failed = true;
-    }
-
-    // Part 3 — fig2 parity across {fabric} × {store}.
-    println!("\nfig2 multi-domain parity ({{actor,tcp}} x {{mem,file}}):");
-    let widths = [22, 20, 7, 8, 8];
-    table_header(&["case", "fabric", "store", "verdict", "match"], &widths);
-    for (label, deny_at) in [
-        ("all domains accept", None),
-        ("domain-b denies", Some(1)),
-        ("domain-c denies", Some(2)),
-    ] {
-        let baseline = fig2_case(Fabric::Actor, StoreKind::Mem, deny_at);
-        for fabric in [Fabric::Actor, Fabric::Tcp] {
-            for kind in [StoreKind::Mem, StoreKind::File] {
-                let (granted, state) = fig2_case(fabric, kind, deny_at);
-                let matches = (granted, &state) == (baseline.0, &baseline.1);
-                failed |= !matches;
-                table_row(
-                    &[
-                        label.to_string(),
-                        fabric.name().to_string(),
-                        kind.name().to_string(),
-                        if granted { "GRANT" } else { "DENY" }.to_string(),
-                        matches.to_string(),
-                    ],
-                    &widths,
-                );
-                artifact.push(
-                    Row::new()
-                        .field("section", "fig2_parity")
-                        .field("case", label)
-                        .field("fabric", fabric.name())
-                        .field("store", kind.name())
-                        .field("granted", granted.to_string())
-                        .field("state_match", matches.to_string()),
-                );
-            }
-        }
-    }
 
     match artifact.write("BENCH_durability.json") {
         Ok(()) => println!("\nwrote BENCH_durability.json"),
@@ -784,9 +543,6 @@ fn main() {
     }
     println!(
         "\nEXP-DUR: PASS — a SIGKILLed broker recovers to the exact ledger a\n\
-         never-killed control reaches, group commit keeps the file-backed\n\
-         ledger within {:.0}% of in-memory throughput, and journaling never\n\
-         changes an admission verdict.",
-        max_gap_pct()
+         never-killed control reaches."
     );
 }

@@ -1,306 +1,41 @@
-//! EXP-TCP — the TCP peering fabric vs the in-process actor mesh.
+//! EXP-TCP — the TCP peering fabric under a reservation burst.
 //!
-//! The transport layer must be *transparent*: the fig2 multi-domain
-//! scenario (all-accept, transit denial, destination denial) must
-//! produce identical admission verdicts and identical per-domain
-//! committed bandwidth whether sealed frames travel through crossbeam
-//! mailboxes or over loopback TCP sockets — and regardless of the
-//! admission shard count or whether the verification caches are on.
-//! The full `{actor, tcp} × {1, 4 shards} × {caches on, off}` cross
-//! product is checked; any divergence is a bug and exits non-zero (CI
-//! enforces this).
+//! A burst of reservations on the 3-domain chain over loopback daemons,
+//! at 1 and 4 admission shards: submit-to-completion latency and
+//! throughput, written to `BENCH_transport.json`. Beside the bucketed
+//! p50/p99/p999 the table carries the histogram's raw min/mean/max,
+//! which don't suffer bucket collapse. The same burst then runs with the
+//! admin plane up and a 10 Hz `/metrics` scraper on every daemon, and
+//! the throughput it costs is printed.
 //!
-//! It must also be *cheap enough*: the second half measures
-//! submit-to-completion latency and throughput for a reservation burst
-//! on both fabrics at each shard count and emits `BENCH_transport.json`
-//! with the comparison. Alongside the bucketed p50/p99 the tables carry
-//! the histogram's raw min/mean/max, which don't suffer bucket
-//! collapse. CI gates the sharded TCP throughput against a floor scaled
-//! by how many of the requested shards the host can actually run in
-//! parallel (`EXP_TCP_MIN_RPS × min(cores, shards) / shards`).
+//! These are measurements of single bursts on whatever host runs them:
+//! nothing here passes or fails on a rate. That the fabric never changes
+//! an admission outcome is `tests/tests/fabric_parity.rs`.
 
-use qos_bench::{table_header, table_row, write_metrics_snapshot};
-use qos_core::channel::ChannelIdentity;
-use qos_core::node::{BbNode, Completion};
-use qos_core::runtime::ActorMesh;
-use qos_core::scenario::{build_chain, ChainOptions, Scenario};
-use qos_crypto::{KeyPair, Timestamp};
+use qos_bench::{spawn_chain, table_header, table_row, write_metrics_snapshot};
+use qos_core::node::Completion;
+use qos_core::scenario::{build_chain, ChainOptions};
+use qos_crypto::Timestamp;
 use qos_telemetry::{Artifact, Registry, Row, Telemetry};
 use qos_transport::TcpMesh;
-use std::collections::HashMap;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const MBPS: u64 = 1_000_000;
-/// Burst size for the throughput half. Each request reserves 1 Mb/s
-/// against a 1000 Mb/s SLA, so the whole burst admits.
-const THROUGHPUT_REQUESTS: u64 = 512;
-/// Shard counts exercised by the fig2 parity cross product.
-const PARITY_SHARDS: [usize; 2] = [1, 4];
-
-/// Minimum acceptable sharded TCP loopback throughput, in requests per
-/// second on hardware with at least as many cores as shards. CI fails
-/// below this floor so the reactor/shard fast path cannot silently
-/// regress. The enforced floor is scaled by
-/// `min(cores, shards) / shards`, with a further 0.7 oversubscription
-/// factor when the host has fewer cores than shards (a time-sliced
-/// pipeline cannot scale linearly). Override with `EXP_TCP_MIN_RPS`
-/// (0 disables).
-const DEFAULT_TCP_MIN_RPS: f64 = 20000.0;
-
-fn tcp_min_rps() -> f64 {
-    std::env::var("EXP_TCP_MIN_RPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_TCP_MIN_RPS)
-}
-
-/// Shard counts for the throughput half (`EXP_TCP_SHARDS`, e.g.
-/// `1,2,4,8`; default `1,4`). The floor gates the largest one.
-fn throughput_shards() -> Vec<usize> {
-    std::env::var("EXP_TCP_SHARDS")
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .filter(|&n| n >= 1)
-                .collect::<Vec<usize>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 4])
-}
-
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Toggle both process-wide verification caches: the Schnorr
-/// signature-verification cache and the envelope-verdict memo.
-fn set_caches(on: bool) {
-    if on {
-        qos_crypto::vcache::set_capacity(qos_crypto::vcache::DEFAULT_CAPACITY);
-        qos_core::trust::set_rar_memo_capacity(qos_core::trust::RAR_MEMO_DEFAULT_CAPACITY);
-    } else {
-        qos_crypto::vcache::set_capacity(0);
-        qos_core::trust::set_rar_memo_capacity(0);
-    }
-}
-
-fn identities(s: &Scenario) -> HashMap<String, ChannelIdentity> {
-    s.nodes
-        .iter()
-        .map(|n| {
-            (
-                n.domain().to_string(),
-                ChannelIdentity {
-                    key: KeyPair::from_seed(format!("bb-{}", n.domain()).as_bytes()),
-                    cert: n.cert().clone(),
-                },
-            )
-        })
-        .collect()
-}
-
-fn chain_links(s: &Scenario) -> Vec<(String, String)> {
-    s.domains
-        .windows(2)
-        .map(|w| (w[0].clone(), w[1].clone()))
-        .collect()
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Fabric {
-    Actor,
-    Tcp,
-}
-
-impl Fabric {
-    fn name(self) -> &'static str {
-        match self {
-            Fabric::Actor => "actor(in-process)",
-            Fabric::Tcp => "tcp(loopback)",
-        }
-    }
-}
-
-/// Either mesh behind the one surface this experiment needs.
-enum AnyMesh {
-    Actor(ActorMesh),
-    Tcp(TcpMesh),
-}
-
-impl AnyMesh {
-    fn spawn(fabric: Fabric, shards: usize, s: &mut Scenario, telemetry: &Telemetry) -> Self {
-        let ids = identities(s);
-        let links = chain_links(s);
-        let ca_key = s.ca_key;
-        let nodes = std::mem::take(&mut s.nodes);
-        match fabric {
-            Fabric::Actor => {
-                let mut m = ActorMesh::new();
-                m.set_telemetry(telemetry.clone());
-                m.set_shards(shards);
-                m.spawn(nodes, ids, &links, ca_key);
-                AnyMesh::Actor(m)
-            }
-            Fabric::Tcp => {
-                let mut m = TcpMesh::new();
-                m.set_telemetry(telemetry.clone());
-                m.set_shards(shards);
-                m.spawn(nodes, ids, &links, ca_key)
-                    .expect("loopback mesh comes up");
-                AnyMesh::Tcp(m)
-            }
-        }
-    }
-
-    fn submit(
-        &self,
-        domain: &str,
-        rar: qos_core::envelope::SignedRar,
-        cert: qos_crypto::Certificate,
-    ) {
-        match self {
-            AnyMesh::Actor(m) => m.submit(domain, rar, cert),
-            AnyMesh::Tcp(m) => m.submit(domain, rar, cert),
-        }
-    }
-
-    /// Submit a whole burst without per-request waits, so the shards
-    /// batch the signature checks and the reactor coalesces the writes.
-    fn submit_all(
-        &self,
-        domain: &str,
-        requests: Vec<(qos_core::envelope::SignedRar, qos_crypto::Certificate)>,
-    ) {
-        match self {
-            AnyMesh::Actor(m) => {
-                for (rar, cert) in requests {
-                    m.submit(domain, rar, cert);
-                }
-            }
-            AnyMesh::Tcp(m) => m.submit_all(domain, requests),
-        }
-    }
-
-    fn wait_completions(&self, n: usize) -> Vec<(String, Completion)> {
-        match self {
-            AnyMesh::Actor(m) => m.wait_completions(n),
-            AnyMesh::Tcp(m) => m.wait_completions(n),
-        }
-    }
-
-    fn shutdown(self) -> HashMap<String, BbNode> {
-        match self {
-            AnyMesh::Actor(m) => m.shutdown(),
-            AnyMesh::Tcp(m) => m.shutdown(),
-        }
-    }
-}
-
-/// One fig2 case on one configuration: (granted, per-domain available
-/// bandwidth) — the full admission outcome the cross product must agree
-/// on.
-fn fig2_case(fabric: Fabric, shards: usize, deny_at: Option<usize>) -> (bool, Vec<(String, u64)>) {
-    let mut policies = HashMap::new();
-    if let Some(i) = deny_at {
-        policies.insert(
-            i,
-            format!(r#"return deny "domain {i} refuses this reservation""#),
-        );
-    }
-    let mut s = build_chain(ChainOptions {
-        policies,
-        ..ChainOptions::default()
-    });
-    let domains = s.domains.clone();
-    let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
-    let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
-    let cert = s.users["alice"].cert.clone();
-
-    let mesh = AnyMesh::spawn(fabric, shards, &mut s, &Telemetry::disabled());
-    mesh.submit("domain-a", rar, cert);
-    let completions = mesh.wait_completions(1);
-    let granted = matches!(
-        completions.first(),
-        Some((_, Completion::Reservation { result: Ok(_), .. }))
-    );
-    let nodes = mesh.shutdown();
-    let state = domains
-        .iter()
-        .map(|d| (d.clone(), nodes[d].core().available_bw_at(Timestamp(10))))
-        .collect();
-    (granted, state)
-}
-
-struct ThroughputResult {
-    total_ms: f64,
-    req_per_sec: f64,
-    min_us: f64,
-    mean_us: f64,
-    max_us: f64,
-    p50_us: f64,
-    p99_us: f64,
-    p999_us: f64,
-    count: u64,
-    granted: usize,
-}
-
-/// A batch of reservations on one fabric at one shard count, timed
-/// wall-clock.
-fn throughput_run(fabric: Fabric, shards: usize, registry: &Arc<Registry>) -> ThroughputResult {
-    let telemetry = Telemetry::with_registry(Arc::clone(registry));
-    let mut s = build_chain(ChainOptions {
-        sla_rate_bps: 1000 * MBPS,
-        telemetry: telemetry.clone(),
-        ..ChainOptions::default()
-    });
-    let mut rars = Vec::new();
-    for i in 0..THROUGHPUT_REQUESTS {
-        let spec = s.spec("alice", 1000 + i, MBPS, Timestamp(0), 3600);
-        rars.push(s.users["alice"].sign_request(spec, &s.nodes[0]));
-    }
-    let cert = s.users["alice"].cert.clone();
-
-    let mesh = AnyMesh::spawn(fabric, shards, &mut s, &telemetry);
-    let t0 = Instant::now();
-    mesh.submit_all(
-        "domain-a",
-        rars.into_iter().map(|rar| (rar, cert.clone())).collect(),
-    );
-    let completions = mesh.wait_completions(THROUGHPUT_REQUESTS as usize);
-    let elapsed = t0.elapsed();
-    let granted = completions
-        .iter()
-        .filter(|(_, c)| matches!(c, Completion::Reservation { result: Ok(_), .. }))
-        .count();
-    mesh.shutdown();
-
-    let latency = registry
-        .histogram_handle("bb_completion_latency_ns", &[("domain", "domain-a")])
-        .unwrap_or_default();
-    ThroughputResult {
-        total_ms: elapsed.as_secs_f64() * 1e3,
-        req_per_sec: THROUGHPUT_REQUESTS as f64 / elapsed.as_secs_f64(),
-        min_us: latency.min() as f64 / 1e3,
-        mean_us: latency.mean() / 1e3,
-        max_us: latency.max() as f64 / 1e3,
-        p50_us: latency.p50() as f64 / 1e3,
-        p99_us: latency.p99() as f64 / 1e3,
-        p999_us: latency.p999() as f64 / 1e3,
-        count: latency.count(),
-        granted,
-    }
-}
+/// Burst size. Each request reserves 1 Mb/s against a 1000 Mb/s SLA, so
+/// the whole burst admits.
+const REQUESTS: u64 = 512;
+/// Shard counts of the burst table; the admin-plane run uses the last.
+const SHARDS: [usize; 2] = [1, 4];
 
 /// Minimal blocking HTTP/1.1 GET against a daemon's loopback admin
 /// endpoint; returns the status code.
-fn admin_get(addr: std::net::SocketAddr, path: &str) -> Option<u16> {
+fn admin_get(addr: SocketAddr, path: &str) -> Option<u16> {
     use std::io::{Read, Write};
     let mut stream = std::net::TcpStream::connect(addr).ok()?;
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
-        .ok()?;
+    stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
     stream
         .write_all(
             format!("GET {path} HTTP/1.1\r\nHost: bbd\r\nConnection: close\r\n\r\n").as_bytes(),
@@ -312,40 +47,37 @@ fn admin_get(addr: std::net::SocketAddr, path: &str) -> Option<u16> {
     text.split_whitespace().nth(1).and_then(|s| s.parse().ok())
 }
 
-/// One TCP burst run with the admin plane optionally enabled and a
-/// 10 Hz `/metrics` scraper hitting every daemon while the burst is in
-/// flight. Returns requests/second.
-fn admin_overhead_run(shards: usize, admin: bool) -> f64 {
-    let registry = Registry::new();
-    let telemetry = Telemetry::with_registry(Arc::clone(&registry));
+/// One burst of [`REQUESTS`] on `shards` shards, its instruments in
+/// `registry`. With `admin`, every daemon hosts its admin plane and a
+/// 10 Hz scraper hits `/metrics` on all of them while the burst is in
+/// flight. Returns (wall seconds, requests granted).
+fn burst(shards: usize, admin: bool, registry: &Arc<Registry>) -> (f64, usize) {
+    let telemetry = Telemetry::with_registry(Arc::clone(registry));
     let mut s = build_chain(ChainOptions {
         sla_rate_bps: 1000 * MBPS,
         telemetry: telemetry.clone(),
         ..ChainOptions::default()
     });
-    let domains = s.domains.clone();
-    let mut rars = Vec::new();
-    for i in 0..THROUGHPUT_REQUESTS {
-        let spec = s.spec("alice", 1000 + i, MBPS, Timestamp(0), 3600);
-        rars.push(s.users["alice"].sign_request(spec, &s.nodes[0]));
-    }
     let cert = s.users["alice"].cert.clone();
-
-    let ids = identities(&s);
-    let links = chain_links(&s);
-    let ca_key = s.ca_key;
-    let nodes = std::mem::take(&mut s.nodes);
+    let requests: Vec<_> = (0..REQUESTS)
+        .map(|i| {
+            let spec = s.spec("alice", 1000 + i, MBPS, Timestamp(0), 3600);
+            (
+                s.users["alice"].sign_request(spec, &s.nodes[0]),
+                cert.clone(),
+            )
+        })
+        .collect();
+    let domains = s.domains.clone();
     let mut mesh = TcpMesh::new();
-    mesh.set_telemetry(telemetry.clone());
+    mesh.set_telemetry(telemetry);
     mesh.set_shards(shards);
     mesh.set_admin(admin);
-    mesh.spawn(nodes, ids, &links, ca_key)
-        .expect("loopback mesh comes up");
+    let mesh = spawn_chain(&mut s, mesh);
 
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let stop = Arc::new(AtomicBool::new(false));
     let scraper = admin.then(|| {
-        let addrs: Vec<std::net::SocketAddr> =
-            domains.iter().filter_map(|d| mesh.admin_addr(d)).collect();
+        let addrs: Vec<SocketAddr> = domains.iter().filter_map(|d| mesh.admin_addr(d)).collect();
         // One synchronous scrape up front so every route (and its
         // lazily-resolved counter family) is exercised before timing.
         for &a in &addrs {
@@ -353,115 +85,49 @@ fn admin_overhead_run(shards: usize, admin: bool) -> f64 {
         }
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+            while !stop.load(Ordering::SeqCst) {
                 for &a in &addrs {
                     let _ = admin_get(a, "/metrics");
                 }
-                std::thread::sleep(std::time::Duration::from_millis(100));
+                std::thread::sleep(Duration::from_millis(100));
             }
         })
     });
 
     let t0 = Instant::now();
-    mesh.submit_all(
-        "domain-a",
-        rars.into_iter().map(|rar| (rar, cert.clone())).collect(),
-    );
-    let completions = mesh.wait_completions(THROUGHPUT_REQUESTS as usize);
-    let elapsed = t0.elapsed();
-    assert_eq!(completions.len(), THROUGHPUT_REQUESTS as usize);
-    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    mesh.submit_all("domain-a", requests);
+    let completions = mesh.wait_completions(REQUESTS as usize);
+    let secs = t0.elapsed().as_secs_f64();
+    stop.store(true, Ordering::SeqCst);
     if let Some(h) = scraper {
         let _ = h.join();
     }
     mesh.shutdown();
-    THROUGHPUT_REQUESTS as f64 / elapsed.as_secs_f64()
-}
-
-/// Maximum tolerated throughput loss from a live 10 Hz admin scraper,
-/// percent, on hosts with a spare core for the scraper
-/// (`EXP_ADMIN_MAX_OVERHEAD_PCT`; 0 disables the gate). When
-/// cores <= shards the enforced bound is tripled — see the gate site.
-fn admin_max_overhead_pct() -> f64 {
-    std::env::var("EXP_ADMIN_MAX_OVERHEAD_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5.0)
+    let granted = completions
+        .iter()
+        .filter(|(_, c)| matches!(c, Completion::Reservation { result: Ok(_), .. }))
+        .count();
+    (secs, granted)
 }
 
 fn main() {
-    println!("EXP-TCP: TCP peering fabric vs in-process actor mesh\n");
-
-    // Part 1 — transparency: identical fig2 outcomes across the whole
-    // {fabric} × {shards} × {caches} cross product.
-    println!("fig2 multi-domain parity (cross product):");
-    let widths = [22, 20, 8, 8, 8, 8];
-    table_header(
-        &["case", "fabric", "shards", "caches", "verdict", "match"],
-        &widths,
-    );
+    println!("EXP-TCP: the TCP peering fabric under a reservation burst\n");
     let mut artifact = Artifact::new(
         "exp_transport_loopback",
-        "mixed (verdicts; ms; req/s)",
-        "TCP loopback mesh vs in-process actor mesh across shard counts \
-         and cache configurations; fig2 parity is a hard invariant \
-         (non-zero exit on divergence); latency is wall-clock \
-         submit-to-completion on an otherwise idle host",
+        "mixed (ms; req/s; us)",
+        "a burst of reservations over loopback TCP daemons at 1 and 4 \
+         admission shards, and the same burst under a live 10 Hz admin \
+         scraper; wall-clock submit-to-completion on an otherwise idle \
+         host, measured and not gated",
     );
-    let mut diverged = false;
-    for (label, deny_at) in [
-        ("all domains accept", None),
-        ("domain-b denies", Some(1)),
-        ("domain-c denies", Some(2)),
-    ] {
-        // Baseline: the in-process mesh, single shard, caches on.
-        set_caches(true);
-        let baseline = fig2_case(Fabric::Actor, 1, deny_at);
-        for fabric in [Fabric::Actor, Fabric::Tcp] {
-            for shards in PARITY_SHARDS {
-                for caches_on in [true, false] {
-                    set_caches(caches_on);
-                    let (granted, state) = fig2_case(fabric, shards, deny_at);
-                    let matches = (granted, &state) == (baseline.0, &baseline.1);
-                    diverged |= !matches;
-                    table_row(
-                        &[
-                            label.to_string(),
-                            fabric.name().to_string(),
-                            shards.to_string(),
-                            if caches_on { "on" } else { "off" }.to_string(),
-                            if granted { "GRANT" } else { "DENY" }.to_string(),
-                            matches.to_string(),
-                        ],
-                        &widths,
-                    );
-                    artifact.push(
-                        Row::new()
-                            .field("section", "fig2_parity")
-                            .field("case", label)
-                            .field("fabric", fabric.name())
-                            .field("shards", shards as u64)
-                            .field("caches", if caches_on { "on" } else { "off" })
-                            .field("granted", granted.to_string())
-                            .field("state_match", matches.to_string()),
-                    );
-                }
-            }
-        }
-    }
-    set_caches(true);
-    println!();
 
-    // Part 2 — cost: latency/throughput for a reservation burst at each
-    // shard count. Raw min/mean/max accompany the bucketed percentiles.
     println!(
-        "reservation burst ({THROUGHPUT_REQUESTS} requests, 3-domain chain, {} core(s)):",
-        cores()
+        "reservation burst ({REQUESTS} requests, 3-domain chain, {} core(s)):",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     );
-    let widths = [20, 7, 10, 9, 9, 9, 9, 9, 9, 9, 7, 9];
+    let widths = [7, 10, 9, 9, 9, 9, 9, 9, 9, 7, 9];
     table_header(
         &[
-            "fabric",
             "shards",
             "total(ms)",
             "req/s",
@@ -476,90 +142,81 @@ fn main() {
         ],
         &widths,
     );
-    let shard_counts = throughput_shards();
-    let gate_shards = *shard_counts.iter().max().expect("non-empty shard list");
-    let mut tcp_registry = None;
-    let mut gated_rps = 0.0;
-    for &shards in &shard_counts {
-        for fabric in [Fabric::Actor, Fabric::Tcp] {
-            let registry = Registry::new();
-            let r = throughput_run(fabric, shards, &registry);
-            table_row(
-                &[
-                    fabric.name().to_string(),
-                    shards.to_string(),
-                    format!("{:.2}", r.total_ms),
-                    format!("{:.0}", r.req_per_sec),
-                    format!("{:.1}", r.min_us),
-                    format!("{:.1}", r.mean_us),
-                    format!("{:.1}", r.max_us),
-                    format!("{:.1}", r.p50_us),
-                    format!("{:.1}", r.p99_us),
-                    format!("{:.1}", r.p999_us),
-                    r.count.to_string(),
-                    format!("{}/{}", r.granted, THROUGHPUT_REQUESTS),
-                ],
-                &widths,
-            );
-            artifact.push(
-                Row::new()
-                    .field("section", "throughput")
-                    .field("fabric", fabric.name())
-                    .field("shards", shards as u64)
-                    .field("requests", THROUGHPUT_REQUESTS)
-                    .field("total_ms", r.total_ms)
-                    .field("req_per_sec", r.req_per_sec)
-                    .field("min_us", r.min_us)
-                    .field("mean_us", r.mean_us)
-                    .field("max_us", r.max_us)
-                    .field("p50_us", r.p50_us)
-                    .field("p99_us", r.p99_us)
-                    .field("p999_us", r.p999_us)
-                    .field("count", r.count)
-                    .field("granted", r.granted as u64),
-            );
-            if fabric == Fabric::Tcp && shards == gate_shards {
-                gated_rps = r.req_per_sec;
-                tcp_registry = Some(registry);
-            }
+    let mut snapshot = None;
+    for shards in SHARDS {
+        let registry = Registry::new();
+        let (secs, granted) = burst(shards, false, &registry);
+        let latency = registry
+            .histogram_handle("bb_completion_latency_ns", &[("domain", "domain-a")])
+            .unwrap_or_default();
+        let (total_ms, req_per_sec) = (secs * 1e3, REQUESTS as f64 / secs);
+        let latency_us = [
+            ("min_us", latency.min() as f64),
+            ("mean_us", latency.mean()),
+            ("max_us", latency.max() as f64),
+            ("p50_us", latency.p50() as f64),
+            ("p99_us", latency.p99() as f64),
+            ("p999_us", latency.p999() as f64),
+        ]
+        .map(|(name, ns)| (name, ns / 1e3));
+        let mut cells = vec![
+            shards.to_string(),
+            format!("{total_ms:.2}"),
+            format!("{req_per_sec:.0}"),
+        ];
+        cells.extend(latency_us.iter().map(|(_, us)| format!("{us:.1}")));
+        cells.extend([latency.count().to_string(), format!("{granted}/{REQUESTS}")]);
+        table_row(&cells, &widths);
+        let mut row = Row::new()
+            .field("section", "throughput")
+            .field("shards", shards as u64)
+            .field("requests", REQUESTS)
+            .field("total_ms", total_ms)
+            .field("req_per_sec", req_per_sec);
+        for (name, us) in latency_us {
+            row = row.field(name, us);
         }
+        artifact.push(
+            row.field("count", latency.count())
+                .field("granted", granted as u64),
+        );
+        snapshot = Some(registry);
     }
 
-    // Part 3 — observation cost: the same TCP burst with the admin
-    // plane up and a 10 Hz /metrics scraper hitting every daemon,
-    // against the plain run. Both sides take the best of three so a
-    // scheduler hiccup in a single run cannot fail the gate.
-    println!("\nadmin-plane overhead ({gate_shards} shard(s), 10 Hz /metrics scraper):");
+    // What observation costs: the same burst with and without the admin
+    // plane and its scraper, best of three each.
+    let shards = SHARDS[SHARDS.len() - 1];
+    println!("\nadmin-plane overhead ({shards} shard(s), 10 Hz /metrics scraper, best of 3):");
     let best = |admin: bool| {
         (0..3)
-            .map(|_| admin_overhead_run(gate_shards, admin))
+            .map(|_| REQUESTS as f64 / burst(shards, admin, &Registry::new()).0)
             .fold(0.0f64, f64::max)
     };
     let base_rps = best(false);
     let scraped_rps = best(true);
-    let overhead_pct = ((base_rps - scraped_rps) / base_rps * 100.0).max(0.0);
-    let widths3 = [26, 12, 13];
-    table_header(&["configuration", "req/s", "overhead(%)"], &widths3);
+    let overhead_pct = (base_rps - scraped_rps) / base_rps * 100.0;
+    let widths = [26, 12, 13];
+    table_header(&["configuration", "req/s", "overhead(%)"], &widths);
     table_row(
         &[
-            "no admin plane".to_string(),
+            "no admin plane".into(),
             format!("{base_rps:.0}"),
-            "-".to_string(),
+            "-".into(),
         ],
-        &widths3,
+        &widths,
     );
     table_row(
         &[
-            "admin + 10 Hz scraper".to_string(),
+            "admin + 10 Hz scraper".into(),
             format!("{scraped_rps:.0}"),
             format!("{overhead_pct:.1}"),
         ],
-        &widths3,
+        &widths,
     );
     artifact.push(
         Row::new()
             .field("section", "admin_overhead")
-            .field("shards", gate_shards as u64)
+            .field("shards", shards as u64)
             .field("base_req_per_sec", base_rps)
             .field("scraped_req_per_sec", scraped_rps)
             .field("overhead_pct", overhead_pct),
@@ -569,58 +226,12 @@ fn main() {
         Ok(()) => println!("\nwrote BENCH_transport.json"),
         Err(e) => eprintln!("\nwarning: could not write BENCH_transport.json: {e}"),
     }
-    if let Some(registry) = tcp_registry {
+    if let Some(registry) = snapshot {
         write_metrics_snapshot("transport_loopback", &registry);
     }
-
-    if diverged {
-        eprintln!(
-            "\nFAIL: admission outcomes diverged across the fabric/shard/cache cross product"
-        );
-        std::process::exit(1);
-    }
-    let floor = tcp_min_rps();
-    // On CI-class hardware (cores ≥ shards) the full floor applies.
-    // A host with fewer cores than shards time-slices the whole
-    // pipeline — three domains' reactors and shard workers plus the
-    // submitting thread — on the same cores, so linear scaling by
-    // min(cores, shards)/shards is unattainable there by construction
-    // (at 1 core a 4-shard run can at best *match* the 1-shard run,
-    // while the linear model demands it beat a quarter of a 4-core
-    // target). Discount the scaled floor by a 0.7 oversubscription
-    // efficiency factor in that regime only.
-    let scale = (cores().min(gate_shards) as f64) / (gate_shards as f64);
-    let efficiency = if cores() < gate_shards { 0.7 } else { 1.0 };
-    let effective_floor = floor * scale * efficiency;
-    if effective_floor > 0.0 && gated_rps < effective_floor {
-        eprintln!(
-            "\nFAIL: tcp(loopback) throughput {gated_rps:.0} req/s at {gate_shards} shard(s) \
-             is below the {effective_floor:.0} req/s floor ({floor:.0} scaled by \
-             min(cores, shards)/shards with a 0.7 oversubscription factor when \
-             cores < shards; override with EXP_TCP_MIN_RPS)"
-        );
-        std::process::exit(1);
-    }
-    // The overhead bound is CPU-scaled the same way the floor is: on a
-    // host with a spare core the scraper and the admin connections ride
-    // it and the strict bound applies, but when cores <= shards every
-    // scrape steals cycles from the admission pipeline itself and the
-    // single-core run-to-run variance (~±10%) swamps a 5% bound, so the
-    // oversubscribed regime gets 3× headroom. The strict bound is what
-    // CI-class multi-core hosts enforce.
-    let max_overhead = admin_max_overhead_pct() * if cores() <= gate_shards { 3.0 } else { 1.0 };
-    if max_overhead > 0.0 && overhead_pct > max_overhead {
-        eprintln!(
-            "\nFAIL: a 10 Hz admin scraper cost {overhead_pct:.1}% throughput \
-             ({base_rps:.0} -> {scraped_rps:.0} req/s), above the {max_overhead:.0}% \
-             bound (EXP_ADMIN_MAX_OVERHEAD_PCT, tripled when cores <= shards)"
-        );
-        std::process::exit(1);
-    }
     println!(
-        "\nexpected: identical verdicts and committed bandwidth across every\n\
-         fabric/shard/cache configuration; TCP adds per-hop socket+seal\n\
-         overhead, shards buy admission throughput up to the core count,\n\
-         and a live 10 Hz admin scraper costs within {max_overhead:.0}% of it."
+        "\nexpected: every request granted at every shard count; shards buy\n\
+         admission throughput up to the core count; a live 10 Hz admin\n\
+         scraper costs a few percent of it on a host with a core to spare."
     );
 }

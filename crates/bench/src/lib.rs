@@ -7,10 +7,13 @@
 pub mod alloc_count;
 pub mod workload;
 
+use qos_core::channel::ChannelIdentity;
 use qos_core::drive::Mesh;
 use qos_core::scenario::Scenario;
+use qos_crypto::KeyPair;
 use qos_net::SimDuration;
 use qos_telemetry::{render_prometheus, snapshot_json, Registry, Telemetry};
+use qos_transport::TcpMesh;
 use std::sync::Arc;
 
 /// One registry per experiment run, plus the [`Telemetry`] handle that
@@ -60,6 +63,31 @@ pub fn mesh_from(scenario: &mut Scenario, hop_latency_ms: u64) -> Mesh {
     for w in domains.windows(2) {
         mesh.set_latency(&w[0], &w[1], SimDuration::from_millis(hop_latency_ms));
     }
+    mesh
+}
+
+/// Move a chain scenario's brokers onto `mesh` (shards, telemetry and
+/// admin plane already set) as loopback daemons, each link dialled by
+/// its upstream end, each daemon holding the identity its broker was
+/// built with.
+pub fn spawn_chain(scenario: &mut Scenario, mut mesh: TcpMesh) -> TcpMesh {
+    let identities = scenario
+        .nodes
+        .iter()
+        .map(|n| {
+            let key = KeyPair::from_seed(format!("bb-{}", n.domain()).as_bytes());
+            let cert = n.cert().clone();
+            (n.domain().to_string(), ChannelIdentity { key, cert })
+        })
+        .collect();
+    let links: Vec<(String, String)> = scenario
+        .domains
+        .windows(2)
+        .map(|w| (w[0].clone(), w[1].clone()))
+        .collect();
+    let nodes = std::mem::take(&mut scenario.nodes);
+    mesh.spawn(nodes, identities, &links, scenario.ca_key)
+        .expect("loopback mesh comes up");
     mesh
 }
 

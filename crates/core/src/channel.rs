@@ -295,16 +295,10 @@ pub struct SealHalf {
 }
 
 impl SealHalf {
-    /// Seal an outgoing payload.
-    pub fn seal(&mut self, payload: Vec<u8>) -> Sealed {
-        let (seq, mac) = self.seal_in_place(&payload);
-        Sealed { payload, seq, mac }
-    }
-
     /// Seal `payload` where it already lives (D15): the MAC is computed
     /// over the slice with no plaintext copy and no allocation. The
-    /// copying [`SealHalf::seal`] delegates here. The caller writes the
-    /// `Sealed` wire framing around the bytes it already holds.
+    /// caller writes the `Sealed` wire framing around the bytes it
+    /// already holds.
     pub fn seal_in_place(&mut self, payload: &[u8]) -> (u64, Digest) {
         let seq = self.seq;
         self.seq += 1;
@@ -328,18 +322,11 @@ pub struct OpenHalf {
 }
 
 impl OpenHalf {
-    /// Open an incoming message: verifies the MAC and strict ordering.
-    pub fn open(&mut self, msg: Sealed) -> Result<Vec<u8>, CoreError> {
-        self.open_in_place(&msg.payload, msg.seq, &msg.mac)?;
-        Ok(msg.payload)
-    }
-
     /// Verify a sealed message where its bytes already live (D15): the
     /// MAC is checked over the payload slice (e.g. a view into a pooled
     /// read chunk) with no plaintext copy, then the strict sequence
     /// check runs. On success the caller keeps using its slice as the
-    /// authenticated plaintext. The copying [`OpenHalf::open`] delegates
-    /// here.
+    /// authenticated plaintext.
     pub fn open_in_place(
         &mut self,
         payload: &[u8],
@@ -579,6 +566,18 @@ mod tests {
         }
     }
 
+    /// Seal an owned payload into a whole [`Sealed`] message.
+    fn seal(half: &mut SealHalf, payload: Vec<u8>) -> Sealed {
+        let (seq, mac) = half.seal_in_place(&payload);
+        Sealed { payload, seq, mac }
+    }
+
+    /// Open a whole [`Sealed`] message, handing back its payload.
+    fn open(half: &mut OpenHalf, msg: Sealed) -> Result<Vec<u8>, CoreError> {
+        half.open_in_place(&msg.payload, msg.seq, &msg.mac)?;
+        Ok(msg.payload)
+    }
+
     #[test]
     fn handshake_and_message_exchange() {
         let f = fix();
@@ -597,10 +596,10 @@ mod tests {
         // Bidirectional authenticated messages.
         let (mut a_seal, mut a_open) = a.split();
         let (mut b_seal, mut b_open) = b.split();
-        let m1 = a_seal.seal(b"hello".to_vec());
-        assert_eq!(b_open.open(m1).unwrap(), b"hello");
-        let m2 = b_seal.seal(b"world".to_vec());
-        assert_eq!(a_open.open(m2).unwrap(), b"world");
+        let m1 = seal(&mut a_seal, b"hello".to_vec());
+        assert_eq!(open(&mut b_open, m1).unwrap(), b"hello");
+        let m2 = seal(&mut b_seal, b"world".to_vec());
+        assert_eq!(open(&mut a_open, m2).unwrap(), b"world");
     }
 
     #[test]
@@ -681,9 +680,9 @@ mod tests {
         .unwrap();
         let (mut a_seal, _) = a.split();
         let (_, mut b_open) = b.split();
-        let mut m = a_seal.seal(b"reserve 10".to_vec());
+        let mut m = seal(&mut a_seal, b"reserve 10".to_vec());
         m.payload = b"reserve 99".to_vec();
-        assert!(b_open.open(m).is_err());
+        assert!(open(&mut b_open, m).is_err());
     }
 
     /// Drive the message-based handshake the way two sockets would.
@@ -736,11 +735,11 @@ mod tests {
         let (a, b) = net_handshake(&f).unwrap();
         let (mut a_seal, _) = a.split();
         let (_, mut b_open) = b.split();
-        let sealed = a_seal.seal(b"framed payload".to_vec());
+        let sealed = seal(&mut a_seal, b"framed payload".to_vec());
         let bytes = qos_wire::to_bytes(&sealed);
         let back = qos_wire::from_bytes::<Sealed>(&bytes).unwrap();
         assert_eq!(back, sealed);
-        assert_eq!(b_open.open(back).unwrap(), b"framed payload");
+        assert_eq!(open(&mut b_open, back).unwrap(), b"framed payload");
     }
 
     #[test]
@@ -751,14 +750,14 @@ mod tests {
         assert_eq!(b.peer_dn(), &DistinguishedName::broker("domain-a"));
         let (mut a_seal, mut a_open) = a.split();
         let (mut b_seal, mut b_open) = b.split();
-        let m1 = a_seal.seal(b"over the wire".to_vec());
-        assert_eq!(b_open.open(m1).unwrap(), b"over the wire");
-        let m2 = b_seal.seal(b"and back".to_vec());
-        assert_eq!(a_open.open(m2).unwrap(), b"and back");
+        let m1 = seal(&mut a_seal, b"over the wire".to_vec());
+        assert_eq!(open(&mut b_open, m1).unwrap(), b"over the wire");
+        let m2 = seal(&mut b_seal, b"and back".to_vec());
+        assert_eq!(open(&mut a_open, m2).unwrap(), b"and back");
         // Sequence spaces are fully independent per direction.
         for i in 0..5u8 {
-            let m = a_seal.seal(vec![i]);
-            assert_eq!(b_open.open(m).unwrap(), vec![i]);
+            let m = seal(&mut a_seal, vec![i]);
+            assert_eq!(open(&mut b_open, m).unwrap(), vec![i]);
         }
         assert_eq!(a_seal.next_seq(), 6);
         assert_eq!(b_seal.next_seq(), 1);
@@ -771,8 +770,8 @@ mod tests {
         let f = fix();
         let (a, _b) = net_handshake(&f).unwrap();
         let (mut a_seal, mut a_open) = a.split();
-        let m = a_seal.seal(b"x".to_vec());
-        assert!(a_open.open(m).is_err());
+        let m = seal(&mut a_seal, b"x".to_vec());
+        assert!(open(&mut a_open, m).is_err());
     }
 
     #[test]
@@ -783,8 +782,8 @@ mod tests {
         let (a, b) = net_handshake(&f).unwrap();
         let (mut a_seal, _) = a.split();
         let (mut b_seal, _) = b.split();
-        let m_ab = a_seal.seal(b"same bytes".to_vec());
-        let m_ba = b_seal.seal(b"same bytes".to_vec());
+        let m_ab = seal(&mut a_seal, b"same bytes".to_vec());
+        let m_ba = seal(&mut b_seal, b"same bytes".to_vec());
         assert_eq!(m_ab.seq, m_ba.seq);
         assert_ne!(m_ab.mac, m_ba.mac);
     }
@@ -795,12 +794,12 @@ mod tests {
         let (a, b) = net_handshake(&f).unwrap();
         let (mut a_seal, _) = a.split();
         let (_, mut b_open) = b.split();
-        let m0 = a_seal.seal(b"zero".to_vec());
-        let m1 = a_seal.seal(b"one".to_vec());
-        assert!(b_open.open(m1.clone()).is_err(), "reorder detected");
-        assert!(b_open.open(m0.clone()).is_ok());
-        assert!(b_open.open(m0).is_err(), "replay detected");
-        assert!(b_open.open(m1).is_ok());
+        let m0 = seal(&mut a_seal, b"zero".to_vec());
+        let m1 = seal(&mut a_seal, b"one".to_vec());
+        assert!(open(&mut b_open, m1.clone()).is_err(), "reorder detected");
+        assert!(open(&mut b_open, m0.clone()).is_ok());
+        assert!(open(&mut b_open, m0).is_err(), "replay detected");
+        assert!(open(&mut b_open, m1).is_ok());
     }
 
     /// RFC 2104 written out over one-shot hashes of materialized
@@ -859,9 +858,9 @@ mod tests {
             // Verify without ever owning the payload.
             o1.open_in_place(&payload, seq, &mac).unwrap();
         }
-        // The two halves stay in lockstep with the copying API.
-        let msg = s1.seal(b"owned".to_vec());
-        assert_eq!(o1.open(msg).unwrap(), b"owned");
+        // The two halves stay in lockstep for a whole `Sealed` message.
+        let msg = seal(&mut s1, b"owned".to_vec());
+        assert_eq!(open(&mut o1, msg).unwrap(), b"owned");
     }
 
     #[test]
@@ -885,7 +884,7 @@ mod tests {
         let f = fix();
         let (a1, _) = net_handshake(&f).unwrap();
         let (mut s1, _) = a1.split();
-        let msg = s1.seal(b"borrowed view".to_vec());
+        let msg = seal(&mut s1, b"borrowed view".to_vec());
         let bytes = qos_wire::to_bytes(&msg);
         let mut r = qos_wire::Reader::new(&bytes);
         let sref = SealedRef::parse(&mut r).unwrap();
@@ -909,16 +908,16 @@ mod tests {
             SecureChannel::resume(peer_of_a.clone(), &master_a, 91, 17, true).split();
         let (mut b2_seal, mut b2_open) =
             SecureChannel::resume(peer_of_b.clone(), &master_b, 91, 17, false).split();
-        let m = a2_seal.seal(b"resumed".to_vec());
-        assert_eq!(b2_open.open(m).unwrap(), b"resumed");
-        let m = b2_seal.seal(b"back".to_vec());
-        assert_eq!(a2_open.open(m).unwrap(), b"back");
+        let m = seal(&mut a2_seal, b"resumed".to_vec());
+        assert_eq!(open(&mut b2_open, m).unwrap(), b"resumed");
+        let m = seal(&mut b2_seal, b"back".to_vec());
+        assert_eq!(open(&mut a2_open, m).unwrap(), b"back");
         // Fresh nonces ⇒ fresh key schedule: the same payload/seq MACs
         // differently than on the original session or another resumption.
         let (mut a3, _) = SecureChannel::resume(peer_of_a, &master_a, 92, 17, true).split();
         let (mut a4, _) = SecureChannel::resume(peer_of_b, &master_b, 91, 18, true).split();
-        let s3 = a3.seal(b"payload".to_vec());
-        let s4 = a4.seal(b"payload".to_vec());
+        let s3 = seal(&mut a3, b"payload".to_vec());
+        let s4 = seal(&mut a4, b"payload".to_vec());
         assert_ne!(s3.mac, s4.mac);
     }
 
@@ -931,7 +930,7 @@ mod tests {
         wrong[0] ^= 1;
         let (mut good, _) = SecureChannel::resume(a.peer_cert.clone(), &master, 5, 6, true).split();
         let (_, mut bad) = SecureChannel::resume(b.peer_cert.clone(), &wrong, 5, 6, false).split();
-        let m = good.seal(b"x".to_vec());
-        assert!(bad.open(m).is_err());
+        let m = seal(&mut good, b"x".to_vec());
+        assert!(open(&mut bad, m).is_err());
     }
 }

@@ -21,20 +21,16 @@
 //!   sequential/concurrent) and the STARS reservation coordinator;
 //! * [`drive`] — a deterministic virtual-time mesh driver (latency and
 //!   message-count experiments; optional live `qos_net` data plane);
-//! * [`runtime`] — the same brokers as concurrent actor threads over
-//!   sealed secure channels;
 //! * [`shard`] — [`ShardedNode`]: one domain's broker as N admission
-//!   shards with work-stealing ingress (DESIGN.md §D11), shared by the
-//!   actor fabric and the TCP reactor runtime;
+//!   shards with work-stealing ingress (DESIGN.md §D11), run by the TCP
+//!   reactor runtime (`qos_transport`);
 //! * [`scenario`] — the paper's multi-domain world, ready-built.
 //!
 //! Observability (DESIGN.md §D7): brokers and both drivers thread a
 //! `qos_telemetry` registry and per-RAR tracer through every protocol
-//! step — see [`node::BbConfig::telemetry`], [`BbNode::tracer`],
-//! [`drive::Mesh::install_sim_clock`] and
-//! [`runtime::ActorMesh::set_telemetry`].
+//! step — see [`node::BbConfig::telemetry`], [`BbNode::tracer`] and
+//! [`drive::Mesh::install_sim_clock`].
 
-pub mod audit;
 pub mod channel;
 pub mod drive;
 pub mod envelope;
@@ -45,14 +41,11 @@ pub mod messages;
 pub mod node;
 pub mod parallel;
 pub mod rar;
-pub mod runtime;
 pub mod scenario;
 pub mod shard;
 pub mod source;
 pub mod trust;
 pub mod view;
-
-pub use audit::{AuditEvent, AuditLog};
 
 /// Register the process-wide memoization caches' hit/miss/eviction cells
 /// with `telemetry` as the `cache_*_total` counter families: the
@@ -74,7 +67,6 @@ pub use flowtable::{FlowTable, TimerWheel};
 pub use messages::{Approval, Denial, DenialCode, SignalMessage};
 pub use node::{BbConfig, BbNode, Completion, EdgeBinding, NodeCounters, PeerId, RecoveredTickets};
 pub use rar::{RarId, ResSpec};
-pub use runtime::ActorMesh;
 pub use shard::{shard_of, ShardMsg, ShardSink, ShardedNode};
 pub use source::{AgentMode, ReservationCoordinator, SourceBasedRun};
 pub use trust::{verify_rar, KeySource, VerifiedRar};

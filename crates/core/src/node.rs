@@ -9,12 +9,11 @@
 //! and manages tunnels.
 //!
 //! The node is a **pure state machine**: `submit`/`recv` return the
-//! messages to transmit, and drivers (synchronous, virtual-time, or
-//! threaded — see [`crate::drive`] and [`crate::runtime`]) decide how
+//! messages to transmit, and drivers (virtual-time — see
+//! [`crate::drive`] — or the TCP reactor of `qos_transport`) decide how
 //! those messages travel. That separation is what lets the same protocol
 //! code run under deterministic latency experiments and live threads.
 
-use crate::audit::{AuditEvent, AuditLog};
 use crate::envelope::{RarLayer, SignedRar};
 use crate::error::CoreError;
 use crate::flowtable::{FlowTable, TimerWheel, EXPIRY_NEVER, MAX_FLOW_RATE_BPS};
@@ -149,7 +148,6 @@ struct NodeInstruments {
     admission_refused: Counter,
     completions_ok: Counter,
     completions_denied: Counter,
-    audit_dropped: Gauge,
     /// Tunnel fast path (DESIGN.md §D14): per-sub-flow admission time at
     /// the destination, held-record occupancy across both tunnel ends,
     /// and expiry-wheel sweeps.
@@ -238,10 +236,6 @@ pub struct BbConfig {
     pub cas_keys: HashMap<String, PublicKey>,
     /// CA trusted for user identity certificates.
     pub user_ca: PublicKey,
-    /// Enable the structured audit trail from the start.
-    pub audit: bool,
-    /// Audit-trail capacity (events retained before eviction).
-    pub audit_capacity: usize,
     /// Metrics destination; [`Telemetry::disabled`] (the conventional
     /// default) makes every instrument a no-op.
     pub telemetry: Telemetry,
@@ -289,7 +283,6 @@ pub struct BbNode {
     /// hold was extended is skipped against `held_flows`.
     flow_expiry: TimerWheel<(RarId, u64)>,
     counters: CounterCells,
-    audit: AuditLog,
     telemetry: Telemetry,
     instruments: NodeInstruments,
     tracer: Tracer,
@@ -338,8 +331,6 @@ impl BbNode {
         let proof = config.key.prove_possession(nonce);
         let held = config.key.public().check_possession(nonce, &proof);
         assert!(held, "{} does not hold its own key", config.domain);
-        let mut audit = AuditLog::new(config.audit_capacity);
-        audit.set_enabled(config.audit);
         let mut tracer = Tracer::default();
         tracer.set_enabled(config.tracing);
         let mut node = Self {
@@ -365,7 +356,6 @@ impl BbNode {
             tunnels_dst: HashMap::new(),
             flow_expiry: TimerWheel::new(),
             counters: CounterCells::default(),
-            audit,
             telemetry: Telemetry::disabled(),
             instruments: NodeInstruments::default(),
             tracer,
@@ -472,20 +462,10 @@ impl BbNode {
         self.counters.snapshot()
     }
 
-    /// Enable or disable the structured audit trail.
-    pub fn set_audit(&mut self, enabled: bool) {
-        self.audit.set_enabled(enabled);
-    }
-
-    /// The audit trail (empty unless enabled).
-    pub fn audit(&self) -> &AuditLog {
-        &self.audit
-    }
-
     /// Route this node's metrics into `telemetry`: the rx/tx/signed/
     /// verified cells are *registered* (shared storage, not copied), and
-    /// the timing histograms, admission/completion counters, and the
-    /// audit-eviction gauge are resolved under this domain's label.
+    /// the timing histograms and admission/completion counters are
+    /// resolved under this domain's label.
     pub fn install_telemetry(&mut self, telemetry: Telemetry) {
         if telemetry.is_enabled() {
             let d = self.domain.clone();
@@ -559,11 +539,6 @@ impl BbNode {
                     "bb_completions_total",
                     "End-to-end request completions by outcome",
                     &[("domain", &d), ("decision", "denied")],
-                ),
-                audit_dropped: telemetry.gauge(
-                    "bb_audit_dropped_events",
-                    "Audit events evicted by the capacity bound",
-                    dl,
                 ),
                 flow_admit_ns: telemetry.histogram(
                     "flow_admit_ns",
@@ -676,18 +651,6 @@ impl BbNode {
             flight.record_span(&span);
         }
         self.tracer.record(span);
-    }
-
-    /// Audit an event and keep the eviction gauge current. While the
-    /// log is disabled the event is never built.
-    fn audit_event(&mut self, event: impl FnOnce() -> AuditEvent) {
-        if !self.audit.is_enabled() {
-            return;
-        }
-        self.audit.record(self.now, event());
-        self.instruments
-            .audit_dropped
-            .set(self.audit.dropped() as i64);
     }
 
     /// Drain buffered edge-router configuration.
@@ -924,12 +887,6 @@ impl BbNode {
         // fields (see `TraceId::mint`).
         let trace = TraceId::mint(&spec.source_domain, rar_id.0);
         let (_, t_sub) = self.t0();
-        let depth = view.depth();
-        self.audit_event(|| AuditEvent::RequestReceived {
-            rar_id,
-            from: "user".into(),
-            depth,
-        });
         let checked = self.process_submit(&view, user_cert, trace, pre_verified);
         drop(view);
         let checked = checked.map(|forward| {
@@ -1305,11 +1262,6 @@ impl BbNode {
             t_arrive,
             t_arrive,
         );
-        self.audit_event(|| AuditEvent::RequestReceived {
-            rar_id: spec.rar_id,
-            from: from.to_string(),
-            depth,
-        });
         let peer_pk = self
             .peers
             .get(from)
@@ -1500,13 +1452,15 @@ impl BbNode {
         approval
     }
 
-    fn on_approve(&mut self, _from: &str, approval: Approval) -> Vec<(PeerId, SignalMessage)> {
+    fn on_approve(&mut self, from: &str, approval: Approval) -> Vec<(PeerId, SignalMessage)> {
         let rar_id = approval.rar_id;
-        let Some(pending) = self.pending.get(&rar_id) else {
-            return Vec::new(); // stale or duplicate
+        // Acted on only from the downstream peer the request went to (the
+        // authenticated channel vouches for `from`); anything else is as
+        // stale as a duplicate. The chained signatures then let any
+        // upstream domain audit the path.
+        let Some(pending) = self.pending_from_downstream(rar_id, from) else {
+            return Vec::new();
         };
-        // The approval arrives over the authenticated downstream channel;
-        // its chained signatures let any upstream domain audit the path.
         let upstream = pending.upstream.clone();
         let (rate_bps, secs) = (pending.rate_bps, pending.interval.secs());
         let trace = pending.trace;
@@ -1570,6 +1524,14 @@ impl BbNode {
                 Vec::new()
             }
         }
+    }
+
+    /// The request `rar_id` is waiting on, if `from` is the downstream
+    /// peer it was forwarded to: the one peer whose reply is acted on.
+    fn pending_from_downstream(&self, rar_id: RarId, from: &str) -> Option<&Pending> {
+        self.pending
+            .get(&rar_id)
+            .filter(|p| p.segment.egress_peer.as_deref() == Some(from))
     }
 
     /// §6.4 accounting: "the source domain would bill the traffic
@@ -1655,11 +1617,12 @@ impl BbNode {
             .push(Completion::Reservation { rar_id, result });
     }
 
-    fn on_deny(&mut self, _from: &str, denial: Denial) -> Vec<(PeerId, SignalMessage)> {
+    fn on_deny(&mut self, from: &str, denial: Denial) -> Vec<(PeerId, SignalMessage)> {
         let rar_id = denial.rar_id;
-        let Some(pending) = self.pending.remove(&rar_id) else {
+        if self.pending_from_downstream(rar_id, from).is_none() {
             return Vec::new();
-        };
+        }
+        let pending = self.pending.remove(&rar_id).expect("checked above");
         let (_, t_arrive) = self.t0();
         self.span_at(
             pending.trace,
@@ -1761,7 +1724,6 @@ impl BbNode {
             t_rel,
             t_rel,
         );
-        self.audit_event(|| AuditEvent::Released { rar_id });
         let _ = self.core.release(rar_id_to_reservation(rar_id));
         // A torn-down tunnel takes its per-flow state with it (the
         // pre-§D14 path leaked both maps forever). Wheel entries for the
@@ -2226,17 +2188,11 @@ impl BbNode {
                 .wall(self.now.0),
             );
         }
-        self.audit_event(|| AuditEvent::Admission {
-            rar_id,
-            ok: result.is_ok(),
-            rate_bps,
-        });
         result
     }
 
     /// Commit the hold and emit the edge configuration that enforces it.
     fn commit_and_configure(&mut self, rar_id: RarId) {
-        self.audit_event(|| AuditEvent::Approved { rar_id });
         let _ = self.core.commit(rar_id_to_reservation(rar_id));
         let Some(p) = self.pending.get(&rar_id) else {
             return;
@@ -2401,25 +2357,12 @@ impl BbNode {
             reason: format!("policy evaluation error: {e}"),
         })?;
         match decision.decision {
-            qos_policy::Decision::Grant => {
-                self.audit_event(|| AuditEvent::PolicyDecision {
-                    rar_id: spec.rar_id,
-                    decision: "GRANT".into(),
-                });
-                Ok(decision.attachments)
-            }
-            qos_policy::Decision::Deny(reason) => {
-                let reason = reason.unwrap_or_else(|| "policy denied".into());
-                self.audit_event(|| AuditEvent::PolicyDecision {
-                    rar_id: spec.rar_id,
-                    decision: format!("DENY: {reason}"),
-                });
-                Err(CoreError::Denied {
-                    rar_id: spec.rar_id,
-                    domain: self.domain.clone(),
-                    reason,
-                })
-            }
+            qos_policy::Decision::Grant => Ok(decision.attachments),
+            qos_policy::Decision::Deny(reason) => Err(CoreError::Denied {
+                rar_id: spec.rar_id,
+                domain: self.domain.clone(),
+                reason: reason.unwrap_or_else(|| "policy denied".into()),
+            }),
         }
     }
 
@@ -2439,8 +2382,6 @@ impl BbNode {
     /// id to one replica, so no two replicas ever track the same
     /// request.
     pub fn clone_shard(&self) -> Self {
-        let mut audit = AuditLog::new(self.audit.capacity());
-        audit.set_enabled(self.audit.is_enabled());
         let mut tracer = Tracer::default();
         tracer.set_enabled(self.tracer.is_enabled());
         Self {
@@ -2466,7 +2407,6 @@ impl BbNode {
             tunnels_dst: HashMap::new(),
             flow_expiry: TimerWheel::new(),
             counters: self.counters.clone(),
-            audit,
             telemetry: self.telemetry.clone(),
             instruments: self.instruments.clone(),
             tracer,

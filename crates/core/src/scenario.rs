@@ -130,10 +130,6 @@ pub struct ChainOptions {
     pub telemetry: Telemetry,
     /// Record per-RAR trace spans on every broker.
     pub tracing: bool,
-    /// Enable the per-broker audit trail.
-    pub audit: bool,
-    /// Audit-trail eviction bound.
-    pub audit_capacity: usize,
 }
 
 impl Default for ChainOptions {
@@ -148,8 +144,6 @@ impl Default for ChainOptions {
             trust_policy: TrustPolicy::default(),
             telemetry: Telemetry::disabled(),
             tracing: false,
-            audit: false,
-            audit_capacity: 4096,
         }
     }
 }
@@ -260,8 +254,6 @@ pub fn build_chain(opts: ChainOptions) -> Scenario {
             user_ca: ca.public_key(),
             telemetry: opts.telemetry.clone(),
             tracing: opts.tracing,
-            audit: opts.audit,
-            audit_capacity: opts.audit_capacity,
         });
         // Peering with the previous domain (they send into us).
         if i > 0 {
@@ -418,8 +410,6 @@ pub fn build_star(leaves: usize, opts: ChainOptions) -> Scenario {
             user_ca: ca.public_key(),
             telemetry: opts.telemetry.clone(),
             tracing: opts.tracing,
-            audit: opts.audit,
-            audit_capacity: opts.audit_capacity,
         });
         if i == hub_idx {
             // The hub peers with every leaf, both directions.
@@ -485,10 +475,6 @@ pub struct AsGraphOptions {
     pub telemetry: Telemetry,
     /// Record per-RAR trace spans on every broker.
     pub tracing: bool,
-    /// Enable the per-broker audit trail.
-    pub audit: bool,
-    /// Audit-trail eviction bound.
-    pub audit_capacity: usize,
 }
 
 impl Default for AsGraphOptions {
@@ -505,8 +491,6 @@ impl Default for AsGraphOptions {
             trust_policy: TrustPolicy::default(),
             telemetry: Telemetry::disabled(),
             tracing: false,
-            audit: false,
-            audit_capacity: 4096,
         }
     }
 }
@@ -699,8 +683,6 @@ pub fn build_as_graph(opts: AsGraphOptions) -> AsGraph {
             user_ca: ca.public_key(),
             telemetry: opts.telemetry.clone(),
             tracing: opts.tracing,
-            audit: opts.audit,
-            audit_capacity: opts.audit_capacity,
         });
         nodes.push(node);
     }
@@ -855,8 +837,6 @@ pub fn build_paper_world(
         user_ca: scenario.ca_key,
         telemetry: Telemetry::disabled(),
         tracing: false,
-        audit: false,
-        audit_capacity: 4096,
     });
     node_d.add_peer(
         cert_b,

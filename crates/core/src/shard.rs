@@ -29,8 +29,7 @@
 //! workers as one batch.
 //!
 //! Outbound messages and completions leave through a [`ShardSink`]
-//! supplied by the fabric (actor mailboxes or the TCP reactor), which
-//! is how both fabrics exercise this one admission core.
+//! supplied by the fabric (the TCP reactor's outbound queues).
 
 use crate::envelope::SignedRar;
 use crate::messages::SignalMessage;
@@ -61,6 +60,14 @@ pub fn shard_of(key: u64, shards: usize) -> usize {
         h = h.wrapping_mul(FNV_PRIME);
     }
     (h % shards as u64) as usize
+}
+
+/// The default shard count for a broker runtime: `min(4, cores)`.
+pub fn default_shards() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(4)
 }
 
 /// Where a shard's outputs go: the fabric seals/routes protocol
@@ -344,7 +351,7 @@ impl ShardedNode {
             ),
             mailbox_peak: telemetry.gauge(
                 "bb_mailbox_depth_peak",
-                "Peak number of messages waiting in the actor mailbox",
+                "Peak number of messages waiting in the shard mailboxes",
                 &[("domain", &domain)],
             ),
             live: telemetry.is_enabled(),

@@ -585,69 +585,6 @@ fn tunnel_subflow_release_returns_budget() {
 }
 
 #[test]
-fn audit_trail_records_the_request_lifecycle() {
-    use qos_core::AuditEvent;
-
-    let mut s = build_chain(ChainOptions::default());
-    let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
-    let rar_id = spec.rar_id;
-    let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
-    let cert = s.users["alice"].cert.clone();
-    for node in &mut s.nodes {
-        node.set_audit(true);
-    }
-    let mut mesh = mesh_from(&mut s, 5);
-    mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
-    mesh.run_until_idle();
-    assert!(approval_of(&mesh, "domain-a", rar_id).is_ok());
-
-    // The source node saw: received → policy → admission → approved.
-    let events = mesh.node("domain-a").audit().for_rar(rar_id);
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, AuditEvent::RequestReceived { from, .. } if from == "user")));
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, AuditEvent::PolicyDecision { decision, .. } if decision == "GRANT")));
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, AuditEvent::Admission { ok: true, .. })));
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, AuditEvent::Approved { .. })));
-
-    // The transit node saw the request arrive from domain-a with depth 2.
-    let events = mesh.node("domain-b").audit().for_rar(rar_id);
-    assert!(events.iter().any(
-        |e| matches!(e, AuditEvent::RequestReceived { from, depth: 2, .. } if from == "domain-a")
-    ));
-
-    // Teardown appears as Released on every node.
-    mesh.release_in(SimDuration::ZERO, "domain-a", rar_id);
-    mesh.run_until_idle();
-    for d in ["domain-a", "domain-b", "domain-c"] {
-        assert!(
-            mesh.node(d)
-                .audit()
-                .for_rar(rar_id)
-                .iter()
-                .any(|e| matches!(e, AuditEvent::Released { .. })),
-            "{d}"
-        );
-    }
-
-    // Disabled nodes record nothing.
-    let mut s2 = build_chain(ChainOptions::default());
-    let spec = s2.spec("alice", 8, 10 * MBPS, Timestamp(0), 3600);
-    let rar = s2.users["alice"].sign_request(spec, &s2.nodes[0]);
-    let cert = s2.users["alice"].cert.clone();
-    let mut mesh2 = mesh_from(&mut s2, 5);
-    mesh2.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
-    mesh2.run_until_idle();
-    assert!(mesh2.node("domain-a").audit().is_empty());
-}
-
-#[test]
 fn duplicate_rar_id_is_refused() {
     let mut s = build_chain(ChainOptions::default());
     let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);

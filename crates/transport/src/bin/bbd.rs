@@ -396,7 +396,7 @@ fn main() -> ExitCode {
                 resume: !args.no_resume,
                 shards: args
                     .shards
-                    .unwrap_or_else(qos_core::runtime::default_shards)
+                    .unwrap_or_else(qos_core::shard::default_shards)
                     .max(1),
                 ..TransportOptions::default()
             },

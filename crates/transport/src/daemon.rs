@@ -87,7 +87,7 @@ impl Default for TransportOptions {
             resume: true,
             ticket_ttl_secs: 3600,
             ticket_cap: 1024,
-            shards: qos_core::runtime::default_shards(),
+            shards: qos_core::shard::default_shards(),
         }
     }
 }

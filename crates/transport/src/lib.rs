@@ -1,8 +1,7 @@
 //! Real TCP peering fabric for bandwidth-broker daemons.
 //!
-//! The in-process runtimes (`qos_core::drive::Mesh`,
-//! `qos_core::runtime::ActorMesh`) exchange protocol messages through
-//! memory. This crate carries the same sealed
+//! The in-process `qos_core::drive::Mesh` exchanges protocol messages
+//! through memory. This crate carries them as sealed
 //! [`Sealed`](qos_core::channel::Sealed) frames over actual sockets
 //! (DESIGN.md §D8):
 //!
@@ -27,8 +26,8 @@
 //! * [`admin`] — the introspection plane (DESIGN.md §D12): the routing
 //!   table behind the reactor-hosted HTTP admin listener (`/metrics`,
 //!   `/healthz`, `/shards`, `/trace/<id>`, `/flight`);
-//! * [`mesh`] — [`TcpMesh`]: the `ActorMesh` surface over loopback
-//!   daemons, so existing scenarios run unchanged over TCP.
+//! * [`mesh`] — [`TcpMesh`]: a whole scenario's brokers as loopback
+//!   daemons, the one concurrent fabric.
 //!
 //! The `bbd` binary (in `src/bin/bbd.rs`) hosts one daemon per process
 //! for the multi-process loopback demo in the README.

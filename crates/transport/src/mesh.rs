@@ -1,11 +1,9 @@
 //! A mesh of broker daemons on loopback sockets.
 //!
-//! [`TcpMesh`] presents the same surface as
-//! [`qos_core::runtime::ActorMesh`] — `spawn`, `submit`, `tunnel_flow`,
-//! `set_time`, `wait_completions`, `shutdown` — but every broker is a
-//! [`BrokerDaemon`] behind a real TCP listener, so existing scenarios
-//! run unchanged over actual sockets. For each configured link `(a, b)`,
-//! `a` dials and `b` accepts.
+//! [`TcpMesh`] runs a scenario's brokers concurrently — `spawn`,
+//! `submit`, `tunnel_flow`, `set_time`, `wait_completions`, `shutdown` —
+//! with every broker a [`BrokerDaemon`] behind a real TCP listener. For
+//! each configured link `(a, b)`, `a` dials and `b` accepts.
 
 use crate::daemon::{BrokerDaemon, DaemonConfig, TransportOptions};
 use crate::error::TransportError;

@@ -6,17 +6,22 @@
 //! submitting and driving a reservation to completion, and unwrapping
 //! outcomes.
 
+pub mod parity;
+
 pub use qos_core::scenario::{
     build_chain, build_paper_world, domain_name, ChainOptions, Scenario, UserIdentity, PERMIT_ALL,
 };
 
+use qos_core::channel::ChannelIdentity;
 use qos_core::drive::Mesh;
 use qos_core::node::Completion;
 use qos_core::view::RarView;
 use qos_core::{Approval, Denial, PeerId, RarId, SignalMessage, SignedRar};
-use qos_crypto::{Certificate, PublicKey, Timestamp};
+use qos_crypto::{Certificate, KeyPair, PublicKey, Timestamp};
 use qos_net::SimDuration;
 use qos_telemetry::{Registry, Telemetry, TraceId};
+use qos_transport::TcpMesh;
+use std::collections::HashMap;
 
 /// One megabit per second.
 pub const MBPS: u64 = 1_000_000;
@@ -31,6 +36,36 @@ pub fn mesh_from(scenario: &mut Scenario, hop_latency_ms: u64) -> Mesh {
     for w in domains.windows(2) {
         mesh.set_latency(&w[0], &w[1], SimDuration::from_millis(hop_latency_ms));
     }
+    mesh
+}
+
+/// Each broker's channel identity, by domain: the key it was built with
+/// and its certificate.
+pub fn channel_identities(scenario: &Scenario) -> HashMap<String, ChannelIdentity> {
+    scenario
+        .nodes
+        .iter()
+        .map(|n| {
+            let key = KeyPair::from_seed(format!("bb-{}", n.domain()).as_bytes());
+            let cert = n.cert().clone();
+            (n.domain().to_string(), ChannelIdentity { key, cert })
+        })
+        .collect()
+}
+
+/// Move a chain scenario's brokers onto `mesh` (shards, telemetry and
+/// admin plane already set) as loopback daemons, each chain link dialled
+/// by its upstream end.
+pub fn spawn_chain(scenario: &mut Scenario, mut mesh: TcpMesh) -> TcpMesh {
+    let identities = channel_identities(scenario);
+    let links: Vec<(String, String)> = scenario
+        .domains
+        .windows(2)
+        .map(|w| (w[0].clone(), w[1].clone()))
+        .collect();
+    let nodes = std::mem::take(&mut scenario.nodes);
+    mesh.spawn(nodes, identities, &links, scenario.ca_key)
+        .expect("loopback mesh comes up");
     mesh
 }
 

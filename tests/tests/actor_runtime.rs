@@ -1,168 +1,36 @@
-//! The threaded actor runtime: the same broker state machines running
-//! concurrently on OS threads, exchanging sealed frames over mutually
-//! authenticated channels.
+//! Many requests in flight at once through brokers that each run on
+//! threads of their own — `TcpMesh` loopback daemons, unsharded and
+//! sharded — admit exactly what the deterministic reference admits.
+//! (The file keeps the name of the threaded actor runtime it once
+//! tested; `TcpMesh` is the concurrent fabric now.)
 
-use integration_tests::{build_chain, ChainOptions, MBPS};
-use qos_core::channel::ChannelIdentity;
-use qos_core::node::Completion;
-use qos_core::runtime::ActorMesh;
-use qos_crypto::{KeyPair, Timestamp};
-use std::collections::HashMap;
+use integration_tests::parity::{over_tcp, Case, Config, CONCURRENT, OVERSUBSCRIBED};
 
-fn identities(s: &integration_tests::Scenario) -> HashMap<String, ChannelIdentity> {
-    s.nodes
-        .iter()
-        .map(|n| {
-            (
-                n.domain().to_string(),
-                ChannelIdentity {
-                    key: KeyPair::from_seed(format!("bb-{}", n.domain()).as_bytes()),
-                    cert: n.cert().clone(),
-                },
-            )
-        })
-        .collect()
-}
-
-#[test]
-fn concurrent_reservations_complete_over_threads() {
-    let mut s = build_chain(ChainOptions {
-        sla_rate_bps: 1000 * MBPS,
-        ..ChainOptions::default()
-    });
-    let ids = identities(&s);
-    let links: Vec<(String, String)> = s
-        .domains
-        .windows(2)
-        .map(|w| (w[0].clone(), w[1].clone()))
-        .collect();
-
-    // Prepare many requests before moving the nodes into the actors.
-    let n_requests = 16;
-    let mut rars = Vec::new();
-    for i in 0..n_requests {
-        let spec = s.spec("alice", 1000 + i, 5 * MBPS, Timestamp(0), 3600);
-        rars.push(s.users["alice"].sign_request(spec, &s.nodes[0]));
-    }
-    let cert = s.users["alice"].cert.clone();
-    let ca_key = s.ca_key;
-
-    let mut mesh = ActorMesh::new();
-    mesh.spawn(std::mem::take(&mut s.nodes), ids, &links, ca_key);
-    for rar in rars {
-        mesh.submit("domain-a", rar, cert.clone());
-    }
-    let completions = mesh.wait_completions(n_requests as usize);
-    assert_eq!(completions.len(), n_requests as usize);
-    let granted = completions
-        .iter()
-        .filter(|(_, c)| matches!(c, Completion::Reservation { result: Ok(_), .. }))
-        .count();
-    assert_eq!(granted, n_requests as usize, "all requests fit the SLA");
-
-    // Shut down and inspect the final broker state: every reservation is
-    // committed in every domain.
-    let nodes = mesh.shutdown();
-    for d in ["domain-a", "domain-b", "domain-c"] {
-        let available = nodes[d].core().available_bw_at(Timestamp(10));
+fn over_threads(case: &Case) {
+    let reference = case.reference();
+    for shards in [1, 4] {
+        let config = Config {
+            shards,
+            ..Config::PLAIN
+        };
         assert_eq!(
-            available,
-            1_000_000_000 - n_requests * 5 * MBPS,
-            "domain {d}"
+            over_tcp(case, config),
+            reference,
+            "{}: {config:?}",
+            case.name
         );
     }
 }
 
 #[test]
-fn tunnel_subflow_bursts_complete_over_threads() {
-    let mut s = build_chain(ChainOptions {
-        sla_rate_bps: 1000 * MBPS,
-        ..ChainOptions::default()
-    });
-    let ids = identities(&s);
-    let mut links: Vec<(String, String)> = s
-        .domains
-        .windows(2)
-        .map(|w| (w[0].clone(), w[1].clone()))
-        .collect();
-    // Tunnel sub-flow signalling runs on a direct source↔destination
-    // channel, bypassing transit.
-    links.push((s.domains[0].clone(), s.domains[2].clone()));
-
-    let spec = s
-        .spec("alice", 7000, 50 * MBPS, Timestamp(0), 3600)
-        .as_tunnel();
-    let tunnel = spec.rar_id;
-    let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
-    let cert = s.users["alice"].cert.clone();
-    let alice = s.users["alice"].dn.clone();
-    let ca_key = s.ca_key;
-
-    let mut mesh = ActorMesh::new();
-    mesh.spawn(std::mem::take(&mut s.nodes), ids, &links, ca_key);
-    mesh.submit("domain-a", rar, cert);
-    let done = mesh.wait_completions(1);
-    assert!(matches!(
-        done[0].1,
-        Completion::Reservation { result: Ok(_), .. }
-    ));
-
-    // A burst of sub-flows races for the 50 Mb/s aggregate; queued
-    // requests reach the destination's mailbox together, so their
-    // signatures verify as one parallel batch.
-    for flow in 1..=6u64 {
-        mesh.tunnel_flow("domain-a", tunnel, flow, 10 * MBPS, alice.clone());
-    }
-    let flows = mesh.wait_completions(6);
-    assert_eq!(flows.len(), 6);
-    let accepted = flows
-        .iter()
-        .filter(|(_, c)| matches!(c, Completion::TunnelFlow { accepted: true, .. }))
-        .count();
-    assert_eq!(
-        accepted, 5,
-        "five 10 Mb/s sub-flows fill the 50 Mb/s tunnel"
-    );
-
-    let nodes = mesh.shutdown();
-    // The destination checked the source BB's signature on every
-    // sub-flow that reached it.
-    assert!(nodes["domain-c"].counters().verified >= 5);
+fn concurrent_reservations_complete_over_threads() {
+    // All 16 fit the SLA, and every one commits in every domain.
+    over_threads(&CONCURRENT);
 }
 
 #[test]
 fn denials_propagate_over_threads() {
-    let mut s = build_chain(ChainOptions {
-        // Tiny SLA: only two 5 Mb/s reservations fit between domains.
-        sla_rate_bps: 10 * MBPS,
-        ..ChainOptions::default()
-    });
-    let ids = identities(&s);
-    let links: Vec<(String, String)> = s
-        .domains
-        .windows(2)
-        .map(|w| (w[0].clone(), w[1].clone()))
-        .collect();
-    let mut rars = Vec::new();
-    for i in 0..5 {
-        let spec = s.spec("alice", 2000 + i, 5 * MBPS, Timestamp(0), 3600);
-        rars.push(s.users["alice"].sign_request(spec, &s.nodes[0]));
-    }
-    let cert = s.users["alice"].cert.clone();
-    let ca_key = s.ca_key;
-
-    let mut mesh = ActorMesh::new();
-    mesh.spawn(std::mem::take(&mut s.nodes), ids, &links, ca_key);
-    for rar in rars {
-        mesh.submit("domain-a", rar, cert.clone());
-    }
-    let completions = mesh.wait_completions(5);
-    let granted = completions
-        .iter()
-        .filter(|(_, c)| matches!(c, Completion::Reservation { result: Ok(_), .. }))
-        .count();
-    let denied = completions.len() - granted;
-    assert_eq!(granted, 2, "exactly two 5 Mb/s fit a 10 Mb/s SLA");
-    assert_eq!(denied, 3);
-    mesh.shutdown();
+    // Exactly two 5 Mb/s requests fit a 10 Mb/s SLA; the other three are
+    // denied and leave nothing held.
+    over_threads(&OVERSUBSCRIBED);
 }

@@ -301,14 +301,21 @@ fn channel_replay_and_splice_rejected() {
     // A second, independent session between the same parties.
     let (mut ch_a2, mut ch_b2) = session(2);
 
-    let frame = ch_a.seal(b"reserve".to_vec());
-    assert!(ch_b.open(frame.clone()).is_ok());
-    assert!(ch_b.open(frame.clone()).is_err(), "replay rejected");
+    let payload = b"reserve";
+    let (seq, mac) = ch_a.seal_in_place(payload);
+    assert!(ch_b.open_in_place(payload, seq, &mac).is_ok());
+    assert!(
+        ch_b.open_in_place(payload, seq, &mac).is_err(),
+        "replay rejected"
+    );
     // Splicing a frame from session 1 into session 2 fails (different
     // session keys).
-    let frame2 = ch_a2.seal(b"reserve".to_vec());
-    assert!(ch_b2.open(frame2).is_ok());
-    assert!(ch_b2.open(frame).is_err(), "cross-session splice rejected");
+    let (seq2, mac2) = ch_a2.seal_in_place(payload);
+    assert!(ch_b2.open_in_place(payload, seq2, &mac2).is_ok());
+    assert!(
+        ch_b2.open_in_place(payload, seq, &mac).is_err(),
+        "cross-session splice rejected"
+    );
 }
 
 /// Envelope depth beyond the destination's trust policy is refused even
@@ -462,4 +469,80 @@ fn transit_forging_a_subflow_reply_is_ignored_at_the_source() {
             ..
         }]
     ));
+}
+
+/// On a four-domain chain, `domain-a` answers in `domain-c`'s place for
+/// a request `domain-b` has forwarded to `domain-c`: it injects `forged`
+/// (built from the request's id) into `b`, then the real downstream
+/// answers. Returns how many messages `b` sent in response to the
+/// forgery, and checks that the source completes with the real grant
+/// and that every domain holds exactly that one committed reservation.
+fn forged_reply(forged: impl FnOnce(&Scenario, qos_core::RarId) -> SignalMessage) -> usize {
+    let mut s = build_chain(ChainOptions {
+        domains: 4,
+        ..ChainOptions::default()
+    });
+    let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
+    let rar_id = spec.rar_id;
+    let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
+    let cert = s.users["alice"].cert.clone();
+    let to_b = s.nodes[0].submit(rar, &cert);
+    let to_c = s.nodes[1].recv("domain-a", to_b[0].1.clone());
+    assert!(
+        matches!(to_c.as_slice(), [(to, SignalMessage::Request(_))] if to.as_ref() == "domain-c"),
+        "b forwards to c: {to_c:?}"
+    );
+
+    let msg = forged(&s, rar_id);
+    let answered = s.nodes[1].recv("domain-a", msg).len();
+    deliver_by_hand(&mut s, 1, to_c, |_, msg| msg);
+
+    assert!(matches!(
+        s.nodes[0].take_completions().as_slice(),
+        [Completion::Reservation { result: Ok(_), .. }]
+    ));
+    for node in &s.nodes {
+        let (active, committed, ..) = node.core().ledger_summary(Timestamp(10));
+        assert_eq!(
+            (active, committed),
+            (1, 1),
+            "{} holds the grant and nothing else",
+            node.domain()
+        );
+    }
+    answered
+}
+
+/// An approval from any peer but the one a request went to is ignored:
+/// the transit commits, endorses and relays nothing its downstream did
+/// not approve.
+#[test]
+fn an_approval_forged_by_the_upstream_peer_is_ignored() {
+    use qos_core::messages::Approval;
+    let answered = forged_reply(|s, rar_id| {
+        SignalMessage::Approve(Approval::originate(
+            rar_id,
+            s.nodes[0].cert().clone(),
+            "domain-d",
+            DistinguishedName::broker("domain-a"),
+            AttributeSet::new(),
+            &KeyPair::from_seed(b"bb-domain-a"),
+        ))
+    });
+    assert_eq!(answered, 0, "b relayed an approval c never gave");
+}
+
+/// A denial from any peer but the one a request went to is ignored: the
+/// transit keeps its hold, and relays nothing while its downstream goes
+/// on to commit.
+#[test]
+fn a_denial_forged_by_the_upstream_peer_is_ignored() {
+    let answered = forged_reply(|_, rar_id| {
+        SignalMessage::Deny(Denial {
+            rar_id,
+            domain: "domain-c".into(),
+            reason: "forged".into(),
+        })
+    });
+    assert_eq!(answered, 0, "b relayed a denial c never gave");
 }

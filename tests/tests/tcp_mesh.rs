@@ -1,299 +1,47 @@
-//! The TCP peering fabric: the same protocol state machines as the
-//! in-process runtimes, now exchanging sealed frames over loopback
-//! sockets — with identical admission outcomes, and recovery through
-//! reconnect-with-backoff that loses no approved reservation.
+//! The TCP peering fabric: the broker state machines exchanging sealed
+//! frames over loopback sockets, with recovery through
+//! reconnect-with-backoff that loses no approved reservation, and fig2
+//! admission outcomes identical to the deterministic reference. (Every
+//! shard, cache and store configuration is `fabric_parity.rs`.)
 
-use integration_tests::{build_chain, ChainOptions, MBPS};
-use qos_core::channel::ChannelIdentity;
+use integration_tests::parity::{over_tcp, Config, FIG2};
+use integration_tests::{build_chain, channel_identities, spawn_chain, ChainOptions, MBPS};
 use qos_core::node::Completion;
-use qos_core::runtime::ActorMesh;
-use qos_crypto::{KeyPair, Timestamp};
-use qos_telemetry::{FlightRecorder, Registry, Telemetry, TraceId, FLIGHT_DEFAULT_CAPACITY};
+use qos_crypto::Timestamp;
+use qos_telemetry::{Registry, Telemetry};
 use qos_transport::TcpMesh;
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-fn identities(s: &integration_tests::Scenario) -> HashMap<String, ChannelIdentity> {
-    s.nodes
-        .iter()
-        .map(|n| {
-            (
-                n.domain().to_string(),
-                ChannelIdentity {
-                    key: KeyPair::from_seed(format!("bb-{}", n.domain()).as_bytes()),
-                    cert: n.cert().clone(),
-                },
-            )
-        })
-        .collect()
-}
-
-fn chain_scenario(deny_at: Option<usize>) -> integration_tests::Scenario {
-    let mut policies = HashMap::new();
-    if let Some(i) = deny_at {
-        policies.insert(
-            i,
-            format!(r#"return deny "domain {i} refuses this reservation""#),
-        );
-    }
-    build_chain(ChainOptions {
-        policies,
-        ..ChainOptions::default()
-    })
-}
-
-/// Submit one fig2-style reservation and report (granted, per-domain
-/// available bandwidth after shutdown).
-fn fig2_outcome<M, FSpawn, FSubmit, FWait, FShutdown>(
-    deny_at: Option<usize>,
-    spawn: FSpawn,
-    submit: FSubmit,
-    wait: FWait,
-    shutdown: FShutdown,
-) -> (bool, Vec<(String, u64)>)
-where
-    FSpawn: FnOnce(&mut integration_tests::Scenario) -> M,
-    FSubmit: FnOnce(&M, qos_core::envelope::SignedRar, qos_crypto::Certificate),
-    FWait: FnOnce(&M) -> Vec<(String, Completion)>,
-    FShutdown: FnOnce(M) -> HashMap<String, qos_core::node::BbNode>,
-{
-    let mut s = chain_scenario(deny_at);
-    let domains = s.domains.clone();
-    let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
-    let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
-    let cert = s.users["alice"].cert.clone();
-
-    let mesh = spawn(&mut s);
-    submit(&mesh, rar, cert);
-    let completions = wait(&mesh);
-    assert_eq!(completions.len(), 1, "one reservation, one completion");
-    let granted = matches!(
-        completions[0].1,
-        Completion::Reservation { result: Ok(_), .. }
-    );
-    let nodes = shutdown(mesh);
-    let per_domain = domains
-        .iter()
-        .map(|d| (d.clone(), nodes[d].core().available_bw_at(Timestamp(10))))
-        .collect();
-    (granted, per_domain)
-}
-
-fn actor_outcome(deny_at: Option<usize>) -> (bool, Vec<(String, u64)>) {
-    fig2_outcome(
-        deny_at,
-        |s| {
-            let ids = identities(s);
-            let links: Vec<(String, String)> = s
-                .domains
-                .windows(2)
-                .map(|w| (w[0].clone(), w[1].clone()))
-                .collect();
-            let ca_key = s.ca_key;
-            let mut mesh = ActorMesh::new();
-            mesh.spawn(std::mem::take(&mut s.nodes), ids, &links, ca_key);
-            mesh
-        },
-        |m, rar, cert| m.submit("domain-a", rar, cert),
-        |m| m.wait_completions(1),
-        |m| m.shutdown(),
-    )
-}
-
-fn tcp_outcome(deny_at: Option<usize>) -> (bool, Vec<(String, u64)>) {
-    fig2_outcome(
-        deny_at,
-        |s| {
-            let ids = identities(s);
-            let links: Vec<(String, String)> = s
-                .domains
-                .windows(2)
-                .map(|w| (w[0].clone(), w[1].clone()))
-                .collect();
-            let ca_key = s.ca_key;
-            let mut mesh = TcpMesh::new();
-            mesh.spawn(std::mem::take(&mut s.nodes), ids, &links, ca_key)
-                .expect("loopback mesh comes up");
-            mesh
-        },
-        |m, rar, cert| m.submit("domain-a", rar, cert),
-        |m| m.wait_completions(1),
-        |m| m.shutdown(),
-    )
-}
-
-/// Minimal blocking HTTP/1.1 GET against a daemon's admin endpoint.
-fn admin_get(addr: std::net::SocketAddr, path: &str) -> Option<(u16, String)> {
-    use std::io::{Read as _, Write as _};
-    let mut stream = std::net::TcpStream::connect(addr).ok()?;
-    stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
-    stream
-        .write_all(
-            format!("GET {path} HTTP/1.1\r\nHost: bbd\r\nConnection: close\r\n\r\n").as_bytes(),
-        )
-        .ok()?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).ok()?;
-    let text = String::from_utf8_lossy(&raw);
-    let (head, body) = text.split_once("\r\n\r\n")?;
-    let status: u16 = head.split_whitespace().nth(1)?.parse().ok()?;
-    Some((status, body.to_string()))
-}
-
-/// Like [`tcp_outcome`], but observed: every daemon hosts its admin
-/// plane, request tracing and the flight recorder are on, and a 10 Hz
-/// scraper hits `/metrics` on all three daemons throughout the run.
-fn tcp_admin_outcome(deny_at: Option<usize>) -> (bool, Vec<(String, u64)>) {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    let registry = Registry::new();
-    let telemetry = Telemetry::with_registry(registry)
-        .with_flight(FlightRecorder::new(FLIGHT_DEFAULT_CAPACITY));
-    let mut policies = HashMap::new();
-    if let Some(i) = deny_at {
-        policies.insert(
-            i,
-            format!(r#"return deny "domain {i} refuses this reservation""#),
-        );
-    }
-    let mut s = build_chain(ChainOptions {
-        policies,
-        telemetry: telemetry.clone(),
-        tracing: true,
-        ..ChainOptions::default()
-    });
-    let domains = s.domains.clone();
-    let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
-    let trace = TraceId::mint(&domains[0], spec.rar_id.0);
-    let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
-    let cert = s.users["alice"].cert.clone();
-
-    let ids = identities(&s);
-    let links: Vec<(String, String)> = s
-        .domains
-        .windows(2)
-        .map(|w| (w[0].clone(), w[1].clone()))
-        .collect();
-    let ca_key = s.ca_key;
-    let mut mesh = TcpMesh::new();
-    mesh.set_telemetry(telemetry);
-    mesh.set_admin(true);
-    mesh.spawn(std::mem::take(&mut s.nodes), ids, &links, ca_key)
-        .expect("loopback mesh comes up");
-    let admin_addrs: Vec<std::net::SocketAddr> = domains
-        .iter()
-        .map(|d| mesh.admin_addr(d).expect("admin plane enabled"))
-        .collect();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let scraper = {
-        let stop = Arc::clone(&stop);
-        let addrs = admin_addrs.clone();
-        std::thread::spawn(move || {
-            let mut scrapes = 0usize;
-            while !stop.load(Ordering::Relaxed) {
-                for addr in &addrs {
-                    let (status, body) = admin_get(*addr, "/metrics").expect("scrape /metrics");
-                    assert_eq!(status, 200, "scrape of {addr} failed");
-                    assert!(
-                        body.contains("# TYPE"),
-                        "exposition from {addr} lacks TYPE lines"
-                    );
-                    scrapes += 1;
-                }
-                std::thread::sleep(Duration::from_millis(100));
-            }
-            scrapes
-        })
-    };
-
-    mesh.submit(&domains[0], rar, cert);
-    let completions = mesh.wait_completions(1);
-    assert_eq!(completions.len(), 1, "one reservation, one completion");
-    let granted = matches!(
-        completions[0].1,
-        Completion::Reservation { result: Ok(_), .. }
-    );
-
-    // The plane answers while the fabric is live: every daemon reports
-    // healthy, and the recorder can replay the request's span timeline.
-    for addr in &admin_addrs {
-        let (status, _) = admin_get(*addr, "/healthz").expect("healthz");
-        assert_eq!(status, 200, "{addr} reported unhealthy");
-    }
-    let (status, body) = admin_get(admin_addrs[0], &format!("/trace/{trace}")).expect("trace dump");
-    assert_eq!(status, 200);
-    assert!(
-        body.contains(r#""label":"submit""#),
-        "trace dump lacks the submit span: {body}"
-    );
-
-    stop.store(true, Ordering::Relaxed);
-    let scrapes = scraper.join().expect("scraper thread survived the run");
-    assert!(
-        scrapes >= domains.len(),
-        "scraper never completed a full pass"
-    );
-
-    let nodes = mesh.shutdown();
-    let per_domain = domains
-        .iter()
-        .map(|d| (d.clone(), nodes[d].core().available_bw_at(Timestamp(10))))
-        .collect();
-    (granted, per_domain)
-}
-
-#[test]
-fn fig2_outcomes_unchanged_under_metrics_scraping() {
-    // Observation must not perturb admission: the fig2 cases produce
-    // byte-identical verdicts and committed bandwidth whether or not
-    // the admin plane is up with a concurrent 10 Hz scraper.
-    for deny_at in [None, Some(1), Some(2)] {
-        let (granted_plain, state_plain) = tcp_outcome(deny_at);
-        let (granted_scraped, state_scraped) = tcp_admin_outcome(deny_at);
-        assert_eq!(
-            granted_plain, granted_scraped,
-            "admission verdict diverged under scraping for deny_at={deny_at:?}"
-        );
-        assert_eq!(
-            state_plain, state_scraped,
-            "committed bandwidth diverged under scraping for deny_at={deny_at:?}"
-        );
-    }
-}
-
+/// All accept, transit denial and destination denial give the same
+/// admission outcome whether frames travel through sockets or are
+/// delivered by `drive::Mesh`, and that reference is checked in absolute
+/// terms: the grant commits, the denials roll back. (The name keeps the
+/// threaded fabric the sockets were first compared against.)
 #[test]
 fn fig2_outcomes_identical_on_tcp_and_actor_mesh() {
-    // The fig2 multi-domain scenario: all-accept, transit denial, and
-    // destination denial must produce byte-identical admission outcomes
-    // whether frames travel through mailboxes or sockets.
-    for deny_at in [None, Some(1), Some(2)] {
-        let (granted_actor, state_actor) = actor_outcome(deny_at);
-        let (granted_tcp, state_tcp) = tcp_outcome(deny_at);
+    for case in &FIG2 {
         assert_eq!(
-            granted_actor, granted_tcp,
-            "admission verdict diverged for deny_at={deny_at:?}"
+            over_tcp(case, Config::PLAIN),
+            case.reference(),
+            "{}",
+            case.name
         );
-        assert_eq!(
-            state_actor, state_tcp,
-            "per-domain committed bandwidth diverged for deny_at={deny_at:?}"
-        );
-        // Sanity on the scenario itself: grants commit, denials roll back.
-        match deny_at {
-            None => {
-                assert!(granted_tcp);
-                for (d, avail) in &state_tcp {
-                    assert_eq!(*avail, 1_000_000_000 - 10 * MBPS, "domain {d}");
-                }
-            }
-            Some(_) => {
-                assert!(!granted_tcp);
-                for (d, avail) in &state_tcp {
-                    assert_eq!(*avail, 1_000_000_000, "no residual holds in {d}");
-                }
-            }
-        }
+    }
+}
+
+/// Observation does not perturb admission: with the admin plane up, a
+/// 10 Hz scraper on every daemon, and the flight recorder replaying the
+/// request's spans, the fig2 outcomes match the unobserved run's.
+#[test]
+fn fig2_outcomes_unchanged_under_metrics_scraping() {
+    let scraped = Config {
+        scraped: true,
+        ..Config::PLAIN
+    };
+    for case in &FIG2 {
+        let plain = over_tcp(case, Config::PLAIN);
+        assert_eq!(over_tcp(case, scraped), plain, "{}", case.name);
+        assert_eq!(plain, case.reference(), "{}", case.name);
     }
 }
 
@@ -303,7 +51,7 @@ fn tunnel_subflow_bursts_complete_over_tcp() {
         sla_rate_bps: 1000 * MBPS,
         ..ChainOptions::default()
     });
-    let ids = identities(&s);
+    let ids = channel_identities(&s);
     let mut links: Vec<(String, String)> = s
         .domains
         .windows(2)
@@ -355,23 +103,15 @@ fn reconnect_recovers_without_losing_reservations() {
         sla_rate_bps: 1000 * MBPS,
         ..ChainOptions::default()
     });
-    let ids = identities(&s);
-    let links: Vec<(String, String)> = s
-        .domains
-        .windows(2)
-        .map(|w| (w[0].clone(), w[1].clone()))
-        .collect();
     let spec1 = s.spec("alice", 1, 5 * MBPS, Timestamp(0), 3600);
     let rar1 = s.users["alice"].sign_request(spec1, &s.nodes[0]);
     let spec2 = s.spec("alice", 2, 5 * MBPS, Timestamp(0), 3600);
     let rar2 = s.users["alice"].sign_request(spec2, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
-    let ca_key = s.ca_key;
 
     let mut mesh = TcpMesh::new();
     mesh.set_telemetry(Telemetry::with_registry(registry.clone()));
-    mesh.spawn(std::mem::take(&mut s.nodes), ids, &links, ca_key)
-        .expect("loopback mesh comes up");
+    let mesh = spawn_chain(&mut s, mesh);
 
     // A reservation completes on the healthy fabric.
     mesh.submit("domain-a", rar1, cert.clone());
@@ -429,12 +169,6 @@ fn sharded_burst_survives_mid_burst_disconnect() {
         sla_rate_bps: 1000 * MBPS,
         ..ChainOptions::default()
     });
-    let ids = identities(&s);
-    let links: Vec<(String, String)> = s
-        .domains
-        .windows(2)
-        .map(|w| (w[0].clone(), w[1].clone()))
-        .collect();
     let n_requests = 64u64;
     let mut rars = Vec::new();
     for i in 0..n_requests {
@@ -442,12 +176,10 @@ fn sharded_burst_survives_mid_burst_disconnect() {
         rars.push(s.users["alice"].sign_request(spec, &s.nodes[0]));
     }
     let cert = s.users["alice"].cert.clone();
-    let ca_key = s.ca_key;
 
     let mut mesh = TcpMesh::new();
     mesh.set_shards(4);
-    mesh.spawn(std::mem::take(&mut s.nodes), ids, &links, ca_key)
-        .expect("loopback mesh comes up");
+    let mesh = spawn_chain(&mut s, mesh);
 
     // The whole burst enters at once, then the fabric is severed while
     // requests are mid-flight — twice, to catch frames at different
@@ -527,12 +259,6 @@ fn metered_chain(
         sla_rate_bps: 1000 * MBPS,
         ..ChainOptions::default()
     });
-    let ids = identities(&s);
-    let links: Vec<(String, String)> = s
-        .domains
-        .windows(2)
-        .map(|w| (w[0].clone(), w[1].clone()))
-        .collect();
     let rars = (0..n)
         .map(|i| {
             let spec = s.spec("alice", 9000 + i, 5 * MBPS, Timestamp(0), 3600);
@@ -540,11 +266,9 @@ fn metered_chain(
         })
         .collect();
     let cert = s.users["alice"].cert.clone();
-    let ca_key = s.ca_key;
     let mut mesh = TcpMesh::new();
     mesh.set_telemetry(Telemetry::with_registry(registry.clone()));
-    mesh.spawn(std::mem::take(&mut s.nodes), ids, &links, ca_key)
-        .expect("loopback mesh comes up");
+    let mesh = spawn_chain(&mut s, mesh);
     // Every session opens with one sync frame from each end.
     eventually("the four syncs are sent", || {
         over_link_ends(&registry, "transport_frames_sent_total") == 4
