@@ -32,7 +32,7 @@ use qos_core::drive::Mesh;
 use qos_core::node::Completion;
 use qos_core::rar::{RarId, ResSpec};
 use qos_core::scenario::{build_as_graph, AsGraphOptions};
-use qos_core::SignalMessage;
+use qos_core::{PeerId, SignalMessage};
 use qos_crypto::Timestamp;
 use qos_net::SimDuration;
 use std::time::Instant;
@@ -55,7 +55,7 @@ fn env_f64(name: &str, default: f64) -> f64 {
 /// to a destination stub.
 struct Tunnel {
     rar: RarId,
-    src: String,
+    src: PeerId,
     dst: String,
 }
 
@@ -137,7 +137,7 @@ fn main() {
         ));
         tunnels.push(Tunnel {
             rar: rar_id,
-            src,
+            src: src.into(),
             dst,
         });
     }
@@ -209,7 +209,7 @@ fn main() {
         let t0 = Instant::now();
         // Source side: admit against the tunnel budget and queue toward
         // the destination, grouped per tunnel: one call per destination.
-        let mut per_tunnel_reqs: Vec<Vec<(String, qos_core::messages::TunnelFlowRequest)>> =
+        let mut per_tunnel_reqs: Vec<Vec<(PeerId, qos_core::messages::TunnelFlowRequest)>> =
             vec![Vec::new(); n_tunnels];
         for e in &batch {
             let t = &tunnels[(e.flow % n_tunnels as u64) as usize];

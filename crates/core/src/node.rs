@@ -1147,7 +1147,7 @@ impl BbNode {
     /// serially, in arrival order, against the shared aggregate budgets.
     pub fn recv_tunnel_flows(
         &mut self,
-        batch: Vec<(String, TunnelFlowRequest)>,
+        batch: Vec<(PeerId, TunnelFlowRequest)>,
     ) -> Vec<(PeerId, SignalMessage)> {
         self.counters.add_rx(batch.len() as u64);
         let mut out = Vec::with_capacity(batch.len());
@@ -1167,7 +1167,7 @@ impl BbNode {
     /// runs serially in arrival order.
     pub fn recv_requests(
         &mut self,
-        batch: Vec<(String, SignedRar)>,
+        batch: Vec<(PeerId, SignedRar)>,
     ) -> Vec<(PeerId, SignalMessage)> {
         if batch.len() < 2 {
             return batch
@@ -1181,7 +1181,7 @@ impl BbNode {
         // with its usual error.
         let pks: Vec<Option<PublicKey>> = batch
             .iter()
-            .map(|(from, _)| self.peers.get(from).map(|c| c.tbs.subject_public_key))
+            .map(|(from, _)| self.peers.get(&**from).map(|c| c.tbs.subject_public_key))
             .collect();
         // The digest the signature is over is the one the verify cache
         // files the envelope under and the RAR memo will ask for again.

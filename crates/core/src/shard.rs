@@ -33,7 +33,7 @@
 
 use crate::envelope::SignedRar;
 use crate::messages::SignalMessage;
-use crate::node::{BbNode, Completion};
+use crate::node::{BbNode, Completion, PeerId};
 use crate::rar::RarId;
 use qos_crypto::{Certificate, DistinguishedName, Timestamp};
 use qos_telemetry::{
@@ -92,8 +92,8 @@ pub enum ShardMsg {
     /// An authenticated peer message (the channel layer vouches for
     /// `from`).
     Peer {
-        /// Sending peer domain.
-        from: String,
+        /// Sending peer domain, interned once per link by the fabric.
+        from: PeerId,
         /// The decoded signalling message.
         msg: Box<SignalMessage>,
         /// Queue-entry time (ns) for queue-wait attribution.
@@ -380,7 +380,7 @@ impl ShardedNode {
     }
 
     /// Enqueue an authenticated peer message.
-    pub fn dispatch_peer(&self, from: String, msg: SignalMessage, enqueued_ns: u64) {
+    pub fn dispatch_peer(&self, from: PeerId, msg: SignalMessage, enqueued_ns: u64) {
         self.dispatch(ShardMsg::Peer {
             from,
             msg: Box::new(msg),
@@ -393,13 +393,13 @@ impl ShardedNode {
     /// queue lock and the doorbell are taken once per run instead of
     /// once per message — and so each shard sees its slice as one
     /// contiguous run its worker can batch-verify.
-    pub fn dispatch_peer_all(&self, from: &str, msgs: Vec<SignalMessage>, enqueued_ns: u64) {
+    pub fn dispatch_peer_all(&self, from: &PeerId, msgs: Vec<SignalMessage>, enqueued_ns: u64) {
         let n = self.inner.shards.len();
         let mut per_shard: Vec<Vec<ShardMsg>> = (0..n).map(|_| Vec::new()).collect();
         for msg in msgs {
             let s = shard_of(msg.rar_id().0, n);
             per_shard[s].push(ShardMsg::Peer {
-                from: from.to_string(),
+                from: PeerId::clone(from),
                 msg: Box::new(msg),
                 enqueued_ns,
             });
@@ -434,7 +434,7 @@ impl ShardedNode {
     /// a shard is kept whichever way consecutive messages go.
     pub fn try_run_peer(
         &self,
-        from: &str,
+        from: PeerId,
         msg: SignalMessage,
         enqueued_ns: u64,
         sink: &dyn ShardSink,
@@ -450,7 +450,7 @@ impl ShardedNode {
             return Err(msg);
         }
         let lone = ShardMsg::Peer {
-            from: from.to_string(),
+            from,
             msg,
             enqueued_ns,
         };
@@ -974,7 +974,10 @@ mod tests {
         let workers_sink = Arc::new(Recorder::default());
         let sharded = without_workers(transit, Arc::clone(&workers_sink));
         let mine = Recorder::default();
-        assert_eq!(sharded.try_run_peer("domain-a", request, 0, &mine), Ok(()));
+        assert_eq!(
+            sharded.try_run_peer("domain-a".into(), request, 0, &mine),
+            Ok(())
+        );
         let delivered = lock(&mine.delivered);
         assert_eq!(delivered.len(), 1, "the request was forwarded");
         assert_eq!(delivered[0].0, "domain-c");
@@ -992,7 +995,7 @@ mod tests {
         // Someone is processing the shard: its node lock is held.
         let held = lock(&sharded.inner.shards[0].state);
         assert_eq!(
-            sharded.try_run_peer("domain-a", request.clone(), 0, &mine),
+            sharded.try_run_peer("domain-a".into(), request.clone(), 0, &mine),
             Err(Box::new(request.clone()))
         );
         drop(held);
@@ -1000,7 +1003,7 @@ mod tests {
         // one now would overtake it.
         sharded.dispatch_peer("domain-a".into(), request, 0);
         assert_eq!(
-            sharded.try_run_peer("domain-c", approval.clone(), 0, &mine),
+            sharded.try_run_peer("domain-c".into(), approval.clone(), 0, &mine),
             Err(Box::new(approval))
         );
         assert!(lock(&mine.delivered).is_empty());
@@ -1022,7 +1025,10 @@ mod tests {
         let (transit, request, approval) = transit_and_its_messages();
         let sink = Arc::new(Recorder::default());
         let sharded = without_workers(transit, Arc::clone(&sink));
-        assert_eq!(sharded.try_run_peer("domain-a", request, 0, &*sink), Ok(()));
+        assert_eq!(
+            sharded.try_run_peer("domain-a".into(), request, 0, &*sink),
+            Ok(())
+        );
         sharded.dispatch_peer("domain-c".into(), approval, 0);
         assert!(run_shard(&sharded.inner, 0, 0, false));
         assert_eq!(sink.log(), in_order);
@@ -1035,7 +1041,7 @@ mod tests {
         let sharded = without_workers(transit, Arc::clone(&sink));
         sharded.dispatch_peer("domain-a".into(), request, 0);
         let approval = sharded
-            .try_run_peer("domain-c", approval, 0, &*sink)
+            .try_run_peer("domain-c".into(), approval, 0, &*sink)
             .expect_err("a message is queued ahead");
         sharded.dispatch_peer("domain-c".into(), *approval, 0);
         assert!(run_shard(&sharded.inner, 0, 0, false));
@@ -1049,7 +1055,7 @@ mod tests {
         sharded.dispatch_peer("domain-a".into(), request, 0);
         assert!(run_shard(&sharded.inner, 0, 0, false));
         assert_eq!(
-            sharded.try_run_peer("domain-c", approval, 0, &*sink),
+            sharded.try_run_peer("domain-c".into(), approval, 0, &*sink),
             Ok(())
         );
         assert_eq!(sink.log(), in_order);
@@ -1074,7 +1080,7 @@ mod tests {
         let transit = build_chain(ChainOptions::default()).nodes.remove(1);
         let sink = Arc::new(Recorder::default());
         let sharded = without_workers(transit, Arc::clone(&sink));
-        sharded.dispatch_peer_all("domain-a", requests, 0);
+        sharded.dispatch_peer_all(&"domain-a".into(), requests, 0);
 
         let mut runs = 0;
         while run_shard(&sharded.inner, 0, 0, false) {

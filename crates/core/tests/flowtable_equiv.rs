@@ -191,7 +191,7 @@ fn run_real(mesh: &mut Mesh, tunnel: RarId, alice: &DistinguishedName, op: &Op) 
                 };
                 let replies = mesh
                     .node_mut("domain-b")
-                    .recv_tunnel_flows(vec![("domain-a".to_string(), req)]);
+                    .recv_tunnel_flows(vec![("domain-a".into(), req)]);
                 for (to, reply) in replies {
                     mesh.node_mut(&to).recv("domain-b", reply);
                 }
@@ -318,9 +318,9 @@ fn expiry_fires_in_hold_order_under_manual_clock() {
             .iter()
             .any(|c| matches!(c, Completion::TunnelFlow { accepted: true, .. })));
     };
-    fn msg_flow(msg: SignalMessage) -> (String, qos_core::messages::TunnelFlowRequest) {
+    fn msg_flow(msg: SignalMessage) -> (qos_core::PeerId, qos_core::messages::TunnelFlowRequest) {
         match msg {
-            SignalMessage::TunnelFlow(req) => ("domain-a".to_string(), req),
+            SignalMessage::TunnelFlow(req) => ("domain-a".into(), req),
             other => panic!("expected a tunnel flow request, got {other:?}"),
         }
     }

@@ -1,6 +1,7 @@
-//! The bytes one granted reservation feeds to SHA-256, counted — alone in
-//! its own test binary, because `sha256::hashed_bytes()` is a process-wide
-//! counter like the caches beside it.
+//! The bytes one granted reservation feeds to SHA-256, counted by
+//! `sha256::hashed_bytes()`, the calling thread's count: the walk below
+//! carries every message from broker to broker on the test's own thread,
+//! so nothing another test hashes meanwhile is counted with it.
 //!
 //! Signing is hash-then-sign (DESIGN.md §D21) over a chained digest
 //! (§D22): a hop hashes the message it received once — every layer's

@@ -762,14 +762,14 @@ fn batched_ingress_matches_serial_processing() {
 
     // Forward the surviving requests to the next hop, again batched
     // versus serial, plus one request from an unpinned peer (denied).
-    let reqs = |out: &[(qos_core::PeerId, SignalMessage)]| -> Vec<(String, qos_core::SignedRar)> {
+    let reqs = |out: &[(qos_core::PeerId, SignalMessage)]| -> Vec<(qos_core::PeerId, qos_core::SignedRar)> {
         let rar_of = |m: &SignalMessage| match m {
             SignalMessage::Request(r) => r.clone(),
             other => panic!("unexpected {other:?}"),
         };
         out.iter()
-            .map(|(_, m)| ("domain-a".to_string(), rar_of(m)))
-            .chain(std::iter::once(("nowhere".to_string(), rar_of(&out[0].1))))
+            .map(|(_, m)| ("domain-a".into(), rar_of(m)))
+            .chain(std::iter::once(("nowhere".into(), rar_of(&out[0].1))))
             .collect()
     };
     let serial_fwd = reqs(&serial_out);
@@ -838,7 +838,7 @@ fn tunnel_subflow_from_a_non_source_peer_is_refused() {
     let refused = ("domain-b".to_string(), false, DenialCode::NotTunnelSource);
     let out = c.recv("domain-b", SignalMessage::TunnelFlow(req.clone()));
     assert_eq!(reply_to(&out), refused);
-    let out = c.recv_tunnel_flows(vec![("domain-b".to_string(), req.clone())]);
+    let out = c.recv_tunnel_flows(vec![("domain-b".into(), req.clone())]);
     assert_eq!(reply_to(&out), refused);
     assert_eq!(c.held_flow_stats().0, 1, "nothing admitted");
     // The same request over the source's channel takes the rest of the

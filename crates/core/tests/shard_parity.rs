@@ -6,7 +6,7 @@
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use qos_core::node::{BbNode, Completion};
 use qos_core::scenario::{build_chain, ChainOptions};
-use qos_core::{ShardSink, ShardedNode, SignalMessage};
+use qos_core::{PeerId, ShardSink, ShardedNode, SignalMessage};
 use qos_crypto::{Certificate, Timestamp};
 use qos_telemetry::{render_prometheus, Registry, Telemetry};
 use std::collections::{HashMap, VecDeque};
@@ -16,7 +16,7 @@ use std::time::Duration;
 const MBPS: u64 = 1_000_000;
 
 /// An in-flight delivery: (from, to, message).
-type Delivery = (String, String, SignalMessage);
+type Delivery = (PeerId, String, SignalMessage);
 /// 20 Mb/s SLA and six 5 Mb/s requests: four grants, two denials, so
 /// the comparison covers holds, commits, rollback, and denial counters.
 const SLA_BPS: u64 = 20 * MBPS;
@@ -69,12 +69,12 @@ fn drive_plain(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<String, Bb
         .collect();
 
     let mut completions = Vec::new();
-    let mut queue: VecDeque<(String, String, SignalMessage)> = VecDeque::new();
+    let mut queue: VecDeque<Delivery> = VecDeque::new();
     let route = |node: &mut BbNode,
-                 out: Vec<(qos_core::PeerId, SignalMessage)>,
-                 queue: &mut VecDeque<(String, String, SignalMessage)>,
+                 out: Vec<(PeerId, SignalMessage)>,
+                 queue: &mut VecDeque<Delivery>,
                  completions: &mut Vec<Completion>| {
-        let from = node.domain().to_string();
+        let from = PeerId::from(node.domain());
         for (to, msg) in out {
             if !to.starts_with("user:") {
                 queue.push_back((from.clone(), to.to_string(), msg));
@@ -104,7 +104,7 @@ fn drive_plain(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<String, Bb
 /// re-enter dispatch, so routing happens outside the worker).
 struct ChanSink {
     domain: String,
-    deliveries: Sender<(String, String, SignalMessage)>,
+    deliveries: Sender<Delivery>,
     completions: Sender<Completion>,
 }
 
@@ -113,7 +113,7 @@ impl ShardSink for ChanSink {
         if !to.starts_with("user:") {
             let _ = self
                 .deliveries
-                .send((self.domain.clone(), to.to_string(), msg));
+                .send((self.domain.as_str().into(), to.to_string(), msg));
         }
     }
     fn complete(&self, completion: Completion) {

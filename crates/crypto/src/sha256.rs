@@ -14,8 +14,6 @@
 //! fallback everywhere else and the reference the hardware path is
 //! tested against.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;
 
@@ -37,14 +35,17 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-/// Process-wide count of bytes fed to [`Sha256::update`] (one relaxed add
-/// per call, beside `schnorr::{sign_ops, verify_ops}`): what a protocol
-/// exchange hashed, whoever asked for it. Padding is not counted.
-static HASHED_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's count of bytes fed to [`Sha256::update`]: what a
+    /// protocol exchange walked on one thread hashed, whoever asked for
+    /// it. Padding is not counted. Per thread, so the reactor and shard
+    /// threads that seal, open and digest share no cache line for it.
+    static HASHED_BYTES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
-/// Total bytes hashed in this process so far.
+/// Total bytes hashed on the calling thread so far.
 pub fn hashed_bytes() -> u64 {
-    HASHED_BYTES.load(Ordering::Relaxed)
+    HASHED_BYTES.with(std::cell::Cell::get)
 }
 
 /// Incremental SHA-256 hasher.
@@ -75,7 +76,7 @@ impl Sha256 {
 
     /// Absorb `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
-        HASHED_BYTES.fetch_add(data.len() as u64, Ordering::Relaxed);
+        HASHED_BYTES.with(|n| n.set(n.get() + data.len() as u64));
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut data = data;
         if self.buf_len > 0 {

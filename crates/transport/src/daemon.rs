@@ -170,7 +170,7 @@ impl LinkInstruments {
             ),
             dropped: telemetry.counter(
                 "transport_frames_dropped_total",
-                "Outbound frames dropped for exceeding the frame ceiling",
+                "Outbound messages dropped unsealed for exceeding the frame ceiling",
                 l,
             ),
             rejected: telemetry.counter(
@@ -190,12 +190,12 @@ impl LinkInstruments {
             ),
             write_batch_frames: telemetry.histogram(
                 "transport_write_batch_frames",
-                "Frames carried by one coalesced socket write",
+                "Messages in one popped write batch; its unnumbered ones share one sealed frame",
                 l,
             ),
             writes_coalesced: telemetry.counter(
                 "transport_writes_coalesced_total",
-                "Socket writes that carried more than one frame",
+                "Popped write batches that carried more than one message",
                 l,
             ),
             retransmits: telemetry.counter(

@@ -59,6 +59,12 @@ impl TcpMesh {
         self.options.shards = shards.max(1);
     }
 
+    /// Set every daemon's frame-size ceiling
+    /// ([`TransportOptions::max_frame`]). Call before [`TcpMesh::spawn`].
+    pub fn set_max_frame(&mut self, max_frame: usize) {
+        self.options.max_frame = max_frame;
+    }
+
     /// Give every daemon an admin-plane listener on `127.0.0.1:0`
     /// (addresses via [`TcpMesh::admin_addr`]). Call before
     /// [`TcpMesh::spawn`].

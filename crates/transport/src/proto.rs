@@ -75,6 +75,10 @@ qos_wire::impl_wire_enum!(PeerMsg {
 /// path peeks it before the borrowed `SealedRef` parse.
 pub(crate) const FRAME_TAG: u8 = 2;
 
+/// What [`encode_sealed_frame_into`] adds around a payload: the tag, the
+/// payload length, the seq and the MAC.
+pub(crate) const SEAL_OVERHEAD: usize = 1 + 4 + 8 + 32;
+
 /// Append the canonical encoding of `PeerMsg::Frame(Sealed { payload,
 /// seq, mac })` to `out` without materialising a `Sealed` (DESIGN.md
 /// §D15: the write path seals in place, so the payload is borrowed and
@@ -124,6 +128,7 @@ mod tests {
             let mut hand = Vec::new();
             encode_sealed_frame_into(&mut hand, &payload, seq, &mac);
             assert_eq!(hand, canonical);
+            assert_eq!(hand.len(), payload.len() + SEAL_OVERHEAD);
         }
     }
 

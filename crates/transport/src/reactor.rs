@@ -50,7 +50,7 @@ use crate::admin::AdminState;
 use crate::backoff::Backoff;
 use crate::daemon::{Link, LinkWatch, TcpSink, TransportOptions};
 use crate::frame::PooledFrameDecoder;
-use crate::proto::{encode_sealed_frame_into, FRAME_TAG};
+use crate::proto::{encode_sealed_frame_into, FRAME_TAG, SEAL_OVERHEAD};
 use crate::resume::{ResumeTicket, TicketIssuer};
 use crate::session::{
     establish_initiator_resumable, establish_responder_resumable, HandshakeKind, Session,
@@ -60,12 +60,13 @@ use mio::{Events, Interest, Poll, Token, Waker};
 use qos_core::channel::{ChannelIdentity, OpenHalf, PeerPin, SealHalf, SealedRef};
 use qos_core::messages::SignalMessage;
 use qos_core::shard::ShardedNode;
+use qos_core::PeerId;
 use qos_crypto::DistinguishedName;
 use qos_telemetry::admin::{parse_request, render_response_into, HttpError};
 use qos_telemetry::{
     Counter, EventFamily, FlightEvent, FlightRecorder, Gauge, Histogram, StdClock, Telemetry,
 };
-use qos_wire::BufferPool;
+use qos_wire::{BufferPool, Decode};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -109,14 +110,18 @@ const ACK_DEBT_MAX: usize = 32;
 /// replayed at most the last `ACK_DELAY` of traffic.
 const ACK_DELAY: Duration = Duration::from_millis(5);
 
-/// Sealed-plaintext tag: a signalling payload behind its reliability
-/// header, `[tag][u64 index][u64 ack][message]` — the frame's per-link
-/// delivery index and the sender's cumulative ack for the opposite
-/// direction. The reactor fills both fields when it seals
-/// ([`LinkReliability::stamp`]).
+/// Sealed-plaintext tag: signalling messages behind one reliability
+/// header, `[tag][u64 index][u64 ack][message][message]…` — the frame's
+/// per-link delivery index and the sender's cumulative ack for the
+/// opposite direction. The reactor fills both fields when it seals
+/// ([`LinkReliability::stamp`]); the sink queues one message per frame
+/// and the reactor merges a write batch's into one ([`merge_batch`]).
 const FRAME_DATA: u8 = 0;
 /// Length of a data frame's reliability header.
 const DATA_HEADER: usize = 17;
+/// Largest plaintext a merged data frame grows to (DESIGN.md §D25): a
+/// quarter of a pooled read chunk, ~230 sub-flows or 12 requests.
+const MERGE_CAP: usize = 16 * 1024;
 /// The index field of a data frame no connection has sealed yet. Never
 /// on the wire: a received frame carrying it is rejected.
 const UNNUMBERED: u64 = u64::MAX;
@@ -176,7 +181,7 @@ pub(crate) enum Inbound<'a> {
     /// A retransmit of the data frame with this index, which the shards
     /// already have: dropped.
     Duplicate(u64),
-    /// A new data frame: the encoded signalling message it carries.
+    /// A new data frame: the encoded signalling messages it carries.
     Data(&'a [u8]),
     /// Shorter than its header, or an unknown tag: the connection dies.
     Reject,
@@ -330,6 +335,30 @@ pub(crate) fn data_frame(msg: &SignalMessage) -> Vec<u8> {
     out
 }
 
+/// Merge a popped write batch for sealing (DESIGN.md §D25): each run of
+/// consecutive unnumbered data frames becomes one frame, no larger than
+/// `cap` unless a single message is. A numbered frame — back from a dead
+/// connection with the index it was first sealed under — goes alone and
+/// untouched: a retransmit is the frame the peer may already have.
+fn merge_batch(batch: Vec<Vec<u8>>, cap: usize) -> Vec<Vec<u8>> {
+    let mut out: Vec<Vec<u8>> = Vec::with_capacity(batch.len());
+    // The last frame of `out` is unnumbered and may take more.
+    let mut open = false;
+    for plaintext in batch {
+        let fresh = le_u64(&plaintext[1..9]) == UNNUMBERED;
+        match out.last_mut() {
+            Some(last) if open && fresh && last.len() + plaintext.len() - DATA_HEADER <= cap => {
+                last.extend_from_slice(&plaintext[DATA_HEADER..]);
+            }
+            _ => {
+                open = fresh;
+                out.push(plaintext);
+            }
+        }
+    }
+    out
+}
+
 fn ack_frame(rx_next: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(9);
     out.push(FRAME_ACK);
@@ -381,7 +410,9 @@ struct Inflight {
 
 /// One live peering connection owned by the reactor.
 struct Conn {
-    peer: String,
+    /// The peer's domain, interned once per session: every message the
+    /// connection delivers to the shards carries a clone of it.
+    peer: PeerId,
     stream: TcpStream,
     fd: RawFd,
     seal: SealHalf,
@@ -1075,7 +1106,7 @@ impl Reactor {
     /// The cumulative ack a standalone frame on `token`'s connection
     /// carries now; its link's debt is settled and the frame counted.
     fn standalone_ack(&mut self, token: usize) -> u64 {
-        let peer = self.conns[&token].peer.as_str();
+        let peer = &*self.conns[&token].peer;
         self.links[peer].ins.acks_standalone.inc();
         self.reliable
             .get_mut(peer)
@@ -1318,7 +1349,7 @@ impl Reactor {
         self.conns.insert(
             token,
             Conn {
-                peer: peer.clone(),
+                peer: PeerId::from(peer.as_str()),
                 stream,
                 fd,
                 seal,
@@ -1352,13 +1383,11 @@ impl Reactor {
             return;
         };
         let _ = self.poll.deregister(conn.fd);
-        if self.by_peer.get(&conn.peer) == Some(&token) {
-            self.by_peer.remove(&conn.peer);
+        let peer = &*conn.peer;
+        if self.by_peer.get(peer) == Some(&token) {
+            self.by_peer.remove(peer);
         }
-        if let (Some(link), Some(rel)) = (
-            self.links.get(&conn.peer),
-            self.reliable.get_mut(&conn.peer),
-        ) {
+        if let (Some(link), Some(rel)) = (self.links.get(peer), self.reliable.get_mut(peer)) {
             self.watch.set_connected(link, false);
             // Retransmit set, oldest first: every accepted frame the
             // peer has not acknowledged (it may have died before
@@ -1373,12 +1402,8 @@ impl Reactor {
             if !requeue.is_empty() {
                 if let Some(flight) = &self.flight {
                     flight.record(
-                        FlightEvent::new(
-                            EventFamily::Retransmit,
-                            self.domain.clone(),
-                            conn.peer.clone(),
-                        )
-                        .detail(format!("{} unacked frames re-queued", requeue.len())),
+                        FlightEvent::new(EventFamily::Retransmit, self.domain.clone(), peer)
+                            .detail(format!("{} unacked frames re-queued", requeue.len())),
                     );
                 }
             }
@@ -1396,7 +1421,7 @@ impl Reactor {
         if conn.dialed {
             // An established link that died redials at once; backoff
             // only grows while attempts themselves fail.
-            if let Some(d) = self.dials.get_mut(&conn.peer) {
+            if let Some(d) = self.dials.get_mut(peer) {
                 if !d.connecting {
                     d.retry_at = Some(Instant::now());
                 }
@@ -1419,7 +1444,7 @@ impl Reactor {
     fn conn_read(&mut self, token: usize, lone: bool) -> bool {
         let mut msgs: Vec<SignalMessage> = Vec::new();
         let mut alive = self.read_frames(token, &mut msgs);
-        let peer = self.conns[&token].peer.as_str();
+        let peer = &self.conns[&token].peer;
         let now = StdClock::now();
         // A message that arrived alone is run here and now if its shard
         // is idle: nothing could be batch-verified with it, and the
@@ -1427,7 +1452,10 @@ impl Reactor {
         // wait in the link queues for the sweep this iteration ends in.
         if lone && msgs.len() == 1 {
             let msg = msgs.pop().expect("one message");
-            if let Err(msg) = self.sharded.try_run_peer(peer, msg, now, &self.inline_sink) {
+            if let Err(msg) =
+                self.sharded
+                    .try_run_peer(PeerId::clone(peer), msg, now, &self.inline_sink)
+            {
                 msgs.push(*msg);
             }
         }
@@ -1437,7 +1465,7 @@ impl Reactor {
             // frame.
             self.sharded.dispatch_peer_all(peer, msgs, now);
         }
-        if alive && self.reliable[peer].debt_full() {
+        if alive && self.reliable[&**peer].debt_full() {
             // More is owed than may wait for a data frame to carry it.
             let ack = ack_frame(self.standalone_ack(token));
             alive = self.queue_control(token, ack);
@@ -1449,17 +1477,18 @@ impl Reactor {
     /// (DESIGN.md §D15): the socket reads directly into a pooled chunk,
     /// each completed frame is a borrowed slice, the `PeerMsg::Frame`
     /// wrapper parses by reference ([`SealedRef`]), the MAC verifies in
-    /// place, and only a new data frame's message is copied out (it must
-    /// outlive this sweep to cross the shard queues). Returns false when
-    /// the connection is dead (EOF, I/O error, or a protocol violation);
-    /// frames decoded before the failure are still delivered by the
-    /// caller.
+    /// place, and only a new data frame's messages are copied out, once
+    /// into one shared buffer they all decode from (they must outlive
+    /// this sweep to cross the shard queues; DESIGN.md §D25). Returns
+    /// false when the connection is dead (EOF, I/O error, or a protocol
+    /// violation); frames decoded before the failure are still delivered
+    /// by the caller, and a frame's messages go all or none.
     fn read_frames(&mut self, token: usize, msgs: &mut Vec<SignalMessage>) -> bool {
         let conn = self.conns.get_mut(&token).expect("conn_read on live conn");
-        let link = &self.links[conn.peer.as_str()];
+        let link = &self.links[&*conn.peer];
         let rel = self
             .reliable
-            .get_mut(conn.peer.as_str())
+            .get_mut(&*conn.peer)
             .expect("every link has delivery state");
         let now = Instant::now();
         let open = &mut conn.open;
@@ -1518,7 +1547,7 @@ impl Reactor {
                                 FlightEvent::new(
                                     EventFamily::DuplicateDrop,
                                     self.domain.clone(),
-                                    conn.peer.clone(),
+                                    &*conn.peer,
                                 )
                                 .detail(format!("retransmit of delivered frame {index}")),
                             );
@@ -1531,11 +1560,20 @@ impl Reactor {
                         return false;
                     }
                 };
-                let Ok(msg) = qos_wire::from_bytes_shared::<SignalMessage>(&body.into()) else {
-                    ins.rejected.inc();
-                    return false;
-                };
-                msgs.push(msg);
+                let body: Arc<[u8]> = body.into();
+                let mut r = qos_wire::Reader::new_shared(&body);
+                let delivered = msgs.len();
+                loop {
+                    let Ok(msg) = SignalMessage::decode(&mut r) else {
+                        msgs.truncate(delivered);
+                        ins.rejected.inc();
+                        return false;
+                    };
+                    msgs.push(msg);
+                    if r.remaining() == 0 {
+                        break;
+                    }
+                }
             }
             if n < cap {
                 return true; // short read: the socket is drained
@@ -1545,8 +1583,10 @@ impl Reactor {
     }
 
     /// Seal every waiting outbound frame (up to the buffer high-water
-    /// mark) link by link, then flush.
+    /// mark) link by link, then flush. A popped batch's unnumbered
+    /// messages are sealed as one frame ([`merge_batch`]).
     fn sweep_outbound(&mut self) {
+        let cap = MERGE_CAP.min(self.options.max_frame.saturating_sub(SEAL_OVERHEAD));
         // Every connected peer has a link; walking the shared link table
         // borrows nothing of `self`, so no list of peers is built per
         // iteration of the event loop.
@@ -1577,7 +1617,15 @@ impl Reactor {
                     if batch.len() > 1 {
                         link.ins.writes_coalesced.inc();
                     }
-                    for mut plaintext in batch {
+                    for mut plaintext in merge_batch(batch, cap) {
+                        if plaintext.len() + SEAL_OVERHEAD > self.options.max_frame {
+                            // A message no frame can carry (never a
+                            // protocol message): dropped before it takes
+                            // a delivery index or a seal sequence number,
+                            // so the link goes on without it.
+                            link.ins.dropped.inc();
+                            continue;
+                        }
                         // Only data frames pass through the queue.
                         // Number and ack, then the in-place seal
                         // (DESIGN.md §D15): MAC over the queued
@@ -1588,12 +1636,6 @@ impl Reactor {
                         let (seq, mac) = conn.seal.seal_in_place(&plaintext);
                         self.scratch.clear();
                         encode_sealed_frame_into(&mut self.scratch, &plaintext, seq, &mac);
-                        if self.scratch.len() > self.options.max_frame {
-                            // Cannot happen for protocol messages; never
-                            // put an oversized frame on the wire.
-                            link.ins.dropped.inc();
-                            continue;
-                        }
                         conn.outbuf
                             .extend_from_slice(&(self.scratch.len() as u32).to_le_bytes());
                         conn.outbuf.extend_from_slice(&self.scratch);
@@ -1657,10 +1699,10 @@ impl Reactor {
                 Err(_) => return false,
             }
         }
-        let ins = &self.links[&conn.peer].ins;
+        let ins = &self.links[&*conn.peer].ins;
         let rel = self
             .reliable
-            .get_mut(&conn.peer)
+            .get_mut(&*conn.peer)
             .expect("every link has delivery state");
         while let Some(front) = conn.inflight.front() {
             if front.end > conn.written {
@@ -1975,12 +2017,14 @@ mod tests {
             self.inflight.push_back(sync);
         }
 
-        /// `sweep_outbound`, up to `max` frames.
+        /// `sweep_outbound`: one batch of up to `max` queued frames,
+        /// merged at most three messages to a frame.
         fn seal(&mut self, max: usize) {
             if !self.rel.may_send() || max == 0 {
                 return;
             }
-            for mut frame in self.queue.try_pop_batch(max).expect("open queue") {
+            let batch = self.queue.try_pop_batch(max).expect("open queue");
+            for mut frame in merge_batch(batch, DATA_HEADER + 3 * 4) {
                 self.rel.stamp(&mut frame);
                 self.inflight.push_back(frame);
             }
@@ -2009,9 +2053,10 @@ mod tests {
             for _ in 0..max.min(wire.len()) {
                 let frame = wire.pop_front().expect("counted");
                 match self.rel.accept(&frame, Instant::now()) {
-                    Inbound::Data(body) => self
-                        .delivered
-                        .push(u32::from_le_bytes(body.try_into().expect("4-byte id"))),
+                    Inbound::Data(body) => self.delivered.extend(
+                        body.chunks_exact(4)
+                            .map(|id| u32::from_le_bytes(id.try_into().expect("4 bytes"))),
+                    ),
                     Inbound::Control | Inbound::Duplicate(_) => {}
                     Inbound::Reject => panic!("a well-formed frame was rejected"),
                 }
@@ -2100,16 +2145,19 @@ mod tests {
         }
     }
 
-    /// Move 2: the index is given where the frame is sealed, once.
+    /// Move 2: the index is given where the frame is sealed, once, and
+    /// a batch's messages share it.
     #[test]
     fn the_reactor_numbers_a_frame_the_first_time_it_seals_it() {
         let mut pair = Pair::new();
         pair.quiesce(); // the syncs
-        for id in 0..4 {
+        for id in 0..6 {
             pair.ends[0].enqueue(id);
         }
-        // Two are sealed; the socket accepts one of them, which the
-        // peer never reads. Two wait in the queue, unnumbered.
+        // Two batches of two are sealed, a frame each; the socket
+        // accepts the first, which the peer never reads. Two messages
+        // wait in the queue, unnumbered.
+        pair.ends[0].seal(2);
         pair.ends[0].seal(2);
         pair.flush(0, 1);
         assert_eq!(pair.ends[0].rel.tx_next, 2);
@@ -2122,10 +2170,70 @@ mod tests {
         for frame in requeued.into_iter().rev() {
             pair.ends[0].queue.push_front(frame);
         }
+        // One batch takes all four: the numbered frames go again alone
+        // and as they were, the two fresh messages share a new index.
         pair.quiesce();
-        assert_eq!(pair.sent_indices[0], [0, 0, 1, 2, 3], "never decreasing");
-        assert_eq!(pair.ends[1].delivered, [0, 1, 2, 3]);
-        assert_eq!(pair.ends[0].rel.tx_next, 4);
+        assert_eq!(pair.sent_indices[0], [0, 0, 1, 2], "never decreasing");
+        assert_eq!(pair.ends[1].delivered, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(pair.ends[0].rel.tx_next, 3);
+    }
+
+    /// Split `merged` back into runs of `batch`, checking that each
+    /// frame is a numbered frame of the batch untouched, or the header
+    /// of an unnumbered one followed by the bodies of a consecutive run
+    /// of unnumbered ones. Returns each frame's run length.
+    fn runs(batch: &[Vec<u8>], merged: &[Vec<u8>]) -> Result<Vec<usize>, TestCaseError> {
+        let mut input = batch.iter();
+        let mut lens = Vec::new();
+        for frame in merged {
+            let first = input
+                .next()
+                .ok_or(TestCaseError::fail("a frame from nothing"))?;
+            prop_assert_eq!(&frame[..DATA_HEADER], &first[..DATA_HEADER]);
+            let mut body = first[DATA_HEADER..].to_vec();
+            let mut n = 1;
+            while body.len() < frame.len() - DATA_HEADER {
+                let next = input
+                    .next()
+                    .ok_or(TestCaseError::fail("bytes from nowhere"))?;
+                prop_assert_eq!(index_of(first), UNNUMBERED, "a numbered frame merged");
+                prop_assert_eq!(index_of(next), UNNUMBERED, "a numbered frame merged");
+                body.extend_from_slice(&next[DATA_HEADER..]);
+                n += 1;
+            }
+            prop_assert_eq!(&frame[DATA_HEADER..], &body[..]);
+            lens.push(n);
+        }
+        prop_assert!(input.next().is_none(), "a message was lost");
+        Ok(lens)
+    }
+
+    proptest! {
+        /// Any batch of numbered and unnumbered frames with bodies of
+        /// any size, merged under any cap: every body comes out once, in
+        /// order and byte-identical; a numbered frame alone and as it
+        /// was; no merged frame over the cap; a message over the cap
+        /// alone.
+        #[test]
+        fn merging_keeps_every_message_in_order_and_no_frame_over_the_cap(
+            batch in proptest::collection::vec(
+                (any::<bool>(), proptest::collection::vec(any::<u8>(), 1..120)),
+                0..64,
+            ),
+            cap in DATA_HEADER..DATA_HEADER + 400,
+        ) {
+            let batch: Vec<Vec<u8>> = batch
+                .into_iter()
+                .enumerate()
+                .map(|(i, (numbered, body))| {
+                    if numbered { data(i as u64, 0, &body) } else { queued(&body) }
+                })
+                .collect();
+            let merged = merge_batch(batch.clone(), cap);
+            for (frame, n) in merged.iter().zip(runs(&batch, &merged)?) {
+                prop_assert!(frame.len() <= cap || n == 1, "{} bytes merged", frame.len());
+            }
+        }
     }
 
     proptest! {

@@ -9,7 +9,7 @@ use integration_tests::{build_chain, channel_identities, spawn_chain, ChainOptio
 use qos_core::node::Completion;
 use qos_crypto::Timestamp;
 use qos_telemetry::{Registry, Telemetry};
-use qos_transport::TcpMesh;
+use qos_transport::{TcpMesh, MAX_FRAME_LEN};
 use std::time::{Duration, Instant};
 
 /// All accept, transit denial and destination denial give the same
@@ -45,8 +45,15 @@ fn fig2_outcomes_unchanged_under_metrics_scraping() {
     }
 }
 
-#[test]
-fn tunnel_subflow_bursts_complete_over_tcp() {
+/// A 3-domain chain plus the direct `a↔c` channel tunnel sub-flows
+/// run on, over daemons with frames of at most `max_frame` bytes, and an
+/// established a-to-c tunnel of `mbps` Mb/s: the mesh, the tunnel, and
+/// the user entitled to open sub-flows in it.
+fn tunnel_mesh(
+    registry: &std::sync::Arc<Registry>,
+    max_frame: usize,
+    mbps: u64,
+) -> (TcpMesh, qos_core::rar::RarId, qos_crypto::DistinguishedName) {
     let mut s = build_chain(ChainOptions {
         sla_rate_bps: 1000 * MBPS,
         ..ChainOptions::default()
@@ -62,7 +69,7 @@ fn tunnel_subflow_bursts_complete_over_tcp() {
     links.push((s.domains[0].clone(), s.domains[2].clone()));
 
     let spec = s
-        .spec("alice", 7000, 50 * MBPS, Timestamp(0), 3600)
+        .spec("alice", 7000, mbps * MBPS, Timestamp(0), 3600)
         .as_tunnel();
     let tunnel = spec.rar_id;
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
@@ -71,6 +78,8 @@ fn tunnel_subflow_bursts_complete_over_tcp() {
     let ca_key = s.ca_key;
 
     let mut mesh = TcpMesh::new();
+    mesh.set_telemetry(Telemetry::with_registry(registry.clone()));
+    mesh.set_max_frame(max_frame);
     mesh.spawn(std::mem::take(&mut s.nodes), ids, &links, ca_key)
         .expect("loopback mesh comes up");
     mesh.submit("domain-a", rar, cert);
@@ -79,7 +88,19 @@ fn tunnel_subflow_bursts_complete_over_tcp() {
         done[0].1,
         Completion::Reservation { result: Ok(_), .. }
     ));
+    (mesh, tunnel, alice)
+}
 
+/// A per-link counter of the `domain` end of its link to `peer`.
+fn at(registry: &Registry, family: &str, domain: &str, peer: &str) -> u64 {
+    registry
+        .counter_value(family, &[("domain", domain), ("peer", peer)])
+        .unwrap_or(0)
+}
+
+#[test]
+fn tunnel_subflow_bursts_complete_over_tcp() {
+    let (mesh, tunnel, alice) = tunnel_mesh(&Registry::new(), MAX_FRAME_LEN, 50);
     for flow in 1..=6u64 {
         mesh.tunnel_flow("domain-a", tunnel, flow, 10 * MBPS, alice.clone());
     }
@@ -93,6 +114,103 @@ fn tunnel_subflow_bursts_complete_over_tcp() {
         accepted, 5,
         "five 10 Mb/s sub-flows fill the 50 Mb/s tunnel"
     );
+    mesh.shutdown();
+}
+
+/// A write batch is one frame: a burst of 256 sub-flows crosses the
+/// direct `a↔c` link in at most 32 data frames each way (eight sub-flows
+/// or replies to a frame on average), and every flow completes once.
+#[test]
+fn a_subflow_burst_shares_frames_and_completes_every_flow_once() {
+    let registry = Registry::new();
+    let (mesh, tunnel, alice) = tunnel_mesh(&registry, MAX_FRAME_LEN, 300);
+    let data = |domain: &str, peer: &str| {
+        at(&registry, "transport_frames_sent_total", domain, peer)
+            - at(&registry, "transport_acks_standalone_total", domain, peer)
+    };
+    let before = [data("domain-a", "domain-c"), data("domain-c", "domain-a")];
+
+    for flow in 1..=256u64 {
+        mesh.tunnel_flow("domain-a", tunnel, flow, MBPS, alice.clone());
+    }
+    let mut flows: Vec<u64> = mesh
+        .wait_completions(256)
+        .into_iter()
+        .map(|(_, c)| match c {
+            Completion::TunnelFlow {
+                flow,
+                accepted: true,
+                ..
+            } => flow,
+            other => panic!("not an admitted sub-flow: {other:?}"),
+        })
+        .collect();
+    flows.sort_unstable();
+    assert_eq!(flows, (1..=256).collect::<Vec<u64>>());
+
+    // A frame is counted after the write that sends it.
+    std::thread::sleep(4 * ACK_DELAY);
+    let sent = [
+        data("domain-a", "domain-c") - before[0],
+        data("domain-c", "domain-a") - before[1],
+    ];
+    println!("data frames per 256 sub-flows, a→c and c→a: {sent:?}");
+    assert!(
+        sent.iter().all(|&n| (1..=256 / 8).contains(&n)),
+        "data frames a→c, c→a: {sent:?}"
+    );
+    mesh.shutdown();
+}
+
+/// A message too large for any frame is dropped before it is numbered
+/// or sealed: the link's delivery index and seal sequence go on unbroken,
+/// so the next message is delivered on the same session.
+#[test]
+fn an_oversized_message_is_dropped_and_the_link_goes_on() {
+    let registry = Registry::new();
+    let (mesh, tunnel, alice) = tunnel_mesh(&registry, 4096, 50);
+    let reconnects = || {
+        at(
+            &registry,
+            "transport_reconnects_total",
+            "domain-a",
+            "domain-c",
+        ) + at(
+            &registry,
+            "transport_reconnects_total",
+            "domain-c",
+            "domain-a",
+        )
+    };
+    assert_eq!(reconnects(), 0);
+
+    // A sub-flow request naming a 5000-byte requestor cannot fit.
+    let huge = qos_crypto::DistinguishedName::user(&"x".repeat(5000), "Example");
+    mesh.tunnel_flow("domain-a", tunnel, 1, MBPS, huge);
+    mesh.tunnel_flow("domain-a", tunnel, 2, MBPS, alice);
+    let done = mesh.wait_completions(1);
+    assert!(
+        matches!(
+            done[0].1,
+            Completion::TunnelFlow {
+                flow: 2,
+                accepted: true,
+                ..
+            }
+        ),
+        "{:?}",
+        done[0].1
+    );
+    assert_eq!(
+        at(
+            &registry,
+            "transport_frames_dropped_total",
+            "domain-a",
+            "domain-c"
+        ),
+        1
+    );
+    assert_eq!(reconnects(), 0, "the link survived the drop");
     mesh.shutdown();
 }
 
