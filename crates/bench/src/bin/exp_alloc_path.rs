@@ -1,18 +1,19 @@
 //! EXP-ALLOC — what a first-sight admission allocates on the one path a
-//! frame takes through a broker (D15, D18, D19), measured with a
+//! frame takes through a broker (D15, D18, D19, D26), measured with a
 //! counting global allocator.
 //!
 //! Two claims, each a hard gate (non-zero exit on failure, CI
 //! enforces):
 //!
 //! 1. **Allocation churn** — one admission round trip of a reservation
-//!    the destination has never seen, driven through the pipeline the
-//!    reactor runs (pooled frame decode → borrowed `SealedRef` parse →
-//!    `open_in_place` → delivery index → shared-buffer `SignalMessage`
-//!    decode → `BbNode::recv` with full verification → `seal_in_place`
-//!    and the hand-rolled frame encode), allocates at most 140
-//!    allocations per operation: 45 % of the 312 it cost while a name
-//!    was a vector of string pairs (D18).
+//!    the destination has never seen allocates at most 140 allocations
+//!    per operation: 45 % of the 312 it cost while a name was a vector
+//!    of string pairs (D18). The round trip runs on two [`LinkCore`]s,
+//!    the link code the reactor runs (queued plaintext → merged,
+//!    numbered and sealed write batch → pooled frame decode → borrowed
+//!    `SealedRef` parse → `open_in_place` → delivery index →
+//!    shared-buffer `SignalMessage` decode), with `BbNode::recv` and
+//!    full verification between them and the verdict carried back.
 //! 2. **Latency** — warm depth-8 envelope verification must stay
 //!    strictly better than the committed `BENCH_warm.json` baseline
 //!    (5.62 µs). The baseline is the pre-D15 committed value,
@@ -23,34 +24,32 @@
 //! That pooling and borrowed decode never change an admission outcome
 //! is `tests/tests/fabric_parity.rs`.
 //!
-//! Besides the table, the run emits `BENCH_alloc.json` and
-//! `METRICS_alloc_path.{prom,json}`; the metrics snapshot carries the
-//! `buffer_pool_chunks_in_use` and `buffer_pool_fallbacks_total`
-//! families CI greps for.
+//! Besides the table, the run emits `BENCH_alloc.json`. Which metric
+//! families a live mesh exposes, the buffer pool's among them, is
+//! `tests/tests/tcp_mesh.rs::one_observed_mesh_run_exposes_every_metric_family`.
 
 use qos_bench::alloc_count::{self, CountingAlloc};
-use qos_bench::{
-    experiment_registry, spawn_chain, table_header, table_row, write_metrics_snapshot,
-};
+use qos_bench::{table_header, table_row};
 use qos_broker::Interval;
-use qos_core::channel::{handshake, ChannelIdentity, PeerPin, SealedRef};
+use qos_core::channel::{handshake, ChannelIdentity, PeerPin};
 use qos_core::envelope::SignedRar;
 use qos_core::messages::SignalMessage;
 use qos_core::scenario::{build_chain, ChainOptions};
 use qos_core::trust::{verify_rar, KeySource};
 use qos_core::{RarId, ResSpec};
-use qos_crypto::sha256::Digest;
 use qos_crypto::{
     CertificateAuthority, DistinguishedName, KeyPair, Timestamp, TrustPolicy, Validity,
 };
 use qos_policy::AttributeSet;
-use qos_telemetry::{Artifact, Row};
-use qos_transport::{PooledFrameDecoder, TcpMesh, MAX_FRAME_LEN};
+use qos_telemetry::{Artifact, Row, Telemetry};
+use qos_transport::link::data_frame;
+use qos_transport::{LinkCore, OutQueue, MAX_FRAME_LEN};
 use qos_wire::BufferPool;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Every allocation in the process (all threads) is counted; the gated
-/// loops therefore run single-threaded with no meshes alive.
+/// loops therefore run single-threaded.
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
@@ -58,10 +57,8 @@ const MBPS: u64 = 1_000_000;
 const ENVELOPE_HOPS: usize = 8;
 const VERIFY_REPS: usize = 100;
 const VERIFY_PASSES: usize = 5;
-/// Reliability-header data tag (`reactor::FRAME_DATA`).
-const FRAME_DATA: u8 = 0;
-/// `[tag][u64 index][u64 ack]` (`reactor::DATA_HEADER`).
-const RELIABILITY_HEADER: usize = 17;
+/// Messages one write batch takes, as the reactor pops them.
+const MAX_WRITE_BATCH: usize = 64;
 const COLD_WARMUP: usize = 8;
 const COLD_OPS: usize = 32;
 
@@ -89,19 +86,21 @@ fn domain(i: usize) -> String {
     format!("domain-{i:02}")
 }
 
-/// Append `[frame len u32][tag 2][payload len u32][payload][seq u64][mac]`
-/// — the canonical `PeerMsg::Frame` encoding behind the transport's
-/// length prefix, hand-rolled as the reactor's write path does it. The
-/// transport pins this layout byte-for-byte
-/// (`hand_encoded_frame_matches_canonical_encoding`).
-fn append_sealed_frame(out: &mut Vec<u8>, payload: &[u8], seq: u64, mac: &Digest) {
-    let msg_len = 1 + 4 + payload.len() + 8 + mac.len();
-    out.extend_from_slice(&(msg_len as u32).to_le_bytes());
-    out.push(2); // PeerMsg::Frame tag
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(mac);
+/// Everything `from` has sealed crosses to `to`, as a socket pair would
+/// carry it; the messages it completes are appended to `msgs`.
+fn carry(from: &mut LinkCore, to: &mut LinkCore, msgs: &mut Vec<SignalMessage>) {
+    let now = Instant::now();
+    loop {
+        let out = from.bytes_out(MAX_WRITE_BATCH);
+        if out.is_empty() {
+            return;
+        }
+        let buf = to.read_buf();
+        let n = out.len().min(buf.len());
+        buf[..n].copy_from_slice(&out[..n]);
+        from.sent(n);
+        assert!(to.bytes_in(n, now, msgs), "a well-formed frame was refused");
+    }
 }
 
 fn broker_identity(ca: &mut CertificateAuthority, name: &str) -> ChannelIdentity {
@@ -185,24 +184,22 @@ fn envelope_verify_us(hops: usize, reps: usize) -> f64 {
 
 fn main() {
     println!("EXP-ALLOC: allocations of a first-sight admission (counting allocator)\n");
-    let (registry, telemetry) = experiment_registry();
-    qos_core::install_verify_cache_telemetry(&telemetry);
     let mut artifact = Artifact::new(
         "exp_alloc_path",
         "mixed (allocs/op; us; verdicts)",
-        "allocations per first-sight admission on the pooled/borrowed/in-place \
-         pipeline and warm depth-8 envelope verification vs the committed \
-         baseline (hard gates, non-zero exit on failure)",
+        "allocations per first-sight admission round trip over two link cores \
+         and warm depth-8 envelope verification vs the committed baseline \
+         (hard gates, non-zero exit on failure)",
     );
     let mut failures: Vec<String> = Vec::new();
 
     // ---- Part 1: allocations per admission round trip ----------------
     //
     // Single-threaded, in-process: the same bytes a socket would carry
-    // are driven through the exact decode → open → admit → seal
-    // pipeline the reactor runs, with no reactor threads alive so the
-    // process-wide allocation counters isolate the path under test.
-    println!("admission round trip (reliability header + sealed frame + admit):");
+    // are driven through the link cores the reactor runs, with no
+    // reactor threads alive so the process-wide allocation counters
+    // isolate the path under test.
+    println!("admission round trip (two link cores + admit):");
     let widths = [10, 14, 14, 12];
     table_header(&["path", "allocs/op", "bytes/op", "ns/op"], &widths);
 
@@ -234,8 +231,6 @@ fn main() {
         Timestamp::ZERO,
     )
     .expect("channel handshake");
-    let (mut seal, _) = client.split();
-    let (mut reply_seal, mut open) = server.split();
 
     // Inputs: distinct reservations, each forwarded a → b so the
     // destination sees the realistic transit-wrapped envelope.
@@ -248,23 +243,34 @@ fn main() {
         msgs.push(out_b[0].1.clone());
     }
 
-    // The loop: what the reactor and a shard do with one frame, in one
-    // thread. The sender queues an indexed plaintext and seals it at
-    // write time; the receiver decodes it out of a pooled chunk, checks
-    // the MAC and the delivery index where the bytes lie, copies the
-    // message out once, and the node verifies and admits it in full.
+    // The loop: what the two reactors and a shard do with one admission,
+    // in one thread. b's link core numbers, acks and seals the request;
+    // c's decodes it out of a pooled chunk, checks the MAC and the
+    // delivery index where the bytes lie and copies the message out once;
+    // the node verifies and admits it in full, and the verdict goes back
+    // over the same link carrying c's ack.
     let pool = BufferPool::new(4);
-    let mut decoder = PooledFrameDecoder::new(MAX_FRAME_LEN, pool.clone());
-    let mut wire: Vec<u8> = Vec::new();
-    let mut out: Vec<u8> = Vec::new();
-    let data_frame = |index: u64, msg: &SignalMessage| {
-        let mut plain = Vec::with_capacity(RELIABILITY_HEADER + 128);
-        plain.push(FRAME_DATA);
-        plain.extend_from_slice(&index.to_le_bytes());
-        plain.extend_from_slice(&index.to_le_bytes()); // the ack riding along
-        qos_wire::encode_into(msg, &mut plain);
-        plain
+    let disabled = Telemetry::disabled();
+    let end = |domain: &str, peer: &str, life: u64| {
+        let queue = Arc::new(OutQueue::new(1024));
+        let core = LinkCore::new(
+            Arc::clone(&queue),
+            &disabled,
+            domain,
+            peer,
+            life,
+            MAX_FRAME_LEN,
+            pool.clone(),
+        );
+        (core, queue)
     };
+    let (mut core_b, queue_b) = end("domain-b", "domain-c", 1);
+    let (mut core_c, queue_c) = end("domain-c", "domain-b", 2);
+    core_b.replace_session(Some(client.split()));
+    core_c.replace_session(Some(server.split()));
+    let (mut at_b, mut at_c) = (Vec::new(), Vec::new());
+    carry(&mut core_b, &mut core_c, &mut at_c); // the syncs cross
+    carry(&mut core_c, &mut core_b, &mut at_b);
     let mut a0 = 0u64;
     let mut b0 = 0u64;
     let mut t0 = Instant::now();
@@ -274,34 +280,20 @@ fn main() {
             b0 = alloc_count::allocated_bytes();
             t0 = Instant::now();
         }
-        let plain = data_frame(i as u64, msg);
-        let (seq, mac) = seal.seal_in_place(&plain);
-        wire.clear();
-        append_sealed_frame(&mut wire, &plain, seq, &mac);
-
-        decoder.push(&wire);
-        let frame = decoder.next_frame().unwrap().expect("one whole frame");
-        let mut r = qos_wire::Reader::new(frame.bytes());
-        assert_eq!(r.get_u8().unwrap(), 2, "PeerMsg::Frame tag");
-        let sealed = SealedRef::parse(&mut r).unwrap();
-        r.finish().unwrap();
-        open.open_in_place(sealed.payload, sealed.seq, &sealed.mac)
-            .unwrap();
-        assert_eq!(sealed.payload[0], FRAME_DATA);
-        let body = &sealed.payload[RELIABILITY_HEADER..];
-        let msg: SignalMessage = qos_wire::from_bytes_shared(&body.into()).unwrap();
+        queue_b.push(data_frame(msg));
+        carry(&mut core_b, &mut core_c, &mut at_c);
+        let msg = at_c.pop().expect("one message per request");
         let replies = s.nodes[2].recv("domain-b", msg);
         assert!(
             matches!(replies.first(), Some((_, SignalMessage::Approve(_)))),
             "first-sight admission approves"
         );
         for (_to, reply) in replies {
-            let plain = data_frame(i as u64, &reply);
-            let (seq, mac) = reply_seal.seal_in_place(&plain);
-            out.clear();
-            append_sealed_frame(&mut out, &plain, seq, &mac);
-            std::hint::black_box(out.len());
+            queue_c.push(data_frame(&reply));
         }
+        carry(&mut core_c, &mut core_b, &mut at_b);
+        assert!(!at_b.is_empty(), "the verdict reaches b");
+        at_b.clear();
     }
     let cold_allocs_per_op = (alloc_count::allocations() - a0) as f64 / COLD_OPS as f64;
     let cold_bytes_per_op = (alloc_count::allocated_bytes() - b0) as f64 / COLD_OPS as f64;
@@ -375,50 +367,11 @@ fn main() {
         ));
     }
 
-    // ---- Part 3: live mesh run for the pool metric families ----------
-    println!("\npooled mesh run (metrics snapshot):");
-    let mut s = build_chain(ChainOptions {
-        sla_rate_bps: 1000 * MBPS,
-        telemetry: telemetry.clone(),
-        ..ChainOptions::default()
-    });
-    let mut rars = Vec::new();
-    for i in 0..8u64 {
-        let spec = s.spec("alice", 2000 + i, 5 * MBPS, Timestamp(0), 3600);
-        rars.push(s.users["alice"].sign_request(spec, &s.nodes[0]));
-    }
-    let cert = s.users["alice"].cert.clone();
-    let mut mesh = TcpMesh::new();
-    mesh.set_telemetry(telemetry.clone());
-    let mesh = spawn_chain(&mut s, mesh);
-    let n = rars.len();
-    mesh.submit_all(
-        "domain-a",
-        rars.into_iter().map(|r| (r, cert.clone())).collect(),
-    );
-    mesh.wait_completions(n);
-    mesh.shutdown();
-    let mesh_fallbacks: u64 = ["domain-a", "domain-b", "domain-c"]
-        .iter()
-        .map(|d| {
-            registry
-                .counter_value("buffer_pool_fallbacks_total", &[("domain", d)])
-                .unwrap_or(0)
-        })
-        .sum();
-    println!("  mesh pool fallbacks across domains: {mesh_fallbacks}");
-    artifact.push(
-        Row::new()
-            .field("section", "pooled_mesh")
-            .field("mesh_pool_fallbacks", mesh_fallbacks),
-    );
-
     println!();
     match artifact.write("BENCH_alloc.json") {
         Ok(()) => println!("wrote BENCH_alloc.json"),
         Err(e) => eprintln!("warning: could not write BENCH_alloc.json: {e}"),
     }
-    write_metrics_snapshot("alloc_path", &registry);
 
     if !failures.is_empty() {
         for f in &failures {

@@ -21,17 +21,82 @@
 //! | `/storage`      | durable-ledger vitals: WAL/snapshot/recovery    |
 
 use crate::daemon::Link;
-use crate::reactor::ReactorStatus;
 use qos_core::shard::ShardedNode;
 use qos_storage::SharedStore;
 use qos_telemetry::admin::{content_type, render_response_into, HttpRequest};
-use qos_telemetry::{render_prometheus_into, snapshot_json, FlightRecorder, Registry, TraceId};
+use qos_telemetry::{
+    render_prometheus_into, snapshot_json, FlightRecorder, Registry, StdClock, TraceId,
+};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 /// A reactor is considered stalled (503 on `/healthz`) when its last
 /// sweep heartbeat is older than this.
 const HEALTHZ_STALL_NS: u64 = 5_000_000_000;
+
+/// A single poll-to-poll sweep longer than this counts as a reactor
+/// stall: something held the event loop (`reactor_stall_total`, plus an
+/// anomaly event in the flight recorder).
+const REACTOR_STALL_NS: u64 = 250_000_000;
+
+/// The reactor's self-observation vitals, shared with the admin plane:
+/// a heartbeat (monotonic timestamp of the last completed poll) plus
+/// sweep/stall counters. `/healthz` reads these to tell a live event
+/// loop from a wedged one — which is exactly the situation where the
+/// metrics pipeline itself may be silent.
+pub(crate) struct ReactorStatus {
+    /// Monotonic ns ([`StdClock`]) of the most recent poll return.
+    last_beat_ns: AtomicU64,
+    sweeps: AtomicU64,
+    stalls: AtomicU64,
+    max_sweep_ns: AtomicU64,
+}
+
+impl ReactorStatus {
+    pub(crate) fn new() -> Arc<Self> {
+        Arc::new(Self {
+            last_beat_ns: AtomicU64::new(StdClock::now()),
+            sweeps: AtomicU64::new(0),
+            stalls: AtomicU64::new(0),
+            max_sweep_ns: AtomicU64::new(0),
+        })
+    }
+
+    /// Stamp the heartbeat (poll returned; the loop is alive).
+    pub(crate) fn beat(&self) {
+        self.last_beat_ns.store(StdClock::now(), SeqCst);
+    }
+
+    /// Account one completed sweep; returns true when it stalled.
+    pub(crate) fn note_sweep(&self, dur_ns: u64) -> bool {
+        self.sweeps.fetch_add(1, SeqCst);
+        self.max_sweep_ns.fetch_max(dur_ns, SeqCst);
+        let stalled = dur_ns >= REACTOR_STALL_NS;
+        if stalled {
+            self.stalls.fetch_add(1, SeqCst);
+        }
+        stalled
+    }
+
+    /// Nanoseconds since the last poll return. Grows without bound for
+    /// a wedged reactor — the `/healthz` staleness signal.
+    pub(crate) fn heartbeat_age_ns(&self) -> u64 {
+        StdClock::now().saturating_sub(self.last_beat_ns.load(SeqCst))
+    }
+
+    pub(crate) fn sweeps(&self) -> u64 {
+        self.sweeps.load(SeqCst)
+    }
+
+    pub(crate) fn stalls(&self) -> u64 {
+        self.stalls.load(SeqCst)
+    }
+
+    pub(crate) fn max_sweep_ns(&self) -> u64 {
+        self.max_sweep_ns.load(SeqCst)
+    }
+}
 
 /// Everything the admin routes read. Built by the daemon, owned by the
 /// reactor; every field is a shared handle onto live runtime state.

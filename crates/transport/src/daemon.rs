@@ -25,11 +25,12 @@
 //! regardless of link count, with handshakes on short-lived offload
 //! threads.
 
-use crate::admin::AdminState;
+use crate::admin::{AdminState, ReactorStatus};
 use crate::error::TransportError;
 use crate::queue::OutQueue;
-use crate::reactor::{broker_pin, Ctrl, Reactor, ReactorConfig, ReactorStatus, TOKEN_WAKER};
+use crate::reactor::{Ctrl, Reactor, ReactorConfig, TOKEN_WAKER};
 use crate::resume::TicketIssuer;
+use crate::session::broker_pin;
 use crossbeam::channel::{unbounded, Sender};
 use mio::{Poll, Waker};
 use qos_core::channel::ChannelIdentity;
@@ -116,48 +117,20 @@ pub struct DaemonConfig {
     pub admin: Option<TcpListener>,
 }
 
-/// Per-link transport instruments (no-ops without a registry).
+/// Per-link instruments of the session lifecycle and the sink (no-ops
+/// without a registry); what the link's frames count is its
+/// [`LinkCore`](crate::link::LinkCore)'s.
 pub(crate) struct LinkInstruments {
-    pub(crate) frames_sent: Counter,
-    pub(crate) frames_received: Counter,
-    pub(crate) bytes_sent: Counter,
-    pub(crate) bytes_received: Counter,
     pub(crate) reconnects: Counter,
     pub(crate) resumed: Counter,
-    pub(crate) dropped: Counter,
-    pub(crate) rejected: Counter,
     pub(crate) handshake_ns: Histogram,
     pub(crate) outq_depth: Gauge,
-    pub(crate) write_batch_frames: Histogram,
-    pub(crate) writes_coalesced: Counter,
-    pub(crate) retransmits: Counter,
-    pub(crate) acks_standalone: Counter,
 }
 
 impl LinkInstruments {
     fn resolve(telemetry: &Telemetry, domain: &str, peer: &str) -> Self {
         let l: &[(&str, &str)] = &[("domain", domain), ("peer", peer)];
         Self {
-            frames_sent: telemetry.counter(
-                "transport_frames_sent_total",
-                "Sealed frames written to the peer socket",
-                l,
-            ),
-            frames_received: telemetry.counter(
-                "transport_frames_received_total",
-                "Sealed frames read from the peer socket",
-                l,
-            ),
-            bytes_sent: telemetry.counter(
-                "transport_bytes_sent_total",
-                "Frame payload bytes written to the peer socket",
-                l,
-            ),
-            bytes_received: telemetry.counter(
-                "transport_bytes_received_total",
-                "Frame payload bytes read from the peer socket",
-                l,
-            ),
             reconnects: telemetry.counter(
                 "transport_reconnects_total",
                 "Sessions re-established after the first",
@@ -166,16 +139,6 @@ impl LinkInstruments {
             resumed: telemetry.counter(
                 "resumed_handshakes_total",
                 "Sessions established by ticket resumption (no signatures)",
-                l,
-            ),
-            dropped: telemetry.counter(
-                "transport_frames_dropped_total",
-                "Outbound messages dropped unsealed for exceeding the frame ceiling",
-                l,
-            ),
-            rejected: telemetry.counter(
-                "transport_frames_rejected_total",
-                "Inbound frames rejected (bad MAC, replay, undecodable)",
                 l,
             ),
             handshake_ns: telemetry.histogram(
@@ -188,33 +151,13 @@ impl LinkInstruments {
                 "Peak outbound queue depth",
                 l,
             ),
-            write_batch_frames: telemetry.histogram(
-                "transport_write_batch_frames",
-                "Messages in one popped write batch; its unnumbered ones share one sealed frame",
-                l,
-            ),
-            writes_coalesced: telemetry.counter(
-                "transport_writes_coalesced_total",
-                "Popped write batches that carried more than one message",
-                l,
-            ),
-            retransmits: telemetry.counter(
-                "transport_frames_retransmitted_total",
-                "Accepted-but-unacknowledged frames re-queued when a connection died",
-                l,
-            ),
-            acks_standalone: telemetry.counter(
-                "transport_acks_standalone_total",
-                "Ack frames sent on their own: no data frame went back in time to carry the ack",
-                l,
-            ),
         }
     }
 }
 
 /// One peering link's shared state (written by the shard sinks, read
 /// and written by the reactor, which also owns the link's delivery
-/// state, [`crate::reactor::LinkReliability`]).
+/// state, [`crate::link::LinkCore`]).
 pub(crate) struct Link {
     pub(crate) queue: Arc<OutQueue>,
     /// Set once the first session is up; later sessions count as
@@ -271,7 +214,7 @@ impl ShardSink for TcpSink {
         let Some(link) = self.links.get(to) else {
             return;
         };
-        let frame = crate::reactor::data_frame(&msg);
+        let frame = crate::link::data_frame(&msg);
         match &self.reactor {
             Some(bell) => link.queue.try_push(frame).unwrap_or_else(|frame| {
                 // Full: only the reactor makes room. Wake it, parked or
@@ -437,6 +380,7 @@ impl BrokerDaemon {
             .iter()
             .map(|p| (p.clone(), broker_pin(ca_key, p)))
             .collect();
+        let accept_pins = Arc::new(accept_pins);
         let dials: HashMap<_, _> = connect_to
             .iter()
             .map(|(p, addr)| (p.clone(), (*addr, broker_pin(ca_key, p))))
@@ -611,5 +555,69 @@ impl BrokerDaemon {
         let sharded = Arc::into_inner(self.sharded)
             .expect("reactor joined; no other handles to the sharded node");
         sharded.shutdown()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qos_core::messages::TunnelFlowRelease;
+    use qos_core::scenario::{build_chain, ChainOptions};
+    use qos_crypto::KeyPair;
+    use qos_telemetry::Registry;
+
+    /// A stopping daemon settles what it owes its peers and seals nothing
+    /// new: a peer would admit a message still queued and hold state for
+    /// replies that nobody reads.
+    #[test]
+    fn a_message_queued_at_shutdown_is_not_sent() {
+        let mut s = build_chain(ChainOptions {
+            domains: 2,
+            ..ChainOptions::default()
+        });
+        let (a, b) = (s.domains[0].clone(), s.domains[1].clone());
+        let ca_key = s.ca_key;
+        let registry = Registry::new();
+        let (tx, _rx) = unbounded();
+        let start = |node: BbNode, connect_to, accept_from| {
+            let identity = ChannelIdentity {
+                key: KeyPair::from_seed(format!("bb-{}", node.domain()).as_bytes()),
+                cert: node.cert().clone(),
+            };
+            let config = DaemonConfig {
+                identity,
+                ca_key,
+                listener: TcpListener::bind("127.0.0.1:0").expect("bind"),
+                connect_to,
+                accept_from,
+                completion_tx: tx.clone(),
+                telemetry: Telemetry::with_registry(registry.clone()),
+                options: TransportOptions::default(),
+                admin: None,
+            };
+            BrokerDaemon::start(node, config).expect("daemon starts")
+        };
+        let daemon_b = start(s.nodes.remove(1), HashMap::new(), vec![a.clone()]);
+        let to_b = HashMap::from([(b.clone(), daemon_b.local_addr())]);
+        let daemon_a = start(s.nodes.remove(0), to_b, Vec::new());
+        assert!(daemon_a.wait_connected(Duration::from_secs(10)));
+        let labels = [("domain", b.as_str()), ("peer", a.as_str())];
+        let received = || registry.counter_value("transport_frames_received_total", &labels);
+        // The syncs have crossed and nothing is owed: a's reactor sleeps
+        // in its poll, and the shutdown is the next thing it sees.
+        std::thread::sleep(Duration::from_millis(50));
+        let before = received();
+        let release = TunnelFlowRelease::new(RarId(0), 7);
+        let frame = crate::link::data_frame(&SignalMessage::TunnelFlowRelease(release));
+        daemon_a.links[&b].queue.push(frame);
+        daemon_a.shutdown();
+        // b reads a's close after every byte a wrote before it.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while daemon_b.connected_peers() > 0 {
+            assert!(Instant::now() < deadline, "b never saw a's close");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(received(), before, "a sealed a message queued at shutdown");
+        daemon_b.shutdown();
     }
 }

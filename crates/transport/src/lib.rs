@@ -17,10 +17,15 @@
 //! * [`queue`] — bounded per-peer outbound queues that block their
 //!   producers when full;
 //! * [`backoff`] — deterministic exponential reconnect backoff;
+//! * [`link`] — [`LinkCore`]: one link's delivery rules without I/O —
+//!   frame decode, open and seal, the delivery index, riding and
+//!   standalone acks, the session sync and requeue when a connection
+//!   dies — behind four entry points (bytes in, bytes out, `tick`,
+//!   session replaced);
 //! * [`reactor`] — the event loop: every socket non-blocking under one
-//!   `epoll`-backed poll — the one path a frame takes in and out — with
-//!   reconnect timers as poll deadlines and handshakes on short-lived
-//!   offload threads;
+//!   `epoll`-backed poll, one [`LinkCore`] per configured peer, reconnect
+//!   timers and ack deadlines as poll deadlines, and handshakes on
+//!   short-lived offload threads;
 //! * [`daemon`] — [`BrokerDaemon`]: one domain's admission shards
 //!   ([`ShardedNode`](qos_core::shard::ShardedNode)) behind the reactor;
 //! * [`admin`] — the introspection plane (DESIGN.md §D12): the routing
@@ -37,6 +42,7 @@ pub mod backoff;
 pub mod daemon;
 pub mod error;
 pub mod frame;
+pub mod link;
 pub mod mesh;
 pub mod proto;
 pub mod queue;
@@ -48,6 +54,7 @@ pub use backoff::Backoff;
 pub use daemon::{BrokerDaemon, DaemonConfig, TransportOptions};
 pub use error::TransportError;
 pub use frame::{write_frame, FrameError, PooledFrameDecoder, MAX_FRAME_LEN};
+pub use link::LinkCore;
 pub use mesh::TcpMesh;
 pub use proto::PeerMsg;
 pub use queue::{OutQueue, PushOutcome};

@@ -18,7 +18,7 @@ use crate::resume::{initiator_mac, mac_eq, responder_mac, ResumeTicket, TicketIs
 use qos_core::channel::{
     ChannelIdentity, NetHandshake, OpenHalf, PeerPin, SealHalf, SecureChannel,
 };
-use qos_crypto::Timestamp;
+use qos_crypto::{DistinguishedName, PublicKey, Timestamp};
 use qos_telemetry::StdClock;
 use std::collections::HashMap;
 use std::io::Read;
@@ -419,11 +419,20 @@ fn send_ticket(
     send_msg(stream, &PeerMsg::Ticket { ticket }, max)
 }
 
+/// The SLA pin for one peer broker domain (shared by dial and accept
+/// link construction in the daemon).
+pub(crate) fn broker_pin(ca_key: PublicKey, peer: &str) -> PeerPin {
+    PeerPin {
+        ca_key,
+        dn: DistinguishedName::broker(peer),
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::broker_pin as pin;
     use super::*;
     use crate::frame::MAX_FRAME_LEN;
-    use crate::reactor::broker_pin as pin;
     use qos_crypto::{CertificateAuthority, DistinguishedName, KeyPair, PublicKey, Validity};
     use std::net::TcpListener;
 

@@ -193,8 +193,9 @@ impl Config {
     };
 }
 
-/// Minimal blocking HTTP/1.1 GET against a daemon's admin endpoint.
-fn admin_get(addr: SocketAddr, path: &str) -> (u16, String) {
+/// Minimal blocking HTTP/1.1 GET against a daemon's admin endpoint:
+/// the status and the body.
+pub fn admin_get(addr: SocketAddr, path: &str) -> (u16, String) {
     use std::io::{Read as _, Write as _};
     let mut stream = std::net::TcpStream::connect(addr).expect("connect to the admin plane");
     stream

@@ -4,12 +4,15 @@
 //! admission outcomes identical to the deterministic reference. (Every
 //! shard, cache and store configuration is `fabric_parity.rs`.)
 
-use integration_tests::parity::{over_tcp, Config, FIG2};
+use integration_tests::parity::{admin_get, over_tcp, Config, FIG2};
 use integration_tests::{build_chain, channel_identities, spawn_chain, ChainOptions, MBPS};
 use qos_core::node::Completion;
 use qos_crypto::Timestamp;
+use qos_storage::{FileStore, FileStoreOptions, LedgerStore};
 use qos_telemetry::{Registry, Telemetry};
 use qos_transport::{TcpMesh, MAX_FRAME_LEN};
+use std::path::Path;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// All accept, transit denial and destination denial give the same
@@ -48,16 +51,30 @@ fn fig2_outcomes_unchanged_under_metrics_scraping() {
 /// A 3-domain chain plus the direct `a↔c` channel tunnel sub-flows
 /// run on, over daemons with frames of at most `max_frame` bytes, and an
 /// established a-to-c tunnel of `mbps` Mb/s: the mesh, the tunnel, and
-/// the user entitled to open sub-flows in it.
+/// the user entitled to open sub-flows in it, all recording into
+/// `registry`. With `observed`, every broker keeps its ledger in a
+/// `FileStore` under that directory and every daemon serves its admin
+/// plane.
 fn tunnel_mesh(
-    registry: &std::sync::Arc<Registry>,
+    registry: &Arc<Registry>,
     max_frame: usize,
     mbps: u64,
+    observed: Option<&Path>,
 ) -> (TcpMesh, qos_core::rar::RarId, qos_crypto::DistinguishedName) {
+    let telemetry = Telemetry::with_registry(registry.clone());
     let mut s = build_chain(ChainOptions {
         sla_rate_bps: 1000 * MBPS,
+        telemetry: telemetry.clone(),
         ..ChainOptions::default()
     });
+    if let Some(dir) = observed {
+        for node in &s.nodes {
+            let store = FileStore::open(dir.join(node.domain()), FileStoreOptions::default())
+                .expect("a file store");
+            store.set_telemetry(&telemetry, node.domain());
+            node.attach_store(Arc::new(store));
+        }
+    }
     let ids = channel_identities(&s);
     let mut links: Vec<(String, String)> = s
         .domains
@@ -78,8 +95,9 @@ fn tunnel_mesh(
     let ca_key = s.ca_key;
 
     let mut mesh = TcpMesh::new();
-    mesh.set_telemetry(Telemetry::with_registry(registry.clone()));
+    mesh.set_telemetry(telemetry);
     mesh.set_max_frame(max_frame);
+    mesh.set_admin(observed.is_some());
     mesh.spawn(std::mem::take(&mut s.nodes), ids, &links, ca_key)
         .expect("loopback mesh comes up");
     mesh.submit("domain-a", rar, cert);
@@ -100,7 +118,7 @@ fn at(registry: &Registry, family: &str, domain: &str, peer: &str) -> u64 {
 
 #[test]
 fn tunnel_subflow_bursts_complete_over_tcp() {
-    let (mesh, tunnel, alice) = tunnel_mesh(&Registry::new(), MAX_FRAME_LEN, 50);
+    let (mesh, tunnel, alice) = tunnel_mesh(&Registry::new(), MAX_FRAME_LEN, 50, None);
     for flow in 1..=6u64 {
         mesh.tunnel_flow("domain-a", tunnel, flow, 10 * MBPS, alice.clone());
     }
@@ -117,13 +135,92 @@ fn tunnel_subflow_bursts_complete_over_tcp() {
     mesh.shutdown();
 }
 
+/// Every metric family an operator's `/metrics` scrape carries, held
+/// once: a family missing from it is an instrument renamed or no longer
+/// registered.
+const METRIC_FAMILIES: &[&str] = &[
+    // The reactor, its read chunks and its admin plane.
+    "reactor_wakeups_total",
+    "reactor_ready_events_total",
+    "reactor_sweep_ns",
+    "reactor_stall_total",
+    "buffer_pool_chunks_in_use",
+    "buffer_pool_fallbacks_total",
+    "admin_requests_total",
+    // Each link.
+    "transport_frames_sent_total",
+    "transport_frames_received_total",
+    "transport_reconnects_total",
+    "resumed_handshakes_total",
+    "transport_handshake_ns",
+    "transport_write_batch_frames",
+    "transport_writes_coalesced_total",
+    "transport_acks_standalone_total",
+    "transport_unacked_frames",
+    // The admission shards.
+    "shard_queue_depth",
+    "shard_busy_ns_total",
+    "shard_idle_ns_total",
+    "shard_steals_total",
+    "shard_inline_runs_total",
+    // The broker node, its policy server and its reservation book.
+    "bb_messages_received_total",
+    "bb_messages_sent_total",
+    "bb_admission_total",
+    "bb_completions_total",
+    "bb_envelope_verify_ns",
+    "bb_signatures_verified_total",
+    "pdp_decisions_total",
+    "broker_holds_total",
+    "broker_commits_total",
+    "cache_hits_total",
+    "cache_misses_total",
+    "cache_evictions_total",
+    // Tunnel sub-flows.
+    "flow_table_occupancy",
+    "flow_admit_ns",
+    "flow_expiry_sweeps_total",
+    // The durable ledger.
+    "wal_appends_total",
+    "wal_fsyncs_total",
+    "wal_bytes_total",
+    "snapshot_duration_ns",
+    "recovery_replay_ns",
+];
+
+/// One mesh run with everything observable — telemetry in every layer,
+/// the admin plane, a `FileStore` under every broker, a reservation and a
+/// tunnel sub-flow — exposes each of [`METRIC_FAMILIES`] on `/metrics`.
+#[test]
+fn one_observed_mesh_run_exposes_every_metric_family() {
+    let registry = Registry::new();
+    let dir = std::env::temp_dir().join(format!("qos-metric-families-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (mesh, tunnel, alice) = tunnel_mesh(&registry, MAX_FRAME_LEN, 50, Some(&dir));
+    mesh.tunnel_flow("domain-a", tunnel, 1, MBPS, alice);
+    assert_eq!(mesh.wait_completions(1).len(), 1);
+    let admin = mesh.admin_addr("domain-a").expect("an admin plane");
+    // A request is counted once it is served.
+    assert_eq!(admin_get(admin, "/healthz").0, 200);
+    let (status, exposition) = admin_get(admin, "/metrics");
+    mesh.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(status, 200);
+    let missing: Vec<&str> = METRIC_FAMILIES
+        .iter()
+        .copied()
+        .filter(|family| !exposition.contains(&format!("# TYPE {family} ")))
+        .collect();
+    assert!(missing.is_empty(), "missing from /metrics: {missing:?}");
+}
+
 /// A write batch is one frame: a burst of 256 sub-flows crosses the
 /// direct `a↔c` link in at most 32 data frames each way (eight sub-flows
 /// or replies to a frame on average), and every flow completes once.
 #[test]
 fn a_subflow_burst_shares_frames_and_completes_every_flow_once() {
     let registry = Registry::new();
-    let (mesh, tunnel, alice) = tunnel_mesh(&registry, MAX_FRAME_LEN, 300);
+    let (mesh, tunnel, alice) = tunnel_mesh(&registry, MAX_FRAME_LEN, 300, None);
     let data = |domain: &str, peer: &str| {
         at(&registry, "transport_frames_sent_total", domain, peer)
             - at(&registry, "transport_acks_standalone_total", domain, peer)
@@ -168,7 +265,7 @@ fn a_subflow_burst_shares_frames_and_completes_every_flow_once() {
 #[test]
 fn an_oversized_message_is_dropped_and_the_link_goes_on() {
     let registry = Registry::new();
-    let (mesh, tunnel, alice) = tunnel_mesh(&registry, 4096, 50);
+    let (mesh, tunnel, alice) = tunnel_mesh(&registry, 4096, 50, None);
     let reconnects = || {
         at(
             &registry,
