@@ -1,6 +1,6 @@
-//! EXP-ALLOC — what a first-sight admission allocates on the one path a
-//! frame takes through a broker (D15, D18, D19, D26), measured with a
-//! counting global allocator.
+//! EXP-ALLOC — what a first-sight admission and a tunnel sub-flow
+//! allocate on the one path a frame takes through a broker (D15, D18,
+//! D19, D26, D27), measured with a counting global allocator.
 //!
 //! Two claims, each a hard gate (non-zero exit on failure, CI
 //! enforces):
@@ -9,11 +9,14 @@
 //!    the destination has never seen allocates at most 140 allocations
 //!    per operation: 45 % of the 312 it cost while a name was a vector
 //!    of string pairs (D18). The round trip runs on two [`LinkCore`]s,
-//!    the link code the reactor runs (queued plaintext → merged,
-//!    numbered and sealed write batch → pooled frame decode → borrowed
-//!    `SealedRef` parse → `open_in_place` → delivery index →
-//!    shared-buffer `SignalMessage` decode), with `BbNode::recv` and
-//!    full verification between them and the verdict carried back.
+//!    the link code the reactor runs (message pushed onto the queue's
+//!    open frame → popped, numbered and sealed frame → pooled frame
+//!    decode → borrowed `SealedRef` parse → `open_in_place` → delivery
+//!    index → shared-buffer `SignalMessage` decode), with `BbNode::recv`
+//!    and full verification between them and the verdict carried back.
+//!    A sub-flow of a 256-flow burst of an a → c tunnel, carried the
+//!    same way through `BbNode::recv_tunnel_flows` and back, allocates
+//!    at most 2.5 (D27).
 //! 2. **Latency** — warm depth-8 envelope verification must stay
 //!    strictly better than the committed `BENCH_warm.json` baseline
 //!    (5.62 µs). The baseline is the pre-D15 committed value,
@@ -29,20 +32,21 @@
 //! `tests/tests/tcp_mesh.rs::one_observed_mesh_run_exposes_every_metric_family`.
 
 use qos_bench::alloc_count::{self, CountingAlloc};
-use qos_bench::{table_header, table_row};
+use qos_bench::{mesh_from, table_header, table_row};
 use qos_broker::Interval;
 use qos_core::channel::{handshake, ChannelIdentity, PeerPin};
 use qos_core::envelope::SignedRar;
 use qos_core::messages::SignalMessage;
-use qos_core::scenario::{build_chain, ChainOptions};
+use qos_core::node::Completion;
+use qos_core::scenario::{build_chain, ChainOptions, Scenario};
 use qos_core::trust::{verify_rar, KeySource};
-use qos_core::{RarId, ResSpec};
+use qos_core::{PeerId, RarId, ResSpec};
 use qos_crypto::{
     CertificateAuthority, DistinguishedName, KeyPair, Timestamp, TrustPolicy, Validity,
 };
+use qos_net::SimDuration;
 use qos_policy::AttributeSet;
 use qos_telemetry::{Artifact, Row, Telemetry};
-use qos_transport::link::data_frame;
 use qos_transport::{LinkCore, OutQueue, MAX_FRAME_LEN};
 use qos_wire::BufferPool;
 use std::sync::Arc;
@@ -66,6 +70,19 @@ const COLD_OPS: usize = 32;
 /// allocations per operation of the commit before D18. A count, so no
 /// override: it moves only when the code does.
 const MAX_COLD_ALLOCS: f64 = 140.0;
+/// Sub-flows in one burst of the sub-flow row, bursts run before
+/// counting, and bursts counted.
+const BURST_FLOWS: u64 = 256;
+const BURST_WARMUP: u64 = 1;
+const BURSTS: u64 = 4;
+/// Rate of one sub-flow of the row's tunnel.
+const FLOW_BPS: u64 = 1000;
+/// A sub-flow's round trip may allocate at most this much: its count
+/// once the link queue built frames as messages were queued (D27).
+const MAX_SUBFLOW_ALLOCS: f64 = 2.5;
+/// The same row's count before D27, when every queued message was a
+/// buffer of its own that a write batch merged and freed.
+const SUBFLOW_ALLOCS_BEFORE_D27: f64 = 5.28;
 /// `BENCH_warm.json` warm_us as committed before the D15 zero-alloc
 /// work landed.
 const BASELINE_WARM_US: f64 = 5.62;
@@ -101,6 +118,124 @@ fn carry(from: &mut LinkCore, to: &mut LinkCore, msgs: &mut Vec<SignalMessage>) 
         from.sent(n);
         assert!(to.bytes_in(n, now, msgs), "a well-formed frame was refused");
     }
+}
+
+/// The two link cores of a fresh channel between `a` and `b`, each fed
+/// by its own queue and without telemetry, with the syncs crossed.
+fn joined(
+    chan_ca: &mut CertificateAuthority,
+    pool: &BufferPool,
+    a: &str,
+    b: &str,
+) -> [(LinkCore, Arc<OutQueue>); 2] {
+    let ca_key = chan_ca.public_key();
+    let (ident_a, ident_b) = (broker_identity(chan_ca, a), broker_identity(chan_ca, b));
+    let pin = |name: &str| PeerPin {
+        ca_key,
+        dn: DistinguishedName::broker(name),
+    };
+    let (client, server) = handshake(&ident_a, &ident_b, &pin(b), &pin(a), 1, Timestamp::ZERO)
+        .expect("channel handshake");
+    let mut ends = [(a, b, 1, client), (b, a, 2, server)].map(|(domain, peer, life, channel)| {
+        let queue = Arc::new(OutQueue::new(1024, MAX_FRAME_LEN));
+        let disabled = Telemetry::disabled();
+        let mut core = LinkCore::new(
+            Arc::clone(&queue),
+            &disabled,
+            domain,
+            peer,
+            life,
+            MAX_FRAME_LEN,
+            pool.clone(),
+        );
+        core.replace_session(Some(channel.split()));
+        (core, queue)
+    });
+    let [(core_a, _), (core_b, _)] = &mut ends;
+    carry(core_a, core_b, &mut Vec::new());
+    carry(core_b, core_a, &mut Vec::new());
+    ends
+}
+
+/// Bursts of `BURST_FLOWS` sub-flows of an a → c tunnel: requested at
+/// a's node, carried by a's link core to c's, admitted by c's
+/// `recv_tunnel_flows`, the replies carried back and applied at a.
+/// Returns allocations, bytes and ns per sub-flow over the counted
+/// bursts.
+fn subflow_bursts(
+    s: &mut Scenario,
+    chan_ca: &mut CertificateAuthority,
+    pool: &BufferPool,
+) -> (f64, f64, f64) {
+    // The tunnel, set up over the in-process mesh; the bursts then run
+    // on its end nodes by hand.
+    let flows = (BURST_WARMUP + BURSTS) * BURST_FLOWS;
+    let spec = s
+        .spec("alice", 9000, flows * FLOW_BPS, Timestamp(0), 3600)
+        .as_tunnel();
+    let tunnel = spec.rar_id;
+    let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
+    let (cert, alice) = (s.users["alice"].cert.clone(), s.users["alice"].dn.clone());
+    let mut mesh = mesh_from(s, 0);
+    mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
+    mesh.run_until_idle();
+    assert!(
+        matches!(
+            mesh.completions(),
+            [(_, _, Completion::Reservation { result: Ok(_), .. })]
+        ),
+        "the tunnel stands"
+    );
+
+    let [(mut core_a, queue_a), (mut core_c, queue_c)] =
+        joined(chan_ca, pool, "domain-a", "domain-c");
+    let (mut at_a, mut at_c) = (Vec::new(), Vec::new());
+    let from_a = PeerId::from("domain-a");
+    let (mut a0, mut b0, mut t0) = (0, 0, Instant::now());
+    for burst in 0..BURST_WARMUP + BURSTS {
+        if burst == BURST_WARMUP {
+            a0 = alloc_count::allocations();
+            b0 = alloc_count::allocated_bytes();
+            t0 = Instant::now();
+        }
+        for flow in burst * BURST_FLOWS..(burst + 1) * BURST_FLOWS {
+            let out = mesh
+                .node_mut("domain-a")
+                .request_tunnel_flow(tunnel, flow, FLOW_BPS, alice.clone())
+                .expect("the aggregate has room");
+            for (_to, msg) in out {
+                queue_a.push(&msg);
+            }
+        }
+        carry(&mut core_a, &mut core_c, &mut at_c);
+        let requests = at_c
+            .drain(..)
+            .map(|msg| match msg {
+                SignalMessage::TunnelFlow(req) => (from_a.clone(), req),
+                other => panic!("not a sub-flow request: {other:?}"),
+            })
+            .collect();
+        for (_to, reply) in mesh.node_mut("domain-c").recv_tunnel_flows(requests) {
+            queue_c.push(&reply);
+        }
+        carry(&mut core_c, &mut core_a, &mut at_a);
+        let a = mesh.node_mut("domain-a");
+        for reply in at_a.drain(..) {
+            a.recv("domain-c", reply);
+        }
+        let accepted = a
+            .take_completions()
+            .iter()
+            .filter(|c| matches!(c, Completion::TunnelFlow { accepted: true, .. }))
+            .count();
+        assert_eq!(accepted as u64, BURST_FLOWS, "every sub-flow admitted once");
+    }
+    let counted = (BURSTS * BURST_FLOWS) as f64;
+    (
+        (alloc_count::allocations() - a0) as f64 / counted,
+        (alloc_count::allocated_bytes() - b0) as f64 / counted,
+        t0.elapsed().as_nanos() as f64 / counted,
+    )
 }
 
 fn broker_identity(ca: &mut CertificateAuthority, name: &str) -> ChannelIdentity {
@@ -187,9 +322,9 @@ fn main() {
     let mut artifact = Artifact::new(
         "exp_alloc_path",
         "mixed (allocs/op; us; verdicts)",
-        "allocations per first-sight admission round trip over two link cores \
-         and warm depth-8 envelope verification vs the committed baseline \
-         (hard gates, non-zero exit on failure)",
+        "allocations per first-sight admission round trip and per sub-flow of \
+         a burst over two link cores, and warm depth-8 envelope verification \
+         vs the committed baseline (hard gates, non-zero exit on failure)",
     );
     let mut failures: Vec<String> = Vec::new();
 
@@ -210,27 +345,11 @@ fn main() {
     });
     let cert = s.users["alice"].cert.clone();
 
-    // A secure channel standing in for the b↔c link.
+    // Secure channels stand in for the b↔c and a↔c links.
     let mut chan_ca = CertificateAuthority::new(
         DistinguishedName::authority("chan-CA"),
         KeyPair::from_seed(b"chan-ca"),
     );
-    let ca_key = chan_ca.public_key();
-    let ident_b = broker_identity(&mut chan_ca, "domain-b");
-    let ident_c = broker_identity(&mut chan_ca, "domain-c");
-    let pin = |name: &str| PeerPin {
-        ca_key,
-        dn: DistinguishedName::broker(name),
-    };
-    let (client, server) = handshake(
-        &ident_b,
-        &ident_c,
-        &pin("domain-c"),
-        &pin("domain-b"),
-        1,
-        Timestamp::ZERO,
-    )
-    .expect("channel handshake");
 
     // Inputs: distinct reservations, each forwarded a → b so the
     // destination sees the realistic transit-wrapped envelope.
@@ -250,27 +369,9 @@ fn main() {
     // the node verifies and admits it in full, and the verdict goes back
     // over the same link carrying c's ack.
     let pool = BufferPool::new(4);
-    let disabled = Telemetry::disabled();
-    let end = |domain: &str, peer: &str, life: u64| {
-        let queue = Arc::new(OutQueue::new(1024));
-        let core = LinkCore::new(
-            Arc::clone(&queue),
-            &disabled,
-            domain,
-            peer,
-            life,
-            MAX_FRAME_LEN,
-            pool.clone(),
-        );
-        (core, queue)
-    };
-    let (mut core_b, queue_b) = end("domain-b", "domain-c", 1);
-    let (mut core_c, queue_c) = end("domain-c", "domain-b", 2);
-    core_b.replace_session(Some(client.split()));
-    core_c.replace_session(Some(server.split()));
+    let [(mut core_b, queue_b), (mut core_c, queue_c)] =
+        joined(&mut chan_ca, &pool, "domain-b", "domain-c");
     let (mut at_b, mut at_c) = (Vec::new(), Vec::new());
-    carry(&mut core_b, &mut core_c, &mut at_c); // the syncs cross
-    carry(&mut core_c, &mut core_b, &mut at_b);
     let mut a0 = 0u64;
     let mut b0 = 0u64;
     let mut t0 = Instant::now();
@@ -280,7 +381,7 @@ fn main() {
             b0 = alloc_count::allocated_bytes();
             t0 = Instant::now();
         }
-        queue_b.push(data_frame(msg));
+        queue_b.push(msg);
         carry(&mut core_b, &mut core_c, &mut at_c);
         let msg = at_c.pop().expect("one message per request");
         let replies = s.nodes[2].recv("domain-b", msg);
@@ -289,7 +390,7 @@ fn main() {
             "first-sight admission approves"
         );
         for (_to, reply) in replies {
-            queue_c.push(data_frame(&reply));
+            queue_c.push(&reply);
         }
         carry(&mut core_c, &mut core_b, &mut at_b);
         assert!(!at_b.is_empty(), "the verdict reaches b");
@@ -298,6 +399,7 @@ fn main() {
     let cold_allocs_per_op = (alloc_count::allocations() - a0) as f64 / COLD_OPS as f64;
     let cold_bytes_per_op = (alloc_count::allocated_bytes() - b0) as f64 / COLD_OPS as f64;
     let cold_ns_per_op = t0.elapsed().as_nanos() as f64 / COLD_OPS as f64;
+    let (flow_allocs, flow_bytes, flow_ns) = subflow_bursts(&mut s, &mut chan_ca, &pool);
     let pool_fallbacks = pool.fallbacks();
 
     table_row(
@@ -309,6 +411,19 @@ fn main() {
         ],
         &widths,
     );
+    table_row(
+        &[
+            "sub-flow".to_string(),
+            format!("{flow_allocs:.2}"),
+            format!("{flow_bytes:.0}"),
+            format!("{flow_ns:.0}"),
+        ],
+        &widths,
+    );
+    println!(
+        "  sub-flow: {BURST_FLOWS}-flow bursts a → c and back; gate {MAX_SUBFLOW_ALLOCS:.2}, \
+         {SUBFLOW_ALLOCS_BEFORE_D27:.2} before D27"
+    );
     println!("  pool fallbacks: {pool_fallbacks}");
     artifact.push(
         Row::new()
@@ -317,12 +432,22 @@ fn main() {
             .field("cold_bytes_per_op", cold_bytes_per_op)
             .field("cold_ns_per_op", cold_ns_per_op)
             .field("cold_ops", COLD_OPS)
+            .field("subflow_allocs_per_op", flow_allocs)
+            .field("subflow_bytes_per_op", flow_bytes)
+            .field("subflow_ns_per_op", flow_ns)
+            .field("subflow_allocs_before_d27", SUBFLOW_ALLOCS_BEFORE_D27)
             .field("pool_fallbacks", pool_fallbacks),
     );
     if cold_allocs_per_op > MAX_COLD_ALLOCS {
         failures.push(format!(
             "a first-sight admission allocates {cold_allocs_per_op:.2} allocations/op, \
              above the {MAX_COLD_ALLOCS:.0} bound"
+        ));
+    }
+    if flow_allocs > MAX_SUBFLOW_ALLOCS {
+        failures.push(format!(
+            "a sub-flow round trip allocates {flow_allocs:.2} allocations/op, \
+             above the {MAX_SUBFLOW_ALLOCS:.2} bound"
         ));
     }
     if pool_fallbacks != 0 {

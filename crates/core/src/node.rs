@@ -1131,7 +1131,7 @@ impl BbNode {
             SignalMessage::Deny(d) => self.on_deny(from, d),
             SignalMessage::Direct(d) => self.on_direct(*d),
             SignalMessage::DirectReply(_) => Vec::new(), // agents consume these
-            SignalMessage::TunnelFlow(t) => self.on_tunnel_flow(from, t),
+            SignalMessage::TunnelFlow(t) => vec![self.on_tunnel_flow(from, t)],
             SignalMessage::TunnelFlowReply(r) => self.on_tunnel_flow_reply(from, r),
             SignalMessage::Release(r) => self.on_release(from, r),
             SignalMessage::TunnelFlowRelease(r) => self.on_tunnel_flow_release(from, r),
@@ -1152,7 +1152,7 @@ impl BbNode {
         self.counters.add_rx(batch.len() as u64);
         let mut out = Vec::with_capacity(batch.len());
         for (from, req) in batch {
-            out.extend(self.on_tunnel_flow(&from, req));
+            out.push(self.on_tunnel_flow(&from, req));
         }
         self.counters.add_tx(out.len() as u64);
         out
@@ -1908,16 +1908,13 @@ impl BbNode {
         Ok(vec![(dest, SignalMessage::TunnelFlow(msg))])
     }
 
-    /// Admit (or refuse) one sub-flow. Admission is serial: sub-flows of
-    /// one tunnel race for the same aggregate budget.
-    fn on_tunnel_flow(
-        &mut self,
-        from: &str,
-        req: TunnelFlowRequest,
-    ) -> Vec<(PeerId, SignalMessage)> {
+    /// Admit (or refuse) one sub-flow, and the one reply that says so.
+    /// Admission is serial: sub-flows of one tunnel race for the same
+    /// aggregate budget.
+    fn on_tunnel_flow(&mut self, from: &str, req: TunnelFlowRequest) -> (PeerId, SignalMessage) {
         let (timing, t_start) = self.t0();
         let reply = |accepted: bool, reason: DenialCode, source: PeerId| {
-            vec![(
+            (
                 source,
                 SignalMessage::TunnelFlowReply(TunnelFlowReply {
                     tunnel: req.tunnel,
@@ -1925,7 +1922,7 @@ impl BbNode {
                     accepted,
                     reason,
                 }),
-            )]
+            )
         };
         let out = 'admit: {
             let Some(t) = self.tunnels_dst.get_mut(&req.tunnel) else {

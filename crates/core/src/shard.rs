@@ -117,7 +117,7 @@ pub enum ShardMsg {
         /// Requested rate.
         rate_bps: u64,
         /// Requesting user.
-        requestor: Box<DistinguishedName>,
+        requestor: DistinguishedName,
     },
     /// Advance the shard's wall clock.
     SetTime(Timestamp),
@@ -511,7 +511,7 @@ impl ShardedNode {
             tunnel,
             flow,
             rate_bps,
-            requestor: Box::new(requestor),
+            requestor,
         });
     }
 
@@ -799,7 +799,7 @@ fn process_batch(
                 requestor,
             } => match state
                 .node
-                .request_tunnel_flow(tunnel, flow, rate_bps, *requestor)
+                .request_tunnel_flow(tunnel, flow, rate_bps, requestor)
             {
                 Ok(out) => out,
                 Err(e) => {

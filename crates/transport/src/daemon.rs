@@ -13,10 +13,11 @@
 //!   parallel while the shared striped ledger keeps committed bandwidth
 //!   exact. Shard workers steal from each other's ingress queues when
 //!   load skews;
-//! * shard outputs come back through each link's bounded [`OutQueue`]
-//!   (plaintext, unnumbered; numbering and sealing happen at write
-//!   time, so frames that wait out a reconnect are MAC'd under the new
-//!   session's sequence space), and the workers' sink rings the
+//! * shard outputs come back through each link's bounded [`OutQueue`],
+//!   encoded onto the end of the frame open at its back (plaintext,
+//!   unnumbered; numbering and sealing happen at write time, so frames
+//!   that wait out a reconnect are MAC'd under the new session's
+//!   sequence space), and the workers' sink rings the
 //!   reactor's waker if the reactor is parked in its poll. A message
 //!   the reactor runs itself (DESIGN.md §D20) leaves through a second
 //!   [`TcpSink`] that neither waits for the reactor nor wakes it.
@@ -27,7 +28,7 @@
 
 use crate::admin::{AdminState, ReactorStatus};
 use crate::error::TransportError;
-use crate::queue::OutQueue;
+use crate::queue::{OutQueue, PushOutcome};
 use crate::reactor::{Ctrl, Reactor, ReactorConfig, TOKEN_WAKER};
 use crate::resume::TicketIssuer;
 use crate::session::broker_pin;
@@ -53,7 +54,7 @@ use std::time::{Duration, Instant};
 pub struct TransportOptions {
     /// Frame-size ceiling enforced on both directions.
     pub max_frame: usize,
-    /// Per-link outbound queue capacity (frames).
+    /// Per-link outbound queue capacity (messages).
     pub queue_capacity: usize,
     /// First reconnect delay.
     pub backoff_base: Duration,
@@ -189,7 +190,7 @@ impl LinkWatch {
 }
 
 /// The shard sink for the TCP fabric: outputs go to link queues
-/// (plaintext — the reactor numbers and seals at write time),
+/// (plaintext frames — the reactor numbers and seals them at write time),
 /// completions to the daemon owner's channel. Called with a shard's
 /// node lock held, so it must never dispatch back into the shards.
 pub(crate) struct TcpSink {
@@ -214,17 +215,21 @@ impl ShardSink for TcpSink {
         let Some(link) = self.links.get(to) else {
             return;
         };
-        let frame = crate::link::data_frame(&msg);
-        match &self.reactor {
-            Some(bell) => link.queue.try_push(frame).unwrap_or_else(|frame| {
-                // Full: only the reactor makes room. Wake it, parked or
-                // not, before waiting for it.
-                let _ = bell.waker.wake();
-                link.queue.push(frame)
-            }),
-            None => link.queue.push_unbounded(frame),
+        let outcome = match &self.reactor {
+            Some(bell) => match link.queue.try_push(&msg) {
+                PushOutcome::Full => {
+                    // Only the reactor makes room. Wake it, parked or
+                    // not, before waiting for it.
+                    let _ = bell.waker.wake();
+                    link.queue.push(&msg)
+                }
+                done => done,
+            },
+            None => link.queue.push_unbounded(&msg),
         };
-        link.ins.outq_depth.record_max(link.queue.len() as i64);
+        if let PushOutcome::Queued(depth) = outcome {
+            link.ins.outq_depth.record_max(depth as i64);
+        }
     }
 
     /// At most one eventfd write per run of deliveries, and none while
@@ -339,7 +344,7 @@ impl BrokerDaemon {
             links.insert(
                 peer,
                 Link {
-                    queue: Arc::new(OutQueue::new(options.queue_capacity)),
+                    queue: Arc::new(OutQueue::new(options.queue_capacity, options.max_frame)),
                     established: AtomicBool::new(false),
                     connected: AtomicBool::new(false),
                     ins,
@@ -608,8 +613,8 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         let before = received();
         let release = TunnelFlowRelease::new(RarId(0), 7);
-        let frame = crate::link::data_frame(&SignalMessage::TunnelFlowRelease(release));
-        daemon_a.links[&b].queue.push(frame);
+        let release = SignalMessage::TunnelFlowRelease(release);
+        daemon_a.links[&b].queue.push(&release);
         daemon_a.shutdown();
         // b reads a's close after every byte a wrote before it.
         let deadline = Instant::now() + Duration::from_secs(5);

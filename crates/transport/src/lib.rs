@@ -14,8 +14,8 @@
 //!   reconnects skip every Schnorr operation;
 //! * [`session`] — the message-based mutual handshake over a blocking
 //!   socket, ending in the [`Session`] parts the reactor takes over;
-//! * [`queue`] — bounded per-peer outbound queues that block their
-//!   producers when full;
+//! * [`queue`] — bounded per-peer outbound queues that build a link's
+//!   data frames as messages are queued and block producers when full;
 //! * [`backoff`] — deterministic exponential reconnect backoff;
 //! * [`link`] — [`LinkCore`]: one link's delivery rules without I/O —
 //!   frame decode, open and seal, the delivery index, riding and

@@ -15,11 +15,11 @@
 //!   in place, decided by its reliability header
 //!   ([`LinkReliability::accept`]), and a new data frame's messages are
 //!   decoded from one shared copy of its body;
-//! * **bytes out** ([`LinkCore::bytes_out`], [`LinkCore::sent`]): one
-//!   write batch is popped from the link queue, its unnumbered messages
-//!   merged into one frame ([`merge_batch`], DESIGN.md §D25), stamped with
-//!   index and ack and sealed; "the socket took n bytes" retains every
-//!   fully written data frame until the peer acknowledges it;
+//! * **bytes out** ([`LinkCore::bytes_out`], [`LinkCore::sent`]): a write
+//!   batch of the frames the link queue built ([`OutQueue`], DESIGN.md
+//!   §D27) is popped, and each is stamped and sealed where it lies; "the
+//!   socket took n bytes" retains every fully written data frame until
+//!   the peer acknowledges it;
 //! * **[`LinkCore::tick`]**: a standalone ack when one is due or the debt
 //!   is full, and the next deadline;
 //! * **[`LinkCore::replace_session`]**: the dead session's frames go back
@@ -65,15 +65,11 @@ pub(crate) const ACK_DELAY: Duration = Duration::from_millis(5);
 /// Sealed-plaintext tag: signalling messages behind one reliability
 /// header, `[tag][u64 index][u64 ack][message][message]…` — the frame's
 /// per-link delivery index and the sender's cumulative ack for the
-/// opposite direction. Both fields are filled at seal time
-/// ([`LinkReliability::stamp`]); the sink queues one message per frame
-/// and a write batch's are merged into one ([`merge_batch`]).
+/// opposite direction, filled at seal time ([`LinkReliability::stamp`]).
+/// The link queue builds the frames as messages are queued ([`OutQueue`]).
 pub(crate) const FRAME_DATA: u8 = 0;
 /// Length of a data frame's reliability header.
 pub(crate) const DATA_HEADER: usize = 17;
-/// Largest plaintext a merged data frame grows to (DESIGN.md §D25): a
-/// quarter of a pooled read chunk, ~230 sub-flows or 12 requests.
-const MERGE_CAP: usize = 16 * 1024;
 /// The index field of a data frame no session has sealed yet. Never on
 /// the wire: a received frame carrying it is rejected.
 pub(crate) const UNNUMBERED: u64 = u64::MAX;
@@ -253,9 +249,7 @@ impl LinkReliability {
     fn note_ack(&mut self, acked_to: u64) {
         if acked_to > self.acked {
             self.acked = acked_to;
-            while self.unacked.front().is_some_and(|(i, _)| *i < acked_to) {
-                self.unacked.pop_front();
-            }
+            while self.unacked.pop_front_if(|(i, _)| *i < acked_to).is_some() {}
             self.window.set(self.unacked.len() as i64);
         }
     }
@@ -273,48 +267,6 @@ impl LinkReliability {
         self.window.set(0);
         self.unacked.drain(..).map(|(_, p)| p).collect()
     }
-}
-
-/// Frame a signalling message behind a blank reliability header, as the
-/// sink queues it; the link numbers it when it seals it.
-pub fn data_frame(msg: &SignalMessage) -> Vec<u8> {
-    // A queued plaintext: owned, it waits in the link queue and is kept
-    // until the peer acknowledges the frame it is sealed in.
-    #[allow(clippy::disallowed_methods)]
-    let mut out = Vec::with_capacity(DATA_HEADER + 128);
-    out.push(FRAME_DATA);
-    out.extend_from_slice(&UNNUMBERED.to_le_bytes());
-    out.extend_from_slice(&[0; 8]);
-    qos_wire::encode_into(msg, &mut out);
-    out
-}
-
-/// Merge a popped write batch for sealing (DESIGN.md §D25): each run of
-/// consecutive unnumbered data frames becomes one frame, no larger than
-/// `cap` unless a single message is. A numbered frame — back from a dead
-/// connection with the index it was first sealed under — goes alone and
-/// untouched: a retransmit is the frame the peer may already have.
-pub(crate) fn merge_batch(batch: Vec<Vec<u8>>, cap: usize) -> Vec<Vec<u8>> {
-    // The merged frames: at most one per message, usually one.
-    let mut out: Vec<Vec<u8>> = Vec::with_capacity(batch.len());
-    // The last frame of `out` is unnumbered and may take more.
-    let mut open = false;
-    for plaintext in batch {
-        let fresh = le_u64(&plaintext[1..9]) == UNNUMBERED;
-        match out.last_mut() {
-            Some(last) if open && fresh && last.len() + plaintext.len() - DATA_HEADER <= cap => {
-                // A merged frame: the first plaintext of a run grows to
-                // hold the bodies of the rest.
-                #[allow(clippy::disallowed_methods)]
-                last.extend_from_slice(&plaintext[DATA_HEADER..]);
-            }
-            _ => {
-                open = fresh;
-                out.push(plaintext);
-            }
-        }
-    }
-    out
 }
 
 pub(crate) fn ack_frame(rx_next: u64) -> [u8; 9] {
@@ -384,6 +336,9 @@ pub struct LinkCore {
     /// One entry per frame in `out` the socket has not fully taken,
     /// oldest first.
     inflight: VecDeque<Inflight>,
+    /// The frames of the batch being sealed; empty between calls, its
+    /// allocation kept.
+    batch: Vec<Vec<u8>>,
     pool: BufferPool,
     max_frame: usize,
     ins: Instruments,
@@ -434,7 +389,7 @@ impl LinkCore {
             ),
             write_batch_frames: telemetry.histogram(
                 "transport_write_batch_frames",
-                "Messages in one popped write batch; its unnumbered ones share one sealed frame",
+                "Messages in one popped write batch; each queued frame of it is sealed whole",
                 l,
             ),
             writes_coalesced: counter(
@@ -472,6 +427,9 @@ impl LinkCore {
             out: Vec::new(),
             written: 0,
             inflight: VecDeque::new(),
+            // Grows once to the longest batch and is kept.
+            #[allow(clippy::disallowed_methods)]
+            batch: Vec::new(),
             pool,
             max_frame,
             ins,
@@ -548,40 +506,42 @@ impl LinkCore {
     }
 
     /// Bytes out: unless the session is waiting for the peer's sync or
-    /// the socket is behind by [`OUTBUF_HIGH_WATER`], pop one batch of at
-    /// most `max_batch` queued messages (none for 0), merge each run of
-    /// unnumbered ones into one frame, number and ack it, and seal it.
-    /// Returns every sealed byte the socket has not taken; report what it
-    /// took with [`LinkCore::sent`].
+    /// the socket is behind by [`OUTBUF_HIGH_WATER`], pop one batch of
+    /// queued frames holding at most `max_batch` messages (or one frame
+    /// holding more; none for 0), and number, ack and seal each frame as
+    /// it is. Returns every sealed byte the socket has not taken; report
+    /// what it took with [`LinkCore::sent`].
     pub fn bytes_out(&mut self, max_batch: usize) -> &[u8] {
         let ready = max_batch > 0
             && self.session.is_some()
             && self.rel.may_send()
             && self.out.len() - self.written < OUTBUF_HIGH_WATER;
+        let mut batch = std::mem::take(&mut self.batch);
         // `None`: the queue is closed (the daemon is shutting down).
-        let batch = ready
-            .then(|| self.queue.try_pop_batch(max_batch))
+        let msgs = ready
+            .then(|| self.queue.try_pop_batch(max_batch, &mut batch))
             .flatten()
-            .filter(|batch| !batch.is_empty());
-        if let Some(batch) = batch {
-            self.ins.write_batch_frames.observe(batch.len() as u64);
-            if batch.len() > 1 {
+            .unwrap_or(0);
+        if msgs > 0 {
+            self.ins.write_batch_frames.observe(msgs as u64);
+            if msgs > 1 {
                 self.ins.writes_coalesced.inc();
             }
-            let cap = MERGE_CAP.min(self.max_frame.saturating_sub(SEAL_OVERHEAD));
-            for mut plaintext in merge_batch(batch, cap) {
-                if plaintext.len() + SEAL_OVERHEAD > self.max_frame {
-                    // A message no frame can carry (never a protocol
-                    // message): dropped before it takes a delivery index
-                    // or a seal sequence number, so the link goes on.
-                    self.ins.dropped.inc();
-                    continue;
-                }
-                self.rel.stamp(&mut plaintext);
-                self.seal(&plaintext);
-                self.inflight.back_mut().expect("just sealed").data = Some(plaintext);
-            }
         }
+        for mut plaintext in batch.drain(..) {
+            if plaintext.len() + SEAL_OVERHEAD > self.max_frame {
+                // A message no frame can carry (never a protocol
+                // message): the queue gave it a frame of its own, dropped
+                // before it takes a delivery index or a seal sequence
+                // number, so the link goes on.
+                self.ins.dropped.inc();
+                continue;
+            }
+            self.rel.stamp(&mut plaintext);
+            self.seal(&plaintext);
+            self.inflight.back_mut().expect("just sealed").data = Some(plaintext);
+        }
+        self.batch = batch;
         &self.out[self.written..]
     }
 
@@ -590,8 +550,7 @@ impl LinkCore {
     /// cumulative ack covers its index: acceptance is not delivery.
     pub fn sent(&mut self, n: usize) {
         self.written += n;
-        while self.inflight.front().is_some_and(|f| f.end <= self.written) {
-            let frame = self.inflight.pop_front().expect("front exists");
+        while let Some(frame) = self.inflight.pop_front_if(|f| f.end <= self.written) {
             self.ins.frames_sent.inc();
             self.ins.bytes_sent.add(frame.body_len as u64);
             if let Some(plaintext) = frame.data {

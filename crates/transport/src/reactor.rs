@@ -307,15 +307,13 @@ impl Reactor {
             .links
             .iter()
             .map(|(peer, link)| {
-                let queue = Arc::clone(&link.queue);
-                let max_frame = options.max_frame;
                 let core = LinkCore::new(
-                    queue,
+                    Arc::clone(&link.queue),
                     telemetry,
                     domain,
                     peer,
                     life,
-                    max_frame,
+                    options.max_frame,
                     pool.clone(),
                 );
                 (peer.clone(), Peer { core, conn: None })
@@ -979,8 +977,8 @@ impl Reactor {
 mod tests {
     use super::*;
     use crate::link::{
-        ack_frame, data_frame, le_u64, merge_batch, sync_frame, Inbound, LinkReliability,
-        DATA_HEADER, FRAME_ACK, FRAME_DATA, FRAME_SYNC, UNNUMBERED,
+        ack_frame, le_u64, sync_frame, Inbound, LinkReliability, DATA_HEADER, FRAME_ACK,
+        FRAME_DATA, FRAME_SYNC, UNNUMBERED,
     };
     use crate::proto::SEAL_OVERHEAD;
     use crate::queue::OutQueue;
@@ -1237,7 +1235,7 @@ mod tests {
     /// A frame ceiling under which a data frame holds at most three
     /// messages, so that batches are cut into several frames.
     fn max_frame() -> usize {
-        let msg_len = data_frame(&msg(0)).len() - DATA_HEADER;
+        let msg_len = qos_wire::to_bytes(&msg(0)).len();
         SEAL_OVERHEAD + DATA_HEADER + 3 * msg_len
     }
 
@@ -1295,9 +1293,9 @@ mod tests {
 
         /// One end of a link in a new life, and its queue.
         fn end(pool: &BufferPool) -> (LinkCore, Arc<OutQueue>) {
-            let queue = Arc::new(OutQueue::new(1024));
-            let telemetry = Telemetry::disabled();
             let max_frame = max_frame();
+            let queue = Arc::new(OutQueue::new(1024, max_frame));
+            let telemetry = Telemetry::disabled();
             let core = LinkCore::new(
                 Arc::clone(&queue),
                 &telemetry,
@@ -1312,7 +1310,7 @@ mod tests {
 
         /// `TcpSink::deliver`.
         fn enqueue(&self, x: usize, id: u64) {
-            self.queues[x].push(data_frame(&msg(id)));
+            self.queues[x].push(&msg(id));
         }
 
         /// Both ends take a new session.
@@ -1398,35 +1396,41 @@ mod tests {
         }
     }
 
-    /// The index is given where the frame is sealed, once, and a batch's
-    /// messages share it.
+    /// The index is given where the frame is sealed, once, and the
+    /// messages the queue framed together share it.
     #[test]
     fn the_reactor_numbers_a_frame_the_first_time_it_seals_it() {
         let mut pipes = Pipes::new();
         pipes.quiesce(); // the syncs
-        for id in 0..6 {
+        for id in 0..8 {
             pipes.enqueue(0, id);
         }
-        // Two batches of two are sealed, a frame and an index each; the
-        // socket takes the first, which the peer never reads. Two
-        // messages wait in the queue, unnumbered.
-        pipes.seal(0, 2);
-        pipes.seal(0, 2);
+        // Three messages fill a frame. Two batches with room for one
+        // message each still take a whole frame and an index each; the
+        // socket takes the first, which the peer never reads. A frame of
+        // two waits, unnumbered.
+        pipes.seal(0, 1);
+        pipes.seal(0, 1);
         assert_eq!(pipes.cores[0].rel.tx_next, 2);
         let two_frames = pipes.cores[0].bytes_out(0).len();
         pipes.write(0, two_frames / 2);
         pipes.sever(0, false);
         // Requeued in front, in order, with the indices they were given;
-        // the two behind them still have none.
-        let requeued = pipes.queues[0].try_pop_batch(8).unwrap();
-        let indices: Vec<u64> = requeued.iter().map(|f| index_of(f)).collect();
-        assert_eq!(indices, [0, 1, UNNUMBERED, UNNUMBERED]);
-        for frame in requeued.into_iter().rev() {
+        // a message queued now joins the open frame behind them, not
+        // the numbered one before it.
+        pipes.enqueue(0, 8);
+        let mut frames = Vec::new();
+        assert_eq!(pipes.queues[0].try_pop_batch(8, &mut frames), Some(5));
+        let indices: Vec<u64> = frames.iter().map(|f| index_of(f)).collect();
+        assert_eq!(indices, [0, 1, UNNUMBERED]);
+        let lens: Vec<usize> = frames.iter().map(Vec::len).collect();
+        assert_eq!(lens, [lens[0]; 3], "three messages a frame");
+        for frame in frames.into_iter().rev() {
             pipes.queues[0].push_front(frame);
         }
-        // The syncs cross; then one batch takes all four: the numbered
-        // frames go again as they were, the two fresh messages share one
-        // new index, and the peer gets every message once.
+        // The syncs cross; then one batch takes all three: the numbered
+        // frames go again as they were, the fresh one takes one new
+        // index, and the peer gets every message once.
         for x in 0..2 {
             pipes.write(x, usize::MAX);
             pipes.read(1 - x, usize::MAX);
@@ -1434,66 +1438,8 @@ mod tests {
         pipes.seal(0, 8);
         assert_eq!(pipes.cores[0].rel.tx_next, 3);
         pipes.quiesce();
-        assert_eq!(pipes.delivered[1], [0, 1, 2, 3, 4, 5]);
+        assert_eq!(pipes.delivered[1], (0..9).collect::<Vec<u64>>());
         assert_eq!(pipes.cores[0].rel.tx_next, 3);
-    }
-
-    /// Split `merged` back into runs of `batch`, checking that each
-    /// frame is a numbered frame of the batch untouched, or the header
-    /// of an unnumbered one followed by the bodies of a consecutive run
-    /// of unnumbered ones. Returns each frame's run length.
-    fn runs(batch: &[Vec<u8>], merged: &[Vec<u8>]) -> Result<Vec<usize>, TestCaseError> {
-        let mut input = batch.iter();
-        let mut lens = Vec::new();
-        for frame in merged {
-            let first = input
-                .next()
-                .ok_or(TestCaseError::fail("a frame from nothing"))?;
-            prop_assert_eq!(&frame[..DATA_HEADER], &first[..DATA_HEADER]);
-            let mut body = first[DATA_HEADER..].to_vec();
-            let mut n = 1;
-            while body.len() < frame.len() - DATA_HEADER {
-                let next = input
-                    .next()
-                    .ok_or(TestCaseError::fail("bytes from nowhere"))?;
-                prop_assert_eq!(index_of(first), UNNUMBERED, "a numbered frame merged");
-                prop_assert_eq!(index_of(next), UNNUMBERED, "a numbered frame merged");
-                body.extend_from_slice(&next[DATA_HEADER..]);
-                n += 1;
-            }
-            prop_assert_eq!(&frame[DATA_HEADER..], &body[..]);
-            lens.push(n);
-        }
-        prop_assert!(input.next().is_none(), "a message was lost");
-        Ok(lens)
-    }
-
-    proptest! {
-        /// Any batch of numbered and unnumbered frames with bodies of
-        /// any size, merged under any cap: every body comes out once, in
-        /// order and byte-identical; a numbered frame alone and as it
-        /// was; no merged frame over the cap; a message over the cap
-        /// alone.
-        #[test]
-        fn merging_keeps_every_message_in_order_and_no_frame_over_the_cap(
-            batch in proptest::collection::vec(
-                (any::<bool>(), proptest::collection::vec(any::<u8>(), 1..120)),
-                0..64,
-            ),
-            cap in DATA_HEADER..DATA_HEADER + 400,
-        ) {
-            let batch: Vec<Vec<u8>> = batch
-                .into_iter()
-                .enumerate()
-                .map(|(i, (numbered, body))| {
-                    if numbered { data(i as u64, 0, &body) } else { queued(&body) }
-                })
-                .collect();
-            let merged = merge_batch(batch.clone(), cap);
-            for (frame, n) in merged.iter().zip(runs(&batch, &merged)?) {
-                prop_assert!(frame.len() <= cap || n == 1, "{} bytes merged", frame.len());
-            }
-        }
     }
 
     proptest! {

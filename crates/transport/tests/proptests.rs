@@ -186,49 +186,73 @@ proptest! {
         }
     }
 
-    /// `try_pop_batch` agrees with a reference deque: batches come out
-    /// in FIFO order and never exceed `max`, a push that finds room is
-    /// queued, a push that would block is handed back, and a closed
-    /// queue refuses everything.
+    /// `try_pop_batch` agrees with a reference queue of frames: messages
+    /// come out in FIFO order, `per_frame` to a frame; a batch takes
+    /// whole frames while they fit `max` messages, the first whatever it
+    /// holds; a push that finds room is queued, one that would block is
+    /// refused, and a closed queue refuses everything.
     #[test]
     fn pop_batch_preserves_fifo_and_policy(
         capacity in 1usize..8,
+        per_frame in 1usize..4,
         ops in proptest::collection::vec((any::<bool>(), 1usize..6), 1..64),
         close_after in proptest::option::of(0usize..64),
     ) {
-        let q = OutQueue::new(capacity);
+        // One-byte messages behind a data frame's 17-byte header, sealed
+        // with 45 bytes of overhead.
+        let q = OutQueue::new(capacity, 45 + 17 + per_frame);
+        let pop = |max| {
+            let mut frames = Vec::new();
+            q.try_pop_batch(max, &mut frames)?;
+            Some(frames.iter().map(|f| f[17..].to_vec()).collect::<Vec<_>>())
+        };
+        // Each queued frame's messages.
         let mut model: VecDeque<Vec<u8>> = VecDeque::new();
+        let queued = |model: &VecDeque<Vec<u8>>| model.iter().map(Vec::len).sum::<usize>();
+        let model_pop = |model: &mut VecDeque<Vec<u8>>, max| {
+            let mut want = Vec::new();
+            let mut taken = 0;
+            while let Some(frame) = model.front() {
+                if taken > 0 && taken + frame.len() > max {
+                    break;
+                }
+                taken += frame.len();
+                want.extend(model.pop_front());
+            }
+            want
+        };
         let mut next_id = 0u8;
         for (step, (is_push, arg)) in ops.into_iter().enumerate() {
             if close_after == Some(step) {
                 q.close();
-                prop_assert_eq!(q.push(vec![0]), PushOutcome::Closed);
-                prop_assert_eq!(q.try_push(vec![0]), Ok(PushOutcome::Closed));
-                prop_assert_eq!(q.try_pop_batch(arg), None);
+                prop_assert_eq!(q.push(&0u8), PushOutcome::Closed);
+                prop_assert_eq!(q.try_push(&0u8), PushOutcome::Closed);
+                prop_assert_eq!(pop(arg), None);
                 prop_assert!(q.is_empty());
                 return Ok(());
             }
             if is_push {
-                let frame = vec![next_id];
+                let id = next_id;
                 next_id = next_id.wrapping_add(1);
-                if model.len() < capacity {
-                    model.push_back(frame.clone());
-                    prop_assert_eq!(q.push(frame), PushOutcome::Queued);
+                let n = queued(&model);
+                if n < capacity {
+                    match model.back_mut() {
+                        Some(frame) if frame.len() < per_frame => frame.push(id),
+                        _ => model.push_back(vec![id]),
+                    }
+                    prop_assert_eq!(q.push(&id), PushOutcome::Queued(n + 1));
                 } else {
-                    // `push` would block; `try_push` hands the frame back.
-                    prop_assert_eq!(q.try_push(frame.clone()), Err(frame));
+                    // `push` would block; `try_push` queues nothing.
+                    prop_assert_eq!(q.try_push(&id), PushOutcome::Full);
                 }
             } else {
-                let n = model.len().min(arg);
-                let want: Vec<Vec<u8>> = model.drain(..n).collect();
-                prop_assert_eq!(q.try_pop_batch(arg).unwrap(), want);
+                prop_assert_eq!(pop(arg).unwrap(), model_pop(&mut model, arg));
             }
-            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.len(), queued(&model));
         }
         // Drain whatever is left; it must be the model's remainder, in order.
         while !model.is_empty() {
-            let want: Vec<Vec<u8>> = model.drain(..model.len().min(3)).collect();
-            prop_assert_eq!(q.try_pop_batch(3).unwrap(), want);
+            prop_assert_eq!(pop(3).unwrap(), model_pop(&mut model, 3));
         }
         prop_assert!(q.is_empty());
     }
