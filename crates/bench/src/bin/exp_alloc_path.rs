@@ -6,17 +6,21 @@
 //! enforces):
 //!
 //! 1. **Allocation churn** — one admission round trip of a reservation
-//!    the destination has never seen allocates at most 140 allocations
-//!    per operation: 45 % of the 312 it cost while a name was a vector
-//!    of string pairs (D18). The round trip runs on two [`LinkCore`]s,
+//!    the destination has never seen allocates at most 57 allocations
+//!    per operation, its count once each link shared the names and
+//!    certificates it delivered before (D28; 83.19 before). The round
+//!    trip runs on two [`LinkCore`]s,
 //!    the link code the reactor runs (message pushed onto the queue's
 //!    open frame → popped, numbered and sealed frame → pooled frame
 //!    decode → borrowed `SealedRef` parse → `open_in_place` → delivery
-//!    index → shared-buffer `SignalMessage` decode), with `BbNode::recv`
+//!    index → shared-buffer `SignalMessage` decode through the link's
+//!    intern tables), with `BbNode::recv`
 //!    and full verification between them and the verdict carried back.
 //!    A sub-flow of a 256-flow burst of an a → c tunnel, carried the
 //!    same way through `BbNode::recv_tunnel_flows` and back, allocates
-//!    at most 2.5 (D27).
+//!    at most 1.25 (2.15 before D28). A stream of distinct certificates
+//!    decodes through a link's table at most 1.5× as slowly as before
+//!    D28, when every certificate was decoded afresh.
 //! 2. **Latency** — warm depth-8 envelope verification must stay
 //!    strictly better than the committed `BENCH_warm.json` baseline
 //!    (5.62 µs). The baseline is the pre-D15 committed value,
@@ -42,13 +46,14 @@ use qos_core::scenario::{build_chain, ChainOptions, Scenario};
 use qos_core::trust::{verify_rar, KeySource};
 use qos_core::{PeerId, RarId, ResSpec};
 use qos_crypto::{
-    CertificateAuthority, DistinguishedName, KeyPair, Timestamp, TrustPolicy, Validity,
+    Certificate, CertificateAuthority, DistinguishedName, KeyPair, Signature, TbsCertificate,
+    Timestamp, TrustPolicy, Validity,
 };
 use qos_net::SimDuration;
 use qos_policy::AttributeSet;
 use qos_telemetry::{Artifact, Row, Telemetry};
 use qos_transport::{LinkCore, OutQueue, MAX_FRAME_LEN};
-use qos_wire::BufferPool;
+use qos_wire::{BufferPool, Decode, Reader};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -66,10 +71,14 @@ const MAX_WRITE_BATCH: usize = 64;
 const COLD_WARMUP: usize = 8;
 const COLD_OPS: usize = 32;
 
-/// A cold admission may allocate at most this much: 45 % of the 312
-/// allocations per operation of the commit before D18. A count, so no
-/// override: it moves only when the code does.
-const MAX_COLD_ALLOCS: f64 = 140.0;
+/// A cold admission may allocate at most this much: its count once a
+/// link shared the names and certificates it delivered before (D28),
+/// plus a margin of two. A count, so no override: it moves only when
+/// the code does.
+const MAX_COLD_ALLOCS: f64 = 57.0;
+/// The same row's count before D28, when every certificate and name of
+/// every request was decoded afresh.
+const COLD_ALLOCS_BEFORE_D28: f64 = 83.19;
 /// Sub-flows in one burst of the sub-flow row, bursts run before
 /// counting, and bursts counted.
 const BURST_FLOWS: u64 = 256;
@@ -78,11 +87,18 @@ const BURSTS: u64 = 4;
 /// Rate of one sub-flow of the row's tunnel.
 const FLOW_BPS: u64 = 1000;
 /// A sub-flow's round trip may allocate at most this much: its count
-/// once the link queue built frames as messages were queued (D27).
-const MAX_SUBFLOW_ALLOCS: f64 = 2.5;
-/// The same row's count before D27, when every queued message was a
-/// buffer of its own that a write batch merged and freed.
-const SUBFLOW_ALLOCS_BEFORE_D27: f64 = 5.28;
+/// once a link shared the requestor's name (D28), plus a margin.
+const MAX_SUBFLOW_ALLOCS: f64 = 1.25;
+/// The same row's count before D28 (5.28 before D27, when every queued
+/// message was a buffer of its own that a write batch merged and freed).
+const SUBFLOW_ALLOCS_BEFORE_D28: f64 = 2.15;
+/// The certificate row: certificates per stream, rounds, passes per
+/// round, and how many times the decode before D28 a stream of distinct
+/// ones may cost through a link's table.
+const MISS_CERTS: usize = 2048;
+const MISS_ROUNDS: usize = 9;
+const MISS_PASSES: usize = 15;
+const MAX_MISS_RATIO: f64 = 1.5;
 /// `BENCH_warm.json` warm_us as committed before the D15 zero-alloc
 /// work landed.
 const BASELINE_WARM_US: f64 = 5.62;
@@ -236,6 +252,54 @@ fn subflow_bursts(
         (alloc_count::allocated_bytes() - b0) as f64 / counted,
         t0.elapsed().as_nanos() as f64 / counted,
     )
+}
+
+/// ns per certificate `(through a link's table, as before D28)` of a
+/// stream of distinct certificates and of one certificate repeated: the
+/// median of [`MISS_ROUNDS`] rounds, each the fastest of [`MISS_PASSES`]
+/// alternating passes. Before D28 a certificate was its body and its
+/// signature, decoded afresh; each value is dropped at once.
+fn cert_decode_ns(ca: &mut CertificateAuthority) -> [[f64; 2]; 2] {
+    let key = KeyPair::from_seed(b"miss").public();
+    let cert = |i| {
+        ca.issue_identity(
+            DistinguishedName::broker(&domain(i)),
+            key,
+            Validity::unbounded(),
+        )
+    };
+    let certs: Vec<_> = (0..MISS_CERTS).map(cert).collect();
+    let distinct: Vec<u8> = certs.iter().flat_map(qos_wire::to_bytes).collect();
+    let repeated = qos_wire::to_bytes(&certs[0]).repeat(MISS_CERTS);
+    [distinct, repeated].map(|stream| {
+        let mut rounds: Vec<[f64; 2]> = (0..MISS_ROUNDS)
+            .map(|_| {
+                let mut tables = qos_crypto::intern_tables();
+                let mut fastest = [f64::INFINITY; 2];
+                for _ in 0..MISS_PASSES {
+                    for (i, best) in fastest.iter_mut().enumerate() {
+                        let mut r = Reader::new(&stream);
+                        if i == 0 {
+                            r = r.with_tables(&mut tables);
+                        }
+                        let t0 = Instant::now();
+                        for _ in 0..MISS_CERTS {
+                            match i {
+                                0 => drop(Certificate::decode(&mut r)),
+                                _ => drop(<(TbsCertificate, Signature)>::decode(&mut r)),
+                            }
+                        }
+                        *best = best.min(t0.elapsed().as_nanos() as f64 / MISS_CERTS as f64);
+                    }
+                }
+                fastest
+            })
+            .collect();
+        [0, 1].map(|i| {
+            rounds.sort_by(|a, b| a[i].total_cmp(&b[i]));
+            rounds[MISS_ROUNDS / 2][i]
+        })
+    })
 }
 
 fn broker_identity(ca: &mut CertificateAuthority, name: &str) -> ChannelIdentity {
@@ -401,6 +465,7 @@ fn main() {
     let cold_ns_per_op = t0.elapsed().as_nanos() as f64 / COLD_OPS as f64;
     let (flow_allocs, flow_bytes, flow_ns) = subflow_bursts(&mut s, &mut chan_ca, &pool);
     let pool_fallbacks = pool.fallbacks();
+    let [[miss_ns, miss_before], [hit_ns, hit_before]] = cert_decode_ns(&mut chan_ca);
 
     table_row(
         &[
@@ -421,10 +486,17 @@ fn main() {
         &widths,
     );
     println!(
-        "  sub-flow: {BURST_FLOWS}-flow bursts a → c and back; gate {MAX_SUBFLOW_ALLOCS:.2}, \
-         {SUBFLOW_ALLOCS_BEFORE_D27:.2} before D27"
+        "  cold: gate {MAX_COLD_ALLOCS:.2}, {COLD_ALLOCS_BEFORE_D28:.2} before D28\n  \
+         sub-flow: {BURST_FLOWS}-flow bursts a → c and back; gate {MAX_SUBFLOW_ALLOCS:.2}, \
+         {SUBFLOW_ALLOCS_BEFORE_D28:.2} before D28"
     );
     println!("  pool fallbacks: {pool_fallbacks}");
+
+    let miss_ratio = miss_ns / miss_before;
+    println!(
+        "  certificate decode, ns (before D28): distinct {miss_ns:.0} ({miss_before:.0}), \
+         {miss_ratio:.2}x, gate {MAX_MISS_RATIO:.1}x; repeated {hit_ns:.0} ({hit_before:.0})"
+    );
     artifact.push(
         Row::new()
             .field("section", "alloc_per_op")
@@ -435,7 +507,12 @@ fn main() {
             .field("subflow_allocs_per_op", flow_allocs)
             .field("subflow_bytes_per_op", flow_bytes)
             .field("subflow_ns_per_op", flow_ns)
-            .field("subflow_allocs_before_d27", SUBFLOW_ALLOCS_BEFORE_D27)
+            .field("cold_allocs_before_d28", COLD_ALLOCS_BEFORE_D28)
+            .field("subflow_allocs_before_d28", SUBFLOW_ALLOCS_BEFORE_D28)
+            .field("cert_miss_ns", miss_ns)
+            .field("cert_miss_ns_before_d28", miss_before)
+            .field("cert_hit_ns", hit_ns)
+            .field("cert_hit_ns_before_d28", hit_before)
             .field("pool_fallbacks", pool_fallbacks),
     );
     if cold_allocs_per_op > MAX_COLD_ALLOCS {
@@ -448,6 +525,12 @@ fn main() {
         failures.push(format!(
             "a sub-flow round trip allocates {flow_allocs:.2} allocations/op, \
              above the {MAX_SUBFLOW_ALLOCS:.2} bound"
+        ));
+    }
+    if miss_ratio > MAX_MISS_RATIO {
+        failures.push(format!(
+            "distinct certificates decode {miss_ratio:.2}x as slowly as before D28, \
+             above the {MAX_MISS_RATIO:.1}x bound"
         ));
     }
     if pool_fallbacks != 0 {

@@ -38,7 +38,7 @@ fn main() {
 
     // Hand the messages from broker to broker and keep every request on
     // its way in: (receiving domain index, sender's key, envelope).
-    let user_pk = cert.tbs.subject_public_key;
+    let user_pk = cert.tbs().subject_public_key;
     let mut received = vec![(0usize, user_pk, rar.clone())];
     let mut queue: Vec<_> = s.nodes[0]
         .submit(rar, &cert)
@@ -76,9 +76,9 @@ fn main() {
     for c in view.caps() {
         println!(
             "  certificate  issuer={} subject={} key={} caps={:?}",
-            c.tbs.issuer,
-            c.tbs.subject,
-            c.tbs.subject_public_key.fingerprint(),
+            c.tbs().issuer,
+            c.tbs().subject,
+            c.tbs().subject_public_key.fingerprint(),
             c.capabilities()
         );
     }

@@ -105,24 +105,24 @@ pub fn handshake(
     let sig_r = responder.key.sign(&transcript);
     if !initiator
         .cert
-        .tbs
+        .tbs()
         .subject_public_key
         .verify(&transcript, &sig_i)
     {
         return Err(CoreError::Channel(format!(
             "initiator {} failed possession proof",
-            initiator.cert.tbs.subject
+            initiator.cert.tbs().subject
         )));
     }
     if !responder
         .cert
-        .tbs
+        .tbs()
         .subject_public_key
         .verify(&transcript, &sig_r)
     {
         return Err(CoreError::Channel(format!(
             "responder {} failed possession proof",
-            responder.cert.tbs.subject
+            responder.cert.tbs().subject
         )));
     }
 
@@ -153,10 +153,11 @@ fn validate_peer(cert: &Certificate, pins: &PeerPin, now: Timestamp) -> Result<(
     cert.verify_signature_cached(pins.ca_key, now)
         .map_err(CoreError::from)?;
     cert.check_validity(now).map_err(CoreError::from)?;
-    if cert.tbs.subject != pins.dn {
+    if cert.tbs().subject != pins.dn {
         return Err(CoreError::Channel(format!(
             "peer presented certificate for {}, SLA pins {}",
-            cert.tbs.subject, pins.dn
+            cert.tbs().subject,
+            pins.dn
         )));
     }
     Ok(())
@@ -175,7 +176,7 @@ fn transcript_hash(cert_i: &Certificate, cert_r: &Certificate, nonce: u64) -> Ve
 impl SecureChannel {
     /// The authenticated peer's DN.
     pub fn peer_dn(&self) -> &DistinguishedName {
-        &self.peer_cert.tbs.subject
+        &self.peer_cert.tbs().subject
     }
 
     /// Derive the resumption master secret for this session:
@@ -476,7 +477,7 @@ pub struct AwaitAuth {
 impl AwaitAuth {
     /// The peer's DN (already validated against the pin).
     pub fn peer_dn(&self) -> &DistinguishedName {
-        &self.peer_cert.tbs.subject
+        &self.peer_cert.tbs().subject
     }
 
     /// Verify the peer's signature over the joint transcript and open
@@ -484,13 +485,13 @@ impl AwaitAuth {
     pub fn receive_auth(self, sig: Signature) -> Result<SecureChannel, CoreError> {
         if !self
             .peer_cert
-            .tbs
+            .tbs()
             .subject_public_key
             .verify(&self.transcript, &sig)
         {
             return Err(CoreError::Channel(format!(
                 "peer {} failed possession proof",
-                self.peer_cert.tbs.subject
+                self.peer_cert.tbs().subject
             )));
         }
         Ok(SecureChannel {

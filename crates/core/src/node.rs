@@ -403,14 +403,14 @@ impl BbNode {
     /// [`BrokerCore::add_ingress_sla`]/[`BrokerCore::add_egress_sla`].
     pub fn add_peer(&mut self, peer_cert: Certificate, sla_in: Option<Sla>, sla_out: Option<Sla>) {
         let peer_domain = peer_cert
-            .tbs
+            .tbs()
             .subject
             .org_unit()
             .expect("broker certs carry the domain in OU")
             .to_string();
         // An SLA peer's key verifies every envelope it forwards for the
         // SLA's lifetime — worth a pinned fixed-base table up front.
-        peer_cert.tbs.subject_public_key.precompute();
+        peer_cert.tbs().subject_public_key.precompute();
         self.peers.insert(peer_domain, peer_cert);
         if let Some(sla) = sla_in {
             self.core.add_ingress_sla(sla);
@@ -846,10 +846,10 @@ impl BbNode {
             .iter()
             .flat_map(|(rar, cert)| {
                 [
-                    (cert.tbs.digest(), self.user_ca, cert.signature),
+                    (*cert.digest(), self.user_ca, cert.signature()),
                     (
                         *rar.layer_digest(),
-                        cert.tbs.subject_public_key,
+                        cert.tbs().subject_public_key,
                         rar.signature(),
                     ),
                 ]
@@ -973,7 +973,7 @@ impl BbNode {
         }
         user_cert.check_validity(self.now)?;
         self.counters.add_verified(1);
-        if !user_cert.tbs.subject.same_principal(&spec.requestor) {
+        if !user_cert.tbs().subject.same_principal(&spec.requestor) {
             return Err(CoreError::LayerSignature {
                 signer: spec.requestor.clone(),
             });
@@ -981,7 +981,7 @@ impl BbNode {
         if !pre_verified
             && !view
                 .outer()
-                .verify_signature(user_cert.tbs.subject_public_key)
+                .verify_signature(user_cert.tbs().subject_public_key)
         {
             return Err(CoreError::LayerSignature {
                 signer: spec.requestor.clone(),
@@ -1181,7 +1181,7 @@ impl BbNode {
         // with its usual error.
         let pks: Vec<Option<PublicKey>> = batch
             .iter()
-            .map(|(from, _)| self.peers.get(&**from).map(|c| c.tbs.subject_public_key))
+            .map(|(from, _)| self.peers.get(&**from).map(|c| c.tbs().subject_public_key))
             .collect();
         // The digest the signature is over is the one the verify cache
         // files the envelope under and the RAR memo will ask for again.
@@ -1266,7 +1266,7 @@ impl BbNode {
             .peers
             .get(from)
             .ok_or_else(|| CoreError::UnknownPeer { peer: from.into() })?
-            .tbs
+            .tbs()
             .subject_public_key;
         // Outer signature must be the direct peer's (§6.4: messages
         // between BBs are mutually authenticated). Skipped only when a
@@ -1392,7 +1392,7 @@ impl BbNode {
             let source = view
                 .introduced_cert(1)
                 .or_else(|| self.peers.get(from))
-                .and_then(|c| c.tbs.subject.org_unit());
+                .and_then(|c| c.tbs().subject.org_unit());
             if source != Some(spec.source_domain.as_str()) {
                 return Err(CoreError::Tunnel(format!(
                     "source BB is not certified for {}",
@@ -1601,7 +1601,7 @@ impl BbNode {
                                 .map(|e| e.domain.as_str())
                                 .unwrap_or_default()
                                 .into(),
-                            dest_pk: approval.dest_cert.tbs.subject_public_key,
+                            dest_pk: approval.dest_cert.tbs().subject_public_key,
                             aggregate_bps: p.rate_bps,
                             allocated_bps: 0,
                             pending_bps: 0,
@@ -2240,7 +2240,7 @@ impl BbNode {
         let Some(first) = view.caps().first() else {
             return Ok(Vec::new());
         };
-        let issuer = first.tbs.issuer.common_name().unwrap_or_default();
+        let issuer = first.tbs().issuer.common_name().unwrap_or_default();
         let Some(&cas_pk) = self.cas_keys.get(issuer) else {
             // Unknown community: ignore the capabilities rather than deny —
             // policy decides whether anything required them.
@@ -2287,7 +2287,7 @@ impl BbNode {
                 peer: next_peer.to_string(),
             })?;
         Ok(Some(Delegation {
-            to_key: peer_cert.tbs.subject_public_key,
+            to_key: peer_cert.tbs().subject_public_key,
             validity: Validity::starting_at(self.now, 7 * 24 * 3600),
         }))
     }

@@ -233,10 +233,10 @@ pub(crate) fn verify_view(
             RarLayer::Broker { upstream_cert, .. } => {
                 let inner = layers[i + 1];
                 // The embedded certificate must describe the inner signer.
-                if !upstream_cert.tbs.subject.same_principal(&inner.signer) {
+                if !upstream_cert.tbs().subject.same_principal(&inner.signer) {
                     return Err(CoreError::PathMismatch {
                         expected: inner.signer.clone(),
-                        found: upstream_cert.tbs.subject.clone(),
+                        found: upstream_cert.tbs().subject.clone(),
                     });
                 }
                 upstream_cert.check_validity(now).map_err(CoreError::from)?;
@@ -257,7 +257,7 @@ pub(crate) fn verify_view(
                 current_pk = resolve_key(
                     keys,
                     &inner.signer,
-                    upstream_cert.tbs.subject_public_key,
+                    upstream_cert.tbs().subject_public_key,
                     now,
                 )?;
             }
@@ -473,12 +473,12 @@ mod tests {
         assert_eq!(verified.res_spec.rar_id, RarId(1));
         assert_eq!(verified.signer_path.len(), 3);
         assert_eq!(
-            verified.user_cert.tbs.subject,
+            verified.user_cert.tbs().subject,
             DistinguishedName::user("Alice", "ANL")
         );
         // B's layer introduced A's certificate.
         assert_eq!(
-            verified.source_bb_cert.as_ref().unwrap().tbs.subject,
+            verified.source_bb_cert.as_ref().unwrap().tbs().subject,
             DistinguishedName::broker("domain-a")
         );
     }

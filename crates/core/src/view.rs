@@ -100,7 +100,7 @@ impl<'a> RarView<'a> {
                 signature: l.signature,
                 verified_under: verified.filter(|&(_, n)| i < n).map(|(outer_pk, _)| {
                     let introduced = self.introduced_cert(self.layers.len() - 1 - i);
-                    introduced.map_or(outer_pk, |c| c.tbs.subject_public_key)
+                    introduced.map_or(outer_pk, |c| c.tbs().subject_public_key)
                 }),
                 link: next_bb.as_ref().zip(delegate.as_ref()),
                 certs: capability_certs,

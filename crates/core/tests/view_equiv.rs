@@ -210,9 +210,9 @@ proptest! {
         prop_assert_eq!(&first.signer_path, &rar.signer_path());
         prop_assert_eq!(&first.capability_certs, &rar.capability_certs());
         prop_assert_eq!(&first.attachments, &rar.merged_attachments());
-        prop_assert_eq!(&first.user_cert.tbs.subject, &rar.res_spec().requestor);
+        prop_assert_eq!(&first.user_cert.tbs().subject, &rar.res_spec().requestor);
         prop_assert_eq!(
-            first.source_bb_cert.map(|c| c.tbs.subject),
+            first.source_bb_cert.map(|c| c.tbs().subject.clone()),
             (depth >= 3).then(|| DistinguishedName::broker("domain-0"))
         );
     }

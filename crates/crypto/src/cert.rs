@@ -7,12 +7,21 @@
 //! subject public key, an extensible extension list, and an issuer
 //! signature over the to-be-signed (TBS) body — over the canonical
 //! [`qos_wire`] encoding instead of DER.
+//!
+//! A [`Certificate`] is an immutable shared value (DESIGN.md §D28): it
+//! keeps the bytes it was decoded from or issued as, and the digest of
+//! its body once hashed, so every hop that carries or verifies it again
+//! pays a reference count. A link decodes through [`intern_tables`], so
+//! a certificate it delivered before is shared rather than decoded.
 
 use crate::dn::DistinguishedName;
 use crate::error::CryptoError;
 use crate::schnorr::{KeyPair, PublicKey, Signature};
 use crate::sha256::{sha256, Digest};
 use crate::time::Timestamp;
+use qos_wire::{Decode, Encode, InternTables, Reader, Retained, WireError, Writer};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A certificate validity window (inclusive bounds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,48 +140,153 @@ qos_wire::impl_wire_struct!(TbsCertificate {
     extensions
 });
 
-impl TbsCertificate {
-    /// SHA-256 of the canonical encoding — what the issuer's signature is
-    /// over and what the verification cache files the certificate under.
-    pub fn digest(&self) -> Digest {
-        qos_wire::with_encoded(self, sha256)
+/// A signed certificate: an immutable shared value (DESIGN.md §D28). One
+/// allocation holds its canonical encoding, its parsed fields and the
+/// digest of its body, hashed at most once; a clone is a reference
+/// count, and a changed certificate is a new one
+/// ([`Certificate::from_parts`]).
+#[derive(Clone)]
+pub struct Certificate(Arc<Body>);
+
+struct Body {
+    /// The TBS body's encoding, then the signature's.
+    enc: Box<[u8]>,
+    tbs: TbsCertificate,
+    signature: Signature,
+    digest: OnceLock<Digest>,
+}
+
+/// Bytes of an encoded [`Signature`], the tail of a certificate's.
+const SIGNATURE_LEN: usize = 16;
+
+/// Equal encodings: the encoding is canonical.
+impl PartialEq for Certificate {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0.enc == other.0.enc
     }
 }
 
-/// A signed certificate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Certificate {
-    /// Signed body.
-    pub tbs: TbsCertificate,
-    /// Issuer's signature over the canonical encoding of `tbs`.
-    pub signature: Signature,
+impl Eq for Certificate {}
+
+/// What the derived `Debug` of `Certificate { tbs, signature }` printed.
+impl fmt::Debug for Certificate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Certificate")
+            .field("tbs", &self.0.tbs)
+            .field("signature", &self.0.signature)
+            .finish()
+    }
 }
 
-qos_wire::impl_wire_struct!(Certificate { tbs, signature });
+impl Encode for Certificate {
+    fn encode(&self, w: &mut Writer) {
+        w.put_raw(&self.0.enc);
+    }
+}
+
+impl Decode for Certificate {
+    /// Through the reader's intern table, if it carries one.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.interned(walk, |r| {
+            let start = r.position();
+            let (tbs, signature) = Decode::decode(r)?;
+            Ok(Self::new(r.consumed_since(start).into(), tbs, signature))
+        })
+    }
+}
+
+impl Retained for Certificate {
+    fn retained(&self) -> &[u8] {
+        &self.0.enc
+    }
+
+    /// The signature: no two certificates an issuer signed share it.
+    fn hashed(encoding: &[u8]) -> &[u8] {
+        &encoding[encoding.len().saturating_sub(SIGNATURE_LEN)..]
+    }
+}
+
+/// A certificate's extent, lengths only: no tag is checked, as bytes
+/// equal to a held certificate's hold only valid ones.
+fn walk(r: &mut Reader<'_>) -> Result<(), WireError> {
+    r.skip(8)?; // serial
+    crate::dn::walk(r)?; // issuer
+    crate::dn::walk(r)?; // subject
+    r.skip(24)?; // validity, subject public key
+    for _ in 0..r.get_u32()? {
+        match r.get_u8()? {
+            0 => {}
+            1 => (0..r.get_u32()?).try_for_each(|_| r.get_bytes_ref().map(drop))?,
+            2 => match r.get_u8()? {
+                0 => r.get_bytes_ref().map(drop)?,
+                _ => r.skip(8)?,
+            },
+            _ => r.skip(1)?,
+        }
+    }
+    r.skip(SIGNATURE_LEN)
+}
 
 impl Certificate {
+    fn new(enc: Box<[u8]>, tbs: TbsCertificate, signature: Signature) -> Self {
+        let digest = OnceLock::new();
+        Self(Arc::new(Body {
+            enc,
+            tbs,
+            signature,
+            digest,
+        }))
+    }
+
+    /// The certificate made of `tbs` and `signature`, whether or not the
+    /// signature is over it.
+    pub fn from_parts(tbs: TbsCertificate, signature: Signature) -> Self {
+        let enc = qos_wire::to_bytes(&(&tbs, signature)).into();
+        Self::new(enc, tbs, signature)
+    }
+
     /// Sign `tbs` with `issuer_key`, producing a certificate.
     pub fn issue(tbs: TbsCertificate, issuer_key: &KeyPair) -> Self {
-        let signature = issuer_key.sign_digest(&tbs.digest());
-        Self { tbs, signature }
+        let digest = qos_wire::with_encoded(&tbs, sha256);
+        let cert = Self::from_parts(tbs, issuer_key.sign_digest(&digest));
+        let _ = cert.0.digest.set(digest);
+        cert
+    }
+
+    /// The signed body.
+    pub fn tbs(&self) -> &TbsCertificate {
+        &self.0.tbs
+    }
+
+    /// The issuer's signature over [`Certificate::digest`].
+    pub fn signature(&self) -> Signature {
+        self.0.signature
+    }
+
+    /// SHA-256 of the body's encoding — what the issuer's signature is
+    /// over and what the verification cache files the certificate under
+    /// — hashed from the kept bytes on first need.
+    pub fn digest(&self) -> &Digest {
+        let tbs = &self.0.enc[..self.0.enc.len() - SIGNATURE_LEN];
+        self.0.digest.get_or_init(|| sha256(tbs))
     }
 
     /// Verify the issuer signature under `issuer_pk`.
     pub fn verify_signature(&self, issuer_pk: PublicKey) -> Result<(), CryptoError> {
-        if issuer_pk.verify_digest(&self.tbs.digest(), &self.signature) {
+        if issuer_pk.verify_digest(self.digest(), &self.0.signature) {
             Ok(())
         } else {
             Err(CryptoError::BadSignature {
-                signer: self.tbs.issuer.clone(),
+                signer: self.0.tbs.issuer.clone(),
             })
         }
     }
 
     /// Verify the issuer signature through the process-wide verification
     /// cache ([`crate::vcache`]): a certificate already verified under
-    /// `issuer_pk` costs one hash and a map lookup instead of a Schnorr
-    /// verification. `now` is used only to expire cached entries whose
-    /// validity window has lapsed — callers still enforce validity with
+    /// `issuer_pk` costs a map lookup instead of a Schnorr verification.
+    /// `now` is used only to expire cached entries whose validity window
+    /// has lapsed — callers still enforce validity with
     /// [`Certificate::check_validity`].
     pub fn verify_signature_cached(
         &self,
@@ -184,11 +298,11 @@ impl Certificate {
 
     /// Check the validity window.
     pub fn check_validity(&self, at: Timestamp) -> Result<(), CryptoError> {
-        if self.tbs.validity.contains(at) {
+        if self.0.tbs.validity.contains(at) {
             Ok(())
         } else {
             Err(CryptoError::Expired {
-                subject: self.tbs.subject.clone(),
+                subject: self.0.tbs.subject.clone(),
                 at,
             })
         }
@@ -196,7 +310,8 @@ impl Certificate {
 
     /// True if the capability-certificate flag extension is present.
     pub fn is_capability_certificate(&self) -> bool {
-        self.tbs
+        self.0
+            .tbs
             .extensions
             .iter()
             .any(|e| matches!(e, Extension::CapabilityCertificateFlag))
@@ -204,7 +319,8 @@ impl Certificate {
 
     /// True if the CA bit is set.
     pub fn is_ca(&self) -> bool {
-        self.tbs
+        self.0
+            .tbs
             .extensions
             .iter()
             .any(|e| matches!(e, Extension::BasicConstraints { is_ca: true }))
@@ -216,7 +332,8 @@ impl Certificate {
     }
 
     pub(crate) fn capability_iter(&self) -> impl Iterator<Item = &str> {
-        self.tbs
+        self.0
+            .tbs
             .extensions
             .iter()
             .filter_map(|e| match e {
@@ -232,11 +349,21 @@ impl Certificate {
     }
 
     pub(crate) fn restriction_iter(&self) -> impl Iterator<Item = &Restriction> {
-        self.tbs.extensions.iter().filter_map(|e| match e {
+        self.0.tbs.extensions.iter().filter_map(|e| match e {
             Extension::Restriction(r) => Some(r),
             _ => None,
         })
     }
+}
+
+/// The intern tables one link decodes through (DESIGN.md §D28): the
+/// last 64 certificates and 256 names it delivered, in sets of four.
+/// Sized for the few identities a link carries again and again, not
+/// tuned per deployment.
+pub fn intern_tables() -> InternTables {
+    InternTables::default()
+        .with::<Certificate>(64)
+        .with::<DistinguishedName>(256)
 }
 
 /// A certificate authority: a DN, a key pair, and a serial counter.
@@ -319,14 +446,6 @@ impl CertificateAuthority {
     }
 }
 
-#[allow(dead_code)]
-fn _assert_wire_impls() {
-    fn takes_wire<T: qos_wire::Encode + qos_wire::Decode>() {}
-    takes_wire::<Certificate>();
-    takes_wire::<Extension>();
-    takes_wire::<Restriction>();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,13 +491,43 @@ mod tests {
     #[test]
     fn tampering_with_tbs_invalidates() {
         let mut ca = ca();
-        let mut cert = ca.issue_identity(
+        let cert = ca.issue_identity(
             DistinguishedName::user("Alice", "ANL"),
             KeyPair::from_seed(b"alice").public(),
             Validity::unbounded(),
         );
-        cert.tbs.subject = DistinguishedName::user("Mallory", "EVIL");
-        assert!(cert.verify_signature(ca.public_key()).is_err());
+        let mut tbs = cert.tbs().clone();
+        tbs.subject = DistinguishedName::user("Mallory", "EVIL");
+        let forged = Certificate::from_parts(tbs, cert.signature());
+        assert!(forged.verify_signature(ca.public_key()).is_err());
+    }
+
+    #[test]
+    fn a_forgery_verified_after_its_genuine_twin_carries_its_own_digest() {
+        let mut ca = ca();
+        let cache = crate::vcache::VerifyCache::new(16);
+        let genuine = ca.issue_identity(
+            DistinguishedName::user("Alice", "ANL"),
+            KeyPair::from_seed(b"alice").public(),
+            Validity::unbounded(),
+        );
+        assert!(cache
+            .verify_cert(&genuine, ca.public_key(), Timestamp::ZERO)
+            .is_ok());
+        // Same signature, one field edited, rebuilt from its parts.
+        let mut tbs = genuine.tbs().clone();
+        tbs.validity.not_after = Timestamp(1);
+        let forged = Certificate::from_parts(tbs.clone(), genuine.signature());
+        assert_eq!(*forged.digest(), sha256(&qos_wire::to_bytes(&tbs)));
+        assert_ne!(forged.digest(), genuine.digest());
+        assert!(forged.verify_signature(ca.public_key()).is_err());
+        assert!(cache
+            .verify_cert(&forged, ca.public_key(), Timestamp::ZERO)
+            .is_err());
+        // Decoded from its own bytes it is the same forgery.
+        let back: Certificate = qos_wire::from_bytes(&qos_wire::to_bytes(&forged)).unwrap();
+        assert_eq!(back.digest(), forged.digest());
+        assert!(genuine.verify_signature(ca.public_key()).is_ok());
     }
 
     #[test]
@@ -401,7 +550,7 @@ mod tests {
         let root = ca.self_signed();
         assert!(root.verify_signature(ca.public_key()).is_ok());
         assert!(root.is_ca());
-        assert_eq!(root.tbs.issuer, root.tbs.subject);
+        assert_eq!(root.tbs().issuer, root.tbs().subject);
     }
 
     #[test]
@@ -410,7 +559,7 @@ mod tests {
         let pk = KeyPair::from_seed(b"x").public();
         let c1 = ca.issue_identity(DistinguishedName::user("A", "O"), pk, Validity::unbounded());
         let c2 = ca.issue_identity(DistinguishedName::user("B", "O"), pk, Validity::unbounded());
-        assert!(c2.tbs.serial > c1.tbs.serial);
+        assert!(c2.tbs().serial > c1.tbs().serial);
     }
 
     #[test]

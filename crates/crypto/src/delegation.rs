@@ -139,9 +139,9 @@ impl DelegationChain {
         retain: impl Fn(&str) -> bool,
     ) -> Result<Self, CryptoError> {
         let tip = self.tip();
-        if holder_key.public() != tip.tbs.subject_public_key {
+        if holder_key.public() != tip.tbs().subject_public_key {
             return Err(CryptoError::PossessionProofInvalid {
-                subject: tip.tbs.subject.clone(),
+                subject: tip.tbs().subject.clone(),
             });
         }
         let caps: Vec<String> = tip
@@ -162,8 +162,8 @@ impl DelegationChain {
             }
         }
         let tbs = TbsCertificate {
-            serial: tip.tbs.serial,
-            issuer: tip.tbs.subject.clone(),
+            serial: tip.tbs().serial,
+            issuer: tip.tbs().subject.clone(),
             subject: delegatee,
             validity,
             subject_public_key: delegatee_pk,
@@ -193,12 +193,12 @@ impl DelegationChain {
         // Step 6: tip holder proves possession of the matching private key.
         let tip = self.tip();
         if !tip
-            .tbs
+            .tbs()
             .subject_public_key
             .check_possession(nonce, possession)
         {
             return Err(CryptoError::PossessionProofInvalid {
-                subject: tip.tbs.subject.clone(),
+                subject: tip.tbs().subject.clone(),
             });
         }
         Ok(verified)
@@ -235,10 +235,10 @@ impl DelegationChain {
                 return Err(CryptoError::NotACapabilityCertificate);
             }
             if let Some(prev) = prev {
-                if !cert.tbs.issuer.same_principal(&prev.tbs.subject) {
+                if !cert.tbs().issuer.same_principal(&prev.tbs().subject) {
                     return Err(CryptoError::IssuerMismatch {
-                        expected: prev.tbs.subject.clone(),
-                        found: cert.tbs.issuer.clone(),
+                        expected: prev.tbs().subject.clone(),
+                        found: cert.tbs().issuer.clone(),
                     });
                 }
             }
@@ -268,7 +268,7 @@ impl DelegationChain {
                     });
                 }
             }
-            issuer_pk = cert.tbs.subject_public_key;
+            issuer_pk = cert.tbs().subject_public_key;
             prev = Some(cert);
         }
 
@@ -276,8 +276,8 @@ impl DelegationChain {
         Ok(VerifiedCapabilities {
             capabilities: tip.capability_iter().map(str::to_string).collect(),
             restrictions: tip.restriction_iter().cloned().collect(),
-            holder: tip.tbs.subject.clone(),
-            holder_key: tip.tbs.subject_public_key,
+            holder: tip.tbs().subject.clone(),
+            holder_key: tip.tbs().subject_public_key,
             signatures: certs.len(),
         })
     }
@@ -551,7 +551,7 @@ mod tests {
         // and is re-signed by BB_A's key (signature valid, but the widening
         // itself must be caught).
         let tip = chain.certs[2].clone();
-        let mut tbs = tip.tbs.clone();
+        let mut tbs = tip.tbs().clone();
         for e in &mut tbs.extensions {
             if let Extension::Capabilities(caps) = e {
                 caps.push("ESnet:admin".into());
@@ -579,8 +579,8 @@ mod tests {
         // BB_C strips the ValidForDomain restriction when "delegating" to
         // itself (signature-valid because BB_C holds the tip key).
         let tip = chain.tip().clone();
-        let mut tbs = tip.tbs.clone();
-        tbs.issuer = tip.tbs.subject.clone();
+        let mut tbs = tip.tbs().clone();
+        tbs.issuer = tip.tbs().subject.clone();
         tbs.subject = DistinguishedName::broker("domain-x");
         tbs.subject_public_key = KeyPair::from_seed(b"x").public();
         tbs.extensions
@@ -599,7 +599,9 @@ mod tests {
     fn tampered_link_signature_detected() {
         let mut f = fixture();
         let mut chain = full_chain(&mut f);
-        chain.certs[1].signature.s ^= 1;
+        let mut signature = chain.certs[1].signature();
+        signature.s ^= 1;
+        chain.certs[1] = Certificate::from_parts(chain.certs[1].tbs().clone(), signature);
         assert!(matches!(
             chain.verify_links(f.cas.public_key(), Timestamp(0)),
             Err(CryptoError::BadSignature { .. })

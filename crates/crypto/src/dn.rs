@@ -10,13 +10,14 @@
 //! every certificate, a signer and a next hop in every layer — and they
 //! are decoded, cloned into pending maps, reservation tables and audit
 //! records, compared and re-encoded far more often than they are taken
-//! apart.
+//! apart. A link decodes names through its intern table (§D28), so a
+//! name it delivered before costs a reference count.
 
 // Cold-path allocation guard (DESIGN.md §D18): under .clippy-hotpath
 // this rejects un-annotated Vec::new / slice::to_vec in this module.
 #![deny(clippy::disallowed_methods)]
 
-use qos_wire::{Decode, Encode, Reader, WireError, Writer};
+use qos_wire::{Decode, Encode, Reader, Retained, WireError, Writer};
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -250,22 +251,37 @@ impl Encode for DistinguishedName {
 }
 
 impl Decode for DistinguishedName {
-    /// Walks the sequence with the checks a `Vec` of string pairs gets —
-    /// the count bound, both length bounds and UTF-8 of every string, in
-    /// that order — and copies the span it walked, once. A copy rather
-    /// than a view of the received frame: names outlive the frame in
-    /// pending maps, reservation tables, billing and audit records, and
-    /// a view would pin a whole frame or pool chunk per name.
+    /// Through the reader's intern table, if it carries one (DESIGN.md
+    /// §D28). Otherwise it walks the sequence with the checks a `Vec` of
+    /// string pairs gets — the count bound, both length bounds and UTF-8
+    /// of every string, in that order — and copies the span it walked,
+    /// once. A copy rather than a view of the received frame: names
+    /// outlive the frame in pending maps, reservation tables, billing and
+    /// audit records, and a view would pin a whole frame or pool chunk
+    /// per name; a link's table keeps the one copy for every later
+    /// request that carries the name.
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let start = r.position();
-        for _ in 0..r.get_seq_len()? {
-            r.get_str_ref()?;
-            r.get_str_ref()?;
-        }
-        Ok(Self {
-            enc: r.consumed_since(start).into(),
+        r.interned(walk, |r| {
+            let start = r.position();
+            for _ in 0..r.get_seq_len()? {
+                r.get_str_ref()?;
+                r.get_str_ref()?;
+            }
+            let enc = r.consumed_since(start).into();
+            Ok(Self { enc })
         })
     }
+}
+
+impl Retained for DistinguishedName {
+    fn retained(&self) -> &[u8] {
+        &self.enc
+    }
+}
+
+/// A name's extent, lengths only.
+pub(crate) fn walk(r: &mut Reader<'_>) -> Result<(), WireError> {
+    (0..2 * u64::from(r.get_u32()?)).try_for_each(|_| r.get_bytes_ref().map(drop))
 }
 
 #[cfg(test)]

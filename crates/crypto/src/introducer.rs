@@ -128,15 +128,15 @@ impl TrustAnchors {
         now: Timestamp,
     ) -> Result<PublicKey, CryptoError> {
         // Directly trusted?
-        if let Some(pk) = self.get(&target.tbs.subject) {
-            if pk == target.tbs.subject_public_key {
+        if let Some(pk) = self.get(&target.tbs().subject) {
+            if pk == target.tbs().subject_public_key {
                 target.check_validity(now)?;
                 return Ok(pk);
             }
         }
         if chain.is_empty() {
             return Err(CryptoError::NoTrustAnchor {
-                subject: target.tbs.subject.clone(),
+                subject: target.tbs().subject.clone(),
             });
         }
         if chain.len() > policy.max_chain_depth {
@@ -162,11 +162,11 @@ impl TrustAnchors {
             }
             intro.check(current_pk)?;
             intro.subject_cert.check_validity(now)?;
-            current_pk = intro.subject_cert.tbs.subject_public_key;
-            current_dn = intro.subject_cert.tbs.subject.clone();
+            current_pk = intro.subject_cert.tbs().subject_public_key;
+            current_dn = intro.subject_cert.tbs().subject.clone();
         }
         // The chain must terminate at the target's certificate.
-        if current_dn != target.tbs.subject || current_pk != target.tbs.subject_public_key {
+        if current_dn != target.tbs().subject || current_pk != target.tbs().subject_public_key {
             return Err(CryptoError::MalformedChain(
                 "introduction chain does not terminate at the target",
             ));

@@ -28,7 +28,7 @@ impl CertificateDirectory {
 
     /// Publish (or replace) a certificate.
     pub fn publish(&mut self, cert: Certificate) {
-        self.by_dn.insert(cert.tbs.subject.clone(), cert);
+        self.by_dn.insert(cert.tbs().subject.clone(), cert);
     }
 
     /// Remove a certificate (revocation by de-listing).
@@ -58,7 +58,7 @@ impl CertificateDirectory {
                 subject: dn.clone(),
             })?;
         cert.check_validity(now)?;
-        Ok(cert.tbs.subject_public_key)
+        Ok(cert.tbs().subject_public_key)
     }
 
     /// Fetch the full certificate for `dn`.

@@ -35,7 +35,8 @@ pub mod time;
 pub mod vcache;
 
 pub use cert::{
-    Certificate, CertificateAuthority, Extension, Restriction, TbsCertificate, Validity,
+    intern_tables, Certificate, CertificateAuthority, Extension, Restriction, TbsCertificate,
+    Validity,
 };
 pub use delegation::{
     CommunityAuthorizationServer, Delegation, DelegationChain, SignedHop, VerifiedCapabilities,

@@ -7,7 +7,8 @@
 //! A Schnorr verification costs two modular exponentiations; a cache hit
 //! costs a sharded map lookup under the SHA-256 of the signed bytes —
 //! the digest the signature itself is over (DESIGN.md §D21), so a caller
-//! that holds it hashes nothing here, hit or miss.
+//! that holds it hashes nothing here, hit or miss. A certificate holds
+//! its own (§D28): verifying one again, at any hop, hashes nothing.
 //!
 //! Design (DESIGN.md §D10):
 //!
@@ -185,21 +186,21 @@ impl VerifyCache {
         issuer_pk: PublicKey,
         now: Timestamp,
     ) -> Result<(), CryptoError> {
-        // One encoding, one digest: the cache key and, on a miss, what
-        // the signature check itself is over.
-        let digest = cert.tbs.digest();
+        // The digest the certificate keeps: the cache key and, on a
+        // miss, what the signature check itself is over (DESIGN.md §D28).
+        let (digest, signature) = (cert.digest(), cert.signature());
         let cached = self.enabled();
-        if cached && self.lookup(&digest, issuer_pk, &cert.signature, now) {
+        if cached && self.lookup(digest, issuer_pk, &signature, now) {
             return Ok(());
         }
-        if !issuer_pk.verify_digest(&digest, &cert.signature) {
+        if !issuer_pk.verify_digest(digest, &signature) {
             return Err(CryptoError::BadSignature {
-                signer: cert.tbs.issuer.clone(),
+                signer: cert.tbs().issuer.clone(),
             });
         }
         if cached {
-            let not_after = Some(cert.tbs.validity.not_after);
-            self.insert(digest, issuer_pk, cert.signature, not_after);
+            let not_after = Some(cert.tbs().validity.not_after);
+            self.insert(*digest, issuer_pk, signature, not_after);
         }
         Ok(())
     }

@@ -40,13 +40,13 @@ proptest! {
             KeyPair::from_seed(name.as_bytes()).public(),
             Validity::unbounded(),
         );
-        let mut bytes = qos_wire::to_bytes(&cert.tbs);
+        let mut bytes = qos_wire::to_bytes(&cert.tbs());
         let idx = bit % (bytes.len() * 8);
         bytes[idx / 8] ^= 1 << (idx % 8);
         // Either the mutated bytes no longer decode, or they decode to a
         // TBS whose signature fails.
         if let Ok(mutated) = qos_wire::from_bytes::<TbsCertificate>(&bytes) {
-            let forged = Certificate { tbs: mutated, signature: cert.signature };
+            let forged = Certificate::from_parts(mutated, cert.signature());
             prop_assert!(forged.verify_signature(ca.public_key()).is_err());
         }
     }
@@ -212,10 +212,7 @@ proptest! {
             })
             .collect();
         for (ci, tamper, now) in ops {
-            let mut cert = certs[ci].clone();
-            if tamper {
-                cert.signature.s ^= 1;
-            }
+            let cert = if tamper { flip_signature(&certs[ci]) } else { certs[ci].clone() };
             let fresh = cert.verify_signature(ca.public_key()).is_ok();
             let cached = cache.verify_cert(&cert, ca.public_key(), Timestamp(now)).is_ok();
             prop_assert_eq!(cached, fresh);
@@ -285,6 +282,14 @@ impl ScanningLru {
     }
 }
 
+/// `cert` with one bit of its signature flipped: a new certificate, as
+/// every edited one is.
+fn flip_signature(cert: &Certificate) -> Certificate {
+    let mut signature = cert.signature();
+    signature.s ^= 1;
+    Certificate::from_parts(cert.tbs().clone(), signature)
+}
+
 /// [`DelegationChain::verify_links`] as it was before it ran on borrowed
 /// certificates: per-link sets, signatures checked without the cache.
 fn verify_links_model(
@@ -307,13 +312,13 @@ fn verify_links_model(
         if !cert.is_capability_certificate() {
             return Err(CryptoError::NotACapabilityCertificate);
         }
-        if !cert.tbs.issuer.same_principal(&prev.tbs.subject) {
+        if !cert.tbs().issuer.same_principal(&prev.tbs().subject) {
             return Err(CryptoError::IssuerMismatch {
-                expected: prev.tbs.subject.clone(),
-                found: cert.tbs.issuer.clone(),
+                expected: prev.tbs().subject.clone(),
+                found: cert.tbs().issuer.clone(),
             });
         }
-        cert.verify_signature(prev.tbs.subject_public_key)?;
+        cert.verify_signature(prev.tbs().subject_public_key)?;
         cert.check_validity(now)?;
         let prev_caps: BTreeSet<&str> = prev.capabilities().into_iter().collect();
         for cap in cert.capabilities() {
@@ -337,8 +342,8 @@ fn verify_links_model(
     Ok(qos_crypto::VerifiedCapabilities {
         capabilities: tip.capabilities().into_iter().map(str::to_string).collect(),
         restrictions: tip.restrictions().into_iter().cloned().collect(),
-        holder: tip.tbs.subject.clone(),
-        holder_key: tip.tbs.subject_public_key,
+        holder: tip.tbs().subject.clone(),
+        holder_key: tip.tbs().subject_public_key,
         signatures: certs.len(),
     })
 }
@@ -413,13 +418,13 @@ proptest! {
         // Re-issue link `at` with an edited body, signed by its rightful
         // issuer, so only the planted fault is wrong with it.
         let reissue = |certs: &mut Vec<Certificate>, edit: &dyn Fn(&mut TbsCertificate)| {
-            let mut tbs = certs[at].tbs.clone();
+            let mut tbs = certs[at].tbs().clone();
             edit(&mut tbs);
             let issuer = if at == 0 { KeyPair::from_seed(b"vl-cas") } else { keys[at - 1].clone() };
             certs[at] = Certificate::issue(tbs, &issuer);
         };
         match fault {
-            1 => certs[at].signature.s ^= 1,
+            1 => certs[at] = flip_signature(&certs[at]),
             2 => { certs.remove(at); }
             3 => reissue(&mut certs, &|tbs| tbs.extensions.push(Extension::Capabilities(vec!["m:root".into()]))),
             4 => reissue(&mut certs, &|tbs| tbs.extensions.retain(|e| !matches!(e, Extension::Restriction(_)))),

@@ -14,7 +14,9 @@
 //!   ([`PooledFrameDecoder`]), parsed by reference ([`SealedRef`]), opened
 //!   in place, decided by its reliability header
 //!   ([`LinkReliability::accept`]), and a new data frame's messages are
-//!   decoded from one shared copy of its body;
+//!   decoded from one shared copy of its body, through the link's intern
+//!   tables: a name or certificate the link delivered before is shared,
+//!   not decoded again (DESIGN.md §D28);
 //! * **bytes out** ([`LinkCore::bytes_out`], [`LinkCore::sent`]): a write
 //!   batch of the frames the link queue built ([`OutQueue`], DESIGN.md
 //!   §D27) is popped, and each is stamped and sealed where it lies; "the
@@ -44,7 +46,7 @@ use qos_core::PeerId;
 use qos_telemetry::{
     Counter, EventFamily, FlightEvent, FlightRecorder, Gauge, Histogram, Telemetry,
 };
-use qos_wire::{BufferPool, Decode};
+use qos_wire::{BufferPool, Decode, InternTables};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -340,6 +342,9 @@ pub struct LinkCore {
     /// allocation kept.
     batch: Vec<Vec<u8>>,
     pool: BufferPool,
+    /// The names and certificates this link delivered lately, shared
+    /// into every message that carries them again. Outlive sessions.
+    tables: InternTables,
     max_frame: usize,
     ins: Instruments,
     domain: String,
@@ -431,6 +436,7 @@ impl LinkCore {
             #[allow(clippy::disallowed_methods)]
             batch: Vec::new(),
             pool,
+            tables: qos_crypto::intern_tables(),
             max_frame,
             ins,
             domain: domain.to_string(),
@@ -495,7 +501,7 @@ impl LinkCore {
                     }
                     true
                 }
-                Inbound::Data(body) => decode_messages(body, msgs),
+                Inbound::Data(body) => decode_messages(body, &mut self.tables, msgs),
                 Inbound::Reject => false,
             };
             if !well_formed {
@@ -650,14 +656,15 @@ fn parse_sealed(frame: &[u8]) -> Option<SealedRef<'_>> {
     Some(sealed)
 }
 
-/// Decode every message of a data frame's body into `msgs`, all or none.
-fn decode_messages(body: &[u8], msgs: &mut Vec<SignalMessage>) -> bool {
+/// Decode every message of a data frame's body into `msgs` through the
+/// link's `tables`, all or none.
+fn decode_messages(body: &[u8], tables: &mut InternTables, msgs: &mut Vec<SignalMessage>) -> bool {
     // The per-frame body: the messages must outlive the pooled chunk to
     // cross the shard queues, so they decode from one shared copy
     // (DESIGN.md §D25).
     #[allow(clippy::disallowed_methods)]
     let body: Arc<[u8]> = body.into();
-    let mut r = qos_wire::Reader::new_shared(&body);
+    let mut r = qos_wire::Reader::new_shared(&body).with_tables(tables);
     let delivered = msgs.len();
     loop {
         let Ok(msg) = SignalMessage::decode(&mut r) else {
@@ -668,5 +675,339 @@ fn decode_messages(body: &[u8], msgs: &mut Vec<SignalMessage>) -> bool {
         if r.remaining() == 0 {
             return true;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! A link's intern tables (DESIGN.md §D28) change what a decode
+    //! allocates, never what it returns.
+
+    use super::*;
+    use crate::MAX_FRAME_LEN;
+    use proptest::prelude::*;
+    use qos_core::envelope::RarLayer;
+    use qos_core::messages::TunnelFlowRequest;
+    use qos_core::scenario::{build_chain, ChainOptions};
+    use qos_core::view::RarView;
+    use qos_core::RarId;
+    use qos_crypto::sha256::sha256;
+    use qos_crypto::{
+        Certificate, DistinguishedName, PublicKey, Signature, TbsCertificate, Timestamp, Validity,
+    };
+    use qos_wire::{Reader, WireError};
+    use std::collections::HashMap;
+    use std::sync::OnceLock;
+
+    /// Every message of two 3-domain reservations (one with a
+    /// capability chain, one without) as it crossed its link, plus a
+    /// sub-flow request; and each certificate issuer's key.
+    struct Goldens {
+        msgs: Vec<Arc<[u8]>>,
+        issuers: HashMap<DistinguishedName, PublicKey>,
+    }
+
+    fn goldens() -> &'static Goldens {
+        static GOLDENS: OnceLock<Goldens> = OnceLock::new();
+        GOLDENS.get_or_init(|| {
+            let mut s = build_chain(ChainOptions::default());
+            let mut msgs: Vec<Arc<[u8]>> = Vec::new();
+            for (id, user) in [(1, "alice"), (2, "david")] {
+                let spec = s.spec(user, id, 1_000_000, Timestamp(0), 3600);
+                let rar = s.users[user].sign_request(spec, &s.nodes[0]);
+                let cert = s.users[user].cert.clone();
+                let mut queue: Vec<_> = s.nodes[0]
+                    .submit(rar, &cert)
+                    .into_iter()
+                    .map(|(to, m)| (0, to, m))
+                    .collect();
+                while let Some((from, to, msg)) = queue.pop() {
+                    msgs.push(qos_wire::to_bytes(&msg).into());
+                    let at = s.domains.iter().position(|d| **d == *to).expect("a peer");
+                    let sender = s.domains[from].clone();
+                    queue.extend(
+                        s.nodes[at]
+                            .recv(&sender, msg)
+                            .into_iter()
+                            .map(|(n, m)| (at, n, m)),
+                    );
+                }
+            }
+            let alice = s.users["alice"].dn.clone();
+            let flow = SignalMessage::TunnelFlow(TunnelFlowRequest::new(RarId(9), 1, 1000, alice));
+            msgs.push(qos_wire::to_bytes(&flow).into());
+            // Whose key verifies each certificate carried.
+            let mut keys: Vec<PublicKey> = vec![s.ca_key];
+            keys.extend(s.cas_keys.values());
+            let mut issuers = HashMap::new();
+            let decoded: Vec<_> = msgs.iter().map(|m| plain(m).0.expect("a golden")).collect();
+            let certs: Vec<&Certificate> = decoded.iter().flat_map(certs_of).collect();
+            keys.extend(certs.iter().map(|c| c.tbs().subject_public_key));
+            for cert in &certs {
+                if let Some(pk) = keys.iter().find(|&&pk| cert.verify_signature(pk).is_ok()) {
+                    issuers.insert(cert.tbs().issuer.clone(), *pk);
+                }
+            }
+            Goldens { msgs, issuers }
+        })
+    }
+
+    /// Every certificate `msg` carries.
+    fn certs_of(msg: &SignalMessage) -> Vec<&Certificate> {
+        match msg {
+            SignalMessage::Request(rar) => RarView::of(rar)
+                .layers()
+                .iter()
+                .flat_map(|l| match &l.layer {
+                    RarLayer::User {
+                        capability_certs, ..
+                    } => capability_certs.iter().collect::<Vec<_>>(),
+                    RarLayer::Broker {
+                        upstream_cert,
+                        capability_certs,
+                        ..
+                    } => std::iter::once(upstream_cert)
+                        .chain(capability_certs)
+                        .collect(),
+                })
+                .collect(),
+            SignalMessage::Approve(approval) => vec![&approval.dest_cert],
+            _ => Vec::new(),
+        }
+    }
+
+    /// One message decoded from a shared buffer, as a link does, and how
+    /// far the reader got.
+    fn decoded(
+        body: &Arc<[u8]>,
+        tables: Option<&mut InternTables>,
+    ) -> (Result<SignalMessage, WireError>, usize) {
+        let r = Reader::new_shared(body);
+        let mut r = match tables {
+            Some(tables) => r.with_tables(tables),
+            None => r,
+        };
+        (SignalMessage::decode(&mut r), r.position())
+    }
+
+    fn plain(body: &Arc<[u8]>) -> (Result<SignalMessage, WireError>, usize) {
+        decoded(body, None)
+    }
+
+    /// `body` through `tables` reads exactly as without them: the same
+    /// value or error at the same position, the same re-encoding and
+    /// layer digests, every certificate's digest its own body's, and
+    /// every verification under its issuer's key as it goes without.
+    fn same_through(tables: &mut InternTables, body: &Arc<[u8]>) -> Result<(), TestCaseError> {
+        let (with, at) = decoded(body, Some(tables));
+        let (without, plain_at) = plain(body);
+        prop_assert_eq!(&with, &without);
+        prop_assert_eq!(at, plain_at);
+        let mut msgs = Vec::new();
+        let whole = with.is_ok() && at == body.len();
+        prop_assert_eq!(decode_messages(body, tables, &mut msgs), whole);
+        let (Ok(with), Ok(without)) = (with, without) else {
+            return Ok(());
+        };
+        prop_assert_eq!(qos_wire::to_bytes(&with), qos_wire::to_bytes(&without));
+        if let (SignalMessage::Request(a), SignalMessage::Request(b)) = (&with, &without) {
+            let digests = |rar| {
+                RarView::of(rar)
+                    .layers()
+                    .iter()
+                    .map(|l| *l.layer_digest())
+                    .collect::<Vec<_>>()
+            };
+            prop_assert_eq!(digests(a), digests(b));
+        }
+        let issuers = &goldens().issuers;
+        for (a, b) in certs_of(&with).into_iter().zip(certs_of(&without)) {
+            prop_assert_eq!(*a.digest(), sha256(&qos_wire::to_bytes(a.tbs())));
+            if let Some(&pk) = issuers.get(&a.tbs().issuer) {
+                prop_assert_eq!(
+                    a.verify_signature(pk).is_ok(),
+                    b.verify_signature(pk).is_ok()
+                );
+            }
+        }
+        Ok(())
+    }
+
+    fn warm() -> InternTables {
+        let mut tables = qos_crypto::intern_tables();
+        for body in &goldens().msgs {
+            let _ = decoded(body, Some(&mut tables));
+        }
+        tables
+    }
+
+    proptest! {
+        /// Golden messages, whole or with one byte changed, decode
+        /// through a warm link table exactly as through a plain reader.
+        #[test]
+        fn a_link_table_decodes_what_a_plain_reader_does(
+            ops in proptest::collection::vec(
+                (any::<prop::sample::Index>(), any::<prop::sample::Index>(), 0u8..=255),
+                1..12,
+            ),
+        ) {
+            let mut tables = warm();
+            for (msg, at, flip) in ops {
+                let golden = &goldens().msgs[msg.index(goldens().msgs.len())];
+                let mut body = golden.to_vec();
+                let at = at.index(body.len());
+                body[at] ^= flip;
+                same_through(&mut tables, &body.into())?;
+                same_through(&mut tables, golden)?;
+            }
+        }
+    }
+
+    /// `bytes` decoded as a `T`, through `tables` if given, and how far
+    /// the reader got.
+    fn one<T: Decode>(
+        bytes: &[u8],
+        tables: Option<&mut InternTables>,
+    ) -> (Result<T, WireError>, usize) {
+        let r = Reader::new(bytes);
+        let mut r = match tables {
+            Some(tables) => r.with_tables(tables),
+            None => r,
+        };
+        (T::decode(&mut r), r.position())
+    }
+
+    /// `original` filed in a table, then every variant of it with one
+    /// byte changed decoded through that table and without: the same
+    /// result both ways, and a value that decodes is not the original.
+    /// Returns the variants that decode.
+    fn one_byte_off<T>(original: &T) -> Vec<T>
+    where
+        T: Decode + qos_wire::Encode + PartialEq + std::fmt::Debug,
+    {
+        let bytes = qos_wire::to_bytes(original);
+        let mut tables = qos_crypto::intern_tables();
+        assert_eq!(one::<T>(&bytes, Some(&mut tables)).0.as_ref(), Ok(original));
+        let mut decoded = Vec::new();
+        for at in 0..bytes.len() {
+            let mut changed = bytes.clone();
+            changed[at] ^= 0x20;
+            let with = one::<T>(&changed, Some(&mut tables));
+            assert_eq!(with, one::<T>(&changed, None), "byte {at}");
+            if let Ok(value) = with.0 {
+                assert_ne!(&value, original, "byte {at}");
+                decoded.push(value);
+            }
+            assert_eq!(one::<T>(&bytes, Some(&mut tables)).0.as_ref(), Ok(original));
+        }
+        decoded
+    }
+
+    /// A name and a certificate in the table, each with every one of its
+    /// bytes changed in turn: each variant decodes as itself, and a
+    /// certificate variant carries its own digest and fails verification
+    /// as it does without a table.
+    #[test]
+    fn a_value_one_byte_off_one_in_the_table_decodes_as_itself() {
+        let cert = goldens()
+            .msgs
+            .iter()
+            .find_map(|m| match plain(m).0 {
+                Ok(SignalMessage::Approve(approval)) => Some(approval.dest_cert),
+                _ => None,
+            })
+            .expect("a golden approval");
+        let issuer = goldens().issuers[&cert.tbs().issuer];
+        assert!(cert.verify_signature(issuer).is_ok());
+        for forged in one_byte_off(&cert) {
+            assert_eq!(*forged.digest(), sha256(&qos_wire::to_bytes(forged.tbs())));
+            assert!(forged.verify_signature(issuer).is_err());
+        }
+        assert!(!one_byte_off(&cert.tbs().subject).is_empty());
+    }
+
+    /// A certificate with a serial of its own and no valid signature.
+    fn distinct(serial: u64) -> Certificate {
+        let name = DistinguishedName::broker(&format!("d{serial}"));
+        let tbs = TbsCertificate {
+            serial,
+            issuer: name.clone(),
+            subject: name,
+            validity: Validity::unbounded(),
+            subject_public_key: PublicKey(serial),
+            extensions: Vec::new(),
+        };
+        Certificate::from_parts(
+            tbs,
+            Signature {
+                r: serial,
+                s: !serial,
+            },
+        )
+    }
+
+    #[test]
+    fn ten_thousand_distinct_values_leave_a_table_at_its_bound() {
+        let mut tables = qos_crypto::intern_tables();
+        for serial in 0..10_000 {
+            let cert = distinct(serial);
+            let bytes = qos_wire::to_bytes(&cert);
+            assert_eq!(
+                one::<Certificate>(&bytes, Some(&mut tables)).0,
+                Ok(cert.clone())
+            );
+            let name = qos_wire::to_bytes(&cert.tbs().subject);
+            assert_eq!(
+                one(&name, Some(&mut tables)).0,
+                Ok(cert.tbs().subject.clone())
+            );
+        }
+        assert_eq!(tables.held::<Certificate>(), 64);
+        assert_eq!(tables.held::<DistinguishedName>(), 256);
+    }
+
+    /// What one link's tables hold stays shared however many distinct
+    /// values another link's stream brings.
+    #[test]
+    fn one_links_stream_never_evicts_another_links_entries() {
+        let link = |peer| {
+            let queue = Arc::new(OutQueue::new(16, MAX_FRAME_LEN));
+            let telemetry = Telemetry::disabled();
+            LinkCore::new(
+                queue,
+                &telemetry,
+                "a",
+                peer,
+                1,
+                MAX_FRAME_LEN,
+                BufferPool::new(1),
+            )
+        };
+        let (mut quiet, mut busy) = (link("b"), link("c"));
+        // Where each golden certificate and name of `quiet`'s lives.
+        let held = |core: &mut LinkCore| -> Vec<usize> {
+            let msgs: Vec<_> = goldens()
+                .msgs
+                .iter()
+                .map(|m| decoded(m, Some(&mut core.tables)).0.expect("a golden"))
+                .collect();
+            let certs = msgs.iter().flat_map(certs_of);
+            let tbs = certs.map(|c| std::ptr::from_ref(c.tbs()) as usize);
+            let names = msgs.iter().filter_map(|m| match m {
+                SignalMessage::Request(rar) => Some(rar.signer.encoding().as_ptr() as usize),
+                _ => None,
+            });
+            tbs.chain(names).collect()
+        };
+        held(&mut quiet);
+        let before = held(&mut quiet);
+        for serial in 0..10_000 {
+            let bytes = qos_wire::to_bytes(&distinct(serial));
+            one::<Certificate>(&bytes, Some(&mut busy.tables))
+                .0
+                .unwrap();
+        }
+        assert_eq!(busy.tables.held::<Certificate>(), 64);
+        assert_eq!(held(&mut quiet), before);
     }
 }

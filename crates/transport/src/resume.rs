@@ -324,7 +324,7 @@ mod tests {
         assert_eq!(ticket.len(), TICKET_LEN);
         let (master, c) = issuer.redeem(&ticket, Timestamp(120)).unwrap();
         assert_eq!(master, [1; 32]);
-        assert_eq!(c.tbs.subject, DistinguishedName::broker("alpha"));
+        assert_eq!(c.tbs().subject, DistinguishedName::broker("alpha"));
         // Multi-use within the lifetime.
         assert!(issuer.redeem(&ticket, Timestamp(130)).is_some());
     }
@@ -380,7 +380,7 @@ mod tests {
         restarted.restore_tickets(&exported);
         let (master, c) = restarted.redeem(&ticket, Timestamp(120)).unwrap();
         assert_eq!(master, [1; 32]);
-        assert_eq!(c.tbs.subject, DistinguishedName::broker("alpha"));
+        assert_eq!(c.tbs().subject, DistinguishedName::broker("alpha"));
         // The restarted issuer's counter also restarts, so its first
         // fresh id would collide with the recovered one; issue() must
         // skip past it instead of orphaning the old ticket's holder.

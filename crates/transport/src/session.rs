@@ -175,7 +175,7 @@ pub fn establish_initiator_resumable(
     // Only present a ticket whose cached peer certificate would still
     // pass the pin checks a full handshake applies.
     let usable = ticket.filter(|t| {
-        resume && t.peer_cert.check_validity(now).is_ok() && t.peer_cert.tbs.subject == pin.dn
+        resume && t.peer_cert.check_validity(now).is_ok() && t.peer_cert.tbs().subject == pin.dn
     });
 
     let (channel, kind, fresh_ticket) = with_handshake_timeout(&stream, || {
@@ -345,7 +345,7 @@ fn pin_for<'a>(
     peer_cert: &qos_crypto::Certificate,
 ) -> Result<&'a PeerPin, TransportError> {
     let claimed = peer_cert
-        .tbs
+        .tbs()
         .subject
         .org_unit()
         .ok_or_else(|| TransportError::Protocol("peer DN carries no domain".into()))?
@@ -383,7 +383,7 @@ fn try_accept_resume(
     let Ok(pin) = pin_for(pins, &peer_cert) else {
         return Ok(None);
     };
-    if peer_cert.tbs.subject != pin.dn {
+    if peer_cert.tbs().subject != pin.dn {
         return Ok(None);
     }
     if !mac_eq(&initiator_mac(&master, ticket, nonce_c), mac) {

@@ -40,6 +40,7 @@
 
 mod error;
 mod impls;
+mod intern;
 mod macros;
 mod pool;
 mod reader;
@@ -47,6 +48,7 @@ mod shared;
 mod writer;
 
 pub use error::WireError;
+pub use intern::{InternTables, Retained};
 pub use pool::{BufferPool, FrameRef, PoolChunk, POOL_CHUNK_SIZE};
 pub use reader::Reader;
 pub use shared::SharedBytes;

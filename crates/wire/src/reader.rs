@@ -1,6 +1,6 @@
 //! Canonical byte reader.
 
-use crate::{SharedBytes, WireError};
+use crate::{InternTables, SharedBytes, WireError};
 use std::sync::Arc;
 
 /// Cursor over an input slice, performing strict canonical decoding.
@@ -11,14 +11,17 @@ use std::sync::Arc;
 /// exact bytes a signature covers.
 #[derive(Debug)]
 pub struct Reader<'a> {
-    input: &'a [u8],
-    pos: usize,
+    pub(crate) input: &'a [u8],
+    pub(crate) pos: usize,
     shared: Option<Arc<[u8]>>,
     /// Upper bound on any single length prefix (bytes, string, or
     /// sequence count). Defaults to the input length — a prefix larger
     /// than the input can never be honest — and can be tightened further
     /// for untrusted socket input via [`Reader::new_limited`].
-    max_value_len: usize,
+    pub(crate) max_value_len: usize,
+    /// Intern tables the decoders of retained values consult
+    /// ([`Reader::interned`]); `None` for a plain reader.
+    pub(crate) tables: Option<&'a mut InternTables>,
 }
 
 impl<'a> Reader<'a> {
@@ -29,6 +32,7 @@ impl<'a> Reader<'a> {
             pos: 0,
             shared: None,
             max_value_len: input.len(),
+            tables: None,
         }
     }
 
@@ -43,6 +47,7 @@ impl<'a> Reader<'a> {
             pos: 0,
             shared: None,
             max_value_len,
+            tables: None,
         }
     }
 
@@ -57,7 +62,16 @@ impl<'a> Reader<'a> {
             pos: 0,
             shared: Some(Arc::clone(input)),
             max_value_len: input.len(),
+            tables: None,
         }
+    }
+
+    /// Decode through `tables` (DESIGN.md §D28): names and certificates
+    /// this reader meets that the tables already hold are shared, not
+    /// decoded again.
+    pub fn with_tables(mut self, tables: &'a mut InternTables) -> Self {
+        self.tables = Some(tables);
+        self
     }
 
     /// A zero-copy view of `start..end` of the input, if this reader is

@@ -28,8 +28,8 @@ fn print_chain(owner: &str, chain: &DelegationChain) {
     for cert in &chain.certs {
         println!(
             "  - issuer: {}\n    subject: {}\n    caps: {:?} restrictions: {:?}",
-            cert.tbs.issuer,
-            cert.tbs.subject,
+            cert.tbs().issuer,
+            cert.tbs().subject,
             cert.capabilities(),
             cert.restrictions()
                 .iter()
@@ -132,7 +132,7 @@ fn main() {
     println!("\n=== tamper check: BB_B tries to widen the capabilities ===\n");
     let mut tampered = chain.clone();
     if let Some(cert) = tampered.certs.last_mut() {
-        let mut tbs = cert.tbs.clone();
+        let mut tbs = cert.tbs().clone();
         for ext in &mut tbs.extensions {
             if let qos_crypto::Extension::Capabilities(caps) = ext {
                 caps.push("ESnet:admin".into());

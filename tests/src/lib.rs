@@ -72,19 +72,20 @@ pub fn spawn_chain(scenario: &mut Scenario, mut mesh: TcpMesh) -> TcpMesh {
 /// Deliver `out` (what the broker at chain index `from` just sent) and
 /// everything it triggers, hop by hop and without a mesh, until the chain
 /// falls silent. Every message passes through `in_transit` with the
-/// domain it is addressed to, on its way to that broker's `recv`.
+/// domains it comes from and is addressed to, on its way to that
+/// broker's `recv`.
 pub fn deliver_by_hand(
     s: &mut Scenario,
     from: usize,
     out: Vec<(PeerId, SignalMessage)>,
-    mut in_transit: impl FnMut(&str, SignalMessage) -> SignalMessage,
+    mut in_transit: impl FnMut(&str, &str, SignalMessage) -> SignalMessage,
 ) {
     let mut queue: Vec<(usize, PeerId, SignalMessage)> =
         out.into_iter().map(|(to, m)| (from, to, m)).collect();
     while let Some((from, to, msg)) = queue.pop() {
-        let msg = in_transit(&to, msg);
-        let at = s.domains.iter().position(|d| **d == *to).expect("a peer");
         let sender = s.domains[from].clone();
+        let msg = in_transit(&sender, &to, msg);
+        let at = s.domains.iter().position(|d| **d == *to).expect("a peer");
         for (next, m) in s.nodes[at].recv(&sender, msg) {
             queue.push((at, next, m));
         }

@@ -46,7 +46,7 @@ fn deliver(
     out: Vec<(PeerId, SignalMessage)>,
 ) -> HashMap<String, SignedRar> {
     let mut forwarded = HashMap::new();
-    deliver_by_hand(s, from, out, |to, msg| {
+    deliver_by_hand(s, from, out, |_, to, msg| {
         if let SignalMessage::Request(rar) = &msg {
             forwarded.insert(to.to_string(), rar.clone());
         }

@@ -96,7 +96,7 @@ fn lying_transit(lie: Lie) -> (Denial, Option<SignedRar>) {
         let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
         let out = s.nodes[0].submit(rar, &cert);
         let mut seen = HashMap::new();
-        deliver_by_hand(s, 0, out, |to, msg| {
+        deliver_by_hand(s, 0, out, |_, to, msg| {
             let SignalMessage::Request(rar) = msg else {
                 return msg;
             };
@@ -495,7 +495,7 @@ fn forged_reply(forged: impl FnOnce(&Scenario, qos_core::RarId) -> SignalMessage
 
     let msg = forged(&s, rar_id);
     let answered = s.nodes[1].recv("domain-a", msg).len();
-    deliver_by_hand(&mut s, 1, to_c, |_, msg| msg);
+    deliver_by_hand(&mut s, 1, to_c, |_, _, msg| msg);
 
     assert!(matches!(
         s.nodes[0].take_completions().as_slice(),
