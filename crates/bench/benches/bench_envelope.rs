@@ -322,8 +322,7 @@ fn first_sight(s: &mut Scenario, hops: usize) -> SignalMessage {
 /// The per-hop bill on first-sight traffic: `recv` of a distinct request
 /// at a transit broker (checks, hold, delegate, wrap and sign) and at
 /// the destination (full trust walk, checks, hold, commit, signed
-/// approval), every cache at its default size and already full, so each
-/// miss also pays for an eviction.
+/// approval).
 fn bench_hop_cold(c: &mut Criterion) {
     let mut g = c.benchmark_group("hop");
     let cases = [2usize, 4, 8]
@@ -343,11 +342,6 @@ fn bench_hop_cold(c: &mut Criterion) {
         // The envelope arriving at index `depth - 1` has `depth` layers.
         let at = depth - 1;
         let from = s.domains[at - 1].clone();
-        // More distinct requests than the largest cache holds entries.
-        for _ in 0..qos_crypto::vcache::DEFAULT_CAPACITY + 512 {
-            let msg = first_sight(&mut s, at);
-            black_box(s.nodes[at].recv(&from, msg));
-        }
         g.bench_function(BenchmarkId::new(name, format!("depth-{depth}")), |b| {
             let mut receiver = s.nodes.remove(at);
             b.iter_batched(

@@ -2,31 +2,23 @@
 //! allocate on the one path a frame takes through a broker (D15, D18,
 //! D19, D26, D27), measured with a counting global allocator.
 //!
-//! Two claims, each a hard gate (non-zero exit on failure, CI
-//! enforces):
+//! One claim, a hard gate (non-zero exit on failure, CI enforces):
 //!
-//! 1. **Allocation churn** — one admission round trip of a reservation
-//!    the destination has never seen allocates at most 57 allocations
-//!    per operation, its count once each link shared the names and
-//!    certificates it delivered before (D28; 83.19 before). The round
-//!    trip runs on two [`LinkCore`]s,
-//!    the link code the reactor runs (message pushed onto the queue's
-//!    open frame → popped, numbered and sealed frame → pooled frame
-//!    decode → borrowed `SealedRef` parse → `open_in_place` → delivery
-//!    index → shared-buffer `SignalMessage` decode through the link's
-//!    intern tables), with `BbNode::recv`
-//!    and full verification between them and the verdict carried back.
-//!    A sub-flow of a 256-flow burst of an a → c tunnel, carried the
-//!    same way through `BbNode::recv_tunnel_flows` and back, allocates
-//!    at most 1.25 (2.15 before D28). A stream of distinct certificates
-//!    decodes through a link's table at most 1.5× as slowly as before
-//!    D28, when every certificate was decoded afresh.
-//! 2. **Latency** — warm depth-8 envelope verification must stay
-//!    strictly better than the committed `BENCH_warm.json` baseline
-//!    (5.62 µs). The baseline is the pre-D15 committed value,
-//!    deliberately not re-read from disk: `exp_warm_path` rewrites the
-//!    file earlier in the same CI job, which would make a file-based
-//!    comparison circular.
+//! **Allocation churn** — one admission round trip of a reservation the
+//! destination has never seen allocates at most 57 allocations per
+//! operation, its count once each link shared the names and
+//! certificates it delivered before (D28; 83.19 before). The round trip
+//! runs on two [`LinkCore`]s, the link code the reactor runs (message
+//! pushed onto the queue's open frame → popped, numbered and sealed
+//! frame → pooled frame decode → borrowed `SealedRef` parse →
+//! `open_in_place` → delivery index → shared-buffer `SignalMessage`
+//! decode through the link's intern tables), with `BbNode::recv` and
+//! full verification between them and the verdict carried back. A
+//! sub-flow of a 256-flow burst of an a → c tunnel, carried the same way
+//! through `BbNode::recv_tunnel_flows` and back, allocates at most 1.25
+//! (2.15 before D28). A stream of distinct certificates decodes through
+//! a link's table at most 1.5× as slowly as before D28, when every
+//! certificate was decoded afresh.
 //!
 //! That pooling and borrowed decode never change an admission outcome
 //! is `tests/tests/fabric_parity.rs`.
@@ -37,20 +29,16 @@
 
 use qos_bench::alloc_count::{self, CountingAlloc};
 use qos_bench::{mesh_from, table_header, table_row};
-use qos_broker::Interval;
 use qos_core::channel::{handshake, ChannelIdentity, PeerPin};
-use qos_core::envelope::SignedRar;
 use qos_core::messages::SignalMessage;
 use qos_core::node::Completion;
 use qos_core::scenario::{build_chain, ChainOptions, Scenario};
-use qos_core::trust::{verify_rar, KeySource};
-use qos_core::{PeerId, RarId, ResSpec};
+use qos_core::PeerId;
 use qos_crypto::{
     Certificate, CertificateAuthority, DistinguishedName, KeyPair, Signature, TbsCertificate,
-    Timestamp, TrustPolicy, Validity,
+    Timestamp, Validity,
 };
 use qos_net::SimDuration;
-use qos_policy::AttributeSet;
 use qos_telemetry::{Artifact, Row, Telemetry};
 use qos_transport::{LinkCore, OutQueue, MAX_FRAME_LEN};
 use qos_wire::{BufferPool, Decode, Reader};
@@ -63,9 +51,6 @@ use std::time::Instant;
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
 const MBPS: u64 = 1_000_000;
-const ENVELOPE_HOPS: usize = 8;
-const VERIFY_REPS: usize = 100;
-const VERIFY_PASSES: usize = 5;
 /// Messages one write batch takes, as the reactor pops them.
 const MAX_WRITE_BATCH: usize = 64;
 const COLD_WARMUP: usize = 8;
@@ -99,22 +84,6 @@ const MISS_CERTS: usize = 2048;
 const MISS_ROUNDS: usize = 9;
 const MISS_PASSES: usize = 15;
 const MAX_MISS_RATIO: f64 = 1.5;
-/// `BENCH_warm.json` warm_us as committed before the D15 zero-alloc
-/// work landed.
-const BASELINE_WARM_US: f64 = 5.62;
-
-/// Size every steady-state memo for `capacity == 0` (everything off) or
-/// any other value (verify cache at `capacity`, envelope memo at its
-/// default) — same knob as `exp_warm_path`.
-fn set_cache_capacities(capacity: usize) {
-    qos_crypto::vcache::set_capacity(capacity);
-    qos_core::trust::set_rar_memo_capacity(if capacity == 0 {
-        0
-    } else {
-        qos_core::trust::RAR_MEMO_DEFAULT_CAPACITY
-    });
-}
-
 fn domain(i: usize) -> String {
     format!("domain-{i:02}")
 }
@@ -312,83 +281,14 @@ fn broker_identity(ca: &mut CertificateAuthority, name: &str) -> ChannelIdentity
     ChannelIdentity { key, cert }
 }
 
-/// Build the depth-`hops` nested envelope of EXP-S and time `reps`
-/// destination verifications, returning µs per verification (same
-/// construction as `exp_warm_path`, so the number is comparable to the
-/// committed baseline).
-fn envelope_verify_us(hops: usize, reps: usize) -> f64 {
-    let mut ca = CertificateAuthority::new(
-        DistinguishedName::authority("CA"),
-        KeyPair::from_seed(b"ca"),
-    );
-    let user = KeyPair::from_seed(b"alice");
-    let user_cert = ca.issue_identity(
-        DistinguishedName::user("Alice", "ANL"),
-        user.public(),
-        Validity::unbounded(),
-    );
-    let keys: Vec<KeyPair> = (0..hops)
-        .map(|i| KeyPair::from_seed(domain(i).as_bytes()))
-        .collect();
-    let certs: Vec<_> = (0..hops)
-        .map(|i| {
-            ca.issue_identity(
-                DistinguishedName::broker(&domain(i)),
-                keys[i].public(),
-                Validity::unbounded(),
-            )
-        })
-        .collect();
-    let spec = ResSpec::new(
-        RarId(1),
-        DistinguishedName::user("Alice", "ANL"),
-        &domain(0),
-        &domain(hops),
-        7,
-        10_000_000,
-        Interval::starting_at(Timestamp(0), 3600),
-    );
-    let mut rar =
-        SignedRar::user_request(spec, DistinguishedName::broker(&domain(0)), vec![], &user);
-    let mut upstream = user_cert;
-    for i in 0..hops {
-        rar = SignedRar::wrap(
-            rar,
-            upstream,
-            Some(DistinguishedName::broker(&domain(i + 1))),
-            vec![],
-            AttributeSet::new(),
-            DistinguishedName::broker(&domain(i)),
-            &keys[i],
-        );
-        upstream = certs[i].clone();
-    }
-
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        verify_rar(
-            &rar,
-            keys[hops - 1].public(),
-            &DistinguishedName::broker(&domain(hops)),
-            TrustPolicy {
-                max_chain_depth: 64,
-            },
-            Timestamp(0),
-            &KeySource::Introducers,
-        )
-        .unwrap();
-    }
-    t0.elapsed().as_secs_f64() * 1e6 / reps as f64
-}
-
 fn main() {
     println!("EXP-ALLOC: allocations of a first-sight admission (counting allocator)\n");
     let mut artifact = Artifact::new(
         "exp_alloc_path",
-        "mixed (allocs/op; us; verdicts)",
+        "mixed (allocs/op; ns; verdicts)",
         "allocations per first-sight admission round trip and per sub-flow of \
-         a burst over two link cores, and warm depth-8 envelope verification \
-         vs the committed baseline (hard gates, non-zero exit on failure)",
+         a burst over two link cores, and the certificate decode through a \
+         link's table (hard gates, non-zero exit on failure)",
     );
     let mut failures: Vec<String> = Vec::new();
 
@@ -402,7 +302,6 @@ fn main() {
     let widths = [10, 14, 14, 12];
     table_header(&["path", "allocs/op", "bytes/op", "ns/op"], &widths);
 
-    set_cache_capacities(4096);
     let mut s = build_chain(ChainOptions {
         sla_rate_bps: 1000 * MBPS,
         ..ChainOptions::default()
@@ -537,41 +436,6 @@ fn main() {
         failures.push(format!(
             "the loop fell back to owned buffers {pool_fallbacks} times; the pooled \
              decoder must stay on pooled chunks"
-        ));
-    }
-
-    // ---- Part 2: warm depth-8 verification vs committed baseline -----
-    println!(
-        "\ndepth-{ENVELOPE_HOPS} envelope verification ({VERIFY_PASSES}x{VERIFY_REPS} reps, min):"
-    );
-    let widths = [14, 16, 10];
-    table_header(&["warm(µs)", "baseline(µs)", "margin"], &widths);
-    set_cache_capacities(qos_crypto::vcache::DEFAULT_CAPACITY);
-    envelope_verify_us(ENVELOPE_HOPS, 1); // untimed pass fills the caches
-    let mut verify_warm_us = f64::INFINITY;
-    for _ in 0..VERIFY_PASSES {
-        verify_warm_us = verify_warm_us.min(envelope_verify_us(ENVELOPE_HOPS, VERIFY_REPS));
-    }
-    let margin = BASELINE_WARM_US / verify_warm_us;
-    table_row(
-        &[
-            format!("{verify_warm_us:.2}"),
-            format!("{BASELINE_WARM_US:.2}"),
-            format!("{margin:.2}x"),
-        ],
-        &widths,
-    );
-    artifact.push(
-        Row::new()
-            .field("section", "envelope_verify")
-            .field("hops", ENVELOPE_HOPS)
-            .field("warm_us", verify_warm_us)
-            .field("baseline_us", BASELINE_WARM_US),
-    );
-    if verify_warm_us >= BASELINE_WARM_US {
-        failures.push(format!(
-            "warm depth-{ENVELOPE_HOPS} verification ({verify_warm_us:.2}µs) is not \
-             strictly better than the committed baseline ({BASELINE_WARM_US:.2}µs)"
         ));
     }
 

@@ -94,7 +94,6 @@ fn main() {
         telemetry: telemetry.clone(),
         ..AsGraphOptions::default()
     });
-    qos_core::install_verify_cache_telemetry(&telemetry);
     for node in &mut graph.scenario.nodes {
         node.install_telemetry(telemetry.clone());
     }

@@ -25,11 +25,8 @@ pub fn experiment_registry() -> (Arc<Registry>, Telemetry) {
 }
 
 /// Route every broker in `scenario` into `telemetry` (counters,
-/// histograms, PDP and admission instruments), plus the process-wide
-/// signature-verification cache counters
-/// (`cache_{hits,misses,evictions}_total{cache="verify"}`).
+/// histograms, PDP and admission instruments).
 pub fn install_telemetry(scenario: &mut Scenario, telemetry: &Telemetry) {
-    qos_core::install_verify_cache_telemetry(telemetry);
     for node in &mut scenario.nodes {
         node.install_telemetry(telemetry.clone());
     }

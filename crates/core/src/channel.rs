@@ -147,10 +147,7 @@ pub fn handshake(
 }
 
 fn validate_peer(cert: &Certificate, pins: &PeerPin, now: Timestamp) -> Result<(), CoreError> {
-    // Signature verdicts are memoized process-wide: a reconnecting peer
-    // presenting the same certificate costs a hash, not an
-    // exponentiation. Validity and pin checks always run fresh.
-    cert.verify_signature_cached(pins.ca_key, now)
+    cert.verify_signature(pins.ca_key)
         .map_err(CoreError::from)?;
     cert.check_validity(now).map_err(CoreError::from)?;
     if cert.tbs().subject != pins.dn {

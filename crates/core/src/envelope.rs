@@ -123,10 +123,8 @@ pub struct SignedRar {
     pub signature: Signature,
     /// Lazily-filled wire encoding of `layer`.
     wire: OnceLock<SharedBytes>,
-    /// Lazily-filled chained digest — what `signature` is over and the
-    /// key every cache on the way (RAR memo, verify cache) files this
-    /// layer under, hashed once however many of them ask (DESIGN.md
-    /// §D17, §D21, §D22).
+    /// Lazily-filled chained digest — what `signature` is over, hashed
+    /// once however many checks ask for it (DESIGN.md §D17, §D21, §D22).
     digest: OnceLock<Digest>,
     /// A broker layer's preimage, for callers that want it as bytes.
     preimage: OnceLock<Vec<u8>>,

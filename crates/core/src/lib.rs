@@ -47,19 +47,6 @@ pub mod source;
 pub mod trust;
 pub mod view;
 
-/// Register the process-wide memoization caches' hit/miss/eviction cells
-/// with `telemetry` as the `cache_*_total` counter families: the
-/// signature-verification cache under `cache="verify"` and the
-/// envelope-verdict memo under `cache="rar"`. Registration is idempotent
-/// (the registry reuses the cell for an already-known label set), so
-/// every broker, daemon, or bench harness can call this unconditionally.
-pub fn install_verify_cache_telemetry(telemetry: &qos_telemetry::Telemetry) {
-    if !telemetry.is_enabled() {
-        return;
-    }
-    telemetry.register_cache_counters(&[("cache", "verify")], qos_crypto::vcache::counter_cells());
-    telemetry.register_cache_counters(&[("cache", "rar")], trust::rar_memo_counter_cells());
-}
 pub use drive::Mesh;
 pub use envelope::{RarLayer, SignedRar};
 pub use error::CoreError;

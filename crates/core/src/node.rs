@@ -470,7 +470,6 @@ impl BbNode {
         if telemetry.is_enabled() {
             let d = self.domain.clone();
             let dl: &[(&str, &str)] = &[("domain", &d)];
-            crate::install_verify_cache_telemetry(&telemetry);
             Arc::get_mut(&mut self.pdp)
                 .expect("telemetry is installed before the PDP is shared across shards")
                 .set_telemetry(&telemetry, &d);
@@ -855,7 +854,7 @@ impl BbNode {
                 ]
             })
             .collect();
-        let verdicts = if qos_crypto::vcache::global().verify_batch_digests(&jobs) {
+        let verdicts = if qos_crypto::verify_batch_digests(&jobs) {
             vec![true; batch.len()]
         } else {
             crate::parallel::verify_each(&jobs)
@@ -969,7 +968,7 @@ impl BbNode {
         // verified counters still advance so batched and per-item ingress
         // report identical crypto work.
         if !pre_verified {
-            user_cert.verify_signature_cached(self.user_ca, self.now)?;
+            user_cert.verify_signature(self.user_ca)?;
         }
         user_cert.check_validity(self.now)?;
         self.counters.add_verified(1);
@@ -1183,14 +1182,12 @@ impl BbNode {
             .iter()
             .map(|(from, _)| self.peers.get(&**from).map(|c| c.tbs().subject_public_key))
             .collect();
-        // The digest the signature is over is the one the verify cache
-        // files the envelope under and the RAR memo will ask for again.
         let jobs: Vec<(Digest, PublicKey, Signature)> = batch
             .iter()
             .zip(&pks)
             .filter_map(|((_, rar), pk)| Some((*rar.layer_digest(), (*pk)?, rar.signature())))
             .collect();
-        let verdicts = if qos_crypto::vcache::global().verify_batch_digests(&jobs) {
+        let verdicts = if qos_crypto::verify_batch_digests(&jobs) {
             vec![true; jobs.len()]
         } else {
             crate::parallel::verify_each(&jobs)

@@ -62,13 +62,8 @@ where
 /// answers "are they all valid?" with one multi-exponentiation, and this
 /// answers "which one is not?" when that combined check fails — over the
 /// digests the failed batch already held, so nothing is hashed again.
-/// Each check goes through the process-wide verification cache, so the
-/// good items of a poisoned batch (typically all but one) cost a lookup
-/// each once seen.
 pub fn verify_each(items: &[(Digest, PublicKey, Signature)]) -> Vec<bool> {
-    parallel_map(items, |(digest, pk, sig)| {
-        qos_crypto::vcache::global().verify_digest(digest, *pk, sig)
-    })
+    parallel_map(items, |(digest, pk, sig)| pk.verify_digest(digest, sig))
 }
 
 #[cfg(test)]

@@ -23,15 +23,12 @@ use crate::envelope::{RarLayer, SignedRar};
 use crate::error::CoreError;
 use crate::rar::ResSpec;
 use crate::view::RarView;
-use qos_crypto::lru::LruMap;
-use qos_crypto::sha256::{Digest, Sha256};
+use qos_crypto::sha256::Digest;
 use qos_crypto::{
     Certificate, CertificateDirectory, DistinguishedName, PublicKey, Signature, Timestamp,
     TrustPolicy,
 };
 use qos_policy::AttributeSet;
-use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// Where a verifier obtains upstream public keys.
 pub enum KeySource<'a> {
@@ -62,71 +59,9 @@ pub struct VerifiedRar {
     pub attachments: AttributeSet,
 }
 
-/// Default bound on memoized envelope verdicts (process-wide).
-pub const RAR_MEMO_DEFAULT_CAPACITY: usize = 256;
-
-/// Envelopes that passed verification, by [`memo_key`]. The value is the
-/// outermost layer's signature: the key digests the outer *layer*
-/// (which binds every inner layer, certificate, and signature), but not
-/// the outer signature itself — so a hit additionally requires signature
-/// equality, exactly like the verify cache. Everything a caller wants
-/// from a verified envelope is read off the envelope it holds.
-fn memo() -> std::sync::MutexGuard<'static, LruMap<Digest, Signature>> {
-    static MEMO: OnceLock<Mutex<LruMap<Digest, Signature>>> = OnceLock::new();
-    MEMO.get_or_init(|| Mutex::new(LruMap::new(RAR_MEMO_DEFAULT_CAPACITY, Default::default())))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// The envelope-verdict memo's counter cells, for registering with a
-/// metrics registry (`cache_{hits,misses,evictions}_total{cache="rar"}`).
-pub fn rar_memo_counter_cells() -> (Arc<AtomicU64>, Arc<AtomicU64>, Arc<AtomicU64>) {
-    memo().counters().cells()
-}
-
-/// `(hits, misses, evictions)` of the envelope-verdict memo so far.
-pub fn rar_memo_stats() -> (u64, u64, u64) {
-    memo().counters().stats()
-}
-
-/// Drop every memoized envelope verdict (counters are preserved).
-pub fn clear_rar_memo() {
-    memo().clear();
-}
-
-/// Resize the envelope-verdict memo. `0` disables memoization entirely
-/// (lookups bypass the memo without counting misses) — the D10 ablation's
-/// "caches off" configuration. Shrinking below the current population
-/// drops all entries.
-pub fn set_rar_memo_capacity(cap: usize) {
-    memo().set_capacity(cap);
-}
-
-/// The memo key binds everything that can change the verdict: the full
-/// envelope (`layer_digest`, the outermost layer's chained digest, which
-/// binds every inner layer, certificate, signature, and attachment
-/// through the digest of the layer inside), the a-priori peer key, the
-/// verifier's own DN, the chain-depth bound, and the validity instant. Only the outer
-/// signature stays outside the digest; the memo's value covers it.
-fn memo_key(
-    layer_digest: &Digest,
-    outer_pk: PublicKey,
-    self_dn: &DistinguishedName,
-    policy: TrustPolicy,
-    now: Timestamp,
-) -> Digest {
-    // Incremental feed (D15): hashes the same byte sequence the old
-    // concatenated buffer held — layer digest ‖ pk ‖ canonical DN
-    // encoding ‖ depth bound ‖ clock — without materializing it, so the
-    // memo fast path itself is allocation-free.
-    let mut h = Sha256::new();
-    h.update(layer_digest);
-    h.update(&outer_pk.0.to_le_bytes());
-    h.update(self_dn.encoding());
-    h.update(&(policy.max_chain_depth as u64).to_le_bytes());
-    h.update(&now.0.to_le_bytes());
-    h.finalize()
-}
+/// Does nothing: no envelope verdict is memoized (DESIGN.md §D29). Kept
+/// for the `qosbench` harness; the benchmark's rewrite (ROADMAP item 1) deletes it.
+pub fn clear_rar_memo() {}
 
 /// Verify a received envelope.
 ///
@@ -138,15 +73,8 @@ fn memo_key(
 /// * `now` — certificate validity instant;
 /// * `keys` — where upstream keys come from (D3 ablation).
 ///
-/// Successful introducer-walk verdicts are memoized process-wide: the
-/// steady state re-verifies byte-identical envelopes (retries, the
-/// two-phase commit leg, tunnel re-validation), and a memo hit skips the
-/// structural walk and the per-layer signature work; it costs the digest
-/// of the received bytes (shared with the reply and verify caches, see
-/// [`SignedRar::layer_digest`]) plus one short digest over it and the
-/// verification context. Directory-backed verification
-/// ([`KeySource::Directory`]) is never memoized — the directory is live
-/// state outside the key.
+/// Every call walks the whole nest and checks every layer's signature:
+/// no verdict is remembered between calls (DESIGN.md §D29).
 pub fn verify_rar(
     rar: &SignedRar,
     outer_pk: PublicKey,
@@ -184,15 +112,6 @@ pub(crate) fn verify_view(
     keys: &KeySource<'_>,
 ) -> Result<(), CoreError> {
     let rar = view.outer();
-    // Fast path: a byte-identical envelope already verified under this
-    // exact (peer key, own DN, depth bound, clock) context.
-    let key = matches!(keys, KeySource::Introducers)
-        .then(|| memo_key(rar.layer_digest(), outer_pk, self_dn, policy, now));
-    let known = |key| memo().get_if(&key, |sig| *sig == rar.signature).is_some();
-    if key.is_some_and(known) {
-        return Ok(());
-    }
-
     // Depth bound: broker layers beyond the user's.
     let depth = view.depth() - 1;
     if depth > policy.max_chain_depth {
@@ -280,7 +199,7 @@ pub(crate) fn verify_view(
         }
     }
 
-    if !qos_crypto::vcache::global().verify_batch_digests(&batch) {
+    if !qos_crypto::verify_batch_digests(&batch) {
         // Attribute: find the first layer (outermost-first) whose
         // signature fails on its own. The layers are independent, so
         // check them concurrently on the worker pool.
@@ -292,10 +211,6 @@ pub(crate) fn verify_view(
         return Err(CoreError::LayerSignature {
             signer: layers[bad].signer.clone(),
         });
-    }
-
-    if let Some(key) = key {
-        memo().insert(key, rar.signature);
     }
     Ok(())
 }
@@ -325,7 +240,6 @@ mod tests {
     use super::*;
     use crate::rar::{RarId, ResSpec};
     use qos_broker::Interval;
-    use qos_crypto::sha256::sha256;
     use qos_crypto::{CertificateAuthority, KeyPair, Validity};
 
     struct Fix {
@@ -399,61 +313,23 @@ mod tests {
     }
 
     #[test]
-    fn incremental_memo_key_matches_concatenated_feed() {
-        // The incremental memo_key must keep producing the digest the
-        // original concatenated-buffer implementation produced — cached
-        // verdicts survive the refactor.
-        let mut f = fix();
-        let rar = build(&mut f, 2);
-        let pk = f.bb[1].public();
-        let dn = DistinguishedName::broker("domain-c");
-        let policy = TrustPolicy::default();
-        let now = Timestamp(7);
-        let outer = sha256(rar.layer_bytes());
-        let dn_bytes = qos_wire::to_bytes(&dn);
-        let mut feed = Vec::new();
-        feed.extend_from_slice(&outer);
-        feed.extend_from_slice(&pk.0.to_le_bytes());
-        feed.extend_from_slice(&dn_bytes);
-        feed.extend_from_slice(&(policy.max_chain_depth as u64).to_le_bytes());
-        feed.extend_from_slice(&now.0.to_le_bytes());
-        assert_eq!(
-            memo_key(rar.layer_digest(), pk, &dn, policy, now),
-            sha256(&feed)
-        );
-    }
-
-    #[test]
-    fn layer_digest_and_memo_key_are_what_a_vector_of_string_pairs_gave() {
-        // First pinned at de05c9d, where a name was a `Vec<Rdn>` and
-        // `memo_key` re-encoded it by hand: the bytes a signature, a
-        // digest and a cache key cover did not move when a name became
-        // its own encoding (DESIGN.md §D18). Re-pinned when signing
+    fn layer_digest_is_what_a_vector_of_string_pairs_gave() {
+        // First pinned at de05c9d, where a name was a `Vec<Rdn>`: the
+        // bytes a signature and a digest cover did not move when a name
+        // became its own encoding (DESIGN.md §D18). Re-pinned when signing
         // became hash-then-sign (§D21): the encoding of every field is
         // what it was, but the inner layers' signature *values* changed
-        // and they sit inside the outer layer's bytes, so its digest and
-        // the key derived from it moved with them. Re-pinned again for
-        // the chained digest and the folded link (§D22): a layer's
-        // digest is now over `0x01 ‖ inner digest ‖ what the broker
-        // added`, and a broker layer's encoding ends with one more byte
-        // (`delegate: None`). `memo_key`'s own feed is what it was.
+        // and they sit inside the outer layer's bytes, so its digest
+        // moved with them. Re-pinned again for the chained digest and the
+        // folded link (§D22): a layer's digest is now over `0x01 ‖ inner
+        // digest ‖ what the broker added`, and a broker layer's encoding
+        // ends with one more byte (`delegate: None`).
         let mut f = fix();
         let rar = build(&mut f, 2);
         let hex = |d: &[u8]| d.iter().map(|b| format!("{b:02x}")).collect::<String>();
         assert_eq!(
             hex(rar.layer_digest()),
             "c2aba4a6d5e75eaf271738ef4af0456fb3a99680f9b6780e931a2e482425de36"
-        );
-        let key = memo_key(
-            rar.layer_digest(),
-            f.bb[1].public(),
-            &DistinguishedName::broker("domain-c"),
-            TrustPolicy::default(),
-            Timestamp(7),
-        );
-        assert_eq!(
-            hex(&key),
-            "688f52b452d399e4ba3c57dc63388c6b91ffa0b7e372646002679f24a0fb6331"
         );
     }
 
@@ -702,63 +578,10 @@ mod tests {
     }
 
     #[test]
-    fn memoized_verdict_equals_fresh_verification() {
-        let mut f = fix();
-        let rar = build(&mut f, 3);
-        let args = (
-            f.bb[2].public(),
-            DistinguishedName::broker("domain-d"),
-            TrustPolicy::default(),
-            Timestamp(0),
-        );
-        let first = verify_rar(
-            &rar,
-            args.0,
-            &args.1,
-            args.2,
-            args.3,
-            &KeySource::Introducers,
-        )
-        .unwrap();
-        let (hits_before, _, _) = rar_memo_stats();
-        let replay = verify_rar(
-            &rar,
-            args.0,
-            &args.1,
-            args.2,
-            args.3,
-            &KeySource::Introducers,
-        )
-        .unwrap();
-        let (hits_after, _, _) = rar_memo_stats();
-        assert!(
-            hits_after > hits_before,
-            "byte-identical re-verification must hit the memo"
-        );
-        assert_eq!(replay, first);
-        // Any key-context change falls off the fast path: a different
-        // validity instant re-runs the full walk (and, here, still
-        // succeeds against unbounded certificates).
-        let (_, misses_before, _) = rar_memo_stats();
-        let shifted = verify_rar(
-            &rar,
-            args.0,
-            &args.1,
-            args.2,
-            Timestamp(1),
-            &KeySource::Introducers,
-        )
-        .unwrap();
-        let (_, misses_after, _) = rar_memo_stats();
-        assert!(misses_after > misses_before);
-        assert_eq!(shifted, first);
-    }
-
-    #[test]
     fn memo_never_accepts_tampered_outer_signature() {
         let mut f = fix();
         let rar = build(&mut f, 2);
-        // Warm the memo with the genuine envelope…
+        // The genuine envelope verifies…
         verify_rar(
             &rar,
             f.bb[1].public(),
@@ -768,9 +591,8 @@ mod tests {
             &KeySource::Introducers,
         )
         .unwrap();
-        // …then present the same bytes under a corrupted outer signature.
-        // The memo key matches, but the stored-signature equality check
-        // must push it back onto the full (rejecting) path.
+        // …and a moment later the same bytes under a corrupted outer
+        // signature are refused: nothing remembers the first verdict.
         let mut forged = rar;
         forged.signature.s ^= 1;
         let err = verify_rar(

@@ -22,14 +22,6 @@ type Delivery = (PeerId, String, SignalMessage);
 const SLA_BPS: u64 = 20 * MBPS;
 const REQUESTS: u64 = 6;
 
-fn reset_global_caches() {
-    // Both drives must start from the same (cold) global cache state;
-    // otherwise the second run's memo hits could skew timing-independent
-    // counters resolved through the shared caches.
-    qos_crypto::vcache::clear();
-    qos_core::trust::clear_rar_memo();
-}
-
 /// The seeded scenario plus the signed burst, identical for both drives.
 fn scenario() -> (Vec<BbNode>, Vec<qos_core::envelope::SignedRar>, Certificate) {
     let mut s = build_chain(ChainOptions {
@@ -57,7 +49,6 @@ fn outcome_counts(completions: &[Completion]) -> (usize, usize) {
 /// pump, mirroring the sharded worker's call shape (`submit_batch` for
 /// the burst, `recv_requests` for requests, `recv` otherwise).
 fn drive_plain(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<String, BbNode>) {
-    reset_global_caches();
     let (nodes, rars, cert) = scenario();
     let telemetry = Telemetry::with_registry(Arc::clone(registry));
     let mut nodes: HashMap<String, BbNode> = nodes
@@ -123,7 +114,6 @@ impl ShardSink for ChanSink {
 
 /// The same burst through one-shard `ShardedNode`s.
 fn drive_sharded(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<String, BbNode>) {
-    reset_global_caches();
     let (nodes, rars, cert) = scenario();
     let telemetry = Telemetry::with_registry(Arc::clone(registry));
     let (delivery_tx, delivery_rx): (Sender<Delivery>, Receiver<Delivery>) = unbounded();

@@ -264,8 +264,7 @@ impl Certificate {
     }
 
     /// SHA-256 of the body's encoding — what the issuer's signature is
-    /// over and what the verification cache files the certificate under
-    /// — hashed from the kept bytes on first need.
+    /// over — hashed from the kept bytes on first need.
     pub fn digest(&self) -> &Digest {
         let tbs = &self.0.enc[..self.0.enc.len() - SIGNATURE_LEN];
         self.0.digest.get_or_init(|| sha256(tbs))
@@ -280,20 +279,6 @@ impl Certificate {
                 signer: self.0.tbs.issuer.clone(),
             })
         }
-    }
-
-    /// Verify the issuer signature through the process-wide verification
-    /// cache ([`crate::vcache`]): a certificate already verified under
-    /// `issuer_pk` costs a map lookup instead of a Schnorr verification.
-    /// `now` is used only to expire cached entries whose validity window
-    /// has lapsed — callers still enforce validity with
-    /// [`Certificate::check_validity`].
-    pub fn verify_signature_cached(
-        &self,
-        issuer_pk: PublicKey,
-        now: Timestamp,
-    ) -> Result<(), CryptoError> {
-        crate::vcache::global().verify_cert(self, issuer_pk, now)
     }
 
     /// Check the validity window.
@@ -505,15 +490,12 @@ mod tests {
     #[test]
     fn a_forgery_verified_after_its_genuine_twin_carries_its_own_digest() {
         let mut ca = ca();
-        let cache = crate::vcache::VerifyCache::new(16);
         let genuine = ca.issue_identity(
             DistinguishedName::user("Alice", "ANL"),
             KeyPair::from_seed(b"alice").public(),
             Validity::unbounded(),
         );
-        assert!(cache
-            .verify_cert(&genuine, ca.public_key(), Timestamp::ZERO)
-            .is_ok());
+        assert!(genuine.verify_signature(ca.public_key()).is_ok());
         // Same signature, one field edited, rebuilt from its parts.
         let mut tbs = genuine.tbs().clone();
         tbs.validity.not_after = Timestamp(1);
@@ -521,9 +503,6 @@ mod tests {
         assert_eq!(*forged.digest(), sha256(&qos_wire::to_bytes(&tbs)));
         assert_ne!(forged.digest(), genuine.digest());
         assert!(forged.verify_signature(ca.public_key()).is_err());
-        assert!(cache
-            .verify_cert(&forged, ca.public_key(), Timestamp::ZERO)
-            .is_err());
         // Decoded from its own bytes it is the same forgery.
         let back: Certificate = qos_wire::from_bytes(&qos_wire::to_bytes(&forged)).unwrap();
         assert_eq!(back.digest(), forged.digest());

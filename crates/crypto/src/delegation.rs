@@ -242,10 +242,7 @@ impl DelegationChain {
                     });
                 }
             }
-            // Chains are re-presented at every hop of every RAR using
-            // them; the verification cache makes the steady-state link
-            // checks one hash each (validity is re-checked every pass).
-            cert.verify_signature_cached(issuer_pk, now)?;
+            cert.verify_signature(issuer_pk)?;
             cert.check_validity(now)?;
             if let Some(prev) = prev {
                 // Step 7 ("validity of all capabilities … whether some
@@ -313,8 +310,7 @@ impl DelegationChain {
                 Some(pk) => pk == chain.holder_key,
                 None => {
                     chain.signatures += 1;
-                    let cache = crate::vcache::global();
-                    cache.verify_digest(hop.digest, chain.holder_key, &hop.signature)
+                    chain.holder_key.verify_digest(hop.digest, &hop.signature)
                 }
             };
             if !signed {

@@ -15,7 +15,6 @@
 //!   §6.5 verification checklist;
 //! * [`introducer`] — web-of-trust key acceptance with chain-depth policy;
 //! * [`keystore`] — the "secure LDAP" certificate-directory alternative;
-//! * [`lru`] — the bounded LRU map every memoization cache is built on;
 //! * [`time`] — timestamps for validity windows.
 //!
 //! All wire-visible types encode canonically via [`qos_wire`], so nested
@@ -28,7 +27,6 @@ pub mod error;
 pub mod group;
 pub mod introducer;
 pub mod keystore;
-pub mod lru;
 pub mod schnorr;
 pub mod sha256;
 pub mod time;

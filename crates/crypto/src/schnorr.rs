@@ -13,7 +13,7 @@
 //! The scheme is **hash-then-sign** (DESIGN.md §D21): the message enters
 //! only through its SHA-256 digest, so a signed byte is hashed once —
 //! not once for the nonce and again for the challenge — and a caller that
-//! already holds the digest (an envelope layer's, a cache key) hands it
+//! already holds the digest (an envelope layer's, a certificate's) hands it
 //! over through the `*_digest` forms and hashes nothing more than two
 //! short blocks. Forging a signature on a message the signer never saw
 //! needs a SHA-256 collision or a forgery on the digest; the nonce is
@@ -311,13 +311,18 @@ pub fn verify_batch_digests(items: &[(Digest, PublicKey, Signature)]) -> bool {
         h.update(&e.to_le_bytes());
     }
     let seed = h.finalize();
-    let coeff = |i: usize| -> u64 {
-        let mut h = Sha256::new();
-        h.update(&seed);
-        h.update(&(i as u64).to_le_bytes());
-        let d = h.finalize();
-        // 32-bit, forced odd so it is never zero.
-        (u64::from_be_bytes(d[..8].try_into().unwrap()) >> 32) | 1
+    // One digest of the seed and a block index gives eight coefficients,
+    // each 32-bit and forced odd so it is never zero.
+    let mut block = [0u8; DIGEST_LEN];
+    let mut coeff = |i: usize| -> u64 {
+        if i.is_multiple_of(8) {
+            let mut h = Sha256::new();
+            h.update(&seed);
+            h.update(&((i / 8) as u64).to_le_bytes());
+            block = h.finalize();
+        }
+        let word = block[i % 8 * 4..][..4].try_into().unwrap();
+        u64::from(u32::from_be_bytes(word)) | 1
     };
 
     // `pairs[..n]` are the commitments `(r_i, c_i)`; behind them one
@@ -468,7 +473,9 @@ mod tests {
 
     #[test]
     fn batch_rejects_any_tampered_item() {
-        let items = batch_items(5);
+        // Ten items: the last two take their coefficients from a second
+        // digest of the seed.
+        let items = batch_items(10);
         for i in 0..items.len() {
             // Tampered message.
             let mut bad = items.clone();

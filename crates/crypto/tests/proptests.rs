@@ -162,63 +162,6 @@ proptest! {
         prop_assert_eq!(qos_crypto::verify_batch_digests(&by_digest), all_good);
     }
 
-    /// The verification cache is verdict-transparent: across arbitrary
-    /// interleavings of valid and corrupted signatures — with repeats,
-    /// so both the hit and the miss path are exercised — a cached
-    /// verification agrees bit-for-bit with a fresh Schnorr
-    /// verification.
-    #[test]
-    fn cached_verification_agrees_with_fresh_schnorr(
-        ops in proptest::collection::vec((0usize..3, 0usize..3, any::<bool>()), 1..40),
-    ) {
-        let cache = qos_crypto::vcache::VerifyCache::new(16);
-        let keys: Vec<KeyPair> = (0..3u8).map(|i| KeyPair::from_seed(&[i, 0xCA])).collect();
-        let msgs: [&[u8]; 3] = [b"msg-0", b"msg-one", b"message-two"];
-        let sigs: Vec<Vec<qos_crypto::Signature>> = keys
-            .iter()
-            .map(|k| msgs.iter().map(|m| k.sign(m)).collect())
-            .collect();
-        for (ki, mi, tamper) in ops {
-            let mut sig = sigs[ki][mi];
-            if tamper {
-                sig.s ^= 1;
-            }
-            let fresh = keys[ki].public().verify(msgs[mi], &sig);
-            prop_assert_eq!(cache.verify(msgs[mi], keys[ki].public(), &sig), fresh);
-        }
-    }
-
-    /// Certificate verification through the cache agrees with the fresh
-    /// verdict across valid and tampered certificates and arbitrary
-    /// clock positions relative to the validity window (the cache's
-    /// expiry-eviction must never change a verdict — validity itself is
-    /// the caller's check).
-    #[test]
-    fn cached_cert_verification_agrees_with_fresh(
-        ops in proptest::collection::vec((0usize..3, any::<bool>(), 0u64..2000), 1..32),
-    ) {
-        let cache = qos_crypto::vcache::VerifyCache::new(16);
-        let mut ca = CertificateAuthority::new(
-            DistinguishedName::authority("CA"),
-            KeyPair::from_seed(b"pc-ca"),
-        );
-        let certs: Vec<Certificate> = (0..3u8)
-            .map(|i| {
-                ca.issue_identity(
-                    DistinguishedName::user(&format!("u{i}"), "O"),
-                    KeyPair::from_seed(&[i, 0xCE]).public(),
-                    Validity::starting_at(Timestamp(0), 1000),
-                )
-            })
-            .collect();
-        for (ci, tamper, now) in ops {
-            let cert = if tamper { flip_signature(&certs[ci]) } else { certs[ci].clone() };
-            let fresh = cert.verify_signature(ca.public_key()).is_ok();
-            let cached = cache.verify_cert(&cert, ca.public_key(), Timestamp(now)).is_ok();
-            prop_assert_eq!(cached, fresh);
-        }
-    }
-
     /// Certificates round-trip through the wire encoding with extensions
     /// of every kind.
     #[test]
@@ -249,39 +192,6 @@ proptest! {
     }
 }
 
-/// The caches' eviction rule as they implemented it before sharing
-/// [`qos_crypto::lru::LruMap`]: every entry carries the tick of its last
-/// insert or accepted lookup, and a new key arriving at a full map evicts
-/// the entry with the smallest one, found by scanning them all.
-#[derive(Default)]
-struct ScanningLru {
-    map: std::collections::HashMap<u8, (u64, u32)>,
-    tick: u64,
-}
-
-impl ScanningLru {
-    fn get_if(&mut self, key: u8, accept: bool) -> Option<u32> {
-        self.tick += 1;
-        let (stamp, value) = self.map.get_mut(&key)?;
-        if !accept {
-            return None;
-        }
-        *stamp = self.tick;
-        Some(*value)
-    }
-
-    fn insert(&mut self, key: u8, value: u32, cap: usize) -> Option<(u8, u32)> {
-        self.tick += 1;
-        let mut evicted = None;
-        if self.map.len() >= cap && !self.map.contains_key(&key) {
-            let victim = self.map.iter().min_by_key(|(_, e)| e.0).map(|(k, _)| *k);
-            evicted = victim.map(|k| (k, self.map.remove(&k).expect("just found").1));
-        }
-        self.map.insert(key, (self.tick, value));
-        evicted
-    }
-}
-
 /// `cert` with one bit of its signature flipped: a new certificate, as
 /// every edited one is.
 fn flip_signature(cert: &Certificate) -> Certificate {
@@ -291,7 +201,7 @@ fn flip_signature(cert: &Certificate) -> Certificate {
 }
 
 /// [`DelegationChain::verify_links`] as it was before it ran on borrowed
-/// certificates: per-link sets, signatures checked without the cache.
+/// certificates: per-link sets.
 fn verify_links_model(
     certs: &[Certificate],
     cas_pk: qos_crypto::PublicKey,
@@ -349,37 +259,6 @@ fn verify_links_model(
 }
 
 proptest! {
-    /// The shared LRU evicts exactly what the scanning caches evicted,
-    /// under arbitrary interleavings of inserts, accepted and refused
-    /// lookups (a refused one is a signature mismatch: it must not
-    /// refresh the entry) and removals (expiry, release).
-    #[test]
-    fn shared_lru_evicts_the_scanning_model_s_victim(
-        cap in 1usize..6,
-        ops in proptest::collection::vec((0u8..4, 0u8..10, any::<u32>()), 1..120),
-    ) {
-        let mut lru = qos_crypto::lru::LruMap::new(cap, Default::default());
-        let mut model = ScanningLru::default();
-        for (kind, key, value) in ops {
-            match kind {
-                0 | 1 => prop_assert_eq!(
-                    lru.get_if(&key, |_| kind == 0).copied(),
-                    model.get_if(key, kind == 0)
-                ),
-                2 => prop_assert_eq!(lru.insert(key, value), model.insert(key, value, cap)),
-                _ => prop_assert_eq!(lru.remove(&key), model.map.remove(&key).map(|e| e.1)),
-            }
-            prop_assert_eq!(lru.len(), model.map.len());
-        }
-        // What is left is the same set, in the same eviction order.
-        while !model.map.is_empty() {
-            lru.set_capacity(lru.len());
-            prop_assert_eq!(lru.insert(200, 0), model.insert(200, 0, 1));
-            prop_assert_eq!(lru.remove(&200), model.map.remove(&200).map(|e| e.1));
-        }
-        prop_assert!(lru.is_empty());
-    }
-
     /// The §6.5 link checks give the same verdict on borrowed
     /// certificates as the owned-chain implementation they replace: on
     /// a valid chain and with each kind of fault planted at any link.

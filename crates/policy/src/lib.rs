@@ -36,7 +36,7 @@ pub use ast::{CmpOp, Decision, Expr, Policy, Stmt};
 pub use attr::{AttributeSet, Value};
 pub use eval::{evaluate, EvalError, Outcome, PolicyEnv};
 pub use group::{GroupAttestation, GroupServer};
-pub use parser::{parse, parse_cached, ParseError};
+pub use parser::{parse, ParseError};
 pub use pretty::pretty;
 pub use request::{Assertion, PolicyRequest, VerifiedCapability};
 pub use server::{DomainVars, NoReservations, PolicyDecision, PolicyServer, ReservationOracle};

@@ -64,37 +64,6 @@ pub fn parse(src: &str) -> Result<Policy, ParseError> {
     })
 }
 
-/// Bound on distinct policy sources memoized by [`parse_cached`]; real
-/// deployments hold a handful of policy files, so the map is cleared
-/// outright (not LRU-evicted) in the unlikely event it fills.
-const PARSE_CACHE_CAP: usize = 256;
-
-/// Parse policy source text, memoizing the result process-wide.
-///
-/// The memo is keyed by `sha256(src)`: a daemon restarting with the same
-/// scenario (or many brokers sharing one policy file) pays the
-/// lexer+parser cost once and clones the AST thereafter. Returns exactly
-/// what [`parse`] would; parse *errors* are never cached, so a corrected
-/// source re-parses normally.
-pub fn parse_cached(src: &str) -> Result<Policy, ParseError> {
-    use qos_crypto::sha256::{sha256, Digest};
-    use std::collections::HashMap;
-    use std::sync::{Mutex, OnceLock};
-    static CACHE: OnceLock<Mutex<HashMap<Digest, Policy>>> = OnceLock::new();
-    let key = sha256(src.as_bytes());
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(hit) = cache.lock().unwrap().get(&key) {
-        return Ok(hit.clone());
-    }
-    let parsed = parse(src)?;
-    let mut map = cache.lock().unwrap();
-    if map.len() >= PARSE_CACHE_CAP {
-        map.clear();
-    }
-    map.insert(key, parsed.clone());
-    Ok(parsed)
-}
-
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,

@@ -14,7 +14,7 @@ use crate::ast::Decision;
 use crate::attr::{AttributeSet, Value};
 use crate::eval::{evaluate, EvalError, Outcome, PolicyEnv};
 use crate::group::GroupServer;
-use crate::parser::{parse_cached, ParseError};
+use crate::parser::{parse, ParseError};
 use crate::request::PolicyRequest;
 use crate::Policy;
 use qos_telemetry::{Counter, Histogram, StdClock, Telemetry};
@@ -98,13 +98,11 @@ pub struct PolicyServer {
 impl PolicyServer {
     /// Build a PDP from policy source text and a group server.
     ///
-    /// Parsing goes through [`parse_cached`], so brokers (re)built from
-    /// the same scenario source share one parse; the observed parse time
-    /// — cached or not — is reported as `pdp_parse_ns` once telemetry is
+    /// The parse time is reported as `pdp_parse_ns` once telemetry is
     /// attached, keeping parse cost visible separately from `pdp_eval_ns`.
     pub fn from_source(policy_src: &str, groups: GroupServer) -> Result<Self, ParseError> {
         let t0 = StdClock::now();
-        let policy = parse_cached(policy_src)?;
+        let policy = parse(policy_src)?;
         let parse_ns = StdClock::now().saturating_sub(t0);
         let mut server = Self::new(policy, groups);
         server.pending_parse_ns.push(parse_ns);

@@ -544,24 +544,6 @@ impl Telemetry {
         })
     }
 
-    /// Register one memoization cache's `(hits, misses, evictions)`
-    /// cells as the `cache_{hits,misses,evictions}_total` families; the
-    /// `cache` label (and any other in `labels`) tells the caches apart.
-    pub fn register_cache_counters(
-        &self,
-        labels: &[(&str, &str)],
-        (hits, misses, evictions): (Arc<AtomicU64>, Arc<AtomicU64>, Arc<AtomicU64>),
-    ) {
-        for (what, cell) in [("hits", hits), ("misses", misses), ("evictions", evictions)] {
-            self.register_counter(
-                &format!("cache_{what}_total"),
-                &format!("Memoization cache {what}, by cache"),
-                labels,
-                cell,
-            );
-        }
-    }
-
     /// Resolve a gauge (no-op handle when disabled).
     pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
         self.registry

@@ -98,7 +98,6 @@ struct Args {
     metrics: bool,
     admin: Option<String>,
     no_resume: bool,
-    cache_size: Option<usize>,
     shards: Option<usize>,
     data_dir: Option<String>,
 }
@@ -110,7 +109,7 @@ USAGE:
         [--peer DOMAIN=ADDR]... [--accept DOMAIN]...
         [--submit K] [--submit-from N] [--run-secs S] [--linger-secs S]
         [--metrics] [--admin ADDR] [--data-dir DIR]
-        [--no-resume] [--cache-size N] [--shards N]
+        [--no-resume] [--shards N]
 
 OPTIONS:
     --chain N          domains in the deterministic chain scenario (default 3)
@@ -143,8 +142,6 @@ OPTIONS:
     --no-resume        disable session-resumption tickets (every reconnect
                        runs the full signature handshake); all daemons of a
                        mesh must agree on this flag
-    --cache-size N     signature-verification cache capacity (entries;
-                       0 disables the cache, default 4096)
     --shards N         admission shards hosting this broker (clamped to
                        at least 1; default min(4, available cores))
 ";
@@ -163,7 +160,6 @@ fn parse_args() -> Result<Args, String> {
         metrics: false,
         admin: None,
         no_resume: false,
-        cache_size: None,
         shards: None,
         data_dir: None,
     };
@@ -205,9 +201,6 @@ fn parse_args() -> Result<Args, String> {
             "--admin" => args.admin = Some(value("--admin")?),
             "--data-dir" => args.data_dir = Some(value("--data-dir")?),
             "--no-resume" => args.no_resume = true,
-            "--cache-size" => {
-                args.cache_size = Some(value("--cache-size")?.parse().map_err(|e| format!("{e}"))?)
-            }
             "--shards" => {
                 args.shards = Some(value("--shards")?.parse().map_err(|e| format!("{e}"))?)
             }
@@ -365,10 +358,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    if let Some(cap) = args.cache_size {
-        qos_crypto::vcache::set_capacity(cap);
-    }
 
     let admin_listener = match &args.admin {
         Some(addr) => match TcpListener::bind(addr) {

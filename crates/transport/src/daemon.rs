@@ -282,10 +282,6 @@ impl BrokerDaemon {
         let local_addr = listener.local_addr()?;
         let admin_addr = admin.as_ref().and_then(|l| l.local_addr().ok());
         let identity = Arc::new(identity);
-        // The process-wide signature-verification cache serves every
-        // handshake and envelope check this daemon performs; surface its
-        // counters through this daemon's registry.
-        qos_core::install_verify_cache_telemetry(&telemetry);
         // Ticket state survives a restart when a durable ledger is
         // attached (DESIGN.md §D13): reuse the journalled MAC key and
         // re-seat every recovered entry, so peers resume zero-Schnorr

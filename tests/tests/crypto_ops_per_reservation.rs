@@ -1,6 +1,6 @@
 //! The public-key work one reservation costs, counted — in a test binary
 //! of its own whose tests take turns, because `schnorr::sign_ops()` /
-//! `verify_ops()` are process-wide counters (cf. `telemetry_snapshot.rs`).
+//! `verify_ops()` are process-wide counters.
 //!
 //! A broker proves possession of its own key once, when it is built, not
 //! on every request (DESIGN.md §D17), and the layer it signs *is* its
@@ -23,16 +23,17 @@ fn counting() -> MutexGuard<'static, ()> {
     COUNTING.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Verifications this scenario costs in a fresh process with empty
-/// caches, message by message (no batch, so a peer's outer layer is
-/// checked around the verify cache): a — user certificate, user
-/// signature, the two chain certificates; b — a's layer, the chain by
-/// key equality and two cache hits; c — b's layer, then `verify_view`
-/// on all three layers through a cache that has seen none of them, the
-/// chain by key equality.
-/// 14 with a possession proof per broker (0cfac30), 11 with minted link
+/// Verifications this scenario costs, message by message (no batch), with
+/// nothing remembered between checks (DESIGN.md §D29): a — user
+/// certificate, user signature, the two chain certificates (4); b — a's
+/// layer, the two chain certificates, a's link by key equality (3); c —
+/// b's layer, then `verify_view` on all three layers, the two chain
+/// certificates, the links by key equality (6).
+/// 9 while a process-wide verify cache served b's and c's chain
+/// certificates and a memo kept verdicts (up to 47c9cff), 14 with a
+/// possession proof per broker (0cfac30), 11 with minted link
 /// certificates (de05c9d … c913072).
-const VERIFIES: u64 = 9;
+const VERIFIES: u64 = 13;
 
 const NEEDS_ESNET: &str =
     "if Issued_by(Capability) = ESnet { return grant }\nreturn deny \"needs an ESnet capability\"";
@@ -143,9 +144,6 @@ fn a_grant_signs_five_times_and_foreign_chains_grant_nothing() {
 fn tunnel_subflows_and_their_releases_cost_no_public_key_operation() {
     const FLOWS: u64 = 8;
     let _turn = counting();
-    // David's tunnel, not Alice's: the verify cache is process-wide, and
-    // the grant test counts verifications of Alice's certificates and
-    // requests on a cache that has seen none of them.
     let mut s = build_chain(ChainOptions::default());
     let spec = s
         .spec("david", 7, FLOWS * MBPS, Timestamp(0), 3600)

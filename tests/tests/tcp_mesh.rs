@@ -173,9 +173,6 @@ const METRIC_FAMILIES: &[&str] = &[
     "pdp_decisions_total",
     "broker_holds_total",
     "broker_commits_total",
-    "cache_hits_total",
-    "cache_misses_total",
-    "cache_evictions_total",
     // Tunnel sub-flows.
     "flow_table_occupancy",
     "flow_admit_ns",

@@ -8,7 +8,7 @@ use qos_core::parallel::parallel_map;
 use qos_crypto::Timestamp;
 use qos_net::SimDuration;
 use qos_telemetry::metrics::{bucket_bound, bucket_index};
-use qos_telemetry::{Registry, SpanKind, Telemetry};
+use qos_telemetry::{render_prometheus, Registry, SpanKind, Telemetry};
 
 #[test]
 fn histogram_bucket_boundaries() {
@@ -140,6 +140,40 @@ fn registry_and_node_counters_never_diverge() {
             "{d}: verified"
         );
     }
+}
+
+#[test]
+fn prometheus_snapshot_of_a_reservation_is_deterministic() {
+    let (r1, ..) = traced_reservation();
+    let (r2, ..) = traced_reservation();
+    // Same scenario → byte-identical exposition for everything except
+    // the `*_ns` timing histograms (those observe real durations).
+    let stable = |r: &Registry| {
+        render_prometheus(r)
+            .lines()
+            .filter(|l| !l.contains("_ns"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert_eq!(stable(&r1), stable(&r2));
+    let text = render_prometheus(&r1);
+    for family in [
+        "bb_messages_received_total",
+        "bb_signatures_verified_total",
+        "bb_envelope_verify_ns",
+        "bb_policy_decide_ns",
+        "bb_admission_total",
+        "pdp_decisions_total",
+        "broker_holds_total",
+        "broker_commits_total",
+    ] {
+        assert!(
+            text.contains(&format!("# TYPE {family} ")),
+            "family {family} missing from exposition"
+        );
+    }
+    assert!(text.contains("bb_admission_total{decision=\"held\",domain=\"domain-a\"} 1"));
+    assert!(text.contains("pdp_decisions_total{decision=\"grant\",domain=\"domain-c\"} 1"));
 }
 
 #[test]
