@@ -325,7 +325,7 @@ fn main() {
         msgs.push(out_b[0].1.clone());
     }
 
-    // The loop: what the two reactors and a shard do with one admission,
+    // The loop: what the two reactors and a worker do with one admission,
     // in one thread. b's link core numbers, acks and seals the request;
     // c's decodes it out of a pooled chunk, checks the MAC and the
     // delivery index where the bytes lie and copies the message out once;

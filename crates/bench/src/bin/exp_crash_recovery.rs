@@ -47,8 +47,6 @@ const WAVE1: u64 = 6;
 const WAVE2: u64 = 5;
 /// Burst size for the durability-overhead half.
 const THROUGHPUT_REQUESTS: u64 = 512;
-/// Shard count for the throughput comparison (EXP-TCP's larger one).
-const SHARDS: usize = 4;
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -384,9 +382,7 @@ fn burst_run(file: bool) -> f64 {
         node.attach_store(store);
     }
 
-    let mut mesh = TcpMesh::new();
-    mesh.set_shards(SHARDS);
-    let mesh = spawn_chain(&mut s, mesh);
+    let mesh = spawn_chain(&mut s, TcpMesh::new());
     let t0 = Instant::now();
     mesh.submit_all(
         "domain-a",
@@ -501,7 +497,7 @@ fn main() {
     // Part 2 — durability overhead: file-backed vs in-memory ledger
     // under the EXP-TCP burst. Best of three per side.
     println!(
-        "\ndurability overhead ({THROUGHPUT_REQUESTS} requests, {SHARDS} shards, {} core(s)):",
+        "\ndurability overhead ({THROUGHPUT_REQUESTS} requests, {} core(s)):",
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
     let best = |file: bool| (0..3).map(|_| burst_run(file)).fold(0.0f64, f64::max);
@@ -525,7 +521,6 @@ fn main() {
     artifact.push(
         Row::new()
             .field("section", "durability_overhead")
-            .field("shards", SHARDS as u64)
             .field("requests", THROUGHPUT_REQUESTS)
             .field("mem_req_per_sec", mem_rps)
             .field("file_req_per_sec", file_rps)

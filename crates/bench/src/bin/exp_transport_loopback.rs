@@ -1,8 +1,7 @@
 //! EXP-TCP — the TCP peering fabric under a reservation burst.
 //!
-//! A burst of reservations on the 3-domain chain over loopback daemons,
-//! at 1 and 4 admission shards: submit-to-completion latency and
-//! throughput, written to `BENCH_transport.json`. Beside the bucketed
+//! A burst of reservations on the 3-domain chain over loopback daemons:
+//! submit-to-completion latency and throughput, written to `BENCH_transport.json`. Beside the bucketed
 //! p50/p99/p999 the table carries the histogram's raw min/mean/max,
 //! which don't suffer bucket collapse. The same burst then runs with the
 //! admin plane up and a 10 Hz `/metrics` scraper on every daemon, and
@@ -27,8 +26,6 @@ const MBPS: u64 = 1_000_000;
 /// Burst size. Each request reserves 1 Mb/s against a 1000 Mb/s SLA, so
 /// the whole burst admits.
 const REQUESTS: u64 = 512;
-/// Shard counts of the burst table; the admin-plane run uses the last.
-const SHARDS: [usize; 2] = [1, 4];
 
 /// Minimal blocking HTTP/1.1 GET against a daemon's loopback admin
 /// endpoint; returns the status code.
@@ -47,11 +44,10 @@ fn admin_get(addr: SocketAddr, path: &str) -> Option<u16> {
     text.split_whitespace().nth(1).and_then(|s| s.parse().ok())
 }
 
-/// One burst of [`REQUESTS`] on `shards` shards, its instruments in
-/// `registry`. With `admin`, every daemon hosts its admin plane and a
+/// One burst of [`REQUESTS`], its instruments in `registry`. With `admin`, every daemon hosts its admin plane and a
 /// 10 Hz scraper hits `/metrics` on all of them while the burst is in
 /// flight. Returns (wall seconds, requests granted).
-fn burst(shards: usize, admin: bool, registry: &Arc<Registry>) -> (f64, usize) {
+fn burst(admin: bool, registry: &Arc<Registry>) -> (f64, usize) {
     let telemetry = Telemetry::with_registry(Arc::clone(registry));
     let mut s = build_chain(ChainOptions {
         sla_rate_bps: 1000 * MBPS,
@@ -71,7 +67,6 @@ fn burst(shards: usize, admin: bool, registry: &Arc<Registry>) -> (f64, usize) {
     let domains = s.domains.clone();
     let mut mesh = TcpMesh::new();
     mesh.set_telemetry(telemetry);
-    mesh.set_shards(shards);
     mesh.set_admin(admin);
     let mesh = spawn_chain(&mut s, mesh);
 
@@ -115,9 +110,8 @@ fn main() {
     let mut artifact = Artifact::new(
         "exp_transport_loopback",
         "mixed (ms; req/s; us)",
-        "a burst of reservations over loopback TCP daemons at 1 and 4 \
-         admission shards, and the same burst under a live 10 Hz admin \
-         scraper; wall-clock submit-to-completion on an otherwise idle \
+        "a burst of reservations over loopback TCP daemons, and the same \
+         burst under a live 10 Hz admin scraper; wall-clock submit-to-completion on an otherwise idle \
          host, measured and not gated",
     );
 
@@ -125,10 +119,9 @@ fn main() {
         "reservation burst ({REQUESTS} requests, 3-domain chain, {} core(s)):",
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
-    let widths = [7, 10, 9, 9, 9, 9, 9, 9, 9, 7, 9];
+    let widths = [10, 9, 9, 9, 9, 9, 9, 9, 7, 9];
     table_header(
         &[
-            "shards",
             "total(ms)",
             "req/s",
             "min(µs)",
@@ -142,54 +135,44 @@ fn main() {
         ],
         &widths,
     );
-    let mut snapshot = None;
-    for shards in SHARDS {
-        let registry = Registry::new();
-        let (secs, granted) = burst(shards, false, &registry);
-        let latency = registry
-            .histogram_handle("bb_completion_latency_ns", &[("domain", "domain-a")])
-            .unwrap_or_default();
-        let (total_ms, req_per_sec) = (secs * 1e3, REQUESTS as f64 / secs);
-        let latency_us = [
-            ("min_us", latency.min() as f64),
-            ("mean_us", latency.mean()),
-            ("max_us", latency.max() as f64),
-            ("p50_us", latency.p50() as f64),
-            ("p99_us", latency.p99() as f64),
-            ("p999_us", latency.p999() as f64),
-        ]
-        .map(|(name, ns)| (name, ns / 1e3));
-        let mut cells = vec![
-            shards.to_string(),
-            format!("{total_ms:.2}"),
-            format!("{req_per_sec:.0}"),
-        ];
-        cells.extend(latency_us.iter().map(|(_, us)| format!("{us:.1}")));
-        cells.extend([latency.count().to_string(), format!("{granted}/{REQUESTS}")]);
-        table_row(&cells, &widths);
-        let mut row = Row::new()
-            .field("section", "throughput")
-            .field("shards", shards as u64)
-            .field("requests", REQUESTS)
-            .field("total_ms", total_ms)
-            .field("req_per_sec", req_per_sec);
-        for (name, us) in latency_us {
-            row = row.field(name, us);
-        }
-        artifact.push(
-            row.field("count", latency.count())
-                .field("granted", granted as u64),
-        );
-        snapshot = Some(registry);
+    let registry = Registry::new();
+    let (secs, granted) = burst(false, &registry);
+    let latency = registry
+        .histogram_handle("bb_completion_latency_ns", &[("domain", "domain-a")])
+        .unwrap_or_default();
+    let (total_ms, req_per_sec) = (secs * 1e3, REQUESTS as f64 / secs);
+    let latency_us = [
+        ("min_us", latency.min() as f64),
+        ("mean_us", latency.mean()),
+        ("max_us", latency.max() as f64),
+        ("p50_us", latency.p50() as f64),
+        ("p99_us", latency.p99() as f64),
+        ("p999_us", latency.p999() as f64),
+    ]
+    .map(|(name, ns)| (name, ns / 1e3));
+    let mut cells = vec![format!("{total_ms:.2}"), format!("{req_per_sec:.0}")];
+    cells.extend(latency_us.iter().map(|(_, us)| format!("{us:.1}")));
+    cells.extend([latency.count().to_string(), format!("{granted}/{REQUESTS}")]);
+    table_row(&cells, &widths);
+    let mut row = Row::new()
+        .field("section", "throughput")
+        .field("requests", REQUESTS)
+        .field("total_ms", total_ms)
+        .field("req_per_sec", req_per_sec);
+    for (name, us) in latency_us {
+        row = row.field(name, us);
     }
+    artifact.push(
+        row.field("count", latency.count())
+            .field("granted", granted as u64),
+    );
 
     // What observation costs: the same burst with and without the admin
     // plane and its scraper, best of three each.
-    let shards = SHARDS[SHARDS.len() - 1];
-    println!("\nadmin-plane overhead ({shards} shard(s), 10 Hz /metrics scraper, best of 3):");
+    println!("\nadmin-plane overhead (10 Hz /metrics scraper, best of 3):");
     let best = |admin: bool| {
         (0..3)
-            .map(|_| REQUESTS as f64 / burst(shards, admin, &Registry::new()).0)
+            .map(|_| REQUESTS as f64 / burst(admin, &Registry::new()).0)
             .fold(0.0f64, f64::max)
     };
     let base_rps = best(false);
@@ -216,7 +199,6 @@ fn main() {
     artifact.push(
         Row::new()
             .field("section", "admin_overhead")
-            .field("shards", shards as u64)
             .field("base_req_per_sec", base_rps)
             .field("scraped_req_per_sec", scraped_rps)
             .field("overhead_pct", overhead_pct),
@@ -226,12 +208,9 @@ fn main() {
         Ok(()) => println!("\nwrote BENCH_transport.json"),
         Err(e) => eprintln!("\nwarning: could not write BENCH_transport.json: {e}"),
     }
-    if let Some(registry) = snapshot {
-        write_metrics_snapshot("transport_loopback", &registry);
-    }
+    write_metrics_snapshot("transport_loopback", &registry);
     println!(
-        "\nexpected: every request granted at every shard count; shards buy\n\
-         admission throughput up to the core count; a live 10 Hz admin\n\
-         scraper costs a few percent of it on a host with a core to spare."
+        "\nexpected: every request granted; a live 10 Hz admin scraper costs\n\
+         a few percent of the throughput on a host with a core to spare."
     );
 }

@@ -63,7 +63,7 @@ pub fn mesh_from(scenario: &mut Scenario, hop_latency_ms: u64) -> Mesh {
     mesh
 }
 
-/// Move a chain scenario's brokers onto `mesh` (shards, telemetry and
+/// Move a chain scenario's brokers onto `mesh` (telemetry and
 /// admin plane already set) as loopback daemons, each link dialled by
 /// its upstream end, each daemon holding the identity its broker was
 /// built with.

@@ -15,10 +15,8 @@
 //! on request arrival, commits when the end-to-end approval propagates
 //! back, and releases on denial.
 //!
-//! `BrokerCore` is a cheap `Clone` handle onto a shared [`SlaBook`]
-//! (DESIGN.md §D11): N admission shards of the same domain each hold a
-//! clone and admit concurrently against **one** striped ledger, so the
-//! committed bandwidth after a run is independent of the shard count.
+//! `BrokerCore` owns the domain's [`SlaBook`]: one broker per domain,
+//! one ledger (DESIGN.md §D30).
 
 use crate::billing::Invoice;
 use crate::reservations::{AdmissionError, Interval, ResState, ReservationId};
@@ -75,18 +73,17 @@ impl fmt::Display for BrokerError {
 
 impl std::error::Error for BrokerError {}
 
-/// A domain's bandwidth-broker resource core: a shareable handle onto
-/// the domain's [`SlaBook`]. Clones admit against the same ledger.
-#[derive(Clone)]
+/// A domain's bandwidth-broker resource core: the owner of the
+/// domain's [`SlaBook`].
 pub struct BrokerCore {
-    book: Arc<SlaBook>,
+    book: SlaBook,
 }
 
 impl BrokerCore {
     /// A broker managing `local_capacity_bps` of internal EF capacity.
     pub fn new(domain: &str, local_capacity_bps: u64) -> Self {
         Self {
-            book: Arc::new(SlaBook::new(domain, local_capacity_bps)),
+            book: SlaBook::new(domain, local_capacity_bps),
         }
     }
 
@@ -408,18 +405,5 @@ mod tests {
             b.commit(ReservationId(9)),
             Err(BrokerError::Unknown(_))
         ));
-    }
-
-    #[test]
-    fn clones_share_one_ledger() {
-        let b = transit_broker();
-        let shard = b.clone();
-        shard
-            .hold(ReservationId(1), iv(0, 100), 10 * MBPS, transit_segment())
-            .unwrap();
-        // The hold made through one handle is visible through the other.
-        assert_eq!(b.available_bw_at(Timestamp(10)), 90 * MBPS);
-        b.commit(ReservationId(1)).unwrap();
-        assert_eq!(shard.state(ReservationId(1)), Some(ResState::Committed));
     }
 }

@@ -27,6 +27,9 @@
 //! admits against the same tables, so the committed bandwidth after a
 //! run is identical for 1 shard or N — the parity invariant the
 //! transport experiment gates on.
+//!
+//! Since DESIGN.md §D30 nothing races on the book (one admission worker
+//! per broker); the striping is an open row of DESIGN.md §6's ledger.
 
 use crate::billing::{BillingLedger, Invoice};
 use crate::broker::{BrokerError, PathSegment};

@@ -17,7 +17,7 @@
 //! recording only the facts the warm path needs — the outer layer's
 //! canonical byte span (the signature input, and the reply-cache key
 //! material), the outer [`Signature`], the envelope depth, and the
-//! `rar_id` buried in the innermost user layer (for shard routing).
+//! `rar_id` buried in the innermost user layer.
 //! Everything stays a slice into the receive buffer.
 //!
 //! ## Equivalence contract
@@ -112,7 +112,7 @@ impl<'a> EnvelopeRef<'a> {
         self.depth
     }
 
-    /// The request id from the innermost user layer (shard routing).
+    /// The request id from the innermost user layer.
     pub fn rar_id(&self) -> RarId {
         self.rar_id
     }

@@ -100,7 +100,7 @@ pub struct NodeCounters {
 /// [`BbNode::install_telemetry`] registers the very same `Arc`s with the
 /// registry — [`BbNode::counters`] and the Prometheus exposition read one
 /// set of atomics, so they can never diverge.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct CounterCells {
     rx: Arc<AtomicU64>,
     tx: Arc<AtomicU64>,
@@ -138,7 +138,7 @@ impl CounterCells {
 /// Resolved metric instruments. `Default` handles are detached no-ops, so
 /// a node without [`BbNode::install_telemetry`] pays one `None` check per
 /// operation and allocates nothing.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct NodeInstruments {
     verify_ns: Histogram,
     sign_ns: Histogram,
@@ -263,7 +263,7 @@ pub struct BbNode {
     cert: Certificate,
     now: Timestamp,
     core: BrokerCore,
-    pdp: Arc<PolicyServer>,
+    pdp: PolicyServer,
     trust_policy: TrustPolicy,
     cas_keys: HashMap<String, PublicKey>,
     user_ca: PublicKey,
@@ -289,7 +289,7 @@ pub struct BbNode {
     clock: Arc<dyn Clock>,
     verified_paths: HashMap<RarId, Vec<DistinguishedName>>,
     /// Augments ledger snapshots with transport-layer state (resumption
-    /// tickets) — installed by the daemon, shared across shard replicas.
+    /// tickets) — installed by the daemon.
     snapshot_extra: Option<SnapshotExtra>,
     /// Ticket state found during recovery replay, parked here until the
     /// transport layer collects it with [`BbNode::take_recovered_tickets`].
@@ -340,7 +340,7 @@ impl BbNode {
             key: config.key,
             cert: config.cert,
             now: Timestamp::ZERO,
-            pdp: Arc::new(pdp),
+            pdp,
             trust_policy: config.trust_policy,
             cas_keys: config.cas_keys,
             user_ca: config.user_ca,
@@ -470,9 +470,7 @@ impl BbNode {
         if telemetry.is_enabled() {
             let d = self.domain.clone();
             let dl: &[(&str, &str)] = &[("domain", &d)];
-            Arc::get_mut(&mut self.pdp)
-                .expect("telemetry is installed before the PDP is shared across shards")
-                .set_telemetry(&telemetry, &d);
+            self.pdp.set_telemetry(&telemetry, &d);
             self.core.set_telemetry(&telemetry);
             telemetry.register_counter(
                 "bb_messages_received_total",
@@ -673,8 +671,7 @@ impl BbNode {
 
     /// Attach the durable ledger store. Call *after*
     /// [`recover_from`](BbNode::recover_from), so replay is not
-    /// re-logged; shard replicas share the store through the
-    /// [`BrokerCore`] ledger.
+    /// re-logged.
     pub fn attach_store(&self, store: SharedStore) {
         self.core.set_store(store);
     }
@@ -755,7 +752,7 @@ impl BbNode {
     }
 
     /// Collect ticket state found during recovery (the daemon rebuilds
-    /// its `TicketIssuer` from this before sharding the node).
+    /// its `TicketIssuer` from this before it starts the node's worker).
     pub fn take_recovered_tickets(&mut self) -> RecoveredTickets {
         std::mem::take(&mut self.recovered_tickets)
     }
@@ -2362,53 +2359,7 @@ impl BbNode {
 
     /// Build a user assertion helper (used by tests and harnesses).
     pub fn policy_groups_mut(&mut self) -> &mut GroupServer {
-        Arc::get_mut(&mut self.pdp)
-            .expect("group edits happen before the PDP is shared across shards")
-            .groups_mut()
-    }
-
-    /// A shard replica of this broker: same identity, keys, peers,
-    /// routes, and — crucially — the *same* [`BrokerCore`] ledger, PDP,
-    /// counter cells, and metric instruments (all internally shared), so
-    /// N replicas admitting concurrently report exactly what one node
-    /// would. Per-request protocol state (pending map, tunnels,
-    /// completions) starts empty: the shard router pins each reservation
-    /// id to one replica, so no two replicas ever track the same
-    /// request.
-    pub fn clone_shard(&self) -> Self {
-        let mut tracer = Tracer::default();
-        tracer.set_enabled(self.tracer.is_enabled());
-        Self {
-            domain: self.domain.clone(),
-            dn: self.dn.clone(),
-            key: self.key.clone(),
-            cert: self.cert.clone(),
-            now: self.now,
-            core: self.core.clone(),
-            pdp: Arc::clone(&self.pdp),
-            trust_policy: self.trust_policy,
-            cas_keys: self.cas_keys.clone(),
-            user_ca: self.user_ca,
-            peers: self.peers.clone(),
-            routes: self.routes.clone(),
-            edge: self.edge.clone(),
-            pending: HashMap::new(),
-            completions: Vec::new(),
-            edge_cmds: Vec::new(),
-            cpu_reservations: self.cpu_reservations.clone(),
-            direct_users: self.direct_users.clone(),
-            tunnels_src: HashMap::new(),
-            tunnels_dst: HashMap::new(),
-            flow_expiry: TimerWheel::new(),
-            counters: self.counters.clone(),
-            telemetry: self.telemetry.clone(),
-            instruments: self.instruments.clone(),
-            tracer,
-            clock: Arc::clone(&self.clock),
-            verified_paths: HashMap::new(),
-            snapshot_extra: self.snapshot_extra.clone(),
-            recovered_tickets: RecoveredTickets::default(),
-        }
+        self.pdp.groups_mut()
     }
 }
 

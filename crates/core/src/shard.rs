@@ -1,32 +1,23 @@
-//! N-way sharded admission core with work-stealing ingress.
+//! One domain's broker runtime: one [`BbNode`] served by one worker
+//! thread.
 //!
-//! A [`ShardedNode`] runs one domain's broker as N [`BbNode`] replicas
-//! (DESIGN.md §D11). Every replica shares the *same* striped
-//! [`qos_broker::BrokerCore`] ledger, PDP, counter cells, and metric
-//! instruments (see [`BbNode::clone_shard`]); what is partitioned is the
-//! **per-request protocol state** — the pending map, tunnel books, and
-//! completions. The partition key is a stable FNV-1a hash of the
-//! reservation id ([`shard_of`]), which pins a reservation's whole life
-//! cycle (request, approval/denial, release — and a tunnel plus all its
-//! sub-flows) to one shard, so no replica ever sees half of a request.
+//! In the paper each domain has one bandwidth broker, holding that
+//! domain's SLA state and deciding every request; a [`ShardedNode`] is
+//! that broker behind an ingress queue (DESIGN.md §D11, §D30). The name
+//! is kept from when it split the broker into N replicas; since D30 it
+//! is one node and one worker.
 //!
-//! Each shard owns an ingress queue and the shards' worker threads obey
-//! one locking rule: **a queue is only popped while holding that
-//! shard's node lock.** The owner locks its own node and drains its own
-//! queue; an idle worker *steals* by `try_lock`ing a victim's node and
-//! draining the victim's queue under it. The rule makes per-shard FIFO
-//! order a lock-ordering invariant rather than a scheduling accident —
-//! whoever processes shard j's messages holds j's node lock from pop to
-//! delivery, so messages for one reservation can never reorder or
-//! interleave.
+//! The worker obeys one locking rule: **the queue is only popped while
+//! holding the node lock.** It locks the node, pops a run of at most
+//! `DRAIN_BATCH` messages and processes them before anyone else can
+//! touch the node, so messages leave in arrival order.
 //!
-//! The same rule admits a third party beside owner and thief: the
-//! fabric's own thread. [`ShardedNode::try_run_peer`] `try_lock`s the
-//! message's shard and, if nothing is queued ahead of it, runs it there
-//! and then through the caller's sink — a lone message in an idle broker
-//! then costs no thread hand-off at all (DESIGN.md §D20). Anything else
-//! is handed back to be queued, so a run of messages still reaches the
-//! workers as one batch.
+//! The same rule admits a second party: the fabric's own thread.
+//! [`ShardedNode::try_run_peer`] `try_lock`s the node and, if nothing is
+//! queued ahead of the message, runs it there and then through the
+//! caller's sink — a lone message in an idle broker then costs no thread
+//! hand-off at all (DESIGN.md §D20). Anything else is handed back to be
+//! queued, so a run of messages still reaches the worker as one batch.
 //!
 //! Outbound messages and completions leave through a [`ShardSink`]
 //! supplied by the fabric (the TCP reactor's outbound queues).
@@ -36,44 +27,17 @@ use crate::messages::SignalMessage;
 use crate::node::{BbNode, Completion, PeerId};
 use crate::rar::RarId;
 use qos_crypto::{Certificate, DistinguishedName, Timestamp};
-use qos_telemetry::{
-    Counter, EventFamily, FlightEvent, FlightRecorder, Gauge, Histogram, StdClock, Telemetry,
-    TraceId,
-};
+use qos_telemetry::{Counter, Gauge, Histogram, StdClock, Telemetry, TraceId};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Stable shard routing: FNV-1a over the reservation id's little-endian
-/// bytes, reduced modulo the shard count. Deterministic across runs,
-/// platforms, and shard counts — the same key always lands on the same
-/// shard for a given N, and the result is always `< shards`.
-pub fn shard_of(key: u64, shards: usize) -> usize {
-    debug_assert!(shards > 0, "a node needs at least one shard");
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for b in key.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    (h % shards as u64) as usize
-}
-
-/// The default shard count for a broker runtime: `min(4, cores)`.
-pub fn default_shards() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4)
-}
-
-/// Where a shard's outputs go: the fabric seals/routes protocol
+/// Where the broker's outputs go: the fabric seals/routes protocol
 /// messages and surfaces completions. Implementations are called with
-/// the shard's node lock held, so a sink must not call back into the
-/// same [`ShardedNode`]'s dispatch for its *own* domain.
+/// the node lock held, so a sink must not call back into the same
+/// [`ShardedNode`]'s dispatch for its *own* domain.
 pub trait ShardSink: Send + Sync {
     /// Route one protocol message to `to` (a peer domain, or a
     /// `user:<domain>` completion address the fabric may drop).
@@ -87,7 +51,7 @@ pub trait ShardSink: Send + Sync {
     fn complete(&self, completion: Completion);
 }
 
-/// One unit of shard ingress.
+/// One unit of broker ingress.
 pub enum ShardMsg {
     /// An authenticated peer message (the channel layer vouches for
     /// `from`).
@@ -119,50 +83,32 @@ pub enum ShardMsg {
         /// Requesting user.
         requestor: DistinguishedName,
     },
-    /// Advance the shard's wall clock.
+    /// Advance the broker's wall clock.
     SetTime(Timestamp),
 }
 
-impl ShardMsg {
-    /// The routing key: the reservation (or tunnel) id this message
-    /// belongs to. `SetTime` is broadcast and never routed by key.
-    fn key(&self) -> u64 {
-        match self {
-            ShardMsg::Peer { msg, .. } => msg.rar_id().0,
-            ShardMsg::Submit { rar, .. } => rar.res_spec().rar_id.0,
-            ShardMsg::TunnelFlow { tunnel, .. } => tunnel.0,
-            ShardMsg::SetTime(_) => 0,
-        }
-    }
-}
-
-/// Everything a worker touches under one shard's node lock: the replica
-/// itself plus the source-side submit times its completions are matched
-/// against (submits and their approvals route to the same shard).
+/// Everything the worker touches under the node lock: the node itself
+/// plus the source-side submit times its completions are matched
+/// against.
 struct ShardState {
     node: BbNode,
     submitted_ns: HashMap<RarId, u64>,
-}
-
-struct Shard {
-    state: Mutex<ShardState>,
-    queue: Mutex<VecDeque<ShardMsg>>,
-    depth: Gauge,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Doorbell for idle workers, rung on every dispatch. The counter is a
-/// generation: a worker reads it *before* it scans the queues and parks
-/// only if it has not moved since, so a dispatch that lands between the
-/// scan and the park is answered at once instead of waiting for the
-/// next ring or the timeout. A ring signals the condition variable only
-/// while a worker is parked on it (`Condvar::notify_*` is a system call
-/// whether or not anyone waits); the count lives under the generation's
-/// mutex, so "nobody parked" and "generation moved" are one observation:
-/// a worker about to park either sees the new generation or is counted.
+/// Doorbell for the idle worker, rung on every dispatch. The counter is
+/// a generation: the worker reads it *before* it looks at the queue and
+/// parks only if it has not moved since, so a dispatch that lands
+/// between the look and the park is answered at once instead of waiting
+/// for the next ring or the timeout. A ring signals the condition
+/// variable only while the worker is parked on it (`Condvar::notify_*`
+/// is a system call whether or not anyone waits); the count lives under
+/// the generation's mutex, so "nobody parked" and "generation moved" are
+/// one observation: a worker about to park either sees the new
+/// generation or is counted.
 #[derive(Default)]
 struct Doorbell {
     state: Mutex<BellState>,
@@ -191,14 +137,6 @@ impl Doorbell {
         wake
     }
 
-    fn ring_all(&self) {
-        let mut g = lock(&self.state);
-        g.generation += 1;
-        if g.parked > 0 {
-            self.cv.notify_all();
-        }
-    }
-
     /// Park until the next ring, at most `timeout` — unless the bell
     /// was rung since the caller read `seen`. Returns whether it parked.
     fn park_unless_rung_since(&self, seen: u64, timeout: Duration) -> bool {
@@ -218,165 +156,97 @@ impl Doorbell {
 
 struct Inner {
     domain: String,
-    shards: Vec<Shard>,
+    state: Mutex<ShardState>,
+    queue: Mutex<VecDeque<ShardMsg>>,
     bell: Doorbell,
     stop: AtomicBool,
     sink: Arc<dyn ShardSink>,
-    /// `steals[victim][thief]` — pre-resolved so every pair renders
-    /// (at zero) from the first exposition.
-    steals: Vec<Vec<Counter>>,
-    /// Accumulated time each shard spent processing batches
-    /// (`shard_busy_ns_total{shard}`) — the admin plane's `/shards`
-    /// busy gauge reads these cells.
-    busy: Vec<Counter>,
-    /// Messages the fabric's thread ran itself, per shard
-    /// (`shard_inline_runs_total{shard}`, [`ShardedNode::try_run_peer`]).
-    inline_runs: Vec<Counter>,
-    /// Accumulated time each *worker* spent parked on the doorbell
-    /// (`shard_idle_ns_total{worker}`).
-    idle: Vec<Counter>,
-    /// Flight recorder for shard-steal events, when one is attached.
-    flight: Option<Arc<FlightRecorder>>,
+    /// Messages waiting in the queue (`shard_queue_depth`).
+    depth: Gauge,
+    /// Time spent processing runs, by the worker or inline
+    /// (`shard_busy_ns_total`).
+    busy: Counter,
+    /// Messages the fabric's thread ran itself
+    /// (`shard_inline_runs_total`, [`ShardedNode::try_run_peer`]).
+    inline_runs: Counter,
+    /// Time the worker spent parked on the doorbell
+    /// (`shard_idle_ns_total`).
+    idle: Counter,
     completion_latency: Histogram,
     mailbox_peak: Gauge,
     live: bool,
 }
 
-/// One domain's broker, sharded N ways with work-stealing ingress.
+/// One domain's broker: one node, one ingress queue, one worker thread.
 pub struct ShardedNode {
     inner: Arc<Inner>,
-    workers: Vec<JoinHandle<()>>,
+    worker: Option<JoinHandle<()>>,
 }
 
 impl ShardedNode {
-    /// Split `node` into `shards` replicas (see [`BbNode::clone_shard`])
-    /// and start the worker pool. The pool holds
-    /// `min(shards, available cores)` threads, not one per shard: a
-    /// worker owns at most one shard but services every queue through
-    /// the steal path, so on a box with fewer cores than shards the
-    /// partitioning stays N-way (routing, ledgers, telemetry are
-    /// per-shard) without oversubscribing the CPU with idle-spinning
-    /// threads. Outputs leave through `sink`; shard metrics resolve
-    /// against `telemetry`.
-    pub fn new(
-        node: BbNode,
-        shards: usize,
-        sink: Arc<dyn ShardSink>,
-        telemetry: &Telemetry,
-    ) -> Self {
-        let shards = shards.max(1);
+    /// Start the worker that serves `node`. Outputs leave through
+    /// `sink`; the runtime's metrics resolve against `telemetry`.
+    pub fn new(node: BbNode, sink: Arc<dyn ShardSink>, telemetry: &Telemetry) -> Self {
         let domain = node.domain().to_string();
-        // Replicas share the original's ledger, PDP, counters, and
-        // instruments; the original itself becomes shard 0.
-        let mut replicas: Vec<BbNode> = (1..shards).map(|_| node.clone_shard()).collect();
-        replicas.insert(0, node);
-        let shard_vec: Vec<Shard> = replicas
-            .into_iter()
-            .enumerate()
-            .map(|(i, node)| {
-                let is = i.to_string();
-                Shard {
-                    state: Mutex::new(ShardState {
-                        node,
-                        submitted_ns: HashMap::new(),
-                    }),
-                    queue: Mutex::new(VecDeque::new()),
-                    depth: telemetry.gauge(
-                        "shard_queue_depth",
-                        "Messages waiting in one admission shard's ingress queue",
-                        &[("domain", &domain), ("shard", &is)],
-                    ),
-                }
-            })
-            .collect();
-        let steals = (0..shards)
-            .map(|from| {
-                let fs = from.to_string();
-                (0..shards)
-                    .map(|to| {
-                        telemetry.counter(
-                            "shard_steals_total",
-                            "Ingress batches stolen from one shard's queue by another shard's worker",
-                            &[("domain", &domain), ("from", &fs), ("to", &to.to_string())],
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(shards);
-        let worker_count = shards.min(cores).max(1);
-        let busy = (0..shards)
-            .map(|i| {
-                telemetry.counter(
-                    "shard_busy_ns_total",
-                    "Accumulated time a shard's queue was being drained and processed",
-                    &[("domain", &domain), ("shard", &i.to_string())],
-                )
-            })
-            .collect();
-        let inline_runs = (0..shards)
-            .map(|i| {
-                telemetry.counter(
-                    "shard_inline_runs_total",
-                    "Lone messages the fabric's own thread ran on an idle shard, no worker woken",
-                    &[("domain", &domain), ("shard", &i.to_string())],
-                )
-            })
-            .collect();
-        let idle = (0..worker_count)
-            .map(|i| {
-                telemetry.counter(
-                    "shard_idle_ns_total",
-                    "Accumulated time a shard worker spent parked waiting for work",
-                    &[("domain", &domain), ("worker", &i.to_string())],
-                )
-            })
-            .collect();
+        let dl: &[(&str, &str)] = &[("domain", &domain)];
         let inner = Arc::new(Inner {
-            shards: shard_vec,
+            state: Mutex::new(ShardState {
+                node,
+                submitted_ns: HashMap::new(),
+            }),
+            queue: Mutex::new(VecDeque::new()),
             bell: Doorbell::default(),
             stop: AtomicBool::new(false),
             sink,
-            steals,
-            busy,
-            inline_runs,
-            idle,
-            flight: telemetry.flight().cloned(),
+            depth: telemetry.gauge(
+                "shard_queue_depth",
+                "Messages waiting in the broker's ingress queue",
+                dl,
+            ),
+            busy: telemetry.counter(
+                "shard_busy_ns_total",
+                "Accumulated time the broker's queue was being drained and processed",
+                dl,
+            ),
+            inline_runs: telemetry.counter(
+                "shard_inline_runs_total",
+                "Lone messages the fabric's own thread ran on the idle broker, no worker woken",
+                dl,
+            ),
+            idle: telemetry.counter(
+                "shard_idle_ns_total",
+                "Accumulated time the broker's worker spent parked waiting for work",
+                dl,
+            ),
             completion_latency: telemetry.histogram(
                 "bb_completion_latency_ns",
                 "Submit-to-completion latency at the source broker",
-                &[("domain", &domain)],
+                dl,
             ),
             mailbox_peak: telemetry.gauge(
                 "bb_mailbox_depth_peak",
-                "Peak number of messages waiting in the shard mailboxes",
-                &[("domain", &domain)],
+                "Peak number of messages waiting in the broker's ingress queue",
+                dl,
             ),
             live: telemetry.is_enabled(),
             domain,
         });
-        let workers = (0..worker_count)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("bb-shard-{}-{i}", inner.domain))
-                    .spawn(move || worker_loop(&inner, i))
-                    .expect("spawn shard worker")
-            })
-            .collect();
-        Self { inner, workers }
+        let worker = {
+            let inner = Arc::clone(&inner);
+            std::thread::Builder::new()
+                .name(format!("bb-worker-{}", inner.domain))
+                .spawn(move || worker_loop(&inner))
+                .expect("spawn broker worker")
+        };
+        Self {
+            inner,
+            worker: Some(worker),
+        }
     }
 
-    /// The domain this sharded broker controls.
+    /// The domain this broker controls.
     pub fn domain(&self) -> &str {
         &self.inner.domain
-    }
-
-    /// Shard count.
-    pub fn shards(&self) -> usize {
-        self.inner.shards.len()
     }
 
     /// Enqueue an authenticated peer message.
@@ -389,49 +259,25 @@ impl ShardedNode {
     }
 
     /// Enqueue a run of authenticated peer messages that arrived
-    /// together (one socket read sweep), grouped per shard so each
-    /// queue lock and the doorbell are taken once per run instead of
-    /// once per message — and so each shard sees its slice as one
-    /// contiguous run its worker can batch-verify.
+    /// together (one socket read sweep): the queue lock and the doorbell
+    /// are taken once per run instead of once per message, and the
+    /// worker sees the run as one contiguous slice it can batch-verify.
     pub fn dispatch_peer_all(&self, from: &PeerId, msgs: Vec<SignalMessage>, enqueued_ns: u64) {
-        let n = self.inner.shards.len();
-        let mut per_shard: Vec<Vec<ShardMsg>> = (0..n).map(|_| Vec::new()).collect();
-        for msg in msgs {
-            let s = shard_of(msg.rar_id().0, n);
-            per_shard[s].push(ShardMsg::Peer {
-                from: PeerId::clone(from),
-                msg: Box::new(msg),
-                enqueued_ns,
-            });
-        }
-        let mut touched = 0usize;
-        for (s, batch) in per_shard.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            touched += 1;
-            let shard = &self.inner.shards[s];
-            let mut q = lock(&shard.queue);
-            q.extend(batch);
-            let depth = q.len();
-            drop(q);
-            self.note_depth(s, depth);
-        }
-        match touched {
-            0 => {}
-            1 => self.ring(),
-            _ => self.ring_all(),
-        }
+        self.dispatch_all(msgs.into_iter().map(|msg| ShardMsg::Peer {
+            from: PeerId::clone(from),
+            msg: Box::new(msg),
+            enqueued_ns,
+        }));
     }
 
     /// Run one authenticated peer message on the *calling* thread, if
-    /// its shard is idle: nobody holds the shard's node lock and nothing
-    /// is queued ahead of it. Outputs and completions leave through
-    /// `sink`, the caller's, not the workers'. Otherwise the message
-    /// comes back untouched, to be queued. The locking rule holds as for
-    /// a thief — the caller processes shard j's message under j's node
-    /// lock and found j's queue empty under it — so arrival order within
-    /// a shard is kept whichever way consecutive messages go.
+    /// the broker is idle: nobody holds the node lock and nothing is
+    /// queued ahead of it. Outputs and completions leave through `sink`,
+    /// the caller's, not the worker's. Otherwise the message comes back
+    /// untouched, to be queued. The locking rule holds as for the
+    /// worker — the caller processes the message under the node lock
+    /// and found the queue empty under it — so arrival order is kept
+    /// whichever way consecutive messages go.
     pub fn try_run_peer(
         &self,
         from: PeerId,
@@ -440,13 +286,13 @@ impl ShardedNode {
         sink: &dyn ShardSink,
     ) -> Result<(), Box<SignalMessage>> {
         let inner = &*self.inner;
-        let s = shard_of(msg.rar_id().0, inner.shards.len());
-        let shard = &inner.shards[s];
         let msg = Box::new(msg);
-        let Some(mut state) = try_lock_state(shard) else {
-            return Err(msg);
+        let mut state = match inner.state.try_lock() {
+            Ok(g) => g,
+            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(std::sync::TryLockError::WouldBlock) => return Err(msg),
         };
-        if !lock(&shard.queue).is_empty() {
+        if !lock(&inner.queue).is_empty() {
             return Err(msg);
         }
         let lone = ShardMsg::Peer {
@@ -454,9 +300,9 @@ impl ShardedNode {
             msg,
             enqueued_ns,
         };
-        process_batch(inner, s, sink, &mut state, vec![lone]);
+        process_batch(inner, sink, &mut state, vec![lone]);
         if inner.live {
-            inner.inline_runs[s].inc();
+            inner.inline_runs.inc();
         }
         Ok(())
     }
@@ -470,33 +316,15 @@ impl ShardedNode {
         });
     }
 
-    /// Enqueue a whole submission burst at once, grouped per shard so
-    /// each shard sees its slice as one contiguous run it can
-    /// batch-verify.
+    /// Enqueue a whole submission burst at once, as one contiguous run
+    /// the worker can batch-verify.
     pub fn dispatch_submit_all(&self, requests: Vec<(SignedRar, Certificate)>) {
-        let n = self.inner.shards.len();
         let now = StdClock::now();
-        let mut per_shard: Vec<Vec<ShardMsg>> = (0..n).map(|_| Vec::new()).collect();
-        for (rar, cert) in requests {
-            let s = shard_of(rar.res_spec().rar_id.0, n);
-            per_shard[s].push(ShardMsg::Submit {
-                rar: Box::new(rar),
-                user_cert: Box::new(cert),
-                enqueued_ns: now,
-            });
-        }
-        for (s, batch) in per_shard.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let shard = &self.inner.shards[s];
-            let mut q = lock(&shard.queue);
-            q.extend(batch);
-            let depth = q.len();
-            drop(q);
-            self.note_depth(s, depth);
-        }
-        self.ring_all();
+        self.dispatch_all(requests.into_iter().map(|(rar, cert)| ShardMsg::Submit {
+            rar: Box::new(rar),
+            user_cert: Box::new(cert),
+            enqueued_ns: now,
+        }));
     }
 
     /// Enqueue a local tunnel sub-flow request.
@@ -515,126 +343,65 @@ impl ShardedNode {
         });
     }
 
-    /// Broadcast a wall-clock update to every shard (ordered with the
-    /// work already queued).
+    /// Advance the broker's wall clock (ordered with the work already
+    /// queued).
     pub fn set_time(&self, now: Timestamp) {
-        for (s, shard) in self.inner.shards.iter().enumerate() {
-            let mut q = lock(&shard.queue);
-            q.push_back(ShardMsg::SetTime(now));
-            let depth = q.len();
-            drop(q);
-            self.note_depth(s, depth);
-        }
-        self.ring_all();
+        self.dispatch(ShardMsg::SetTime(now));
     }
 
     fn dispatch(&self, msg: ShardMsg) {
-        let s = shard_of(msg.key(), self.inner.shards.len());
-        let shard = &self.inner.shards[s];
-        let mut q = lock(&shard.queue);
-        q.push_back(msg);
+        self.dispatch_all(std::iter::once(msg));
+    }
+
+    fn dispatch_all(&self, msgs: impl IntoIterator<Item = ShardMsg>) {
+        let mut q = lock(&self.inner.queue);
+        let before = q.len();
+        q.extend(msgs);
         let depth = q.len();
         drop(q);
-        self.note_depth(s, depth);
-        self.ring();
-    }
-
-    fn note_depth(&self, s: usize, depth: usize) {
+        if depth == before {
+            return;
+        }
         if self.inner.live {
-            self.inner.shards[s].depth.set(depth as i64);
+            self.inner.depth.set(depth as i64);
             self.inner.mailbox_peak.record_max(depth as i64);
         }
-    }
-
-    /// Wake one idle worker. Any worker can drain any queue (the steal
-    /// path), so a single waiter suffices for a single enqueued
-    /// message; waking the whole pool for every frame is a thundering
-    /// herd that costs real throughput when workers outnumber cores.
-    /// The 10ms bounded wait in [`worker_loop`] caps the latency of any
-    /// lost wakeup.
-    fn ring(&self) {
+        // The 10 ms bounded wait in [`worker_loop`] caps the latency of
+        // any lost wakeup.
         self.inner.bell.ring();
     }
 
-    /// Wake every worker — for broadcasts ([`ShardedNode::set_time`],
-    /// [`ShardedNode::dispatch_submit_all`]) that load several queues
-    /// at once.
-    fn ring_all(&self) {
-        self.inner.bell.ring_all();
-    }
-
-    /// Messages currently queued across all shards.
+    /// Messages currently queued (the `/healthz` vital sign).
     pub fn queued(&self) -> usize {
-        self.inner.shards.iter().map(|s| lock(&s.queue).len()).sum()
+        lock(&self.inner.queue).len()
     }
 
-    /// Current queue depth of each shard (the `/healthz` vital sign).
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| lock(&s.queue).len())
-            .collect()
-    }
-
-    /// Per-shard runtime stats for the admin plane's `/shards` route:
-    /// `(queue depth, busy ns, batches stolen from this shard, messages
-    /// run inline by the fabric's thread)`. All but the depth read the
-    /// shard's metric cells, so they are 0 when no registry is installed.
-    pub fn shard_stats(&self) -> Vec<(usize, u64, u64, u64)> {
-        self.inner
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let stolen: u64 = self.inner.steals[i].iter().map(Counter::get).sum();
-                (
-                    lock(&s.queue).len(),
-                    self.inner.busy[i].get(),
-                    stolen,
-                    self.inner.inline_runs[i].get(),
-                )
-            })
-            .collect()
-    }
-
-    /// Per-worker accumulated idle (doorbell-parked) nanoseconds.
-    pub fn worker_idle_ns(&self) -> Vec<u64> {
-        self.inner.idle.iter().map(Counter::get).collect()
-    }
-
-    /// Run `f` against shard 0's node. The ledger (`BrokerCore`), store
-    /// and counters are shared across replicas, so any shard answers
-    /// domain-wide questions — the admin plane's `/storage` route reads
-    /// ledger digests and store vitals through this without stopping
-    /// the workers. Briefly blocks shard 0's message processing.
+    /// Run `f` against the node. The admin plane's `/storage` route
+    /// reads ledger digests and store vitals through this; it briefly
+    /// blocks message processing.
     pub fn with_node<R>(&self, f: impl FnOnce(&BbNode) -> R) -> R {
-        let state = lock(&self.inner.shards[0].state);
-        f(&state.node)
+        f(&lock(&self.inner.state).node)
     }
 
-    /// Stop the workers (after draining every queue) and hand back one
-    /// replica — its ledger and counters are the shared ones, so
-    /// admission state reads identically from any shard.
+    /// Stop the worker (after it has drained the queue) and hand the
+    /// node back.
     pub fn shutdown(mut self) -> BbNode {
         self.inner.stop.store(true, Ordering::SeqCst);
-        self.inner.bell.ring_all();
-        for w in self.workers.drain(..) {
+        self.inner.bell.ring();
+        if let Some(w) = self.worker.take() {
             let _ = w.join();
         }
-        let inner = Arc::into_inner(self.inner).expect("workers joined, no other handles");
+        let inner = Arc::into_inner(self.inner).expect("worker joined, no other handles");
         inner
-            .shards
-            .into_iter()
-            .map(|s| s.state.into_inner().unwrap_or_else(|e| e.into_inner()).node)
-            .next()
-            .expect("at least one shard")
+            .state
+            .into_inner()
+            .unwrap_or_else(|e| e.into_inner())
+            .node
     }
 }
 
-/// How many queued messages one pop takes. It bounds two things: the
-/// time a thief holds a victim's node lock, and the grain of the pipeline
-/// between brokers — a run is verified, admitted and signed as a whole
+/// How many queued messages one pop takes: the grain of the pipeline
+/// between brokers. A run is verified, admitted and signed as a whole
 /// before any of it is delivered and flushed, so the next broker starts
 /// on a burst only after this one has finished its first run. At 256 a
 /// 512-burst crossed three brokers in turns (1.4 of 2 cores busy); at 32
@@ -642,112 +409,66 @@ impl ShardedNode {
 /// (DESIGN.md §D21). What the smaller run gives up: frames per `writev`
 /// (30 → 19), reactor wake-ups per reservation (0.14 → 0.28), and the
 /// width of a batch verification — which buys little while hashing, not
-/// group arithmetic, is most of a signature.
+/// group arithmetic, is most of a signature. With no thief since D30,
+/// this grain is all it bounds.
 const DRAIN_BATCH: usize = 32;
 
-fn worker_loop(inner: &Inner, me: usize) {
-    let n = inner.shards.len();
+fn worker_loop(inner: &Inner) {
     loop {
         let rung = inner.bell.generation();
-        let mut did_work = false;
-        // Own shard first: blocking node lock, drain own queue under it.
-        did_work |= run_shard(inner, me, me, /*try_only=*/ false);
-        // Then steal: try-lock victims round-robin from our right-hand
-        // neighbour so thieves spread out instead of convoying.
-        for off in 1..n {
-            let victim = (me + off) % n;
-            did_work |= run_shard(inner, victim, me, /*try_only=*/ true);
-        }
-        if inner.stop.load(Ordering::SeqCst) {
-            // Drain-before-exit: only stop once every queue is empty so
-            // shutdown never strands an approval.
-            let all_empty = inner.shards.iter().all(|s| lock(&s.queue).is_empty());
-            if all_empty {
-                return;
-            }
+        if run_queue(inner) {
             continue;
         }
-        if !did_work {
-            // The timeout stays as the backstop for anything that
-            // queues without ringing.
-            let parked = StdClock::now();
-            if inner
-                .bell
-                .park_unless_rung_since(rung, Duration::from_millis(10))
-                && inner.live
-            {
-                inner.idle[me].add(StdClock::now().saturating_sub(parked));
-            }
+        // Drain-before-exit: stop only once the queue is empty, so
+        // shutdown never strands an approval.
+        if inner.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        // The timeout stays as the backstop for anything that queues
+        // without ringing.
+        let parked = StdClock::now();
+        if inner
+            .bell
+            .park_unless_rung_since(rung, Duration::from_millis(10))
+            && inner.live
+        {
+            inner.idle.add(StdClock::now().saturating_sub(parked));
         }
     }
 }
 
-/// The stealing side of the locking rule: the shard's node lock, or
-/// `None` when someone else is processing the shard right now.
-fn try_lock_state(shard: &Shard) -> Option<MutexGuard<'_, ShardState>> {
-    match shard.state.try_lock() {
-        Ok(g) => Some(g),
-        Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-        Err(std::sync::TryLockError::WouldBlock) => None,
-    }
-}
-
-/// Pop-and-process one batch from `shard`'s queue under `shard`'s node
-/// lock. Returns true if any message was processed. `try_only` is the
-/// stealing mode: back off instead of blocking on a busy victim.
-fn run_shard(inner: &Inner, shard_idx: usize, worker: usize, try_only: bool) -> bool {
-    let shard = &inner.shards[shard_idx];
-    let mut state = if try_only {
-        match try_lock_state(shard) {
-            Some(g) => g,
-            None => return false,
-        }
-    } else {
-        lock(&shard.state)
-    };
+/// Pop and process one run from the queue under the node lock. Returns
+/// true if any message was processed.
+fn run_queue(inner: &Inner) -> bool {
+    let mut state = lock(&inner.state);
     // The invariant: the queue is popped only under the node lock we
     // now hold, so everything we drain is processed before anyone else
-    // can touch this shard's protocol state.
+    // can touch the node.
     let batch: Vec<ShardMsg> = {
-        let mut q = lock(&shard.queue);
+        let mut q = lock(&inner.queue);
         let take = q.len().min(DRAIN_BATCH);
         let b: Vec<ShardMsg> = q.drain(..take).collect();
         if inner.live {
-            shard.depth.set(q.len() as i64);
+            inner.depth.set(q.len() as i64);
         }
         b
     };
     if batch.is_empty() {
         return false;
     }
-    if try_only {
-        if inner.live {
-            inner.steals[shard_idx][worker].inc();
-        }
-        if let Some(flight) = &inner.flight {
-            flight.record(
-                FlightEvent::new(
-                    EventFamily::ShardSteal,
-                    inner.domain.clone(),
-                    format!("shard-{shard_idx}"),
-                )
-                .detail(format!("{} msgs stolen by worker {worker}", batch.len())),
-            );
-        }
-    }
-    process_batch(inner, shard_idx, &*inner.sink, &mut state, batch);
+    process_batch(inner, &*inner.sink, &mut state, batch);
     true
 }
 
-/// Dispatch a drained batch into the shard's replica, coalescing
-/// same-kind runs so bursts hit the batch-verification fast paths
+/// Dispatch a drained run into the node, coalescing same-kind runs so
+/// bursts hit the batch-verification fast paths
 /// ([`BbNode::submit_batch`], [`BbNode::recv_requests`]) and a run of
-/// sub-flows ([`BbNode::recv_tunnel_flows`]) costs one flush. Outputs leave through `sink`: the workers' own, or the
-/// caller's for an inline run. The time it takes is shard `shard_idx`'s
-/// busy time, whoever spends it.
+/// sub-flows ([`BbNode::recv_tunnel_flows`]) costs one flush. Outputs
+/// leave through `sink`: the worker's own, or the caller's for an
+/// inline run. The time it takes is the broker's busy time, whoever
+/// spends it.
 fn process_batch(
     inner: &Inner,
-    shard_idx: usize,
     sink: &dyn ShardSink,
     state: &mut ShardState,
     batch: Vec<ShardMsg>,
@@ -895,7 +616,7 @@ fn process_batch(
         }
     }
     if inner.live {
-        inner.busy[shard_idx].add(StdClock::now().saturating_sub(t0));
+        inner.busy.add(StdClock::now().saturating_sub(t0));
     }
 }
 
@@ -954,17 +675,16 @@ mod tests {
         (transit, request, approval)
     }
 
-    /// `node` on one shard whose workers have gone home: what is
+    /// `node` behind a runtime whose worker has gone home: what is
     /// dispatched stays queued until the test plays the worker
-    /// ([`run_shard`]), so every interleaving below is forced, not
+    /// ([`run_queue`]), so every interleaving below is forced, not
     /// hoped for.
     fn without_workers(node: BbNode, sink: Arc<Recorder>) -> ShardedNode {
-        let mut sharded = ShardedNode::new(node, 1, sink, &Telemetry::disabled());
+        let mut sharded = ShardedNode::new(node, sink, &Telemetry::disabled());
         sharded.inner.stop.store(true, Ordering::SeqCst);
-        sharded.inner.bell.ring_all();
-        for w in sharded.workers.drain(..) {
-            w.join().expect("worker exits on stop");
-        }
+        sharded.inner.bell.ring();
+        let worker = sharded.worker.take().expect("a worker");
+        worker.join().expect("worker exits on stop");
         sharded
     }
 
@@ -992,8 +712,8 @@ mod tests {
         let (transit, request, approval) = transit_and_its_messages();
         let sharded = without_workers(transit, Arc::new(Recorder::default()));
         let mine = Recorder::default();
-        // Someone is processing the shard: its node lock is held.
-        let held = lock(&sharded.inner.shards[0].state);
+        // Someone is processing a run: the node lock is held.
+        let held = lock(&sharded.inner.state);
         assert_eq!(
             sharded.try_run_peer("domain-a".into(), request.clone(), 0, &mine),
             Err(Box::new(request.clone()))
@@ -1030,7 +750,7 @@ mod tests {
             Ok(())
         );
         sharded.dispatch_peer("domain-c".into(), approval, 0);
-        assert!(run_shard(&sharded.inner, 0, 0, false));
+        assert!(run_queue(&sharded.inner));
         assert_eq!(sink.log(), in_order);
 
         // Request queued and not yet processed, approval arrives alone:
@@ -1044,16 +764,16 @@ mod tests {
             .try_run_peer("domain-c".into(), approval, 0, &*sink)
             .expect_err("a message is queued ahead");
         sharded.dispatch_peer("domain-c".into(), *approval, 0);
-        assert!(run_shard(&sharded.inner, 0, 0, false));
+        assert!(run_queue(&sharded.inner));
         assert_eq!(sink.log(), in_order);
 
         // Request processed by the worker, approval arrives alone on
-        // the now idle shard and runs inline.
+        // the now idle broker and runs inline.
         let (transit, request, approval) = transit_and_its_messages();
         let sink = Arc::new(Recorder::default());
         let sharded = without_workers(transit, Arc::clone(&sink));
         sharded.dispatch_peer("domain-a".into(), request, 0);
-        assert!(run_shard(&sharded.inner, 0, 0, false));
+        assert!(run_queue(&sharded.inner));
         assert_eq!(
             sharded.try_run_peer("domain-c".into(), approval, 0, &*sink),
             Ok(())
@@ -1083,7 +803,7 @@ mod tests {
         sharded.dispatch_peer_all(&"domain-a".into(), requests, 0);
 
         let mut runs = 0;
-        while run_shard(&sharded.inner, 0, 0, false) {
+        while run_queue(&sharded.inner) {
             runs += 1;
             // Everything this run produced has left before the next
             // run is popped.
@@ -1139,32 +859,7 @@ mod tests {
         // Nothing rung since the look: it parks, and the timeout ends it.
         let seen = bell.generation();
         assert!(bell.park_unless_rung_since(seen, Duration::from_millis(1)));
-        bell.ring_all();
+        bell.ring();
         assert_eq!(bell.generation(), seen + 1);
-    }
-
-    #[test]
-    fn shard_of_is_stable_and_total() {
-        for n in 1..=16usize {
-            for key in (0..512u64).chain([u64::MAX, u64::MAX - 1, 1 << 40]) {
-                let s = shard_of(key, n);
-                assert!(s < n, "key {key} shards {n}");
-                assert_eq!(s, shard_of(key, n), "deterministic");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_of_spreads_keys() {
-        // Not a uniformity proof — just that FNV over sequential ids
-        // does not collapse onto one shard.
-        let n = 4;
-        let mut counts = vec![0usize; n];
-        for key in 0..1000u64 {
-            counts[shard_of(key, n)] += 1;
-        }
-        for (i, c) in counts.iter().enumerate() {
-            assert!(*c > 100, "shard {i} got {c} of 1000 keys");
-        }
     }
 }

@@ -200,24 +200,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Shard routing is total (always lands in `0..n`) and stable
-    /// (a pure function of the key) for any shard count — the property
-    /// the sharded runtime's per-reservation ordering rests on: every
-    /// message of one reservation reaches the same shard, under any
-    /// `--shards N`.
-    #[test]
-    fn shard_routing_is_stable_and_total(key in any::<u64>(), n in 1usize..=64) {
-        let s = qos_core::shard_of(key, n);
-        prop_assert!(s < n, "key {} escaped {} shards", key, n);
-        prop_assert_eq!(s, qos_core::shard_of(key, n), "routing must be deterministic");
-        // Shard counts are independent: changing n never panics and
-        // stays in range (resharding is safe).
-        for m in 1..=8usize {
-            prop_assert!(qos_core::shard_of(key, m) < m);
-        }
-    }
-}

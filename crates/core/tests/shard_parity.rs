@@ -1,7 +1,8 @@
-//! Transparency of the sharded runtime: a [`ShardedNode`] with one
-//! shard must be indistinguishable from the plain [`BbNode`] it wraps —
-//! same verdicts, same committed bandwidth, and counter-for-counter
-//! identical telemetry on a seeded fig2-style run.
+//! Transparency of the broker runtime: a [`ShardedNode`] — one node
+//! served by one worker thread — must be indistinguishable from the
+//! plain [`BbNode`] it wraps: same verdicts, same committed bandwidth,
+//! and counter-for-counter identical telemetry on a seeded fig2-style
+//! run.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use qos_core::node::{BbNode, Completion};
@@ -46,7 +47,7 @@ fn outcome_counts(completions: &[Completion]) -> (usize, usize) {
 }
 
 /// Drive the burst through plain `BbNode`s with a synchronous FIFO
-/// pump, mirroring the sharded worker's call shape (`submit_batch` for
+/// pump, mirroring the worker's call shape (`submit_batch` for
 /// the burst, `recv_requests` for requests, `recv` otherwise).
 fn drive_plain(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<String, BbNode>) {
     let (nodes, rars, cert) = scenario();
@@ -90,7 +91,7 @@ fn drive_plain(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<String, Bb
     (completions, nodes)
 }
 
-/// Fabric for the sharded drive: deliveries and completions land on
+/// Fabric for the runtime drive: deliveries and completions land on
 /// channels the test pump forwards between domains (a sink must not
 /// re-enter dispatch, so routing happens outside the worker).
 struct ChanSink {
@@ -112,7 +113,7 @@ impl ShardSink for ChanSink {
     }
 }
 
-/// The same burst through one-shard `ShardedNode`s.
+/// The same burst through `ShardedNode`s.
 fn drive_sharded(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<String, BbNode>) {
     let (nodes, rars, cert) = scenario();
     let telemetry = Telemetry::with_registry(Arc::clone(registry));
@@ -129,7 +130,7 @@ fn drive_sharded(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<String, 
                 deliveries: delivery_tx.clone(),
                 completions: completion_tx.clone(),
             });
-            (domain, ShardedNode::new(n, 1, sink, &telemetry))
+            (domain, ShardedNode::new(n, sink, &telemetry))
         })
         .collect();
 
@@ -213,7 +214,7 @@ fn sharded_n1_telemetry_matches_plain_node() {
 
     // …and counter-for-counter identical telemetry: every counter
     // family the plain run produced renders byte-identically from the
-    // sharded run (which may add shard-runtime families on top).
+    // runtime's run (which may add the worker's families on top).
     let plain_counters = counter_families(&render_prometheus(&plain_reg));
     let sharded_counters = counter_families(&render_prometheus(&sharded_reg));
     assert!(

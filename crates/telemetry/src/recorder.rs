@@ -3,7 +3,7 @@
 //!
 //! Metrics aggregate and spans narrate one request; the flight recorder
 //! journals *discrete runtime events* — admission verdicts, reconnects,
-//! retransmits, duplicate drops, shard steals, backoff transitions,
+//! retransmits, duplicate drops, backoff transitions,
 //! handshake failures — into a fixed-capacity ring that is cheap enough
 //! to leave on in production and dumpable at any moment through the
 //! admin plane's `/flight` endpoint.
@@ -40,7 +40,7 @@ use crate::trace::{Span, TraceId};
 pub const FLIGHT_DEFAULT_CAPACITY: usize = 4096;
 
 /// Number of event families (fixed — per-family counters are arrays).
-pub const FAMILY_COUNT: usize = 11;
+pub const FAMILY_COUNT: usize = 10;
 
 /// The kind of runtime event a [`FlightEvent`] records. Families are
 /// the unit of sequence numbering and drop accounting.
@@ -58,8 +58,6 @@ pub enum EventFamily {
     Retransmit,
     /// An already-delivered frame arrived again and was dropped.
     DuplicateDrop,
-    /// A worker stole a batch from another shard's queue.
-    ShardSteal,
     /// A dial failed and the connector moved to a longer backoff.
     Backoff,
     /// A handshake (full or resumed) failed outright.
@@ -80,7 +78,6 @@ impl EventFamily {
         EventFamily::Reconnect,
         EventFamily::Retransmit,
         EventFamily::DuplicateDrop,
-        EventFamily::ShardSteal,
         EventFamily::Backoff,
         EventFamily::HandshakeFail,
         EventFamily::Storage,
@@ -96,7 +93,6 @@ impl EventFamily {
             EventFamily::Reconnect => "reconnect",
             EventFamily::Retransmit => "retransmit",
             EventFamily::DuplicateDrop => "duplicate_drop",
-            EventFamily::ShardSteal => "shard_steal",
             EventFamily::Backoff => "backoff",
             EventFamily::HandshakeFail => "handshake_fail",
             EventFamily::Storage => "storage",
@@ -551,7 +547,7 @@ mod tests {
                     for i in 0..per_thread {
                         rec.record(
                             FlightEvent::new(
-                                EventFamily::ShardSteal,
+                                EventFamily::Storage,
                                 format!("thread-{t}"),
                                 format!("{i}"),
                             )
@@ -566,7 +562,7 @@ mod tests {
         }
         let events = rec.dump_events();
         assert_eq!(events.len(), (threads * per_thread) as usize);
-        assert_eq!(rec.dropped(EventFamily::ShardSteal), 0);
+        assert_eq!(rec.dropped(EventFamily::Storage), 0);
         // Sequence numbers are a permutation of 0..N (no duplicates,
         // none lost) and dump order is append order.
         let mut seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();

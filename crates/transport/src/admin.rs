@@ -2,8 +2,8 @@
 //!
 //! The HTTP mechanics (request parsing, response rendering) live in
 //! `qos_telemetry::admin`; this module is the *routing table*, placed
-//! in `qos-transport` because the interesting answers — shard queue
-//! depths, link states, reactor vitals — live next to the daemon. The
+//! in `qos-transport` because the interesting answers — the broker's
+//! queue depth, link states, reactor vitals — live next to the daemon. The
 //! reactor calls [`AdminState::respond`] with a parsed request and
 //! writes the returned bytes back on the admin connection; every route
 //! is a read-only snapshot, so serving one costs the data path nothing
@@ -13,8 +13,7 @@
 //! |-----------------|-------------------------------------------------|
 //! | `/metrics`      | Prometheus text exposition of the registry      |
 //! | `/metrics.json` | the same registry as a JSON snapshot            |
-//! | `/healthz`      | liveness: reactor heartbeat + shard queue depths|
-//! | `/shards`       | per-shard depth, busy ns, stolen + inline runs  |
+//! | `/healthz`      | liveness: reactor heartbeat + queue depth       |
 //! | `/trace/<id>`   | flight events for one 16-hex-digit trace id     |
 //! | `/flight`       | full flight-recorder dump (JSON)                |
 //! | `/flight.tsv`   | the same dump, tab-separated                    |
@@ -162,10 +161,6 @@ impl AdminState {
                 self.healthz(out);
                 "healthz"
             }
-            "/shards" => {
-                self.shards(out);
-                "shards"
-            }
             "/storage" => {
                 self.storage(out);
                 "storage"
@@ -199,7 +194,7 @@ impl AdminState {
                         out,
                         404,
                         content_type::TEXT,
-                        "routes: /metrics /metrics.json /healthz /shards /storage /trace/<id> /flight /flight.tsv\n",
+                        "routes: /metrics /metrics.json /healthz /storage /trace/<id> /flight /flight.tsv\n",
                     );
                     "other"
                 }
@@ -255,32 +250,26 @@ impl AdminState {
     }
 
     /// Liveness vitals: the reactor's poll-loop heartbeat (age of the
-    /// last sweep) and the shard ingress queue depths. 503 when the
+    /// last sweep) and the broker's ingress queue depth. 503 when the
     /// heartbeat is stale — a wedged reactor that somehow still accepts
     /// admin traffic must not look healthy.
     fn healthz(&self, out: &mut Vec<u8>) {
         let age_ns = self.status.heartbeat_age_ns();
         let stalled = age_ns > HEALTHZ_STALL_NS;
-        let depths = self.sharded.queue_depths();
         let connected = self
             .links
             .values()
             .filter(|l| l.connected.load(std::sync::atomic::Ordering::SeqCst))
             .count();
         let body = format!(
-            "{{\"status\":\"{}\",\"domain\":\"{}\",\"reactor\":{{\"heartbeat_age_ms\":{},\"sweeps\":{},\"stalls\":{},\"max_sweep_us\":{}}},\"shards\":{},\"shard_queue_depths\":[{}],\"links\":{},\"connected_peers\":{}}}\n",
+            "{{\"status\":\"{}\",\"domain\":\"{}\",\"reactor\":{{\"heartbeat_age_ms\":{},\"sweeps\":{},\"stalls\":{},\"max_sweep_us\":{}}},\"queue_depth\":{},\"links\":{},\"connected_peers\":{}}}\n",
             if stalled { "stalled" } else { "ok" },
             self.domain,
             age_ns / 1_000_000,
             self.status.sweeps(),
             self.status.stalls(),
             self.status.max_sweep_ns() / 1_000,
-            self.sharded.shards(),
-            depths
-                .iter()
-                .map(usize::to_string)
-                .collect::<Vec<_>>()
-                .join(","),
+            self.sharded.queued(),
             self.links.len(),
             connected,
         );
@@ -290,36 +279,6 @@ impl AdminState {
             content_type::JSON,
             &body,
         );
-    }
-
-    /// Per-shard runtime picture: ingress queue depth, accumulated busy
-    /// time, how many batches other workers stole from the shard, and
-    /// how many messages the reactor ran on it itself.
-    fn shards(&self, out: &mut Vec<u8>) {
-        let idle = self.sharded.worker_idle_ns();
-        let shards = self
-            .sharded
-            .shard_stats()
-            .into_iter()
-            .enumerate()
-            .map(|(i, (depth, busy_ns, stolen, inline))| {
-                format!(
-                    "{{\"shard\":{i},\"queue_depth\":{depth},\"busy_ns\":{busy_ns},\"stolen_batches\":{stolen},\"inline_runs\":{inline}}}"
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let workers = idle
-            .into_iter()
-            .enumerate()
-            .map(|(i, ns)| format!("{{\"worker\":{i},\"idle_ns\":{ns}}}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        let body = format!(
-            "{{\"domain\":\"{}\",\"shards\":[{shards}],\"workers\":[{workers}]}}\n",
-            self.domain
-        );
-        render_response_into(out, 200, content_type::JSON, &body);
     }
 
     /// Flight events for one trace, by its 16-hex-digit id (the form

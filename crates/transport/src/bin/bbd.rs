@@ -98,7 +98,6 @@ struct Args {
     metrics: bool,
     admin: Option<String>,
     no_resume: bool,
-    shards: Option<usize>,
     data_dir: Option<String>,
 }
 
@@ -109,7 +108,7 @@ USAGE:
         [--peer DOMAIN=ADDR]... [--accept DOMAIN]...
         [--submit K] [--submit-from N] [--run-secs S] [--linger-secs S]
         [--metrics] [--admin ADDR] [--data-dir DIR]
-        [--no-resume] [--shards N]
+        [--no-resume]
 
 OPTIONS:
     --chain N          domains in the deterministic chain scenario (default 3)
@@ -128,7 +127,7 @@ OPTIONS:
     --metrics          print a metrics snapshot (JSON) and write a
                        Prometheus exposition (METRICS_bbd.prom) at exit
     --admin ADDR       serve the introspection plane at ADDR on the
-                       reactor: /metrics /metrics.json /healthz /shards
+                       reactor: /metrics /metrics.json /healthz /storage
                        /trace/<id> /flight /flight.tsv. Implies a metrics
                        registry, per-RAR trace spans, and a flight
                        recorder with anomaly monitors (denial bursts,
@@ -142,8 +141,6 @@ OPTIONS:
     --no-resume        disable session-resumption tickets (every reconnect
                        runs the full signature handshake); all daemons of a
                        mesh must agree on this flag
-    --shards N         admission shards hosting this broker (clamped to
-                       at least 1; default min(4, available cores))
 ";
 
 fn parse_args() -> Result<Args, String> {
@@ -160,7 +157,6 @@ fn parse_args() -> Result<Args, String> {
         metrics: false,
         admin: None,
         no_resume: false,
-        shards: None,
         data_dir: None,
     };
     let mut it = std::env::args().skip(1);
@@ -201,9 +197,6 @@ fn parse_args() -> Result<Args, String> {
             "--admin" => args.admin = Some(value("--admin")?),
             "--data-dir" => args.data_dir = Some(value("--data-dir")?),
             "--no-resume" => args.no_resume = true,
-            "--shards" => {
-                args.shards = Some(value("--shards")?.parse().map_err(|e| format!("{e}"))?)
-            }
             "--help" | "-h" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -383,10 +376,6 @@ fn main() -> ExitCode {
             telemetry,
             options: TransportOptions {
                 resume: !args.no_resume,
-                shards: args
-                    .shards
-                    .unwrap_or_else(qos_core::shard::default_shards)
-                    .max(1),
                 ..TransportOptions::default()
             },
             admin: admin_listener,

@@ -1,19 +1,17 @@
-//! The broker daemon: one domain's admission shards behind real sockets.
+//! The broker daemon: one domain's broker behind real sockets.
 //!
-//! A [`BrokerDaemon`] hosts a broker as an N-way [`ShardedNode`]
-//! (DESIGN.md §D11) and connects it to peered daemons through a single
-//! [reactor](crate::reactor) thread:
+//! A [`BrokerDaemon`] hosts a broker as a [`ShardedNode`] — one node,
+//! one admission worker (DESIGN.md §D11, §D30) — and connects it to
+//! peered daemons through a single [reactor](crate::reactor) thread:
 //!
 //! * the **reactor** owns every socket non-blocking under one
 //!   `epoll`-backed poll — the accept listener, each peering link, frame
 //!   decode and seal, write coalescing, and the reconnect backoff
-//!   timers. Decoded signalling messages go straight into the shards;
-//! * **admission shards** partition the broker's protocol state by
-//!   reservation, so independent reservations verify and admit in
-//!   parallel while the shared striped ledger keeps committed bandwidth
-//!   exact. Shard workers steal from each other's ingress queues when
-//!   load skews;
-//! * shard outputs come back through each link's bounded [`OutQueue`],
+//!   timers. Decoded signalling messages go straight into the broker's
+//!   ingress queue;
+//! * the **admission worker** drains that queue under the node lock,
+//!   in runs it batch-verifies;
+//! * the worker's outputs come back through each link's bounded [`OutQueue`],
 //!   encoded onto the end of the frame open at its back (plaintext,
 //!   unnumbered; numbering and sealing happen at write time, so frames
 //!   that wait out a reconnect are MAC'd under the new session's
@@ -22,9 +20,8 @@
 //!   the reactor runs itself (DESIGN.md §D20) leaves through a second
 //!   [`TcpSink`] that neither waits for the reactor nor wakes it.
 //!
-//! A daemon runs one reactor thread plus `shards` worker threads
-//! regardless of link count, with handshakes on short-lived offload
-//! threads.
+//! A daemon runs one reactor thread plus one worker thread regardless
+//! of link count, with handshakes on short-lived offload threads.
 
 use crate::admin::{AdminState, ReactorStatus};
 use crate::error::TransportError;
@@ -73,9 +70,6 @@ pub struct TransportOptions {
     pub ticket_ttl_secs: u64,
     /// Bound on outstanding tickets held by this daemon's issuer.
     pub ticket_cap: usize,
-    /// Admission shards hosting the broker (at least 1; see `--shards`
-    /// on `bbd`). Defaults to `min(4, available cores)`.
-    pub shards: usize,
 }
 
 impl Default for TransportOptions {
@@ -89,7 +83,6 @@ impl Default for TransportOptions {
             resume: true,
             ticket_ttl_secs: 3600,
             ticket_cap: 1024,
-            shards: qos_core::shard::default_shards(),
         }
     }
 }
@@ -156,7 +149,7 @@ impl LinkInstruments {
     }
 }
 
-/// One peering link's shared state (written by the shard sinks, read
+/// One peering link's shared state (written by the broker's sinks, read
 /// and written by the reactor, which also owns the link's delivery
 /// state, [`crate::link::LinkCore`]).
 pub(crate) struct Link {
@@ -189,15 +182,15 @@ impl LinkWatch {
     }
 }
 
-/// The shard sink for the TCP fabric: outputs go to link queues
+/// The broker's sink for the TCP fabric: outputs go to link queues
 /// (plaintext frames — the reactor numbers and seals them at write time),
-/// completions to the daemon owner's channel. Called with a shard's
-/// node lock held, so it must never dispatch back into the shards.
+/// completions to the daemon owner's channel. Called with the node lock
+/// held, so it must never dispatch back into the broker.
 pub(crate) struct TcpSink {
     domain: String,
     links: Arc<HashMap<String, Link>>,
     completion_tx: Sender<(String, Completion)>,
-    /// How the shard workers reach the reactor. `None` is the reactor's
+    /// How the worker reaches the reactor. `None` is the reactor's
     /// own sink: it has nobody to wake, and must not wait on a queue
     /// only it can drain.
     reactor: Option<ReactorBell>,
@@ -248,7 +241,7 @@ impl ShardSink for TcpSink {
     }
 }
 
-/// A broker daemon: one sharded broker served over TCP peering links.
+/// A broker daemon: one broker served over TCP peering links.
 pub struct BrokerDaemon {
     domain: String,
     sharded: Arc<ShardedNode>,
@@ -263,7 +256,7 @@ pub struct BrokerDaemon {
 }
 
 impl BrokerDaemon {
-    /// Bring the daemon up: spawns the shard workers and the reactor
+    /// Bring the daemon up: spawns the admission worker and the reactor
     /// thread. Returns immediately; links come up asynchronously (see
     /// [`BrokerDaemon::wait_connected`]).
     pub fn start(mut node: BbNode, config: DaemonConfig) -> Result<Self, TransportError> {
@@ -368,12 +361,7 @@ impl BrokerDaemon {
                 parked: Arc::clone(&parked),
             }),
         };
-        let sharded = Arc::new(ShardedNode::new(
-            node,
-            options.shards,
-            Arc::new(sink),
-            &telemetry,
-        ));
+        let sharded = Arc::new(ShardedNode::new(node, Arc::new(sink), &telemetry));
 
         let (ctrl_tx, ctrl_rx) = unbounded();
         let hs_threads = Arc::new(Mutex::new(Vec::new()));
@@ -386,8 +374,8 @@ impl BrokerDaemon {
             .iter()
             .map(|(p, addr)| (p.clone(), (*addr, broker_pin(ca_key, p))))
             .collect();
-        // The admin plane reads live runtime state: the same shard
-        // handles the workers drain and the same link map the reactor
+        // The admin plane reads live runtime state: the same broker
+        // handle the worker drains and the same link map the reactor
         // writes. The reactor serves it between I/O sweeps.
         let status = ReactorStatus::new();
         let watch = Arc::new(LinkWatch::default());
@@ -466,9 +454,9 @@ impl BrokerDaemon {
     }
 
     /// Submit a burst of user requests back-to-back (pipelined: no
-    /// per-request wait). The burst is grouped per shard in one sweep,
-    /// so each shard coalesces its share of the signature checks into
-    /// batch equations and the reactor coalesces the outbound frames
+    /// per-request wait). The burst is queued as one run, so the worker
+    /// coalesces its signature checks into batch equations and the
+    /// reactor coalesces the outbound frames
     /// into large socket writes.
     pub fn submit_all(&self, requests: Vec<(SignedRar, Certificate)>) {
         self.sharded.dispatch_submit_all(requests);
@@ -486,7 +474,7 @@ impl BrokerDaemon {
             .dispatch_tunnel_flow(tunnel, flow, rate_bps, requestor);
     }
 
-    /// Advance the broker's wall clock (all shards).
+    /// Advance the broker's wall clock.
     pub fn set_time(&self, now: Timestamp) {
         self.sharded.set_time(now);
     }
@@ -541,8 +529,8 @@ impl BrokerDaemon {
         if let Some(j) = self.reactor_join.take() {
             let _ = j.join();
         }
-        // Unblock any shard worker waiting on a full link queue, then
-        // drain and join the shards.
+        // Unblock the worker if it waits on a full link queue, then
+        // drain the broker's queue and join the worker.
         for link in self.links.values() {
             link.queue.close();
         }
@@ -553,8 +541,8 @@ impl BrokerDaemon {
         for t in handshakes {
             let _ = t.join();
         }
-        let sharded = Arc::into_inner(self.sharded)
-            .expect("reactor joined; no other handles to the sharded node");
+        let sharded =
+            Arc::into_inner(self.sharded).expect("reactor joined; no other handles to the broker");
         sharded.shutdown()
     }
 }

@@ -26,11 +26,12 @@
 //!   `epoll`-backed poll, one [`LinkCore`] per configured peer, reconnect
 //!   timers and ack deadlines as poll deadlines, and handshakes on
 //!   short-lived offload threads;
-//! * [`daemon`] — [`BrokerDaemon`]: one domain's admission shards
-//!   ([`ShardedNode`](qos_core::shard::ShardedNode)) behind the reactor;
+//! * [`daemon`] — [`BrokerDaemon`]: one domain's broker and its
+//!   admission worker ([`ShardedNode`](qos_core::shard::ShardedNode))
+//!   behind the reactor;
 //! * [`admin`] — the introspection plane (DESIGN.md §D12): the routing
 //!   table behind the reactor-hosted HTTP admin listener (`/metrics`,
-//!   `/healthz`, `/shards`, `/trace/<id>`, `/flight`);
+//!   `/healthz`, `/storage`, `/trace/<id>`, `/flight`);
 //! * [`mesh`] — [`TcpMesh`]: a whole scenario's brokers as loopback
 //!   daemons, the one concurrent fabric.
 //!

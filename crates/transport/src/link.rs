@@ -77,7 +77,7 @@ pub(crate) const DATA_HEADER: usize = 17;
 pub(crate) const UNNUMBERED: u64 = u64::MAX;
 /// Sealed-plaintext tag: standalone cumulative delivery ack
 /// (`[tag][u64 rx_next]`) — every data frame with a lower index reached
-/// the peer's shards. Sent when no data frame is going back to carry it.
+/// the peer's broker. Sent when no data frame is going back to carry it.
 pub(crate) const FRAME_ACK: u8 = 1;
 /// Sealed-plaintext tag: session-start sync (`[tag][u64 life]`), the
 /// first frame of every session in both directions. `life` names the
@@ -106,7 +106,7 @@ pub(crate) struct LinkReliability {
     /// Accepted-but-unacknowledged frames, in index order.
     pub(crate) unacked: VecDeque<(u64, Vec<u8>)>,
     /// Next data-frame index expected from the peer; lower indices are
-    /// retransmits of frames already handed to the shards.
+    /// retransmits of frames already handed to the broker.
     pub(crate) rx_next: u64,
     /// Data frames received (duplicates included, so a retransmitting
     /// peer prunes its window) that nothing sent since acknowledges.
@@ -127,8 +127,8 @@ pub(crate) struct LinkReliability {
 pub(crate) enum Inbound<'a> {
     /// An ack or a sync: the link state took it, nothing to deliver.
     Control,
-    /// A retransmit of the data frame with this index, which the shards
-    /// already have: dropped.
+    /// A retransmit of the data frame with this index, which the broker
+    /// already has: dropped.
     Duplicate(u64),
     /// A new data frame: the encoded signalling messages it carries.
     Data(&'a [u8]),
@@ -156,7 +156,7 @@ impl LinkReliability {
     /// Decide one opened (MAC-checked) plaintext by its reliability
     /// header — see `FRAME_*`. This is the rule that keeps a
     /// retransmission from ever reaching a broker: a data frame whose
-    /// index is below the watermark was already handed to the shards, so
+    /// index is below the watermark was already handed to the broker, so
     /// it is counted and dropped here. The ack a data frame carries is
     /// applied first, duplicate or not.
     pub(crate) fn accept<'a>(&mut self, plain: &'a [u8], now: Instant) -> Inbound<'a> {
@@ -326,7 +326,7 @@ pub struct LinkCore {
     /// The peer's domain, interned once: every message the link delivers
     /// carries a clone.
     peer: PeerId,
-    /// Where the shard sinks queue what goes to the peer.
+    /// Where the broker's sinks queue what goes to the peer.
     queue: Arc<OutQueue>,
     pub(crate) rel: LinkReliability,
     /// The live session; `None` between connections.
@@ -660,7 +660,7 @@ fn parse_sealed(frame: &[u8]) -> Option<SealedRef<'_>> {
 /// link's `tables`, all or none.
 fn decode_messages(body: &[u8], tables: &mut InternTables, msgs: &mut Vec<SignalMessage>) -> bool {
     // The per-frame body: the messages must outlive the pooled chunk to
-    // cross the shard queues, so they decode from one shared copy
+    // cross to the broker's queue, so they decode from one shared copy
     // (DESIGN.md §D25).
     #[allow(clippy::disallowed_methods)]
     let body: Arc<[u8]> = body.into();

@@ -53,11 +53,8 @@ impl TcpMesh {
         self.telemetry = telemetry;
     }
 
-    /// Set the admission shard count hosted by each daemon (clamped to
-    /// at least 1). Call before [`TcpMesh::spawn`].
-    pub fn set_shards(&mut self, shards: usize) {
-        self.options.shards = shards.max(1);
-    }
+    /// Does nothing: a broker is one node and one worker. ROADMAP item 1 deletes it.
+    pub fn set_shards(&mut self, _: usize) {}
 
     /// Set every daemon's frame-size ceiling
     /// ([`TransportOptions::max_frame`]). Call before [`TcpMesh::spawn`].

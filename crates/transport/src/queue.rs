@@ -123,7 +123,7 @@ impl OutQueue {
     }
 
     /// Enqueue without waiting: a full queue says [`PushOutcome::Full`].
-    /// For the shard sink, which wakes the consumer before it waits.
+    /// For the worker's sink, which wakes the consumer before it waits.
     pub fn try_push<T: Encode>(&self, msg: &T) -> PushOutcome {
         self.enqueue(msg, self.capacity, false)
     }

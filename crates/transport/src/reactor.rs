@@ -8,11 +8,11 @@
 //! connection dies — is the link's [`LinkCore`] (DESIGN.md §D26), one per
 //! configured peer: the reactor reads a socket into its core, hands the
 //! decoded signalling messages to the domain's [`ShardedNode`], and
-//! writes out what the core sealed. Shard workers hand outputs back
-//! through the link [`OutQueue`](crate::queue::OutQueue)s and ring the
-//! reactor's [`Waker`] when it is parked in its poll. A run of messages,
-//! or messages from several sockets at once, go to the shard queues and
-//! their workers; a message that arrives alone — one ready event, one
+//! writes out what the core sealed. The broker's worker hands outputs
+//! back through the link [`OutQueue`](crate::queue::OutQueue)s and rings
+//! the reactor's [`Waker`] when it is parked in its poll. A run of
+//! messages, or messages from several sockets at once, go to the
+//! broker's queue and its worker; a message that arrives alone — one ready event, one
 //! message decoded — is run where it landed
 //! ([`ShardedNode::try_run_peer`], DESIGN.md §D20): there is nothing to
 //! batch it with and the reactor would otherwise go back to sleep while a
@@ -898,7 +898,7 @@ impl Reactor {
     }
 
     /// Drain readable data into the link's core and hand the messages it
-    /// decodes to the shards. `lone` says this connection's readiness was
+    /// decodes to the broker. `lone` says this connection's readiness was
     /// the only event of the poll. Returns false when the connection must
     /// die (EOF, I/O error, or whatever the core refuses); the messages
     /// decoded before that are still delivered.
@@ -933,7 +933,7 @@ impl Reactor {
         }
         let peer = core.peer();
         let now = StdClock::now();
-        // A message that arrived alone is run here and now if its shard
+        // A message that arrived alone is run here and now if the broker
         // is idle: nothing could be batch-verified with it, and the
         // alternative is to wake a worker and go to sleep. Its replies
         // wait in the link queues for the sweep this iteration ends in.
@@ -949,8 +949,8 @@ impl Reactor {
             }
         }
         if !msgs.is_empty() {
-            // One grouped dispatch per read sweep: the shard queues see
-            // contiguous runs and the doorbell rings once, not once per
+            // One grouped dispatch per read sweep: the queue sees a
+            // contiguous run and the doorbell rings once, not once per
             // frame.
             self.config.sharded.dispatch_peer_all(peer, msgs, now);
         }
@@ -1266,7 +1266,7 @@ mod tests {
         /// `wire[x]` carries what end `x` wrote and its peer has not
         /// read yet, oldest first.
         wire: [Vec<u8>; 2],
-        /// Ids each end's shards received in its current life, in order.
+        /// Ids each end's broker received in its current life, in order.
         delivered: [Vec<u64>; 2],
         sessions: u64,
         pool: BufferPool,
@@ -1450,7 +1450,7 @@ mod tests {
         /// Random interleavings of enqueue / seal / write / read /
         /// standalone ack / sever-and-reconnect / restart on both ends
         /// of a link, the bytes cut into chunks of any size: within one
-        /// life of a receiver every message reaches the shards at most
+        /// life of a receiver every message reaches the broker at most
         /// once and in enqueue order; every message enqueued in the
         /// sender's current life reaches them; and once everything is
         /// acknowledged nothing is retained.
@@ -1461,7 +1461,7 @@ mod tests {
             let mut pipes = Pipes::new();
             let mut next_id = 0u64;
             // Per sending end: ids enqueued in its current life, and
-            // every id its peer's shards ever saw.
+            // every id its peer's broker ever saw.
             let mut enqueued: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
             let mut seen: [HashSet<u64>; 2] = [HashSet::new(), HashSet::new()];
             for (op, x, n, bytes) in ops {
@@ -1480,7 +1480,7 @@ mod tests {
                     14 => pipes.sever(x, bytes % 2 == 0),
                     _ => {
                         // What end `x` had queued is gone with it, what
-                        // its shards had seen belongs to a finished life.
+                        // its broker had seen belongs to a finished life.
                         seen[1 - x].extend(pipes.delivered[x].drain(..));
                         enqueued[x].clear();
                         pipes.restart(x);

@@ -19,8 +19,8 @@
 //!   checker statically guarantees a frame is fully consumed before the
 //!   decoder may overwrite or recycle the bytes — there is no runtime
 //!   refcount per frame to get wrong.
-//! * Anything that must outlive the sweep (e.g. a message crossing a
-//!   shard queue) is copied out explicitly; the fast path never is.
+//! * Anything that must outlive the sweep (e.g. a message crossing to the
+//!   broker's queue) is copied out explicitly; the fast path never is.
 //!
 //! ## Owned fallback
 //!

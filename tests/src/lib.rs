@@ -53,7 +53,7 @@ pub fn channel_identities(scenario: &Scenario) -> HashMap<String, ChannelIdentit
         .collect()
 }
 
-/// Move a chain scenario's brokers onto `mesh` (shards, telemetry and
+/// Move a chain scenario's brokers onto `mesh` (telemetry and
 /// admin plane already set) as loopback daemons, each chain link dialled
 /// by its upstream end.
 pub fn spawn_chain(scenario: &mut Scenario, mut mesh: TcpMesh) -> TcpMesh {

@@ -176,7 +176,6 @@ fn outcome<'a>(
 /// How the `TcpMesh` daemons of a run are set up.
 #[derive(Debug, Clone, Copy)]
 pub struct Config {
-    pub shards: usize,
     /// Every broker persists to a `FileStore` instead of a `MemStore`.
     pub file_store: bool,
     /// Admin plane up, tracing and the flight recorder on, and a 10 Hz
@@ -185,9 +184,8 @@ pub struct Config {
 }
 
 impl Config {
-    /// One shard, `MemStore`, no admin plane.
+    /// `MemStore`, no admin plane.
     pub const PLAIN: Config = Config {
-        shards: 1,
         file_store: false,
         scraped: false,
     };
@@ -235,7 +233,6 @@ pub fn over_tcp(case: &Case, config: Config) -> Outcome {
         node.attach_store(store);
     }
     let mut mesh = TcpMesh::new();
-    mesh.set_shards(config.shards);
     mesh.set_telemetry(telemetry);
     mesh.set_admin(config.scraped);
     let mesh = spawn_chain(&mut s, mesh);

@@ -1,25 +1,18 @@
 //! Many requests in flight at once through brokers that each run on
-//! threads of their own — `TcpMesh` loopback daemons, unsharded and
-//! sharded — admit exactly what the deterministic reference admits.
+//! threads of their own — `TcpMesh` loopback daemons — admit exactly
+//! what the deterministic reference admits.
 //! (The file keeps the name of the threaded actor runtime it once
 //! tested; `TcpMesh` is the concurrent fabric now.)
 
 use integration_tests::parity::{over_tcp, Case, Config, CONCURRENT, OVERSUBSCRIBED};
 
 fn over_threads(case: &Case) {
-    let reference = case.reference();
-    for shards in [1, 4] {
-        let config = Config {
-            shards,
-            ..Config::PLAIN
-        };
-        assert_eq!(
-            over_tcp(case, config),
-            reference,
-            "{}: {config:?}",
-            case.name
-        );
-    }
+    assert_eq!(
+        over_tcp(case, Config::PLAIN),
+        case.reference(),
+        "{}",
+        case.name
+    );
 }
 
 #[test]

@@ -2,11 +2,12 @@
 //! frames over loopback sockets, with recovery through
 //! reconnect-with-backoff that loses no approved reservation, and fig2
 //! admission outcomes identical to the deterministic reference. (Every
-//! shard, cache and store configuration is `fabric_parity.rs`.)
+//! store and observation configuration is `fabric_parity.rs`.)
 
 use integration_tests::parity::{admin_get, over_tcp, Config, FIG2};
 use integration_tests::{build_chain, channel_identities, spawn_chain, ChainOptions, MBPS};
 use qos_core::node::Completion;
+use qos_core::rar::RarId;
 use qos_crypto::Timestamp;
 use qos_storage::{FileStore, FileStoreOptions, LedgerStore};
 use qos_telemetry::{Registry, Telemetry};
@@ -60,7 +61,7 @@ fn tunnel_mesh(
     max_frame: usize,
     mbps: u64,
     observed: Option<&Path>,
-) -> (TcpMesh, qos_core::rar::RarId, qos_crypto::DistinguishedName) {
+) -> (TcpMesh, RarId, qos_crypto::DistinguishedName) {
     let telemetry = Telemetry::with_registry(registry.clone());
     let mut s = build_chain(ChainOptions {
         sla_rate_bps: 1000 * MBPS,
@@ -85,6 +86,10 @@ fn tunnel_mesh(
     // channel, bypassing transit.
     links.push((s.domains[0].clone(), s.domains[2].clone()));
 
+    // Tunnel id 2, not 1: FNV-1a routing over two broker replicas put
+    // this id on the second, whose tunnels shutdown never handed back
+    // (`shutdown_hands_back_the_tunnel_and_what_its_subflows_spent`).
+    s.next_rar_id();
     let spec = s
         .spec("alice", 7000, mbps * MBPS, Timestamp(0), 3600)
         .as_tunnel();
@@ -135,6 +140,33 @@ fn tunnel_subflow_bursts_complete_over_tcp() {
     mesh.shutdown();
 }
 
+/// A broker is one node, so what its daemon held is what `shutdown`
+/// hands back: the source's tunnel, charged for exactly the sub-flows
+/// the destination accepted and for none it refused.
+#[test]
+fn shutdown_hands_back_the_tunnel_and_what_its_subflows_spent() {
+    let (mesh, tunnel, alice) = tunnel_mesh(&Registry::new(), MAX_FRAME_LEN, 50, None);
+    assert_eq!(tunnel, RarId(2));
+    for flow in 1..=4u64 {
+        mesh.tunnel_flow("domain-a", tunnel, flow, 15 * MBPS, alice.clone());
+    }
+    let flows = mesh.wait_completions(4);
+    let accepted = flows
+        .iter()
+        .filter(|(_, c)| matches!(c, Completion::TunnelFlow { accepted: true, .. }))
+        .count() as u64;
+    assert_eq!(
+        (flows.len(), accepted),
+        (4, 3),
+        "three 15 Mb/s sub-flows fit the 50 Mb/s tunnel, the fourth is refused"
+    );
+    let nodes = mesh.shutdown();
+    assert_eq!(
+        nodes["domain-a"].tunnel_remaining_bps(tunnel),
+        Some(50 * MBPS - accepted * 15 * MBPS)
+    );
+}
+
 /// Every metric family an operator's `/metrics` scrape carries, held
 /// once: a family missing from it is an instrument renamed or no longer
 /// registered.
@@ -157,11 +189,10 @@ const METRIC_FAMILIES: &[&str] = &[
     "transport_writes_coalesced_total",
     "transport_acks_standalone_total",
     "transport_unacked_frames",
-    // The admission shards.
+    // The broker's admission worker.
     "shard_queue_depth",
     "shard_busy_ns_total",
     "shard_idle_ns_total",
-    "shard_steals_total",
     "shard_inline_runs_total",
     // The broker node, its policy server and its reservation book.
     "bb_messages_received_total",
@@ -197,8 +228,13 @@ fn one_observed_mesh_run_exposes_every_metric_family() {
     mesh.tunnel_flow("domain-a", tunnel, 1, MBPS, alice);
     assert_eq!(mesh.wait_completions(1).len(), 1);
     let admin = mesh.admin_addr("domain-a").expect("an admin plane");
-    // A request is counted once it is served.
-    assert_eq!(admin_get(admin, "/healthz").0, 200);
+    // A request is counted once it is served. One broker, one queue
+    // depth; what `/shards` used to serve is on `/metrics`.
+    let (status, health) = admin_get(admin, "/healthz");
+    assert_eq!(status, 200);
+    assert!(health.contains(r#""queue_depth":"#), "{health}");
+    assert!(!health.contains("shard"), "{health}");
+    assert_eq!(admin_get(admin, "/shards").0, 404);
     let (status, exposition) = admin_get(admin, "/metrics");
     mesh.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -371,10 +407,9 @@ fn reconnect_recovers_without_losing_reservations() {
 }
 
 #[test]
-fn sharded_burst_survives_mid_burst_disconnect() {
-    // The sharded runtime's loss guarantee: a peer dropping in the
-    // middle of a burst under 4 admission shards loses no approved
-    // reservation. Frames already accepted by the socket stay gone
+fn a_burst_survives_mid_burst_disconnect() {
+    // The runtime's loss guarantee: a peer dropping in the middle of a
+    // burst loses no approved reservation. Frames already accepted by the socket stay gone
     // (no double delivery); everything else is re-queued at the front
     // and rides the re-established sessions.
     let mut s = build_chain(ChainOptions {
@@ -389,9 +424,7 @@ fn sharded_burst_survives_mid_burst_disconnect() {
     }
     let cert = s.users["alice"].cert.clone();
 
-    let mut mesh = TcpMesh::new();
-    mesh.set_shards(4);
-    let mesh = spawn_chain(&mut s, mesh);
+    let mesh = spawn_chain(&mut s, TcpMesh::new());
 
     // The whole burst enters at once, then the fabric is severed while
     // requests are mid-flight — twice, to catch frames at different
