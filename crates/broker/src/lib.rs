@@ -10,8 +10,10 @@
 //!   two-phase hold → commit / release life cycle;
 //! * [`sla`] — SLA/SLS contracts between peered domains, carrying pinned
 //!   peer and CA certificates (§6's trust extension);
-//! * [`broker`] — [`broker::BrokerCore`]: admission against ingress SLA +
-//!   local capacity + egress SLA, rollback on any failure;
+//! * [`broker`] — [`broker::BrokerCore`], the domain's whole ledger
+//!   behind one lock: admission against ingress SLA + local capacity +
+//!   egress SLA with rollback on any failure, billing, and the durable
+//!   record of both;
 //! * [`edge`] — the edge-router configuration command surface
 //!   ([`edge::EdgeControl`] is implemented by `qos_net::Network`);
 //! * [`billing`] — §6.4's transitive billing chains.
@@ -20,12 +22,10 @@ pub mod billing;
 pub mod broker;
 pub mod edge;
 pub mod reservations;
-pub mod shard;
 pub mod sla;
 
 pub use billing::{settle_chain, BillingLedger, Invoice};
 pub use broker::{BrokerCore, BrokerError, PathSegment};
 pub use edge::{CommandLog, EdgeCommand, EdgeControl};
 pub use reservations::{AdmissionError, Interval, ResState, ReservationId, ReservationTable};
-pub use shard::{SlaBook, LEDGER_STRIPES};
 pub use sla::{Sla, Sls};

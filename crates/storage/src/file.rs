@@ -18,16 +18,17 @@
 //!
 //! ## Group commit
 //!
-//! Appenders encode the frame, stamp it with a fresh sequence number,
-//! and push it into one of [`STRIPES`] buffers chosen by `seq % STRIPES`
-//! — shards writing concurrently contend on different stripe mutexes,
-//! not on the file. A background flusher drains all stripes into the
-//! active segment and issues **one** fsync per drain on a configurable
-//! interval; a drain is also forced inline (an *append stall*, flagged
-//! through the flight recorder) if more than [`PENDING_STALL_BYTES`]
-//! accumulate between ticks. Nothing is acknowledged as durable until
-//! [`FileStore::flush`] returns, so losing an un-fsynced buffer to a
-//! crash never violates a promise.
+//! Appenders take the next sequence number and encode the frame into
+//! one buffer under the same lock, so the buffer holds one ascending,
+//! gap-free run of sequence numbers. A background flusher drains it
+//! into the active segment and issues **one** fsync per drain on a
+//! configurable interval; a drain is also forced inline (an *append
+//! stall*, flagged through the flight recorder) if more than
+//! [`PENDING_STALL_BYTES`] accumulate between ticks. Drains write in
+//! turn, so every segment holds its frames in sequence order and a torn
+//! or corrupt tail recovers a prefix of the log. Nothing is
+//! acknowledged as durable until [`FileStore::flush`] returns, so losing
+//! an un-fsynced buffer to a crash never violates a promise.
 //!
 //! ## Recovery state machine
 //!
@@ -38,8 +39,9 @@
 //! to its good prefix, every later segment is deleted (a torn tail
 //! cannot be trusted past the tear), and appends resume in a fresh
 //! segment numbered after the last survivor. Recovered records are
-//! sorted by sequence and handed to the replayer exactly once via
-//! [`FileStore::take_recovered`].
+//! sorted by sequence — directories written by older builds, which
+//! striped their appends over several buffers, interleave frames — and
+//! handed to the replayer exactly once via [`FileStore::take_recovered`].
 
 use crate::crc32::Crc32;
 use crate::records::{LedgerRecord, LedgerSnapshot};
@@ -48,7 +50,7 @@ use qos_telemetry::{EventFamily, FlightEvent, FlightRecorder, Gauge, Telemetry};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -61,9 +63,6 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"QOSSNAP1";
 pub const FRAME_HEADER_LEN: usize = 16;
 /// A frame length above this is treated as corruption, not a record.
 pub const MAX_RECORD_LEN: u32 = 1 << 20;
-/// Append-stripe count — matches the broker's ledger stripe count so
-/// concurrent shards hash onto distinct buffer mutexes.
-pub const STRIPES: usize = 8;
 /// Buffered-but-unwritten bytes beyond which an appender drains inline
 /// rather than letting the backlog grow (an append stall).
 pub const PENDING_STALL_BYTES: u64 = 8 * 1024 * 1024;
@@ -94,12 +93,12 @@ impl Default for FileStoreOptions {
     }
 }
 
-/// One append stripe: buffered frame bytes plus the highest sequence
-/// they contain (for per-segment pruning bookkeeping).
-#[derive(Default)]
-struct Stripe {
+/// Frames appended since the last drain, and the sequence number the
+/// next append takes. Both change under one lock, so `buf` is always a
+/// gap-free run ending at `next_seq - 1`.
+struct Log {
     buf: Vec<u8>,
-    max_seq: u64,
+    next_seq: u64,
 }
 
 /// A completed (rotated) segment still on disk.
@@ -117,9 +116,9 @@ struct Writer {
     segment_bytes: u64,
     segment_max_seq: u64,
     sealed: Vec<Sealed>,
-    /// Drain scratch: swapped with each stripe's buffer during a group
-    /// commit so buffer capacity circulates between the stripes and the
-    /// drain instead of being reallocated every batch.
+    /// Drain scratch: swapped with the log's buffer during a group
+    /// commit so buffer capacity circulates between the appenders and
+    /// the drain instead of being reallocated every batch.
     drain_buf: Vec<u8>,
 }
 
@@ -135,13 +134,11 @@ struct TeleHooks {
 struct Inner {
     dir: PathBuf,
     opts: FileStoreOptions,
-    /// Next sequence number to assign (starts at 1; 0 means "none").
-    seq: AtomicU64,
-    stripes: [Mutex<Stripe>; STRIPES],
-    pending: AtomicU64,
+    /// Sequence numbers start at 1; 0 means "none".
+    log: Mutex<Log>,
     writer: Mutex<Writer>,
-    stop: AtomicBool,
-    signal: (Mutex<()>, Condvar),
+    /// Set once, on drop; the condvar wakes the flusher to see it.
+    stop: (Mutex<bool>, Condvar),
     // Stats cells. Counter cells are `Arc` so `set_telemetry` can hand
     // the very same storage to the registry (live from birth).
     appends: Arc<AtomicU64>,
@@ -237,9 +234,10 @@ impl FileStore {
         let inner = Arc::new(Inner {
             dir,
             opts,
-            seq: AtomicU64::new(next_seq),
-            stripes: std::array::from_fn(|_| Mutex::new(Stripe::default())),
-            pending: AtomicU64::new(0),
+            log: Mutex::new(Log {
+                buf: Vec::new(),
+                next_seq,
+            }),
             writer: Mutex::new(Writer {
                 file,
                 segment_index,
@@ -248,8 +246,7 @@ impl FileStore {
                 sealed,
                 drain_buf: Vec::new(),
             }),
-            stop: AtomicBool::new(false),
-            signal: (Mutex::new(()), Condvar::new()),
+            stop: (Mutex::new(false), Condvar::new()),
             appends: Arc::new(AtomicU64::new(0)),
             fsyncs: Arc::new(AtomicU64::new(0)),
             bytes: Arc::new(AtomicU64::new(0)),
@@ -285,8 +282,8 @@ impl FileStore {
 
 impl Drop for FileStore {
     fn drop(&mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        self.inner.signal.1.notify_all();
+        *lock(&self.inner.stop.0) = true;
+        self.inner.stop.1.notify_all();
         if let Some(handle) = lock(&self.flusher).take() {
             let _ = handle.join();
         }
@@ -303,35 +300,29 @@ impl LedgerStore for FileStore {
 
     fn append(&self, record: &LedgerRecord) -> u64 {
         let inner = &self.inner;
-        let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-        let seq_bytes = seq.to_le_bytes();
-
-        // Encode straight into the stripe buffer behind a header
+        // Encode straight into the log buffer behind a header
         // placeholder, then patch len + CRC once the payload size is
-        // known — no per-append payload or frame allocation; the stripe
-        // buffers amortise to their group-commit batch size.
-        let pending;
-        {
-            let mut stripe = lock(&inner.stripes[(seq as usize) % STRIPES]);
-            let start = stripe.buf.len();
-            stripe.buf.extend_from_slice(&seq_bytes);
-            stripe.buf.extend_from_slice(&[0u8; 8]); // len + crc, patched below
-            qos_wire::encode_into(record, &mut stripe.buf);
-            let payload_len = stripe.buf.len() - start - FRAME_HEADER_LEN;
+        // known — no per-append payload or frame allocation; the buffer
+        // amortises to its group-commit batch size.
+        let (seq, pending) = {
+            let mut log = lock(&inner.log);
+            let seq = log.next_seq;
+            log.next_seq += 1;
+            let seq_bytes = seq.to_le_bytes();
+            let start = log.buf.len();
+            log.buf.extend_from_slice(&seq_bytes);
+            log.buf.extend_from_slice(&[0u8; 8]); // len + crc, patched below
+            qos_wire::encode_into(record, &mut log.buf);
+            let payload_len = log.buf.len() - start - FRAME_HEADER_LEN;
             let mut crc = Crc32::new();
             crc.update(&seq_bytes);
-            crc.update(&stripe.buf[start + FRAME_HEADER_LEN..]);
+            crc.update(&log.buf[start + FRAME_HEADER_LEN..]);
             let len_bytes = (payload_len as u32).to_le_bytes();
             let crc_bytes = crc.finalize().to_le_bytes();
-            stripe.buf[start + 8..start + 12].copy_from_slice(&len_bytes);
-            stripe.buf[start + 12..start + 16].copy_from_slice(&crc_bytes);
-            stripe.max_seq = stripe.max_seq.max(seq);
-            // Counted before the stripe unlocks: the flusher subtracts
-            // what it drains, so it must never find a frame `pending`
-            // does not include yet (the counter would wrap below zero).
-            let frame_len = (FRAME_HEADER_LEN + payload_len) as u64;
-            pending = inner.pending.fetch_add(frame_len, Ordering::Relaxed) + frame_len;
-        }
+            log.buf[start + 8..start + 12].copy_from_slice(&len_bytes);
+            log.buf[start + 12..start + 16].copy_from_slice(&crc_bytes);
+            (seq, log.buf.len() as u64)
+        };
         inner.appends.fetch_add(1, Ordering::Relaxed);
         inner.appends_since_snapshot.fetch_add(1, Ordering::Relaxed);
         if pending > PENDING_STALL_BYTES {
@@ -346,7 +337,7 @@ impl LedgerStore for FileStore {
     }
 
     fn next_seq(&self) -> u64 {
-        self.inner.seq.load(Ordering::Relaxed)
+        lock(&self.inner.log).next_seq
     }
 
     fn should_snapshot(&self) -> bool {
@@ -440,12 +431,16 @@ impl LedgerStore for FileStore {
             let w = lock(&inner.writer);
             (w.sealed.len() as u64 + 1, w.segment_index)
         };
+        let (pending_bytes, next_seq) = {
+            let log = lock(&inner.log);
+            (log.buf.len() as u64, log.next_seq)
+        };
         StoreStats {
             kind: "file",
             appends: inner.appends.load(Ordering::Relaxed),
             fsyncs: inner.fsyncs.load(Ordering::Relaxed),
             bytes: inner.bytes.load(Ordering::Relaxed),
-            pending_bytes: inner.pending.load(Ordering::Relaxed),
+            pending_bytes,
             segments,
             segment_index,
             snapshots: inner.snapshots.load(Ordering::Relaxed),
@@ -455,7 +450,7 @@ impl LedgerStore for FileStore {
             recovered_records: inner.recovered_records.load(Ordering::Relaxed),
             truncated_bytes: inner.truncated_bytes.load(Ordering::Relaxed),
             io_errors: inner.io_errors.load(Ordering::Relaxed),
-            next_seq: inner.seq.load(Ordering::Relaxed),
+            next_seq,
             data_dir: inner.dir.display().to_string(),
         }
     }
@@ -510,18 +505,18 @@ impl LedgerStore for FileStore {
 
 impl Inner {
     /// The group-commit loop: wake every `flush_interval`, drain
-    /// whatever the stripes buffered, fsync once.
+    /// whatever the log buffered, fsync once.
     fn run_flusher(&self) {
         loop {
-            {
-                let guard = lock(&self.signal.0);
-                let _ = self
-                    .signal
-                    .1
-                    .wait_timeout(guard, self.opts.flush_interval)
-                    .map(|(g, _)| drop(g));
-            }
-            if self.stop.load(Ordering::SeqCst) {
+            // The flag is read under its lock before any wait, so a stop
+            // set between two waits is never slept through.
+            let stopped = *self
+                .stop
+                .1
+                .wait_timeout_while(lock(&self.stop.0), self.opts.flush_interval, |stop| !*stop)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+            if stopped {
                 break;
             }
             self.drain_and_sync();
@@ -529,39 +524,28 @@ impl Inner {
         self.drain_and_sync();
     }
 
-    /// Take every stripe buffer, write it into the active segment, and
-    /// fsync — the whole cycle under the writer lock, so a concurrent
-    /// [`FileStore::flush`] returning means *its* records are durable.
+    /// Take the log buffer, write it into the active segment, and fsync
+    /// — the whole cycle under the writer lock, so a concurrent
+    /// [`FileStore::flush`] returning means *its* records are durable,
+    /// and drains reach the file in sequence order.
     fn drain_and_sync(&self) {
         let mut w = lock(&self.writer);
         let w = &mut *w;
-        let mut total = 0u64;
-        let mut max_seq = 0u64;
-        let mut wrote_err = false;
-        for stripe in &self.stripes {
-            let stripe_max = {
-                let mut s = lock(stripe);
-                if s.buf.is_empty() {
-                    continue;
-                }
-                // Hand the stripe the (cleared) scratch and take its
-                // batch: capacities circulate, nothing is reallocated.
-                std::mem::swap(&mut s.buf, &mut w.drain_buf);
-                std::mem::take(&mut s.max_seq)
-            };
-            total += w.drain_buf.len() as u64;
-            max_seq = max_seq.max(stripe_max);
-            if w.file.write_all(&w.drain_buf).is_err() {
-                wrote_err = true;
+        let max_seq = {
+            let mut log = lock(&self.log);
+            if log.buf.is_empty() {
+                return;
             }
-            w.drain_buf.clear();
-        }
-        if total == 0 {
-            return;
-        }
-        self.pending.fetch_sub(total, Ordering::Relaxed);
+            // Hand the log the (cleared) scratch and take its batch:
+            // capacities circulate, nothing is reallocated.
+            std::mem::swap(&mut log.buf, &mut w.drain_buf);
+            log.next_seq - 1
+        };
+        let total = w.drain_buf.len() as u64;
+        let mut wrote_err = w.file.write_all(&w.drain_buf).is_err();
+        w.drain_buf.clear();
         w.segment_bytes += total;
-        w.segment_max_seq = w.segment_max_seq.max(max_seq);
+        w.segment_max_seq = max_seq;
 
         let sync_started = Instant::now();
         if w.file.sync_data().is_err() {
@@ -800,8 +784,14 @@ mod tests {
     #[test]
     fn torn_tail_truncates_to_good_prefix() {
         let dir = tempdir("torn");
+        // No periodic drain: the explicit flush writes all ten frames in
+        // one drain, the case where an interleaving drain would show.
+        let opts = FileStoreOptions {
+            flush_interval: Duration::from_secs(3600),
+            ..FileStoreOptions::default()
+        };
         {
-            let store = FileStore::open(&dir, fast_opts()).unwrap();
+            let store = FileStore::open(&dir, opts).unwrap();
             for id in 0..10u64 {
                 store.append(&LedgerRecord::Commit { id });
             }
@@ -819,10 +809,10 @@ mod tests {
         let recovered = store.take_recovered();
         assert!(recovered.records.len() < 10, "corrupt suffix dropped");
         assert!(!recovered.records.is_empty(), "good prefix kept");
-        // Stripes interleave frames on disk, so the survivors are not a
-        // seq-prefix — but every survivor must match what was appended
-        // under that sequence number (seq k carried id k-1).
-        for (seq, record) in &recovered.records {
+        // The survivors are seqs 1..=k, each what was appended under its
+        // sequence number (seq k carried id k-1).
+        for (i, (seq, record)) in recovered.records.iter().enumerate() {
+            assert_eq!(*seq, i as u64 + 1, "survivors are a seq prefix");
             assert_eq!(record, &LedgerRecord::Commit { id: seq - 1 });
         }
         assert!(store.stats().truncated_bytes > 0);
@@ -926,6 +916,11 @@ mod tests {
         }
         store.flush();
         drop(Arc::try_unwrap(store).ok().expect("sole owner"));
+        // Every drain wrote an ascending run: the segment holds 1..=256
+        // in file order, whichever thread appended each.
+        let scan = scan_segment(&fs::read(dir.join(segment_name(0))).unwrap());
+        let in_file: Vec<u64> = scan.records.iter().map(|(s, _)| *s).collect();
+        assert_eq!(in_file, (1..=256).collect::<Vec<u64>>());
 
         let store = FileStore::open(&dir, fast_opts()).unwrap();
         let recovered = store.take_recovered();

@@ -19,9 +19,11 @@
 //!
 //! The frame format is `seq u64 LE ‖ len u32 LE ‖ crc32 u32 LE ‖
 //! payload`, with the CRC taken over the seq bytes and the payload.
-//! Sequence numbers are global across stripes and segments; recovery
-//! sorts by them, so replay order is deterministic regardless of how
-//! group commit interleaved stripe buffers on disk.
+//! Sequence numbers are global across segments and are assigned under
+//! the lock of the one buffer appends go into, so frames reach disk in
+//! sequence order and a torn or corrupt tail recovers a prefix of the
+//! log. Recovery still sorts by sequence number: directories written by
+//! older builds interleave frames from several buffers.
 
 pub mod crc32;
 pub mod file;
@@ -69,7 +71,8 @@ pub struct StoreStats {
     pub fsyncs: u64,
     /// WAL bytes written (frame bytes, not payload bytes).
     pub bytes: u64,
-    /// Bytes buffered in append stripes, not yet written.
+    /// Bytes appended but not yet written: the length of the append
+    /// buffer, read under its lock.
     pub pending_bytes: u64,
     /// Live WAL segments on disk (including the active one).
     pub segments: u64,

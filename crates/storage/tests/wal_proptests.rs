@@ -9,7 +9,7 @@
 //! 2. **Truncation** — cutting any WAL file at any byte offset (the
 //!    torn-write model: a crash mid-`write(2)`) never panics recovery
 //!    and never surfaces a record that was not appended; survivors are
-//!    a strictly seq-increasing subset of the original corpus.
+//!    a prefix of the original corpus, seqs `1..=k` for some `k`.
 //! 3. **Corruption** — flipping any single bit anywhere in the file
 //!    set never panics recovery and never surfaces a corrupt record
 //!    (CRC32 detects all single-bit errors by construction).
@@ -104,15 +104,20 @@ fn wal_files(dir: &Path) -> Vec<PathBuf> {
 }
 
 /// Shared postcondition for the damage tests: recovery produced a
-/// strictly seq-increasing subset of the original corpus, every
-/// survivor bit-identical to the record that was appended at its seq.
-fn assert_faithful_subset(
+/// prefix of the original corpus — seqs `1..=k`, every survivor
+/// bit-identical to the record that was appended at its seq.
+fn assert_faithful_prefix(
     recovered: &[(u64, LedgerRecord)],
     originals: &[LedgerRecord],
 ) -> Result<(), TestCaseError> {
     let mut last = 0u64;
     for (seq, record) in recovered {
-        prop_assert!(*seq > last, "seqs must be strictly increasing");
+        prop_assert!(
+            *seq == last + 1,
+            "survivors must be a seq prefix: {} after {}",
+            seq,
+            last
+        );
         last = *seq;
         prop_assert!(
             *seq as usize <= originals.len(),
@@ -175,7 +180,7 @@ proptest! {
 
         let store = FileStore::open(&dir, opts(segment_bytes)).expect("recovery must not fail");
         let recovered = store.take_recovered();
-        assert_faithful_subset(&recovered.records, &records)?;
+        assert_faithful_prefix(&recovered.records, &records)?;
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -202,7 +207,7 @@ proptest! {
 
         let store = FileStore::open(&dir, opts(segment_bytes)).expect("recovery must not fail");
         let recovered = store.take_recovered();
-        assert_faithful_subset(&recovered.records, &records)?;
+        assert_faithful_prefix(&recovered.records, &records)?;
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }

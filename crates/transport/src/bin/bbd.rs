@@ -455,7 +455,7 @@ fn main() -> ExitCode {
     }
     // Graceful teardown: stop the daemon, cut a final snapshot (which
     // folds in live ticket state via the snapshot hook), and fsync
-    // whatever the group-commit stripes still hold.
+    // whatever the group-commit buffer still holds.
     let node = daemon.shutdown();
     node.snapshot_now();
     store.flush();
