@@ -122,7 +122,7 @@ fn joined(
     let (client, server) = handshake(&ident_a, &ident_b, &pin(b), &pin(a), 1, Timestamp::ZERO)
         .expect("channel handshake");
     let mut ends = [(a, b, 1, client), (b, a, 2, server)].map(|(domain, peer, life, channel)| {
-        let queue = Arc::new(OutQueue::new(1024, MAX_FRAME_LEN));
+        let queue = Arc::new(OutQueue::new(MAX_FRAME_LEN));
         let disabled = Telemetry::disabled();
         let mut core = LinkCore::new(
             Arc::clone(&queue),
@@ -325,8 +325,8 @@ fn main() {
         msgs.push(out_b[0].1.clone());
     }
 
-    // The loop: what the two reactors and a worker do with one admission,
-    // in one thread. b's link core numbers, acks and seals the request;
+    // The loop: what the two reactors do with one admission, in one
+    // thread. b's link core numbers, acks and seals the request;
     // c's decodes it out of a pooled chunk, checks the MAC and the
     // delivery index where the bytes lie and copies the message out once;
     // the node verifies and admits it in full, and the verdict goes back

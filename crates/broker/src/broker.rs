@@ -15,8 +15,8 @@
 //! on request arrival, commits when the end-to-end approval propagates
 //! back, and releases on denial.
 //!
-//! One broker per domain, one admission worker per broker (DESIGN.md
-//! §D30), so the whole ledger — tables, SLAs, reservation metadata,
+//! One broker per domain, run by one thread (DESIGN.md §D30, §D32), so
+//! the whole ledger — tables, SLAs, reservation metadata,
 //! billing, counters and the durable store — sits behind one mutex, and
 //! each public call takes it once (§D31). The lock is what keeps the
 //! `&self` surface: experiments and the admin plane read (and set-up

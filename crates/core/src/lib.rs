@@ -21,9 +21,10 @@
 //!   sequential/concurrent) and the STARS reservation coordinator;
 //! * [`drive`] — a deterministic virtual-time mesh driver (latency and
 //!   message-count experiments; optional live `qos_net` data plane);
-//! * [`shard`] — [`ShardedNode`]: one domain's broker, one node served
-//!   by one worker thread (DESIGN.md §D11, §D30), run by the TCP reactor
-//!   runtime (`qos_transport`);
+//! * [`shard`] — how a fabric runs one domain's broker: its [`Input`]s,
+//!   run through the one node in runs of [`RUN`](shard::RUN) by
+//!   [`shard::run`], on the TCP reactor's own thread (DESIGN.md §D32,
+//!   `qos_transport`);
 //! * [`scenario`] — the paper's multi-domain world, ready-built.
 //!
 //! Observability (DESIGN.md §D7): brokers and both drivers thread a
@@ -54,6 +55,6 @@ pub use flowtable::{FlowTable, TimerWheel};
 pub use messages::{Approval, Denial, DenialCode, SignalMessage};
 pub use node::{BbConfig, BbNode, Completion, EdgeBinding, NodeCounters, PeerId, RecoveredTickets};
 pub use rar::{RarId, ResSpec};
-pub use shard::{ShardMsg, ShardSink, ShardedNode};
+pub use shard::Input;
 pub use source::{AgentMode, ReservationCoordinator, SourceBasedRun};
 pub use trust::{verify_rar, KeySource, VerifiedRar};

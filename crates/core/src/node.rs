@@ -752,7 +752,7 @@ impl BbNode {
     }
 
     /// Collect ticket state found during recovery (the daemon rebuilds
-    /// its `TicketIssuer` from this before it starts the node's worker).
+    /// its `TicketIssuer` from this before its reactor takes the node).
     pub fn take_recovered_tickets(&mut self) -> RecoveredTickets {
         std::mem::take(&mut self.recovered_tickets)
     }

@@ -1,18 +1,16 @@
-//! Transparency of the broker runtime: a [`ShardedNode`] — one node
-//! served by one worker thread — must be indistinguishable from the
-//! plain [`BbNode`] it wraps: same verdicts, same committed bandwidth,
-//! and counter-for-counter identical telemetry on a seeded fig2-style
-//! run.
+//! Transparency of the broker runtime: a [`BbNode`] run by the fabric's
+//! [`shard::run`] — in runs, coalescing a burst into batch calls — must
+//! be indistinguishable from the plain node driven one message at a
+//! time: same verdicts, same committed bandwidth, and counter-for-counter
+//! identical telemetry on a seeded fig2-style run.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use qos_core::node::{BbNode, Completion};
 use qos_core::scenario::{build_chain, ChainOptions};
-use qos_core::{PeerId, ShardSink, ShardedNode, SignalMessage};
+use qos_core::{shard, Input, PeerId, SignalMessage};
 use qos_crypto::{Certificate, Timestamp};
-use qos_telemetry::{render_prometheus, Registry, Telemetry};
+use qos_telemetry::{render_prometheus, Counter, Registry, Telemetry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::Duration;
 
 const MBPS: u64 = 1_000_000;
 
@@ -47,8 +45,8 @@ fn outcome_counts(completions: &[Completion]) -> (usize, usize) {
 }
 
 /// Drive the burst through plain `BbNode`s with a synchronous FIFO
-/// pump, mirroring the worker's call shape (`submit_batch` for
-/// the burst, `recv_requests` for requests, `recv` otherwise).
+/// pump, one message a call (`submit_batch` for the burst,
+/// `recv_requests` for requests, `recv` otherwise).
 fn drive_plain(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<String, BbNode>) {
     let (nodes, rars, cert) = scenario();
     let telemetry = Telemetry::with_registry(Arc::clone(registry));
@@ -91,70 +89,52 @@ fn drive_plain(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<String, Bb
     (completions, nodes)
 }
 
-/// Fabric for the runtime drive: deliveries and completions land on
-/// channels the test pump forwards between domains (a sink must not
-/// re-enter dispatch, so routing happens outside the worker).
-struct ChanSink {
-    domain: String,
-    deliveries: Sender<Delivery>,
-    completions: Sender<Completion>,
-}
-
-impl ShardSink for ChanSink {
-    fn deliver(&self, to: &str, msg: SignalMessage) {
-        if !to.starts_with("user:") {
-            let _ = self
-                .deliveries
-                .send((self.domain.as_str().into(), to.to_string(), msg));
-        }
-    }
-    fn complete(&self, completion: Completion) {
-        let _ = self.completions.send(completion);
-    }
-}
-
-/// The same burst through `ShardedNode`s.
-fn drive_sharded(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<String, BbNode>) {
+/// The same burst through [`shard::run`], as each domain's reactor runs
+/// it: each domain's waiting inputs in runs, each run's messages routed
+/// to the inputs of the domain they are for.
+fn drive_dispatcher(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<String, BbNode>) {
     let (nodes, rars, cert) = scenario();
     let telemetry = Telemetry::with_registry(Arc::clone(registry));
-    let (delivery_tx, delivery_rx): (Sender<Delivery>, Receiver<Delivery>) = unbounded();
-    let (completion_tx, completion_rx) = unbounded();
-
-    let sharded: HashMap<String, ShardedNode> = nodes
+    let mut brokers: HashMap<String, (BbNode, Vec<Input>)> = nodes
         .into_iter()
         .map(|mut n| {
             n.install_telemetry(telemetry.clone());
-            let domain = n.domain().to_string();
-            let sink = Arc::new(ChanSink {
-                domain: domain.clone(),
-                deliveries: delivery_tx.clone(),
-                completions: completion_tx.clone(),
-            });
-            (domain, ShardedNode::new(n, sink, &telemetry))
+            (n.domain().to_string(), (n, Vec::new()))
         })
         .collect();
-
-    sharded["domain-a"].dispatch_submit_all(rars.into_iter().map(|r| (r, cert.clone())).collect());
+    let submits = rars
+        .into_iter()
+        .map(|rar| Input::Submit(Box::new(rar), Box::new(cert.clone()), 0));
+    brokers
+        .get_mut("domain-a")
+        .expect("source domain")
+        .1
+        .extend(submits);
 
     let mut completions = Vec::new();
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while completions.len() < REQUESTS as usize {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "sharded drive stalled"
-        );
-        while let Ok(c) = completion_rx.try_recv() {
-            completions.push(c);
-        }
-        if let Ok((from, to, msg)) = delivery_rx.recv_timeout(Duration::from_millis(10)) {
-            sharded[&to].dispatch_peer(from, msg, 0);
+    while let Some(domain) = brokers
+        .iter()
+        .find(|(_, (_, inputs))| !inputs.is_empty())
+        .map(|(d, _)| d.clone())
+    {
+        let (node, inputs) = brokers.get_mut(&domain).expect("a broker");
+        let from = PeerId::from(domain.as_str());
+        let mut routed: Vec<(PeerId, SignalMessage)> = Vec::new();
+        shard::run(node, inputs, &Counter::noop(), |deliveries, done| {
+            routed.append(deliveries);
+            completions.append(done);
+        });
+        for (to, msg) in routed {
+            if !to.starts_with("user:") {
+                brokers
+                    .get_mut(&*to)
+                    .expect("routed to a known domain")
+                    .1
+                    .push(Input::peer(PeerId::clone(&from), msg, 0));
+            }
         }
     }
-
-    let nodes = sharded
-        .into_iter()
-        .map(|(d, s)| (d, s.shutdown()))
-        .collect();
+    let nodes = brokers.into_iter().map(|(d, (n, _))| (d, n)).collect();
     (completions, nodes)
 }
 
@@ -187,13 +167,13 @@ fn counter_families(render: &str) -> HashMap<String, Vec<String>> {
 fn sharded_n1_telemetry_matches_plain_node() {
     let plain_reg = Registry::new();
     let (plain_completions, plain_nodes) = drive_plain(&plain_reg);
-    let sharded_reg = Registry::new();
-    let (sharded_completions, sharded_nodes) = drive_sharded(&sharded_reg);
+    let dispatched_reg = Registry::new();
+    let (dispatched_completions, dispatched_nodes) = drive_dispatcher(&dispatched_reg);
 
     // Same verdicts…
     assert_eq!(
         outcome_counts(&plain_completions),
-        outcome_counts(&sharded_completions),
+        outcome_counts(&dispatched_completions),
         "verdict mix diverged"
     );
     assert_eq!(
@@ -207,27 +187,27 @@ fn sharded_n1_telemetry_matches_plain_node() {
         let t = Timestamp(10);
         assert_eq!(
             plain.core().available_bw_at(t),
-            sharded_nodes[domain].core().available_bw_at(t),
+            dispatched_nodes[domain].core().available_bw_at(t),
             "committed bandwidth diverged at {domain}"
         );
     }
 
     // …and counter-for-counter identical telemetry: every counter
     // family the plain run produced renders byte-identically from the
-    // runtime's run (which may add the worker's families on top).
+    // dispatcher's run (which may add its own families on top).
     let plain_counters = counter_families(&render_prometheus(&plain_reg));
-    let sharded_counters = counter_families(&render_prometheus(&sharded_reg));
+    let dispatched_counters = counter_families(&render_prometheus(&dispatched_reg));
     assert!(
         !plain_counters.is_empty(),
         "plain run registered no counters — telemetry not installed?"
     );
     for (family, plain_lines) in &plain_counters {
-        let sharded_lines = sharded_counters
+        let dispatched_lines = dispatched_counters
             .get(family)
-            .unwrap_or_else(|| panic!("family {family} missing from sharded run"));
+            .unwrap_or_else(|| panic!("family {family} missing from the dispatched run"));
         assert_eq!(
-            plain_lines, sharded_lines,
-            "counter family {family} diverged between plain and sharded(N=1)"
+            plain_lines, dispatched_lines,
+            "counter family {family} diverged between plain and dispatched"
         );
     }
 }

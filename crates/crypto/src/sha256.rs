@@ -38,8 +38,8 @@ const H0: [u32; 8] = [
 thread_local! {
     /// This thread's count of bytes fed to [`Sha256::update`]: what a
     /// protocol exchange walked on one thread hashed, whoever asked for
-    /// it. Padding is not counted. Per thread, so the reactor and worker
-    /// threads that seal, open and digest share no cache line for it.
+    /// it. Padding is not counted. Per thread, so the reactor threads
+    /// that seal, open and digest share no cache line for it.
     static HASHED_BYTES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 

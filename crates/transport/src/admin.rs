@@ -3,11 +3,12 @@
 //! The HTTP mechanics (request parsing, response rendering) live in
 //! `qos_telemetry::admin`; this module is the *routing table*, placed
 //! in `qos-transport` because the interesting answers — the broker's
-//! queue depth, link states, reactor vitals — live next to the daemon. The
-//! reactor calls [`AdminState::respond`] with a parsed request and
-//! writes the returned bytes back on the admin connection; every route
-//! is a read-only snapshot, so serving one costs the data path nothing
-//! but the reactor sweep it rides in.
+//! inbox depth, link states, reactor vitals, the ledger — live next to
+//! the daemon. The reactor calls `AdminState::respond_into` with a
+//! parsed request and the broker it owns, and writes the response back
+//! on the admin connection; every route is a read-only snapshot, so
+//! serving one costs the data path nothing but the reactor sweep it rides
+//! in.
 //!
 //! | route           | body                                            |
 //! |-----------------|-------------------------------------------------|
@@ -20,7 +21,8 @@
 //! | `/storage`      | durable-ledger vitals: WAL/snapshot/recovery    |
 
 use crate::daemon::Link;
-use qos_core::shard::ShardedNode;
+use crate::reactor::Inbox;
+use qos_core::node::BbNode;
 use qos_storage::SharedStore;
 use qos_telemetry::admin::{content_type, render_response_into, HttpRequest};
 use qos_telemetry::{
@@ -103,15 +105,16 @@ pub(crate) struct AdminState {
     pub(crate) domain: String,
     pub(crate) registry: Option<Arc<Registry>>,
     pub(crate) flight: Option<Arc<FlightRecorder>>,
-    pub(crate) sharded: Arc<ShardedNode>,
+    pub(crate) inbox: Arc<Inbox>,
     pub(crate) links: Arc<HashMap<String, Link>>,
     pub(crate) status: Arc<ReactorStatus>,
     pub(crate) store: Option<SharedStore>,
 }
 
 impl AdminState {
-    /// Serve one request into caller-owned buffers and return the
-    /// endpoint label used by the `admin_requests_total` counter.
+    /// Serve one request about `node` into caller-owned buffers and
+    /// return the endpoint label used by the `admin_requests_total`
+    /// counter.
     ///
     /// `body` is a render scratch (the `/metrics` exposition lands here
     /// before the response head is known) and `out` receives the full
@@ -121,6 +124,7 @@ impl AdminState {
     pub(crate) fn respond_into(
         &self,
         req: &HttpRequest,
+        node: &BbNode,
         body: &mut String,
         out: &mut Vec<u8>,
     ) -> &'static str {
@@ -162,7 +166,7 @@ impl AdminState {
                 "healthz"
             }
             "/storage" => {
-                self.storage(out);
+                self.storage(node, out);
                 "storage"
             }
             "/flight" => match &self.flight {
@@ -223,7 +227,7 @@ impl AdminState {
     /// Durable-ledger vitals: store counters plus a live summary and
     /// the canonical SHA-256 digest of the reservation/invoice state —
     /// the value the crash-recovery gate compares across restarts.
-    fn storage(&self, out: &mut Vec<u8>) {
+    fn storage(&self, node: &BbNode, out: &mut Vec<u8>) {
         let Some(store) = &self.store else {
             return render_response_into(
                 out,
@@ -233,12 +237,8 @@ impl AdminState {
             );
         };
         let stats = store.stats();
-        let (digest, active, committed, invoices, committed_bps) = self.sharded.with_node(|node| {
-            let (active, committed, invoices, committed_bps) =
-                node.core().ledger_summary(node.time());
-            let digest = node.core().ledger_digest();
-            (digest, active, committed, invoices, committed_bps)
-        });
+        let (active, committed, invoices, committed_bps) = node.core().ledger_summary(node.time());
+        let digest = node.core().ledger_digest();
         let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
         let body = format!(
             "{{\"store\":{},\"ledger\":{{\"digest\":\"{hex}\",\"active\":{active},\
@@ -250,7 +250,7 @@ impl AdminState {
     }
 
     /// Liveness vitals: the reactor's poll-loop heartbeat (age of the
-    /// last sweep) and the broker's ingress queue depth. 503 when the
+    /// last sweep) and the inputs waiting in the broker's inbox. 503 when the
     /// heartbeat is stale — a wedged reactor that somehow still accepts
     /// admin traffic must not look healthy.
     fn healthz(&self, out: &mut Vec<u8>) {
@@ -269,7 +269,7 @@ impl AdminState {
             self.status.sweeps(),
             self.status.stalls(),
             self.status.max_sweep_ns() / 1_000,
-            self.sharded.queued(),
+            self.inbox.len(),
             self.links.len(),
             connected,
         );

@@ -1,42 +1,40 @@
 //! The broker daemon: one domain's broker behind real sockets.
 //!
-//! A [`BrokerDaemon`] hosts a broker as a [`ShardedNode`] — one node,
-//! one admission worker (DESIGN.md §D11, §D30) — and connects it to
-//! peered daemons through a single [reactor](crate::reactor) thread:
+//! A [`BrokerDaemon`] hands its broker's [`BbNode`] to a single
+//! [reactor](crate::reactor) thread, which owns it with no lock and runs
+//! it itself (DESIGN.md §D32):
 //!
 //! * the **reactor** owns every socket non-blocking under one
 //!   `epoll`-backed poll — the accept listener, each peering link, frame
 //!   decode and seal, write coalescing, and the reconnect backoff
-//!   timers. Decoded signalling messages go straight into the broker's
-//!   ingress queue;
-//! * the **admission worker** drains that queue under the node lock,
-//!   in runs it batch-verifies;
-//! * the worker's outputs come back through each link's bounded [`OutQueue`],
-//!   encoded onto the end of the frame open at its back (plaintext,
-//!   unnumbered; numbering and sealing happen at write time, so frames
-//!   that wait out a reconnect are MAC'd under the new session's
-//!   sequence space), and the workers' sink rings the
-//!   reactor's waker if the reactor is parked in its poll. A message
-//!   the reactor runs itself (DESIGN.md §D20) leaves through a second
-//!   [`TcpSink`] that neither waits for the reactor nor wakes it.
+//!   timers. It runs what a read sweep decoded, and the local inputs
+//!   waiting in its `Inbox`, through the broker
+//!   ([`qos_core::shard::run`]) 32 at a time, and writes each run's
+//!   outputs before the next run;
+//! * a run's outputs go to each link's [`OutQueue`], encoded onto the end
+//!   of the frame open at its back (plaintext, unnumbered; numbering and
+//!   sealing happen at write time, so frames that wait out a reconnect
+//!   are MAC'd under the new session's sequence space);
+//! * `submit`, `submit_all`, `tunnel_flow` and `set_time` push onto the
+//!   inbox, and wake the reactor only if it is parked in its poll.
 //!
-//! A daemon runs one reactor thread plus one worker thread regardless
-//! of link count, with handshakes on short-lived offload threads.
+//! A `bbd` runs this reactor thread, a short-lived `bb-handshake` thread
+//! per handshake, and, when `--data-dir` is set, the WAL's flusher
+//! thread — whatever its link count.
 
 use crate::admin::{AdminState, ReactorStatus};
 use crate::error::TransportError;
-use crate::queue::{OutQueue, PushOutcome};
-use crate::reactor::{Ctrl, Reactor, ReactorConfig, TOKEN_WAKER};
+use crate::queue::OutQueue;
+use crate::reactor::{Ctrl, Inbox, Reactor, ReactorConfig, TOKEN_WAKER};
 use crate::resume::TicketIssuer;
 use crate::session::broker_pin;
 use crossbeam::channel::{unbounded, Sender};
 use mio::{Poll, Waker};
 use qos_core::channel::ChannelIdentity;
 use qos_core::envelope::SignedRar;
-use qos_core::messages::SignalMessage;
 use qos_core::node::{BbNode, Completion};
 use qos_core::rar::RarId;
-use qos_core::shard::{ShardSink, ShardedNode};
+use qos_core::shard::Input;
 use qos_crypto::{Certificate, DistinguishedName, PublicKey, Timestamp};
 use qos_telemetry::{Counter, Gauge, Histogram, StdClock, Telemetry};
 use std::collections::HashMap;
@@ -51,8 +49,6 @@ use std::time::{Duration, Instant};
 pub struct TransportOptions {
     /// Frame-size ceiling enforced on both directions.
     pub max_frame: usize,
-    /// Per-link outbound queue capacity (messages).
-    pub queue_capacity: usize,
     /// First reconnect delay.
     pub backoff_base: Duration,
     /// Reconnect delay ceiling.
@@ -76,7 +72,6 @@ impl Default for TransportOptions {
     fn default() -> Self {
         Self {
             max_frame: crate::frame::MAX_FRAME_LEN,
-            queue_capacity: 1024,
             backoff_base: Duration::from_millis(10),
             backoff_cap: Duration::from_secs(2),
             now: Timestamp::ZERO,
@@ -111,7 +106,7 @@ pub struct DaemonConfig {
     pub admin: Option<TcpListener>,
 }
 
-/// Per-link instruments of the session lifecycle and the sink (no-ops
+/// Per-link instruments of the session lifecycle and the queue (no-ops
 /// without a registry); what the link's frames count is its
 /// [`LinkCore`](crate::link::LinkCore)'s.
 pub(crate) struct LinkInstruments {
@@ -149,9 +144,9 @@ impl LinkInstruments {
     }
 }
 
-/// One peering link's shared state (written by the broker's sinks, read
-/// and written by the reactor, which also owns the link's delivery
-/// state, [`crate::link::LinkCore`]).
+/// One peering link's shared state (read and written by the reactor,
+/// which also owns the link's delivery state,
+/// [`crate::link::LinkCore`]).
 pub(crate) struct Link {
     pub(crate) queue: Arc<OutQueue>,
     /// Set once the first session is up; later sessions count as
@@ -182,82 +177,23 @@ impl LinkWatch {
     }
 }
 
-/// The broker's sink for the TCP fabric: outputs go to link queues
-/// (plaintext frames — the reactor numbers and seals them at write time),
-/// completions to the daemon owner's channel. Called with the node lock
-/// held, so it must never dispatch back into the broker.
-pub(crate) struct TcpSink {
-    domain: String,
-    links: Arc<HashMap<String, Link>>,
-    completion_tx: Sender<(String, Completion)>,
-    /// How the worker reaches the reactor. `None` is the reactor's
-    /// own sink: it has nobody to wake, and must not wait on a queue
-    /// only it can drain.
-    reactor: Option<ReactorBell>,
-}
-
-/// The reactor's waker and the flag saying it may be asleep.
-struct ReactorBell {
-    waker: Arc<Waker>,
-    parked: Arc<AtomicBool>,
-}
-
-impl ShardSink for TcpSink {
-    fn deliver(&self, to: &str, msg: SignalMessage) {
-        let to = to.strip_prefix("user:").unwrap_or(to);
-        let Some(link) = self.links.get(to) else {
-            return;
-        };
-        let outcome = match &self.reactor {
-            Some(bell) => match link.queue.try_push(&msg) {
-                PushOutcome::Full => {
-                    // Only the reactor makes room. Wake it, parked or
-                    // not, before waiting for it.
-                    let _ = bell.waker.wake();
-                    link.queue.push(&msg)
-                }
-                done => done,
-            },
-            None => link.queue.push_unbounded(&msg),
-        };
-        if let PushOutcome::Queued(depth) = outcome {
-            link.ins.outq_depth.record_max(depth as i64);
-        }
-    }
-
-    /// At most one eventfd write per run of deliveries, and none while
-    /// the reactor is awake: it sweeps the queues before it next sleeps.
-    /// Whoever clears the flag rings, so one ring answers one park.
-    fn flush(&self) {
-        if let Some(bell) = &self.reactor {
-            if bell.parked.swap(false, Ordering::SeqCst) {
-                let _ = bell.waker.wake();
-            }
-        }
-    }
-
-    fn complete(&self, completion: Completion) {
-        let _ = self.completion_tx.send((self.domain.clone(), completion));
-    }
-}
-
 /// A broker daemon: one broker served over TCP peering links.
 pub struct BrokerDaemon {
     domain: String,
-    sharded: Arc<ShardedNode>,
+    inbox: Arc<Inbox>,
     links: Arc<HashMap<String, Link>>,
     watch: Arc<LinkWatch>,
     ctrl_tx: Sender<Ctrl>,
     waker: Arc<Waker>,
-    reactor_join: Option<JoinHandle<()>>,
+    reactor: JoinHandle<BbNode>,
     hs_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     local_addr: SocketAddr,
     admin_addr: Option<SocketAddr>,
 }
 
 impl BrokerDaemon {
-    /// Bring the daemon up: spawns the admission worker and the reactor
-    /// thread. Returns immediately; links come up asynchronously (see
+    /// Bring the daemon up: spawns the reactor thread, which takes
+    /// `node` over. Returns immediately; links come up asynchronously (see
     /// [`BrokerDaemon::wait_connected`]).
     pub fn start(mut node: BbNode, config: DaemonConfig) -> Result<Self, TransportError> {
         let DaemonConfig {
@@ -333,7 +269,7 @@ impl BrokerDaemon {
             links.insert(
                 peer,
                 Link {
-                    queue: Arc::new(OutQueue::new(options.queue_capacity, options.max_frame)),
+                    queue: Arc::new(OutQueue::new(options.max_frame)),
                     established: AtomicBool::new(false),
                     connected: AtomicBool::new(false),
                     ins,
@@ -345,23 +281,7 @@ impl BrokerDaemon {
         let poll = Poll::new()?;
         let waker = Arc::new(Waker::new(&poll, TOKEN_WAKER)?);
 
-        let parked = Arc::new(AtomicBool::new(false));
-        let inline_sink = TcpSink {
-            domain: domain.clone(),
-            links: Arc::clone(&links),
-            completion_tx: completion_tx.clone(),
-            reactor: None,
-        };
-        let sink = TcpSink {
-            domain: domain.clone(),
-            links: Arc::clone(&links),
-            completion_tx,
-            reactor: Some(ReactorBell {
-                waker: Arc::clone(&waker),
-                parked: Arc::clone(&parked),
-            }),
-        };
-        let sharded = Arc::new(ShardedNode::new(node, Arc::new(sink), &telemetry));
+        let inbox = Arc::new(Inbox::new(Arc::clone(&waker), &telemetry, &domain));
 
         let (ctrl_tx, ctrl_rx) = unbounded();
         let hs_threads = Arc::new(Mutex::new(Vec::new()));
@@ -374,9 +294,9 @@ impl BrokerDaemon {
             .iter()
             .map(|(p, addr)| (p.clone(), (*addr, broker_pin(ca_key, p))))
             .collect();
-        // The admin plane reads live runtime state: the same broker
-        // handle the worker drains and the same link map the reactor
-        // writes. The reactor serves it between I/O sweeps.
+        // The admin plane reads live runtime state: the inbox, the link
+        // map, and the broker the reactor hands it. The reactor serves it
+        // between I/O sweeps.
         let status = ReactorStatus::new();
         let watch = Arc::new(LinkWatch::default());
         let admin = admin.map(|admin_listener| {
@@ -384,14 +304,14 @@ impl BrokerDaemon {
                 domain: domain.clone(),
                 registry: telemetry.registry().cloned(),
                 flight: telemetry.flight().cloned(),
-                sharded: Arc::clone(&sharded),
+                inbox: Arc::clone(&inbox),
                 links: Arc::clone(&links),
                 status: Arc::clone(&status),
                 store: store.clone(),
             });
             (admin_listener, state)
         });
-        let reactor = Reactor::new(ReactorConfig {
+        let config = ReactorConfig {
             domain: domain.clone(),
             poll,
             waker: Arc::clone(&waker),
@@ -401,9 +321,8 @@ impl BrokerDaemon {
             connect_to: dials,
             links: Arc::clone(&links),
             watch: Arc::clone(&watch),
-            sharded: Arc::clone(&sharded),
-            inline_sink,
-            parked,
+            inbox: Arc::clone(&inbox),
+            completion_tx,
             options,
             issuer,
             ctrl_tx: ctrl_tx.clone(),
@@ -412,20 +331,20 @@ impl BrokerDaemon {
             telemetry,
             admin,
             status,
-        });
-        let reactor_join = std::thread::Builder::new()
+        };
+        let reactor = std::thread::Builder::new()
             .name(format!("bb-reactor-{domain}"))
-            .spawn(move || reactor.run())
+            .spawn(move || Reactor::new(node, config).run())
             .expect("spawn reactor thread");
 
         Ok(Self {
             domain,
-            sharded,
+            inbox,
             links,
             watch,
             ctrl_tx,
             waker,
-            reactor_join: Some(reactor_join),
+            reactor,
             hs_threads,
             local_addr,
             admin_addr,
@@ -449,17 +368,20 @@ impl BrokerDaemon {
 
     /// Submit a user request to the hosted broker.
     pub fn submit(&self, rar: SignedRar, user_cert: Certificate) {
-        self.sharded
-            .dispatch_submit(rar, user_cert, StdClock::now());
+        self.submit_all(vec![(rar, user_cert)]);
     }
 
     /// Submit a burst of user requests back-to-back (pipelined: no
-    /// per-request wait). The burst is queued as one run, so the worker
-    /// coalesces its signature checks into batch equations and the
-    /// reactor coalesces the outbound frames
-    /// into large socket writes.
+    /// per-request wait). The burst reaches the reactor in one piece, so
+    /// it coalesces the signature checks of each run into batch
+    /// equations and the outbound frames into large socket writes.
     pub fn submit_all(&self, requests: Vec<(SignedRar, Certificate)>) {
-        self.sharded.dispatch_submit_all(requests);
+        let enqueued_ns = StdClock::now();
+        self.inbox.push(
+            requests
+                .into_iter()
+                .map(|(rar, cert)| Input::Submit(Box::new(rar), Box::new(cert), enqueued_ns)),
+        );
     }
 
     /// Request a sub-flow inside an established tunnel.
@@ -470,13 +392,14 @@ impl BrokerDaemon {
         rate_bps: u64,
         requestor: DistinguishedName,
     ) {
-        self.sharded
-            .dispatch_tunnel_flow(tunnel, flow, rate_bps, requestor);
+        self.inbox
+            .push([Input::TunnelFlow(tunnel, flow, rate_bps, requestor)]);
     }
 
-    /// Advance the broker's wall clock.
+    /// Advance the broker's wall clock (ordered with the inputs already
+    /// submitted).
     pub fn set_time(&self, now: Timestamp) {
-        self.sharded.set_time(now);
+        self.inbox.push([Input::SetTime(now)]);
     }
 
     /// Number of links with a live session.
@@ -522,18 +445,15 @@ impl BrokerDaemon {
         }
     }
 
-    /// Stop everything and hand the broker node back.
-    pub fn shutdown(mut self) -> BbNode {
+    /// Stop everything and hand the broker node back, once the reactor
+    /// has run every input submitted before the call.
+    pub fn shutdown(self) -> BbNode {
         let _ = self.ctrl_tx.send(Ctrl::Shutdown);
         let _ = self.waker.wake();
-        if let Some(j) = self.reactor_join.take() {
-            let _ = j.join();
-        }
-        // Unblock the worker if it waits on a full link queue, then
-        // drain the broker's queue and join the worker.
-        for link in self.links.values() {
-            link.queue.close();
-        }
+        let node = self
+            .reactor
+            .join()
+            .expect("the reactor hands the broker back");
         let handshakes: Vec<_> = {
             let mut g = self.hs_threads.lock().unwrap_or_else(|e| e.into_inner());
             g.drain(..).collect()
@@ -541,16 +461,14 @@ impl BrokerDaemon {
         for t in handshakes {
             let _ = t.join();
         }
-        let sharded =
-            Arc::into_inner(self.sharded).expect("reactor joined; no other handles to the broker");
-        sharded.shutdown()
+        node
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qos_core::messages::TunnelFlowRelease;
+    use qos_core::messages::{SignalMessage, TunnelFlowRelease};
     use qos_core::scenario::{build_chain, ChainOptions};
     use qos_crypto::KeyPair;
     use qos_telemetry::Registry;

@@ -14,8 +14,8 @@
 //!   reconnects skip every Schnorr operation;
 //! * [`session`] — the message-based mutual handshake over a blocking
 //!   socket, ending in the [`Session`] parts the reactor takes over;
-//! * [`queue`] — bounded per-peer outbound queues that build a link's
-//!   data frames as messages are queued and block producers when full;
+//! * [`queue`] — per-peer outbound queues that build a link's data
+//!   frames as messages are queued; only the reactor pushes and pops;
 //! * [`backoff`] — deterministic exponential reconnect backoff;
 //! * [`link`] — [`LinkCore`]: one link's delivery rules without I/O —
 //!   frame decode, open and seal, the delivery index, riding and
@@ -24,11 +24,12 @@
 //!   session replaced);
 //! * [`reactor`] — the event loop: every socket non-blocking under one
 //!   `epoll`-backed poll, one [`LinkCore`] per configured peer, reconnect
-//!   timers and ack deadlines as poll deadlines, and handshakes on
-//!   short-lived offload threads;
-//! * [`daemon`] — [`BrokerDaemon`]: one domain's broker and its
-//!   admission worker ([`ShardedNode`](qos_core::shard::ShardedNode))
-//!   behind the reactor;
+//!   timers and ack deadlines as poll deadlines, handshakes on
+//!   short-lived offload threads, and the domain's broker, run on the
+//!   reactor's own thread through [`qos_core::shard::run`] (DESIGN.md
+//!   §D32);
+//! * [`daemon`] — [`BrokerDaemon`]: one domain's broker handed to its
+//!   reactor, and the inbox its local inputs reach the reactor by;
 //! * [`admin`] — the introspection plane (DESIGN.md §D12): the routing
 //!   table behind the reactor-hosted HTTP admin listener (`/metrics`,
 //!   `/healthz`, `/storage`, `/trace/<id>`, `/flight`);
@@ -58,7 +59,7 @@ pub use frame::{write_frame, FrameError, PooledFrameDecoder, MAX_FRAME_LEN};
 pub use link::LinkCore;
 pub use mesh::TcpMesh;
 pub use proto::PeerMsg;
-pub use queue::{OutQueue, PushOutcome};
+pub use queue::OutQueue;
 pub use resume::{ResumeTicket, TicketIssuer};
 pub use session::{
     establish_initiator_resumable, establish_responder_resumable, HandshakeKind, Session,

@@ -326,7 +326,7 @@ pub struct LinkCore {
     /// The peer's domain, interned once: every message the link delivers
     /// carries a clone.
     peer: PeerId,
-    /// Where the broker's sinks queue what goes to the peer.
+    /// Where the reactor queues what its broker sends the peer.
     queue: Arc<OutQueue>,
     pub(crate) rel: LinkReliability,
     /// The live session; `None` between connections.
@@ -523,11 +523,11 @@ impl LinkCore {
             && self.rel.may_send()
             && self.out.len() - self.written < OUTBUF_HIGH_WATER;
         let mut batch = std::mem::take(&mut self.batch);
-        // `None`: the queue is closed (the daemon is shutting down).
-        let msgs = ready
-            .then(|| self.queue.try_pop_batch(max_batch, &mut batch))
-            .flatten()
-            .unwrap_or(0);
+        let msgs = if ready {
+            self.queue.pop_batch(max_batch, &mut batch)
+        } else {
+            0
+        };
         if msgs > 0 {
             self.ins.write_batch_frames.observe(msgs as u64);
             if msgs > 1 {
@@ -971,7 +971,7 @@ mod tests {
     #[test]
     fn one_links_stream_never_evicts_another_links_entries() {
         let link = |peer| {
-            let queue = Arc::new(OutQueue::new(16, MAX_FRAME_LEN));
+            let queue = Arc::new(OutQueue::new(MAX_FRAME_LEN));
             let telemetry = Telemetry::disabled();
             LinkCore::new(
                 queue,

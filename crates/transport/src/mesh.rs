@@ -53,7 +53,7 @@ impl TcpMesh {
         self.telemetry = telemetry;
     }
 
-    /// Does nothing: a broker is one node and one worker. ROADMAP item 1 deletes it.
+    /// Does nothing: a broker is one node, run by its reactor. ROADMAP item 1 deletes it.
     pub fn set_shards(&mut self, _: usize) {}
 
     /// Set every daemon's frame-size ceiling

@@ -1,39 +1,35 @@
 //! The daemon's event loop: every socket non-blocking under one
-//! `epoll`-backed [`mio::Poll`] (vendored stand-in; see `vendor/mio`).
+//! `epoll`-backed [`mio::Poll`] (vendored stand-in; see `vendor/mio`),
+//! and the domain's broker, run on the same thread (DESIGN.md §D32).
 //!
 //! One reactor thread per daemon owns the listener, every peering
-//! socket, the admin listener and its connections, and the connector
-//! retry timers. What a link does with its bytes — frame decode, open,
-//! the delivery index, acks, numbering and sealing, requeue when a
-//! connection dies — is the link's [`LinkCore`] (DESIGN.md §D26), one per
-//! configured peer: the reactor reads a socket into its core, hands the
-//! decoded signalling messages to the domain's [`ShardedNode`], and
-//! writes out what the core sealed. The broker's worker hands outputs
-//! back through the link [`OutQueue`](crate::queue::OutQueue)s and rings
-//! the reactor's [`Waker`] when it is parked in its poll. A run of
-//! messages, or messages from several sockets at once, go to the
-//! broker's queue and its worker; a message that arrives alone — one ready event, one
-//! message decoded — is run where it landed
-//! ([`ShardedNode::try_run_peer`], DESIGN.md §D20): there is nothing to
-//! batch it with and the reactor would otherwise go back to sleep while a
-//! worker is woken for it. The rest of a link's life runs on the same
-//! thread:
+//! socket, the admin listener and its connections, the connector retry
+//! timers, and the broker's [`BbNode`], with no lock. What a link does
+//! with its bytes — frame decode, open, the delivery index, acks,
+//! numbering and sealing, requeue when a connection dies — is the link's
+//! [`LinkCore`] (DESIGN.md §D26), one per configured peer. Each iteration
+//! the reactor runs the signalling messages its last read sweep decoded,
+//! then the local inputs waiting in its `Inbox`, through the broker
+//! ([`shard::run`]) 32 at a time, and writes each run's outputs to the
+//! links before the next run starts, so the next broker works on one run
+//! while this one works on the next (§D21). The rest of a link's life
+//! runs on the same thread:
 //!
 //! * **deadlines** bound the poll timeout — no sleeping threads: a
 //!   reconnect's backoff (`retry_at`), and an ack that waited
 //!   [`ACK_DELAY`] for a data frame to ride on ([`LinkCore::tick`]);
 //! * **handshakes** stay blocking (they are short, bounded by their own
 //!   timeout, and involve multi-round-trip protocol logic) but run on
-//!   short-lived offload threads that report back through the control
-//!   channel and the waker, so the reactor never blocks on one. A new
-//!   session replaces whatever the link had: the newest wins.
+//!   short-lived `bb-handshake` threads that report back through the
+//!   control channel and the waker, so the reactor never blocks on one. A
+//!   new session replaces whatever the link had: the newest wins.
 //!
 //! The tests below run the link protocol as the reactor drives it, on two
 //! [`LinkCore`]s joined by in-memory byte pipes instead of sockets.
 
 use crate::admin::{AdminState, ReactorStatus};
 use crate::backoff::Backoff;
-use crate::daemon::{Link, LinkWatch, TcpSink, TransportOptions};
+use crate::daemon::{Link, LinkWatch, TransportOptions};
 use crate::link::{LinkCore, ACK_DELAY};
 use crate::resume::{ResumeTicket, TicketIssuer};
 use crate::session::{
@@ -43,7 +39,9 @@ use crossbeam::channel::{Receiver, Sender};
 use mio::{Events, Interest, Poll, Token, Waker};
 use qos_core::channel::{ChannelIdentity, PeerPin};
 use qos_core::messages::SignalMessage;
-use qos_core::shard::ShardedNode;
+use qos_core::node::{BbNode, Completion};
+use qos_core::rar::RarId;
+use qos_core::shard::{self, Input};
 use qos_core::PeerId;
 use qos_telemetry::admin::{parse_request, render_response_into, HttpError};
 use qos_telemetry::{
@@ -55,9 +53,9 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Token of the accept listener.
 const TOKEN_LISTENER: Token = Token(0);
@@ -93,6 +91,90 @@ pub(crate) enum Ctrl {
     Kill(Sender<()>),
     /// Exit the event loop.
     Shutdown,
+}
+
+/// The local inputs on their way to the reactor: `submit`, `submit_all`,
+/// `tunnel_flow` and `set_time` push here, and the reactor takes them all
+/// once per iteration. A push wakes the reactor only when it swaps
+/// `parked` from true to false; the reactor sets the flag, then looks at
+/// the inbox once more before it polls, so a push either lands before
+/// that look or finds the flag set (the inbox's mutex orders the two).
+/// Not the [`Ctrl`] channel: its `send` signals a condition variable every
+/// time, and one wake per sub-flow costs more than the sub-flow.
+pub(crate) struct Inbox {
+    inputs: Mutex<Vec<Input>>,
+    parked: AtomicBool,
+    waker: Arc<Waker>,
+    /// Inputs waiting (`shard_queue_depth`) and the most that ever did
+    /// (`bb_mailbox_depth_peak`).
+    depth: Gauge,
+    peak: Gauge,
+}
+
+impl Inbox {
+    pub(crate) fn new(waker: Arc<Waker>, telemetry: &Telemetry, domain: &str) -> Self {
+        let dl: &[(&str, &str)] = &[("domain", domain)];
+        Self {
+            inputs: Mutex::new(Vec::new()),
+            parked: AtomicBool::new(false),
+            waker,
+            depth: telemetry.gauge(
+                "shard_queue_depth",
+                "Local inputs waiting in the broker's inbox",
+                dl,
+            ),
+            peak: telemetry.gauge(
+                "bb_mailbox_depth_peak",
+                "Peak number of local inputs waiting in the broker's inbox",
+                dl,
+            ),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<Input>> {
+        self.inputs.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Queue `inputs` in order, and wake the reactor if it is parked.
+    pub(crate) fn push(&self, inputs: impl IntoIterator<Item = Input>) {
+        let depth = {
+            let mut g = self.lock();
+            g.extend(inputs);
+            g.len() as i64
+        };
+        self.depth.set(depth);
+        self.peak.record_max(depth);
+        if self.parked.swap(false, SeqCst) {
+            let _ = self.waker.wake();
+        }
+    }
+
+    /// Inputs waiting (the `/healthz` queue depth).
+    pub(crate) fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// Move every waiting input onto the end of `into`.
+    fn take(&self, into: &mut Vec<Input>) {
+        into.append(&mut self.lock());
+        self.depth.set(0);
+    }
+
+    /// The reactor is about to poll: from now a push wakes it. False, and
+    /// not parked, when an input is already waiting.
+    fn park(&self) -> bool {
+        self.parked.store(true, SeqCst);
+        let idle = self.lock().is_empty();
+        if !idle {
+            self.parked.store(false, SeqCst);
+        }
+        idle
+    }
+
+    /// The poll returned: pushes need not wake the reactor.
+    fn unpark(&self) {
+        self.parked.store(false, SeqCst);
+    }
 }
 
 /// A non-blocking socket registered with the poll: a peering or an admin
@@ -183,6 +265,43 @@ fn write_out(poll: &Poll, core: &mut LinkCore, sock: &mut Sock, max_batch: usize
     }
 }
 
+/// Start a handshake offload thread.
+fn spawn_handshake(f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name("bb-handshake".into())
+        .spawn(f)
+        .expect("spawn handshake thread")
+}
+
+/// Write what every connected link's queue holds, `max_batch` messages a
+/// batch, then seal and write the acks that are due at `now` with nothing
+/// to ride on. Notes the token of every connection that must die in
+/// `dead`; returns the soonest ack deadline left.
+fn sweep(
+    poll: &Poll,
+    peers: &mut HashMap<String, Peer>,
+    now: Instant,
+    max_batch: usize,
+    dead: &mut Vec<usize>,
+) -> Option<Instant> {
+    let mut soonest: Option<Instant> = None;
+    for Peer { core, conn } in peers.values_mut() {
+        let Some(Conn { sock, .. }) = conn else {
+            continue;
+        };
+        let mut alive = write_out(poll, core, sock, max_batch);
+        if alive {
+            let (sealed, due) = core.tick(now);
+            alive = !sealed || write_out(poll, core, sock, 0);
+            soonest = soonest.into_iter().chain(due).min();
+        }
+        if !alive {
+            dead.push(sock.token);
+        }
+    }
+    soonest
+}
+
 /// Dial-side state for one outbound link.
 struct DialState {
     addr: SocketAddr,
@@ -225,12 +344,10 @@ pub(crate) struct ReactorConfig {
     pub links: Arc<HashMap<String, Link>>,
     /// Signalled wherever a link's `connected` flag flips.
     pub watch: Arc<LinkWatch>,
-    pub sharded: Arc<ShardedNode>,
-    /// Where the outputs of a message the reactor runs itself go.
-    pub inline_sink: TcpSink,
-    /// True while the reactor may be asleep in its poll; the workers'
-    /// sink rings the waker only then.
-    pub parked: Arc<AtomicBool>,
+    /// Where `submit` and its kin leave the broker's local inputs.
+    pub inbox: Arc<Inbox>,
+    /// Where the broker's completions go.
+    pub completion_tx: Sender<(String, Completion)>,
     pub options: TransportOptions,
     pub issuer: Option<Arc<TicketIssuer>>,
     pub ctrl_tx: Sender<Ctrl>,
@@ -246,6 +363,18 @@ pub(crate) struct ReactorConfig {
 
 pub(crate) struct Reactor {
     config: ReactorConfig,
+    /// The domain's broker.
+    node: BbNode,
+    /// Inputs to run: what the last read sweep decoded, then the inbox.
+    pending: Vec<Input>,
+    /// Time running inputs (`shard_busy_ns_total`) and parked in the
+    /// poll (`shard_idle_ns_total`).
+    busy: Counter,
+    idle: Counter,
+    /// When each submission still in flight was submitted, while
+    /// `bb_completion_latency_ns` is recorded.
+    submitted_ns: HashMap<RarId, u64>,
+    completion_latency: Histogram,
     /// Every configured peer (same keys as `config.links`).
     peers: HashMap<String, Peer>,
     /// Which peer a live peering connection's token belongs to.
@@ -273,7 +402,7 @@ pub(crate) struct Reactor {
 }
 
 impl Reactor {
-    pub(crate) fn new(mut config: ReactorConfig) -> Self {
+    pub(crate) fn new(node: BbNode, mut config: ReactorConfig) -> Self {
         let options = &config.options;
         let dials = std::mem::take(&mut config.connect_to)
             .into_iter()
@@ -350,9 +479,30 @@ impl Reactor {
             "Owned-buffer fallbacks (pool exhausted or frame larger than a chunk)",
             dl,
         );
+        let busy = telemetry.counter(
+            "shard_busy_ns_total",
+            "Accumulated time the broker spent running inputs",
+            dl,
+        );
+        let idle = telemetry.counter(
+            "shard_idle_ns_total",
+            "Accumulated time the broker's reactor spent parked in its poll",
+            dl,
+        );
+        let completion_latency = telemetry.histogram(
+            "bb_completion_latency_ns",
+            "Submit-to-completion latency at the source broker",
+            dl,
+        );
         let flight = telemetry.flight().cloned();
         Self {
             config,
+            node,
+            pending: Vec::new(),
+            busy,
+            idle,
+            submitted_ns: HashMap::new(),
+            completion_latency,
             peers,
             tokens: HashMap::new(),
             dials,
@@ -372,8 +522,9 @@ impl Reactor {
         }
     }
 
-    /// The event loop. Returns when a [`Ctrl::Shutdown`] arrives.
-    pub(crate) fn run(mut self) {
+    /// The event loop. Returns the broker when a [`Ctrl::Shutdown`]
+    /// arrives.
+    pub(crate) fn run(mut self) -> BbNode {
         for (listener, token, what) in [
             (self.config.listener.as_ref(), TOKEN_LISTENER, "accept"),
             (self.admin_listener(), TOKEN_ADMIN, "admin"),
@@ -414,55 +565,59 @@ impl Reactor {
                         let _ = done.send(());
                     }
                     Ctrl::Shutdown => {
-                        // Settle every debt, so no peer is left holding
-                        // frames we have and counting them as
+                        // Run what waits, so shutdown strands no input,
+                        // and settle every debt, so no peer is left
+                        // holding frames we have and counting them as
                         // retransmitted when the socket closes under it.
                         // Nothing queued is sealed: a peer would admit it
                         // and hold state for replies nobody reads.
+                        self.run_pending(false);
                         self.sweep_links(Instant::now() + ACK_DELAY, 0);
-                        return;
+                        return self.node;
                     }
                 }
             }
             // 2. Dial timers.
             self.fire_dials();
-            // 3. Seal queued outbound frames and write them, then send
-            //    the acks that waited out `ACK_DELAY` with nothing to
-            //    ride on. From here to the poll's return the reactor
-            //    counts as parked: a worker's push that the flag's store
-            //    does not precede is found by this sweep (the queue's
-            //    mutex orders them), and one that comes later sees the
-            //    flag and rings.
-            self.config.parked.store(true, SeqCst);
+            // 3. Run the inputs, writing each run's outputs as it ends.
+            self.run_pending(true);
+            // 4. Seal what is queued and write it, then send the acks
+            //    that waited out `ACK_DELAY` with nothing to ride on.
             let now = Instant::now();
             let ack_due = self.sweep_links(now, MAX_WRITE_BATCH);
-            // 4. Wait for readiness, a deadline, or the waker. The sweep
-            //    that just finished is timed here; the poll wait itself
-            //    (idle time) is not a stall.
+            // 5. Wait for readiness, a deadline, or the waker — or only
+            //    look, if an input came in meanwhile: from the park on, a
+            //    push wakes the poll. The sweep that just finished is
+            //    timed here; the poll wait itself (idle time) is not a
+            //    stall.
+            let parked_at = StdClock::now();
             if let Some(t0) = sweep_started.take() {
-                self.note_sweep(StdClock::now().saturating_sub(t0));
+                self.note_sweep(parked_at.saturating_sub(t0));
             }
             self.publish_pool_metrics();
-            let timeout = self
-                .dials
-                .values()
-                .filter(|d| !d.connecting)
-                .filter_map(|d| d.retry_at)
-                .chain(ack_due)
-                .map(|at| at.saturating_duration_since(now))
-                .min();
+            let timeout = if self.config.inbox.park() {
+                self.dials
+                    .values()
+                    .filter(|d| !d.connecting)
+                    .filter_map(|d| d.retry_at)
+                    .chain(ack_due)
+                    .map(|at| at.saturating_duration_since(now))
+                    .min()
+            } else {
+                Some(Duration::ZERO)
+            };
             let polled = self.config.poll.poll(&mut events, timeout);
-            self.config.parked.store(false, SeqCst);
+            self.config.inbox.unpark();
+            let woke = StdClock::now();
+            self.idle.add(woke.saturating_sub(parked_at));
             if polled.is_err() {
                 continue;
             }
             self.config.status.beat();
-            sweep_started = Some(StdClock::now());
+            sweep_started = Some(woke);
             self.wakeups.inc();
             self.ready_events.add(events.len() as u64);
-            // 5. I/O. One ready event means whatever it brings arrived
-            //    alone; see `conn_read`.
-            let lone = events.len() == 1;
+            // 6. I/O: what the reads decode waits in `pending` for step 3.
             for ev in events.iter() {
                 match ev.token() {
                     TOKEN_WAKER => self.config.waker.drain(),
@@ -474,7 +629,7 @@ impl Reactor {
                         }
                     }
                     Token(t) => {
-                        let alive = (!ev.is_readable() || self.conn_read(t, lone))
+                        let alive = (!ev.is_readable() || self.conn_read(t))
                             && (!ev.is_writable() || self.conn_write(t));
                         if !alive {
                             self.kill_conn(t);
@@ -482,6 +637,61 @@ impl Reactor {
                     }
                 }
             }
+        }
+    }
+
+    /// Run what the last read sweep decoded and what waits in the inbox
+    /// through the broker, a run at a time, and route each run's outputs;
+    /// with `write`, write them to the links before the next run starts.
+    fn run_pending(&mut self, write: bool) {
+        self.config.inbox.take(&mut self.pending);
+        if self.pending.is_empty() {
+            return;
+        }
+        let Self {
+            config,
+            node,
+            pending,
+            peers,
+            busy,
+            submitted_ns,
+            completion_latency,
+            ..
+        } = self;
+        if config.telemetry.is_enabled() {
+            for input in pending.iter() {
+                if let Input::Submit(rar, _, at) = input {
+                    submitted_ns.insert(rar.res_spec().rar_id, *at);
+                }
+            }
+        }
+        let mut dead = Vec::new();
+        shard::run(node, pending, busy, |deliveries, completions| {
+            let wrote = !deliveries.is_empty();
+            // `user:<domain>` is the link to that domain; a message for a
+            // peer with no link is dropped.
+            for (to, msg) in deliveries.drain(..) {
+                let to = to.strip_prefix("user:").unwrap_or(&to);
+                if let Some(link) = config.links.get(to) {
+                    let depth = link.queue.push(&msg);
+                    link.ins.outq_depth.record_max(depth as i64);
+                }
+            }
+            for c in completions.drain(..) {
+                if let Completion::Reservation { rar_id, .. } = &c {
+                    if let Some(t0) = submitted_ns.remove(rar_id) {
+                        completion_latency.observe(StdClock::now().saturating_sub(t0));
+                    }
+                }
+                let _ = config.completion_tx.send((config.domain.clone(), c));
+            }
+            if write && wrote {
+                let now = Instant::now();
+                sweep(&config.poll, peers, now, MAX_WRITE_BATCH, &mut dead);
+            }
+        });
+        for t in dead {
+            self.kill_conn(t);
         }
     }
 
@@ -572,9 +782,12 @@ impl Reactor {
                 (Ok(None), _) => {} // head incomplete; wait for more bytes
                 (Ok(Some(req)), admin) => {
                     let endpoint = match admin {
-                        Some((_, state)) => {
-                            state.respond_into(&req, &mut self.admin_body, &mut conn.outbuf)
-                        }
+                        Some((_, state)) => state.respond_into(
+                            &req,
+                            &self.node,
+                            &mut self.admin_body,
+                            &mut conn.outbuf,
+                        ),
                         None => {
                             conn.outbuf.clear();
                             let body = "admin plane not configured\n";
@@ -631,27 +844,16 @@ impl Reactor {
         }
     }
 
-    /// Write what every connected link's queue holds, `max_batch`
-    /// messages a batch, then seal and write the acks that are due at
-    /// `now` with nothing to ride on. Returns the soonest ack deadline
-    /// left.
+    /// [`sweep`] every link, and tear down the connections that died.
     fn sweep_links(&mut self, now: Instant, max_batch: usize) -> Option<Instant> {
-        let mut dead: Vec<usize> = Vec::new();
-        let mut soonest: Option<Instant> = None;
-        for Peer { core, conn } in self.peers.values_mut() {
-            let Some(Conn { sock, .. }) = conn else {
-                continue;
-            };
-            let mut alive = write_out(&self.config.poll, core, sock, max_batch);
-            if alive {
-                let (sealed, due) = core.tick(now);
-                alive = !sealed || write_out(&self.config.poll, core, sock, 0);
-                soonest = soonest.into_iter().chain(due).min();
-            }
-            if !alive {
-                dead.push(sock.token);
-            }
-        }
+        let mut dead = Vec::new();
+        let soonest = sweep(
+            &self.config.poll,
+            &mut self.peers,
+            now,
+            max_batch,
+            &mut dead,
+        );
         for t in dead {
             self.kill_conn(t);
         }
@@ -709,7 +911,7 @@ impl Reactor {
         let ctrl = self.config.ctrl_tx.clone();
         let waker = Arc::clone(&self.config.waker);
         let peer = peer.to_string();
-        let handle = std::thread::spawn(move || {
+        let handle = spawn_handshake(move || {
             let outcome = TcpStream::connect(addr).ok().and_then(|s| {
                 let t0 = StdClock::now();
                 establish_initiator_resumable(
@@ -752,7 +954,7 @@ impl Reactor {
             let waker = Arc::clone(&self.config.waker);
             let flight = self.flight.clone();
             let domain = self.config.domain.clone();
-            let handle = std::thread::spawn(move || {
+            let handle = spawn_handshake(move || {
                 // The handshake protocol is blocking; accepted sockets
                 // do not inherit the listener's non-blocking flag, but
                 // make it explicit.
@@ -897,12 +1099,11 @@ impl Reactor {
         }
     }
 
-    /// Drain readable data into the link's core and hand the messages it
-    /// decodes to the broker. `lone` says this connection's readiness was
-    /// the only event of the poll. Returns false when the connection must
+    /// Drain readable data into the link's core and queue the messages
+    /// it decodes for the broker. Returns false when the connection must
     /// die (EOF, I/O error, or whatever the core refuses); the messages
-    /// decoded before that are still delivered.
-    fn conn_read(&mut self, token: usize, lone: bool) -> bool {
+    /// decoded before that are still run.
+    fn conn_read(&mut self, token: usize) -> bool {
         let Some(name) = self.tokens.get(&token) else {
             return true; // stale event for a killed conn
         };
@@ -932,28 +1133,11 @@ impl Reactor {
             }
         }
         let peer = core.peer();
-        let now = StdClock::now();
-        // A message that arrived alone is run here and now if the broker
-        // is idle: nothing could be batch-verified with it, and the
-        // alternative is to wake a worker and go to sleep. Its replies
-        // wait in the link queues for the sweep this iteration ends in.
-        if lone && msgs.len() == 1 {
-            let msg = msgs.pop().expect("one message");
-            if let Err(msg) = self.config.sharded.try_run_peer(
-                PeerId::clone(peer),
-                msg,
-                now,
-                &self.config.inline_sink,
-            ) {
-                msgs.push(*msg);
-            }
-        }
-        if !msgs.is_empty() {
-            // One grouped dispatch per read sweep: the queue sees a
-            // contiguous run and the doorbell rings once, not once per
-            // frame.
-            self.config.sharded.dispatch_peer_all(peer, msgs, now);
-        }
+        let enqueued_ns = StdClock::now();
+        self.pending.extend(
+            msgs.into_iter()
+                .map(|msg| Input::peer(PeerId::clone(peer), msg, enqueued_ns)),
+        );
         alive
     }
 
@@ -991,7 +1175,60 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
     use std::sync::OnceLock;
-    use std::time::Duration;
+
+    /// An inbox whose waker rings `poll`.
+    fn inbox() -> (Poll, Inbox) {
+        let poll = Poll::new().expect("a poll");
+        let waker = Arc::new(Waker::new(&poll, TOKEN_WAKER).expect("a waker"));
+        (poll, Inbox::new(waker, &Telemetry::disabled(), "a"))
+    }
+
+    fn set_time(t: u64) -> Input {
+        Input::SetTime(qos_crypto::Timestamp(t))
+    }
+
+    #[test]
+    fn a_push_while_the_reactor_is_awake_rings_nothing() {
+        let (mut poll, inbox) = inbox();
+        inbox.push([set_time(1)]);
+        inbox.push([set_time(2), set_time(3)]);
+        let mut events = Events::with_capacity(4);
+        poll.poll(&mut events, Some(Duration::ZERO)).expect("poll");
+        assert!(events.is_empty(), "the waker was rung");
+        assert_eq!(inbox.len(), 3);
+        // The reactor's look before it parks finds them, and it stays
+        // awake.
+        assert!(!inbox.park(), "the reactor parked on waiting inputs");
+        inbox.push([set_time(4)]);
+        poll.poll(&mut events, Some(Duration::ZERO)).expect("poll");
+        assert!(events.is_empty(), "the waker was rung");
+        let mut taken = Vec::new();
+        inbox.take(&mut taken);
+        assert_eq!((taken.len(), inbox.len()), (4, 0));
+    }
+
+    #[test]
+    fn a_push_between_the_drain_and_the_poll_ends_the_poll_at_once() {
+        let (mut poll, inbox) = inbox();
+        // The reactor drains the inbox, finds nothing new and parks; a
+        // push lands before it reaches its poll.
+        inbox.take(&mut Vec::new());
+        assert!(inbox.park());
+        inbox.push([set_time(1)]);
+        let mut events = Events::with_capacity(4);
+        poll.poll(&mut events, Some(Duration::from_secs(30)))
+            .expect("poll");
+        let tokens: Vec<Token> = events.iter().map(|e| e.token()).collect();
+        assert_eq!(tokens, [TOKEN_WAKER], "the poll slept through a push");
+        // Awake again, the reactor drains the waker, and a push now
+        // rings nothing.
+        inbox.unpark();
+        inbox.waker.drain();
+        inbox.push([set_time(2)]);
+        poll.poll(&mut events, Some(Duration::ZERO)).expect("poll");
+        assert!(events.is_empty(), "the waker was rung");
+        assert_eq!(inbox.len(), 2);
+    }
 
     /// A fresh life for every link state a test builds.
     fn life() -> u64 {
@@ -1294,7 +1531,7 @@ mod tests {
         /// One end of a link in a new life, and its queue.
         fn end(pool: &BufferPool) -> (LinkCore, Arc<OutQueue>) {
             let max_frame = max_frame();
-            let queue = Arc::new(OutQueue::new(1024, max_frame));
+            let queue = Arc::new(OutQueue::new(max_frame));
             let telemetry = Telemetry::disabled();
             let core = LinkCore::new(
                 Arc::clone(&queue),
@@ -1420,7 +1657,7 @@ mod tests {
         // the numbered one before it.
         pipes.enqueue(0, 8);
         let mut frames = Vec::new();
-        assert_eq!(pipes.queues[0].try_pop_batch(8, &mut frames), Some(5));
+        assert_eq!(pipes.queues[0].pop_batch(8, &mut frames), 5);
         let indices: Vec<u64> = frames.iter().map(|f| index_of(f)).collect();
         assert_eq!(indices, [0, 1, UNNUMBERED]);
         let lens: Vec<usize> = frames.iter().map(Vec::len).collect();

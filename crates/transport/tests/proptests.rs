@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use qos_core::channel::{Sealed, SealedRef};
 use qos_transport::{
-    write_frame, FrameError, OutQueue, PeerMsg, PooledFrameDecoder, PushOutcome, MAX_FRAME_LEN,
+    write_frame, FrameError, OutQueue, PeerMsg, PooledFrameDecoder, MAX_FRAME_LEN,
 };
 use qos_wire::BufferPool;
 use std::collections::VecDeque;
@@ -186,25 +186,22 @@ proptest! {
         }
     }
 
-    /// `try_pop_batch` agrees with a reference queue of frames: messages
+    /// `pop_batch` agrees with a reference queue of frames: messages
     /// come out in FIFO order, `per_frame` to a frame; a batch takes
     /// whole frames while they fit `max` messages, the first whatever it
-    /// holds; a push that finds room is queued, one that would block is
-    /// refused, and a closed queue refuses everything.
+    /// holds; and every push is queued.
     #[test]
     fn pop_batch_preserves_fifo_and_policy(
-        capacity in 1usize..8,
         per_frame in 1usize..4,
         ops in proptest::collection::vec((any::<bool>(), 1usize..6), 1..64),
-        close_after in proptest::option::of(0usize..64),
     ) {
         // One-byte messages behind a data frame's 17-byte header, sealed
         // with 45 bytes of overhead.
-        let q = OutQueue::new(capacity, 45 + 17 + per_frame);
+        let q = OutQueue::new(45 + 17 + per_frame);
         let pop = |max| {
             let mut frames = Vec::new();
-            q.try_pop_batch(max, &mut frames)?;
-            Some(frames.iter().map(|f| f[17..].to_vec()).collect::<Vec<_>>())
+            q.pop_batch(max, &mut frames);
+            frames.iter().map(|f| f[17..].to_vec()).collect::<Vec<_>>()
         };
         // Each queued frame's messages.
         let mut model: VecDeque<Vec<u8>> = VecDeque::new();
@@ -222,37 +219,23 @@ proptest! {
             want
         };
         let mut next_id = 0u8;
-        for (step, (is_push, arg)) in ops.into_iter().enumerate() {
-            if close_after == Some(step) {
-                q.close();
-                prop_assert_eq!(q.push(&0u8), PushOutcome::Closed);
-                prop_assert_eq!(q.try_push(&0u8), PushOutcome::Closed);
-                prop_assert_eq!(pop(arg), None);
-                prop_assert!(q.is_empty());
-                return Ok(());
-            }
+        for (is_push, arg) in ops {
             if is_push {
                 let id = next_id;
                 next_id = next_id.wrapping_add(1);
-                let n = queued(&model);
-                if n < capacity {
-                    match model.back_mut() {
-                        Some(frame) if frame.len() < per_frame => frame.push(id),
-                        _ => model.push_back(vec![id]),
-                    }
-                    prop_assert_eq!(q.push(&id), PushOutcome::Queued(n + 1));
-                } else {
-                    // `push` would block; `try_push` queues nothing.
-                    prop_assert_eq!(q.try_push(&id), PushOutcome::Full);
+                match model.back_mut() {
+                    Some(frame) if frame.len() < per_frame => frame.push(id),
+                    _ => model.push_back(vec![id]),
                 }
+                prop_assert_eq!(q.push(&id), queued(&model));
             } else {
-                prop_assert_eq!(pop(arg).unwrap(), model_pop(&mut model, arg));
+                prop_assert_eq!(pop(arg), model_pop(&mut model, arg));
             }
             prop_assert_eq!(q.len(), queued(&model));
         }
         // Drain whatever is left; it must be the model's remainder, in order.
         while !model.is_empty() {
-            prop_assert_eq!(pop(3).unwrap(), model_pop(&mut model, 3));
+            prop_assert_eq!(pop(3), model_pop(&mut model, 3));
         }
         prop_assert!(q.is_empty());
     }

@@ -189,11 +189,11 @@ const METRIC_FAMILIES: &[&str] = &[
     "transport_writes_coalesced_total",
     "transport_acks_standalone_total",
     "transport_unacked_frames",
-    // The broker's admission worker.
+    // The broker as its reactor runs it: its inbox, time running inputs,
+    // time parked in the poll.
     "shard_queue_depth",
     "shard_busy_ns_total",
     "shard_idle_ns_total",
-    "shard_inline_runs_total",
     // The broker node, its policy server and its reservation book.
     "bb_messages_received_total",
     "bb_messages_sent_total",
