@@ -244,7 +244,7 @@ fn bench_names(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("envelope/decode-owned");
     for depth in [3usize, 8] {
-        let msg = SignalMessage::Request(build(&w, depth));
+        let msg = SignalMessage::Request(Box::new(build(&w, depth)));
         let frame: std::sync::Arc<[u8]> = qos_wire::to_bytes(&msg).into();
         g.bench_with_input(
             BenchmarkId::from_parameter(format!("depth-{depth}")),

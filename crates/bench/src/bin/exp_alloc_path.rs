@@ -40,9 +40,8 @@ use qos_crypto::{
 };
 use qos_net::SimDuration;
 use qos_telemetry::{Artifact, Row, Telemetry};
-use qos_transport::{LinkCore, OutQueue, MAX_FRAME_LEN};
+use qos_transport::{LinkCore, MAX_FRAME_LEN};
 use qos_wire::{BufferPool, Decode, Reader};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Every allocation in the process (all threads) is counted; the gated
@@ -105,14 +104,14 @@ fn carry(from: &mut LinkCore, to: &mut LinkCore, msgs: &mut Vec<SignalMessage>) 
     }
 }
 
-/// The two link cores of a fresh channel between `a` and `b`, each fed
-/// by its own queue and without telemetry, with the syncs crossed.
+/// The two link cores of a fresh channel between `a` and `b`, without
+/// telemetry, with the syncs crossed.
 fn joined(
     chan_ca: &mut CertificateAuthority,
     pool: &BufferPool,
     a: &str,
     b: &str,
-) -> [(LinkCore, Arc<OutQueue>); 2] {
+) -> [LinkCore; 2] {
     let ca_key = chan_ca.public_key();
     let (ident_a, ident_b) = (broker_identity(chan_ca, a), broker_identity(chan_ca, b));
     let pin = |name: &str| PeerPin {
@@ -122,21 +121,12 @@ fn joined(
     let (client, server) = handshake(&ident_a, &ident_b, &pin(b), &pin(a), 1, Timestamp::ZERO)
         .expect("channel handshake");
     let mut ends = [(a, b, 1, client), (b, a, 2, server)].map(|(domain, peer, life, channel)| {
-        let queue = Arc::new(OutQueue::new(MAX_FRAME_LEN));
         let disabled = Telemetry::disabled();
-        let mut core = LinkCore::new(
-            Arc::clone(&queue),
-            &disabled,
-            domain,
-            peer,
-            life,
-            MAX_FRAME_LEN,
-            pool.clone(),
-        );
+        let mut core = LinkCore::new(&disabled, domain, peer, life, MAX_FRAME_LEN, pool.clone());
         core.replace_session(Some(channel.split()));
-        (core, queue)
+        core
     });
-    let [(core_a, _), (core_b, _)] = &mut ends;
+    let [core_a, core_b] = &mut ends;
     carry(core_a, core_b, &mut Vec::new());
     carry(core_b, core_a, &mut Vec::new());
     ends
@@ -172,8 +162,7 @@ fn subflow_bursts(
         "the tunnel stands"
     );
 
-    let [(mut core_a, queue_a), (mut core_c, queue_c)] =
-        joined(chan_ca, pool, "domain-a", "domain-c");
+    let [mut core_a, mut core_c] = joined(chan_ca, pool, "domain-a", "domain-c");
     let (mut at_a, mut at_c) = (Vec::new(), Vec::new());
     let from_a = PeerId::from("domain-a");
     let (mut a0, mut b0, mut t0) = (0, 0, Instant::now());
@@ -189,7 +178,7 @@ fn subflow_bursts(
                 .request_tunnel_flow(tunnel, flow, FLOW_BPS, alice.clone())
                 .expect("the aggregate has room");
             for (_to, msg) in out {
-                queue_a.push(&msg);
+                core_a.push(&msg);
             }
         }
         carry(&mut core_a, &mut core_c, &mut at_c);
@@ -201,7 +190,7 @@ fn subflow_bursts(
             })
             .collect();
         for (_to, reply) in mesh.node_mut("domain-c").recv_tunnel_flows(requests) {
-            queue_c.push(&reply);
+            core_c.push(&reply);
         }
         carry(&mut core_c, &mut core_a, &mut at_a);
         let a = mesh.node_mut("domain-a");
@@ -320,7 +309,7 @@ fn main() {
     for i in 0..(COLD_WARMUP + COLD_OPS) as u64 {
         let spec = s.spec("alice", 1000 + i, MBPS, Timestamp(0), 3600);
         let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
-        let out_a = s.nodes[0].submit_batch(vec![(rar, cert.clone())]);
+        let out_a = s.nodes[0].submit_batch(vec![(Box::new(rar), cert.clone())]);
         let out_b = s.nodes[1].recv("domain-a", out_a[0].1.clone());
         msgs.push(out_b[0].1.clone());
     }
@@ -332,8 +321,7 @@ fn main() {
     // the node verifies and admits it in full, and the verdict goes back
     // over the same link carrying c's ack.
     let pool = BufferPool::new(4);
-    let [(mut core_b, queue_b), (mut core_c, queue_c)] =
-        joined(&mut chan_ca, &pool, "domain-b", "domain-c");
+    let [mut core_b, mut core_c] = joined(&mut chan_ca, &pool, "domain-b", "domain-c");
     let (mut at_b, mut at_c) = (Vec::new(), Vec::new());
     let mut a0 = 0u64;
     let mut b0 = 0u64;
@@ -344,7 +332,7 @@ fn main() {
             b0 = alloc_count::allocated_bytes();
             t0 = Instant::now();
         }
-        queue_b.push(msg);
+        core_b.push(msg);
         carry(&mut core_b, &mut core_c, &mut at_c);
         let msg = at_c.pop().expect("one message per request");
         let replies = s.nodes[2].recv("domain-b", msg);
@@ -353,7 +341,7 @@ fn main() {
             "first-sight admission approves"
         );
         for (_to, reply) in replies {
-            queue_c.push(&reply);
+            core_c.push(&reply);
         }
         carry(&mut core_c, &mut core_b, &mut at_b);
         assert!(!at_b.is_empty(), "the verdict reaches b");

@@ -48,7 +48,7 @@ fn main() {
     while let Some((from, to, msg)) = queue.pop() {
         let at = s.domains.iter().position(|d| **d == *to).expect("a peer");
         if let SignalMessage::Request(rar) = &msg {
-            received.push((at, s.nodes[from].public_key(), rar.clone()));
+            received.push((at, s.nodes[from].public_key(), (**rar).clone()));
         }
         let sender = s.domains[from].clone();
         let out = s.nodes[at].recv(&sender, msg);

@@ -382,7 +382,7 @@ mod tests {
         for depth in [1usize, 2, 4, 8] {
             for rich in [false, true] {
                 let rar = build_chain(depth, rich);
-                let bytes = qos_wire::to_bytes(&SignalMessage::Request(rar.clone()));
+                let bytes = qos_wire::to_bytes(&SignalMessage::Request(Box::new(rar.clone())));
                 let env = EnvelopeRef::parse(&bytes)
                     .expect("valid request parses")
                     .expect("request variant");
@@ -426,7 +426,7 @@ mod tests {
         // the facts must also match — tampered-but-structurally-valid
         // envelopes still parse; signatures catch them later.)
         let rar = build_chain(3, true);
-        let valid = qos_wire::to_bytes(&SignalMessage::Request(rar));
+        let valid = qos_wire::to_bytes(&SignalMessage::Request(Box::new(rar)));
         let mut lcg: u64 = 0x0dd0_5e5e_1234_5678;
         let mut next = move || {
             lcg = lcg
@@ -485,7 +485,7 @@ mod tests {
     #[test]
     fn trailing_bytes_are_rejected() {
         let rar = build_chain(2, false);
-        let mut bytes = qos_wire::to_bytes(&SignalMessage::Request(rar));
+        let mut bytes = qos_wire::to_bytes(&SignalMessage::Request(Box::new(rar)));
         bytes.push(0);
         assert!(EnvelopeRef::parse(&bytes).is_err());
         assert!(qos_wire::from_bytes::<SignalMessage>(&bytes).is_err());

@@ -446,12 +446,13 @@ impl Release {
 
 /// Everything that flows between signalling entities.
 #[derive(Debug, Clone, PartialEq)]
-// A request is the common message, moved by value from decode to wrap:
-// boxing it would buy smaller approvals with an allocation per hop.
-#[allow(clippy::large_enum_variant)]
 pub enum SignalMessage {
-    /// Hop-by-hop downstream request.
-    Request(SignedRar),
+    /// Hop-by-hop downstream request. Boxed: the box it is decoded into
+    /// becomes the next layer's `inner`, so a forwarded request costs no
+    /// more allocations than inline, and every other message — a sub-flow
+    /// above all — is not moved at the size of an envelope (DESIGN.md
+    /// §D33). A `Box<T>` encodes as `T`.
+    Request(Box<SignedRar>),
     /// Upstream approval.
     Approve(Approval),
     /// Upstream denial.
@@ -474,7 +475,7 @@ pub enum SignalMessage {
 }
 
 qos_wire::impl_wire_enum!(SignalMessage {
-    0 => Request(t0: SignedRar),
+    0 => Request(t0: Box<SignedRar>),
     1 => Approve(t0: Approval),
     2 => Deny(t0: Denial),
     3 => Direct(t0: Box<DirectRequest>),
@@ -484,6 +485,11 @@ qos_wire::impl_wire_enum!(SignalMessage {
     7 => Release(t0: Release),
     8 => TunnelFlowRelease(t0: TunnelFlowRelease),
 });
+
+// Every message is moved at the size of the largest variant: a new one
+// that outgrows this must be boxed, as `Request` and `Direct` are
+// (DESIGN.md §D33).
+const _: () = assert!(std::mem::size_of::<SignalMessage>() <= 64);
 
 impl SignalMessage {
     /// The request (or tunnel) this message concerns.

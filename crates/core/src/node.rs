@@ -660,6 +660,12 @@ impl BbNode {
         std::mem::take(&mut self.completions)
     }
 
+    /// Drain completed requests in place: the buffer stays with the node,
+    /// so the next completion does not allocate one.
+    pub fn drain_completions(&mut self) -> std::vec::Drain<'_, Completion> {
+        self.completions.drain(..)
+    }
+
     /// Resource-core access (experiments inspect admission state).
     pub fn core(&self) -> &BrokerCore {
         &self.core
@@ -817,7 +823,7 @@ impl BbNode {
         rar_u: SignedRar,
         user_cert: &Certificate,
     ) -> Vec<(PeerId, SignalMessage)> {
-        self.submit_checked(rar_u, user_cert, false)
+        self.submit_checked(Box::new(rar_u), user_cert, false)
     }
 
     /// Handle a burst of user requests at once. The two signatures each
@@ -827,15 +833,16 @@ impl BbNode {
     /// ([`qos_crypto::verify_batch`]); only if the combined check fails
     /// does per-item verification run (on the scoped worker pool) to
     /// attribute the failure. Admission then runs serially, in arrival
-    /// order, against the shared budgets.
+    /// order, against the shared budgets. Each request's box becomes the
+    /// `inner` of the layer this broker wraps it in.
     pub fn submit_batch(
         &mut self,
-        batch: Vec<(SignedRar, Certificate)>,
+        batch: Vec<(Box<SignedRar>, Certificate)>,
     ) -> Vec<(PeerId, SignalMessage)> {
         if batch.len() < 2 {
             return batch
                 .into_iter()
-                .flat_map(|(rar, cert)| self.submit(rar, &cert))
+                .flat_map(|(rar, cert)| self.submit_checked(rar, &cert, false))
                 .collect();
         }
         let jobs: Vec<(Digest, PublicKey, Signature)> = batch
@@ -870,7 +877,7 @@ impl BbNode {
 
     fn submit_checked(
         &mut self,
-        rar_u: SignedRar,
+        rar_u: Box<SignedRar>,
         user_cert: &Certificate,
         pre_verified: bool,
     ) -> Vec<(PeerId, SignalMessage)> {
@@ -1085,7 +1092,7 @@ impl BbNode {
     /// signing ended, if anything is being timed.
     fn wrap_onward(
         &mut self,
-        rar: SignedRar,
+        rar: Box<SignedRar>,
         upstream_cert: Certificate,
         forward: Forward,
         rar_id: RarId,
@@ -1094,7 +1101,7 @@ impl BbNode {
         let (timing, t_sign) = self.t0();
         let mut signed_at = None;
         let layer = RarLayer::Broker {
-            inner: Box::new(rar),
+            inner: rar,
             upstream_cert,
             next_bb: Some(DistinguishedName::broker(&forward.next)),
             capability_certs: Vec::new(),
@@ -1109,8 +1116,8 @@ impl BbNode {
             signed_at = Some(end);
         }
         self.counters.add_signed(1);
-        let reply = (forward.next.into(), SignalMessage::Request(wrapped));
-        (reply, signed_at)
+        let reply = SignalMessage::Request(Box::new(wrapped));
+        ((forward.next.into(), reply), signed_at)
     }
 
     // ------------------------------------------------------------------
@@ -1163,7 +1170,7 @@ impl BbNode {
     /// runs serially in arrival order.
     pub fn recv_requests(
         &mut self,
-        batch: Vec<(PeerId, SignedRar)>,
+        batch: Vec<(PeerId, Box<SignedRar>)>,
     ) -> Vec<(PeerId, SignalMessage)> {
         if batch.len() < 2 {
             return batch
@@ -1202,7 +1209,7 @@ impl BbNode {
     fn on_request_checked(
         &mut self,
         from: &str,
-        rar: SignedRar,
+        rar: Box<SignedRar>,
         pre_verified: bool,
     ) -> Vec<(PeerId, SignalMessage)> {
         // One walk of the nest serves every check; it ends before the

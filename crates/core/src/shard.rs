@@ -19,12 +19,12 @@ use qos_telemetry::{Counter, StdClock, TraceId};
 /// channel vouches for; a `u64` timestamp is when the input reached the
 /// fabric (ns), what its queue wait counts from.
 pub enum Input {
-    /// A reservation request from a peer.
+    /// A reservation request from a peer, in the box it was decoded into.
     Request(PeerId, Box<SignedRar>, u64),
     /// A tunnel sub-flow request from a peer.
-    Flow(PeerId, Box<TunnelFlowRequest>),
+    Flow(PeerId, TunnelFlowRequest),
     /// Any other peer message.
-    Peer(PeerId, Box<SignalMessage>, u64),
+    Peer(PeerId, SignalMessage, u64),
     /// A local user submission and the user's identity certificate.
     Submit(Box<SignedRar>, Box<Certificate>, u64),
     /// A local sub-flow request: the tunnel, the sub-flow's id, its rate
@@ -34,13 +34,17 @@ pub enum Input {
     SetTime(Timestamp),
 }
 
+// Every input is moved at the size of the largest variant, a peer
+// message beside its sender and time (DESIGN.md §D33).
+const _: () = assert!(std::mem::size_of::<Input>() <= 88);
+
 impl Input {
     /// `msg`, read from `from`'s link at `at`.
     pub fn peer(from: PeerId, msg: SignalMessage, at: u64) -> Self {
         match msg {
-            SignalMessage::Request(rar) => Input::Request(from, Box::new(rar), at),
-            SignalMessage::TunnelFlow(t) => Input::Flow(from, Box::new(t)),
-            other => Input::Peer(from, Box::new(other), at),
+            SignalMessage::Request(rar) => Input::Request(from, rar, at),
+            SignalMessage::TunnelFlow(t) => Input::Flow(from, t),
+            other => Input::Peer(from, other, at),
         }
     }
 }
@@ -97,9 +101,9 @@ pub fn run(
                     node.recv_requests(batch)
                 }
                 Input::Flow(from, t) => {
-                    let mut batch = vec![(from, *t)];
+                    let mut batch = vec![(from, t)];
                     while let Some(Input::Flow(from, t)) = next(|i| matches!(i, Input::Flow(..))) {
-                        batch.push((from, *t));
+                        batch.push((from, t));
                     }
                     node.recv_tunnel_flows(batch)
                 }
@@ -107,7 +111,7 @@ pub fn run(
                     if let Some(trace) = msg.trace_id() {
                         node.record_queue_wait(trace, msg.rar_id(), at);
                     }
-                    node.recv(&from, *msg)
+                    node.recv(&from, msg)
                 }
                 Input::TunnelFlow(tunnel, flow, rate_bps, user) => {
                     match node.request_tunnel_flow(tunnel, flow, rate_bps, user) {
@@ -127,7 +131,7 @@ pub fn run(
                 }
             };
             deliveries.extend(out);
-            completions.extend(node.take_completions());
+            completions.extend(node.drain_completions());
         }
         busy.add(StdClock::now().saturating_sub(t0));
         emit(&mut deliveries, &mut completions);
@@ -136,12 +140,12 @@ pub fn run(
     }
 }
 
-/// `rar`, unboxed, once the time it waited since `at` is recorded.
-fn waited(node: &mut BbNode, rar: Box<SignedRar>, at: u64) -> SignedRar {
+/// `rar`, once the time it waited since `at` is recorded.
+fn waited(node: &mut BbNode, rar: Box<SignedRar>, at: u64) -> Box<SignedRar> {
     let spec = rar.res_spec();
     let trace = TraceId::mint(&spec.source_domain, spec.rar_id.0);
     node.record_queue_wait(trace, spec.rar_id, at);
-    *rar
+    rar
 }
 
 #[cfg(test)]

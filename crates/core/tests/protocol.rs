@@ -741,14 +741,14 @@ fn batched_ingress_matches_serial_processing() {
             // does not.
             let signer = if i == 2 { "david" } else { "alice" };
             let rar = s.users[signer].sign_request(spec, &s.nodes[0]);
-            items.push((rar, s.users["alice"].cert.clone()));
+            items.push((Box::new(rar), s.users["alice"].cert.clone()));
         }
         items
     };
 
     let serial_out: Vec<_> = burst(&mut serial)
         .into_iter()
-        .flat_map(|(rar, cert)| serial.nodes[0].submit(rar, &cert))
+        .flat_map(|(rar, cert)| serial.nodes[0].submit(*rar, &cert))
         .collect();
     let batch = burst(&mut batched);
     let batched_out = batched.nodes[0].submit_batch(batch);
@@ -762,7 +762,7 @@ fn batched_ingress_matches_serial_processing() {
 
     // Forward the surviving requests to the next hop, again batched
     // versus serial, plus one request from an unpinned peer (denied).
-    let reqs = |out: &[(qos_core::PeerId, SignalMessage)]| -> Vec<(qos_core::PeerId, qos_core::SignedRar)> {
+    let reqs = |out: &[(qos_core::PeerId, SignalMessage)]| -> Vec<(qos_core::PeerId, Box<qos_core::SignedRar>)> {
         let rar_of = |m: &SignalMessage| match m {
             SignalMessage::Request(r) => r.clone(),
             other => panic!("unexpected {other:?}"),

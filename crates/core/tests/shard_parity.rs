@@ -74,7 +74,11 @@ fn drive_plain(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<String, Bb
     };
 
     let source = nodes.get_mut("domain-a").expect("source domain");
-    let out = source.submit_batch(rars.into_iter().map(|r| (r, cert.clone())).collect());
+    let out = source.submit_batch(
+        rars.into_iter()
+            .map(|r| (Box::new(r), cert.clone()))
+            .collect(),
+    );
     route(source, out, &mut queue, &mut completions);
 
     while let Some((from, to, msg)) = queue.pop_front() {

@@ -253,7 +253,7 @@ fn borrowed_probe_hands_its_digest_to_the_owned_decode() {
     use qos_core::envelope_ref::EnvelopeRef;
     use qos_core::messages::SignalMessage;
     let rar = build(&[(1, vec![]), (1, vec![(0, 1)]), (0, vec![(0, 2), (1, 1)])]);
-    let bytes = qos_wire::to_bytes(&SignalMessage::Request(rar.clone()));
+    let bytes = qos_wire::to_bytes(&SignalMessage::Request(Box::new(rar.clone())));
     for probe_first in [false, true] {
         let env = EnvelopeRef::parse(&bytes).unwrap().expect("a request");
         if probe_first {
@@ -262,7 +262,7 @@ fn borrowed_probe_hands_its_digest_to_the_owned_decode() {
         let SignalMessage::Request(owned) = env.decode_owned().unwrap() else {
             panic!("decoded another variant");
         };
-        assert_eq!(owned, rar);
+        assert_eq!(*owned, rar);
         assert_eq!(owned.wire_bytes(), env.wire_bytes());
         assert_eq!(owned.layer_bytes(), rar.layer_bytes());
         assert_eq!(*owned.layer_digest(), sha256(rar.layer_bytes()));

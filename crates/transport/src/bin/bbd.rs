@@ -22,7 +22,7 @@ use qos_telemetry::{
     render_prometheus, snapshot_json, EventFamily, FlightRecorder, Registry, Telemetry,
     FLIGHT_DEFAULT_CAPACITY,
 };
-use qos_transport::{BrokerDaemon, DaemonConfig, TransportOptions};
+use qos_transport::{BrokerDaemon, Completions, DaemonConfig, TransportOptions};
 use std::net::{SocketAddr, TcpListener};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -363,7 +363,7 @@ fn main() -> ExitCode {
         None => None,
     };
 
-    let (completion_tx, completion_rx) = crossbeam::channel::unbounded();
+    let completions = Arc::new(Completions::new());
     let daemon = match BrokerDaemon::start(
         node,
         DaemonConfig {
@@ -372,7 +372,7 @@ fn main() -> ExitCode {
             listener,
             connect_to: args.peers.iter().cloned().collect(),
             accept_from: args.accepts.clone(),
-            completion_tx,
+            completions: Arc::clone(&completions),
             telemetry,
             options: TransportOptions {
                 resume: !args.no_resume,
@@ -414,24 +414,26 @@ fn main() -> ExitCode {
                 .map(|rar| (rar, user_cert.clone()))
                 .collect(),
         );
-        for _ in 0..args.submit {
-            match completion_rx.recv_timeout(Duration::from_secs(30)) {
-                Ok((_, Completion::Reservation { rar_id, result })) => match result {
+        let want = args.submit as usize;
+        let done = completions.wait(want, Duration::from_secs(30));
+        let timed_out = done.len() < want;
+        for (_, c) in done {
+            match c {
+                Completion::Reservation { rar_id, result } => match result {
                     Ok(_) => println!("bbd: rar {} approved", rar_id.0),
                     Err(d) => {
                         failed += 1;
                         println!("bbd: rar {} denied: {}", rar_id.0, d.reason);
                     }
                 },
-                Ok((_, Completion::TunnelFlow { flow, accepted, .. })) => {
+                Completion::TunnelFlow { flow, accepted, .. } => {
                     println!("bbd: tunnel flow {flow} accepted={accepted}");
                 }
-                Err(_) => {
-                    eprintln!("bbd: timed out waiting for completions");
-                    failed += 1;
-                    break;
-                }
             }
+        }
+        if timed_out {
+            eprintln!("bbd: timed out waiting for completions");
+            failed += 1;
         }
         if let Some(secs) = args.linger_secs {
             // Keep the daemon (and its admin plane) up so external

@@ -11,10 +11,13 @@
 //!   waiting in its `Inbox`, through the broker
 //!   ([`qos_core::shard::run`]) 32 at a time, and writes each run's
 //!   outputs before the next run;
-//! * a run's outputs go to each link's [`OutQueue`], encoded onto the end
-//!   of the frame open at its back (plaintext, unnumbered; numbering and
-//!   sealing happen at write time, so frames that wait out a reconnect
-//!   are MAC'd under the new session's sequence space);
+//! * a run's outputs go to each link's [`OutQueue`](crate::OutQueue),
+//!   which the link's core owns, encoded onto the end of the frame open
+//!   at its back (plaintext, unnumbered; numbering and sealing happen at
+//!   write time, so frames that wait out a reconnect are MAC'd under the
+//!   new session's sequence space);
+//! * a run's completions go to the [`Completions`] queue in one hand-off
+//!   (DESIGN.md §D33);
 //! * `submit`, `submit_all`, `tunnel_flow` and `set_time` push onto the
 //!   inbox, and wake the reactor only if it is parked in its poll.
 //!
@@ -24,7 +27,7 @@
 
 use crate::admin::{AdminState, ReactorStatus};
 use crate::error::TransportError;
-use crate::queue::OutQueue;
+use crate::queue::Completions;
 use crate::reactor::{Ctrl, Inbox, Reactor, ReactorConfig, TOKEN_WAKER};
 use crate::resume::TicketIssuer;
 use crate::session::broker_pin;
@@ -32,11 +35,11 @@ use crossbeam::channel::{unbounded, Sender};
 use mio::{Poll, Waker};
 use qos_core::channel::ChannelIdentity;
 use qos_core::envelope::SignedRar;
-use qos_core::node::{BbNode, Completion};
+use qos_core::node::BbNode;
 use qos_core::rar::RarId;
 use qos_core::shard::Input;
 use qos_crypto::{Certificate, DistinguishedName, PublicKey, Timestamp};
-use qos_telemetry::{Counter, Gauge, Histogram, StdClock, Telemetry};
+use qos_telemetry::{Counter, Histogram, StdClock, Telemetry};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -95,7 +98,7 @@ pub struct DaemonConfig {
     /// Peers expected to dial us.
     pub accept_from: Vec<String>,
     /// Where reservation/tunnel completions are reported.
-    pub completion_tx: Sender<(String, Completion)>,
+    pub completions: Arc<Completions>,
     /// Metrics destination (disabled handles are free).
     pub telemetry: Telemetry,
     /// Transport tuning.
@@ -106,14 +109,13 @@ pub struct DaemonConfig {
     pub admin: Option<TcpListener>,
 }
 
-/// Per-link instruments of the session lifecycle and the queue (no-ops
-/// without a registry); what the link's frames count is its
+/// Per-link instruments of the session lifecycle (no-ops without a
+/// registry); what the link's queue and frames count is its
 /// [`LinkCore`](crate::link::LinkCore)'s.
 pub(crate) struct LinkInstruments {
     pub(crate) reconnects: Counter,
     pub(crate) resumed: Counter,
     pub(crate) handshake_ns: Histogram,
-    pub(crate) outq_depth: Gauge,
 }
 
 impl LinkInstruments {
@@ -135,20 +137,14 @@ impl LinkInstruments {
                 "Socket handshake duration (connect excluded)",
                 l,
             ),
-            outq_depth: telemetry.gauge(
-                "transport_outq_depth_peak",
-                "Peak outbound queue depth",
-                l,
-            ),
         }
     }
 }
 
 /// One peering link's shared state (read and written by the reactor,
-/// which also owns the link's delivery state,
+/// which also owns the link's queue and delivery state,
 /// [`crate::link::LinkCore`]).
 pub(crate) struct Link {
-    pub(crate) queue: Arc<OutQueue>,
     /// Set once the first session is up; later sessions count as
     /// reconnects.
     pub(crate) established: AtomicBool,
@@ -202,7 +198,7 @@ impl BrokerDaemon {
             listener,
             connect_to,
             accept_from,
-            completion_tx,
+            completions,
             telemetry,
             options,
             admin,
@@ -269,7 +265,6 @@ impl BrokerDaemon {
             links.insert(
                 peer,
                 Link {
-                    queue: Arc::new(OutQueue::new(options.max_frame)),
                     established: AtomicBool::new(false),
                     connected: AtomicBool::new(false),
                     ins,
@@ -322,7 +317,7 @@ impl BrokerDaemon {
             links: Arc::clone(&links),
             watch: Arc::clone(&watch),
             inbox: Arc::clone(&inbox),
-            completion_tx,
+            completions,
             options,
             issuer,
             ctrl_tx: ctrl_tx.clone(),
@@ -468,7 +463,6 @@ impl BrokerDaemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qos_core::messages::{SignalMessage, TunnelFlowRelease};
     use qos_core::scenario::{build_chain, ChainOptions};
     use qos_crypto::KeyPair;
     use qos_telemetry::Registry;
@@ -483,9 +477,12 @@ mod tests {
             ..ChainOptions::default()
         });
         let (a, b) = (s.domains[0].clone(), s.domains[1].clone());
+        let spec = s.spec("alice", 1, 1_000_000, Timestamp(0), 3600);
+        let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
+        let cert = s.users["alice"].cert.clone();
         let ca_key = s.ca_key;
         let registry = Registry::new();
-        let (tx, _rx) = unbounded();
+        let completions = Arc::new(Completions::new());
         let start = |node: BbNode, connect_to, accept_from| {
             let identity = ChannelIdentity {
                 key: KeyPair::from_seed(format!("bb-{}", node.domain()).as_bytes()),
@@ -497,7 +494,7 @@ mod tests {
                 listener: TcpListener::bind("127.0.0.1:0").expect("bind"),
                 connect_to,
                 accept_from,
-                completion_tx: tx.clone(),
+                completions: Arc::clone(&completions),
                 telemetry: Telemetry::with_registry(registry.clone()),
                 options: TransportOptions::default(),
                 admin: None,
@@ -511,13 +508,18 @@ mod tests {
         let labels = [("domain", b.as_str()), ("peer", a.as_str())];
         let received = || registry.counter_value("transport_frames_received_total", &labels);
         // The syncs have crossed and nothing is owed: a's reactor sleeps
-        // in its poll, and the shutdown is the next thing it sees.
+        // in its poll. The shutdown waits for it behind the control
+        // channel's wake; the request's push rings it, and the reactor
+        // sees both at once: it runs the request, which queues a's
+        // forward to b on a's reactor thread, then stops.
         std::thread::sleep(Duration::from_millis(50));
         let before = received();
-        let release = TunnelFlowRelease::new(RarId(0), 7);
-        let release = SignalMessage::TunnelFlowRelease(release);
-        daemon_a.links[&b].queue.push(&release);
+        let _ = daemon_a.ctrl_tx.send(Ctrl::Shutdown);
+        daemon_a.submit(rar, cert);
         daemon_a.shutdown();
+        let queued = [("domain", a.as_str()), ("peer", b.as_str())];
+        let peak = registry.gauge_value("transport_outq_depth_peak", &queued);
+        assert_eq!(peak, Some(1), "the forward never reached a's link queue");
         // b reads a's close after every byte a wrote before it.
         let deadline = Instant::now() + Duration::from_secs(5);
         while daemon_b.connected_peers() > 0 {

@@ -14,8 +14,10 @@
 //!   reconnects skip every Schnorr operation;
 //! * [`session`] — the message-based mutual handshake over a blocking
 //!   socket, ending in the [`Session`] parts the reactor takes over;
-//! * [`queue`] — per-peer outbound queues that build a link's data
-//!   frames as messages are queued; only the reactor pushes and pops;
+//! * [`queue`] — the per-peer outbound queue, owned by the link's core,
+//!   that builds the link's data frames as messages are queued, and
+//!   [`Completions`], where the reactors leave what their brokers
+//!   finished, a run at a time (DESIGN.md §D33);
 //! * [`backoff`] — deterministic exponential reconnect backoff;
 //! * [`link`] — [`LinkCore`]: one link's delivery rules without I/O —
 //!   frame decode, open and seal, the delivery index, riding and
@@ -59,7 +61,7 @@ pub use frame::{write_frame, FrameError, PooledFrameDecoder, MAX_FRAME_LEN};
 pub use link::LinkCore;
 pub use mesh::TcpMesh;
 pub use proto::PeerMsg;
-pub use queue::OutQueue;
+pub use queue::{Completions, OutQueue};
 pub use resume::{ResumeTicket, TicketIssuer};
 pub use session::{
     establish_initiator_resumable, establish_responder_resumable, HandshakeKind, Session,

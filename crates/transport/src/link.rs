@@ -319,6 +319,7 @@ struct Instruments {
     writes_coalesced: Counter,
     retransmits: Counter,
     acks_standalone: Counter,
+    outq_depth: Gauge,
 }
 
 /// One peering link without its socket: see the module documentation.
@@ -326,8 +327,8 @@ pub struct LinkCore {
     /// The peer's domain, interned once: every message the link delivers
     /// carries a clone.
     peer: PeerId,
-    /// Where the reactor queues what its broker sends the peer.
-    queue: Arc<OutQueue>,
+    /// What the broker sends the peer, framed as it is queued.
+    pub(crate) queue: OutQueue,
     pub(crate) rel: LinkReliability,
     /// The live session; `None` between connections.
     session: Option<Session>,
@@ -352,12 +353,11 @@ pub struct LinkCore {
 }
 
 impl LinkCore {
-    /// The link from `domain` to `peer`, fed by `queue`. `life` names
-    /// this incarnation of the link (see `FRAME_SYNC`); `max_frame` bounds
-    /// both directions; the decoder of each session reads into chunks of
-    /// `pool`.
+    /// The link from `domain` to `peer`, with an empty queue. `life`
+    /// names this incarnation of the link (see `FRAME_SYNC`); `max_frame`
+    /// bounds both directions; the decoder of each session reads into
+    /// chunks of `pool`.
     pub fn new(
-        queue: Arc<OutQueue>,
         telemetry: &Telemetry,
         domain: &str,
         peer: &str,
@@ -409,6 +409,11 @@ impl LinkCore {
                 "transport_acks_standalone_total",
                 "Ack frames sent on their own: no data frame went back in time to carry the ack",
             ),
+            outq_depth: telemetry.gauge(
+                "transport_outq_depth_peak",
+                "Peak outbound queue depth",
+                l,
+            ),
         };
         let rel = LinkReliability::new(
             life,
@@ -424,7 +429,7 @@ impl LinkCore {
         );
         Self {
             peer: PeerId::from(peer),
-            queue,
+            queue: OutQueue::new(max_frame),
             rel,
             session: None,
             // Grows once to the link's largest write and is kept.
@@ -447,6 +452,13 @@ impl LinkCore {
     /// The peer's domain.
     pub(crate) fn peer(&self) -> &PeerId {
         &self.peer
+    }
+
+    /// Queue `msg` for the peer, onto the frame open at the back of the
+    /// link queue ([`OutQueue::push`]).
+    pub fn push(&mut self, msg: &SignalMessage) {
+        let depth = self.queue.push(msg);
+        self.ins.outq_depth.record_max(depth as i64);
     }
 
     /// Bytes in, first half: where the next read lands, the free tail of
@@ -971,17 +983,8 @@ mod tests {
     #[test]
     fn one_links_stream_never_evicts_another_links_entries() {
         let link = |peer| {
-            let queue = Arc::new(OutQueue::new(MAX_FRAME_LEN));
             let telemetry = Telemetry::disabled();
-            LinkCore::new(
-                queue,
-                &telemetry,
-                "a",
-                peer,
-                1,
-                MAX_FRAME_LEN,
-                BufferPool::new(1),
-            )
+            LinkCore::new(&telemetry, "a", peer, 1, MAX_FRAME_LEN, BufferPool::new(1))
         };
         let (mut quiet, mut busy) = (link("b"), link("c"));
         // Where each golden certificate and name of `quiet`'s lives.

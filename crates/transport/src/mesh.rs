@@ -3,25 +3,28 @@
 //! [`TcpMesh`] runs a scenario's brokers concurrently — `spawn`,
 //! `submit`, `tunnel_flow`, `set_time`, `wait_completions`, `shutdown` —
 //! with every broker a [`BrokerDaemon`] behind a real TCP listener. For
-//! each configured link `(a, b)`, `a` dials and `b` accepts.
+//! each configured link `(a, b)`, `a` dials and `b` accepts. Every
+//! daemon's reactor leaves what its broker finished in the mesh's one
+//! [`Completions`] queue, a run at a time (DESIGN.md §D33).
 
 use crate::daemon::{BrokerDaemon, DaemonConfig, TransportOptions};
 use crate::error::TransportError;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::queue::Completions;
 use qos_core::channel::ChannelIdentity;
 use qos_core::envelope::SignedRar;
-use qos_core::node::{BbNode, Completion};
+use qos_core::node::{BbNode, Completion, PeerId};
 use qos_crypto::{Certificate, PublicKey, Timestamp};
 use qos_telemetry::Telemetry;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A mesh of broker daemons wired over loopback TCP.
 pub struct TcpMesh {
     daemons: HashMap<String, BrokerDaemon>,
-    completion_rx: Receiver<(String, Completion)>,
-    completion_tx: Sender<(String, Completion)>,
+    /// What every daemon's broker finished, beside its domain.
+    completions: Arc<Completions>,
     telemetry: Telemetry,
     options: TransportOptions,
     admin: bool,
@@ -36,11 +39,9 @@ impl Default for TcpMesh {
 impl TcpMesh {
     /// An empty mesh.
     pub fn new() -> Self {
-        let (completion_tx, completion_rx) = unbounded();
         Self {
             daemons: HashMap::new(),
-            completion_rx,
-            completion_tx,
+            completions: Arc::new(Completions::new()),
             telemetry: Telemetry::disabled(),
             options: TransportOptions::default(),
             admin: false,
@@ -117,7 +118,7 @@ impl TcpMesh {
                     listener: listeners.remove(&domain).expect("listener bound above"),
                     connect_to: connect_to.remove(&domain).unwrap_or_default(),
                     accept_from: accept_from.remove(&domain).unwrap_or_default(),
-                    completion_tx: self.completion_tx.clone(),
+                    completions: Arc::clone(&self.completions),
                     telemetry: self.telemetry.clone(),
                     options: self.options.clone(),
                     admin: if self.admin {
@@ -182,16 +183,10 @@ impl TcpMesh {
         }
     }
 
-    /// Wait for `n` completions (across all source brokers).
-    pub fn wait_completions(&self, n: usize) -> Vec<(String, Completion)> {
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            match self.completion_rx.recv_timeout(Duration::from_secs(30)) {
-                Ok(c) => out.push(c),
-                Err(_) => break,
-            }
-        }
-        out
+    /// Wait for `n` completions (across all source brokers), each beside
+    /// its broker's domain; fewer if 30 s pass without one.
+    pub fn wait_completions(&self, n: usize) -> Vec<(PeerId, Completion)> {
+        self.completions.wait(n, Duration::from_secs(30))
     }
 
     /// Sever every live session in the mesh; daemons recover via

@@ -12,8 +12,10 @@
 //! then the local inputs waiting in its `Inbox`, through the broker
 //! ([`shard::run`]) 32 at a time, and writes each run's outputs to the
 //! links before the next run starts, so the next broker works on one run
-//! while this one works on the next (§D21). The rest of a link's life
-//! runs on the same thread:
+//! while this one works on the next (§D21). A run's messages go onto the
+//! queues the link cores own, and its completions onto the process's
+//! [`Completions`] in one hand-off, which wakes a waiter only if one
+//! sleeps (§D33). The rest of a link's life runs on the same thread:
 //!
 //! * **deadlines** bound the poll timeout — no sleeping threads: a
 //!   reconnect's backoff (`retry_at`), and an ack that waited
@@ -31,6 +33,7 @@ use crate::admin::{AdminState, ReactorStatus};
 use crate::backoff::Backoff;
 use crate::daemon::{Link, LinkWatch, TransportOptions};
 use crate::link::{LinkCore, ACK_DELAY};
+use crate::queue::Completions;
 use crate::resume::{ResumeTicket, TicketIssuer};
 use crate::session::{
     establish_initiator_resumable, establish_responder_resumable, HandshakeKind, Session,
@@ -347,7 +350,7 @@ pub(crate) struct ReactorConfig {
     /// Where `submit` and its kin leave the broker's local inputs.
     pub inbox: Arc<Inbox>,
     /// Where the broker's completions go.
-    pub completion_tx: Sender<(String, Completion)>,
+    pub completions: Arc<Completions>,
     pub options: TransportOptions,
     pub issuer: Option<Arc<TicketIssuer>>,
     pub ctrl_tx: Sender<Ctrl>,
@@ -365,6 +368,8 @@ pub(crate) struct Reactor {
     config: ReactorConfig,
     /// The domain's broker.
     node: BbNode,
+    /// The domain, interned once: every completion carries a clone.
+    domain: PeerId,
     /// Inputs to run: what the last read sweep decoded, then the inbox.
     pending: Vec<Input>,
     /// Time running inputs (`shard_busy_ns_total`) and parked in the
@@ -434,10 +439,9 @@ impl Reactor {
         let pool = BufferPool::new(config.links.len() * 2 + 4);
         let peers = config
             .links
-            .iter()
-            .map(|(peer, link)| {
+            .keys()
+            .map(|peer| {
                 let core = LinkCore::new(
-                    Arc::clone(&link.queue),
                     telemetry,
                     domain,
                     peer,
@@ -495,9 +499,11 @@ impl Reactor {
             dl,
         );
         let flight = telemetry.flight().cloned();
+        let domain = PeerId::from(domain.as_str());
         Self {
             config,
             node,
+            domain,
             pending: Vec::new(),
             busy,
             idle,
@@ -651,6 +657,7 @@ impl Reactor {
         let Self {
             config,
             node,
+            domain,
             pending,
             peers,
             busy,
@@ -672,19 +679,18 @@ impl Reactor {
             // peer with no link is dropped.
             for (to, msg) in deliveries.drain(..) {
                 let to = to.strip_prefix("user:").unwrap_or(&to);
-                if let Some(link) = config.links.get(to) {
-                    let depth = link.queue.push(&msg);
-                    link.ins.outq_depth.record_max(depth as i64);
+                if let Some(peer) = peers.get_mut(to) {
+                    peer.core.push(&msg);
                 }
             }
-            for c in completions.drain(..) {
-                if let Completion::Reservation { rar_id, .. } = &c {
+            for c in completions.iter() {
+                if let Completion::Reservation { rar_id, .. } = c {
                     if let Some(t0) = submitted_ns.remove(rar_id) {
                         completion_latency.observe(StdClock::now().saturating_sub(t0));
                     }
                 }
-                let _ = config.completion_tx.send((config.domain.clone(), c));
             }
+            config.completions.push(domain, completions);
             if write && wrote {
                 let now = Instant::now();
                 sweep(&config.poll, peers, now, MAX_WRITE_BATCH, &mut dead);
@@ -1165,7 +1171,6 @@ mod tests {
         FRAME_DATA, FRAME_SYNC, UNNUMBERED,
     };
     use crate::proto::SEAL_OVERHEAD;
-    use crate::queue::OutQueue;
     use proptest::prelude::*;
     use qos_core::channel::{OpenHalf, SealHalf, SecureChannel};
     use qos_core::messages::TunnelFlowRelease;
@@ -1494,12 +1499,11 @@ mod tests {
             .map(|initiator| SecureChannel::resume(cert.clone(), &[7; 32], n, n, initiator).split())
     }
 
-    /// Two link cores, each fed by its own queue, joined by two byte
-    /// pipes that carry whatever chunk sizes the test picks: a frame may
-    /// be split across reads, and one read may hold several frames.
+    /// Two link cores joined by two byte pipes that carry whatever chunk
+    /// sizes the test picks: a frame may be split across reads, and one
+    /// read may hold several frames.
     struct Pipes {
         cores: [LinkCore; 2],
-        queues: [Arc<OutQueue>; 2],
         /// `wire[x]` carries what end `x` wrote and its peer has not
         /// read yet, oldest first.
         wire: [Vec<u8>; 2],
@@ -1514,10 +1518,8 @@ mod tests {
     impl Pipes {
         fn new() -> Self {
             let pool = BufferPool::new(8);
-            let (a, b) = (Self::end(&pool), Self::end(&pool));
             let mut pipes = Self {
-                cores: [a.0, b.0],
-                queues: [a.1, b.1],
+                cores: [Self::end(&pool), Self::end(&pool)],
                 wire: [Vec::new(), Vec::new()],
                 delivered: [Vec::new(), Vec::new()],
                 sessions: 0,
@@ -1528,26 +1530,15 @@ mod tests {
             pipes
         }
 
-        /// One end of a link in a new life, and its queue.
-        fn end(pool: &BufferPool) -> (LinkCore, Arc<OutQueue>) {
-            let max_frame = max_frame();
-            let queue = Arc::new(OutQueue::new(max_frame));
+        /// One end of a link in a new life, its queue empty.
+        fn end(pool: &BufferPool) -> LinkCore {
             let telemetry = Telemetry::disabled();
-            let core = LinkCore::new(
-                Arc::clone(&queue),
-                &telemetry,
-                "a",
-                "b",
-                life(),
-                max_frame,
-                pool.clone(),
-            );
-            (core, queue)
+            LinkCore::new(&telemetry, "a", "b", life(), max_frame(), pool.clone())
         }
 
-        /// `TcpSink::deliver`.
-        fn enqueue(&self, x: usize, id: u64) {
-            self.queues[x].push(&msg(id));
+        /// The reactor routes a run's message to end `x`'s link.
+        fn enqueue(&mut self, x: usize, id: u64) {
+            self.cores[x].push(&msg(id));
         }
 
         /// Both ends take a new session.
@@ -1613,7 +1604,7 @@ mod tests {
         /// End `x`'s process dies and comes back empty: a new life, a new
         /// queue. Its peer sees the close and both reconnect.
         fn restart(&mut self, x: usize) {
-            (self.cores[x], self.queues[x]) = Self::end(&self.pool);
+            self.cores[x] = Self::end(&self.pool);
             self.sever(1 - x, false);
         }
 
@@ -1657,13 +1648,13 @@ mod tests {
         // the numbered one before it.
         pipes.enqueue(0, 8);
         let mut frames = Vec::new();
-        assert_eq!(pipes.queues[0].pop_batch(8, &mut frames), 5);
+        assert_eq!(pipes.cores[0].queue.pop_batch(8, &mut frames), 5);
         let indices: Vec<u64> = frames.iter().map(|f| index_of(f)).collect();
         assert_eq!(indices, [0, 1, UNNUMBERED]);
         let lens: Vec<usize> = frames.iter().map(Vec::len).collect();
         assert_eq!(lens, [lens[0]; 3], "three messages a frame");
         for frame in frames.into_iter().rev() {
-            pipes.queues[0].push_front(frame);
+            pipes.cores[0].queue.push_front(frame);
         }
         // The syncs cross; then one batch takes all three: the numbered
         // frames go again as they were, the fresh one takes one new
@@ -1735,7 +1726,7 @@ mod tests {
                 let delivered = &pipes.delivered[x];
                 prop_assert!(delivered.windows(2).all(|w| w[0] < w[1]));
                 seen[1 - x].extend(delivered.iter().copied());
-                prop_assert!(pipes.queues[x].is_empty(), "left in the queue");
+                prop_assert!(pipes.cores[x].queue.is_empty(), "left in the queue");
                 prop_assert!(pipes.cores[x].bytes_out(0).is_empty(), "left unwritten");
                 let rel = &pipes.cores[x].rel;
                 prop_assert_eq!(rel.unacked.len(), 0, "acked, yet retained");

@@ -197,8 +197,8 @@ proptest! {
     ) {
         // One-byte messages behind a data frame's 17-byte header, sealed
         // with 45 bytes of overhead.
-        let q = OutQueue::new(45 + 17 + per_frame);
-        let pop = |max| {
+        let mut q = OutQueue::new(45 + 17 + per_frame);
+        let pop = |q: &mut OutQueue, max| {
             let mut frames = Vec::new();
             q.pop_batch(max, &mut frames);
             frames.iter().map(|f| f[17..].to_vec()).collect::<Vec<_>>()
@@ -229,13 +229,13 @@ proptest! {
                 }
                 prop_assert_eq!(q.push(&id), queued(&model));
             } else {
-                prop_assert_eq!(pop(arg), model_pop(&mut model, arg));
+                prop_assert_eq!(pop(&mut q, arg), model_pop(&mut model, arg));
             }
             prop_assert_eq!(q.len(), queued(&model));
         }
         // Drain whatever is left; it must be the model's remainder, in order.
         while !model.is_empty() {
-            prop_assert_eq!(pop(3), model_pop(&mut model, 3));
+            prop_assert_eq!(pop(&mut q, 3), model_pop(&mut model, 3));
         }
         prop_assert!(q.is_empty());
     }

@@ -9,13 +9,13 @@
 //! is already built.
 
 use qos_core::channel::{ChannelIdentity, PeerPin};
-use qos_core::node::Completion;
 use qos_core::scenario::{build_chain, ChainOptions};
 use qos_crypto::{CertificateAuthority, DistinguishedName, KeyPair, Timestamp, Validity};
 use qos_storage::{FileStore, FileStoreOptions, SharedStore};
 use qos_transport::{
-    establish_initiator_resumable, establish_responder_resumable, BrokerDaemon, DaemonConfig,
-    HandshakeKind, ResumeTicket, Session, TicketIssuer, TransportOptions, MAX_FRAME_LEN,
+    establish_initiator_resumable, establish_responder_resumable, BrokerDaemon, Completions,
+    DaemonConfig, HandshakeKind, ResumeTicket, Session, TicketIssuer, TransportOptions,
+    MAX_FRAME_LEN,
 };
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -206,7 +206,7 @@ fn backoff_resets_after_successful_handshake() {
         backoff_cap: Duration::from_secs(5),
         ..TransportOptions::default()
     };
-    let (tx, _rx) = crossbeam::channel::unbounded::<(String, Completion)>();
+    let completions = Arc::new(Completions::new());
 
     let start_b = |node| {
         BrokerDaemon::start(
@@ -217,7 +217,7 @@ fn backoff_resets_after_successful_handshake() {
                 listener: bind_addr("127.0.0.1:0".parse().unwrap()),
                 connect_to: HashMap::new(),
                 accept_from: vec![dom_a.clone()],
-                completion_tx: tx.clone(),
+                completions: Arc::clone(&completions),
                 telemetry: qos_telemetry::Telemetry::disabled(),
                 options: options.clone(),
                 admin: None,
@@ -239,7 +239,7 @@ fn backoff_resets_after_successful_handshake() {
             listener: bind_addr("127.0.0.1:0".parse().unwrap()),
             connect_to: HashMap::from([(dom_b.clone(), addr_b)]),
             accept_from: Vec::new(),
-            completion_tx: tx.clone(),
+            completions: Arc::clone(&completions),
             telemetry: qos_telemetry::Telemetry::disabled(),
             options: options.clone(),
             admin: None,
@@ -269,7 +269,7 @@ fn backoff_resets_after_successful_handshake() {
             listener: bind_addr(addr_b),
             connect_to: HashMap::new(),
             accept_from: vec![dom_a.clone()],
-            completion_tx: tx.clone(),
+            completions: Arc::clone(&completions),
             telemetry: qos_telemetry::Telemetry::disabled(),
             options: options.clone(),
             admin: None,
@@ -295,7 +295,7 @@ fn backoff_resets_after_successful_handshake() {
             listener,
             connect_to: HashMap::new(),
             accept_from: vec![dom_a.clone()],
-            completion_tx: tx.clone(),
+            completions: Arc::clone(&completions),
             telemetry: qos_telemetry::Telemetry::disabled(),
             options: options.clone(),
             admin: None,
@@ -345,7 +345,7 @@ fn resume_survives_daemon_restart_via_durable_ledger() {
         backoff_cap: Duration::from_secs(5),
         ..TransportOptions::default()
     };
-    let (tx, _rx) = crossbeam::channel::unbounded::<(String, Completion)>();
+    let completions = Arc::new(Completions::new());
 
     // B's first life: an empty data dir, so nothing to recover.
     let store: SharedStore = Arc::new(FileStore::open(&dir, FileStoreOptions::default()).unwrap());
@@ -361,7 +361,7 @@ fn resume_survives_daemon_restart_via_durable_ledger() {
             listener: bind_addr("127.0.0.1:0".parse().unwrap()),
             connect_to: HashMap::new(),
             accept_from: vec![dom_a.clone()],
-            completion_tx: tx.clone(),
+            completions: Arc::clone(&completions),
             telemetry: qos_telemetry::Telemetry::disabled(),
             options: options.clone(),
             admin: None,
@@ -378,7 +378,7 @@ fn resume_survives_daemon_restart_via_durable_ledger() {
             listener: bind_addr("127.0.0.1:0".parse().unwrap()),
             connect_to: HashMap::from([(dom_b.clone(), addr_b)]),
             accept_from: Vec::new(),
-            completion_tx: tx.clone(),
+            completions: Arc::clone(&completions),
             telemetry: qos_telemetry::Telemetry::disabled(),
             options: options.clone(),
             admin: None,
@@ -427,7 +427,7 @@ fn resume_survives_daemon_restart_via_durable_ledger() {
             listener: bind_addr(addr_b),
             connect_to: HashMap::new(),
             accept_from: vec![dom_a.clone()],
-            completion_tx: tx.clone(),
+            completions: Arc::clone(&completions),
             telemetry: qos_telemetry::Telemetry::disabled(),
             options,
             admin: None,

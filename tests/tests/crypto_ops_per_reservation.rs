@@ -49,7 +49,7 @@ fn deliver(
     let mut forwarded = HashMap::new();
     deliver_by_hand(s, from, out, |_, to, msg| {
         if let SignalMessage::Request(rar) = &msg {
-            forwarded.insert(to.to_string(), rar.clone());
+            forwarded.insert(to.to_string(), (**rar).clone());
         }
         msg
     });

@@ -52,14 +52,14 @@ fn transit_tampering_is_caught_at_destination() {
     let mut mesh = mesh_from(&mut s, 5);
     let out_genuine = mesh
         .node_mut("domain-b")
-        .recv("domain-a", SignalMessage::Request(forwarded));
+        .recv("domain-a", SignalMessage::Request(Box::new(forwarded)));
     assert!(
         matches!(out_genuine.first(), Some((to, SignalMessage::Request(_))) if to.as_ref() == "domain-c"),
         "genuine envelope forwards: {out_genuine:?}"
     );
     let out_tampered = mesh
         .node_mut("domain-b")
-        .recv("domain-a", SignalMessage::Request(tampered));
+        .recv("domain-a", SignalMessage::Request(Box::new(tampered)));
     assert!(
         matches!(out_tampered.first(), Some((to, SignalMessage::Deny(_))) if to.as_ref() == "domain-a"),
         "tampered envelope must bounce: {out_tampered:?}"
@@ -130,11 +130,11 @@ fn lying_transit(lie: Lie) -> (Denial, Option<SignedRar>) {
                     if matches!(lie, Lie::Splice) {
                         forged.signature = earlier.expect("an earlier envelope").signature();
                     }
-                    forged
+                    Box::new(forged)
                 }
                 _ => rar,
             };
-            seen.insert(to.to_string(), rar.clone());
+            seen.insert(to.to_string(), (*rar).clone());
             SignalMessage::Request(rar)
         });
         let result = match s.nodes[0].take_completions().pop() {
@@ -228,7 +228,7 @@ fn unknown_peer_is_refused() {
     let mut mesh = mesh_from(&mut s, 5);
     let out = mesh
         .node_mut("domain-c")
-        .recv("domain-x", SignalMessage::Request(rar));
+        .recv("domain-x", SignalMessage::Request(Box::new(rar)));
     assert!(
         matches!(out.first(), Some((_, SignalMessage::Deny(d))) if d.reason.contains("no SLA")),
         "{out:?}"
