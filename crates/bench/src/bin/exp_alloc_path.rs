@@ -15,8 +15,8 @@
 //! decode through the link's intern tables), with `BbNode::recv` and
 //! full verification between them and the verdict carried back. A
 //! sub-flow of a 256-flow burst of an a → c tunnel, carried the same way
-//! through `BbNode::recv_tunnel_flows` and back, allocates at most 1.25
-//! (2.15 before D28). A stream of distinct certificates decodes through
+//! and run through `BbNode::step` at both ends, as their reactors run
+//! it, allocates at most MAX_SUBFLOW_ALLOCS (2.15 before D28). A stream of distinct certificates decodes through
 //! a link's table at most 1.5× as slowly as before D28, when every
 //! certificate was decoded afresh.
 //!
@@ -31,15 +31,16 @@ use qos_bench::alloc_count::{self, CountingAlloc};
 use qos_bench::{mesh_from, table_header, table_row};
 use qos_core::channel::{handshake, ChannelIdentity, PeerPin};
 use qos_core::messages::SignalMessage;
-use qos_core::node::Completion;
+use qos_core::node::{BbNode, Completion};
 use qos_core::scenario::{build_chain, ChainOptions, Scenario};
-use qos_core::PeerId;
+use qos_core::step::UNQUEUED;
+use qos_core::{Input, PeerId};
 use qos_crypto::{
     Certificate, CertificateAuthority, DistinguishedName, KeyPair, Signature, TbsCertificate,
     Timestamp, Validity,
 };
 use qos_net::SimDuration;
-use qos_telemetry::{Artifact, Row, Telemetry};
+use qos_telemetry::{Artifact, Counter, Row, Telemetry};
 use qos_transport::{LinkCore, MAX_FRAME_LEN};
 use qos_wire::{BufferPool, Decode, Reader};
 use std::time::Instant;
@@ -71,8 +72,10 @@ const BURSTS: u64 = 4;
 /// Rate of one sub-flow of the row's tunnel.
 const FLOW_BPS: u64 = 1000;
 /// A sub-flow's round trip may allocate at most this much: its count
-/// once a link shared the requestor's name (D28), plus a margin.
-const MAX_SUBFLOW_ALLOCS: f64 = 1.25;
+/// once both ends run it through `BbNode::step` (D34: 0.15; 1.15 when
+/// the source returned each request in a `Vec` of its own), plus a
+/// margin.
+const MAX_SUBFLOW_ALLOCS: f64 = 0.25;
 /// The same row's count before D28 (5.28 before D27, when every queued
 /// message was a buffer of its own that a write batch merged and freed).
 const SUBFLOW_ALLOCS_BEFORE_D28: f64 = 2.15;
@@ -132,11 +135,25 @@ fn joined(
     ends
 }
 
+/// Run `inputs` through `node` as its reactor does, each run's messages
+/// onto `link`; returns how many sub-flows it completed as accepted.
+fn run_through(node: &mut BbNode, inputs: &mut Vec<Input>, link: &mut LinkCore) -> u64 {
+    let mut accepted = 0;
+    node.step(inputs, &Counter::noop(), |deliveries, done| {
+        for (_to, msg) in deliveries.drain(..) {
+            link.push(&msg);
+        }
+        let ok = |c: &&Completion| matches!(c, Completion::TunnelFlow { accepted: true, .. });
+        accepted += done.iter().filter(ok).count() as u64;
+    });
+    accepted
+}
+
 /// Bursts of `BURST_FLOWS` sub-flows of an a → c tunnel: requested at
-/// a's node, carried by a's link core to c's, admitted by c's
-/// `recv_tunnel_flows`, the replies carried back and applied at a.
-/// Returns allocations, bytes and ns per sub-flow over the counted
-/// bursts.
+/// a's node, carried by a's link core to c's, admitted by c's node, the
+/// replies carried back and applied at a, each end run through
+/// `BbNode::step`. Returns allocations, bytes and ns per sub-flow over
+/// the counted bursts.
 fn subflow_bursts(
     s: &mut Scenario,
     chan_ca: &mut CertificateAuthority,
@@ -164,7 +181,8 @@ fn subflow_bursts(
 
     let [mut core_a, mut core_c] = joined(chan_ca, pool, "domain-a", "domain-c");
     let (mut at_a, mut at_c) = (Vec::new(), Vec::new());
-    let from_a = PeerId::from("domain-a");
+    let (from_a, from_c) = (PeerId::from("domain-a"), PeerId::from("domain-c"));
+    let mut inputs = Vec::with_capacity(BURST_FLOWS as usize);
     let (mut a0, mut b0, mut t0) = (0, 0, Instant::now());
     for burst in 0..BURST_WARMUP + BURSTS {
         if burst == BURST_WARMUP {
@@ -172,37 +190,23 @@ fn subflow_bursts(
             b0 = alloc_count::allocated_bytes();
             t0 = Instant::now();
         }
-        for flow in burst * BURST_FLOWS..(burst + 1) * BURST_FLOWS {
-            let out = mesh
-                .node_mut("domain-a")
-                .request_tunnel_flow(tunnel, flow, FLOW_BPS, alice.clone())
-                .expect("the aggregate has room");
-            for (_to, msg) in out {
-                core_a.push(&msg);
-            }
-        }
+        let flows = burst * BURST_FLOWS..(burst + 1) * BURST_FLOWS;
+        inputs.extend(flows.map(|f| Input::TunnelFlow(tunnel, f, FLOW_BPS, None, alice.clone())));
+        let refused = run_through(mesh.node_mut("domain-a"), &mut inputs, &mut core_a);
+        assert_eq!(refused, 0, "the aggregate has room");
         carry(&mut core_a, &mut core_c, &mut at_c);
-        let requests = at_c
-            .drain(..)
-            .map(|msg| match msg {
-                SignalMessage::TunnelFlow(req) => (from_a.clone(), req),
-                other => panic!("not a sub-flow request: {other:?}"),
-            })
-            .collect();
-        for (_to, reply) in mesh.node_mut("domain-c").recv_tunnel_flows(requests) {
-            core_c.push(&reply);
-        }
+        inputs.extend(
+            at_c.drain(..)
+                .map(|m| Input::peer(from_a.clone(), m, UNQUEUED)),
+        );
+        run_through(mesh.node_mut("domain-c"), &mut inputs, &mut core_c);
         carry(&mut core_c, &mut core_a, &mut at_a);
-        let a = mesh.node_mut("domain-a");
-        for reply in at_a.drain(..) {
-            a.recv("domain-c", reply);
-        }
-        let accepted = a
-            .take_completions()
-            .iter()
-            .filter(|c| matches!(c, Completion::TunnelFlow { accepted: true, .. }))
-            .count();
-        assert_eq!(accepted as u64, BURST_FLOWS, "every sub-flow admitted once");
+        inputs.extend(
+            at_a.drain(..)
+                .map(|m| Input::peer(from_c.clone(), m, UNQUEUED)),
+        );
+        let accepted = run_through(mesh.node_mut("domain-a"), &mut inputs, &mut core_a);
+        assert_eq!(accepted, BURST_FLOWS, "every sub-flow admitted once");
     }
     let counted = (BURSTS * BURST_FLOWS) as f64;
     (
@@ -309,7 +313,7 @@ fn main() {
     for i in 0..(COLD_WARMUP + COLD_OPS) as u64 {
         let spec = s.spec("alice", 1000 + i, MBPS, Timestamp(0), 3600);
         let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
-        let out_a = s.nodes[0].submit_batch(vec![(Box::new(rar), cert.clone())]);
+        let out_a = s.nodes[0].submit(rar, &cert);
         let out_b = s.nodes[1].recv("domain-a", out_a[0].1.clone());
         msgs.push(out_b[0].1.clone());
     }

@@ -32,9 +32,11 @@ use qos_core::drive::Mesh;
 use qos_core::node::Completion;
 use qos_core::rar::{RarId, ResSpec};
 use qos_core::scenario::{build_as_graph, AsGraphOptions};
-use qos_core::{PeerId, SignalMessage};
+use qos_core::step::UNQUEUED;
+use qos_core::{Input, PeerId};
 use qos_crypto::Timestamp;
 use qos_net::SimDuration;
+use qos_telemetry::Counter;
 use std::time::Instant;
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -57,6 +59,40 @@ struct Tunnel {
     rar: RarId,
     src: PeerId,
     dst: String,
+}
+
+/// Sub-flow verdicts: (accepted, denied).
+type Verdicts = (usize, usize);
+
+/// Run `inputs` through `domain`'s broker, counting the sub-flows it
+/// completed into `verdicts`; each emitted message becomes an input
+/// from `domain` on `inputs`.
+fn step(mesh: &mut Mesh, domain: &PeerId, inputs: &mut Vec<Input>, verdicts: &mut Verdicts) {
+    let mut out = Vec::new();
+    let node = mesh.node_mut(domain);
+    node.step(inputs, &Counter::noop(), |deliveries, done| {
+        out.append(deliveries);
+        for c in done.iter() {
+            match c {
+                Completion::TunnelFlow { accepted: true, .. } => verdicts.0 += 1,
+                Completion::TunnelFlow { .. } => verdicts.1 += 1,
+                _ => {}
+            }
+        }
+    });
+    inputs.extend(
+        out.into_iter()
+            .map(|(_, msg)| Input::peer(PeerId::clone(domain), msg, UNQUEUED)),
+    );
+}
+
+/// The sub-flow requests on `inputs` through `t`: admitted against the
+/// aggregate at its source, sent to its destination, admitted there, and
+/// the replies applied back at the source.
+fn round_trip(mesh: &mut Mesh, t: &Tunnel, inputs: &mut Vec<Input>, verdicts: &mut Verdicts) {
+    step(mesh, &t.src, inputs, verdicts);
+    step(mesh, &PeerId::from(t.dst.as_str()), inputs, verdicts);
+    step(mesh, &t.src, inputs, verdicts);
 }
 
 fn transit_rx(mesh: &Mesh, transits: &[String]) -> u64 {
@@ -197,6 +233,7 @@ fn main() {
     const BATCH: usize = 1024;
     let mut issued = 0usize;
     let mut batch = Vec::with_capacity(BATCH);
+    let mut per_tunnel: Vec<Vec<Input>> = (0..n_tunnels).map(|_| Vec::new()).collect();
     while issued < offered {
         batch.clear();
         while batch.len() < BATCH && issued < offered {
@@ -206,65 +243,36 @@ fn main() {
         let now_s = batch.last().expect("non-empty batch").at_s;
 
         let t0 = Instant::now();
-        // Source side: admit against the tunnel budget and queue toward
-        // the destination, grouped per tunnel: one call per destination.
-        let mut per_tunnel_reqs: Vec<Vec<(PeerId, qos_core::messages::TunnelFlowRequest)>> =
-            vec![Vec::new(); n_tunnels];
+        // Grouped per tunnel: admitted against the tunnel budget at its
+        // source, then at its destination, the replies straight back.
         for e in &batch {
-            let t = &tunnels[(e.flow % n_tunnels as u64) as usize];
+            let i = (e.flow % n_tunnels as u64) as usize;
             let hold = Timestamp((e.at_s + e.hold_s).ceil() as u64);
-            match mesh.node_mut(&t.src).request_tunnel_flow_held(
-                t.rar,
+            let flow = Input::TunnelFlow(
+                tunnels[i].rar,
                 e.flow,
                 rate_bps,
                 Some(hold),
                 alice_dn.clone(),
-            ) {
-                Ok(out) => {
-                    for (_, msg) in out {
-                        if let SignalMessage::TunnelFlow(req) = msg {
-                            per_tunnel_reqs[(e.flow % n_tunnels as u64) as usize]
-                                .push((t.src.clone(), req));
-                        }
-                    }
-                }
-                Err(_) => denied += 1,
-            }
+            );
+            per_tunnel[i].push(flow);
         }
-        // Destination side: admission of each request from the tunnel's
-        // source, replies straight back to the source broker.
-        for (i, reqs) in per_tunnel_reqs.into_iter().enumerate() {
-            if reqs.is_empty() {
-                continue;
-            }
-            let t = &tunnels[i];
-            let replies = mesh.node_mut(&t.dst).recv_tunnel_flows(reqs);
-            for (to, msg) in replies {
-                mesh.node_mut(&to).recv(&t.dst, msg);
+        let mut verdicts = (0, 0);
+        for (t, inputs) in tunnels.iter().zip(&mut per_tunnel) {
+            if !inputs.is_empty() {
+                round_trip(&mut mesh, t, inputs, &mut verdicts);
             }
         }
         let elapsed = t0.elapsed().as_nanos();
+        accepted += verdicts.0;
+        held += verdicts.0;
+        denied += verdicts.1;
         if accepted + denied < cold_n {
             cold_ns += elapsed;
             cold_flows += batch.len();
         } else {
             warm_ns += elapsed;
             warm_flows += batch.len();
-        }
-        // Harvest verdicts (also drains per-node completion buffers).
-        for t in &tunnels {
-            for c in mesh.node_mut(&t.src).take_completions() {
-                match c {
-                    Completion::TunnelFlow { accepted: true, .. } => {
-                        accepted += 1;
-                        held += 1;
-                    }
-                    Completion::TunnelFlow {
-                        accepted: false, ..
-                    } => denied += 1,
-                    _ => {}
-                }
-            }
         }
 
         // Advance virtual wall time: hold-expiry sweeps at every source,
@@ -287,34 +295,18 @@ fn main() {
     let mut flow_id = offered as u64;
     while held < held_target {
         let t = &tunnels[(flow_id % n_tunnels as u64) as usize];
-        match mesh.node_mut(&t.src).request_tunnel_flow_held(
+        let mut inputs = vec![Input::TunnelFlow(
             t.rar,
             flow_id,
             rate_bps,
             None,
             alice_dn.clone(),
-        ) {
-            Ok(out) => {
-                for (_, msg) in out {
-                    if let SignalMessage::TunnelFlow(req) = msg {
-                        let replies = mesh
-                            .node_mut(&t.dst)
-                            .recv_tunnel_flows(vec![(t.src.clone(), req)]);
-                        for (to, reply) in replies {
-                            mesh.node_mut(&to).recv(&t.dst, reply);
-                        }
-                    }
-                }
-            }
-            Err(e) => panic!("top-up flow denied at source: {e:?}"),
-        }
-        for c in mesh.node_mut(&t.src).take_completions() {
-            if let Completion::TunnelFlow { accepted: ok, .. } = c {
-                assert!(ok, "top-up flow denied at destination");
-                accepted += 1;
-                held += 1;
-            }
-        }
+        )];
+        let mut verdicts = (0, 0);
+        round_trip(&mut mesh, t, &mut inputs, &mut verdicts);
+        assert_eq!(verdicts, (1, 0), "top-up flow {flow_id} denied");
+        accepted += 1;
+        held += 1;
         flow_id += 1;
     }
 

@@ -1,8 +1,11 @@
 //! Deterministic virtual-time driver for a mesh of brokers.
 //!
 //! The [`Mesh`] owns the per-domain [`BbNode`]s, a latency matrix, and a
-//! virtual-time scheduler (reusing `qos_net`'s DES engine). Every message
-//! a node emits is delivered after the configured inter-domain latency;
+//! virtual-time scheduler (reusing `qos_net`'s DES engine). It feeds a
+//! node only through [`BbNode::step`], one input at a time with the
+//! virtual wall clock before it, and records no queue wait (DESIGN.md
+//! §D34). Every message a node emits is delivered after the configured
+//! inter-domain latency;
 //! completions and message traffic are logged with timestamps, which is
 //! what the FIG3/FIG5/EXP-L/EXP-T experiments measure. Optionally a live
 //! [`qos_net::Network`] is attached, and every edge-configuration command
@@ -10,13 +13,14 @@
 //! here to the data plane of `qos-net` (FIG4).
 
 use crate::envelope::SignedRar;
-use crate::messages::{DenialCode, DirectRequest, SignalMessage};
+use crate::messages::{DirectRequest, SignalMessage};
 use crate::node::{BbNode, Completion, PeerId};
 use crate::rar::RarId;
+use crate::step::{Input, UNQUEUED};
 use qos_crypto::{Certificate, DistinguishedName, Timestamp};
 use qos_net::des::Scheduler;
 use qos_net::{Network, SimDuration, SimTime};
-use qos_telemetry::ManualClock;
+use qos_telemetry::{Counter, ManualClock};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -48,31 +52,15 @@ fn kind_of(msg: &SignalMessage) -> &'static str {
     }
 }
 
-// Boxed payloads keep the event small despite `SignedRar`'s size (the
-// scheduler stores thousands of pending events in larger sweeps).
-#[allow(clippy::large_enum_variant)]
 enum MeshEvent {
+    /// A message arriving at `to`: a broker, or an end-to-end agent.
     Deliver {
         from: String,
         to: String,
         msg: SignalMessage,
     },
-    Submit {
-        domain: String,
-        rar: Box<SignedRar>,
-        user_cert: Box<Certificate>,
-    },
-    TunnelFlow {
-        domain: String,
-        tunnel: RarId,
-        flow: u64,
-        rate_bps: u64,
-        requestor: DistinguishedName,
-    },
-    Release {
-        domain: String,
-        rar_id: RarId,
-    },
+    /// A local input for `domain`'s broker.
+    Local { domain: String, input: Input },
 }
 
 /// The broker mesh under a deterministic virtual clock.
@@ -248,14 +236,8 @@ impl Mesh {
         rar: SignedRar,
         user_cert: Certificate,
     ) {
-        self.sched.schedule_in(
-            delay,
-            MeshEvent::Submit {
-                domain: domain.to_string(),
-                rar: Box::new(rar),
-                user_cert: Box::new(user_cert),
-            },
-        );
+        let input = Input::Submit(Box::new(rar), Box::new(user_cert), UNQUEUED);
+        self.local_in(delay, domain, input);
     }
 
     /// Ask the source broker for a tunnel sub-flow after `delay`.
@@ -268,16 +250,14 @@ impl Mesh {
         rate_bps: u64,
         requestor: DistinguishedName,
     ) {
-        self.sched.schedule_in(
-            delay,
-            MeshEvent::TunnelFlow {
-                domain: domain.to_string(),
-                tunnel,
-                flow,
-                rate_bps,
-                requestor,
-            },
-        );
+        let input = Input::TunnelFlow(tunnel, flow, rate_bps, None, requestor);
+        self.local_in(delay, domain, input);
+    }
+
+    fn local_in(&mut self, delay: SimDuration, domain: &str, input: Input) {
+        let domain = domain.to_string();
+        self.sched
+            .schedule_in(delay, MeshEvent::Local { domain, input });
     }
 
     /// Run each broker's expiry sweep at wall-clock `wall` and apply the
@@ -289,10 +269,9 @@ impl Mesh {
         let domains: Vec<String> = self.nodes.keys().cloned().collect();
         let mut total = 0;
         for d in domains {
-            let node = self.nodes.get_mut(&d).expect("listed");
-            node.set_time(wall);
-            total += node.expire(wall).len();
-            self.after_dispatch(&d, Vec::new());
+            self.step(&d, Input::SetTime(wall));
+            total += self.node_mut(&d).expire(wall).len();
+            self.route(&d, Vec::new());
         }
         total
     }
@@ -300,13 +279,7 @@ impl Mesh {
     /// Tear down a standing reservation from its source domain after
     /// `delay`.
     pub fn release_in(&mut self, delay: SimDuration, domain: &str, rar_id: RarId) {
-        self.sched.schedule_in(
-            delay,
-            MeshEvent::Release {
-                domain: domain.to_string(),
-                rar_id,
-            },
-        );
+        self.local_in(delay, domain, Input::Release(rar_id));
     }
 
     /// Inject an Approach-1 direct request from `agent_domain`'s
@@ -351,79 +324,40 @@ impl Mesh {
                         to: to.clone(),
                         kind: kind_of(&msg),
                     });
-                    let wall = self.wall_clock();
-                    let peer_from = from.strip_prefix("user:").unwrap_or(&from).to_string();
-                    let Some(node) = self.nodes.get_mut(&to) else {
+                    if !self.nodes.contains_key(&to) {
                         // Addressed to a non-broker entity (an agent).
                         self.agent_inbox.push((now, msg));
                         continue;
-                    };
-                    node.set_time(wall);
-                    let out = node.recv(&peer_from, msg);
-                    self.after_dispatch(&to, out);
-                }
-                MeshEvent::Submit {
-                    domain,
-                    rar,
-                    user_cert,
-                } => {
-                    let wall = self.wall_clock();
-                    let node = self.nodes.get_mut(&domain).expect("unknown domain");
-                    node.set_time(wall);
-                    let out = node.submit(*rar, &user_cert);
-                    self.after_dispatch(&domain, out);
-                }
-                MeshEvent::Release { domain, rar_id } => {
-                    let wall = self.wall_clock();
-                    let node = self.nodes.get_mut(&domain).expect("unknown domain");
-                    node.set_time(wall);
-                    match node.initiate_release(rar_id) {
-                        Ok(out) => self.after_dispatch(&domain, out),
-                        Err(_) => {
-                            // Releasing an unknown reservation is a no-op.
-                            self.after_dispatch(&domain, Vec::new());
-                        }
                     }
+                    let from = from.strip_prefix("user:").unwrap_or(&from);
+                    self.step(&to, Input::peer(from.into(), msg, UNQUEUED));
                 }
-                MeshEvent::TunnelFlow {
-                    domain,
-                    tunnel,
-                    flow,
-                    rate_bps,
-                    requestor,
-                } => {
-                    let wall = self.wall_clock();
-                    let node = self.nodes.get_mut(&domain).expect("unknown domain");
-                    node.set_time(wall);
-                    match node.request_tunnel_flow(tunnel, flow, rate_bps, requestor) {
-                        Ok(out) => self.after_dispatch(&domain, out),
-                        Err(e) => self.completions.push((
-                            self.sched.now(),
-                            domain.clone(),
-                            Completion::TunnelFlow {
-                                tunnel,
-                                flow,
-                                accepted: false,
-                                reason: DenialCode::Other(e.to_string().into()),
-                            },
-                        )),
-                    }
-                }
+                MeshEvent::Local { domain, input } => self.step(&domain, input),
             }
         }
         processed
     }
 
-    fn after_dispatch(&mut self, domain: &str, out: Vec<(PeerId, SignalMessage)>) {
+    /// Step `domain`'s broker through `input` at the current wall clock,
+    /// log the requests it finished, and route what it emitted.
+    fn step(&mut self, domain: &str, input: Input) {
         let now = self.sched.now();
-        // Collect completions and edge commands from the node.
-        let (completions, cmds) = {
-            let node = self.nodes.get_mut(domain).expect("dispatched domain");
-            (node.take_completions(), node.take_edge_commands())
-        };
-        for c in completions {
-            self.completions.push((now, domain.to_string(), c));
-        }
+        let mut inputs = vec![Input::SetTime(self.wall_clock()), input];
+        let node = self.nodes.get_mut(domain).expect("unknown domain");
+        let (mut out, completions) = (Vec::new(), &mut self.completions);
+        node.step(&mut inputs, &Counter::noop(), |deliveries, done| {
+            out.append(deliveries);
+            let at_domain = done.drain(..).map(|c| (now, domain.to_string(), c));
+            completions.extend(at_domain);
+        });
+        self.route(domain, out);
+    }
+
+    /// Apply `domain`'s edge commands to the data plane, if one is
+    /// attached, and schedule `out` after the processing delay plus the
+    /// latency to each message's peer.
+    fn route(&mut self, domain: &str, out: Vec<(PeerId, SignalMessage)>) {
+        let cmds = self.node_mut(domain).take_edge_commands();
         if let Some(net) = self.network.as_mut() {
             for cmd in cmds {
                 qos_broker::EdgeControl::apply(net, cmd);

@@ -17,14 +17,15 @@
 //! * [`node`] — the per-domain broker engine: §6.1 source steps, §6.2
 //!   transit steps, §6.3 destination authorization, two-phase admission,
 //!   capability delegation, edge configuration, tunnels;
+//! * [`step`] — the broker's one door: the [`Input`]s it acts on, run
+//!   by [`BbNode::step`] in runs of [`RUN`](step::RUN), which both
+//!   drivers call (DESIGN.md §D34);
 //! * [`source`] — the Approach-1 baseline (GARA end-to-end agent,
 //!   sequential/concurrent) and the STARS reservation coordinator;
 //! * [`drive`] — a deterministic virtual-time mesh driver (latency and
-//!   message-count experiments; optional live `qos_net` data plane);
-//! * [`shard`] — how a fabric runs one domain's broker: its [`Input`]s,
-//!   run through the one node in runs of [`RUN`](shard::RUN) by
-//!   [`shard::run`], on the TCP reactor's own thread (DESIGN.md §D32,
-//!   `qos_transport`);
+//!   message-count experiments; optional live `qos_net` data plane),
+//!   one of `step`'s two drivers; the other is the TCP reactor of
+//!   `qos_transport`, on its own thread (DESIGN.md §D32);
 //! * [`scenario`] — the paper's multi-domain world, ready-built.
 //!
 //! Observability (DESIGN.md §D7): brokers and both drivers thread a
@@ -43,8 +44,8 @@ pub mod node;
 pub mod parallel;
 pub mod rar;
 pub mod scenario;
-pub mod shard;
 pub mod source;
+pub mod step;
 pub mod trust;
 pub mod view;
 
@@ -55,6 +56,6 @@ pub use flowtable::{FlowTable, TimerWheel};
 pub use messages::{Approval, Denial, DenialCode, SignalMessage};
 pub use node::{BbConfig, BbNode, Completion, EdgeBinding, NodeCounters, PeerId, RecoveredTickets};
 pub use rar::{RarId, ResSpec};
-pub use shard::Input;
 pub use source::{AgentMode, ReservationCoordinator, SourceBasedRun};
+pub use step::Input;
 pub use trust::{verify_rar, KeySource, VerifiedRar};

@@ -8,11 +8,13 @@
 //! capability certificates downstream, emits edge-router configuration,
 //! and manages tunnels.
 //!
-//! The node is a **pure state machine**: `submit`/`recv` return the
-//! messages to transmit, and drivers (virtual-time — see
-//! [`crate::drive`] — or the TCP reactor of `qos_transport`) decide how
-//! those messages travel. That separation is what lets the same protocol
-//! code run under deterministic latency experiments and live threads.
+//! The node is a **pure state machine** with one door,
+//! [`BbNode::step`] (`crate::step`): a driver hands it [`crate::Input`]s
+//! and gets back, a run at a time, the messages to transmit and the
+//! requests finished. Drivers (virtual-time — see [`crate::drive`] — or
+//! the TCP reactor of `qos_transport`) decide how those messages travel.
+//! That separation is what lets the same protocol code run under
+//! deterministic latency experiments and live threads.
 
 use crate::envelope::{RarLayer, SignedRar};
 use crate::error::CoreError;
@@ -261,7 +263,8 @@ pub struct BbNode {
     dn: DistinguishedName,
     key: KeyPair,
     cert: Certificate,
-    now: Timestamp,
+    /// Protocol time: only an [`crate::Input::SetTime`] moves it.
+    pub(crate) now: Timestamp,
     core: BrokerCore,
     pdp: PolicyServer,
     trust_policy: TrustPolicy,
@@ -271,7 +274,8 @@ pub struct BbNode {
     routes: HashMap<String, String>,
     edge: EdgeBinding,
     pending: HashMap<RarId, Pending>,
-    completions: Vec<Completion>,
+    /// Requests finished since a driver last took them.
+    pub(crate) completions: Vec<Completion>,
     edge_cmds: Vec<EdgeCommand>,
     cpu_reservations: HashSet<u64>,
     direct_users: HashMap<DistinguishedName, PublicKey>,
@@ -386,11 +390,6 @@ impl BbNode {
     /// The broker's public key.
     pub fn public_key(&self) -> PublicKey {
         self.key.public()
-    }
-
-    /// Advance the broker's wall clock.
-    pub fn set_time(&mut self, now: Timestamp) {
-        self.now = now;
     }
 
     /// The broker's current wall clock.
@@ -582,7 +581,7 @@ impl BbNode {
 
     /// Record a mailbox-wait observed by the driver: the time between a
     /// message's arrival in this broker's inbox and its dispatch.
-    pub fn record_queue_wait(&mut self, trace: TraceId, request: RarId, start_ns: u64) {
+    pub(crate) fn record_queue_wait(&mut self, trace: TraceId, request: RarId, start_ns: u64) {
         if !self.timing_on() {
             return;
         }
@@ -653,17 +652,6 @@ impl BbNode {
     /// Drain buffered edge-router configuration.
     pub fn take_edge_commands(&mut self) -> Vec<EdgeCommand> {
         std::mem::take(&mut self.edge_cmds)
-    }
-
-    /// Drain completed requests.
-    pub fn take_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
-    }
-
-    /// Drain completed requests in place: the buffer stays with the node,
-    /// so the next completion does not allocate one.
-    pub fn drain_completions(&mut self) -> std::vec::Drain<'_, Completion> {
-        self.completions.drain(..)
     }
 
     /// Resource-core access (experiments inspect admission state).
@@ -816,16 +804,6 @@ impl BbNode {
     // §6.1 Source domain
     // ------------------------------------------------------------------
 
-    /// Handle a user's reservation request arriving at its home broker.
-    /// Returns the messages to transmit.
-    pub fn submit(
-        &mut self,
-        rar_u: SignedRar,
-        user_cert: &Certificate,
-    ) -> Vec<(PeerId, SignalMessage)> {
-        self.submit_checked(Box::new(rar_u), user_cert, false)
-    }
-
     /// Handle a burst of user requests at once. The two signatures each
     /// submission carries — the CA's over the user certificate and the
     /// user's over the request — are independent, so the whole burst is
@@ -835,15 +813,16 @@ impl BbNode {
     /// attribute the failure. Admission then runs serially, in arrival
     /// order, against the shared budgets. Each request's box becomes the
     /// `inner` of the layer this broker wraps it in.
-    pub fn submit_batch(
+    pub(crate) fn submit_batch(
         &mut self,
         batch: Vec<(Box<SignedRar>, Certificate)>,
-    ) -> Vec<(PeerId, SignalMessage)> {
+        out: &mut Vec<(PeerId, SignalMessage)>,
+    ) {
         if batch.len() < 2 {
-            return batch
-                .into_iter()
-                .flat_map(|(rar, cert)| self.submit_checked(rar, &cert, false))
-                .collect();
+            for (rar, cert) in batch {
+                self.submit_checked(rar, &cert, false, out);
+            }
+            return;
         }
         let jobs: Vec<(Digest, PublicKey, Signature)> = batch
             .iter()
@@ -866,21 +845,22 @@ impl BbNode {
                 .map(|c| c[0] && c[1])
                 .collect()
         };
-        let mut out = Vec::new();
         for ((rar, cert), ok) in batch.into_iter().zip(verdicts) {
             // A failed batch item re-verifies inline so the denial
             // attributes the exact broken signature.
-            out.extend(self.submit_checked(rar, &cert, ok));
+            self.submit_checked(rar, &cert, ok, out);
         }
-        out
     }
 
-    fn submit_checked(
+    /// Handle a user's reservation request arriving at its home broker;
+    /// what to transmit goes onto `out`.
+    pub(crate) fn submit_checked(
         &mut self,
         rar_u: Box<SignedRar>,
         user_cert: &Certificate,
         pre_verified: bool,
-    ) -> Vec<(PeerId, SignalMessage)> {
+        out: &mut Vec<(PeerId, SignalMessage)>,
+    ) {
         self.counters.add_rx(1);
         let view = RarView::of(&rar_u);
         let spec = view.spec();
@@ -904,7 +884,7 @@ impl BbNode {
             0
         };
         match checked {
-            Ok(out) => {
+            Ok(forward) => {
                 self.span_at(
                     trace,
                     rar_id,
@@ -913,11 +893,11 @@ impl BbNode {
                     t_sub,
                     end,
                 );
-                self.counters.add_tx(out.is_some() as u64);
-                if let Some((peer, _)) = &out {
+                self.counters.add_tx(forward.is_some() as u64);
+                if let Some((peer, _)) = &forward {
                     self.span_at(trace, rar_id, SpanKind::Forward, || &**peer, end, end);
                 }
-                out.into_iter().collect()
+                out.extend(forward);
             }
             Err(e) => {
                 let detail = || format!("denied: {e}");
@@ -926,7 +906,6 @@ impl BbNode {
                 let result = Err(self.denial_of(rar_id, e));
                 self.completions
                     .push(Completion::Reservation { rar_id, result });
-                Vec::new()
             }
         }
     }
@@ -1125,40 +1104,27 @@ impl BbNode {
     // ------------------------------------------------------------------
 
     /// Handle a message from peer `from` (already authenticated by the
-    /// channel layer). Returns the messages to transmit.
-    pub fn recv(&mut self, from: &str, msg: SignalMessage) -> Vec<(PeerId, SignalMessage)> {
-        self.counters.add_rx(1);
-        let out = match msg {
-            SignalMessage::Request(rar) => self.on_request_checked(from, rar, false),
-            SignalMessage::Approve(a) => self.on_approve(from, a),
-            SignalMessage::Deny(d) => self.on_deny(from, d),
-            SignalMessage::Direct(d) => self.on_direct(*d),
-            SignalMessage::DirectReply(_) => Vec::new(), // agents consume these
-            SignalMessage::TunnelFlow(t) => vec![self.on_tunnel_flow(from, t)],
-            SignalMessage::TunnelFlowReply(r) => self.on_tunnel_flow_reply(from, r),
-            SignalMessage::Release(r) => self.on_release(from, r),
-            SignalMessage::TunnelFlowRelease(r) => self.on_tunnel_flow_release(from, r),
-        };
-        self.counters.add_tx(out.len() as u64);
-        out
-    }
-
-    /// Handle a burst of tunnel sub-flow requests (the paper's per-flow
-    /// admission inside an established aggregate, §7), each exactly as
-    /// [`Self::recv`] would: a sub-flow costs no public-key operation, so
-    /// there is nothing to batch (DESIGN.md §D23). Admission runs
-    /// serially, in arrival order, against the shared aggregate budgets.
-    pub fn recv_tunnel_flows(
+    /// channel layer); what to transmit goes onto `out`.
+    pub(crate) fn on_message(
         &mut self,
-        batch: Vec<(PeerId, TunnelFlowRequest)>,
-    ) -> Vec<(PeerId, SignalMessage)> {
-        self.counters.add_rx(batch.len() as u64);
-        let mut out = Vec::with_capacity(batch.len());
-        for (from, req) in batch {
-            out.push(self.on_tunnel_flow(&from, req));
+        from: &str,
+        msg: SignalMessage,
+        out: &mut Vec<(PeerId, SignalMessage)>,
+    ) {
+        self.counters.add_rx(1);
+        let before = out.len();
+        match msg {
+            SignalMessage::Request(rar) => self.on_request_checked(from, rar, false, out),
+            SignalMessage::Approve(a) => self.on_approve(from, a, out),
+            SignalMessage::Deny(d) => self.on_deny(from, d, out),
+            SignalMessage::Direct(d) => self.on_direct(*d, out),
+            SignalMessage::DirectReply(_) => {} // agents consume these
+            SignalMessage::TunnelFlow(t) => self.on_tunnel_flow(from, t, out),
+            SignalMessage::TunnelFlowReply(r) => self.on_tunnel_flow_reply(from, r),
+            SignalMessage::Release(r) => self.on_release(from, r, out),
+            SignalMessage::TunnelFlowRelease(r) => self.on_tunnel_flow_release(from, r),
         }
-        self.counters.add_tx(out.len() as u64);
-        out
+        self.counters.add_tx((out.len() - before) as u64);
     }
 
     /// Handle a burst of peer reservation requests at once. Each
@@ -1168,15 +1134,16 @@ impl BbNode {
     /// ([`qos_crypto::verify_batch`]) with per-item fallback for
     /// attribution, like [`Self::submit_batch`]. Protocol processing then
     /// runs serially in arrival order.
-    pub fn recv_requests(
+    pub(crate) fn recv_requests(
         &mut self,
         batch: Vec<(PeerId, Box<SignedRar>)>,
-    ) -> Vec<(PeerId, SignalMessage)> {
+        out: &mut Vec<(PeerId, SignalMessage)>,
+    ) {
         if batch.len() < 2 {
-            return batch
-                .into_iter()
-                .flat_map(|(from, rar)| self.recv(&from, SignalMessage::Request(rar)))
-                .collect();
+            for (from, rar) in batch {
+                self.on_message(&from, SignalMessage::Request(rar), out);
+            }
+            return;
         }
         self.counters.add_rx(batch.len() as u64);
         // Resolve each sender's pinned key first (cheap map lookups); an
@@ -1197,13 +1164,12 @@ impl BbNode {
             crate::parallel::verify_each(&jobs)
         };
         let mut verdicts = verdicts.into_iter();
-        let mut out = Vec::new();
+        let before = out.len();
         for ((from, rar), pk) in batch.into_iter().zip(pks) {
             let ok = pk.is_some() && verdicts.next().unwrap_or(false);
-            out.extend(self.on_request_checked(&from, rar, ok));
+            self.on_request_checked(&from, rar, ok, out);
         }
-        self.counters.add_tx(out.len() as u64);
-        out
+        self.counters.add_tx((out.len() - before) as u64);
     }
 
     fn on_request_checked(
@@ -1211,7 +1177,8 @@ impl BbNode {
         from: &str,
         rar: Box<SignedRar>,
         pre_verified: bool,
-    ) -> Vec<(PeerId, SignalMessage)> {
+        out: &mut Vec<(PeerId, SignalMessage)>,
+    ) {
         // One walk of the nest serves every check; it ends before the
         // wrap consumes the envelope.
         let view = RarView::of(&rar);
@@ -1222,9 +1189,9 @@ impl BbNode {
         let trace = TraceId::mint(&spec.source_domain, rar_id.0);
         let checked = self.process_request(from, &view, trace, pre_verified);
         drop(view);
-        match checked {
+        let reply = match checked {
             Ok(Checked::Approved(approval)) => {
-                vec![(PeerId::from(from), SignalMessage::Approve(approval))]
+                (PeerId::from(from), SignalMessage::Approve(approval))
             }
             Ok(Checked::Forward(forward)) => {
                 let upstream_cert = self.peers.get(from).cloned();
@@ -1234,13 +1201,14 @@ impl BbNode {
                 if let Some(end) = signed_at {
                     self.span_at(trace, rar_id, SpanKind::Forward, || &*reply.0, end, end);
                 }
-                vec![reply]
+                reply
             }
             Err(e) => {
                 let denial = self.denial_of(rar_id, e);
-                vec![(PeerId::from(from), SignalMessage::Deny(denial))]
+                (PeerId::from(from), SignalMessage::Deny(denial))
             }
-        }
+        };
+        out.push(reply);
     }
 
     /// Every check a broker runs on a peer's request (§6.2, §6.3), on
@@ -1453,14 +1421,19 @@ impl BbNode {
         approval
     }
 
-    fn on_approve(&mut self, from: &str, approval: Approval) -> Vec<(PeerId, SignalMessage)> {
+    fn on_approve(
+        &mut self,
+        from: &str,
+        approval: Approval,
+        out: &mut Vec<(PeerId, SignalMessage)>,
+    ) {
         let rar_id = approval.rar_id;
         // Acted on only from the downstream peer the request went to (the
         // authenticated channel vouches for `from`); anything else is as
         // stale as a duplicate. The chained signatures then let any
         // upstream domain audit the path.
         let Some(pending) = self.pending_from_downstream(rar_id, from) else {
-            return Vec::new();
+            return;
         };
         let upstream = pending.upstream.clone();
         let (rate_bps, secs) = (pending.rate_bps, pending.interval.secs());
@@ -1509,7 +1482,7 @@ impl BbNode {
             );
         }
         match upstream {
-            Some(peer) => vec![(peer.into(), SignalMessage::Approve(approval))],
+            Some(peer) => out.push((peer.into(), SignalMessage::Approve(approval))),
             None => {
                 // Source domain: the end-to-end reservation stands.
                 let (_, t_done) = self.t0();
@@ -1522,7 +1495,6 @@ impl BbNode {
                     t_done,
                 );
                 self.complete_source(rar_id, Ok(approval));
-                Vec::new()
             }
         }
     }
@@ -1618,10 +1590,10 @@ impl BbNode {
             .push(Completion::Reservation { rar_id, result });
     }
 
-    fn on_deny(&mut self, from: &str, denial: Denial) -> Vec<(PeerId, SignalMessage)> {
+    fn on_deny(&mut self, from: &str, denial: Denial, out: &mut Vec<(PeerId, SignalMessage)>) {
         let rar_id = denial.rar_id;
         if self.pending_from_downstream(rar_id, from).is_none() {
-            return Vec::new();
+            return;
         }
         let pending = self.pending.remove(&rar_id).expect("checked above");
         let (_, t_arrive) = self.t0();
@@ -1636,14 +1608,13 @@ impl BbNode {
         // Roll back the two-phase hold.
         let _ = self.core.release(rar_id_to_reservation(rar_id));
         match pending.upstream {
-            Some(peer) => vec![(peer.into(), SignalMessage::Deny(denial))],
+            Some(peer) => out.push((peer.into(), SignalMessage::Deny(denial))),
             None => {
                 self.instruments.completions_denied.inc();
                 self.completions.push(Completion::Reservation {
                     rar_id,
                     result: Err(denial),
                 });
-                Vec::new()
             }
         }
     }
@@ -1661,60 +1632,59 @@ impl BbNode {
             .filter(|(_, p)| p.interval.end <= now)
             .map(|(id, _)| *id)
             .collect();
+        // Local-only: every domain expires on its own clock, so no
+        // release is built or sent (the interval is part of the signed
+        // spec). Edge commands remain queued for the driver.
         for id in &expired {
-            let msg = Release::new(*id, &self.domain, &self.key);
-            // Local-only: every domain expires on its own clock, no
-            // signalling needed (the interval is part of the signed spec).
-            let _ = self.release_locally_and_forward(*id, msg);
-            // Drop any forwarded release message: expiry is local.
+            self.release_locally(*id);
         }
-        // release_locally_and_forward queues downstream forwards via its
-        // return value, which we discarded above — expiry is local by
-        // design. Edge commands remain queued for the driver.
         expired
     }
 
     /// Tear down a standing reservation end-to-end (invoked at the
-    /// source broker). The release propagates downstream; every domain
-    /// frees its capacity and re-dimensions its edge.
-    pub fn initiate_release(
+    /// source broker; a no-op for any other). The release propagates
+    /// downstream; every domain frees its capacity and re-dimensions its
+    /// edge.
+    pub(crate) fn initiate_release(
         &mut self,
         rar_id: RarId,
-    ) -> Result<Vec<(PeerId, SignalMessage)>, CoreError> {
-        let pending = self
+        out: &mut Vec<(PeerId, SignalMessage)>,
+    ) {
+        if self
             .pending
             .get(&rar_id)
-            .ok_or(CoreError::UnknownRar(rar_id))?;
-        if pending.upstream.is_some() {
-            return Err(CoreError::UnknownRar(rar_id)); // only the source initiates
+            .is_none_or(|p| p.upstream.is_some())
+        {
+            return; // only the source initiates
         }
-        let msg = Release::new(rar_id, &self.domain, &self.key);
-        self.counters.add_signed(1);
-        Ok(self.release_locally_and_forward(rar_id, msg))
+        if let Some(next) = self.release_locally(rar_id) {
+            let msg = Release::new(rar_id, &self.domain, &self.key);
+            self.counters.add_signed(1);
+            out.push((next.into(), SignalMessage::Release(msg)));
+        }
     }
 
-    fn on_release(&mut self, from: &str, release: Release) -> Vec<(PeerId, SignalMessage)> {
+    fn on_release(&mut self, from: &str, release: Release, out: &mut Vec<(PeerId, SignalMessage)>) {
         // Only accept teardowns arriving from the upstream peer that the
-        // reservation actually came through (the authenticated channel
-        // vouches for `from`; the signature ties the message to the
-        // originating source broker).
+        // reservation actually came through: the authenticated channel
+        // vouches for `from`. No hop checks the source broker's signature
+        // on the release (ROADMAP item 6).
         let Some(pending) = self.pending.get(&release.rar_id) else {
-            return Vec::new();
+            return;
         };
         if pending.upstream.as_deref() != Some(from) {
-            return Vec::new();
+            return;
         }
-        self.release_locally_and_forward(release.rar_id, release)
+        if let Some(next) = self.release_locally(release.rar_id) {
+            out.push((next.into(), SignalMessage::Release(release)));
+        }
     }
 
-    fn release_locally_and_forward(
-        &mut self,
-        rar_id: RarId,
-        msg: Release,
-    ) -> Vec<(PeerId, SignalMessage)> {
-        let Some(pending) = self.pending.remove(&rar_id) else {
-            return Vec::new();
-        };
+    /// Free `rar_id`'s capacity and undo its edge configuration. Returns
+    /// the downstream peer a release goes on to, if the reservation was
+    /// pending here and has one.
+    fn release_locally(&mut self, rar_id: RarId) -> Option<String> {
+        let pending = self.pending.remove(&rar_id)?;
         self.verified_paths.remove(&rar_id);
         let (_, t_rel) = self.t0();
         self.span_at(
@@ -1763,23 +1733,20 @@ impl BbNode {
                 });
             }
         }
-        match &pending.segment.egress_peer {
-            Some(next) => vec![(next.as_str().into(), SignalMessage::Release(msg))],
-            None => Vec::new(),
-        }
+        pending.segment.egress_peer
     }
 
     // ------------------------------------------------------------------
     // Approach 1: source-domain-based signalling
     // ------------------------------------------------------------------
 
-    fn on_direct(&mut self, req: DirectRequest) -> Vec<(PeerId, SignalMessage)> {
+    fn on_direct(&mut self, req: DirectRequest, out: &mut Vec<(PeerId, SignalMessage)>) {
         let spec = req.rar.res_spec().clone();
         let rar_id = spec.rar_id;
         let my_domain = self.domain.clone();
         let reply_to = PeerId::from(format!("user:{}", spec.source_domain));
         let reply = move |accepted: bool, reason: String| {
-            vec![(
+            out.push((
                 reply_to,
                 SignalMessage::DirectReply(DirectReply {
                     rar_id,
@@ -1787,7 +1754,7 @@ impl BbNode {
                     accepted,
                     reason,
                 }),
-            )]
+            ))
         };
         // Approach 1's scalability problem in code: this domain must know
         // the *signer* a priori — the user herself, or (STARS) the
@@ -1845,47 +1812,22 @@ impl BbNode {
     // ------------------------------------------------------------------
 
     /// Request a sub-flow within an established tunnel (invoked at the
-    /// source broker by an authorized user). The message goes straight to
-    /// the destination domain.
-    pub fn request_tunnel_flow(
-        &mut self,
-        tunnel: RarId,
-        flow: u64,
-        rate_bps: u64,
-        requestor: DistinguishedName,
-    ) -> Result<Vec<(PeerId, SignalMessage)>, CoreError> {
-        self.request_tunnel_flow_held(tunnel, flow, rate_bps, None, requestor)
-            .map_err(|code| match code {
-                DenialCode::UnknownTunnel => {
-                    CoreError::Tunnel(format!("unknown tunnel {tunnel:?}"))
-                }
-                _ => {
-                    let (used, agg) = self
-                        .tunnels_src
-                        .get(&tunnel)
-                        .map(|t| (t.allocated_bps + t.pending_bps, t.aggregate_bps))
-                        .unwrap_or_default();
-                    CoreError::Tunnel(format!(
-                        "tunnel {tunnel:?} exhausted: {used} of {agg} bps allocated"
-                    ))
-                }
-            })
-    }
-
-    /// [`Self::request_tunnel_flow`] with an optional hold: when
-    /// `hold_until` is set, the flow — if the destination accepts it —
-    /// is torn down automatically once [`Self::expire_tunnel_flows`]
-    /// passes that time, exactly as if [`Self::release_tunnel_flow`] had
-    /// been invoked. Denials come back as static [`DenialCode`]s — no
+    /// source broker by an authorized user); the request, straight to
+    /// the destination domain, goes onto `out`. When `hold_until` is
+    /// set, the flow — if the destination accepts it — is torn down
+    /// automatically once [`Self::expire_tunnel_flows`] passes that
+    /// time, exactly as if [`Self::release_tunnel_flow`] had been
+    /// invoked. A refusal here is a static [`DenialCode`] — no
     /// error-string formatting on the fast path.
-    pub fn request_tunnel_flow_held(
+    pub(crate) fn request_tunnel_flow_held(
         &mut self,
         tunnel: RarId,
         flow: u64,
         rate_bps: u64,
         hold_until: Option<Timestamp>,
         requestor: DistinguishedName,
-    ) -> Result<Vec<(PeerId, SignalMessage)>, DenialCode> {
+        out: &mut Vec<(PeerId, SignalMessage)>,
+    ) -> Result<(), DenialCode> {
         let t = self
             .tunnels_src
             .get_mut(&tunnel)
@@ -1906,15 +1848,21 @@ impl BbNode {
         let dest = t.dest_domain.clone();
         let msg = TunnelFlowRequest::new(tunnel, flow, rate_bps, requestor);
         self.counters.add_tx(1);
-        Ok(vec![(dest, SignalMessage::TunnelFlow(msg))])
+        out.push((dest, SignalMessage::TunnelFlow(msg)));
+        Ok(())
     }
 
     /// Admit (or refuse) one sub-flow, and the one reply that says so.
     /// Admission is serial: sub-flows of one tunnel race for the same
     /// aggregate budget.
-    fn on_tunnel_flow(&mut self, from: &str, req: TunnelFlowRequest) -> (PeerId, SignalMessage) {
+    fn on_tunnel_flow(
+        &mut self,
+        from: &str,
+        req: TunnelFlowRequest,
+        out: &mut Vec<(PeerId, SignalMessage)>,
+    ) {
         let (timing, t_start) = self.t0();
-        let reply = |accepted: bool, reason: DenialCode, source: PeerId| {
+        let answer = |accepted: bool, reason: DenialCode, source: PeerId| {
             (
                 source,
                 SignalMessage::TunnelFlowReply(TunnelFlowReply {
@@ -1925,23 +1873,23 @@ impl BbNode {
                 }),
             )
         };
-        let out = 'admit: {
+        let reply = 'admit: {
             let Some(t) = self.tunnels_dst.get_mut(&req.tunnel) else {
-                break 'admit reply(false, DenialCode::UnknownTunnel, PeerId::from(from));
+                break 'admit answer(false, DenialCode::UnknownTunnel, PeerId::from(from));
             };
             // The channel authenticates the sender; only the tunnel's
             // source may spend its aggregate.
             if *t.source_domain != *from {
-                break 'admit reply(false, DenialCode::NotTunnelSource, PeerId::from(from));
+                break 'admit answer(false, DenialCode::NotTunnelSource, PeerId::from(from));
             }
             // Interned at reservation time: the reply address is a
             // refcount bump, not a String clone per sub-flow.
             let source = t.source_domain.clone();
             if t.allocated_bps + req.rate_bps > t.aggregate_bps {
-                break 'admit reply(false, DenialCode::Exhausted, source);
+                break 'admit answer(false, DenialCode::Exhausted, source);
             }
             if req.rate_bps > MAX_FLOW_RATE_BPS {
-                break 'admit reply(false, DenialCode::RateOverCap, source);
+                break 'admit answer(false, DenialCode::RateOverCap, source);
             }
             // Deliberate pre-§D14 quirk, kept for verdict equivalence: a
             // duplicate admit replaces the record but still adds its full
@@ -1954,7 +1902,7 @@ impl BbNode {
             {
                 self.instruments.flow_table_occupancy.add(1);
             }
-            reply(true, DenialCode::None, source)
+            answer(true, DenialCode::None, source)
         };
         if timing {
             let end = self.clock.now_ns();
@@ -1962,7 +1910,7 @@ impl BbNode {
                 .flow_admit_ns
                 .observe(end.saturating_sub(t_start));
         }
-        out
+        out.push(reply);
     }
 
     /// Tear down one tunnel sub-flow (invoked at the source broker): the
@@ -2057,11 +2005,7 @@ impl BbNode {
         (records, bytes)
     }
 
-    fn on_tunnel_flow_release(
-        &mut self,
-        from: &str,
-        rel: TunnelFlowRelease,
-    ) -> Vec<(PeerId, SignalMessage)> {
+    fn on_tunnel_flow_release(&mut self, from: &str, rel: TunnelFlowRelease) {
         // Acted on only from the tunnel's source, as a request is.
         if let Some(t) = self.tunnels_dst.get_mut(&rel.tunnel) {
             if *t.source_domain == *from {
@@ -2071,14 +2015,9 @@ impl BbNode {
                 }
             }
         }
-        Vec::new()
     }
 
-    fn on_tunnel_flow_reply(
-        &mut self,
-        from: &str,
-        reply: TunnelFlowReply,
-    ) -> Vec<(PeerId, SignalMessage)> {
+    fn on_tunnel_flow_reply(&mut self, from: &str, reply: TunnelFlowReply) {
         // Only the tunnel's destination answers for its sub-flows; a
         // reply from any other peer is dropped unseen.
         let Some(t) = self
@@ -2086,7 +2025,7 @@ impl BbNode {
             .get_mut(&reply.tunnel)
             .filter(|t| *t.dest_domain == *from)
         else {
-            return Vec::new();
+            return;
         };
         if let Some((rate, expiry)) = t.pending_flows.remove(reply.flow) {
             t.pending_bps -= u64::from(rate);
@@ -2117,7 +2056,6 @@ impl BbNode {
             accepted: reply.accepted,
             reason: reply.reason,
         });
-        Vec::new()
     }
 
     // ------------------------------------------------------------------

@@ -15,9 +15,11 @@ use proptest::test_runner::Config as ProptestConfig;
 use qos_core::drive::Mesh;
 use qos_core::node::Completion;
 use qos_core::scenario::{build_chain, ChainOptions};
-use qos_core::{DenialCode, RarId, SignalMessage};
+use qos_core::step::UNQUEUED;
+use qos_core::{DenialCode, Input, PeerId, RarId, SignalMessage};
 use qos_crypto::{DistinguishedName, Timestamp};
 use qos_net::SimDuration;
+use qos_telemetry::Counter;
 use std::collections::HashMap;
 
 const AGGREGATE: u64 = 8_000;
@@ -170,31 +172,57 @@ fn tunnel_world() -> (Mesh, RarId, DistinguishedName) {
     (mesh, tunnel, alice)
 }
 
+/// Run `input` through `domain`'s broker; what it emitted.
+fn step(
+    mesh: &mut Mesh,
+    domain: &str,
+    input: Input,
+) -> (Vec<(PeerId, SignalMessage)>, Vec<Completion>) {
+    let (mut out, mut completions) = (Vec::new(), Vec::new());
+    let node = mesh.node_mut(domain);
+    node.step(&mut vec![input], &Counter::noop(), |deliveries, done| {
+        out.append(deliveries);
+        completions.append(done);
+    });
+    (out, completions)
+}
+
+/// Request sub-flow `flow` at domain-a and carry the request to
+/// domain-b: the refusal at the source, if any, or domain-b's replies.
+fn request_and_carry(
+    mesh: &mut Mesh,
+    tunnel: RarId,
+    alice: &DistinguishedName,
+    (flow, rate, hold): (u64, u64, Option<u64>),
+) -> Result<Vec<(PeerId, SignalMessage)>, DenialCode> {
+    let input = Input::TunnelFlow(tunnel, flow, rate, hold.map(Timestamp), alice.clone());
+    let (out, done) = step(mesh, "domain-a", input);
+    let request = match (out.as_slice(), done.as_slice()) {
+        ([(_, SignalMessage::TunnelFlow(_))], []) => out.into_iter().next().expect("one").1,
+        (
+            [],
+            [Completion::TunnelFlow {
+                accepted: false,
+                reason,
+                ..
+            }],
+        ) => return Err(reason.clone()),
+        other => panic!("a sub-flow is sent or refused at the source, not {other:?}"),
+    };
+    let from_a = Input::peer("domain-a".into(), request, UNQUEUED);
+    Ok(step(mesh, "domain-b", from_a).0)
+}
+
 /// Drive one op against the real brokers, completing every round trip.
 fn run_real(mesh: &mut Mesh, tunnel: RarId, alice: &DistinguishedName, op: &Op) -> Verdict {
     match *op {
         Op::Admit { flow, rate, hold } => {
-            let out = mesh.node_mut("domain-a").request_tunnel_flow_held(
-                tunnel,
-                flow,
-                rate,
-                hold.map(Timestamp),
-                alice.clone(),
-            );
-            let out = match out {
+            let replies = match request_and_carry(mesh, tunnel, alice, (flow, rate, hold)) {
                 Err(code) => return Verdict::SourceDeny(code),
-                Ok(out) => out,
+                Ok(replies) => replies,
             };
-            for (_, msg) in out {
-                let SignalMessage::TunnelFlow(req) = msg else {
-                    panic!("source emitted a non-tunnel-flow message");
-                };
-                let replies = mesh
-                    .node_mut("domain-b")
-                    .recv_tunnel_flows(vec![("domain-a".into(), req)]);
-                for (to, reply) in replies {
-                    mesh.node_mut(&to).recv("domain-b", reply);
-                }
+            for (to, reply) in replies {
+                mesh.node_mut(&to).recv("domain-b", reply);
             }
             let completion = mesh
                 .node_mut("domain-a")
@@ -300,17 +328,10 @@ fn expiry_fires_in_hold_order_under_manual_clock() {
     let clock = mesh.install_sim_clock();
 
     let admit = |mesh: &mut Mesh, flow: u64, hold: Option<u64>| {
-        let out = mesh
-            .node_mut("domain-a")
-            .request_tunnel_flow_held(tunnel, flow, 10, hold.map(Timestamp), alice.clone())
-            .expect("within aggregate");
-        for (_, msg) in out {
-            let replies = mesh
-                .node_mut("domain-b")
-                .recv_tunnel_flows(vec![msg_flow(msg)]);
-            for (to, reply) in replies {
-                mesh.node_mut(&to).recv("domain-b", reply);
-            }
+        let replies =
+            request_and_carry(mesh, tunnel, &alice, (flow, 10, hold)).expect("within aggregate");
+        for (to, reply) in replies {
+            mesh.node_mut(&to).recv("domain-b", reply);
         }
         assert!(mesh
             .node_mut("domain-a")
@@ -318,12 +339,6 @@ fn expiry_fires_in_hold_order_under_manual_clock() {
             .iter()
             .any(|c| matches!(c, Completion::TunnelFlow { accepted: true, .. })));
     };
-    fn msg_flow(msg: SignalMessage) -> (qos_core::PeerId, qos_core::messages::TunnelFlowRequest) {
-        match msg {
-            SignalMessage::TunnelFlow(req) => ("domain-a".into(), req),
-            other => panic!("expected a tunnel flow request, got {other:?}"),
-        }
-    }
     let expire = |mesh: &mut Mesh, clock: &qos_telemetry::ManualClock, at: u64| -> Vec<u64> {
         clock.set_ns(at * 1_000_000_000);
         mesh.node_mut("domain-a")

@@ -1,19 +1,22 @@
 //! Property tests for the signalling core: envelope integrity under
-//! byte-level fuzzing, and protocol-level conservation invariants.
+//! byte-level fuzzing, protocol-level conservation invariants, and a
+//! broker as a function of its inputs.
 
 use proptest::prelude::*;
 use proptest::test_runner::Config as ProptestConfig;
 use qos_broker::Interval;
 use qos_core::envelope::SignedRar;
-use qos_core::node::Completion;
-use qos_core::scenario::{build_chain, ChainOptions};
+use qos_core::node::{BbNode, Completion};
+use qos_core::scenario::{build_chain, ChainOptions, Scenario};
+use qos_core::step::UNQUEUED;
 use qos_core::trust::{verify_rar, KeySource};
-use qos_core::{RarId, ResSpec};
+use qos_core::{Input, PeerId, RarId, ResSpec};
 use qos_crypto::{
     CertificateAuthority, DistinguishedName, KeyPair, Timestamp, TrustPolicy, Validity,
 };
 use qos_net::SimDuration;
 use qos_policy::AttributeSet;
+use qos_telemetry::Counter;
 
 const MBPS: u64 = 1_000_000;
 
@@ -198,5 +201,151 @@ proptest! {
                 d, committed, granted_sum
             );
         }
+    }
+}
+
+/// One step of a user's script at domain-a, the source of a 3-domain
+/// chain.
+#[derive(Debug, Clone)]
+enum UserOp {
+    /// A reservation of `rate` Mb/s; signed by a user the certificate
+    /// does not name unless `honest`.
+    Submit { rate: u64, honest: bool },
+    /// A sub-flow of `kbps` on the standing tunnel, or on one that does
+    /// not exist.
+    Flow { kbps: u64, unknown: bool },
+    /// Tear down the `nth` reservation submitted so far (mod their
+    /// count): granted, denied or already gone.
+    Release { nth: usize },
+    /// Move every domain's wall clock.
+    SetTime { secs: u64 },
+    /// Let the chain fall quiet before the next input.
+    Settle,
+}
+
+fn user_op() -> impl Strategy<Value = UserOp> {
+    prop_oneof![
+        (1u64..8, proptest::bool::ANY).prop_map(|(rate, honest)| UserOp::Submit { rate, honest }),
+        (100u64..4000, proptest::bool::ANY)
+            .prop_map(|(kbps, unknown)| UserOp::Flow { kbps, unknown }),
+        (0usize..16).prop_map(|nth| UserOp::Release { nth }),
+        (0u64..3000).prop_map(|secs| UserOp::SetTime { secs }),
+        Just(UserOp::Settle),
+    ]
+}
+
+/// The inputs `ops` make, each with the index of the domain it is for, a
+/// round per `Settle`, after a first round that stands the tunnel up.
+/// Signing is deterministic, so each chain built from the same options
+/// gets the same inputs.
+fn script(s: &mut Scenario, ops: &[UserOp]) -> Vec<Vec<(usize, Input)>> {
+    let cert = s.users["alice"].cert.clone();
+    let alice = s.users["alice"].dn.clone();
+    let submit = |s: &Scenario, spec: ResSpec, signer: &str| {
+        let rar = s.users[signer].sign_request(spec, &s.nodes[0]);
+        Input::Submit(Box::new(rar), Box::new(cert.clone()), UNQUEUED)
+    };
+    // The 10 Mb/s tunnel every sub-flow of the script asks for.
+    let spec = s
+        .spec("alice", 1, 10 * MBPS, Timestamp(0), 3600)
+        .as_tunnel();
+    let tunnel = spec.rar_id;
+    let mut rounds = vec![vec![(0, submit(s, spec, "alice"))], Vec::new()];
+    let mut submitted = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        let input = match *op {
+            UserOp::Submit { rate, honest } => {
+                let spec = s.spec("alice", 100 + i as u64, rate * MBPS, Timestamp(0), 3600);
+                submitted.push(spec.rar_id);
+                submit(s, spec, if honest { "alice" } else { "david" })
+            }
+            UserOp::Flow { kbps, unknown } => {
+                let on = if unknown { RarId(999_999) } else { tunnel };
+                Input::TunnelFlow(on, i as u64, kbps * 1000, None, alice.clone())
+            }
+            UserOp::Release { nth } if !submitted.is_empty() => {
+                Input::Release(submitted[nth % submitted.len()])
+            }
+            UserOp::Release { .. } => continue,
+            UserOp::SetTime { secs } => {
+                let round = rounds.last_mut().expect("a round");
+                round.extend((0..3).map(|d| (d, Input::SetTime(Timestamp(secs)))));
+                continue;
+            }
+            UserOp::Settle => {
+                rounds.push(Vec::new());
+                continue;
+            }
+        };
+        rounds.last_mut().expect("a round").push((0, input));
+    }
+    rounds
+}
+
+/// Everything a chain emitted: each delivery's sender, receiver and
+/// wire encoding, and each completion with its domain, in order.
+type Trace = (Vec<(PeerId, PeerId, Vec<u8>)>, Vec<(PeerId, Completion)>);
+
+/// Feed `rounds` to a fresh chain through `step`, routing each run's
+/// deliveries by hand as inputs of the domain they are for, and each
+/// round to quiet before the next.
+fn trace(rounds: impl FnOnce(&mut Scenario) -> Vec<Vec<(usize, Input)>>) -> Trace {
+    let mut s = build_chain(ChainOptions {
+        sla_rate_bps: 40 * MBPS,
+        ..ChainOptions::default()
+    });
+    let rounds = rounds(&mut s);
+    let mut brokers: Vec<(PeerId, BbNode, Vec<Input>)> = s
+        .nodes
+        .drain(..)
+        .map(|n| (PeerId::from(n.domain()), n, Vec::new()))
+        .collect();
+    let (mut delivered, mut completed) = (Vec::new(), Vec::new());
+    for round in rounds {
+        for (d, input) in round {
+            brokers[d].2.push(input);
+        }
+        while let Some(i) = brokers.iter().position(|(_, _, inputs)| !inputs.is_empty()) {
+            let (domain, node, inputs) = &mut brokers[i];
+            let domain = domain.clone();
+            let mut routed = Vec::new();
+            node.step(inputs, &Counter::noop(), |deliveries, done| {
+                routed.append(deliveries);
+                completed.extend(done.drain(..).map(|c| (domain.clone(), c)));
+            });
+            for (to, msg) in routed {
+                delivered.push((domain.clone(), to.clone(), qos_wire::to_bytes(&msg)));
+                let (_, _, next) = brokers
+                    .iter_mut()
+                    .find(|(d, _, _)| *d == to)
+                    .expect("a broker of the chain");
+                next.push(Input::peer(domain.clone(), msg, UNQUEUED));
+            }
+        }
+    }
+    (delivered, completed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A broker is a function of its inputs: the same script through
+    /// `step` on two fresh chains delivers the same bytes and completes
+    /// the same requests, denials and refusals at the source included.
+    #[test]
+    fn a_broker_is_a_function_of_its_inputs(
+        ops in proptest::collection::vec(user_op(), 1..48),
+    ) {
+        let first = trace(|s| script(s, &ops));
+        let second = trace(|s| script(s, &ops));
+        prop_assert!(
+            matches!(first.1.first(), Some((_, Completion::Reservation { result: Ok(_), .. }))),
+            "the tunnel stands first"
+        );
+        prop_assert_eq!(first.0.len(), second.0.len());
+        for (i, (a, b)) in first.0.iter().zip(&second.0).enumerate() {
+            prop_assert_eq!(a, b, "delivery {} differs", i);
+        }
+        prop_assert_eq!(first.1, second.1);
     }
 }

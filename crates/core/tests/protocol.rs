@@ -3,13 +3,15 @@
 //! the Approach-1 baseline with misreservation, STARS, and billing.
 
 use qos_core::drive::Mesh;
-use qos_core::node::Completion;
+use qos_core::node::{BbNode, Completion};
 use qos_core::scenario::{build_chain, ChainOptions, Scenario};
 use qos_core::source::{AgentMode, ReservationCoordinator, SourceBasedRun};
-use qos_core::RarId;
+use qos_core::step::UNQUEUED;
+use qos_core::{Input, PeerId, RarId, SignalMessage};
 use qos_crypto::Timestamp;
 use qos_net::{SimDuration, SimTime};
 use qos_policy::samples;
+use qos_telemetry::Counter;
 use std::collections::HashMap;
 
 const MBPS: u64 = 1_000_000;
@@ -24,6 +26,20 @@ fn mesh_from(scenario: &mut Scenario, hop_latency_ms: u64) -> Mesh {
         mesh.set_latency(&w[0], &w[1], SimDuration::from_millis(hop_latency_ms));
     }
     mesh
+}
+
+/// Run `inputs` through `node`'s one door: the messages and the
+/// completions it emitted.
+fn step(
+    node: &mut BbNode,
+    mut inputs: Vec<Input>,
+) -> (Vec<(PeerId, SignalMessage)>, Vec<Completion>) {
+    let (mut out, mut completions) = (Vec::new(), Vec::new());
+    node.step(&mut inputs, &Counter::noop(), |deliveries, done| {
+        out.append(deliveries);
+        completions.append(done);
+    });
+    (out, completions)
 }
 
 fn approval_of(
@@ -722,11 +738,9 @@ fn tunnel_flow_to_unknown_tunnel_is_refused() {
 
 #[test]
 fn batched_ingress_matches_serial_processing() {
-    use qos_core::SignalMessage;
-
-    // Two identical worlds: one drives the batch entry points
-    // (`submit_batch` / `recv_requests`), the other feeds the same burst
-    // one message at a time. Outputs, completions, and counters must be
+    // Two identical worlds: one feeds each burst to `step`, which checks
+    // it through one batch equation, the other feeds the same burst one
+    // message at a time. Outputs, completions, and counters must be
     // indistinguishable — including the denial for a submission whose
     // request is signed by the wrong key.
     let mut serial = build_chain(ChainOptions::default());
@@ -741,23 +755,23 @@ fn batched_ingress_matches_serial_processing() {
             // does not.
             let signer = if i == 2 { "david" } else { "alice" };
             let rar = s.users[signer].sign_request(spec, &s.nodes[0]);
-            items.push((Box::new(rar), s.users["alice"].cert.clone()));
+            items.push((rar, s.users["alice"].cert.clone()));
         }
         items
     };
 
     let serial_out: Vec<_> = burst(&mut serial)
         .into_iter()
-        .flat_map(|(rar, cert)| serial.nodes[0].submit(*rar, &cert))
+        .flat_map(|(rar, cert)| serial.nodes[0].submit(rar, &cert))
         .collect();
-    let batch = burst(&mut batched);
-    let batched_out = batched.nodes[0].submit_batch(batch);
+    let batch = burst(&mut batched)
+        .into_iter()
+        .map(|(rar, cert)| Input::Submit(Box::new(rar), Box::new(cert), UNQUEUED))
+        .collect();
+    let (batched_out, batched_done) = step(&mut batched.nodes[0], batch);
     assert_eq!(serial_out, batched_out);
     assert_eq!(serial_out.len(), 3, "three forwarded, one denied locally");
-    assert_eq!(
-        serial.nodes[0].take_completions(),
-        batched.nodes[0].take_completions()
-    );
+    assert_eq!(serial.nodes[0].take_completions(), batched_done);
     assert_eq!(serial.nodes[0].counters(), batched.nodes[0].counters());
 
     // Forward the surviving requests to the next hop, again batched
@@ -778,7 +792,11 @@ fn batched_ingress_matches_serial_processing() {
         .into_iter()
         .flat_map(|(from, rar)| serial.nodes[1].recv(&from, SignalMessage::Request(rar)))
         .collect();
-    let batched_b_out = batched.nodes[1].recv_requests(batched_fwd);
+    let batched_fwd = batched_fwd
+        .into_iter()
+        .map(|(from, rar)| Input::Request(from, rar, UNQUEUED))
+        .collect();
+    let (batched_b_out, _) = step(&mut batched.nodes[1], batched_fwd);
     assert_eq!(serial_b_out, batched_b_out);
     assert!(
         serial_b_out
@@ -819,7 +837,7 @@ fn tunnel_with_one_flow() -> (Mesh, RarId, qos_crypto::DistinguishedName) {
 #[test]
 fn tunnel_subflow_from_a_non_source_peer_is_refused() {
     use qos_core::messages::{TunnelFlowReply, TunnelFlowRequest};
-    use qos_core::{DenialCode, PeerId, SignalMessage};
+    use qos_core::DenialCode;
 
     let (mut mesh, tunnel, alice) = tunnel_with_one_flow();
     let req = TunnelFlowRequest::new(tunnel, 2, 45 * MBPS, alice);
@@ -833,12 +851,13 @@ fn tunnel_subflow_from_a_non_source_peer_is_refused() {
         other => panic!("expected one sub-flow reply, got {other:?}"),
     };
     let c = mesh.node_mut("domain-c");
-    // The transit carries the tunnel but is not its source: refused one
-    // at a time and in a burst, and the refusal goes back to it.
+    // The transit carries the tunnel but is not its source: refused
+    // through `recv` and through `step`, and the refusal goes back to it.
     let refused = ("domain-b".to_string(), false, DenialCode::NotTunnelSource);
     let out = c.recv("domain-b", SignalMessage::TunnelFlow(req.clone()));
     assert_eq!(reply_to(&out), refused);
-    let out = c.recv_tunnel_flows(vec![("domain-b".into(), req.clone())]);
+    let stepped = SignalMessage::TunnelFlow(req.clone());
+    let (out, _) = step(c, vec![Input::peer("domain-b".into(), stepped, UNQUEUED)]);
     assert_eq!(reply_to(&out), refused);
     assert_eq!(c.held_flow_stats().0, 1, "nothing admitted");
     // The same request over the source's channel takes the rest of the
@@ -849,6 +868,64 @@ fn tunnel_subflow_from_a_non_source_peer_is_refused() {
         ("domain-a".to_string(), true, DenialCode::None)
     );
     assert_eq!(c.held_flow_stats().0, 2);
+}
+
+/// A sub-flow the source refuses never leaves it: it completes there
+/// with the static code that says why, through the simulator and
+/// through `step` alike.
+#[test]
+fn a_subflow_refused_at_the_source_completes_with_its_code() {
+    use qos_core::DenialCode::{SourceExhausted, UnknownTunnel};
+
+    let (mut mesh, tunnel, alice) = tunnel_with_one_flow();
+    let (over, unknown) = (46 * MBPS, RarId(424_242)); // 45 of 50 Mb/s left
+    let refusal = |tunnel, flow, reason| Completion::TunnelFlow {
+        tunnel,
+        flow,
+        accepted: false,
+        reason,
+    };
+    let sent = mesh.messages_to("domain-c", "TunnelFlow");
+    mesh.tunnel_flow_in(
+        SimDuration::ZERO,
+        "domain-a",
+        tunnel,
+        2,
+        over,
+        alice.clone(),
+    );
+    mesh.tunnel_flow_in(
+        SimDuration::ZERO,
+        "domain-a",
+        unknown,
+        3,
+        MBPS,
+        alice.clone(),
+    );
+    mesh.run_until_idle();
+    let completed: Vec<&Completion> = mesh.completions().iter().map(|(_, _, c)| c).collect();
+    assert_eq!(
+        completed[completed.len() - 2..],
+        [
+            &refusal(tunnel, 2, SourceExhausted),
+            &refusal(unknown, 3, UnknownTunnel)
+        ]
+    );
+    assert_eq!(mesh.messages_to("domain-c", "TunnelFlow"), sent);
+
+    let flows = vec![
+        Input::TunnelFlow(tunnel, 4, over, None, alice.clone()),
+        Input::TunnelFlow(unknown, 5, MBPS, None, alice),
+    ];
+    let (out, done) = step(mesh.node_mut("domain-a"), flows);
+    assert!(out.is_empty(), "nothing leaves the source");
+    assert_eq!(
+        done,
+        [
+            refusal(tunnel, 4, SourceExhausted),
+            refusal(unknown, 5, UnknownTunnel)
+        ]
+    );
 }
 
 #[test]

@@ -1,12 +1,14 @@
-//! Transparency of the broker runtime: a [`BbNode`] run by the fabric's
-//! [`shard::run`] — in runs, coalescing a burst into batch calls — must
-//! be indistinguishable from the plain node driven one message at a
-//! time: same verdicts, same committed bandwidth, and counter-for-counter
-//! identical telemetry on a seeded fig2-style run.
+//! Transparency of the broker runtime: a [`BbNode`] stepped as a fabric
+//! steps it — every domain's waiting inputs in runs, coalescing a burst
+//! into batch calls — must be indistinguishable from the plain node
+//! driven one message at a time: same verdicts, same committed
+//! bandwidth, and counter-for-counter identical telemetry on a seeded
+//! fig2-style run.
 
 use qos_core::node::{BbNode, Completion};
 use qos_core::scenario::{build_chain, ChainOptions};
-use qos_core::{shard, Input, PeerId, SignalMessage};
+use qos_core::step::UNQUEUED;
+use qos_core::{Input, PeerId, SignalMessage};
 use qos_crypto::{Certificate, Timestamp};
 use qos_telemetry::{render_prometheus, Counter, Registry, Telemetry};
 use std::collections::{HashMap, VecDeque};
@@ -45,8 +47,8 @@ fn outcome_counts(completions: &[Completion]) -> (usize, usize) {
 }
 
 /// Drive the burst through plain `BbNode`s with a synchronous FIFO
-/// pump, one message a call (`submit_batch` for the burst,
-/// `recv_requests` for requests, `recv` otherwise).
+/// pump, one message a call (one `step` for the burst, `recv` for each
+/// message).
 fn drive_plain(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<String, BbNode>) {
     let (nodes, rars, cert) = scenario();
     let telemetry = Telemetry::with_registry(Arc::clone(registry));
@@ -74,26 +76,26 @@ fn drive_plain(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<String, Bb
     };
 
     let source = nodes.get_mut("domain-a").expect("source domain");
-    let out = source.submit_batch(
-        rars.into_iter()
-            .map(|r| (Box::new(r), cert.clone()))
-            .collect(),
-    );
+    let mut submits = rars
+        .into_iter()
+        .map(|r| Input::Submit(Box::new(r), Box::new(cert.clone()), UNQUEUED))
+        .collect();
+    let mut out = Vec::new();
+    source.step(&mut submits, &Counter::noop(), |deliveries, done| {
+        out.append(deliveries);
+        completions.append(done);
+    });
     route(source, out, &mut queue, &mut completions);
 
     while let Some((from, to, msg)) = queue.pop_front() {
         let node = nodes.get_mut(&to).expect("routed to a known domain");
-        let out = match msg {
-            SignalMessage::Request(rar) => node.recv_requests(vec![(from, rar)]),
-            SignalMessage::TunnelFlow(t) => node.recv_tunnel_flows(vec![(from, t)]),
-            other => node.recv(&from, other),
-        };
+        let out = node.recv(&from, msg);
         route(node, out, &mut queue, &mut completions);
     }
     (completions, nodes)
 }
 
-/// The same burst through [`shard::run`], as each domain's reactor runs
+/// The same burst through [`BbNode::step`], as each domain's reactor runs
 /// it: each domain's waiting inputs in runs, each run's messages routed
 /// to the inputs of the domain they are for.
 fn drive_dispatcher(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<String, BbNode>) {
@@ -124,7 +126,7 @@ fn drive_dispatcher(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<Strin
         let (node, inputs) = brokers.get_mut(&domain).expect("a broker");
         let from = PeerId::from(domain.as_str());
         let mut routed: Vec<(PeerId, SignalMessage)> = Vec::new();
-        shard::run(node, inputs, &Counter::noop(), |deliveries, done| {
+        node.step(inputs, &Counter::noop(), |deliveries, done| {
             routed.append(deliveries);
             completions.append(done);
         });

@@ -8,9 +8,9 @@
 //!   `epoll`-backed poll — the accept listener, each peering link, frame
 //!   decode and seal, write coalescing, and the reconnect backoff
 //!   timers. It runs what a read sweep decoded, and the local inputs
-//!   waiting in its `Inbox`, through the broker
-//!   ([`qos_core::shard::run`]) 32 at a time, and writes each run's
-//!   outputs before the next run;
+//!   waiting in its `Inbox`, through the broker's one door
+//!   ([`BbNode::step`]) 32 at a time, and writes each run's outputs
+//!   before the next run;
 //! * a run's outputs go to each link's [`OutQueue`](crate::OutQueue),
 //!   which the link's core owns, encoded onto the end of the frame open
 //!   at its back (plaintext, unnumbered; numbering and sealing happen at
@@ -37,7 +37,7 @@ use qos_core::channel::ChannelIdentity;
 use qos_core::envelope::SignedRar;
 use qos_core::node::BbNode;
 use qos_core::rar::RarId;
-use qos_core::shard::Input;
+use qos_core::Input;
 use qos_crypto::{Certificate, DistinguishedName, PublicKey, Timestamp};
 use qos_telemetry::{Counter, Histogram, StdClock, Telemetry};
 use std::collections::HashMap;
@@ -388,7 +388,7 @@ impl BrokerDaemon {
         requestor: DistinguishedName,
     ) {
         self.inbox
-            .push([Input::TunnelFlow(tunnel, flow, rate_bps, requestor)]);
+            .push([Input::TunnelFlow(tunnel, flow, rate_bps, None, requestor)]);
     }
 
     /// Advance the broker's wall clock (ordered with the inputs already

@@ -28,8 +28,8 @@
 //!   `epoll`-backed poll, one [`LinkCore`] per configured peer, reconnect
 //!   timers and ack deadlines as poll deadlines, handshakes on
 //!   short-lived offload threads, and the domain's broker, run on the
-//!   reactor's own thread through [`qos_core::shard::run`] (DESIGN.md
-//!   §D32);
+//!   reactor's own thread through its one door,
+//!   [`qos_core::BbNode::step`] (DESIGN.md §D32, §D34);
 //! * [`daemon`] — [`BrokerDaemon`]: one domain's broker handed to its
 //!   reactor, and the inbox its local inputs reach the reactor by;
 //! * [`admin`] — the introspection plane (DESIGN.md §D12): the routing

@@ -9,13 +9,14 @@
 //! numbering and sealing, requeue when a connection dies — is the link's
 //! [`LinkCore`] (DESIGN.md §D26), one per configured peer. Each iteration
 //! the reactor runs the signalling messages its last read sweep decoded,
-//! then the local inputs waiting in its `Inbox`, through the broker
-//! ([`shard::run`]) 32 at a time, and writes each run's outputs to the
-//! links before the next run starts, so the next broker works on one run
-//! while this one works on the next (§D21). A run's messages go onto the
-//! queues the link cores own, and its completions onto the process's
-//! [`Completions`] in one hand-off, which wakes a waiter only if one
-//! sleeps (§D33). The rest of a link's life runs on the same thread:
+//! then the local inputs waiting in its `Inbox`, through the broker's
+//! one door ([`BbNode::step`], §D34) 32 at a time, and writes each run's
+//! outputs to the links before the next run starts, so the next broker
+//! works on one run while this one works on the next (§D21). A run's
+//! messages go onto the queues the link cores own, and its completions
+//! onto the process's [`Completions`] in one hand-off, which wakes a
+//! waiter only if one sleeps (§D33). The rest of a link's life runs on
+//! the same thread:
 //!
 //! * **deadlines** bound the poll timeout — no sleeping threads: a
 //!   reconnect's backoff (`retry_at`), and an ack that waited
@@ -44,8 +45,7 @@ use qos_core::channel::{ChannelIdentity, PeerPin};
 use qos_core::messages::SignalMessage;
 use qos_core::node::{BbNode, Completion};
 use qos_core::rar::RarId;
-use qos_core::shard::{self, Input};
-use qos_core::PeerId;
+use qos_core::{Input, PeerId};
 use qos_telemetry::admin::{parse_request, render_response_into, HttpError};
 use qos_telemetry::{
     Counter, EventFamily, FlightEvent, FlightRecorder, Gauge, Histogram, StdClock, Telemetry,
@@ -673,7 +673,7 @@ impl Reactor {
             }
         }
         let mut dead = Vec::new();
-        shard::run(node, pending, busy, |deliveries, completions| {
+        node.step(pending, busy, |deliveries, completions| {
             let wrote = !deliveries.is_empty();
             // `user:<domain>` is the link to that domain; a message for a
             // peer with no link is dropped.

@@ -6,13 +6,15 @@
 //! on every request (DESIGN.md §D17), and the layer it signs *is* its
 //! delegation of the capability chain (§D22): what is left per request
 //! is one signature per hop outward and one per hop on the way back. A
-//! tunnel sub-flow costs none (§D23).
+//! tunnel sub-flow costs none (§D23), a release one, at the source, and
+//! an expiry none (§D34).
 
 use integration_tests::{build_chain, chain_links, deliver_by_hand, ChainOptions, Scenario, MBPS};
-use qos_core::node::Completion;
-use qos_core::{PeerId, SignalMessage, SignedRar};
+use qos_core::node::{rar_id_to_reservation, Completion};
+use qos_core::{Input, PeerId, SignalMessage, SignedRar};
 use qos_crypto::schnorr::{sign_ops, verify_ops};
 use qos_crypto::{DelegationChain, Timestamp, Validity};
+use qos_telemetry::Counter;
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
 
@@ -178,4 +180,41 @@ fn tunnel_subflows_and_their_releases_cost_no_public_key_operation() {
     assert_eq!(s.nodes[2].held_flow_stats().0, 0, "every flow released");
     assert_eq!(sign_ops() - signs, 0, "a sub-flow is signed by nobody");
     assert_eq!(verify_ops() - verifies, 0, "and verified by nobody");
+}
+
+#[test]
+fn expiry_signs_nothing_and_a_release_is_signed_once_at_the_source() {
+    let _turn = counting();
+    let mut s = build_chain(ChainOptions::default());
+    let cert = s.users["alice"].cert.clone();
+    let grant = |s: &mut Scenario, flow: u64| {
+        let spec = s.spec("alice", flow, MBPS, Timestamp(0), 3600);
+        let id = spec.rar_id;
+        let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
+        let out = s.nodes[0].submit(rar, &cert);
+        deliver(s, 0, out);
+        assert!(granted(s), "reservation {id:?} stands");
+        id
+    };
+
+    // A release is built once, by the source, and carried on as it came.
+    let released = grant(&mut s, 7);
+    let signs = sign_ops();
+    let mut out = Vec::new();
+    let release = Input::Release(released);
+    s.nodes[0].step(&mut vec![release], &Counter::noop(), |d, _| out.append(d));
+    assert!(matches!(out.as_slice(), [(_, SignalMessage::Release(_))]));
+    deliver(&mut s, 0, out);
+    let at_c = s.nodes[2].core();
+    assert!(!at_c.reservation_active_at(rar_id_to_reservation(released), Timestamp(10)));
+    assert_eq!(sign_ops() - signs, 1, "the source signs the release");
+
+    // Expiry is local to each domain: no release is built, so none is
+    // signed (one per domain before).
+    let expired = grant(&mut s, 8);
+    let signs = sign_ops();
+    for node in &mut s.nodes {
+        assert_eq!(node.expire(Timestamp(3600)), [expired]);
+    }
+    assert_eq!(sign_ops() - signs, 0, "an expiry sweep signs nothing");
 }
