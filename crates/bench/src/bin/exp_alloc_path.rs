@@ -40,7 +40,7 @@ use qos_crypto::{
     Timestamp, Validity,
 };
 use qos_net::SimDuration;
-use qos_telemetry::{Artifact, Counter, Row, Telemetry};
+use qos_telemetry::{Artifact, Counter, Row, StdClock, Telemetry};
 use qos_transport::{LinkCore, MAX_FRAME_LEN};
 use qos_wire::{BufferPool, Decode, Reader};
 use std::time::Instant;
@@ -93,7 +93,7 @@ fn domain(i: usize) -> String {
 /// Everything `from` has sealed crosses to `to`, as a socket pair would
 /// carry it; the messages it completes are appended to `msgs`.
 fn carry(from: &mut LinkCore, to: &mut LinkCore, msgs: &mut Vec<SignalMessage>) {
-    let now = Instant::now();
+    let now = StdClock::now();
     loop {
         let out = from.bytes_out(MAX_WRITE_BATCH);
         if out.is_empty() {
@@ -139,7 +139,7 @@ fn joined(
 /// onto `link`; returns how many sub-flows it completed as accepted.
 fn run_through(node: &mut BbNode, inputs: &mut Vec<Input>, link: &mut LinkCore) -> u64 {
     let mut accepted = 0;
-    node.step(inputs, &Counter::noop(), |deliveries, done| {
+    node.step(inputs, &StdClock, &Counter::noop(), |deliveries, done| {
         for (_to, msg) in deliveries.drain(..) {
             link.push(&msg);
         }

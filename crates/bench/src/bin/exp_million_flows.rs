@@ -36,7 +36,7 @@ use qos_core::step::UNQUEUED;
 use qos_core::{Input, PeerId};
 use qos_crypto::Timestamp;
 use qos_net::SimDuration;
-use qos_telemetry::Counter;
+use qos_telemetry::{Counter, StdClock};
 use std::time::Instant;
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -70,7 +70,7 @@ type Verdicts = (usize, usize);
 fn step(mesh: &mut Mesh, domain: &PeerId, inputs: &mut Vec<Input>, verdicts: &mut Verdicts) {
     let mut out = Vec::new();
     let node = mesh.node_mut(domain);
-    node.step(inputs, &Counter::noop(), |deliveries, done| {
+    node.step(inputs, &StdClock, &Counter::noop(), |deliveries, done| {
         out.append(deliveries);
         for c in done.iter() {
             match c {

@@ -4,10 +4,11 @@
 //! virtual-time scheduler (reusing `qos_net`'s DES engine). It feeds a
 //! node only through [`BbNode::step`], one input at a time with the
 //! virtual wall clock before it, and records no queue wait (DESIGN.md
-//! §D34). Every message a node emits is delivered after the configured
-//! inter-domain latency;
-//! completions and message traffic are logged with timestamps, which is
-//! what the FIG3/FIG5/EXP-L/EXP-T experiments measure. Optionally a live
+//! §D34), on the scheduler's clock: every span is timed in simulated
+//! nanoseconds (§D35). Every message a node emits is delivered after the
+//! configured inter-domain latency; completions and message traffic are
+//! logged with timestamps, which is what the FIG3/FIG5/EXP-L/EXP-T
+//! experiments measure. Optionally a live
 //! [`qos_net::Network`] is attached, and every edge-configuration command
 //! brokers emit is applied to it — connecting the control plane built
 //! here to the data plane of `qos-net` (FIG4).
@@ -22,7 +23,6 @@ use qos_net::des::Scheduler;
 use qos_net::{Network, SimDuration, SimTime};
 use qos_telemetry::{Counter, ManualClock};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// A timestamped record of one delivered message (for experiment
 /// accounting).
@@ -73,7 +73,8 @@ pub struct Mesh {
     msg_log: Vec<MsgRecord>,
     agent_inbox: Vec<(SimTime, SignalMessage)>,
     processing_delay: SimDuration,
-    sim_clock: Option<ManualClock>,
+    /// The scheduler's time, which every `step` is timed on.
+    clock: ManualClock,
 }
 
 impl Default for Mesh {
@@ -94,21 +95,8 @@ impl Mesh {
             msg_log: Vec::new(),
             agent_inbox: Vec::new(),
             processing_delay: SimDuration::ZERO,
-            sim_clock: None,
+            clock: ManualClock::new(),
         }
-    }
-
-    /// Install a shared virtual-time clock on every broker (present and
-    /// future): span timestamps then carry simulated nanoseconds instead
-    /// of wall time, advanced by this scheduler as events dispatch. The
-    /// returned clone reads the same cell.
-    pub fn install_sim_clock(&mut self) -> ManualClock {
-        let clock = ManualClock::new();
-        for node in self.nodes.values_mut() {
-            node.set_clock(Arc::new(clock.clone()));
-        }
-        self.sim_clock = Some(clock.clone());
-        clock
     }
 
     /// Model per-message broker processing cost (signature checks,
@@ -134,10 +122,7 @@ impl Mesh {
     }
 
     /// Add a broker.
-    pub fn add_node(&mut self, mut node: BbNode) {
-        if let Some(clock) = &self.sim_clock {
-            node.set_clock(Arc::new(clock.clone()));
-        }
+    pub fn add_node(&mut self, node: BbNode) {
         self.nodes.insert(node.domain().to_string(), node);
     }
 
@@ -313,9 +298,7 @@ impl Mesh {
         let mut processed = 0;
         while let Some((now, event)) = self.sched.pop() {
             processed += 1;
-            if let Some(clock) = &self.sim_clock {
-                clock.set_ns(now.as_nanos());
-            }
+            self.clock.set_ns(now.as_nanos());
             match event {
                 MeshEvent::Deliver { from, to, msg } => {
                     self.msg_log.push(MsgRecord {
@@ -345,11 +328,16 @@ impl Mesh {
         let mut inputs = vec![Input::SetTime(self.wall_clock()), input];
         let node = self.nodes.get_mut(domain).expect("unknown domain");
         let (mut out, completions) = (Vec::new(), &mut self.completions);
-        node.step(&mut inputs, &Counter::noop(), |deliveries, done| {
-            out.append(deliveries);
-            let at_domain = done.drain(..).map(|c| (now, domain.to_string(), c));
-            completions.extend(at_domain);
-        });
+        node.step(
+            &mut inputs,
+            &self.clock,
+            &Counter::noop(),
+            |deliveries, done| {
+                out.append(deliveries);
+                let at_domain = done.drain(..).map(|c| (now, domain.to_string(), c));
+                completions.extend(at_domain);
+            },
+        );
         self.route(domain, out);
     }
 

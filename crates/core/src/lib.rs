@@ -30,8 +30,9 @@
 //!
 //! Observability (DESIGN.md §D7): brokers and both drivers thread a
 //! `qos_telemetry` registry and per-RAR tracer through every protocol
-//! step — see [`node::BbConfig::telemetry`], [`BbNode::tracer`] and
-//! [`drive::Mesh::install_sim_clock`].
+//! step — see [`node::BbConfig::telemetry`] and [`BbNode::tracer`]. A
+//! broker's spans are timed on the clock its driver passes to
+//! [`BbNode::step`] (DESIGN.md §D35).
 
 pub mod channel;
 pub mod drive;

@@ -24,6 +24,7 @@ use crate::messages::{
     TunnelFlowRelease, TunnelFlowReply, TunnelFlowRequest,
 };
 use crate::rar::RarId;
+use crate::step::Run;
 use crate::trust::{verify_view, KeySource};
 use crate::view::RarView;
 use qos_broker::{BrokerCore, EdgeCommand, Interval, PathSegment, ReservationId, Sla};
@@ -38,8 +39,8 @@ use qos_policy::request::VerifiedCapability;
 use qos_policy::{Assertion, AttributeSet, GroupServer, PolicyServer, ReservationOracle, Value};
 use qos_storage::{LedgerRecord, LedgerSnapshot, Recovered, SharedStore, SnapTicket};
 use qos_telemetry::{
-    Clock, Counter, EventFamily, FlightEvent, Gauge, Histogram, Span, SpanKind, StdClock,
-    Telemetry, TraceId, Tracer,
+    Clock, Counter, EventFamily, FlightEvent, Gauge, Histogram, Span, SpanKind, Stopped, Telemetry,
+    TraceId, Tracer,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -290,7 +291,6 @@ pub struct BbNode {
     telemetry: Telemetry,
     instruments: NodeInstruments,
     tracer: Tracer,
-    clock: Arc<dyn Clock>,
     verified_paths: HashMap<RarId, Vec<DistinguishedName>>,
     /// Augments ledger snapshots with transport-layer state (resumption
     /// tickets) — installed by the daemon.
@@ -363,7 +363,6 @@ impl BbNode {
             telemetry: Telemetry::disabled(),
             instruments: NodeInstruments::default(),
             tracer,
-            clock: Arc::new(StdClock),
             verified_paths: HashMap::new(),
             snapshot_extra: None,
             recovered_tickets: RecoveredTickets::default(),
@@ -571,21 +570,19 @@ impl BbNode {
         &mut self.tracer
     }
 
-    /// Replace the span/histogram clock. Live drivers keep the default
-    /// [`StdClock`]; the virtual-time drivers install a
-    /// [`qos_telemetry::ManualClock`] advanced by the scheduler so the
-    /// same instrumentation yields simulated-time telemetry.
-    pub fn set_clock(&mut self, clock: Arc<dyn Clock>) {
-        self.clock = clock;
-    }
-
     /// Record a mailbox-wait observed by the driver: the time between a
     /// message's arrival in this broker's inbox and its dispatch.
-    pub(crate) fn record_queue_wait(&mut self, trace: TraceId, request: RarId, start_ns: u64) {
+    pub(crate) fn record_queue_wait(
+        &mut self,
+        trace: TraceId,
+        request: RarId,
+        start_ns: u64,
+        clock: &dyn Clock,
+    ) {
         if !self.timing_on() {
             return;
         }
-        let end_ns = self.clock.now_ns();
+        let end_ns = clock.now_ns();
         self.instruments
             .queue_wait_ns
             .observe(end_ns.saturating_sub(start_ns));
@@ -607,11 +604,27 @@ impl BbNode {
 
     /// Clock read gated on instrumentation: (timing-active, start-ns).
     #[inline]
-    fn t0(&self) -> (bool, u64) {
+    fn t0(&self, clock: &dyn Clock) -> (bool, u64) {
         if self.timing_on() {
-            (true, self.clock.now_ns())
+            (true, clock.now_ns())
         } else {
             (false, 0)
+        }
+    }
+
+    /// Record a point span at `clock`'s present. While tracing is off
+    /// this reads no clock and `detail` is never built.
+    fn mark<D: Into<String>>(
+        &mut self,
+        trace: TraceId,
+        request: RarId,
+        kind: SpanKind,
+        detail: impl FnOnce() -> D,
+        clock: &dyn Clock,
+    ) {
+        if self.tracer.is_enabled() {
+            let now = clock.now_ns();
+            self.span_at(trace, request, kind, detail, now, now);
         }
     }
 
@@ -685,10 +698,10 @@ impl BbNode {
     /// the snapshot's sequence, in sequence order. Ticket records are
     /// parked for [`take_recovered_tickets`](BbNode::take_recovered_tickets);
     /// everything else force-applies through the broker's restore APIs.
-    /// Returns the replay duration in nanoseconds (callers report it to
-    /// the store via `note_recovery_ns`).
+    /// Returns how many WAL records it replayed; a caller that wants the
+    /// replay's duration times the call (the store takes it through
+    /// `note_recovery_ns`).
     pub fn recover_from(&mut self, recovered: &Recovered) -> u64 {
-        let started = self.clock.now_ns();
         if let Some(flight) = self.telemetry.flight() {
             flight.record(
                 FlightEvent::new(EventFamily::Storage, self.domain.clone(), "recovery_begin")
@@ -734,15 +747,13 @@ impl BbNode {
                 _ => self.core.restore_record(record),
             }
         }
-        let elapsed = self.clock.now_ns().saturating_sub(started);
         if let Some(flight) = self.telemetry.flight() {
             flight.record(
                 FlightEvent::new(EventFamily::Storage, self.domain.clone(), "recovery_end")
-                    .detail(format!("replayed {replayed} records"))
-                    .window(started, started + elapsed),
+                    .detail(format!("replayed {replayed} records")),
             );
         }
-        elapsed
+        replayed
     }
 
     /// Collect ticket state found during recovery (the daemon rebuilds
@@ -816,11 +827,11 @@ impl BbNode {
     pub(crate) fn submit_batch(
         &mut self,
         batch: Vec<(Box<SignedRar>, Certificate)>,
-        out: &mut Vec<(PeerId, SignalMessage)>,
+        run: &mut Run<'_>,
     ) {
         if batch.len() < 2 {
             for (rar, cert) in batch {
-                self.submit_checked(rar, &cert, false, out);
+                self.submit_checked(rar, &cert, false, run);
             }
             return;
         }
@@ -848,18 +859,18 @@ impl BbNode {
         for ((rar, cert), ok) in batch.into_iter().zip(verdicts) {
             // A failed batch item re-verifies inline so the denial
             // attributes the exact broken signature.
-            self.submit_checked(rar, &cert, ok, out);
+            self.submit_checked(rar, &cert, ok, run);
         }
     }
 
     /// Handle a user's reservation request arriving at its home broker;
-    /// what to transmit goes onto `out`.
+    /// what to transmit goes onto `run`.
     pub(crate) fn submit_checked(
         &mut self,
         rar_u: Box<SignedRar>,
         user_cert: &Certificate,
         pre_verified: bool,
-        out: &mut Vec<(PeerId, SignalMessage)>,
+        run: &mut Run<'_>,
     ) {
         self.counters.add_rx(1);
         let view = RarView::of(&rar_u);
@@ -869,20 +880,17 @@ impl BbNode {
         // downstream broker re-derives the same id from the same signed
         // fields (see `TraceId::mint`).
         let trace = TraceId::mint(&spec.source_domain, rar_id.0);
-        let (_, t_sub) = self.t0();
-        let checked = self.process_submit(&view, user_cert, trace, pre_verified);
+        let traced = self.tracer.is_enabled();
+        let t_sub = if traced { run.clock.now_ns() } else { 0 };
+        let checked = self.process_submit(&view, user_cert, trace, pre_verified, run.clock);
         drop(view);
         let checked = checked.map(|forward| {
             forward.map(|f| {
-                self.wrap_onward(rar_u, user_cert.clone(), f, rar_id, trace)
+                self.wrap_onward(rar_u, user_cert.clone(), f, rar_id, trace, run.clock)
                     .0
             })
         });
-        let end = if self.tracer.is_enabled() {
-            self.clock.now_ns()
-        } else {
-            0
-        };
+        let end = if traced { run.clock.now_ns() } else { 0 };
         match checked {
             Ok(forward) => {
                 self.span_at(
@@ -897,7 +905,7 @@ impl BbNode {
                 if let Some((peer, _)) = &forward {
                     self.span_at(trace, rar_id, SpanKind::Forward, || &**peer, end, end);
                 }
-                out.extend(forward);
+                run.out.extend(forward);
             }
             Err(e) => {
                 let detail = || format!("denied: {e}");
@@ -940,6 +948,7 @@ impl BbNode {
         user_cert: &Certificate,
         trace: TraceId,
         pre_verified: bool,
+        clock: &dyn Clock,
     ) -> Result<Option<Forward>, CoreError> {
         let spec = view.spec();
         let rar_id = spec.rar_id;
@@ -984,7 +993,7 @@ impl BbNode {
         let holds_chain = !caps.is_empty();
 
         // Local policy.
-        let mut attachments = self.check_policy(spec, caps, std::iter::empty(), trace)?;
+        let mut attachments = self.check_policy(spec, caps, std::iter::empty(), trace, clock)?;
 
         // Local admission (two-phase hold).
         let egress = self.next_peer_towards(&spec.dest_domain)?;
@@ -1010,13 +1019,13 @@ impl BbNode {
                 attachments.set("sls_burst_bytes", Value::Int(sla.sls.burst_bytes as i64));
             }
         }
-        self.hold_pending(spec, None, egress.clone(), trace)?;
+        self.hold_pending(spec, None, egress.clone(), trace, clock)?;
 
         match egress {
             None => {
                 // Single-domain reservation: we are also the destination.
                 let approval =
-                    self.finalize_destination_approval(rar_id, AttributeSet::new(), trace);
+                    self.finalize_destination_approval(rar_id, AttributeSet::new(), trace, clock);
                 self.complete_source(rar_id, Ok(approval));
                 Ok(None)
             }
@@ -1038,6 +1047,7 @@ impl BbNode {
         ingress: Option<&str>,
         egress: Option<String>,
         trace: TraceId,
+        clock: &dyn Clock,
     ) -> Result<(), CoreError> {
         let segment = PathSegment {
             ingress_peer: ingress.map(str::to_string),
@@ -1049,6 +1059,7 @@ impl BbNode {
             spec.rate_bps,
             segment.clone(),
             trace,
+            clock,
         )?;
         self.pending.insert(
             spec.rar_id,
@@ -1076,8 +1087,9 @@ impl BbNode {
         forward: Forward,
         rar_id: RarId,
         trace: TraceId,
+        clock: &dyn Clock,
     ) -> ((PeerId, SignalMessage), Option<u64>) {
-        let (timing, t_sign) = self.t0();
+        let (timing, t_sign) = self.t0(clock);
         let mut signed_at = None;
         let layer = RarLayer::Broker {
             inner: rar,
@@ -1089,7 +1101,7 @@ impl BbNode {
         };
         let wrapped = SignedRar::sign_layer(layer, self.dn.clone(), &self.key);
         if timing {
-            let end = self.clock.now_ns();
+            let end = clock.now_ns();
             self.instruments.sign_ns.observe(end - t_sign);
             self.span_at(trace, rar_id, SpanKind::Sign, || "wrap", t_sign, end);
             signed_at = Some(end);
@@ -1104,27 +1116,22 @@ impl BbNode {
     // ------------------------------------------------------------------
 
     /// Handle a message from peer `from` (already authenticated by the
-    /// channel layer); what to transmit goes onto `out`.
-    pub(crate) fn on_message(
-        &mut self,
-        from: &str,
-        msg: SignalMessage,
-        out: &mut Vec<(PeerId, SignalMessage)>,
-    ) {
+    /// channel layer); what to transmit goes onto `run`.
+    pub(crate) fn on_message(&mut self, from: &str, msg: SignalMessage, run: &mut Run<'_>) {
         self.counters.add_rx(1);
-        let before = out.len();
+        let before = run.out.len();
         match msg {
-            SignalMessage::Request(rar) => self.on_request_checked(from, rar, false, out),
-            SignalMessage::Approve(a) => self.on_approve(from, a, out),
-            SignalMessage::Deny(d) => self.on_deny(from, d, out),
-            SignalMessage::Direct(d) => self.on_direct(*d, out),
+            SignalMessage::Request(rar) => self.on_request_checked(from, rar, false, run),
+            SignalMessage::Approve(a) => self.on_approve(from, a, run),
+            SignalMessage::Deny(d) => self.on_deny(from, d, run),
+            SignalMessage::Direct(d) => self.on_direct(*d, run),
             SignalMessage::DirectReply(_) => {} // agents consume these
-            SignalMessage::TunnelFlow(t) => self.on_tunnel_flow(from, t, out),
+            SignalMessage::TunnelFlow(t) => self.on_tunnel_flow(from, t, run),
             SignalMessage::TunnelFlowReply(r) => self.on_tunnel_flow_reply(from, r),
-            SignalMessage::Release(r) => self.on_release(from, r, out),
+            SignalMessage::Release(r) => self.on_release(from, r, run),
             SignalMessage::TunnelFlowRelease(r) => self.on_tunnel_flow_release(from, r),
         }
-        self.counters.add_tx((out.len() - before) as u64);
+        self.counters.add_tx((run.out.len() - before) as u64);
     }
 
     /// Handle a burst of peer reservation requests at once. Each
@@ -1137,11 +1144,11 @@ impl BbNode {
     pub(crate) fn recv_requests(
         &mut self,
         batch: Vec<(PeerId, Box<SignedRar>)>,
-        out: &mut Vec<(PeerId, SignalMessage)>,
+        run: &mut Run<'_>,
     ) {
         if batch.len() < 2 {
             for (from, rar) in batch {
-                self.on_message(&from, SignalMessage::Request(rar), out);
+                self.on_message(&from, SignalMessage::Request(rar), run);
             }
             return;
         }
@@ -1164,12 +1171,12 @@ impl BbNode {
             crate::parallel::verify_each(&jobs)
         };
         let mut verdicts = verdicts.into_iter();
-        let before = out.len();
+        let before = run.out.len();
         for ((from, rar), pk) in batch.into_iter().zip(pks) {
             let ok = pk.is_some() && verdicts.next().unwrap_or(false);
-            self.on_request_checked(&from, rar, ok, out);
+            self.on_request_checked(&from, rar, ok, run);
         }
-        self.counters.add_tx((out.len() - before) as u64);
+        self.counters.add_tx((run.out.len() - before) as u64);
     }
 
     fn on_request_checked(
@@ -1177,7 +1184,7 @@ impl BbNode {
         from: &str,
         rar: Box<SignedRar>,
         pre_verified: bool,
-        out: &mut Vec<(PeerId, SignalMessage)>,
+        run: &mut Run<'_>,
     ) {
         // One walk of the nest serves every check; it ends before the
         // wrap consumes the envelope.
@@ -1187,7 +1194,7 @@ impl BbNode {
         // Re-derive the trace minted at the source edge: the spec's
         // signed fields are the same at every hop.
         let trace = TraceId::mint(&spec.source_domain, rar_id.0);
-        let checked = self.process_request(from, &view, trace, pre_verified);
+        let checked = self.process_request(from, &view, trace, pre_verified, run.clock);
         drop(view);
         let reply = match checked {
             Ok(Checked::Approved(approval)) => {
@@ -1197,7 +1204,7 @@ impl BbNode {
                 let upstream_cert = self.peers.get(from).cloned();
                 let upstream_cert = upstream_cert.expect("process_request found the peer");
                 let (reply, signed_at) =
-                    self.wrap_onward(rar, upstream_cert, forward, rar_id, trace);
+                    self.wrap_onward(rar, upstream_cert, forward, rar_id, trace, run.clock);
                 if let Some(end) = signed_at {
                     self.span_at(trace, rar_id, SpanKind::Forward, || &*reply.0, end, end);
                 }
@@ -1208,7 +1215,7 @@ impl BbNode {
                 (PeerId::from(from), SignalMessage::Deny(denial))
             }
         };
-        out.push(reply);
+        run.out.push(reply);
     }
 
     /// Every check a broker runs on a peer's request (§6.2, §6.3), on
@@ -1219,17 +1226,16 @@ impl BbNode {
         view: &RarView<'_>,
         trace: TraceId,
         pre_verified: bool,
+        clock: &dyn Clock,
     ) -> Result<Checked, CoreError> {
         let (rar, spec) = (view.outer(), view.spec());
         let depth = view.depth();
-        let (_, t_arrive) = self.t0();
-        self.span_at(
+        self.mark(
             trace,
             spec.rar_id,
             SpanKind::RecvRequest,
             || format!("from {from}, depth {depth}"),
-            t_arrive,
-            t_arrive,
+            clock,
         );
         let peer_pk = self
             .peers
@@ -1249,10 +1255,10 @@ impl BbNode {
         self.counters.add_verified(1);
 
         if spec.dest_domain == self.domain {
-            self.process_destination(from, view, peer_pk, trace)
+            self.process_destination(from, view, peer_pk, trace, clock)
                 .map(Checked::Approved)
         } else {
-            self.process_transit(from, view, peer_pk, trace)
+            self.process_transit(from, view, peer_pk, trace, clock)
                 .map(Checked::Forward)
         }
     }
@@ -1264,6 +1270,7 @@ impl BbNode {
         view: &RarView<'_>,
         peer_pk: PublicKey,
         trace: TraceId,
+        clock: &dyn Clock,
     ) -> Result<Forward, CoreError> {
         let spec = view.spec();
         // SLA conformance + local policy. Transit domains check the
@@ -1272,14 +1279,14 @@ impl BbNode {
         // nest, a transit has verified the outermost layer only.
         let caps = self.verify_capability_chain(view, Some((peer_pk, 1)))?;
         let holds_chain = !caps.is_empty();
-        let attachments = self.check_policy(spec, caps, view.attachments(), trace)?;
+        let attachments = self.check_policy(spec, caps, view.attachments(), trace, clock)?;
 
         let next =
             self.next_peer_towards(&spec.dest_domain)?
                 .ok_or_else(|| CoreError::UnknownPeer {
                     peer: spec.dest_domain.clone(),
                 })?;
-        self.hold_pending(spec, Some(from), Some(next.clone()), trace)?;
+        self.hold_pending(spec, Some(from), Some(next.clone()), trace, clock)?;
         Ok(Forward {
             delegate: self.delegation_to(holds_chain, &next)?,
             attachments,
@@ -1294,11 +1301,12 @@ impl BbNode {
         view: &RarView<'_>,
         peer_pk: PublicKey,
         trace: TraceId,
+        clock: &dyn Clock,
     ) -> Result<Approval, CoreError> {
         let spec = view.spec();
         let rar_id = spec.rar_id;
         // Full transitive-trust verification of the nested envelope.
-        let (timing, t_verify) = self.t0();
+        let (timing, t_verify) = self.t0(clock);
         verify_view(
             view,
             peer_pk,
@@ -1309,7 +1317,7 @@ impl BbNode {
         )?;
         let depth = view.depth();
         if timing {
-            let end = self.clock.now_ns();
+            let end = clock.now_ns();
             self.instruments.verify_ns.observe(end - t_verify);
             self.span_at(
                 trace,
@@ -1369,8 +1377,8 @@ impl BbNode {
                 )));
             }
         }
-        let attachments = self.check_policy(spec, caps, view.attachments(), trace)?;
-        self.hold_pending(spec, Some(from), None, trace)?;
+        let attachments = self.check_policy(spec, caps, view.attachments(), trace, clock)?;
+        self.hold_pending(spec, Some(from), None, trace, clock)?;
 
         if spec.tunnel {
             self.tunnels_dst.insert(
@@ -1384,7 +1392,7 @@ impl BbNode {
             );
         }
 
-        Ok(self.finalize_destination_approval(rar_id, attachments, trace))
+        Ok(self.finalize_destination_approval(rar_id, attachments, trace, clock))
     }
 
     /// Commit the destination's hold, emit edge config, sign the
@@ -1394,10 +1402,11 @@ impl BbNode {
         rar_id: RarId,
         attachments: AttributeSet,
         trace: TraceId,
+        clock: &dyn Clock,
     ) -> Approval {
         self.commit_and_configure(rar_id);
         self.counters.add_signed(1);
-        let (timing, t_sign) = self.t0();
+        let (timing, t_sign) = self.t0(clock);
         let approval = Approval::originate(
             rar_id,
             self.cert.clone(),
@@ -1407,7 +1416,7 @@ impl BbNode {
             &self.key,
         );
         if timing {
-            let end = self.clock.now_ns();
+            let end = clock.now_ns();
             self.instruments.sign_ns.observe(end - t_sign);
             self.span_at(
                 trace,
@@ -1421,12 +1430,7 @@ impl BbNode {
         approval
     }
 
-    fn on_approve(
-        &mut self,
-        from: &str,
-        approval: Approval,
-        out: &mut Vec<(PeerId, SignalMessage)>,
-    ) {
+    fn on_approve(&mut self, from: &str, approval: Approval, run: &mut Run<'_>) {
         let rar_id = approval.rar_id;
         // Acted on only from the downstream peer the request went to (the
         // authenticated channel vouches for `from`); anything else is as
@@ -1438,14 +1442,12 @@ impl BbNode {
         let upstream = pending.upstream.clone();
         let (rate_bps, secs) = (pending.rate_bps, pending.interval.secs());
         let trace = pending.trace;
-        let (_, t_arrive) = self.t0();
-        self.span_at(
+        self.mark(
             trace,
             rar_id,
             SpanKind::RecvApproval,
             || format!("{} endorsements", approval.entries.len()),
-            t_arrive,
-            t_arrive,
+            run.clock,
         );
         self.commit_and_configure(rar_id);
         // Source domain: set up the §6.4 transitive billing chain now
@@ -1466,11 +1468,11 @@ impl BbNode {
                 );
             }
         }
-        let (timing, t_sign) = self.t0();
+        let (timing, t_sign) = self.t0(run.clock);
         let approval =
             approval.endorse(&self.domain, self.dn.clone(), endorsement_attrs, &self.key);
         if timing {
-            let end = self.clock.now_ns();
+            let end = run.clock.now_ns();
             self.instruments.sign_ns.observe(end - t_sign);
             self.span_at(
                 trace,
@@ -1482,18 +1484,12 @@ impl BbNode {
             );
         }
         match upstream {
-            Some(peer) => out.push((peer.into(), SignalMessage::Approve(approval))),
+            Some(peer) => run
+                .out
+                .push((peer.into(), SignalMessage::Approve(approval))),
             None => {
                 // Source domain: the end-to-end reservation stands.
-                let (_, t_done) = self.t0();
-                self.span_at(
-                    trace,
-                    rar_id,
-                    SpanKind::Complete,
-                    || "approved",
-                    t_done,
-                    t_done,
-                );
+                self.mark(trace, rar_id, SpanKind::Complete, || "approved", run.clock);
                 self.complete_source(rar_id, Ok(approval));
             }
         }
@@ -1590,25 +1586,23 @@ impl BbNode {
             .push(Completion::Reservation { rar_id, result });
     }
 
-    fn on_deny(&mut self, from: &str, denial: Denial, out: &mut Vec<(PeerId, SignalMessage)>) {
+    fn on_deny(&mut self, from: &str, denial: Denial, run: &mut Run<'_>) {
         let rar_id = denial.rar_id;
         if self.pending_from_downstream(rar_id, from).is_none() {
             return;
         }
         let pending = self.pending.remove(&rar_id).expect("checked above");
-        let (_, t_arrive) = self.t0();
-        self.span_at(
+        self.mark(
             pending.trace,
             rar_id,
             SpanKind::RecvDenial,
             || format!("by {}: {}", denial.domain, denial.reason),
-            t_arrive,
-            t_arrive,
+            run.clock,
         );
         // Roll back the two-phase hold.
         let _ = self.core.release(rar_id_to_reservation(rar_id));
         match pending.upstream {
-            Some(peer) => out.push((peer.into(), SignalMessage::Deny(denial))),
+            Some(peer) => run.out.push((peer.into(), SignalMessage::Deny(denial))),
             None => {
                 self.instruments.completions_denied.inc();
                 self.completions.push(Completion::Reservation {
@@ -1624,7 +1618,8 @@ impl BbNode {
     /// expired. Drivers call this as simulated wall time advances; the
     /// admission tables are time-indexed, so capacity accounting is
     /// already correct — this sweep cleans up the *data plane* (stale
-    /// classifiers and policer dimensioning).
+    /// classifiers and policer dimensioning). No driver's clock reaches
+    /// it, so its `Release` spans are on the [`Stopped`] clock.
     pub fn expire(&mut self, now: Timestamp) -> Vec<RarId> {
         let expired: Vec<RarId> = self
             .pending
@@ -1636,7 +1631,7 @@ impl BbNode {
         // release is built or sent (the interval is part of the signed
         // spec). Edge commands remain queued for the driver.
         for id in &expired {
-            self.release_locally(*id);
+            self.release_locally(*id, &Stopped);
         }
         expired
     }
@@ -1645,11 +1640,7 @@ impl BbNode {
     /// source broker; a no-op for any other). The release propagates
     /// downstream; every domain frees its capacity and re-dimensions its
     /// edge.
-    pub(crate) fn initiate_release(
-        &mut self,
-        rar_id: RarId,
-        out: &mut Vec<(PeerId, SignalMessage)>,
-    ) {
+    pub(crate) fn initiate_release(&mut self, rar_id: RarId, run: &mut Run<'_>) {
         if self
             .pending
             .get(&rar_id)
@@ -1657,14 +1648,14 @@ impl BbNode {
         {
             return; // only the source initiates
         }
-        if let Some(next) = self.release_locally(rar_id) {
+        if let Some(next) = self.release_locally(rar_id, run.clock) {
             let msg = Release::new(rar_id, &self.domain, &self.key);
             self.counters.add_signed(1);
-            out.push((next.into(), SignalMessage::Release(msg)));
+            run.out.push((next.into(), SignalMessage::Release(msg)));
         }
     }
 
-    fn on_release(&mut self, from: &str, release: Release, out: &mut Vec<(PeerId, SignalMessage)>) {
+    fn on_release(&mut self, from: &str, release: Release, run: &mut Run<'_>) {
         // Only accept teardowns arriving from the upstream peer that the
         // reservation actually came through: the authenticated channel
         // vouches for `from`. No hop checks the source broker's signature
@@ -1675,26 +1666,18 @@ impl BbNode {
         if pending.upstream.as_deref() != Some(from) {
             return;
         }
-        if let Some(next) = self.release_locally(release.rar_id) {
-            out.push((next.into(), SignalMessage::Release(release)));
+        if let Some(next) = self.release_locally(release.rar_id, run.clock) {
+            run.out.push((next.into(), SignalMessage::Release(release)));
         }
     }
 
     /// Free `rar_id`'s capacity and undo its edge configuration. Returns
     /// the downstream peer a release goes on to, if the reservation was
     /// pending here and has one.
-    fn release_locally(&mut self, rar_id: RarId) -> Option<String> {
+    fn release_locally(&mut self, rar_id: RarId, clock: &dyn Clock) -> Option<String> {
         let pending = self.pending.remove(&rar_id)?;
         self.verified_paths.remove(&rar_id);
-        let (_, t_rel) = self.t0();
-        self.span_at(
-            pending.trace,
-            rar_id,
-            SpanKind::Release,
-            || "",
-            t_rel,
-            t_rel,
-        );
+        self.mark(pending.trace, rar_id, SpanKind::Release, || "", clock);
         let _ = self.core.release(rar_id_to_reservation(rar_id));
         // A torn-down tunnel takes its per-flow state with it (the
         // pre-§D14 path leaked both maps forever). Wheel entries for the
@@ -1740,13 +1723,14 @@ impl BbNode {
     // Approach 1: source-domain-based signalling
     // ------------------------------------------------------------------
 
-    fn on_direct(&mut self, req: DirectRequest, out: &mut Vec<(PeerId, SignalMessage)>) {
+    fn on_direct(&mut self, req: DirectRequest, run: &mut Run<'_>) {
         let spec = req.rar.res_spec().clone();
         let rar_id = spec.rar_id;
         let my_domain = self.domain.clone();
         let reply_to = PeerId::from(format!("user:{}", spec.source_domain));
+        let clock = run.clock;
         let reply = move |accepted: bool, reason: String| {
-            out.push((
+            run.out.push((
                 reply_to,
                 SignalMessage::DirectReply(DirectReply {
                     rar_id,
@@ -1774,7 +1758,7 @@ impl BbNode {
         self.counters.add_verified(1);
         let trace = TraceId::mint(&spec.source_domain, rar_id.0);
         // Approach 1 carries no delegated capabilities.
-        match self.check_policy(&spec, Vec::new(), std::iter::empty(), trace) {
+        match self.check_policy(&spec, Vec::new(), std::iter::empty(), trace, clock) {
             Ok(_) => {}
             Err(e) => return reply(false, e.to_string()),
         }
@@ -1782,7 +1766,14 @@ impl BbNode {
             ingress_peer: req.ingress_peer.clone(),
             egress_peer: req.egress_peer.clone(),
         };
-        if let Err(e) = self.hold(rar_id, spec.interval, spec.rate_bps, segment.clone(), trace) {
+        if let Err(e) = self.hold(
+            rar_id,
+            spec.interval,
+            spec.rate_bps,
+            segment.clone(),
+            trace,
+            clock,
+        ) {
             return reply(false, e.to_string());
         }
         // Approach 1 has no end-to-end commit phase: each domain commits
@@ -1813,7 +1804,7 @@ impl BbNode {
 
     /// Request a sub-flow within an established tunnel (invoked at the
     /// source broker by an authorized user); the request, straight to
-    /// the destination domain, goes onto `out`. When `hold_until` is
+    /// the destination domain, goes onto `run`. When `hold_until` is
     /// set, the flow — if the destination accepts it — is torn down
     /// automatically once [`Self::expire_tunnel_flows`] passes that
     /// time, exactly as if [`Self::release_tunnel_flow`] had been
@@ -1826,7 +1817,7 @@ impl BbNode {
         rate_bps: u64,
         hold_until: Option<Timestamp>,
         requestor: DistinguishedName,
-        out: &mut Vec<(PeerId, SignalMessage)>,
+        run: &mut Run<'_>,
     ) -> Result<(), DenialCode> {
         let t = self
             .tunnels_src
@@ -1848,20 +1839,15 @@ impl BbNode {
         let dest = t.dest_domain.clone();
         let msg = TunnelFlowRequest::new(tunnel, flow, rate_bps, requestor);
         self.counters.add_tx(1);
-        out.push((dest, SignalMessage::TunnelFlow(msg)));
+        run.out.push((dest, SignalMessage::TunnelFlow(msg)));
         Ok(())
     }
 
     /// Admit (or refuse) one sub-flow, and the one reply that says so.
     /// Admission is serial: sub-flows of one tunnel race for the same
     /// aggregate budget.
-    fn on_tunnel_flow(
-        &mut self,
-        from: &str,
-        req: TunnelFlowRequest,
-        out: &mut Vec<(PeerId, SignalMessage)>,
-    ) {
-        let (timing, t_start) = self.t0();
+    fn on_tunnel_flow(&mut self, from: &str, req: TunnelFlowRequest, run: &mut Run<'_>) {
+        let (timing, t_start) = self.t0(run.clock);
         let answer = |accepted: bool, reason: DenialCode, source: PeerId| {
             (
                 source,
@@ -1905,12 +1891,10 @@ impl BbNode {
             answer(true, DenialCode::None, source)
         };
         if timing {
-            let end = self.clock.now_ns();
-            self.instruments
-                .flow_admit_ns
-                .observe(end.saturating_sub(t_start));
+            let took = run.clock.now_ns().saturating_sub(t_start);
+            self.instruments.flow_admit_ns.observe(took);
         }
-        out.push(reply);
+        run.out.push(reply);
     }
 
     /// Tear down one tunnel sub-flow (invoked at the source broker): the
@@ -2082,8 +2066,9 @@ impl BbNode {
         rate_bps: u64,
         segment: PathSegment,
         trace: TraceId,
+        clock: &dyn Clock,
     ) -> Result<(), CoreError> {
-        let (timing, t_hold) = self.t0();
+        let (timing, t_hold) = self.t0(clock);
         let result = self
             .core
             .hold(rar_id_to_reservation(rar_id), interval, rate_bps, segment)
@@ -2093,7 +2078,7 @@ impl BbNode {
                 reason: e.to_string(),
             });
         if timing {
-            let end = self.clock.now_ns();
+            let end = clock.now_ns();
             self.span_at(
                 trace,
                 rar_id,
@@ -2240,6 +2225,7 @@ impl BbNode {
         caps: Vec<VerifiedCapability>,
         upstream: impl Iterator<Item = &'a AttributeSet>,
         trace: TraceId,
+        clock: &dyn Clock,
     ) -> Result<AttributeSet, CoreError> {
         let mut req = qos_policy::PolicyRequest::new(spec.requestor.clone());
         upstream.for_each(|a| req.attrs.merge(a));
@@ -2264,10 +2250,10 @@ impl BbNode {
             domain: self.domain.clone(),
         };
         let oracle = CpuOracle(&self.cpu_reservations);
-        let (timing, t_decide) = self.t0();
+        let (timing, t_decide) = self.t0(clock);
         let decided = self.pdp.decide(&req, &vars, &oracle);
         if timing {
-            let end = self.clock.now_ns();
+            let end = clock.now_ns();
             self.instruments.decide_ns.observe(end - t_decide);
             let detail = || match &decided {
                 Ok(d) => match &d.decision {

@@ -9,6 +9,11 @@
 //! in the daemon's inbox, [`crate::drive::Mesh`] with one input at a
 //! time in virtual time. `step` runs them [`RUN`] at a time, and each
 //! run's outputs go to the driver before the next run starts.
+//!
+//! The driver owns time (DESIGN.md §D35): protocol time is an
+//! [`Input::SetTime`], and every span, queue wait and busy interval is
+//! read off the [`Clock`] the driver passes to `step`. A broker reads no
+//! clock of its own.
 
 use crate::envelope::SignedRar;
 use crate::error::CoreError;
@@ -16,7 +21,7 @@ use crate::messages::{DenialCode, SignalMessage};
 use crate::node::{BbNode, Completion, PeerId};
 use crate::rar::RarId;
 use qos_crypto::{Certificate, DistinguishedName, Timestamp};
-use qos_telemetry::{Counter, StdClock, TraceId};
+use qos_telemetry::{Clock, Counter, Stopped, TraceId};
 
 /// One unit of broker input. A peer message comes from the domain its
 /// channel vouches for; a `u64` timestamp is when the input reached the
@@ -68,75 +73,91 @@ pub const RUN: usize = 32;
 /// The messages a run hands to its driver: each with the peer it goes to.
 type Out = Vec<(PeerId, SignalMessage)>;
 
+/// What a run's handlers write to: the messages the run sends, and the
+/// driver's clock that every timing in the run reads.
+pub(crate) struct Run<'c> {
+    pub(crate) out: Out,
+    pub(crate) clock: &'c dyn Clock,
+}
+
+impl<'c> Run<'c> {
+    fn new(clock: &'c dyn Clock) -> Self {
+        let out = Vec::new();
+        Run { out, clock }
+    }
+}
+
 impl BbNode {
     /// Run every input of `inputs` in arrival order, [`RUN`] at a time,
     /// neighbours of one kind together so a burst of submissions or peer
     /// requests is checked through one batch equation. After each run
     /// `emit` gets what the run produced: the messages to route, oldest
     /// first, and the finished requests (a sub-flow refused at the
-    /// source among them, with its [`DenialCode`]). The time spent
-    /// running inputs, `emit` aside, adds to `busy`.
+    /// source among them, with its [`DenialCode`]). Every timing reads
+    /// `clock`, and the time spent running inputs, `emit` aside, adds
+    /// to `busy`.
     pub fn step(
         &mut self,
         inputs: &mut Vec<Input>,
+        clock: &dyn Clock,
         busy: &Counter,
         mut emit: impl FnMut(&mut Out, &mut Vec<Completion>),
     ) {
         let mut all = inputs.drain(..);
-        let mut out = Vec::new();
+        let mut run = Run::new(clock);
         loop {
-            let mut run = all.by_ref().take(RUN).peekable();
-            if run.peek().is_none() {
+            let mut batch = all.by_ref().take(RUN).peekable();
+            if batch.peek().is_none() {
                 return;
             }
-            let t0 = StdClock::now();
-            while let Some(input) = run.next() {
-                self.input(input, |same| run.next_if(same), &mut out);
+            let t0 = clock.now_ns();
+            while let Some(input) = batch.next() {
+                self.input(input, |same| batch.next_if(same), &mut run);
             }
-            busy.add(StdClock::now().saturating_sub(t0));
-            emit(&mut out, &mut self.completions);
-            out.clear();
+            busy.add(clock.now_ns().saturating_sub(t0));
+            emit(&mut run.out, &mut self.completions);
+            run.out.clear();
             self.completions.clear();
         }
     }
 
     /// Run `input`, and the neighbours of its kind `next` yields, onto
-    /// `out`.
+    /// `run`.
     fn input(
         &mut self,
         input: Input,
         mut next: impl FnMut(fn(&Input) -> bool) -> Option<Input>,
-        out: &mut Out,
+        run: &mut Run<'_>,
     ) {
         match input {
             Input::SetTime(t) => self.now = t,
             Input::Submit(rar, cert, at) => {
-                let mut batch = vec![(self.waited(rar, at), *cert)];
+                let mut batch = vec![(self.waited(rar, at, run.clock), *cert)];
                 while let Some(Input::Submit(rar, cert, at)) =
                     next(|i| matches!(i, Input::Submit(..)))
                 {
-                    batch.push((self.waited(rar, at), *cert));
+                    batch.push((self.waited(rar, at, run.clock), *cert));
                 }
-                self.submit_batch(batch, out);
+                self.submit_batch(batch, run);
             }
             Input::Request(from, rar, at) => {
-                let mut batch = vec![(from, self.waited(rar, at))];
+                let mut batch = vec![(from, self.waited(rar, at, run.clock))];
                 while let Some(Input::Request(from, rar, at)) =
                     next(|i| matches!(i, Input::Request(..)))
                 {
-                    batch.push((from, self.waited(rar, at)));
+                    batch.push((from, self.waited(rar, at, run.clock)));
                 }
-                self.recv_requests(batch, out);
+                self.recv_requests(batch, run);
             }
             Input::Peer(from, msg, at) => {
                 if let (Some(trace), true) = (msg.trace_id(), at != UNQUEUED) {
-                    self.record_queue_wait(trace, msg.rar_id(), at);
+                    self.record_queue_wait(trace, msg.rar_id(), at, run.clock);
                 }
-                self.on_message(&from, msg, out);
+                self.on_message(&from, msg, run);
             }
             Input::TunnelFlow(tunnel, flow, rate_bps, hold, user) => {
                 if let Err(reason) =
-                    self.request_tunnel_flow_held(tunnel, flow, rate_bps, hold, user, out)
+                    self.request_tunnel_flow_held(tunnel, flow, rate_bps, hold, user, run)
                 {
                     self.completions.push(Completion::TunnelFlow {
                         tunnel,
@@ -146,39 +167,39 @@ impl BbNode {
                     });
                 }
             }
-            Input::Release(rar_id) => self.initiate_release(rar_id, out),
+            Input::Release(rar_id) => self.initiate_release(rar_id, run),
         }
     }
 
     /// `rar`, once the time it waited since `at` is recorded.
-    fn waited(&mut self, rar: Box<SignedRar>, at: u64) -> Box<SignedRar> {
+    fn waited(&mut self, rar: Box<SignedRar>, at: u64, clock: &dyn Clock) -> Box<SignedRar> {
         if at != UNQUEUED {
             let spec = rar.res_spec();
             let trace = TraceId::mint(&spec.source_domain, spec.rar_id.0);
-            self.record_queue_wait(trace, spec.rar_id, at);
+            self.record_queue_wait(trace, spec.rar_id, at, clock);
         }
         rar
     }
 
     // The single-input forms below run one input as `step` would, with
-    // no queue wait, and hand its messages back; the requests it
-    // finished wait for `take_completions`. (`qosbench`'s replay walks
-    // requests through them.)
+    // no queue wait and on the `Stopped` clock, and hand its messages
+    // back; the requests it finished wait for `take_completions`.
+    // (`qosbench`'s replay walks requests through them.)
 
     /// A user's reservation request arriving at its home broker
     /// ([`Input::Submit`]): the messages to transmit.
     pub fn submit(&mut self, rar_u: SignedRar, user_cert: &Certificate) -> Out {
-        let mut out = Vec::new();
-        self.submit_checked(Box::new(rar_u), user_cert, false, &mut out);
-        out
+        let mut run = Run::new(&Stopped);
+        self.submit_checked(Box::new(rar_u), user_cert, false, &mut run);
+        run.out
     }
 
     /// A message from peer `from`, already authenticated by the channel
     /// layer ([`Input::Peer`]): the messages to transmit.
     pub fn recv(&mut self, from: &str, msg: SignalMessage) -> Out {
-        let mut out = Vec::new();
-        self.on_message(from, msg, &mut out);
-        out
+        let mut run = Run::new(&Stopped);
+        self.on_message(from, msg, &mut run);
+        run.out
     }
 
     /// A sub-flow within an established tunnel, held until released
@@ -191,9 +212,9 @@ impl BbNode {
         rate_bps: u64,
         requestor: DistinguishedName,
     ) -> Result<Out, CoreError> {
-        let mut out = Vec::new();
-        match self.request_tunnel_flow_held(tunnel, flow, rate_bps, None, requestor, &mut out) {
-            Ok(()) => Ok(out),
+        let mut run = Run::new(&Stopped);
+        match self.request_tunnel_flow_held(tunnel, flow, rate_bps, None, requestor, &mut run) {
+            Ok(()) => Ok(run.out),
             Err(DenialCode::UnknownTunnel) => {
                 Err(CoreError::Tunnel(format!("unknown tunnel {tunnel:?}")))
             }
@@ -243,7 +264,7 @@ mod tests {
         let mut queue: Vec<(PeerId, SignalMessage)> = Vec::new();
         let mut after_each_run = Vec::new();
         let busy = Counter::noop();
-        transit.step(&mut inputs, &busy, |deliveries, completions| {
+        transit.step(&mut inputs, &Stopped, &busy, |deliveries, completions| {
             assert!(completions.is_empty(), "a transit broker completes nothing");
             queue.append(deliveries);
             after_each_run.push(queue.len());

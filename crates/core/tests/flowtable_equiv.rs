@@ -19,7 +19,7 @@ use qos_core::step::UNQUEUED;
 use qos_core::{DenialCode, Input, PeerId, RarId, SignalMessage};
 use qos_crypto::{DistinguishedName, Timestamp};
 use qos_net::SimDuration;
-use qos_telemetry::Counter;
+use qos_telemetry::{Counter, StdClock};
 use std::collections::HashMap;
 
 const AGGREGATE: u64 = 8_000;
@@ -180,10 +180,15 @@ fn step(
 ) -> (Vec<(PeerId, SignalMessage)>, Vec<Completion>) {
     let (mut out, mut completions) = (Vec::new(), Vec::new());
     let node = mesh.node_mut(domain);
-    node.step(&mut vec![input], &Counter::noop(), |deliveries, done| {
-        out.append(deliveries);
-        completions.append(done);
-    });
+    node.step(
+        &mut vec![input],
+        &StdClock,
+        &Counter::noop(),
+        |deliveries, done| {
+            out.append(deliveries);
+            completions.append(done);
+        },
+    );
     (out, completions)
 }
 
@@ -319,13 +324,13 @@ proptest! {
     }
 }
 
-/// Timer-wheel expiry ordering at the node level, driven by a manual
-/// clock: releases fire exactly at their hold ticks, in tick order,
-/// never early, and lazy cancellation skips released or re-held flows.
+/// Timer-wheel expiry ordering at the node level, driven by the wall
+/// time each sweep is given: releases fire exactly at their hold ticks,
+/// in tick order, never early, and lazy cancellation skips released or
+/// re-held flows.
 #[test]
 fn expiry_fires_in_hold_order_under_manual_clock() {
     let (mut mesh, tunnel, alice) = tunnel_world();
-    let clock = mesh.install_sim_clock();
 
     let admit = |mesh: &mut Mesh, flow: u64, hold: Option<u64>| {
         let replies =
@@ -339,8 +344,7 @@ fn expiry_fires_in_hold_order_under_manual_clock() {
             .iter()
             .any(|c| matches!(c, Completion::TunnelFlow { accepted: true, .. })));
     };
-    let expire = |mesh: &mut Mesh, clock: &qos_telemetry::ManualClock, at: u64| -> Vec<u64> {
-        clock.set_ns(at * 1_000_000_000);
+    let expire = |mesh: &mut Mesh, at: u64| -> Vec<u64> {
         mesh.node_mut("domain-a")
             .expire_tunnel_flows(Timestamp(at))
             .into_iter()
@@ -368,30 +372,26 @@ fn expiry_fires_in_hold_order_under_manual_clock() {
     admit(&mut mesh, 6, Some(7));
 
     assert_eq!(
-        expire(&mut mesh, &clock, 2),
+        expire(&mut mesh, 2),
         Vec::<u64>::new(),
         "nothing due before 3"
     );
-    let mut at3 = expire(&mut mesh, &clock, 3);
+    let mut at3 = expire(&mut mesh, 3);
     at3.sort_unstable();
     assert_eq!(at3, vec![2, 3], "both tick-3 holds fire together");
     assert_eq!(
-        expire(&mut mesh, &clock, 4),
+        expire(&mut mesh, 4),
         Vec::<u64>::new(),
         "flow 6's stale entry skipped"
     );
+    assert_eq!(expire(&mut mesh, 6), vec![1], "flow 1 fires at its tick");
     assert_eq!(
-        expire(&mut mesh, &clock, 6),
-        vec![1],
-        "flow 1 fires at its tick"
-    );
-    assert_eq!(
-        expire(&mut mesh, &clock, 7),
+        expire(&mut mesh, 7),
         vec![6],
         "flow 6 fires at its re-held tick"
     );
     assert_eq!(
-        expire(&mut mesh, &clock, 1_000),
+        expire(&mut mesh, 1_000),
         vec![5],
         "flow 5 fires late via cascade"
     );

@@ -16,7 +16,7 @@ use qos_crypto::{
 };
 use qos_net::SimDuration;
 use qos_policy::AttributeSet;
-use qos_telemetry::Counter;
+use qos_telemetry::{Clock, Counter, ManualClock, Span, SpanKind, TraceId};
 
 const MBPS: u64 = 1_000_000;
 
@@ -219,8 +219,9 @@ enum UserOp {
     Release { nth: usize },
     /// Move every domain's wall clock.
     SetTime { secs: u64 },
-    /// Let the chain fall quiet before the next input.
-    Settle,
+    /// Let the chain fall quiet, then let `pause_us` pass on the clock
+    /// every step is timed on, before the next input.
+    Settle { pause_us: u64 },
 }
 
 fn user_op() -> impl Strategy<Value = UserOp> {
@@ -230,15 +231,18 @@ fn user_op() -> impl Strategy<Value = UserOp> {
             .prop_map(|(kbps, unknown)| UserOp::Flow { kbps, unknown }),
         (0usize..16).prop_map(|nth| UserOp::Release { nth }),
         (0u64..3000).prop_map(|secs| UserOp::SetTime { secs }),
-        Just(UserOp::Settle),
+        (0u64..5000).prop_map(|pause_us| UserOp::Settle { pause_us }),
     ]
 }
 
-/// The inputs `ops` make, each with the index of the domain it is for, a
-/// round per `Settle`, after a first round that stands the tunnel up.
-/// Signing is deterministic, so each chain built from the same options
-/// gets the same inputs.
-fn script(s: &mut Scenario, ops: &[UserOp]) -> Vec<Vec<(usize, Input)>> {
+/// One round of a script: how far the clock moves before it (ns), and
+/// its inputs, each with the index of the domain it is for.
+type Round = (u64, Vec<(usize, Input)>);
+
+/// The rounds `ops` make: a round per `Settle`, after a first round that
+/// stands the tunnel up. Signing is deterministic, so each chain built
+/// from the same options gets the same inputs.
+fn script(s: &mut Scenario, ops: &[UserOp]) -> Vec<Round> {
     let cert = s.users["alice"].cert.clone();
     let alice = s.users["alice"].dn.clone();
     let submit = |s: &Scenario, spec: ResSpec, signer: &str| {
@@ -250,7 +254,7 @@ fn script(s: &mut Scenario, ops: &[UserOp]) -> Vec<Vec<(usize, Input)>> {
         .spec("alice", 1, 10 * MBPS, Timestamp(0), 3600)
         .as_tunnel();
     let tunnel = spec.rar_id;
-    let mut rounds = vec![vec![(0, submit(s, spec, "alice"))], Vec::new()];
+    let mut rounds = vec![(0, vec![(0, submit(s, spec, "alice"))]), (0, Vec::new())];
     let mut submitted = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         let input = match *op {
@@ -268,30 +272,52 @@ fn script(s: &mut Scenario, ops: &[UserOp]) -> Vec<Vec<(usize, Input)>> {
             }
             UserOp::Release { .. } => continue,
             UserOp::SetTime { secs } => {
-                let round = rounds.last_mut().expect("a round");
+                let round = &mut rounds.last_mut().expect("a round").1;
                 round.extend((0..3).map(|d| (d, Input::SetTime(Timestamp(secs)))));
                 continue;
             }
-            UserOp::Settle => {
-                rounds.push(Vec::new());
+            UserOp::Settle { pause_us } => {
+                rounds.push((pause_us * 1000, Vec::new()));
                 continue;
             }
         };
-        rounds.last_mut().expect("a round").push((0, input));
+        rounds.last_mut().expect("a round").1.push((0, input));
     }
     rounds
 }
 
-/// Everything a chain emitted: each delivery's sender, receiver and
-/// wire encoding, and each completion with its domain, in order.
-type Trace = (Vec<(PeerId, PeerId, Vec<u8>)>, Vec<(PeerId, Completion)>);
+/// What a span says: trace, request, domain, kind, detail, start,
+/// end and wall time.
+type SpanFacts = (TraceId, u64, String, SpanKind, String, u64, u64, u64);
 
-/// Feed `rounds` to a fresh chain through `step`, routing each run's
-/// deliveries by hand as inputs of the domain they are for, and each
-/// round to quiet before the next.
-fn trace(rounds: impl FnOnce(&mut Scenario) -> Vec<Vec<(usize, Input)>>) -> Trace {
+fn facts(s: &Span) -> SpanFacts {
+    let (domain, detail) = (s.domain.clone(), s.detail.clone());
+    (
+        s.trace, s.request, domain, s.kind, detail, s.start_ns, s.end_ns, s.wall_s,
+    )
+}
+
+/// Everything a chain emitted: each delivery's sender, receiver and
+/// wire encoding, each completion with its domain, in order, and every
+/// span each broker recorded.
+type Trace = (
+    Vec<(PeerId, PeerId, Vec<u8>)>,
+    Vec<(PeerId, Completion)>,
+    Vec<SpanFacts>,
+);
+
+/// How far the clock moves before each `step`, in ns.
+const STEP_NS: u64 = 1000;
+
+/// Feed `rounds` to a fresh, traced chain through `step`, on a clock
+/// this function alone advances: by each round's pause, and by
+/// `STEP_NS` before every step. Each run's deliveries are routed by
+/// hand as inputs of the domain they are for, stamped with the time
+/// they were routed, and each round runs to quiet before the next.
+fn trace(rounds: impl FnOnce(&mut Scenario) -> Vec<Round>) -> Trace {
     let mut s = build_chain(ChainOptions {
         sla_rate_bps: 40 * MBPS,
+        tracing: true,
         ..ChainOptions::default()
     });
     let rounds = rounds(&mut s);
@@ -301,7 +327,9 @@ fn trace(rounds: impl FnOnce(&mut Scenario) -> Vec<Vec<(usize, Input)>>) -> Trac
         .map(|n| (PeerId::from(n.domain()), n, Vec::new()))
         .collect();
     let (mut delivered, mut completed) = (Vec::new(), Vec::new());
-    for round in rounds {
+    let clock = ManualClock::new();
+    for (pause_ns, round) in rounds {
+        clock.advance(pause_ns);
         for (d, input) in round {
             brokers[d].2.push(input);
         }
@@ -309,7 +337,8 @@ fn trace(rounds: impl FnOnce(&mut Scenario) -> Vec<Vec<(usize, Input)>>) -> Trac
             let (domain, node, inputs) = &mut brokers[i];
             let domain = domain.clone();
             let mut routed = Vec::new();
-            node.step(inputs, &Counter::noop(), |deliveries, done| {
+            clock.advance(STEP_NS);
+            node.step(inputs, &clock, &Counter::noop(), |deliveries, done| {
                 routed.append(deliveries);
                 completed.extend(done.drain(..).map(|c| (domain.clone(), c)));
             });
@@ -319,19 +348,25 @@ fn trace(rounds: impl FnOnce(&mut Scenario) -> Vec<Vec<(usize, Input)>>) -> Trac
                     .iter_mut()
                     .find(|(d, _, _)| *d == to)
                     .expect("a broker of the chain");
-                next.push(Input::peer(domain.clone(), msg, UNQUEUED));
+                next.push(Input::peer(domain.clone(), msg, clock.now_ns()));
             }
         }
     }
-    (delivered, completed)
+    let spans = brokers
+        .iter()
+        .flat_map(|(_, node, _)| node.tracer().spans().map(facts))
+        .collect();
+    (delivered, completed, spans)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// A broker is a function of its inputs: the same script through
-    /// `step` on two fresh chains delivers the same bytes and completes
-    /// the same requests, denials and refusals at the source included.
+    /// A broker is a function of its inputs and of the clock its driver
+    /// passes in: the same script through `step` on two fresh chains
+    /// delivers the same bytes, completes the same requests (denials and
+    /// refusals at the source included) and records the same spans, each
+    /// timed on the script's clock.
     #[test]
     fn a_broker_is_a_function_of_its_inputs(
         ops in proptest::collection::vec(user_op(), 1..48),
@@ -347,5 +382,14 @@ proptest! {
             prop_assert_eq!(a, b, "delivery {} differs", i);
         }
         prop_assert_eq!(first.1, second.1);
+        prop_assert!(!first.2.is_empty(), "the tunnel's request is traced");
+        prop_assert!(
+            first.2.iter().all(|s| s.5 >= STEP_NS && s.6 >= s.5),
+            "every span is on the script's clock"
+        );
+        prop_assert_eq!(first.2.len(), second.2.len());
+        for (i, (a, b)) in first.2.iter().zip(&second.2).enumerate() {
+            prop_assert_eq!(a, b, "span {} differs", i);
+        }
     }
 }

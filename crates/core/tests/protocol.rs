@@ -11,7 +11,7 @@ use qos_core::{Input, PeerId, RarId, SignalMessage};
 use qos_crypto::Timestamp;
 use qos_net::{SimDuration, SimTime};
 use qos_policy::samples;
-use qos_telemetry::Counter;
+use qos_telemetry::{Counter, StdClock};
 use std::collections::HashMap;
 
 const MBPS: u64 = 1_000_000;
@@ -35,10 +35,15 @@ fn step(
     mut inputs: Vec<Input>,
 ) -> (Vec<(PeerId, SignalMessage)>, Vec<Completion>) {
     let (mut out, mut completions) = (Vec::new(), Vec::new());
-    node.step(&mut inputs, &Counter::noop(), |deliveries, done| {
-        out.append(deliveries);
-        completions.append(done);
-    });
+    node.step(
+        &mut inputs,
+        &StdClock,
+        &Counter::noop(),
+        |deliveries, done| {
+            out.append(deliveries);
+            completions.append(done);
+        },
+    );
     (out, completions)
 }
 

@@ -10,7 +10,7 @@ use qos_core::scenario::{build_chain, ChainOptions};
 use qos_core::step::UNQUEUED;
 use qos_core::{Input, PeerId, SignalMessage};
 use qos_crypto::{Certificate, Timestamp};
-use qos_telemetry::{render_prometheus, Counter, Registry, Telemetry};
+use qos_telemetry::{render_prometheus, Counter, Registry, StdClock, Telemetry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -81,10 +81,15 @@ fn drive_plain(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<String, Bb
         .map(|r| Input::Submit(Box::new(r), Box::new(cert.clone()), UNQUEUED))
         .collect();
     let mut out = Vec::new();
-    source.step(&mut submits, &Counter::noop(), |deliveries, done| {
-        out.append(deliveries);
-        completions.append(done);
-    });
+    source.step(
+        &mut submits,
+        &StdClock,
+        &Counter::noop(),
+        |deliveries, done| {
+            out.append(deliveries);
+            completions.append(done);
+        },
+    );
     route(source, out, &mut queue, &mut completions);
 
     while let Some((from, to, msg)) = queue.pop_front() {
@@ -126,7 +131,7 @@ fn drive_dispatcher(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<Strin
         let (node, inputs) = brokers.get_mut(&domain).expect("a broker");
         let from = PeerId::from(domain.as_str());
         let mut routed: Vec<(PeerId, SignalMessage)> = Vec::new();
-        node.step(inputs, &Counter::noop(), |deliveries, done| {
+        node.step(inputs, &StdClock, &Counter::noop(), |deliveries, done| {
             routed.append(deliveries);
             completions.append(done);
         });

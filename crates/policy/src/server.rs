@@ -17,7 +17,7 @@ use crate::group::GroupServer;
 use crate::parser::{parse, ParseError};
 use crate::request::PolicyRequest;
 use crate::Policy;
-use qos_telemetry::{Counter, Histogram, StdClock, Telemetry};
+use qos_telemetry::{Counter, Telemetry};
 
 /// Live per-domain state the policy can reference.
 #[derive(Debug, Clone)]
@@ -76,8 +76,6 @@ impl From<Outcome> for PolicyDecision {
 /// Instrument handles for one PDP (detached no-ops by default).
 #[derive(Default)]
 struct PdpInstruments {
-    eval_ns: Histogram,
-    parse_ns: Histogram,
     grants: Counter,
     denies: Counter,
     errors: Counter,
@@ -89,24 +87,12 @@ pub struct PolicyServer {
     policy: Policy,
     groups: GroupServer,
     instruments: PdpInstruments,
-    /// Nanoseconds spent parsing in `from_source`, held until telemetry
-    /// is attached (parsing happens at construction, before
-    /// `set_telemetry` can have run).
-    pending_parse_ns: Vec<u64>,
 }
 
 impl PolicyServer {
     /// Build a PDP from policy source text and a group server.
-    ///
-    /// The parse time is reported as `pdp_parse_ns` once telemetry is
-    /// attached, keeping parse cost visible separately from `pdp_eval_ns`.
     pub fn from_source(policy_src: &str, groups: GroupServer) -> Result<Self, ParseError> {
-        let t0 = StdClock::now();
-        let policy = parse(policy_src)?;
-        let parse_ns = StdClock::now().saturating_sub(t0);
-        let mut server = Self::new(policy, groups);
-        server.pending_parse_ns.push(parse_ns);
-        Ok(server)
+        Ok(Self::new(parse(policy_src)?, groups))
     }
 
     /// Build a PDP from an already-parsed policy.
@@ -115,20 +101,15 @@ impl PolicyServer {
             policy,
             groups,
             instruments: PdpInstruments::default(),
-            pending_parse_ns: Vec::new(),
         }
     }
 
-    /// Route this PDP's instruments into `telemetry` under `domain`:
-    /// evaluation latency (`pdp_eval_ns`), parse latency (`pdp_parse_ns`,
-    /// observed separately so steady-state evaluation cost is not
-    /// conflated with one-time compilation) and decision counters
-    /// (`pdp_decisions_total{decision=grant|deny|error}`).
+    /// Route this PDP's decision counters
+    /// (`pdp_decisions_total{decision=grant|deny|error}`) into `telemetry`
+    /// under `domain`. The PDP reads no clock: its broker times each
+    /// `decide` call (`bb_policy_decide_ns`) on its driver's clock.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry, domain: &str) {
-        let dl: &[(&str, &str)] = &[("domain", domain)];
         self.instruments = PdpInstruments {
-            eval_ns: telemetry.histogram("pdp_eval_ns", "Policy evaluation time (ns)", dl),
-            parse_ns: telemetry.histogram("pdp_parse_ns", "Policy parse time (ns)", dl),
             grants: telemetry.counter(
                 "pdp_decisions_total",
                 "PDP decisions by outcome",
@@ -146,9 +127,6 @@ impl PolicyServer {
             ),
             live: telemetry.is_enabled(),
         };
-        for ns in self.pending_parse_ns.drain(..) {
-            self.instruments.parse_ns.observe(ns);
-        }
     }
 
     /// The group server this PDP consults.
@@ -187,12 +165,8 @@ impl PolicyServer {
             oracle,
             groups: &self.groups,
         };
-        let t0 = StdClock::now();
         let result = evaluate(&self.policy, &env).map(PolicyDecision::from);
         if self.instruments.live {
-            self.instruments
-                .eval_ns
-                .observe(StdClock::now().saturating_sub(t0));
             match &result {
                 Ok(d) if d.decision.is_grant() => self.instruments.grants.inc(),
                 Ok(_) => self.instruments.denies.inc(),

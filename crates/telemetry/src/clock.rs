@@ -1,11 +1,12 @@
 //! Monotonic clocks for span timing.
 //!
-//! Instrumented code asks *a* clock for nanoseconds, not *the* clock:
-//! live broker threads use [`StdClock`] (one process-wide epoch, so
-//! spans from different threads share a timeline), while the
-//! deterministic virtual-time drivers install a [`ManualClock`] advanced
-//! by the DES scheduler — the same instrumentation then yields
-//! simulated-time telemetry with no code changes.
+//! Instrumented code asks *a* clock for nanoseconds, not *the* clock,
+//! and a broker asks the one its driver passes in: the TCP reactor
+//! passes [`StdClock`] (one process-wide epoch, so spans from different
+//! threads share a timeline), while the deterministic virtual-time
+//! driver passes a [`ManualClock`] advanced by the DES scheduler — the
+//! same instrumentation then yields simulated-time telemetry with no
+//! code changes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -69,6 +70,17 @@ impl ManualClock {
 impl Clock for ManualClock {
     fn now_ns(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// A clock that never advances: it reads 0. What is timed on it takes
+/// no time, so an entry point with no driver behind it runs on it.
+#[derive(Clone, Copy, Default, Debug)]
+pub struct Stopped;
+
+impl Clock for Stopped {
+    fn now_ns(&self) -> u64 {
+        0
     }
 }
 

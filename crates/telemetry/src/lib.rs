@@ -43,7 +43,7 @@ pub mod trace;
 
 pub use admin::{parse_request, render_response, render_response_into, HttpError, HttpRequest};
 pub use artifact::{Artifact, Row};
-pub use clock::{Clock, ManualClock, StdClock};
+pub use clock::{Clock, ManualClock, StdClock, Stopped};
 pub use expo::{json_escape, render_prometheus, render_prometheus_into, snapshot_json};
 pub use metrics::{Counter, Gauge, Histogram, MetricKind, Registry, Telemetry};
 pub use recorder::{EventFamily, FlightEvent, FlightRecorder, FLIGHT_DEFAULT_CAPACITY};

@@ -19,7 +19,7 @@ use qos_core::scenario::{build_chain, ChainOptions};
 use qos_crypto::{KeyPair, Timestamp};
 use qos_storage::{FileStore, FileStoreOptions, MemStore, SharedStore};
 use qos_telemetry::{
-    render_prometheus, snapshot_json, EventFamily, FlightRecorder, Registry, Telemetry,
+    render_prometheus, snapshot_json, EventFamily, FlightRecorder, Registry, StdClock, Telemetry,
     FLIGHT_DEFAULT_CAPACITY,
 };
 use qos_transport::{BrokerDaemon, Completions, DaemonConfig, TransportOptions};
@@ -328,7 +328,9 @@ fn main() -> ExitCode {
     let recovered = store.take_recovered();
     if !recovered.is_empty() {
         let snapshot_seq = recovered.snapshot.as_ref().map(|sn| sn.seq).unwrap_or(0);
-        let replay_ns = node.recover_from(&recovered);
+        let started = StdClock::now();
+        node.recover_from(&recovered);
+        let replay_ns = StdClock::now().saturating_sub(started);
         store.note_recovery_ns(replay_ns);
         println!(
             "bbd: {domain} recovered {} WAL records on top of snapshot seq {} in {} us",

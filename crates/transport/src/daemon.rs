@@ -18,8 +18,8 @@
 //!   new session's sequence space);
 //! * a run's completions go to the [`Completions`] queue in one hand-off
 //!   (DESIGN.md §D33);
-//! * `submit`, `submit_all`, `tunnel_flow` and `set_time` push onto the
-//!   inbox, and wake the reactor only if it is parked in its poll.
+//! * `submit`, `submit_all` and `tunnel_flow` push onto the inbox, and
+//!   wake the reactor only if it is parked in its poll.
 //!
 //! A `bbd` runs this reactor thread, a short-lived `bb-handshake` thread
 //! per handshake, and, when `--data-dir` is set, the WAL's flusher
@@ -389,12 +389,6 @@ impl BrokerDaemon {
     ) {
         self.inbox
             .push([Input::TunnelFlow(tunnel, flow, rate_bps, None, requestor)]);
-    }
-
-    /// Advance the broker's wall clock (ordered with the inputs already
-    /// submitted).
-    pub fn set_time(&self, now: Timestamp) {
-        self.inbox.push([Input::SetTime(now)]);
     }
 
     /// Number of links with a live session.

@@ -7,7 +7,8 @@
 //! handshake) and the session in flight — its cipher halves, its frame
 //! decoder, and the sealed-but-unflushed out buffer with the plaintext of
 //! every data frame in it. It holds no socket, reads no clock and starts
-//! no thread: `life` and `now` are arguments. It has four entry points:
+//! no thread: `life` and `now` (ns, on the reactor's clock) are arguments.
+//! It has four entry points:
 //!
 //! * **bytes in** ([`LinkCore::read_buf`], [`LinkCore::bytes_in`]): each
 //!   complete frame is decoded where it landed in a pooled chunk
@@ -49,7 +50,6 @@ use qos_telemetry::{
 use qos_wire::{BufferPool, Decode, InternTables};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Stop sealing while this much sealed output waits for the socket; the
 /// link queue keeps the rest (backpressure).
@@ -59,10 +59,10 @@ const OUTBUF_HIGH_WATER: usize = 256 * 1024;
 /// before it stops waiting for a data frame to carry the ack. Bounds the
 /// peer's retransmit window under one-directional bursts.
 const ACK_DEBT_MAX: usize = 32;
-/// The longest an acknowledgement waits for a data frame to ride on. An
-/// idle link therefore retains nothing: a peer that restarts is replayed
-/// at most the last `ACK_DELAY` of traffic.
-pub(crate) const ACK_DELAY: Duration = Duration::from_millis(5);
+/// The longest an acknowledgement waits for a data frame to ride on, in
+/// ns. An idle link therefore retains nothing: a peer that restarts is
+/// replayed at most the last `ACK_DELAY` of traffic.
+pub(crate) const ACK_DELAY: u64 = 5_000_000;
 
 /// Sealed-plaintext tag: signalling messages behind one reliability
 /// header, `[tag][u64 index][u64 ack][message][message]…` — the frame's
@@ -111,8 +111,9 @@ pub(crate) struct LinkReliability {
     /// Data frames received (duplicates included, so a retransmitting
     /// peer prunes its window) that nothing sent since acknowledges.
     pub(crate) owed: usize,
-    /// When the oldest of them stops waiting for a data frame to ride.
-    pub(crate) ack_due: Option<Instant>,
+    /// When the oldest of them stops waiting for a data frame to ride
+    /// (ns, the reactor's clock).
+    pub(crate) ack_due: Option<u64>,
     /// The peer's sync has arrived on the current session. Data is sealed
     /// only then ([`LinkReliability::may_send`]).
     peer_synced: bool,
@@ -159,7 +160,7 @@ impl LinkReliability {
     /// index is below the watermark was already handed to the broker, so
     /// it is counted and dropped here. The ack a data frame carries is
     /// applied first, duplicate or not.
-    pub(crate) fn accept<'a>(&mut self, plain: &'a [u8], now: Instant) -> Inbound<'a> {
+    pub(crate) fn accept<'a>(&mut self, plain: &'a [u8], now: u64) -> Inbound<'a> {
         if plain.len() < 9 {
             return Inbound::Reject;
         }
@@ -474,7 +475,7 @@ impl LinkCore {
     /// frame. Returns false when the connection must die (a frame too
     /// large, a bad MAC or sequence number, an unknown or short header, an
     /// undecodable message); what was decoded before stays in `msgs`.
-    pub fn bytes_in(&mut self, n: usize, now: Instant, msgs: &mut Vec<SignalMessage>) -> bool {
+    pub fn bytes_in(&mut self, n: usize, now: u64, msgs: &mut Vec<SignalMessage>) -> bool {
         let Some(session) = &mut self.session else {
             return false;
         };
@@ -587,7 +588,7 @@ impl LinkCore {
     /// Returns whether it sealed one (the caller writes it out) and when
     /// the next one falls due. Does nothing between sessions: a new
     /// session starts owing nothing.
-    pub fn tick(&mut self, now: Instant) -> (bool, Option<Instant>) {
+    pub fn tick(&mut self, now: u64) -> (bool, Option<u64>) {
         if self.session.is_none() {
             return (false, None);
         }

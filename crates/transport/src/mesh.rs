@@ -1,7 +1,7 @@
 //! A mesh of broker daemons on loopback sockets.
 //!
 //! [`TcpMesh`] runs a scenario's brokers concurrently — `spawn`,
-//! `submit`, `tunnel_flow`, `set_time`, `wait_completions`, `shutdown` —
+//! `submit`, `tunnel_flow`, `wait_completions`, `shutdown` —
 //! with every broker a [`BrokerDaemon`] behind a real TCP listener. For
 //! each configured link `(a, b)`, `a` dials and `b` accepts. Every
 //! daemon's reactor leaves what its broker finished in the mesh's one
@@ -13,7 +13,7 @@ use crate::queue::Completions;
 use qos_core::channel::ChannelIdentity;
 use qos_core::envelope::SignedRar;
 use qos_core::node::{BbNode, Completion, PeerId};
-use qos_crypto::{Certificate, PublicKey, Timestamp};
+use qos_crypto::{Certificate, PublicKey};
 use qos_telemetry::Telemetry;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -174,13 +174,6 @@ impl TcpMesh {
         requestor: qos_crypto::DistinguishedName,
     ) {
         self.daemons[domain].tunnel_flow(tunnel, flow, rate_bps, requestor);
-    }
-
-    /// Broadcast a wall-clock update.
-    pub fn set_time(&self, now: Timestamp) {
-        for d in self.daemons.values() {
-            d.set_time(now);
-        }
     }
 
     /// Wait for `n` completions (across all source brokers), each beside

@@ -20,7 +20,10 @@
 //!
 //! * **deadlines** bound the poll timeout — no sleeping threads: a
 //!   reconnect's backoff (`retry_at`), and an ack that waited
-//!   [`ACK_DELAY`] for a data frame to ride on ([`LinkCore::tick`]);
+//!   [`ACK_DELAY`] for a data frame to ride on ([`LinkCore::tick`]).
+//!   Every time the reactor reads is one clock's ns: the process-wide
+//!   `StdClock` that stamps inputs and the broker's spans, and that it
+//!   passes to [`BbNode::step`] (DESIGN.md §D35);
 //! * **handshakes** stay blocking (they are short, bounded by their own
 //!   timeout, and involve multi-round-trip protocol logic) but run on
 //!   short-lived `bb-handshake` threads that report back through the
@@ -58,7 +61,7 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Token of the accept listener.
 const TOKEN_LISTENER: Token = Token(0);
@@ -96,9 +99,9 @@ pub(crate) enum Ctrl {
     Shutdown,
 }
 
-/// The local inputs on their way to the reactor: `submit`, `submit_all`,
-/// `tunnel_flow` and `set_time` push here, and the reactor takes them all
-/// once per iteration. A push wakes the reactor only when it swaps
+/// The local inputs on their way to the reactor: `submit`, `submit_all`
+/// and `tunnel_flow` push here, and the reactor takes them all once per
+/// iteration. A push wakes the reactor only when it swaps
 /// `parked` from true to false; the reactor sets the flag, then looks at
 /// the inbox once more before it polls, so a push either lands before
 /// that look or finds the flag set (the inbox's mutex orders the two).
@@ -283,11 +286,11 @@ fn spawn_handshake(f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
 fn sweep(
     poll: &Poll,
     peers: &mut HashMap<String, Peer>,
-    now: Instant,
+    now: u64,
     max_batch: usize,
     dead: &mut Vec<usize>,
-) -> Option<Instant> {
-    let mut soonest: Option<Instant> = None;
+) -> Option<u64> {
+    let mut soonest: Option<u64> = None;
     for Peer { core, conn } in peers.values_mut() {
         let Some(Conn { sock, .. }) = conn else {
             continue;
@@ -315,8 +318,8 @@ struct DialState {
     ticket: Option<ResumeTicket>,
     /// A dial/handshake attempt is in flight on an offload thread.
     connecting: bool,
-    /// Do not dial again before this instant (backoff after a failure).
-    retry_at: Option<Instant>,
+    /// Do not dial again before this time (ns; backoff after a failure).
+    retry_at: Option<u64>,
 }
 
 /// One admin-plane HTTP connection: plain text, one GET, one response,
@@ -372,8 +375,10 @@ pub(crate) struct Reactor {
     domain: PeerId,
     /// Inputs to run: what the last read sweep decoded, then the inbox.
     pending: Vec<Input>,
-    /// Time running inputs (`shard_busy_ns_total`) and parked in the
-    /// poll (`shard_idle_ns_total`).
+    /// Time running inputs (`shard_busy_ns_total`), and from the start
+    /// of an iteration's last link sweep to the poll's return
+    /// (`shard_idle_ns_total`): one clock read serves the sweep's ack
+    /// deadlines and the park.
     busy: Counter,
     idle: Counter,
     /// When each submission still in flight was submitted, while
@@ -546,10 +551,11 @@ impl Reactor {
             }
         }
         let mut events = Events::with_capacity(256);
-        // Start of the current sweep (the work between two poll calls).
-        // Timed into `reactor_sweep_ns`; a sweep past the stall
-        // threshold bumps `reactor_stall_total` and leaves an anomaly
-        // event in the flight recorder.
+        // Start of the current sweep (the work from a poll's return to
+        // the last link sweep before the next). Timed into
+        // `reactor_sweep_ns`; a sweep past the stall threshold bumps
+        // `reactor_stall_total` and leaves an anomaly event in the
+        // flight recorder.
         let mut sweep_started: Option<u64> = None;
         loop {
             // 1. Control: installed sessions, dial failures, kill/stop.
@@ -578,7 +584,7 @@ impl Reactor {
                         // Nothing queued is sealed: a peer would admit it
                         // and hold state for replies nobody reads.
                         self.run_pending(false);
-                        self.sweep_links(Instant::now() + ACK_DELAY, 0);
+                        self.sweep_links(StdClock::now() + ACK_DELAY, 0);
                         return self.node;
                     }
                 }
@@ -589,16 +595,14 @@ impl Reactor {
             self.run_pending(true);
             // 4. Seal what is queued and write it, then send the acks
             //    that waited out `ACK_DELAY` with nothing to ride on.
-            let now = Instant::now();
+            let now = StdClock::now();
             let ack_due = self.sweep_links(now, MAX_WRITE_BATCH);
             // 5. Wait for readiness, a deadline, or the waker — or only
             //    look, if an input came in meanwhile: from the park on, a
-            //    push wakes the poll. The sweep that just finished is
-            //    timed here; the poll wait itself (idle time) is not a
-            //    stall.
-            let parked_at = StdClock::now();
+            //    push wakes the poll. The sweep is timed up to step 4;
+            //    the poll wait itself (idle time) is not a stall.
             if let Some(t0) = sweep_started.take() {
-                self.note_sweep(parked_at.saturating_sub(t0));
+                self.note_sweep(now.saturating_sub(t0));
             }
             self.publish_pool_metrics();
             let timeout = if self.config.inbox.park() {
@@ -607,7 +611,7 @@ impl Reactor {
                     .filter(|d| !d.connecting)
                     .filter_map(|d| d.retry_at)
                     .chain(ack_due)
-                    .map(|at| at.saturating_duration_since(now))
+                    .map(|at| Duration::from_nanos(at.saturating_sub(now)))
                     .min()
             } else {
                 Some(Duration::ZERO)
@@ -615,7 +619,7 @@ impl Reactor {
             let polled = self.config.poll.poll(&mut events, timeout);
             self.config.inbox.unpark();
             let woke = StdClock::now();
-            self.idle.add(woke.saturating_sub(parked_at));
+            self.idle.add(woke.saturating_sub(now));
             if polled.is_err() {
                 continue;
             }
@@ -673,7 +677,8 @@ impl Reactor {
             }
         }
         let mut dead = Vec::new();
-        node.step(pending, busy, |deliveries, completions| {
+        node.step(pending, &StdClock, busy, |deliveries, completions| {
+            let now = StdClock::now();
             let wrote = !deliveries.is_empty();
             // `user:<domain>` is the link to that domain; a message for a
             // peer with no link is dropped.
@@ -686,13 +691,12 @@ impl Reactor {
             for c in completions.iter() {
                 if let Completion::Reservation { rar_id, .. } = c {
                     if let Some(t0) = submitted_ns.remove(rar_id) {
-                        completion_latency.observe(StdClock::now().saturating_sub(t0));
+                        completion_latency.observe(now.saturating_sub(t0));
                     }
                 }
             }
             config.completions.push(domain, completions);
             if write && wrote {
-                let now = Instant::now();
                 sweep(&config.poll, peers, now, MAX_WRITE_BATCH, &mut dead);
             }
         });
@@ -851,7 +855,7 @@ impl Reactor {
     }
 
     /// [`sweep`] every link, and tear down the connections that died.
-    fn sweep_links(&mut self, now: Instant, max_batch: usize) -> Option<Instant> {
+    fn sweep_links(&mut self, now: u64, max_batch: usize) -> Option<u64> {
         let mut dead = Vec::new();
         let soonest = sweep(
             &self.config.poll,
@@ -877,7 +881,7 @@ impl Reactor {
         };
         d.connecting = false;
         let delay = d.backoff.next_delay();
-        d.retry_at = Some(Instant::now() + delay);
+        d.retry_at = Some(StdClock::now() + delay.as_nanos() as u64);
         let failed = "dial or initiator handshake failed";
         self.record(EventFamily::HandshakeFail, &peer, failed);
         let retry = format!("retry in {} ms", delay.as_millis());
@@ -887,7 +891,7 @@ impl Reactor {
     /// Launch a handshake offload thread for every dial-side link that
     /// is unconnected, not mid-attempt, and past its backoff deadline.
     fn fire_dials(&mut self) {
-        let now = Instant::now();
+        let now = StdClock::now();
         let due: Vec<String> = self
             .dials
             .iter()
@@ -1100,7 +1104,7 @@ impl Reactor {
         // grows while attempts themselves fail.
         if let Some(d) = self.dials.get_mut(&name) {
             if conn.dialed && !d.connecting {
-                d.retry_at = Some(Instant::now());
+                d.retry_at = Some(StdClock::now());
             }
         }
     }
@@ -1120,7 +1124,7 @@ impl Reactor {
         else {
             return true;
         };
-        let now = Instant::now();
+        let now = StdClock::now();
         let mut msgs: Vec<SignalMessage> = Vec::new();
         let mut alive = true;
         for _ in 0..MAX_READS_PER_EVENT {
@@ -1294,7 +1298,7 @@ mod tests {
     #[test]
     fn data_frame_below_the_watermark_is_dropped_and_counted() {
         let (mut rel, duplicates, _) = reliability();
-        let now = Instant::now();
+        let now = 0;
         for i in 0..3 {
             assert_eq!(rel.accept(&data(i, 0, b"msg"), now), Inbound::Data(b"msg"));
         }
@@ -1314,7 +1318,7 @@ mod tests {
     #[test]
     fn ack_prunes_the_unacked_window_and_never_moves_backwards() {
         let (mut rel, _, window) = reliability();
-        let now = Instant::now();
+        let now = 0;
         send(&mut rel, 5);
         assert_eq!(window.get(), 5);
         assert_eq!(rel.accept(&ack_frame(3), now), Inbound::Control);
@@ -1332,7 +1336,7 @@ mod tests {
     #[test]
     fn an_ack_carried_by_a_data_frame_prunes_the_window_even_on_a_duplicate() {
         let (mut rel, duplicates, window) = reliability();
-        let now = Instant::now();
+        let now = 0;
         send(&mut rel, 6);
         assert_eq!(
             rel.accept(&data(0, 2, b"reply"), now),
@@ -1352,7 +1356,7 @@ mod tests {
     #[test]
     fn sync_from_a_restarted_peer_rewinds_the_watermark() {
         let (mut rel, duplicates, _) = reliability();
-        let now = Instant::now();
+        let now = 0;
         assert!(!rel.may_send(), "no data before the peer's sync");
         assert_eq!(rel.accept(&sync_frame(0xA), now), Inbound::Control);
         assert!(rel.may_send());
@@ -1385,7 +1389,7 @@ mod tests {
     #[test]
     fn short_or_unknown_frames_are_rejected() {
         let (mut rel, _, _) = reliability();
-        let now = Instant::now();
+        let now = 0;
         assert_eq!(rel.accept(&[], now), Inbound::Reject);
         // Every tag needs its 8-byte field; a data frame needs two.
         for tag in [FRAME_DATA, FRAME_ACK, FRAME_SYNC] {
@@ -1403,7 +1407,7 @@ mod tests {
     #[test]
     fn a_data_frame_shorter_than_its_header_is_rejected_and_moves_nothing() {
         let (mut rel, duplicates, window) = reliability();
-        let now = Instant::now();
+        let now = 0;
         send(&mut rel, 3);
         // Index 0, ack 3 — one byte short of the 17-byte header (the
         // 9 bytes that were a whole header before acks rode).
@@ -1437,11 +1441,11 @@ mod tests {
     #[test]
     fn the_ack_debt_is_bounded_and_an_outgoing_data_frame_settles_it() {
         let (mut rel, _, _) = reliability();
-        let t0 = Instant::now();
+        let t0 = 0;
         for i in 0..31u64 {
             // Later receipts do not move the deadline: it belongs to
             // the oldest one.
-            rel.accept(&data(i, 0, b"m"), t0 + Duration::from_millis(i));
+            rel.accept(&data(i, 0, b"m"), t0 + i * 1_000_000);
         }
         assert_eq!((rel.owed, rel.debt_full()), (31, false));
         assert_eq!(rel.ack_due, Some(t0 + ACK_DELAY));
@@ -1452,7 +1456,7 @@ mod tests {
         assert_eq!(ack_frame(rel.take_ack()), ack_frame(31));
         assert_eq!((rel.owed, rel.debt_full(), rel.ack_due), (0, false, None));
 
-        let t1 = t0 + Duration::from_secs(1);
+        let t1 = t0 + 1_000_000_000;
         rel.accept(&data(31, 0, b"m"), t1);
         assert_eq!((rel.owed, rel.ack_due), (1, Some(t1 + ACK_DELAY)));
         let mut reply = queued(b"reply");
@@ -1511,8 +1515,8 @@ mod tests {
         delivered: [Vec<u64>; 2],
         sessions: u64,
         pool: BufferPool,
-        /// The clock reading every step of the test is taken at.
-        now: Instant,
+        /// The clock reading (ns) every step of the test is taken at.
+        now: u64,
     }
 
     impl Pipes {
@@ -1524,7 +1528,7 @@ mod tests {
                 delivered: [Vec::new(), Vec::new()],
                 sessions: 0,
                 pool,
-                now: Instant::now(),
+                now: 0,
             };
             pipes.connect();
             pipes

@@ -50,10 +50,9 @@ fn main() {
     for w in domains.windows(2) {
         mesh.set_latency(&w[0], &w[1], SimDuration::from_millis(5));
     }
-    // Spans use the DES virtual clock: timestamps below are simulated
-    // nanoseconds, deterministic across runs.
-    mesh.install_sim_clock();
 
+    // `Mesh` times spans on the DES virtual clock: timestamps below are
+    // simulated nanoseconds, deterministic across runs.
     mesh.submit_in(SimDuration::ZERO, &domains[0], rar, cert);
     mesh.run_until_idle();
 

@@ -143,7 +143,6 @@ pub fn traced_reservation() -> (std::sync::Arc<Registry>, Mesh, RarId, TraceId, 
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
     let mut mesh = mesh_from(&mut s, 5);
-    mesh.install_sim_clock();
     mesh.submit_in(SimDuration::ZERO, &domains[0], rar, cert);
     mesh.run_until_idle();
     assert!(matches!(

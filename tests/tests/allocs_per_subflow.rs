@@ -19,7 +19,7 @@ use integration_tests::{build_chain, deliver_by_hand, ChainOptions, MBPS};
 use qos_core::node::{BbNode, Completion};
 use qos_core::{Input, PeerId, SignalMessage};
 use qos_crypto::Timestamp;
-use qos_telemetry::Counter;
+use qos_telemetry::{Counter, StdClock};
 use qos_transport::Completions;
 use qos_wire::{Decode, InternTables, Reader};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -90,8 +90,11 @@ impl End {
     fn run(&mut self, completions: &Completions, frames: &mut Vec<Arc<[u8]>>) {
         let mut body = Vec::new();
         let domain = &self.domain;
-        self.node
-            .step(&mut self.pending, &Counter::noop(), |deliveries, done| {
+        self.node.step(
+            &mut self.pending,
+            &StdClock,
+            &Counter::noop(),
+            |deliveries, done| {
                 for (_, msg) in deliveries.drain(..) {
                     qos_wire::encode_into(&msg, &mut body);
                 }
@@ -100,7 +103,8 @@ impl End {
                     body.clear();
                 }
                 completions.push(domain, done);
-            });
+            },
+        );
     }
 
     /// Decode `frames` from `from` through this end's tables, as its

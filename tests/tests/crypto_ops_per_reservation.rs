@@ -14,7 +14,7 @@ use qos_core::node::{rar_id_to_reservation, Completion};
 use qos_core::{Input, PeerId, SignalMessage, SignedRar};
 use qos_crypto::schnorr::{sign_ops, verify_ops};
 use qos_crypto::{DelegationChain, Timestamp, Validity};
-use qos_telemetry::Counter;
+use qos_telemetry::{Counter, StdClock};
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
 
@@ -202,7 +202,9 @@ fn expiry_signs_nothing_and_a_release_is_signed_once_at_the_source() {
     let signs = sign_ops();
     let mut out = Vec::new();
     let release = Input::Release(released);
-    s.nodes[0].step(&mut vec![release], &Counter::noop(), |d, _| out.append(d));
+    s.nodes[0].step(&mut vec![release], &StdClock, &Counter::noop(), |d, _| {
+        out.append(d)
+    });
     assert!(matches!(out.as_slice(), [(_, SignalMessage::Release(_))]));
     deliver(&mut s, 0, out);
     let at_c = s.nodes[2].core();
