@@ -27,11 +27,12 @@ use qos_crypto::{
 };
 use qos_policy::AttributeSet;
 use qos_telemetry::{Artifact, Row};
+use qos_transport::session::fresh_nonce;
 use qos_transport::{
-    establish_initiator_resumable, establish_responder_resumable, HandshakeKind, ResumeTicket,
-    TcpMesh, TicketIssuer, MAX_FRAME_LEN,
+    Established, Handshake, HandshakeKind, PeerMsg, ResumeTicket, TcpMesh, TicketIssuer,
 };
 use std::collections::HashMap;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Instant;
@@ -113,10 +114,31 @@ fn envelope_verify_us(hops: usize, reps: usize) -> f64 {
     t0.elapsed().as_secs_f64() * 1e6 / reps as f64
 }
 
+/// Run one side's handshake state over a blocking socket until it ends:
+/// what it says goes out, each frame that comes back goes in.
+fn drive(mut stream: TcpStream, mut hs: Handshake) -> Established {
+    let mut out = Vec::new();
+    hs.start(&mut out);
+    loop {
+        stream.write_all(&out).unwrap();
+        out.clear();
+        let mut len = [0u8; 4];
+        stream.read_exact(&mut len).unwrap();
+        let mut body = vec![0; u32::from_le_bytes(len) as usize];
+        stream.read_exact(&mut body).unwrap();
+        let msg: PeerMsg = qos_wire::from_bytes(&body).unwrap();
+        if let Some(done) = hs.recv(msg, &mut out).unwrap() {
+            stream.write_all(&out).unwrap();
+            return done;
+        }
+    }
+}
+
 /// A loopback handshake rig: one listener, one responder thread looping
-/// over `accepts` connections. Reusing the rig (instead of spawning a
-/// listener and thread per repetition) keeps the measured interval down
-/// to connect + handshake, so the 1-RTT-vs-2-RTT and zero-signature
+/// over `accepts` connections, each side's handshake state driven over
+/// its blocking socket. Reusing the rig (instead of spawning a listener
+/// and thread per repetition) keeps the measured interval down to
+/// connect + handshake, so the 1-RTT-vs-2-RTT and zero-signature
 /// differences aren't drowned in setup noise.
 struct HandshakeRig {
     addr: std::net::SocketAddr,
@@ -134,25 +156,25 @@ impl HandshakeRig {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let responder = std::thread::spawn(move || {
-            let pins = HashMap::from([(
+            let pins = Arc::new(HashMap::from([(
                 "alpha".to_string(),
                 PeerPin {
                     ca_key,
                     dn: DistinguishedName::broker("alpha"),
                 },
-            )]);
+            )]));
+            let ib = Arc::new(ib);
             for _ in 0..accepts {
                 let (stream, _) = listener.accept().unwrap();
-                // The session closes its socket as it drops.
-                establish_responder_resumable(
-                    stream,
-                    &ib,
-                    &pins,
+                let hs = Handshake::accept(
+                    ib.clone(),
+                    pins.clone(),
+                    Some(issuer.clone()),
+                    fresh_nonce(),
                     Timestamp::ZERO,
-                    MAX_FRAME_LEN,
-                    Some(&issuer),
-                )
-                .unwrap();
+                );
+                // The socket closes as it drops.
+                drive(stream, hs);
             }
         });
         HandshakeRig {
@@ -169,23 +191,22 @@ impl HandshakeRig {
     /// (latency µs, fresh ticket if the handshake was full, kind).
     fn handshake(
         &self,
-        ia: &ChannelIdentity,
+        ia: &Arc<ChannelIdentity>,
         ticket: Option<&ResumeTicket>,
     ) -> (f64, Option<ResumeTicket>, HandshakeKind) {
         let stream = TcpStream::connect(self.addr).unwrap();
         let t0 = Instant::now();
-        let (_session, kind, fresh) = establish_initiator_resumable(
-            stream,
-            ia,
-            &self.pin,
-            Timestamp::ZERO,
-            MAX_FRAME_LEN,
+        let hs = Handshake::dial(
+            ia.clone(),
+            self.pin.clone(),
+            ticket.cloned(),
             true,
-            ticket,
-        )
-        .unwrap();
+            fresh_nonce(),
+            Timestamp::ZERO,
+        );
+        let done = drive(stream, hs);
         let us = t0.elapsed().as_secs_f64() * 1e6;
-        (us, fresh, kind)
+        (us, done.ticket, done.kind)
     }
 
     fn finish(mut self) {
@@ -242,7 +263,7 @@ fn main() {
             Validity::unbounded(),
         ),
     };
-    let ia = broker_identity("alpha");
+    let ia = Arc::new(broker_identity("alpha"));
     let ib = broker_identity("beta");
     let issuer = Arc::new(TicketIssuer::with_key([9; 32], 3600, 64));
     let rounds = HANDSHAKE_WARMUPS + HANDSHAKE_REPS;

@@ -21,9 +21,9 @@
 //! * `submit`, `submit_all` and `tunnel_flow` push onto the inbox, and
 //!   wake the reactor only if it is parked in its poll.
 //!
-//! A `bbd` runs this reactor thread, a short-lived `bb-handshake` thread
-//! per handshake, and, when `--data-dir` is set, the WAL's flusher
-//! thread — whatever its link count.
+//! A `bbd` runs this reactor thread and, when `--data-dir` is set, the
+//! WAL's flusher thread — whatever its link count. The handshakes run on
+//! the reactor too, as a state of each connection (DESIGN.md §D36).
 
 use crate::admin::{AdminState, ReactorStatus};
 use crate::error::TransportError;
@@ -38,7 +38,7 @@ use qos_core::envelope::SignedRar;
 use qos_core::node::BbNode;
 use qos_core::rar::RarId;
 use qos_core::Input;
-use qos_crypto::{Certificate, DistinguishedName, PublicKey, Timestamp};
+use qos_crypto::{Certificate, DistinguishedName, PublicKey};
 use qos_telemetry::{Counter, Histogram, StdClock, Telemetry};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -56,16 +56,14 @@ pub struct TransportOptions {
     pub backoff_base: Duration,
     /// Reconnect delay ceiling.
     pub backoff_cap: Duration,
-    /// Wall-clock used for certificate validity during handshakes.
-    pub now: Timestamp,
     /// Session resumption: accepted links issue tickets and dialed links
     /// present them, so steady-state reconnects skip every Schnorr
     /// operation. Both ends of a link must agree (a mixed configuration
-    /// stalls handshakes until their timeout); disable with `--no-resume`
+    /// stalls handshakes until their deadline); disable with `--no-resume`
     /// on `bbd` or by clearing this flag.
     pub resume: bool,
     /// How long an issued resumption ticket stays redeemable (seconds of
-    /// the daemon's `now` clock).
+    /// the broker's protocol time, [`BbNode::time`]).
     pub ticket_ttl_secs: u64,
     /// Bound on outstanding tickets held by this daemon's issuer.
     pub ticket_cap: usize,
@@ -77,7 +75,6 @@ impl Default for TransportOptions {
             max_frame: crate::frame::MAX_FRAME_LEN,
             backoff_base: Duration::from_millis(10),
             backoff_cap: Duration::from_secs(2),
-            now: Timestamp::ZERO,
             resume: true,
             ticket_ttl_secs: 3600,
             ticket_cap: 1024,
@@ -182,7 +179,6 @@ pub struct BrokerDaemon {
     ctrl_tx: Sender<Ctrl>,
     waker: Arc<Waker>,
     reactor: JoinHandle<BbNode>,
-    hs_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     local_addr: SocketAddr,
     admin_addr: Option<SocketAddr>,
 }
@@ -279,7 +275,6 @@ impl BrokerDaemon {
         let inbox = Arc::new(Inbox::new(Arc::clone(&waker), &telemetry, &domain));
 
         let (ctrl_tx, ctrl_rx) = unbounded();
-        let hs_threads = Arc::new(Mutex::new(Vec::new()));
         let accept_pins: HashMap<_, _> = accept_from
             .iter()
             .map(|p| (p.clone(), broker_pin(ca_key, p)))
@@ -320,9 +315,7 @@ impl BrokerDaemon {
             completions,
             options,
             issuer,
-            ctrl_tx: ctrl_tx.clone(),
             ctrl_rx,
-            hs_threads: Arc::clone(&hs_threads),
             telemetry,
             admin,
             status,
@@ -340,7 +333,6 @@ impl BrokerDaemon {
             ctrl_tx,
             waker,
             reactor,
-            hs_threads,
             local_addr,
             admin_addr,
         })
@@ -439,18 +431,9 @@ impl BrokerDaemon {
     pub fn shutdown(self) -> BbNode {
         let _ = self.ctrl_tx.send(Ctrl::Shutdown);
         let _ = self.waker.wake();
-        let node = self
-            .reactor
+        self.reactor
             .join()
-            .expect("the reactor hands the broker back");
-        let handshakes: Vec<_> = {
-            let mut g = self.hs_threads.lock().unwrap_or_else(|e| e.into_inner());
-            g.drain(..).collect()
-        };
-        for t in handshakes {
-            let _ = t.join();
-        }
-        node
+            .expect("the reactor hands the broker back")
     }
 }
 
@@ -458,7 +441,7 @@ impl BrokerDaemon {
 mod tests {
     use super::*;
     use qos_core::scenario::{build_chain, ChainOptions};
-    use qos_crypto::KeyPair;
+    use qos_crypto::{KeyPair, Timestamp};
     use qos_telemetry::Registry;
 
     /// A stopping daemon settles what it owes its peers and seals nothing

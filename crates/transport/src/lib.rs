@@ -12,23 +12,23 @@
 //! * [`resume`] — session-resumption tickets: the acceptor's bounded
 //!   ticket store and the possession-proof MACs, so steady-state
 //!   reconnects skip every Schnorr operation;
-//! * [`session`] — the message-based mutual handshake over a blocking
-//!   socket, ending in the [`Session`] parts the reactor takes over;
+//! * [`session`] — the mutual handshake as a state machine without I/O
+//!   ([`Handshake`]), ending in the [`Established`] session keys;
 //! * [`queue`] — the per-peer outbound queue, owned by the link's core,
 //!   that builds the link's data frames as messages are queued, and
 //!   [`Completions`], where the reactors leave what their brokers
 //!   finished, a run at a time (DESIGN.md §D33);
 //! * [`backoff`] — deterministic exponential reconnect backoff;
 //! * [`link`] — [`LinkCore`]: one link's delivery rules without I/O —
-//!   frame decode, open and seal, the delivery index, riding and
-//!   standalone acks, the session sync and requeue when a connection
-//!   dies — behind four entry points (bytes in, bytes out, `tick`,
-//!   session replaced);
+//!   the handshake, frame decode, open and seal, the delivery index,
+//!   riding and standalone acks, the session sync, requeue when a
+//!   connection dies, and the dial side's backoff — behind four entry
+//!   points (bytes in, bytes out, `tick`, connection adopted or lost);
 //! * [`reactor`] — the event loop: every socket non-blocking under one
 //!   `epoll`-backed poll, one [`LinkCore`] per configured peer, reconnect
-//!   timers and ack deadlines as poll deadlines, handshakes on
-//!   short-lived offload threads, and the domain's broker, run on the
-//!   reactor's own thread through its one door,
+//!   non-blocking dials, handshake, reconnect and ack deadlines as poll
+//!   deadlines, and the domain's broker, run on the reactor's own
+//!   thread through its one door,
 //!   [`qos_core::BbNode::step`] (DESIGN.md §D32, §D34);
 //! * [`daemon`] — [`BrokerDaemon`]: one domain's broker handed to its
 //!   reactor, and the inbox its local inputs reach the reactor by;
@@ -58,11 +58,9 @@ pub use backoff::Backoff;
 pub use daemon::{BrokerDaemon, DaemonConfig, TransportOptions};
 pub use error::TransportError;
 pub use frame::{write_frame, FrameError, PooledFrameDecoder, MAX_FRAME_LEN};
-pub use link::LinkCore;
+pub use link::{LinkCore, Session};
 pub use mesh::TcpMesh;
 pub use proto::PeerMsg;
 pub use queue::{Completions, OutQueue};
 pub use resume::{ResumeTicket, TicketIssuer};
-pub use session::{
-    establish_initiator_resumable, establish_responder_resumable, HandshakeKind, Session,
-};
+pub use session::{Established, Handshake, HandshakeKind, HANDSHAKE_TIMEOUT};

@@ -38,18 +38,24 @@
 // rejects un-annotated Vec::new / slice::to_vec in this module.
 #![deny(clippy::disallowed_methods)]
 
+use crate::backoff::Backoff;
+use crate::error::TransportError;
 use crate::frame::{PooledFrameDecoder, FRAME_HEADER_LEN};
-use crate::proto::{encode_sealed_frame_into, FRAME_TAG, SEAL_OVERHEAD};
+use crate::proto::{encode_sealed_frame_into, PeerMsg, FRAME_TAG, SEAL_OVERHEAD};
 use crate::queue::OutQueue;
-use qos_core::channel::{OpenHalf, SealHalf, SealedRef};
+use crate::resume::ResumeTicket;
+use crate::session::{Handshake, HandshakeKind, HANDSHAKE_TIMEOUT};
+use qos_core::channel::{ChannelIdentity, OpenHalf, PeerPin, SealHalf, SealedRef};
 use qos_core::messages::SignalMessage;
 use qos_core::PeerId;
+use qos_crypto::Timestamp;
 use qos_telemetry::{
     Counter, EventFamily, FlightEvent, FlightRecorder, Gauge, Histogram, Telemetry,
 };
 use qos_wire::{BufferPool, Decode, InternTables};
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Stop sealing while this much sealed output waits for the socket; the
 /// link queue keeps the rest (backpressure).
@@ -289,7 +295,7 @@ pub(crate) fn le_u64(bytes: &[u8]) -> u64 {
 }
 
 /// One sealed frame of the out buffer the socket has not fully taken.
-struct Inflight {
+pub(crate) struct Inflight {
     /// Offset into the out buffer one past this frame's last byte.
     end: usize,
     /// Sealed body bytes (without the length prefix), for byte counters.
@@ -300,12 +306,173 @@ struct Inflight {
     data: Option<Vec<u8>>,
 }
 
-/// What dies with a connection: the session's cipher halves and the
-/// decoder holding whatever partial frame it left.
-struct Session {
-    seal: SealHalf,
-    open: OpenHalf,
+/// Where a connection stands.
+enum Phase {
+    /// The handshake runs; the connection dies unless it is over by
+    /// `deadline` (ns, the reactor's clock).
+    Handshake {
+        hs: Box<Handshake>,
+        deadline: u64,
+    },
+    /// The session is up: its cipher halves.
+    Open { seal: SealHalf, open: OpenHalf },
+}
+
+/// How a handshake ended, until the link takes the record.
+struct Opened {
+    peer: String,
+    kind: HandshakeKind,
+    ticket: Option<ResumeTicket>,
+}
+
+/// What lives and dies with one connection: the handshake, then the
+/// session's cipher halves; the frame decoder holding whatever partial
+/// frame the socket left, which the handshake and the sealed frames after
+/// it share; and the out buffer with the plaintext of every data frame in
+/// it. An accepted connection's session runs its handshake on its own
+/// until the peer is known, then a link core takes it over
+/// ([`LinkCore::adopt`]).
+pub struct Session {
+    phase: Phase,
     decoder: PooledFrameDecoder,
+    /// Frames behind their length prefixes; `out[written..]` waits for
+    /// the socket.
+    out: Vec<u8>,
+    written: usize,
+    /// One entry per sealed frame in `out` the socket has not fully
+    /// taken, oldest first. Handshake frames have none.
+    inflight: VecDeque<Inflight>,
+    opened: Option<Opened>,
+}
+
+impl Session {
+    /// A connection whose handshake `hs` starts at `now`: what the
+    /// handshake says first already waits in the out buffer.
+    pub fn new(mut hs: Handshake, now: u64, max_frame: usize, pool: BufferPool) -> Self {
+        // Per connection, not per message.
+        #[allow(clippy::disallowed_methods)]
+        let mut out = Vec::new();
+        hs.start(&mut out);
+        let phase = Phase::Handshake {
+            hs: Box::new(hs),
+            deadline: now + HANDSHAKE_TIMEOUT,
+        };
+        Self::with(phase, out, max_frame, pool)
+    }
+
+    fn with(phase: Phase, out: Vec<u8>, max_frame: usize, pool: BufferPool) -> Self {
+        Self {
+            phase,
+            decoder: PooledFrameDecoder::new(max_frame, pool),
+            out,
+            written: 0,
+            inflight: VecDeque::new(),
+            opened: None,
+        }
+    }
+
+    /// Bytes in, first half: where the next read lands.
+    pub(crate) fn read_buf(&mut self) -> &mut [u8] {
+        self.decoder.writable()
+    }
+
+    /// Bytes in, second half, while the handshake runs: `n` bytes arrived
+    /// in [`Session::read_buf`], and each handshake message they complete
+    /// is taken, its answers appended to the out buffer. Ok(true) when
+    /// the session opened in this call; frames behind the handshake stay
+    /// in the decoder for the link. An error ends the connection.
+    pub(crate) fn bytes_in(&mut self, n: usize) -> Result<bool, TransportError> {
+        self.decoder.advance(n);
+        loop {
+            let Phase::Handshake { hs, .. } = &mut self.phase else {
+                return Ok(false);
+            };
+            let Some(frame) = self.decoder.next_frame()? else {
+                return Ok(false);
+            };
+            // Handshake frames are plaintext peer messages.
+            let msg = qos_wire::from_bytes::<PeerMsg>(frame.bytes())?;
+            if let Some(done) = hs.recv(msg, &mut self.out)? {
+                self.phase = Phase::Open {
+                    seal: done.seal,
+                    open: done.open,
+                };
+                self.opened = Some(Opened {
+                    peer: done.peer,
+                    kind: done.kind,
+                    ticket: done.ticket,
+                });
+                return Ok(true);
+            }
+        }
+    }
+
+    /// What waits for the socket.
+    pub(crate) fn pending(&self) -> &[u8] {
+        &self.out[self.written..]
+    }
+
+    /// The socket took the next `n` bytes of [`Session::pending`]; every
+    /// sealed frame it took whole goes to `done`.
+    pub(crate) fn sent(&mut self, n: usize, mut done: impl FnMut(Inflight)) {
+        self.written += n;
+        while let Some(frame) = self.inflight.pop_front_if(|f| f.end <= self.written) {
+            done(frame);
+        }
+        if self.written == self.out.len() {
+            self.out.clear();
+            self.written = 0;
+        }
+    }
+
+    /// When the handshake must be over; `None` once the session is open.
+    pub(crate) fn deadline(&self) -> Option<u64> {
+        match self.phase {
+            Phase::Handshake { deadline, .. } => Some(deadline),
+            Phase::Open { .. } => None,
+        }
+    }
+
+    /// The authenticated peer, once the handshake is over.
+    pub(crate) fn peer(&self) -> Option<&str> {
+        self.opened.as_ref().map(|o| o.peer.as_str())
+    }
+
+    /// Seal one plaintext into the out buffer behind its length prefix:
+    /// the MAC over the bytes where they lie, the wire framing
+    /// hand-encoded around them (DESIGN.md §D15).
+    fn seal(&mut self, plaintext: &[u8]) {
+        let Phase::Open { seal, .. } = &mut self.phase else {
+            unreachable!("sealing before the handshake is over");
+        };
+        let (seq, mac) = seal.seal_in_place(plaintext);
+        let start = self.out.len();
+        self.out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+        encode_sealed_frame_into(&mut self.out, plaintext, seq, &mac);
+        let body_len = self.out.len() - start - FRAME_HEADER_LEN;
+        self.out[start..start + FRAME_HEADER_LEN].copy_from_slice(&(body_len as u32).to_le_bytes());
+        self.inflight.push_back(Inflight {
+            end: self.out.len(),
+            body_len,
+            data: None,
+        });
+    }
+}
+
+/// The dial side of a link: the peer's pin, the ticket it presents, and
+/// when it dials again.
+struct Dialer {
+    pin: PeerPin,
+    resume: bool,
+    backoff: Backoff,
+    /// Do not dial before this time (ns); `None`: at once.
+    retry_at: Option<u64>,
+    /// Cached resumption ticket, replaced on every full handshake. A
+    /// failed attempt keeps it: a failure says nothing about its
+    /// validity, and an acceptor restarted from a durable data dir
+    /// (DESIGN.md §D13) still honours it; a stale one merely downgrades
+    /// the next attempt to a full handshake.
+    ticket: Option<ResumeTicket>,
 }
 
 /// What a link core counts (no-ops without a registry).
@@ -331,15 +498,12 @@ pub struct LinkCore {
     /// What the broker sends the peer, framed as it is queued.
     pub(crate) queue: OutQueue,
     pub(crate) rel: LinkReliability,
-    /// The live session; `None` between connections.
+    /// The live connection; `None` between connections.
     session: Option<Session>,
-    /// Sealed frames behind their length prefixes; `out[written..]`
-    /// waits for the socket. Kept, and reused, across sessions.
-    out: Vec<u8>,
-    written: usize,
-    /// One entry per frame in `out` the socket has not fully taken,
-    /// oldest first.
-    inflight: VecDeque<Inflight>,
+    /// Set on a link this end dials.
+    dialer: Option<Dialer>,
+    /// How the last handshake went, until the reactor takes it.
+    opened: Option<HandshakeKind>,
     /// The frames of the batch being sealed; empty between calls, its
     /// allocation kept.
     batch: Vec<Vec<u8>>,
@@ -433,11 +597,8 @@ impl LinkCore {
             queue: OutQueue::new(max_frame),
             rel,
             session: None,
-            // Grows once to the link's largest write and is kept.
-            #[allow(clippy::disallowed_methods)]
-            out: Vec::new(),
-            written: 0,
-            inflight: VecDeque::new(),
+            dialer: None,
+            opened: None,
             // Grows once to the longest batch and is kept.
             #[allow(clippy::disallowed_methods)]
             batch: Vec::new(),
@@ -455,6 +616,94 @@ impl LinkCore {
         &self.peer
     }
 
+    /// Make this the dial side of the link: its handshakes expect the
+    /// peer `pin`, present a cached ticket when `resume` is on, and a
+    /// failed attempt waits out `backoff` before the next.
+    pub fn dial_to(&mut self, pin: PeerPin, resume: bool, backoff: Backoff) {
+        self.dialer = Some(Dialer {
+            pin,
+            resume,
+            backoff,
+            retry_at: None,
+            ticket: None,
+        });
+    }
+
+    /// When the dial side should dial next (ns; 0: now), or `None`: not
+    /// a dial side, or a connection is up or under way.
+    pub fn dial_at(&self) -> Option<u64> {
+        let dialer = self.dialer.as_ref().filter(|_| self.session.is_none())?;
+        Some(dialer.retry_at.unwrap_or(0))
+    }
+
+    /// Start a connection from the dial side at `now`: its handshake
+    /// takes our `nonce` and judges the peer at protocol time `time`, and
+    /// its first message waits for the socket ([`LinkCore::bytes_out`]).
+    /// Panics on a link this end does not dial.
+    pub fn dial(&mut self, identity: Arc<ChannelIdentity>, nonce: u64, now: u64, time: Timestamp) {
+        let d = self.dialer.as_mut().expect("a link this end dials");
+        d.retry_at = None;
+        let hs = Handshake::dial(
+            identity,
+            d.pin.clone(),
+            d.ticket.clone(),
+            d.resume,
+            nonce,
+            time,
+        );
+        let session = Session::new(hs, now, self.max_frame, self.pool.clone());
+        self.adopt(session);
+    }
+
+    /// Take `session` over as the link's connection; the one it had dies
+    /// first (see [`LinkCore::replace_session`]). Once the session is
+    /// open, our sync follows whatever the handshake still has to send.
+    pub fn adopt(&mut self, session: Session) {
+        self.end_session();
+        self.session = Some(session);
+        if self.session.as_ref().is_some_and(|s| s.deadline().is_none()) {
+            self.on_open();
+        }
+    }
+
+    /// The handshake is over: note how it went, re-arm the dial side, and
+    /// seal the session's sync.
+    fn on_open(&mut self) {
+        let session = self.session.as_mut().expect("an open session");
+        if let Some(opened) = session.opened.take() {
+            if let Some(d) = &mut self.dialer {
+                d.backoff.reset();
+                d.retry_at = None;
+                if opened.ticket.is_some() {
+                    d.ticket = opened.ticket;
+                }
+            }
+            self.opened = Some(opened.kind);
+        }
+        let sync = self.rel.session_start();
+        session.seal(&sync);
+    }
+
+    /// How the last handshake went (once; `None` if none finished since).
+    pub fn take_opened(&mut self) -> Option<HandshakeKind> {
+        self.opened.take()
+    }
+
+    /// Whether a connection is up: its handshake under way, or over.
+    pub fn is_up(&self) -> bool {
+        self.session.is_some()
+    }
+
+    /// Whether a session is open: its handshake over.
+    pub fn is_open(&self) -> bool {
+        self.session.as_ref().is_some_and(|s| s.deadline().is_none())
+    }
+
+    /// The resumption ticket the dial side presents next.
+    pub fn ticket(&self) -> Option<&ResumeTicket> {
+        self.dialer.as_ref()?.ticket.as_ref()
+    }
+
     /// Queue `msg` for the peer, onto the frame open at the back of the
     /// link queue ([`OutQueue::push`]).
     pub fn push(&mut self, msg: &SignalMessage) {
@@ -463,25 +712,38 @@ impl LinkCore {
     }
 
     /// Bytes in, first half: where the next read lands, the free tail of
-    /// the session decoder's pooled chunk. Panics between sessions.
+    /// the connection decoder's pooled chunk. Panics between connections.
     pub fn read_buf(&mut self) -> &mut [u8] {
-        let session = self.session.as_mut().expect("bytes in on a live session");
-        session.decoder.writable()
+        self.session
+            .as_mut()
+            .expect("bytes in on a live connection")
+            .read_buf()
     }
 
     /// Bytes in, second half: `n` bytes arrived in [`LinkCore::read_buf`].
-    /// Every frame they complete is opened and decided, and the messages
-    /// of each new data frame are appended to `msgs`, all or none per
-    /// frame. Returns false when the connection must die (a frame too
-    /// large, a bad MAC or sequence number, an unknown or short header, an
-    /// undecodable message); what was decoded before stays in `msgs`.
+    /// While the handshake runs, they feed it, and its answers wait in the
+    /// out buffer. After it, every frame they complete is opened and
+    /// decided, and the messages of each new data frame are appended to
+    /// `msgs`, all or none per frame. Returns false when the connection
+    /// must die (a frame too large, a handshake message out of turn or
+    /// refused, a bad MAC or sequence number, an unknown or short header,
+    /// an undecodable message); what was decoded before stays in `msgs`.
     pub fn bytes_in(&mut self, n: usize, now: u64, msgs: &mut Vec<SignalMessage>) -> bool {
-        let Some(session) = &mut self.session else {
-            return false;
+        match self.session.as_mut().map(|s| s.bytes_in(n)) {
+            None | Some(Err(_)) => return false,
+            Some(Ok(true)) => self.on_open(),
+            Some(Ok(false)) => {}
+        }
+        let Some(Session {
+            phase: Phase::Open { open, .. },
+            decoder,
+            ..
+        }) = &mut self.session
+        else {
+            return true; // the handshake waits for more
         };
-        session.decoder.advance(n);
         loop {
-            let frame = match session.decoder.next_frame() {
+            let frame = match decoder.next_frame() {
                 Ok(Some(frame)) => frame,
                 Ok(None) => return true,
                 Err(_) => return false,
@@ -489,12 +751,8 @@ impl LinkCore {
             self.ins.frames_received.inc();
             self.ins.bytes_received.add(frame.len() as u64);
             // An established session only ever carries `PeerMsg::Frame`.
-            let opened = parse_sealed(frame.bytes()).filter(|sealed| {
-                session
-                    .open
-                    .open_in_place(sealed.payload, sealed.seq, &sealed.mac)
-                    .is_ok()
-            });
+            let opened = parse_sealed(frame.bytes())
+                .filter(|sealed| open.open_in_place(sealed.payload, sealed.seq, &sealed.mac).is_ok());
             let Some(sealed) = opened else {
                 self.ins.rejected.inc();
                 return false;
@@ -524,17 +782,21 @@ impl LinkCore {
         }
     }
 
-    /// Bytes out: unless the session is waiting for the peer's sync or
-    /// the socket is behind by [`OUTBUF_HIGH_WATER`], pop one batch of
-    /// queued frames holding at most `max_batch` messages (or one frame
-    /// holding more; none for 0), and number, ack and seal each frame as
-    /// it is. Returns every sealed byte the socket has not taken; report
+    /// Bytes out: unless the connection is still in its handshake, the
+    /// session is waiting for the peer's sync, or the socket is behind by
+    /// [`OUTBUF_HIGH_WATER`], pop one batch of queued frames holding at
+    /// most `max_batch` messages (or one frame holding more; none for 0),
+    /// and number, ack and seal each frame as it is. Returns every byte
+    /// the socket has not taken, handshake messages included; report
     /// what it took with [`LinkCore::sent`].
     pub fn bytes_out(&mut self, max_batch: usize) -> &[u8] {
+        let Some(session) = &mut self.session else {
+            return &[];
+        };
         let ready = max_batch > 0
-            && self.session.is_some()
+            && session.deadline().is_none()
             && self.rel.may_send()
-            && self.out.len() - self.written < OUTBUF_HIGH_WATER;
+            && session.out.len() - session.written < OUTBUF_HIGH_WATER;
         let mut batch = std::mem::take(&mut self.batch);
         let msgs = if ready {
             self.queue.pop_batch(max_batch, &mut batch)
@@ -557,103 +819,118 @@ impl LinkCore {
                 continue;
             }
             self.rel.stamp(&mut plaintext);
-            self.seal(&plaintext);
-            self.inflight.back_mut().expect("just sealed").data = Some(plaintext);
+            session.seal(&plaintext);
+            session.inflight.back_mut().expect("just sealed").data = Some(plaintext);
         }
         self.batch = batch;
-        &self.out[self.written..]
+        session.pending()
     }
 
     /// The socket took the next `n` bytes of what [`LinkCore::bytes_out`]
     /// returned. A data frame it took whole is retained until the peer's
     /// cumulative ack covers its index: acceptance is not delivery.
     pub fn sent(&mut self, n: usize) {
-        self.written += n;
-        while let Some(frame) = self.inflight.pop_front_if(|f| f.end <= self.written) {
-            self.ins.frames_sent.inc();
-            self.ins.bytes_sent.add(frame.body_len as u64);
+        let Some(session) = &mut self.session else {
+            return;
+        };
+        let (ins, rel) = (&self.ins, &mut self.rel);
+        session.sent(n, |frame| {
+            ins.frames_sent.inc();
+            ins.bytes_sent.add(frame.body_len as u64);
             if let Some(plaintext) = frame.data {
-                self.rel
-                    .retain_accepted(le_u64(&plaintext[1..9]), plaintext);
+                rel.retain_accepted(le_u64(&plaintext[1..9]), plaintext);
             }
-        }
-        if self.written == self.out.len() {
-            self.out.clear();
-            self.written = 0;
-        }
+        });
     }
 
-    /// Seal a standalone ack if the debt is full or the oldest receipt
-    /// has waited [`ACK_DELAY`] at `now` for a data frame to carry it.
-    /// Returns whether it sealed one (the caller writes it out) and when
-    /// the next one falls due. Does nothing between sessions: a new
-    /// session starts owing nothing.
+    /// The clock reads `now`. Seal a standalone ack if the debt is full
+    /// or the oldest receipt has waited [`ACK_DELAY`] for a data frame to
+    /// carry it. Returns whether it sealed one (the caller writes it out)
+    /// and when the next one falls due. While the handshake runs, its
+    /// deadline is the next one, and once that has come the connection
+    /// ends here: [`LinkCore::is_up`] turns false, and the caller closes
+    /// the socket and reports it [`LinkCore::lost`]. Between connections
+    /// it does nothing: a new session starts owing nothing.
     pub fn tick(&mut self, now: u64) -> (bool, Option<u64>) {
-        if self.session.is_none() {
+        let Some(session) = &mut self.session else {
+            return (false, None);
+        };
+        if let Some(deadline) = session.deadline() {
+            if now < deadline {
+                return (false, Some(deadline));
+            }
+            self.end_session();
             return (false, None);
         }
         let due = self.rel.debt_full() || self.rel.ack_due.is_some_and(|at| at <= now);
         if due {
             self.ins.acks_standalone.inc();
             let ack = ack_frame(self.rel.take_ack());
-            self.seal(&ack);
+            session.seal(&ack);
         }
         (due, self.rel.ack_due)
     }
 
-    /// The connection died (`None`) or a new one replaces it. Every frame
-    /// of the dead session that the peer may not have goes back to the
-    /// front of the link queue, oldest first: the accepted frames it has
-    /// not acknowledged (it may have died before reading them out of its
+    /// The connection died (`None`) or a new session replaces it (its
+    /// cipher halves, from a handshake run elsewhere). Every frame of the
+    /// dead session that the peer may not have goes back to the front of
+    /// the link queue, oldest first: the accepted frames it has not
+    /// acknowledged (it may have died before reading them out of its
     /// kernel buffer), then every data frame the socket did not take
     /// whole. All were sealed once, so they keep their indices and the
     /// peer skips what it already processed. Acks and syncs are
     /// per-session and die here. A new session starts with our sync.
     pub fn replace_session(&mut self, halves: Option<(SealHalf, OpenHalf)>) {
-        if self.session.take().is_some() {
-            let mut requeue = self.rel.drain_unacked();
-            self.ins.retransmits.add(requeue.len() as u64);
-            if let Some(flight) = self.flight.as_ref().filter(|_| !requeue.is_empty()) {
-                flight.record(
-                    FlightEvent::new(EventFamily::Retransmit, self.domain.clone(), &*self.peer)
-                        .detail(format!("{} unacked frames re-queued", requeue.len())),
-                );
+        match halves {
+            Some((seal, open)) => {
+                // Per connection, not per message.
+                #[allow(clippy::disallowed_methods)]
+                let out = Vec::new();
+                let phase = Phase::Open { seal, open };
+                self.adopt(Session::with(phase, out, self.max_frame, self.pool.clone()));
             }
-            requeue.extend(self.inflight.drain(..).filter_map(|f| f.data));
-            for plaintext in requeue.into_iter().rev() {
-                self.queue.push_front(plaintext);
+            None => {
+                self.end_session();
             }
-            self.out.clear();
-            self.written = 0;
-        }
-        if let Some((seal, open)) = halves {
-            let decoder = PooledFrameDecoder::new(self.max_frame, self.pool.clone());
-            self.session = Some(Session {
-                seal,
-                open,
-                decoder,
-            });
-            let sync = self.rel.session_start();
-            self.seal(&sync);
         }
     }
 
-    /// Seal one plaintext into the out buffer behind its length prefix:
-    /// the MAC over the bytes where they lie, the wire framing
-    /// hand-encoded around them (DESIGN.md §D15).
-    fn seal(&mut self, plaintext: &[u8]) {
-        let session = self.session.as_mut().expect("sealing on a live session");
-        let (seq, mac) = session.seal.seal_in_place(plaintext);
-        let start = self.out.len();
-        self.out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
-        encode_sealed_frame_into(&mut self.out, plaintext, seq, &mac);
-        let body_len = self.out.len() - start - FRAME_HEADER_LEN;
-        self.out[start..start + FRAME_HEADER_LEN].copy_from_slice(&(body_len as u32).to_le_bytes());
-        self.inflight.push_back(Inflight {
-            end: self.out.len(),
-            body_len,
-            data: None,
-        });
+    /// The connection died at `now`, or the dial did not connect. Its
+    /// frames go back to the queue ([`LinkCore::replace_session`]). The
+    /// dial side dials again at once if the session had opened; if not,
+    /// the attempt failed and it backs off: returns the delay.
+    pub fn lost(&mut self, now: u64) -> Option<Duration> {
+        let was_open = self.end_session();
+        let d = self.dialer.as_mut()?;
+        if was_open {
+            d.retry_at = None;
+            return None;
+        }
+        let delay = d.backoff.next_delay();
+        d.retry_at = Some(now + delay.as_nanos() as u64);
+        Some(delay)
+    }
+
+    /// End the connection, re-queueing what the peer may not have.
+    /// Returns whether its session had opened.
+    fn end_session(&mut self) -> bool {
+        let Some(session) = self.session.take() else {
+            return false;
+        };
+        let was_open = session.deadline().is_none();
+        let mut requeue = self.rel.drain_unacked();
+        self.ins.retransmits.add(requeue.len() as u64);
+        if let Some(flight) = self.flight.as_ref().filter(|_| !requeue.is_empty()) {
+            flight.record(
+                FlightEvent::new(EventFamily::Retransmit, self.domain.clone(), &*self.peer)
+                    .detail(format!("{} unacked frames re-queued", requeue.len())),
+            );
+        }
+        requeue.extend(session.inflight.into_iter().filter_map(|f| f.data));
+        for plaintext in requeue.into_iter().rev() {
+            self.queue.push_front(plaintext);
+        }
+        was_open
     }
 }
 
@@ -694,7 +971,7 @@ fn decode_messages(body: &[u8], tables: &mut InternTables, msgs: &mut Vec<Signal
 #[cfg(test)]
 mod tests {
     //! A link's intern tables (DESIGN.md §D28) change what a decode
-    //! allocates, never what it returns.
+    //! allocates, never what it returns; a handshake ends by its deadline.
 
     use super::*;
     use crate::MAX_FRAME_LEN;
@@ -1013,5 +1290,63 @@ mod tests {
         }
         assert_eq!(busy.tables.held::<Certificate>(), 64);
         assert_eq!(held(&mut quiet), before);
+    }
+
+    /// A link whose handshake stalls: the peer never says a word. An
+    /// accepted connection is dead at its start plus
+    /// [`HANDSHAKE_TIMEOUT`] and not one ns earlier; the dial side goes
+    /// back on the dial path through its backoff, which grows with each
+    /// attempt that stalls.
+    #[test]
+    fn a_stalled_handshake_ends_at_its_deadline_and_the_dial_side_backs_off() {
+        use crate::session::broker_pin;
+        use qos_core::channel::ChannelIdentity;
+        use qos_crypto::{CertificateAuthority, KeyPair};
+        let mut ca = CertificateAuthority::new(
+            DistinguishedName::authority("CA"),
+            KeyPair::from_seed(b"ca"),
+        );
+        let key = KeyPair::from_seed(b"a");
+        let cert = ca.issue_identity(
+            DistinguishedName::broker("a"),
+            key.public(),
+            Validity::unbounded(),
+        );
+        let identity = Arc::new(ChannelIdentity { key, cert });
+        let link = || {
+            let telemetry = Telemetry::disabled();
+            LinkCore::new(&telemetry, "a", "b", 1, MAX_FRAME_LEN, BufferPool::new(2))
+        };
+        let t0 = 1_000;
+        let deadline = t0 + HANDSHAKE_TIMEOUT;
+
+        let mut accepted = link();
+        let pins = HashMap::from([("b".to_string(), broker_pin(ca.public_key(), "b"))]);
+        let hs = Handshake::accept(identity.clone(), Arc::new(pins), None, 7, Timestamp::ZERO);
+        accepted.adopt(Session::new(hs, t0, MAX_FRAME_LEN, BufferPool::new(1)));
+        assert!(accepted.bytes_out(64).is_empty(), "the responder speaks second");
+        assert_eq!(accepted.tick(deadline - 1), (false, Some(deadline)));
+        assert!(accepted.is_up());
+        assert_eq!(accepted.tick(deadline), (false, None));
+        assert!(!accepted.is_up(), "a stalled handshake outlived its deadline");
+        assert_eq!(accepted.lost(deadline), None, "an accept side never redials");
+
+        let base = Duration::from_millis(10);
+        let mut dialer = link();
+        dialer.dial_to(broker_pin(ca.public_key(), "b"), true, Backoff::new(base, 10 * base));
+        assert_eq!(dialer.dial_at(), Some(0), "a new dial side dials at once");
+        dialer.dial(identity.clone(), 7, t0, Timestamp::ZERO);
+        assert_eq!(dialer.dial_at(), None, "a dial is under way");
+        assert!(!dialer.bytes_out(64).is_empty(), "the dialer's hello waits");
+        assert_eq!(dialer.tick(deadline - 1), (false, Some(deadline)));
+        assert_eq!(dialer.tick(deadline), (false, None));
+        assert!(!dialer.is_up());
+        assert_eq!(dialer.lost(deadline), Some(base));
+        let retry = deadline + base.as_nanos() as u64;
+        assert_eq!(dialer.dial_at(), Some(retry));
+        // The next attempt stalls too: the backoff doubles.
+        dialer.dial(identity, 8, retry, Timestamp::ZERO);
+        assert_eq!(dialer.tick(retry + HANDSHAKE_TIMEOUT), (false, None));
+        assert_eq!(dialer.lost(retry + HANDSHAKE_TIMEOUT), Some(2 * base));
     }
 }

@@ -3,45 +3,51 @@
 //! and the domain's broker, run on the same thread (DESIGN.md §D32).
 //!
 //! One reactor thread per daemon owns the listener, every peering
-//! socket, the admin listener and its connections, the connector retry
-//! timers, and the broker's [`BbNode`], with no lock. What a link does
-//! with its bytes — frame decode, open, the delivery index, acks,
-//! numbering and sealing, requeue when a connection dies — is the link's
-//! [`LinkCore`] (DESIGN.md §D26), one per configured peer. Each iteration
-//! the reactor runs the signalling messages its last read sweep decoded,
-//! then the local inputs waiting in its `Inbox`, through the broker's
-//! one door ([`BbNode::step`], §D34) 32 at a time, and writes each run's
-//! outputs to the links before the next run starts, so the next broker
-//! works on one run while this one works on the next (§D21). A run's
-//! messages go onto the queues the link cores own, and its completions
-//! onto the process's [`Completions`] in one hand-off, which wakes a
-//! waiter only if one sleeps (§D33). The rest of a link's life runs on
-//! the same thread:
+//! socket, the admin listener and its connections, and the broker's
+//! [`BbNode`], with no lock, and starts no other thread. What a link does
+//! with its bytes — the handshake, frame decode, open, the delivery
+//! index, acks, numbering and sealing, requeue when a connection dies,
+//! when the dial side dials again — is the link's [`LinkCore`] (DESIGN.md
+//! §D26, §D36), one per configured peer. Each iteration the reactor runs
+//! the signalling messages its last read sweep decoded, then the local
+//! inputs waiting in its `Inbox`, through the broker's one door
+//! ([`BbNode::step`], §D34) 32 at a time, and writes each run's outputs
+//! to the links before the next run starts, so the next broker works on
+//! one run while this one works on the next (§D21). A run's messages go
+//! onto the queues the link cores own, and its completions onto the
+//! process's [`Completions`] in one hand-off, which wakes a waiter only
+//! if one sleeps (§D33). The rest of a link's life runs on the same
+//! thread:
 //!
+//! * **connections** are non-blocking from the start (DESIGN.md §D36): a
+//!   dial is a non-blocking connect that completes on writability, and
+//!   an accepted socket is registered at once. The handshake is a state
+//!   of the connection's [`Session`], fed by the same reads as the sealed
+//!   frames after it, its messages written by the same writes. An
+//!   accepted connection's session runs on its own until the handshake
+//!   names the peer, then that peer's core adopts it: the newest session
+//!   wins. Its certificate checks and tickets read the broker's protocol
+//!   time ([`BbNode::time`]);
 //! * **deadlines** bound the poll timeout — no sleeping threads: a
-//!   reconnect's backoff (`retry_at`), and an ack that waited
-//!   [`ACK_DELAY`] for a data frame to ride on ([`LinkCore::tick`]).
-//!   Every time the reactor reads is one clock's ns: the process-wide
-//!   `StdClock` that stamps inputs and the broker's spans, and that it
-//!   passes to [`BbNode::step`] (DESIGN.md §D35);
-//! * **handshakes** stay blocking (they are short, bounded by their own
-//!   timeout, and involve multi-round-trip protocol logic) but run on
-//!   short-lived `bb-handshake` threads that report back through the
-//!   control channel and the waker, so the reactor never blocks on one. A
-//!   new session replaces whatever the link had: the newest wins.
+//!   handshake's [`HANDSHAKE_TIMEOUT`], a reconnect's backoff
+//!   ([`LinkCore::dial_at`]), and an ack that waited [`ACK_DELAY`] for a
+//!   data frame to ride on ([`LinkCore::tick`]). Every time the reactor
+//!   reads is one clock's ns: the process-wide `StdClock` that stamps
+//!   inputs and the broker's spans, and that it passes to
+//!   [`BbNode::step`] (DESIGN.md §D35).
 //!
 //! The tests below run the link protocol as the reactor drives it, on two
 //! [`LinkCore`]s joined by in-memory byte pipes instead of sockets.
+//!
+//! [`HANDSHAKE_TIMEOUT`]: crate::session::HANDSHAKE_TIMEOUT
 
 use crate::admin::{AdminState, ReactorStatus};
 use crate::backoff::Backoff;
 use crate::daemon::{Link, LinkWatch, TransportOptions};
-use crate::link::{LinkCore, ACK_DELAY};
+use crate::link::{LinkCore, Session, ACK_DELAY};
 use crate::queue::Completions;
-use crate::resume::{ResumeTicket, TicketIssuer};
-use crate::session::{
-    establish_initiator_resumable, establish_responder_resumable, HandshakeKind, Session,
-};
+use crate::resume::TicketIssuer;
+use crate::session::{fresh_nonce, Handshake, HandshakeKind};
 use crossbeam::channel::{Receiver, Sender};
 use mio::{Events, Interest, Poll, Token, Waker};
 use qos_core::channel::{ChannelIdentity, PeerPin};
@@ -60,7 +66,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Token of the accept listener.
@@ -81,17 +86,6 @@ const MAX_READS_PER_EVENT: usize = 16;
 
 /// Control messages into the reactor (paired with a waker ring).
 pub(crate) enum Ctrl {
-    /// A handshake offload thread finished establishing a session.
-    Established {
-        session: Box<Session>,
-        kind: HandshakeKind,
-        /// Fresh resumption ticket (dial-side full handshakes only).
-        ticket: Option<ResumeTicket>,
-        dialed: bool,
-        handshake_ns: u64,
-    },
-    /// A dial attempt failed (connect or handshake).
-    DialFailed { peer: String },
     /// Sever every live connection (fault injection), then answer: by
     /// then no link reads as connected.
     Kill(Sender<()>),
@@ -189,22 +183,33 @@ struct Sock {
     stream: TcpStream,
     fd: RawFd,
     token: usize,
-    /// Registered for writability: the socket would not take everything.
+    /// Registered for writability: the socket would not take everything,
+    /// or its connect is under way.
     want_write: bool,
 }
 
 impl Sock {
-    /// Make `stream` non-blocking and register it for readability under
-    /// `token`; `None` (and the socket closed) when either fails.
-    fn register(stream: TcpStream, poll: &Poll, token: usize) -> Option<Self> {
+    /// Make `stream` non-blocking and register it under `token`, for
+    /// readability and, if `connecting`, writability (a non-blocking
+    /// connect completes on it); `None` (and the socket closed) when
+    /// either fails.
+    fn register(stream: TcpStream, poll: &Poll, token: usize, connecting: bool) -> Option<Self> {
         stream.set_nonblocking(true).ok()?;
+        // Signalling frames are small and latency-bound; never let Nagle
+        // hold one back waiting for an ACK.
+        let _ = stream.set_nodelay(true);
         let fd = stream.as_raw_fd();
-        poll.register(fd, Token(token), Interest::READABLE).ok()?;
+        let interest = if connecting {
+            Interest::READABLE | Interest::WRITABLE
+        } else {
+            Interest::READABLE
+        };
+        poll.register(fd, Token(token), interest).ok()?;
         Some(Self {
             stream,
             fd,
             token,
-            want_write: false,
+            want_write: connecting,
         })
     }
 
@@ -234,20 +239,37 @@ impl Sock {
         }
         Some(n)
     }
+
+    /// Stop polling the socket and close it both ways.
+    fn close(self, poll: &Poll) {
+        let _ = poll.deregister(self.fd);
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+    }
 }
 
-/// One configured peer: its link core, and the connection carrying the
-/// link's session while one is up.
+/// One configured peer: its link core, where it is dialed (on the dial
+/// side), and the connection carrying the link's session while one is up
+/// or under way.
 struct Peer {
     core: LinkCore,
+    addr: Option<SocketAddr>,
     conn: Option<Conn>,
 }
 
-/// One live peering connection.
+/// One peering connection.
 struct Conn {
     sock: Sock,
-    /// We dialed it: the link redials when it dies.
-    dialed: bool,
+    /// A dial whose connect has not completed yet.
+    connecting: bool,
+    /// When the handshake started: the accept, or the connect's end.
+    since: u64,
+}
+
+/// An accepted connection whose handshake has not named its peer yet.
+struct Accepting {
+    sock: Sock,
+    session: Session,
+    since: u64,
 }
 
 /// Have `core` seal what its queue holds, `max_batch` messages at a
@@ -257,32 +279,24 @@ struct Conn {
 fn write_out(poll: &Poll, core: &mut LinkCore, sock: &mut Sock, max_batch: usize) -> bool {
     loop {
         let out = core.bytes_out(max_batch);
-        if out.is_empty() {
-            return true;
-        }
+        // Even with nothing to write: the socket's write interest follows.
         let Some(n) = sock.write(poll, out) else {
             return false;
         };
         let drained = n == out.len();
+        let empty = out.is_empty();
         core.sent(n);
-        if !drained {
+        if empty || !drained {
             return true;
         }
     }
 }
 
-/// Start a handshake offload thread.
-fn spawn_handshake(f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("bb-handshake".into())
-        .spawn(f)
-        .expect("spawn handshake thread")
-}
-
 /// Write what every connected link's queue holds, `max_batch` messages a
 /// batch, then seal and write the acks that are due at `now` with nothing
-/// to ride on. Notes the token of every connection that must die in
-/// `dead`; returns the soonest ack deadline left.
+/// to ride on, and end the handshakes whose deadline has come. Notes the
+/// token of every connection that must die in `dead`; returns the
+/// soonest ack or handshake deadline left.
 fn sweep(
     poll: &Poll,
     peers: &mut HashMap<String, Peer>,
@@ -291,14 +305,17 @@ fn sweep(
     dead: &mut Vec<usize>,
 ) -> Option<u64> {
     let mut soonest: Option<u64> = None;
-    for Peer { core, conn } in peers.values_mut() {
-        let Some(Conn { sock, .. }) = conn else {
+    for Peer { core, conn, .. } in peers.values_mut() {
+        let Some(Conn {
+            sock, connecting, ..
+        }) = conn
+        else {
             continue;
         };
-        let mut alive = write_out(poll, core, sock, max_batch);
+        let mut alive = *connecting || write_out(poll, core, sock, max_batch);
         if alive {
             let (sealed, due) = core.tick(now);
-            alive = !sealed || write_out(poll, core, sock, 0);
+            alive = core.is_up() && (!sealed || write_out(poll, core, sock, 0));
             soonest = soonest.into_iter().chain(due).min();
         }
         if !alive {
@@ -306,20 +323,6 @@ fn sweep(
         }
     }
     soonest
-}
-
-/// Dial-side state for one outbound link.
-struct DialState {
-    addr: SocketAddr,
-    pin: PeerPin,
-    backoff: Backoff,
-    /// Cached resumption ticket, replaced on every full handshake and
-    /// dropped on any connection error.
-    ticket: Option<ResumeTicket>,
-    /// A dial/handshake attempt is in flight on an offload thread.
-    connecting: bool,
-    /// Do not dial again before this time (ns; backoff after a failure).
-    retry_at: Option<u64>,
 }
 
 /// One admin-plane HTTP connection: plain text, one GET, one response,
@@ -356,10 +359,7 @@ pub(crate) struct ReactorConfig {
     pub completions: Arc<Completions>,
     pub options: TransportOptions,
     pub issuer: Option<Arc<TicketIssuer>>,
-    pub ctrl_tx: Sender<Ctrl>,
     pub ctrl_rx: Receiver<Ctrl>,
-    /// Handshake offload threads, joined by daemon shutdown.
-    pub hs_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     pub telemetry: Telemetry,
     /// Admin-plane listener and routing state (`bbd --admin`).
     pub admin: Option<(TcpListener, Arc<AdminState>)>,
@@ -387,11 +387,13 @@ pub(crate) struct Reactor {
     completion_latency: Histogram,
     /// Every configured peer (same keys as `config.links`).
     peers: HashMap<String, Peer>,
-    /// Which peer a live peering connection's token belongs to.
+    /// Which peer a peering connection's token belongs to.
     tokens: HashMap<usize, String>,
-    dials: HashMap<String, DialState>,
+    /// Accepted connections still in a handshake that has not named the
+    /// peer, by token.
+    accepting: HashMap<usize, Accepting>,
     next_token: usize,
-    /// Reactor-scoped chunk pool feeding every link core's decoder.
+    /// Reactor-scoped chunk pool feeding every connection's decoder.
     pool: BufferPool,
     pool_in_use: Gauge,
     pool_fallbacks: Counter,
@@ -413,22 +415,6 @@ pub(crate) struct Reactor {
 
 impl Reactor {
     pub(crate) fn new(node: BbNode, mut config: ReactorConfig) -> Self {
-        let options = &config.options;
-        let dials = std::mem::take(&mut config.connect_to)
-            .into_iter()
-            .map(|(peer, (addr, pin))| {
-                let backoff = Backoff::new(options.backoff_base, options.backoff_cap);
-                let dial = DialState {
-                    addr,
-                    pin,
-                    backoff,
-                    ticket: None,
-                    connecting: false,
-                    retry_at: None,
-                };
-                (peer, dial)
-            })
-            .collect();
         // Wall-clock nanoseconds name this process's life on its links:
         // a restarted daemon starts later than the one it replaces.
         let life = std::time::SystemTime::now()
@@ -438,15 +424,19 @@ impl Reactor {
         // One chunk per live connection in steady state, with headroom
         // for a straddling partial frame per link; exhaustion is safe
         // (owned-buffer fallback) and counted.
-        let ReactorConfig {
-            domain, telemetry, ..
-        } = &config;
         let pool = BufferPool::new(config.links.len() * 2 + 4);
+        let mut connect_to = std::mem::take(&mut config.connect_to);
+        let ReactorConfig {
+            domain,
+            telemetry,
+            options,
+            ..
+        } = &config;
         let peers = config
             .links
             .keys()
             .map(|peer| {
-                let core = LinkCore::new(
+                let mut core = LinkCore::new(
                     telemetry,
                     domain,
                     peer,
@@ -454,7 +444,17 @@ impl Reactor {
                     options.max_frame,
                     pool.clone(),
                 );
-                (peer.clone(), Peer { core, conn: None })
+                let addr = connect_to.remove(peer).map(|(addr, pin)| {
+                    let backoff = Backoff::new(options.backoff_base, options.backoff_cap);
+                    core.dial_to(pin, options.resume, backoff);
+                    addr
+                });
+                let peer_state = Peer {
+                    core,
+                    addr,
+                    conn: None,
+                };
+                (peer.clone(), peer_state)
             })
             .collect();
         let dl: &[(&str, &str)] = &[("domain", domain)];
@@ -516,7 +516,7 @@ impl Reactor {
             completion_latency,
             peers,
             tokens: HashMap::new(),
-            dials,
+            accepting: HashMap::new(),
             next_token: TOKEN_BASE,
             pool,
             pool_in_use,
@@ -558,19 +558,16 @@ impl Reactor {
         // flight recorder.
         let mut sweep_started: Option<u64> = None;
         loop {
-            // 1. Control: installed sessions, dial failures, kill/stop.
+            // 1. Control: kill/stop.
             while let Ok(ctrl) = self.config.ctrl_rx.try_recv() {
                 match ctrl {
-                    Ctrl::Established {
-                        session,
-                        kind,
-                        ticket,
-                        dialed,
-                        handshake_ns,
-                    } => self.install(*session, kind, ticket, dialed, handshake_ns),
-                    Ctrl::DialFailed { peer } => self.dial_failed(peer),
                     Ctrl::Kill(done) => {
-                        let tokens: Vec<usize> = self.tokens.keys().copied().collect();
+                        let tokens: Vec<usize> = self
+                            .tokens
+                            .keys()
+                            .chain(self.accepting.keys())
+                            .copied()
+                            .collect();
                         for t in tokens {
                             self.kill_conn(t);
                         }
@@ -589,14 +586,15 @@ impl Reactor {
                     }
                 }
             }
-            // 2. Dial timers.
+            // 2. Dials that are due.
             self.fire_dials();
             // 3. Run the inputs, writing each run's outputs as it ends.
             self.run_pending(true);
             // 4. Seal what is queued and write it, then send the acks
-            //    that waited out `ACK_DELAY` with nothing to ride on.
+            //    that waited out `ACK_DELAY` with nothing to ride on, and
+            //    end the handshakes that ran out of time.
             let now = StdClock::now();
-            let ack_due = self.sweep_links(now, MAX_WRITE_BATCH);
+            let deadline = self.sweep_links(now, MAX_WRITE_BATCH);
             // 5. Wait for readiness, a deadline, or the waker — or only
             //    look, if an input came in meanwhile: from the park on, a
             //    push wakes the poll. The sweep is timed up to step 4;
@@ -606,11 +604,11 @@ impl Reactor {
             }
             self.publish_pool_metrics();
             let timeout = if self.config.inbox.park() {
-                self.dials
+                self.peers
                     .values()
-                    .filter(|d| !d.connecting)
-                    .filter_map(|d| d.retry_at)
-                    .chain(ack_due)
+                    .filter(|p| p.conn.is_none())
+                    .filter_map(|p| p.core.dial_at())
+                    .chain(deadline)
                     .map(|at| Duration::from_nanos(at.saturating_sub(now)))
                     .min()
             } else {
@@ -631,16 +629,21 @@ impl Reactor {
             for ev in events.iter() {
                 match ev.token() {
                     TOKEN_WAKER => self.config.waker.drain(),
-                    TOKEN_LISTENER => self.accept_ready(),
+                    TOKEN_LISTENER => self.accept_ready(woke),
                     TOKEN_ADMIN => self.accept_admin(),
                     Token(t) if self.admin_conns.contains_key(&t) => {
                         if !self.admin_io(t, ev.is_readable()) {
                             self.kill_admin(t);
                         }
                     }
+                    Token(t) if self.accepting.contains_key(&t) => {
+                        if !self.accept_io(t, ev.is_readable(), woke) {
+                            self.kill_conn(t);
+                        }
+                    }
                     Token(t) => {
-                        let alive = (!ev.is_readable() || self.conn_read(t))
-                            && (!ev.is_writable() || self.conn_write(t));
+                        let alive = (!ev.is_writable() || self.conn_write(t, woke))
+                            && (!ev.is_readable() || self.conn_read(t, woke));
                         if !alive {
                             self.kill_conn(t);
                         }
@@ -750,7 +753,7 @@ impl Reactor {
         while let Some(Ok((stream, _))) = self.admin_listener().map(TcpListener::accept) {
             let token = self.next_token;
             self.next_token += 1;
-            let Some(sock) = Sock::register(stream, &self.config.poll, token) else {
+            let Some(sock) = Sock::register(stream, &self.config.poll, token, false) else {
                 continue;
             };
             let conn = AdminConn {
@@ -844,203 +847,205 @@ impl Reactor {
 
     fn kill_admin(&mut self, token: usize) {
         if let Some(mut conn) = self.admin_conns.remove(&token) {
-            let _ = self.config.poll.deregister(conn.sock.fd);
-            let _ = conn.sock.stream.shutdown(std::net::Shutdown::Both);
             // Recycle the grown response buffer for the next scrape.
             if conn.outbuf.capacity() > self.admin_spare.capacity() {
                 conn.outbuf.clear();
-                self.admin_spare = conn.outbuf;
+                self.admin_spare = std::mem::take(&mut conn.outbuf);
             }
+            conn.sock.close(&self.config.poll);
         }
     }
 
-    /// [`sweep`] every link, and tear down the connections that died.
+    /// [`sweep`] every link, end the accepted handshakes whose deadline
+    /// has come, and tear down the connections that died. Returns the
+    /// soonest ack or handshake deadline left.
     fn sweep_links(&mut self, now: u64, max_batch: usize) -> Option<u64> {
         let mut dead = Vec::new();
-        let soonest = sweep(
+        let mut soonest = sweep(
             &self.config.poll,
             &mut self.peers,
             now,
             max_batch,
             &mut dead,
         );
+        for (token, a) in &self.accepting {
+            let deadline = a.session.deadline().expect("a handshake under way");
+            if deadline <= now {
+                dead.push(*token);
+            } else {
+                soonest = Some(soonest.map_or(deadline, |s| s.min(deadline)));
+            }
+        }
         for t in dead {
             self.kill_conn(t);
         }
         soonest
     }
 
-    /// A dial attempt failed: back off before the next. The cached
-    /// resumption ticket stays: a dial failure says nothing about its
-    /// validity, and an acceptor restarted from a durable data dir
-    /// (DESIGN.md §D13) still honours it. A stale ticket merely
-    /// downgrades the next successful dial to a full handshake.
-    fn dial_failed(&mut self, peer: String) {
-        let Some(d) = self.dials.get_mut(&peer) else {
-            return;
-        };
-        d.connecting = false;
-        let delay = d.backoff.next_delay();
-        d.retry_at = Some(StdClock::now() + delay.as_nanos() as u64);
-        let failed = "dial or initiator handshake failed";
-        self.record(EventFamily::HandshakeFail, &peer, failed);
-        let retry = format!("retry in {} ms", delay.as_millis());
-        self.record(EventFamily::Backoff, &peer, retry);
-    }
-
-    /// Launch a handshake offload thread for every dial-side link that
-    /// is unconnected, not mid-attempt, and past its backoff deadline.
+    /// Start a non-blocking connect for every dial-side link whose next
+    /// dial is due; its handshake starts with it.
     fn fire_dials(&mut self) {
         let now = StdClock::now();
         let due: Vec<String> = self
-            .dials
+            .peers
             .iter()
-            .filter(|(peer, d)| {
-                !d.connecting
-                    && self.peers[*peer].conn.is_none()
-                    && d.retry_at.is_none_or(|at| at <= now)
-            })
-            .map(|(peer, _)| peer.clone())
+            .filter(|(_, p)| p.conn.is_none() && p.core.dial_at().is_some_and(|at| at <= now))
+            .map(|(name, _)| name.clone())
             .collect();
-        for peer in due {
-            self.spawn_dial(&peer);
-        }
-    }
-
-    fn spawn_dial(&mut self, peer: &str) {
-        let Some(d) = self.dials.get_mut(peer) else {
-            return;
-        };
-        d.connecting = true;
-        d.retry_at = None;
-        let addr = d.addr;
-        let pin = d.pin.clone();
-        let ticket = d.ticket.clone();
-        let identity = Arc::clone(&self.config.identity);
-        let options = self.config.options.clone();
-        let ctrl = self.config.ctrl_tx.clone();
-        let waker = Arc::clone(&self.config.waker);
-        let peer = peer.to_string();
-        let handle = spawn_handshake(move || {
-            let outcome = TcpStream::connect(addr).ok().and_then(|s| {
-                let t0 = StdClock::now();
-                establish_initiator_resumable(
-                    s,
-                    &identity,
-                    &pin,
-                    options.now,
-                    options.max_frame,
-                    options.resume,
-                    ticket.as_ref(),
-                )
+        for name in due {
+            let token = self.next_token;
+            let time = self.node.time();
+            let peer = self.peers.get_mut(&name).expect("a configured peer");
+            let addr = peer.addr.expect("a dial-side link");
+            let sock = mio::net::connect(addr)
                 .ok()
-                .map(|(session, kind, fresh)| (session, kind, fresh, t0))
-            });
-            let msg = match outcome {
-                Some((session, kind, fresh, t0)) => Ctrl::Established {
-                    session: Box::new(session),
-                    kind,
-                    ticket: fresh,
-                    dialed: true,
-                    handshake_ns: StdClock::now().saturating_sub(t0),
-                },
-                None => Ctrl::DialFailed { peer },
+                .and_then(|stream| Sock::register(stream, &self.config.poll, token, true));
+            let Some(sock) = sock else {
+                if let Some(delay) = peer.core.lost(now) {
+                    self.backed_off(&name, delay);
+                }
+                continue;
             };
-            let _ = ctrl.send(msg);
-            let _ = waker.wake();
-        });
-        self.track(handle);
-    }
-
-    /// Accept every pending inbound connection and offload its responder
-    /// handshake.
-    fn accept_ready(&mut self) {
-        while let Some(Ok((stream, _))) = self.config.listener.as_ref().map(TcpListener::accept) {
+            self.next_token += 1;
             let identity = Arc::clone(&self.config.identity);
-            let pins = Arc::clone(&self.config.accept_pins);
-            let issuer = self.config.issuer.clone();
-            let options = self.config.options.clone();
-            let ctrl = self.config.ctrl_tx.clone();
-            let waker = Arc::clone(&self.config.waker);
-            let flight = self.flight.clone();
-            let domain = self.config.domain.clone();
-            let handle = spawn_handshake(move || {
-                // The handshake protocol is blocking; accepted sockets
-                // do not inherit the listener's non-blocking flag, but
-                // make it explicit.
-                if stream.set_nonblocking(false).is_err() {
-                    return;
-                }
-                let t0 = StdClock::now();
-                match establish_responder_resumable(
-                    stream,
-                    &identity,
-                    &pins,
-                    options.now,
-                    options.max_frame,
-                    issuer.as_deref(),
-                ) {
-                    Ok((session, kind)) => {
-                        let _ = ctrl.send(Ctrl::Established {
-                            session: Box::new(session),
-                            kind,
-                            ticket: None,
-                            dialed: false,
-                            handshake_ns: StdClock::now().saturating_sub(t0),
-                        });
-                        let _ = waker.wake();
-                    }
-                    Err(_) => {
-                        // The dialer retries; record the refusal here so
-                        // a storm of bad handshakes is visible from the
-                        // accept side too.
-                        if let Some(flight) = &flight {
-                            flight.record(
-                                FlightEvent::new(EventFamily::HandshakeFail, domain, "accept")
-                                    .detail("responder handshake failed"),
-                            );
-                        }
-                    }
-                }
+            peer.core.dial(identity, fresh_nonce(), now, time);
+            peer.conn = Some(Conn {
+                sock,
+                connecting: true,
+                since: now,
             });
-            self.track(handle);
+            self.tokens.insert(token, name);
         }
     }
 
-    /// Remember a handshake offload thread (reaping finished ones so a
-    /// long-flapping link cannot accumulate handles without bound).
-    fn track(&self, handle: JoinHandle<()>) {
-        let mut g = self
-            .config
-            .hs_threads
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        g.retain(|h| !h.is_finished());
-        g.push(handle);
+    /// A dial attempt failed; the link backs off `delay` before the next.
+    fn backed_off(&self, peer: &str, delay: Duration) {
+        self.record(
+            EventFamily::HandshakeFail,
+            peer,
+            "dial or initiator handshake failed",
+        );
+        let retry = format!("retry in {} ms", delay.as_millis());
+        self.record(EventFamily::Backoff, peer, retry);
     }
 
-    /// Take over an established session: its socket goes non-blocking
-    /// under the poll, its halves into the link's core, which seals the
-    /// session's sync.
-    fn install(
-        &mut self,
-        session: Session,
-        kind: HandshakeKind,
-        ticket: Option<ResumeTicket>,
-        dialed: bool,
-        handshake_ns: u64,
-    ) {
-        let Session {
-            stream,
-            peer,
-            seal,
-            open,
-        } = session;
-        // Not a configured peer: dropping the socket closes it.
-        let Some(link) = self.config.links.get(&peer) else {
-            return;
+    /// Accept every pending inbound connection, non-blocking at once, its
+    /// responder handshake waiting for the peer's first message.
+    fn accept_ready(&mut self, now: u64) {
+        while let Some(Ok((stream, _))) = self.config.listener.as_ref().map(TcpListener::accept) {
+            let token = self.next_token;
+            self.next_token += 1;
+            let Some(sock) = Sock::register(stream, &self.config.poll, token, false) else {
+                continue;
+            };
+            let hs = Handshake::accept(
+                Arc::clone(&self.config.identity),
+                Arc::clone(&self.config.accept_pins),
+                self.config.issuer.clone(),
+                fresh_nonce(),
+                self.node.time(),
+            );
+            let max_frame = self.config.options.max_frame;
+            let session = Session::new(hs, now, max_frame, self.pool.clone());
+            let accepting = Accepting {
+                sock,
+                session,
+                since: now,
+            };
+            self.accepting.insert(token, accepting);
+        }
+    }
+
+    /// Drive an accepted connection's handshake: take what the socket
+    /// has, write the answers, and hand the session to its peer's core
+    /// once it opens. Returns false when the connection must die.
+    fn accept_io(&mut self, token: usize, readable: bool, now: u64) -> bool {
+        let Some(Accepting { sock, session, .. }) = self.accepting.get_mut(&token) else {
+            return true;
         };
-        link.ins.handshake_ns.observe(handshake_ns);
+        if readable {
+            for _ in 0..MAX_READS_PER_EVENT {
+                let buf = session.read_buf();
+                let cap = buf.len();
+                let n = match sock.stream.read(buf) {
+                    Ok(n) => n,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(_) => 0,
+                };
+                if n == 0 {
+                    return false;
+                }
+                match session.bytes_in(n) {
+                    Err(_) => return false,
+                    Ok(true) => return self.install(token, now),
+                    Ok(false) if n < cap => break,
+                    Ok(false) => {}
+                }
+            }
+        }
+        let Some(n) = sock.write(&self.config.poll, session.pending()) else {
+            return false;
+        };
+        session.sent(n, |_| {});
+        true
+    }
+
+    /// An accepted connection's handshake named its peer and opened: the
+    /// peer's core adopts the session. A crossed dial or a stale socket
+    /// dies with its unsent frames re-queued: the newest session wins.
+    /// Returns false when the connection must die.
+    fn install(&mut self, token: usize, now: u64) -> bool {
+        let Some(Accepting {
+            sock,
+            session,
+            since,
+        }) = self.accepting.remove(&token)
+        else {
+            return true;
+        };
+        let name = session.peer().expect("an open session").to_string();
+        if !self.peers.contains_key(&name) {
+            // Not a configured peer: close it.
+            sock.close(&self.config.poll);
+            return true;
+        }
+        if let Some(old) = self.peers[&name].conn.as_ref().map(|c| c.sock.token) {
+            self.kill_conn(old);
+        }
+        self.tokens.insert(token, name.clone());
+        let peer = self.peers.get_mut(&name).expect("a configured peer");
+        peer.core.adopt(session);
+        peer.conn = Some(Conn {
+            sock,
+            connecting: false,
+            since,
+        });
+        // Frames that came in behind the handshake; the sweep writes the
+        // handshake's last answer and our sync.
+        let mut msgs = Vec::new();
+        let alive = peer.core.bytes_in(0, now, &mut msgs);
+        let kind = peer.core.take_opened().expect("an open session");
+        self.deliver(&name, msgs);
+        self.opened(&name, kind, since, now);
+        alive
+    }
+
+    /// Queue what the link to `name` decoded for the broker.
+    fn deliver(&mut self, name: &str, msgs: Vec<SignalMessage>) {
+        let peer = self.peers[name].core.peer();
+        let enqueued_ns = StdClock::now();
+        self.pending.extend(
+            msgs.into_iter()
+                .map(|msg| Input::peer(PeerId::clone(peer), msg, enqueued_ns)),
+        );
+    }
+
+    /// A handshake opened a session on the link to `name`, `since` its
+    /// start.
+    fn opened(&self, name: &str, kind: HandshakeKind, since: u64, now: u64) {
+        let link = &self.config.links[name];
+        link.ins.handshake_ns.observe(now.saturating_sub(since));
         if kind == HandshakeKind::Resumed {
             link.ins.resumed.inc();
         }
@@ -1050,43 +1055,27 @@ impl Reactor {
                 HandshakeKind::Resumed => "resumed handshake",
                 HandshakeKind::Full => "full handshake",
             };
-            self.record(EventFamily::Reconnect, &peer, how);
+            self.record(EventFamily::Reconnect, name, how);
         }
-        if let Some(d) = self.dials.get_mut(&peer).filter(|_| dialed) {
-            d.connecting = false;
-            d.retry_at = None;
-            d.backoff.reset();
-            if ticket.is_some() {
-                d.ticket = ticket;
-            }
-        }
-        // A crossed dial/accept or a stale socket: the newest session
-        // wins, the old one dies with its unsent frames re-queued.
-        if let Some(old) = self.peers[&peer].conn.as_ref().map(|c| c.sock.token) {
-            self.kill_conn(old);
-        }
-        let token = self.next_token;
-        self.next_token += 1;
-        let Some(mut sock) = Sock::register(stream, &self.config.poll, token) else {
-            return;
-        };
-        let Peer { core, conn } = self.peers.get_mut(&peer).expect("a configured peer");
-        core.replace_session(Some((seal, open)));
-        let alive = write_out(&self.config.poll, core, &mut sock, 0);
-        *conn = Some(Conn { sock, dialed });
-        self.config
-            .watch
-            .set_connected(&self.config.links[&peer], true);
-        self.tokens.insert(token, peer);
-        if !alive {
-            self.kill_conn(token);
-        }
+        self.config.watch.set_connected(link, true);
     }
 
-    /// Tear one connection down: the link's core re-queues what the peer
-    /// may not have, and a dial-side link goes back on the connector path
-    /// immediately.
+    /// Tear one connection down: an accepted one still in its handshake
+    /// just closes; otherwise the link's core re-queues what the peer may
+    /// not have, and a dial-side link goes back on the dial path — at
+    /// once if its session had opened, after its backoff if not.
     fn kill_conn(&mut self, token: usize) {
+        if let Some(a) = self.accepting.remove(&token) {
+            a.sock.close(&self.config.poll);
+            // The dialer retries; record the refusal here so a storm of
+            // bad handshakes is visible from the accept side too.
+            self.record(
+                EventFamily::HandshakeFail,
+                "accept",
+                "responder handshake failed",
+            );
+            return;
+        }
         let Some(name) = self.tokens.remove(&token) else {
             return;
         };
@@ -1094,18 +1083,13 @@ impl Reactor {
         let Some(conn) = peer.conn.take() else {
             return;
         };
-        peer.core.replace_session(None);
-        let _ = self.config.poll.deregister(conn.sock.fd);
-        let _ = conn.sock.stream.shutdown(std::net::Shutdown::Both);
+        let backoff = peer.core.lost(StdClock::now());
+        conn.sock.close(&self.config.poll);
         self.config
             .watch
             .set_connected(&self.config.links[&name], false);
-        // An established link that died redials at once; backoff only
-        // grows while attempts themselves fail.
-        if let Some(d) = self.dials.get_mut(&name) {
-            if conn.dialed && !d.connecting {
-                d.retry_at = Some(StdClock::now());
-            }
+        if let Some(delay) = backoff {
+            self.backed_off(&name, delay);
         }
     }
 
@@ -1113,18 +1097,21 @@ impl Reactor {
     /// it decodes for the broker. Returns false when the connection must
     /// die (EOF, I/O error, or whatever the core refuses); the messages
     /// decoded before that are still run.
-    fn conn_read(&mut self, token: usize) -> bool {
+    fn conn_read(&mut self, token: usize, now: u64) -> bool {
         let Some(name) = self.tokens.get(&token) else {
             return true; // stale event for a killed conn
         };
-        let Peer {
+        let Some(Peer {
             core,
             conn: Some(conn),
-        } = self.peers.get_mut(name).expect("a configured peer")
+            ..
+        }) = self.peers.get_mut(name)
         else {
             return true;
         };
-        let now = StdClock::now();
+        if conn.connecting {
+            return true; // the connect's end is a write event
+        }
         let mut msgs: Vec<SignalMessage> = Vec::new();
         let mut alive = true;
         for _ in 0..MAX_READS_PER_EVENT {
@@ -1142,28 +1129,39 @@ impl Reactor {
                 break; // dead, or a short read: the socket is drained
             }
         }
-        let peer = core.peer();
-        let enqueued_ns = StdClock::now();
-        self.pending.extend(
-            msgs.into_iter()
-                .map(|msg| Input::peer(PeerId::clone(peer), msg, enqueued_ns)),
-        );
+        let opened = core.take_opened().map(|kind| (kind, conn.since));
+        let name = name.clone();
+        self.deliver(&name, msgs);
+        if let Some((kind, since)) = opened {
+            self.opened(&name, kind, since, now);
+        }
         alive
     }
 
-    /// The socket has room again: write what the link has sealed. What
-    /// is still queued waits for the sweep that ends this iteration.
-    fn conn_write(&mut self, token: usize) -> bool {
+    /// The socket has room again: a dial's connect completed (or failed),
+    /// or what the link has sealed can go. What is still queued waits for
+    /// the sweep that ends this iteration.
+    fn conn_write(&mut self, token: usize, now: u64) -> bool {
         let Some(name) = self.tokens.get(&token) else {
             return true;
         };
-        match self.peers.get_mut(name) {
-            Some(Peer {
-                core,
-                conn: Some(conn),
-            }) => write_out(&self.config.poll, core, &mut conn.sock, 0),
-            _ => true,
+        let Some(Peer {
+            core,
+            conn: Some(conn),
+            ..
+        }) = self.peers.get_mut(name)
+        else {
+            return true;
+        };
+        if conn.connecting {
+            // `SO_ERROR`: whether the non-blocking connect succeeded.
+            if !matches!(conn.sock.stream.take_error(), Ok(None)) {
+                return false;
+            }
+            conn.connecting = false;
+            conn.since = now;
         }
+        write_out(&self.config.poll, core, &mut conn.sock, 0)
     }
 }
 
@@ -1176,10 +1174,14 @@ mod tests {
     };
     use crate::proto::SEAL_OVERHEAD;
     use proptest::prelude::*;
+    use crate::session::{broker_pin, HANDSHAKE_TIMEOUT};
     use qos_core::channel::{OpenHalf, SealHalf, SecureChannel};
     use qos_core::messages::TunnelFlowRelease;
     use qos_core::RarId;
-    use qos_crypto::{Certificate, CertificateAuthority, DistinguishedName, KeyPair, Validity};
+    use qos_crypto::{
+        Certificate, CertificateAuthority, DistinguishedName, KeyPair, PublicKey, Timestamp,
+        Validity,
+    };
     use qos_telemetry::Registry;
     use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
@@ -1503,6 +1505,26 @@ mod tests {
             .map(|initiator| SecureChannel::resume(cert.clone(), &[7; 32], n, n, initiator).split())
     }
 
+    /// The two ends' broker identities, `a` and `b`, and their CA's key.
+    fn identities() -> &'static (Arc<ChannelIdentity>, Arc<ChannelIdentity>, PublicKey) {
+        static IDS: OnceLock<(Arc<ChannelIdentity>, Arc<ChannelIdentity>, PublicKey)> =
+            OnceLock::new();
+        IDS.get_or_init(|| {
+            let mut ca = CertificateAuthority::new(
+                DistinguishedName::authority("CA"),
+                KeyPair::from_seed(b"link-ca"),
+            );
+            let mut identity = |domain: &str| {
+                let key = KeyPair::from_seed(domain.as_bytes());
+                let dn = DistinguishedName::broker(domain);
+                let cert = ca.issue_identity(dn, key.public(), Validity::unbounded());
+                Arc::new(ChannelIdentity { key, cert })
+            };
+            let (a, b) = (identity("a"), identity("b"));
+            (a, b, ca.public_key())
+        })
+    }
+
     /// Two link cores joined by two byte pipes that carry whatever chunk
     /// sizes the test picks: a frame may be split across reads, and one
     /// read may hold several frames.
@@ -1538,6 +1560,65 @@ mod tests {
         fn end(pool: &BufferPool) -> LinkCore {
             let telemetry = Telemetry::disabled();
             LinkCore::new(&telemetry, "a", "b", life(), max_frame(), pool.clone())
+        }
+
+        /// Two ends before any handshake, their frames large enough for
+        /// one: end 0 dials end 1.
+        fn unconnected() -> Self {
+            let pool = BufferPool::new(8);
+            let end = || {
+                let telemetry = Telemetry::disabled();
+                LinkCore::new(&telemetry, "a", "b", life(), 1024, pool.clone())
+            };
+            let mut cores = [end(), end()];
+            let base = Duration::from_millis(1);
+            let pin = broker_pin(identities().2, "b");
+            cores[0].dial_to(pin, true, Backoff::new(base, 1000 * base));
+            Self {
+                cores,
+                wire: [Vec::new(), Vec::new()],
+                delivered: [Vec::new(), Vec::new()],
+                sessions: 0,
+                pool,
+                now: 0,
+            }
+        }
+
+        /// End 0 dials and end 1 accepts, with `issuer`'s tickets.
+        fn handshake(&mut self, issuer: &Arc<TicketIssuer>) {
+            let (a, b, ca_key) = identities();
+            self.sessions += 1;
+            self.wire = [Vec::new(), Vec::new()];
+            self.cores[0].dial(a.clone(), self.sessions, self.now, Timestamp::ZERO);
+            let pins = HashMap::from([("a".to_string(), broker_pin(*ca_key, "a"))]);
+            let hs = Handshake::accept(
+                b.clone(),
+                Arc::new(pins),
+                Some(issuer.clone()),
+                self.sessions,
+                Timestamp::ZERO,
+            );
+            self.cores[1].adopt(Session::new(hs, self.now, 1024, self.pool.clone()));
+        }
+
+        /// Move bytes both ways, `chunk` at a time, until nothing moves,
+        /// end `x`'s pipe carrying at most `cut[x]` more bytes: beyond
+        /// that it stalls.
+        fn settle(&mut self, mut cut: [usize; 2], chunk: usize) {
+            loop {
+                let mut moved = false;
+                for x in 0..2 {
+                    self.seal(x, usize::MAX);
+                    let k = self.cores[x].bytes_out(0).len().min(chunk).min(cut[x]);
+                    self.write(x, k);
+                    cut[x] -= k;
+                    moved |= k > 0;
+                    self.read(1 - x, usize::MAX);
+                }
+                if !moved {
+                    return;
+                }
+            }
         }
 
         /// The reactor routes a run's message to end `x`'s link.
@@ -1740,6 +1821,81 @@ mod tests {
                 for id in &enqueued[x] {
                     prop_assert!(seen[x].contains(id), "message {id} of end {x} was lost");
                 }
+            }
+        }
+    }
+
+    proptest! {
+        /// Two ends start before the handshake, full or resumed by
+        /// ticket, each with messages queued, and each direction's pipe
+        /// stalls at a seeded byte inside it (or past it). At the
+        /// handshake deadline every end is open or down, never half-open:
+        /// both are open with keys that agree both ways, or a dead end
+        /// closed the socket and the dial side is retrying. A retry then
+        /// connects, and every queued message arrives once, in order.
+        #[test]
+        fn a_handshake_cut_anywhere_ends_connected_or_retrying(
+            resume in any::<bool>(),
+            cut in (0usize..900, 0usize..900),
+            chunk in 1usize..300,
+            queued in (1u64..4, 1u64..4),
+        ) {
+            let issuer = Arc::new(TicketIssuer::with_key([5; 32], 3600, 16));
+            let mut pipes = Pipes::unconnected();
+            if resume {
+                // A first session earns end 0 a ticket end 1 redeems.
+                pipes.handshake(&issuer);
+                pipes.settle([usize::MAX; 2], usize::MAX);
+                prop_assert!(pipes.cores.iter().all(LinkCore::is_open));
+                prop_assert!(pipes.cores[0].ticket().is_some());
+                for core in &mut pipes.cores {
+                    core.lost(pipes.now);
+                    core.take_opened();
+                }
+            }
+            let mut next_id = 0;
+            let mut enqueued: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+            for (x, n) in [(0, queued.0), (1, queued.1)] {
+                for _ in 0..n {
+                    pipes.enqueue(x, next_id);
+                    enqueued[x].push(next_id);
+                    next_id += 1;
+                }
+            }
+            pipes.handshake(&issuer);
+            pipes.settle([cut.0, cut.1], chunk);
+            pipes.now += HANDSHAKE_TIMEOUT;
+            for core in &mut pipes.cores {
+                core.tick(pipes.now);
+            }
+            // An end whose handshake died closes the socket; its peer
+            // sees the close.
+            if pipes.cores.iter().any(|c| !c.is_up()) {
+                for core in &mut pipes.cores {
+                    core.lost(pipes.now);
+                }
+            }
+            for core in &pipes.cores {
+                prop_assert!(core.is_open() || !core.is_up(), "a handshake outlived its deadline");
+            }
+            prop_assert_eq!(pipes.cores[0].is_open(), pipes.cores[1].is_open(), "half-open");
+            if pipes.cores[0].is_open() {
+                let kind = if resume { HandshakeKind::Resumed } else { HandshakeKind::Full };
+                prop_assert_eq!(pipes.cores[0].take_opened(), Some(kind));
+                prop_assert_eq!(pipes.cores[1].take_opened(), Some(kind));
+            } else {
+                // Retrying: the dial side is back on the dial path.
+                let at = pipes.cores[0].dial_at();
+                prop_assert!(at.is_some_and(|at| at > pipes.now), "not backing off: {:?}", at);
+                pipes.now = at.unwrap_or(pipes.now);
+                pipes.handshake(&issuer);
+            }
+            // The stall ends (or the retry runs uncut).
+            pipes.settle([usize::MAX; 2], usize::MAX);
+            prop_assert!(pipes.cores.iter().all(LinkCore::is_open), "the retry did not connect");
+            pipes.quiesce();
+            for x in 0..2 {
+                prop_assert_eq!(&pipes.delivered[1 - x], &enqueued[x]);
             }
         }
     }

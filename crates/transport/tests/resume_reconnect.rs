@@ -13,11 +13,11 @@ use qos_core::scenario::{build_chain, ChainOptions};
 use qos_crypto::{CertificateAuthority, DistinguishedName, KeyPair, Timestamp, Validity};
 use qos_storage::{FileStore, FileStoreOptions, SharedStore};
 use qos_transport::{
-    establish_initiator_resumable, establish_responder_resumable, BrokerDaemon, Completions,
-    DaemonConfig, HandshakeKind, ResumeTicket, Session, TicketIssuer, TransportOptions,
-    MAX_FRAME_LEN,
+    BrokerDaemon, Completions, DaemonConfig, Established, Handshake, HandshakeKind, PeerMsg,
+    ResumeTicket, TicketIssuer, TransportOptions,
 };
 use std::collections::HashMap;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -36,8 +36,29 @@ fn identity(ca: &mut CertificateAuthority, domain: &str) -> ChannelIdentity {
     ChannelIdentity { key, cert }
 }
 
-/// One resumable loopback handshake between `alpha` (initiator) and
-/// `beta` (responder backed by `issuer`).
+/// Run one side's handshake state over a blocking socket until it ends:
+/// what it says goes out, each frame that comes back goes in.
+fn drive(mut stream: TcpStream, mut hs: Handshake) -> Established {
+    let mut out = Vec::new();
+    hs.start(&mut out);
+    loop {
+        stream.write_all(&out).unwrap();
+        out.clear();
+        let mut len = [0u8; 4];
+        stream.read_exact(&mut len).unwrap();
+        let mut body = vec![0; u32::from_le_bytes(len) as usize];
+        stream.read_exact(&mut body).unwrap();
+        let msg: PeerMsg = qos_wire::from_bytes(&body).unwrap();
+        if let Some(done) = hs.recv(msg, &mut out).unwrap() {
+            stream.write_all(&out).unwrap();
+            return done;
+        }
+    }
+}
+
+/// One resumable handshake between `alpha` (initiator) and `beta`
+/// (responder backed by `issuer`), the two handshake states run over a
+/// loopback socket pair.
 fn resumable_pair(
     ia: &ChannelIdentity,
     ib: ChannelIdentity,
@@ -45,8 +66,8 @@ fn resumable_pair(
     ticket: Option<&ResumeTicket>,
     issuer: Arc<TicketIssuer>,
 ) -> (
-    (Session, HandshakeKind, Option<ResumeTicket>),
-    (Session, HandshakeKind),
+    (Established, HandshakeKind, Option<ResumeTicket>),
+    (Established, HandshakeKind),
 ) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -59,32 +80,25 @@ fn resumable_pair(
                 dn: DistinguishedName::broker("alpha"),
             },
         )]);
-        establish_responder_resumable(
-            stream,
-            &ib,
-            &pins,
-            Timestamp::ZERO,
-            MAX_FRAME_LEN,
-            Some(&issuer),
-        )
-        .unwrap()
+        let hs = Handshake::accept(Arc::new(ib), Arc::new(pins), Some(issuer), 2, Timestamp::ZERO);
+        drive(stream, hs)
     });
     let stream = TcpStream::connect(addr).unwrap();
     let pin = PeerPin {
         ca_key,
         dn: DistinguishedName::broker("beta"),
     };
-    let i = establish_initiator_resumable(
-        stream,
-        ia,
-        &pin,
-        Timestamp::ZERO,
-        MAX_FRAME_LEN,
-        true,
-        ticket,
-    )
-    .unwrap();
-    (i, responder.join().unwrap())
+    // `ChannelIdentity` is not `Clone`: the initiator's state holds its
+    // own copy, built from the same key and certificate.
+    let ia = ChannelIdentity {
+        key: ia.key.clone(),
+        cert: ia.cert.clone(),
+    };
+    let hs = Handshake::dial(Arc::new(ia), pin, ticket.cloned(), true, 1, Timestamp::ZERO);
+    let mut a = drive(stream, hs);
+    let b = responder.join().unwrap();
+    let (kind_a, fresh, kind_b) = (a.kind, a.ticket.take(), b.kind);
+    ((a, kind_a, fresh), (b, kind_b))
 }
 
 /// ISSUE acceptance: a resumed reconnect performs **zero** Schnorr

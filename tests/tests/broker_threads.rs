@@ -1,10 +1,17 @@
 //! A broker is one thread: each daemon of a mesh runs its broker on its
 //! reactor thread, and no admission worker thread exists beside it
-//! (DESIGN.md §D32). In a test binary of its own, so that the threads it
-//! counts are this mesh's and no other test's.
+//! (DESIGN.md §D32), nor a thread per handshake (§D36). In a test binary
+//! of its own, its tests one at a time, so that the threads it counts are
+//! one mesh's and no other test's.
 
 use integration_tests::{build_chain, spawn_chain, ChainOptions};
 use qos_transport::TcpMesh;
+use std::net::TcpStream;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
+
+/// One mesh at a time in this process.
+static LOCK: Mutex<()> = Mutex::new(());
 
 /// The name of every thread of this process. The kernel keeps the first
 /// 15 bytes of a thread's name, so callers match by prefix.
@@ -18,6 +25,7 @@ fn thread_names() -> Vec<String> {
 
 #[test]
 fn each_domain_runs_one_reactor_thread_and_no_worker_thread() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut s = build_chain(ChainOptions::default());
     let mesh = spawn_chain(&mut s, TcpMesh::new());
     let names = thread_names();
@@ -28,5 +36,40 @@ fn each_domain_runs_one_reactor_thread_and_no_worker_thread() {
         0,
         "a worker beside a reactor: {names:?}"
     );
+    mesh.shutdown();
+}
+
+/// A host that opens connections to a daemon's listener and never says a
+/// word costs the daemon a socket and a handshake deadline, not a
+/// thread: no `bb-handshake` thread exists, and every thread the process
+/// gained is one of the mesh's reactors.
+#[test]
+fn a_silent_peer_costs_no_thread() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let before = thread_names();
+    let mut s = build_chain(ChainOptions::default());
+    let mesh = spawn_chain(&mut s, TcpMesh::new());
+    let addr = mesh.daemon("domain-b").local_addr();
+    let silent: Vec<TcpStream> = (0..4)
+        .map(|_| TcpStream::connect(addr).expect("the listener takes a connection"))
+        .collect();
+    // However long the daemon has had to take them in, nothing starts.
+    let deadline = Instant::now() + Duration::from_millis(300);
+    while Instant::now() < deadline {
+        let names = thread_names();
+        let gained: Vec<&String> = names.iter().filter(|n| !before.contains(n)).collect();
+        assert!(
+            !names.iter().any(|n| n.starts_with("bb-handshake")),
+            "a thread for a handshake: {names:?}"
+        );
+        assert!(
+            gained.iter().all(|n| n.starts_with("bb-reactor-")),
+            "a thread beside the reactors: {gained:?}"
+        );
+        assert_eq!(gained.len(), 3, "one reactor a domain: {names:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(mesh.wait_connected(Duration::from_secs(5)), "the chain's links stay up");
+    drop(silent);
     mesh.shutdown();
 }
