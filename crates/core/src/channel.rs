@@ -82,7 +82,9 @@ pub struct SecureChannel {
     role: u8,
 }
 
-/// Run the mutual handshake, producing one channel endpoint per side.
+/// Run the mutual handshake in memory, producing one channel endpoint per
+/// side: the message-based [`NetHandshake`] of both sides, each hello and
+/// possession proof handed straight to the other.
 ///
 /// `nonce` models the fresh randomness both TLS parties contribute; the
 /// runtime supplies a unique value per connection.
@@ -94,56 +96,13 @@ pub fn handshake(
     nonce: u64,
     now: Timestamp,
 ) -> Result<(SecureChannel, SecureChannel), CoreError> {
-    // Each side validates the peer certificate against its pins.
-    validate_peer(&responder.cert, initiator_pins, now)?;
-    validate_peer(&initiator.cert, responder_pins, now)?;
-
-    // Both sides prove possession of their certified keys by signing the
-    // handshake transcript.
-    let transcript = transcript_hash(&initiator.cert, &responder.cert, nonce);
-    let sig_i = initiator.key.sign(&transcript);
-    let sig_r = responder.key.sign(&transcript);
-    if !initiator
-        .cert
-        .tbs()
-        .subject_public_key
-        .verify(&transcript, &sig_i)
-    {
-        return Err(CoreError::Channel(format!(
-            "initiator {} failed possession proof",
-            initiator.cert.tbs().subject
-        )));
-    }
-    if !responder
-        .cert
-        .tbs()
-        .subject_public_key
-        .verify(&transcript, &sig_r)
-    {
-        return Err(CoreError::Channel(format!(
-            "responder {} failed possession proof",
-            responder.cert.tbs().subject
-        )));
-    }
-
-    // Session key binds both identities and the nonce.
-    let mut h = Sha256::new();
-    h.update(b"qos-channel-v1");
-    h.update(&transcript);
-    let session_key = h.finalize();
-
-    Ok((
-        SecureChannel {
-            peer_cert: responder.cert.clone(),
-            session_key,
-            role: 0,
-        },
-        SecureChannel {
-            peer_cert: initiator.cert.clone(),
-            session_key,
-            role: 1,
-        },
-    ))
+    let hs_i = NetHandshake::new(initiator, true, nonce);
+    let hs_r = NetHandshake::new(responder, false, nonce);
+    let (cert_i, nonce_i) = hs_i.hello();
+    let (cert_r, nonce_r) = hs_r.hello();
+    let (sig_i, await_i) = hs_i.receive_hello(cert_r, nonce_r, initiator_pins, now)?;
+    let (sig_r, await_r) = hs_r.receive_hello(cert_i, nonce_i, responder_pins, now)?;
+    Ok((await_i.receive_auth(sig_r)?, await_r.receive_auth(sig_i)?))
 }
 
 fn validate_peer(cert: &Certificate, pins: &PeerPin, now: Timestamp) -> Result<(), CoreError> {
@@ -158,16 +117,6 @@ fn validate_peer(cert: &Certificate, pins: &PeerPin, now: Timestamp) -> Result<(
         )));
     }
     Ok(())
-}
-
-fn transcript_hash(cert_i: &Certificate, cert_r: &Certificate, nonce: u64) -> Vec<u8> {
-    let mut h = Sha256::new();
-    h.update(&qos_wire::to_bytes(cert_i));
-    h.update(&qos_wire::to_bytes(cert_r));
-    h.update(&nonce.to_le_bytes());
-    // Handshake-time only — never on the sealed-frame hot path.
-    #[allow(clippy::disallowed_methods)]
-    h.finalize().to_vec()
 }
 
 impl SecureChannel {
@@ -395,16 +344,13 @@ fn ct_eq(a: &Digest, b: &Digest) -> bool {
 
 /// One side of the mutual handshake, decomposed into messages.
 ///
-/// [`handshake`] needs both private keys in one address space, which is
-/// only possible when every broker lives in one process. Peered daemons
-/// run the same protocol as an exchange of two messages per side: a
-/// *hello* carrying the certificate and a fresh nonce contribution, then
-/// an *auth* proving possession of the certified key by signing the
-/// joint transcript
+/// Peered daemons exchange two messages per side: a *hello* carrying the
+/// certificate and a fresh nonce contribution, then an *auth* proving
+/// possession of the certified key by signing the joint transcript
 /// `H("qos-net-handshake-v1" ‖ cert_i ‖ cert_r ‖ nonce_i ‖ nonce_r)`.
 /// Both sides contribute a nonce, so neither can replay a transcript the
-/// other has signed before. The derived session key matches the
-/// in-process construction: `H("qos-channel-v1" ‖ transcript)`.
+/// other has signed before. The session key is `H("qos-channel-v1" ‖
+/// transcript)`. [`handshake`] runs both sides in one address space.
 pub struct NetHandshake {
     cert: Certificate,
     key: KeyPair,
@@ -472,11 +418,6 @@ pub struct AwaitAuth {
 }
 
 impl AwaitAuth {
-    /// The peer's DN (already validated against the pin).
-    pub fn peer_dn(&self) -> &DistinguishedName {
-        &self.peer_cert.tbs().subject
-    }
-
     /// Verify the peer's signature over the joint transcript and open
     /// the channel.
     pub fn receive_auth(self, sig: Signature) -> Result<SecureChannel, CoreError> {

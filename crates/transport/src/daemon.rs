@@ -39,7 +39,7 @@ use qos_core::node::BbNode;
 use qos_core::rar::RarId;
 use qos_core::Input;
 use qos_crypto::{Certificate, DistinguishedName, PublicKey};
-use qos_telemetry::{Counter, Histogram, StdClock, Telemetry};
+use qos_telemetry::{StdClock, Telemetry};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -106,49 +106,13 @@ pub struct DaemonConfig {
     pub admin: Option<TcpListener>,
 }
 
-/// Per-link instruments of the session lifecycle (no-ops without a
-/// registry); what the link's queue and frames count is its
-/// [`LinkCore`](crate::link::LinkCore)'s.
-pub(crate) struct LinkInstruments {
-    pub(crate) reconnects: Counter,
-    pub(crate) resumed: Counter,
-    pub(crate) handshake_ns: Histogram,
-}
-
-impl LinkInstruments {
-    fn resolve(telemetry: &Telemetry, domain: &str, peer: &str) -> Self {
-        let l: &[(&str, &str)] = &[("domain", domain), ("peer", peer)];
-        Self {
-            reconnects: telemetry.counter(
-                "transport_reconnects_total",
-                "Sessions re-established after the first",
-                l,
-            ),
-            resumed: telemetry.counter(
-                "resumed_handshakes_total",
-                "Sessions established by ticket resumption (no signatures)",
-                l,
-            ),
-            handshake_ns: telemetry.histogram(
-                "transport_handshake_ns",
-                "Socket handshake duration (connect excluded)",
-                l,
-            ),
-        }
-    }
-}
-
-/// One peering link's shared state (read and written by the reactor,
-/// which also owns the link's queue and delivery state,
-/// [`crate::link::LinkCore`]).
+/// One peering link's shared state: what the admin plane and
+/// [`BrokerDaemon::wait_connected`] read. The reactor owns the rest of
+/// the link ([`crate::link::LinkCore`]).
 pub(crate) struct Link {
-    /// Set once the first session is up; later sessions count as
-    /// reconnects.
-    pub(crate) established: AtomicBool,
     /// A session is currently live on this link. Flipped through
     /// [`LinkWatch::set_connected`] only.
     pub(crate) connected: AtomicBool,
-    pub(crate) ins: LinkInstruments,
 }
 
 /// What [`BrokerDaemon::wait_connected`] sleeps on: the reactor signals
@@ -252,20 +216,9 @@ impl BrokerDaemon {
 
         // One link record per peer, dialed or accepted.
         let mut links = HashMap::new();
-        for peer in connect_to
-            .keys()
-            .cloned()
-            .chain(accept_from.iter().cloned())
-        {
-            let ins = LinkInstruments::resolve(&telemetry, &domain, &peer);
-            links.insert(
-                peer,
-                Link {
-                    established: AtomicBool::new(false),
-                    connected: AtomicBool::new(false),
-                    ins,
-                },
-            );
+        for peer in connect_to.keys().chain(&accept_from) {
+            let connected = AtomicBool::new(false);
+            links.insert(peer.clone(), Link { connected });
         }
         let links = Arc::new(links);
 

@@ -1,37 +1,44 @@
-//! One peering link's delivery rules, without I/O (DESIGN.md §D26).
+//! One peering link's delivery rules, without I/O (DESIGN.md §D26, §D36).
 //!
 //! A [`LinkCore`] is everything a link between two brokers is except its
 //! socket: the delivery state that outlives connections
 //! ([`LinkReliability`]: numbering at seal, the retained window, the
 //! receive watermark, the ack debt and its deadline, the life/sync
-//! handshake) and the session in flight — its cipher halves, its frame
-//! decoder, and the sealed-but-unflushed out buffer with the plaintext of
-//! every data frame in it. It holds no socket, reads no clock and starts
-//! no thread: `life` and `now` (ns, on the reactor's clock) are arguments.
-//! It has four entry points:
+//! handshake), the dial side's backoff and resumption ticket, and the
+//! connection in flight, a [`Session`]: first the peering handshake
+//! ([`Handshake`]), then its cipher halves; its frame decoder; and the
+//! unflushed out buffer with the plaintext of every data frame in it. It
+//! holds no socket, reads no clock and starts no thread: `life`, `now`
+//! (ns, on the reactor's clock), the handshake nonce and the broker's
+//! protocol time are arguments. It has four entry points:
 //!
-//! * **bytes in** ([`LinkCore::read_buf`], [`LinkCore::bytes_in`]): each
-//!   complete frame is decoded where it landed in a pooled chunk
-//!   ([`PooledFrameDecoder`]), parsed by reference ([`SealedRef`]), opened
-//!   in place, decided by its reliability header
-//!   ([`LinkReliability::accept`]), and a new data frame's messages are
-//!   decoded from one shared copy of its body, through the link's intern
-//!   tables: a name or certificate the link delivered before is shared,
-//!   not decoded again (DESIGN.md §D28);
+//! * **bytes in** ([`LinkCore::read_buf`], [`LinkCore::bytes_in`]): while
+//!   the handshake runs, each plaintext handshake message goes to it and
+//!   its answers wait in the out buffer. After it, each complete frame is
+//!   decoded where it landed in a pooled chunk ([`PooledFrameDecoder`]),
+//!   parsed by reference ([`SealedRef`]), opened in place, decided by its
+//!   reliability header ([`LinkReliability::accept`]), and a new data
+//!   frame's messages are decoded from one shared copy of its body,
+//!   through the link's intern tables: a name or certificate the link
+//!   delivered before is shared, not decoded again (DESIGN.md §D28);
 //! * **bytes out** ([`LinkCore::bytes_out`], [`LinkCore::sent`]): a write
 //!   batch of the frames the link queue built ([`OutQueue`], DESIGN.md
 //!   §D27) is popped, and each is stamped and sealed where it lies; "the
 //!   socket took n bytes" retains every fully written data frame until
 //!   the peer acknowledges it;
 //! * **[`LinkCore::tick`]**: a standalone ack when one is due or the debt
-//!   is full, and the next deadline;
-//! * **[`LinkCore::replace_session`]**: the dead session's frames go back
-//!   to the front of the link queue — the unacknowledged window, then
-//!   everything the socket did not take, in order and keeping their
-//!   indices — and the new session's halves are installed behind a sync.
+//!   is full, and the next deadline; a handshake not over by
+//!   [`HANDSHAKE_TIMEOUT`] ends there;
+//! * **a connection starts or ends** ([`LinkCore::dial`],
+//!   [`LinkCore::adopt`], [`LinkCore::lost`], [`LinkCore::replace_session`]):
+//!   the dead session's frames go back to the front of the link queue —
+//!   the unacknowledged window, then everything the socket did not take,
+//!   in order and keeping their indices — and the new session opens
+//!   behind a sync. A dial side redials at once after a session, and
+//!   after its backoff when the attempt failed.
 //!
 //! The reactor drives one core per configured peer over its sockets; the
-//! link proptest in `reactor.rs` drives two over in-memory byte pipes, and
+//! link proptests in `reactor.rs` drive two over in-memory byte pipes, and
 //! `exp_alloc_path` counts what two of them allocate per admission.
 // Zero-alloc hot-path module (DESIGN.md §D15): the dedicated CI lint
 // step loads .clippy-hotpath/clippy.toml, under which this attribute
@@ -306,19 +313,16 @@ pub(crate) struct Inflight {
     data: Option<Vec<u8>>,
 }
 
-/// Where a connection stands.
+/// Where a connection stands: its handshake, due by `deadline` (ns, the
+/// reactor's clock), or the session's cipher halves — inline, as every
+/// frame of the session reaches them.
+#[allow(clippy::large_enum_variant)]
 enum Phase {
-    /// The handshake runs; the connection dies unless it is over by
-    /// `deadline` (ns, the reactor's clock).
-    Handshake {
-        hs: Box<Handshake>,
-        deadline: u64,
-    },
-    /// The session is up: its cipher halves.
+    Handshake { hs: Box<Handshake>, deadline: u64 },
     Open { seal: SealHalf, open: OpenHalf },
 }
 
-/// How a handshake ended, until the link takes the record.
+/// How a handshake ended, until a link core takes the record.
 struct Opened {
     peer: String,
     kind: HandshakeKind,
@@ -326,12 +330,9 @@ struct Opened {
 }
 
 /// What lives and dies with one connection: the handshake, then the
-/// session's cipher halves; the frame decoder holding whatever partial
-/// frame the socket left, which the handshake and the sealed frames after
-/// it share; and the out buffer with the plaintext of every data frame in
-/// it. An accepted connection's session runs its handshake on its own
-/// until the peer is known, then a link core takes it over
-/// ([`LinkCore::adopt`]).
+/// cipher halves; one frame decoder for both; and the out buffer with the
+/// plaintext of every data frame in it. An accepted connection's session
+/// runs its handshake alone until the peer is known ([`LinkCore::adopt`]).
 pub struct Session {
     phase: Phase,
     decoder: PooledFrameDecoder,
@@ -339,10 +340,11 @@ pub struct Session {
     /// the socket.
     out: Vec<u8>,
     written: usize,
-    /// One entry per sealed frame in `out` the socket has not fully
-    /// taken, oldest first. Handshake frames have none.
+    /// Each sealed frame of `out` the socket has not fully taken.
     inflight: VecDeque<Inflight>,
     opened: Option<Opened>,
+    /// When the handshake started (ns).
+    started: u64,
 }
 
 impl Session {
@@ -357,10 +359,10 @@ impl Session {
             hs: Box::new(hs),
             deadline: now + HANDSHAKE_TIMEOUT,
         };
-        Self::with(phase, out, max_frame, pool)
+        Self::with(phase, out, now, max_frame, pool)
     }
 
-    fn with(phase: Phase, out: Vec<u8>, max_frame: usize, pool: BufferPool) -> Self {
+    fn with(phase: Phase, out: Vec<u8>, now: u64, max_frame: usize, pool: BufferPool) -> Self {
         Self {
             phase,
             decoder: PooledFrameDecoder::new(max_frame, pool),
@@ -368,6 +370,7 @@ impl Session {
             written: 0,
             inflight: VecDeque::new(),
             opened: None,
+            started: now,
         }
     }
 
@@ -376,16 +379,16 @@ impl Session {
         self.decoder.writable()
     }
 
-    /// Bytes in, second half, while the handshake runs: `n` bytes arrived
-    /// in [`Session::read_buf`], and each handshake message they complete
-    /// is taken, its answers appended to the out buffer. Ok(true) when
-    /// the session opened in this call; frames behind the handshake stay
-    /// in the decoder for the link. An error ends the connection.
+    /// Bytes in, second half: `n` bytes arrived in [`Session::read_buf`].
+    /// While the handshake runs, each message they complete goes to it.
+    /// Ok(true) once it has ended and no link core has taken the record
+    /// yet, frames behind it left in the decoder; an error ends the
+    /// connection.
     pub(crate) fn bytes_in(&mut self, n: usize) -> Result<bool, TransportError> {
         self.decoder.advance(n);
         loop {
             let Phase::Handshake { hs, .. } = &mut self.phase else {
-                return Ok(false);
+                return Ok(self.opened.is_some());
             };
             let Some(frame) = self.decoder.next_frame()? else {
                 return Ok(false);
@@ -402,7 +405,6 @@ impl Session {
                     kind: done.kind,
                     ticket: done.ticket,
                 });
-                return Ok(true);
             }
         }
     }
@@ -412,8 +414,8 @@ impl Session {
         &self.out[self.written..]
     }
 
-    /// The socket took the next `n` bytes of [`Session::pending`]; every
-    /// sealed frame it took whole goes to `done`.
+    /// The socket took `n` bytes; each sealed frame it took whole goes to
+    /// `done`.
     pub(crate) fn sent(&mut self, n: usize, mut done: impl FnMut(Inflight)) {
         self.written += n;
         while let Some(frame) = self.inflight.pop_front_if(|f| f.end <= self.written) {
@@ -459,19 +461,15 @@ impl Session {
     }
 }
 
-/// The dial side of a link: the peer's pin, the ticket it presents, and
-/// when it dials again.
+/// The dial side of a link: the peer's pin, when it dials again (ns;
+/// `None`: at once), and the ticket it presents. A full handshake
+/// replaces the ticket, and a failed attempt keeps it: an acceptor
+/// restarted from a durable data dir (DESIGN.md §D13) still honours it.
 struct Dialer {
     pin: PeerPin,
     resume: bool,
     backoff: Backoff,
-    /// Do not dial before this time (ns); `None`: at once.
     retry_at: Option<u64>,
-    /// Cached resumption ticket, replaced on every full handshake. A
-    /// failed attempt keeps it: a failure says nothing about its
-    /// validity, and an acceptor restarted from a durable data dir
-    /// (DESIGN.md §D13) still honours it; a stale one merely downgrades
-    /// the next attempt to a full handshake.
     ticket: Option<ResumeTicket>,
 }
 
@@ -488,6 +486,9 @@ struct Instruments {
     retransmits: Counter,
     acks_standalone: Counter,
     outq_depth: Gauge,
+    reconnects: Counter,
+    resumed: Counter,
+    handshake_ns: Histogram,
 }
 
 /// One peering link without its socket: see the module documentation.
@@ -500,10 +501,11 @@ pub struct LinkCore {
     pub(crate) rel: LinkReliability,
     /// The live connection; `None` between connections.
     session: Option<Session>,
-    /// Set on a link this end dials.
     dialer: Option<Dialer>,
     /// How the last handshake went, until the reactor takes it.
     opened: Option<HandshakeKind>,
+    /// A session has opened before: the next one is a reconnect.
+    established: bool,
     /// The frames of the batch being sealed; empty between calls, its
     /// allocation kept.
     batch: Vec<Vec<u8>>,
@@ -579,6 +581,19 @@ impl LinkCore {
                 "Peak outbound queue depth",
                 l,
             ),
+            reconnects: counter(
+                "transport_reconnects_total",
+                "Sessions re-established after the first",
+            ),
+            resumed: counter(
+                "resumed_handshakes_total",
+                "Sessions established by ticket resumption (no signatures)",
+            ),
+            handshake_ns: telemetry.histogram(
+                "transport_handshake_ns",
+                "Socket handshake duration (connect excluded)",
+                l,
+            ),
         };
         let rel = LinkReliability::new(
             life,
@@ -599,6 +614,7 @@ impl LinkCore {
             session: None,
             dialer: None,
             opened: None,
+            established: false,
             // Grows once to the longest batch and is kept.
             #[allow(clippy::disallowed_methods)]
             batch: Vec::new(),
@@ -637,12 +653,10 @@ impl LinkCore {
     }
 
     /// Start a connection from the dial side at `now`: its handshake
-    /// takes our `nonce` and judges the peer at protocol time `time`, and
-    /// its first message waits for the socket ([`LinkCore::bytes_out`]).
-    /// Panics on a link this end does not dial.
+    /// takes our `nonce`, judges the peer at protocol time `time`, and
+    /// its first message waits for the socket. Panics on an accept side.
     pub fn dial(&mut self, identity: Arc<ChannelIdentity>, nonce: u64, now: u64, time: Timestamp) {
-        let d = self.dialer.as_mut().expect("a link this end dials");
-        d.retry_at = None;
+        let d = self.dialer.as_ref().expect("a link this end dials");
         let hs = Handshake::dial(
             identity,
             d.pin.clone(),
@@ -652,39 +666,54 @@ impl LinkCore {
             time,
         );
         let session = Session::new(hs, now, self.max_frame, self.pool.clone());
-        self.adopt(session);
+        self.adopt(session, now);
     }
 
-    /// Take `session` over as the link's connection; the one it had dies
+    /// Take `session` over at `now`; the connection the link had dies
     /// first (see [`LinkCore::replace_session`]). Once the session is
     /// open, our sync follows whatever the handshake still has to send.
-    pub fn adopt(&mut self, session: Session) {
+    pub fn adopt(&mut self, session: Session, now: u64) {
         self.end_session();
         self.session = Some(session);
-        if self.session.as_ref().is_some_and(|s| s.deadline().is_none()) {
-            self.on_open();
+        if self.session.as_ref().is_some_and(|s| s.opened.is_some()) {
+            self.on_open(now);
         }
     }
 
-    /// The handshake is over: note how it went, re-arm the dial side, and
+    /// The handshake ended at `now`: count it, re-arm the dial side, and
     /// seal the session's sync.
-    fn on_open(&mut self) {
+    fn on_open(&mut self, now: u64) {
         let session = self.session.as_mut().expect("an open session");
-        if let Some(opened) = session.opened.take() {
-            if let Some(d) = &mut self.dialer {
-                d.backoff.reset();
-                d.retry_at = None;
-                if opened.ticket.is_some() {
-                    d.ticket = opened.ticket;
-                }
-            }
-            self.opened = Some(opened.kind);
+        let opened = session.opened.take().expect("a finished handshake");
+        self.ins
+            .handshake_ns
+            .observe(now.saturating_sub(session.started));
+        if opened.kind == HandshakeKind::Resumed {
+            self.ins.resumed.inc();
         }
+        if std::mem::replace(&mut self.established, true) {
+            self.ins.reconnects.inc();
+            if let Some(flight) = &self.flight {
+                let how = match opened.kind {
+                    HandshakeKind::Resumed => "resumed handshake",
+                    HandshakeKind::Full => "full handshake",
+                };
+                let event =
+                    FlightEvent::new(EventFamily::Reconnect, self.domain.clone(), &*self.peer);
+                flight.record(event.detail(how));
+            }
+        }
+        if let Some(d) = &mut self.dialer {
+            d.backoff.reset();
+            d.retry_at = None;
+            d.ticket = opened.ticket.or(d.ticket.take());
+        }
+        self.opened = Some(opened.kind);
         let sync = self.rel.session_start();
         session.seal(&sync);
     }
 
-    /// How the last handshake went (once; `None` if none finished since).
+    /// How the last handshake went, once.
     pub fn take_opened(&mut self) -> Option<HandshakeKind> {
         self.opened.take()
     }
@@ -696,12 +725,9 @@ impl LinkCore {
 
     /// Whether a session is open: its handshake over.
     pub fn is_open(&self) -> bool {
-        self.session.as_ref().is_some_and(|s| s.deadline().is_none())
-    }
-
-    /// The resumption ticket the dial side presents next.
-    pub fn ticket(&self) -> Option<&ResumeTicket> {
-        self.dialer.as_ref()?.ticket.as_ref()
+        self.session
+            .as_ref()
+            .is_some_and(|s| s.deadline().is_none())
     }
 
     /// Queue `msg` for the peer, onto the frame open at the back of the
@@ -731,7 +757,7 @@ impl LinkCore {
     pub fn bytes_in(&mut self, n: usize, now: u64, msgs: &mut Vec<SignalMessage>) -> bool {
         match self.session.as_mut().map(|s| s.bytes_in(n)) {
             None | Some(Err(_)) => return false,
-            Some(Ok(true)) => self.on_open(),
+            Some(Ok(true)) => self.on_open(now),
             Some(Ok(false)) => {}
         }
         let Some(Session {
@@ -751,8 +777,10 @@ impl LinkCore {
             self.ins.frames_received.inc();
             self.ins.bytes_received.add(frame.len() as u64);
             // An established session only ever carries `PeerMsg::Frame`.
-            let opened = parse_sealed(frame.bytes())
-                .filter(|sealed| open.open_in_place(sealed.payload, sealed.seq, &sealed.mac).is_ok());
+            let opened = parse_sealed(frame.bytes()).filter(|sealed| {
+                open.open_in_place(sealed.payload, sealed.seq, &sealed.mac)
+                    .is_ok()
+            });
             let Some(sealed) = opened else {
                 self.ins.rejected.inc();
                 return false;
@@ -887,7 +915,15 @@ impl LinkCore {
                 #[allow(clippy::disallowed_methods)]
                 let out = Vec::new();
                 let phase = Phase::Open { seal, open };
-                self.adopt(Session::with(phase, out, self.max_frame, self.pool.clone()));
+                self.end_session();
+                let session = self.session.insert(Session::with(
+                    phase,
+                    out,
+                    0,
+                    self.max_frame,
+                    self.pool.clone(),
+                ));
+                session.seal(&self.rel.session_start());
             }
             None => {
                 self.end_session();
@@ -1323,17 +1359,31 @@ mod tests {
         let mut accepted = link();
         let pins = HashMap::from([("b".to_string(), broker_pin(ca.public_key(), "b"))]);
         let hs = Handshake::accept(identity.clone(), Arc::new(pins), None, 7, Timestamp::ZERO);
-        accepted.adopt(Session::new(hs, t0, MAX_FRAME_LEN, BufferPool::new(1)));
-        assert!(accepted.bytes_out(64).is_empty(), "the responder speaks second");
+        accepted.adopt(Session::new(hs, t0, MAX_FRAME_LEN, BufferPool::new(1)), t0);
+        assert!(
+            accepted.bytes_out(64).is_empty(),
+            "the responder speaks second"
+        );
         assert_eq!(accepted.tick(deadline - 1), (false, Some(deadline)));
         assert!(accepted.is_up());
         assert_eq!(accepted.tick(deadline), (false, None));
-        assert!(!accepted.is_up(), "a stalled handshake outlived its deadline");
-        assert_eq!(accepted.lost(deadline), None, "an accept side never redials");
+        assert!(
+            !accepted.is_up(),
+            "a stalled handshake outlived its deadline"
+        );
+        assert_eq!(
+            accepted.lost(deadline),
+            None,
+            "an accept side never redials"
+        );
 
         let base = Duration::from_millis(10);
         let mut dialer = link();
-        dialer.dial_to(broker_pin(ca.public_key(), "b"), true, Backoff::new(base, 10 * base));
+        dialer.dial_to(
+            broker_pin(ca.public_key(), "b"),
+            true,
+            Backoff::new(base, 10 * base),
+        );
         assert_eq!(dialer.dial_at(), Some(0), "a new dial side dials at once");
         dialer.dial(identity.clone(), 7, t0, Timestamp::ZERO);
         assert_eq!(dialer.dial_at(), None, "a dial is under way");

@@ -47,7 +47,7 @@ use crate::daemon::{Link, LinkWatch, TransportOptions};
 use crate::link::{LinkCore, Session, ACK_DELAY};
 use crate::queue::Completions;
 use crate::resume::TicketIssuer;
-use crate::session::{fresh_nonce, Handshake, HandshakeKind};
+use crate::session::{fresh_nonce, Handshake};
 use crossbeam::channel::{Receiver, Sender};
 use mio::{Events, Interest, Poll, Token, Waker};
 use qos_core::channel::{ChannelIdentity, PeerPin};
@@ -259,17 +259,15 @@ struct Peer {
 /// One peering connection.
 struct Conn {
     sock: Sock,
-    /// A dial whose connect has not completed yet.
+    /// A dial whose connect has not completed yet: the link's handshake
+    /// starts when it does.
     connecting: bool,
-    /// When the handshake started: the accept, or the connect's end.
-    since: u64,
 }
 
 /// An accepted connection whose handshake has not named its peer yet.
 struct Accepting {
     sock: Sock,
     session: Session,
-    since: u64,
 }
 
 /// Have `core` seal what its queue holds, `max_batch` messages at a
@@ -292,6 +290,15 @@ fn write_out(poll: &Poll, core: &mut LinkCore, sock: &mut Sock, max_batch: usize
     }
 }
 
+/// Queue what the link to `peer` decoded for the broker.
+fn deliver(pending: &mut Vec<Input>, peer: &PeerId, msgs: Vec<SignalMessage>) {
+    let enqueued_ns = StdClock::now();
+    pending.extend(
+        msgs.into_iter()
+            .map(|msg| Input::peer(PeerId::clone(peer), msg, enqueued_ns)),
+    );
+}
+
 /// Write what every connected link's queue holds, `max_batch` messages a
 /// batch, then seal and write the acks that are due at `now` with nothing
 /// to ride on, and end the handshakes whose deadline has come. Notes the
@@ -312,7 +319,10 @@ fn sweep(
         else {
             continue;
         };
-        let mut alive = *connecting || write_out(poll, core, sock, max_batch);
+        if *connecting {
+            continue;
+        }
+        let mut alive = write_out(poll, core, sock, max_batch);
         if alive {
             let (sealed, due) = core.tick(now);
             alive = core.is_up() && (!sealed || write_out(poll, core, sock, 0));
@@ -873,7 +883,7 @@ impl Reactor {
             if deadline <= now {
                 dead.push(*token);
             } else {
-                soonest = Some(soonest.map_or(deadline, |s| s.min(deadline)));
+                soonest = soonest.into_iter().chain([deadline]).min();
             }
         }
         for t in dead {
@@ -883,7 +893,7 @@ impl Reactor {
     }
 
     /// Start a non-blocking connect for every dial-side link whose next
-    /// dial is due; its handshake starts with it.
+    /// dial is due.
     fn fire_dials(&mut self) {
         let now = StdClock::now();
         let due: Vec<String> = self
@@ -894,7 +904,6 @@ impl Reactor {
             .collect();
         for name in due {
             let token = self.next_token;
-            let time = self.node.time();
             let peer = self.peers.get_mut(&name).expect("a configured peer");
             let addr = peer.addr.expect("a dial-side link");
             let sock = mio::net::connect(addr)
@@ -907,12 +916,9 @@ impl Reactor {
                 continue;
             };
             self.next_token += 1;
-            let identity = Arc::clone(&self.config.identity);
-            peer.core.dial(identity, fresh_nonce(), now, time);
             peer.conn = Some(Conn {
                 sock,
                 connecting: true,
-                since: now,
             });
             self.tokens.insert(token, name);
         }
@@ -947,12 +953,7 @@ impl Reactor {
             );
             let max_frame = self.config.options.max_frame;
             let session = Session::new(hs, now, max_frame, self.pool.clone());
-            let accepting = Accepting {
-                sock,
-                session,
-                since: now,
-            };
-            self.accepting.insert(token, accepting);
+            self.accepting.insert(token, Accepting { sock, session });
         }
     }
 
@@ -963,25 +964,18 @@ impl Reactor {
         let Some(Accepting { sock, session, .. }) = self.accepting.get_mut(&token) else {
             return true;
         };
+        // Handshake messages are small: one read an event, and the poll
+        // reports what is left.
         if readable {
-            for _ in 0..MAX_READS_PER_EVENT {
-                let buf = session.read_buf();
-                let cap = buf.len();
-                let n = match sock.stream.read(buf) {
-                    Ok(n) => n,
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => 0,
-                };
-                if n == 0 {
-                    return false;
-                }
-                match session.bytes_in(n) {
+            match sock.stream.read(session.read_buf()) {
+                Ok(0) => return false,
+                Ok(n) => match session.bytes_in(n) {
                     Err(_) => return false,
                     Ok(true) => return self.install(token, now),
-                    Ok(false) if n < cap => break,
                     Ok(false) => {}
-                }
+                },
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+                Err(_) => return false,
             }
         }
         let Some(n) = sock.write(&self.config.poll, session.pending()) else {
@@ -996,12 +990,7 @@ impl Reactor {
     /// dies with its unsent frames re-queued: the newest session wins.
     /// Returns false when the connection must die.
     fn install(&mut self, token: usize, now: u64) -> bool {
-        let Some(Accepting {
-            sock,
-            session,
-            since,
-        }) = self.accepting.remove(&token)
-        else {
+        let Some(Accepting { sock, session }) = self.accepting.remove(&token) else {
             return true;
         };
         let name = session.peer().expect("an open session").to_string();
@@ -1013,51 +1002,23 @@ impl Reactor {
         if let Some(old) = self.peers[&name].conn.as_ref().map(|c| c.sock.token) {
             self.kill_conn(old);
         }
-        self.tokens.insert(token, name.clone());
         let peer = self.peers.get_mut(&name).expect("a configured peer");
-        peer.core.adopt(session);
+        peer.core.adopt(session, now);
+        peer.core.take_opened();
         peer.conn = Some(Conn {
             sock,
             connecting: false,
-            since,
         });
         // Frames that came in behind the handshake; the sweep writes the
         // handshake's last answer and our sync.
         let mut msgs = Vec::new();
         let alive = peer.core.bytes_in(0, now, &mut msgs);
-        let kind = peer.core.take_opened().expect("an open session");
-        self.deliver(&name, msgs);
-        self.opened(&name, kind, since, now);
+        deliver(&mut self.pending, peer.core.peer(), msgs);
+        self.config
+            .watch
+            .set_connected(&self.config.links[&name], true);
+        self.tokens.insert(token, name);
         alive
-    }
-
-    /// Queue what the link to `name` decoded for the broker.
-    fn deliver(&mut self, name: &str, msgs: Vec<SignalMessage>) {
-        let peer = self.peers[name].core.peer();
-        let enqueued_ns = StdClock::now();
-        self.pending.extend(
-            msgs.into_iter()
-                .map(|msg| Input::peer(PeerId::clone(peer), msg, enqueued_ns)),
-        );
-    }
-
-    /// A handshake opened a session on the link to `name`, `since` its
-    /// start.
-    fn opened(&self, name: &str, kind: HandshakeKind, since: u64, now: u64) {
-        let link = &self.config.links[name];
-        link.ins.handshake_ns.observe(now.saturating_sub(since));
-        if kind == HandshakeKind::Resumed {
-            link.ins.resumed.inc();
-        }
-        if link.established.swap(true, SeqCst) {
-            link.ins.reconnects.inc();
-            let how = match kind {
-                HandshakeKind::Resumed => "resumed handshake",
-                HandshakeKind::Full => "full handshake",
-            };
-            self.record(EventFamily::Reconnect, name, how);
-        }
-        self.config.watch.set_connected(link, true);
     }
 
     /// Tear one connection down: an accepted one still in its handshake
@@ -1098,14 +1059,20 @@ impl Reactor {
     /// die (EOF, I/O error, or whatever the core refuses); the messages
     /// decoded before that are still run.
     fn conn_read(&mut self, token: usize, now: u64) -> bool {
-        let Some(name) = self.tokens.get(&token) else {
+        let Self {
+            tokens,
+            peers,
+            pending,
+            ..
+        } = self;
+        let Some(name) = tokens.get(&token) else {
             return true; // stale event for a killed conn
         };
         let Some(Peer {
             core,
             conn: Some(conn),
             ..
-        }) = self.peers.get_mut(name)
+        }) = peers.get_mut(name)
         else {
             return true;
         };
@@ -1129,27 +1096,31 @@ impl Reactor {
                 break; // dead, or a short read: the socket is drained
             }
         }
-        let opened = core.take_opened().map(|kind| (kind, conn.since));
-        let name = name.clone();
-        self.deliver(&name, msgs);
-        if let Some((kind, since)) = opened {
-            self.opened(&name, kind, since, now);
+        deliver(pending, core.peer(), msgs);
+        if core.take_opened().is_some() {
+            self.config
+                .watch
+                .set_connected(&self.config.links[name], true);
         }
         alive
     }
 
     /// The socket has room again: a dial's connect completed (or failed),
-    /// or what the link has sealed can go. What is still queued waits for
-    /// the sweep that ends this iteration.
+    /// and its handshake starts; or what the link has sealed can go. What
+    /// is still queued waits for the sweep that ends this iteration.
     fn conn_write(&mut self, token: usize, now: u64) -> bool {
-        let Some(name) = self.tokens.get(&token) else {
-            return true;
-        };
+        let Self {
+            config,
+            node,
+            peers,
+            tokens,
+            ..
+        } = self;
         let Some(Peer {
             core,
             conn: Some(conn),
             ..
-        }) = self.peers.get_mut(name)
+        }) = tokens.get(&token).and_then(|name| peers.get_mut(name))
         else {
             return true;
         };
@@ -1159,9 +1130,10 @@ impl Reactor {
                 return false;
             }
             conn.connecting = false;
-            conn.since = now;
+            let identity = Arc::clone(&config.identity);
+            core.dial(identity, fresh_nonce(), now, node.time());
         }
-        write_out(&self.config.poll, core, &mut conn.sock, 0)
+        write_out(&config.poll, core, &mut conn.sock, 0)
     }
 }
 
@@ -1173,8 +1145,8 @@ mod tests {
         FRAME_DATA, FRAME_SYNC, UNNUMBERED,
     };
     use crate::proto::SEAL_OVERHEAD;
+    use crate::session::{broker_pin, HandshakeKind, HANDSHAKE_TIMEOUT};
     use proptest::prelude::*;
-    use crate::session::{broker_pin, HANDSHAKE_TIMEOUT};
     use qos_core::channel::{OpenHalf, SealHalf, SecureChannel};
     use qos_core::messages::TunnelFlowRelease;
     use qos_core::RarId;
@@ -1598,7 +1570,10 @@ mod tests {
                 self.sessions,
                 Timestamp::ZERO,
             );
-            self.cores[1].adopt(Session::new(hs, self.now, 1024, self.pool.clone()));
+            self.cores[1].adopt(
+                Session::new(hs, self.now, 1024, self.pool.clone()),
+                self.now,
+            );
         }
 
         /// Move bytes both ways, `chunk` at a time, until nothing moves,
@@ -1607,11 +1582,11 @@ mod tests {
         fn settle(&mut self, mut cut: [usize; 2], chunk: usize) {
             loop {
                 let mut moved = false;
-                for x in 0..2 {
+                for (x, left) in cut.iter_mut().enumerate() {
                     self.seal(x, usize::MAX);
-                    let k = self.cores[x].bytes_out(0).len().min(chunk).min(cut[x]);
+                    let k = self.cores[x].bytes_out(0).len().min(chunk).min(*left);
                     self.write(x, k);
-                    cut[x] -= k;
+                    *left -= k;
                     moved |= k > 0;
                     self.read(1 - x, usize::MAX);
                 }
@@ -1847,10 +1822,9 @@ mod tests {
                 pipes.handshake(&issuer);
                 pipes.settle([usize::MAX; 2], usize::MAX);
                 prop_assert!(pipes.cores.iter().all(LinkCore::is_open));
-                prop_assert!(pipes.cores[0].ticket().is_some());
                 for core in &mut pipes.cores {
                     core.lost(pipes.now);
-                    core.take_opened();
+                    prop_assert_eq!(core.take_opened(), Some(HandshakeKind::Full));
                 }
             }
             let mut next_id = 0;
@@ -1894,8 +1868,8 @@ mod tests {
             pipes.settle([usize::MAX; 2], usize::MAX);
             prop_assert!(pipes.cores.iter().all(LinkCore::is_open), "the retry did not connect");
             pipes.quiesce();
-            for x in 0..2 {
-                prop_assert_eq!(&pipes.delivered[1 - x], &enqueued[x]);
+            for (x, sent) in enqueued.iter().enumerate() {
+                prop_assert_eq!(&pipes.delivered[1 - x], sent);
             }
         }
     }

@@ -135,7 +135,9 @@ impl Handshake {
         time: Timestamp,
     ) -> Self {
         let usable = ticket.filter(|t| {
-            resume && t.peer_cert.check_validity(time).is_ok() && t.peer_cert.tbs().subject == pin.dn
+            resume
+                && t.peer_cert.check_validity(time).is_ok()
+                && t.peer_cert.tbs().subject == pin.dn
         });
         Self {
             identity,
@@ -171,11 +173,6 @@ impl Handshake {
         }
     }
 
-    /// Whether this is the connecting side.
-    pub fn dialed(&self) -> bool {
-        matches!(self.role, Role::Dial { .. })
-    }
-
     /// Append what this side says first to `out`: the dial side's
     /// `ResumeHello` or `Hello`; nothing on the accept side.
     pub fn start(&mut self, out: &mut Vec<u8>) {
@@ -206,38 +203,85 @@ impl Handshake {
         msg: PeerMsg,
         out: &mut Vec<u8>,
     ) -> Result<Option<Established>, TransportError> {
-        let state = std::mem::replace(&mut self.state, State::Done);
-        let time = self.time;
-        match (&self.role, state, msg) {
-            (Role::Dial { .. }, State::ResumeSent(t), PeerMsg::ResumeAccept { nonce, mac }) => {
-                if !mac_eq(&responder_mac(&t.master, self.nonce, nonce), &mac) {
+        let (time, nonce_ours) = (self.time, self.nonce);
+        match (std::mem::replace(&mut self.state, State::Done), msg) {
+            (State::ResumeSent(t), PeerMsg::ResumeAccept { nonce, mac }) => {
+                if !mac_eq(&responder_mac(&t.master, nonce_ours, nonce), &mac) {
                     return Err(TransportError::Protocol(
                         "resume accept carried a bad possession proof".into(),
                     ));
                 }
-                let channel = SecureChannel::resume(t.peer_cert, &t.master, self.nonce, nonce, true);
+                let channel =
+                    SecureChannel::resume(t.peer_cert, &t.master, nonce_ours, nonce, true);
                 established(channel, HandshakeKind::Resumed, None)
             }
-            // Rejection: the responder opened a full handshake with its
-            // hello; join it from the top.
-            (Role::Dial { pin, .. }, State::ResumeSent(_), PeerMsg::Hello { cert, nonce }) => {
-                let pin = pin.clone();
-                let hs = self.hello(out);
-                self.auth(hs, cert, nonce, &pin, out)
+            // The accept side's first message, our hello's answer, or a
+            // rejected resume: the responder opened a full handshake with
+            // its hello, and we join it from the top.
+            (
+                state @ (State::Start | State::ResumeSent(_) | State::HelloSent(_)),
+                PeerMsg::Hello { cert, nonce },
+            ) => {
+                // An accept side refuses an unpinned peer before it says
+                // anything.
+                let pin = match &self.role {
+                    Role::Dial { pin, .. } => pin.clone(),
+                    Role::Accept { pins, .. } => pin_for(pins, &cert)?.clone(),
+                };
+                let hs = match state {
+                    State::HelloSent(hs) => hs,
+                    _ => self.hello(out),
+                };
+                let (sig, await_auth) = hs.receive_hello(cert, nonce, &pin, time)?;
+                send(out, &PeerMsg::Auth { sig });
+                self.state = State::AuthSent(await_auth);
+                Ok(None)
             }
-            (Role::Dial { pin, .. }, State::HelloSent(hs), PeerMsg::Hello { cert, nonce }) => {
-                let pin = pin.clone();
-                self.auth(hs, cert, nonce, &pin, out)
-            }
-            (Role::Dial { resume, .. }, State::AuthSent(await_auth), PeerMsg::Auth { sig }) => {
-                let channel = await_auth.receive_auth(sig)?;
-                if *resume {
-                    self.state = State::TicketAwaited(channel);
+            (State::Start, PeerMsg::ResumeHello { ticket, nonce, mac }) => {
+                let Role::Accept { pins, issuer } = &self.role else {
+                    unreachable!("only an accept side starts empty");
+                };
+                let redeemed = issuer
+                    .as_deref()
+                    .and_then(|issuer| redeem(pins, issuer, time, &ticket, nonce, &mac));
+                let Some((master, peer_cert)) = redeemed else {
+                    // Rejected: steer into a full handshake by sending our
+                    // hello first, then wait for the initiator's.
+                    self.state = State::HelloSent(self.hello(out));
                     return Ok(None);
-                }
-                established(channel, HandshakeKind::Full, None)
+                };
+                let mac = responder_mac(&master, nonce, nonce_ours).to_vec();
+                send(
+                    out,
+                    &PeerMsg::ResumeAccept {
+                        nonce: nonce_ours,
+                        mac,
+                    },
+                );
+                let channel = SecureChannel::resume(peer_cert, &master, nonce, nonce_ours, false);
+                established(channel, HandshakeKind::Resumed, None)
             }
-            (Role::Dial { .. }, State::TicketAwaited(channel), PeerMsg::Ticket { ticket }) => {
+            (State::AuthSent(await_auth), PeerMsg::Auth { sig }) => {
+                let channel = await_auth.receive_auth(sig)?;
+                match &self.role {
+                    Role::Dial { resume: true, .. } => {
+                        self.state = State::TicketAwaited(channel);
+                        Ok(None)
+                    }
+                    Role::Dial { .. } => established(channel, HandshakeKind::Full, None),
+                    Role::Accept { issuer, .. } => {
+                        // Without an issuer, the non-resuming wire
+                        // behaviour: no ticket message.
+                        if let Some(issuer) = issuer {
+                            let master = channel.resumption_secret();
+                            let ticket = issuer.issue(master, channel.peer_cert.clone(), time);
+                            send(out, &PeerMsg::Ticket { ticket });
+                        }
+                        established(channel, HandshakeKind::Full, None)
+                    }
+                }
+            }
+            (State::TicketAwaited(channel), PeerMsg::Ticket { ticket }) => {
                 let ticket = ResumeTicket {
                     ticket,
                     master: channel.resumption_secret(),
@@ -245,49 +289,7 @@ impl Handshake {
                 };
                 established(channel, HandshakeKind::Full, Some(ticket))
             }
-            (Role::Accept { pins, .. }, State::Start, PeerMsg::Hello { cert, nonce }) => {
-                let pin = pin_for(pins, &cert)?.clone();
-                let hs = self.hello(out);
-                self.auth(hs, cert, nonce, &pin, out)
-            }
-            (
-                Role::Accept { pins, issuer },
-                State::Start,
-                PeerMsg::ResumeHello { ticket, nonce, mac },
-            ) => {
-                let redeemed = issuer
-                    .as_deref()
-                    .and_then(|issuer| redeem(pins, issuer, time, &ticket, nonce, &mac));
-                if let Some((master, peer_cert)) = redeemed {
-                    let accept = PeerMsg::ResumeAccept {
-                        nonce: self.nonce,
-                        mac: responder_mac(&master, nonce, self.nonce).to_vec(),
-                    };
-                    send(out, &accept);
-                    let channel = SecureChannel::resume(peer_cert, &master, nonce, self.nonce, false);
-                    return established(channel, HandshakeKind::Resumed, None);
-                }
-                // Rejected: steer into a full handshake by sending our
-                // hello first, then wait for the initiator's.
-                self.state = State::HelloSent(self.hello(out));
-                Ok(None)
-            }
-            (Role::Accept { pins, .. }, State::HelloSent(hs), PeerMsg::Hello { cert, nonce }) => {
-                let pin = pin_for(pins, &cert)?.clone();
-                self.auth(hs, cert, nonce, &pin, out)
-            }
-            (Role::Accept { issuer, .. }, State::AuthSent(await_auth), PeerMsg::Auth { sig }) => {
-                let channel = await_auth.receive_auth(sig)?;
-                // Without an issuer, the non-resuming wire behaviour: no
-                // ticket message.
-                if let Some(issuer) = issuer {
-                    let ticket =
-                        issuer.issue(channel.resumption_secret(), channel.peer_cert.clone(), time);
-                    send(out, &PeerMsg::Ticket { ticket });
-                }
-                established(channel, HandshakeKind::Full, None)
-            }
-            (_, _, other) => Err(TransportError::Protocol(format!(
+            (_, other) => Err(TransportError::Protocol(format!(
                 "unexpected handshake message {other:?}"
             ))),
         }
@@ -295,26 +297,11 @@ impl Handshake {
 
     /// Send our hello; the state that awaits the peer's.
     fn hello(&self, out: &mut Vec<u8>) -> NetHandshake {
-        let hs = NetHandshake::new(&self.identity, self.dialed(), self.nonce);
+        let dialed = matches!(self.role, Role::Dial { .. });
+        let hs = NetHandshake::new(&self.identity, dialed, self.nonce);
         let (cert, nonce) = hs.hello();
         send(out, &PeerMsg::Hello { cert, nonce });
         hs
-    }
-
-    /// Take the peer's hello: validate its certificate against `pin` at
-    /// protocol time, and send our possession proof.
-    fn auth(
-        &mut self,
-        hs: NetHandshake,
-        cert: Certificate,
-        nonce: u64,
-        pin: &PeerPin,
-        out: &mut Vec<u8>,
-    ) -> Result<Option<Established>, TransportError> {
-        let (sig, await_auth) = hs.receive_hello(cert, nonce, pin, self.time)?;
-        send(out, &PeerMsg::Auth { sig });
-        self.state = State::AuthSent(await_auth);
-        Ok(None)
     }
 }
 
@@ -327,16 +314,20 @@ fn send(out: &mut Vec<u8>, msg: &PeerMsg) {
     out[start..start + FRAME_HEADER_LEN].copy_from_slice(&len.to_le_bytes());
 }
 
+/// The domain a certificate names.
+fn domain_of(cert: &Certificate) -> Result<String, TransportError> {
+    let dn = &cert.tbs().subject;
+    dn.org_unit()
+        .map(str::to_string)
+        .ok_or_else(|| TransportError::Protocol("peer DN carries no domain".into()))
+}
+
 fn established(
     channel: SecureChannel,
     kind: HandshakeKind,
     ticket: Option<ResumeTicket>,
 ) -> Result<Option<Established>, TransportError> {
-    let peer = channel
-        .peer_dn()
-        .org_unit()
-        .ok_or_else(|| TransportError::Protocol("peer DN carries no domain".into()))?
-        .to_string();
+    let peer = domain_of(&channel.peer_cert)?;
     let (seal, open) = channel.split();
     Ok(Some(Established {
         peer,
@@ -351,12 +342,7 @@ fn pin_for<'a>(
     pins: &'a HashMap<String, PeerPin>,
     peer_cert: &Certificate,
 ) -> Result<&'a PeerPin, TransportError> {
-    let claimed = peer_cert
-        .tbs()
-        .subject
-        .org_unit()
-        .ok_or_else(|| TransportError::Protocol("peer DN carries no domain".into()))?
-        .to_string();
+    let claimed = domain_of(peer_cert)?;
     pins.get(&claimed)
         .ok_or(TransportError::UnknownPeer(claimed))
 }
@@ -400,7 +386,11 @@ mod tests {
     use qos_core::CoreError;
     use qos_crypto::{CertificateAuthority, CryptoError, KeyPair, Validity};
 
-    fn identity(ca: &mut CertificateAuthority, domain: &str, validity: Validity) -> ChannelIdentity {
+    fn identity(
+        ca: &mut CertificateAuthority,
+        domain: &str,
+        validity: Validity,
+    ) -> ChannelIdentity {
         let key = KeyPair::from_seed(domain.as_bytes());
         let cert = ca.issue_identity(DistinguishedName::broker(domain), key.public(), validity);
         ChannelIdentity { key, cert }
@@ -429,13 +419,23 @@ mod tests {
     }
 
     /// The dial side of `alpha` towards `beta`.
-    fn dial(f: &Fixture, ticket: Option<&ResumeTicket>, resume: bool, time: Timestamp) -> Handshake {
+    fn dial(
+        f: &Fixture,
+        ticket: Option<&ResumeTicket>,
+        resume: bool,
+        time: Timestamp,
+    ) -> Handshake {
         let pin = pin(f.ca_key, "beta");
         Handshake::dial(f.alpha.clone(), pin, ticket.cloned(), resume, 11, time)
     }
 
     /// The accept side of `beta`, expecting `pinned`.
-    fn accept(f: &Fixture, pinned: &str, issuer: Option<Arc<TicketIssuer>>, time: Timestamp) -> Handshake {
+    fn accept(
+        f: &Fixture,
+        pinned: &str,
+        issuer: Option<Arc<TicketIssuer>>,
+        time: Timestamp,
+    ) -> Handshake {
         let pins = HashMap::from([(pinned.to_string(), pin(f.ca_key, pinned))]);
         Handshake::accept(f.beta.clone(), Arc::new(pins), issuer, 22, time)
     }
@@ -491,7 +491,10 @@ mod tests {
     }
 
     fn both(ends: (Outcome, Outcome)) -> (Established, Established) {
-        (ends.0.unwrap().expect("alpha established"), ends.1.unwrap().expect("beta established"))
+        (
+            ends.0.unwrap().expect("alpha established"),
+            ends.1.unwrap().expect("beta established"),
+        )
     }
 
     #[test]
@@ -520,7 +523,10 @@ mod tests {
         let t0 = Timestamp::ZERO;
 
         // Round 1: full handshake, ticket captured.
-        let (a, b) = both(run(dial(&f, None, true, t0), accept(&f, "alpha", Some(issuer.clone()), t0)));
+        let (a, b) = both(run(
+            dial(&f, None, true, t0),
+            accept(&f, "alpha", Some(issuer.clone()), t0),
+        ));
         assert_eq!((a.kind, b.kind), (HandshakeKind::Full, HandshakeKind::Full));
         let ticket = a.ticket.expect("full handshake must yield a ticket");
 
@@ -529,7 +535,10 @@ mod tests {
             dial(&f, Some(&ticket), true, t0),
             accept(&f, "alpha", Some(issuer), t0),
         ));
-        assert_eq!((a2.kind, b2.kind), (HandshakeKind::Resumed, HandshakeKind::Resumed));
+        assert_eq!(
+            (a2.kind, b2.kind),
+            (HandshakeKind::Resumed, HandshakeKind::Resumed)
+        );
         assert!(a2.ticket.is_none(), "resumed session keeps its old ticket");
 
         // The resumed channel carries traffic in both directions.
@@ -541,7 +550,10 @@ mod tests {
         let f = fixture();
         let t0 = Timestamp::ZERO;
         let issuer = Arc::new(TicketIssuer::with_key([3; 32], 3600, 16));
-        let (a, _) = both(run(dial(&f, None, true, t0), accept(&f, "alpha", Some(issuer), t0)));
+        let (a, _) = both(run(
+            dial(&f, None, true, t0),
+            accept(&f, "alpha", Some(issuer), t0),
+        ));
         let ticket = a.ticket.unwrap();
 
         // The acceptor "restarts": a new issuer that has never seen the
@@ -552,7 +564,10 @@ mod tests {
             dial(&f, Some(&ticket), true, t0),
             accept(&f, "alpha", Some(fresh_issuer), t0),
         ));
-        assert_eq!((a2.kind, b2.kind), (HandshakeKind::Full, HandshakeKind::Full));
+        assert_eq!(
+            (a2.kind, b2.kind),
+            (HandshakeKind::Full, HandshakeKind::Full)
+        );
         assert!(a2.ticket.is_some(), "fallback re-issues a ticket");
         assert_keys_agree(&mut a2, &mut b2);
     }

@@ -80,7 +80,13 @@ fn resumable_pair(
                 dn: DistinguishedName::broker("alpha"),
             },
         )]);
-        let hs = Handshake::accept(Arc::new(ib), Arc::new(pins), Some(issuer), 2, Timestamp::ZERO);
+        let hs = Handshake::accept(
+            Arc::new(ib),
+            Arc::new(pins),
+            Some(issuer),
+            2,
+            Timestamp::ZERO,
+        );
         drive(stream, hs)
     });
     let stream = TcpStream::connect(addr).unwrap();

@@ -69,7 +69,10 @@ fn a_silent_peer_costs_no_thread() {
         assert_eq!(gained.len(), 3, "one reactor a domain: {names:?}");
         std::thread::sleep(Duration::from_millis(20));
     }
-    assert!(mesh.wait_connected(Duration::from_secs(5)), "the chain's links stay up");
+    assert!(
+        mesh.wait_connected(Duration::from_secs(5)),
+        "the chain's links stay up"
+    );
     drop(silent);
     mesh.shutdown();
 }
