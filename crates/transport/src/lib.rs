@@ -58,7 +58,7 @@ pub use backoff::Backoff;
 pub use daemon::{BrokerDaemon, DaemonConfig, TransportOptions};
 pub use error::TransportError;
 pub use frame::{write_frame, FrameError, PooledFrameDecoder, MAX_FRAME_LEN};
-pub use link::{LinkCore, Session};
+pub use link::LinkCore;
 pub use mesh::TcpMesh;
 pub use proto::PeerMsg;
 pub use queue::{Completions, OutQueue};

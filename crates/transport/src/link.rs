@@ -333,7 +333,7 @@ struct Opened {
 /// cipher halves; one frame decoder for both; and the out buffer with the
 /// plaintext of every data frame in it. An accepted connection's session
 /// runs its handshake alone until the peer is known ([`LinkCore::adopt`]).
-pub struct Session {
+pub(crate) struct Session {
     phase: Phase,
     decoder: PooledFrameDecoder,
     /// Frames behind their length prefixes; `out[written..]` waits for
@@ -350,7 +350,7 @@ pub struct Session {
 impl Session {
     /// A connection whose handshake `hs` starts at `now`: what the
     /// handshake says first already waits in the out buffer.
-    pub fn new(mut hs: Handshake, now: u64, max_frame: usize, pool: BufferPool) -> Self {
+    pub(crate) fn new(mut hs: Handshake, now: u64, max_frame: usize, pool: BufferPool) -> Self {
         // Per connection, not per message.
         #[allow(clippy::disallowed_methods)]
         let mut out = Vec::new();
@@ -635,7 +635,7 @@ impl LinkCore {
     /// Make this the dial side of the link: its handshakes expect the
     /// peer `pin`, present a cached ticket when `resume` is on, and a
     /// failed attempt waits out `backoff` before the next.
-    pub fn dial_to(&mut self, pin: PeerPin, resume: bool, backoff: Backoff) {
+    pub(crate) fn dial_to(&mut self, pin: PeerPin, resume: bool, backoff: Backoff) {
         self.dialer = Some(Dialer {
             pin,
             resume,
@@ -647,7 +647,7 @@ impl LinkCore {
 
     /// When the dial side should dial next (ns; 0: now), or `None`: not
     /// a dial side, or a connection is up or under way.
-    pub fn dial_at(&self) -> Option<u64> {
+    pub(crate) fn dial_at(&self) -> Option<u64> {
         let dialer = self.dialer.as_ref().filter(|_| self.session.is_none())?;
         Some(dialer.retry_at.unwrap_or(0))
     }
@@ -655,7 +655,13 @@ impl LinkCore {
     /// Start a connection from the dial side at `now`: its handshake
     /// takes our `nonce`, judges the peer at protocol time `time`, and
     /// its first message waits for the socket. Panics on an accept side.
-    pub fn dial(&mut self, identity: Arc<ChannelIdentity>, nonce: u64, now: u64, time: Timestamp) {
+    pub(crate) fn dial(
+        &mut self,
+        identity: Arc<ChannelIdentity>,
+        nonce: u64,
+        now: u64,
+        time: Timestamp,
+    ) {
         let d = self.dialer.as_ref().expect("a link this end dials");
         let hs = Handshake::dial(
             identity,
@@ -672,7 +678,7 @@ impl LinkCore {
     /// Take `session` over at `now`; the connection the link had dies
     /// first (see [`LinkCore::replace_session`]). Once the session is
     /// open, our sync follows whatever the handshake still has to send.
-    pub fn adopt(&mut self, session: Session, now: u64) {
+    pub(crate) fn adopt(&mut self, session: Session, now: u64) {
         self.end_session();
         self.session = Some(session);
         if self.session.as_ref().is_some_and(|s| s.opened.is_some()) {
@@ -714,17 +720,18 @@ impl LinkCore {
     }
 
     /// How the last handshake went, once.
-    pub fn take_opened(&mut self) -> Option<HandshakeKind> {
+    pub(crate) fn take_opened(&mut self) -> Option<HandshakeKind> {
         self.opened.take()
     }
 
     /// Whether a connection is up: its handshake under way, or over.
-    pub fn is_up(&self) -> bool {
+    pub(crate) fn is_up(&self) -> bool {
         self.session.is_some()
     }
 
     /// Whether a session is open: its handshake over.
-    pub fn is_open(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_open(&self) -> bool {
         self.session
             .as_ref()
             .is_some_and(|s| s.deadline().is_none())
@@ -935,7 +942,7 @@ impl LinkCore {
     /// frames go back to the queue ([`LinkCore::replace_session`]). The
     /// dial side dials again at once if the session had opened; if not,
     /// the attempt failed and it backs off: returns the delay.
-    pub fn lost(&mut self, now: u64) -> Option<Duration> {
+    pub(crate) fn lost(&mut self, now: u64) -> Option<Duration> {
         let was_open = self.end_session();
         let d = self.dialer.as_mut()?;
         if was_open {
