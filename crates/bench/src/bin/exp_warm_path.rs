@@ -117,6 +117,8 @@ fn envelope_verify_us(hops: usize, reps: usize) -> f64 {
 /// Run one side's handshake state over a blocking socket until it ends:
 /// what it says goes out, each frame that comes back goes in.
 fn drive(mut stream: TcpStream, mut hs: Handshake) -> Established {
+    // As a daemon's sockets: no Nagle delay on a handshake message.
+    stream.set_nodelay(true).unwrap();
     let mut out = Vec::new();
     hs.start(&mut out);
     loop {
