@@ -29,8 +29,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// How long a handshake may take, in ns from its start (the dial's
-/// connect included), before the connection is abandoned.
+/// How long a handshake may take, in ns from its start (on the dial side,
+/// when the connect completes), before the connection is abandoned.
 pub const HANDSHAKE_TIMEOUT: u64 = 5_000_000_000;
 
 static NONCE_COUNTER: AtomicU64 = AtomicU64::new(1);
