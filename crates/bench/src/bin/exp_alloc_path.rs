@@ -23,12 +23,12 @@
 //! That pooling and borrowed decode never change an admission outcome
 //! is `tests/tests/fabric_parity.rs`.
 //!
-//! Besides the table, the run emits `BENCH_alloc.json`. Which metric
+//! Besides the table, the run appends itself to `BENCH_alloc.json`. Which metric
 //! families a live mesh exposes, the buffer pool's among them, is
 //! `tests/tests/tcp_mesh.rs::one_observed_mesh_run_exposes_every_metric_family`.
 
 use qos_bench::alloc_count::{self, CountingAlloc};
-use qos_bench::{mesh_from, table_header, table_row};
+use qos_bench::{mesh_from, record, table_header, table_row};
 use qos_core::channel::{handshake, ChannelIdentity, PeerPin};
 use qos_core::messages::SignalMessage;
 use qos_core::node::{BbNode, Completion};
@@ -432,10 +432,16 @@ fn main() {
     }
 
     println!();
-    match artifact.write("BENCH_alloc.json") {
-        Ok(()) => println!("wrote BENCH_alloc.json"),
-        Err(e) => eprintln!("warning: could not write BENCH_alloc.json: {e}"),
-    }
+    let config = Row::new()
+        .field("cold_warmup", COLD_WARMUP)
+        .field("cold_ops", COLD_OPS)
+        .field("max_write_batch", MAX_WRITE_BATCH)
+        .field("burst_flows", BURST_FLOWS)
+        .field("bursts", BURSTS)
+        .field("miss_certs", MISS_CERTS)
+        .field("miss_rounds", MISS_ROUNDS)
+        .field("miss_passes", MISS_PASSES);
+    record("BENCH_alloc.json", &artifact, config);
 
     if !failures.is_empty() {
         for f in &failures {

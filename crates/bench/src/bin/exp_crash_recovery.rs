@@ -14,18 +14,18 @@
 //!    The gate: byte-identical digests and equal committed bandwidth
 //!    between the killed-and-recovered run and the never-killed control.
 //!
-//! 2. **Durability overhead.** The EXP-TCP reservation burst, run with
-//!    every node journaling to a `FileStore` versus the in-memory
+//! 2. **Durability overhead.** A 512-request reservation burst over
+//!    loopback daemons, run with every node journaling to a `FileStore` versus the in-memory
 //!    `MemStore`, best of three each. Measured and printed, not gated:
 //!    a single burst on a shared host is too noisy to fail on.
 //!
 //! That journaling never changes an admission outcome is
 //! `tests/tests/fabric_parity.rs` (`MemStore` and `FileStore`).
 //!
-//! Artifacts: `BENCH_durability.json`. Exit is non-zero if the gate
-//! fails.
+//! The run appends itself to `BENCH_durability.json`. Exit is non-zero
+//! if the gate fails.
 
-use qos_bench::{spawn_chain, table_header, table_row};
+use qos_bench::{record, spawn_chain, table_header, table_row};
 use qos_core::scenario::{build_chain, ChainOptions};
 use qos_crypto::Timestamp;
 use qos_storage::{FileStore, FileStoreOptions, MemStore, SharedStore};
@@ -45,8 +45,10 @@ const WAVE1: u64 = 6;
 /// Second wave, driven through the recovered broker (ids offset by
 /// `--submit-from WAVE1` so the schedules of both runs are identical).
 const WAVE2: u64 = 5;
-/// Burst size for the durability-overhead half.
+/// Burst size for the durability-overhead half, and bursts per side (the
+/// best counts).
 const THROUGHPUT_REQUESTS: u64 = 512;
+const THROUGHPUT_TRIALS: u64 = 3;
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -495,12 +497,16 @@ fn main() {
     }
 
     // Part 2 — durability overhead: file-backed vs in-memory ledger
-    // under the EXP-TCP burst. Best of three per side.
+    // under a reservation burst. Best of three per side.
     println!(
         "\ndurability overhead ({THROUGHPUT_REQUESTS} requests, {} core(s)):",
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
-    let best = |file: bool| (0..3).map(|_| burst_run(file)).fold(0.0f64, f64::max);
+    let best = |file: bool| {
+        (0..THROUGHPUT_TRIALS)
+            .map(|_| burst_run(file))
+            .fold(0.0f64, f64::max)
+    };
     let mem_rps = best(false);
     let file_rps = best(true);
     let gap_pct = (mem_rps - file_rps) / mem_rps * 100.0;
@@ -527,10 +533,13 @@ fn main() {
             .field("gap_pct", gap_pct),
     );
 
-    match artifact.write("BENCH_durability.json") {
-        Ok(()) => println!("\nwrote BENCH_durability.json"),
-        Err(e) => eprintln!("\nwarning: could not write BENCH_durability.json: {e}"),
-    }
+    println!();
+    let config = Row::new()
+        .field("wave1", WAVE1)
+        .field("wave2", WAVE2)
+        .field("throughput_requests", THROUGHPUT_REQUESTS)
+        .field("throughput_trials", THROUGHPUT_TRIALS);
+    record("BENCH_durability.json", &artifact, config);
 
     if failed {
         eprintln!("\nEXP-DUR: FAIL");

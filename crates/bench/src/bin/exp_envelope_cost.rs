@@ -9,10 +9,11 @@
 //! `µs/layer` column is the O(d) witness: it stays flat as depth grows,
 //! where the pre-D6 re-encoding verifier grew linearly (O(d²) total).
 //!
-//! Besides the human-readable table, the run emits `BENCH_envelope.json`
-//! so future changes can track the perf trajectory mechanically.
+//! Besides the human-readable table, the run appends itself to
+//! `BENCH_envelope.json` so future changes can track the perf
+//! trajectory mechanically.
 
-use qos_bench::{experiment_registry, table_header, table_row, write_metrics_snapshot};
+use qos_bench::{experiment_registry, record, table_header, table_row, write_metrics_snapshot};
 use qos_broker::Interval;
 use qos_core::envelope::SignedRar;
 use qos_core::trust::{verify_rar, KeySource};
@@ -23,6 +24,12 @@ use qos_crypto::{
 use qos_policy::AttributeSet;
 use qos_telemetry::{Artifact, Row, StdClock};
 use std::time::Instant;
+
+/// Path lengths measured.
+const HOPS: [usize; 6] = [1, 2, 3, 5, 8, 10];
+/// Envelopes built per depth; verifications timed per depth and column.
+const BUILD_REPS: u32 = 10;
+const VERIFY_REPS: u32 = 200;
 
 fn domain(i: usize) -> String {
     format!("domain-{i:02}")
@@ -56,7 +63,7 @@ fn main() {
         "encode-once + batch verify (D6); us_per_layer flat => O(d) verify; \
          verify_instr_us = same verify with a live metrics registry observing it",
     );
-    for hops in [1usize, 2, 3, 5, 8, 10] {
+    for hops in HOPS {
         let mut ca = CertificateAuthority::new(
             DistinguishedName::authority("CA"),
             KeyPair::from_seed(b"ca"),
@@ -92,10 +99,9 @@ fn main() {
 
         // Build: user layer + `hops` wraps, averaged over several
         // constructions to stabilise the timing.
-        let build_reps = 10;
         let mut rar = None;
         let t0 = Instant::now();
-        for _ in 0..build_reps {
+        for _ in 0..BUILD_REPS {
             let mut r = SignedRar::user_request(
                 spec.clone(),
                 DistinguishedName::broker(&domain(0)),
@@ -117,14 +123,13 @@ fn main() {
             }
             rar = Some(r);
         }
-        let build_us = t0.elapsed().as_secs_f64() * 1e6 / build_reps as f64;
+        let build_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(BUILD_REPS);
         let rar = rar.unwrap();
         let bytes = rar.encoded_len();
 
         // Destination verification (full transitive-trust walk).
-        let reps = 200;
         let t0 = Instant::now();
-        for _ in 0..reps {
+        for _ in 0..VERIFY_REPS {
             verify_rar(
                 &rar,
                 keys[hops - 1].public(),
@@ -137,7 +142,7 @@ fn main() {
             )
             .unwrap();
         }
-        let verify_us = t0.elapsed().as_secs_f64() * 1e6 / reps as f64;
+        let verify_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(VERIFY_REPS);
         let layers = hops + 1;
         let us_per_layer = verify_us / layers as f64;
 
@@ -156,7 +161,7 @@ fn main() {
             &[("hops", &h)],
         );
         let t0 = Instant::now();
-        for _ in 0..reps {
+        for _ in 0..VERIFY_REPS {
             let s0 = StdClock::now();
             verify_rar(
                 &rar,
@@ -172,7 +177,7 @@ fn main() {
             hist.observe(StdClock::now().saturating_sub(s0));
             checked.add(layers as u64);
         }
-        let verify_instr_us = t0.elapsed().as_secs_f64() * 1e6 / reps as f64;
+        let verify_instr_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(VERIFY_REPS);
 
         table_row(
             &[
@@ -198,10 +203,12 @@ fn main() {
         );
     }
     println!();
-    match artifact.write("BENCH_envelope.json") {
-        Ok(()) => println!("wrote BENCH_envelope.json"),
-        Err(e) => eprintln!("warning: could not write BENCH_envelope.json: {e}"),
-    }
+    let hops: Vec<String> = HOPS.iter().map(usize::to_string).collect();
+    let config = Row::new()
+        .field("hops", hops.join(","))
+        .field("build_reps", u64::from(BUILD_REPS))
+        .field("verify_reps", u64::from(VERIFY_REPS));
+    record("BENCH_envelope.json", &artifact, config);
     write_metrics_snapshot("envelope_cost", &registry);
     println!(
         "\nexpected: bytes and verify time grow linearly with the hop\n\

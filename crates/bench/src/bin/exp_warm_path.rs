@@ -9,12 +9,12 @@
 //!   *zero* Schnorr operations (no signatures created, none verified)
 //!   and beats the full signature handshake on latency.
 //!
-//! Besides the table, the run emits `BENCH_warm.json` and
-//! `METRICS_warm_path.{prom,json}`; the metrics snapshot carries the
-//! `resumed_handshakes_total` family.
+//! Besides the table, the run appends itself to `BENCH_warm.json` and
+//! writes `METRICS_warm_path.{prom,json}`; the metrics snapshot carries
+//! the `resumed_handshakes_total` family.
 
 use qos_bench::{
-    experiment_registry, spawn_chain, table_header, table_row, write_metrics_snapshot,
+    experiment_registry, record, spawn_chain, table_header, table_row, write_metrics_snapshot,
 };
 use qos_broker::Interval;
 use qos_core::channel::{ChannelIdentity, PeerPin};
@@ -397,10 +397,12 @@ fn main() {
     );
 
     println!();
-    match artifact.write("BENCH_warm.json") {
-        Ok(()) => println!("wrote BENCH_warm.json"),
-        Err(e) => eprintln!("warning: could not write BENCH_warm.json: {e}"),
-    }
+    let config = Row::new()
+        .field("envelope_hops", ENVELOPE_HOPS)
+        .field("verify_reps", VERIFY_REPS)
+        .field("handshake_reps", HANDSHAKE_REPS)
+        .field("handshake_warmups", HANDSHAKE_WARMUPS);
+    record("BENCH_warm.json", &artifact, config);
     write_metrics_snapshot("warm_path", &registry);
 
     if !failures.is_empty() {

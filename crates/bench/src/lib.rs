@@ -1,8 +1,9 @@
-//! Shared support for the experiment binaries and criterion benches.
+//! Shared support for the experiment binaries.
 //!
-//! Each experiment binary regenerates one figure/claim of the paper
-//! (DESIGN.md §7 maps them); the `table` helpers print aligned rows that
-//! EXPERIMENTS.md records verbatim.
+//! Each binary either regenerates one figure or claim of the paper
+//! (DESIGN.md §7 maps them) or is a gate CI runs; the `table` helpers
+//! print aligned rows that EXPERIMENTS.md records verbatim, and
+//! [`record`] appends a run to its `BENCH_*.json` history.
 
 pub mod alloc_count;
 pub mod workload;
@@ -12,8 +13,9 @@ use qos_core::drive::Mesh;
 use qos_core::scenario::Scenario;
 use qos_crypto::KeyPair;
 use qos_net::SimDuration;
-use qos_telemetry::{render_prometheus, snapshot_json, Registry, Telemetry};
+use qos_telemetry::{render_prometheus, snapshot_json, Artifact, Registry, Row, Telemetry};
 use qos_transport::TcpMesh;
+use std::process::Command;
 use std::sync::Arc;
 
 /// One registry per experiment run, plus the [`Telemetry`] handle that
@@ -48,6 +50,54 @@ pub fn write_metrics_snapshot(experiment: &str, registry: &Registry) {
         return;
     }
     println!("wrote {prom_path} + {json_path}");
+}
+
+/// Append `artifact` to the history at `path` as one JSON line, stamped
+/// with where and when it ran: the CPU model and count, the git sha this
+/// binary was built from (`-dirty` with uncommitted changes, `unknown`
+/// outside a checkout), the UTC date, and `config`, the run's fixed
+/// configuration.
+pub fn record(path: &str, artifact: &Artifact, config: Row) {
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            let line = s.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split(':').nth(1)?.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let src = env!("CARGO_MANIFEST_DIR");
+    let mut sha = first_line_of("git", &["-C", src, "rev-parse", "HEAD"]);
+    let dirty = first_line_of("git", &["-C", src, "status", "--porcelain", "-uno"]);
+    if sha != "unknown" && !dirty.is_empty() {
+        sha.push_str("-dirty");
+    }
+    let date = first_line_of("date", &["-u", "+%Y-%m-%dT%H:%M:%SZ"]);
+    let stamp = Row::new()
+        .field("host_cpu_model", cpu_model)
+        .field("host_cpus", cpus)
+        .field("sha", sha)
+        .field("date", date)
+        .field("config", config);
+    match artifact.append(path, &stamp) {
+        Ok(()) => println!("appended this run to {path}"),
+        Err(e) => eprintln!("warning: could not append to {path}: {e}"),
+    }
+}
+
+/// The first line `cmd args` prints (empty if it prints nothing), or
+/// `unknown` if it cannot run or fails.
+fn first_line_of(cmd: &str, args: &[&str]) -> String {
+    Command::new(cmd)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(
+            || "unknown".to_string(),
+            |s| s.lines().next().unwrap_or("").to_string(),
+        )
 }
 
 /// Move a scenario's brokers into a mesh with uniform hop latency.

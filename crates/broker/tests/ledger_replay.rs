@@ -98,7 +98,6 @@ fn opts() -> FileStoreOptions {
         // Small segments so the run spans several files and the
         // snapshot actually prunes some.
         segment_bytes: 512,
-        ..FileStoreOptions::default()
     }
 }
 

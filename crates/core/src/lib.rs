@@ -42,7 +42,6 @@ pub mod error;
 pub mod flowtable;
 pub mod messages;
 pub mod node;
-pub mod parallel;
 pub mod rar;
 pub mod scenario;
 pub mod source;

@@ -820,8 +820,8 @@ impl BbNode {
     /// user's over the request — are independent, so the whole burst is
     /// checked through one Schnorr batch equation
     /// ([`qos_crypto::verify_batch`]); only if the combined check fails
-    /// does per-item verification run (on the scoped worker pool) to
-    /// attribute the failure. Admission then runs serially, in arrival
+    /// does per-item verification run, on this thread, to attribute the
+    /// failure. Admission then runs serially, in arrival
     /// order, against the shared budgets. Each request's box becomes the
     /// `inner` of the layer this broker wraps it in.
     pub(crate) fn submit_batch(
@@ -851,9 +851,8 @@ impl BbNode {
         let verdicts = if qos_crypto::verify_batch_digests(&jobs) {
             vec![true; batch.len()]
         } else {
-            crate::parallel::verify_each(&jobs)
-                .chunks(2)
-                .map(|c| c[0] && c[1])
+            jobs.chunks(2)
+                .map(|c| c.iter().all(|(d, pk, sig)| pk.verify_digest(d, sig)))
                 .collect()
         };
         for ((rar, cert), ok) in batch.into_iter().zip(verdicts) {
@@ -1168,7 +1167,9 @@ impl BbNode {
         let verdicts = if qos_crypto::verify_batch_digests(&jobs) {
             vec![true; jobs.len()]
         } else {
-            crate::parallel::verify_each(&jobs)
+            jobs.iter()
+                .map(|(d, pk, sig)| pk.verify_digest(d, sig))
+                .collect()
         };
         let mut verdicts = verdicts.into_iter();
         let before = run.out.len();

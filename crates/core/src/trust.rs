@@ -201,13 +201,15 @@ pub(crate) fn verify_view(
 
     if !qos_crypto::verify_batch_digests(&batch) {
         // Attribute: find the first layer (outermost-first) whose
-        // signature fails on its own. The layers are independent, so
-        // check them concurrently on the worker pool.
-        let verdicts = crate::parallel::verify_each(&batch);
-        // The combined check failed but every layer passes individually —
-        // a coefficient collision with probability ~2⁻³², or a bug.
-        // Treat it as the outermost layer failing rather than accepting.
-        let bad = verdicts.iter().position(|ok| !ok).unwrap_or(0);
+        // signature fails on its own, over the digests the failed batch
+        // already held, on the broker's own thread (DESIGN.md §D32).
+        // If every layer passes individually — a coefficient collision
+        // with probability ~2⁻³², or a bug — treat it as the outermost
+        // layer failing rather than accepting.
+        let bad = batch
+            .iter()
+            .position(|(digest, pk, sig)| !pk.verify_digest(digest, sig))
+            .unwrap_or(0);
         return Err(CoreError::LayerSignature {
             signer: layers[bad].signer.clone(),
         });

@@ -66,6 +66,11 @@ pub const MAX_RECORD_LEN: u32 = 1 << 20;
 /// Buffered-but-unwritten bytes beyond which an appender drains inline
 /// rather than letting the backlog grow (an append stall).
 pub const PENDING_STALL_BYTES: u64 = 8 * 1024 * 1024;
+/// The store asks its owner for a snapshot every this many appends
+/// ([`LedgerStore::should_snapshot`]).
+const SNAPSHOT_EVERY: u64 = 4096;
+/// An fsync slower than this (ns) files a `fsync_spike` flight event.
+const FSYNC_SPIKE_NS: u64 = 20_000_000;
 
 /// Tunables for [`FileStore`].
 #[derive(Clone, Debug)]
@@ -75,11 +80,6 @@ pub struct FileStoreOptions {
     pub flush_interval: Duration,
     /// Rotate the active segment once it exceeds this many bytes.
     pub segment_bytes: u64,
-    /// Ask the owner for a snapshot every this many appends
-    /// (0 disables [`LedgerStore::should_snapshot`]).
-    pub snapshot_every: u64,
-    /// An fsync slower than this files a `fsync_spike` flight event.
-    pub fsync_spike_ns: u64,
 }
 
 impl Default for FileStoreOptions {
@@ -87,8 +87,6 @@ impl Default for FileStoreOptions {
         FileStoreOptions {
             flush_interval: Duration::from_millis(2),
             segment_bytes: 8 * 1024 * 1024,
-            snapshot_every: 4096,
-            fsync_spike_ns: 20_000_000,
         }
     }
 }
@@ -341,8 +339,7 @@ impl LedgerStore for FileStore {
     }
 
     fn should_snapshot(&self) -> bool {
-        let every = self.inner.opts.snapshot_every;
-        every > 0 && self.inner.appends_since_snapshot.load(Ordering::Relaxed) >= every
+        self.inner.appends_since_snapshot.load(Ordering::Relaxed) >= SNAPSHOT_EVERY
     }
 
     fn write_snapshot(&self, snapshot: &LedgerSnapshot) {
@@ -557,7 +554,7 @@ impl Inner {
         if wrote_err {
             self.io_errors.fetch_add(1, Ordering::Relaxed);
         }
-        if sync_ns > self.opts.fsync_spike_ns {
+        if sync_ns > FSYNC_SPIKE_NS {
             self.flight_event(
                 "fsync_spike",
                 format!("fsync took {} us", sync_ns / 1_000),

@@ -38,7 +38,6 @@ fn opts(segment_bytes: u64) -> FileStoreOptions {
     FileStoreOptions {
         flush_interval: Duration::from_micros(100),
         segment_bytes,
-        ..FileStoreOptions::default()
     }
 }
 

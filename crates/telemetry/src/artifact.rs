@@ -1,27 +1,25 @@
 //! Experiment artifact writer.
 //!
-//! Every `fig*`/`exp_*` binary records its results as a small JSON
-//! document (`BENCH_*.json`, `METRICS_*.json`) so the perf trajectory
-//! can be tracked mechanically across PRs. This module is the one code
-//! path producing those documents — the shape matches the hand-rolled
-//! writer the first benchmarks used:
+//! Every `exp_*` binary that writes a `BENCH_*.json` records each run as
+//! one JSON line appended to the file, so the file is the experiment's
+//! history, oldest run first, and reading the last run needs no JSON
+//! parser (`tail -n 1`). This module is the one code path producing
+//! those lines:
 //!
 //! ```json
-//! {
-//!   "experiment": "exp_envelope_cost",
-//!   "unit": "microseconds",
-//!   "notes": "…",
-//!   "rows": [ {"hops": 8, "verify_us": 22.95} ]
-//! }
+//! {"experiment": "exp_envelope_cost", "sha": "…", …, "unit": "microseconds", "notes": "…", "rows": [{"hops": 8, "verify_us": 22.95}]}
 //! ```
+//!
+//! The fields between `experiment` and `unit` are the caller's stamp:
+//! where and when the run took place and its configuration.
 
 use std::fmt;
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 
 use crate::expo::json_escape;
 
-/// One JSON scalar in an artifact row.
+/// One JSON value in an artifact row.
 #[derive(Clone, Debug)]
 pub enum Value {
     /// Unsigned integer.
@@ -33,6 +31,8 @@ pub enum Value {
     Float(f64),
     /// String.
     Str(String),
+    /// A nested object.
+    Object(Row),
 }
 
 impl fmt::Display for Value {
@@ -42,6 +42,7 @@ impl fmt::Display for Value {
             Value::Int(v) => write!(f, "{v}"),
             Value::Float(v) => write!(f, "{v:.2}"),
             Value::Str(s) => write!(f, "\"{}\"", json_escape(s)),
+            Value::Object(row) => write!(f, "{{{}}}", row.fields()),
         }
     }
 }
@@ -76,6 +77,11 @@ impl From<String> for Value {
         Value::Str(v)
     }
 }
+impl From<Row> for Value {
+    fn from(v: Row) -> Self {
+        Value::Object(v)
+    }
+}
 
 /// One result row: ordered field → value pairs.
 #[derive(Clone, Default, Debug)]
@@ -93,17 +99,18 @@ impl Row {
         self
     }
 
-    fn render(&self) -> String {
+    /// The fields as `"name": value` pairs, comma-separated.
+    fn fields(&self) -> String {
         let fields: Vec<String> = self
             .0
             .iter()
             .map(|(k, v)| format!("\"{}\": {v}", json_escape(k)))
             .collect();
-        format!("  {{{}}}", fields.join(", "))
+        fields.join(", ")
     }
 }
 
-/// An experiment result document.
+/// An experiment result record.
 #[derive(Clone, Debug)]
 pub struct Artifact {
     experiment: String,
@@ -128,34 +135,31 @@ impl Artifact {
         self.rows.push(row);
     }
 
-    /// Number of rows recorded.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no rows are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Render the JSON document.
-    pub fn to_json(&self) -> String {
+    /// Render the record as one line of JSON (no newline), `stamp`'s
+    /// fields after the experiment's name.
+    fn to_line(&self, stamp: &Row) -> String {
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|r| format!("{{{}}}", r.fields()))
+            .collect();
         format!(
-            "{{\n\"experiment\": \"{}\",\n\"unit\": \"{}\",\n\"notes\": \"{}\",\n\"rows\": [\n{}\n]\n}}\n",
+            "{{\"experiment\": \"{}\", {}, \"unit\": \"{}\", \"notes\": \"{}\", \"rows\": [{}]}}",
             json_escape(&self.experiment),
+            stamp.fields(),
             json_escape(&self.unit),
             json_escape(&self.notes),
-            self.rows
-                .iter()
-                .map(Row::render)
-                .collect::<Vec<_>>()
-                .join(",\n")
+            rows.join(", ")
         )
     }
 
-    /// Write the document to `path`.
-    pub fn write(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
+    /// Append the record, stamped with `stamp`, to `path` as one line.
+    pub fn append(&self, path: impl AsRef<Path>, stamp: &Row) -> io::Result<()> {
+        let mut file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)?;
+        writeln!(file, "{}", self.to_line(stamp))
     }
 }
 
@@ -168,14 +172,17 @@ mod tests {
         let mut a = Artifact::new("exp_test", "microseconds", "a \"note\"");
         a.push(Row::new().field("hops", 8u64).field("verify_us", 22.95));
         a.push(Row::new().field("hops", 10u64).field("label", "deep"));
-        assert_eq!(a.len(), 2);
-        let json = a.to_json();
-        assert!(json.contains("\"experiment\": \"exp_test\""));
-        assert!(json.contains("\"notes\": \"a \\\"note\\\"\""));
-        assert!(json.contains("{\"hops\": 8, \"verify_us\": 22.95}"));
-        assert!(json.contains("{\"hops\": 10, \"label\": \"deep\"}"));
-        let hops8 = json.find("\"hops\": 8").unwrap();
-        let hops10 = json.find("\"hops\": 10").unwrap();
-        assert!(hops8 < hops10);
+        let stamp = Row::new()
+            .field("sha", "abc")
+            .field("config", Row::new().field("reps", 9u64));
+        let line = a.to_line(&stamp);
+        assert!(!line.contains('\n'));
+        assert!(line.starts_with(
+            "{\"experiment\": \"exp_test\", \"sha\": \"abc\", \"config\": {\"reps\": 9}, \"unit\""
+        ));
+        assert!(line.contains("\"notes\": \"a \\\"note\\\"\""));
+        assert!(line.ends_with(
+            "\"rows\": [{\"hops\": 8, \"verify_us\": 22.95}, {\"hops\": 10, \"label\": \"deep\"}]}"
+        ));
     }
 }

@@ -15,8 +15,8 @@
 //!   mirrors the envelope nest one-to-one.
 //! * [`expo`] — deterministic Prometheus text exposition and a JSON
 //!   snapshot, plus the [`artifact`] writer the experiment binaries use
-//!   for their `BENCH_*.json`/`METRICS_*.json` files (one code path
-//!   instead of hand-rolled serializers).
+//!   for their `BENCH_*.json` histories (one code path instead of
+//!   hand-rolled serializers).
 //!
 //! Two live-introspection pillars sit on top (DESIGN.md §D12):
 //!

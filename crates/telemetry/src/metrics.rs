@@ -282,8 +282,8 @@ impl Histogram {
         self.quantile(0.99)
     }
 
-    /// 99.9th-percentile upper bound — the tail the admin plane and the
-    /// EXP-TCP tables report beyond p99.
+    /// 99.9th-percentile upper bound — the tail the admin plane reports
+    /// beyond p99.
     pub fn p999(&self) -> u64 {
         self.quantile(0.999)
     }

@@ -50,7 +50,8 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for a daemon's transport layer.
 #[derive(Debug, Clone)]
 pub struct TransportOptions {
-    /// Frame-size ceiling enforced on both directions.
+    /// Ceiling of a sealed frame, both directions. A handshake's frames
+    /// have their own ([`HANDSHAKE_MAX_FRAME`](crate::session::HANDSHAKE_MAX_FRAME)).
     pub max_frame: usize,
     /// First reconnect delay.
     pub backoff_base: Duration,
@@ -62,12 +63,13 @@ pub struct TransportOptions {
     /// stalls handshakes until their deadline); disable with `--no-resume`
     /// on `bbd` or by clearing this flag.
     pub resume: bool,
-    /// How long an issued resumption ticket stays redeemable (seconds of
-    /// the broker's protocol time, [`BbNode::time`]).
-    pub ticket_ttl_secs: u64,
-    /// Bound on outstanding tickets held by this daemon's issuer.
-    pub ticket_cap: usize,
 }
+
+/// How long an issued resumption ticket stays redeemable (seconds of the
+/// broker's protocol time, [`BbNode::time`]).
+const TICKET_TTL_SECS: u64 = 3600;
+/// Bound on outstanding tickets held by a daemon's issuer.
+const TICKET_CAP: usize = 1024;
 
 impl Default for TransportOptions {
     fn default() -> Self {
@@ -76,8 +78,6 @@ impl Default for TransportOptions {
             backoff_base: Duration::from_millis(10),
             backoff_cap: Duration::from_secs(2),
             resume: true,
-            ticket_ttl_secs: 3600,
-            ticket_cap: 1024,
         }
     }
 }
@@ -180,16 +180,9 @@ impl BrokerDaemon {
                 .as_deref()
                 .and_then(|k| <[u8; 32]>::try_from(k).ok());
             let issuer = match recovered_key {
-                Some(key) => Arc::new(TicketIssuer::with_key(
-                    key,
-                    options.ticket_ttl_secs,
-                    options.ticket_cap,
-                )),
+                Some(key) => Arc::new(TicketIssuer::with_key(key, TICKET_TTL_SECS, TICKET_CAP)),
                 None => {
-                    let issuer = Arc::new(TicketIssuer::new(
-                        options.ticket_ttl_secs,
-                        options.ticket_cap,
-                    ));
+                    let issuer = Arc::new(TicketIssuer::new(TICKET_TTL_SECS, TICKET_CAP));
                     if let Some(store) = &store {
                         store.append(&qos_storage::LedgerRecord::TicketKey {
                             key: issuer.key_bytes(),

@@ -140,6 +140,11 @@ impl PooledFrameDecoder {
         }
     }
 
+    /// Enforce `max` as the ceiling of every frame not yet taken.
+    pub fn set_max(&mut self, max: usize) {
+        self.max = max;
+    }
+
     /// Run the buffer-state transitions so a writable region exists:
     /// drain-complete fallback returns to pooled operation, a missing
     /// chunk is acquired (or the fallback engaged on exhaustion), a

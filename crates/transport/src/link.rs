@@ -51,7 +51,7 @@ use crate::frame::{PooledFrameDecoder, FRAME_HEADER_LEN};
 use crate::proto::{encode_sealed_frame_into, PeerMsg, FRAME_TAG, SEAL_OVERHEAD};
 use crate::queue::OutQueue;
 use crate::resume::ResumeTicket;
-use crate::session::{Handshake, HandshakeKind, HANDSHAKE_TIMEOUT};
+use crate::session::{Handshake, HandshakeKind, HANDSHAKE_MAX_FRAME, HANDSHAKE_TIMEOUT};
 use qos_core::channel::{ChannelIdentity, OpenHalf, PeerPin, SealHalf, SealedRef};
 use qos_core::messages::SignalMessage;
 use qos_core::PeerId;
@@ -349,8 +349,9 @@ pub(crate) struct Session {
 
 impl Session {
     /// A connection whose handshake `hs` starts at `now`: what the
-    /// handshake says first already waits in the out buffer.
-    pub(crate) fn new(mut hs: Handshake, now: u64, max_frame: usize, pool: BufferPool) -> Self {
+    /// handshake says first already waits in the out buffer. Until it
+    /// is over, a frame may be no larger than [`HANDSHAKE_MAX_FRAME`].
+    pub(crate) fn new(mut hs: Handshake, now: u64, pool: BufferPool) -> Self {
         // Per connection, not per message.
         #[allow(clippy::disallowed_methods)]
         let mut out = Vec::new();
@@ -359,7 +360,7 @@ impl Session {
             hs: Box::new(hs),
             deadline: now + HANDSHAKE_TIMEOUT,
         };
-        Self::with(phase, out, now, max_frame, pool)
+        Self::with(phase, out, now, HANDSHAKE_MAX_FRAME, pool)
     }
 
     fn with(phase: Phase, out: Vec<u8>, now: u64, max_frame: usize, pool: BufferPool) -> Self {
@@ -671,7 +672,7 @@ impl LinkCore {
             nonce,
             time,
         );
-        let session = Session::new(hs, now, self.max_frame, self.pool.clone());
+        let session = Session::new(hs, now, self.pool.clone());
         self.adopt(session, now);
     }
 
@@ -686,11 +687,13 @@ impl LinkCore {
         }
     }
 
-    /// The handshake ended at `now`: count it, re-arm the dial side, and
-    /// seal the session's sync.
+    /// The handshake ended at `now`: count it, re-arm the dial side, hold
+    /// the sealed frames to the link's ceiling, and seal the session's
+    /// sync.
     fn on_open(&mut self, now: u64) {
         let session = self.session.as_mut().expect("an open session");
         let opened = session.opened.take().expect("a finished handshake");
+        session.decoder.set_max(self.max_frame);
         self.ins
             .handshake_ns
             .observe(now.saturating_sub(session.started));
@@ -1017,6 +1020,7 @@ mod tests {
     //! allocates, never what it returns; a handshake ends by its deadline.
 
     use super::*;
+    use crate::session::broker_pin;
     use crate::MAX_FRAME_LEN;
     use proptest::prelude::*;
     use qos_core::envelope::RarLayer;
@@ -1026,7 +1030,8 @@ mod tests {
     use qos_core::RarId;
     use qos_crypto::sha256::sha256;
     use qos_crypto::{
-        Certificate, DistinguishedName, PublicKey, Signature, TbsCertificate, Timestamp, Validity,
+        Certificate, CertificateAuthority, DistinguishedName, KeyPair, PublicKey, Signature,
+        TbsCertificate, Timestamp, Validity,
     };
     use qos_wire::{Reader, WireError};
     use std::collections::HashMap;
@@ -1335,16 +1340,9 @@ mod tests {
         assert_eq!(held(&mut quiet), before);
     }
 
-    /// A link whose handshake stalls: the peer never says a word. An
-    /// accepted connection is dead at its start plus
-    /// [`HANDSHAKE_TIMEOUT`] and not one ns earlier; the dial side goes
-    /// back on the dial path through its backoff, which grows with each
-    /// attempt that stalls.
-    #[test]
-    fn a_stalled_handshake_ends_at_its_deadline_and_the_dial_side_backs_off() {
-        use crate::session::broker_pin;
-        use qos_core::channel::ChannelIdentity;
-        use qos_crypto::{CertificateAuthority, KeyPair};
+    /// Broker `a`'s channel identity, the pin its CA gives broker `b`,
+    /// and a core for `a`'s end of the link to `b`.
+    fn handshake_end() -> (Arc<ChannelIdentity>, PeerPin, LinkCore) {
         let mut ca = CertificateAuthority::new(
             DistinguishedName::authority("CA"),
             KeyPair::from_seed(b"ca"),
@@ -1355,18 +1353,44 @@ mod tests {
             key.public(),
             Validity::unbounded(),
         );
-        let identity = Arc::new(ChannelIdentity { key, cert });
-        let link = || {
-            let telemetry = Telemetry::disabled();
-            LinkCore::new(&telemetry, "a", "b", 1, MAX_FRAME_LEN, BufferPool::new(2))
-        };
+        let telemetry = Telemetry::disabled();
+        let core = LinkCore::new(&telemetry, "a", "b", 1, MAX_FRAME_LEN, BufferPool::new(2));
+        let pin = broker_pin(ca.public_key(), "b");
+        (Arc::new(ChannelIdentity { key, cert }), pin, core)
+    }
+
+    /// `core` accepts a connection at `t0`, expecting `b` behind `pin`.
+    fn accept(core: &mut LinkCore, identity: &Arc<ChannelIdentity>, pin: PeerPin, t0: u64) {
+        let pins = HashMap::from([("b".to_string(), pin)]);
+        let hs = Handshake::accept(identity.clone(), Arc::new(pins), None, 7, Timestamp::ZERO);
+        core.adopt(Session::new(hs, t0, BufferPool::new(1)), t0);
+    }
+
+    /// A peer that has not authenticated announces a frame larger than
+    /// any handshake message: the connection ends at once, though the
+    /// link's own ceiling would take it.
+    #[test]
+    fn an_oversized_frame_before_authentication_ends_the_connection_at_once() {
+        let (identity, pin, mut accepted) = handshake_end();
+        accept(&mut accepted, &identity, pin, 0);
+        let announced = HANDSHAKE_MAX_FRAME as u32 + 1;
+        assert!((announced as usize) < MAX_FRAME_LEN);
+        accepted.read_buf()[..4].copy_from_slice(&announced.to_le_bytes());
+        assert!(!accepted.bytes_in(4, 0, &mut Vec::new()));
+    }
+
+    /// A link whose handshake stalls: the peer never says a word. An
+    /// accepted connection is dead at its start plus
+    /// [`HANDSHAKE_TIMEOUT`] and not one ns earlier; the dial side goes
+    /// back on the dial path through its backoff, which grows with each
+    /// attempt that stalls.
+    #[test]
+    fn a_stalled_handshake_ends_at_its_deadline_and_the_dial_side_backs_off() {
         let t0 = 1_000;
         let deadline = t0 + HANDSHAKE_TIMEOUT;
 
-        let mut accepted = link();
-        let pins = HashMap::from([("b".to_string(), broker_pin(ca.public_key(), "b"))]);
-        let hs = Handshake::accept(identity.clone(), Arc::new(pins), None, 7, Timestamp::ZERO);
-        accepted.adopt(Session::new(hs, t0, MAX_FRAME_LEN, BufferPool::new(1)), t0);
+        let (identity, pin, mut accepted) = handshake_end();
+        accept(&mut accepted, &identity, pin.clone(), t0);
         assert!(
             accepted.bytes_out(64).is_empty(),
             "the responder speaks second"
@@ -1385,12 +1409,8 @@ mod tests {
         );
 
         let base = Duration::from_millis(10);
-        let mut dialer = link();
-        dialer.dial_to(
-            broker_pin(ca.public_key(), "b"),
-            true,
-            Backoff::new(base, 10 * base),
-        );
+        let (_, _, mut dialer) = handshake_end();
+        dialer.dial_to(pin, true, Backoff::new(base, 10 * base));
         assert_eq!(dialer.dial_at(), Some(0), "a new dial side dials at once");
         dialer.dial(identity.clone(), 7, t0, Timestamp::ZERO);
         assert_eq!(dialer.dial_at(), None, "a dial is under way");

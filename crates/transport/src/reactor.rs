@@ -951,8 +951,7 @@ impl Reactor {
                 fresh_nonce(),
                 self.node.time(),
             );
-            let max_frame = self.config.options.max_frame;
-            let session = Session::new(hs, now, max_frame, self.pool.clone());
+            let session = Session::new(hs, now, self.pool.clone());
             self.accepting.insert(token, Accepting { sock, session });
         }
     }
@@ -1534,13 +1533,13 @@ mod tests {
             LinkCore::new(&telemetry, "a", "b", life(), max_frame(), pool.clone())
         }
 
-        /// Two ends before any handshake, their frames large enough for
-        /// one: end 0 dials end 1.
-        fn unconnected() -> Self {
+        /// Two ends before any handshake, each with the frame ceiling
+        /// `max_frame`: end 0 dials end 1.
+        fn unconnected(max_frame: usize) -> Self {
             let pool = BufferPool::new(8);
             let end = || {
                 let telemetry = Telemetry::disabled();
-                LinkCore::new(&telemetry, "a", "b", life(), 1024, pool.clone())
+                LinkCore::new(&telemetry, "a", "b", life(), max_frame, pool.clone())
             };
             let mut cores = [end(), end()];
             let base = Duration::from_millis(1);
@@ -1570,10 +1569,7 @@ mod tests {
                 self.sessions,
                 Timestamp::ZERO,
             );
-            self.cores[1].adopt(
-                Session::new(hs, self.now, 1024, self.pool.clone()),
-                self.now,
-            );
+            self.cores[1].adopt(Session::new(hs, self.now, self.pool.clone()), self.now);
         }
 
         /// Move bytes both ways, `chunk` at a time, until nothing moves,
@@ -1730,6 +1726,22 @@ mod tests {
         assert_eq!(pipes.cores[0].rel.tx_next, 3);
     }
 
+    /// A link whose frame ceiling is below a `Hello` (155 bytes) still
+    /// completes its handshake, which has a ceiling of its own, and then
+    /// carries messages under the link's.
+    #[test]
+    fn a_link_with_frames_smaller_than_a_hello_completes_its_handshake() {
+        let issuer = Arc::new(TicketIssuer::with_key([5; 32], 3600, 16));
+        let mut pipes = Pipes::unconnected(128);
+        pipes.enqueue(0, 1);
+        pipes.enqueue(1, 2);
+        pipes.handshake(&issuer);
+        pipes.settle([usize::MAX; 2], usize::MAX);
+        assert!(pipes.cores.iter().all(LinkCore::is_open));
+        pipes.quiesce();
+        assert_eq!(pipes.delivered, [vec![2], vec![1]]);
+    }
+
     proptest! {
         // The rules this checks fail rarely when broken (a kept debt:
         // one case in ~15000).
@@ -1816,7 +1828,7 @@ mod tests {
             queued in (1u64..4, 1u64..4),
         ) {
             let issuer = Arc::new(TicketIssuer::with_key([5; 32], 3600, 16));
-            let mut pipes = Pipes::unconnected();
+            let mut pipes = Pipes::unconnected(max_frame());
             if resume {
                 // A first session earns end 0 a ticket end 1 redeems.
                 pipes.handshake(&issuer);

@@ -10,7 +10,8 @@
 //! broker's protocol time (what `Input::SetTime` set) is an argument.
 //! The link core that holds it ([`crate::link::Session`]) feeds it from
 //! the same byte stream and frame decoder as the sealed frames that
-//! follow, and its deadline is [`HANDSHAKE_TIMEOUT`] after it started.
+//! follow, under a frame ceiling of its own ([`HANDSHAKE_MAX_FRAME`]),
+//! and its deadline is [`HANDSHAKE_TIMEOUT`] after it started.
 //! What comes out is an [`Established`]: the authenticated peer and the
 //! two cipher halves. Sequence numbers are per-session: a reconnect
 //! starts a fresh channel, so plaintext queued across the outage is
@@ -32,6 +33,16 @@ use std::sync::Arc;
 /// How long a handshake may take, in ns from its start (on the dial side,
 /// when the connect completes), before the connection is abandoned.
 pub const HANDSHAKE_TIMEOUT: u64 = 5_000_000_000;
+
+/// The frame ceiling while a connection's handshake runs. No handshake
+/// message is larger: the largest is a `Hello`, which carries the
+/// sender's certificate, 155 bytes for a one-label broker name
+/// (`tests/wire_golden.rs`), so this leaves room for long names and
+/// certificate extensions. A peer that has not authenticated can make
+/// a broker buffer no more than this; the link's own ceiling
+/// ([`TransportOptions::max_frame`](crate::TransportOptions)) bounds
+/// sealed frames only, and may be smaller than a `Hello`.
+pub const HANDSHAKE_MAX_FRAME: usize = 4096;
 
 static NONCE_COUNTER: AtomicU64 = AtomicU64::new(1);
 

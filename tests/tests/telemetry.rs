@@ -4,7 +4,6 @@
 
 use integration_tests::{build_chain, mesh_from, traced_reservation, ChainOptions, MBPS};
 use qos_core::node::Completion;
-use qos_core::parallel::parallel_map;
 use qos_crypto::Timestamp;
 use qos_net::SimDuration;
 use qos_telemetry::metrics::{bucket_bound, bucket_index};
@@ -59,11 +58,14 @@ fn concurrent_counter_increments_are_lossless() {
     let reg = Registry::new();
     let c = reg.counter("hits_total", "hits", &[("domain", "x")]);
     let h = reg.histogram("obs_ns", "obs", &[]);
-    let lanes: Vec<u64> = (0..8).collect();
-    parallel_map(&lanes, |_| {
-        for i in 0..10_000u64 {
-            c.inc();
-            h.observe(i % 1024);
+    std::thread::scope(|s| {
+        for _ in 0..8 {
+            s.spawn(|| {
+                for i in 0..10_000u64 {
+                    c.inc();
+                    h.observe(i % 1024);
+                }
+            });
         }
     });
     assert_eq!(c.get(), 80_000);
