@@ -286,4 +286,89 @@ mod tests {
             .collect();
         assert_eq!(forwarded, sent);
     }
+
+    /// When a burst's batch equation fails, the per-item check on the
+    /// broker's thread flags only the tampered item: at the source (a
+    /// burst of user submissions) and in transit (a burst of peer
+    /// requests), every other item of the burst goes on.
+    #[test]
+    fn a_burst_flags_only_the_tampered_item() {
+        const BURST: usize = 8;
+        const TAMPERED: usize = 5;
+        let mut s = build_chain(ChainOptions::default());
+        let cert = s.users["alice"].cert.clone();
+        let rars: Vec<SignedRar> = (0..BURST)
+            .map(|_| {
+                let spec = s.spec("alice", 1000, 10_000, Timestamp(0), 3600);
+                s.users["alice"].sign_request(spec, &s.nodes[0])
+            })
+            .collect();
+        let ids: Vec<RarId> = rars.iter().map(|r| r.res_spec().rar_id).collect();
+        let honest: Vec<RarId> = ids
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != TAMPERED)
+            .map(|(_, id)| *id)
+            .collect();
+        let busy = Counter::noop();
+
+        // At the source: the honest submissions are forwarded in order,
+        // the tampered one completes denied.
+        let mut inputs: Vec<Input> = rars
+            .iter()
+            .cloned()
+            .enumerate()
+            .map(|(i, mut rar)| {
+                if i == TAMPERED {
+                    rar.signature.s ^= 1;
+                }
+                Input::Submit(Box::new(rar), Box::new(cert.clone()), UNQUEUED)
+            })
+            .collect();
+        let mut source = build_chain(ChainOptions::default()).nodes.remove(0);
+        let (mut sent, mut done) = (Vec::new(), Vec::new());
+        source.step(&mut inputs, &Stopped, &busy, |deliveries, completions| {
+            sent.append(deliveries);
+            done.append(completions);
+        });
+        let forwarded: Vec<RarId> = sent.iter().map(|(_, msg)| msg.rar_id()).collect();
+        assert_eq!(forwarded, honest);
+        assert!(matches!(
+            done.as_slice(),
+            [Completion::Reservation { rar_id, result: Err(_) }] if *rar_id == ids[TAMPERED]
+        ));
+
+        // In transit: the honest requests go on to domain-c, the
+        // tampered one is denied back to domain-a.
+        let mut inputs: Vec<Input> = rars
+            .into_iter()
+            .enumerate()
+            .map(|(i, rar)| {
+                let SignalMessage::Request(mut request) = s.nodes[0].submit(rar, &cert).remove(0).1
+                else {
+                    unreachable!("the source forwards a request")
+                };
+                if i == TAMPERED {
+                    request.signature.s ^= 1;
+                }
+                Input::Request("domain-a".into(), request, UNQUEUED)
+            })
+            .collect();
+        let mut transit = build_chain(ChainOptions::default()).nodes.remove(1);
+        let mut sent = Vec::new();
+        transit.step(&mut inputs, &Stopped, &busy, |deliveries, _| {
+            sent.append(deliveries);
+        });
+        let onward: Vec<RarId> = sent
+            .iter()
+            .filter(|(to, _)| &**to == "domain-c")
+            .map(|(_, msg)| msg.rar_id())
+            .collect();
+        assert_eq!(onward, honest);
+        assert!(matches!(
+            sent.iter().find(|(to, _)| &**to == "domain-a"),
+            Some((_, SignalMessage::Deny(d))) if d.rar_id == ids[TAMPERED]
+        ));
+        assert_eq!(sent.len(), BURST);
+    }
 }
