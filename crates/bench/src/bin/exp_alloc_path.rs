@@ -28,7 +28,7 @@
 //! `tests/tests/tcp_mesh.rs::one_observed_mesh_run_exposes_every_metric_family`.
 
 use qos_bench::alloc_count::{self, CountingAlloc};
-use qos_bench::{mesh_from, record, table_header, table_row};
+use qos_bench::{record, table_header, table_row};
 use qos_core::channel::{handshake, ChannelIdentity, PeerPin};
 use qos_core::messages::SignalMessage;
 use qos_core::node::{BbNode, Completion};
@@ -168,7 +168,7 @@ fn subflow_bursts(
     let tunnel = spec.rar_id;
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let (cert, alice) = (s.users["alice"].cert.clone(), s.users["alice"].dn.clone());
-    let mut mesh = mesh_from(s, 0);
+    let mut mesh = s.mesh(SimDuration::ZERO);
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
     mesh.run_until_idle();
     assert!(

@@ -25,7 +25,7 @@
 //! The run appends itself to `BENCH_durability.json`. Exit is non-zero
 //! if the gate fails.
 
-use qos_bench::{record, spawn_chain, table_header, table_row};
+use qos_bench::{record, table_header, table_row};
 use qos_core::scenario::{build_chain, ChainOptions};
 use qos_crypto::Timestamp;
 use qos_storage::{FileStore, FileStoreOptions, MemStore, SharedStore};
@@ -384,7 +384,10 @@ fn burst_run(file: bool) -> f64 {
         node.attach_store(store);
     }
 
-    let mesh = spawn_chain(&mut s, TcpMesh::new());
+    let mut mesh = TcpMesh::new();
+    let ids = s.identities();
+    mesh.spawn(std::mem::take(&mut s.nodes), ids, &s.links, s.ca_key)
+        .expect("loopback mesh comes up");
     let t0 = Instant::now();
     mesh.submit_all(
         "domain-a",

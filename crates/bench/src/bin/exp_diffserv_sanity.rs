@@ -55,8 +55,7 @@ fn main() {
         spec.dest_domain = "domain-c".into();
         let rar = scenario.users["alice"].sign_request(spec, &scenario.nodes[0]);
         let cert = scenario.users["alice"].cert.clone();
-        let mut mesh = qos_bench::mesh_from(&mut scenario, 5);
-        mesh.set_latency("domain-d", "domain-b", SimDuration::from_millis(5));
+        let mut mesh = scenario.mesh(SimDuration::from_millis(5));
         mesh.attach_network(network);
         mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
         mesh.run_until_idle();

@@ -25,13 +25,9 @@ fn hop_latency(i: usize) -> u64 {
 }
 
 fn mesh_with_hops(s: &mut qos_core::scenario::Scenario) -> Mesh {
-    let mut mesh = Mesh::new();
-    let domains = s.domains.clone();
-    for node in s.nodes.drain(..) {
-        mesh.add_node(node);
-    }
-    for (i, w) in domains.windows(2).enumerate() {
-        mesh.set_latency(&w[0], &w[1], SimDuration::from_millis(hop_latency(i)));
+    let mut mesh = s.mesh(SimDuration::ZERO);
+    for (i, (a, b)) in s.links.iter().enumerate() {
+        mesh.set_latency(a, b, SimDuration::from_millis(hop_latency(i)));
     }
     // Per-message broker processing (signature verification, policy
     // evaluation, admission): 2 ms. This is what hop-by-hop pays at

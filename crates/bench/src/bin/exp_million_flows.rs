@@ -174,10 +174,7 @@ fn main() {
         });
     }
 
-    let mut mesh = Mesh::new();
-    for node in graph.scenario.nodes.drain(..) {
-        mesh.add_node(node);
-    }
+    let mut mesh = graph.scenario.mesh(SimDuration::ZERO);
 
     // Two halves, to show setup-phase transit load is O(tunnels).
     let half = TUNNELS / 2;

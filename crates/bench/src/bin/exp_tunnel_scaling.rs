@@ -10,7 +10,7 @@
 //! load at O(1) (the setup) and each sub-flow costs one direct
 //! source↔destination round trip. The crossover is immediate (k > 1).
 
-use qos_bench::{experiment_registry, mesh_from, table_header, table_row, write_metrics_snapshot};
+use qos_bench::{experiment_registry, table_header, table_row, write_metrics_snapshot};
 use qos_core::node::Completion;
 use qos_core::scenario::{build_chain, ChainOptions};
 use qos_crypto::Timestamp;
@@ -38,7 +38,7 @@ fn per_flow_mode(k: usize, telemetry: &qos_telemetry::Telemetry) -> (u64, f64, u
     }
     let cert = s.users["alice"].cert.clone();
     let transit: Vec<String> = s.domains[1..DOMAINS - 1].to_vec();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     for (_, rar) in rars.iter() {
         mesh.submit_in(SimDuration::ZERO, "domain-a", rar.clone(), cert.clone());
     }
@@ -89,7 +89,7 @@ fn tunnel_mode(k: usize, telemetry: &qos_telemetry::Telemetry) -> (u64, f64, usi
     let cert = s.users["alice"].cert.clone();
     let alice_dn = s.users["alice"].dn.clone();
     let transit: Vec<String> = s.domains[1..DOMAINS - 1].to_vec();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
     mesh.run_until_idle();
     for flow in 0..k {

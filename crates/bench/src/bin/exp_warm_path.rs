@@ -13,9 +13,7 @@
 //! writes `METRICS_warm_path.{prom,json}`; the metrics snapshot carries
 //! the `resumed_handshakes_total` family.
 
-use qos_bench::{
-    experiment_registry, record, spawn_chain, table_header, table_row, write_metrics_snapshot,
-};
+use qos_bench::{experiment_registry, record, table_header, table_row, write_metrics_snapshot};
 use qos_broker::Interval;
 use qos_core::channel::{ChannelIdentity, PeerPin};
 use qos_core::envelope::SignedRar;
@@ -365,7 +363,9 @@ fn main() {
     let cert = s.users["alice"].cert.clone();
     let mut mesh = TcpMesh::new();
     mesh.set_telemetry(telemetry.clone());
-    let mesh = spawn_chain(&mut s, mesh);
+    let ids = s.identities();
+    mesh.spawn(std::mem::take(&mut s.nodes), ids, &s.links, s.ca_key)
+        .expect("loopback mesh comes up");
     for rars in waves {
         let n = rars.len();
         mesh.submit_all(

@@ -7,7 +7,7 @@
 //! Expected shape: all three brokers are involved in a grant; any single
 //! denial yields no end-to-end reservation and no residual holds.
 
-use qos_bench::{experiment_registry, mesh_from, table_header, table_row, write_metrics_snapshot};
+use qos_bench::{experiment_registry, table_header, table_row, write_metrics_snapshot};
 use qos_core::node::Completion;
 use qos_core::scenario::{build_chain, ChainOptions};
 use qos_crypto::Timestamp;
@@ -36,7 +36,7 @@ fn run(deny_at: Option<usize>, telemetry: &Telemetry) -> (bool, Vec<(String, boo
     let rar_id = spec.rar_id;
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
     mesh.run_until_idle();
 

@@ -9,10 +9,11 @@
 //! 2×Σ; trust entries per broker = |users| (+peers), versus ≤2 peers for
 //! hop-by-hop.
 
-use qos_bench::{experiment_registry, mesh_from, table_header, table_row, write_metrics_snapshot};
+use qos_bench::{experiment_registry, table_header, table_row, write_metrics_snapshot};
 use qos_core::scenario::{build_chain, ChainOptions};
 use qos_core::source::{AgentMode, SourceBasedRun};
 use qos_crypto::Timestamp;
+use qos_net::SimDuration;
 
 const MBPS: u64 = 1_000_000;
 
@@ -42,7 +43,7 @@ fn main() {
         for node in &mut s.nodes {
             node.add_direct_user(alice_dn.clone(), alice_pk);
         }
-        let mut mesh = mesh_from(&mut s, 5);
+        let mut mesh = s.mesh(SimDuration::from_millis(5));
         let outcome = SourceBasedRun::honest(rar, domains, mode).execute(&mut mesh);
         table_row(
             &[

@@ -10,9 +10,10 @@
 //! back atomically when either is impossible).
 
 use gara::{Gara, GaraStatus, ResourceKind};
-use qos_bench::{experiment_registry, mesh_from, table_header, table_row, write_metrics_snapshot};
+use qos_bench::{experiment_registry, table_header, table_row, write_metrics_snapshot};
 use qos_core::scenario::{build_chain, ChainOptions};
 use qos_crypto::Timestamp;
+use qos_net::SimDuration;
 use qos_policy::samples;
 use std::collections::HashMap;
 
@@ -28,7 +29,7 @@ fn build_gara(telemetry: &qos_telemetry::Telemetry) -> (Gara, qos_core::scenario
         telemetry: telemetry.clone(),
         ..ChainOptions::default()
     });
-    let mesh = mesh_from(&mut s, 5);
+    let mesh = s.mesh(SimDuration::from_millis(5));
     let mut g = Gara::new(mesh);
     g.register_cpu("domain-c", 64);
     (g, s)

@@ -9,7 +9,7 @@
 //! B requires ATLAS membership or an ESnet capability (≤10 Mb/s), C
 //! requires ESnet + a valid CPU reservation for ≥5 Mb/s.
 
-use qos_bench::{experiment_registry, mesh_from, table_header, table_row, write_metrics_snapshot};
+use qos_bench::{experiment_registry, table_header, table_row, write_metrics_snapshot};
 use qos_core::node::Completion;
 use qos_core::scenario::{build_chain, ChainOptions};
 use qos_crypto::Timestamp;
@@ -43,7 +43,7 @@ fn run(
     let rar_id = spec.rar_id;
     let rar = s.users[user].sign_request(spec, &s.nodes[0]);
     let cert = s.users[user].cert.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     if cpu_ok {
         mesh.node_mut("domain-c").add_cpu_reservation(111);
     }

@@ -8,13 +8,8 @@
 pub mod alloc_count;
 pub mod workload;
 
-use qos_core::channel::ChannelIdentity;
-use qos_core::drive::Mesh;
 use qos_core::scenario::Scenario;
-use qos_crypto::KeyPair;
-use qos_net::SimDuration;
 use qos_telemetry::{render_prometheus, snapshot_json, Artifact, Registry, Row, Telemetry};
-use qos_transport::TcpMesh;
 use std::process::Command;
 use std::sync::Arc;
 
@@ -98,44 +93,6 @@ fn first_line_of(cmd: &str, args: &[&str]) -> String {
             || "unknown".to_string(),
             |s| s.lines().next().unwrap_or("").to_string(),
         )
-}
-
-/// Move a scenario's brokers into a mesh with uniform hop latency.
-pub fn mesh_from(scenario: &mut Scenario, hop_latency_ms: u64) -> Mesh {
-    let mut mesh = Mesh::new();
-    let domains = scenario.domains.clone();
-    for node in scenario.nodes.drain(..) {
-        mesh.add_node(node);
-    }
-    for w in domains.windows(2) {
-        mesh.set_latency(&w[0], &w[1], SimDuration::from_millis(hop_latency_ms));
-    }
-    mesh
-}
-
-/// Move a chain scenario's brokers onto `mesh` (telemetry and
-/// admin plane already set) as loopback daemons, each link dialled by
-/// its upstream end, each daemon holding the identity its broker was
-/// built with.
-pub fn spawn_chain(scenario: &mut Scenario, mut mesh: TcpMesh) -> TcpMesh {
-    let identities = scenario
-        .nodes
-        .iter()
-        .map(|n| {
-            let key = KeyPair::from_seed(format!("bb-{}", n.domain()).as_bytes());
-            let cert = n.cert().clone();
-            (n.domain().to_string(), ChannelIdentity { key, cert })
-        })
-        .collect();
-    let links: Vec<(String, String)> = scenario
-        .domains
-        .windows(2)
-        .map(|w| (w[0].clone(), w[1].clone()))
-        .collect();
-    let nodes = std::mem::take(&mut scenario.nodes);
-    mesh.spawn(nodes, identities, &links, scenario.ca_key)
-        .expect("loopback mesh comes up");
-    mesh
 }
 
 /// Print a header row followed by a separator.

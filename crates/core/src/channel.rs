@@ -23,6 +23,7 @@ use qos_crypto::sha256::{hmac_sha256, Digest, HmacKey, Sha256, DIGEST_LEN};
 use qos_crypto::{Certificate, DistinguishedName, KeyPair, PublicKey, Signature, Timestamp};
 
 /// One party's channel identity.
+#[derive(Clone)]
 pub struct ChannelIdentity {
     /// The party's key pair.
     pub key: KeyPair,

@@ -1,12 +1,32 @@
 //! Reusable scenario builders: the paper's multi-domain world, wired up.
 //!
-//! Builds the complete cast of Figures 2–7 — a root CA, an ESnet CAS, a
-//! linear chain of domains A…N (plus David's domain D attached to the
-//! second domain), per-domain brokers with policies, SLAs with pinned
-//! certificates, user identities, capability grants — and, optionally,
-//! the matching `qos_net` data plane. Shared by the integration tests,
-//! the examples, and every experiment binary.
+//! A world is a peering graph: a RAR moves one peering hop at a time,
+//! over channels governed by SLAs. Each public builder — a chain
+//! ([`build_chain`]), a hub and its leaves ([`build_star`]), a seeded
+//! transit/stub graph ([`build_as_graph`]) and Figure 4's four domains
+//! ([`build_paper_world`]) — only draws its topology: the domains, each
+//! domain's policy and local capacity, and the directed peerings
+//! `(upstream, downstream, sla_rate_bps)`. One private builder does the
+//! rest, each job once and in this order:
+//!
+//! 1. one root CA issues every broker's certificate, in domain order,
+//!    then each user's (Alice, David, the extra users); each CAS grants
+//!    its community's users a capability;
+//! 2. one [`BbNode`] per domain, with one `add_peer` per neighbour
+//!    carrying whichever of the ingress and egress SLAs exist;
+//! 3. routes from every domain to every other, by BFS over the
+//!    peerings in the order they were listed;
+//! 4. each peering recorded once as a [`Scenario::links`] entry,
+//!    upstream end first: the end that dials.
+//!
+//! A scenario then hands itself to either fabric: [`Scenario::mesh`]
+//! moves the brokers into a [`Mesh`] with a latency on every peering,
+//! and `qos_transport::TcpMesh::spawn` takes the brokers,
+//! [`Scenario::identities`] and [`Scenario::links`]. Shared by the
+//! integration tests, the examples, and every experiment binary.
 
+use crate::channel::ChannelIdentity;
+use crate::drive::Mesh;
 use crate::envelope::SignedRar;
 use crate::node::{BbConfig, BbNode, EdgeBinding};
 use crate::rar::{RarId, ResSpec};
@@ -19,7 +39,7 @@ use qos_net::{Network, NodeId, SimDuration};
 use qos_policy::GroupServer;
 use qos_telemetry::Telemetry;
 use rand::{Rng, ThreadRng};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// A permissive policy for domains whose admission is under test but
 /// whose authorization is not.
@@ -67,12 +87,16 @@ pub struct Scenario {
     pub ca_key: PublicKey,
     /// CAS public key by community name.
     pub cas_keys: HashMap<String, PublicKey>,
-    /// Domain names in chain order (`domain-a`, `domain-b`, …).
+    /// Domain names in builder order (`domain-a`, `domain-b`, … for a
+    /// chain).
     pub domains: Vec<String>,
-    /// Brokers by domain, ready to drop into a [`crate::drive::Mesh`].
+    /// Brokers by domain, in `domains` order, until a fabric takes them.
     pub nodes: Vec<BbNode>,
     /// Users by name.
     pub users: HashMap<String, UserIdentity>,
+    /// Each peering once, upstream (dialling) end first, in the order
+    /// the builder listed them.
+    pub links: Vec<(String, String)>,
     /// Monotonic RAR id source.
     next_rar: u64,
 }
@@ -106,6 +130,32 @@ impl Scenario {
             rate_bps,
             Interval::starting_at(start, secs),
         )
+    }
+
+    /// Each broker's channel identity, by domain: the key it was built
+    /// with and its certificate. Read it before a fabric takes the
+    /// brokers.
+    pub fn identities(&self) -> HashMap<String, ChannelIdentity> {
+        self.nodes
+            .iter()
+            .map(|n| {
+                let (key, cert) = (broker_key(n.domain()), n.cert().clone());
+                (n.domain().to_string(), ChannelIdentity { key, cert })
+            })
+            .collect()
+    }
+
+    /// Move the brokers into a virtual-time mesh with latency `hop` on
+    /// every peering.
+    pub fn mesh(&mut self, hop: SimDuration) -> Mesh {
+        let mut mesh = Mesh::new();
+        for node in self.nodes.drain(..) {
+            mesh.add_node(node);
+        }
+        for (a, b) in &self.links {
+            mesh.set_latency(a, b, hop);
+        }
+        mesh
     }
 }
 
@@ -157,139 +207,154 @@ pub fn domain_name(i: usize) -> String {
     }
 }
 
-/// Build a linear chain of domains with brokers, SLAs, users, and
-/// capability grants.
-pub fn build_chain(opts: ChainOptions) -> Scenario {
-    assert!(opts.domains >= 2, "a chain needs at least two domains");
+/// The key broker `domain` is built with and dials and accepts with.
+fn broker_key(domain: &str) -> KeyPair {
+    KeyPair::from_seed(format!("bb-{domain}").as_bytes())
+}
+
+/// `(policy, local capacity)` of each of `n` domains under `opts`.
+fn chain_brokers(opts: &ChainOptions, n: usize) -> Vec<(String, u64)> {
+    (0..n)
+        .map(|i| {
+            let policy = opts.policies.get(&i).map_or(PERMIT_ALL, String::as_str);
+            (policy.to_string(), opts.local_capacity_bps)
+        })
+        .collect()
+}
+
+/// A domain's neighbour: its index, then the rates of the ingress and
+/// the egress SLA with it, where they exist.
+type Neighbour = (usize, Option<u64>, Option<u64>);
+
+/// The one world builder (see the module doc). `brokers` holds each
+/// domain's `(policy, local capacity)`; `peerings` the directed
+/// `(upstream, downstream, sla_rate_bps)` by domain index. Of `opts`
+/// only the shared options are read: grants, extra users, trust policy,
+/// telemetry and tracing.
+fn build_world(
+    domains: Vec<String>,
+    brokers: Vec<(String, u64)>,
+    peerings: &[(usize, usize, u64)],
+    opts: &ChainOptions,
+) -> Scenario {
+    let n = domains.len();
     let mut ca = CertificateAuthority::new(
         DistinguishedName::authority("RootCA"),
         KeyPair::from_seed(b"root-ca"),
     );
-
-    // Broker identities.
-    let domains: Vec<String> = (0..opts.domains).map(domain_name).collect();
-    let keys: Vec<KeyPair> = domains
-        .iter()
-        .map(|d| KeyPair::from_seed(format!("bb-{d}").as_bytes()))
-        .collect();
+    let keys: Vec<KeyPair> = domains.iter().map(|d| broker_key(d)).collect();
     let certs: Vec<Certificate> = domains
         .iter()
         .zip(&keys)
         .map(|(d, k)| {
-            ca.issue_identity(
-                DistinguishedName::broker(d),
-                k.public(),
-                Validity::unbounded(),
-            )
+            let dn = DistinguishedName::broker(d);
+            ca.issue_identity(dn, k.public(), Validity::unbounded())
         })
         .collect();
 
-    // Communities and grants.
-    let mut cas_keys = HashMap::new();
-    let mut cas_servers: HashMap<String, CommunityAuthorizationServer> = HashMap::new();
-    for (community, _) in &opts.grants {
-        let server = CommunityAuthorizationServer::new(
-            community,
-            KeyPair::from_seed(format!("cas-{community}").as_bytes()),
-        );
-        cas_keys.insert(community.clone(), server.public_key());
-        cas_servers.insert(community.clone(), server);
-    }
-
-    // Users.
-    let mut user_names = vec!["alice".to_string(), "david".to_string()];
-    user_names.extend(opts.extra_users.iter().cloned());
+    // Communities, then users with their grants.
+    let mut cas: Vec<CommunityAuthorizationServer> = opts
+        .grants
+        .iter()
+        .map(|(community, _)| {
+            let seed = format!("cas-{community}");
+            CommunityAuthorizationServer::new(community, KeyPair::from_seed(seed.as_bytes()))
+        })
+        .collect();
+    let cas_keys: HashMap<String, PublicKey> = opts
+        .grants
+        .iter()
+        .zip(&cas)
+        .map(|((community, _), server)| (community.clone(), server.public_key()))
+        .collect();
     let mut users = HashMap::new();
-    for name in &user_names {
+    let always = ["alice".to_string(), "david".to_string()];
+    for name in always.iter().chain(&opts.extra_users) {
         let key = KeyPair::from_seed(format!("user-{name}").as_bytes());
         let proxy = KeyPair::from_seed(format!("proxy-{name}").as_bytes());
-        let display = capitalize(name);
-        let dn = DistinguishedName::user(&display, "ANL");
+        let dn = DistinguishedName::user(&capitalize(name), "ANL");
         let cert = ca.issue_identity(dn.clone(), key.public(), Validity::unbounded());
         let mut capability = None;
-        for (community, granted) in &opts.grants {
+        for ((community, granted), server) in opts.grants.iter().zip(&mut cas) {
             if granted.contains(name) {
-                let server = cas_servers.get_mut(community).unwrap();
-                capability = Some(server.grant(
-                    &dn,
-                    proxy.public(),
-                    vec![format!("{community}:member")],
-                    Validity::unbounded(),
-                ));
+                let attrs = vec![format!("{community}:member")];
+                capability = Some(server.grant(&dn, proxy.public(), attrs, Validity::unbounded()));
             }
         }
-        users.insert(
-            name.clone(),
-            UserIdentity {
-                key,
-                cert,
-                dn,
-                proxy,
-                capability,
-            },
-        );
+        let user = UserIdentity {
+            key,
+            cert,
+            dn,
+            proxy,
+            capability,
+        };
+        users.insert(name.clone(), user);
     }
 
-    // Brokers with SLAs and routes.
-    let mut nodes = Vec::new();
-    for i in 0..opts.domains {
-        let policy = opts
-            .policies
-            .get(&i)
-            .cloned()
-            .unwrap_or_else(|| PERMIT_ALL.to_string());
-        let groups = GroupServer::new(
-            &format!("groups-{}", domains[i]),
-            KeyPair::from_seed(format!("gs-{}", domains[i]).as_bytes()),
-        );
+    // Neighbours of each domain in order of first mention, each with
+    // its `(ingress, egress)` SLA rates; each pair once as a link.
+    let mut adj: Vec<Vec<Neighbour>> = vec![Vec::new(); n];
+    let mut links = Vec::new();
+    for &(up, down, rate) in peerings {
+        if !adj[up].iter().any(|e| e.0 == down) {
+            adj[up].push((down, None, None));
+            adj[down].push((up, None, None));
+            links.push((domains[up].clone(), domains[down].clone()));
+        }
+        let linked = "the pair was linked above";
+        adj[up].iter_mut().find(|e| e.0 == down).expect(linked).2 = Some(rate);
+        adj[down].iter_mut().find(|e| e.0 == up).expect(linked).1 = Some(rate);
+    }
+
+    let mut nodes = Vec::with_capacity(n);
+    for (i, (policy_src, local_capacity_bps)) in brokers.into_iter().enumerate() {
+        let d = &domains[i];
+        let gs_seed = format!("gs-{d}");
         let mut node = BbNode::new(BbConfig {
-            domain: domains[i].clone(),
+            domain: d.clone(),
             key: keys[i].clone(),
             cert: certs[i].clone(),
-            policy_src: policy,
-            groups,
-            local_capacity_bps: opts.local_capacity_bps,
+            policy_src,
+            groups: GroupServer::new(
+                &format!("groups-{d}"),
+                KeyPair::from_seed(gs_seed.as_bytes()),
+            ),
+            local_capacity_bps,
             trust_policy: opts.trust_policy,
             cas_keys: cas_keys.clone(),
             user_ca: ca.public_key(),
             telemetry: opts.telemetry.clone(),
             tracing: opts.tracing,
         });
-        // Peering with the previous domain (they send into us).
-        if i > 0 {
-            node.add_peer(
-                certs[i - 1].clone(),
-                Some(Sla {
-                    upstream: domains[i - 1].clone(),
-                    downstream: domains[i].clone(),
-                    sls: Sls::strict(opts.sla_rate_bps),
-                    peer_cert: certs[i - 1].clone(),
-                    ca_cert: certs[i - 1].clone(),
-                    price_per_mbps_sec: 1,
-                }),
-                None,
-            );
-            // Everything upstream routes through the previous domain.
-            for d in domains[..i].iter() {
-                node.add_route(d, &domains[i - 1]);
+        // The SLA with neighbour `j` pins `j`'s certificate.
+        let sla = |up: usize, down: usize, rate: u64, j: usize| Sla {
+            upstream: domains[up].clone(),
+            downstream: domains[down].clone(),
+            sls: Sls::strict(rate),
+            peer_cert: certs[j].clone(),
+            ca_cert: certs[j].clone(),
+            price_per_mbps_sec: 1,
+        };
+        for &(j, rate_in, rate_out) in &adj[i] {
+            let sla_in = rate_in.map(|r| sla(j, i, r, j));
+            let sla_out = rate_out.map(|r| sla(i, j, r, j));
+            node.add_peer(certs[j].clone(), sla_in, sla_out);
+        }
+        // Shortest-path next hops: `first_hop[t]` is the neighbour on
+        // one shortest path from `i` to `t`.
+        let mut first_hop: Vec<Option<usize>> = vec![None; n];
+        let mut queue = VecDeque::from([i]);
+        while let Some(u) = queue.pop_front() {
+            for &(v, ..) in &adj[u] {
+                if v != i && first_hop[v].is_none() {
+                    first_hop[v] = if u == i { Some(v) } else { first_hop[u] };
+                    queue.push_back(v);
+                }
             }
         }
-        // Peering with the next domain (we send into them).
-        if i + 1 < opts.domains {
-            node.add_peer(
-                certs[i + 1].clone(),
-                None,
-                Some(Sla {
-                    upstream: domains[i].clone(),
-                    downstream: domains[i + 1].clone(),
-                    sls: Sls::strict(opts.sla_rate_bps),
-                    peer_cert: certs[i + 1].clone(),
-                    ca_cert: certs[i + 1].clone(),
-                    price_per_mbps_sec: 1,
-                }),
-            );
-            for d in domains[i + 1..].iter() {
-                node.add_route(d, &domains[i + 1]);
+        for (t, hop) in first_hop.iter().enumerate() {
+            if let Some(h) = hop {
+                node.add_route(&domains[t], &domains[*h]);
             }
         }
         nodes.push(node);
@@ -301,8 +366,25 @@ pub fn build_chain(opts: ChainOptions) -> Scenario {
         domains,
         nodes,
         users,
+        links,
         next_rar: 0,
     }
+}
+
+/// Build a linear chain of domains with brokers, SLAs, users, and
+/// capability grants.
+pub fn build_chain(opts: ChainOptions) -> Scenario {
+    assert!(opts.domains >= 2, "a chain needs at least two domains");
+    let domains = (0..opts.domains).map(domain_name).collect();
+    let peerings: Vec<_> = (1..opts.domains)
+        .map(|i| (i - 1, i, opts.sla_rate_bps))
+        .collect();
+    build_world(
+        domains,
+        chain_brokers(&opts, opts.domains),
+        &peerings,
+        &opts,
+    )
 }
 
 /// Build a hub-and-spoke world: `leaves` leaf domains all peering with a
@@ -314,138 +396,13 @@ pub fn build_chain(opts: ChainOptions) -> Scenario {
 /// The returned scenario's `domains` lists the leaves first, then `hub`.
 pub fn build_star(leaves: usize, opts: ChainOptions) -> Scenario {
     assert!(leaves >= 2, "a star needs at least two leaves");
-    let mut ca = CertificateAuthority::new(
-        DistinguishedName::authority("RootCA"),
-        KeyPair::from_seed(b"root-ca"),
-    );
     let mut domains: Vec<String> = (0..leaves).map(domain_name).collect();
     domains.push("hub".to_string());
-    let keys: Vec<KeyPair> = domains
-        .iter()
-        .map(|d| KeyPair::from_seed(format!("bb-{d}").as_bytes()))
+    let rate = opts.sla_rate_bps;
+    let peerings: Vec<_> = (0..leaves)
+        .flat_map(|leaf| [(leaf, leaves, rate), (leaves, leaf, rate)])
         .collect();
-    let certs: Vec<Certificate> = domains
-        .iter()
-        .zip(&keys)
-        .map(|(d, k)| {
-            ca.issue_identity(
-                DistinguishedName::broker(d),
-                k.public(),
-                Validity::unbounded(),
-            )
-        })
-        .collect();
-
-    let mut cas_keys = HashMap::new();
-    let mut cas_servers: HashMap<String, CommunityAuthorizationServer> = HashMap::new();
-    for (community, _) in &opts.grants {
-        let server = CommunityAuthorizationServer::new(
-            community,
-            KeyPair::from_seed(format!("cas-{community}").as_bytes()),
-        );
-        cas_keys.insert(community.clone(), server.public_key());
-        cas_servers.insert(community.clone(), server);
-    }
-    let mut user_names = vec!["alice".to_string(), "david".to_string()];
-    user_names.extend(opts.extra_users.iter().cloned());
-    let mut users = HashMap::new();
-    for name in &user_names {
-        let key = KeyPair::from_seed(format!("user-{name}").as_bytes());
-        let proxy = KeyPair::from_seed(format!("proxy-{name}").as_bytes());
-        let dn = DistinguishedName::user(&capitalize(name), "ANL");
-        let cert = ca.issue_identity(dn.clone(), key.public(), Validity::unbounded());
-        let mut capability = None;
-        for (community, granted) in &opts.grants {
-            if granted.contains(name) {
-                let server = cas_servers.get_mut(community).unwrap();
-                capability = Some(server.grant(
-                    &dn,
-                    proxy.public(),
-                    vec![format!("{community}:member")],
-                    Validity::unbounded(),
-                ));
-            }
-        }
-        users.insert(
-            name.clone(),
-            UserIdentity {
-                key,
-                cert,
-                dn,
-                proxy,
-                capability,
-            },
-        );
-    }
-
-    let hub_idx = leaves;
-    let mk_sla = |up: usize, down: usize| Sla {
-        upstream: domains[up].clone(),
-        downstream: domains[down].clone(),
-        sls: Sls::strict(opts.sla_rate_bps),
-        peer_cert: certs[up].clone(),
-        ca_cert: certs[up].clone(),
-        price_per_mbps_sec: 1,
-    };
-    let mut nodes = Vec::new();
-    for i in 0..domains.len() {
-        let policy = opts
-            .policies
-            .get(&i)
-            .cloned()
-            .unwrap_or_else(|| PERMIT_ALL.to_string());
-        let groups = GroupServer::new(
-            &format!("groups-{}", domains[i]),
-            KeyPair::from_seed(format!("gs-{}", domains[i]).as_bytes()),
-        );
-        let mut node = BbNode::new(BbConfig {
-            domain: domains[i].clone(),
-            key: keys[i].clone(),
-            cert: certs[i].clone(),
-            policy_src: policy,
-            groups,
-            local_capacity_bps: opts.local_capacity_bps,
-            trust_policy: opts.trust_policy,
-            cas_keys: cas_keys.clone(),
-            user_ca: ca.public_key(),
-            telemetry: opts.telemetry.clone(),
-            tracing: opts.tracing,
-        });
-        if i == hub_idx {
-            // The hub peers with every leaf, both directions.
-            for leaf in 0..leaves {
-                node.add_peer(
-                    certs[leaf].clone(),
-                    Some(mk_sla(leaf, hub_idx)),
-                    Some(mk_sla(hub_idx, leaf)),
-                );
-                node.add_route(&domains[leaf], &domains[leaf]);
-            }
-        } else {
-            // Each leaf peers only with the hub and routes everything
-            // through it.
-            node.add_peer(
-                certs[hub_idx].clone(),
-                Some(mk_sla(hub_idx, i)),
-                Some(mk_sla(i, hub_idx)),
-            );
-            for (j, d) in domains.iter().enumerate() {
-                if j != i {
-                    node.add_route(d, "hub");
-                }
-            }
-        }
-        nodes.push(node);
-    }
-
-    Scenario {
-        ca_key: ca.public_key(),
-        cas_keys,
-        domains,
-        nodes,
-        users,
-        next_rar: 0,
-    }
+    build_world(domains, chain_brokers(&opts, leaves + 1), &peerings, &opts)
 }
 
 /// Options for [`build_as_graph`].
@@ -594,157 +551,37 @@ pub fn build_as_graph(opts: AsGraphOptions) -> AsGraph {
         }
     }
 
-    // ---- Identities. ---------------------------------------------------
-    let mut ca = CertificateAuthority::new(
-        DistinguishedName::authority("RootCA"),
-        KeyPair::from_seed(b"root-ca"),
-    );
-    let keys: Vec<KeyPair> = domains
-        .iter()
-        .map(|d| KeyPair::from_seed(format!("bb-{d}").as_bytes()))
-        .collect();
-    let certs: Vec<Certificate> = domains
-        .iter()
-        .zip(&keys)
-        .map(|(d, k)| {
-            ca.issue_identity(
-                DistinguishedName::broker(d),
-                k.public(),
-                Validity::unbounded(),
-            )
+    // ---- Brokers: policy, then capacity, per domain. -------------------
+    let brokers = (0..n)
+        .map(|i| {
+            let is_transit = i < opts.transits;
+            let policy = as_graph_policy(&domains[i], is_transit, &mut rng);
+            let scale = if is_transit {
+                8 + rng.random_range(9)
+            } else {
+                1 + rng.random_range(4)
+            };
+            (policy, opts.local_capacity_bps * scale)
         })
         .collect();
-
-    let mut cas_keys = HashMap::new();
-    let mut cas_servers: HashMap<String, CommunityAuthorizationServer> = HashMap::new();
-    for (community, _) in &opts.grants {
-        let server = CommunityAuthorizationServer::new(
-            community,
-            KeyPair::from_seed(format!("cas-{community}").as_bytes()),
-        );
-        cas_keys.insert(community.clone(), server.public_key());
-        cas_servers.insert(community.clone(), server);
-    }
-    let mut user_names = vec!["alice".to_string(), "david".to_string()];
-    user_names.extend(opts.extra_users.iter().cloned());
-    let mut users = HashMap::new();
-    for name in &user_names {
-        let key = KeyPair::from_seed(format!("user-{name}").as_bytes());
-        let proxy = KeyPair::from_seed(format!("proxy-{name}").as_bytes());
-        let dn = DistinguishedName::user(&capitalize(name), "ANL");
-        let cert = ca.issue_identity(dn.clone(), key.public(), Validity::unbounded());
-        let mut capability = None;
-        for (community, granted) in &opts.grants {
-            if granted.contains(name) {
-                let server = cas_servers.get_mut(community).unwrap();
-                capability = Some(server.grant(
-                    &dn,
-                    proxy.public(),
-                    vec![format!("{community}:member")],
-                    Validity::unbounded(),
-                ));
-            }
-        }
-        users.insert(
-            name.clone(),
-            UserIdentity {
-                key,
-                cert,
-                dn,
-                proxy,
-                capability,
-            },
-        );
-    }
-
-    // ---- Brokers: policy, capacity, peerings, routes. ------------------
-    let mut nodes = Vec::new();
-    for i in 0..n {
-        let is_transit = i < opts.transits;
-        let policy = as_graph_policy(&domains[i], is_transit, &mut rng);
-        let capacity = if is_transit {
-            opts.local_capacity_bps * (8 + rng.random_range(9))
-        } else {
-            opts.local_capacity_bps * (1 + rng.random_range(4))
-        };
-        let groups = GroupServer::new(
-            &format!("groups-{}", domains[i]),
-            KeyPair::from_seed(format!("gs-{}", domains[i]).as_bytes()),
-        );
-        let node = BbNode::new(BbConfig {
-            domain: domains[i].clone(),
-            key: keys[i].clone(),
-            cert: certs[i].clone(),
-            policy_src: policy,
-            groups,
-            local_capacity_bps: capacity,
-            trust_policy: opts.trust_policy,
-            cas_keys: cas_keys.clone(),
-            user_ca: ca.public_key(),
-            telemetry: opts.telemetry.clone(),
-            tracing: opts.tracing,
-        });
-        nodes.push(node);
-    }
-    let mk_sla = |up: usize, down: usize, rate: u64| Sla {
-        upstream: domains[up].clone(),
-        downstream: domains[down].clone(),
-        sls: Sls::strict(rate),
-        peer_cert: certs[up].clone(),
-        ca_cert: certs[up].clone(),
-        price_per_mbps_sec: 1,
-    };
-    for &(a, b, rate) in &edges {
-        nodes[a].add_peer(
-            certs[b].clone(),
-            Some(mk_sla(b, a, rate)),
-            Some(mk_sla(a, b, rate)),
-        );
-        nodes[b].add_peer(
-            certs[a].clone(),
-            Some(mk_sla(a, b, rate)),
-            Some(mk_sla(b, a, rate)),
-        );
-    }
-
-    // BFS shortest-path next hops from every source. `first_hop[d]` is
-    // the neighbor of the source on one shortest path to `d`.
-    for src in 0..n {
-        let mut first_hop: Vec<Option<usize>> = vec![None; n];
-        let mut seen = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
-        seen[src] = true;
-        queue.push_back(src);
-        while let Some(u) = queue.pop_front() {
-            for &v in &adj[u] {
-                if !seen[v] {
-                    seen[v] = true;
-                    first_hop[v] = if u == src { Some(v) } else { first_hop[u] };
-                    queue.push_back(v);
-                }
-            }
-        }
-        for (d, hop) in first_hop.iter().enumerate() {
-            if let Some(h) = hop {
-                nodes[src].add_route(&domains[d], &domains[*h]);
-            }
-        }
-    }
-
-    let scenario = Scenario {
-        ca_key: ca.public_key(),
-        cas_keys,
-        domains,
-        nodes,
-        users,
-        next_rar: 0,
-    };
+    let peerings: Vec<_> = edges
+        .iter()
+        .flat_map(|&(a, b, rate)| [(a, b, rate), (b, a, rate)])
+        .collect();
     let named_edges = edges
         .iter()
-        .map(|&(a, b, r)| (scenario.domains[a].clone(), scenario.domains[b].clone(), r))
+        .map(|&(a, b, r)| (domains[a].clone(), domains[b].clone(), r))
         .collect();
+    let shared = ChainOptions {
+        grants: opts.grants,
+        extra_users: opts.extra_users,
+        trust_policy: opts.trust_policy,
+        telemetry: opts.telemetry,
+        tracing: opts.tracing,
+        ..ChainOptions::default()
+    };
     AsGraph {
-        scenario,
+        scenario: build_world(domains, brokers, &peerings, &shared),
         transits,
         stubs,
         edges: named_edges,
@@ -791,8 +628,8 @@ fn capitalize(s: &str) -> String {
     }
 }
 
-/// The paper's Figure 4 world: the three-domain chain plus David's
-/// domain D peering into the middle domain, and a matching data plane.
+/// The paper's Figure 4 world: the three-domain chain a → b → c plus
+/// David's domain d peering into b, and a matching data plane.
 ///
 /// Returns `(scenario_with_4_nodes, network, node_ids)` where the fourth
 /// node is `domain-d` and `node_ids` resolves `alice`/`charlie`/`david`
@@ -801,131 +638,47 @@ pub fn build_paper_world(
     capacity_bps: u64,
     hop_delay: SimDuration,
 ) -> (Scenario, Network, HashMap<String, NodeId>) {
-    let mut scenario = build_chain(ChainOptions {
-        domains: 3,
-        ..ChainOptions::default()
-    });
+    let opts = ChainOptions::default();
+    let domains = (0..4).map(domain_name).collect();
+    let rate = opts.sla_rate_bps;
+    let peerings = [(0, 1, rate), (1, 2, rate), (3, 1, rate)];
+    let mut scenario = build_world(domains, chain_brokers(&opts, 4), &peerings, &opts);
 
-    // Domain D: David's home, peering into domain-b.
-    let mut ca = CertificateAuthority::new(
-        DistinguishedName::authority("RootCA"),
-        KeyPair::from_seed(b"root-ca"),
-    );
-    // Re-issue against the same deterministic CA key; serial differences
-    // are irrelevant to verification.
-    let key_d = KeyPair::from_seed(b"bb-domain-d");
-    let cert_d = ca.issue_identity(
-        DistinguishedName::broker("domain-d"),
-        key_d.public(),
-        Validity::unbounded(),
-    );
-    let key_b = KeyPair::from_seed(b"bb-domain-b");
-    let cert_b = ca.issue_identity(
-        DistinguishedName::broker("domain-b"),
-        key_b.public(),
-        Validity::unbounded(),
-    );
-    let mut node_d = BbNode::new(BbConfig {
-        domain: "domain-d".into(),
-        key: key_d,
-        cert: cert_d.clone(),
-        policy_src: PERMIT_ALL.to_string(),
-        groups: GroupServer::new("groups-d", KeyPair::from_seed(b"gs-d")),
-        local_capacity_bps: 1_000_000_000,
-        trust_policy: TrustPolicy::default(),
-        cas_keys: scenario.cas_keys.clone(),
-        user_ca: scenario.ca_key,
-        telemetry: Telemetry::disabled(),
-        tracing: false,
-    });
-    node_d.add_peer(
-        cert_b,
-        None,
-        Some(Sla {
-            upstream: "domain-d".into(),
-            downstream: "domain-b".into(),
-            sls: Sls::strict(100_000_000),
-            peer_cert: scenario.nodes[1].cert().clone(),
-            ca_cert: scenario.nodes[1].cert().clone(),
-            price_per_mbps_sec: 1,
-        }),
-    );
-    node_d.add_route("domain-a", "domain-b");
-    node_d.add_route("domain-b", "domain-b");
-    node_d.add_route("domain-c", "domain-b");
-    // Domain B accepts from D.
-    scenario.nodes[1].add_peer(
-        cert_d,
-        Some(Sla {
-            upstream: "domain-d".into(),
-            downstream: "domain-b".into(),
-            sls: Sls::strict(100_000_000),
-            peer_cert: node_d.cert().clone(),
-            ca_cert: node_d.cert().clone(),
-            price_per_mbps_sec: 1,
-        }),
-        None,
-    );
-    scenario.nodes.push(node_d);
-    scenario.domains.push("domain-d".into());
-
-    // Matching data plane.
+    // Matching data plane; bind each broker to its edge router (a and d,
+    // where Alice's and David's flows start) or ingress links (b admits
+    // from a and d, c from b).
     let (topo, names) = qos_net::paper_topology(capacity_bps, hop_delay);
     let network = Network::new(topo);
-
-    // Bind brokers to their edge routers / ingress links.
-    let mut bindings: Vec<(usize, EdgeBinding)> = Vec::new();
-    {
-        let net = &network;
-        let n = &names;
-        // domain-a: Alice's first router.
-        bindings.push((
-            0,
-            EdgeBinding {
-                first_router: net.first_router(n["alice"], n["charlie"]),
-                ingress_links: HashMap::new(),
-            },
-        ));
-        // domain-b: ingress from A and from D.
-        let mut b_links = HashMap::new();
-        if let Some(l) = net.ingress_link_on_path(n["alice"], n["charlie"], n["edge-b"]) {
-            b_links.insert("domain-a".to_string(), l);
-        }
-        if let Some(l) = net.ingress_link_on_path(n["david"], n["charlie"], n["edge-b"]) {
-            b_links.insert("domain-d".to_string(), l);
-        }
-        bindings.push((
-            1,
-            EdgeBinding {
-                first_router: None,
-                ingress_links: b_links,
-            },
-        ));
-        // domain-c: ingress from B.
-        let mut c_links = HashMap::new();
-        if let Some(l) = net.ingress_link_on_path(n["alice"], n["charlie"], n["edge-c"]) {
-            c_links.insert("domain-b".to_string(), l);
-        }
-        bindings.push((
-            2,
-            EdgeBinding {
-                first_router: None,
-                ingress_links: c_links,
-            },
-        ));
-        // domain-d: David's first router.
-        bindings.push((
-            3,
-            EdgeBinding {
-                first_router: net.first_router(n["david"], n["charlie"]),
-                ingress_links: HashMap::new(),
-            },
-        ));
+    let (net, n) = (&network, &names);
+    let ingress = |host: &str, edge: &str, peer: &str| {
+        let link = net.ingress_link_on_path(n[host], n["charlie"], n[edge]);
+        link.map(|l| (peer.to_string(), l))
+    };
+    let b_links = [
+        ingress("alice", "edge-b", "domain-a"),
+        ingress("david", "edge-b", "domain-d"),
+    ];
+    let bindings = [
+        EdgeBinding {
+            first_router: net.first_router(n["alice"], n["charlie"]),
+            ingress_links: HashMap::new(),
+        },
+        EdgeBinding {
+            first_router: None,
+            ingress_links: b_links.into_iter().flatten().collect(),
+        },
+        EdgeBinding {
+            first_router: None,
+            ingress_links: ingress("alice", "edge-c", "domain-b").into_iter().collect(),
+        },
+        EdgeBinding {
+            first_router: net.first_router(n["david"], n["charlie"]),
+            ingress_links: HashMap::new(),
+        },
+    ];
+    for (node, binding) in scenario.nodes.iter_mut().zip(bindings) {
+        node.set_edge_binding(binding);
     }
-    for (i, b) in bindings {
-        scenario.nodes[i].set_edge_binding(b);
-    }
-
     (scenario, network, names)
 }
 
@@ -956,6 +709,61 @@ mod tests {
         assert_eq!(s.domains.len(), 4);
         assert!(names.contains_key("edge-b"));
         assert!(net.first_router(names["alice"], names["charlie"]).is_some());
+    }
+
+    #[test]
+    fn paper_world_peers_d_into_b_only() {
+        let (mut s, _, _) = build_paper_world(100_000_000, SimDuration::from_millis(5));
+        let link = |a: &str, b: &str| (a.to_string(), b.to_string());
+        let want = [
+            link("domain-a", "domain-b"),
+            link("domain-b", "domain-c"),
+            link("domain-d", "domain-b"),
+        ];
+        assert_eq!(s.links, want);
+        // Everyone reaches domain-d through b, and d reaches c through b.
+        for n in &s.nodes[..3] {
+            let via = if n.domain() == "domain-b" {
+                "domain-d"
+            } else {
+                "domain-b"
+            };
+            assert_eq!(n.route_towards("domain-d").as_deref(), Some(via));
+        }
+        assert_eq!(
+            s.nodes[3].route_towards("domain-c").as_deref(),
+            Some("domain-b")
+        );
+        // d → b is one SLA, held at both ends; c and d do not peer.
+        let (b, d) = (s.nodes[1].core(), s.nodes[3].core());
+        assert!(b.ingress_sla("domain-d").is_some() && b.egress_sla("domain-d").is_none());
+        assert!(d.egress_sla("domain-b").is_some() && d.ingress_sla("domain-b").is_none());
+        assert!(s.nodes[2].core().ingress_sla("domain-d").is_none());
+        // Latency lies on peerings only: David's agent reaches c in two hops.
+        let mesh = s.mesh(SimDuration::from_millis(5));
+        let hop = |a, b| mesh.latency_between(a, b);
+        assert_eq!(hop("domain-d", "domain-b"), SimDuration::from_millis(5));
+        assert_eq!(hop("domain-d", "domain-c"), SimDuration::from_millis(10));
+    }
+
+    #[test]
+    fn a_world_hands_its_brokers_to_a_mesh_with_their_identities() {
+        let mut s = build_star(3, ChainOptions::default());
+        let link = |leaf: &str| (leaf.to_string(), "hub".to_string());
+        let want = [link("domain-a"), link("domain-b"), link("domain-c")];
+        assert_eq!(s.links, want);
+        let ids = s.identities();
+        assert_eq!(ids.len(), 4);
+        for n in &s.nodes {
+            let id = &ids[n.domain()];
+            assert_eq!(id.key.public(), n.public_key());
+            assert_eq!(id.cert.tbs().subject, *n.dn());
+        }
+        let mesh = s.mesh(SimDuration::from_millis(3));
+        assert!(s.nodes.is_empty());
+        let hop = |a, b| mesh.latency_between(a, b);
+        assert_eq!(hop("domain-a", "hub"), SimDuration::from_millis(3));
+        assert_eq!(hop("domain-a", "domain-c"), SimDuration::from_millis(6));
     }
 
     #[test]

@@ -156,10 +156,7 @@ fn tunnel_world() -> (Mesh, RarId, DistinguishedName) {
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
     let alice = s.users["alice"].dn.clone();
-    let mut mesh = Mesh::new();
-    for node in s.nodes.drain(..) {
-        mesh.add_node(node);
-    }
+    let mut mesh = s.mesh(SimDuration::ZERO);
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
     mesh.run_until_idle();
     assert!(

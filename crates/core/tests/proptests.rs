@@ -170,14 +170,7 @@ proptest! {
             rars.push((spec.rar_id, r * MBPS, s.users["alice"].sign_request(spec, &s.nodes[0])));
         }
         let cert = s.users["alice"].cert.clone();
-        let mut mesh = qos_core::drive::Mesh::new();
-        let domains = s.domains.clone();
-        for node in s.nodes.drain(..) {
-            mesh.add_node(node);
-        }
-        for w in domains.windows(2) {
-            mesh.set_latency(&w[0], &w[1], SimDuration::from_millis(1));
-        }
+        let mut mesh = s.mesh(SimDuration::from_millis(1));
         for (_, _, rar) in &rars {
             mesh.submit_in(SimDuration::ZERO, "domain-a", rar.clone(), cert.clone());
         }
@@ -192,7 +185,7 @@ proptest! {
             }
         }
         prop_assert!(granted_sum <= sla, "SLA oversubscribed");
-        for d in &domains {
+        for d in &s.domains {
             let committed = 1_000_000_000 - mesh.node(d).core().available_bw_at(Timestamp(10));
             prop_assert_eq!(
                 committed,

@@ -16,18 +16,6 @@ use std::collections::HashMap;
 
 const MBPS: u64 = 1_000_000;
 
-fn mesh_from(scenario: &mut Scenario, hop_latency_ms: u64) -> Mesh {
-    let mut mesh = Mesh::new();
-    let domains = scenario.domains.clone();
-    for node in scenario.nodes.drain(..) {
-        mesh.add_node(node);
-    }
-    for w in domains.windows(2) {
-        mesh.set_latency(&w[0], &w[1], SimDuration::from_millis(hop_latency_ms));
-    }
-    mesh
-}
-
 /// Run `inputs` through `node`'s one door: the messages and the
 /// completions it emitted.
 fn step(
@@ -68,7 +56,7 @@ fn hop_by_hop_reservation_grants_end_to_end() {
     let rar_id = spec.rar_id;
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
 
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
     mesh.run_until_idle();
@@ -123,7 +111,7 @@ fn downstream_denial_propagates_and_rolls_back() {
     let rar_id = spec.rar_id;
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
 
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
     mesh.run_until_idle();
@@ -155,7 +143,7 @@ fn sla_exhaustion_denies_at_the_bottleneck() {
     let rar1 = s.users["alice"].sign_request(spec1, &s.nodes[0]);
     let rar2 = s.users["alice"].sign_request(spec2, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
 
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar1, cert.clone());
     mesh.submit_in(SimDuration::from_millis(100), "domain-a", rar2, cert);
@@ -190,7 +178,7 @@ fn figure6_policies_govern_the_chain() {
     let rar_id = spec.rar_id;
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     mesh.node_mut("domain-c").add_cpu_reservation(111);
 
     // At 10:00 business time.
@@ -216,7 +204,7 @@ fn figure6_policies_govern_the_chain() {
     let rar_id2 = spec.rar_id;
     let rar = s2.users["alice"].sign_request(spec, &s2.nodes[0]);
     let cert2 = s2.users["alice"].cert.clone();
-    let mut mesh2 = mesh_from(&mut s2, 5);
+    let mut mesh2 = s2.mesh(SimDuration::from_millis(5));
     mesh2.submit_in(SimDuration::ZERO, "domain-a", rar, cert2);
     mesh2.run_until_idle();
     let denial = approval_of(&mesh2, "domain-a", rar_id2).expect_err("no CPU resv");
@@ -237,7 +225,7 @@ fn business_hours_cap_denies_at_source() {
     let rar_id = spec.rar_id;
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     // Submit at simulated 10:00 so `Time` is inside business hours.
     mesh.submit_in(SimDuration::from_secs(10 * 3600), "domain-a", rar, cert);
     mesh.run_until_idle();
@@ -258,7 +246,7 @@ fn tunnel_subflows_touch_only_end_domains() {
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
     let alice_dn = s.users["alice"].dn.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     // Direct channel A↔C crosses the same wires: 10 ms one-way (derived
     // automatically from the route).
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
@@ -345,7 +333,7 @@ fn source_based_concurrent_beats_hop_by_hop_latency() {
         node.add_direct_user(alice_dn.clone(), alice_pk);
     }
 
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar_hb, cert);
     mesh.run_until_idle();
     let (t_hb, _) = mesh.reservation_outcome("domain-a", hb_id).unwrap();
@@ -380,7 +368,7 @@ fn source_based_sequential_is_slowest() {
     for node in &mut s.nodes {
         node.add_direct_user(alice_dn.clone(), alice_pk);
     }
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     let t0 = mesh.now();
     let outcome = SourceBasedRun::honest(rar, domains, AgentMode::Sequential).execute(&mut mesh);
     assert!(outcome.all_accepted);
@@ -401,7 +389,7 @@ fn misreservation_is_possible_under_source_based_only() {
     for node in &mut s.nodes {
         node.add_direct_user(david_dn.clone(), david_pk);
     }
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     let outcome = SourceBasedRun::skipping(
         rar,
         domains,
@@ -429,7 +417,7 @@ fn misreservation_is_possible_under_source_based_only() {
     let rar_id = spec.rar_id;
     let rar = s2.users["david"].sign_request(spec, &s2.nodes[0]);
     let cert = s2.users["david"].cert.clone();
-    let mut mesh2 = mesh_from(&mut s2, 5);
+    let mut mesh2 = s2.mesh(SimDuration::from_millis(5));
     mesh2.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
     mesh2.run_until_idle();
     assert!(approval_of(&mesh2, "domain-a", rar_id).is_ok());
@@ -455,7 +443,7 @@ fn stars_coordinator_needs_one_trust_entry_per_broker() {
     let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
     let source_dn = s.nodes[0].dn().clone();
     let rar = rc.sign_for(spec, source_dn);
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     let outcome = SourceBasedRun::honest(rar, domains, AgentMode::Concurrent).execute(&mut mesh);
     assert!(outcome.all_accepted, "{:?}", outcome.replies);
     // Trust tables: peers + exactly one RC entry.
@@ -472,7 +460,7 @@ fn unknown_user_is_refused_direct_service() {
     let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     // No broker knows Alice directly.
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     let outcome = SourceBasedRun::honest(rar, domains, AgentMode::Concurrent).execute(&mut mesh);
     assert!(!outcome.all_accepted);
     assert!(outcome
@@ -488,7 +476,7 @@ fn billing_chain_recorded_at_source() {
     let rar_id = spec.rar_id;
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
     mesh.run_until_idle();
     assert!(approval_of(&mesh, "domain-a", rar_id).is_ok());
@@ -516,7 +504,7 @@ fn concurrent_requests_interleave_correctly() {
         rars.push(s.users["alice"].sign_request(spec, &s.nodes[0]));
     }
     let cert = s.users["alice"].cert.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     for (i, rar) in rars.into_iter().enumerate() {
         mesh.submit_in(
             SimDuration::from_millis(i as u64),
@@ -544,7 +532,7 @@ fn tunnel_subflow_release_returns_budget() {
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
     let alice = s.users["alice"].dn.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
     mesh.run_until_idle();
 
@@ -612,7 +600,7 @@ fn duplicate_rar_id_is_refused() {
     let rar_id = spec.rar_id;
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar.clone(), cert.clone());
     mesh.run_until_idle();
     assert!(approval_of(&mesh, "domain-a", rar_id).is_ok());
@@ -695,7 +683,7 @@ fn each_role_verifies_what_the_design_says_it_verifies() {
         let rar_id = spec.rar_id;
         let rar = s.users[user].sign_request(spec, &s.nodes[0]);
         let cert = s.users[user].cert.clone();
-        let mut mesh = mesh_from(&mut s, 5);
+        let mut mesh = s.mesh(SimDuration::from_millis(5));
         mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
         mesh.run_until_idle();
         assert!(approval_of(&mesh, "domain-a", rar_id).is_ok());
@@ -713,7 +701,7 @@ fn stale_approval_is_ignored() {
 
     let mut s = build_chain(ChainOptions::default());
     let dest_cert = s.nodes[2].cert().clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     // An approval for a request domain-b never saw.
     let bogus = Approval::originate(
         RarId(999),
@@ -733,7 +721,7 @@ fn stale_approval_is_ignored() {
 fn tunnel_flow_to_unknown_tunnel_is_refused() {
     let mut s = build_chain(ChainOptions::default());
     let alice = s.users["alice"].dn.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     let err = mesh
         .node_mut("domain-a")
         .request_tunnel_flow(RarId(424242), 1, MBPS, alice)
@@ -823,7 +811,7 @@ fn tunnel_with_one_flow() -> (Mesh, RarId, qos_crypto::DistinguishedName) {
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
     let alice = s.users["alice"].dn.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
     mesh.tunnel_flow_in(
         SimDuration::from_secs(1),

@@ -28,7 +28,6 @@ pub use resource::{ResourceKind, SlottedResource};
 mod tests {
     use super::*;
     use qos_broker::Interval;
-    use qos_core::drive::Mesh;
     use qos_core::scenario::{build_chain, ChainOptions};
     use qos_crypto::Timestamp;
     use qos_net::SimDuration;
@@ -46,15 +45,7 @@ mod tests {
             policies,
             ..ChainOptions::default()
         });
-        let mut mesh = Mesh::new();
-        let domains = s.domains.clone();
-        for node in s.nodes.drain(..) {
-            mesh.add_node(node);
-        }
-        for w in domains.windows(2) {
-            mesh.set_latency(&w[0], &w[1], SimDuration::from_millis(5));
-        }
-        let mut gara = Gara::new(mesh);
+        let mut gara = Gara::new(s.mesh(SimDuration::from_millis(5)));
         gara.register_cpu("domain-c", 64);
         gara.register_disk("domain-c", 500_000_000);
         (gara, s)

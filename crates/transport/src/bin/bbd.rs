@@ -13,10 +13,9 @@
 //!     --peer domain-b=127.0.0.1:7002 --submit 4
 //! ```
 
-use qos_core::channel::ChannelIdentity;
 use qos_core::node::Completion;
 use qos_core::scenario::{build_chain, ChainOptions};
-use qos_crypto::{KeyPair, Timestamp};
+use qos_crypto::Timestamp;
 use qos_storage::{FileStore, FileStoreOptions, MemStore, SharedStore};
 use qos_telemetry::{
     render_prometheus, snapshot_json, EventFamily, FlightRecorder, Registry, StdClock, Telemetry,
@@ -308,6 +307,10 @@ fn main() -> ExitCode {
     }
     let user_cert = s.users["alice"].cert.clone();
 
+    let identity = s
+        .identities()
+        .remove(&domain)
+        .expect("the chain has this domain");
     let mut node = s.nodes.remove(args.index);
 
     // The durable reservation ledger (DESIGN.md §D13). `--data-dir`
@@ -341,11 +344,6 @@ fn main() -> ExitCode {
     }
     // Attach only after replay: recovery must not re-journal itself.
     node.attach_store(Arc::clone(&store));
-    let identity = ChannelIdentity {
-        key: KeyPair::from_seed(format!("bb-{domain}").as_bytes()),
-        cert: node.cert().clone(),
-    };
-
     let listener = match TcpListener::bind(&args.listen) {
         Ok(l) => l,
         Err(e) => {

@@ -387,7 +387,7 @@ impl BrokerDaemon {
 mod tests {
     use super::*;
     use qos_core::scenario::{build_chain, ChainOptions};
-    use qos_crypto::{KeyPair, Timestamp};
+    use qos_crypto::Timestamp;
     use qos_telemetry::Registry;
 
     /// A stopping daemon settles what it owes its peers and seals nothing
@@ -406,13 +406,10 @@ mod tests {
         let ca_key = s.ca_key;
         let registry = Registry::new();
         let completions = Arc::new(Completions::new());
+        let ids = s.identities();
         let start = |node: BbNode, connect_to, accept_from| {
-            let identity = ChannelIdentity {
-                key: KeyPair::from_seed(format!("bb-{}", node.domain()).as_bytes()),
-                cert: node.cert().clone(),
-            };
             let config = DaemonConfig {
-                identity,
+                identity: ids[node.domain()].clone(),
                 ca_key,
                 listener: TcpListener::bind("127.0.0.1:0").expect("bind"),
                 connect_to,

@@ -96,13 +96,14 @@ fn resumable_pair(
         ca_key,
         dn: DistinguishedName::broker("beta"),
     };
-    // `ChannelIdentity` is not `Clone`: the initiator's state holds its
-    // own copy, built from the same key and certificate.
-    let ia = ChannelIdentity {
-        key: ia.key.clone(),
-        cert: ia.cert.clone(),
-    };
-    let hs = Handshake::dial(Arc::new(ia), pin, ticket.cloned(), true, 1, Timestamp::ZERO);
+    let hs = Handshake::dial(
+        Arc::new(ia.clone()),
+        pin,
+        ticket.cloned(),
+        true,
+        1,
+        Timestamp::ZERO,
+    );
     let mut a = drive(stream, hs);
     let b = responder.join().unwrap();
     let (kind_a, fresh, kind_b) = (a.kind, a.ticket.take(), b.kind);
@@ -124,9 +125,7 @@ fn resumed_reconnect_performs_zero_schnorr_operations() {
     let ca_key = ca.public_key();
     let ia = identity(&mut ca, "alpha");
     let ib = identity(&mut ca, "beta");
-    // `ChannelIdentity` is not `Clone`; issue beta's identity a second
-    // time now so no certificate is signed after the counter snapshot.
-    let ib2 = identity(&mut ca, "beta");
+    let ib2 = ib.clone();
     let issuer = Arc::new(TicketIssuer::with_key([7; 32], 3600, 16));
 
     // Round 1: the full handshake (signatures on both sides) earns the
@@ -169,13 +168,6 @@ fn resumed_reconnect_performs_zero_schnorr_operations() {
     );
 }
 
-fn daemon_identity(domain: &str, cert: qos_crypto::Certificate) -> ChannelIdentity {
-    ChannelIdentity {
-        key: KeyPair::from_seed(format!("bb-{domain}").as_bytes()),
-        cert,
-    }
-}
-
 fn bind_addr(addr: SocketAddr) -> TcpListener {
     // The previous daemon's listener may take a moment to release the
     // port after shutdown.
@@ -216,11 +208,10 @@ fn backoff_resets_after_successful_handshake() {
         domains: 2,
         ..ChainOptions::default()
     });
+    let ids = s.identities();
     let node_b = s.nodes.remove(1);
     let node_a = s.nodes.remove(0);
     let (dom_a, dom_b) = (s.domains[0].clone(), s.domains[1].clone());
-    let cert_a = node_a.cert().clone();
-    let cert_b = node_b.cert().clone();
     let ca_key = s.ca_key;
 
     let options = TransportOptions {
@@ -234,7 +225,7 @@ fn backoff_resets_after_successful_handshake() {
         BrokerDaemon::start(
             node,
             DaemonConfig {
-                identity: daemon_identity(&dom_b, cert_b.clone()),
+                identity: ids[&dom_b].clone(),
                 ca_key,
                 listener: bind_addr("127.0.0.1:0".parse().unwrap()),
                 connect_to: HashMap::new(),
@@ -256,7 +247,7 @@ fn backoff_resets_after_successful_handshake() {
     let daemon_a = BrokerDaemon::start(
         node_a,
         DaemonConfig {
-            identity: daemon_identity(&dom_a, cert_a),
+            identity: ids[&dom_a].clone(),
             ca_key,
             listener: bind_addr("127.0.0.1:0".parse().unwrap()),
             connect_to: HashMap::from([(dom_b.clone(), addr_b)]),
@@ -286,7 +277,7 @@ fn backoff_resets_after_successful_handshake() {
     let daemon_b = BrokerDaemon::start(
         node_b,
         DaemonConfig {
-            identity: daemon_identity(&dom_b, cert_b.clone()),
+            identity: ids[&dom_b].clone(),
             ca_key,
             listener: bind_addr(addr_b),
             connect_to: HashMap::new(),
@@ -312,7 +303,7 @@ fn backoff_resets_after_successful_handshake() {
     let daemon_b = BrokerDaemon::start(
         node_b,
         DaemonConfig {
-            identity: daemon_identity(&dom_b, cert_b.clone()),
+            identity: ids[&dom_b].clone(),
             ca_key,
             listener,
             connect_to: HashMap::new(),
@@ -355,11 +346,10 @@ fn resume_survives_daemon_restart_via_durable_ledger() {
         domains: 2,
         ..ChainOptions::default()
     });
+    let ids = s.identities();
     let node_b = s.nodes.remove(1);
     let node_a = s.nodes.remove(0);
     let (dom_a, dom_b) = (s.domains[0].clone(), s.domains[1].clone());
-    let cert_a = node_a.cert().clone();
-    let cert_b = node_b.cert().clone();
     let ca_key = s.ca_key;
 
     let options = TransportOptions {
@@ -378,7 +368,7 @@ fn resume_survives_daemon_restart_via_durable_ledger() {
     let daemon_b = BrokerDaemon::start(
         node_b,
         DaemonConfig {
-            identity: daemon_identity(&dom_b, cert_b.clone()),
+            identity: ids[&dom_b].clone(),
             ca_key,
             listener: bind_addr("127.0.0.1:0".parse().unwrap()),
             connect_to: HashMap::new(),
@@ -395,7 +385,7 @@ fn resume_survives_daemon_restart_via_durable_ledger() {
     let daemon_a = BrokerDaemon::start(
         node_a,
         DaemonConfig {
-            identity: daemon_identity(&dom_a, cert_a),
+            identity: ids[&dom_a].clone(),
             ca_key,
             listener: bind_addr("127.0.0.1:0".parse().unwrap()),
             connect_to: HashMap::from([(dom_b.clone(), addr_b)]),
@@ -444,7 +434,7 @@ fn resume_survives_daemon_restart_via_durable_ledger() {
     let daemon_b = BrokerDaemon::start(
         node_b2,
         DaemonConfig {
-            identity: daemon_identity(&dom_b, cert_b),
+            identity: ids[&dom_b].clone(),
             ca_key,
             listener: bind_addr(addr_b),
             connect_to: HashMap::new(),

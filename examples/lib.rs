@@ -1,22 +1,5 @@
 //! Shared helpers for the example binaries.
 
-use qos_core::drive::Mesh;
-use qos_core::scenario::Scenario;
-use qos_net::SimDuration;
-
-/// Move a scenario's brokers into a mesh with uniform hop latency.
-pub fn mesh_from(scenario: &mut Scenario, hop_latency_ms: u64) -> Mesh {
-    let mut mesh = Mesh::new();
-    let domains = scenario.domains.clone();
-    for node in scenario.nodes.drain(..) {
-        mesh.add_node(node);
-    }
-    for w in domains.windows(2) {
-        mesh.set_latency(&w[0], &w[1], SimDuration::from_millis(hop_latency_ms));
-    }
-    mesh
-}
-
 /// Pretty-print a rate in Mb/s.
 pub fn mbps(bps: u64) -> String {
     format!("{:.1} Mb/s", bps as f64 / 1e6)

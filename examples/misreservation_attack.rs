@@ -65,8 +65,7 @@ fn run(attack: bool) -> (f64, f64) {
     let rar_david = scenario.users["david"].sign_request(spec_david, &scenario.nodes[3]);
     let david_cert = scenario.users["david"].cert.clone();
 
-    let mut mesh = qos_examples::mesh_from(&mut scenario, 5);
-    mesh.set_latency("domain-d", "domain-b", SimDuration::from_millis(5));
+    let mut mesh = scenario.mesh(SimDuration::from_millis(5));
     mesh.attach_network(network);
 
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar_alice, alice_cert);

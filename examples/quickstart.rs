@@ -8,7 +8,6 @@
 use qos_core::node::Completion;
 use qos_core::scenario::{build_chain, ChainOptions};
 use qos_crypto::Timestamp;
-use qos_examples::mesh_from;
 use qos_net::SimDuration;
 
 const MBPS: u64 = 1_000_000;
@@ -28,7 +27,7 @@ fn main() {
     // Drive the mesh under a deterministic virtual clock: 5 ms per
     // inter-domain hop.
     let domains = scenario.domains.clone();
-    let mut mesh = mesh_from(&mut scenario, 5);
+    let mut mesh = scenario.mesh(SimDuration::from_millis(5));
 
     println!("submitting Alice's 10 Mb/s reservation to domain-a …");
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);

@@ -10,7 +10,8 @@
 use gara::{Gara, GaraStatus};
 use qos_core::scenario::{build_chain, ChainOptions};
 use qos_crypto::Timestamp;
-use qos_examples::{mbps, mesh_from};
+use qos_examples::mbps;
+use qos_net::SimDuration;
 
 const MBPS: u64 = 1_000_000;
 
@@ -43,7 +44,7 @@ fn main() {
         ),
     ];
 
-    let mesh = mesh_from(&mut s, 5);
+    let mesh = s.mesh(SimDuration::from_millis(5));
     let mut gara = Gara::new(mesh);
 
     let mut handles = Vec::new();

@@ -11,7 +11,6 @@
 //!
 //! Run with: `cargo run --bin trace_timeline`
 
-use qos_core::drive::Mesh;
 use qos_core::node::Completion;
 use qos_core::scenario::{build_chain, ChainOptions};
 use qos_crypto::Timestamp;
@@ -43,13 +42,7 @@ fn main() {
     // so we can compute it here without any side channel.
     let trace = TraceId::mint(&source_domain, rar_id.0);
 
-    let mut mesh = Mesh::new();
-    for node in s.nodes.drain(..) {
-        mesh.add_node(node);
-    }
-    for w in domains.windows(2) {
-        mesh.set_latency(&w[0], &w[1], SimDuration::from_millis(5));
-    }
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
 
     // `Mesh` times spans on the DES virtual clock: timestamps below are
     // simulated nanoseconds, deterministic across runs.

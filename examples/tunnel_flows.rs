@@ -14,7 +14,7 @@
 use qos_core::node::Completion;
 use qos_core::scenario::{build_chain, ChainOptions};
 use qos_crypto::Timestamp;
-use qos_examples::{mbps, mesh_from};
+use qos_examples::mbps;
 use qos_net::SimDuration;
 
 const MBPS: u64 = 1_000_000;
@@ -35,7 +35,7 @@ fn main() {
     let cert = scenario.users["alice"].cert.clone();
     let alice_dn = scenario.users["alice"].dn.clone();
 
-    let mut mesh = mesh_from(&mut scenario, 5);
+    let mut mesh = scenario.mesh(SimDuration::from_millis(5));
     println!(
         "establishing a {} tunnel across {} domains …",
         mbps(100 * MBPS),

@@ -1,10 +1,10 @@
 //! Cross-crate scenario fixtures shared by the workspace integration
 //! tests.
 //!
-//! The heavy lifting lives in [`qos_core::scenario`]; this crate adds the
-//! glue the integration tests repeat: moving brokers into meshes,
-//! submitting and driving a reservation to completion, and unwrapping
-//! outcomes.
+//! The heavy lifting lives in [`qos_core::scenario`], which also hands
+//! a world to either fabric; this crate adds the glue the integration
+//! tests repeat: submitting and driving a reservation to completion,
+//! delivering by hand, and unwrapping outcomes.
 
 pub mod parity;
 
@@ -12,62 +12,16 @@ pub use qos_core::scenario::{
     build_chain, build_paper_world, domain_name, ChainOptions, Scenario, UserIdentity, PERMIT_ALL,
 };
 
-use qos_core::channel::ChannelIdentity;
 use qos_core::drive::Mesh;
 use qos_core::node::Completion;
 use qos_core::view::RarView;
 use qos_core::{Approval, Denial, PeerId, RarId, SignalMessage, SignedRar};
-use qos_crypto::{Certificate, KeyPair, PublicKey, Timestamp};
+use qos_crypto::{Certificate, PublicKey, Timestamp};
 use qos_net::SimDuration;
 use qos_telemetry::{Registry, Telemetry, TraceId};
-use qos_transport::TcpMesh;
-use std::collections::HashMap;
 
 /// One megabit per second.
 pub const MBPS: u64 = 1_000_000;
-
-/// Move a scenario's brokers into a mesh with uniform hop latency.
-pub fn mesh_from(scenario: &mut Scenario, hop_latency_ms: u64) -> Mesh {
-    let mut mesh = Mesh::new();
-    let domains = scenario.domains.clone();
-    for node in scenario.nodes.drain(..) {
-        mesh.add_node(node);
-    }
-    for w in domains.windows(2) {
-        mesh.set_latency(&w[0], &w[1], SimDuration::from_millis(hop_latency_ms));
-    }
-    mesh
-}
-
-/// Each broker's channel identity, by domain: the key it was built with
-/// and its certificate.
-pub fn channel_identities(scenario: &Scenario) -> HashMap<String, ChannelIdentity> {
-    scenario
-        .nodes
-        .iter()
-        .map(|n| {
-            let key = KeyPair::from_seed(format!("bb-{}", n.domain()).as_bytes());
-            let cert = n.cert().clone();
-            (n.domain().to_string(), ChannelIdentity { key, cert })
-        })
-        .collect()
-}
-
-/// Move a chain scenario's brokers onto `mesh` (telemetry and
-/// admin plane already set) as loopback daemons, each chain link dialled
-/// by its upstream end.
-pub fn spawn_chain(scenario: &mut Scenario, mut mesh: TcpMesh) -> TcpMesh {
-    let identities = channel_identities(scenario);
-    let links: Vec<(String, String)> = scenario
-        .domains
-        .windows(2)
-        .map(|w| (w[0].clone(), w[1].clone()))
-        .collect();
-    let nodes = std::mem::take(&mut scenario.nodes);
-    mesh.spawn(nodes, identities, &links, scenario.ca_key)
-        .expect("loopback mesh comes up");
-    mesh
-}
 
 /// Deliver `out` (what the broker at chain index `from` just sent) and
 /// everything it triggers, hop by hop and without a mesh, until the chain
@@ -142,7 +96,7 @@ pub fn traced_reservation() -> (std::sync::Arc<Registry>, Mesh, RarId, TraceId, 
     let trace = TraceId::mint(&spec.source_domain, rar_id.0);
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     mesh.submit_in(SimDuration::ZERO, &domains[0], rar, cert);
     mesh.run_until_idle();
     assert!(matches!(

@@ -10,7 +10,7 @@
 //! same number of grants and the same unreserved capacity in every
 //! domain.
 
-use crate::{build_chain, mesh_from, spawn_chain, ChainOptions, Scenario, MBPS};
+use crate::{build_chain, ChainOptions, Scenario, MBPS};
 use qos_core::node::{BbNode, Completion};
 use qos_core::SignedRar;
 use qos_crypto::{Certificate, Timestamp};
@@ -129,7 +129,7 @@ impl Case {
     pub fn reference(&self) -> Outcome {
         let (mut s, requests) = self.world(Telemetry::disabled());
         let domains = s.domains.clone();
-        let mut mesh = mesh_from(&mut s, 5);
+        let mut mesh = s.mesh(SimDuration::from_millis(5));
         for (rar, cert) in requests {
             mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
         }
@@ -235,7 +235,9 @@ pub fn over_tcp(case: &Case, config: Config) -> Outcome {
     let mut mesh = TcpMesh::new();
     mesh.set_telemetry(telemetry);
     mesh.set_admin(config.scraped);
-    let mesh = spawn_chain(&mut s, mesh);
+    let ids = s.identities();
+    mesh.spawn(std::mem::take(&mut s.nodes), ids, &s.links, s.ca_key)
+        .expect("loopback mesh comes up");
 
     let admin: Vec<SocketAddr> = domains.iter().filter_map(|d| mesh.admin_addr(d)).collect();
     let stop = Arc::new(AtomicBool::new(false));

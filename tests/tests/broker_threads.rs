@@ -4,7 +4,7 @@
 //! of its own, its tests one at a time, so that the threads it counts are
 //! one mesh's and no other test's.
 
-use integration_tests::{build_chain, spawn_chain, ChainOptions};
+use integration_tests::{build_chain, ChainOptions};
 use qos_transport::TcpMesh;
 use std::io::Read;
 use std::net::TcpStream;
@@ -28,7 +28,10 @@ fn thread_names() -> Vec<String> {
 fn each_domain_runs_one_reactor_thread_and_no_worker_thread() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut s = build_chain(ChainOptions::default());
-    let mesh = spawn_chain(&mut s, TcpMesh::new());
+    let mut mesh = TcpMesh::new();
+    let ids = s.identities();
+    mesh.spawn(std::mem::take(&mut s.nodes), ids, &s.links, s.ca_key)
+        .expect("loopback mesh comes up");
     let names = thread_names();
     let count = |prefix: &str| names.iter().filter(|n| n.starts_with(prefix)).count();
     assert_eq!(count("bb-reactor-"), 3, "one reactor a domain: {names:?}");
@@ -61,7 +64,10 @@ fn harness(name: &str) -> bool {
 fn a_silent_peer_costs_no_thread() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut s = build_chain(ChainOptions::default());
-    let mesh = spawn_chain(&mut s, TcpMesh::new());
+    let mut mesh = TcpMesh::new();
+    let ids = s.identities();
+    mesh.spawn(std::mem::take(&mut s.nodes), ids, &s.links, s.ca_key)
+        .expect("loopback mesh comes up");
     let addr = mesh.daemon("domain-b").local_addr();
     let silent: Vec<TcpStream> = (0..4)
         .map(|_| TcpStream::connect(addr).expect("the listener takes a connection"))

@@ -33,8 +33,7 @@ fn granted_reservation_protects_traffic() {
     let rar = scenario.users["alice"].sign_request(spec, &scenario.nodes[0]);
     let cert = scenario.users["alice"].cert.clone();
 
-    let mut mesh = integration_tests::mesh_from(&mut scenario, 5);
-    mesh.set_latency("domain-d", "domain-b", SimDuration::from_millis(5));
+    let mut mesh = scenario.mesh(SimDuration::from_millis(5));
     mesh.attach_network(network);
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
     mesh.run_until_idle();
@@ -69,7 +68,7 @@ fn granted_reservation_protects_traffic() {
 #[test]
 fn without_reservation_no_protection() {
     let (mut scenario, network, names) = build_paper_world(40 * MBPS, SimDuration::from_millis(5));
-    let mut mesh = integration_tests::mesh_from(&mut scenario, 5);
+    let mut mesh = scenario.mesh(SimDuration::from_millis(5));
     mesh.attach_network(network);
     {
         let net = mesh.network_mut().unwrap();
@@ -109,8 +108,7 @@ fn figure4_attack_and_defense() {
         let rar_d = scenario.users["david"].sign_request(spec_d, &scenario.nodes[3]);
         let cert_d = scenario.users["david"].cert.clone();
 
-        let mut mesh = integration_tests::mesh_from(&mut scenario, 5);
-        mesh.set_latency("domain-d", "domain-b", SimDuration::from_millis(5));
+        let mut mesh = scenario.mesh(SimDuration::from_millis(5));
         mesh.attach_network(network);
         mesh.submit_in(SimDuration::ZERO, "domain-a", rar_a, cert_a);
         mesh.run_until_idle();

@@ -2,7 +2,7 @@
 //! expired credentials, replayed channel frames.
 
 use integration_tests::{
-    build_chain, chain_links, deliver_by_hand, mesh_from, outcome, ChainOptions, Scenario, MBPS,
+    build_chain, chain_links, deliver_by_hand, outcome, ChainOptions, Scenario, MBPS,
 };
 use qos_core::channel::{handshake, ChannelIdentity, PeerPin};
 use qos_core::envelope::{RarLayer, SignedRar};
@@ -49,7 +49,7 @@ fn transit_tampering_is_caught_at_destination() {
 
     // Deliver both to BB_B directly: the genuine one forwards, the
     // tampered one is denied.
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     let out_genuine = mesh
         .node_mut("domain-b")
         .recv("domain-a", SignalMessage::Request(Box::new(forwarded)));
@@ -225,7 +225,7 @@ fn unknown_peer_is_refused() {
     let mut s = build_chain(ChainOptions::default());
     let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     let out = mesh
         .node_mut("domain-c")
         .recv("domain-x", SignalMessage::Request(Box::new(rar)));
@@ -253,7 +253,7 @@ fn expired_user_certificate_denied() {
     let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(100), 3600);
     let rar_id = spec.rar_id;
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     // Submit at t=100 s (past the certificate's 10 s lifetime).
     mesh.submit_in(SimDuration::from_secs(100), "domain-a", rar, expired);
     mesh.run_until_idle();
@@ -332,7 +332,7 @@ fn depth_policy_refuses_long_chains() {
     let rar_id = spec.rar_id;
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
     mesh.run_until_idle();
     let denial = outcome(&mesh, "domain-a", rar_id).expect_err("too deep");
@@ -354,7 +354,7 @@ fn tunnel_with_one_flow() -> (qos_core::drive::Mesh, qos_core::RarId, Distinguis
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
     let alice = s.users["alice"].dn.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
     mesh.tunnel_flow_in(
         SimDuration::from_secs(1),

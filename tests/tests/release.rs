@@ -2,7 +2,7 @@
 //! destination, every domain frees capacity, and edge configuration is
 //! undone.
 
-use integration_tests::{build_chain, mesh_from, outcome, ChainOptions, MBPS};
+use integration_tests::{build_chain, outcome, ChainOptions, MBPS};
 use qos_crypto::Timestamp;
 use qos_net::SimDuration;
 
@@ -13,7 +13,7 @@ fn release_frees_capacity_everywhere() {
     let rar_id = spec.rar_id;
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
     mesh.run_until_idle();
     assert!(outcome(&mesh, "domain-a", rar_id).is_ok());
@@ -52,7 +52,7 @@ fn released_capacity_is_reusable() {
     let rar1 = s.users["alice"].sign_request(spec1, &s.nodes[0]);
     let rar2 = s.users["alice"].sign_request(spec2, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
 
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar1, cert.clone());
     mesh.run_until_idle();
@@ -89,7 +89,7 @@ fn spoofed_release_from_wrong_peer_is_ignored() {
     let rar_id = spec.rar_id;
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
     mesh.run_until_idle();
     assert!(outcome(&mesh, "domain-a", rar_id).is_ok());
@@ -117,7 +117,7 @@ fn gara_cancel_tears_down_network_reservations() {
     let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
-    let mesh = mesh_from(&mut s, 5);
+    let mesh = s.mesh(SimDuration::from_millis(5));
     let mut g = Gara::new(mesh);
     let h = g.reserve_network(rar, cert).unwrap();
     assert!(g.status(h).unwrap().is_granted());
@@ -151,7 +151,7 @@ fn expiry_sweep_reclaims_data_plane_state() {
     let rar_id = spec.rar_id;
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
     mesh.run_until_idle();
     assert!(outcome(&mesh, "domain-a", rar_id).is_ok());
@@ -195,7 +195,7 @@ fn advance_reservations_share_capacity_across_windows() {
         s.users["alice"].sign_request(spec_overlap, &s.nodes[0]),
     ];
     let cert = s.users["alice"].cert.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     for rar in rars {
         mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert.clone());
     }
@@ -221,7 +221,7 @@ fn gara_modify_is_make_before_break() {
     let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
-    let mesh = mesh_from(&mut s, 5);
+    let mesh = s.mesh(SimDuration::from_millis(5));
     let mut g = Gara::new(mesh);
     let h = g.reserve_network(rar, cert).unwrap();
     assert!(g.status(h).unwrap().is_granted());
@@ -279,7 +279,7 @@ fn sls_parameters_propagate_to_destination() {
     let rar_id = spec.rar_id;
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
     mesh.run_until_idle();
     let approval = outcome(&mesh, "domain-a", rar_id).expect("strict SLS satisfies C");

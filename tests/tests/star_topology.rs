@@ -24,16 +24,7 @@ fn star_mesh(
             ..ChainOptions::default()
         },
     );
-    let mut mesh = Mesh::new();
-    let domains = s.domains.clone();
-    for node in s.nodes.drain(..) {
-        mesh.add_node(node);
-    }
-    let hub = domains.last().unwrap();
-    for leaf in &domains[..domains.len() - 1] {
-        mesh.set_latency(leaf, hub, SimDuration::from_millis(5));
-    }
-    (mesh, s)
+    (s.mesh(SimDuration::from_millis(5)), s)
 }
 
 fn leaf_to_leaf_spec(

@@ -5,7 +5,7 @@
 //! store and observation configuration is `fabric_parity.rs`.)
 
 use integration_tests::parity::{admin_get, over_tcp, Config, FIG2};
-use integration_tests::{build_chain, channel_identities, spawn_chain, ChainOptions, MBPS};
+use integration_tests::{build_chain, ChainOptions, MBPS};
 use qos_core::node::Completion;
 use qos_core::rar::RarId;
 use qos_crypto::Timestamp;
@@ -76,15 +76,10 @@ fn tunnel_mesh(
             node.attach_store(Arc::new(store));
         }
     }
-    let ids = channel_identities(&s);
-    let mut links: Vec<(String, String)> = s
-        .domains
-        .windows(2)
-        .map(|w| (w[0].clone(), w[1].clone()))
-        .collect();
+    let ids = s.identities();
     // Tunnel sub-flow signalling runs on a direct source↔destination
     // channel, bypassing transit.
-    links.push((s.domains[0].clone(), s.domains[2].clone()));
+    s.links.push((s.domains[0].clone(), s.domains[2].clone()));
 
     // Tunnel id 2, not 1: FNV-1a routing over two broker replicas put
     // this id on the second, whose tunnels shutdown never handed back
@@ -103,7 +98,7 @@ fn tunnel_mesh(
     mesh.set_telemetry(telemetry);
     mesh.set_max_frame(max_frame);
     mesh.set_admin(observed.is_some());
-    mesh.spawn(std::mem::take(&mut s.nodes), ids, &links, ca_key)
+    mesh.spawn(std::mem::take(&mut s.nodes), ids, &s.links, ca_key)
         .expect("loopback mesh comes up");
     mesh.submit("domain-a", rar, cert);
     let done = mesh.wait_completions(1);
@@ -359,7 +354,9 @@ fn reconnect_recovers_without_losing_reservations() {
 
     let mut mesh = TcpMesh::new();
     mesh.set_telemetry(Telemetry::with_registry(registry.clone()));
-    let mesh = spawn_chain(&mut s, mesh);
+    let ids = s.identities();
+    mesh.spawn(std::mem::take(&mut s.nodes), ids, &s.links, s.ca_key)
+        .expect("loopback mesh comes up");
 
     // A reservation completes on the healthy fabric.
     mesh.submit("domain-a", rar1, cert.clone());
@@ -424,7 +421,10 @@ fn a_burst_survives_mid_burst_disconnect() {
     }
     let cert = s.users["alice"].cert.clone();
 
-    let mesh = spawn_chain(&mut s, TcpMesh::new());
+    let mut mesh = TcpMesh::new();
+    let ids = s.identities();
+    mesh.spawn(std::mem::take(&mut s.nodes), ids, &s.links, s.ca_key)
+        .expect("loopback mesh comes up");
 
     // The whole burst enters at once, then the fabric is severed while
     // requests are mid-flight — twice, to catch frames at different
@@ -513,7 +513,9 @@ fn metered_chain(
     let cert = s.users["alice"].cert.clone();
     let mut mesh = TcpMesh::new();
     mesh.set_telemetry(Telemetry::with_registry(registry.clone()));
-    let mesh = spawn_chain(&mut s, mesh);
+    let ids = s.identities();
+    mesh.spawn(std::mem::take(&mut s.nodes), ids, &s.links, s.ca_key)
+        .expect("loopback mesh comes up");
     // Every session opens with one sync frame from each end.
     eventually("the four syncs are sent", || {
         over_link_ends(&registry, "transport_frames_sent_total") == 4

@@ -2,7 +2,7 @@
 //! spans observed through full end-to-end reservations, plus the
 //! zero-cost guarantees the instrumentation makes when disabled.
 
-use integration_tests::{build_chain, mesh_from, traced_reservation, ChainOptions, MBPS};
+use integration_tests::{build_chain, traced_reservation, ChainOptions, MBPS};
 use qos_core::node::Completion;
 use qos_crypto::Timestamp;
 use qos_net::SimDuration;
@@ -102,7 +102,7 @@ fn disabled_telemetry_is_inert_and_allocation_free() {
     let rar_id = spec.rar_id;
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
-    let mut mesh = mesh_from(&mut s, 5);
+    let mut mesh = s.mesh(SimDuration::from_millis(5));
     mesh.submit_in(SimDuration::ZERO, &domains[0], rar, cert);
     mesh.run_until_idle();
     assert!(matches!(
