@@ -60,12 +60,15 @@ impl BillingLedger {
         self.invoices.push(invoice);
     }
 
-    /// Has exactly this `(payer, payee, reservation, amount)` been
-    /// recorded?
-    pub(crate) fn contains(&self, invoice: &Invoice) -> bool {
-        self.by_reservation
-            .get(&invoice.reservation)
-            .is_some_and(|at| at.iter().any(|&i| self.invoices[i] == *invoice))
+    /// Re-record a recovered invoice unless exactly this one is already
+    /// recorded — the one restore that is not naturally idempotent,
+    /// because billing is append-only and `(payer, payee, reservation)`
+    /// settles once.
+    pub(crate) fn restore(&mut self, invoice: Invoice) {
+        let known = self.by_reservation.get(&invoice.reservation);
+        if !known.is_some_and(|at| at.iter().any(|&i| self.invoices[i] == invoice)) {
+            self.record(invoice);
+        }
     }
 
     /// All invoices.
@@ -85,52 +88,38 @@ impl BillingLedger {
 }
 
 /// Build the transitive billing chain for a reservation crossing
-/// `path` (ordered source → destination), where `price(upstream,
-/// downstream)` is each SLA's cost for this reservation. The originator
-/// pays the source domain; each domain pays its downstream peer.
+/// `path` (ordered source → destination), where `price(i)` is the cost
+/// of carrying it into `path[i]` from `path[i - 1]` under their SLA
+/// (`price(0)` is the source's own carriage: zero unless the domain
+/// charges its own users explicitly). The originator pays the source
+/// domain; each domain pays its downstream peer.
 ///
 /// Each intermediate invoice covers the *remainder* of the path: B bills
 /// A for carrying the traffic through B **and beyond**, so prices
 /// accumulate from the destination backwards.
 pub fn settle_chain(
     originator: &str,
-    path: &[String],
+    path: &[&str],
     reservation: u64,
-    price: impl Fn(&str, &str) -> u64,
+    price: impl Fn(usize) -> u64,
 ) -> Vec<Invoice> {
-    let mut invoices = Vec::new();
-    if path.is_empty() {
-        return invoices;
-    }
-    // Accumulate from the far end: cost[i] = price(path[i-1], path[i]) + cost[i+1].
-    let mut downstream_cost = vec![0u64; path.len()];
-    for i in (1..path.len()).rev() {
-        let hop = price(&path[i - 1], &path[i]);
-        downstream_cost[i - 1] = downstream_cost
-            .get(i)
-            .copied()
-            .unwrap_or(0)
-            .saturating_add(hop);
-    }
-    // Each domain bills its upstream party for everything downstream of it.
-    for i in (1..path.len()).rev() {
-        invoices.push(Invoice {
-            payer: path[i - 1].clone(),
-            payee: path[i].clone(),
-            reservation,
-            amount: downstream_cost[i - 1],
-        });
-    }
-    // The source domain bills the originator for the whole path. The
-    // source's own carriage is priced as price(source, source) — zero
-    // unless the domain charges its own users explicitly.
-    let total = downstream_cost[0].saturating_add(price(&path[0], &path[0]));
-    invoices.push(Invoice {
-        payer: originator.to_string(),
-        payee: path[0].clone(),
+    let Some(source) = path.first() else {
+        return Vec::new();
+    };
+    let invoice = |payer: &str, payee: &str, amount| Invoice {
+        payer: payer.to_string(),
+        payee: payee.to_string(),
         reservation,
-        amount: total,
-    });
+        amount,
+    };
+    let mut invoices = Vec::with_capacity(path.len());
+    let mut downstream_cost = 0u64;
+    for i in (1..path.len()).rev() {
+        downstream_cost = downstream_cost.saturating_add(price(i));
+        invoices.push(invoice(path[i - 1], path[i], downstream_cost));
+    }
+    let total = downstream_cost.saturating_add(price(0));
+    invoices.push(invoice(originator, source, total));
     invoices.reverse();
     invoices
 }
@@ -141,18 +130,10 @@ mod tests {
 
     #[test]
     fn three_domain_chain_matches_paper_description() {
-        let path = vec![
-            "domain-a".to_string(),
-            "domain-b".to_string(),
-            "domain-c".to_string(),
-        ];
+        let path = ["domain-a", "domain-b", "domain-c"];
         // B→C transit costs 100; A→B costs 10 (for carriage through B
         // onward); the source's own carriage is free.
-        let price = |up: &str, down: &str| match (up, down) {
-            ("domain-b", "domain-c") => 100,
-            ("domain-a", "domain-b") => 10,
-            _ => 0,
-        };
+        let price = |i| [0, 10, 100][i];
         let invoices = settle_chain("alice", &path, 7, price);
         assert_eq!(invoices.len(), 3);
         // Alice pays A for the whole chain; A pays B for B+C; B pays C.
@@ -187,9 +168,8 @@ mod tests {
 
     #[test]
     fn ledger_balances_sum_to_zero() {
-        let path = vec!["a".to_string(), "b".to_string(), "c".to_string()];
         let mut ledger = BillingLedger::new();
-        for inv in settle_chain("user", &path, 1, |_, _| 50) {
+        for inv in settle_chain("user", &["a", "b", "c"], 1, |_| 50) {
             ledger.record(inv);
         }
         let balances = ledger.balances();
@@ -203,16 +183,15 @@ mod tests {
 
     #[test]
     fn single_domain_path_bills_only_originator() {
-        let path = vec!["a".to_string()];
-        let invoices = settle_chain("user", &path, 1, |_, _| 25);
+        let invoices = settle_chain("user", &["a"], 1, |_| 25);
         assert_eq!(invoices.len(), 1);
         assert_eq!(invoices[0].payer, "user");
         assert_eq!(invoices[0].payee, "a");
-        assert_eq!(invoices[0].amount, 25); // price(a, a)
+        assert_eq!(invoices[0].amount, 25); // price(0): a's own carriage
     }
 
     #[test]
     fn empty_path_yields_nothing() {
-        assert!(settle_chain("user", &[], 1, |_, _| 1).is_empty());
+        assert!(settle_chain("user", &[], 1, |_| 1).is_empty());
     }
 }

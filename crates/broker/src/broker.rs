@@ -1,8 +1,9 @@
 //! The bandwidth broker's resource-management core.
 //!
-//! One [`BrokerCore`] per administrative domain. It owns three classes of
-//! reservation bookkeeping, all with advance-reservation semantics and a
-//! two-phase (hold → commit / release) life cycle:
+//! One [`BrokerCore`] per administrative domain. It admits every
+//! reservation against up to three capacities, all with
+//! advance-reservation semantics and a two-phase (hold → commit /
+//! release) life cycle:
 //!
 //! * **local capacity** — the domain's internal EF capacity;
 //! * **per-ingress SLAs** — how much EF the domain accepts from each
@@ -16,14 +17,16 @@
 //! back, and releases on denial.
 //!
 //! One broker per domain, run by one thread (DESIGN.md §D30, §D32), so
-//! the whole ledger — tables, SLAs, reservation metadata,
-//! billing, counters and the durable store — sits behind one mutex, and
-//! each public call takes it once (§D31). The lock is what keeps the
-//! `&self` surface: experiments and the admin plane read (and set-up
-//! code mutates) the ledger through a shared `&BrokerCore`.
+//! the whole ledger — timelines, SLAs, reservations, billing, counters
+//! and the durable store — sits behind one mutex, and each public call
+//! takes it once (§D31). The lock is what keeps the `&self` surface:
+//! experiments and the admin plane read (and set-up code mutates) the
+//! ledger through a shared `&BrokerCore`.
 
 use crate::billing::{BillingLedger, Invoice};
-use crate::reservations::{AdmissionError, Interval, ResState, ReservationId, ReservationTable};
+use crate::reservations::{
+    register, Book, BrokerError, Interval, PathSegment, ResState, Reservation, ReservationId,
+};
 use crate::sla::Sla;
 use qos_crypto::sha256::Sha256;
 use qos_crypto::Timestamp;
@@ -32,122 +35,7 @@ use qos_storage::{
     STATE_HELD,
 };
 use qos_telemetry::{Counter, Telemetry};
-use std::collections::{BTreeMap, HashMap};
-use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Where a reservation's traffic enters and leaves the domain.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PathSegment {
-    /// Upstream peer domain (None when this is the source domain).
-    pub ingress_peer: Option<String>,
-    /// Downstream peer domain (None when this is the destination domain).
-    pub egress_peer: Option<String>,
-}
-
-/// Why the broker refused a reservation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BrokerError {
-    /// The domain-internal capacity check failed.
-    Local(AdmissionError),
-    /// The check against an SLA failed.
-    Sla {
-        /// Which peer's agreement.
-        peer: String,
-        /// Underlying admission failure.
-        source: AdmissionError,
-    },
-    /// No SLA exists with the named peer — the request cannot even be
-    /// considered ("a specific contract between peered domains comes into
-    /// place").
-    NoSla {
-        /// The unknown peer.
-        peer: String,
-    },
-    /// Unknown reservation id.
-    Unknown(ReservationId),
-}
-
-impl fmt::Display for BrokerError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BrokerError::Local(e) => write!(f, "local capacity: {e}"),
-            BrokerError::Sla { peer, source } => write!(f, "SLA with {peer}: {source}"),
-            BrokerError::NoSla { peer } => write!(f, "no SLA with peer domain {peer}"),
-            BrokerError::Unknown(id) => write!(f, "unknown reservation {id:?}"),
-        }
-    }
-}
-
-impl std::error::Error for BrokerError {}
-
-/// A contract with one peer and the table that admits against it: one
-/// map entry per peer and direction.
-struct Peering {
-    sla: Arc<Sla>,
-    table: ReservationTable,
-}
-
-impl Peering {
-    /// A fresh table sized to the contract's committed rate.
-    fn new(sla: Sla) -> Self {
-        Peering {
-            table: ReservationTable::new(sla.sls.committed_rate_bps),
-            sla: Arc::new(sla),
-        }
-    }
-}
-
-/// Every reservation table of the domain.
-struct Tables {
-    local: ReservationTable,
-    ingress: HashMap<String, Peering>,
-    egress: HashMap<String, Peering>,
-}
-
-impl Tables {
-    /// The ≤ 3 tables a reservation along `segment` crosses, in the
-    /// fixed ingress → local → egress order, each with the peer whose
-    /// SLA it enforces (`None` for local capacity). A peer with no SLA
-    /// yields its name and no table.
-    fn legs<'a>(
-        &'a mut self,
-        segment: &'a PathSegment,
-    ) -> impl Iterator<Item = (Option<&'a str>, Option<&'a mut ReservationTable>)> {
-        let Tables {
-            local,
-            ingress,
-            egress,
-        } = self;
-        let peer = |peers: &'a mut HashMap<String, Peering>, name: &'a Option<String>| {
-            name.as_deref()
-                .map(|p| (Some(p), peers.get_mut(p).map(|e| &mut e.table)))
-        };
-        peer(ingress, &segment.ingress_peer)
-            .into_iter()
-            .chain([(None, Some(local))])
-            .chain(peer(egress, &segment.egress_peer))
-    }
-}
-
-/// How a table's refusal reads: against local capacity or a peer's SLA.
-fn refusal(peer: Option<&str>, source: AdmissionError) -> BrokerError {
-    match peer {
-        Some(peer) => BrokerError::Sla {
-            peer: peer.to_string(),
-            source,
-        },
-        None => BrokerError::Local(source),
-    }
-}
-
-/// What a hold recorded about a reservation, for the calls that name
-/// it only by id.
-struct ResMeta {
-    interval: Interval,
-    rate_bps: u64,
-    segment: PathSegment,
-}
 
 /// Life-cycle counters (detached no-ops until `set_telemetry`).
 #[derive(Default)]
@@ -160,8 +48,7 @@ struct CoreCounters {
 
 /// Everything the broker's lock guards.
 struct Ledger {
-    tables: Tables,
-    meta: HashMap<ReservationId, ResMeta>,
+    book: Book,
     billing: BillingLedger,
     counters: CoreCounters,
     /// The durable ledger store (DESIGN.md §D13). A record is appended
@@ -171,135 +58,29 @@ struct Ledger {
 }
 
 impl Ledger {
-    fn append(&self, record: LedgerRecord) {
+    fn append(&self, record: &LedgerRecord) {
         if let Some(store) = &self.store {
-            store.append(&record);
+            store.append(record);
         }
     }
 
-    /// Hold on every table along `segment`, releasing the ones already
-    /// held when a later one refuses.
-    fn hold(
-        &mut self,
-        id: ReservationId,
-        interval: Interval,
-        rate_bps: u64,
-        segment: &PathSegment,
-    ) -> Result<(), BrokerError> {
-        let mut held = 0;
-        let mut result = Ok(());
-        for (peer, table) in self.tables.legs(segment) {
-            let Some(table) = table else {
-                let peer = peer.unwrap_or_default().to_string();
-                result = Err(BrokerError::NoSla { peer });
-                break;
-            };
-            if let Err(source) = table.hold(id, interval, rate_bps) {
-                result = Err(refusal(peer, source));
-                break;
-            }
-            held += 1;
-        }
-        if result.is_err() {
-            let legs = self.tables.legs(segment).take(held);
-            for table in legs.filter_map(|(_, table)| table) {
-                let _ = table.release(id);
-            }
-        }
-        result
-    }
-
-    /// Apply `f` to every table the reservation `id` crosses, stopping
-    /// at the first refusal.
-    fn for_each_table(
-        &mut self,
-        id: ReservationId,
-        f: impl Fn(&mut ReservationTable, ReservationId) -> Result<(), AdmissionError>,
-    ) -> Result<(), BrokerError> {
-        let meta = self.meta.get(&id).ok_or(BrokerError::Unknown(id))?;
-        for (peer, table) in self.tables.legs(&meta.segment) {
-            if let Some(table) = table {
-                f(table, id).map_err(|source| refusal(peer, source))?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Force one reservation back into every table it crossed.
-    fn restore_reservation(&mut self, snap: &SnapReservation) {
-        let id = ReservationId(snap.id);
-        let interval = Interval::new(Timestamp(snap.start), Timestamp(snap.end));
-        let state = if snap.state == STATE_COMMITTED {
-            ResState::Committed
-        } else {
-            ResState::Held
-        };
-        let segment = PathSegment {
-            ingress_peer: snap.ingress.clone(),
-            egress_peer: snap.egress.clone(),
-        };
-        for (_, table) in self.tables.legs(&segment) {
-            if let Some(table) = table {
-                table.restore(id, interval, snap.rate_bps, state);
-            }
-        }
-        let meta = ResMeta {
-            interval,
-            rate_bps: snap.rate_bps,
-            segment,
-        };
-        self.meta.insert(id, meta);
-    }
-
-    /// Force a recovered transition on every table `id` crosses; an id
-    /// whose hold the crash discarded is ignored.
-    fn restore_state(&mut self, id: ReservationId, state: ResState) {
-        let _ = self.for_each_table(id, |t, id| {
-            t.restore_state(id, state);
-            Ok(())
-        });
-    }
-
-    /// Re-record one recovered invoice, skipping exact duplicates — the
-    /// one restore that is not naturally idempotent, because billing is
-    /// append-only and `(payer, payee, reservation)` settles once.
-    fn restore_invoice(&mut self, snap: &SnapInvoice) {
-        let invoice = Invoice {
-            payer: snap.payer.clone(),
-            payee: snap.payee.clone(),
-            reservation: snap.reservation,
-            amount: snap.amount,
-        };
-        if !self.billing.contains(&invoice) {
-            self.billing.record(invoice);
-        }
-    }
-
+    /// The live reservations in id order.
     fn export_reservations(&self) -> Vec<SnapReservation> {
-        self.tables
-            .local
-            .iter_active()
-            .map(|(id, interval, rate_bps, state)| {
-                let segment = self
-                    .meta
-                    .get(&id)
-                    .map(|m| m.segment.clone())
-                    .unwrap_or_default();
-                SnapReservation {
-                    id: id.0,
-                    start: interval.start.0,
-                    end: interval.end.0,
-                    rate_bps,
-                    state: if state == ResState::Committed {
-                        STATE_COMMITTED
-                    } else {
-                        STATE_HELD
-                    },
-                    ingress: segment.ingress_peer,
-                    egress: segment.egress_peer,
-                }
-            })
-            .collect()
+        let live = self.book.live().into_iter();
+        live.map(|(id, r)| SnapReservation {
+            id: id.0,
+            start: r.interval.start.0,
+            end: r.interval.end.0,
+            rate_bps: r.rate_bps,
+            state: if r.state == ResState::Committed {
+                STATE_COMMITTED
+            } else {
+                STATE_HELD
+            },
+            ingress: r.segment.ingress_peer.clone(),
+            egress: r.segment.egress_peer.clone(),
+        })
+        .collect()
     }
 
     fn export_invoices(&self) -> Vec<SnapInvoice> {
@@ -314,16 +95,23 @@ impl Ledger {
                 amount: i.amount,
             })
             .collect();
-        out.sort_by(|a, b| {
-            (&a.payer, &a.payee, a.reservation, a.amount).cmp(&(
-                &b.payer,
-                &b.payee,
-                b.reservation,
-                b.amount,
-            ))
-        });
+        out.sort();
         out
     }
+}
+
+/// Force one recovered reservation back into `book`.
+fn restore_reservation(book: &mut Book, snap: &SnapReservation) {
+    let segment = PathSegment {
+        ingress_peer: snap.ingress.clone(),
+        egress_peer: snap.egress.clone(),
+    };
+    let interval = Interval::new(Timestamp(snap.start), Timestamp(snap.end));
+    let mut r = Reservation::held(interval, snap.rate_bps, segment);
+    if snap.state == STATE_COMMITTED {
+        r.state = ResState::Committed;
+    }
+    book.restore(ReservationId(snap.id), r);
 }
 
 /// A domain's bandwidth-broker resource core: its whole ledger, behind
@@ -339,12 +127,7 @@ impl BrokerCore {
         Self {
             domain: domain.to_string(),
             ledger: Mutex::new(Ledger {
-                tables: Tables {
-                    local: ReservationTable::new(local_capacity_bps),
-                    ingress: HashMap::new(),
-                    egress: HashMap::new(),
-                },
-                meta: HashMap::new(),
+                book: Book::new(local_capacity_bps),
                 billing: BillingLedger::new(),
                 counters: CoreCounters::default(),
                 store: None,
@@ -397,7 +180,7 @@ impl BrokerCore {
     pub fn add_ingress_sla(&self, sla: Sla) {
         debug_assert_eq!(sla.downstream, self.domain);
         let peer = sla.upstream.clone();
-        self.ledger().tables.ingress.insert(peer, Peering::new(sla));
+        register(&mut self.ledger().book.timelines.ingress, peer, sla);
     }
 
     /// Register the SLA under which this domain sends traffic into
@@ -405,7 +188,7 @@ impl BrokerCore {
     pub fn add_egress_sla(&self, sla: Sla) {
         debug_assert_eq!(sla.upstream, self.domain);
         let peer = sla.downstream.clone();
-        self.ledger().tables.egress.insert(peer, Peering::new(sla));
+        register(&mut self.ledger().book.timelines.egress, peer, sla);
     }
 
     /// A copy of the SLA with the upstream peer `peer`, if any — owned,
@@ -413,7 +196,8 @@ impl BrokerCore {
     /// with [`BrokerCore::add_ingress_sla`].
     pub fn ingress_sla(&self, peer: &str) -> Option<Sla> {
         let ledger = self.ledger();
-        ledger.tables.ingress.get(peer).map(|e| (*e.sla).clone())
+        let peering = ledger.book.timelines.ingress.get(peer);
+        peering.map(|e| (*e.sla).clone())
     }
 
     /// The SLA with the downstream peer `peer`, if any. Lent, not
@@ -421,7 +205,8 @@ impl BrokerCore {
     /// field or a price off it, and a copy carries two certificates.
     pub fn egress_sla(&self, peer: &str) -> Option<Arc<Sla>> {
         let ledger = self.ledger();
-        ledger.tables.egress.get(peer).map(|e| Arc::clone(&e.sla))
+        let peering = ledger.book.timelines.egress.get(peer);
+        peering.map(|e| Arc::clone(&e.sla))
     }
 
     /// Append an invoice to the billing ledger.
@@ -434,7 +219,7 @@ impl BrokerCore {
         };
         let mut ledger = self.ledger();
         ledger.billing.record(invoice);
-        ledger.append(record);
+        ledger.append(&record);
     }
 
     /// All invoices recorded so far, in order.
@@ -442,14 +227,9 @@ impl BrokerCore {
         self.ledger().billing.invoices().to_vec()
     }
 
-    /// Net billing balance per party (payees positive).
-    pub fn balances(&self) -> BTreeMap<String, i128> {
-        self.ledger().billing.balances()
-    }
-
     /// Hold capacity for a reservation crossing this domain along
     /// `segment`. All three checks (ingress SLA, local, egress SLA) must
-    /// pass; partial holds are rolled back.
+    /// pass before any capacity is taken.
     pub fn hold(
         &self,
         id: ReservationId,
@@ -457,30 +237,22 @@ impl BrokerCore {
         rate_bps: u64,
         segment: PathSegment,
     ) -> Result<(), BrokerError> {
+        let record = LedgerRecord::Hold {
+            id: id.0,
+            start: interval.start.0,
+            end: interval.end.0,
+            rate_bps,
+            ingress: segment.ingress_peer.clone(),
+            egress: segment.egress_peer.clone(),
+        };
         let mut ledger = self.ledger();
-        let result = ledger.hold(id, interval, rate_bps, &segment);
-        match &result {
-            Ok(()) => {
-                ledger.counters.holds_ok.inc();
-                ledger.append(LedgerRecord::Hold {
-                    id: id.0,
-                    start: interval.start.0,
-                    end: interval.end.0,
-                    rate_bps,
-                    ingress: segment.ingress_peer.clone(),
-                    egress: segment.egress_peer.clone(),
-                });
-                let meta = ResMeta {
-                    interval,
-                    rate_bps,
-                    segment,
-                };
-                ledger.meta.insert(id, meta);
-            }
-            Err(_) => {
-                ledger.counters.holds_refused.inc();
-                ledger.append(LedgerRecord::Deny { id: id.0, rate_bps });
-            }
+        let result = ledger.book.hold(id, interval, rate_bps, segment);
+        if result.is_ok() {
+            ledger.counters.holds_ok.inc();
+            ledger.append(&record);
+        } else {
+            ledger.counters.holds_refused.inc();
+            ledger.append(&LedgerRecord::Deny { id: id.0, rate_bps });
         }
         result
     }
@@ -488,50 +260,52 @@ impl BrokerCore {
     /// Commit a held reservation (end-to-end approval arrived).
     pub fn commit(&self, id: ReservationId) -> Result<(), BrokerError> {
         let mut ledger = self.ledger();
-        ledger.for_each_table(id, |t, id| t.commit(id))?;
+        ledger.book.commit(id)?;
         ledger.counters.commits.inc();
-        ledger.append(LedgerRecord::Commit { id: id.0 });
+        ledger.append(&LedgerRecord::Commit { id: id.0 });
         Ok(())
     }
 
     /// Release a reservation (denial downstream, cancellation, or expiry).
     pub fn release(&self, id: ReservationId) -> Result<(), BrokerError> {
         let mut ledger = self.ledger();
-        ledger.for_each_table(id, |t, id| t.release(id))?;
+        if !ledger.book.transition(id, ResState::Released) {
+            return Err(BrokerError::Unknown(id));
+        }
         ledger.counters.releases.inc();
-        ledger.append(LedgerRecord::Release { id: id.0 });
+        ledger.append(&LedgerRecord::Release { id: id.0 });
         Ok(())
     }
 
-    /// The reservation's current state (from the local table).
+    /// The reservation's current state.
     pub fn state(&self, id: ReservationId) -> Option<ResState> {
-        self.ledger().tables.local.state(id)
+        self.ledger().book.records.get(&id).map(|r| r.state)
     }
 
     /// Reservation parameters.
     pub fn info(&self, id: ReservationId) -> Option<(Interval, u64, PathSegment)> {
         let ledger = self.ledger();
-        let meta = ledger.meta.get(&id)?;
-        Some((meta.interval, meta.rate_bps, meta.segment.clone()))
+        let r = ledger.book.records.get(&id)?;
+        Some((r.interval, r.rate_bps, r.segment.clone()))
     }
 
     /// Unreserved local capacity at `t` — the `Avail_BW` a policy file
     /// compares against.
     pub fn available_bw_at(&self, t: Timestamp) -> u64 {
-        self.ledger().tables.local.available_at(t)
+        self.ledger().book.timelines.local.available_at(t)
     }
 
     /// Sum of active reservations entering from `peer` at `t`: the
     /// profile the ingress aggregate policer should be dimensioned to.
     pub fn admitted_ingress_aggregate(&self, peer: &str, t: Timestamp) -> u64 {
         let ledger = self.ledger();
-        let peering = ledger.tables.ingress.get(peer);
-        peering.map_or(0, |e| e.table.admitted_aggregate_at(t))
+        let peering = ledger.book.timelines.ingress.get(peer);
+        peering.map_or(0, |e| e.timeline.usage_at(t))
     }
 
     /// Is `id` held/committed and active at `t`?
     pub fn reservation_active_at(&self, id: ReservationId, t: Timestamp) -> bool {
-        self.ledger().tables.local.active_at(id, t)
+        self.ledger().book.active_at(id, t)
     }
 
     // ------------------------------------------------------------------
@@ -559,6 +333,7 @@ impl BrokerCore {
     /// ignored, and ticket records belong to the transport layer.
     pub fn restore_record(&self, record: &LedgerRecord) {
         let mut ledger = self.ledger();
+        let Ledger { book, billing, .. } = &mut *ledger;
         match record {
             LedgerRecord::Hold {
                 id,
@@ -567,27 +342,30 @@ impl BrokerCore {
                 rate_bps,
                 ingress,
                 egress,
-            } => ledger.restore_reservation(&SnapReservation {
-                id: *id,
-                start: *start,
-                end: *end,
-                rate_bps: *rate_bps,
-                state: STATE_HELD,
-                ingress: ingress.clone(),
-                egress: egress.clone(),
-            }),
+            } => {
+                let segment = PathSegment {
+                    ingress_peer: ingress.clone(),
+                    egress_peer: egress.clone(),
+                };
+                let interval = Interval::new(Timestamp(*start), Timestamp(*end));
+                book.restore(
+                    ReservationId(*id),
+                    Reservation::held(interval, *rate_bps, segment),
+                );
+            }
+            // An id whose hold the crash discarded is ignored.
             LedgerRecord::Commit { id } => {
-                ledger.restore_state(ReservationId(*id), ResState::Committed)
+                _ = book.transition(ReservationId(*id), ResState::Committed)
             }
             LedgerRecord::Release { id } => {
-                ledger.restore_state(ReservationId(*id), ResState::Released)
+                _ = book.transition(ReservationId(*id), ResState::Released)
             }
             LedgerRecord::Invoice {
                 payer,
                 payee,
                 reservation,
                 amount,
-            } => ledger.restore_invoice(&SnapInvoice {
+            } => billing.restore(Invoice {
                 payer: payer.clone(),
                 payee: payee.clone(),
                 reservation: *reservation,
@@ -604,10 +382,15 @@ impl BrokerCore {
     pub fn restore_snapshot(&self, snapshot: &LedgerSnapshot) {
         let mut ledger = self.ledger();
         for r in &snapshot.reservations {
-            ledger.restore_reservation(r);
+            restore_reservation(&mut ledger.book, r);
         }
         for i in &snapshot.invoices {
-            ledger.restore_invoice(i);
+            ledger.billing.restore(Invoice {
+                payer: i.payer.clone(),
+                payee: i.payee.clone(),
+                reservation: i.reservation,
+                amount: i.amount,
+            });
         }
     }
 
@@ -646,12 +429,12 @@ impl BrokerCore {
     pub fn ledger_summary(&self, t: Timestamp) -> (u64, u64, u64, u64) {
         let ledger = self.ledger();
         let (mut active, mut committed, mut committed_bps) = (0u64, 0u64, 0u64);
-        for (_, interval, rate, state) in ledger.tables.local.iter_active() {
+        for r in ledger.book.records.values().filter(|r| r.counts()) {
             active += 1;
-            if state == ResState::Committed {
+            if r.state == ResState::Committed {
                 committed += 1;
-                if interval.contains(t) {
-                    committed_bps += rate;
+                if r.interval.contains(t) {
+                    committed_bps += r.rate_bps;
                 }
             }
         }

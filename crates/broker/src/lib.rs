@@ -25,7 +25,9 @@ pub mod reservations;
 pub mod sla;
 
 pub use billing::{settle_chain, BillingLedger, Invoice};
-pub use broker::{BrokerCore, BrokerError, PathSegment};
+pub use broker::BrokerCore;
 pub use edge::{CommandLog, EdgeCommand, EdgeControl};
-pub use reservations::{AdmissionError, Interval, ResState, ReservationId, ReservationTable};
+pub use reservations::{
+    AdmissionError, BrokerError, Interval, PathSegment, ResState, ReservationId, ReservationTable,
+};
 pub use sla::{Sla, Sls};

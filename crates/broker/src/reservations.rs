@@ -11,10 +11,15 @@
 //! forwarding downstream), then *committed* when the approval propagates
 //! back, or *released* on denial — so a denial in domain C rolls back
 //! capacity in A and B.
+//!
+//! A [`Book`] keeps one record per reservation over the [`Timeline`]s
+//! it crosses (DESIGN.md §D39).
 
+use crate::sla::Sla;
 use qos_crypto::Timestamp;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier for one reservation in a table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -93,21 +98,15 @@ pub enum ResState {
     Released,
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    interval: Interval,
-    rate_bps: u64,
-    state: ResState,
-}
-
 /// One breakpoint of the usage timeline (DESIGN.md §D16).
 #[derive(Debug, Clone)]
 struct Step {
-    /// Σ rate of the non-released entries containing every instant from
-    /// this breakpoint to the next. Exact: 2⁶⁴ ids × 2⁶⁴ bps fit a
-    /// `u128`, so removal never underflows; readers saturate to `u64`.
+    /// Σ rate of the counting reservations containing every instant from
+    /// this breakpoint to the next. Exact: 2⁶⁴ reservations × 2⁶⁴ bps
+    /// fit a `u128`, so removal never underflows; readers saturate to
+    /// `u64`.
     level: u128,
-    /// Non-released entries that start or end here; the breakpoint goes
+    /// Counting reservations that start or end here; the breakpoint goes
     /// when the last one does.
     refs: usize,
 }
@@ -154,62 +153,66 @@ fn saturate(level: u128) -> u64 {
     u64::try_from(level).unwrap_or(u64::MAX)
 }
 
-/// A capacity-bounded advance-reservation table.
-#[derive(Debug, Clone)]
-pub struct ReservationTable {
-    capacity_bps: u64,
-    entries: BTreeMap<ReservationId, Entry>,
-    /// Usage as a step function of time, kept in step with `entries` by
-    /// [`Self::shift`] so admission never scans them.
-    timeline: BTreeMap<Timestamp, Step>,
+/// One capacity and its usage as a step function of time (DESIGN.md
+/// §D16, §D39). It knows no ids: its owner keeps the reservations and
+/// shifts it on every transition between counting and not counting.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Timeline {
+    pub(crate) capacity_bps: u64,
+    steps: BTreeMap<Timestamp, Step>,
 }
 
-impl ReservationTable {
-    /// A table managing `capacity_bps` of bandwidth.
-    pub fn new(capacity_bps: u64) -> Self {
-        Self {
-            capacity_bps,
-            entries: BTreeMap::new(),
-            timeline: BTreeMap::new(),
-        }
-    }
-
-    /// Managed capacity.
-    pub fn capacity_bps(&self) -> u64 {
-        self.capacity_bps
-    }
-
-    /// Peak committed+held usage over `interval` (bits/s): the highest
-    /// of the level in force at its start and those of the breakpoints
-    /// inside it.
-    pub fn peak_usage(&self, interval: &Interval) -> u64 {
+impl Timeline {
+    /// Peak usage over `interval` (bits/s): the highest of the level in
+    /// force at its start and those of the breakpoints inside it.
+    pub(crate) fn peak_usage(&self, interval: &Interval) -> u64 {
         let mut peak = self.level_at(interval.start);
         if interval.start < interval.end {
-            for (_, step) in self.timeline.range(interval.start..interval.end) {
+            for (_, step) in self.steps.range(interval.start..interval.end) {
                 peak = peak.max(step.level);
             }
         }
         saturate(peak)
     }
 
-    /// Committed+held usage at instant `t` (bits/s), saturating at
-    /// `u64::MAX` (a recovered ledger may be over-committed).
-    pub fn usage_at(&self, t: Timestamp) -> u64 {
+    /// Usage at instant `t` (bits/s), saturating at `u64::MAX` (a
+    /// recovered ledger may be over-committed).
+    pub(crate) fn usage_at(&self, t: Timestamp) -> u64 {
         saturate(self.level_at(t))
     }
 
     fn level_at(&self, t: Timestamp) -> u128 {
-        self.timeline
+        self.steps
             .range(..=t)
             .next_back()
             .map_or(0, |(_, s)| s.level)
     }
 
-    /// Add (`counts`) or remove one entry's rate over its interval. Every
-    /// transition between counting (held/committed) and not counting
-    /// (released/absent) goes through here, and nothing else writes the
-    /// timeline.
-    fn shift(&mut self, interval: Interval, rate_bps: u64, counts: bool) {
+    /// Available rate at instant `t`.
+    pub(crate) fn available_at(&self, t: Timestamp) -> u64 {
+        self.capacity_bps.saturating_sub(self.usage_at(t))
+    }
+
+    /// Minimum available rate over `interval`.
+    pub(crate) fn min_available(&self, interval: &Interval) -> u64 {
+        self.capacity_bps.saturating_sub(self.peak_usage(interval))
+    }
+
+    /// Would `rate_bps` over `interval` fit at every instant?
+    pub(crate) fn admit(&self, interval: &Interval, rate_bps: u64) -> Result<(), AdmissionError> {
+        let available = self.min_available(interval);
+        if rate_bps > available {
+            return Err(AdmissionError::InsufficientCapacity {
+                requested_bps: rate_bps,
+                available_bps: available,
+            });
+        }
+        Ok(())
+    }
+
+    /// Add (`counts`) or remove one reservation's rate over its
+    /// interval. Nothing else writes the breakpoints.
+    pub(crate) fn shift(&mut self, interval: Interval, rate_bps: u64, counts: bool) {
         if interval.start >= interval.end {
             return; // contains no instant
         }
@@ -217,11 +220,11 @@ impl ReservationTable {
         if counts {
             for t in ends {
                 let level = self.level_at(t);
-                let step = self.timeline.entry(t).or_insert(Step { level, refs: 0 });
+                let step = self.steps.entry(t).or_insert(Step { level, refs: 0 });
                 step.refs += 1;
             }
         }
-        for (_, step) in self.timeline.range_mut(interval.start..interval.end) {
+        for (_, step) in self.steps.range_mut(interval.start..interval.end) {
             if counts {
                 step.level += u128::from(rate_bps);
             } else {
@@ -231,37 +234,330 @@ impl ReservationTable {
         }
         if !counts {
             for t in ends {
-                let step = self.timeline.get_mut(&t).expect("entry's own breakpoint");
+                let step = self
+                    .steps
+                    .get_mut(&t)
+                    .expect("a reservation's own breakpoint");
                 step.refs -= 1;
                 if step.refs == 0 {
-                    self.timeline.remove(&t);
+                    self.steps.remove(&t);
                 }
             }
         }
     }
+}
 
-    /// Move `id` to `state`, shifting the timeline if that starts or
+/// Where a reservation's traffic enters and leaves the domain.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct PathSegment {
+    /// Upstream peer domain (None when this is the source domain).
+    pub ingress_peer: Option<String>,
+    /// Downstream peer domain (None when this is the destination domain).
+    pub egress_peer: Option<String>,
+}
+
+/// Why the broker refused a reservation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BrokerError {
+    /// The domain-internal capacity check failed.
+    Local(AdmissionError),
+    /// The check against an SLA failed.
+    Sla {
+        /// Which peer's agreement.
+        peer: String,
+        /// Underlying admission failure.
+        source: AdmissionError,
+    },
+    /// No SLA exists with the named peer — the request cannot even be
+    /// considered ("a specific contract between peered domains comes into
+    /// place").
+    NoSla {
+        /// The unknown peer.
+        peer: String,
+    },
+    /// Unknown reservation id.
+    Unknown(ReservationId),
+}
+
+impl fmt::Display for BrokerError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BrokerError::Local(e) => write!(f, "local capacity: {e}"),
+            BrokerError::Sla { peer, source } => write!(f, "SLA with {peer}: {source}"),
+            BrokerError::NoSla { peer } => write!(f, "no SLA with peer domain {peer}"),
+            BrokerError::Unknown(id) => write!(f, "unknown reservation {id:?}"),
+        }
+    }
+}
+
+impl std::error::Error for BrokerError {}
+
+/// A contract with one peer and the timeline that admits against it:
+/// one map entry per peer and direction.
+#[derive(Debug, Clone)]
+pub(crate) struct Peering {
+    pub(crate) sla: Arc<Sla>,
+    pub(crate) timeline: Timeline,
+}
+
+/// Register `sla` with `peer`. A peer registered again keeps its
+/// timeline, sized to the new contract: the reservations already
+/// crossing it still count.
+pub(crate) fn register(peers: &mut HashMap<String, Peering>, peer: String, sla: Sla) {
+    let mut timeline = peers.remove(&peer).map(|p| p.timeline).unwrap_or_default();
+    timeline.capacity_bps = sla.sls.committed_rate_bps;
+    let sla = Arc::new(sla);
+    peers.insert(peer, Peering { sla, timeline });
+}
+
+/// Every capacity of the domain.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Timelines {
+    pub(crate) local: Timeline,
+    pub(crate) ingress: HashMap<String, Peering>,
+    pub(crate) egress: HashMap<String, Peering>,
+}
+
+impl Timelines {
+    /// The ≤ 3 timelines a reservation along `segment` crosses, in the
+    /// fixed ingress → local → egress order, each with the peer whose
+    /// SLA it enforces (`None` for local capacity). A peer with no SLA
+    /// yields its name and no timeline.
+    fn legs<'a>(
+        &'a mut self,
+        segment: &'a PathSegment,
+    ) -> impl Iterator<Item = (Option<&'a str>, Option<&'a mut Timeline>)> {
+        let Timelines {
+            local,
+            ingress,
+            egress,
+        } = self;
+        let peer = |peers: &'a mut HashMap<String, Peering>, name: &'a Option<String>| {
+            name.as_deref()
+                .map(|p| (Some(p), peers.get_mut(p).map(|e| &mut e.timeline)))
+        };
+        peer(ingress, &segment.ingress_peer)
+            .into_iter()
+            .chain([(None, Some(local))])
+            .chain(peer(egress, &segment.egress_peer))
+    }
+
+    /// Add (`counts`) or remove `r`'s rate on every timeline it crosses.
+    fn shift(&mut self, r: &Reservation, counts: bool) {
+        for (_, timeline) in self.legs(&r.segment) {
+            if let Some(timeline) = timeline {
+                timeline.shift(r.interval, r.rate_bps, counts);
+            }
+        }
+    }
+}
+
+/// How a timeline's refusal reads: against local capacity or a peer's
+/// SLA.
+fn refusal(peer: Option<&str>, source: AdmissionError) -> BrokerError {
+    match peer {
+        Some(peer) => BrokerError::Sla {
+            peer: peer.to_string(),
+            source,
+        },
+        None => BrokerError::Local(source),
+    }
+}
+
+/// One reservation: what it holds, where it stands in the life cycle
+/// and where it crosses the domain.
+#[derive(Debug, Clone)]
+pub(crate) struct Reservation {
+    pub(crate) interval: Interval,
+    pub(crate) rate_bps: u64,
+    pub(crate) state: ResState,
+    pub(crate) segment: PathSegment,
+}
+
+impl Reservation {
+    pub(crate) fn held(interval: Interval, rate_bps: u64, segment: PathSegment) -> Self {
+        Self {
+            interval,
+            rate_bps,
+            state: ResState::Held,
+            segment,
+        }
+    }
+
+    /// Held or committed: it consumes capacity.
+    pub(crate) fn counts(&self) -> bool {
+        self.state != ResState::Released
+    }
+}
+
+/// One record per reservation, over the timelines it crosses: the
+/// admission half of a broker's ledger, and all of a
+/// [`ReservationTable`] (a book with no peers). The hold, commit and
+/// release rules are written here, once.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Book {
+    pub(crate) timelines: Timelines,
+    /// One record per reservation held here; a released one stays as a
+    /// tombstone, and its id may be held again.
+    pub(crate) records: HashMap<ReservationId, Reservation>,
+}
+
+impl Book {
+    /// `local_capacity_bps` and no peers.
+    pub(crate) fn new(local_capacity_bps: u64) -> Self {
+        let mut book = Book::default();
+        book.timelines.local.capacity_bps = local_capacity_bps;
+        book
+    }
+
+    /// Check every timeline along `segment` in order, then shift them
+    /// all: a refusal changes nothing. The first leg also refuses an
+    /// empty request and an id that still counts.
+    pub(crate) fn hold(
+        &mut self,
+        id: ReservationId,
+        interval: Interval,
+        rate_bps: u64,
+        segment: PathSegment,
+    ) -> Result<(), BrokerError> {
+        let mut rules = if interval.secs() == 0 || rate_bps == 0 {
+            Err(AdmissionError::EmptyRequest)
+        } else if self.records.get(&id).is_some_and(Reservation::counts) {
+            Err(AdmissionError::DuplicateReservation(id))
+        } else {
+            Ok(())
+        };
+        let mut legs: [Option<&mut Timeline>; 3] = Default::default();
+        for (leg, (peer, timeline)) in legs.iter_mut().zip(self.timelines.legs(&segment)) {
+            let Some(timeline) = timeline else {
+                let peer = peer.unwrap_or_default().to_string();
+                return Err(BrokerError::NoSla { peer });
+            };
+            std::mem::replace(&mut rules, Ok(()))
+                .and_then(|()| timeline.admit(&interval, rate_bps))
+                .map_err(|source| refusal(peer, source))?;
+            *leg = Some(timeline);
+        }
+        for timeline in legs.into_iter().flatten() {
+            timeline.shift(interval, rate_bps, true);
+        }
+        let held = Reservation::held(interval, rate_bps, segment);
+        self.records.insert(id, held);
+        Ok(())
+    }
+
+    /// Commit a held reservation. Committing twice is idempotent;
+    /// committing a released id is refused, its capacity gone, and the
+    /// refusal reads as its first leg's with a timeline, as a hold's.
+    pub(crate) fn commit(&mut self, id: ReservationId) -> Result<(), BrokerError> {
+        let r = self.records.get_mut(&id);
+        let r = r.ok_or(BrokerError::Unknown(id))?;
+        if r.counts() {
+            r.state = ResState::Committed;
+            return Ok(());
+        }
+        let ingress = r.segment.ingress_peer.as_deref();
+        let peer = ingress.filter(|p| self.timelines.ingress.contains_key(*p));
+        Err(refusal(peer, AdmissionError::UnknownReservation(id)))
+    }
+
+    /// Move `id` to `state`, shifting its timelines if that starts or
     /// stops it counting. False for an unknown id.
-    fn transition(&mut self, id: ReservationId, state: ResState) -> bool {
-        let Some(e) = self.entries.get_mut(&id) else {
+    pub(crate) fn transition(&mut self, id: ReservationId, state: ResState) -> bool {
+        let Some(r) = self.records.get_mut(&id) else {
             return false;
         };
-        let was = std::mem::replace(&mut e.state, state);
-        let (interval, rate_bps) = (e.interval, e.rate_bps);
-        if (was == ResState::Released) != (state == ResState::Released) {
-            self.shift(interval, rate_bps, state != ResState::Released);
+        let counted = r.counts();
+        r.state = state;
+        if counted != r.counts() {
+            self.timelines.shift(r, !counted);
         }
         true
     }
 
+    /// Force `r` onto every timeline it crosses, replacing any record
+    /// of `id`, without admission checks (DESIGN.md §D13): replay
+    /// rebuilds state that *was already admitted* before a crash, and
+    /// overwriting makes replay after a snapshot idempotent.
+    pub(crate) fn restore(&mut self, id: ReservationId, r: Reservation) {
+        if r.counts() {
+            self.timelines.shift(&r, true);
+        }
+        if let Some(old) = self.records.insert(id, r) {
+            if old.counts() {
+                self.timelines.shift(&old, false);
+            }
+        }
+    }
+
+    /// True if `id` exists and holds (held or committed) at `t`.
+    pub(crate) fn active_at(&self, id: ReservationId, t: Timestamp) -> bool {
+        let r = self.records.get(&id);
+        r.is_some_and(|r| r.counts() && r.interval.contains(t))
+    }
+
+    /// The held and committed reservations, in id order.
+    pub(crate) fn live(&self) -> Vec<(ReservationId, &Reservation)> {
+        let mut live: Vec<_> = self
+            .records
+            .iter()
+            .filter(|(_, r)| r.counts())
+            .map(|(id, r)| (*id, r))
+            .collect();
+        live.sort_unstable_by_key(|(id, _)| *id);
+        live
+    }
+}
+
+/// A capacity-bounded advance-reservation table: a [`Book`] with no
+/// peers, so one id map over one [`Timeline`], for GARA's resource
+/// managers and tests.
+#[derive(Debug, Clone)]
+pub struct ReservationTable(Book);
+
+/// A table's refusals are all its one capacity's.
+fn local(e: BrokerError) -> AdmissionError {
+    match e {
+        BrokerError::Local(e) => e,
+        BrokerError::Unknown(id) => AdmissionError::UnknownReservation(id),
+        BrokerError::Sla { .. } | BrokerError::NoSla { .. } => unreachable!("a table has no peers"),
+    }
+}
+
+impl ReservationTable {
+    /// A table managing `capacity_bps` of bandwidth.
+    pub fn new(capacity_bps: u64) -> Self {
+        Self(Book::new(capacity_bps))
+    }
+
+    fn timeline(&self) -> &Timeline {
+        &self.0.timelines.local
+    }
+
+    /// Managed capacity.
+    pub fn capacity_bps(&self) -> u64 {
+        self.timeline().capacity_bps
+    }
+
+    /// Peak committed+held usage over `interval` (bits/s).
+    pub fn peak_usage(&self, interval: &Interval) -> u64 {
+        self.timeline().peak_usage(interval)
+    }
+
+    /// Committed+held usage at instant `t` (bits/s), saturating at
+    /// `u64::MAX` (a recovered ledger may be over-committed).
+    pub fn usage_at(&self, t: Timestamp) -> u64 {
+        self.timeline().usage_at(t)
+    }
+
     /// Available rate at instant `t`.
     pub fn available_at(&self, t: Timestamp) -> u64 {
-        self.capacity_bps.saturating_sub(self.usage_at(t))
+        self.timeline().available_at(t)
     }
 
     /// Minimum available rate over `interval`.
     pub fn min_available(&self, interval: &Interval) -> u64 {
-        self.capacity_bps.saturating_sub(self.peak_usage(interval))
+        self.timeline().min_available(interval)
     }
 
     /// Place a hold: capacity is consumed immediately, but the
@@ -272,54 +568,19 @@ impl ReservationTable {
         interval: Interval,
         rate_bps: u64,
     ) -> Result<(), AdmissionError> {
-        if interval.secs() == 0 || rate_bps == 0 {
-            return Err(AdmissionError::EmptyRequest);
-        }
-        // A released entry is a tombstone; the same id may be re-held
-        // (e.g. after a partial-admission rollback retries).
-        if self
-            .entries
-            .get(&id)
-            .is_some_and(|e| e.state != ResState::Released)
-        {
-            return Err(AdmissionError::DuplicateReservation(id));
-        }
-        let available = self.min_available(&interval);
-        if rate_bps > available {
-            return Err(AdmissionError::InsufficientCapacity {
-                requested_bps: rate_bps,
-                available_bps: available,
-            });
-        }
-        // (A tombstone being replaced stopped counting when released.)
-        self.shift(interval, rate_bps, true);
-        self.entries.insert(
-            id,
-            Entry {
-                interval,
-                rate_bps,
-                state: ResState::Held,
-            },
-        );
-        Ok(())
+        let segment = PathSegment::default();
+        self.0.hold(id, interval, rate_bps, segment).map_err(local)
     }
 
-    /// Commit a held reservation. Committing twice is idempotent;
-    /// committing a released (rolled-back) id is an error — its capacity
-    /// is gone.
+    /// Commit a held reservation; twice is idempotent, after a release
+    /// an error.
     pub fn commit(&mut self, id: ReservationId) -> Result<(), AdmissionError> {
-        match self.entries.get_mut(&id) {
-            Some(e) if e.state != ResState::Released => {
-                e.state = ResState::Committed;
-                Ok(())
-            }
-            _ => Err(AdmissionError::UnknownReservation(id)),
-        }
+        self.0.commit(id).map_err(local)
     }
 
     /// Release (roll back) a reservation; its capacity is returned.
     pub fn release(&mut self, id: ReservationId) -> Result<(), AdmissionError> {
-        if self.transition(id, ResState::Released) {
+        if self.0.transition(id, ResState::Released) {
             Ok(())
         } else {
             Err(AdmissionError::UnknownReservation(id))
@@ -328,38 +589,15 @@ impl ReservationTable {
 
     /// State of a reservation.
     pub fn state(&self, id: ReservationId) -> Option<ResState> {
-        self.entries.get(&id).map(|e| e.state)
-    }
-
-    /// Rate of a reservation.
-    pub fn rate(&self, id: ReservationId) -> Option<u64> {
-        self.entries.get(&id).map(|e| e.rate_bps)
-    }
-
-    /// Interval of a reservation.
-    pub fn interval(&self, id: ReservationId) -> Option<Interval> {
-        self.entries.get(&id).map(|e| e.interval)
+        self.0.records.get(&id).map(|r| r.state)
     }
 
     /// True if `id` exists and holds (held or committed) at `t`.
     pub fn active_at(&self, id: ReservationId, t: Timestamp) -> bool {
-        self.entries
-            .get(&id)
-            .is_some_and(|e| e.state != ResState::Released && e.interval.contains(t))
+        self.0.active_at(id, t)
     }
 
-    /// Sum of committed+held rates over all entries active at `t` —
-    /// what the domain's ingress aggregate policer should be dimensioned
-    /// to.
-    pub fn admitted_aggregate_at(&self, t: Timestamp) -> u64 {
-        self.usage_at(t)
-    }
-
-    /// Force-apply a recovered reservation without admission checks
-    /// (DESIGN.md §D13). Replay rebuilds state that *was already
-    /// admitted* before a crash, so capacity math must not re-gate it;
-    /// overwriting an existing entry makes replay after a snapshot
-    /// idempotent.
+    /// Force-apply a recovered reservation (see [`Book::restore`]).
     pub fn restore(
         &mut self,
         id: ReservationId,
@@ -367,36 +605,23 @@ impl ReservationTable {
         rate_bps: u64,
         state: ResState,
     ) {
-        let entry = Entry {
-            interval,
-            rate_bps,
-            state,
-        };
-        if let Some(old) = self.entries.insert(id, entry) {
-            if old.state != ResState::Released {
-                self.shift(old.interval, old.rate_bps, false);
-            }
-        }
-        if state != ResState::Released {
-            self.shift(interval, rate_bps, true);
-        }
+        let held = Reservation::held(interval, rate_bps, PathSegment::default());
+        self.0.restore(id, Reservation { state, ..held });
     }
 
     /// Force a recovered state transition. Unknown ids are ignored —
     /// the matching hold record can legitimately be missing when it sat
     /// in an un-fsynced batch the crash discarded.
     pub fn restore_state(&mut self, id: ReservationId, state: ResState) {
-        self.transition(id, state);
+        self.0.transition(id, state);
     }
 
-    /// Iterate non-released reservations.
+    /// Iterate non-released reservations, in id order.
     pub fn iter_active(
         &self,
     ) -> impl Iterator<Item = (ReservationId, Interval, u64, ResState)> + '_ {
-        self.entries
-            .iter()
-            .filter(|(_, e)| e.state != ResState::Released)
-            .map(|(id, e)| (*id, e.interval, e.rate_bps, e.state))
+        let live = self.0.live().into_iter();
+        live.map(|(id, r)| (id, r.interval, r.rate_bps, r.state))
     }
 }
 
@@ -514,9 +739,9 @@ mod tests {
         t.commit(ReservationId(1)).unwrap();
         assert!(t.active_at(ReservationId(1), Timestamp(3)));
         assert!(!t.active_at(ReservationId(2), Timestamp(3)));
-        assert_eq!(t.admitted_aggregate_at(Timestamp(7)), 50);
+        assert_eq!(t.usage_at(Timestamp(7)), 50);
         t.release(ReservationId(2)).unwrap();
-        assert_eq!(t.admitted_aggregate_at(Timestamp(7)), 30);
+        assert_eq!(t.usage_at(Timestamp(7)), 30);
     }
 
     #[test]
@@ -536,7 +761,7 @@ mod tests {
         assert_eq!(t.usage_at(Timestamp(5)), HALF);
         assert_eq!(t.available_at(Timestamp(5)), u64::MAX - HALF);
         t.release(ReservationId(2)).unwrap();
-        assert!(t.timeline.is_empty());
+        assert!(t.0.timelines.local.steps.is_empty());
     }
 
     /// D16's invariant, checked against a scan: one breakpoint per
@@ -544,21 +769,22 @@ mod tests {
     /// `level` the sum of the rates in force from there.
     fn assert_timeline_exact(t: &ReservationTable) {
         let mut expected: BTreeMap<Timestamp, usize> = BTreeMap::new();
-        for e in t.entries.values() {
+        for e in t.0.records.values() {
             if e.state != ResState::Released && e.interval.secs() > 0 {
                 *expected.entry(e.interval.start).or_default() += 1;
                 *expected.entry(e.interval.end).or_default() += 1;
             }
         }
-        let refs: BTreeMap<_, _> = t.timeline.iter().map(|(at, s)| (*at, s.refs)).collect();
+        let steps = &t.0.timelines.local.steps;
+        let refs: BTreeMap<_, _> = steps.iter().map(|(at, s)| (*at, s.refs)).collect();
         assert_eq!(refs, expected);
-        for (at, step) in &t.timeline {
-            let scanned: u128 = t
-                .entries
-                .values()
-                .filter(|e| e.state != ResState::Released && e.interval.contains(*at))
-                .map(|e| u128::from(e.rate_bps))
-                .sum();
+        for (at, step) in steps {
+            let scanned: u128 =
+                t.0.records
+                    .values()
+                    .filter(|e| e.state != ResState::Released && e.interval.contains(*at))
+                    .map(|e| u128::from(e.rate_bps))
+                    .sum();
             assert_eq!(step.level, scanned, "level at {at}");
         }
     }
@@ -590,6 +816,6 @@ mod tests {
         for n in 1..=5 {
             t.release(id(n)).unwrap();
         }
-        assert!(t.timeline.is_empty());
+        assert!(t.0.timelines.local.steps.is_empty());
     }
 }

@@ -145,7 +145,7 @@ fn written() -> Vec<Op> {
         Hold(2, 'D', 0, 100, 25), // refused by the ingress SLA
         State(2),
         Hold(3, 'T', 0, 100, 15), // refused by the egress SLA
-        State(3),
+        State(3), // None: a refusal leaves no record (D39; Released before, a rolled-back leg's)
         Hold(4, 'L', 0, 100, 50), // refused by local capacity
         State(4),
         Hold(6, 'L', 0, 100, 30),
@@ -153,7 +153,7 @@ fn written() -> Vec<Op> {
         State(7),
         Hold(8, 'X', 0, 100, 1), // no SLA with the ingress peer
         Hold(9, 'Y', 0, 100, 1), // no SLA with the egress peer, after two legs pass
-        State(9),
+        State(9),                // None, as for id 3
         Hold(10, 'T', 5, 5, 1),  // empty interval
         Hold(10, 'L', 0, 10, 0), // zero rate
         Hold(1, 'T', 0, 100, 1), // duplicate
@@ -187,7 +187,7 @@ hold 1 T [t+0s, t+100s) 20M -> Ok(()) | avail [40, 40, 40, 40, 60, 60, 60] agg [
 hold 2 D [t+0s, t+100s) 25M -> Err(Sla { peer: \"domain-a\", source: InsufficientCapacity { requested_bps: 25000000, available_bps: 20000000 } }) | avail [40, 40, 40, 40, 60, 60, 60] agg [20, 20, 20, 20, 0, 0, 0]
 state 2 -> None
 hold 3 T [t+0s, t+100s) 15M -> Err(Sla { peer: \"domain-c\", source: InsufficientCapacity { requested_bps: 15000000, available_bps: 10000000 } }) | avail [40, 40, 40, 40, 60, 60, 60] agg [20, 20, 20, 20, 0, 0, 0]
-state 3 -> Some(Released)
+state 3 -> None
 hold 4 L [t+0s, t+100s) 50M -> Err(Local(InsufficientCapacity { requested_bps: 50000000, available_bps: 40000000 })) | avail [40, 40, 40, 40, 60, 60, 60] agg [20, 20, 20, 20, 0, 0, 0]
 state 4 -> None
 hold 6 L [t+0s, t+100s) 30M -> Ok(()) | avail [10, 10, 10, 10, 60, 60, 60] agg [20, 20, 20, 20, 0, 0, 0]
@@ -195,7 +195,7 @@ hold 7 D [t+0s, t+100s) 15M -> Err(Local(InsufficientCapacity { requested_bps: 1
 state 7 -> None
 hold 8 X [t+0s, t+100s) 1M -> Err(NoSla { peer: \"domain-x\" }) | avail [10, 10, 10, 10, 60, 60, 60] agg [20, 20, 20, 20, 0, 0, 0]
 hold 9 Y [t+0s, t+100s) 1M -> Err(NoSla { peer: \"domain-y\" }) | avail [10, 10, 10, 10, 60, 60, 60] agg [20, 20, 20, 20, 0, 0, 0]
-state 9 -> Some(Released)
+state 9 -> None
 hold 10 T [t+5s, t+5s) 1M -> Err(Sla { peer: \"domain-a\", source: EmptyRequest }) | avail [10, 10, 10, 10, 60, 60, 60] agg [20, 20, 20, 20, 0, 0, 0]
 hold 10 L [t+0s, t+10s) 0M -> Err(Local(EmptyRequest)) | avail [10, 10, 10, 10, 60, 60, 60] agg [20, 20, 20, 20, 0, 0, 0]
 hold 1 T [t+0s, t+100s) 1M -> Err(Sla { peer: \"domain-a\", source: DuplicateReservation(ReservationId(1)) }) | avail [10, 10, 10, 10, 60, 60, 60] agg [20, 20, 20, 20, 0, 0, 0]
@@ -239,7 +239,7 @@ fn seeded(seed: u64, n: usize) -> Vec<Op> {
         .map(|_| {
             let id = 100 + next() % 40;
             match next() % 5 {
-                0 | 1 | 2 => {
+                0..=2 => {
                     let seg = ['T', 'S', 'D', 'L', 'X', 'Y'][(id % 6) as usize];
                     let start = next() % 20 * 10;
                     let len = next() % 12 * 10;

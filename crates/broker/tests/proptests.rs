@@ -1,10 +1,20 @@
 //! Property tests for admission control: the never-oversubscribe
-//! invariant under arbitrary hold/commit/release interleavings.
+//! invariant under arbitrary hold/commit/release interleavings, and two
+//! model equivalences: a table against a scan, a broker against a table
+//! per leg.
 
 use proptest::prelude::*;
-use qos_broker::{AdmissionError, Interval, ResState, ReservationId, ReservationTable};
-use qos_crypto::Timestamp;
-use std::collections::BTreeMap;
+use qos_broker::{
+    AdmissionError, BrokerCore, BrokerError, Interval, PathSegment, ResState, ReservationId,
+    ReservationTable, Sla, Sls,
+};
+use qos_crypto::{CertificateAuthority, DistinguishedName, KeyPair, Timestamp, Validity};
+use qos_storage::{
+    LedgerRecord, LedgerSnapshot, LedgerStore, Recovered, SnapReservation, StoreStats,
+    STATE_COMMITTED, STATE_HELD,
+};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, OnceLock};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -120,6 +130,13 @@ struct ScanModel {
 }
 
 impl ScanModel {
+    fn new(capacity_bps: u64) -> Self {
+        ScanModel {
+            capacity_bps,
+            entries: BTreeMap::new(),
+        }
+    }
+
     fn usage_at(&self, t: Timestamp) -> u64 {
         self.entries
             .values()
@@ -260,7 +277,7 @@ proptest! {
     ) {
         const CAPACITY: u64 = 100;
         let mut table = ReservationTable::new(CAPACITY);
-        let mut model = ScanModel { capacity_bps: CAPACITY, entries: BTreeMap::new() };
+        let mut model = ScanModel::new(CAPACITY);
         for (op, window) in ops {
             match op.clone() {
                 TableOp::Hold(id, iv, rate) => {
@@ -306,6 +323,333 @@ proptest! {
             let _ = table.release(id);
         }
         // The timeline is private; its `Debug` rendering is not.
-        prop_assert!(format!("{table:?}").contains("timeline: {}"), "leaked breakpoints: {:?}", table);
+        prop_assert!(format!("{table:?}").contains("steps: {}"), "leaked breakpoints: {:?}", table);
+    }
+}
+
+// ---------------------------------------------------------------------
+// One record per broker (DESIGN.md §D39): `BrokerCore` against the
+// ledger it replaced, which survives only here: a table per leg, each
+// with its own copy of every reservation crossing it, a map of what
+// each hold recorded, and a rollback leg by leg. The tables are the
+// scanning model above, so no rule of the crate's is shared with it.
+// ---------------------------------------------------------------------
+
+/// The pre-D39 ledger of a transit broker with one ingress peer
+/// (`domain-a`) and one egress peer (`domain-c`).
+struct TablesModel {
+    local: ScanModel,
+    ingress: ScanModel,
+    egress: ScanModel,
+    meta: HashMap<ReservationId, PathSegment>,
+}
+
+fn refusal(peer: Option<&str>, source: AdmissionError) -> BrokerError {
+    match peer {
+        Some(peer) => BrokerError::Sla {
+            peer: peer.into(),
+            source,
+        },
+        None => BrokerError::Local(source),
+    }
+}
+
+type Leg<'a> = (Option<&'a str>, Option<&'a mut ScanModel>);
+
+impl TablesModel {
+    fn new() -> Self {
+        TablesModel {
+            local: ScanModel::new(LOCAL),
+            ingress: ScanModel::new(INGRESS),
+            egress: ScanModel::new(EGRESS),
+            meta: HashMap::new(),
+        }
+    }
+
+    /// The tables along `seg`, ingress → local → egress.
+    fn legs<'a>(&'a mut self, seg: &'a PathSegment) -> Vec<Leg<'a>> {
+        let mut legs = Vec::new();
+        if let Some(p) = seg.ingress_peer.as_deref() {
+            legs.push((Some(p), (p == "domain-a").then_some(&mut self.ingress)));
+        }
+        legs.push((None, Some(&mut self.local)));
+        if let Some(p) = seg.egress_peer.as_deref() {
+            legs.push((Some(p), (p == "domain-c").then_some(&mut self.egress)));
+        }
+        legs
+    }
+
+    fn hold(
+        &mut self,
+        id: ReservationId,
+        iv: Interval,
+        rate: u64,
+        seg: &PathSegment,
+    ) -> Result<(), BrokerError> {
+        let mut held = 0;
+        let mut result = Ok(());
+        for (peer, table) in self.legs(seg) {
+            let Some(table) = table else {
+                result = Err(BrokerError::NoSla {
+                    peer: peer.unwrap().into(),
+                });
+                break;
+            };
+            if let Err(source) = table.hold(id, iv, rate) {
+                result = Err(refusal(peer, source));
+                break;
+            }
+            held += 1;
+        }
+        if result.is_err() {
+            for (_, table) in self.legs(seg).into_iter().take(held) {
+                table.unwrap().release(id).unwrap();
+            }
+        } else {
+            self.meta.insert(id, seg.clone());
+        }
+        result
+    }
+
+    fn for_each_table(
+        &mut self,
+        id: ReservationId,
+        f: impl Fn(&mut ScanModel) -> Result<(), AdmissionError>,
+    ) -> Result<(), BrokerError> {
+        let seg = self.meta.get(&id).ok_or(BrokerError::Unknown(id))?.clone();
+        for (peer, table) in self.legs(&seg) {
+            if let Some(table) = table {
+                f(table).map_err(|source| refusal(peer, source))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// What `BrokerCore::state` reads. The one change D39 made: a
+    /// refused hold of a new id leaves no record, where the parent's
+    /// local table kept the tombstone of a leg it rolled back.
+    fn state(&self, id: ReservationId) -> Option<ResState> {
+        self.meta
+            .get(&id)
+            .and(self.local.entries.get(&id))
+            .map(|e| e.2)
+    }
+
+    fn export(&self) -> Vec<SnapReservation> {
+        let live = self
+            .local
+            .entries
+            .iter()
+            .filter(|(_, e)| e.2 != ResState::Released);
+        live.map(|(id, &(iv, rate_bps, state))| SnapReservation {
+            id: id.0,
+            start: iv.start.0,
+            end: iv.end.0,
+            rate_bps,
+            state: if state == ResState::Committed {
+                STATE_COMMITTED
+            } else {
+                STATE_HELD
+            },
+            ingress: self.meta[id].ingress_peer.clone(),
+            egress: self.meta[id].egress_peer.clone(),
+        })
+        .collect()
+    }
+
+    fn restore_record(&mut self, record: &LedgerRecord) {
+        let (id, state) = match record {
+            LedgerRecord::Hold {
+                id,
+                start,
+                end,
+                rate_bps,
+                ingress,
+                egress,
+            } => {
+                let id = ReservationId(*id);
+                let iv = Interval::new(Timestamp(*start), Timestamp(*end));
+                let seg = PathSegment {
+                    ingress_peer: ingress.clone(),
+                    egress_peer: egress.clone(),
+                };
+                for (_, table) in self.legs(&seg) {
+                    if let Some(table) = table {
+                        table.entries.insert(id, (iv, *rate_bps, ResState::Held));
+                    }
+                }
+                self.meta.insert(id, seg);
+                return;
+            }
+            LedgerRecord::Commit { id } => (*id, ResState::Committed),
+            LedgerRecord::Release { id } => (*id, ResState::Released),
+            _ => return,
+        };
+        let _ = self.for_each_table(ReservationId(id), |t| {
+            t.restore_state(ReservationId(id), state);
+            Ok(())
+        });
+    }
+}
+
+/// A store that keeps every record it is given.
+#[derive(Default)]
+struct Journal(Mutex<Vec<LedgerRecord>>);
+
+impl LedgerStore for Journal {
+    fn kind(&self) -> &'static str {
+        "journal"
+    }
+    fn append(&self, record: &LedgerRecord) -> u64 {
+        let mut records = self.0.lock().unwrap();
+        records.push(record.clone());
+        records.len() as u64 - 1
+    }
+    fn flush(&self) {}
+    fn next_seq(&self) -> u64 {
+        self.0.lock().unwrap().len() as u64
+    }
+    fn write_snapshot(&self, _: &LedgerSnapshot) {}
+    fn take_recovered(&self) -> Recovered {
+        Recovered::default()
+    }
+    fn stats(&self) -> StoreStats {
+        StoreStats::default()
+    }
+}
+
+const LOCAL: u64 = 100;
+const INGRESS: u64 = 60;
+const EGRESS: u64 = 50;
+
+fn sla(up: &str, down: &str, rate: u64) -> Sla {
+    let mut ca = CertificateAuthority::new(
+        DistinguishedName::authority("RootCA"),
+        KeyPair::from_seed(b"ca"),
+    );
+    Sla {
+        upstream: up.into(),
+        downstream: down.into(),
+        sls: Sls::strict(rate),
+        peer_cert: ca.issue_identity(
+            DistinguishedName::broker(up),
+            KeyPair::from_seed(up.as_bytes()).public(),
+            Validity::unbounded(),
+        ),
+        ca_cert: ca.self_signed(),
+        price_per_mbps_sec: 1,
+    }
+}
+
+/// A transit broker with the model's capacities.
+fn transit() -> BrokerCore {
+    static SLAS: OnceLock<(Sla, Sla)> = OnceLock::new();
+    let (ingress, egress) = SLAS.get_or_init(|| {
+        (
+            sla("domain-a", "domain-b", INGRESS),
+            sla("domain-b", "domain-c", EGRESS),
+        )
+    });
+    let b = BrokerCore::new("domain-b", LOCAL);
+    b.add_ingress_sla(ingress.clone());
+    b.add_egress_sla(egress.clone());
+    b
+}
+
+/// An id keeps one segment, as a request keeps its path: transit, from
+/// the source, into the destination, local only, and an unknown peer
+/// on each side.
+fn segment_of(id: u64) -> PathSegment {
+    let (ingress, egress) = [
+        (Some("domain-a"), Some("domain-c")),
+        (None, Some("domain-c")),
+        (Some("domain-a"), None),
+        (None, None),
+        (Some("domain-x"), None),
+        (Some("domain-a"), Some("domain-y")),
+    ][(id % 6) as usize];
+    PathSegment {
+        ingress_peer: ingress.map(Into::into),
+        egress_peer: egress.map(Into::into),
+    }
+}
+
+#[derive(Debug, Clone)]
+enum LedgerOp {
+    Hold(u64, Interval, u64),
+    Commit(u64),
+    Release(u64),
+}
+
+fn arb_ledger_hold() -> impl Strategy<Value = LedgerOp> {
+    (0..IDS, arb_interval(), 0u64..40).prop_map(|(id, iv, rate)| LedgerOp::Hold(id, iv, rate))
+}
+
+fn arb_ledger_op() -> impl Strategy<Value = LedgerOp> {
+    prop_oneof![
+        arb_ledger_hold(),
+        arb_ledger_hold(),
+        (0..IDS).prop_map(LedgerOp::Commit),
+        (0..IDS).prop_map(LedgerOp::Release),
+    ]
+}
+
+proptest! {
+    /// After every op of an arbitrary script, `BrokerCore` (one record
+    /// per reservation over three timelines) and the three-table model
+    /// agree on the op's result, on every id's state, on local headroom
+    /// and the ingress aggregate at every instant, and on the exported
+    /// reservations; the broker's WAL, replayed into a fresh broker and
+    /// a fresh model, and its snapshot, restored, agree again.
+    #[test]
+    fn a_broker_is_three_tables(ops in proptest::collection::vec(arb_ledger_op(), 1..60)) {
+        let live = transit();
+        let journal = Arc::new(Journal::default());
+        live.set_store(journal.clone());
+        let mut model = TablesModel::new();
+        for op in &ops {
+            let (got, want) = match *op {
+                LedgerOp::Hold(id, iv, rate) => {
+                    let seg = segment_of(id);
+                    let id = ReservationId(id);
+                    (live.hold(id, iv, rate, seg.clone()), model.hold(id, iv, rate, &seg))
+                }
+                LedgerOp::Commit(id) => {
+                    let id = ReservationId(id);
+                    (live.commit(id), model.for_each_table(id, |t| t.commit(id)))
+                }
+                LedgerOp::Release(id) => {
+                    let id = ReservationId(id);
+                    (live.release(id), model.for_each_table(id, |t| t.release(id)))
+                }
+            };
+            prop_assert_eq!(got, want, "{:?}", op);
+            for id in (0..IDS).map(ReservationId) {
+                prop_assert_eq!(live.state(id), model.state(id), "{:?} after {:?}", id, op);
+            }
+            for t in (0..=HORIZON).map(Timestamp) {
+                prop_assert_eq!(live.available_bw_at(t), LOCAL.saturating_sub(model.local.usage_at(t)));
+                prop_assert_eq!(live.admitted_ingress_aggregate("domain-a", t), model.ingress.usage_at(t));
+            }
+            prop_assert_eq!(live.export_snapshot(0).reservations, model.export(), "after {:?}", op);
+        }
+
+        let records = journal.0.lock().unwrap().clone();
+        let replayed = transit();
+        let mut model = TablesModel::new();
+        for record in &records {
+            replayed.restore_record(record);
+            model.restore_record(record);
+        }
+        let snapshot = live.export_snapshot(0);
+        prop_assert_eq!(&replayed.export_snapshot(0), &snapshot);
+        prop_assert_eq!(model.export(), snapshot.reservations.clone());
+        let restored = transit();
+        restored.restore_snapshot(&snapshot);
+        prop_assert_eq!(restored.ledger_digest(), live.ledger_digest());
+        for t in (0..=HORIZON).map(Timestamp) {
+            prop_assert_eq!(replayed.available_bw_at(t), live.available_bw_at(t));
+            prop_assert_eq!(restored.admitted_ingress_aggregate("domain-a", t), live.admitted_ingress_aggregate("domain-a", t));
+        }
     }
 }

@@ -555,19 +555,9 @@ impl BbNode {
         self.telemetry = telemetry;
     }
 
-    /// Enable or disable per-request trace spans.
-    pub fn set_tracing(&mut self, enabled: bool) {
-        self.tracer.set_enabled(enabled);
-    }
-
     /// The span log (empty unless tracing is enabled).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// Mutable span log (drivers drain it; tests inject spans).
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
     }
 
     /// Record a mailbox-wait observed by the driver: the time between a
@@ -1511,44 +1501,29 @@ impl BbNode {
         let Some(p) = self.pending.get(&rar_id) else {
             return;
         };
-        let originator = p.requestor.common_name().unwrap_or("unknown").to_string();
-        let rate = p.rate_bps;
-        let secs = p.interval.secs();
+        let originator = p.requestor.common_name().unwrap_or("unknown");
         // The approval entries run destination-first and do not yet
         // include this (source) domain; the billing path runs
-        // source-first.
-        let mut path = vec![self.domain.clone()];
-        path.extend(approval.entries.iter().rev().map(|e| e.domain.clone()));
-        // Per-hop prices: our own egress SLA for the first hop, the
-        // `transit_cost` attachments in the endorsement entries for
-        // every hop further downstream.
-        let mut prices: std::collections::HashMap<(String, String), u64> =
-            std::collections::HashMap::new();
-        if let Some(w) = path.windows(2).next() {
-            let price = self
+        // source-first, so `path[i]` is `entries[n - i]`.
+        let n = approval.entries.len();
+        let mut path = Vec::with_capacity(n + 1);
+        path.push(self.domain.as_str());
+        path.extend(approval.entries.iter().rev().map(|e| e.domain.as_str()));
+        // The price of carrying it into `path[i]`: our own egress SLA
+        // for the first hop, and for every hop further downstream the
+        // `transit_cost` the upstream domain's endorsement attached.
+        let price = |i: usize| match i {
+            0 => 0,
+            1 => self
                 .core
-                .egress_sla(&w[1])
-                .map(|sla| sla.transit_cost(rate, secs))
-                .unwrap_or(0);
-            prices.insert((w[0].clone(), w[1].clone()), price);
-        }
-        // entries run destination-first: entries[i] forwards into
-        // entries[i-1]'s domain.
-        for pair in approval.entries.windows(2) {
-            let (downstream, upstream_entry) = (&pair[0], &pair[1]);
-            if let Some(Value::Int(cost)) = upstream_entry.attachments.get("transit_cost") {
-                prices.insert(
-                    (upstream_entry.domain.clone(), downstream.domain.clone()),
-                    (*cost).max(0) as u64,
-                );
-            }
-        }
-        for invoice in qos_broker::settle_chain(&originator, &path, rar_id.0, |up, down| {
-            prices
-                .get(&(up.to_string(), down.to_string()))
-                .copied()
-                .unwrap_or(0)
-        }) {
+                .egress_sla(path[1])
+                .map_or(0, |sla| sla.transit_cost(p.rate_bps, p.interval.secs())),
+            _ => match approval.entries[n + 1 - i].attachments.get("transit_cost") {
+                Some(Value::Int(cost)) => (*cost).max(0) as u64,
+                _ => 0,
+            },
+        };
+        for invoice in qos_broker::settle_chain(originator, &path, rar_id.0, price) {
             self.core.record_invoice(invoice);
         }
     }
@@ -2287,11 +2262,6 @@ impl BbNode {
                 reason: reason.unwrap_or_else(|| "policy denied".into()),
             }),
         }
-    }
-
-    /// Build a user assertion helper (used by tests and harnesses).
-    pub fn policy_groups_mut(&mut self) -> &mut GroupServer {
-        self.pdp.groups_mut()
     }
 }
 

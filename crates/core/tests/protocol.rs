@@ -471,22 +471,37 @@ fn unknown_user_is_refused_direct_service() {
 
 #[test]
 fn billing_chain_recorded_at_source() {
-    let mut s = build_chain(ChainOptions::default());
-    let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 100);
-    let rar_id = spec.rar_id;
-    let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
-    let cert = s.users["alice"].cert.clone();
-    let mut mesh = s.mesh(SimDuration::from_millis(5));
-    mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
-    mesh.run_until_idle();
-    assert!(approval_of(&mesh, "domain-a", rar_id).is_ok());
-    let invoices = mesh.node("domain-a").core().invoices();
-    assert!(!invoices.is_empty());
-    // Alice pays the source domain.
-    assert_eq!(invoices[0].payer, "Alice");
-    assert_eq!(invoices[0].payee, "domain-a");
-    // 10 Mb/s × 100 s × 1 µunit/Mb·s along A→B (covering B→C too).
-    assert!(invoices[0].amount >= 1000);
+    // Alice pays the source domain for the whole path, and each domain
+    // its downstream peer for the rest of it: 10 Mb/s × 100 s at
+    // 1 µunit/Mb·s is 1000 per SLA crossed, priced by the source's own
+    // egress SLA for the first hop and by the endorsements' attached
+    // `transit_cost` for the others.
+    for n in [2, 3, 8] {
+        let mut s = build_chain(ChainOptions {
+            domains: n,
+            ..ChainOptions::default()
+        });
+        let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 100);
+        let rar_id = spec.rar_id;
+        let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
+        let cert = s.users["alice"].cert.clone();
+        let domains = s.domains.clone();
+        let mut mesh = s.mesh(SimDuration::from_millis(5));
+        mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
+        mesh.run_until_idle();
+        assert!(approval_of(&mesh, "domain-a", rar_id).is_ok());
+        let invoices = mesh.node("domain-a").core().invoices();
+        let chain: Vec<_> = invoices
+            .iter()
+            .map(|i| (i.payer.as_str(), i.payee.as_str(), i.reservation, i.amount))
+            .collect();
+        let mut expected = vec![("Alice", "domain-a", rar_id.0, 1000 * (n as u64 - 1))];
+        for (k, hop) in domains.windows(2).enumerate() {
+            let rest = 1000 * (n - 1 - k) as u64;
+            expected.push((hop[0].as_str(), hop[1].as_str(), rar_id.0, rest));
+        }
+        assert_eq!(chain, expected, "{n} domains");
+    }
 }
 
 #[test]

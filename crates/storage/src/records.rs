@@ -94,8 +94,9 @@ qos_wire::impl_wire_struct!(SnapReservation {
     egress,
 });
 
-/// One settled invoice in a snapshot.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One settled invoice in a snapshot; ordered field by field, as a
+/// snapshot lists them.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SnapInvoice {
     pub payer: String,
     pub payee: String,

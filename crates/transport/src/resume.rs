@@ -109,15 +109,11 @@ pub struct TicketIssuer {
 
 impl TicketIssuer {
     /// Create an issuer whose tickets live `ttl_secs` and whose store
-    /// holds at most `cap` outstanding tickets. The MAC key is derived
-    /// from process-local entropy; it never needs to survive a restart
-    /// (the store would be gone anyway).
+    /// holds at most `cap` outstanding tickets. The MAC key is drawn
+    /// from the operating system's random source; the durable ledger
+    /// keeps it across a restart (`key_bytes`).
     pub fn new(ttl_secs: u64, cap: usize) -> Self {
-        let mut h = Sha256::new();
-        h.update(b"qos-ticket-key-v1");
-        h.update(&crate::session::fresh_nonce().to_le_bytes());
-        h.update(&crate::session::fresh_nonce().to_le_bytes());
-        Self::with_key(h.finalize(), ttl_secs, cap)
+        Self::with_key(crate::session::os_random(), ttl_secs, cap)
     }
 
     /// Create an issuer with an explicit MAC key (deterministic tests).
@@ -315,6 +311,13 @@ mod tests {
             KeyPair::from_seed(b"a").public(),
             Validity::unbounded(),
         )
+    }
+
+    #[test]
+    fn two_issuers_draw_different_keys() {
+        let (a, b) = (TicketIssuer::new(60, 8), TicketIssuer::new(60, 8));
+        assert_ne!(a.key_bytes(), b.key_bytes());
+        assert_ne!(crate::session::fresh_nonce(), crate::session::fresh_nonce());
     }
 
     #[test]

@@ -25,9 +25,8 @@ use qos_core::channel::{
     AwaitAuth, ChannelIdentity, NetHandshake, OpenHalf, PeerPin, SealHalf, SecureChannel,
 };
 use qos_crypto::{Certificate, DistinguishedName, PublicKey, Timestamp};
-use qos_telemetry::StdClock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io::Read;
 use std::sync::Arc;
 
 /// How long a handshake may take, in ns from its start (on the dial side,
@@ -44,14 +43,19 @@ pub const HANDSHAKE_TIMEOUT: u64 = 5_000_000_000;
 /// sealed frames only, and may be smaller than a `Hello`.
 pub const HANDSHAKE_MAX_FRAME: usize = 4096;
 
-static NONCE_COUNTER: AtomicU64 = AtomicU64::new(1);
+/// `N` bytes from the operating system's random source.
+pub(crate) fn os_random<const N: usize>() -> [u8; N] {
+    let mut bytes = [0; N];
+    std::fs::File::open("/dev/urandom")
+        .and_then(|mut source| source.read_exact(&mut bytes))
+        .expect("the operating system's random source, /dev/urandom, is readable");
+    bytes
+}
 
-/// A nonce unique per connection attempt: wall-clock entropy mixed with
-/// a process-wide counter so two attempts in the same nanosecond still
-/// differ.
+/// A nonce per connection attempt that a peer cannot predict: eight
+/// bytes from the operating system's random source.
 pub fn fresh_nonce() -> u64 {
-    let n = NONCE_COUNTER.fetch_add(1, Ordering::Relaxed);
-    StdClock::now() ^ n.rotate_left(32)
+    u64::from_le_bytes(os_random())
 }
 
 /// How a session came to be established.
