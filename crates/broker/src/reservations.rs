@@ -12,7 +12,7 @@
 //! back, or *released* on denial — so a denial in domain C rolls back
 //! capacity in A and B.
 //!
-//! A [`Book`] keeps one record per reservation over the [`Timeline`]s
+//! A `Book` keeps one record per reservation over the `Timeline`s
 //! it crosses (DESIGN.md §D39).
 
 use crate::sla::Sla;
@@ -450,8 +450,7 @@ impl Book {
     /// committing a released id is refused, its capacity gone, and the
     /// refusal reads as its first leg's with a timeline, as a hold's.
     pub(crate) fn commit(&mut self, id: ReservationId) -> Result<(), BrokerError> {
-        let r = self.records.get_mut(&id);
-        let r = r.ok_or(BrokerError::Unknown(id))?;
+        let r = self.records.get_mut(&id).ok_or(BrokerError::Unknown(id))?;
         if r.counts() {
             r.state = ResState::Committed;
             return Ok(());
@@ -476,9 +475,7 @@ impl Book {
     }
 
     /// Force `r` onto every timeline it crosses, replacing any record
-    /// of `id`, without admission checks (DESIGN.md §D13): replay
-    /// rebuilds state that *was already admitted* before a crash, and
-    /// overwriting makes replay after a snapshot idempotent.
+    /// of `id` (see `ReservationTable::restore`).
     pub(crate) fn restore(&mut self, id: ReservationId, r: Reservation) {
         if r.counts() {
             self.timelines.shift(&r, true);
@@ -509,8 +506,8 @@ impl Book {
     }
 }
 
-/// A capacity-bounded advance-reservation table: a [`Book`] with no
-/// peers, so one id map over one [`Timeline`], for GARA's resource
+/// A capacity-bounded advance-reservation table: a `Book` with no
+/// peers, so one id map over one `Timeline`, for GARA's resource
 /// managers and tests.
 #[derive(Debug, Clone)]
 pub struct ReservationTable(Book);
@@ -597,7 +594,10 @@ impl ReservationTable {
         self.0.active_at(id, t)
     }
 
-    /// Force-apply a recovered reservation (see [`Book::restore`]).
+    /// Force-apply a recovered reservation without admission checks
+    /// (DESIGN.md §D13): replay rebuilds state that *was already
+    /// admitted* before a crash, and overwriting makes replay after a
+    /// snapshot idempotent.
     pub fn restore(
         &mut self,
         id: ReservationId,
