@@ -170,7 +170,7 @@ impl HandshakeRig {
                     ib.clone(),
                     pins.clone(),
                     Some(issuer.clone()),
-                    fresh_nonce(),
+                    fresh_nonce().unwrap(),
                     Timestamp::ZERO,
                 );
                 // The socket closes as it drops.
@@ -201,7 +201,7 @@ impl HandshakeRig {
             self.pin.clone(),
             ticket.cloned(),
             true,
-            fresh_nonce(),
+            fresh_nonce().unwrap(),
             Timestamp::ZERO,
         );
         let done = drive(stream, hs);

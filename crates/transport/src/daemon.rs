@@ -167,6 +167,8 @@ impl BrokerDaemon {
         let local_addr = listener.local_addr()?;
         let admin_addr = admin.as_ref().and_then(|l| l.local_addr().ok());
         let identity = Arc::new(identity);
+        // Every handshake nonce, and a fresh ticket key, is read from it.
+        crate::session::open_random_source()?;
         // Ticket state survives a restart when a durable ledger is
         // attached (DESIGN.md §D13): reuse the journalled MAC key and
         // re-seat every recovered entry, so peers resume zero-Schnorr

@@ -939,6 +939,10 @@ impl Reactor {
     /// responder handshake waiting for the peer's first message.
     fn accept_ready(&mut self, now: u64) {
         while let Some(Ok((stream, _))) = self.config.listener.as_ref().map(TcpListener::accept) {
+            // No nonce, no handshake: the stream closes as it drops.
+            let Ok(nonce) = fresh_nonce() else {
+                continue;
+            };
             let token = self.next_token;
             self.next_token += 1;
             let Some(sock) = Sock::register(stream, &self.config.poll, token, false) else {
@@ -948,7 +952,7 @@ impl Reactor {
                 Arc::clone(&self.config.identity),
                 Arc::clone(&self.config.accept_pins),
                 self.config.issuer.clone(),
-                fresh_nonce(),
+                nonce,
                 self.node.time(),
             );
             let session = Session::new(hs, now, self.pool.clone());
@@ -1128,9 +1132,12 @@ impl Reactor {
             if !matches!(conn.sock.stream.take_error(), Ok(None)) {
                 return false;
             }
+            let Ok(nonce) = fresh_nonce() else {
+                return false;
+            };
             conn.connecting = false;
             let identity = Arc::clone(&config.identity);
-            core.dial(identity, fresh_nonce(), now, node.time());
+            core.dial(identity, nonce, now, node.time());
         }
         write_out(&config.poll, core, &mut conn.sock, 0)
     }

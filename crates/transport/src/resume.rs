@@ -111,9 +111,12 @@ impl TicketIssuer {
     /// Create an issuer whose tickets live `ttl_secs` and whose store
     /// holds at most `cap` outstanding tickets. The MAC key is drawn
     /// from the operating system's random source; the durable ledger
-    /// keeps it across a restart (`key_bytes`).
+    /// keeps it across a restart (`key_bytes`). An issuer is made when a
+    /// daemon starts, so a source that cannot be read stops the start.
     pub fn new(ttl_secs: u64, cap: usize) -> Self {
-        Self::with_key(crate::session::os_random(), ttl_secs, cap)
+        let key = crate::session::os_random()
+            .expect("the operating system's random source, /dev/urandom, is readable");
+        Self::with_key(key, ttl_secs, cap)
     }
 
     /// Create an issuer with an explicit MAC key (deterministic tests).
@@ -317,7 +320,8 @@ mod tests {
     fn two_issuers_draw_different_keys() {
         let (a, b) = (TicketIssuer::new(60, 8), TicketIssuer::new(60, 8));
         assert_ne!(a.key_bytes(), b.key_bytes());
-        assert_ne!(crate::session::fresh_nonce(), crate::session::fresh_nonce());
+        let nonce = || crate::session::fresh_nonce().unwrap();
+        assert_ne!(nonce(), nonce());
     }
 
     #[test]

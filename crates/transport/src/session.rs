@@ -26,8 +26,9 @@ use qos_core::channel::{
 };
 use qos_crypto::{Certificate, DistinguishedName, PublicKey, Timestamp};
 use std::collections::HashMap;
-use std::io::Read;
-use std::sync::Arc;
+use std::fs::File;
+use std::io::{self, Read};
+use std::sync::{Arc, OnceLock};
 
 /// How long a handshake may take, in ns from its start (on the dial side,
 /// when the connect completes), before the connection is abandoned.
@@ -43,19 +44,38 @@ pub const HANDSHAKE_TIMEOUT: u64 = 5_000_000_000;
 /// sealed frames only, and may be smaller than a `Hello`.
 pub const HANDSHAKE_MAX_FRAME: usize = 4096;
 
+/// The operating system's random source, opened once: after start-up,
+/// drawing a nonce takes no file descriptor, so a process at its
+/// descriptor limit refuses a connection rather than failing to number it.
+static RANDOM_SOURCE: OnceLock<File> = OnceLock::new();
+
+/// Open the operating system's random source, `/dev/urandom`, unless it
+/// is open already. A daemon calls this when it starts, so that a source
+/// it cannot open fails the start, not a later connection.
+pub fn open_random_source() -> io::Result<()> {
+    random_source().map(drop)
+}
+
+fn random_source() -> io::Result<&'static File> {
+    if let Some(source) = RANDOM_SOURCE.get() {
+        return Ok(source);
+    }
+    let source = File::open("/dev/urandom")?;
+    Ok(RANDOM_SOURCE.get_or_init(|| source))
+}
+
 /// `N` bytes from the operating system's random source.
-pub(crate) fn os_random<const N: usize>() -> [u8; N] {
+pub(crate) fn os_random<const N: usize>() -> io::Result<[u8; N]> {
     let mut bytes = [0; N];
-    std::fs::File::open("/dev/urandom")
-        .and_then(|mut source| source.read_exact(&mut bytes))
-        .expect("the operating system's random source, /dev/urandom, is readable");
-    bytes
+    random_source()?.read_exact(&mut bytes)?;
+    Ok(bytes)
 }
 
 /// A nonce per connection attempt that a peer cannot predict: eight
-/// bytes from the operating system's random source.
-pub fn fresh_nonce() -> u64 {
-    u64::from_le_bytes(os_random())
+/// bytes from the operating system's random source. An error leaves the
+/// one connection it was for without a handshake.
+pub fn fresh_nonce() -> io::Result<u64> {
+    os_random().map(u64::from_le_bytes)
 }
 
 /// How a session came to be established.
