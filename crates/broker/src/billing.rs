@@ -64,7 +64,13 @@ impl BillingLedger {
     /// recorded — the one restore that is not naturally idempotent,
     /// because billing is append-only and `(payer, payee, reservation)`
     /// settles once.
-    pub(crate) fn restore(&mut self, invoice: Invoice) {
+    pub(crate) fn restore(&mut self, payer: &str, payee: &str, reservation: u64, amount: u64) {
+        let invoice = Invoice {
+            payer: payer.to_string(),
+            payee: payee.to_string(),
+            reservation,
+            amount,
+        };
         let known = self.by_reservation.get(&invoice.reservation);
         if !known.is_some_and(|at| at.iter().any(|&i| self.invoices[i] == invoice)) {
             self.record(invoice);

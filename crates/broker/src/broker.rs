@@ -100,11 +100,12 @@ impl Ledger {
     }
 }
 
-/// Force one recovered reservation back into `book`.
-fn restore_reservation(book: &mut Book, snap: &SnapReservation) {
+/// Force one recovered reservation back into `book`, replacing any
+/// record of its id.
+fn restore_reservation(book: &mut Book, snap: SnapReservation) {
     let segment = PathSegment {
-        ingress_peer: snap.ingress.clone(),
-        egress_peer: snap.egress.clone(),
+        ingress_peer: snap.ingress,
+        egress_peer: snap.egress,
     };
     let interval = Interval::new(Timestamp(snap.start), Timestamp(snap.end));
     let mut r = Reservation::held(interval, snap.rate_bps, segment);
@@ -237,19 +238,18 @@ impl BrokerCore {
         rate_bps: u64,
         segment: PathSegment,
     ) -> Result<(), BrokerError> {
-        let record = LedgerRecord::Hold {
-            id: id.0,
-            start: interval.start.0,
-            end: interval.end.0,
-            rate_bps,
-            ingress: segment.ingress_peer.clone(),
-            egress: segment.egress_peer.clone(),
-        };
         let mut ledger = self.ledger();
-        let result = ledger.book.hold(id, interval, rate_bps, segment);
+        let result = ledger.book.hold(id, interval, rate_bps, &segment);
         if result.is_ok() {
             ledger.counters.holds_ok.inc();
-            ledger.append(&record);
+            ledger.append(&LedgerRecord::Hold {
+                id: id.0,
+                start: interval.start.0,
+                end: interval.end.0,
+                rate_bps,
+                ingress: segment.ingress_peer,
+                egress: segment.egress_peer,
+            });
         } else {
             ledger.counters.holds_refused.inc();
             ledger.append(&LedgerRecord::Deny { id: id.0, rate_bps });
@@ -342,17 +342,18 @@ impl BrokerCore {
                 rate_bps,
                 ingress,
                 egress,
-            } => {
-                let segment = PathSegment {
-                    ingress_peer: ingress.clone(),
-                    egress_peer: egress.clone(),
-                };
-                let interval = Interval::new(Timestamp(*start), Timestamp(*end));
-                book.restore(
-                    ReservationId(*id),
-                    Reservation::held(interval, *rate_bps, segment),
-                );
-            }
+            } => restore_reservation(
+                book,
+                SnapReservation {
+                    id: *id,
+                    start: *start,
+                    end: *end,
+                    rate_bps: *rate_bps,
+                    state: STATE_HELD,
+                    ingress: ingress.clone(),
+                    egress: egress.clone(),
+                },
+            ),
             // An id whose hold the crash discarded is ignored.
             LedgerRecord::Commit { id } => {
                 _ = book.transition(ReservationId(*id), ResState::Committed)
@@ -365,12 +366,7 @@ impl BrokerCore {
                 payee,
                 reservation,
                 amount,
-            } => billing.restore(Invoice {
-                payer: payer.clone(),
-                payee: payee.clone(),
-                reservation: *reservation,
-                amount: *amount,
-            }),
+            } => billing.restore(payer, payee, *reservation, *amount),
             LedgerRecord::Deny { .. }
             | LedgerRecord::TicketKey { .. }
             | LedgerRecord::TicketIssued { .. } => {}
@@ -382,15 +378,12 @@ impl BrokerCore {
     pub fn restore_snapshot(&self, snapshot: &LedgerSnapshot) {
         let mut ledger = self.ledger();
         for r in &snapshot.reservations {
-            restore_reservation(&mut ledger.book, r);
+            restore_reservation(&mut ledger.book, r.clone());
         }
         for i in &snapshot.invoices {
-            ledger.billing.restore(Invoice {
-                payer: i.payer.clone(),
-                payee: i.payee.clone(),
-                reservation: i.reservation,
-                amount: i.amount,
-            });
+            ledger
+                .billing
+                .restore(&i.payer, &i.payee, i.reservation, i.amount);
         }
     }
 

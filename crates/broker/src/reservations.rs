@@ -411,37 +411,40 @@ impl Book {
     }
 
     /// Check every timeline along `segment` in order, then shift them
-    /// all: a refusal changes nothing. The first leg also refuses an
-    /// empty request and an id that still counts.
+    /// all: a refusal changes nothing. Each leg refuses as a table of
+    /// its own would: the first an empty request, and the first that
+    /// the record of an id still counting crosses too (its ingress
+    /// peer's, or else local capacity) the duplicate.
     pub(crate) fn hold(
         &mut self,
         id: ReservationId,
         interval: Interval,
         rate_bps: u64,
-        segment: PathSegment,
+        segment: &PathSegment,
     ) -> Result<(), BrokerError> {
-        let mut rules = if interval.secs() == 0 || rate_bps == 0 {
-            Err(AdmissionError::EmptyRequest)
-        } else if self.records.get(&id).is_some_and(Reservation::counts) {
-            Err(AdmissionError::DuplicateReservation(id))
-        } else {
-            Ok(())
-        };
+        let duplicate_leg = self.records.get(&id).filter(|r| r.counts()).map(|r| {
+            let ingress = &segment.ingress_peer;
+            usize::from(ingress.is_some() && r.segment.ingress_peer != *ingress)
+        });
         let mut legs: [Option<&mut Timeline>; 3] = Default::default();
-        for (leg, (peer, timeline)) in legs.iter_mut().zip(self.timelines.legs(&segment)) {
+        let crossed = self.timelines.legs(segment);
+        for (i, (leg, (peer, timeline))) in legs.iter_mut().zip(crossed).enumerate() {
             let Some(timeline) = timeline else {
                 let peer = peer.unwrap_or_default().to_string();
                 return Err(BrokerError::NoSla { peer });
             };
-            std::mem::replace(&mut rules, Ok(()))
-                .and_then(|()| timeline.admit(&interval, rate_bps))
-                .map_err(|source| refusal(peer, source))?;
+            let rules = match i {
+                0 if interval.secs() == 0 || rate_bps == 0 => Err(AdmissionError::EmptyRequest),
+                _ if duplicate_leg == Some(i) => Err(AdmissionError::DuplicateReservation(id)),
+                _ => timeline.admit(&interval, rate_bps),
+            };
+            rules.map_err(|source| refusal(peer, source))?;
             *leg = Some(timeline);
         }
         for timeline in legs.into_iter().flatten() {
             timeline.shift(interval, rate_bps, true);
         }
-        let held = Reservation::held(interval, rate_bps, segment);
+        let held = Reservation::held(interval, rate_bps, segment.clone());
         self.records.insert(id, held);
         Ok(())
     }
@@ -494,14 +497,9 @@ impl Book {
     }
 
     /// The held and committed reservations, in id order.
-    pub(crate) fn live(&self) -> Vec<(ReservationId, &Reservation)> {
-        let mut live: Vec<_> = self
-            .records
-            .iter()
-            .filter(|(_, r)| r.counts())
-            .map(|(id, r)| (*id, r))
-            .collect();
-        live.sort_unstable_by_key(|(id, _)| *id);
+    pub(crate) fn live(&self) -> Vec<(&ReservationId, &Reservation)> {
+        let mut live: Vec<_> = self.records.iter().filter(|(_, r)| r.counts()).collect();
+        live.sort_unstable_by_key(|(id, _)| **id);
         live
     }
 }
@@ -566,7 +564,7 @@ impl ReservationTable {
         rate_bps: u64,
     ) -> Result<(), AdmissionError> {
         let segment = PathSegment::default();
-        self.0.hold(id, interval, rate_bps, segment).map_err(local)
+        self.0.hold(id, interval, rate_bps, &segment).map_err(local)
     }
 
     /// Commit a held reservation; twice is idempotent, after a release
@@ -621,7 +619,7 @@ impl ReservationTable {
         &self,
     ) -> impl Iterator<Item = (ReservationId, Interval, u64, ResState)> + '_ {
         let live = self.0.live().into_iter();
-        live.map(|(id, r)| (id, r.interval, r.rate_bps, r.state))
+        live.map(|(id, r)| (*id, r.interval, r.rate_bps, r.state))
     }
 }
 

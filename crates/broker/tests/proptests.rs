@@ -335,11 +335,12 @@ proptest! {
 // scanning model above, so no rule of the crate's is shared with it.
 // ---------------------------------------------------------------------
 
-/// The pre-D39 ledger of a transit broker with one ingress peer
-/// (`domain-a`) and one egress peer (`domain-c`).
+/// The pre-D39 ledger of a transit broker with two ingress peers
+/// (`domain-a`, `domain-e`) and one egress peer (`domain-c`).
 struct TablesModel {
     local: ScanModel,
     ingress: ScanModel,
+    ingress_e: ScanModel,
     egress: ScanModel,
     meta: HashMap<ReservationId, PathSegment>,
 }
@@ -361,6 +362,7 @@ impl TablesModel {
         TablesModel {
             local: ScanModel::new(LOCAL),
             ingress: ScanModel::new(INGRESS),
+            ingress_e: ScanModel::new(INGRESS_E),
             egress: ScanModel::new(EGRESS),
             meta: HashMap::new(),
         }
@@ -370,7 +372,12 @@ impl TablesModel {
     fn legs<'a>(&'a mut self, seg: &'a PathSegment) -> Vec<Leg<'a>> {
         let mut legs = Vec::new();
         if let Some(p) = seg.ingress_peer.as_deref() {
-            legs.push((Some(p), (p == "domain-a").then_some(&mut self.ingress)));
+            let table = match p {
+                "domain-a" => Some(&mut self.ingress),
+                "domain-e" => Some(&mut self.ingress_e),
+                _ => None,
+            };
+            legs.push((Some(p), table));
         }
         legs.push((None, Some(&mut self.local)));
         if let Some(p) = seg.egress_peer.as_deref() {
@@ -520,6 +527,7 @@ impl LedgerStore for Journal {
 
 const LOCAL: u64 = 100;
 const INGRESS: u64 = 60;
+const INGRESS_E: u64 = 30;
 const EGRESS: u64 = 50;
 
 fn sla(up: &str, down: &str, rate: u64) -> Sla {
@@ -543,23 +551,30 @@ fn sla(up: &str, down: &str, rate: u64) -> Sla {
 
 /// A transit broker with the model's capacities.
 fn transit() -> BrokerCore {
-    static SLAS: OnceLock<(Sla, Sla)> = OnceLock::new();
-    let (ingress, egress) = SLAS.get_or_init(|| {
+    static SLAS: OnceLock<(Sla, Sla, Sla)> = OnceLock::new();
+    let (ingress, ingress_e, egress) = SLAS.get_or_init(|| {
         (
             sla("domain-a", "domain-b", INGRESS),
+            sla("domain-e", "domain-b", INGRESS_E),
             sla("domain-b", "domain-c", EGRESS),
         )
     });
     let b = BrokerCore::new("domain-b", LOCAL);
     b.add_ingress_sla(ingress.clone());
+    b.add_ingress_sla(ingress_e.clone());
     b.add_egress_sla(egress.clone());
     b
 }
 
-/// An id keeps one segment, as a request keeps its path: transit, from
-/// the source, into the destination, local only, and an unknown peer
-/// on each side.
-fn segment_of(id: u64) -> PathSegment {
+/// The segments a hold may cross: transit, from the source, into the
+/// destination, local only, an unknown peer on each side, and transit
+/// from the second, smaller ingress peer.
+const SEGMENTS: u64 = 7;
+
+/// A hold of `id` crosses `segment_of(id + k)`: mostly `k` is 0 and an
+/// id keeps one segment, as a request keeps its path; otherwise an id
+/// that still counts is held again along another one.
+fn segment_of(n: u64) -> PathSegment {
     let (ingress, egress) = [
         (Some("domain-a"), Some("domain-c")),
         (None, Some("domain-c")),
@@ -567,7 +582,8 @@ fn segment_of(id: u64) -> PathSegment {
         (None, None),
         (Some("domain-x"), None),
         (Some("domain-a"), Some("domain-y")),
-    ][(id % 6) as usize];
+        (Some("domain-e"), Some("domain-c")),
+    ][(n % SEGMENTS) as usize];
     PathSegment {
         ingress_peer: ingress.map(Into::into),
         egress_peer: egress.map(Into::into),
@@ -576,13 +592,15 @@ fn segment_of(id: u64) -> PathSegment {
 
 #[derive(Debug, Clone)]
 enum LedgerOp {
-    Hold(u64, Interval, u64),
+    Hold(u64, Interval, u64, u64),
     Commit(u64),
     Release(u64),
 }
 
 fn arb_ledger_hold() -> impl Strategy<Value = LedgerOp> {
-    (0..IDS, arb_interval(), 0u64..40).prop_map(|(id, iv, rate)| LedgerOp::Hold(id, iv, rate))
+    let k = prop_oneof![Just(0), 0..SEGMENTS];
+    (0..IDS, arb_interval(), 0u64..40, k)
+        .prop_map(|(id, iv, rate, k)| LedgerOp::Hold(id, iv, rate, k))
 }
 
 fn arb_ledger_op() -> impl Strategy<Value = LedgerOp> {
@@ -609,8 +627,8 @@ proptest! {
         let mut model = TablesModel::new();
         for op in &ops {
             let (got, want) = match *op {
-                LedgerOp::Hold(id, iv, rate) => {
-                    let seg = segment_of(id);
+                LedgerOp::Hold(id, iv, rate, k) => {
+                    let seg = segment_of(id + k);
                     let id = ReservationId(id);
                     (live.hold(id, iv, rate, seg.clone()), model.hold(id, iv, rate, &seg))
                 }
@@ -630,6 +648,7 @@ proptest! {
             for t in (0..=HORIZON).map(Timestamp) {
                 prop_assert_eq!(live.available_bw_at(t), LOCAL.saturating_sub(model.local.usage_at(t)));
                 prop_assert_eq!(live.admitted_ingress_aggregate("domain-a", t), model.ingress.usage_at(t));
+                prop_assert_eq!(live.admitted_ingress_aggregate("domain-e", t), model.ingress_e.usage_at(t));
             }
             prop_assert_eq!(live.export_snapshot(0).reservations, model.export(), "after {:?}", op);
         }
