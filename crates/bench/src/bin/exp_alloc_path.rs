@@ -139,8 +139,8 @@ fn joined(
 /// onto `link`; returns how many sub-flows it completed as accepted.
 fn run_through(node: &mut BbNode, inputs: &mut Vec<Input>, link: &mut LinkCore) -> u64 {
     let mut accepted = 0;
-    node.step(inputs, &StdClock, &Counter::noop(), |deliveries, done| {
-        for (_to, msg) in deliveries.drain(..) {
+    node.step(inputs, &StdClock, &Counter::noop(), |msgs, done, _| {
+        for (_to, msg) in msgs.drain(..) {
             link.push(&msg);
         }
         let ok = |c: &&Completion| matches!(c, Completion::TunnelFlow { accepted: true, .. });

@@ -46,8 +46,7 @@ fn main() {
 
     for be_mbps in [0u64, 20, 40, 60, 100] {
         let (mut scenario, network, names) =
-            build_paper_world(40 * MBPS, SimDuration::from_millis(5));
-        qos_bench::install_telemetry(&mut scenario, &telemetry);
+            build_paper_world(40 * MBPS, SimDuration::from_millis(5), telemetry.clone());
 
         // Alice reserves 10 Mb/s EF through the brokers (which size the
         // classifiers and ingress policers).

@@ -13,7 +13,7 @@
 use qos_bench::{experiment_registry, table_header, table_row, write_metrics_snapshot};
 use qos_core::drive::Mesh;
 use qos_core::scenario::{build_chain, ChainOptions};
-use qos_core::source::{AgentMode, SourceBasedRun};
+use qos_core::source::{enrol, AgentMode, SourceBasedRun};
 use qos_crypto::Timestamp;
 use qos_net::{SimDuration, SimTime};
 
@@ -86,10 +86,8 @@ fn main() {
             let dn = s.users["alice"].dn.clone();
             let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
             let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
-            for node in &mut s.nodes {
-                node.add_direct_user(dn.clone(), pk);
-            }
             let mut mesh = mesh_with_hops(&mut s);
+            enrol(&mut mesh, &domains, &dn, pk);
             let outcome = SourceBasedRun::honest(rar, domains, mode).execute(&mut mesh);
             assert!(outcome.all_accepted);
             src[slot] = outcome.latency().as_secs_f64() * 1e3;

@@ -78,8 +78,8 @@ type Verdicts = (usize, usize);
 fn step(mesh: &mut Mesh, domain: &PeerId, inputs: &mut Vec<Input>, verdicts: &mut Verdicts) {
     let mut out = Vec::new();
     let node = mesh.node_mut(domain);
-    node.step(inputs, &StdClock, &Counter::noop(), |deliveries, done| {
-        out.append(deliveries);
+    node.step(inputs, &StdClock, &Counter::noop(), |msgs, done, _| {
+        out.append(msgs);
         for c in done.iter() {
             match c {
                 Completion::TunnelFlow { accepted: true, .. } => verdicts.0 += 1,
@@ -127,9 +127,6 @@ fn main() {
         telemetry: telemetry.clone(),
         ..AsGraphOptions::default()
     });
-    for node in &mut graph.scenario.nodes {
-        node.install_telemetry(telemetry.clone());
-    }
 
     // ---- Phase 1: establish tunnels (stub→stub aggregate RARs). -------
     assert!(

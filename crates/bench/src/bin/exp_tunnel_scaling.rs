@@ -13,6 +13,7 @@
 use qos_bench::{experiment_registry, table_header, table_row, write_metrics_snapshot};
 use qos_core::node::Completion;
 use qos_core::scenario::{build_chain, ChainOptions};
+use qos_core::Input;
 use qos_crypto::Timestamp;
 use qos_net::SimDuration;
 
@@ -93,14 +94,8 @@ fn tunnel_mode(k: usize, telemetry: &qos_telemetry::Telemetry) -> (u64, f64, usi
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
     mesh.run_until_idle();
     for flow in 0..k {
-        mesh.tunnel_flow_in(
-            SimDuration::ZERO,
-            "domain-a",
-            tunnel_id,
-            flow as u64 + 1,
-            5 * MBPS,
-            alice_dn.clone(),
-        );
+        let input = Input::TunnelFlow(tunnel_id, flow as u64 + 1, 5 * MBPS, None, alice_dn.clone());
+        mesh.input_in(SimDuration::ZERO, "domain-a", input);
     }
     mesh.run_until_idle();
     let granted = mesh

@@ -11,7 +11,7 @@
 
 use qos_bench::{experiment_registry, table_header, table_row, write_metrics_snapshot};
 use qos_core::scenario::{build_chain, ChainOptions};
-use qos_core::source::{AgentMode, SourceBasedRun};
+use qos_core::source::{enrol, AgentMode, SourceBasedRun};
 use qos_crypto::Timestamp;
 use qos_net::SimDuration;
 
@@ -40,10 +40,8 @@ fn main() {
         let alice_dn = s.users["alice"].dn.clone();
         let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
         let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
-        for node in &mut s.nodes {
-            node.add_direct_user(alice_dn.clone(), alice_pk);
-        }
         let mut mesh = s.mesh(SimDuration::from_millis(5));
+        enrol(&mut mesh, &domains, &alice_dn, alice_pk);
         let outcome = SourceBasedRun::honest(rar, domains, mode).execute(&mut mesh);
         table_row(
             &[
@@ -70,15 +68,14 @@ fn main() {
         .values()
         .map(|u| (u.dn.clone(), u.key.public()))
         .collect();
-    for node in &mut s.nodes {
-        for (dn, pk) in &users {
-            node.add_direct_user(dn.clone(), *pk);
-        }
+    let domains = s.domains.clone();
+    let mut mesh = s.mesh(SimDuration::ZERO);
+    for (dn, pk) in &users {
+        enrol(&mut mesh, &domains, dn, *pk);
     }
-    let avg: f64 = s
-        .nodes
+    let avg: f64 = domains
         .iter()
-        .map(|n| n.trust_table_size() as f64)
+        .map(|d| mesh.node(d).trust_table_size() as f64)
         .sum::<f64>()
         / n_domains as f64;
     table_row(

@@ -11,7 +11,7 @@
 
 use qos_bench::{pct, table_header, table_row};
 use qos_core::scenario::build_paper_world;
-use qos_core::source::{AgentMode, SourceBasedRun};
+use qos_core::source::{enrol, AgentMode, SourceBasedRun};
 use qos_crypto::Timestamp;
 use qos_net::flow::{FlowSpec, TrafficPattern};
 use qos_net::{FlowId, NodeId, SimDuration, SimTime};
@@ -35,13 +35,10 @@ fn poisson(id: u64, src: NodeId, dst: NodeId, rate: u64) -> FlowSpec {
 
 /// Returns (alice_loss, david_loss, alice_goodput_bps).
 fn run(david_rate: u64, attack: bool, telemetry: &qos_telemetry::Telemetry) -> (f64, f64, f64) {
-    let (mut scenario, network, names) = build_paper_world(200 * MBPS, SimDuration::from_millis(5));
-    qos_bench::install_telemetry(&mut scenario, telemetry);
+    let hop = SimDuration::from_millis(5);
+    let (mut scenario, network, names) = build_paper_world(200 * MBPS, hop, telemetry.clone());
     let david_pk = scenario.users["david"].key.public();
     let david_dn = scenario.users["david"].dn.clone();
-    for node in &mut scenario.nodes {
-        node.add_direct_user(david_dn.clone(), david_pk);
-    }
 
     let mut spec_alice = scenario.spec("alice", 1, 10 * MBPS, Timestamp(0), 3600);
     spec_alice.dest_domain = "domain-c".into();
@@ -54,8 +51,10 @@ fn run(david_rate: u64, attack: bool, telemetry: &qos_telemetry::Telemetry) -> (
     let rar_david = scenario.users["david"].sign_request(spec_david, &scenario.nodes[3]);
     let david_cert = scenario.users["david"].cert.clone();
 
-    let mut mesh = scenario.mesh(SimDuration::from_millis(5));
+    let domains = scenario.domains.clone();
+    let mut mesh = scenario.mesh(hop);
     mesh.attach_network(network);
+    enrol(&mut mesh, &domains, &david_dn, david_pk);
 
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar_alice, alice_cert);
     mesh.run_until_idle();

@@ -12,6 +12,7 @@
 use qos_bench::{experiment_registry, table_header, table_row, write_metrics_snapshot};
 use qos_core::node::Completion;
 use qos_core::scenario::{build_chain, ChainOptions};
+use qos_core::Input;
 use qos_crypto::Timestamp;
 use qos_net::SimDuration;
 use qos_policy::samples;
@@ -45,7 +46,7 @@ fn run(
     let cert = s.users[user].cert.clone();
     let mut mesh = s.mesh(SimDuration::from_millis(5));
     if cpu_ok {
-        mesh.node_mut("domain-c").add_cpu_reservation(111);
+        mesh.input_in(SimDuration::ZERO, "domain-c", Input::CpuReservation(111));
     }
     // Submit at the sweep's wall-clock hour so `Time` policies see it.
     mesh.submit_in(SimDuration::from_secs(hour * 3600), "domain-a", rar, cert);

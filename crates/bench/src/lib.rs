@@ -8,7 +8,6 @@
 pub mod alloc_count;
 pub mod workload;
 
-use qos_core::scenario::Scenario;
 use qos_telemetry::{render_prometheus, snapshot_json, Artifact, Registry, Row, Telemetry};
 use std::process::Command;
 use std::sync::Arc;
@@ -19,14 +18,6 @@ pub fn experiment_registry() -> (Arc<Registry>, Telemetry) {
     let registry = Registry::new();
     let telemetry = Telemetry::with_registry(registry.clone());
     (registry, telemetry)
-}
-
-/// Route every broker in `scenario` into `telemetry` (counters,
-/// histograms, PDP and admission instruments).
-pub fn install_telemetry(scenario: &mut Scenario, telemetry: &Telemetry) {
-    for node in &mut scenario.nodes {
-        node.install_telemetry(telemetry.clone());
-    }
 }
 
 /// Write the run's metrics in both exposition formats:

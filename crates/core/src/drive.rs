@@ -18,7 +18,8 @@ use crate::messages::{DirectRequest, SignalMessage};
 use crate::node::{BbNode, Completion, PeerId};
 use crate::rar::RarId;
 use crate::step::{Input, UNQUEUED};
-use qos_crypto::{Certificate, DistinguishedName, Timestamp};
+use qos_broker::EdgeCommand;
+use qos_crypto::{Certificate, Timestamp};
 use qos_net::des::Scheduler;
 use qos_net::{Network, SimDuration, SimTime};
 use qos_telemetry::{Counter, ManualClock};
@@ -199,12 +200,6 @@ impl Mesh {
         &self.agent_inbox
     }
 
-    /// Current agent-inbox length (sequential agents use this to find
-    /// the replies a step produced).
-    pub fn agent_inbox_len(&self) -> usize {
-        self.agent_inbox.len()
-    }
-
     /// Count delivered messages of `kind` addressed to `domain`.
     pub fn messages_to(&self, domain: &str, kind: &str) -> usize {
         self.msg_log
@@ -222,24 +217,11 @@ impl Mesh {
         user_cert: Certificate,
     ) {
         let input = Input::Submit(Box::new(rar), Box::new(user_cert), UNQUEUED);
-        self.local_in(delay, domain, input);
+        self.input_in(delay, domain, input);
     }
 
-    /// Ask the source broker for a tunnel sub-flow after `delay`.
-    pub fn tunnel_flow_in(
-        &mut self,
-        delay: SimDuration,
-        domain: &str,
-        tunnel: RarId,
-        flow: u64,
-        rate_bps: u64,
-        requestor: DistinguishedName,
-    ) {
-        let input = Input::TunnelFlow(tunnel, flow, rate_bps, None, requestor);
-        self.local_in(delay, domain, input);
-    }
-
-    fn local_in(&mut self, delay: SimDuration, domain: &str, input: Input) {
+    /// Hand `input` to `domain`'s broker after `delay`.
+    pub fn input_in(&mut self, delay: SimDuration, domain: &str, input: Input) {
         let domain = domain.to_string();
         self.sched
             .schedule_in(delay, MeshEvent::Local { domain, input });
@@ -255,16 +237,11 @@ impl Mesh {
         let mut total = 0;
         for d in domains {
             self.step(&d, Input::SetTime(wall));
-            total += self.node_mut(&d).expire(wall).len();
-            self.route(&d, Vec::new());
+            let node = self.nodes.get_mut(&d).expect("a broker of the mesh");
+            total += node.expire(wall).len();
+            apply(&mut self.network, &mut node.edges);
         }
         total
-    }
-
-    /// Tear down a standing reservation from its source domain after
-    /// `delay`.
-    pub fn release_in(&mut self, delay: SimDuration, domain: &str, rar_id: RarId) {
-        self.local_in(delay, domain, Input::Release(rar_id));
     }
 
     /// Inject an Approach-1 direct request from `agent_domain`'s
@@ -322,35 +299,31 @@ impl Mesh {
     }
 
     /// Step `domain`'s broker through `input` at the current wall clock,
-    /// log the requests it finished, and route what it emitted.
+    /// log the requests it finished, apply its edge commands and route
+    /// the messages it emitted.
     fn step(&mut self, domain: &str, input: Input) {
         let now = self.sched.now();
         let mut inputs = vec![Input::SetTime(self.wall_clock()), input];
         let node = self.nodes.get_mut(domain).expect("unknown domain");
         let (mut out, completions) = (Vec::new(), &mut self.completions);
+        let network = &mut self.network;
         node.step(
             &mut inputs,
             &self.clock,
             &Counter::noop(),
-            |deliveries, done| {
+            |deliveries, done, edges| {
                 out.append(deliveries);
                 let at_domain = done.drain(..).map(|c| (now, domain.to_string(), c));
                 completions.extend(at_domain);
+                apply(network, edges);
             },
         );
         self.route(domain, out);
     }
 
-    /// Apply `domain`'s edge commands to the data plane, if one is
-    /// attached, and schedule `out` after the processing delay plus the
-    /// latency to each message's peer.
+    /// Schedule `out` after the processing delay plus the latency to
+    /// each message's peer.
     fn route(&mut self, domain: &str, out: Vec<(PeerId, SignalMessage)>) {
-        let cmds = self.node_mut(domain).take_edge_commands();
-        if let Some(net) = self.network.as_mut() {
-            for cmd in cmds {
-                qos_broker::EdgeControl::apply(net, cmd);
-            }
-        }
         for (to, msg) in out {
             let lat = self.latency_between(domain, to.strip_prefix("user:").unwrap_or(&to));
             self.sched.schedule_in(
@@ -380,5 +353,13 @@ impl Mesh {
                         Completion::Reservation { rar_id: id, .. } if *id == rar_id)
             })
             .map(|(t, _, c)| (*t, c))
+    }
+}
+
+/// Apply `edges` to the data plane, if one is attached.
+fn apply(network: &mut Option<Network>, edges: &mut Vec<EdgeCommand>) {
+    let cmds = edges.drain(..);
+    if let Some(net) = network {
+        cmds.for_each(|cmd| qos_broker::EdgeControl::apply(net, cmd));
     }
 }

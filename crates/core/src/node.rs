@@ -24,7 +24,7 @@ use crate::messages::{
     TunnelFlowRelease, TunnelFlowReply, TunnelFlowRequest,
 };
 use crate::rar::RarId;
-use crate::step::Run;
+use crate::step::{Out, Run};
 use crate::trust::{verify_view, KeySource};
 use crate::view::RarView;
 use qos_broker::{BrokerCore, EdgeCommand, Interval, PathSegment, ReservationId, Sla};
@@ -36,7 +36,7 @@ use qos_crypto::{
 use qos_net::conditioner::{ExcessTreatment, TrafficProfile};
 use qos_net::{FlowId, LinkId, NodeId};
 use qos_policy::request::VerifiedCapability;
-use qos_policy::{Assertion, AttributeSet, GroupServer, PolicyServer, ReservationOracle, Value};
+use qos_policy::{AttributeSet, GroupServer, PolicyServer, ReservationOracle, Value};
 use qos_storage::{LedgerRecord, LedgerSnapshot, Recovered, SharedStore, SnapTicket};
 use qos_telemetry::{
     Clock, Counter, EventFamily, FlightEvent, Gauge, Histogram, Span, SpanKind, Stopped, Telemetry,
@@ -100,7 +100,7 @@ pub struct NodeCounters {
 }
 
 /// Single-storage counter cells: the node increments these directly, and
-/// [`BbNode::install_telemetry`] registers the very same `Arc`s with the
+/// [`BbNode::new`] registers the very same `Arc`s with the
 /// registry — [`BbNode::counters`] and the Prometheus exposition read one
 /// set of atomics, so they can never diverge.
 #[derive(Debug, Default)]
@@ -139,7 +139,7 @@ impl CounterCells {
 }
 
 /// Resolved metric instruments. `Default` handles are detached no-ops, so
-/// a node without [`BbNode::install_telemetry`] pays one `None` check per
+/// a node built with [`Telemetry::disabled`] pays one `None` check per
 /// operation and allocates nothing.
 #[derive(Debug, Default)]
 struct NodeInstruments {
@@ -219,7 +219,13 @@ struct TunnelDst {
     flows: FlowTable,
 }
 
-/// Per-domain broker configuration.
+/// A peering as a broker is configured with it: the peer's certificate,
+/// then the SLA under which the peer sends into this domain and the one
+/// under which this domain sends into the peer, where they exist.
+pub type Peering = (Certificate, Option<Sla>, Option<Sla>);
+
+/// Per-domain broker configuration: everything a broker is built with.
+/// Once built, a broker changes only through [`crate::Input`]s.
 pub struct BbConfig {
     /// Domain name.
     pub domain: String,
@@ -244,6 +250,13 @@ pub struct BbConfig {
     pub telemetry: Telemetry,
     /// Record per-request trace spans.
     pub tracing: bool,
+    /// Each neighbour, in the order its SLAs are registered.
+    pub peers: Vec<Peering>,
+    /// Domain-level routes: requests for a destination domain (the key)
+    /// are forwarded to a neighbour (the value).
+    pub routes: HashMap<String, String>,
+    /// This broker's binding to its data plane.
+    pub edge: EdgeBinding,
 }
 
 struct CpuOracle<'a>(&'a HashSet<u64>);
@@ -277,9 +290,13 @@ pub struct BbNode {
     pending: HashMap<RarId, Pending>,
     /// Requests finished since a driver last took them.
     pub(crate) completions: Vec<Completion>,
-    edge_cmds: Vec<EdgeCommand>,
-    cpu_reservations: HashSet<u64>,
-    direct_users: HashMap<DistinguishedName, PublicKey>,
+    /// Edge-router configuration made since `step` last handed it to
+    /// its driver, with a run's messages and completions.
+    pub(crate) edges: Vec<EdgeCommand>,
+    /// The coupled-resource oracle behind Figure 6's `HasValidCPUResv`.
+    pub(crate) cpu_reservations: HashSet<u64>,
+    /// Approach 1's per-domain trust table, whose growth FIG3 measures.
+    pub(crate) direct_users: HashMap<DistinguishedName, PublicKey>,
     tunnels_src: HashMap<RarId, TunnelSrc>,
     tunnels_dst: HashMap<RarId, TunnelDst>,
     /// Hold-expiry wheel over source-side held sub-flows (ticks are
@@ -337,9 +354,30 @@ impl BbNode {
         assert!(held, "{} does not hold its own key", config.domain);
         let mut tracer = Tracer::default();
         tracer.set_enabled(config.tracing);
+        let core = BrokerCore::new(&config.domain, config.local_capacity_bps);
+        let mut peers = HashMap::new();
+        for (peer_cert, sla_in, sla_out) in config.peers {
+            let peer_domain = peer_cert
+                .tbs()
+                .subject
+                .org_unit()
+                .expect("broker certs carry the domain in OU")
+                .to_string();
+            // An SLA peer's key verifies every envelope it forwards for
+            // the SLA's lifetime — worth a pinned fixed-base table up
+            // front.
+            peer_cert.tbs().subject_public_key.precompute();
+            peers.insert(peer_domain, peer_cert);
+            if let Some(sla) = sla_in {
+                core.add_ingress_sla(sla);
+            }
+            if let Some(sla) = sla_out {
+                core.add_egress_sla(sla);
+            }
+        }
         let mut node = Self {
             dn: DistinguishedName::broker(&config.domain),
-            core: BrokerCore::new(&config.domain, config.local_capacity_bps),
+            core,
             domain: config.domain,
             key: config.key,
             cert: config.cert,
@@ -348,12 +386,12 @@ impl BbNode {
             trust_policy: config.trust_policy,
             cas_keys: config.cas_keys,
             user_ca: config.user_ca,
-            peers: HashMap::new(),
-            routes: HashMap::new(),
-            edge: EdgeBinding::default(),
+            peers,
+            routes: config.routes,
+            edge: config.edge,
             pending: HashMap::new(),
             completions: Vec::new(),
-            edge_cmds: Vec::new(),
+            edges: Vec::new(),
             cpu_reservations: HashSet::new(),
             direct_users: HashMap::new(),
             tunnels_src: HashMap::new(),
@@ -396,57 +434,9 @@ impl BbNode {
         self.now
     }
 
-    /// Register a peering: the SLA's pinned certificate plus (for
-    /// upstream peers) the admission table. `sla_in`/`sla_out` mirror
-    /// [`BrokerCore::add_ingress_sla`]/[`BrokerCore::add_egress_sla`].
-    pub fn add_peer(&mut self, peer_cert: Certificate, sla_in: Option<Sla>, sla_out: Option<Sla>) {
-        let peer_domain = peer_cert
-            .tbs()
-            .subject
-            .org_unit()
-            .expect("broker certs carry the domain in OU")
-            .to_string();
-        // An SLA peer's key verifies every envelope it forwards for the
-        // SLA's lifetime — worth a pinned fixed-base table up front.
-        peer_cert.tbs().subject_public_key.precompute();
-        self.peers.insert(peer_domain, peer_cert);
-        if let Some(sla) = sla_in {
-            self.core.add_ingress_sla(sla);
-        }
-        if let Some(sla) = sla_out {
-            self.core.add_egress_sla(sla);
-        }
-    }
-
-    /// Install a domain-level route: requests for `dest_domain` are
-    /// forwarded to `next_peer`.
-    pub fn add_route(&mut self, dest_domain: &str, next_peer: &str) {
-        self.routes
-            .insert(dest_domain.to_string(), next_peer.to_string());
-    }
-
     /// The next peer on the route towards `dest_domain`, if known.
     pub fn route_towards(&self, dest_domain: &str) -> Option<String> {
         self.routes.get(dest_domain).cloned()
-    }
-
-    /// Bind this broker to its data plane.
-    pub fn set_edge_binding(&mut self, edge: EdgeBinding) {
-        self.edge = edge;
-    }
-
-    /// Register a CPU reservation (the coupled-resource oracle behind
-    /// Figure 6's `HasValidCPUResv`).
-    pub fn add_cpu_reservation(&mut self, id: u64) {
-        self.cpu_reservations.insert(id);
-    }
-
-    /// Grant Approach-1 direct trust to a user (the per-domain trust
-    /// table whose growth FIG3 measures).
-    pub fn add_direct_user(&mut self, dn: DistinguishedName, pk: PublicKey) {
-        // Approach-1 users sign every per-domain request with this key.
-        pk.precompute();
-        self.direct_users.insert(dn, pk);
     }
 
     /// Size of the trust state this broker must maintain: peers plus
@@ -460,11 +450,11 @@ impl BbNode {
         self.counters.snapshot()
     }
 
-    /// Route this node's metrics into `telemetry`: the rx/tx/signed/
-    /// verified cells are *registered* (shared storage, not copied), and
-    /// the timing histograms and admission/completion counters are
-    /// resolved under this domain's label.
-    pub fn install_telemetry(&mut self, telemetry: Telemetry) {
+    /// Route this node's metrics into `telemetry` (`new` only): the
+    /// rx/tx/signed/verified cells are *registered* (shared storage, not
+    /// copied), and the timing histograms and admission/completion
+    /// counters are resolved under this domain's label.
+    fn install_telemetry(&mut self, telemetry: Telemetry) {
         if telemetry.is_enabled() {
             let d = self.domain.clone();
             let dl: &[(&str, &str)] = &[("domain", &d)];
@@ -650,11 +640,6 @@ impl BbNode {
             flight.record_span(&span);
         }
         self.tracer.record(span);
-    }
-
-    /// Drain buffered edge-router configuration.
-    pub fn take_edge_commands(&mut self) -> Vec<EdgeCommand> {
-        std::mem::take(&mut self.edge_cmds)
     }
 
     /// Resource-core access (experiments inspect admission state).
@@ -1594,8 +1579,9 @@ impl BbNode {
     /// expired. Drivers call this as simulated wall time advances; the
     /// admission tables are time-indexed, so capacity accounting is
     /// already correct — this sweep cleans up the *data plane* (stale
-    /// classifiers and policer dimensioning). No driver's clock reaches
-    /// it, so its `Release` spans are on the [`Stopped`] clock.
+    /// classifiers and policer dimensioning); its edge commands go to the
+    /// driver with the next run [`BbNode::step`] emits. No driver's clock
+    /// reaches it, so its `Release` spans are on the [`Stopped`] clock.
     pub fn expire(&mut self, now: Timestamp) -> Vec<RarId> {
         let expired: Vec<RarId> = self
             .pending
@@ -1605,7 +1591,7 @@ impl BbNode {
             .collect();
         // Local-only: every domain expires on its own clock, so no
         // release is built or sent (the interval is part of the signed
-        // spec). Edge commands remain queued for the driver.
+        // spec).
         for id in &expired {
             self.release_locally(*id, &Stopped);
         }
@@ -1669,7 +1655,7 @@ impl BbNode {
         // Undo the edge configuration this reservation installed.
         if pending.upstream.is_none() && !pending.tunnel {
             if let Some(router) = self.edge.first_router {
-                self.edge_cmds.push(EdgeCommand::RemoveFlow {
+                self.edges.push(EdgeCommand::RemoveFlow {
                     router,
                     flow: FlowId(pending.flow),
                 });
@@ -1685,7 +1671,7 @@ impl BbNode {
                     .ingress_sla(peer)
                     .map(|s| s.sls.excess)
                     .unwrap_or(ExcessTreatment::Drop);
-                self.edge_cmds.push(EdgeCommand::SetIngressAggregate {
+                self.edges.push(EdgeCommand::SetIngressAggregate {
                     link,
                     profile: TrafficProfile::with_default_burst(aggregate),
                     excess,
@@ -1783,9 +1769,9 @@ impl BbNode {
     /// the destination domain, goes onto `run`. When `hold_until` is
     /// set, the flow — if the destination accepts it — is torn down
     /// automatically once [`Self::expire_tunnel_flows`] passes that
-    /// time, exactly as if [`Self::release_tunnel_flow`] had been
-    /// invoked. A refusal here is a static [`DenialCode`] — no
-    /// error-string formatting on the fast path.
+    /// time, exactly as an [`crate::Input::ReleaseFlow`] would. A refusal
+    /// here is a static [`DenialCode`] — no error-string formatting on
+    /// the fast path.
     pub(crate) fn request_tunnel_flow_held(
         &mut self,
         tunnel: RarId,
@@ -1853,16 +1839,11 @@ impl BbNode {
             if req.rate_bps > MAX_FLOW_RATE_BPS {
                 break 'admit answer(false, DenialCode::RateOverCap, source);
             }
-            // Deliberate pre-§D14 quirk, kept for verdict equivalence: a
-            // duplicate admit replaces the record but still adds its full
-            // rate to the aggregate (the old `HashMap` path did exactly
-            // this).
+            // A re-admit replaces the flow's old rate.
             t.allocated_bps += req.rate_bps;
-            if t.flows
-                .insert(req.flow, req.rate_bps as u32, EXPIRY_NEVER)
-                .is_none()
-            {
-                self.instruments.flow_table_occupancy.add(1);
+            match t.flows.insert(req.flow, req.rate_bps as u32, EXPIRY_NEVER) {
+                Some(old) => t.allocated_bps -= u64::from(old),
+                None => self.instruments.flow_table_occupancy.add(1),
             }
             answer(true, DenialCode::None, source)
         };
@@ -1873,43 +1854,37 @@ impl BbNode {
         run.out.push(reply);
     }
 
-    /// Tear down one tunnel sub-flow (invoked at the source broker): the
-    /// aggregate budget is returned on both ends and the per-flow
-    /// classifier is removed.
-    pub fn release_tunnel_flow(
-        &mut self,
-        tunnel: RarId,
-        flow: u64,
-        rate_bps: u64,
-    ) -> Result<Vec<(PeerId, SignalMessage)>, CoreError> {
-        let t = self
-            .tunnels_src
-            .get_mut(&tunnel)
-            .ok_or_else(|| CoreError::Tunnel(format!("unknown tunnel {tunnel:?}")))?;
-        t.allocated_bps = t.allocated_bps.saturating_sub(rate_bps);
-        if t.held_flows.remove(flow).is_some() {
-            // Any wheel entry for this flow is now stale; expiry skips it
-            // (lazy cancellation).
-            self.instruments.flow_table_occupancy.add(-1);
-        }
-        let dest = t.dest_domain.clone();
+    /// Tear down held sub-flow `flow` of source-side tunnel `tunnel`
+    /// ([`crate::Input::ReleaseFlow`], or its hold lapsing): its rate
+    /// returns to the aggregate, its classifier is removed, and the
+    /// release that returns it at the destination goes onto `out`.
+    /// Nothing happens for a flow that is not held.
+    pub(crate) fn end_held_flow(&mut self, tunnel: RarId, flow: u64, out: &mut Out) {
+        let Some(t) = self.tunnels_src.get_mut(&tunnel) else {
+            return;
+        };
+        // Any wheel entry for this flow is now stale; expiry skips it
+        // (lazy cancellation).
+        let Some((rate, _)) = t.held_flows.remove(flow) else {
+            return;
+        };
+        t.allocated_bps = t.allocated_bps.saturating_sub(u64::from(rate));
+        self.instruments.flow_table_occupancy.add(-1);
         if let Some(router) = self.edge.first_router {
-            self.edge_cmds.push(EdgeCommand::RemoveFlow {
+            self.edges.push(EdgeCommand::RemoveFlow {
                 router,
                 flow: FlowId(flow),
             });
         }
         let msg = TunnelFlowRelease::new(tunnel, flow);
         self.counters.add_tx(1);
-        Ok(vec![(dest, SignalMessage::TunnelFlowRelease(msg))])
+        out.push((t.dest_domain.clone(), SignalMessage::TunnelFlowRelease(msg)));
     }
 
     /// Advance the hold-expiry wheel to `now` and tear down every
-    /// source-side held sub-flow whose hold has lapsed — aggregate
-    /// returned on both ends, per-flow classifier removed, release sent
-    /// to the destination, exactly as if
-    /// [`Self::release_tunnel_flow`] had been invoked. Cost is
-    /// O(ticks crossed + flows expired): the wheel never walks the
+    /// source-side held sub-flow whose hold has lapsed, as
+    /// [`crate::Input::ReleaseFlow`] would: the releases to send. Cost
+    /// is O(ticks crossed + flows expired): the wheel never walks the
     /// held-flow table. Drivers call this as wall time advances,
     /// alongside [`Self::expire`].
     pub fn expire_tunnel_flows(&mut self, now: Timestamp) -> Vec<(PeerId, SignalMessage)> {
@@ -1922,28 +1897,16 @@ impl BbNode {
         self.flow_expiry.advance(tick, |entry| fired.push(entry));
         let mut out = Vec::with_capacity(fired.len());
         for (tunnel, flow) in fired {
-            let Some(t) = self.tunnels_src.get_mut(&tunnel) else {
-                continue; // tunnel torn down since scheduling
-            };
-            let Some((rate, expiry)) = t.held_flows.get(flow) else {
-                continue; // released since scheduling
-            };
-            if expiry > tick {
-                continue; // re-admitted with a longer hold
+            // Skip a flow released, torn down with its tunnel or
+            // re-admitted with a longer hold since it was scheduled.
+            let held = self
+                .tunnels_src
+                .get(&tunnel)
+                .and_then(|t| t.held_flows.get(flow));
+            if held.is_some_and(|(_, expiry)| expiry <= tick) {
+                self.end_held_flow(tunnel, flow, &mut out);
             }
-            t.held_flows.remove(flow);
-            t.allocated_bps = t.allocated_bps.saturating_sub(u64::from(rate));
-            self.instruments.flow_table_occupancy.add(-1);
-            if let Some(router) = self.edge.first_router {
-                self.edge_cmds.push(EdgeCommand::RemoveFlow {
-                    router,
-                    flow: FlowId(flow),
-                });
-            }
-            let msg = TunnelFlowRelease::new(tunnel, flow);
-            out.push((t.dest_domain.clone(), SignalMessage::TunnelFlowRelease(msg)));
         }
-        self.counters.add_tx(out.len() as u64);
         out
     }
 
@@ -1990,9 +1953,11 @@ impl BbNode {
         if let Some((rate, expiry)) = t.pending_flows.remove(reply.flow) {
             t.pending_bps -= u64::from(rate);
             if reply.accepted {
+                // A re-admit replaces the flow's old rate.
                 t.allocated_bps += u64::from(rate);
-                if t.held_flows.insert(reply.flow, rate, expiry).is_none() {
-                    self.instruments.flow_table_occupancy.add(1);
+                match t.held_flows.insert(reply.flow, rate, expiry) {
+                    Some(old) => t.allocated_bps -= u64::from(old),
+                    None => self.instruments.flow_table_occupancy.add(1),
                 }
                 if expiry != EXPIRY_NEVER {
                     self.flow_expiry
@@ -2001,7 +1966,7 @@ impl BbNode {
                 // Per-flow classification at the source edge; transit
                 // policers were dimensioned by the aggregate already.
                 if let Some(router) = self.edge.first_router {
-                    self.edge_cmds.push(EdgeCommand::InstallFlow {
+                    self.edges.push(EdgeCommand::InstallFlow {
                         router,
                         flow: FlowId(reply.flow),
                         profile: TrafficProfile::with_default_burst(u64::from(rate)),
@@ -2099,7 +2064,7 @@ impl BbNode {
         // base").
         if p.upstream.is_none() && !p.tunnel {
             if let Some(router) = self.edge.first_router {
-                self.edge_cmds.push(EdgeCommand::InstallFlow {
+                self.edges.push(EdgeCommand::InstallFlow {
                     router,
                     flow: FlowId(p.flow),
                     profile: TrafficProfile::with_default_burst(p.rate_bps),
@@ -2117,7 +2082,7 @@ impl BbNode {
                     .ingress_sla(peer)
                     .map(|s| s.sls.excess)
                     .unwrap_or(ExcessTreatment::Drop);
-                self.edge_cmds.push(EdgeCommand::SetIngressAggregate {
+                self.edges.push(EdgeCommand::SetIngressAggregate {
                     link,
                     profile: TrafficProfile::with_default_burst(aggregate),
                     excess,
@@ -2268,9 +2233,4 @@ impl BbNode {
 /// RAR ids map one-to-one onto broker reservation ids.
 pub fn rar_id_to_reservation(rar_id: RarId) -> ReservationId {
     ReservationId(rar_id.0)
-}
-
-/// Assertion re-export convenience for harnesses building requests.
-pub fn group_assertion(name: &str) -> Assertion {
-    Assertion::group(name)
 }

@@ -12,11 +12,12 @@
 //! 1. one root CA issues every broker's certificate, in domain order,
 //!    then each user's (Alice, David, the extra users); each CAS grants
 //!    its community's users a capability;
-//! 2. one [`BbNode`] per domain, with one `add_peer` per neighbour
-//!    carrying whichever of the ingress and egress SLAs exist;
-//! 3. routes from every domain to every other, by BFS over the
-//!    peerings in the order they were listed;
-//! 4. each peering recorded once as a [`Scenario::links`] entry,
+//! 2. one [`BbConfig`] per domain, with one peer per neighbour carrying
+//!    whichever of the ingress and egress SLAs exist, routes from the
+//!    domain to every other, by BFS over the peerings in the order they
+//!    were listed, and the domain's edge binding, if it has one; from
+//!    it, the domain's [`BbNode`];
+//! 3. each peering recorded once as a [`Scenario::links`] entry,
 //!    upstream end first: the end that dials.
 //!
 //! A scenario then hands itself to either fabric: [`Scenario::mesh`]
@@ -228,13 +229,15 @@ type Neighbour = (usize, Option<u64>, Option<u64>);
 
 /// The one world builder (see the module doc). `brokers` holds each
 /// domain's `(policy, local capacity)`; `peerings` the directed
-/// `(upstream, downstream, sla_rate_bps)` by domain index. Of `opts`
+/// `(upstream, downstream, sla_rate_bps)` by domain index; `edges` the
+/// edge bindings of the first domains (the rest have none). Of `opts`
 /// only the shared options are read: grants, extra users, trust policy,
 /// telemetry and tracing.
 fn build_world(
     domains: Vec<String>,
     brokers: Vec<(String, u64)>,
     peerings: &[(usize, usize, u64)],
+    edges: Vec<EdgeBinding>,
     opts: &ChainOptions,
 ) -> Scenario {
     let n = domains.len();
@@ -307,10 +310,45 @@ fn build_world(
     }
 
     let mut nodes = Vec::with_capacity(n);
+    let mut edges = edges.into_iter();
     for (i, (policy_src, local_capacity_bps)) in brokers.into_iter().enumerate() {
         let d = &domains[i];
+        // The SLA with neighbour `j` pins `j`'s certificate.
+        let sla = |up: usize, down: usize, rate: u64, j: usize| Sla {
+            upstream: domains[up].clone(),
+            downstream: domains[down].clone(),
+            sls: Sls::strict(rate),
+            peer_cert: certs[j].clone(),
+            ca_cert: certs[j].clone(),
+            price_per_mbps_sec: 1,
+        };
+        let peers = adj[i]
+            .iter()
+            .map(|&(j, rate_in, rate_out)| {
+                let sla_in = rate_in.map(|r| sla(j, i, r, j));
+                let sla_out = rate_out.map(|r| sla(i, j, r, j));
+                (certs[j].clone(), sla_in, sla_out)
+            })
+            .collect();
+        // Shortest-path next hops: `first_hop[t]` is the neighbour on
+        // one shortest path from `i` to `t`.
+        let mut first_hop: Vec<Option<usize>> = vec![None; n];
+        let mut queue = VecDeque::from([i]);
+        while let Some(u) = queue.pop_front() {
+            for &(v, ..) in &adj[u] {
+                if v != i && first_hop[v].is_none() {
+                    first_hop[v] = if u == i { Some(v) } else { first_hop[u] };
+                    queue.push_back(v);
+                }
+            }
+        }
+        let routes = first_hop
+            .iter()
+            .enumerate()
+            .filter_map(|(t, hop)| hop.map(|h| (domains[t].clone(), domains[h].clone())))
+            .collect();
         let gs_seed = format!("gs-{d}");
-        let mut node = BbNode::new(BbConfig {
+        nodes.push(BbNode::new(BbConfig {
             domain: d.clone(),
             key: keys[i].clone(),
             cert: certs[i].clone(),
@@ -325,39 +363,10 @@ fn build_world(
             user_ca: ca.public_key(),
             telemetry: opts.telemetry.clone(),
             tracing: opts.tracing,
-        });
-        // The SLA with neighbour `j` pins `j`'s certificate.
-        let sla = |up: usize, down: usize, rate: u64, j: usize| Sla {
-            upstream: domains[up].clone(),
-            downstream: domains[down].clone(),
-            sls: Sls::strict(rate),
-            peer_cert: certs[j].clone(),
-            ca_cert: certs[j].clone(),
-            price_per_mbps_sec: 1,
-        };
-        for &(j, rate_in, rate_out) in &adj[i] {
-            let sla_in = rate_in.map(|r| sla(j, i, r, j));
-            let sla_out = rate_out.map(|r| sla(i, j, r, j));
-            node.add_peer(certs[j].clone(), sla_in, sla_out);
-        }
-        // Shortest-path next hops: `first_hop[t]` is the neighbour on
-        // one shortest path from `i` to `t`.
-        let mut first_hop: Vec<Option<usize>> = vec![None; n];
-        let mut queue = VecDeque::from([i]);
-        while let Some(u) = queue.pop_front() {
-            for &(v, ..) in &adj[u] {
-                if v != i && first_hop[v].is_none() {
-                    first_hop[v] = if u == i { Some(v) } else { first_hop[u] };
-                    queue.push_back(v);
-                }
-            }
-        }
-        for (t, hop) in first_hop.iter().enumerate() {
-            if let Some(h) = hop {
-                node.add_route(&domains[t], &domains[*h]);
-            }
-        }
-        nodes.push(node);
+            peers,
+            routes,
+            edge: edges.next().unwrap_or_default(),
+        }));
     }
 
     Scenario {
@@ -379,12 +388,8 @@ pub fn build_chain(opts: ChainOptions) -> Scenario {
     let peerings: Vec<_> = (1..opts.domains)
         .map(|i| (i - 1, i, opts.sla_rate_bps))
         .collect();
-    build_world(
-        domains,
-        chain_brokers(&opts, opts.domains),
-        &peerings,
-        &opts,
-    )
+    let brokers = chain_brokers(&opts, opts.domains);
+    build_world(domains, brokers, &peerings, Vec::new(), &opts)
 }
 
 /// Build a hub-and-spoke world: `leaves` leaf domains all peering with a
@@ -402,7 +407,8 @@ pub fn build_star(leaves: usize, opts: ChainOptions) -> Scenario {
     let peerings: Vec<_> = (0..leaves)
         .flat_map(|leaf| [(leaf, leaves, rate), (leaves, leaf, rate)])
         .collect();
-    build_world(domains, chain_brokers(&opts, leaves + 1), &peerings, &opts)
+    let brokers = chain_brokers(&opts, leaves + 1);
+    build_world(domains, brokers, &peerings, Vec::new(), &opts)
 }
 
 /// Options for [`build_as_graph`].
@@ -581,7 +587,7 @@ pub fn build_as_graph(opts: AsGraphOptions) -> AsGraph {
         ..ChainOptions::default()
     };
     AsGraph {
-        scenario: build_world(domains, brokers, &peerings, &shared),
+        scenario: build_world(domains, brokers, &peerings, Vec::new(), &shared),
         transits,
         stubs,
         edges: named_edges,
@@ -629,7 +635,8 @@ fn capitalize(s: &str) -> String {
 }
 
 /// The paper's Figure 4 world: the three-domain chain a → b → c plus
-/// David's domain d peering into b, and a matching data plane.
+/// David's domain d peering into b, and a matching data plane; every
+/// broker reports to `telemetry`.
 ///
 /// Returns `(scenario_with_4_nodes, network, node_ids)` where the fourth
 /// node is `domain-d` and `node_ids` resolves `alice`/`charlie`/`david`
@@ -637,12 +644,15 @@ fn capitalize(s: &str) -> String {
 pub fn build_paper_world(
     capacity_bps: u64,
     hop_delay: SimDuration,
+    telemetry: Telemetry,
 ) -> (Scenario, Network, HashMap<String, NodeId>) {
-    let opts = ChainOptions::default();
+    let opts = ChainOptions {
+        telemetry,
+        ..ChainOptions::default()
+    };
     let domains = (0..4).map(domain_name).collect();
     let rate = opts.sla_rate_bps;
     let peerings = [(0, 1, rate), (1, 2, rate), (3, 1, rate)];
-    let mut scenario = build_world(domains, chain_brokers(&opts, 4), &peerings, &opts);
 
     // Matching data plane; bind each broker to its edge router (a and d,
     // where Alice's and David's flows start) or ingress links (b admits
@@ -658,7 +668,7 @@ pub fn build_paper_world(
         ingress("alice", "edge-b", "domain-a"),
         ingress("david", "edge-b", "domain-d"),
     ];
-    let bindings = [
+    let bindings = vec![
         EdgeBinding {
             first_router: net.first_router(n["alice"], n["charlie"]),
             ingress_links: HashMap::new(),
@@ -676,9 +686,8 @@ pub fn build_paper_world(
             ingress_links: HashMap::new(),
         },
     ];
-    for (node, binding) in scenario.nodes.iter_mut().zip(bindings) {
-        node.set_edge_binding(binding);
-    }
+    let brokers = chain_brokers(&opts, 4);
+    let scenario = build_world(domains, brokers, &peerings, bindings, &opts);
     (scenario, network, names)
 }
 
@@ -705,7 +714,11 @@ mod tests {
 
     #[test]
     fn paper_world_has_four_domains_and_bindings() {
-        let (s, net, names) = build_paper_world(100_000_000, SimDuration::from_millis(5));
+        let (s, net, names) = build_paper_world(
+            100_000_000,
+            SimDuration::from_millis(5),
+            Telemetry::disabled(),
+        );
         assert_eq!(s.domains.len(), 4);
         assert!(names.contains_key("edge-b"));
         assert!(net.first_router(names["alice"], names["charlie"]).is_some());
@@ -713,7 +726,11 @@ mod tests {
 
     #[test]
     fn paper_world_peers_d_into_b_only() {
-        let (mut s, _, _) = build_paper_world(100_000_000, SimDuration::from_millis(5));
+        let (mut s, _, _) = build_paper_world(
+            100_000_000,
+            SimDuration::from_millis(5),
+            Telemetry::disabled(),
+        );
         let link = |a: &str, b: &str| (a.to_string(), b.to_string());
         let want = [
             link("domain-a", "domain-b"),

@@ -21,9 +21,21 @@ use crate::drive::Mesh;
 use crate::envelope::SignedRar;
 use crate::messages::{DirectReply, DirectRequest, SignalMessage};
 use crate::rar::ResSpec;
-use qos_crypto::{DistinguishedName, KeyPair};
+use crate::step::Input;
+use qos_crypto::{DistinguishedName, KeyPair, PublicKey};
 use qos_net::{SimDuration, SimTime};
 use std::collections::HashSet;
+
+/// Enrol a signer (a user, or a STARS coordinator) by name and key with
+/// the broker of each of `domains`, one [`Input::DirectUser`] each, and
+/// run `mesh` until idle: the trust entry every broker must hold before
+/// Approach 1 can serve the signer.
+pub fn enrol(mesh: &mut Mesh, domains: &[String], dn: &DistinguishedName, pk: PublicKey) {
+    for d in domains {
+        mesh.input_in(SimDuration::ZERO, d, Input::DirectUser(dn.clone(), pk));
+    }
+    mesh.run_until_idle();
+}
 
 /// Sequential or concurrent contact of the per-domain brokers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,7 +142,7 @@ impl SourceBasedRun {
             }
             AgentMode::Sequential => {
                 for (idx, domain) in &targets {
-                    let before = mesh.agent_inbox_len();
+                    let before = mesh.agent_inbox().len();
                     mesh.direct_request_in(
                         SimDuration::ZERO,
                         &agent_domain,

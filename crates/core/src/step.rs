@@ -3,7 +3,9 @@
 //!
 //! In the paper each domain has one bandwidth broker, and it acts on
 //! what reaches it: a user's request (§6.1), or a peer's request,
-//! approval or denial (§6.2–6.3). Both drivers feed a broker through
+//! approval or denial (§6.2–6.3). A broker is built from its
+//! [`crate::BbConfig`], and from then on every change to it is an input
+//! (DESIGN.md §D40). Both drivers feed a broker through
 //! `step` alone (DESIGN.md §D34): the TCP reactor (`qos_transport`,
 //! §D32) with what one read sweep decoded and the local inputs waiting
 //! in the daemon's inbox, [`crate::drive::Mesh`] with one input at a
@@ -20,7 +22,8 @@ use crate::error::CoreError;
 use crate::messages::{DenialCode, SignalMessage};
 use crate::node::{BbNode, Completion, PeerId};
 use crate::rar::RarId;
-use qos_crypto::{Certificate, DistinguishedName, Timestamp};
+use qos_broker::EdgeCommand;
+use qos_crypto::{Certificate, DistinguishedName, PublicKey, Timestamp};
 use qos_telemetry::{Clock, Counter, Stopped, TraceId};
 
 /// One unit of broker input. A peer message comes from the domain its
@@ -41,6 +44,14 @@ pub enum Input {
     /// Tear down a standing reservation end to end, from its source
     /// domain (anywhere else, or for an unknown id, a no-op).
     Release(RarId),
+    /// Tear down a held sub-flow of a tunnel, from the tunnel's source:
+    /// the tunnel and the sub-flow's id (a no-op for a flow not held).
+    ReleaseFlow(RarId, u64),
+    /// Register a co-reserved CPU reservation by its id: what Figure 6's
+    /// `HasValidCPUResv` asks about.
+    CpuReservation(u64),
+    /// Trust a user directly, by name and key: Approach-1 enrolment.
+    DirectUser(DistinguishedName, PublicKey),
     /// Advance the broker's wall clock: the only way protocol time
     /// reaches a broker.
     SetTime(Timestamp),
@@ -71,7 +82,7 @@ impl Input {
 pub const RUN: usize = 32;
 
 /// The messages a run hands to its driver: each with the peer it goes to.
-type Out = Vec<(PeerId, SignalMessage)>;
+pub(crate) type Out = Vec<(PeerId, SignalMessage)>;
 
 /// What a run's handlers write to: the messages the run sends, and the
 /// driver's clock that every timing in the run reads.
@@ -92,8 +103,9 @@ impl BbNode {
     /// neighbours of one kind together so a burst of submissions or peer
     /// requests is checked through one batch equation. After each run
     /// `emit` gets what the run produced: the messages to route, oldest
-    /// first, and the finished requests (a sub-flow refused at the
-    /// source among them, with its [`DenialCode`]). Every timing reads
+    /// first, the finished requests (a sub-flow refused at the source
+    /// among them, with its [`DenialCode`]) and the edge-router
+    /// configuration for a driver with a data plane. Every timing reads
     /// `clock`, and the time spent running inputs, `emit` aside, adds
     /// to `busy`.
     pub fn step(
@@ -101,7 +113,7 @@ impl BbNode {
         inputs: &mut Vec<Input>,
         clock: &dyn Clock,
         busy: &Counter,
-        mut emit: impl FnMut(&mut Out, &mut Vec<Completion>),
+        mut emit: impl FnMut(&mut Out, &mut Vec<Completion>, &mut Vec<EdgeCommand>),
     ) {
         let mut all = inputs.drain(..);
         let mut run = Run::new(clock);
@@ -115,9 +127,10 @@ impl BbNode {
                 self.input(input, |same| batch.next_if(same), &mut run);
             }
             busy.add(clock.now_ns().saturating_sub(t0));
-            emit(&mut run.out, &mut self.completions);
+            emit(&mut run.out, &mut self.completions, &mut self.edges);
             run.out.clear();
             self.completions.clear();
+            self.edges.clear();
         }
     }
 
@@ -168,6 +181,15 @@ impl BbNode {
                 }
             }
             Input::Release(rar_id) => self.initiate_release(rar_id, run),
+            Input::ReleaseFlow(tunnel, flow) => self.end_held_flow(tunnel, flow, &mut run.out),
+            Input::CpuReservation(id) => {
+                self.cpu_reservations.insert(id);
+            }
+            Input::DirectUser(dn, pk) => {
+                // The user signs every per-domain request with this key.
+                pk.precompute();
+                self.direct_users.insert(dn, pk);
+            }
         }
     }
 
@@ -264,9 +286,9 @@ mod tests {
         let mut queue: Vec<(PeerId, SignalMessage)> = Vec::new();
         let mut after_each_run = Vec::new();
         let busy = Counter::noop();
-        transit.step(&mut inputs, &Stopped, &busy, |deliveries, completions| {
-            assert!(completions.is_empty(), "a transit broker completes nothing");
-            queue.append(deliveries);
+        transit.step(&mut inputs, &Stopped, &busy, |msgs, done, _| {
+            assert!(done.is_empty(), "a transit broker completes nothing");
+            queue.append(msgs);
             after_each_run.push(queue.len());
         });
         assert!(inputs.is_empty(), "every input ran");
@@ -327,9 +349,9 @@ mod tests {
             .collect();
         let mut source = build_chain(ChainOptions::default()).nodes.remove(0);
         let (mut sent, mut done) = (Vec::new(), Vec::new());
-        source.step(&mut inputs, &Stopped, &busy, |deliveries, completions| {
-            sent.append(deliveries);
-            done.append(completions);
+        source.step(&mut inputs, &Stopped, &busy, |msgs, ended, _| {
+            sent.append(msgs);
+            done.append(ended);
         });
         let forwarded: Vec<RarId> = sent.iter().map(|(_, msg)| msg.rar_id()).collect();
         assert_eq!(forwarded, honest);
@@ -356,7 +378,7 @@ mod tests {
             .collect();
         let mut transit = build_chain(ChainOptions::default()).nodes.remove(1);
         let mut sent = Vec::new();
-        transit.step(&mut inputs, &Stopped, &busy, |deliveries, _| {
+        transit.step(&mut inputs, &Stopped, &busy, |deliveries, _, _| {
             sent.append(deliveries);
         });
         let onward: Vec<RarId> = sent

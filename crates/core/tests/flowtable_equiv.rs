@@ -1,14 +1,13 @@
 //! §D14 equivalence: the FlowTable-backed tunnel sub-flow fast path
-//! against a naive `HashMap` reference model of the pre-§D14 slow path.
+//! against a naive `HashMap` reference model.
 //!
-//! The model replicates the old semantics exactly — including the
-//! deliberate quirks the fast path preserves for verdict equivalence
-//! (a duplicate admit replaces the record but adds its full rate to the
-//! committed aggregate; exhaustion is checked before the rate cap;
-//! releases subtract the caller-supplied rate, saturating). Arbitrary
-//! interleavings of admit / release / expiry must produce identical
-//! accept/deny verdicts, identical denial codes, and identical committed
-//! aggregate bps on the source broker.
+//! The model counts each sub-flow's rate once at both tunnel ends: a
+//! duplicate admit replaces the record and its rate; exhaustion is
+//! checked, against the rates held before the admit, ahead of the rate
+//! cap; a release returns the held rate, and does nothing for a flow not
+//! held (DESIGN.md §D40). Arbitrary interleavings of admit / release /
+//! expiry must produce identical accept/deny verdicts, identical denial
+//! codes, and identical committed aggregate bps on the source broker.
 
 use proptest::prelude::*;
 use proptest::test_runner::Config as ProptestConfig;
@@ -33,9 +32,8 @@ enum Op {
         rate: u64,
         hold: Option<u64>,
     },
-    /// Source-initiated release with a caller-supplied rate (the legacy
-    /// contract trusts the caller, saturating at zero).
-    Release { flow: u64, rate: u64 },
+    /// Source-initiated release of a held flow.
+    Release { flow: u64 },
     /// Advance wall time and run the expiry sweep.
     Expire { advance: u64 },
 }
@@ -47,7 +45,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..8, 1u64..2_500, proptest::option::of(0u64..24))
             .prop_map(|(flow, rate, hold)| Op::Admit { flow, rate, hold })
     };
-    let release = || (0u64..8, 1u64..2_500).prop_map(|(flow, rate)| Op::Release { flow, rate });
+    let release = || (0u64..8).prop_map(|flow| Op::Release { flow });
     prop_oneof![
         admit(),
         admit(),
@@ -68,8 +66,7 @@ enum Verdict {
     Expired { flows: Vec<u64> },
 }
 
-/// The pre-§D14 reference: plain HashMaps, linear sums, the exact quirk
-/// set of the old path.
+/// The reference: plain HashMaps and linear sums.
 #[derive(Default)]
 struct Model {
     /// Source side: committed + in-flight bps and held flows
@@ -89,8 +86,8 @@ impl Model {
         if self.src_allocated + rate > AGGREGATE {
             return Verdict::SourceDeny(DenialCode::SourceExhausted);
         }
-        // Destination: exhaustion first, then the rate cap; duplicate
-        // admits replace the record but still add their full rate.
+        // Destination: exhaustion first, then the rate cap; a duplicate
+        // admit replaces the record and its rate.
         if self.dst_allocated + rate > AGGREGATE {
             return Verdict::DestReply {
                 accepted: false,
@@ -98,23 +95,29 @@ impl Model {
             };
         }
         self.dst_allocated += rate;
-        self.dst_flows.insert(flow, rate);
+        if let Some(old) = self.dst_flows.insert(flow, rate) {
+            self.dst_allocated -= old;
+        }
         // Source applies the accepted reply the same way.
         self.src_allocated += rate;
-        self.src_held.insert(flow, (rate, hold));
+        if let Some((old, _)) = self.src_held.insert(flow, (rate, hold)) {
+            self.src_allocated -= old;
+        }
         Verdict::DestReply {
             accepted: true,
             reason: DenialCode::None,
         }
     }
 
-    fn release(&mut self, flow: u64, rate: u64) -> Verdict {
-        self.src_allocated = self.src_allocated.saturating_sub(rate);
-        let existed = self.src_held.remove(&flow).is_some();
+    fn release(&mut self, flow: u64) -> Verdict {
+        let Some((rate, _)) = self.src_held.remove(&flow) else {
+            return Verdict::Released { existed: false };
+        };
+        self.src_allocated -= rate;
         if let Some(dst_rate) = self.dst_flows.remove(&flow) {
-            self.dst_allocated = self.dst_allocated.saturating_sub(dst_rate);
+            self.dst_allocated -= dst_rate;
         }
-        Verdict::Released { existed }
+        Verdict::Released { existed: true }
     }
 
     fn expire(&mut self, to: u64) -> Verdict {
@@ -131,9 +134,9 @@ impl Model {
         due.sort_unstable();
         for f in &due {
             let (rate, _) = self.src_held.remove(f).expect("listed as due");
-            self.src_allocated = self.src_allocated.saturating_sub(rate);
+            self.src_allocated -= rate;
             if let Some(dst_rate) = self.dst_flows.remove(f) {
-                self.dst_allocated = self.dst_allocated.saturating_sub(dst_rate);
+                self.dst_allocated -= dst_rate;
             }
         }
         Verdict::Expired { flows: due }
@@ -181,7 +184,7 @@ fn step(
         &mut vec![input],
         &StdClock,
         &Counter::noop(),
-        |deliveries, done| {
+        |deliveries, done, _| {
             out.append(deliveries);
             completions.append(done);
         },
@@ -243,12 +246,9 @@ fn run_real(mesh: &mut Mesh, tunnel: RarId, alice: &DistinguishedName, op: &Op) 
                 reason: completion.1,
             }
         }
-        Op::Release { flow, rate } => {
+        Op::Release { flow } => {
             let (records_before, _) = mesh.node("domain-a").held_flow_stats();
-            let out = mesh
-                .node_mut("domain-a")
-                .release_tunnel_flow(tunnel, flow, rate)
-                .expect("tunnel exists");
+            let (out, _) = step(mesh, "domain-a", Input::ReleaseFlow(tunnel, flow));
             for (_, msg) in out {
                 mesh.node_mut("domain-b").recv("domain-a", msg);
             }
@@ -298,7 +298,7 @@ proptest! {
             let real = run_real(&mut mesh, tunnel, &alice, op);
             let expected = match *op {
                 Op::Admit { flow, rate, hold } => model.admit(flow, rate, hold),
-                Op::Release { flow, rate } => model.release(flow, rate),
+                Op::Release { flow } => model.release(flow),
                 Op::Expire { advance } => {
                     let to = NEXT_TICK.with(|t| t.get());
                     // run_real advanced the shared tick before sweeping.
@@ -319,6 +319,42 @@ proptest! {
             );
         }
     }
+}
+
+/// Each sub-flow's rate is counted once, at both tunnel ends: released
+/// twice, flow 1 returns its rate once; admitted twice, flow 3 holds its
+/// rate once, and released, it leaves the whole aggregate to flow 4.
+#[test]
+fn a_subflow_is_counted_once_at_both_tunnel_ends() {
+    let (mut mesh, tunnel, alice) = tunnel_world();
+    let admit = |flow, rate| Op::Admit {
+        flow,
+        rate,
+        hold: None,
+    };
+    let granted = || Verdict::DestReply {
+        accepted: true,
+        reason: DenialCode::None,
+    };
+    let released = |existed| Verdict::Released { existed };
+    let (half, quarter) = (AGGREGATE / 2, AGGREGATE / 4);
+    let script = [
+        (admit(1, half), granted(), half),
+        (admit(2, half), granted(), AGGREGATE),
+        (Op::Release { flow: 1 }, released(true), half),
+        (Op::Release { flow: 1 }, released(false), half),
+        (Op::Release { flow: 2 }, released(true), 0),
+        (admit(3, quarter), granted(), quarter),
+        (admit(3, quarter), granted(), quarter),
+        (Op::Release { flow: 3 }, released(true), 0),
+        (admit(4, AGGREGATE), granted(), AGGREGATE),
+    ];
+    for (i, (op, verdict, allocated)) in script.iter().enumerate() {
+        assert_eq!(run_real(&mut mesh, tunnel, &alice, op), *verdict, "op {i}");
+        let (.., held) = mesh.node("domain-a").tunnel_info(tunnel).expect("a tunnel");
+        assert_eq!(held, *allocated, "op {i}");
+    }
+    assert_eq!(mesh.node("domain-b").held_flow_stats().0, 1, "flow 4 alone");
 }
 
 /// Timer-wheel expiry ordering at the node level, driven by the wall
@@ -361,10 +397,7 @@ fn expiry_fires_in_hold_order_under_manual_clock() {
 
     // Flow 6 is released by hand, then re-admitted with a longer hold:
     // the stale wheel entry at tick 4 must be skipped (lazy cancel).
-    let out = mesh
-        .node_mut("domain-a")
-        .release_tunnel_flow(tunnel, 6, 10)
-        .unwrap();
+    let (out, _) = step(&mut mesh, "domain-a", Input::ReleaseFlow(tunnel, 6));
     assert_eq!(out.len(), 1);
     admit(&mut mesh, 6, Some(7));
 

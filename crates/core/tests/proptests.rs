@@ -210,6 +210,13 @@ enum UserOp {
     /// Tear down the `nth` reservation submitted so far (mod their
     /// count): granted, denied or already gone.
     Release { nth: usize },
+    /// Release the `nth` sub-flow asked for on the standing tunnel so far
+    /// (mod their count): held, refused or already released.
+    ReleaseFlow { nth: usize },
+    /// Register CPU reservation `id` at the `domain`th domain (mod 3).
+    CpuReservation { domain: usize, id: u64 },
+    /// Trust David directly at the `domain`th domain (mod 3).
+    DirectUser { domain: usize },
     /// Move every domain's wall clock.
     SetTime { secs: u64 },
     /// Let the chain fall quiet, then let `pause_us` pass on the clock
@@ -223,6 +230,9 @@ fn user_op() -> impl Strategy<Value = UserOp> {
         (100u64..4000, proptest::bool::ANY)
             .prop_map(|(kbps, unknown)| UserOp::Flow { kbps, unknown }),
         (0usize..16).prop_map(|nth| UserOp::Release { nth }),
+        (0usize..16).prop_map(|nth| UserOp::ReleaseFlow { nth }),
+        (0usize..3, 0u64..4).prop_map(|(domain, id)| UserOp::CpuReservation { domain, id }),
+        (0usize..3).prop_map(|domain| UserOp::DirectUser { domain }),
         (0u64..3000).prop_map(|secs| UserOp::SetTime { secs }),
         (0u64..5000).prop_map(|pause_us| UserOp::Settle { pause_us }),
     ]
@@ -247,23 +257,39 @@ fn script(s: &mut Scenario, ops: &[UserOp]) -> Vec<Round> {
         .spec("alice", 1, 10 * MBPS, Timestamp(0), 3600)
         .as_tunnel();
     let tunnel = spec.rar_id;
+    let david = &s.users["david"];
+    let (david_dn, david_pk) = (david.dn.clone(), david.key.public());
     let mut rounds = vec![(0, vec![(0, submit(s, spec, "alice"))]), (0, Vec::new())];
-    let mut submitted = Vec::new();
+    let (mut submitted, mut flows) = (Vec::new(), Vec::new());
     for (i, op) in ops.iter().enumerate() {
-        let input = match *op {
+        let (domain, input) = match *op {
             UserOp::Submit { rate, honest } => {
                 let spec = s.spec("alice", 100 + i as u64, rate * MBPS, Timestamp(0), 3600);
                 submitted.push(spec.rar_id);
-                submit(s, spec, if honest { "alice" } else { "david" })
+                (0, submit(s, spec, if honest { "alice" } else { "david" }))
             }
             UserOp::Flow { kbps, unknown } => {
                 let on = if unknown { RarId(999_999) } else { tunnel };
-                Input::TunnelFlow(on, i as u64, kbps * 1000, None, alice.clone())
+                if !unknown {
+                    flows.push(i as u64);
+                }
+                (
+                    0,
+                    Input::TunnelFlow(on, i as u64, kbps * 1000, None, alice.clone()),
+                )
             }
             UserOp::Release { nth } if !submitted.is_empty() => {
-                Input::Release(submitted[nth % submitted.len()])
+                (0, Input::Release(submitted[nth % submitted.len()]))
             }
             UserOp::Release { .. } => continue,
+            UserOp::ReleaseFlow { nth } if !flows.is_empty() => {
+                (0, Input::ReleaseFlow(tunnel, flows[nth % flows.len()]))
+            }
+            UserOp::ReleaseFlow { .. } => continue,
+            UserOp::CpuReservation { domain, id } => (domain % 3, Input::CpuReservation(id)),
+            UserOp::DirectUser { domain } => {
+                (domain % 3, Input::DirectUser(david_dn.clone(), david_pk))
+            }
             UserOp::SetTime { secs } => {
                 let round = &mut rounds.last_mut().expect("a round").1;
                 round.extend((0..3).map(|d| (d, Input::SetTime(Timestamp(secs)))));
@@ -274,7 +300,7 @@ fn script(s: &mut Scenario, ops: &[UserOp]) -> Vec<Round> {
                 continue;
             }
         };
-        rounds.last_mut().expect("a round").1.push((0, input));
+        rounds.last_mut().expect("a round").1.push((domain, input));
     }
     rounds
 }
@@ -292,11 +318,13 @@ fn facts(s: &Span) -> SpanFacts {
 
 /// Everything a chain emitted: each delivery's sender, receiver and
 /// wire encoding, each completion with its domain, in order, and every
-/// span each broker recorded.
+/// span each broker recorded; then what each broker holds at the end:
+/// its trust table's size and its sub-flow records.
 type Trace = (
     Vec<(PeerId, PeerId, Vec<u8>)>,
     Vec<(PeerId, Completion)>,
     Vec<SpanFacts>,
+    Vec<(usize, usize)>,
 );
 
 /// How far the clock moves before each `step`, in ns.
@@ -331,7 +359,7 @@ fn trace(rounds: impl FnOnce(&mut Scenario) -> Vec<Round>) -> Trace {
             let domain = domain.clone();
             let mut routed = Vec::new();
             clock.advance(STEP_NS);
-            node.step(inputs, &clock, &Counter::noop(), |deliveries, done| {
+            node.step(inputs, &clock, &Counter::noop(), |deliveries, done, _| {
                 routed.append(deliveries);
                 completed.extend(done.drain(..).map(|c| (domain.clone(), c)));
             });
@@ -349,7 +377,11 @@ fn trace(rounds: impl FnOnce(&mut Scenario) -> Vec<Round>) -> Trace {
         .iter()
         .flat_map(|(_, node, _)| node.tracer().spans().map(facts))
         .collect();
-    (delivered, completed, spans)
+    let held = brokers
+        .iter()
+        .map(|(_, node, _)| (node.trust_table_size(), node.held_flow_stats().0))
+        .collect();
+    (delivered, completed, spans, held)
 }
 
 proptest! {
@@ -358,8 +390,9 @@ proptest! {
     /// A broker is a function of its inputs and of the clock its driver
     /// passes in: the same script through `step` on two fresh chains
     /// delivers the same bytes, completes the same requests (denials and
-    /// refusals at the source included) and records the same spans, each
-    /// timed on the script's clock.
+    /// refusals at the source included), records the same spans, each
+    /// timed on the script's clock, and ends with the same trust entries
+    /// and sub-flows held.
     #[test]
     fn a_broker_is_a_function_of_its_inputs(
         ops in proptest::collection::vec(user_op(), 1..48),
@@ -384,5 +417,6 @@ proptest! {
         for (i, (a, b)) in first.2.iter().zip(&second.2).enumerate() {
             prop_assert_eq!(a, b, "span {} differs", i);
         }
+        prop_assert_eq!(first.3, second.3);
     }
 }

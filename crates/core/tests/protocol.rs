@@ -5,7 +5,7 @@
 use qos_core::drive::Mesh;
 use qos_core::node::{BbNode, Completion};
 use qos_core::scenario::{build_chain, ChainOptions, Scenario};
-use qos_core::source::{AgentMode, ReservationCoordinator, SourceBasedRun};
+use qos_core::source::{enrol, AgentMode, ReservationCoordinator, SourceBasedRun};
 use qos_core::step::UNQUEUED;
 use qos_core::{Input, PeerId, RarId, SignalMessage};
 use qos_crypto::Timestamp;
@@ -27,7 +27,7 @@ fn step(
         &mut inputs,
         &StdClock,
         &Counter::noop(),
-        |deliveries, done| {
+        |deliveries, done, _| {
             out.append(deliveries);
             completions.append(done);
         },
@@ -179,7 +179,7 @@ fn figure6_policies_govern_the_chain() {
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
     let cert = s.users["alice"].cert.clone();
     let mut mesh = s.mesh(SimDuration::from_millis(5));
-    mesh.node_mut("domain-c").add_cpu_reservation(111);
+    mesh.input_in(SimDuration::ZERO, "domain-c", Input::CpuReservation(111));
 
     // At 10:00 business time.
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert.clone());
@@ -257,14 +257,8 @@ fn tunnel_subflows_touch_only_end_domains() {
 
     // Ten 5 Mb/s sub-flows: all fit in the 50 Mb/s aggregate.
     for flow in 1..=10u64 {
-        mesh.tunnel_flow_in(
-            SimDuration::ZERO,
-            "domain-a",
-            tunnel_id,
-            flow,
-            5 * MBPS,
-            alice_dn.clone(),
-        );
+        let input = Input::TunnelFlow(tunnel_id, flow, 5 * MBPS, None, alice_dn.clone());
+        mesh.input_in(SimDuration::ZERO, "domain-a", input);
     }
     mesh.run_until_idle();
 
@@ -278,14 +272,8 @@ fn tunnel_subflows_touch_only_end_domains() {
     assert_eq!(mesh.node("domain-b").counters().rx, transit_before);
     // The 11th sub-flow exceeds the aggregate and is refused at the
     // source without any signalling.
-    mesh.tunnel_flow_in(
-        SimDuration::ZERO,
-        "domain-a",
-        tunnel_id,
-        11,
-        5 * MBPS,
-        alice_dn,
-    );
+    let input = Input::TunnelFlow(tunnel_id, 11, 5 * MBPS, None, alice_dn);
+    mesh.input_in(SimDuration::ZERO, "domain-a", input);
     mesh.run_until_idle();
     let rejected = mesh
         .completions()
@@ -329,11 +317,9 @@ fn source_based_concurrent_beats_hop_by_hop_latency() {
     // Approach-1 run (all BBs must know Alice).
     let spec2 = s.spec("alice", 8, 10 * MBPS, Timestamp(0), 3600);
     let rar_direct = s.users["alice"].sign_request(spec2, &s.nodes[0]);
-    for node in &mut s.nodes {
-        node.add_direct_user(alice_dn.clone(), alice_pk);
-    }
 
     let mut mesh = s.mesh(SimDuration::from_millis(5));
+    enrol(&mut mesh, &domains, &alice_dn, alice_pk);
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar_hb, cert);
     mesh.run_until_idle();
     let (t_hb, _) = mesh.reservation_outcome("domain-a", hb_id).unwrap();
@@ -365,10 +351,8 @@ fn source_based_sequential_is_slowest() {
     let alice_dn = s.users["alice"].dn.clone();
     let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
     let rar = s.users["alice"].sign_request(spec, &s.nodes[0]);
-    for node in &mut s.nodes {
-        node.add_direct_user(alice_dn.clone(), alice_pk);
-    }
     let mut mesh = s.mesh(SimDuration::from_millis(5));
+    enrol(&mut mesh, &domains, &alice_dn, alice_pk);
     let t0 = mesh.now();
     let outcome = SourceBasedRun::honest(rar, domains, AgentMode::Sequential).execute(&mut mesh);
     assert!(outcome.all_accepted);
@@ -386,10 +370,8 @@ fn misreservation_is_possible_under_source_based_only() {
     let david_dn = s.users["david"].dn.clone();
     let spec = s.spec("david", 66, 30 * MBPS, Timestamp(0), 3600);
     let rar = s.users["david"].sign_request(spec, &s.nodes[0]);
-    for node in &mut s.nodes {
-        node.add_direct_user(david_dn.clone(), david_pk);
-    }
     let mut mesh = s.mesh(SimDuration::from_millis(5));
+    enrol(&mut mesh, &domains, &david_dn, david_pk);
     let outcome = SourceBasedRun::skipping(
         rar,
         domains,
@@ -435,15 +417,16 @@ fn stars_coordinator_needs_one_trust_entry_per_broker() {
     let mut s = build_chain(ChainOptions::default());
     let domains = s.domains.clone();
     let rc = ReservationCoordinator::new("domain-a");
-    // Each broker trusts the RC — not the individual users.
-    for node in &mut s.nodes {
-        node.add_direct_user(rc.dn.clone(), rc.key.public());
-    }
-    let trust_sizes: Vec<usize> = s.nodes.iter().map(|n| n.trust_table_size()).collect();
     let spec = s.spec("alice", 7, 10 * MBPS, Timestamp(0), 3600);
     let source_dn = s.nodes[0].dn().clone();
     let rar = rc.sign_for(spec, source_dn);
     let mut mesh = s.mesh(SimDuration::from_millis(5));
+    // Each broker trusts the RC — not the individual users.
+    enrol(&mut mesh, &domains, &rc.dn, rc.key.public());
+    let trust_sizes: Vec<usize> = domains
+        .iter()
+        .map(|d| mesh.node(d).trust_table_size())
+        .collect();
     let outcome = SourceBasedRun::honest(rar, domains, AgentMode::Concurrent).execute(&mut mesh);
     assert!(outcome.all_accepted, "{:?}", outcome.replies);
     // Trust tables: peers + exactly one RC entry.
@@ -553,26 +536,14 @@ fn tunnel_subflow_release_returns_budget() {
 
     // Fill the tunnel with two 5 Mb/s flows.
     for flow in [1u64, 2] {
-        mesh.tunnel_flow_in(
-            SimDuration::ZERO,
-            "domain-a",
-            tunnel,
-            flow,
-            5 * MBPS,
-            alice.clone(),
-        );
+        let input = Input::TunnelFlow(tunnel, flow, 5 * MBPS, None, alice.clone());
+        mesh.input_in(SimDuration::ZERO, "domain-a", input);
     }
     mesh.run_until_idle();
     assert_eq!(mesh.node("domain-a").tunnel_remaining_bps(tunnel), Some(0));
     // A third is refused.
-    mesh.tunnel_flow_in(
-        SimDuration::ZERO,
-        "domain-a",
-        tunnel,
-        3,
-        5 * MBPS,
-        alice.clone(),
-    );
+    let input = Input::TunnelFlow(tunnel, 3, 5 * MBPS, None, alice.clone());
+    mesh.input_in(SimDuration::ZERO, "domain-a", input);
     mesh.run_until_idle();
     assert!(mesh.completions().iter().any(|(_, _, c)| matches!(
         c,
@@ -584,19 +555,15 @@ fn tunnel_subflow_release_returns_budget() {
     )));
 
     // Release flow 1: budget returns on both ends; flow 3 now fits.
-    let out = mesh
-        .node_mut("domain-a")
-        .release_tunnel_flow(tunnel, 1, 5 * MBPS)
-        .unwrap();
-    assert_eq!(out.len(), 1);
-    // Deliver the release to the destination via the node API directly.
-    let (to, msg) = out.into_iter().next().unwrap();
-    mesh.node_mut(&to).recv("domain-a", msg);
+    mesh.input_in(SimDuration::ZERO, "domain-a", Input::ReleaseFlow(tunnel, 1));
+    mesh.run_until_idle();
+    assert_eq!(mesh.messages_to("domain-c", "TunnelFlowRelease"), 1);
     assert_eq!(
         mesh.node("domain-a").tunnel_remaining_bps(tunnel),
         Some(5 * MBPS)
     );
-    mesh.tunnel_flow_in(SimDuration::ZERO, "domain-a", tunnel, 4, 5 * MBPS, alice);
+    let input = Input::TunnelFlow(tunnel, 4, 5 * MBPS, None, alice);
+    mesh.input_in(SimDuration::ZERO, "domain-a", input);
     mesh.run_until_idle();
     assert!(mesh.completions().iter().any(|(_, _, c)| matches!(
         c,
@@ -828,14 +795,8 @@ fn tunnel_with_one_flow() -> (Mesh, RarId, qos_crypto::DistinguishedName) {
     let alice = s.users["alice"].dn.clone();
     let mut mesh = s.mesh(SimDuration::from_millis(5));
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
-    mesh.tunnel_flow_in(
-        SimDuration::from_secs(1),
-        "domain-a",
-        tunnel,
-        1,
-        5 * MBPS,
-        alice.clone(),
-    );
+    let input = Input::TunnelFlow(tunnel, 1, 5 * MBPS, None, alice.clone());
+    mesh.input_in(SimDuration::from_secs(1), "domain-a", input);
     mesh.run_until_idle();
     assert!(approval_of(&mesh, "domain-a", tunnel).is_ok());
     assert_eq!(mesh.node("domain-c").held_flow_stats().0, 1);
@@ -894,22 +855,10 @@ fn a_subflow_refused_at_the_source_completes_with_its_code() {
         reason,
     };
     let sent = mesh.messages_to("domain-c", "TunnelFlow");
-    mesh.tunnel_flow_in(
-        SimDuration::ZERO,
-        "domain-a",
-        tunnel,
-        2,
-        over,
-        alice.clone(),
-    );
-    mesh.tunnel_flow_in(
-        SimDuration::ZERO,
-        "domain-a",
-        unknown,
-        3,
-        MBPS,
-        alice.clone(),
-    );
+    let input = Input::TunnelFlow(tunnel, 2, over, None, alice.clone());
+    mesh.input_in(SimDuration::ZERO, "domain-a", input);
+    let input = Input::TunnelFlow(unknown, 3, MBPS, None, alice.clone());
+    mesh.input_in(SimDuration::ZERO, "domain-a", input);
     mesh.run_until_idle();
     let completed: Vec<&Completion> = mesh.completions().iter().map(|(_, _, c)| c).collect();
     assert_eq!(

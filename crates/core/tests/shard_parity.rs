@@ -23,10 +23,14 @@ type Delivery = (PeerId, String, SignalMessage);
 const SLA_BPS: u64 = 20 * MBPS;
 const REQUESTS: u64 = 6;
 
-/// The seeded scenario plus the signed burst, identical for both drives.
-fn scenario() -> (Vec<BbNode>, Vec<qos_core::envelope::SignedRar>, Certificate) {
+/// The seeded scenario, its brokers reporting to `registry`, plus the
+/// signed burst, identical for both drives.
+fn scenario(
+    registry: &Arc<Registry>,
+) -> (Vec<BbNode>, Vec<qos_core::envelope::SignedRar>, Certificate) {
     let mut s = build_chain(ChainOptions {
         sla_rate_bps: SLA_BPS,
+        telemetry: Telemetry::with_registry(Arc::clone(registry)),
         ..ChainOptions::default()
     });
     let mut rars = Vec::new();
@@ -50,14 +54,10 @@ fn outcome_counts(completions: &[Completion]) -> (usize, usize) {
 /// pump, one message a call (one `step` for the burst, `recv` for each
 /// message).
 fn drive_plain(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<String, BbNode>) {
-    let (nodes, rars, cert) = scenario();
-    let telemetry = Telemetry::with_registry(Arc::clone(registry));
+    let (nodes, rars, cert) = scenario(registry);
     let mut nodes: HashMap<String, BbNode> = nodes
         .into_iter()
-        .map(|mut n| {
-            n.install_telemetry(telemetry.clone());
-            (n.domain().to_string(), n)
-        })
+        .map(|n| (n.domain().to_string(), n))
         .collect();
 
     let mut completions = Vec::new();
@@ -85,8 +85,8 @@ fn drive_plain(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<String, Bb
         &mut submits,
         &StdClock,
         &Counter::noop(),
-        |deliveries, done| {
-            out.append(deliveries);
+        |msgs, done, _| {
+            out.append(msgs);
             completions.append(done);
         },
     );
@@ -104,14 +104,10 @@ fn drive_plain(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<String, Bb
 /// it: each domain's waiting inputs in runs, each run's messages routed
 /// to the inputs of the domain they are for.
 fn drive_dispatcher(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<String, BbNode>) {
-    let (nodes, rars, cert) = scenario();
-    let telemetry = Telemetry::with_registry(Arc::clone(registry));
+    let (nodes, rars, cert) = scenario(registry);
     let mut brokers: HashMap<String, (BbNode, Vec<Input>)> = nodes
         .into_iter()
-        .map(|mut n| {
-            n.install_telemetry(telemetry.clone());
-            (n.domain().to_string(), (n, Vec::new()))
-        })
+        .map(|n| (n.domain().to_string(), (n, Vec::new())))
         .collect();
     let submits = rars
         .into_iter()
@@ -131,8 +127,8 @@ fn drive_dispatcher(registry: &Arc<Registry>) -> (Vec<Completion>, HashMap<Strin
         let (node, inputs) = brokers.get_mut(&domain).expect("a broker");
         let from = PeerId::from(domain.as_str());
         let mut routed: Vec<(PeerId, SignalMessage)> = Vec::new();
-        node.step(inputs, &StdClock, &Counter::noop(), |deliveries, done| {
-            routed.append(deliveries);
+        node.step(inputs, &StdClock, &Counter::noop(), |msgs, done, _| {
+            routed.append(msgs);
             completions.append(done);
         });
         for (to, msg) in routed {

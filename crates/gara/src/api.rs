@@ -13,7 +13,7 @@ use qos_broker::Interval;
 use qos_core::drive::Mesh;
 use qos_core::node::Completion;
 use qos_core::scenario::UserIdentity;
-use qos_core::{Approval, Denial, RarId, ResSpec, SignedRar};
+use qos_core::{Approval, Denial, Input, RarId, ResSpec, SignedRar};
 use qos_crypto::Certificate;
 use qos_net::SimDuration;
 use std::collections::HashMap;
@@ -255,7 +255,8 @@ impl Gara {
         // check `HasValidCPUResv(RAR)`.
         let cpu_resv_id = self.next_cpu_resv_id;
         self.next_cpu_resv_id += 1;
-        self.mesh.node_mut(&dest).add_cpu_reservation(cpu_resv_id);
+        let input = Input::CpuReservation(cpu_resv_id);
+        self.mesh.input_in(SimDuration::ZERO, &dest, input);
         spec.cpu_reservation_id = Some(cpu_resv_id);
 
         let rar = user.sign_request(spec, self.mesh.node(source_domain));
@@ -389,8 +390,8 @@ impl Gara {
                     if let Ok(approval) = result {
                         // The approval's last entry is the source domain.
                         if let Some(source) = approval.entries.last().map(|e| e.domain.clone()) {
-                            let rar_id = *rar_id;
-                            self.mesh.release_in(SimDuration::ZERO, &source, rar_id);
+                            let input = Input::Release(*rar_id);
+                            self.mesh.input_in(SimDuration::ZERO, &source, input);
                             self.mesh.run_until_idle();
                         }
                     }

@@ -31,7 +31,6 @@ use crate::queue::Completions;
 use crate::reactor::{Ctrl, Inbox, Reactor, ReactorConfig, TOKEN_WAKER};
 use crate::resume::TicketIssuer;
 use crate::session::broker_pin;
-use crossbeam::channel::{unbounded, Sender};
 use mio::{Poll, Waker};
 use qos_core::channel::ChannelIdentity;
 use qos_core::envelope::SignedRar;
@@ -43,6 +42,7 @@ use qos_telemetry::{StdClock, Telemetry};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -222,7 +222,7 @@ impl BrokerDaemon {
 
         let inbox = Arc::new(Inbox::new(Arc::clone(&waker), &telemetry, &domain));
 
-        let (ctrl_tx, ctrl_rx) = unbounded();
+        let (ctrl_tx, ctrl_rx) = channel();
         let accept_pins: HashMap<_, _> = accept_from
             .iter()
             .map(|p| (p.clone(), broker_pin(ca_key, p)))
@@ -367,7 +367,7 @@ impl BrokerDaemon {
     /// it, so a [`BrokerDaemon::wait_connected`] that follows waits for
     /// the sessions that replace the severed ones.
     pub fn kill_connections(&self) {
-        let (done_tx, done_rx) = unbounded();
+        let (done_tx, done_rx) = channel();
         if self.ctrl_tx.send(Ctrl::Kill(done_tx)).is_ok() {
             let _ = self.waker.wake();
             let _ = done_rx.recv();

@@ -48,7 +48,6 @@ use crate::link::{LinkCore, Session, ACK_DELAY};
 use crate::queue::Completions;
 use crate::resume::TicketIssuer;
 use crate::session::{fresh_nonce, Handshake};
-use crossbeam::channel::{Receiver, Sender};
 use mio::{Events, Interest, Poll, Token, Waker};
 use qos_core::channel::{ChannelIdentity, PeerPin};
 use qos_core::messages::SignalMessage;
@@ -65,6 +64,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -690,7 +690,7 @@ impl Reactor {
             }
         }
         let mut dead = Vec::new();
-        node.step(pending, &StdClock, busy, |deliveries, completions| {
+        node.step(pending, &StdClock, busy, |deliveries, completions, _| {
             let now = StdClock::now();
             let wrote = !deliveries.is_empty();
             // `user:<domain>` is the link to that domain; a message for a

@@ -13,11 +13,12 @@
 //! ```
 
 use qos_core::scenario::build_paper_world;
-use qos_core::source::{AgentMode, SourceBasedRun};
+use qos_core::source::{enrol, AgentMode, SourceBasedRun};
 use qos_crypto::Timestamp;
 use qos_examples::mbps;
 use qos_net::flow::{FlowSpec, TrafficPattern};
 use qos_net::{FlowId, SimDuration, SimTime};
+use qos_telemetry::Telemetry;
 
 const MBPS: u64 = 1_000_000;
 
@@ -39,17 +40,8 @@ fn poisson(id: u64, src: qos_net::NodeId, dst: qos_net::NodeId, rate: u64) -> Fl
 /// Run the scenario; `attack` selects source-based signalling with
 /// David skipping domain C.
 fn run(attack: bool) -> (f64, f64) {
-    let (mut scenario, network, names) = build_paper_world(100 * MBPS, SimDuration::from_millis(5));
-
-    // Give every broker direct trust in both users (Approach-1 needs it).
-    let alice_pk = scenario.users["alice"].key.public();
-    let alice_dn = scenario.users["alice"].dn.clone();
-    let david_pk = scenario.users["david"].key.public();
-    let david_dn = scenario.users["david"].dn.clone();
-    for node in &mut scenario.nodes {
-        node.add_direct_user(alice_dn.clone(), alice_pk);
-        node.add_direct_user(david_dn.clone(), david_pk);
-    }
+    let hop = SimDuration::from_millis(5);
+    let (mut scenario, network, names) = build_paper_world(100 * MBPS, hop, Telemetry::disabled());
 
     // Alice's legitimate 10 Mb/s reservation A→C (always hop-by-hop).
     let mut spec_alice = scenario.spec("alice", 1, 10 * MBPS, Timestamp(0), 3600);
@@ -65,8 +57,15 @@ fn run(attack: bool) -> (f64, f64) {
     let rar_david = scenario.users["david"].sign_request(spec_david, &scenario.nodes[3]);
     let david_cert = scenario.users["david"].cert.clone();
 
-    let mut mesh = scenario.mesh(SimDuration::from_millis(5));
+    let domains = scenario.domains.clone();
+    let mut mesh = scenario.mesh(hop);
     mesh.attach_network(network);
+
+    // Give every broker direct trust in both users (Approach-1 needs it).
+    for name in ["alice", "david"] {
+        let user = &scenario.users[name];
+        enrol(&mut mesh, &domains, &user.dn, user.key.public());
+    }
 
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar_alice, alice_cert);
     mesh.run_until_idle();

@@ -13,6 +13,7 @@
 
 use qos_core::node::Completion;
 use qos_core::scenario::{build_chain, ChainOptions};
+use qos_core::Input;
 use qos_crypto::Timestamp;
 use qos_examples::mbps;
 use qos_net::SimDuration;
@@ -56,14 +57,8 @@ fn main() {
         mbps(5 * MBPS)
     );
     for flow in 1..=20u64 {
-        mesh.tunnel_flow_in(
-            SimDuration::from_millis(flow),
-            &domains[0],
-            tunnel_id,
-            flow,
-            5 * MBPS,
-            alice_dn.clone(),
-        );
+        let input = Input::TunnelFlow(tunnel_id, flow, 5 * MBPS, None, alice_dn.clone());
+        mesh.input_in(SimDuration::from_millis(flow), &domains[0], input);
     }
     mesh.run_until_idle();
 
@@ -90,14 +85,8 @@ fn main() {
     );
 
     // A 21st flow exceeds the aggregate.
-    mesh.tunnel_flow_in(
-        SimDuration::ZERO,
-        &domains[0],
-        tunnel_id,
-        21,
-        5 * MBPS,
-        alice_dn,
-    );
+    let input = Input::TunnelFlow(tunnel_id, 21, 5 * MBPS, None, alice_dn);
+    mesh.input_in(SimDuration::ZERO, &domains[0], input);
     mesh.run_until_idle();
     if let Some((
         _,

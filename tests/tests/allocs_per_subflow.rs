@@ -57,7 +57,7 @@ const BURSTS: u64 = 4;
 /// Rate of one sub-flow.
 const FLOW_BPS: u64 = 1000;
 /// Allocations per sub-flow of the same walk before a run's completions
-/// left in one hand-off: one crossbeam `send` and a `String` domain per
+/// left in one hand-off: one channel `send` and a `String` domain per
 /// completion, a new completion buffer per sub-flow, and every peer
 /// message boxed into its input.
 const ALLOCS_BEFORE_D33: f64 = 6.38;
@@ -94,7 +94,7 @@ impl End {
             &mut self.pending,
             &StdClock,
             &Counter::noop(),
-            |deliveries, done| {
+            |deliveries, done, _| {
                 for (_, msg) in deliveries.drain(..) {
                     qos_wire::encode_into(&msg, &mut body);
                 }

@@ -171,12 +171,12 @@ fn tunnel_subflows_and_their_releases_cost_no_public_key_operation() {
         .filter(|c| matches!(c, Completion::TunnelFlow { accepted: true, .. }))
         .count();
     assert_eq!(accepted as u64, FLOWS);
-    for flow in 0..FLOWS {
-        let out = s.nodes[0]
-            .release_tunnel_flow(tunnel, flow, MBPS)
-            .expect("a tunnel");
-        deliver(&mut s, 0, out);
-    }
+    let mut releases = (0..FLOWS).map(|f| Input::ReleaseFlow(tunnel, f)).collect();
+    let mut out = Vec::new();
+    s.nodes[0].step(&mut releases, &StdClock, &Counter::noop(), |d, _, _| {
+        out.append(d)
+    });
+    deliver(&mut s, 0, out);
     assert_eq!(s.nodes[2].held_flow_stats().0, 0, "every flow released");
     assert_eq!(sign_ops() - signs, 0, "a sub-flow is signed by nobody");
     assert_eq!(verify_ops() - verifies, 0, "and verified by nobody");
@@ -201,8 +201,8 @@ fn expiry_signs_nothing_and_a_release_is_signed_once_at_the_source() {
     let released = grant(&mut s, 7);
     let signs = sign_ops();
     let mut out = Vec::new();
-    let release = Input::Release(released);
-    s.nodes[0].step(&mut vec![release], &StdClock, &Counter::noop(), |d, _| {
+    let mut release = vec![Input::Release(released)];
+    s.nodes[0].step(&mut release, &StdClock, &Counter::noop(), |d, _, _| {
         out.append(d)
     });
     assert!(matches!(out.as_slice(), [(_, SignalMessage::Release(_))]));

@@ -2,10 +2,11 @@
 //! edge routers enforce them, packets feel the difference.
 
 use integration_tests::{build_paper_world, outcome, MBPS};
-use qos_core::source::{AgentMode, SourceBasedRun};
+use qos_core::source::{enrol, AgentMode, SourceBasedRun};
 use qos_crypto::Timestamp;
 use qos_net::flow::{FlowSpec, TrafficPattern};
 use qos_net::{FlowId, NodeId, SimDuration, SimTime};
+use qos_telemetry::Telemetry;
 
 fn poisson(id: u64, src: NodeId, dst: NodeId, rate: u64) -> FlowSpec {
     FlowSpec {
@@ -26,7 +27,11 @@ fn poisson(id: u64, src: NodeId, dst: NodeId, rate: u64) -> FlowSpec {
 /// ride EF end-to-end and arrive essentially loss-free.
 #[test]
 fn granted_reservation_protects_traffic() {
-    let (mut scenario, network, names) = build_paper_world(40 * MBPS, SimDuration::from_millis(5));
+    let (mut scenario, network, names) = build_paper_world(
+        40 * MBPS,
+        SimDuration::from_millis(5),
+        Telemetry::disabled(),
+    );
     let mut spec = scenario.spec("alice", 1, 10 * MBPS, Timestamp(0), 3600);
     spec.dest_domain = "domain-c".into();
     let rar_id = spec.rar_id;
@@ -67,7 +72,11 @@ fn granted_reservation_protects_traffic() {
 /// under congestion.
 #[test]
 fn without_reservation_no_protection() {
-    let (mut scenario, network, names) = build_paper_world(40 * MBPS, SimDuration::from_millis(5));
+    let (mut scenario, network, names) = build_paper_world(
+        40 * MBPS,
+        SimDuration::from_millis(5),
+        Telemetry::disabled(),
+    );
     let mut mesh = scenario.mesh(SimDuration::from_millis(5));
     mesh.attach_network(network);
     {
@@ -91,13 +100,11 @@ fn without_reservation_no_protection() {
 #[test]
 fn figure4_attack_and_defense() {
     let run = |attack: bool| -> f64 {
+        let hop = SimDuration::from_millis(5);
         let (mut scenario, network, names) =
-            build_paper_world(200 * MBPS, SimDuration::from_millis(5));
+            build_paper_world(200 * MBPS, hop, Telemetry::disabled());
         let david_pk = scenario.users["david"].key.public();
         let david_dn = scenario.users["david"].dn.clone();
-        for node in &mut scenario.nodes {
-            node.add_direct_user(david_dn.clone(), david_pk);
-        }
         let mut spec_a = scenario.spec("alice", 1, 10 * MBPS, Timestamp(0), 3600);
         spec_a.dest_domain = "domain-c".into();
         let rar_a = scenario.users["alice"].sign_request(spec_a, &scenario.nodes[0]);
@@ -108,8 +115,10 @@ fn figure4_attack_and_defense() {
         let rar_d = scenario.users["david"].sign_request(spec_d, &scenario.nodes[3]);
         let cert_d = scenario.users["david"].cert.clone();
 
-        let mut mesh = scenario.mesh(SimDuration::from_millis(5));
+        let domains = scenario.domains.clone();
+        let mut mesh = scenario.mesh(hop);
         mesh.attach_network(network);
+        enrol(&mut mesh, &domains, &david_dn, david_pk);
         mesh.submit_in(SimDuration::ZERO, "domain-a", rar_a, cert_a);
         mesh.run_until_idle();
         if attack {

@@ -8,6 +8,7 @@ use qos_core::channel::{handshake, ChannelIdentity, PeerPin};
 use qos_core::envelope::{RarLayer, SignedRar};
 use qos_core::messages::{Denial, SignalMessage};
 use qos_core::node::Completion;
+use qos_core::Input;
 use qos_crypto::{CertificateAuthority, DistinguishedName, KeyPair, Timestamp, Validity};
 use qos_net::SimDuration;
 use qos_policy::AttributeSet;
@@ -356,14 +357,8 @@ fn tunnel_with_one_flow() -> (qos_core::drive::Mesh, qos_core::RarId, Distinguis
     let alice = s.users["alice"].dn.clone();
     let mut mesh = s.mesh(SimDuration::from_millis(5));
     mesh.submit_in(SimDuration::ZERO, "domain-a", rar, cert);
-    mesh.tunnel_flow_in(
-        SimDuration::from_secs(1),
-        "domain-a",
-        tunnel,
-        1,
-        5 * MBPS,
-        alice.clone(),
-    );
+    let input = Input::TunnelFlow(tunnel, 1, 5 * MBPS, None, alice.clone());
+    mesh.input_in(SimDuration::from_secs(1), "domain-a", input);
     mesh.run_until_idle();
     outcome(&mesh, "domain-a", tunnel).expect("the tunnel is granted");
     assert_eq!(held(&mesh, tunnel), 5 * MBPS);
@@ -408,20 +403,20 @@ fn transit_forging_a_subflow_and_its_release_is_refused() {
 
     // The aggregate c kept is exactly what the source has not spent: its
     // own request for the remaining 45 Mb/s is admitted …
-    mesh.tunnel_flow_in(SimDuration::ZERO, "domain-a", tunnel, 3, 45 * MBPS, alice);
+    let input = Input::TunnelFlow(tunnel, 3, 45 * MBPS, None, alice);
+    mesh.input_in(SimDuration::ZERO, "domain-a", input);
     mesh.run_until_idle();
     assert_eq!(held(&mesh, tunnel), 50 * MBPS);
     assert_eq!(c_held(&mesh), 2);
     // … and releasing both flows at the source leaves nothing held at c.
-    for (flow, rate) in [(1, 5 * MBPS), (3, 45 * MBPS)] {
-        let out = mesh
-            .node_mut("domain-a")
-            .release_tunnel_flow(tunnel, flow, rate)
-            .expect("a tunnel");
-        for (to, msg) in out {
-            mesh.node_mut(&to).recv("domain-a", msg);
-        }
+    for flow in [1, 3] {
+        mesh.input_in(
+            SimDuration::ZERO,
+            "domain-a",
+            Input::ReleaseFlow(tunnel, flow),
+        );
     }
+    mesh.run_until_idle();
     assert_eq!(held(&mesh, tunnel), 0);
     assert_eq!(c_held(&mesh), 0, "no leaked hold");
 }

@@ -3,6 +3,7 @@
 //! undone.
 
 use integration_tests::{build_chain, outcome, ChainOptions, MBPS};
+use qos_core::Input;
 use qos_crypto::Timestamp;
 use qos_net::SimDuration;
 
@@ -25,7 +26,7 @@ fn release_frees_capacity_everywhere() {
     }
 
     // Tear it down from the source.
-    mesh.release_in(SimDuration::ZERO, "domain-a", rar_id);
+    mesh.input_in(SimDuration::ZERO, "domain-a", Input::Release(rar_id));
     mesh.run_until_idle();
     for d in ["domain-a", "domain-b", "domain-c"] {
         assert_eq!(
@@ -64,7 +65,7 @@ fn released_capacity_is_reusable() {
     assert!(outcome(&mesh, "domain-a", id2).is_err());
 
     // …until the first one is torn down.
-    mesh.release_in(SimDuration::ZERO, "domain-a", id1);
+    mesh.input_in(SimDuration::ZERO, "domain-a", Input::Release(id1));
     mesh.run_until_idle();
     // Re-submit (fresh id required — reuse the same signed request: it
     // was denied, so its id is free again in all tables).

@@ -7,7 +7,7 @@ use qos_broker::Interval;
 use qos_core::drive::Mesh;
 use qos_core::node::Completion;
 use qos_core::scenario::{build_star, ChainOptions};
-use qos_core::{RarId, ResSpec};
+use qos_core::{Input, RarId, ResSpec};
 use qos_crypto::Timestamp;
 use qos_net::SimDuration;
 
@@ -131,14 +131,8 @@ fn tunnels_work_between_arbitrary_leaves() {
 
     let hub_rx_before = mesh.node("hub").counters().rx;
     for flow in 1..=5u64 {
-        mesh.tunnel_flow_in(
-            SimDuration::ZERO,
-            &src,
-            tunnel,
-            flow,
-            10 * MBPS,
-            alice.clone(),
-        );
+        let input = Input::TunnelFlow(tunnel, flow, 10 * MBPS, None, alice.clone());
+        mesh.input_in(SimDuration::ZERO, &src, input);
     }
     mesh.run_until_idle();
     let accepted = mesh
